@@ -58,12 +58,11 @@
 //     node states, payloads and proposals are byte strings encoded with
 //     wire; Codec adapts typed states through explicit
 //     EncodeState/DecodeState functions, and every protocol message's
-//     WireSize is the exact length of its encoding. encoding/gob is off
-//     the per-round path entirely (GobCodec remains as an explicit
-//     reflection-based compatibility adapter for prototyping). Monitor
-//     accounts per-virtual-node availability: green instances, maximal
-//     stalls and recovery latencies, with horizon-aware variants that
-//     count a silenced node as unavailable.
+//     WireSize is the exact length of its encoding; nothing in the
+//     module uses encoding/gob. Monitor accounts per-virtual-node
+//     availability: green instances, maximal stalls and recovery
+//     latencies, with horizon-aware variants that count a silenced node
+//     as unavailable.
 //   - apps, baseline: applications on top of the infrastructure and the
 //     baselines the paper argues against. Application payloads and states
 //     are canonical wire encodings (a one-byte kind tag plus fixed field
@@ -78,7 +77,14 @@
 //     burst) x intensity x deployment size, reporting availability,
 //     stalls and recovery latencies from vi.Monitor. Every table
 //     registers a harness.Descriptor (parameter grid, seed list, typed
-//     rows) in its file's init.
+//     rows) in its file's init. The VI-level cells (E5–E7, E11–E14) do
+//     not assemble a stack themselves: each describes its deployment as
+//     a spec.Spec value and builds it with spec.Build.
+//   - spec: the vinfra-spec/v1 deployment document and spec.Build, the
+//     one place an engine + medium + deployment + monitor world is
+//     assembled — for cmd/visim, cmd/visimd (internal/service), the
+//     benchmark and the experiments alike. World.AttachReplica and
+//     World.SetLeader are what a churn-modelling driver adds mid-run.
 //   - harness: the registry-based experiment runner. It fans
 //     experiment×parameter×seed cells out over a bounded worker pool,
 //     merges results deterministically (parallel output is byte-identical

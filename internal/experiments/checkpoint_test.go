@@ -11,7 +11,9 @@ import (
 	"vinfra/internal/geo"
 	"vinfra/internal/harness"
 	"vinfra/internal/sim"
+	"vinfra/internal/spec"
 	"vinfra/internal/vi"
+	"vinfra/internal/wire"
 )
 
 // runSoak steps a freshly built soak to completion.
@@ -131,37 +133,27 @@ func TestCitySoakRestoreEqualsUninterrupted(t *testing.T) {
 func TestCheckpointMidRound(t *testing.T) {
 	locs := geo.Grid{Spacing: 6, Cols: 3, Rows: 3}.Locations()
 	per := vi.Timing{S: vi.BuildSchedule(locs, Radii).Len()}.RoundsPerVRound()
-	area := geo.Rect{Min: geo.Point{X: -3, Y: -3}, Max: geo.Point{X: 15, Y: 15}}
-
 	for _, shards := range []int{1, 8} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			t.Parallel()
-			mk := func() *viBed {
-				bed := newVIBed(viBedOpts{
-					locs:        locs,
-					replicasPer: 3,
-					seed:        11,
-					fixedLeader: true,
-					adversary: &faults.CellJammer{
-						Window:   faults.Window{From: sim.Round(per / 2)},
-						Bounds:   area,
-						CellSize: 6,
-						Cells:    2,
-						Seed:     99,
-					},
-					parallel: true,
-					shards:   shards,
+			mk := func() *spec.World {
+				w := buildWorld(spec.Spec{
+					Seed: 11, Grid: spec.Grid{Cols: 3, Rows: 3},
+					Engine: spec.Engine{Parallel: true, Shards: shards},
+					Faults: []spec.Fault{{
+						Kind: spec.KindCellJammer, From: per / 2, CellSize: 6, Cells: 2, Seed: 99,
+					}},
 				})
 				for _, loc := range locs {
-					bed.addPinger(geo.Point{X: loc.X + 1.2, Y: loc.Y - 1})
+					attachPinger(w, geo.Point{X: loc.X + 1.2, Y: loc.Y - 1})
 				}
-				bed.eng.AddFault(faults.RegionWipe{
+				w.Eng.AddFault(faults.RegionWipe{
 					Center: locs[4],
 					Radius: 1.0,
 					At:     sim.Round(2*per + per/3),
 				})
-				bed.eng.AddFault(&faults.ChurnStorm{
+				w.Eng.AddFault(&faults.ChurnStorm{
 					Window: faults.Window{From: sim.Round(per), Until: sim.Round(3 * per)},
 					Period: per / 2,
 					Kills:  1,
@@ -170,42 +162,34 @@ func TestCheckpointMidRound(t *testing.T) {
 					// node population stays construction-determined.
 					Eligible: func(id sim.NodeID) bool { return int(id)%3 != 0 },
 				})
-				return bed
+				return w
 			}
 			total := 5 * per
 
 			straight := mk()
-			straight.eng.Run(total)
-			wantEng := straight.eng.Snapshot().AppendTo(nil)
-			wantMon := straight.mon.Snapshot().AppendTo(nil)
+			straight.Eng.Run(total)
+			wantEng := straight.Eng.Snapshot().AppendTo(nil)
+			wantMon := straight.Mon.Snapshot().AppendTo(nil)
 
-			bed := mk()
+			w := mk()
 			cuts := []int{per/2 + 1, 2*per + per/3 + 1, 3*per + 2}
 			for _, cut := range cuts {
-				bed.eng.Run(cut - int(bed.eng.Round()))
-				cp, err := checkpoint.Decode(checkpoint.Checkpoint{
-					Engine:  bed.eng.Snapshot(),
-					Medium:  bed.medium.Snapshot(),
-					Monitor: bed.mon.Snapshot(),
-				}.Encode())
+				w.Eng.Run(cut - int(w.Eng.Round()))
+				cp, err := checkpoint.Decode(w.Checkpoint().Encode())
 				if err != nil {
 					t.Fatalf("checkpoint at round %d: %v", cut, err)
 				}
-				bed = mk()
-				if err := bed.medium.Restore(cp.Medium); err != nil {
-					t.Fatalf("medium restore at round %d: %v", cut, err)
+				w = mk()
+				if err := w.Restore(cp); err != nil {
+					t.Fatalf("restore at round %d: %v", cut, err)
 				}
-				if err := bed.eng.Restore(cp.Engine); err != nil {
-					t.Fatalf("engine restore at round %d: %v", cut, err)
-				}
-				bed.mon.Restore(cp.Monitor)
 			}
-			bed.eng.Run(total - int(bed.eng.Round()))
+			w.Eng.Run(total - int(w.Eng.Round()))
 
-			if got := bed.eng.Snapshot().AppendTo(nil); !bytes.Equal(got, wantEng) {
+			if got := w.Eng.Snapshot().AppendTo(nil); !bytes.Equal(got, wantEng) {
 				t.Fatalf("engine state after mid-round restores diverges from the uninterrupted run (%d vs %d bytes)", len(got), len(wantEng))
 			}
-			if got := bed.mon.Snapshot().AppendTo(nil); !bytes.Equal(got, wantMon) {
+			if got := w.Mon.Snapshot().AppendTo(nil); !bytes.Equal(got, wantMon) {
 				t.Fatalf("monitor state after mid-round restores diverges from the uninterrupted run")
 			}
 		})
@@ -229,15 +213,15 @@ func TestEngineFork(t *testing.T) {
 
 	fork := func(seed int64) []byte {
 		f := mk()
-		if err := f.bed.medium.Restore(cp.Medium); err != nil {
+		if err := f.w.Medium.Restore(cp.Medium); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.bed.eng.Fork(cp.Engine, seed); err != nil {
+		if err := f.w.Eng.Fork(cp.Engine, seed); err != nil {
 			t.Fatal(err)
 		}
-		f.bed.mon.Restore(cp.Monitor)
-		f.bed.eng.Run(4 * f.per)
-		return f.bed.eng.Snapshot().AppendTo(nil)
+		f.w.Mon.Restore(cp.Monitor)
+		f.w.Eng.Run(4 * f.w.RoundsPerVRound())
+		return f.w.Eng.Snapshot().AppendTo(nil)
 	}
 
 	a, b, c := fork(777), fork(777), fork(778)
@@ -246,5 +230,73 @@ func TestEngineFork(t *testing.T) {
 	}
 	if bytes.Equal(a, c) {
 		t.Fatal("forks with different seeds agree byte-for-byte — the fork seed is not reaching the node RNG streams")
+	}
+}
+
+// TestSoakRestoreRejectsHostileDriver feeds damaged and crafted driver
+// blobs — the part of a checkpoint file the soaks decode themselves — to
+// all three soaks over otherwise valid layers. Every one must come back as
+// an error: a count the remaining bytes cannot hold must not size an
+// allocation, and a region or node outside the world must not become an
+// index.
+func TestSoakRestoreRejectsHostileDriver(t *testing.T) {
+	uv := func(xs ...uint64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = wire.AppendUvarint(b, x)
+		}
+		return b
+	}
+	const huge = 1 << 60
+	// The quick E11/E13 cells are 3x3: nine rosters of three replicas.
+	var rosters []uint64
+	for v := uint64(0); v < 9; v++ {
+		rosters = append(rosters, 3, 3*v, 3*v+1, 3*v+2)
+	}
+	with := func(head []uint64, tail ...uint64) []byte {
+		return uv(append(append(append([]uint64{}, head...), rosters...), tail...)...)
+	}
+	head := []uint64{1, 0, 0, 0, 9} // vr churn joins resets |rosters|; E11 appends latencies and arrivals
+	e11, e13 := e11Desc.Grid(true)[0], e13Desc.Grid(true)[0]
+	cases := []struct {
+		exp, name string
+		p         harness.Params
+		driver    []byte
+	}{
+		{"E13", "joiner count", e13, with(head, huge)},
+		{"E13", "joiner region", e13, with(head, 1, 9)},
+		{"E13", "roster length", e13, uv(1, 0, 0, 0, 9, huge)},
+		{"E13", "roster node", e13, uv(1, 0, 0, 0, 9, 1, 36, 0, 0, 0, 0, 0, 0, 0, 0, 0)},
+		{"E13", "trailing bytes", e13, with(head, 0, 7)},
+		{"E11", "roster length", e11, uv(1, 0, 0, 0, 9, huge)},
+		{"E11", "joiner count", e11, with(head, huge)},
+		{"E11", "joiner region", e11, with(head, 1, 9, 0, 1)},
+		{"E11", "roster node", e11, uv(1, 0, 0, 0, 9, 1, huge, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)},
+		{"E11", "latency count", e11, with(head, 0, huge)},
+		{"E11", "truncated", e11, uv(1, 0, 0)},
+		{"E14", "empty", harness.Params{Ints: map[string]int{"devices": 200, "cols": 3, "rows": 3, "vrounds": 2}}, nil},
+		{"E14", "trailing bytes", harness.Params{Ints: map[string]int{"devices": 200, "cols": 3, "rows": 3, "vrounds": 2}}, uv(1, 1)},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.exp+"/"+c.name, func(t *testing.T) {
+			mk := func() Soak {
+				s, err := NewSoak(c.exp, &harness.Cell{Params: c.p, Seed: 1}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			src := mk()
+			src.StepVRound()
+			cp := src.Checkpoint()
+			if err := mk().Restore(cp); err != nil {
+				t.Fatalf("the unmodified checkpoint does not restore: %v", err)
+			}
+			cp.Driver = c.driver
+			if err := mk().Restore(cp); err == nil {
+				t.Fatal("Restore accepted the hostile driver blob")
+			}
+		})
 	}
 }

@@ -10,8 +10,9 @@
 // Each table registers a harness.Descriptor in its file's init: a
 // parameter grid, a seed list, and a cell function returning typed rows.
 // cmd/chabench runs the registry (text tables or JSON, sequential or
-// fanned over a worker pool); the legacy per-table functions remain as
-// thin wrappers over the same cell functions for tests and bench_test.go.
+// fanned over a worker pool); the legacy per-table functions of E2–E10
+// remain as thin wrappers over the same cell functions for tests and
+// bench_test.go.
 // Cell functions derive every internal random seed from the harness seed
 // via Cell.Base, so seed 1 reproduces the historical tables exactly and
 // the quick-grid output for fixed seeds is pinned byte-for-byte by

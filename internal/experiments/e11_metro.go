@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 )
 
 // e11Shapes are the metro sweep's virtual-node grids: the quick variant
@@ -76,12 +75,4 @@ func metroRows(c *harness.Cell, shards int) []harness.Row {
 		s.StepVRound()
 	}
 	return s.Rows()
-}
-
-// MetroChurn is the legacy-style table entry point.
-func MetroChurn(cols, rows, vrounds int) *metrics.Table {
-	c := &harness.Cell{Seed: 1, Params: harness.Params{
-		Ints: map[string]int{"cols": cols, "rows": rows, "vrounds": vrounds},
-	}}
-	return e11Desc.TableOf(metroCell(c))
 }

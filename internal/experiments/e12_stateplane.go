@@ -5,8 +5,8 @@ import (
 
 	"vinfra/internal/geo"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/sim"
+	"vinfra/internal/spec"
 	"vinfra/internal/vi"
 )
 
@@ -64,21 +64,18 @@ func init() { harness.Register(e12Desc) }
 // watches the state plane's serialization overhead.
 func statePlaneCell(c *harness.Cell) []harness.Row {
 	cols, rows, vrounds := c.Params.Int("cols"), c.Params.Int("rows"), c.Params.Int("vrounds")
-	const replicasPer = 3
-	locs := geo.Grid{Spacing: 6, Cols: cols, Rows: rows}.Locations()
-	bed := newVIBed(viBedOpts{
-		locs:        locs,
-		replicasPer: replicasPer,
-		seed:        int64(cols*rows)*3 + c.Base(),
-		fixedLeader: true,
-		parallel:    true,
+	w := buildWorld(spec.Spec{
+		Seed: int64(cols*rows)*3 + c.Base(), VRounds: vrounds, Grid: spec.Grid{Cols: cols, Rows: rows},
+		Devices: spec.Devices{Replicas: 3},
+		Engine:  spec.Engine{Parallel: true},
 	})
 	// One client per region, staggered so pings from neighboring regions
-	// don't collide every client slot.
-	for v, loc := range locs {
+	// don't collide every client slot (Devices.Pingers' stagger from a
+	// different offset, which the wire-byte columns pin).
+	for v, loc := range w.Locs {
 		v := v
-		bed.eng.Attach(geo.Point{X: loc.X + 1.1, Y: loc.Y - 1.1}, nil, func(env sim.Env) sim.Node {
-			return bed.dep.NewClient(env, vi.ClientFunc(
+		w.Eng.Attach(geo.Point{X: loc.X + 1.1, Y: loc.Y - 1.1}, nil, func(env sim.Env) sim.Node {
+			return w.Dep.NewClient(env, vi.ClientFunc(
 				func(vr int, _ []vi.Message, _ bool) *vi.Message {
 					if vr%4 != v%4 {
 						return nil
@@ -87,24 +84,16 @@ func statePlaneCell(c *harness.Cell) []harness.Row {
 				}))
 		})
 	}
-	bed.runVRounds(vrounds)
-	st := bed.eng.Stats()
+	stepVRounds(w, vrounds)
+	st := w.Eng.Stats()
 	c.CountRounds(st.Rounds)
 	c.CountBytes(st.TotalBytes)
 	return []harness.Row{{
-		harness.Int(len(locs)), harness.Int(bed.eng.NumNodes()), harness.Int(vrounds),
-		harness.Int(bed.dep.Schedule().Len()),
-		harness.Int(bed.dep.Timing().RoundsPerVRound()),
+		harness.Int(len(w.Locs)), harness.Int(w.Eng.NumNodes()), harness.Int(vrounds),
+		harness.Int(w.Dep.Schedule().Len()),
+		harness.Int(w.RoundsPerVRound()),
 		harness.Float(float64(st.TotalBytes) / float64(vrounds)),
 		harness.Int(st.MaxMessageSize),
-		harness.Float(bed.meanAvailability()),
+		harness.Float(w.Mon.Summary(len(w.Locs)).MeanAvailability),
 	}}
-}
-
-// StatePlane is the legacy-style table entry point.
-func StatePlane(cols, rows, vrounds int) *metrics.Table {
-	c := &harness.Cell{Seed: 1, Params: harness.Params{
-		Ints: map[string]int{"cols": cols, "rows": rows, "vrounds": vrounds},
-	}}
-	return e12Desc.TableOf(statePlaneCell(c))
 }

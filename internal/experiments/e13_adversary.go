@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 )
 
 // E13 is the robustness grid: the full emulation stack under the
@@ -93,13 +92,4 @@ func adversaryRows(c *harness.Cell, parallel bool, shards int) []harness.Row {
 		s.StepVRound()
 	}
 	return s.Rows()
-}
-
-// AdversaryGrid is the legacy-style table entry point.
-func AdversaryGrid(kind, intensity string, cols, rows, vrounds int) *metrics.Table {
-	c := &harness.Cell{Seed: 1, Params: harness.Params{
-		Ints: map[string]int{"cols": cols, "rows": rows, "vrounds": vrounds},
-		Strs: map[string]string{"kind": kind, "intensity": intensity},
-	}}
-	return e13Desc.TableOf(adversaryCell(c))
 }

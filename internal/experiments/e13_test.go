@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
 	"reflect"
 	"testing"
 
 	"vinfra/internal/harness"
+	"vinfra/internal/spec"
 )
 
 // TestAdversaryParallelEqualsSequential pins the adversary plane's
@@ -55,5 +58,62 @@ func TestAdversaryCellsDegradeAvailability(t *testing.T) {
 	}
 	if jam >= storm {
 		t.Errorf("jam (%.2f) should hurt more than absorbed churn (%.2f)", jam, storm)
+	}
+}
+
+// jamCellDoc is the checked-in vinfra-spec/v1 document of the E13
+// jam/high/3x3 cell at seed 1; internal/service's tests POST the same file
+// to visimd.
+const jamCellDoc = "testdata/e13_jam_high_3x3.json"
+
+// TestJamCellIsASpecDocument pins what building the soaks on spec.Build
+// buys: a jam cell has no closure-carrying faults and no mid-run joiners,
+// so its world's spec document alone reproduces it. The document parsed,
+// built and stepped with no experiment code attached must match the cell
+// layer for layer (engine, medium, monitor snapshots) and report the
+// availability the cell's row does.
+func TestJamCellIsASpecDocument(t *testing.T) {
+	p := e13Desc.Grid(true)[0]
+	if p.Label != "jam/high/3x3" {
+		t.Fatalf("first quick E13 cell is %q, want jam/high/3x3", p.Label)
+	}
+	s := newAdversarySoak(&harness.Cell{Params: p, Seed: 1}, true, 0)
+	doc := s.w.Spec.JSON()
+	want, err := os.ReadFile(jamCellDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(doc, want) {
+		t.Fatalf("the cell's spec document drifted from %s:\n%s", jamCellDoc, doc)
+	}
+
+	parsed, err := spec.Parse(doc)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	bare, err := spec.Build(parsed)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	defer bare.Eng.Close()
+	for s.VRound() < s.VRounds() {
+		s.StepVRound()
+		bare.StepVRound()
+	}
+	if bare.VRound() != bare.VRounds() {
+		t.Fatalf("document horizon is %d vrounds, the cell ran %d", bare.VRounds(), bare.VRound())
+	}
+	got, cell := bare.Checkpoint(), s.Checkpoint()
+	if !bytes.Equal(got.Engine.AppendTo(nil), cell.Engine.AppendTo(nil)) {
+		t.Error("engine snapshot of the bare document diverges from the cell")
+	}
+	if !bytes.Equal(got.Medium.AppendTo(nil), cell.Medium.AppendTo(nil)) {
+		t.Error("medium snapshot of the bare document diverges from the cell")
+	}
+	if !bytes.Equal(got.Monitor.AppendTo(nil), cell.Monitor.AppendTo(nil)) {
+		t.Error("monitor snapshot of the bare document diverges from the cell")
+	}
+	if row := s.Rows()[0][6].V.(float64); bare.Summary().MeanAvailability != row {
+		t.Errorf("bare document availability %v, cell row %v", bare.Summary().MeanAvailability, row)
 	}
 }

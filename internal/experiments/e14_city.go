@@ -146,13 +146,13 @@ func cityRun(c *harness.Cell, shards int) cityOutcome {
 	}
 	elapsed := time.Since(start)
 	sig, st := s.outcome()
-	s.bed.eng.Close() // release this run's worker pool before the next run
+	s.w.Eng.Close() // release this run's worker pool before the next run
 	return cityOutcome{
 		sig:     sig,
 		rounds:  st.Rounds,
 		halo:    st.HaloTransmissions,
 		elapsed: elapsed,
-		part:    s.bed.eng.PartitionTime(),
+		part:    s.w.Eng.PartitionTime(),
 	}
 }
 

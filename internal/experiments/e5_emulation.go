@@ -6,17 +6,18 @@ import (
 	"vinfra/internal/geo"
 	"vinfra/internal/harness"
 	"vinfra/internal/metrics"
+	"vinfra/internal/spec"
 )
 
 // e5Deployments are the density sweep's grid shapes.
 var e5Deployments = []struct {
 	name string
-	grid geo.Grid
+	grid spec.Grid
 }{
-	{"1x1", geo.Grid{Spacing: 6, Cols: 1, Rows: 1}},
-	{"1x2", geo.Grid{Spacing: 6, Cols: 2, Rows: 1}},
-	{"2x2", geo.Grid{Spacing: 6, Cols: 2, Rows: 2}},
-	{"3x3", geo.Grid{Spacing: 6, Cols: 3, Rows: 3}},
+	{"1x1", spec.Grid{Cols: 1, Rows: 1}},
+	{"1x2", spec.Grid{Cols: 2, Rows: 1}},
+	{"2x2", spec.Grid{Cols: 2, Rows: 2}},
+	{"3x3", spec.Grid{Cols: 3, Rows: 3}},
 }
 
 var e5aDesc = harness.Descriptor{
@@ -74,15 +75,18 @@ func emulationDensityCell(c *harness.Cell) []harness.Row {
 		if d.name != name {
 			continue
 		}
-		locs := d.grid.Locations()
-		bed := newVIBed(viBedOpts{locs: locs, replicasPer: 2, fixedLeader: true, seed: c.Seed})
-		per := bed.dep.Timing().RoundsPerVRound()
-		bed.runVRounds(vrounds)
-		c.CountRounds(bed.eng.Stats().Rounds)
-		measured := float64(bed.eng.Stats().Rounds) / float64(vrounds)
+		w := buildWorld(spec.Spec{
+			Seed: c.Seed, VRounds: vrounds, Grid: d.grid,
+			Devices: spec.Devices{Replicas: 2},
+		})
+		stepVRounds(w, vrounds)
+		rounds := w.Eng.Stats().Rounds
+		c.CountRounds(rounds)
+		measured := float64(rounds) / float64(vrounds)
 		return []harness.Row{{
-			harness.Str(d.name), harness.Int(len(locs)), harness.Int(bed.dep.Schedule().Len()),
-			harness.Int(per), harness.Float(measured), harness.Float(bed.meanAvailability()),
+			harness.Str(d.name), harness.Int(len(w.Locs)), harness.Int(w.Dep.Schedule().Len()),
+			harness.Int(w.RoundsPerVRound()), harness.Float(measured),
+			harness.Float(w.Mon.Summary(len(w.Locs)).MeanAvailability),
 		}}
 	}
 	panic(fmt.Sprintf("e5: unknown deployment %q", name))
@@ -107,21 +111,19 @@ func EmulationOverheadVsDensity(vrounds int) *metrics.Table {
 // emulation).
 func emulationReplicasCell(c *harness.Cell) []harness.Row {
 	n, vrounds := c.Params.Int("replicas"), c.Params.Int("vrounds")
-	bed := newVIBed(viBedOpts{
-		locs:        []geo.Point{{X: 0, Y: 0}},
-		replicasPer: n,
-		fixedLeader: true,
-		seed:        c.Seed,
+	w := buildWorld(spec.Spec{
+		Seed: c.Seed, VRounds: vrounds, Grid: spec.Grid{Cols: 1, Rows: 1},
+		Devices: spec.Devices{Replicas: n},
 	})
-	bed.addPinger(geo.Point{X: 1.2, Y: -1})
-	bed.runVRounds(vrounds)
-	st := bed.eng.Stats()
+	attachPinger(w, geo.Point{X: 1.2, Y: -1})
+	stepVRounds(w, vrounds)
+	st := w.Eng.Stats()
 	c.CountRounds(st.Rounds)
 	return []harness.Row{{
 		harness.Int(n),
 		harness.Float(float64(st.Rounds) / float64(vrounds)),
 		harness.Float(float64(st.Transmissions) / float64(vrounds)),
-		harness.Float(bed.availability(0)),
+		harness.Float(w.Mon.Report(0).Availability),
 	}}
 }
 

@@ -7,6 +7,7 @@ import (
 	"vinfra/internal/harness"
 	"vinfra/internal/metrics"
 	"vinfra/internal/sim"
+	"vinfra/internal/spec"
 	"vinfra/internal/vi"
 )
 
@@ -38,14 +39,13 @@ func init() { harness.Register(e6Desc) }
 // progress condition).
 func churnCell(c *harness.Cell) []harness.Row {
 	period, vrounds := c.Params.Int("period"), c.Params.Int("vrounds")
-	bed := newVIBed(viBedOpts{
-		locs:        []geo.Point{{X: 0, Y: 0}},
-		replicasPer: 3,
-		seed:        int64(period) + c.Base(),
+	w := buildWorld(spec.Spec{
+		Seed: int64(period) + c.Base(), VRounds: vrounds, Grid: spec.Grid{Cols: 1, Rows: 1},
+		Devices: spec.Devices{Replicas: 3},
+		Leader:  "regional",
 	})
-	bed.addPinger(geo.Point{X: 1.2, Y: -1})
+	attachPinger(w, geo.Point{X: 1.2, Y: -1})
 
-	per := bed.dep.Timing().RoundsPerVRound()
 	var joinLatency metrics.Series
 	resets := 0
 	turnovers := 0
@@ -57,11 +57,11 @@ func churnCell(c *harness.Cell) []harness.Row {
 	for vr := 0; vr < vrounds; vr++ {
 		if period > 0 && vr > 0 && vr%period == 0 && oldest < len(alive) {
 			// Oldest leaves; a new device arrives nearby.
-			bed.eng.Leave(alive[oldest])
+			w.Eng.Leave(alive[oldest])
 			oldest++
 			arrivedAt := vr
-			newID := sim.NodeID(bed.eng.NumNodes())
-			bed.attachEmulator(geo.Point{X: 0.2 * float64(vr%5), Y: -0.3}, false, vi.EmulatorHooks{
+			newID := sim.NodeID(w.Eng.NumNodes())
+			w.AttachReplica(geo.Point{X: 0.2 * float64(vr%5), Y: -0.3}, false, vi.EmulatorHooks{
 				OnJoin: func(_ vi.VNodeID, joinVR int) {
 					joinLatency.AddInt(joinVR - arrivedAt)
 				},
@@ -70,12 +70,12 @@ func churnCell(c *harness.Cell) []harness.Row {
 			alive = append(alive, newID)
 			turnovers++
 		}
-		bed.eng.Run(per)
+		w.StepVRound()
 	}
-	c.CountRounds(bed.eng.Stats().Rounds)
+	c.CountRounds(w.Eng.Stats().Rounds)
 	return []harness.Row{{
 		harness.Int(period), harness.Int(turnovers),
-		harness.Float(bed.availability(0)), harness.Float(joinLatency.Mean()), harness.Int(resets),
+		harness.Float(w.Mon.Report(0).Availability), harness.Float(joinLatency.Mean()), harness.Int(resets),
 	}}
 }
 

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"vinfra/internal/cha"
-	"vinfra/internal/geo"
 	"vinfra/internal/harness"
 	"vinfra/internal/metrics"
+	"vinfra/internal/spec"
 )
 
 var e7aDesc = harness.Descriptor{
@@ -61,21 +61,20 @@ func init() {
 // delays").
 func baselineVICell(c *harness.Cell) []harness.Row {
 	n, vrounds := c.Params.Int("replicas"), c.Params.Int("vrounds")
-	bed := newVIBed(viBedOpts{
-		locs:        []geo.Point{{X: 0, Y: 0}},
-		replicasPer: n,
-		fixedLeader: true,
-		seed:        c.Seed,
+	w := buildWorld(spec.Spec{
+		Seed: c.Seed, VRounds: vrounds, Grid: spec.Grid{Cols: 1, Rows: 1},
+		Devices: spec.Devices{Replicas: n},
 	})
-	bed.runVRounds(vrounds)
-	c.CountRounds(bed.eng.Stats().Rounds)
-	chap := float64(bed.eng.Stats().Rounds) / float64(vrounds)
+	stepVRounds(w, vrounds)
+	st := w.Eng.Stats()
+	c.CountRounds(st.Rounds)
+	chap := float64(st.Rounds) / float64(vrounds)
 
 	// RSM-based virtual round: client + vn phases, then one majority
 	// decision over the same radio channel.
 	rsmRounds, _, rsmSimRounds, rsmBytes := rsmRun(n, vrounds, nil, int64(n)+c.Base())
 	c.CountRounds(rsmSimRounds)
-	c.CountBytes(bed.eng.Stats().TotalBytes + rsmBytes)
+	c.CountBytes(st.TotalBytes + rsmBytes)
 	rsm := 2 + rsmRounds
 	return []harness.Row{{
 		harness.Int(n), harness.Float(chap), harness.Float(rsm), harness.Float(rsm / chap),

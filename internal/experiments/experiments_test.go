@@ -9,6 +9,7 @@ import (
 	"vinfra/internal/geo"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
+	"vinfra/internal/spec"
 )
 
 func TestFigure2MatchesPaper(t *testing.T) {
@@ -153,12 +154,13 @@ func TestEmulationOverheadTables(t *testing.T) {
 	}
 	// Direct checks of the claim: rounds per vround equals s+12 and is
 	// independent of replicas.
-	bed1 := newVIBed(viBedOpts{locs: []geo.Point{{X: 0}}, replicasPer: 1, fixedLeader: true})
-	bed4 := newVIBed(viBedOpts{locs: []geo.Point{{X: 0}}, replicasPer: 4, fixedLeader: true})
-	if bed1.dep.Timing().RoundsPerVRound() != bed4.dep.Timing().RoundsPerVRound() {
+	one := spec.Grid{Cols: 1, Rows: 1}
+	w1 := buildWorld(spec.Spec{Grid: one, Devices: spec.Devices{Replicas: 1}})
+	w4 := buildWorld(spec.Spec{Grid: one, Devices: spec.Devices{Replicas: 4}})
+	if w1.RoundsPerVRound() != w4.RoundsPerVRound() {
 		t.Error("rounds per vround depends on replicas")
 	}
-	if got := bed1.dep.Timing().RoundsPerVRound(); got != bed1.dep.Schedule().Len()+12 {
+	if got := w1.RoundsPerVRound(); got != w1.Dep.Schedule().Len()+12 {
 		t.Errorf("rounds per vround = %d, want s+12", got)
 	}
 }
@@ -169,10 +171,10 @@ func TestChurnSurvivalAvailability(t *testing.T) {
 		t.Fatal("row count")
 	}
 	// Re-run to assert availability stays reasonable under slow churn.
-	bed := newVIBed(viBedOpts{locs: []geo.Point{{X: 0}}, replicasPer: 3, seed: 6})
-	bed.addPinger(geo.Point{X: 1.2, Y: -1})
-	bed.runVRounds(30)
-	if got := bed.availability(0); got < 0.5 {
+	w := buildWorld(spec.Spec{Seed: 6, Grid: spec.Grid{Cols: 1, Rows: 1}, Leader: "regional"})
+	attachPinger(w, geo.Point{X: 1.2, Y: -1})
+	stepVRounds(w, 30)
+	if got := w.Mon.Report(0).Availability; got < 0.5 {
 		t.Errorf("availability %v under no churn with backoff CM", got)
 	}
 }
@@ -184,8 +186,7 @@ func TestBaselineVIComparisonShape(t *testing.T) {
 	}
 	// CHAP's cost is replica-independent; RSM's grows. With s=1 the
 	// crossover is at n+4 > 13, i.e. n > 9.
-	bed := newVIBed(viBedOpts{locs: []geo.Point{{X: 0}}, replicasPer: 3, fixedLeader: true})
-	chap := bed.dep.Timing().RoundsPerVRound()
+	chap := buildWorld(spec.Spec{Grid: spec.Grid{Cols: 1, Rows: 1}}).RoundsPerVRound()
 	small, _ := rsmRoundsPerDecision(3, 6, nil, 3)
 	big, _ := rsmRoundsPerDecision(15, 6, nil, 15)
 	if !(2+small < float64(chap) && 2+big > float64(chap)) {

@@ -11,8 +11,8 @@ import (
 	"vinfra/internal/harness"
 	"vinfra/internal/metrics"
 	"vinfra/internal/mobility"
-	"vinfra/internal/radio"
 	"vinfra/internal/sim"
+	"vinfra/internal/spec"
 	"vinfra/internal/vi"
 	"vinfra/internal/wire"
 )
@@ -59,15 +59,16 @@ type Soak interface {
 // NewSoak builds the resumable driver for one cell of a soakable
 // experiment. exp selects the experiment ("E11", "E13", "E14"); shards > 0
 // runs the region-sharded engine (E14 interprets shards <= 0 as its
-// headline 8-shard configuration, the others as the single-medium bed).
+// headline 8-shard configuration, the others as the single-medium world).
 func NewSoak(exp string, c *harness.Cell, shards int) (Soak, error) {
+	shards = max(shards, 0)
 	switch exp {
 	case "E11":
 		return newMetroSoak(c, shards), nil
 	case "E13":
 		return newAdversarySoak(c, true, shards), nil
 	case "E14":
-		if shards <= 0 {
+		if shards == 0 {
 			shards = 8
 		}
 		return newCitySoak(c, shards), nil
@@ -76,397 +77,89 @@ func NewSoak(exp string, c *harness.Cell, shards int) (Soak, error) {
 	}
 }
 
-// checkpointOf assembles the three shared layers plus the driver blob.
-func checkpointOf(bed *viBed, driver []byte) checkpoint.Checkpoint {
-	return checkpoint.Checkpoint{
-		Engine:  bed.eng.Snapshot(),
-		Medium:  bed.medium.Snapshot(),
-		Monitor: bed.mon.Snapshot(),
-		Driver:  driver,
-	}
+// soakCheckpoint captures the world's three shared layers with the soak's
+// own driver blob in place of the world's (a soak keeps its own cursor and
+// counts only its mid-run joiners, so the world's driver state is unused).
+func soakCheckpoint(w *spec.World, driver []byte) checkpoint.Checkpoint {
+	cp := w.Checkpoint()
+	cp.Driver = driver
+	return cp
 }
 
-// restoreBed lays the three shared layers over a rebuilt bed. The driver
+// soakRestore lays the three shared layers over a rebuilt world. The driver
 // must have re-attached every mid-run joiner first so the node population
 // matches.
-func restoreBed(bed *viBed, cp checkpoint.Checkpoint) error {
-	if err := bed.medium.Restore(cp.Medium); err != nil {
+func soakRestore(w *spec.World, cp checkpoint.Checkpoint) error {
+	if err := w.Medium.Restore(cp.Medium); err != nil {
 		return err
 	}
-	if err := bed.eng.Restore(cp.Engine); err != nil {
+	if err := w.Eng.Restore(cp.Engine); err != nil {
 		return err
 	}
-	bed.mon.Restore(cp.Monitor)
+	w.Mon.Restore(cp.Monitor)
 	return nil
 }
 
-// --- E11: metro churn ---
+// soakReplicasPer is the bootstrapped replica count per region in every
+// soak.
+const soakReplicasPer = 3
 
-// metroExtra records one mid-run joiner: which region it was attached to
-// and the virtual round it arrived in (its OnJoin hook measures join
-// latency against that arrival).
-type metroExtra struct {
-	v       int
-	arrived int
-}
-
-type metroSoak struct {
+// churnSoak is what the churn soaks (E11, E13) share: the cell, its world,
+// the virtual-round cursor, and the replica bookkeeping — per-region rosters
+// (oldest first, head = the fixed leader), the mid-run joiners in attach
+// order, and join/reset counters fed by the joiners' hooks only (the world's
+// own counters also see the bootstrapped replicas, whose resets the result
+// columns must not count).
+type churnSoak struct {
 	c       *harness.Cell
+	w       *spec.World
 	vrounds int
 	vr      int
 
-	bed      *viBed
-	locs     []geo.Point
-	per      int
-	replicas [][]sim.NodeID // per-region roster, oldest first
-	churn    int
-	extras   []metroExtra
+	rosters [][]sim.NodeID
+	extras  []int // region of each mid-run joiner, in attach order
+	churn   int   // respawns so far; drives the respawn position pattern
 
-	mu        sync.Mutex
-	joins     int
-	resets    int
-	latencies []int64
-}
-
-const metroReplicasPer = 3
-
-func newMetroSoak(c *harness.Cell, shards int) *metroSoak {
-	cols, rows, vrounds := c.Params.Int("cols"), c.Params.Int("rows"), c.Params.Int("vrounds")
-	locs := geo.Grid{Spacing: 6, Cols: cols, Rows: rows}.Locations()
-	s := &metroSoak{c: c, vrounds: vrounds, locs: locs}
-	s.bed = newVIBed(viBedOpts{
-		locs:        locs,
-		replicasPer: metroReplicasPer,
-		seed:        int64(cols*rows) + c.Base(),
-		fixedLeader: true,
-		parallel:    true,
-		shards:      shards,
-	})
-	// One client per region, staggered so pings from neighboring regions
-	// don't collide every client slot.
-	for v, loc := range locs {
-		v := v
-		s.bed.eng.Attach(geo.Point{X: loc.X + 1.2, Y: loc.Y - 1}, nil, func(env sim.Env) sim.Node {
-			return s.bed.dep.NewClient(env, vi.ClientFunc(
-				func(vr int, _ []vi.Message, _ bool) *vi.Message {
-					if vr%len(locs) != v {
-						return nil
-					}
-					return vi.Text(fmt.Sprintf("ping-%02d-%04d", v, vr))
-				}))
-		})
-	}
-	s.per = s.bed.dep.Timing().RoundsPerVRound()
-	s.replicas = make([][]sim.NodeID, len(locs))
-	for v := range locs {
-		for i := 0; i < metroReplicasPer; i++ {
-			s.replicas[v] = append(s.replicas[v], sim.NodeID(v*metroReplicasPer+i))
-		}
-	}
-	return s
-}
-
-// attachExtra attaches one mid-run joiner with the latency-measuring hooks
-// and records it for checkpointing. Hooks fire from emulator Receive calls,
-// which the parallel engine fans out across workers: the counters need
-// their own lock.
-func (s *metroSoak) attachExtra(v, arrived int, pos geo.Point) sim.NodeID {
-	newID := sim.NodeID(s.bed.eng.NumNodes())
-	s.bed.attachEmulator(pos, false, vi.EmulatorHooks{
-		OnJoin: func(_ vi.VNodeID, joinVR int) {
-			s.mu.Lock()
-			s.joins++
-			s.latencies = append(s.latencies, int64(joinVR-arrived))
-			s.mu.Unlock()
-		},
-		OnReset: func(vi.VNodeID, int) {
-			s.mu.Lock()
-			s.resets++
-			s.mu.Unlock()
-		},
-	})
-	s.extras = append(s.extras, metroExtra{v: v, arrived: arrived})
-	return newID
-}
-
-func (s *metroSoak) VRounds() int { return s.vrounds }
-func (s *metroSoak) VRound() int  { return s.vr }
-
-// StepVRound runs one virtual round of the metro churn load: from the
-// second round on, the rotation picks a region, its oldest replica departs
-// through one of the three departure paths (immediate Leave, a CrashAt
-// scheduled mid-vround, a CrashAt aimed at an already-past round),
-// leadership hands to the next-oldest replica, and a fresh device attaches
-// nearby and acquires state through the join protocol.
-func (s *metroSoak) StepVRound() {
-	vr := s.vr
-	if vr > 0 {
-		v := vr % len(s.locs)
-		if reg := s.replicas[v]; len(reg) > 1 {
-			oldest := reg[0]
-			s.replicas[v] = reg[1:]
-			// The departing replica is always the region's leader: hand
-			// leadership to the next-oldest before it goes, the failover a
-			// managed deployment performs.
-			s.bed.setLeader(vi.VNodeID(v), s.replicas[v][0])
-			switch s.churn % 3 {
-			case 0:
-				s.bed.eng.Leave(oldest)
-			case 1:
-				// Mid-vround crash: the replica dies between phases.
-				s.bed.eng.CrashAt(oldest, s.bed.eng.Round()+sim.Round(s.per/2))
-			case 2:
-				// A crash scheduled for a round that already ran: the
-				// engine applies it immediately instead of dropping it.
-				s.bed.eng.CrashAt(oldest, s.bed.eng.Round()-1)
-			}
-			loc := s.locs[v]
-			pos := geo.Point{
-				X: loc.X + 0.4*float64(s.churn%4) - 0.6,
-				Y: loc.Y - 0.35,
-			}
-			newID := s.attachExtra(v, vr, pos)
-			s.replicas[v] = append(s.replicas[v], newID)
-			s.churn++
-		}
-	}
-	s.bed.eng.Run(s.per)
-	s.vr++
-}
-
-// Columns matches the E11 descriptor: the soak row is the cell row.
-func (s *metroSoak) Columns() []string { return e11Desc.Columns }
-
-func (s *metroSoak) Rows() []harness.Row {
-	s.c.CountRounds(s.bed.eng.Stats().Rounds)
-	var joinLatency metrics.Series
-	for _, l := range s.latencies {
-		joinLatency.AddInt(int(l))
-	}
-	return []harness.Row{{
-		harness.Int(len(s.locs)), harness.Int(s.bed.eng.NumNodes()), harness.Int(s.vrounds),
-		harness.Int(s.churn), harness.Int(s.bed.eng.AliveCount()),
-		harness.Float(s.bed.meanAvailability()), harness.Float(joinLatency.Mean()),
-		harness.Int(s.joins), harness.Int(s.resets),
-	}}
-}
-
-func (s *metroSoak) driverBytes() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dst := wire.AppendUvarint(nil, uint64(s.vr))
-	dst = wire.AppendUvarint(dst, uint64(s.churn))
-	dst = wire.AppendUvarint(dst, uint64(s.joins))
-	dst = wire.AppendUvarint(dst, uint64(s.resets))
-	dst = wire.AppendUvarint(dst, uint64(len(s.latencies)))
-	for _, l := range s.latencies {
-		dst = wire.AppendVarint(dst, l)
-	}
-	dst = wire.AppendUvarint(dst, uint64(len(s.replicas)))
-	for _, reg := range s.replicas {
-		dst = wire.AppendUvarint(dst, uint64(len(reg)))
-		for _, id := range reg {
-			dst = wire.AppendUvarint(dst, uint64(id))
-		}
-	}
-	dst = wire.AppendUvarint(dst, uint64(len(s.extras)))
-	for _, x := range s.extras {
-		dst = wire.AppendUvarint(dst, uint64(x.v))
-		dst = wire.AppendUvarint(dst, uint64(x.arrived))
-	}
-	return dst
-}
-
-func (s *metroSoak) Checkpoint() checkpoint.Checkpoint {
-	return checkpointOf(s.bed, s.driverBytes())
-}
-
-func (s *metroSoak) Restore(cp checkpoint.Checkpoint) error {
-	d := wire.Dec(cp.Driver)
-	vr := int(d.Uvarint())
-	churn := int(d.Uvarint())
-	joins := int(d.Uvarint())
-	resets := int(d.Uvarint())
-	nl := d.Uvarint()
-	latencies := make([]int64, 0, nl)
-	for i := uint64(0); i < nl; i++ {
-		latencies = append(latencies, d.Varint())
-	}
-	nr := d.Uvarint()
-	if nr != uint64(len(s.replicas)) {
-		return fmt.Errorf("experiments: E11 restore: %d region rosters, bed has %d regions", nr, len(s.replicas))
-	}
-	replicas := make([][]sim.NodeID, nr)
-	for i := range replicas {
-		n := d.Uvarint()
-		for j := uint64(0); j < n; j++ {
-			replicas[i] = append(replicas[i], sim.NodeID(d.Uvarint()))
-		}
-	}
-	nx := d.Uvarint()
-	extras := make([]metroExtra, 0, nx)
-	for i := uint64(0); i < nx; i++ {
-		v := int(d.Uvarint())
-		arrived := int(d.Uvarint())
-		extras = append(extras, metroExtra{v: v, arrived: arrived})
-	}
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("experiments: E11 restore: driver state: %w", err)
-	}
-	// Re-attach the mid-run joiners in their original order so the node
-	// population (and NodeID assignment) matches the checkpoint; positions
-	// and all node state are overwritten by the engine restore.
-	for _, x := range extras {
-		s.attachExtra(x.v, x.arrived, s.locs[x.v])
-	}
-	if err := restoreBed(s.bed, cp); err != nil {
-		return err
-	}
-	s.vr, s.churn, s.joins, s.resets = vr, churn, joins, resets
-	s.latencies = latencies
-	s.replicas = replicas
-	return nil
-}
-
-// --- E13: adversary grid ---
-
-type adversarySoak struct {
-	c       *harness.Cell
-	vrounds int
-	vr      int
-
-	bed  *viBed
-	locs []geo.Point
-	nv   int
-	per  int
-
-	regionReplicas [][]sim.NodeID
-	regionOf       map[sim.NodeID]vi.VNodeID
-	isReplica      map[sim.NodeID]bool
-	emByID         map[sim.NodeID]*vi.Emulator
-	extras         []int // region of each mid-run joiner, in attach order
-	churn          int
-	wiped          map[int]vi.VNodeID
-
+	// Hooks fire from emulator Receive calls, which the parallel engine
+	// fans out across workers: the counters need their own lock.
 	mu     sync.Mutex
 	joins  int
 	resets int
 }
 
-const adversaryReplicasPer = 3
-
-func newAdversarySoak(c *harness.Cell, parallel bool, shards int) *adversarySoak {
-	kind, intensity := c.Params.Str("kind"), c.Params.Str("intensity")
-	cols, rows, vrounds := c.Params.Int("cols"), c.Params.Int("rows"), c.Params.Int("vrounds")
-	locs := geo.Grid{Spacing: 6, Cols: cols, Rows: rows}.Locations()
-	nv := len(locs)
-	// The adversary must exist before the bed (the jammer rides in the
-	// medium config), so the virtual-round length is derived up front.
-	per := vi.Timing{S: vi.BuildSchedule(locs, Radii).Len()}.RoundsPerVRound()
-	seed := int64(nv)*5 + c.Base()
-	high := intensity == "high"
-
-	s := &adversarySoak{c: c, vrounds: vrounds, locs: locs, nv: nv, per: per}
-
-	adversary := e13Jammer(kind, high, locs, per, seed)
-	s.bed = newVIBed(viBedOpts{
-		locs:        locs,
-		replicasPer: adversaryReplicasPer,
-		seed:        seed,
-		fixedLeader: true,
-		adversary:   adversary,
-		parallel:    parallel,
-		shards:      shards,
-	})
-	// One client per region, staggered so neighboring pings don't collide
-	// every client slot.
-	for v, loc := range locs {
-		v := v
-		s.bed.eng.Attach(geo.Point{X: loc.X + 1.2, Y: loc.Y - 1}, nil, func(env sim.Env) sim.Node {
-			return s.bed.dep.NewClient(env, vi.ClientFunc(
-				func(vr int, _ []vi.Message, _ bool) *vi.Message {
-					if vr%4 != v%4 {
-						return nil
-					}
-					return vi.Text(fmt.Sprintf("ping-%02d-%04d", v, vr))
-				}))
-		})
-	}
-
-	// Replica bookkeeping: per-region rosters (oldest first, head = fixed
-	// leader) and the replica id set — the crash adversaries must not eat
-	// the measurement clients, and failover must hand leadership on.
-	s.regionReplicas = make([][]sim.NodeID, nv)
-	s.regionOf = map[sim.NodeID]vi.VNodeID{}
-	s.isReplica = map[sim.NodeID]bool{}
-	s.emByID = map[sim.NodeID]*vi.Emulator{}
-	for v := 0; v < nv; v++ {
-		for i := 0; i < adversaryReplicasPer; i++ {
-			id := sim.NodeID(v*adversaryReplicasPer + i)
-			s.regionReplicas[v] = append(s.regionReplicas[v], id)
-			s.regionOf[id] = vi.VNodeID(v)
-			s.isReplica[id] = true
-			s.emByID[id] = s.bed.emulators[int(id)]
+func newChurnSoak(c *harness.Cell, w *spec.World) *churnSoak {
+	s := &churnSoak{c: c, w: w, vrounds: c.Params.Int("vrounds"), rosters: make([][]sim.NodeID, len(w.Locs))}
+	for v := range s.rosters {
+		for i := 0; i < soakReplicasPer; i++ {
+			s.rosters[v] = append(s.rosters[v], sim.NodeID(v*soakReplicasPer+i))
 		}
 	}
-
-	// wiped[vr] is the region wiped at the start of virtual round vr; the
-	// vround loop respawns joiners there one virtual round later.
-	s.wiped = map[int]vi.VNodeID{}
-	e13Faults(s, kind, high, seed)
 	return s
 }
 
-// e13Jammer builds the jam kind's radio adversary (nil for the others).
-func e13Jammer(kind string, high bool, locs []geo.Point, per int, seed int64) radio.Adversary {
-	if kind != "jam" {
-		return nil
-	}
-	j := &faults.RegionJammer{
-		Window:  faults.Window{From: sim.Round(per)},
-		Targets: locs,
-		Radius:  2.5, // the R1/4 region radius: replicas and client
-		Period:  4 * per,
-		Burst:   per,
-		Rotate:  (len(locs) + 2) / 3,
-		Seed:    seed + 101,
-	}
-	if high {
-		j.Burst = 2 * per
-		j.Rotate = 0 // every region
-	}
-	return j
-}
+func (s *churnSoak) VRounds() int { return s.vrounds }
+func (s *churnSoak) VRound() int  { return s.vr }
 
-// respawn attaches a fresh (non-bootstrapped) device near region v,
-// records it in the rosters, and returns its id. It runs on the engine
-// goroutine only (fault Strike or between vrounds).
-func (s *adversarySoak) respawn(v vi.VNodeID) sim.NodeID {
-	loc := s.locs[v]
+// respawn attaches a fresh (non-bootstrapped) device near region v, which
+// acquires state through the join protocol, and appends it to the region's
+// roster. onJoin, when set, runs under the counter lock with the virtual
+// round the join completed in. It runs on the engine goroutine only (fault
+// Strike or between vrounds).
+func (s *churnSoak) respawn(v int, onJoin func(joinVR int)) (sim.NodeID, *vi.Emulator) {
+	loc := s.w.Locs[v]
 	pos := geo.Point{
 		X: loc.X + 0.4*float64(s.churn%4) - 0.6,
 		Y: loc.Y - 0.35,
 	}
 	s.churn++
-	newID := sim.NodeID(s.bed.eng.NumNodes())
-	em := s.attachCounted(pos)
-	s.regionReplicas[v] = append(s.regionReplicas[v], newID)
-	s.regionOf[newID] = v
-	s.isReplica[newID] = true
-	s.emByID[newID] = em
-	s.extras = append(s.extras, int(v))
-	return newID
-}
-
-// attachCounted attaches a non-bootstrapped emulator wired to the
-// join/reset counters. Hooks fire from emulator Receive calls, which the
-// parallel engine fans out across workers: the counters need their own
-// lock.
-func (s *adversarySoak) attachCounted(pos geo.Point) *vi.Emulator {
-	return s.bed.attachEmulator(pos, false, vi.EmulatorHooks{
-		OnJoin: func(vi.VNodeID, int) {
+	id := sim.NodeID(s.w.Eng.NumNodes())
+	em := s.w.AttachReplica(pos, false, vi.EmulatorHooks{
+		OnJoin: func(_ vi.VNodeID, joinVR int) {
 			s.mu.Lock()
 			s.joins++
+			if onJoin != nil {
+				onJoin(joinVR)
+			}
 			s.mu.Unlock()
 		},
 		OnReset: func(vi.VNodeID, int) {
@@ -475,153 +168,29 @@ func (s *adversarySoak) attachCounted(pos geo.Point) *vi.Emulator {
 			s.mu.Unlock()
 		},
 	})
+	s.rosters[v] = append(s.rosters[v], id)
+	s.extras = append(s.extras, v)
+	return id, em
 }
 
-// dropReplica removes a dead replica from its roster and, if it led the
-// region, promotes the oldest joined survivor (the failover a managed
-// deployment performs).
-func (s *adversarySoak) dropReplica(victim sim.NodeID) vi.VNodeID {
-	v := s.regionOf[victim]
-	reg := s.regionReplicas[v]
-	wasHead := len(reg) > 0 && reg[0] == victim
-	for i, id := range reg {
-		if id == victim {
-			reg = append(reg[:i], reg[i+1:]...)
-			break
-		}
-	}
-	s.regionReplicas[v] = reg
-	if wasHead {
-		next := -1
-		for i, id := range reg {
-			if s.emByID[id].Joined() {
-				next = i
-				break
-			}
-		}
-		if next < 0 && len(reg) > 0 {
-			next = 0
-		}
-		if next >= 0 {
-			s.bed.setLeader(v, reg[next])
-		}
-	}
-	return v
-}
-
-// e13Faults registers the engine-level adversaries for the kind. The
-// closures (Eligible, Respawn) close over the soak's live rosters, which is
-// why they are rebuilt by the constructor on restore instead of riding in
-// the checkpoint.
-func e13Faults(s *adversarySoak, kind string, high bool, seed int64) {
-	switch kind {
-	case "wipe":
-		every := 5
-		if high {
-			every = 3
-		}
-		for k, w := 0, 2; w < s.vrounds; k, w = k+1, w+every {
-			v := vi.VNodeID(k % s.nv)
-			s.wiped[w] = v
-			s.bed.eng.AddFault(faults.RegionWipe{
-				Center: s.locs[v],
-				Radius: 1.0, // replicas, not the client
-				At:     sim.Round(w * s.per),
-			})
-		}
-	case "storm":
-		kills := 1
-		if high {
-			kills = 2
-		}
-		s.bed.eng.AddFault(&faults.ChurnStorm{
-			Window:   faults.Window{From: sim.Round(s.per)},
-			Period:   s.per, // one front per virtual round
-			Kills:    kills,
-			Seed:     seed + 211,
-			Eligible: func(id sim.NodeID) bool { return s.isReplica[id] },
-			Respawn: func(victim sim.NodeID, _ geo.Point) {
-				v := s.dropReplica(victim)
-				newID := s.respawn(v)
-				if len(s.regionReplicas[v]) == 1 {
-					// Last one standing: it will reset-revive the region
-					// and must lead it.
-					s.bed.setLeader(v, newID)
-				}
-			},
-		})
-	case "burst":
-		p := 0.12
-		if high {
-			p = 0.25
-		}
-		s.bed.eng.AddFault(&faults.CrashBurst{
-			Window: faults.Window{From: sim.Round(s.per)},
-			Period: 2 * s.per,
-			P:      p,
-			Seed:   seed + 307,
-			// Pure attrition spares the fixed leaders so degradation is
-			// graceful: regions shrink toward single-replica operation.
-			Eligible: func(id sim.NodeID) bool {
-				v, ok := s.regionOf[id]
-				if !ok {
-					return false
-				}
-				reg := s.regionReplicas[v]
-				return len(reg) > 0 && reg[0] != id
-			},
-		})
+// setLeader hands region v to node id. Every soak world runs fixed leaders,
+// so a failure here is a bug in the soak.
+func (s *churnSoak) setLeader(v int, id sim.NodeID) {
+	if err := s.w.SetLeader(vi.VNodeID(v), id); err != nil {
+		panic(err)
 	}
 }
 
-func (s *adversarySoak) VRounds() int { return s.vrounds }
-func (s *adversarySoak) VRound() int  { return s.vr }
-
-// StepVRound runs one virtual round under the adversary, reviving a region
-// the round after a wipe annihilated it.
-func (s *adversarySoak) StepVRound() {
-	vr := s.vr
-	if v, ok := s.wiped[vr-1]; ok {
-		// The region was annihilated last virtual round: two fresh devices
-		// arrive and must revive it via join/reset. The first leads the
-		// reborn region.
-		s.regionReplicas[v] = nil
-		first := s.respawn(v)
-		s.respawn(v)
-		s.bed.setLeader(v, first)
-	}
-	s.bed.eng.Run(s.per)
-	s.vr++
-}
-
-// Columns matches the E13 descriptor: the soak row is the cell row.
-func (s *adversarySoak) Columns() []string { return e13Desc.Columns }
-
-func (s *adversarySoak) Rows() []harness.Row {
-	kind, intensity := s.c.Params.Str("kind"), s.c.Params.Str("intensity")
-	st := s.bed.eng.Stats()
-	s.c.CountRounds(st.Rounds)
-	s.c.CountBytes(st.TotalBytes)
-	sum := s.bed.mon.SummaryThrough(s.nv, s.vrounds)
-	return []harness.Row{{
-		harness.Int(s.nv), harness.Str(kind), harness.Str(intensity),
-		harness.Int(s.bed.eng.NumNodes()), harness.Int(s.bed.eng.AliveCount()),
-		harness.Int(s.vrounds),
-		harness.Float(sum.MeanAvailability), harness.Int(sum.Unavailable),
-		harness.Int(sum.MaxStall), harness.Float(sum.MeanRecovery),
-		harness.Int(s.joins), harness.Int(s.resets),
-	}}
-}
-
-func (s *adversarySoak) driverBytes() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dst := wire.AppendUvarint(nil, uint64(s.vr))
+// appendDriver encodes the shared resume state: cursor, counters, rosters
+// and joiner regions. This is E13's whole driver blob, whose layout
+// bench/expect.json freezes; E11 appends its latency bookkeeping after it.
+func (s *churnSoak) appendDriver(dst []byte) []byte {
+	dst = wire.AppendUvarint(dst, uint64(s.vr))
 	dst = wire.AppendUvarint(dst, uint64(s.churn))
 	dst = wire.AppendUvarint(dst, uint64(s.joins))
 	dst = wire.AppendUvarint(dst, uint64(s.resets))
-	dst = wire.AppendUvarint(dst, uint64(len(s.regionReplicas)))
-	for _, reg := range s.regionReplicas {
+	dst = wire.AppendUvarint(dst, uint64(len(s.rosters)))
+	for _, reg := range s.rosters {
 		dst = wire.AppendUvarint(dst, uint64(len(reg)))
 		for _, id := range reg {
 			dst = wire.AppendUvarint(dst, uint64(id))
@@ -634,52 +203,469 @@ func (s *adversarySoak) driverBytes() []byte {
 	return dst
 }
 
+// churnState is a decoded appendDriver blob.
+type churnState struct {
+	vr, churn, joins, resets int
+	rosters                  [][]sim.NodeID
+	extras                   []int
+}
+
+// decodeCount reads an element count and rejects one the remaining bytes
+// cannot hold (every element is at least one byte).
+func decodeCount(d *wire.Decoder) (int, error) {
+	n := d.Uvarint()
+	if n > uint64(d.Rem()) {
+		return 0, wire.ErrMalformed
+	}
+	return int(n), nil
+}
+
+// decodeDriver reads an appendDriver blob. It comes from a checkpoint file,
+// so nothing in it is trusted: every count is bounded by the bytes left
+// before anything is sized from it, every joiner's region must exist, and
+// every roster entry must name a node of the population the restored world
+// will have (the nodes attached now plus the joiners to replay).
+func (s *churnSoak) decodeDriver(d *wire.Decoder) (churnState, error) {
+	st := churnState{
+		vr:     int(d.Uvarint()),
+		churn:  int(d.Uvarint()),
+		joins:  int(d.Uvarint()),
+		resets: int(d.Uvarint()),
+	}
+	nv := len(s.rosters)
+	if nr := d.Uvarint(); d.Err() != nil {
+		return st, d.Err()
+	} else if nr != uint64(nv) {
+		return st, fmt.Errorf("%d region rosters, world has %d regions", nr, nv)
+	}
+	st.rosters = make([][]sim.NodeID, nv)
+	for i := range st.rosters {
+		n, err := decodeCount(d)
+		if err != nil {
+			return st, err
+		}
+		for j := 0; j < n; j++ {
+			st.rosters[i] = append(st.rosters[i], sim.NodeID(d.Uvarint()))
+		}
+	}
+	nx, err := decodeCount(d)
+	if err != nil {
+		return st, err
+	}
+	for i := 0; i < nx; i++ {
+		v := d.Uvarint()
+		if v >= uint64(nv) {
+			return st, fmt.Errorf("joiner in region %d, world has %d regions", v, nv)
+		}
+		st.extras = append(st.extras, int(v))
+	}
+	population := s.w.Eng.NumNodes() + nx
+	for _, reg := range st.rosters {
+		for _, id := range reg {
+			if id < 0 || int(id) >= population {
+				return st, fmt.Errorf("roster names node %d, population is %d", id, population)
+			}
+		}
+	}
+	return st, d.Err()
+}
+
+// restoreOver finishes a restore once the soak has replayed its mid-run
+// joiners (in their original order, so the node population and NodeID
+// assignment match the checkpoint): the engine restore overwrites every
+// node's position and state, and the checkpointed bookkeeping replaces what
+// the replay rebuilt.
+func (s *churnSoak) restoreOver(cp checkpoint.Checkpoint, st churnState) error {
+	if err := soakRestore(s.w, cp); err != nil {
+		return err
+	}
+	s.vr, s.churn, s.joins, s.resets = st.vr, st.churn, st.joins, st.resets
+	s.rosters = st.rosters
+	return nil
+}
+
+// --- E11: metro churn ---
+
+type metroSoak struct {
+	*churnSoak
+	// arrived[i] is the virtual round joiner extras[i] arrived in (its
+	// OnJoin hook measures join latency against that arrival).
+	arrived   []int
+	latencies []int64
+}
+
+func newMetroSoak(c *harness.Cell, shards int) *metroSoak {
+	cols, rows := c.Params.Int("cols"), c.Params.Int("rows")
+	w := buildWorld(spec.Spec{
+		Seed: int64(cols*rows) + c.Base(), VRounds: c.Params.Int("vrounds"), Grid: spec.Grid{Cols: cols, Rows: rows},
+		Devices: spec.Devices{Replicas: soakReplicasPer},
+		Engine:  spec.Engine{Parallel: true, Shards: shards},
+	})
+	// One client per region, staggered so pings from neighboring regions
+	// don't collide every client slot (one region per virtual round, not
+	// Devices.Pingers' four-phase stagger).
+	nv := len(w.Locs)
+	for v, loc := range w.Locs {
+		v := v
+		w.Eng.Attach(geo.Point{X: loc.X + 1.2, Y: loc.Y - 1}, nil, func(env sim.Env) sim.Node {
+			return w.Dep.NewClient(env, vi.ClientFunc(
+				func(vr int, _ []vi.Message, _ bool) *vi.Message {
+					if vr%nv != v {
+						return nil
+					}
+					return vi.Text(fmt.Sprintf("ping-%02d-%04d", v, vr))
+				}))
+		})
+	}
+	return &metroSoak{churnSoak: newChurnSoak(c, w)}
+}
+
+// attachExtra attaches one mid-run joiner with the latency-measuring hook
+// and records its arrival for checkpointing.
+func (s *metroSoak) attachExtra(v, arrived int) {
+	s.respawn(v, func(joinVR int) {
+		s.latencies = append(s.latencies, int64(joinVR-arrived))
+	})
+	s.arrived = append(s.arrived, arrived)
+}
+
+// StepVRound runs one virtual round of the metro churn load: from the
+// second round on, the rotation picks a region, its oldest replica departs
+// through one of the three departure paths (immediate Leave, a CrashAt
+// scheduled mid-vround, a CrashAt aimed at an already-past round),
+// leadership hands to the next-oldest replica, and a fresh device attaches
+// nearby and acquires state through the join protocol.
+func (s *metroSoak) StepVRound() {
+	vr, eng := s.vr, s.w.Eng
+	if vr > 0 {
+		v := vr % len(s.rosters)
+		if reg := s.rosters[v]; len(reg) > 1 {
+			oldest := reg[0]
+			s.rosters[v] = reg[1:]
+			// The departing replica is always the region's leader: hand
+			// leadership to the next-oldest before it goes, the failover a
+			// managed deployment performs.
+			s.setLeader(v, s.rosters[v][0])
+			switch s.churn % 3 {
+			case 0:
+				eng.Leave(oldest)
+			case 1:
+				// Mid-vround crash: the replica dies between phases.
+				eng.CrashAt(oldest, eng.Round()+sim.Round(s.w.RoundsPerVRound()/2))
+			case 2:
+				// A crash scheduled for a round that already ran: the
+				// engine applies it immediately instead of dropping it.
+				eng.CrashAt(oldest, eng.Round()-1)
+			}
+			s.attachExtra(v, vr)
+		}
+	}
+	s.w.StepVRound()
+	s.vr++
+}
+
+// Columns matches the E11 descriptor: the soak row is the cell row.
+func (s *metroSoak) Columns() []string { return e11Desc.Columns }
+
+func (s *metroSoak) Rows() []harness.Row {
+	eng, nv := s.w.Eng, len(s.w.Locs)
+	s.c.CountRounds(eng.Stats().Rounds)
+	var joinLatency metrics.Series
+	for _, l := range s.latencies {
+		joinLatency.AddInt(int(l))
+	}
+	return []harness.Row{{
+		harness.Int(nv), harness.Int(eng.NumNodes()), harness.Int(s.vrounds),
+		harness.Int(s.churn), harness.Int(eng.AliveCount()),
+		harness.Float(s.w.Mon.Summary(nv).MeanAvailability), harness.Float(joinLatency.Mean()),
+		harness.Int(s.joins), harness.Int(s.resets),
+	}}
+}
+
+func (s *metroSoak) Checkpoint() checkpoint.Checkpoint {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	driver := s.appendDriver(nil)
+	driver = wire.AppendUvarint(driver, uint64(len(s.latencies)))
+	for _, l := range s.latencies {
+		driver = wire.AppendVarint(driver, l)
+	}
+	for _, vr := range s.arrived {
+		driver = wire.AppendUvarint(driver, uint64(vr))
+	}
+	return soakCheckpoint(s.w, driver)
+}
+
+func (s *metroSoak) Restore(cp checkpoint.Checkpoint) error {
+	if err := s.restore(cp); err != nil {
+		return fmt.Errorf("experiments: E11 restore: %w", err)
+	}
+	return nil
+}
+
+func (s *metroSoak) restore(cp checkpoint.Checkpoint) error {
+	d := wire.Dec(cp.Driver)
+	st, err := s.decodeDriver(&d)
+	if err != nil {
+		return err
+	}
+	nl, err := decodeCount(&d)
+	if err != nil {
+		return err
+	}
+	latencies := make([]int64, 0, nl)
+	for i := 0; i < nl; i++ {
+		latencies = append(latencies, d.Varint())
+	}
+	arrived := make([]int, len(st.extras))
+	for i := range arrived {
+		arrived[i] = int(d.Uvarint())
+	}
+	if err := d.Finish(); err != nil {
+		return err
+	}
+	for i, v := range st.extras {
+		s.attachExtra(v, arrived[i])
+	}
+	s.latencies = latencies
+	return s.restoreOver(cp, st)
+}
+
+// --- E13: adversary grid ---
+
+type adversarySoak struct {
+	*churnSoak
+	// regionOf covers every replica ever attached, dead ones included: the
+	// crash adversaries must not eat the measurement clients, and failover
+	// must hand leadership on. joiners holds the mid-run ones' emulators
+	// (a bootstrapped replica is joined from round 0 and never moves).
+	regionOf map[sim.NodeID]vi.VNodeID
+	joiners  map[sim.NodeID]*vi.Emulator
+	// wiped[vr] is the region wiped at the start of virtual round vr; the
+	// vround loop respawns joiners there one virtual round later.
+	wiped map[int]vi.VNodeID
+}
+
+func newAdversarySoak(c *harness.Cell, parallel bool, shards int) *adversarySoak {
+	kind, high := c.Params.Str("kind"), c.Params.Str("intensity") == "high"
+	cols, rows := c.Params.Int("cols"), c.Params.Int("rows")
+	seed := int64(cols*rows)*5 + c.Base()
+	doc := spec.Spec{
+		Seed: seed, VRounds: c.Params.Int("vrounds"), Grid: spec.Grid{Cols: cols, Rows: rows},
+		Devices: spec.Devices{Replicas: soakReplicasPer, Pingers: true},
+		Engine:  spec.Engine{Parallel: parallel, Shards: shards},
+	}
+	if kind == "jam" {
+		doc.Faults = []spec.Fault{e13Jammer(high, cols, rows)}
+	}
+	s := &adversarySoak{
+		churnSoak: newChurnSoak(c, buildWorld(doc)),
+		regionOf:  map[sim.NodeID]vi.VNodeID{},
+		joiners:   map[sim.NodeID]*vi.Emulator{},
+		wiped:     map[int]vi.VNodeID{},
+	}
+	for v, reg := range s.rosters {
+		for _, id := range reg {
+			s.regionOf[id] = vi.VNodeID(v)
+		}
+	}
+	e13Faults(s, kind, high, seed)
+	return s
+}
+
+// e13Jammer is the jam kind's radio adversary as a spec fault: the whole
+// jam cell is then a plain vinfra-spec/v1 document. The jammer rides in the
+// medium configuration, so its duty cycle (in radio rounds) must be known
+// before the world is built: the virtual-round length is derived up front.
+func e13Jammer(high bool, cols, rows int) spec.Fault {
+	locs := geo.Grid{Spacing: 6, Cols: cols, Rows: rows}.Locations()
+	per := vi.Timing{S: vi.BuildSchedule(locs, Radii).Len()}.RoundsPerVRound()
+	f := spec.Fault{
+		Kind:   spec.KindRegionJammer,
+		From:   per,
+		Radius: 2.5, // the R1/4 region radius: replicas and client
+		Period: 4 * per,
+		Burst:  per,
+		Rotate: (len(locs) + 2) / 3,
+	}
+	if high {
+		f.Burst = 2 * per
+		f.Rotate = 0 // every region
+	}
+	return f
+}
+
+// respawn attaches a fresh device near region v and records it as a
+// replica of that region.
+func (s *adversarySoak) respawn(v vi.VNodeID) sim.NodeID {
+	id, em := s.churnSoak.respawn(int(v), nil)
+	s.regionOf[id] = v
+	s.joiners[id] = em
+	return id
+}
+
+// dropReplica removes a dead replica from its roster and, if it led the
+// region, promotes the oldest joined survivor (the failover a managed
+// deployment performs).
+func (s *adversarySoak) dropReplica(victim sim.NodeID) vi.VNodeID {
+	v := s.regionOf[victim]
+	reg := s.rosters[v]
+	wasHead := len(reg) > 0 && reg[0] == victim
+	for i, id := range reg {
+		if id == victim {
+			reg = append(reg[:i], reg[i+1:]...)
+			break
+		}
+	}
+	s.rosters[v] = reg
+	if wasHead {
+		next := -1
+		for i, id := range reg {
+			if em, mid := s.joiners[id]; !mid || em.Joined() {
+				next = i
+				break
+			}
+		}
+		if next < 0 && len(reg) > 0 {
+			next = 0
+		}
+		if next >= 0 {
+			s.setLeader(int(v), reg[next])
+		}
+	}
+	return v
+}
+
+// e13Faults registers the engine-level adversaries for the kind. The
+// closures (Eligible, Respawn) close over the soak's live rosters, which is
+// why they are code here rather than spec faults, and why they are rebuilt
+// by the constructor on restore instead of riding in the checkpoint.
+func e13Faults(s *adversarySoak, kind string, high bool, seed int64) {
+	eng, per := s.w.Eng, s.w.RoundsPerVRound()
+	switch kind {
+	case "wipe":
+		every := 5
+		if high {
+			every = 3
+		}
+		for k, w := 0, 2; w < s.vrounds; k, w = k+1, w+every {
+			v := k % len(s.rosters)
+			s.wiped[w] = vi.VNodeID(v)
+			eng.AddFault(faults.RegionWipe{
+				Center: s.w.Locs[v],
+				Radius: 1.0, // replicas, not the client
+				At:     sim.Round(w * per),
+			})
+		}
+	case "storm":
+		kills := 1
+		if high {
+			kills = 2
+		}
+		eng.AddFault(&faults.ChurnStorm{
+			Window:   faults.Window{From: sim.Round(per)},
+			Period:   per, // one front per virtual round
+			Kills:    kills,
+			Seed:     seed + 211,
+			Eligible: func(id sim.NodeID) bool { _, replica := s.regionOf[id]; return replica },
+			Respawn: func(victim sim.NodeID, _ geo.Point) {
+				v := s.dropReplica(victim)
+				newID := s.respawn(v)
+				if len(s.rosters[v]) == 1 {
+					// Last one standing: it will reset-revive the region
+					// and must lead it.
+					s.setLeader(int(v), newID)
+				}
+			},
+		})
+	case "burst":
+		p := 0.12
+		if high {
+			p = 0.25
+		}
+		eng.AddFault(&faults.CrashBurst{
+			Window: faults.Window{From: sim.Round(per)},
+			Period: 2 * per,
+			P:      p,
+			Seed:   seed + 307,
+			// Pure attrition spares the fixed leaders so degradation is
+			// graceful: regions shrink toward single-replica operation.
+			Eligible: func(id sim.NodeID) bool {
+				v, ok := s.regionOf[id]
+				if !ok {
+					return false
+				}
+				reg := s.rosters[v]
+				return len(reg) > 0 && reg[0] != id
+			},
+		})
+	}
+}
+
+// StepVRound runs one virtual round under the adversary, reviving a region
+// the round after a wipe annihilated it.
+func (s *adversarySoak) StepVRound() {
+	if v, ok := s.wiped[s.vr-1]; ok {
+		// The region was annihilated last virtual round: two fresh devices
+		// arrive and must revive it via join/reset. The first leads the
+		// reborn region.
+		s.rosters[v] = nil
+		first := s.respawn(v)
+		s.respawn(v)
+		s.setLeader(int(v), first)
+	}
+	s.w.StepVRound()
+	s.vr++
+}
+
+// Columns matches the E13 descriptor: the soak row is the cell row.
+func (s *adversarySoak) Columns() []string { return e13Desc.Columns }
+
+func (s *adversarySoak) Rows() []harness.Row {
+	kind, intensity := s.c.Params.Str("kind"), s.c.Params.Str("intensity")
+	eng, nv := s.w.Eng, len(s.w.Locs)
+	st := eng.Stats()
+	s.c.CountRounds(st.Rounds)
+	s.c.CountBytes(st.TotalBytes)
+	sum := s.w.Mon.SummaryThrough(nv, s.vrounds)
+	return []harness.Row{{
+		harness.Int(nv), harness.Str(kind), harness.Str(intensity),
+		harness.Int(eng.NumNodes()), harness.Int(eng.AliveCount()),
+		harness.Int(s.vrounds),
+		harness.Float(sum.MeanAvailability), harness.Int(sum.Unavailable),
+		harness.Int(sum.MaxStall), harness.Float(sum.MeanRecovery),
+		harness.Int(s.joins), harness.Int(s.resets),
+	}}
+}
+
 func (s *adversarySoak) Checkpoint() checkpoint.Checkpoint {
-	return checkpointOf(s.bed, s.driverBytes())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return soakCheckpoint(s.w, s.appendDriver(nil))
 }
 
 func (s *adversarySoak) Restore(cp checkpoint.Checkpoint) error {
+	if err := s.restore(cp); err != nil {
+		return fmt.Errorf("experiments: E13 restore: %w", err)
+	}
+	return nil
+}
+
+func (s *adversarySoak) restore(cp checkpoint.Checkpoint) error {
 	d := wire.Dec(cp.Driver)
-	vr := int(d.Uvarint())
-	churn := int(d.Uvarint())
-	joins := int(d.Uvarint())
-	resets := int(d.Uvarint())
-	nr := d.Uvarint()
-	if nr != uint64(s.nv) {
-		return fmt.Errorf("experiments: E13 restore: %d region rosters, bed has %d regions", nr, s.nv)
+	st, err := s.decodeDriver(&d)
+	if err == nil {
+		err = d.Finish()
 	}
-	rosters := make([][]sim.NodeID, nr)
-	for i := range rosters {
-		n := d.Uvarint()
-		for j := uint64(0); j < n; j++ {
-			rosters[i] = append(rosters[i], sim.NodeID(d.Uvarint()))
-		}
-	}
-	nx := d.Uvarint()
-	extras := make([]int, 0, nx)
-	for i := uint64(0); i < nx; i++ {
-		extras = append(extras, int(d.Uvarint()))
-	}
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("experiments: E13 restore: driver state: %w", err)
-	}
-	// Re-attach the mid-run joiners in their original order. churn drives
-	// the respawn position pattern, so it is replayed per joiner; rosters
-	// are overwritten wholesale below (respawn's roster bookkeeping over
-	// replayed joiners records every id ever attached, which is what
-	// regionOf/isReplica/emByID must cover — the checkpointed rosters then
-	// replace the per-region live lists).
-	s.churn = 0
-	s.extras = nil
-	for _, v := range extras {
-		s.respawn(vi.VNodeID(v))
-	}
-	if err := restoreBed(s.bed, cp); err != nil {
+	if err != nil {
 		return err
 	}
-	s.regionReplicas = rosters
-	s.vr, s.churn, s.joins, s.resets = vr, churn, joins, resets
-	return nil
+	// respawn's bookkeeping over the replayed joiners records every id
+	// ever attached, which is what regionOf and joiners must cover.
+	for _, v := range st.extras {
+		s.respawn(vi.VNodeID(v))
+	}
+	return s.restoreOver(cp, st)
 }
 
 // --- E14: city ---
@@ -689,9 +675,7 @@ type citySoak struct {
 	vrounds int
 	vr      int
 
-	bed       *viBed
-	locs      []geo.Point
-	per       int
+	w         *spec.World
 	listeners []*cityListener
 }
 
@@ -699,33 +683,14 @@ func newCitySoak(c *harness.Cell, shards int) *citySoak {
 	devices := c.Params.Int("devices")
 	cols, rows := c.Params.Int("cols"), c.Params.Int("rows")
 	vrounds := c.Params.Int("vrounds")
-	const replicasPer = 3
-	locs := geo.Grid{Spacing: citySpacing, Cols: cols, Rows: rows}.Locations()
 	seed := int64(devices) + c.Base()
 
-	s := &citySoak{c: c, vrounds: vrounds, locs: locs}
-	s.bed = newVIBed(viBedOpts{
-		locs:        locs,
-		replicasPer: replicasPer,
-		seed:        seed,
-		fixedLeader: true,
-		parallel:    true,
-		shards:      shards,
+	s := &citySoak{c: c, vrounds: vrounds}
+	s.w = buildWorld(spec.Spec{
+		Seed: seed, VRounds: vrounds, Grid: spec.Grid{Cols: cols, Rows: rows, Spacing: citySpacing},
+		Devices: spec.Devices{Replicas: soakReplicasPer, Pingers: true},
+		Engine:  spec.Engine{Parallel: true, Shards: shards},
 	})
-	// One client per region, staggered so neighboring pings don't collide
-	// every client slot (the E13 stagger).
-	for v, loc := range locs {
-		v := v
-		s.bed.eng.Attach(geo.Point{X: loc.X + 1.2, Y: loc.Y - 1}, nil, func(env sim.Env) sim.Node {
-			return s.bed.dep.NewClient(env, vi.ClientFunc(
-				func(vr int, _ []vi.Message, _ bool) *vi.Message {
-					if vr%4 != v%4 {
-						return nil
-					}
-					return vi.Text(fmt.Sprintf("ping-%02d-%04d", v, vr))
-				}))
-		})
-	}
 
 	// Fill the remaining device budget with wandering listeners, placed
 	// uniformly over the city by a seed-keyed stream so the population is a
@@ -738,17 +703,16 @@ func newCitySoak(c *harness.Cell, shards int) *citySoak {
 		},
 	}
 	rng := det.NewStream(seed + 404)
-	for s.bed.eng.NumNodes() < devices {
+	for s.w.Eng.NumNodes() < devices {
 		l := &cityListener{}
 		s.listeners = append(s.listeners, l)
 		pos := geo.Point{
 			X: area.Min.X + rng.Float64()*area.Width(),
 			Y: area.Min.Y + rng.Float64()*area.Height(),
 		}
-		s.bed.eng.Attach(pos, &mobility.RandomWaypoint{Area: area, VMax: 2},
+		s.w.Eng.Attach(pos, &mobility.RandomWaypoint{Area: area, VMax: 2},
 			func(sim.Env) sim.Node { return l })
 	}
-	s.per = s.bed.dep.Timing().RoundsPerVRound()
 	return s
 }
 
@@ -756,18 +720,18 @@ func (s *citySoak) VRounds() int { return s.vrounds }
 func (s *citySoak) VRound() int  { return s.vr }
 
 func (s *citySoak) StepVRound() {
-	s.bed.eng.Run(s.per)
+	s.w.StepVRound()
 	s.vr++
 }
 
 // outcome computes the run's deterministic signature and folds the round
 // and byte counts into the cell.
 func (s *citySoak) outcome() (citySig, sim.Stats) {
-	st := s.bed.eng.Stats()
+	st := s.w.Eng.Stats()
 	s.c.CountRounds(st.Rounds)
 	s.c.CountBytes(st.TotalBytes)
 	sig := citySig{
-		Avail: s.bed.mon.SummaryThrough(len(s.locs), s.vrounds).MeanAvailability,
+		Avail: s.w.Mon.SummaryThrough(len(s.w.Locs), s.vrounds).MeanAvailability,
 		Tx:    st.Transmissions,
 		Bytes: st.TotalBytes,
 	}
@@ -798,7 +762,7 @@ func (s *citySoak) Columns() []string {
 func (s *citySoak) Rows() []harness.Row {
 	sig, st := s.outcome()
 	return []harness.Row{{
-		harness.Int(s.bed.eng.NumNodes()), harness.Int(len(s.locs)),
+		harness.Int(s.w.Eng.NumNodes()), harness.Int(len(s.w.Locs)),
 		harness.Int(s.vrounds), harness.Int(st.Rounds),
 		harness.Float(sig.Avail), harness.Int(sig.Covered),
 		harness.Str(fmt.Sprintf("%016x", sig.Heard)),
@@ -808,7 +772,7 @@ func (s *citySoak) Rows() []harness.Row {
 }
 
 func (s *citySoak) Checkpoint() checkpoint.Checkpoint {
-	return checkpointOf(s.bed, wire.AppendUvarint(nil, uint64(s.vr)))
+	return soakCheckpoint(s.w, wire.AppendUvarint(nil, uint64(s.vr)))
 }
 
 func (s *citySoak) Restore(cp checkpoint.Checkpoint) error {
@@ -817,7 +781,7 @@ func (s *citySoak) Restore(cp checkpoint.Checkpoint) error {
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("experiments: E14 restore: driver state: %w", err)
 	}
-	if err := restoreBed(s.bed, cp); err != nil {
+	if err := soakRestore(s.w, cp); err != nil {
 		return err
 	}
 	s.vr = vr

@@ -409,3 +409,77 @@ func TestMetricsCounters(t *testing.T) {
 		t.Fatalf("rounds_total %g, wire_bytes_total %g — want both positive", rounds, bytesTotal)
 	}
 }
+
+// TestHostsExperimentCell is the payoff of the experiments building their
+// worlds with spec.Build: the E13 jam/high/3x3 cell is a plain document
+// (internal/experiments pins the file to the cell), so POSTing it and
+// stepping its horizon over HTTP must report the availability accounting
+// the experiment suite's golden file records for that cell.
+func TestHostsExperimentCell(t *testing.T) {
+	const dir = "../experiments/testdata/"
+	doc, err := os.ReadFile(dir + "e13_jam_high_3x3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(dir + "golden_quick_seeds12.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Experiments []struct {
+			ID      string   `json:"id"`
+			Columns []string `json:"columns"`
+			Cells   []struct {
+				Cell string  `json:"cell"`
+				Seed int64   `json:"seed"`
+				Rows [][]any `json:"rows"`
+			} `json:"cells"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{}
+	for _, e := range golden.Experiments {
+		for _, c := range e.Cells {
+			if e.ID == "E13" && c.Cell == "jam/high/3x3" && c.Seed == 1 {
+				for i, col := range e.Columns {
+					if v, ok := c.Rows[0][i].(float64); ok {
+						want[col] = v
+					}
+				}
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("golden file has no E13 jam/high/3x3 seed-1 cell")
+	}
+
+	svc := newService(t, "")
+	st := create(t, svc, "jam", string(doc))
+	callJSON(t, svc, "POST", "/v1/sims/jam/step", fmt.Sprintf(`{"vrounds": %d}`, st.VRounds), http.StatusOK, &st)
+	var avail struct {
+		VNodes []struct {
+			Unavailable  int
+			MaxStall     int
+			Availability float64
+		} `json:"vnodes"`
+	}
+	callJSON(t, svc, "GET", "/v1/sims/jam/availability", "", http.StatusOK, &avail)
+	var mean float64
+	unavailable, maxStall := 0, 0
+	for _, v := range avail.VNodes {
+		mean += v.Availability
+		unavailable += v.Unavailable
+		maxStall = max(maxStall, v.MaxStall)
+	}
+	mean /= float64(len(avail.VNodes))
+	if len(avail.VNodes) != int(want["vnodes"]) || mean != want["availability"] ||
+		unavailable != int(want["unavailable"]) || maxStall != int(want["max stall"]) {
+		t.Fatalf("over HTTP: %d vnodes, availability %v, %d unavailable, max stall %d; the cell's golden row is %v",
+			len(avail.VNodes), mean, unavailable, maxStall, want)
+	}
+	if st.MeanAvailability != want["availability"] {
+		t.Fatalf("status reports availability %v, the cell's row %v", st.MeanAvailability, want["availability"])
+	}
+}

@@ -84,10 +84,8 @@ func BenchmarkEngineStep10kParallel(b *testing.B) { benchEngineLarge(b, 10_000, 
 
 // benchEngineSharded measures a region-sharded parallel round (partition +
 // per-shard collect/deliver) on an 8-shard grid, with the nodes spread over
-// the shard rectangles. spawn=true forces the legacy goroutine-per-round
-// fan-out; spawn=false runs the persistent worker runtime — the comparison
-// is the pool's scheduling win, everything else being byte-identical.
-func benchEngineSharded(b *testing.B, nodes int, spawn bool) {
+// the shard rectangles, on the persistent worker runtime.
+func benchEngineSharded(b *testing.B, nodes int) {
 	e := NewEngine(nil,
 		WithSeed(1),
 		WithRegionShards(4, 2, 20, func() Medium { return &nullMedium{} }),
@@ -95,7 +93,6 @@ func benchEngineSharded(b *testing.B, nodes int, spawn bool) {
 		WithWorkers(8),
 	)
 	defer e.Close()
-	e.spawnFanout = spawn
 	cols := 1
 	for cols*cols < nodes {
 		cols++
@@ -105,7 +102,7 @@ func benchEngineSharded(b *testing.B, nodes int, spawn bool) {
 			return &countNode{env: env}
 		})
 	}
-	e.Run(2) // warm buffers; start the pool on the pool variant
+	e.Run(2) // warm buffers; start the pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
@@ -118,8 +115,7 @@ func BenchmarkEngineStepSharded(b *testing.B) {
 		if n == 100_000 {
 			name = "100k"
 		}
-		b.Run(name+"/pool", func(b *testing.B) { benchEngineSharded(b, n, false) })
-		b.Run(name+"/spawn", func(b *testing.B) { benchEngineSharded(b, n, true) })
+		b.Run(name, func(b *testing.B) { benchEngineSharded(b, n) })
 	}
 }
 

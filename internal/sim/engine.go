@@ -47,10 +47,7 @@ type Engine struct {
 	// pool is the persistent worker runtime behind every parallel
 	// fan-out: started lazily on the first parallel round, torn down by
 	// Close and Snapshot (and rebuilt lazily if the engine steps again).
-	// spawnFanout forces the legacy goroutine-per-round path instead —
-	// the benchmark baseline the pool is measured against.
-	pool        *workerPool
-	spawnFanout bool
+	pool *workerPool
 
 	// partTime accumulates wall time spent in the sharded
 	// mobility+partition pass. It is a measurement, not state: never part
@@ -470,29 +467,13 @@ func (e *Engine) poolWidth() int {
 
 // runChunks runs fn over [0, n) in at most k balanced contiguous chunks
 // (chunk w covers [w*n/k, (w+1)*n/k)): inline when k <= 1, otherwise on
-// the persistent worker runtime, creating it on first use. With
-// spawnFanout set it spawns a goroutine per chunk instead — the legacy
-// per-round fan-out kept as the benchmark baseline; the chunk boundaries
-// (and therefore the output) are identical on every path.
+// the persistent worker runtime, creating it on first use.
 func (e *Engine) runChunks(n, k int, fn func(w, lo, hi int)) {
 	if k > n {
 		k = n
 	}
 	if k <= 1 {
 		fn(0, 0, n)
-		return
-	}
-	if e.spawnFanout {
-		var wg sync.WaitGroup
-		for w := 1; w < k; w++ {
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				fn(w, lo, hi)
-			}(w, w*n/k, (w+1)*n/k)
-		}
-		fn(0, 0, n/k)
-		wg.Wait()
 		return
 	}
 	if e.pool == nil {

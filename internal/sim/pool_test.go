@@ -79,9 +79,9 @@ func runPoolScenario(rounds, closeEvery int, opts ...Option) ([][]Reception, []g
 
 // TestPersistentPoolCloseMidRunEqualsSequential is the lifecycle half of
 // the determinism contract for the worker runtime: a sharded parallel run,
-// a run whose pool is torn down and lazily rebuilt every few rounds, and a
-// run on the legacy spawn-per-round path must all be observable-identical
-// to the plain single-medium sequential run.
+// and a run whose pool is torn down and lazily rebuilt every few rounds
+// must both be observable-identical to the plain single-medium sequential
+// run.
 func TestPersistentPoolCloseMidRunEqualsSequential(t *testing.T) {
 	const rounds = 18
 	wantHeard, wantPos, wantAlive, wantStats := runPoolScenario(rounds, 0)

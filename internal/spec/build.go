@@ -6,7 +6,6 @@ import (
 
 	"vinfra/internal/apps"
 	"vinfra/internal/cd"
-	"vinfra/internal/cha"
 	"vinfra/internal/checkpoint"
 	"vinfra/internal/cm"
 	"vinfra/internal/det"
@@ -48,6 +47,9 @@ type World struct {
 
 	per int
 	vr  int
+	// setLeaders holds the per-vnode leader handoff of the fixed regime
+	// (nil under "regional").
+	setLeaders []func(sim.NodeID)
 
 	mu     sync.Mutex
 	joins  int
@@ -111,10 +113,12 @@ func Build(s Spec) (*World, error) {
 	default:
 		cfg.Program = counterProgram(sched)
 	}
+	var setLeaders []func(sim.NodeID)
 	if s.Leader == "fixed" {
 		factories := make([]cm.Factory, len(locs))
+		setLeaders = make([]func(sim.NodeID), len(locs))
 		for v := range locs {
-			factories[v], _ = cm.NewFixed(sim.NodeID(v * s.Devices.Replicas))
+			factories[v], setLeaders[v] = cm.NewFixed(sim.NodeID(v * s.Devices.Replicas))
 		}
 		cfg.NewCM = func(v vi.VNodeID, env sim.Env) cm.Manager {
 			return factories[v](env)
@@ -162,7 +166,8 @@ func Build(s Spec) (*World, error) {
 	}
 	if s.Engine.Shards > 0 {
 		// Each shard medium delivers its residents sequentially (the shard
-		// is the parallelism unit) with ModeAuto, the viBed configuration.
+		// is the parallelism unit; receiver-sharding inside one would nest
+		// worker pools) with ModeAuto: small shards scan, busy ones index.
 		shardCfg := mediumCfg
 		shardCfg.Mode = radio.ModeAuto
 		shardCfg.Parallel = false
@@ -183,30 +188,28 @@ func Build(s Spec) (*World, error) {
 		Mon:    vi.NewMonitor(),
 		Medium: medium,
 		Locs:   locs,
-		per:    dep.Timing().RoundsPerVRound(),
+
+		per:        dep.Timing().RoundsPerVRound(),
+		setLeaders: setLeaders,
 	}
 
-	// Replicas: bootstrapped emulators clustered inside each region.
+	// Replicas: bootstrapped emulators clustered inside each region,
+	// feeding the world's churn counters.
+	counted := vi.EmulatorHooks{
+		OnJoin: func(vi.VNodeID, int) {
+			w.mu.Lock()
+			w.joins++
+			w.mu.Unlock()
+		},
+		OnReset: func(vi.VNodeID, int) {
+			w.mu.Lock()
+			w.resets++
+			w.mu.Unlock()
+		},
+	}
 	for _, loc := range locs {
 		for i := 0; i < s.Devices.Replicas; i++ {
-			pos := geo.Point{X: loc.X + 0.3*float64(i) - 0.5, Y: loc.Y + 0.2}
-			w.Eng.Attach(pos, nil, func(env sim.Env) sim.Node {
-				em := dep.NewEmulator(env, true)
-				em.SetHooks(vi.EmulatorHooks{
-					OnOutput: w.Mon.Observe,
-					OnJoin: func(vi.VNodeID, int) {
-						w.mu.Lock()
-						w.joins++
-						w.mu.Unlock()
-					},
-					OnReset: func(vi.VNodeID, int) {
-						w.mu.Lock()
-						w.resets++
-						w.mu.Unlock()
-					},
-				})
-				return em
-			})
+			w.AttachReplica(geo.Point{X: loc.X + 0.3*float64(i) - 0.5, Y: loc.Y + 0.2}, true, counted)
 		}
 	}
 
@@ -279,6 +282,41 @@ func Build(s Spec) (*World, error) {
 		w.Eng.AddFault(f)
 	}
 	return w, nil
+}
+
+// AttachReplica attaches one emulator device at pos and returns it — the
+// single replica-attach path: Build places the bootstrapped replicas through
+// it, and a driver modelling churn calls it mid-run for each arriving device
+// (bootstrap false: the device acquires state through the join protocol).
+// hooks carries the caller's OnJoin and OnReset — the world's Joins/Resets
+// count only the replicas Build attached; OnOutput is the world's and is
+// overwritten: every emulator output feeds the availability monitor. A
+// driver that checkpoints must re-attach its mid-run replicas, in order, on
+// the rebuilt world before Restore so the node population matches.
+func (w *World) AttachReplica(pos geo.Point, bootstrap bool, hooks vi.EmulatorHooks) *vi.Emulator {
+	hooks.OnOutput = w.Mon.Observe
+	var em *vi.Emulator
+	w.Eng.Attach(pos, nil, func(env sim.Env) sim.Node {
+		em = w.Dep.NewEmulator(env, bootstrap)
+		em.SetHooks(hooks)
+		return em
+	})
+	return em
+}
+
+// SetLeader hands virtual node v's leadership to node id, the failover a
+// managed deployment performs when the current leader departs. It needs the
+// "fixed" leader regime; under "regional" the managers elect for themselves
+// and SetLeader returns an error.
+func (w *World) SetLeader(v vi.VNodeID, id sim.NodeID) error {
+	if w.setLeaders == nil {
+		return fmt.Errorf("spec: SetLeader needs leader %q (this world runs %q)", "fixed", w.Spec.Leader)
+	}
+	if v < 0 || int(v) >= len(w.setLeaders) {
+		return fmt.Errorf("spec: SetLeader: no virtual node %d (world has %d)", v, len(w.setLeaders))
+	}
+	w.setLeaders[v](id)
+	return nil
 }
 
 // VRound returns the next virtual round to execute (0-based; equal to
@@ -407,8 +445,3 @@ func (w *World) Lookup(name string) (geo.Point, bool) {
 	}
 	return geo.Point{X: sg.X, Y: sg.Y}, true
 }
-
-// Ensure cha stays linked for the hook signatures (EmulatorHooks.OnOutput
-// receives cha.Output); the blank use keeps the import honest if hooks
-// change shape.
-var _ func(vi.VNodeID, cha.Output) = (*vi.Monitor)(nil).Observe

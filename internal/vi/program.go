@@ -164,7 +164,7 @@ func (c Codec[S]) Outgoing(state []byte, vround int) *Message {
 // spare capacity), and the grown buffer goes back to the pool.
 func (c Codec[S]) encode(s S) []byte {
 	if c.EncodeState == nil {
-		panic("vi: Codec requires EncodeState (use GobCodec for reflection-based prototyping)")
+		panic("vi: Codec requires EncodeState")
 	}
 	buf := wire.GetBuf()
 	enc := c.EncodeState(*buf, s)
@@ -180,7 +180,7 @@ func (c Codec[S]) decode(raw []byte) S {
 		return s
 	}
 	if c.DecodeState == nil {
-		panic("vi: Codec requires DecodeState (use GobCodec for reflection-based prototyping)")
+		panic("vi: Codec requires DecodeState")
 	}
 	d := wire.Dec(raw)
 	s, err := c.DecodeState(&d)

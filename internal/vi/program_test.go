@@ -238,34 +238,8 @@ func TestCodecWithoutEncoderPanics(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Codec without EncodeState must panic, pointing at GobCodec")
+			t.Error("Codec without EncodeState must panic")
 		}
 	}()
 	c.Init(0, geo.Point{})
-}
-
-// TestGobCodecCompatAdapter pins the explicit gob compatibility adapter:
-// same Program semantics, reflection-based encoding — usable for
-// prototyping states without a wire codec.
-func TestGobCodecCompatAdapter(t *testing.T) {
-	c := GobCodec[codecState]{
-		InitState: func(id VNodeID, _ geo.Point) codecState {
-			return codecState{N: int(id)}
-		},
-		Step: func(s codecState, vround int, in RoundInput) codecState {
-			s.N += len(in.Msgs)
-			return s
-		},
-		Out: func(s codecState, vround int) *Message {
-			return Text(fmt.Sprintf("%d", s.N))
-		},
-	}
-	st := c.Init(3, geo.Point{})
-	st = c.OnRound(st, 1, RoundInput{Msgs: bmsgs("a", "b")})
-	if out := c.Outgoing(st, 2); out == nil || string(out.Payload) != "5" {
-		t.Fatalf("gob codec out = %+v, want 5", out)
-	}
-	if got := decodeGobState[codecState](nil); got.N != 0 {
-		t.Errorf("empty gob state should decode to zero value: %+v", got)
-	}
 }
