@@ -24,12 +24,13 @@
 //   - radio: the collision-prone medium. Delivery buckets each round's
 //     transmissions into R2-sized grid cells so every receiver consults
 //     only its own and adjacent cells (near-linear per round rather than
-//     O(receivers x transmissions)); Config.Mode selects scan/grid/auto
-//     and Config.Parallel shards receivers across workers. All modes are
-//     reception-identical for the same seed. Per-round state (reception
-//     slice, transmission index, identity map) lives on the Medium and
-//     per-worker partition buffers are pooled, so steady-state delivery
-//     allocates only the message slices receivers actually get.
+//     O(receivers x transmissions)); Config.Mode selects scan/grid/auto.
+//     All modes are reception-identical for the same seed. A Medium
+//     delivers on one goroutine (region shards, each with its own Medium,
+//     are what parallelises delivery) and its per-round state (reception
+//     slice, transmission index, identity map, partition buffers) lives
+//     on the Medium, so steady-state delivery allocates only the message
+//     slices receivers actually get.
 //   - cd, cm: the model's collision detector classes and contention
 //     managers. Both have exact-behavior unit tests under injected
 //     jamming: adversarial collision patterns produce precisely the

@@ -19,7 +19,7 @@ var e10Desc = harness.Descriptor{
 	Group:   "E10",
 	Title:   "E10 — round delivery scaling (per-round cost)",
 	Notes:   "grid = uniform R2-cell index, receivers consult 3x3 cells; receptions identical across columns",
-	Columns: []string{"nodes", "txs", "scan", "grid", "grid+parallel", "speedup"},
+	Columns: []string{"nodes", "txs", "scan", "grid", "speedup"},
 	Grid: func(quick bool) []harness.Params {
 		rounds := 20
 		if quick {
@@ -79,31 +79,29 @@ func timeDeliver(m *radio.Medium, rounds int, txs []sim.Transmission, infos []si
 
 // deliveryScalingCell is experiment E10 at one deployment size: per-round
 // message-delivery cost, comparing the brute-force
-// O(receivers x transmissions) scan against the R2-cell grid index,
-// sequential and sharded. The grid timings must agree with the scan
+// O(receivers x transmissions) scan against the R2-cell grid index. The
+// grid timings must agree with the scan
 // reception-for-reception (the equivalence property tested in
 // internal/radio); only the cost changes — so every timing column is a
 // measured (nondeterministic) value while nodes/txs stay deterministic.
 func deliveryScalingCell(c *harness.Cell) []harness.Row {
 	n, rounds := c.Params.Int("n"), c.Params.Int("rounds")
 	infos, txs := scalingRound(n, int64(n)+c.Base())
-	mode := func(m radio.DeliveryMode, parallel bool) *radio.Medium {
+	mode := func(m radio.DeliveryMode) *radio.Medium {
 		return radio.MustMedium(radio.Config{
 			Radii:    Radii,
 			Detector: cd.AC{},
 			Mode:     m,
-			Parallel: parallel,
 			Seed:     c.Seed,
 		})
 	}
-	scan := timeDeliver(mode(radio.ModeScan, false), rounds, txs, infos)
-	grid := timeDeliver(mode(radio.ModeGrid, false), rounds, txs, infos)
-	par := timeDeliver(mode(radio.ModeGrid, true), rounds, txs, infos)
-	c.CountRounds(3 * rounds)
+	scan := timeDeliver(mode(radio.ModeScan), rounds, txs, infos)
+	grid := timeDeliver(mode(radio.ModeGrid), rounds, txs, infos)
+	c.CountRounds(2 * rounds)
 	speedup := float64(scan) / float64(grid)
 	return []harness.Row{{
 		harness.Int(n), harness.Int(len(txs)),
-		harness.Dur(scan), harness.Dur(grid), harness.Dur(par),
+		harness.Dur(scan), harness.Dur(grid),
 		harness.MeasuredFloat(metrics.F(speedup)+"x", speedup),
 	}}
 }

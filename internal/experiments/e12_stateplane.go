@@ -55,8 +55,8 @@ func init() { harness.Register(e12Desc) }
 
 // statePlaneCell measures the steady-state emulation cost of one grid
 // deployment: every region has three bootstrapped replicas plus one
-// staggered pinging client, and the whole stack (grid-indexed sharded
-// delivery, parallel engine, wire-codec state plane) runs vrounds virtual
+// staggered pinging client, and the whole stack (single-medium delivery,
+// parallel engine, wire-codec state plane) runs vrounds virtual
 // rounds. The deterministic columns pin the protocol-level cost — radio
 // rounds per virtual round (s+12) and measured wire bytes per virtual
 // round — while the perf sample (rounds/sec, allocs) carries the

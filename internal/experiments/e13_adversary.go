@@ -83,7 +83,7 @@ func adversaryCell(c *harness.Cell) []harness.Row {
 // completion (the checkpointable driver in soak.go is the single
 // implementation of the adversary load). The parallel flag and shard
 // count exist for the determinism property tests: descriptor cells always
-// run the parallel grid stack on a single medium, and the tests pin rows
+// run the parallel engine on a single medium, and the tests pin rows
 // byte-identical across sequential, parallel and region-sharded
 // (shards > 0) runs of the same cell.
 func adversaryRows(c *harness.Cell, parallel bool, shards int) []harness.Row {

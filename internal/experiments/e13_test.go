@@ -12,8 +12,8 @@ import (
 
 // TestAdversaryParallelEqualsSequential pins the adversary plane's
 // determinism contract: every E13 cell — jammers filtering receivers
-// concurrently inside the parallel medium, faults striking from the engine
-// loop, monitor accounting fed from sharded Receive fan-out — produces
+// inside the medium, faults striking from the engine loop, monitor
+// accounting fed from the parallel Receive fan-out — produces
 // byte-identical rows whether the stack runs sequentially or parallel.
 func TestAdversaryParallelEqualsSequential(t *testing.T) {
 	for _, p := range e13Desc.Grid(true) {

@@ -34,11 +34,11 @@
 //
 // Every adversary derives all of its choices from pure hashes of
 // (Seed, round, node/cell) — no internal mutable state, no dependence on
-// call order. The radio adversaries are invoked concurrently by the
-// parallel medium and the sim faults sequentially by the engine; in both
-// cases the same seed produces byte-identical runs, sequential or parallel
-// (pinned by TestAdversaryParallelEqualsSequential in
-// internal/experiments).
+// call order. The radio adversaries are invoked concurrently by the shard
+// mediums that share them and the sim faults sequentially by the engine;
+// in both cases the same seed produces byte-identical runs, sequential,
+// parallel or sharded (pinned by TestAdversaryParallelEqualsSequential and
+// TestShardedEqualsSequential in internal/experiments).
 //
 // # Snapshot contract
 //

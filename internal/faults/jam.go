@@ -36,9 +36,10 @@ func (w Window) cycleAt(r sim.Round, period int) (cycle, phase int64) {
 // member's Filter in order (each sees the previous survivor set), and a
 // spurious indication is forced when any member forces one. Members are
 // stateless pure functions of (configuration, round, position) like the
-// jammers below, so the composite stays safe for the parallel medium's
-// concurrent, order-free use. It exists so a deployment spec can stack
-// several jammers behind the medium's single Adversary slot.
+// jammers below, so the composite stays safe for the concurrent,
+// order-free use shard mediums sharing it make of it. It exists so a
+// deployment spec can stack several jammers behind the medium's single
+// Adversary slot.
 type Jammers []radio.Adversary
 
 var _ radio.Adversary = Jammers(nil)
@@ -70,7 +71,7 @@ func (js Jammers) ForceCollision(r sim.Round, receiver sim.NodeID, at geo.Point)
 //
 // The jammed cell set is a pure hash of (Seed, round, k), and membership is
 // a pure function of the receiver's position, so the jammer is stateless
-// and safe for the parallel medium's concurrent, order-free use.
+// and safe for concurrent, order-free use by the shard mediums sharing it.
 type CellJammer struct {
 	Window
 	Bounds   geo.Rect

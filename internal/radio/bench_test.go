@@ -37,13 +37,12 @@ func benchScenario(n int) ([]sim.NodeInfo, []sim.Transmission, geo.Radii) {
 	return infos, txs, radii
 }
 
-func benchDeliver(b *testing.B, n int, mode DeliveryMode, parallel bool) {
+func benchDeliver(b *testing.B, n int, mode DeliveryMode) {
 	infos, txs, radii := benchScenario(n)
 	m := MustMedium(Config{
 		Radii:    radii,
 		Detector: cd.AC{},
 		Mode:     mode,
-		Parallel: parallel,
 		Seed:     1,
 	})
 	b.ReportMetric(float64(len(txs)), "txs")
@@ -56,9 +55,7 @@ func benchDeliver(b *testing.B, n int, mode DeliveryMode, parallel bool) {
 // The scan/grid pairs below are the tentpole's before/after numbers: the
 // acceptance bar is grid at 10k nodes >= 5x fewer ns/op than scan.
 
-func BenchmarkDeliverScan1k(b *testing.B)          { benchDeliver(b, 1_000, ModeScan, false) }
-func BenchmarkDeliverGrid1k(b *testing.B)          { benchDeliver(b, 1_000, ModeGrid, false) }
-func BenchmarkDeliverGrid1kParallel(b *testing.B)  { benchDeliver(b, 1_000, ModeGrid, true) }
-func BenchmarkDeliverScan10k(b *testing.B)         { benchDeliver(b, 10_000, ModeScan, false) }
-func BenchmarkDeliverGrid10k(b *testing.B)         { benchDeliver(b, 10_000, ModeGrid, false) }
-func BenchmarkDeliverGrid10kParallel(b *testing.B) { benchDeliver(b, 10_000, ModeGrid, true) }
+func BenchmarkDeliverScan1k(b *testing.B)  { benchDeliver(b, 1_000, ModeScan) }
+func BenchmarkDeliverGrid1k(b *testing.B)  { benchDeliver(b, 1_000, ModeGrid) }
+func BenchmarkDeliverScan10k(b *testing.B) { benchDeliver(b, 10_000, ModeScan) }
+func BenchmarkDeliverGrid10k(b *testing.B) { benchDeliver(b, 10_000, ModeGrid) }

@@ -91,38 +91,62 @@ func TestGridScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelDeliveryDeterminism requires that sharding receivers across
-// a worker pool changes nothing: for any scenario and any worker count,
-// the receptions equal the sequential ones, run after run.
-func TestParallelDeliveryDeterminism(t *testing.T) {
-	f := func(seed uint32, nRaw uint8, workersRaw uint8) bool {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		n := int(nRaw%120) + 2
-		radii, infos, txs := randomRound(rng, n)
-		base := Config{
-			Radii:                radii,
-			Detector:             cd.EventuallyAC{Racc: 2, FalsePositiveRate: 0.3},
-			Adversary:            NewRandomLoss(0.4, 0.2, 50, int64(seed)),
-			GrayZoneDeliveryProb: 0.5,
-			Seed:                 int64(seed) + 1,
-		}
-		seqCfg, parCfg := base, base
-		parCfg.Parallel = true
-		parCfg.Workers = int(workersRaw%8) + 1
-		seq := MustMedium(seqCfg)
-		par := MustMedium(parCfg)
-		for r := sim.Round(0); r < 3; r++ {
-			want := seq.Deliver(r, txs, infos)
-			for rep := 0; rep < 3; rep++ {
-				if !reflect.DeepEqual(par.Deliver(r, txs, infos), want) {
-					return false
-				}
-			}
-		}
-		return true
+// beacon transmits on a per-node stride and logs everything it hears.
+type beacon struct {
+	env   sim.Env
+	heard []sim.Reception
+}
+
+func (b *beacon) Transmit(r sim.Round) sim.Message {
+	if (int(r)+int(b.env.ID()))%3 != 0 {
+		return nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	return fmt.Sprintf("b%d@%d", b.env.ID(), r)
+}
+
+func (b *beacon) Receive(_ sim.Round, rx sim.Reception) { b.heard = append(b.heard, rx) }
+
+// TestShardMediumsShareAdversary is the concurrency half of the Adversary
+// contract (run under -race in CI): the shard mediums of a region-sharded
+// parallel engine deliver at the same time and all consult one RandomLoss,
+// each with only its own residents — and every reception still equals the
+// single-medium sequential run's.
+func TestShardMediumsShareAdversary(t *testing.T) {
+	radii := geo.Radii{R1: 6, R2: 9}
+	cfg := Config{
+		Radii:                radii,
+		Detector:             cd.EventuallyAC{Racc: 4, FalsePositiveRate: 0.3},
+		Adversary:            NewRandomLoss(0.4, 0.2, 50, 11),
+		GrayZoneDeliveryProb: 0.5,
+		Seed:                 12,
+	}
+	run := func(opts ...sim.Option) [][]sim.Reception {
+		e := sim.NewEngine(MustMedium(cfg), opts...)
+		defer e.Close()
+		rng := rand.New(rand.NewSource(5))
+		nodes := make([]*beacon, 120)
+		for i := range nodes {
+			pos := geo.Point{X: rng.Float64() * 60, Y: rng.Float64() * 60}
+			e.Attach(pos, nil, func(env sim.Env) sim.Node {
+				nodes[i] = &beacon{env: env}
+				return nodes[i]
+			})
+		}
+		e.Run(8)
+		heard := make([][]sim.Reception, len(nodes))
+		for i, n := range nodes {
+			heard[i] = n.heard
+		}
+		return heard
+	}
+	want := run()
+	for _, k := range [][2]int{{2, 2}, {3, 3}} {
+		got := run(sim.WithParallel(), sim.WithRegionShards(k[0], k[1], radii.R2, func() sim.Medium {
+			return MustMedium(cfg)
+		}))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%dx%d shard mediums sharing one adversary diverge from the single-medium run", k[0], k[1])
+		}
 	}
 }
 
@@ -169,12 +193,9 @@ func TestAutoModeMatchesScan(t *testing.T) {
 	}
 }
 
-func TestNewMediumRejectsBadModeAndWorkers(t *testing.T) {
+func TestNewMediumRejectsBadMode(t *testing.T) {
 	radii := geo.Radii{R1: 1, R2: 2}
 	if _, err := NewMedium(Config{Radii: radii, Detector: cd.AC{}, Mode: DeliveryMode(42)}); err == nil {
 		t.Error("bad Mode accepted")
-	}
-	if _, err := NewMedium(Config{Radii: radii, Detector: cd.AC{}, Workers: -1}); err == nil {
-		t.Error("negative Workers accepted")
 	}
 }

@@ -11,23 +11,22 @@
 // every transmission (O(receivers x transmissions) per round), the medium
 // buckets the round's transmissions into a uniform grid with cell size R2
 // (geo.CellIndex) and each receiver consults only its own and adjacent
-// cells. Receivers can additionally be sharded across a worker pool
-// (Config.Parallel); all randomness is derived per (round, receiver), so
-// every mode — scan, grid, sequential, parallel — produces identical
-// receptions for the same seed.
+// cells. A Medium delivers on the calling goroutine; the unit of parallel
+// delivery is the region shard (sim.WithRegionShards), each with a Medium
+// of its own. All randomness is derived per (round, receiver), so every
+// arrangement — scan or grid, one medium or one per shard — produces
+// identical receptions for the same seed.
 //
 // The steady-state delivery loop is also nearly allocation-free: the
-// reception slice, the transmission index (rebuilt in place each round) and
-// the sender identity map live on the Medium, the per-receiver partition
-// buffers live in pooled per-worker scratch, and empty receptions carry nil
-// message slices. Only receivers that actually hear something allocate
-// (their Msgs slices may be retained by nodes).
+// reception slice, the transmission index (rebuilt in place each round),
+// the sender identity map and the per-receiver partition buffers live on
+// the Medium, and empty receptions carry nil message slices. Only receivers
+// that actually hear something allocate (their Msgs slices may be retained
+// by nodes).
 package radio
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"vinfra/internal/cd"
 	"vinfra/internal/det"
@@ -40,10 +39,12 @@ import (
 // must become harmless (identity Filter, no forced collisions) from r_cf
 // onward.
 //
-// The medium may invoke an Adversary from multiple goroutines at once and
-// in any receiver order (Config.Parallel), so implementations must be safe
-// for concurrent use and must not depend on call order; derive any
-// randomness deterministically from (round, receiver) as RandomLoss does.
+// One Adversary value is typically shared by every shard medium of a
+// region-sharded engine, whose Deliver calls run concurrently under
+// sim.WithParallel and see only their own residents — so implementations
+// must be safe for concurrent use and must not depend on call order; derive
+// any randomness deterministically from (round, receiver) as RandomLoss
+// does.
 type Adversary interface {
 	// Filter returns the subset of deliverable transmissions actually
 	// delivered to the receiver (currently located at) in round r.
@@ -107,24 +108,16 @@ type Config struct {
 	Seed int64
 	// Mode selects the delivery implementation; see DeliveryMode.
 	Mode DeliveryMode
-	// Parallel shards the per-receiver delivery computation across a
-	// worker pool. Output is deterministic and identical to the
-	// sequential modes: receptions are written into per-receiver slots
-	// (NodeID order) and all randomness is per-receiver.
-	Parallel bool
-	// Workers caps the pool used when Parallel is set; 0 means
-	// runtime.GOMAXPROCS(0).
-	Workers int
 }
 
 // Medium implements sim.Medium with quasi-unit-disk propagation and
 // collision-detector synthesis.
 //
 // A Medium carries reusable per-round delivery state, so a single Medium
-// must not have Deliver invoked concurrently (one engine calling it once
-// per round — the sim.Medium contract — is the intended use; within one
-// call, receiver shards still fan out across workers). The returned
-// reception slice is valid until the next Deliver call.
+// must not have Deliver invoked concurrently (one engine, or one region
+// shard, calling it once per round — the sim.Medium contract — is the
+// intended use). The returned reception slice is valid until the next
+// Deliver call.
 type Medium struct {
 	cfg Config
 
@@ -137,14 +130,12 @@ type Medium struct {
 	ix    *geo.CellIndex
 	ownTx map[sim.NodeID]int32
 
-	// scratch pools per-worker partition buffers across rounds.
-	scratch sync.Pool
+	scratch deliverScratch
 }
 
-// deliverScratch is one worker's reusable delivery state: the grid
-// candidate buffer, the per-receiver transmission partitions, and the
-// receiver RNG. Each shard checks one out of the pool for the receivers it
-// owns, so the buffers are never shared between concurrent workers.
+// deliverScratch is the medium's reusable per-receiver delivery state: the
+// grid candidate buffer, the per-receiver transmission partitions, and the
+// receiver RNG.
 type deliverScratch struct {
 	buf         []int32
 	inR1        []sim.Transmission
@@ -154,22 +145,11 @@ type deliverScratch struct {
 	// The receiver randomness (gray-zone delivery and detector noise) is a
 	// det.Stream re-keyed to (seed, round, receiver) per receiver — one
 	// word of state, so reseeding is a HashKeys call and an assignment.
-	// One pre-bound closure per scratch — handing a fresh closure to
-	// Detector.Report for every receiver is what used to make delivery
-	// allocate twice per receiver per round.
+	// One pre-bound closure per medium (bound by NewMedium) — handing a
+	// fresh closure to Detector.Report for every receiver is what used to
+	// make delivery allocate twice per receiver per round.
 	rng det.Stream
 	rnd func() float64
-}
-
-func newDeliverScratch() *deliverScratch {
-	s := &deliverScratch{}
-	s.rnd = s.rng.Float64
-	return s
-}
-
-// setReceiver keys the scratch RNG to one receiver.
-func (s *deliverScratch) setReceiver(seed int64, r sim.Round, id sim.NodeID) {
-	s.rng.Reseed(seed, int64(r), int64(id))
 }
 
 var _ sim.Medium = (*Medium)(nil)
@@ -188,13 +168,12 @@ func NewMedium(cfg Config) (*Medium, error) {
 	if cfg.Mode < ModeAuto || cfg.Mode > ModeGrid {
 		return nil, fmt.Errorf("radio: unknown delivery mode %d", cfg.Mode)
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("radio: Workers = %d, must be non-negative", cfg.Workers)
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	return &Medium{cfg: cfg}, nil
+	m := &Medium{cfg: cfg}
+	m.scratch.rnd = m.scratch.rng.Float64
+	return m, nil
 }
 
 // MustMedium is NewMedium for static configurations known to be valid; it
@@ -255,52 +234,30 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 		}
 	}
 
-	sim.Shard(len(rxs), m.workersFor(len(rxs)), func(lo, hi int) {
-		s, _ := m.scratch.Get().(*deliverScratch)
-		if s == nil {
-			s = newDeliverScratch()
+	for i, rx := range rxs {
+		if !rx.Alive {
+			out[i] = sim.Reception{Round: r}
+			continue
 		}
-		for i := lo; i < hi; i++ {
-			rx := rxs[i]
-			if !rx.Alive {
-				out[i] = sim.Reception{Round: r}
-				continue
-			}
-			if ix != nil {
-				s.buf = ix.Near(s.buf[:0], rx.At, 1)
-			}
-			out[i] = m.receive(r, txs, s, ix != nil, rx)
+		if ix != nil {
+			m.scratch.buf = ix.Near(m.scratch.buf[:0], rx.At, 1)
 		}
-		m.scratch.Put(s)
-	})
+		out[i] = m.receive(r, txs, ix != nil, rx)
+	}
 	return out
 }
 
-// workersFor returns the number of delivery shards to use for n receivers.
-func (m *Medium) workersFor(n int) int {
-	if !m.cfg.Parallel || n < 2 {
-		return 1
-	}
-	w := m.cfg.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// receive computes one receiver's reception. When useIdx is set, s.buf
+// receive computes one receiver's reception. When useIdx is set, the scratch buf
 // holds the indices (into txs) of the grid-selected candidates, a superset
 // of every transmission within R2 of the receiver, and m.ownTx maps each
 // sender to its transmission (identity can't be answered by a positional
 // query); otherwise the full transmission slice is scanned. Both paths
 // classify candidates by exact distance, so they produce identical
-// receptions. The partitions live in the worker's scratch, reused across
+// receptions. The partitions live in the medium's scratch, reused across
 // receivers and rounds.
-func (m *Medium) receive(r sim.Round, txs []sim.Transmission, s *deliverScratch, useIdx bool, rx sim.NodeInfo) sim.Reception {
+func (m *Medium) receive(r sim.Round, txs []sim.Transmission, useIdx bool, rx sim.NodeInfo) sim.Reception {
 	radii := m.cfg.Radii
+	s := &m.scratch
 
 	// Partition the round's transmissions as seen from this receiver.
 	var own *sim.Transmission
@@ -339,7 +296,7 @@ func (m *Medium) receive(r sim.Round, txs []sim.Transmission, s *deliverScratch,
 	// Randomness for this receiver (gray-zone delivery and detector
 	// noise) is keyed by (seed, round, receiver), so it is independent of
 	// the order receivers are processed in.
-	s.setReceiver(m.cfg.Seed, r, rx.ID)
+	s.rng.Reseed(m.cfg.Seed, int64(r), int64(rx.ID))
 	rnd := s.rnd
 
 	// Physical delivery: a node always hears its own broadcast. A message

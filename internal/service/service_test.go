@@ -94,6 +94,9 @@ func TestCreateRejects(t *testing.T) {
 		{"unknown spec field", `{"name": "x", "spec": {"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "gird": 1}}`, http.StatusBadRequest},
 		{"wrong version", `{"name": "x", "spec": {"version": "vinfra-spec/v9", "grid": {"cols": 2, "rows": 1}}}`, http.StatusBadRequest},
 		{"bad fault", `{"name": "x", "spec": {"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "faults": [{"kind": "sharknado"}]}}`, http.StatusBadRequest},
+		// Refused by spec.Validate before Build constructs 10^9 mediums; the
+		// creates below show the daemon still serving afterwards.
+		{"oversized engine", `{"name": "x", "spec": {"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "engine": {"shards": 1000000000}}}`, http.StatusBadRequest},
 		{"not json", `hello`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -31,6 +31,15 @@ func TestEngineStepSteadyStateAllocs(t *testing.T) {
 			WithWorkers(4), WithParallel(),
 			WithRegionShards(4, 2, 20, func() Medium { return &nullMedium{} }),
 		}, 0},
+		// One shard is the single-medium engine: same budget, and its plane
+		// reads the engine's own views instead of holding copies.
+		{"one-shard", []Option{
+			WithRegionShards(1, 1, 20, func() Medium { return &nullMedium{} }),
+		}, 0},
+		{"one-shard-parallel", []Option{
+			WithWorkers(2),
+			WithRegionShards(1, 1, 20, func() Medium { return &nullMedium{} }),
+		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(&nullMedium{}, append([]Option{WithSeed(1)}, tc.opts...)...)
@@ -44,6 +53,15 @@ func TestEngineStepSteadyStateAllocs(t *testing.T) {
 			avg := testing.AllocsPerRun(5, func() { e.Step() })
 			if avg > tc.budget {
 				t.Errorf("steady-state Step allocates %.1f times per round at 10k nodes, want <= %v", avg, tc.budget)
+			}
+			if sp := &e.plane; len(sp.mediums) == 1 {
+				held := len(sp.rxs) + len(sp.cellX) + len(sp.cellY) + len(sp.owner)
+				for s := range sp.infos {
+					held += cap(sp.infos[s]) + cap(sp.cands[s])
+				}
+				if held != 0 {
+					t.Errorf("one-shard plane holds %d buffered entries, want none (it aliases the engine's views)", held)
+				}
 			}
 		})
 	}

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"vinfra/internal/det"
@@ -13,7 +11,6 @@ import (
 // Engine drives a set of nodes through synchronous slotted rounds against a
 // Medium. The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	medium   Medium
 	seed     int64
 	parallel bool
 	workers  int
@@ -49,15 +46,15 @@ type Engine struct {
 	// Close and Snapshot (and rebuilt lazily if the engine steps again).
 	pool *workerPool
 
-	// partTime accumulates wall time spent in the sharded
-	// mobility+partition pass. It is a measurement, not state: never part
-	// of Stats or a snapshot, so determinism contracts are unaffected.
+	// partTime accumulates wall time spent in the region-shard partition
+	// pass. It is a measurement, not state: never part of Stats or a
+	// snapshot, so determinism contracts are unaffected.
 	partTime time.Duration
 
-	// plane, when non-nil, replaces the single-medium delivery path with
-	// the region-sharded one (WithRegionShards): per-shard mediums over
-	// shard-owned cell rectangles with a boundary-band halo exchange.
-	plane *shardPlane
+	// plane propagates each round's transmissions: NewEngine's medium as
+	// its one shard, or the WithRegionShards grid of per-shard mediums with
+	// a boundary-band halo exchange.
+	plane shardPlane
 }
 
 // RoundHook observes a completed round: the transmissions that occurred and
@@ -138,17 +135,21 @@ func WithSeed(seed int64) Option {
 	return func(e *Engine) { e.seed = seed }
 }
 
-// WithParallel shards each round's mobility, Transmit and Receive fan-out
-// across a bounded worker pool (one shard per worker, contiguous NodeID
-// ranges). Nodes share no state and per-node randomness is keyed to the
+// WithParallel fans each round's mobility, Transmit and Receive out across
+// the engine's persistent worker runtime (one contiguous alive-list range
+// per worker). Nodes share no state and per-node randomness is keyed to the
 // node, so output is deterministic and identical to a sequential run;
-// transmissions are merged in NodeID order after the fan-out.
+// transmissions are merged in NodeID order after the fan-out. A Medium's
+// Deliver stays on one goroutine: what parallelises propagation is
+// WithRegionShards, whose shard mediums deliver concurrently under this
+// option.
 func WithParallel() Option {
 	return func(e *Engine) { e.parallel = true }
 }
 
-// WithWorkers sets the worker-pool size used by WithParallel (and implies
-// it). n <= 0 means runtime.GOMAXPROCS(0), the default.
+// WithWorkers bounds every WithParallel fan-out — node ranges and region
+// shards alike — to n workers (and implies WithParallel). n <= 0 means the
+// default: runtime.GOMAXPROCS(0) node ranges, one worker per region shard.
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		e.parallel = true
@@ -159,9 +160,9 @@ func WithWorkers(n int) Option {
 // NewEngine returns an engine that propagates messages through medium.
 func NewEngine(medium Medium, opts ...Option) *Engine {
 	e := &Engine{
-		medium: medium,
-		seed:   1,
-		crash:  make(map[Round][]NodeID),
+		seed:  1,
+		crash: make(map[Round][]NodeID),
+		plane: shardPlane{mediums: []Medium{medium}},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -307,8 +308,10 @@ func (e *Engine) Run(n int) {
 	}
 }
 
-// Step executes a single round: scheduled crashes, mobility, transmission
-// fan-out, propagation through the medium, and reception fan-out.
+// Step executes a single round, the same sequence for every engine
+// configuration: faults, scheduled crashes, mobility, transmission fan-out,
+// propagation through the medium (or the region shards' mediums), reception
+// fan-out, stats and hooks.
 //
 // The steady-state round loop allocates nothing: the NodeInfo view, the
 // transmission list and the parallel Transmit slots are engine-owned
@@ -351,26 +354,15 @@ func (e *Engine) Step() {
 			}
 		}
 	}
-	e.shard(e.mobFn)
+	e.runChunks(len(e.alive), e.fanout(), e.mobFn)
 
-	var txs []Transmission
-	var rxs []Reception
-	if e.plane != nil {
-		txs, rxs = e.plane.round(e, r)
-	} else {
-		txs = e.collectTransmissions(r)
-		rxs = e.medium.Deliver(r, txs, e.info)
-		if len(rxs) != len(e.nodes) {
-			panic(fmt.Sprintf("sim: medium returned %d receptions for %d nodes", len(rxs), len(e.nodes)))
-		}
-		e.deliver(r, rxs)
-	}
+	txs := e.collectTransmissions(r)
+	rxs := e.plane.propagate(e, r, txs)
+	e.deliver(r, rxs)
 
 	e.stats.Rounds++
 	e.stats.Transmissions += len(txs)
-	if e.plane != nil {
-		e.stats.HaloTransmissions += e.plane.halo
-	}
+	e.stats.HaloTransmissions += e.plane.halo
 	for _, tx := range txs {
 		sz := MessageSize(tx.Msg)
 		e.stats.TotalBytes += sz
@@ -383,40 +375,43 @@ func (e *Engine) Step() {
 	}
 }
 
-// collectTransmissions fans Transmit out across the worker pool (writing
-// into per-node slots) and then merges the non-nil results in NodeID order,
-// so the transmission list is identical to a sequential collection. The
-// returned slice is engine-owned and valid until the next round.
+// collectTransmissions calls Transmit on every alive node and returns the
+// non-nil results in NodeID order. Fanned out, workers write per-node slots
+// that are then merged over the alive list, so the transmission list is
+// identical to the sequential collection. The returned slice is
+// engine-owned and valid until the next round.
 func (e *Engine) collectTransmissions(r Round) []Transmission {
 	e.txs = e.txs[:0]
-	if e.parallel {
-		if len(e.txSlots) < len(e.nodes) {
-			e.txSlots = make([]Message, len(e.nodes))
-		}
-		if e.txFn == nil {
-			e.txFn = func(_, lo, hi int) {
-				for _, st := range e.alive[lo:hi] {
-					e.txSlots[st.id] = st.node.Transmit(e.curRound)
-				}
-			}
-		}
-		e.shard(e.txFn)
+	w := e.fanout()
+	if w <= 1 {
 		for _, st := range e.alive {
-			if m := e.txSlots[st.id]; m != nil {
+			if m := st.node.Transmit(r); m != nil {
 				e.txs = append(e.txs, Transmission{Sender: st.id, From: st.pos, Msg: m})
-				e.txSlots[st.id] = nil // drop the reference for GC
 			}
 		}
 		return e.txs
 	}
+	if len(e.txSlots) < len(e.nodes) {
+		e.txSlots = make([]Message, len(e.nodes))
+	}
+	if e.txFn == nil {
+		e.txFn = func(_, lo, hi int) {
+			for _, st := range e.alive[lo:hi] {
+				e.txSlots[st.id] = st.node.Transmit(e.curRound)
+			}
+		}
+	}
+	e.runChunks(len(e.alive), w, e.txFn)
 	for _, st := range e.alive {
-		if m := st.node.Transmit(r); m != nil {
+		if m := e.txSlots[st.id]; m != nil {
 			e.txs = append(e.txs, Transmission{Sender: st.id, From: st.pos, Msg: m})
+			e.txSlots[st.id] = nil // drop the reference for GC
 		}
 	}
 	return e.txs
 }
 
+// deliver hands every alive node its reception (rxs is indexed by NodeID).
 func (e *Engine) deliver(r Round, rxs []Reception) {
 	e.curRxs = rxs
 	if e.rxFn == nil {
@@ -426,43 +421,32 @@ func (e *Engine) deliver(r Round, rxs []Reception) {
 			}
 		}
 	}
-	e.shard(e.rxFn)
+	e.runChunks(len(e.alive), e.fanout(), e.rxFn)
 	e.curRxs = nil
 }
 
-// shard runs fn over contiguous ranges covering the alive list: on one
-// range sequentially by default, or fanned across the persistent worker
-// runtime under WithParallel. Callers must only touch per-node state (or
-// per-node slots) inside fn.
-func (e *Engine) shard(fn func(w, lo, hi int)) {
-	w := 1
-	if e.parallel {
-		w = e.fanout()
-	}
-	e.runChunks(len(e.alive), w, fn)
-}
-
-// fanout returns the resolved parallel width for node-ranged fan-outs: the
-// explicit WithWorkers bound, or GOMAXPROCS.
+// fanout returns the width of the node-ranged phases (mobility, Transmit,
+// Receive, the shard partition), which chunk the alive list and must only
+// touch per-node state or per-node slots: one range without WithParallel,
+// else the WithWorkers bound, or GOMAXPROCS.
 func (e *Engine) fanout() int {
-	if e.workers > 0 {
+	switch {
+	case !e.parallel:
+		return 1
+	case e.workers > 0:
 		return e.workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// poolWidth returns the widest fan-out any engine loop can request — the
-// node-ranged width, or one chunk per region shard when the sharded plane
-// defaults to shard-per-goroutine — and therefore the persistent pool's
-// size. Sized once, when the pool is lazily created.
-func (e *Engine) poolWidth() int {
-	w := e.fanout()
-	if e.plane != nil && e.workers <= 0 {
-		if s := e.plane.plan.Shards(); s > w {
-			w = s
-		}
+// shardFanout returns the width of the per-shard Deliver phase: fanout,
+// except that WithParallel without a WithWorkers bound runs one chunk per
+// shard.
+func (e *Engine) shardFanout() int {
+	if e.parallel && e.workers <= 0 {
+		return len(e.plane.mediums)
 	}
-	return w
+	return e.fanout()
 }
 
 // runChunks runs fn over [0, n) in at most k balanced contiguous chunks
@@ -477,7 +461,8 @@ func (e *Engine) runChunks(n, k int, fn func(w, lo, hi int)) {
 		return
 	}
 	if e.pool == nil {
-		e.pool = newWorkerPool(e.poolWidth() - 1)
+		// Sized once for the widest phase.
+		e.pool = newWorkerPool(max(e.fanout(), e.shardFanout()) - 1)
 	}
 	e.pool.run(n, k, fn)
 }
@@ -493,42 +478,10 @@ func (e *Engine) Close() {
 	}
 }
 
-// PartitionTime returns the cumulative wall time the region-sharded plane
-// has spent in its partition pass (zero on the single-medium path). It is
+// PartitionTime returns the cumulative wall time spent partitioning nodes
+// across region shards (zero at one shard, which partitions nothing). It is
 // a measurement for perf reporting — deliberately excluded from Stats and
 // snapshots, so determinism comparisons never see it.
 func (e *Engine) PartitionTime() time.Duration {
 	return e.partTime
-}
-
-// Shard splits [0, n) into at most workers contiguous chunks and runs fn on
-// each, concurrently when workers > 1, returning once every chunk is done.
-// Chunks are balanced: chunk i covers [i*n/w, (i+1)*n/w), so sizes differ
-// by at most one and every chunk is non-empty — the old ceil-division
-// split could strand most workers and leave a degenerate last chunk (n=9,
-// workers=8 produced five chunks of 2,2,2,2,1).
-//
-// This is the spawn-per-call primitive used by the radio medium's parallel
-// delivery (which may run nested inside an engine worker and so cannot
-// share the engine's pool); the engine's own fan-outs run on the
-// persistent worker runtime instead. fn must only touch state owned by (or
-// slotted per) the indices it is given.
-func Shard(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(w*n/workers, (w+1)*n/workers)
-	}
-	fn(0, n/workers)
-	wg.Wait()
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vinfra/internal/geo"
 )
@@ -126,5 +128,73 @@ func TestParallelChurnEqualsSequential(t *testing.T) {
 				t.Fatalf("parallel churn run diverged from sequential")
 			}
 		}
+	}
+}
+
+// meetNode's Transmit and Receive each complete one half of a two-party
+// rendezvous over an unbuffered channel: the pair can only pass if the two
+// nodes are stepped on different goroutines at the same time.
+type meetNode struct {
+	send   bool
+	ch     chan struct{}
+	missed *atomic.Int32
+}
+
+func (n *meetNode) meet() {
+	if n.missed.Load() > 0 {
+		return // already failed: don't sit out the remaining timeouts
+	}
+	timeout := time.After(5 * time.Second)
+	if n.send {
+		select {
+		case n.ch <- struct{}{}:
+		case <-timeout:
+			n.missed.Add(1)
+		}
+		return
+	}
+	select {
+	case <-n.ch:
+	case <-timeout:
+		n.missed.Add(1)
+	}
+}
+
+func (n *meetNode) Transmit(Round) Message   { n.meet(); return nil }
+func (n *meetNode) Receive(Round, Reception) { n.meet() }
+
+// TestOneShardFansOutTransmitAndReceive fails if Transmit or Receive at
+// one shard under WithWorkers(4) run on a single goroutine: the first and
+// last alive nodes (always in different chunks) rendezvous in both phases,
+// which a sequential walk of the alive list can never complete. One shard
+// parallelises nothing in Deliver, but the node-ranged phases must still
+// fan out, whether the shard is NewEngine's medium or a 1x1 grid.
+func TestOneShardFansOutTransmitAndReceive(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"single medium": nil,
+		"1x1 grid":      {WithRegionShards(1, 1, 10, func() Medium { return &nullMedium{} })},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(&nullMedium{}, append(opts, WithWorkers(4))...)
+			defer e.Close()
+			const nodes, rounds = 16, 3
+			ch := make(chan struct{})
+			var missed atomic.Int32
+			for i := 0; i < nodes; i++ {
+				e.Attach(geo.Point{X: float64(i)}, nil, func(Env) Node {
+					switch i {
+					case 0:
+						return &meetNode{send: true, ch: ch, missed: &missed}
+					case nodes - 1:
+						return &meetNode{ch: ch, missed: &missed}
+					}
+					return &silentNode{}
+				})
+			}
+			e.Run(rounds)
+			if n := missed.Load(); n != 0 {
+				t.Fatalf("%d rendezvous halves timed out: Transmit/Receive did not run concurrently across chunks", n)
+			}
+		})
 	}
 }

@@ -1,18 +1,19 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"vinfra/internal/geo"
 )
 
-// TestShardPlanePartitionEdgeCases drives the partition pass (sequential
-// and parallel counting-sort alike) through its degenerate inputs — every
+// TestShardPlanePartitionEdgeCases drives the partition pass (the counting
+// sort at one chunk and at three) through its degenerate inputs — every
 // node dead, a single alive node, nodes sitting exactly on shard-boundary
 // cell edges, and a population clustered so tightly that whole shard
-// rectangles have zero residents — and checks each against the
-// single-medium sequential run.
+// rectangles have zero residents — and checks each, and the 1x1 plan that
+// partitions nothing, against the single-medium sequential run.
 func TestShardPlanePartitionEdgeCases(t *testing.T) {
 	const r2 = 10.0
 	cases := []struct {
@@ -112,36 +113,41 @@ func TestShardPlanePartitionEdgeCases(t *testing.T) {
 			}
 
 			wantHeard, wantPos, wantAlive, _ := run()
-			shardOpts := []Option{WithRegionShards(tc.grid.cols, tc.grid.rows, r2, func() Medium {
-				return diskMedium{r2: r2}
-			})}
-			for _, par := range []bool{false, true} {
-				opts := shardOpts
-				label := "sequential"
-				if par {
-					opts = append(opts, WithParallel(), WithWorkers(3))
-					label = "parallel"
-				}
-				heard, pos, alive, e := run(opts...)
-				if !reflect.DeepEqual(heard, wantHeard) {
-					t.Fatalf("%s: sharded reception log diverged from single-medium run", label)
-				}
-				if !reflect.DeepEqual(pos, wantPos) {
-					t.Fatalf("%s: sharded trajectories diverged", label)
-				}
-				if !reflect.DeepEqual(alive, wantAlive) {
-					t.Fatalf("%s: sharded liveness diverged", label)
-				}
-				if tc.wantEmpty {
-					empty := 0
-					for _, res := range e.plane.resident {
-						if len(res) == 0 {
-							empty++
-						}
+			type gridCase struct {
+				cols, rows int
+				wantEmpty  bool
+			}
+			for _, g := range []gridCase{{tc.grid.cols, tc.grid.rows, tc.wantEmpty}, {1, 1, false}} {
+				for _, par := range []bool{false, true} {
+					opts := []Option{WithRegionShards(g.cols, g.rows, r2, func() Medium {
+						return diskMedium{r2: r2}
+					})}
+					label := fmt.Sprintf("%dx%d sequential", g.cols, g.rows)
+					if par {
+						opts = append(opts, WithWorkers(3))
+						label = fmt.Sprintf("%dx%d parallel", g.cols, g.rows)
 					}
-					if empty == 0 {
-						t.Fatalf("%s: expected at least one resident-free shard rectangle, all %d occupied",
-							label, len(e.plane.resident))
+					heard, pos, alive, e := run(opts...)
+					if !reflect.DeepEqual(heard, wantHeard) {
+						t.Fatalf("%s: sharded reception log diverged from single-medium run", label)
+					}
+					if !reflect.DeepEqual(pos, wantPos) {
+						t.Fatalf("%s: sharded trajectories diverged", label)
+					}
+					if !reflect.DeepEqual(alive, wantAlive) {
+						t.Fatalf("%s: sharded liveness diverged", label)
+					}
+					if g.wantEmpty {
+						empty := 0
+						for _, res := range e.plane.infos {
+							if len(res) == 0 {
+								empty++
+							}
+						}
+						if empty == 0 {
+							t.Fatalf("%s: expected at least one resident-free shard rectangle, all %d occupied",
+								label, len(e.plane.infos))
+						}
 					}
 				}
 			}

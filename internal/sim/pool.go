@@ -2,11 +2,10 @@ package sim
 
 // workerPool is the engine's persistent worker runtime: a fixed set of
 // long-lived helper goroutines that execute contiguous index chunks of a
-// fan-out function. It replaces the per-round goroutine spawn (the old
-// Shard-per-call path) with a round-barrier handoff — one buffered channel
-// send per busy helper and one completion receive per chunk — so a
-// steady-state round performs no goroutine creation, no WaitGroup churn
-// and no allocation.
+// fan-out function. It replaces a per-round goroutine spawn with a
+// round-barrier handoff — one buffered channel send per busy helper and one
+// completion receive per chunk — so a steady-state round performs no
+// goroutine creation, no WaitGroup churn and no allocation.
 //
 // Determinism is untouched by construction: the pool only decides *where*
 // a chunk runs, never what the chunks are (run computes the same balanced
@@ -65,7 +64,7 @@ func (p *workerPool) width() int { return len(p.helpers) + 1 }
 // of the old ceil-division split cannot occur). Chunks 1..k-1 are handed
 // to parked helpers; chunk 0 runs on the caller's goroutine; run returns
 // once every chunk is done. k is clamped to [1, min(n, width)]; with one
-// chunk fn runs inline (fn(0, 0, n), even when n is 0, matching Shard).
+// chunk fn runs inline (fn(0, 0, n), even when n is 0).
 func (p *workerPool) run(n, k int, fn func(w, lo, hi int)) {
 	if k > n {
 		k = n

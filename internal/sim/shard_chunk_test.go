@@ -23,9 +23,9 @@ func chunksOf(run func(record func(lo, hi int))) [][2]int {
 // checkChunks asserts the chunk invariants: the sorted chunks tile [0, n)
 // contiguously with no gaps or overlaps, there are exactly want of them,
 // and their sizes are balanced (differ by at most one, none empty when
-// n > 0). The old ceil-division split violated balance for n slightly
-// above a multiple of workers — Shard(9, 8) produced chunks 2,2,2,2,1,
-// leaving three workers idle and a degenerate last chunk.
+// n > 0). A ceil-division split violates balance for n slightly above a
+// multiple of workers — 9 over 8 gives chunks 2,2,2,2,1, leaving three
+// workers idle and a degenerate last chunk.
 func checkChunks(t *testing.T, chunks [][2]int, n, want int) {
 	t.Helper()
 	if len(chunks) != want {
@@ -56,35 +56,11 @@ func checkChunks(t *testing.T, chunks [][2]int, n, want int) {
 	}
 }
 
-// TestShardChunking pins the edge widths of the spawn-per-call primitive:
-// n=0 (one empty call), n<workers (one chunk per index), n=workers+1 (the
-// regression case: every worker used, sizes 1 or 2), and a sweep.
-func TestShardChunking(t *testing.T) {
-	shardChunks := func(n, w int) [][2]int {
-		return chunksOf(func(rec func(lo, hi int)) { Shard(n, w, rec) })
-	}
-	checkChunks(t, shardChunks(0, 4), 0, 1) // fn still called once, on [0,0)
-	checkChunks(t, shardChunks(3, 8), 3, 3) // n < workers: n single-index chunks
-	checkChunks(t, shardChunks(9, 8), 9, 8) // n = workers+1: all 8 used, sizes 1..2
-	checkChunks(t, shardChunks(8, 8), 8, 8) // n = workers
-	checkChunks(t, shardChunks(17, 1), 17, 1)
-	for _, n := range []int{1, 2, 5, 7, 16, 100, 1001} {
-		for _, w := range []int{1, 2, 3, 4, 7, 8, 16, 33} {
-			want := w
-			if want > n {
-				want = n
-			}
-			if want < 1 {
-				want = 1
-			}
-			checkChunks(t, shardChunks(n, w), n, want)
-		}
-	}
-}
-
-// TestWorkerPoolRunChunks pins the persistent pool's chunking to the same
-// invariants, plus its clamps (k capped by n and by the pool width) and
-// reuse across many runs of varying shape on the same parked helpers.
+// TestWorkerPoolRunChunks pins the persistent pool's chunking to those
+// invariants at the edge widths — n=0 (one empty call), n<k (one chunk per
+// index), n=k+1 (every worker used, sizes 1 or 2) — plus its clamps (k
+// capped by n and by the pool width) and reuse across many runs of varying
+// shape on the same parked helpers.
 func TestWorkerPoolRunChunks(t *testing.T) {
 	p := newWorkerPool(7) // width 8
 	defer p.close()

@@ -11,24 +11,26 @@ import (
 // WithRegionShards partitions the world into a cols x rows grid of
 // shard-owned cell rectangles (cells of side cellSize, which must be at
 // least the medium's interference radius) and gives each shard its own
-// Medium from factory. Each round, after mobility, every alive node is
-// assigned to the shard owning its cell; each shard collects its
-// residents' transmissions and delivers to its residents only, with
-// boundary-band transmissions (cells within one cell — i.e. within the
-// interference radius — of a shard edge) copied to the neighboring shards
-// before delivery. Merges are keyed by (cell, node) order: residents,
-// candidate transmissions and receptions are all assembled by walking the
-// alive list in NodeID order, so the output is byte-identical to the
-// single-medium engine for any shard count — provided the Medium derives
-// each reception only from the receiver, the round and the transmissions
-// within the interference radius (the radio.Medium contract; see the
-// Medium docs in types.go).
+// Medium from factory, replacing the medium handed to NewEngine. Shards
+// are what parallelises Deliver: each round, after mobility and the
+// engine's one Transmit fan-out, every alive node is assigned to the shard
+// owning its cell and each shard medium delivers to its residents only,
+// with boundary-band transmissions (cells within one cell — i.e. within
+// the interference radius — of a shard edge) copied to the neighboring
+// shards before delivery. Merges are keyed by (cell, node) order: resident
+// views, candidate transmissions and receptions are all assembled by
+// walking the alive list in NodeID order, so the output is byte-identical
+// to the single-medium engine for any shard count — provided the Medium
+// derives each reception only from the receiver, the round and the
+// transmissions within the interference radius (the radio.Medium contract;
+// see the Medium docs in types.go).
 //
-// Under WithParallel the shards run concurrently on the engine's
-// persistent worker runtime (one chunk per shard by default, or chunked
-// over WithWorkers workers) and the partition pass itself fans out as a
-// per-chunk counting sort; without it they run sequentially,
-// byte-identical either way.
+// Under WithParallel the shard mediums deliver concurrently on the
+// engine's persistent worker runtime (one chunk per shard by default, or
+// chunked over WithWorkers workers) and the partition pass itself fans out
+// as a per-chunk counting sort; without it they run sequentially,
+// byte-identical either way. A 1x1 grid is the single-medium engine: its
+// one shard reads the engine's own views, with no partition and no copies.
 func WithRegionShards(cols, rows int, cellSize float64, factory func() Medium) Option {
 	return func(e *Engine) {
 		plan, err := shard.NewPlan(cellSize, cols, rows)
@@ -38,7 +40,7 @@ func WithRegionShards(cols, rows int, cellSize float64, factory func() Medium) O
 		if factory == nil {
 			panic("sim: WithRegionShards requires a Medium factory")
 		}
-		sp := &shardPlane{plan: plan}
+		sp := shardPlane{plan: plan, cols: cols, rows: rows}
 		for i := 0; i < plan.Shards(); i++ {
 			m := factory()
 			if m == nil {
@@ -46,44 +48,44 @@ func WithRegionShards(cols, rows int, cellSize float64, factory func() Medium) O
 			}
 			sp.mediums = append(sp.mediums, m)
 		}
-		sp.resident = make([][]*nodeState, plan.Shards())
 		sp.infos = make([][]NodeInfo, plan.Shards())
 		sp.cands = make([][]Transmission, plan.Shards())
 		e.plane = sp
 	}
 }
 
-// RegionShards returns the number of region shards (0 when the engine runs
-// the single-medium path).
+// RegionShards returns the number of region shards (0 when the engine was
+// built without WithRegionShards).
 func (e *Engine) RegionShards() int {
-	if e.plane == nil {
-		return 0
-	}
-	return e.plane.plan.Shards()
+	return e.plane.cols * e.plane.rows
 }
 
-// shardPlane owns the region-sharded round state: the partition plan, one
-// Medium per shard, and per-shard resident/candidate buffers reused across
-// rounds (the steady-state sharded loop allocates nothing of its own).
+// shardPlane is the propagation step of a round: one Medium per shard.
+// Every engine has one — NewEngine's medium is the one-shard plane — and
+// only a plane of two or more shards holds a partition plan and per-shard
+// view buffers (reused across rounds: the steady-state sharded loop
+// allocates nothing of its own).
 type shardPlane struct {
-	plan    *shard.Plan
 	mediums []Medium
 
+	// The WithRegionShards grid, 0x0 without it: what snapshots record.
+	cols, rows int
+	plan       *shard.Plan
+
 	// Per-shard views, rebuilt (in NodeID order) every round.
-	resident [][]*nodeState   // alive nodes owned by each shard
-	infos    [][]NodeInfo     // the shard medium's view of its residents
-	cands    [][]Transmission // candidate transmissions per shard (own + halo)
+	infos [][]NodeInfo     // each shard medium's view of its residents
+	cands [][]Transmission // candidate transmissions per shard (own + halo)
 
 	cellX, cellY []int64     // per-alive-index cell coords, one partition pass
-	rxs          []Reception // global receptions, indexed by NodeID
+	rxs          []Reception // merged receptions, indexed by NodeID
 	halo         int         // boundary-band copies scattered this round
 
-	// Parallel-partition scratch, reused across rounds: the counting-sort
-	// state each partition chunk owns. owner holds every alive node's
-	// shard (computed once in the count phase, read in the write phase);
+	// Partition scratch, reused across rounds: the counting-sort state each
+	// partition chunk owns. owner holds every alive node's shard (computed
+	// once in the count phase, read in the write phase);
 	// bounds/counts/offs are per-chunk — chunk w touches only bounds[w],
 	// counts[w] and offs[w], so the phases run race-free on the worker
-	// runtime and the merged resident lists are NodeID-ordered for any
+	// runtime and the merged resident views are NodeID-ordered for any
 	// chunk count.
 	owner  []int32
 	bounds []cellBounds
@@ -93,12 +95,10 @@ type shardPlane struct {
 	// Cached fan-out closures (the engine's mobFn idiom: building them per
 	// round would allocate because the worker handoff moves them to the
 	// heap).
-	txFn    func(w, lo, hi int)
-	rxFn    func(w, lo, hi int)
-	cellFn  func(w, lo, hi int)
-	countFn func(w, lo, hi int)
-	writeFn func(w, lo, hi int)
-	eng     *Engine
+	deliverFn func(w, lo, hi int)
+	cellFn    func(w, lo, hi int)
+	countFn   func(w, lo, hi int)
+	writeFn   func(w, lo, hi int)
 }
 
 // cellBounds is one partition chunk's occupied-cell bounding box.
@@ -106,19 +106,27 @@ type cellBounds struct {
 	minCX, minCY, maxCX, maxCY int64
 }
 
-// round runs the sharded partition/transmit/deliver/receive phases for
-// round r, after the engine has applied faults, crashes and mobility. It
-// returns the merged transmission list and the global reception slice
-// (indexed by NodeID, like the single-medium path) for stats and hooks.
-func (sp *shardPlane) round(e *Engine, r Round) ([]Transmission, []Reception) {
-	sp.eng = e
+// propagate computes round r's receptions, indexed by NodeID, from the
+// round's merged transmission list. This is the one place a single medium
+// and a shard grid part ways: one shard owns every node, so its view is
+// the engine's own — the NodeInfo slice, txs and the medium's returned
+// slice, with nothing partitioned, scattered or copied — while two or more
+// partition the alive list, scatter txs with their halo, deliver per shard
+// and merge.
+func (sp *shardPlane) propagate(e *Engine, r Round, txs []Transmission) []Reception {
+	if len(sp.mediums) == 1 {
+		rxs := sp.mediums[0].Deliver(r, txs, e.info)
+		if len(rxs) != len(e.nodes) {
+			panic(fmt.Sprintf("sim: medium returned %d receptions for %d nodes", len(rxs), len(e.nodes)))
+		}
+		return rxs
+	}
 	start := time.Now() //detlint:walltime partition cost is a Measured perf column (E14), never state
 	sp.partition(e)
 	e.partTime += time.Since(start) //detlint:walltime see above
-	txs := sp.collect(e)
 	sp.scatter(txs)
-	sp.deliverAndReceive(e, r)
-	return txs, sp.rxs
+	sp.deliver(e, r)
+	return sp.rxs
 }
 
 // partition assigns every alive node to the shard owning its post-mobility
@@ -126,26 +134,22 @@ func (sp *shardPlane) round(e *Engine, r Round) ([]Transmission, []Reception) {
 // round keeps the split meaningful under mobility and churn. The pass
 // scales with cores instead of devices: the cell/bounds scan, the
 // per-chunk counting sort and the resident writes all fan out over the
-// worker runtime in contiguous alive-list chunks, and because the alive
-// list is NodeID-ordered and chunk w's residents land at offsets computed
-// from the chunks before it, each shard's resident (and info) slice is
-// NodeID-ordered by construction — identical for every chunk count, so
-// sharded≡sequential holds for any worker width.
+// worker runtime in contiguous alive-list chunks (one chunk, inline,
+// without WithParallel), and because the alive list is NodeID-ordered and
+// chunk w's residents land at offsets computed from the chunks before it,
+// each shard's resident view is NodeID-ordered by construction — identical
+// for every chunk count, so sharded≡sequential holds for any worker width.
 func (sp *shardPlane) partition(e *Engine) {
-	for s := range sp.cands {
+	shards := len(sp.mediums)
+	for s := 0; s < shards; s++ {
 		sp.cands[s] = sp.cands[s][:0]
+		sp.infos[s] = sp.infos[s][:0]
 	}
 	n := len(e.alive)
-	k := 1
-	if e.parallel {
-		if k = e.fanout(); k > n {
-			k = n
-		}
-	}
-	if k <= 1 {
-		sp.partitionSeq(e, n)
+	if n == 0 {
 		return
 	}
+	k := min(e.fanout(), n)
 
 	if cap(sp.cellX) < n {
 		sp.cellX = make([]int64, n)
@@ -153,7 +157,6 @@ func (sp *shardPlane) partition(e *Engine) {
 		sp.owner = make([]int32, n)
 	}
 	sp.cellX, sp.cellY, sp.owner = sp.cellX[:cap(sp.cellX)], sp.cellY[:cap(sp.cellY)], sp.owner[:cap(sp.owner)]
-	shards := sp.plan.Shards()
 	for len(sp.bounds) < k {
 		sp.bounds = append(sp.bounds, cellBounds{})
 		sp.counts = append(sp.counts, make([]int32, shards))
@@ -163,7 +166,6 @@ func (sp *shardPlane) partition(e *Engine) {
 	// Phase 1: cell coordinates plus a per-chunk bounding box.
 	if sp.cellFn == nil {
 		sp.cellFn = func(w, lo, hi int) {
-			e := sp.eng
 			b := cellBounds{math.MaxInt64, math.MaxInt64, math.MinInt64, math.MinInt64}
 			for i := lo; i < hi; i++ {
 				cx, cy := sp.plan.CellOf(e.alive[i].pos)
@@ -226,11 +228,9 @@ func (sp *shardPlane) partition(e *Engine) {
 			sp.offs[w][s] = int32(tot)
 			tot += int(sp.counts[w][s])
 		}
-		if cap(sp.resident[s]) < tot {
-			sp.resident[s] = make([]*nodeState, tot)
+		if cap(sp.infos[s]) < tot {
 			sp.infos[s] = make([]NodeInfo, tot)
 		}
-		sp.resident[s] = sp.resident[s][:tot]
 		sp.infos[s] = sp.infos[s][:tot]
 	}
 
@@ -239,90 +239,17 @@ func (sp *shardPlane) partition(e *Engine) {
 	// merged order is exactly the alive list's NodeID order.
 	if sp.writeFn == nil {
 		sp.writeFn = func(w, lo, hi int) {
-			e := sp.eng
 			offs := sp.offs[w]
 			for i := lo; i < hi; i++ {
 				st := e.alive[i]
 				s := sp.owner[i]
 				j := offs[s]
 				offs[s] = j + 1
-				sp.resident[s][j] = st
 				sp.infos[s][j] = NodeInfo{ID: st.id, At: st.pos, Alive: true}
 			}
 		}
 	}
 	e.runChunks(n, k, sp.writeFn)
-}
-
-// partitionSeq is the single-threaded partition (no WithParallel, or a
-// population too small to chunk): the same two NodeID-ordered passes the
-// plane has always run, byte-identical to the parallel counting sort.
-func (sp *shardPlane) partitionSeq(e *Engine, n int) {
-	for s := range sp.resident {
-		sp.resident[s] = sp.resident[s][:0]
-		sp.infos[s] = sp.infos[s][:0]
-	}
-	if n == 0 {
-		return
-	}
-	if cap(sp.cellX) < n {
-		sp.cellX = make([]int64, n)
-		sp.cellY = make([]int64, n)
-		sp.owner = make([]int32, n)
-	}
-	cellX, cellY := sp.cellX[:n], sp.cellY[:n]
-	var minCX, minCY, maxCX, maxCY int64 = math.MaxInt64, math.MaxInt64, math.MinInt64, math.MinInt64
-	for i, st := range e.alive {
-		cx, cy := sp.plan.CellOf(st.pos)
-		cellX[i], cellY[i] = cx, cy
-		if cx < minCX {
-			minCX = cx
-		}
-		if cx > maxCX {
-			maxCX = cx
-		}
-		if cy < minCY {
-			minCY = cy
-		}
-		if cy > maxCY {
-			maxCY = cy
-		}
-	}
-	sp.plan.Fit(minCX, minCY, maxCX, maxCY)
-	for i, st := range e.alive {
-		s := sp.plan.Owner(cellX[i], cellY[i])
-		sp.resident[s] = append(sp.resident[s], st)
-		sp.infos[s] = append(sp.infos[s], NodeInfo{ID: st.id, At: st.pos, Alive: true})
-	}
-}
-
-// collect fans Transmit out across the shards (writing the engine's
-// per-node slots) and merges the non-nil results over the global alive
-// list, so the transmission order is NodeID order — identical to the
-// single-medium engine regardless of shard count or scheduling.
-func (sp *shardPlane) collect(e *Engine) []Transmission {
-	if len(e.txSlots) < len(e.nodes) {
-		e.txSlots = make([]Message, len(e.nodes))
-	}
-	if sp.txFn == nil {
-		sp.txFn = func(_, lo, hi int) {
-			e := sp.eng
-			for s := lo; s < hi; s++ {
-				for _, st := range sp.resident[s] {
-					e.txSlots[st.id] = st.node.Transmit(e.curRound)
-				}
-			}
-		}
-	}
-	e.runChunks(len(sp.resident), sp.workers(e), sp.txFn)
-	e.txs = e.txs[:0]
-	for _, st := range e.alive {
-		if m := e.txSlots[st.id]; m != nil {
-			e.txs = append(e.txs, Transmission{Sender: st.id, From: st.pos, Msg: m})
-			e.txSlots[st.id] = nil // drop the reference for GC
-		}
-	}
-	return e.txs
 }
 
 // scatter hands every transmission to each shard whose rectangle its 3x3
@@ -334,10 +261,6 @@ func (sp *shardPlane) collect(e *Engine) []Transmission {
 // too (the deterministic merge key: cells ordered by their senders).
 func (sp *shardPlane) scatter(txs []Transmission) {
 	sp.halo = 0
-	if sp.plan.Shards() == 1 {
-		sp.cands[0] = append(sp.cands[0], txs...)
-		return
-	}
 	cols := sp.plan.Cols()
 	for i := range txs {
 		cx, cy := sp.plan.CellOf(txs[i].From)
@@ -355,12 +278,13 @@ func (sp *shardPlane) scatter(txs []Transmission) {
 	}
 }
 
-// deliverAndReceive runs each shard's Deliver over its residents and
-// candidates, scatters the shard receptions into the global NodeID-indexed
-// slice, and fans Receive out — all within the shard, so a parallel run
-// touches disjoint state per worker. Dead (or never-resident) nodes get
-// the empty reception, exactly like a single Medium's output.
-func (sp *shardPlane) deliverAndReceive(e *Engine, r Round) {
+// deliver runs each shard medium over its residents and candidates and
+// merges the shard receptions into the NodeID-indexed slice the engine
+// fans Receive out over — each shard writes only its own residents' slots,
+// so a parallel run touches disjoint state per worker. Dead (or
+// never-resident) nodes get the empty reception, exactly like a single
+// Medium's output.
+func (sp *shardPlane) deliver(e *Engine, r Round) {
 	n := len(e.nodes)
 	if cap(sp.rxs) < n {
 		sp.rxs = make([]Reception, n)
@@ -369,40 +293,23 @@ func (sp *shardPlane) deliverAndReceive(e *Engine, r Round) {
 	for i := range sp.rxs {
 		sp.rxs[i] = Reception{Round: r}
 	}
-	if sp.rxFn == nil {
-		sp.rxFn = func(_, lo, hi int) {
-			e := sp.eng
+	if sp.deliverFn == nil {
+		sp.deliverFn = func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
-				res := sp.resident[s]
+				res := sp.infos[s]
 				if len(res) == 0 {
 					continue
 				}
-				out := sp.mediums[s].Deliver(e.curRound, sp.cands[s], sp.infos[s])
+				out := sp.mediums[s].Deliver(e.curRound, sp.cands[s], res)
 				if len(out) != len(res) {
 					panic(fmt.Sprintf("sim: shard %d medium returned %d receptions for %d residents",
 						s, len(out), len(res)))
 				}
-				for i, st := range res {
-					sp.rxs[st.id] = out[i]
-					st.node.Receive(e.curRound, out[i])
+				for i := range res {
+					sp.rxs[res[i].ID] = out[i]
 				}
 			}
 		}
 	}
-	e.runChunks(len(sp.resident), sp.workers(e), sp.rxFn)
-}
-
-// workers returns the fan-out width for the per-shard loops: sequential
-// without WithParallel, one chunk per shard by default under it, or the
-// explicit WithWorkers bound (contiguous shard chunks per worker). The
-// chunks run on the engine's persistent worker runtime, not on per-round
-// goroutines.
-func (sp *shardPlane) workers(e *Engine) int {
-	if !e.parallel {
-		return 1
-	}
-	if e.workers > 0 {
-		return e.workers
-	}
-	return len(sp.resident)
+	e.runChunks(len(sp.mediums), e.shardFanout(), sp.deliverFn)
 }

@@ -118,48 +118,52 @@ func runShardedScenario(rounds int, opts ...Option) ([][]Reception, []geo.Point,
 }
 
 // TestRegionShardedEqualsSequential is the engine-level half of the
-// sharded determinism contract: for every shard grid, with and without
-// parallel shard execution, the sharded engine's receptions, trajectories,
-// liveness and stats are byte-identical to the plain single-medium run —
-// under churn (mid-run attach, crashes, leaves) and cross-shard mobility.
+// sharded determinism contract: for every shard grid — the 1x1 plan that
+// aliases the engine's own views included — sequential (the counting sort
+// at one chunk), under WithParallel, and under WithWorkers bounds of one
+// and three, the sharded engine's receptions, trajectories, liveness and
+// stats are byte-identical to the plain single-medium run — under churn
+// (mid-run attach, crashes, leaves) and cross-shard mobility.
 func TestRegionShardedEqualsSequential(t *testing.T) {
 	const rounds = 18
 	wantHeard, wantPos, wantAlive, wantStats := runShardedScenario(rounds)
 	grids := []struct{ cols, rows int }{{1, 1}, {2, 1}, {2, 2}, {3, 3}, {4, 2}, {5, 1}}
+	widths := []struct {
+		label string
+		opts  []Option
+	}{
+		{"sequential", nil},
+		{"parallel", []Option{WithParallel()}},
+		{"workers=1", []Option{WithWorkers(1)}},
+		{"workers=3", []Option{WithWorkers(3)}},
+	}
 	for _, g := range grids {
-		for _, par := range []bool{false, true} {
-			opts := []Option{WithRegionShards(g.cols, g.rows, 10, func() Medium {
+		for _, w := range widths {
+			opts := append([]Option{WithRegionShards(g.cols, g.rows, 10, func() Medium {
 				return diskMedium{r2: 10}
-			})}
-			if par {
-				opts = append(opts, WithParallel())
-			}
+			})}, w.opts...)
 			heard, pos, alive, stats := runShardedScenario(rounds, opts...)
-			label := "sequential"
-			if par {
-				label = "parallel"
-			}
 			if !reflect.DeepEqual(heard, wantHeard) {
-				t.Fatalf("%dx%d %s: sharded reception log diverged from sequential", g.cols, g.rows, label)
+				t.Fatalf("%dx%d %s: sharded reception log diverged from sequential", g.cols, g.rows, w.label)
 			}
 			if !reflect.DeepEqual(pos, wantPos) {
-				t.Fatalf("%dx%d %s: sharded trajectories diverged", g.cols, g.rows, label)
+				t.Fatalf("%dx%d %s: sharded trajectories diverged", g.cols, g.rows, w.label)
 			}
 			if !reflect.DeepEqual(alive, wantAlive) {
-				t.Fatalf("%dx%d %s: sharded liveness diverged", g.cols, g.rows, label)
+				t.Fatalf("%dx%d %s: sharded liveness diverged", g.cols, g.rows, w.label)
 			}
 			// Everything except the halo accounting must match the
 			// single-medium stats exactly.
 			gotCore, wantCore := stats, wantStats
 			gotCore.HaloTransmissions, wantCore.HaloTransmissions = 0, 0
 			if gotCore != wantCore {
-				t.Fatalf("%dx%d %s: sharded stats %+v diverged from %+v", g.cols, g.rows, label, stats, wantStats)
+				t.Fatalf("%dx%d %s: sharded stats %+v diverged from %+v", g.cols, g.rows, w.label, stats, wantStats)
 			}
 			if g.cols*g.rows > 1 && stats.HaloTransmissions == 0 {
-				t.Fatalf("%dx%d %s: no halo transmissions — the scenario exercised no boundary band", g.cols, g.rows, label)
+				t.Fatalf("%dx%d %s: no halo transmissions — the scenario exercised no boundary band", g.cols, g.rows, w.label)
 			}
 			if g.cols*g.rows == 1 && stats.HaloTransmissions != 0 {
-				t.Fatalf("1x1 %s: unexpected halo transmissions %d", label, stats.HaloTransmissions)
+				t.Fatalf("1x1 %s: unexpected halo transmissions %d", w.label, stats.HaloTransmissions)
 			}
 		}
 	}

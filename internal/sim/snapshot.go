@@ -227,10 +227,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		Stats:       e.stats,
 		FaultDigest: e.faultDigest(),
 	}
-	if e.plane != nil {
-		s.ShardCols = e.plane.plan.Cols()
-		s.ShardRows = e.plane.plan.Rows()
-	}
+	s.ShardCols, s.ShardRows = e.plane.cols, e.plane.rows
 	s.Nodes = make([]NodeSnapshot, len(e.nodes))
 	for i, st := range e.nodes {
 		ns := NodeSnapshot{
@@ -302,10 +299,7 @@ func (e *Engine) restore(s EngineSnapshot) error {
 	if len(s.Nodes) != len(e.nodes) {
 		return fmt.Errorf("sim: restore: snapshot has %d nodes, engine has %d (rebuild the deployment first)", len(s.Nodes), len(e.nodes))
 	}
-	cols, rows := 0, 0
-	if e.plane != nil {
-		cols, rows = e.plane.plan.Cols(), e.plane.plan.Rows()
-	}
+	cols, rows := e.plane.cols, e.plane.rows
 	if s.ShardCols != cols || s.ShardRows != rows {
 		return fmt.Errorf("sim: restore: snapshot shard plan %dx%d, engine %dx%d", s.ShardCols, s.ShardRows, cols, rows)
 	}

@@ -88,11 +88,11 @@ type NodeInfo struct {
 // Medium computes, for one round, what every listed node receives given the
 // set of transmissions. rxs lists the receivers to compute, in NodeID
 // order; the returned slice is indexed positionally (entry i answers
-// rxs[i]). Entries for crashed nodes are ignored. On the single-medium
-// path the engine passes every attached node (alive or crashed); the
-// region-sharded engine (WithRegionShards) instead passes each shard
-// medium only its own residents, together with every transmission within
-// the interference radius of any of them — so a Medium must derive each
+// rxs[i]). Entries for crashed nodes are ignored. An engine with one
+// medium passes it every attached node (alive or crashed); one with two or
+// more region shards (WithRegionShards) instead passes each shard medium
+// only its own residents, together with every transmission within the
+// interference radius of any of them — so a Medium must derive each
 // reception only from (round, receiver, the transmissions within the
 // interference radius of that receiver) and per-(round, receiver)-keyed
 // randomness, never from the receiver set as a whole or from txs beyond

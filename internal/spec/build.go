@@ -155,25 +155,12 @@ func Build(s Spec) (*World, error) {
 	}
 	engOpts := []sim.Option{sim.WithSeed(s.Seed)}
 	if s.Engine.Parallel {
-		mediumCfg.Mode = radio.ModeGrid
-		mediumCfg.Parallel = true
-		mediumCfg.Workers = s.Engine.Workers
-		if s.Engine.Workers > 0 {
-			engOpts = append(engOpts, sim.WithWorkers(s.Engine.Workers))
-		} else {
-			engOpts = append(engOpts, sim.WithParallel())
-		}
+		engOpts = append(engOpts, sim.WithWorkers(s.Engine.Workers)) // 0 = unbounded WithParallel
 	}
 	if s.Engine.Shards > 0 {
-		// Each shard medium delivers its residents sequentially (the shard
-		// is the parallelism unit; receiver-sharding inside one would nest
-		// worker pools) with ModeAuto: small shards scan, busy ones index.
-		shardCfg := mediumCfg
-		shardCfg.Mode = radio.ModeAuto
-		shardCfg.Parallel = false
 		cols, rows := shard.Split(s.Engine.Shards)
 		engOpts = append(engOpts, sim.WithRegionShards(cols, rows, radii.R2, func() sim.Medium {
-			return radio.MustMedium(shardCfg)
+			return radio.MustMedium(mediumCfg)
 		}))
 	}
 	medium, err := radio.NewMedium(mediumCfg)

@@ -55,6 +55,14 @@ const Version = "vinfra-spec/v1"
 // daemon refuses larger worlds rather than dying on an absurd request.
 const MaxDevices = 1 << 20
 
+// maxWorkers and maxShards bound engine.workers and engine.shards: Build
+// starts one goroutine per worker and constructs one medium per shard, so
+// neither may be sized by an unchecked number from a request.
+const (
+	maxWorkers = 256
+	maxShards  = 256
+)
+
 // Spec is one deployment description. The zero value is not runnable;
 // obtain a valid spec through Parse (strict decode + defaults + validation)
 // or fill the fields and call ApplyDefaults then Validate.
@@ -118,11 +126,14 @@ type Devices struct {
 // Engine selects the execution strategy. All settings are cost-only: the
 // run's output is byte-identical whatever they are set to.
 type Engine struct {
-	// Parallel shards per-round fan-outs across a worker pool.
+	// Parallel fans each round's mobility, Transmit and Receive out across
+	// a worker pool, and runs region shards concurrently.
 	Parallel bool `json:"parallel,omitempty"`
-	// Workers caps the pool (0 = GOMAXPROCS); implies Parallel.
+	// Workers caps the pool (0 = GOMAXPROCS, or one per shard), at most
+	// 256; implies Parallel.
 	Workers int `json:"workers,omitempty"`
-	// Shards > 0 runs the region-sharded engine on a near-square split.
+	// Shards > 0 (at most 256) splits the world near-square into region
+	// shards with a medium each: what parallelises delivery.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -223,11 +234,17 @@ func (s *Spec) Validate() error {
 	if d.VMax <= 0 {
 		return fmt.Errorf("spec: devices.vmax must be positive (got %g)", d.VMax)
 	}
-	if n := s.TotalDevices(); n > MaxDevices {
-		return fmt.Errorf("spec: %d devices exceed the %d-device limit", n, MaxDevices)
+	if s.TotalDevices() > MaxDevices {
+		return fmt.Errorf("spec: more devices than the %d-device limit", MaxDevices)
 	}
 	if s.Engine.Workers < 0 || s.Engine.Shards < 0 {
 		return fmt.Errorf("spec: engine.workers and engine.shards must not be negative")
+	}
+	if s.Engine.Workers > maxWorkers {
+		return fmt.Errorf("spec: engine.workers %d exceeds the limit of %d", s.Engine.Workers, maxWorkers)
+	}
+	if s.Engine.Shards > maxShards {
+		return fmt.Errorf("spec: engine.shards %d exceeds the limit of %d", s.Engine.Shards, maxShards)
 	}
 	for i := range s.Faults {
 		if err := s.Faults[i].validate(); err != nil {
@@ -238,16 +255,26 @@ func (s *Spec) Validate() error {
 }
 
 // TotalDevices is the node population the spec describes: replicas,
-// pingers, listeners, targets, and the tracker observer.
+// pingers, listeners, targets, and the tracker observer. The count
+// saturates at MaxDevices+1: every operand is capped there before it is
+// multiplied or added, so no document can wrap it back under the limit.
 func (s *Spec) TotalDevices() int {
-	vnodes := s.Grid.Cols * s.Grid.Rows
-	n := vnodes * s.Devices.Replicas
-	if s.Devices.Pingers {
-		n += vnodes
+	const over = MaxDevices + 1
+	sat := func(n int) int { return min(n, over) }
+	mul := func(a, b int) int { // a, b in [0, over]
+		if a > 0 && b > over/a {
+			return over
+		}
+		return a * b
 	}
-	n += s.Devices.Listeners
+	vnodes := mul(sat(s.Grid.Cols), sat(s.Grid.Rows))
+	n := mul(vnodes, sat(s.Devices.Replicas))
+	if s.Devices.Pingers {
+		n = sat(n + vnodes)
+	}
+	n = sat(n + sat(s.Devices.Listeners))
 	if s.Devices.Targets > 0 {
-		n += s.Devices.Targets + 1 // plus the observer
+		n = sat(n + sat(s.Devices.Targets) + 1) // plus the observer
 	}
 	return n
 }

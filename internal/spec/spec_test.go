@@ -69,6 +69,13 @@ func TestValidateRejects(t *testing.T) {
 		{"targets without tracker", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "devices": {"targets": 1}}`, "tracker"},
 		{"negative shards", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "engine": {"shards": -1}}`, "shards"},
 		{"too many devices", `{"version": "vinfra-spec/v1", "grid": {"cols": 700, "rows": 700}}`, "limit"},
+		// Sizes a request cannot talk its way around: device counts whose
+		// product wraps int64 back to zero, and engine widths that would
+		// have Build start 10^8 goroutines or construct 10^9 mediums.
+		{"grid product wraps", `{"version": "vinfra-spec/v1", "grid": {"cols": 4294967296, "rows": 4294967296}}`, "limit"},
+		{"replicas product wraps", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 2}, "devices": {"replicas": 4611686018427387904}}`, "limit"},
+		{"too many workers", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "engine": {"workers": 100000000}}`, "engine.workers"},
+		{"too many shards", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "engine": {"shards": 1000000000}}`, "engine.shards"},
 		{"unknown fault kind", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "faults": [{"kind": "sharknado"}]}`, "kind"},
 		{"fault field misuse", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "faults": [{"kind": "crash_burst", "p": 0.5, "cells": 3}]}`, "cells"},
 		{"bad fault window", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "faults": [{"kind": "crash_burst", "p": 0.5, "from": 9, "until": 4}]}`, "window"},

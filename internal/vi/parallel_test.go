@@ -15,11 +15,11 @@ import (
 // TestFullStackParallelDeterminism runs the complete emulation (grid of
 // virtual nodes, clients, backoff contention managers) under every
 // combination of medium delivery mode (brute-force scan vs grid spatial
-// index, sequential vs sharded) and engine fan-out (sequential vs worker
-// pool), and requires bit-identical replica states across all of them.
-// This is the repository's determinism contract end to end.
+// index) and engine fan-out (sequential vs worker pool), and requires
+// bit-identical replica states across all of them. This is the
+// repository's determinism contract end to end.
 func TestFullStackParallelDeterminism(t *testing.T) {
-	run := func(parallel bool, mode radio.DeliveryMode, mediumParallel bool) []string {
+	run := func(parallel bool, mode radio.DeliveryMode) []string {
 		locs := geo.Grid{Spacing: 6, Cols: 2, Rows: 1}.Locations()
 		sched := vi.BuildSchedule(locs, testRadii)
 		dep, err := vi.NewDeployment(vi.DeploymentConfig{
@@ -38,7 +38,6 @@ func TestFullStackParallelDeterminism(t *testing.T) {
 			Detector: cd.AC{},
 			Seed:     17,
 			Mode:     mode,
-			Parallel: mediumParallel,
 		})
 		opts := []sim.Option{sim.WithSeed(17)}
 		if parallel {
@@ -76,20 +75,18 @@ func TestFullStackParallelDeterminism(t *testing.T) {
 		return states
 	}
 
-	want := run(false, radio.ModeScan, false)
+	want := run(false, radio.ModeScan)
 	variants := []struct {
 		name           string
 		engineParallel bool
 		mode           radio.DeliveryMode
-		mediumParallel bool
 	}{
-		{"engine parallel", true, radio.ModeScan, false},
-		{"grid medium", false, radio.ModeGrid, false},
-		{"grid medium sharded", false, radio.ModeGrid, true},
-		{"everything parallel", true, radio.ModeGrid, true},
+		{"engine parallel", true, radio.ModeScan},
+		{"grid medium", false, radio.ModeGrid},
+		{"everything parallel", true, radio.ModeGrid},
 	}
 	for _, v := range variants {
-		got := run(v.engineParallel, v.mode, v.mediumParallel)
+		got := run(v.engineParallel, v.mode)
 		if len(got) != len(want) {
 			t.Fatalf("%s: emulator counts differ", v.name)
 		}
