@@ -9,28 +9,34 @@
 //   - sim: the slotted, synchronous round engine (Section 2). Runs are
 //     deterministic per seed; WithParallel shards each round's mobility,
 //     Transmit and Receive fan-out across a bounded worker pool without
-//     changing output. The steady-state round loop is allocation-free:
-//     the NodeInfo view, transmission list and Transmit slots are reused
-//     buffers, every per-round walk covers only the alive list (dead
-//     nodes cost nothing after the round they die in), and CrashAt with a
-//     round at or before the current one applies immediately instead of
-//     being silently dropped.
+//     changing output. The steady-state round loop is allocation-free and
+//     touches only flat engine-owned memory: position and liveness live
+//     once, in the NodeID-indexed NodeInfo slice the medium reads; the
+//     rest of a node (Node, Mover, random stream — also its Env) is one
+//     value in a geometrically growing slab; movers draw through one
+//     cached closure per worker; every per-round walk covers only the
+//     alive list (dead nodes cost nothing after the round they die in),
+//     and CrashAt with a round at or before the current one applies
+//     immediately instead of being silently dropped.
 //   - geo: planar geometry, the quasi-unit-disk radii R1/R2, deployment
 //     grids, and CellIndex — the uniform-grid spatial index that makes
-//     radius queries O(points in nearby cells) instead of O(n). It also
-//     answers nearest-within-radius queries (NearestWithin, behind the
-//     O(1) vi.Deployment.RegionOf) and rebuilds in place without
-//     allocating (Rebuild, behind the radio medium's per-round index).
-//   - radio: the collision-prone medium. Delivery buckets each round's
-//     transmissions into R2-sized grid cells so every receiver consults
-//     only its own and adjacent cells (near-linear per round rather than
-//     O(receivers x transmissions)); Config.Mode selects scan/grid/auto.
-//     All modes are reception-identical for the same seed. A Medium
-//     delivers on one goroutine (region shards, each with its own Medium,
-//     are what parallelises delivery) and its per-round state (reception
-//     slice, transmission index, identity map, partition buffers) lives
-//     on the Medium, so steady-state delivery allocates only the message
-//     slices receivers actually get.
+//     radius queries O(points in nearby cells) instead of O(n): a dense,
+//     pointer-free bucket table over the points' cell bounding box, with
+//     memory bounded by the point count and a defined rule for non-finite
+//     coordinates. It also answers nearest-within-radius queries
+//     (NearestWithin, behind the O(1) vi.Deployment.RegionOf) and
+//     rebuilds in place without allocating (Rebuild).
+//   - radio: the collision-prone medium. Delivery stamps each round's
+//     transmissions into the 3x3 block of R2-sized cells around their
+//     origin so every receiver reads the one cell it stands in
+//     (near-linear per round rather than O(receivers x transmissions));
+//     Config.Mode selects scan/grid/auto, auto scanning rounds of fewer
+//     than 8 transmissions. All modes are reception-identical for the
+//     same seed. A Medium delivers on one goroutine (region shards, each
+//     with its own Medium, are what parallelises delivery) and its
+//     per-round state (reception slice, stamped grid, sender order) lives
+//     on the Medium as flat slices, so steady-state delivery allocates
+//     only the message slices receivers actually get.
 //   - cd, cm: the model's collision detector classes and contention
 //     managers. Both have exact-behavior unit tests under injected
 //     jamming: adversarial collision patterns produce precisely the

@@ -49,20 +49,32 @@ type RandomWaypoint struct {
 	hasDest bool
 }
 
-// Move implements sim.Mover.
+// Move implements sim.Mover. The vector to the destination and its length
+// (one math.Hypot) are computed once and serve the arrival test, the
+// landing test and the unit step alike; the length is recomputed only on a
+// redraw. The unit step stays step.Scale(1/l).Scale(VMax) — geo.Vector.Unit
+// with the length already known — because folding the two factors into one
+// would move positions by an ulp.
 func (m *RandomWaypoint) Move(_ sim.Round, cur geo.Point, rnd func(int) int) geo.Point {
-	if !m.hasDest || cur.Dist(m.dest) < m.VMax {
+	step := m.dest.Sub(cur)
+	l := step.Len()
+	if !m.hasDest || l < m.VMax {
 		m.dest = geo.Point{
 			X: m.Area.Min.X + rndFloat(rnd)*m.Area.Width(),
 			Y: m.Area.Min.Y + rndFloat(rnd)*m.Area.Height(),
 		}
 		m.hasDest = true
+		step = m.dest.Sub(cur)
+		l = step.Len()
 	}
-	step := m.dest.Sub(cur)
-	if step.Len() <= m.VMax {
+	if l <= m.VMax {
 		return m.dest
 	}
-	return cur.Add(step.Unit().Scale(m.VMax))
+	var unit geo.Vector
+	if l != 0 {
+		unit = step.Scale(1 / l)
+	}
+	return cur.Add(unit.Scale(m.VMax))
 }
 
 // AppendState implements sim.Snapshotter: the model's only mutable state is

@@ -9,24 +9,33 @@
 //
 // Delivery scales to large deployments: instead of every receiver scanning
 // every transmission (O(receivers x transmissions) per round), the medium
-// buckets the round's transmissions into a uniform grid with cell size R2
-// (geo.CellIndex) and each receiver consults only its own and adjacent
-// cells. A Medium delivers on the calling goroutine; the unit of parallel
-// delivery is the region shard (sim.WithRegionShards), each with a Medium
-// of its own. All randomness is derived per (round, receiver), so every
-// arrangement — scan or grid, one medium or one per shard — produces
-// identical receptions for the same seed.
+// stamps each of the round's transmissions into the 3x3 block of R2-sized
+// cells around its origin (txGrid), so a receiver finds every transmission
+// that can reach or interfere with it by flooring its own position once and
+// reading one cell. Rounds with only a handful of transmissions are scanned
+// — the default ModeAuto picks per round, from the round's size. A Medium
+// delivers on the calling goroutine; the unit of parallel delivery is the
+// region shard (sim.WithRegionShards), each with a Medium of its own. All
+// randomness is derived per (round, receiver), so every arrangement — scan
+// or grid, one medium or one per shard — produces identical receptions for
+// the same seed.
 //
-// The steady-state delivery loop is also nearly allocation-free: the
-// reception slice, the transmission index (rebuilt in place each round),
-// the sender identity map and the per-receiver partition buffers live on
-// the Medium, and empty receptions carry nil message slices. Only receivers
-// that actually hear something allocate (their Msgs slices may be retained
-// by nodes).
+// The steady-state delivery loop touches only flat, medium-owned memory
+// and allocates nothing of its own: the reception slice, the stamped grid
+// (pointer-free int32 arrays, rebuilt in place and sized to the round's
+// transmissions, not to the world) and the sender order live on the Medium;
+// a receiver's own transmission is found by walking the NodeID-ordered
+// transmissions alongside the NodeID-ordered receivers; candidates are
+// classified by index and counted, never copied; and the per-receiver
+// random stream is keyed only when something actually draws from it. Empty
+// receptions carry nil message slices, so only receivers that actually hear
+// something allocate (their Msgs slices may be retained by nodes).
 package radio
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"vinfra/internal/cd"
 	"vinfra/internal/det"
@@ -65,24 +74,31 @@ type Adversary interface {
 type DeliveryMode int
 
 const (
-	// ModeAuto (the default) scans on small rounds and switches to the
-	// grid index once the round is large enough for the index to pay for
-	// its construction.
+	// ModeAuto (the default, and what every production medium runs) scans
+	// on small rounds and switches to the stamped grid once the round is
+	// large enough for the grid to pay for itself; see autoIndexMinTxs.
 	ModeAuto DeliveryMode = iota
 	// ModeScan always uses the brute-force O(receivers x transmissions)
 	// scan. It exists as the reference implementation for equivalence
 	// tests and before/after benchmarks.
 	ModeScan
-	// ModeGrid always buckets transmissions into a geo.CellIndex with
-	// cell size R2 and has each receiver consult only the 3x3 block of
-	// cells around it.
+	// ModeGrid always stamps the round's transmissions into a txGrid and
+	// has each receiver read the one cell it stands in, however small the
+	// round. It exists so tests and E10 can address the grid directly. A
+	// round the grid cannot hold (see txGrid) is scanned in every mode.
 	ModeGrid
 )
 
-// autoIndexMinWork is the receivers-times-transmissions product above which
-// ModeAuto switches from the scan to the grid index, and autoIndexMinTxs is
-// the transmission count below which scanning the tiny slice beats the nine
-// cell lookups per receiver regardless of receiver count.
+// autoIndexMinTxs is the transmission count below which ModeAuto scans:
+// finding a receiver's cell costs two floors and a table read, about what
+// comparing its distance to a handful of transmissions costs, and a round
+// that sparse gives the grid nothing to prune. Measured on the stamped grid
+// (uniform receivers, R2 = 20, a 90- and a 400-unit world): the scan wins
+// below ~8 transmissions at 100k receivers and below ~4-8 at 64-900, the
+// grid from 12 up everywhere (1.2-2.2x at 12-16, 28x at E10's 10k nodes).
+// autoIndexMinWork is the receivers-times-transmissions product below which
+// building the grid costs more than the whole scan (16 receivers: the scan
+// wins at every transmission count up to 16).
 const (
 	autoIndexMinWork = 1 << 10
 	autoIndexMinTxs  = 8
@@ -121,35 +137,27 @@ type Config struct {
 type Medium struct {
 	cfg Config
 
-	// Per-round reusable state: the reception slice handed back to the
-	// engine, the transmission-origin points and their cell index, and the
-	// sender -> transmission identity map. Rebuilt (in place) every round,
-	// so the steady-state round loop allocates almost nothing.
-	out   []sim.Reception
-	pts   []geo.Point
-	ix    *geo.CellIndex
-	ownTx map[sim.NodeID]int32
+	// Per-round reusable state, rebuilt in place every round: the reception
+	// slice handed back to the engine, the stamped transmission grid, and
+	// the sender walk.
+	out  []sim.Reception
+	grid txGrid
+	own  senderWalk
 
-	scratch deliverScratch
-}
-
-// deliverScratch is the medium's reusable per-receiver delivery state: the
-// grid candidate buffer, the per-receiver transmission partitions, and the
-// receiver RNG.
-type deliverScratch struct {
-	buf         []int32
-	inR1        []sim.Transmission
-	gray        []sim.Transmission
+	// deliverable is the one-element scratch handed to Adversary.Filter.
 	deliverable []sim.Transmission
 
 	// The receiver randomness (gray-zone delivery and detector noise) is a
-	// det.Stream re-keyed to (seed, round, receiver) per receiver — one
-	// word of state, so reseeding is a HashKeys call and an assignment.
-	// One pre-bound closure per medium (bound by NewMedium) — handing a
-	// fresh closure to Detector.Report for every receiver is what used to
-	// make delivery allocate twice per receiver per round.
-	rng det.Stream
-	rnd func() float64
+	// det.Stream keyed to (seed, round, receiver) — on the first draw, not
+	// per receiver: most receivers never draw, and the key is a three-fold
+	// hash. rnd is one closure per medium, bound by NewMedium, that reads
+	// the current round and receiver from these fields; handing a fresh
+	// closure to Detector.Report per receiver would allocate.
+	rng   det.Stream
+	keyed bool
+	round sim.Round
+	rxID  sim.NodeID
+	rnd   func() float64
 }
 
 var _ sim.Medium = (*Medium)(nil)
@@ -171,8 +179,15 @@ func NewMedium(cfg Config) (*Medium, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	m := &Medium{cfg: cfg}
-	m.scratch.rnd = m.scratch.rng.Float64
+	m := &Medium{cfg: cfg, deliverable: make([]sim.Transmission, 0, 1)}
+	m.grid.inv = 1 / cfg.Radii.R2
+	m.rnd = func() float64 {
+		if !m.keyed {
+			m.rng.Reseed(m.cfg.Seed, int64(m.round), int64(m.rxID))
+			m.keyed = true
+		}
+		return m.rng.Float64()
+	}
 	return m, nil
 }
 
@@ -192,112 +207,72 @@ func MustMedium(cfg Config) *Medium {
 // slice is medium-owned and reused on the next call.
 func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo) []sim.Reception {
 	if cap(m.out) < len(rxs) {
-		m.out = make([]sim.Reception, len(rxs))
+		// Headroom: a shard's resident count drifts from round to round and
+		// a churning world attaches nodes one at a time; an exact fit would
+		// reallocate on every new maximum.
+		m.out = make([]sim.Reception, len(rxs), len(rxs)+len(rxs)/8)
 	}
 	out := m.out[:len(rxs)]
 
-	useIdx := false
-	switch m.cfg.Mode {
-	case ModeGrid:
-		useIdx = true
-	case ModeAuto:
-		useIdx = len(txs) >= autoIndexMinTxs && len(txs)*len(rxs) >= autoIndexMinWork
-	}
-	var ix *geo.CellIndex
-	if useIdx {
-		// Rebuild the R2-cell transmission index in place: a receiver's
-		// 3x3 cell block then covers every transmission within its
-		// interference radius.
-		m.pts = m.pts[:0]
-		for i := range txs {
-			m.pts = append(m.pts, txs[i].From)
-		}
-		if m.ix == nil {
-			m.ix = geo.BuildCellIndex(m.pts, m.cfg.Radii.R2)
-		} else {
-			m.ix.Rebuild(m.pts)
-		}
-		ix = m.ix
-		// The grid only surfaces transmissions whose origin lies near the
-		// receiver, so a sender's own transmission is looked up by
-		// identity instead — the half-duplex rule must hold whatever
-		// position the transmission claims to originate from, keeping the
-		// grid path reception-identical to the scan even for out-of-sync
-		// From points.
-		if m.ownTx == nil {
-			m.ownTx = make(map[sim.NodeID]int32, len(txs))
-		} else {
-			clear(m.ownTx)
-		}
-		for i := range txs {
-			m.ownTx[txs[i].Sender] = int32(i)
-		}
-	}
+	gridded := m.cfg.Mode == ModeGrid ||
+		m.cfg.Mode == ModeAuto && len(txs) >= autoIndexMinTxs && len(txs)*len(rxs) >= autoIndexMinWork
+	gridded = gridded && m.grid.stamp(txs)
+	m.own.reset(txs)
+	m.round = r
 
-	for i, rx := range rxs {
+	for i := range rxs {
+		rx := &rxs[i]
 		if !rx.Alive {
 			out[i] = sim.Reception{Round: r}
 			continue
 		}
-		if ix != nil {
-			m.scratch.buf = ix.Near(m.scratch.buf[:0], rx.At, 1)
+		// A scanned round's candidates are every transmission; the sender
+		// order happens to list each exactly once.
+		cands := m.own.order
+		if gridded {
+			cands = m.grid.at(rx.At)
 		}
-		out[i] = m.receive(r, txs, ix != nil, rx)
+		m.receive(&out[i], r, txs, cands, rx)
 	}
 	return out
 }
 
-// receive computes one receiver's reception. When useIdx is set, the scratch buf
-// holds the indices (into txs) of the grid-selected candidates, a superset
-// of every transmission within R2 of the receiver, and m.ownTx maps each
-// sender to its transmission (identity can't be answered by a positional
-// query); otherwise the full transmission slice is scanned. Both paths
-// classify candidates by exact distance, so they produce identical
-// receptions. The partitions live in the medium's scratch, reused across
-// receivers and rounds.
-func (m *Medium) receive(r sim.Round, txs []sim.Transmission, useIdx bool, rx sim.NodeInfo) sim.Reception {
-	radii := m.cfg.Radii
-	s := &m.scratch
+// receive computes one receiver's reception into out from cands, the
+// indices (into txs, in any order) of a superset of the transmissions within
+// R2 of it — the receiver's grid cell, or every transmission on a scanned
+// round. Candidates are classified by exact distance, so both give identical
+// receptions. The receiver's own transmission is found by sender identity
+// rather than among the candidates: the half-duplex rule must hold whatever
+// position the transmission claims to originate from.
+func (m *Medium) receive(out *sim.Reception, r sim.Round, txs []sim.Transmission, cands []int32, rx *sim.NodeInfo) {
+	own := m.own.of(txs, rx.ID)
 
-	// Partition the round's transmissions as seen from this receiver.
-	var own *sim.Transmission
-	inR1, gray := s.inR1[:0], s.gray[:0] // from other nodes
-	consider := func(i int) {
-		tx := txs[i]
+	// Count the other nodes' transmissions within R1 and in the gray zone.
+	// A message can only get through when there is exactly one of them, so
+	// remembering the last index seen is remembering that one.
+	r1sq, r2sq := m.cfg.Radii.R1*m.cfg.Radii.R1, m.cfg.Radii.R2*m.cfg.Radii.R2
+	inR1, gray, sole := 0, 0, int32(-1)
+	for _, i := range cands {
+		tx := &txs[i]
 		if tx.Sender == rx.ID {
-			own = &txs[i]
-			return
+			continue
 		}
 		d2 := tx.From.Dist2(rx.At)
 		switch {
-		case d2 <= radii.R1*radii.R1:
-			inR1 = append(inR1, tx)
-		case d2 <= radii.R2*radii.R2:
-			gray = append(gray, tx)
+		case d2 <= r1sq:
+			inR1++
+			sole = i
+		case d2 <= r2sq:
+			gray++
+			sole = i
 		}
 	}
-	if useIdx {
-		if i, ok := m.ownTx[rx.ID]; ok {
-			own = &txs[i]
-		}
-		for _, i := range s.buf {
-			if txs[i].Sender != rx.ID {
-				consider(int(i))
-			}
-		}
-	} else {
-		for i := range txs {
-			consider(i)
-		}
-	}
-	s.inR1, s.gray = inR1, gray // keep grown capacity for the next receiver
-	othersInR2 := len(inR1) + len(gray)
+	othersInR2 := inR1 + gray
 
 	// Randomness for this receiver (gray-zone delivery and detector
 	// noise) is keyed by (seed, round, receiver), so it is independent of
 	// the order receivers are processed in.
-	s.rng.Reseed(m.cfg.Seed, int64(r), int64(rx.ID))
-	rnd := s.rnd
+	m.rxID, m.keyed = rx.ID, false
 
 	// Physical delivery: a node always hears its own broadcast. A message
 	// from another node gets through only when it is the sole transmission
@@ -306,16 +281,12 @@ func (m *Medium) receive(r sim.Round, txs []sim.Transmission, useIdx bool, rx si
 	// node within distance R2 of pj broadcasts", and pj is within R2 of
 	// itself (half-duplex). Gray-zone delivery is probabilistic
 	// (default: never).
-	deliverable := s.deliverable[:0]
-	if othersInR2 == 1 && own == nil {
-		deliverable = append(deliverable, inR1...)
-		for _, tx := range gray {
-			if m.cfg.GrayZoneDeliveryProb > 0 && rnd() < m.cfg.GrayZoneDeliveryProb {
-				deliverable = append(deliverable, tx)
-			}
+	deliverable := m.deliverable[:0]
+	if othersInR2 == 1 && own < 0 {
+		if inR1 == 1 || (m.cfg.GrayZoneDeliveryProb > 0 && m.rnd() < m.cfg.GrayZoneDeliveryProb) {
+			deliverable = append(deliverable, txs[sole])
 		}
 	}
-	s.deliverable = deliverable
 
 	// Adversarial loss (only effective before the adversary's horizon).
 	delivered := deliverable
@@ -327,50 +298,214 @@ func (m *Medium) receive(r sim.Round, txs []sim.Transmission, useIdx bool, rx si
 
 	// Ground truth for the collision detector: a loss is any transmission
 	// from another node within the relevant radius that was not delivered,
-	// whatever the cause (contention, gray zone, or adversary).
-	lostR1, lostR2 := false, false
-	for _, tx := range inR1 {
-		if !containsTx(delivered, tx.Sender) {
-			lostR1 = true
-			lostR2 = true
-			break
-		}
-	}
-	if !lostR2 {
-		for _, tx := range gray {
-			if !containsTx(delivered, tx.Sender) {
-				lostR2 = true
-				break
-			}
-		}
-	}
+	// whatever the cause (contention, gray zone, or adversary). Filter
+	// returns a subset of the at most one deliverable transmission, so
+	// either that one got through and nothing was lost, or nothing got
+	// through and everything in range was.
+	lost := len(delivered) == 0
+	lostR1 := lost && inR1 > 0
+	lostR2 := lost && othersInR2 > 0
 
-	collision := m.cfg.Detector.Report(r, lostR1, lostR2, spurious, rnd)
+	collision := m.cfg.Detector.Report(r, lostR1, lostR2, spurious, m.rnd)
 
 	// An empty reception carries nil Msgs — the common case at scale
 	// (collisions silence most receivers), and the reason the steady-state
 	// delivery loop stays nearly allocation-free. Non-empty message slices
 	// are freshly allocated because receivers are allowed to retain them.
-	if own == nil && len(delivered) == 0 {
-		return sim.Reception{Round: r, Collision: collision}
+	if own < 0 && len(delivered) == 0 {
+		*out = sim.Reception{Round: r, Collision: collision}
+		return
 	}
 	msgs := make([]sim.Message, 0, len(delivered)+1)
-	if own != nil {
-		msgs = append(msgs, own.Msg)
+	if own >= 0 {
+		msgs = append(msgs, txs[own].Msg)
 	}
 	for _, tx := range delivered {
 		msgs = append(msgs, tx.Msg)
 	}
-	return sim.Reception{Round: r, Msgs: msgs, Collision: collision}
+	*out = sim.Reception{Round: r, Msgs: msgs, Collision: collision}
 }
 
-func containsTx(txs []sim.Transmission, sender sim.NodeID) bool {
-	for _, tx := range txs {
-		if tx.Sender == sender {
-			return true
+// senderWalk answers "which transmission did this receiver send" without a
+// map. The engine hands Deliver transmissions and receivers both in NodeID
+// order, so one cursor over the transmissions advances alongside the
+// receiver loop; callers that pass either list in another order (tests, a
+// medium driven by hand) get the same answers from a sender-sorted index
+// and a binary search whenever receiver IDs step backwards.
+type senderWalk struct {
+	order  []int32 // transmission indices by (Sender, index)
+	cursor int     // first entry of order whose sender is >= last
+	last   sim.NodeID
+}
+
+func (w *senderWalk) reset(txs []sim.Transmission) {
+	w.order = w.order[:0]
+	sorted := true
+	for i := range txs {
+		w.order = append(w.order, int32(i))
+		sorted = sorted && (i == 0 || txs[i-1].Sender <= txs[i].Sender)
+	}
+	if !sorted {
+		sort.SliceStable(w.order, func(a, b int) bool {
+			return txs[w.order[a]].Sender < txs[w.order[b]].Sender
+		})
+	}
+	w.cursor, w.last = 0, math.MinInt
+}
+
+// of returns the index of the last transmission in txs sent by id (a sender
+// listed twice is heard through its later entry), or -1 if id is listening.
+func (w *senderWalk) of(txs []sim.Transmission, id sim.NodeID) int {
+	k := w.cursor
+	if id < w.last {
+		k = sort.Search(len(w.order), func(k int) bool { return txs[w.order[k]].Sender >= id })
+	}
+	for k < len(w.order) && txs[w.order[k]].Sender < id {
+		k++
+	}
+	w.cursor, w.last = k, id
+	own := -1
+	for ; k < len(w.order) && txs[w.order[k]].Sender == id; k++ {
+		own = int(w.order[k])
+	}
+	return own
+}
+
+// txGrid is one round's transmissions stamped into a dense grid of R2-sized
+// cells: transmission i, whose origin lies in cell (x, y), is listed in the
+// nine cells (x-1..x+1, y-1..y+1), so the cell holding a receiver lists
+// every transmission within R2 of it — what the nine probes of a bucketed
+// index would collect, in one lookup. The table is a compressed sparse row
+// over the bounding box of the origins' cells plus a one-cell margin: cell c
+// lists items[start[c]:start[c+1]], transmission indices in increasing
+// order. Nothing in it is a pointer.
+//
+// Its size follows the round, not the world: at most gridCellsPerTx cells
+// per transmission (plus gridMinCells). When the origins spread over more
+// cells than that, the grid's cells become 2^shift R2-cells a side — a
+// receiver then gets a superset of its 3x3 block, and since candidates are
+// always classified by exact distance, coarsening changes cost, never a
+// reception. An origin that is non-finite, or more than maxCell cells from
+// zero (where float64 no longer resolves a cell), has no cell at all: a
+// round carrying one is scanned.
+type txGrid struct {
+	inv        float64 // 1/R2
+	minX, minY int64   // R2-cell of the grid's cell (1, 1)
+	shift      uint
+	cols, rows int64
+	start      []int32
+	items      []int32
+	cells      []int64 // stamp scratch: each origin's (x, y)
+}
+
+const (
+	gridCellsPerTx = 16
+	gridMinCells   = 64
+	maxCell        = 1 << 61
+)
+
+// cellOf returns the R2-cell containing p; ok is false when p has none.
+func (g *txGrid) cellOf(p geo.Point) (x, y int64, ok bool) {
+	fx, fy := math.Floor(p.X*g.inv), math.Floor(p.Y*g.inv)
+	// Written so that NaN fails the test.
+	if !(fx >= -maxCell && fx <= maxCell && fy >= -maxCell && fy <= maxCell) {
+		return 0, 0, false
+	}
+	return int64(fx), int64(fy), true
+}
+
+// stamp rebuilds the grid over txs. It reports false, leaving the grid
+// unusable for the round, when there is nothing to stamp or an origin has
+// no cell.
+func (g *txGrid) stamp(txs []sim.Transmission) bool {
+	if len(txs) == 0 {
+		return false
+	}
+	g.cells = g.cells[:0]
+	minX, minY := int64(math.MaxInt64), int64(math.MaxInt64)
+	maxX, maxY := int64(math.MinInt64), int64(math.MinInt64)
+	for i := range txs {
+		x, y, ok := g.cellOf(txs[i].From)
+		if !ok {
+			return false
+		}
+		g.cells = append(g.cells, x, y)
+		minX, maxX = min(minX, x), max(maxX, x)
+		minY, maxY = min(minY, y), max(maxY, y)
+	}
+	g.minX, g.minY = minX, minY
+
+	// Extents are at most 2^62, so neither they nor — once each is within
+	// the limit — their product can overflow; cell numbers are int32.
+	limit := min(int64(len(txs))*gridCellsPerTx+gridMinCells, math.MaxInt32)
+	for g.shift = 0; ; g.shift++ {
+		g.cols = (maxX-minX)>>g.shift + 3
+		g.rows = (maxY-minY)>>g.shift + 3
+		if g.cols <= limit && g.rows <= limit && g.cols*g.rows <= limit {
+			break
 		}
 	}
-	return false
+	n := int(g.cols * g.rows)
+	if cap(g.start) < n+1 {
+		g.start = make([]int32, n+1)
+	}
+	g.start = g.start[:n+1]
+	clear(g.start)
+	if cap(g.items) < 9*len(txs) {
+		g.items = make([]int32, 9*len(txs))
+	}
+	g.items = g.items[:9*len(txs)]
+
+	// Counting sort: count per cell into start[c+1], prefix-sum so start[c]
+	// is where cell c begins, place transmissions in index order using
+	// start[c] as the write cursor — which leaves start[c] at the end of
+	// cell c, the start of c+1 — and shift the table back by one.
+	for i := range txs {
+		c := g.corner(i)
+		for row := 0; row < 3; row, c = row+1, c+g.cols {
+			g.start[c+1]++
+			g.start[c+2]++
+			g.start[c+3]++
+		}
+	}
+	for c := 0; c < n; c++ {
+		g.start[c+1] += g.start[c]
+	}
+	for i := range txs {
+		c := g.corner(i)
+		for row := 0; row < 3; row, c = row+1, c+g.cols {
+			for _, cc := range [3]int64{c, c + 1, c + 2} {
+				g.items[g.start[cc]] = int32(i)
+				g.start[cc]++
+			}
+		}
+	}
+	copy(g.start[1:], g.start[:n])
+	g.start[0] = 0
+	return true
+}
+
+// corner returns the lowest-numbered cell of transmission i's 3x3 block.
+func (g *txGrid) corner(i int) int64 {
+	x, y := (g.cells[2*i]-g.minX)>>g.shift, (g.cells[2*i+1]-g.minY)>>g.shift
+	return y*g.cols + x
+}
+
+// at returns the transmissions stamped into the cell containing p: every
+// transmission within R2 of p, and possibly more.
+func (g *txGrid) at(p geo.Point) []int32 {
+	x, y, ok := g.cellOf(p)
+	if !ok {
+		return nil
+	}
+	// Cell (0, 0) is the margin below and left of the origins' box; the
+	// signed shift floors, so positions left of the box land at -1 or less.
+	x, y = (x-g.minX)>>g.shift+1, (y-g.minY)>>g.shift+1
+	if x < 0 || x >= g.cols || y < 0 || y >= g.rows {
+		return nil
+	}
+	c := y*g.cols + x
+	return g.items[g.start[c]:g.start[c+1]]
 }
 
 // HashKeys folds keys through the SplitMix64 finalizer into one well-spread

@@ -29,13 +29,15 @@ func BenchmarkEngineStep64Parallel(b *testing.B) { benchEngine(b, 64, true) }
 
 // nullMedium hears nothing: it isolates the engine's own per-round fan-out
 // cost from delivery cost (internal/radio's benchmarks cover the latter).
-// Like radio.Medium it reuses its reception slice across rounds, so the
-// benchmarks and the allocation gate see the engine's own allocations.
+// Like radio.Medium it reuses its reception slice across rounds (with the
+// same headroom, so a shard whose resident count drifts upward does not
+// reallocate), and the benchmarks and the allocation gate see the engine's
+// own allocations.
 type nullMedium struct{ out []Reception }
 
 func (m *nullMedium) Deliver(r Round, _ []Transmission, rxs []NodeInfo) []Reception {
 	if cap(m.out) < len(rxs) {
-		m.out = make([]Reception, len(rxs))
+		m.out = make([]Reception, len(rxs), len(rxs)+len(rxs)/8)
 	}
 	out := m.out[:len(rxs)]
 	for i := range out {

@@ -10,12 +10,27 @@ import (
 
 // Engine drives a set of nodes through synchronous slotted rounds against a
 // Medium. The zero value is not usable; construct with NewEngine.
+//
+// Per-node state has one copy and one owner. Position and liveness live
+// only in info, the NodeID-indexed view the medium reads: mobility writes
+// info[id].At in place, Crash clears info[id].Alive, and Position, Alive,
+// Env.Location, snapshots and the shard partition all read it back.
+// Everything else the round loop touches per node (the Node, its Mover and
+// its random stream) is a nodeState, stored by value in slabs so a walk
+// over the alive list in NodeID order reads memory front to back.
 type Engine struct {
 	seed     int64
 	parallel bool
 	workers  int
 
-	round  Round
+	round Round
+	// slab is the tail of the current nodeState slab. Attach carves the
+	// next node off its front and, when it is empty, allocates a new slab
+	// half the size of everything attached so far (16 to 4096 entries), so
+	// small worlds stay small, 100k nodes are a few dozen allocations, and
+	// a *nodeState never moves — nodes, alive and every Env handed to a
+	// node stay valid across mid-run Attach.
+	slab   []nodeState
 	nodes  []*nodeState // indexed by NodeID
 	alive  []*nodeState // alive nodes in NodeID order; see compactAlive
 	dirty  bool         // a node died since alive was last compacted
@@ -26,7 +41,7 @@ type Engine struct {
 
 	// Reusable per-round buffers: the steady-state round loop allocates
 	// nothing of its own.
-	info    []NodeInfo // medium view, indexed by NodeID, kept in sync
+	info    []NodeInfo // indexed by NodeID: the medium's view and the only copy of position and liveness
 	txs     []Transmission
 	txSlots []Message // parallel Transmit scratch, indexed by NodeID
 
@@ -37,6 +52,7 @@ type Engine struct {
 	// (and receptions) from these fields.
 	curRound Round
 	curRxs   []Reception
+	movers   []*moverRand // one per mobility chunk; see moverRand
 	mobFn    func(w, lo, hi int)
 	txFn     func(w, lo, hi int)
 	rxFn     func(w, lo, hi int)
@@ -105,24 +121,34 @@ type Stats struct {
 	HaloTransmissions int
 }
 
+// nodeState is what the engine keeps per node besides its NodeInfo entry:
+// the protocol endpoint, its mobility model and its random stream, held by
+// value in an Engine slab. It is also the node's Env — the handle reads
+// identity and the stream from itself and the position from the engine's
+// info slice, so a node costs one slab entry and no further heap objects.
 type nodeState struct {
+	eng   *Engine
 	id    NodeID
 	node  Node
-	pos   geo.Point
 	mover Mover
-	rng   *det.Stream
-	alive bool
-	env   *nodeEnv
+	rng   det.Stream
 }
 
-type nodeEnv struct {
-	st *nodeState
-}
+func (st *nodeState) ID() NodeID          { return st.id }
+func (st *nodeState) Location() geo.Point { return st.eng.info[st.id].At }
+func (st *nodeState) Intn(n int) int      { return st.rng.Intn(n) }
+func (st *nodeState) Float64() float64    { return st.rng.Float64() }
 
-func (e *nodeEnv) ID() NodeID          { return e.st.id }
-func (e *nodeEnv) Location() geo.Point { return e.st.pos }
-func (e *nodeEnv) Intn(n int) int      { return e.st.rng.Intn(n) }
-func (e *nodeEnv) Float64() float64    { return e.st.rng.Float64() }
+// moverRand is the random source one mobility chunk hands to Mover.Move: a
+// closure built once per worker that draws from whichever node's stream the
+// worker points it at. Passing st.rng.Intn instead would build a method
+// value — a heap allocation — per node per round. Padded to a cache line so
+// neighbouring workers retargeting their streams do not share one.
+type moverRand struct {
+	cur *det.Stream
+	rnd func(n int) int
+	_   [48]byte
+}
 
 var _ Control = (*Engine)(nil)
 
@@ -176,32 +202,30 @@ func NewEngine(medium Medium, opts ...Option) *Engine {
 // attached mid-run (the join scenario of Section 4.3).
 func (e *Engine) Attach(pos geo.Point, mover Mover, build func(Env) Node) NodeID {
 	id := NodeID(len(e.nodes))
-	st := &nodeState{
-		id:    id,
-		pos:   pos,
-		mover: mover,
-		rng:   det.NewStream(e.seed, int64(id)),
-		alive: true,
+	if len(e.slab) == 0 {
+		e.slab = make([]nodeState, min(max(len(e.nodes)/2, 16), 4096))
 	}
-	st.env = &nodeEnv{st: st}
-	st.node = build(st.env)
+	st := &e.slab[0]
+	e.slab = e.slab[1:]
+	*st = nodeState{eng: e, id: id, mover: mover}
+	st.rng.Reseed(e.seed, int64(id))
+	// info first: the Env answers Location from it, also inside build.
+	e.info = append(e.info, NodeInfo{ID: id, At: pos, Alive: true})
+	st.node = build(st)
 	if st.node == nil {
 		panic("sim: Attach build function returned nil Node")
 	}
 	e.nodes = append(e.nodes, st)
 	e.alive = append(e.alive, st)
-	e.info = append(e.info, NodeInfo{ID: id, At: pos, Alive: true})
 	return id
 }
 
 // Crash fails node id immediately: it stops transmitting and receiving from
 // the next round onward. Crashing an already-crashed node is a no-op.
 func (e *Engine) Crash(id NodeID) {
-	st := e.nodes[id]
-	if !st.alive {
+	if !e.info[id].Alive {
 		return
 	}
-	st.alive = false
 	e.info[id].Alive = false
 	e.dirty = true
 }
@@ -230,7 +254,7 @@ func (e *Engine) Leave(id NodeID) {
 
 // Alive reports whether node id has not crashed or left.
 func (e *Engine) Alive(id NodeID) bool {
-	return e.nodes[id].alive
+	return e.info[id].Alive
 }
 
 // AliveCount returns the number of alive nodes.
@@ -249,7 +273,7 @@ func (e *Engine) compactAlive() {
 	}
 	live := e.alive[:0]
 	for _, st := range e.alive {
-		if st.alive {
+		if e.info[st.id].Alive {
 			live = append(live, st)
 		}
 	}
@@ -267,13 +291,12 @@ func (e *Engine) NumNodes() int {
 
 // Position returns the current position of node id.
 func (e *Engine) Position(id NodeID) geo.Point {
-	return e.nodes[id].pos
+	return e.info[id].At
 }
 
 // SetPosition teleports node id (used by tests and by churn generators that
 // respawn nodes in new regions).
 func (e *Engine) SetPosition(id NodeID, p geo.Point) {
-	e.nodes[id].pos = p
 	e.info[id].At = p
 }
 
@@ -344,12 +367,19 @@ func (e *Engine) Step() {
 	// Mobility: move every alive node. Per-node RNG call order within a
 	// round is fixed (Move, then Transmit), so this is deterministic
 	// whether the shards run sequentially or in parallel.
+	for len(e.movers) < e.fanout() {
+		mr := &moverRand{}
+		mr.rnd = func(n int) int { return mr.cur.Intn(n) }
+		e.movers = append(e.movers, mr)
+	}
 	if e.mobFn == nil {
-		e.mobFn = func(_, lo, hi int) {
+		e.mobFn = func(w, lo, hi int) {
+			mr := e.movers[w]
 			for _, st := range e.alive[lo:hi] {
 				if st.mover != nil {
-					st.pos = st.mover.Move(e.curRound, st.pos, st.rng.Intn)
-					e.info[st.id].At = st.pos
+					mr.cur = &st.rng
+					at := &e.info[st.id].At
+					*at = st.mover.Move(e.curRound, *at, mr.rnd)
 				}
 			}
 		}
@@ -386,7 +416,7 @@ func (e *Engine) collectTransmissions(r Round) []Transmission {
 	if w <= 1 {
 		for _, st := range e.alive {
 			if m := st.node.Transmit(r); m != nil {
-				e.txs = append(e.txs, Transmission{Sender: st.id, From: st.pos, Msg: m})
+				e.txs = append(e.txs, Transmission{Sender: st.id, From: e.info[st.id].At, Msg: m})
 			}
 		}
 		return e.txs
@@ -404,7 +434,7 @@ func (e *Engine) collectTransmissions(r Round) []Transmission {
 	e.runChunks(len(e.alive), w, e.txFn)
 	for _, st := range e.alive {
 		if m := e.txSlots[st.id]; m != nil {
-			e.txs = append(e.txs, Transmission{Sender: st.id, From: st.pos, Msg: m})
+			e.txs = append(e.txs, Transmission{Sender: st.id, From: e.info[st.id].At, Msg: m})
 			e.txSlots[st.id] = nil // drop the reference for GC
 		}
 	}

@@ -168,7 +168,7 @@ func (sp *shardPlane) partition(e *Engine) {
 		sp.cellFn = func(w, lo, hi int) {
 			b := cellBounds{math.MaxInt64, math.MaxInt64, math.MinInt64, math.MinInt64}
 			for i := lo; i < hi; i++ {
-				cx, cy := sp.plan.CellOf(e.alive[i].pos)
+				cx, cy := sp.plan.CellOf(e.info[e.alive[i].id].At)
 				sp.cellX[i], sp.cellY[i] = cx, cy
 				if cx < b.minCX {
 					b.minCX = cx
@@ -229,7 +229,9 @@ func (sp *shardPlane) partition(e *Engine) {
 			tot += int(sp.counts[w][s])
 		}
 		if cap(sp.infos[s]) < tot {
-			sp.infos[s] = make([]NodeInfo, tot)
+			// Headroom: resident counts drift as nodes roam, and an exact
+			// fit would reallocate on every new maximum.
+			sp.infos[s] = make([]NodeInfo, tot, tot+tot/8)
 		}
 		sp.infos[s] = sp.infos[s][:tot]
 	}
@@ -241,11 +243,10 @@ func (sp *shardPlane) partition(e *Engine) {
 		sp.writeFn = func(w, lo, hi int) {
 			offs := sp.offs[w]
 			for i := lo; i < hi; i++ {
-				st := e.alive[i]
 				s := sp.owner[i]
 				j := offs[s]
 				offs[s] = j + 1
-				sp.infos[s][j] = NodeInfo{ID: st.id, At: st.pos, Alive: true}
+				sp.infos[s][j] = e.info[e.alive[i].id]
 			}
 		}
 	}

@@ -230,11 +230,12 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	s.ShardCols, s.ShardRows = e.plane.cols, e.plane.rows
 	s.Nodes = make([]NodeSnapshot, len(e.nodes))
 	for i, st := range e.nodes {
+		in := e.info[i]
 		ns := NodeSnapshot{
 			ID:    st.id,
-			X:     st.pos.X,
-			Y:     st.pos.Y,
-			Alive: st.alive,
+			X:     in.At.X,
+			Y:     in.At.Y,
+			Alive: in.Alive,
 			RNG:   st.rng.State(),
 		}
 		if sn, ok := st.mover.(Snapshotter); ok {
@@ -312,10 +313,8 @@ func (e *Engine) restore(s EngineSnapshot) error {
 	e.stats = s.Stats
 	for i, ns := range s.Nodes {
 		st := e.nodes[i]
-		st.pos = geo.Point{X: ns.X, Y: ns.Y}
-		st.alive = ns.Alive
 		st.rng.SetState(ns.RNG)
-		e.info[st.id] = NodeInfo{ID: st.id, At: st.pos, Alive: ns.Alive}
+		e.info[st.id] = NodeInfo{ID: st.id, At: geo.Point{X: ns.X, Y: ns.Y}, Alive: ns.Alive}
 		if sn, ok := st.mover.(Snapshotter); ok {
 			if err := sn.RestoreState(ns.Mover); err != nil {
 				return fmt.Errorf("sim: restore: node %d mover: %w", st.id, err)
@@ -333,7 +332,7 @@ func (e *Engine) restore(s EngineSnapshot) error {
 	}
 	e.alive = e.alive[:0]
 	for _, st := range e.nodes {
-		if st.alive {
+		if e.info[st.id].Alive {
 			e.alive = append(e.alive, st)
 		}
 	}

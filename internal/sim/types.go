@@ -141,6 +141,9 @@ type Env interface {
 // internal/mobility; Static nodes use nil.
 type Mover interface {
 	// Move returns the position for the next round given the current one.
-	// Displacement per round must not exceed the model's vmax.
+	// Displacement per round must not exceed the model's vmax. rnd draws
+	// from the moving node's own random stream; it is a closure the engine
+	// shares between the nodes one worker moves, so it must not be kept or
+	// called after Move returns.
 	Move(r Round, cur geo.Point, rnd func(n int) int) geo.Point
 }
