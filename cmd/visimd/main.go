@@ -58,7 +58,11 @@ func main() {
 	// printed only after the port is bound.
 	fmt.Fprintf(os.Stderr, "visimd: listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: svc}
+	// A client that stalls mid-headers or parks an idle keep-alive must not
+	// hold a connection forever; bodies are bounded by the handlers, and a
+	// synchronous step may legitimately take minutes, so reads and writes of
+	// an accepted request carry no deadline.
+	srv := &http.Server{Handler: svc, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -17,7 +17,12 @@
 //     cached closure per worker; every per-round walk covers only the
 //     alive list (dead nodes cost nothing after the round they die in),
 //     and CrashAt with a round at or before the current one applies
-//     immediately instead of being silently dropped.
+//     immediately instead of being silently dropped. A node whose radio
+//     is off says so (Env.SleepUntil): it keeps moving, but Transmit,
+//     Receive, reception and the shard partition skip it until its wake
+//     round, and a run with sleepers is byte-identical to the same run
+//     with every SleepUntil ignored (snapshots do not record sleep;
+//     Restore and Fork wake everyone).
 //   - geo: planar geometry, the quasi-unit-disk radii R1/R2, deployment
 //     grids, and CellIndex — the uniform-grid spatial index that makes
 //     radius queries O(points in nearby cells) instead of O(n): a dense,
@@ -69,7 +74,8 @@
 //     module uses encoding/gob. Monitor accounts per-virtual-node
 //     availability: green instances, maximal stalls and recovery
 //     latencies, with horizon-aware variants that count a silenced node
-//     as unavailable.
+//     as unavailable. A Client takes part in two of a virtual round's
+//     s+12 radio rounds and sleeps through the rest; emulators never do.
 //   - apps, baseline: applications on top of the infrastructure and the
 //     baselines the paper argues against. Application payloads and states
 //     are canonical wire encodings (a one-byte kind tag plus fixed field

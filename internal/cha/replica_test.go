@@ -432,7 +432,8 @@ func TestReplicaConfigValidation(t *testing.T) {
 
 type fakeCMEnv struct{}
 
-func (fakeCMEnv) ID() sim.NodeID      { return 0 }
-func (fakeCMEnv) Location() geo.Point { return geo.Point{} }
-func (fakeCMEnv) Intn(int) int        { return 0 }
-func (fakeCMEnv) Float64() float64    { return 0 }
+func (fakeCMEnv) ID() sim.NodeID       { return 0 }
+func (fakeCMEnv) Location() geo.Point  { return geo.Point{} }
+func (fakeCMEnv) Intn(int) int         { return 0 }
+func (fakeCMEnv) Float64() float64     { return 0 }
+func (fakeCMEnv) SleepUntil(sim.Round) {}

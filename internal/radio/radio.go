@@ -201,7 +201,7 @@ func MustMedium(cfg Config) *Medium {
 	return m
 }
 
-// Deliver implements sim.Medium. For each alive receiver it computes the
+// Deliver implements sim.Medium. For each alive, awake receiver it computes the
 // physically deliverable set, applies the adversary, and synthesizes the
 // collision-detector indication from the ground-truth losses. The returned
 // slice is medium-owned and reused on the next call.
@@ -222,7 +222,7 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 
 	for i := range rxs {
 		rx := &rxs[i]
-		if !rx.Alive {
+		if !rx.Alive || rx.Asleep {
 			out[i] = sim.Reception{Round: r}
 			continue
 		}

@@ -28,6 +28,12 @@
 // sim's effective spec, and POST checkpoint persists its state; a daemon
 // restarted on the same directory rebuilds every tenant from its spec and
 // resumes it from its latest checkpoint.
+//
+// A panic inside one simulation's world (an engine contract violation, a
+// bug in a node, a program or a fault) fails that simulation and nothing
+// else: its event log records the panic and stack, its status document
+// carries "failed", step, run, pause, faults and checkpoint answer 500
+// naming the panic, and every other simulation and /metrics keep serving.
 package service
 
 import (
@@ -173,14 +179,31 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// readBody reads a bounded request body.
+// readBody reads a request body, refusing one over maxBodyBytes.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+		code := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Sprintf("reading body: %v", err))
 		return nil, false
 	}
 	return b, true
+}
+
+// writeTenantError answers a failed tenant command: 410 once the sim is
+// deleted, 500 once it has panicked, 400 for a request it refused.
+func writeTenantError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	switch {
+	case errors.Is(err, errDeleted):
+		code = http.StatusGone
+	case errors.Is(err, errFailed):
+		code = http.StatusInternalServerError
+	}
+	writeError(w, code, err.Error())
 }
 
 // createRequest is the POST /v1/sims document: a name plus a raw spec,
@@ -280,11 +303,7 @@ func (s *Service) handleStep(w http.ResponseWriter, r *http.Request, t *tenant) 
 		}
 	}
 	if _, err := t.step(req.VRounds); err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, errDeleted) {
-			code = http.StatusGone
-		}
-		writeError(w, code, err.Error())
+		writeTenantError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, t.status())
@@ -305,11 +324,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request, t *tenant) {
 		}
 	}
 	if err := t.run(req.TargetVRound); err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, errDeleted) {
-			code = http.StatusGone
-		}
-		writeError(w, code, err.Error())
+		writeTenantError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, t.status())
@@ -317,7 +332,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request, t *tenant) {
 
 func (s *Service) handlePause(w http.ResponseWriter, r *http.Request, t *tenant) {
 	if err := t.pause(); err != nil {
-		writeError(w, http.StatusGone, err.Error())
+		writeTenantError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, t.status())
@@ -346,11 +361,7 @@ func (s *Service) handleInjectFault(w http.ResponseWriter, r *http.Request, t *t
 		return nil
 	})
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, errDeleted) {
-			code = http.StatusGone
-		}
-		writeError(w, code, err.Error())
+		writeTenantError(w, err)
 		return
 	}
 	if err := s.persistSpec(t); err != nil {
@@ -412,7 +423,7 @@ func (s *Service) handleGetCheckpoint(w http.ResponseWriter, r *http.Request, t 
 		return nil
 	})
 	if err != nil {
-		writeError(w, http.StatusGone, err.Error())
+		writeTenantError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -432,7 +443,7 @@ func (s *Service) handlePostCheckpoint(w http.ResponseWriter, r *http.Request, t
 		return nil
 	})
 	if err != nil {
-		writeError(w, http.StatusGone, err.Error())
+		writeTenantError(w, err)
 		return
 	}
 	if err := cp.WriteFile(s.ckptPath(t.name)); err != nil {

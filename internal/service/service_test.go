@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"vinfra/internal/checkpoint"
+	"vinfra/internal/sim"
 	"vinfra/internal/spec"
 )
 
@@ -484,5 +485,105 @@ func TestHostsExperimentCell(t *testing.T) {
 	}
 	if st.MeanAvailability != want["availability"] {
 		t.Fatalf("status reports availability %v, the cell's row %v", st.MeanAvailability, want["availability"])
+	}
+}
+
+// bomb is an engine fault that panics at radio round at — what an engine
+// contract violation or a bug in a node looks like from the tenant loop.
+type bomb struct{ at sim.Round }
+
+func (b bomb) Strike(r sim.Round, _ sim.Control) {
+	if r >= b.at {
+		panic(fmt.Sprintf("bomb went off in round %d", r))
+	}
+}
+
+// plant arms a bomb in a tenant's engine, one virtual round ahead.
+func plant(t *testing.T, svc *Service, name string) {
+	t.Helper()
+	err := svc.lookup(name).do(func(w *spec.World) error {
+		w.Eng.AddFault(bomb{at: w.Eng.Round() + sim.Round(w.RoundsPerVRound())})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPanickingTenantFailsAlone: a panic inside one tenant's world fails
+// that tenant — recorded, reported, refusing further commands — and nothing
+// else: the daemon, the other tenants and /metrics keep serving.
+func TestPanickingTenantFailsAlone(t *testing.T) {
+	svc := newService(t, "")
+	for _, name := range []string{"stepped", "running", "healthy"} {
+		create(t, svc, name, smallDoc)
+	}
+	plant(t, svc, "stepped")
+	plant(t, svc, "running")
+
+	// One tenant panics under a synchronous step, the other mid background run.
+	rec := call(t, svc, "POST", "/v1/sims/stepped/step", `{"vrounds": 4}`)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "bomb went off") {
+		t.Fatalf("step into the panic: %d %s; want 500 naming the panic", rec.Code, rec.Body)
+	}
+	callJSON(t, svc, "POST", "/v1/sims/running/run", "", http.StatusAccepted, nil)
+	var st SimStatus
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		callJSON(t, svc, "GET", "/v1/sims/running", "", http.StatusOK, &st)
+		if st.Failed != "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the background run never hit the bomb: %+v", st)
+		}
+	}
+	if st.Running || st.VRound != 1 {
+		t.Errorf("failed background run reports %+v; want stopped at virtual round 1", st)
+	}
+
+	for _, name := range []string{"stepped", "running"} {
+		callJSON(t, svc, "GET", "/v1/sims/"+name, "", http.StatusOK, &st)
+		if !strings.Contains(st.Failed, "bomb went off") || st.VRound != 1 {
+			t.Errorf("%s: status %+v; want failed at virtual round 1 naming the panic", name, st)
+		}
+		events := call(t, svc, "GET", "/v1/sims/"+name+"/events", "").Body.String()
+		if !strings.Contains(events, `"failed"`) || !strings.Contains(events, "bomb went off") || !strings.Contains(events, "service.bomb.Strike") {
+			t.Errorf("%s: the event log lacks the panic and its stack:\n%s", name, events)
+		}
+		for _, req := range [][2]string{
+			{"step", `{"vrounds": 1}`}, {"run", ""}, {"pause", ""},
+			{"faults", `{"kind": "crash_burst", "period": 30, "p": 0.5}`},
+		} {
+			rec := call(t, svc, "POST", "/v1/sims/"+name+"/"+req[0], req[1])
+			if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "bomb went off") {
+				t.Errorf("%s: %s on a failed sim: %d %s; want 500 naming the panic", name, req[0], rec.Code, rec.Body)
+			}
+		}
+		if rec := call(t, svc, "GET", "/v1/sims/"+name+"/checkpoint", ""); rec.Code != http.StatusInternalServerError {
+			t.Errorf("%s: checkpoint of a torn world: %d, want 500", name, rec.Code)
+		}
+	}
+
+	var healthy SimStatus
+	callJSON(t, svc, "POST", "/v1/sims/healthy/step", `{"vrounds": 8}`, http.StatusOK, &healthy)
+	if healthy.VRound != 8 || healthy.Failed != "" {
+		t.Errorf("the healthy tenant: %+v; want 8 virtual rounds and no failure", healthy)
+	}
+	metrics := call(t, svc, "GET", "/metrics", "")
+	if metrics.Code != http.StatusOK || !strings.Contains(metrics.Body.String(), `vinfra_sim_vround{sim="healthy"} 8`) {
+		t.Errorf("/metrics after the panics: %d\n%s", metrics.Code, metrics.Body)
+	}
+	callJSON(t, svc, "DELETE", "/v1/sims/stepped", "", http.StatusOK, nil)
+}
+
+// TestOversizeBodiesRefused: create and fault bodies are capped.
+func TestOversizeBodiesRefused(t *testing.T) {
+	svc := newService(t, "")
+	create(t, svc, "alpha", smallDoc)
+	huge := `{"kind": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/sims", "/v1/sims/alpha/faults"} {
+		if rec := call(t, svc, "POST", path, huge); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: %d, want 413", path, len(huge), rec.Code)
+		}
 	}
 }

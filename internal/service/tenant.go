@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -16,7 +17,11 @@ import (
 // dropped from the front (their sequence numbers stay stable).
 const maxEvents = 1024
 
-var errDeleted = errors.New("service: simulation deleted")
+var (
+	errDeleted = errors.New("service: simulation deleted")
+	// errFailed marks every error a failed tenant answers with; see guard.
+	errFailed = errors.New("service: simulation failed")
+)
 
 // Event is one entry in a tenant's event log.
 type Event struct {
@@ -40,6 +45,10 @@ type SimStatus struct {
 	Joins            int     `json:"joins"`
 	Resets           int     `json:"resets"`
 	Faults           int     `json:"faults"`
+	// Failed is set once the simulation has panicked (an engine contract
+	// violation, a bug in a node or a fault): it names the panic, the world
+	// no longer steps, and only status, events, spec and delete still answer.
+	Failed string `json:"failed,omitempty"`
 }
 
 // tenant is one named simulation. The spec.World is owned exclusively by
@@ -49,7 +58,7 @@ type SimStatus struct {
 type tenant struct {
 	name string
 
-	cmds chan func(*spec.World)
+	cmds chan command
 	quit chan struct{} // closed on delete; stops the loop
 	done chan struct{} // closed when the loop has exited
 
@@ -68,6 +77,13 @@ type tenant struct {
 	stepped  int           // vrounds stepped by this process
 	events   []Event
 	nextSeq  int
+	failed   error // the panic that ended this world, wrapping errFailed
+}
+
+// command is one closure for the loop goroutine and where its error goes.
+type command struct {
+	fn   func(*spec.World) error
+	errc chan error
 }
 
 // newTenant wraps a built (and possibly restored) world and starts its
@@ -75,7 +91,7 @@ type tenant struct {
 func newTenant(name string, w *spec.World) *tenant {
 	t := &tenant{
 		name: name,
-		cmds: make(chan func(*spec.World)),
+		cmds: make(chan command),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 		mon:  w.Mon,
@@ -96,20 +112,49 @@ func (t *tenant) loop(w *spec.World) {
 			select {
 			case <-t.quit:
 				return
-			case fn := <-t.cmds:
-				fn(w)
+			case c := <-t.cmds:
+				c.errc <- t.guard(w, c.fn)
 			default:
-				t.stepOne(w)
+				t.guard(w, func(w *spec.World) error { t.stepOne(w); return nil })
 			}
 		} else {
 			select {
 			case <-t.quit:
 				return
-			case fn := <-t.cmds:
-				fn(w)
+			case c := <-t.cmds:
+				c.errc <- t.guard(w, c.fn)
 			}
 		}
 	}
+}
+
+// guard runs fn against the world unless the tenant has failed, and turns a
+// panic in fn into that failure: the engine panics on contract violations
+// (a medium answering for the wrong number of nodes, a nil Node) and on
+// whatever bug a node, a program or a fault carries, and one tenant's panic
+// must not take the daemon and every other tenant with it. A panicked world
+// may be torn mid-round, so it is never touched again: the panic value and
+// stack go to the event log, any background run is cancelled, and this and
+// every later command answer with the failure. (A panic on one of a parallel
+// engine's helper goroutines is out of reach of any recover here.)
+func (t *tenant) guard(w *spec.World, fn func(*spec.World) error) (err error) {
+	t.mu.Lock()
+	err = t.failed
+	t.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			t.mu.Lock()
+			t.failed = fmt.Errorf("%w at virtual round %d: panic: %v", errFailed, t.vr, p)
+			t.target = 0
+			t.eventLocked(t.vr, "failed", fmt.Sprintf("panic: %v\n%s", p, debug.Stack()))
+			err = t.failed
+			t.mu.Unlock()
+		}
+	}()
+	return fn(w)
 }
 
 func (t *tenant) wantsStep(w *spec.World) bool {
@@ -147,12 +192,12 @@ func (t *tenant) syncLocked(w *spec.World) {
 }
 
 // do runs fn on the loop goroutine and returns its error; it fails with
-// errDeleted once the tenant's loop has exited.
+// errDeleted once the tenant's loop has exited, and with the tenant's
+// failure (errFailed) once the world has panicked.
 func (t *tenant) do(fn func(*spec.World) error) error {
 	errc := make(chan error, 1)
-	wrapped := func(w *spec.World) { errc <- fn(w) }
 	select {
-	case t.cmds <- wrapped:
+	case t.cmds <- command{fn, errc}:
 	case <-t.done:
 		return errDeleted
 	}
@@ -207,7 +252,12 @@ func (t *tenant) eventsFrom(from int) []Event {
 func (t *tenant) status() SimStatus {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	failed := ""
+	if t.failed != nil {
+		failed = t.failed.Error()
+	}
 	return SimStatus{
+		Failed:           failed,
 		Name:             t.name,
 		VRound:           t.vr,
 		VRounds:          t.effSpec.VRounds,

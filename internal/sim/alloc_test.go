@@ -16,7 +16,10 @@ import (
 // the original gate — which is blind to the mobility phase, so for four PRs
 // it passed while Step built a method value (st.rng.Intn) per device per
 // round. The drawing populations attach a mover that draws from rnd on every
-// call, at 10k and at the 100k the city workloads run at.
+// call, at 10k and at the 100k the city workloads run at. The duty-cycled
+// ones are napNodes, on for two rounds in ten on a phase set by their ID, so
+// every round a tenth of the devices falls asleep and a tenth wakes: the
+// awake list is rebuilt every round and must reuse its buffer.
 func TestEngineStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -48,35 +51,60 @@ func TestEngineStepSteadyStateAllocs(t *testing.T) {
 		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			steadyStateAllocs(t, tc.opts, tc.budget, 10_000, nil)
+			steadyStateAllocs(t, tc.opts, tc.budget, 10_000, nil, false)
 			t.Run("drawing-10k", func(t *testing.T) {
-				steadyStateAllocs(t, tc.opts, tc.budget, 10_000, wanderMover{})
+				steadyStateAllocs(t, tc.opts, tc.budget, 10_000, wanderMover{}, false)
 			})
-			t.Run("drawing-100k", func(t *testing.T) {
-				if testing.Short() {
-					t.Skip("100k nodes")
+			t.Run("duty-cycled-10k", func(t *testing.T) {
+				steadyStateAllocs(t, tc.opts, tc.budget, 10_000, wanderMover{}, true)
+			})
+			for _, napping := range []bool{false, true} {
+				name := "drawing-100k"
+				if napping {
+					name = "duty-cycled-100k"
 				}
-				steadyStateAllocs(t, tc.opts, tc.budget, 100_000, wanderMover{})
-			})
+				t.Run(name, func(t *testing.T) {
+					if testing.Short() {
+						t.Skip("100k nodes")
+					}
+					steadyStateAllocs(t, tc.opts, tc.budget, 100_000, wanderMover{}, napping)
+				})
+			}
 		})
 	}
 }
 
-func steadyStateAllocs(t *testing.T, opts []Option, budget float64, nodes int, mover Mover) {
+// napNode is a countNode whose radio is on for two rounds in ten.
+type napNode struct{ countNode }
+
+func (n *napNode) Receive(r Round, _ Reception) {
+	n.received++
+	if off := (int(r) + int(n.env.ID())) % 10; off > 0 {
+		n.env.SleepUntil(r + Round(10-off))
+	}
+}
+
+func steadyStateAllocs(t *testing.T, opts []Option, budget float64, nodes int, mover Mover, napping bool) {
 	e := NewEngine(&nullMedium{}, append([]Option{WithSeed(1)}, opts...)...)
 	defer e.Close()
 	for i := 0; i < nodes; i++ {
 		e.Attach(geo.Point{X: float64(i%500) * 0.5, Y: float64(i/500) * 0.5}, mover, func(env Env) Node {
+			if napping {
+				return &napNode{countNode{env: env}}
+			}
 			return &countNode{env: env}
 		})
 	}
-	e.Run(3) // warm the reusable buffers and start the pool
+	e.Run(12) // warm the reusable buffers (a whole duty cycle) and start the pool
+	if napping && len(e.awake) != nodes/5 {
+		t.Fatalf("%d of %d napNodes awake, want a fifth", len(e.awake), nodes)
+	}
 	avg := testing.AllocsPerRun(5, func() { e.Step() })
 	if avg > budget {
 		t.Errorf("steady-state Step allocates %.1f times per round at %d nodes, want <= %v", avg, nodes, budget)
 	}
 	if sp := &e.plane; len(sp.mediums) == 1 {
-		held := len(sp.rxs) + len(sp.cellX) + len(sp.cellY) + len(sp.owner)
+		held := len(sp.rxs) + len(sp.owner)
 		for s := range sp.infos {
 			held += cap(sp.infos[s]) + cap(sp.cands[s])
 		}

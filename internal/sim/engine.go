@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"vinfra/internal/det"
@@ -18,6 +20,11 @@ import (
 // Everything else the round loop touches per node (the Node, its Mover and
 // its random stream) is a nodeState, stored by value in slabs so a walk
 // over the alive list in NodeID order reads memory front to back.
+//
+// A node whose radio is off (Env.SleepUntil) stays on the alive list — it
+// still moves, and it still counts as alive — but leaves the awake list,
+// which is what Transmit, Receive and the shard partition walk: a round
+// costs a sleeper its mobility step and nothing else.
 type Engine struct {
 	seed     int64
 	parallel bool
@@ -38,6 +45,18 @@ type Engine struct {
 	hooks  []RoundHook
 	faults []Fault
 	stats  Stats
+
+	// awake lists the alive nodes whose radio is on this round, in NodeID
+	// order. While nobody sleeps it is alive itself (the same backing array,
+	// no copy); otherwise it lives in awakeBuf, which is reused. rouse
+	// rebuilds it only on a round where it can have changed: stale is set by
+	// whatever changes membership (a node fell asleep, attached or died —
+	// SleepUntil runs on worker goroutines, hence the atomic) and nextWake
+	// is the earliest round a current sleeper wakes.
+	awake    []*nodeState
+	awakeBuf []*nodeState
+	stale    atomic.Bool
+	nextWake Round
 
 	// Reusable per-round buffers: the steady-state round loop allocates
 	// nothing of its own.
@@ -74,7 +93,8 @@ type Engine struct {
 }
 
 // RoundHook observes a completed round: the transmissions that occurred and
-// the receptions delivered (indexed by NodeID). Hooks run sequentially
+// the receptions delivered (indexed by NodeID; a sleeping node's entry is
+// the empty reception, exactly like a dead node's). Hooks run sequentially
 // after delivery; they may read the values but must not mutate them, and
 // the slices are only valid for the duration of the call — the engine and
 // medium reuse them the next round, so copy anything worth keeping.
@@ -132,12 +152,36 @@ type nodeState struct {
 	node  Node
 	mover Mover
 	rng   det.Stream
+	wake  Round // the node's radio is off in every round before this one
 }
 
 func (st *nodeState) ID() NodeID          { return st.id }
 func (st *nodeState) Location() geo.Point { return st.eng.info[st.id].At }
 func (st *nodeState) Intn(n int) int      { return st.rng.Intn(n) }
 func (st *nodeState) Float64() float64    { return st.rng.Float64() }
+
+// SleepUntil implements Env. The engine's round counter already names the
+// next round while Transmit and Receive run, and the node is awake then
+// unless told otherwise, so a round up to it asks for nothing; neither does
+// one before a wake round already declared.
+func (st *nodeState) SleepUntil(r Round) {
+	e := st.eng
+	if r <= e.round || r <= st.wake || sleepOff {
+		return
+	}
+	st.wake = r
+	e.markStale()
+}
+
+// markStale has rouse rebuild the awake list next round. The load keeps the
+// common case — already marked, by the hundred thousand clients that fall
+// asleep in the same round or the Attach calls of a build — to a plain read
+// of a shared line instead of a store to it.
+func (e *Engine) markStale() {
+	if !e.stale.Load() {
+		e.stale.Store(true)
+	}
+}
 
 // moverRand is the random source one mobility chunk hands to Mover.Move: a
 // closure built once per worker that draws from whichever node's stream the
@@ -149,6 +193,11 @@ type moverRand struct {
 	rnd func(n int) int
 	_   [48]byte
 }
+
+// sleepOff makes SleepUntil a no-op, which is how the engine behaved before
+// nodes could sleep. Only tests set it (export_test.go): it is the oracle
+// the sleep tests compare against, not a mode anyone can select.
+var sleepOff bool
 
 var _ Control = (*Engine)(nil)
 
@@ -186,9 +235,10 @@ func WithWorkers(n int) Option {
 // NewEngine returns an engine that propagates messages through medium.
 func NewEngine(medium Medium, opts ...Option) *Engine {
 	e := &Engine{
-		seed:  1,
-		crash: make(map[Round][]NodeID),
-		plane: shardPlane{mediums: []Medium{medium}},
+		seed:     1,
+		crash:    make(map[Round][]NodeID),
+		plane:    shardPlane{mediums: []Medium{medium}},
+		nextWake: math.MaxInt,
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -217,6 +267,7 @@ func (e *Engine) Attach(pos geo.Point, mover Mover, build func(Env) Node) NodeID
 	}
 	e.nodes = append(e.nodes, st)
 	e.alive = append(e.alive, st)
+	e.markStale()
 	return id
 }
 
@@ -226,7 +277,7 @@ func (e *Engine) Crash(id NodeID) {
 	if !e.info[id].Alive {
 		return
 	}
-	e.info[id].Alive = false
+	e.info[id].Alive, e.info[id].Asleep = false, false
 	e.dirty = true
 }
 
@@ -282,6 +333,39 @@ func (e *Engine) compactAlive() {
 	}
 	e.alive = live
 	e.dirty = false
+	e.markStale()
+}
+
+// rouse brings the awake list up to date for round r: sleepers whose wake
+// round has come rejoin it, nodes that declared SleepUntil since the last
+// rebuild leave it, and NodeInfo.Asleep is set to match. It walks the alive
+// list only when membership can have changed, and copies nothing while
+// nobody sleeps.
+func (e *Engine) rouse(r Round) {
+	if r < e.nextWake && !e.stale.Load() {
+		return
+	}
+	e.stale.Store(false)
+	e.nextWake = math.MaxInt
+	buf, all := e.awakeBuf[:0], true
+	for i, st := range e.alive {
+		asleep := st.wake > r
+		e.info[st.id].Asleep = asleep
+		switch {
+		case asleep:
+			if all {
+				// The first sleeper: everyone before it is awake.
+				buf, all = append(buf, e.alive[:i]...), false
+			}
+			e.nextWake = min(e.nextWake, st.wake)
+		case !all:
+			buf = append(buf, st)
+		}
+	}
+	e.awake, e.awakeBuf = e.alive, buf
+	if !all {
+		e.awake = buf
+	}
 }
 
 // NumNodes returns the total number of nodes ever attached.
@@ -332,17 +416,18 @@ func (e *Engine) Run(n int) {
 }
 
 // Step executes a single round, the same sequence for every engine
-// configuration: faults, scheduled crashes, mobility, transmission fan-out,
-// propagation through the medium (or the region shards' mediums), reception
-// fan-out, stats and hooks.
+// configuration: faults, scheduled crashes, waking and sleeping, mobility,
+// transmission fan-out, propagation through the medium (or the region
+// shards' mediums), reception fan-out, stats and hooks.
 //
 // The steady-state round loop allocates nothing: the NodeInfo view, the
-// transmission list and the parallel Transmit slots are engine-owned
-// buffers reused across rounds, and every per-round walk (mobility,
-// Transmit, Receive) covers only the alive list, so dead nodes cost
-// nothing after the round they die in. The NodeInfo slice handed to the
+// transmission list, the awake list and the parallel Transmit slots are
+// engine-owned buffers reused across rounds. Mobility walks the alive list,
+// so dead nodes cost nothing after the round they die in; Transmit, Receive
+// and the shard partition walk the awake list, so a node that has called
+// SleepUntil costs its mobility step only. The NodeInfo slice handed to the
 // medium still lists every node ever attached (the Medium contract), with
-// dead entries frozen at their final position.
+// dead entries frozen at their final position and sleepers marked Asleep.
 func (e *Engine) Step() {
 	r := e.round
 
@@ -363,8 +448,10 @@ func (e *Engine) Step() {
 	}
 	delete(e.crash, r)
 	e.compactAlive()
+	e.rouse(r)
 
-	// Mobility: move every alive node. Per-node RNG call order within a
+	// Mobility: move every alive node, asleep or not — where a sleeper wakes
+	// up is part of the run. Per-node RNG call order within a
 	// round is fixed (Move, then Transmit), so this is deterministic
 	// whether the shards run sequentially or in parallel.
 	for len(e.movers) < e.fanout() {
@@ -405,16 +492,16 @@ func (e *Engine) Step() {
 	}
 }
 
-// collectTransmissions calls Transmit on every alive node and returns the
+// collectTransmissions calls Transmit on every awake node and returns the
 // non-nil results in NodeID order. Fanned out, workers write per-node slots
-// that are then merged over the alive list, so the transmission list is
+// that are then merged over the awake list, so the transmission list is
 // identical to the sequential collection. The returned slice is
 // engine-owned and valid until the next round.
 func (e *Engine) collectTransmissions(r Round) []Transmission {
 	e.txs = e.txs[:0]
 	w := e.fanout()
 	if w <= 1 {
-		for _, st := range e.alive {
+		for _, st := range e.awake {
 			if m := st.node.Transmit(r); m != nil {
 				e.txs = append(e.txs, Transmission{Sender: st.id, From: e.info[st.id].At, Msg: m})
 			}
@@ -426,13 +513,13 @@ func (e *Engine) collectTransmissions(r Round) []Transmission {
 	}
 	if e.txFn == nil {
 		e.txFn = func(_, lo, hi int) {
-			for _, st := range e.alive[lo:hi] {
+			for _, st := range e.awake[lo:hi] {
 				e.txSlots[st.id] = st.node.Transmit(e.curRound)
 			}
 		}
 	}
-	e.runChunks(len(e.alive), w, e.txFn)
-	for _, st := range e.alive {
+	e.runChunks(len(e.awake), w, e.txFn)
+	for _, st := range e.awake {
 		if m := e.txSlots[st.id]; m != nil {
 			e.txs = append(e.txs, Transmission{Sender: st.id, From: e.info[st.id].At, Msg: m})
 			e.txSlots[st.id] = nil // drop the reference for GC
@@ -441,24 +528,24 @@ func (e *Engine) collectTransmissions(r Round) []Transmission {
 	return e.txs
 }
 
-// deliver hands every alive node its reception (rxs is indexed by NodeID).
+// deliver hands every awake node its reception (rxs is indexed by NodeID).
 func (e *Engine) deliver(r Round, rxs []Reception) {
 	e.curRxs = rxs
 	if e.rxFn == nil {
 		e.rxFn = func(_, lo, hi int) {
-			for _, st := range e.alive[lo:hi] {
+			for _, st := range e.awake[lo:hi] {
 				st.node.Receive(e.curRound, e.curRxs[st.id])
 			}
 		}
 	}
-	e.runChunks(len(e.alive), e.fanout(), e.rxFn)
+	e.runChunks(len(e.awake), e.fanout(), e.rxFn)
 	e.curRxs = nil
 }
 
 // fanout returns the width of the node-ranged phases (mobility, Transmit,
-// Receive, the shard partition), which chunk the alive list and must only
-// touch per-node state or per-node slots: one range without WithParallel,
-// else the WithWorkers bound, or GOMAXPROCS.
+// Receive, the shard partition), which chunk the alive or the awake list
+// and must only touch per-node state or per-node slots: one range without
+// WithParallel, else the WithWorkers bound, or GOMAXPROCS.
 func (e *Engine) fanout() int {
 	switch {
 	case !e.parallel:

@@ -28,6 +28,21 @@ var beaconMsg sim.Message = "b"
 
 func (*beacon) Transmit(sim.Round) sim.Message { return beaconMsg }
 
+// dozer is a listener on the city clients' duty cycle, ten rounds long: on
+// for two, asleep for eight, every dozer in step — so the awake list swings
+// between everyone and the beacons alone.
+type dozer struct {
+	listener
+	env sim.Env
+}
+
+func (d *dozer) Receive(r sim.Round, rx sim.Reception) {
+	d.listener.Receive(r, rx)
+	if off := int(r) % 10; off > 0 {
+		d.env.SleepUntil(r + sim.Round(10-off))
+	}
+}
+
 // silence is a medium nobody hears anything through, so the gate below
 // counts the engine's allocations only. Its buffer has headroom for the
 // same reason radio.Medium's does: a shard's resident count drifts.
@@ -45,13 +60,17 @@ func (m *silence) Deliver(r sim.Round, _ []sim.Transmission, rxs []sim.NodeInfo)
 }
 
 // roamingCity attaches n RandomWaypoint listeners (the city workloads'
-// population: a 90x90 field, vmax 0.02) and four static beacons.
-func roamingCity(e *sim.Engine, n int) {
+// population: a 90x90 field, vmax 0.02) — dozers when dutyCycled — and four
+// static beacons.
+func roamingCity(e *sim.Engine, n int, dutyCycled bool) {
 	area := geo.Rect{Max: geo.Point{X: 90, Y: 90}}
 	rng := det.NewStream(7)
 	for i := 0; i < n; i++ {
 		pos := geo.Point{X: rng.Float64() * 90, Y: rng.Float64() * 90}
-		e.Attach(pos, &mobility.RandomWaypoint{Area: area, VMax: 0.02}, func(sim.Env) sim.Node {
+		e.Attach(pos, &mobility.RandomWaypoint{Area: area, VMax: 0.02}, func(env sim.Env) sim.Node {
+			if dutyCycled {
+				return &dozer{env: env}
+			}
 			return &listener{}
 		})
 	}
@@ -64,7 +83,8 @@ func roamingCity(e *sim.Engine, n int) {
 // mobility model the city workloads use: every listener's Move draws a
 // destination from rnd on its first call and on every arrival, and the
 // engine must hand it that rnd without allocating — on the sequential, the
-// parallel and the region-sharded engine, at 10k and at 100k devices.
+// parallel and the region-sharded engine, at 10k and at 100k devices, with
+// the listeners always on and with them asleep eight rounds in ten.
 func TestEngineStepSteadyStateAllocsRoaming(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -81,22 +101,28 @@ func TestEngineStepSteadyStateAllocsRoaming(t *testing.T) {
 		}},
 	} {
 		for _, n := range []int{10_000, 100_000} {
-			name := tc.name + "-10k"
-			if n == 100_000 {
-				name = tc.name + "-100k"
+			for _, dutyCycled := range []bool{false, true} {
+				name := tc.name + "-10k"
+				if n == 100_000 {
+					name = tc.name + "-100k"
+				}
+				if dutyCycled {
+					name += "-duty-cycled"
+				}
+				t.Run(name, func(t *testing.T) {
+					if n == 100_000 && testing.Short() {
+						t.Skip("100k nodes")
+					}
+					e := sim.NewEngine(&silence{}, append([]sim.Option{sim.WithSeed(1)}, tc.opts...)...)
+					defer e.Close()
+					roamingCity(e, n, dutyCycled)
+					e.Run(12) // warm the reusable buffers (a whole duty cycle) and start the pool
+					// Twelve measured rounds: everyone wakes, and sleeps again, inside them.
+					if avg := testing.AllocsPerRun(11, func() { e.Step() }); avg > 0 {
+						t.Errorf("steady-state Step allocates %.1f times per round at %d roaming nodes, want 0", avg, n)
+					}
+				})
 			}
-			t.Run(name, func(t *testing.T) {
-				if n == 100_000 && testing.Short() {
-					t.Skip("100k nodes")
-				}
-				e := sim.NewEngine(&silence{}, append([]sim.Option{sim.WithSeed(1)}, tc.opts...)...)
-				defer e.Close()
-				roamingCity(e, n)
-				e.Run(3) // warm the reusable buffers and start the pool
-				if avg := testing.AllocsPerRun(5, func() { e.Step() }); avg > 0 {
-					t.Errorf("steady-state Step allocates %.1f times per round at %d roaming nodes, want 0", avg, n)
-				}
-			})
 		}
 	}
 }
@@ -108,8 +134,24 @@ func TestEngineStepSteadyStateAllocsRoaming(t *testing.T) {
 func BenchmarkEngineStep100kRoaming(b *testing.B) {
 	m := radio.MustMedium(radio.Config{Radii: geo.Radii{R1: 10, R2: 20}, Detector: cd.AC{}, Seed: 1})
 	e := sim.NewEngine(m, sim.WithSeed(1))
-	roamingCity(e, 100_000)
+	roamingCity(e, 100_000, false)
 	e.Run(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkEngineStep100kDutyCycled is the same round with the listeners on
+// the clients' duty cycle — on for two rounds in ten — so, next to
+// BenchmarkEngineStep100kRoaming, what a sleeping device still costs: its
+// mobility step and an empty reception. Run it for a multiple of ten rounds.
+func BenchmarkEngineStep100kDutyCycled(b *testing.B) {
+	m := radio.MustMedium(radio.Config{Radii: geo.Radii{R1: 10, R2: 20}, Detector: cd.AC{}, Seed: 1})
+	e := sim.NewEngine(m, sim.WithSeed(1))
+	roamingCity(e, 100_000, true)
+	e.Run(10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

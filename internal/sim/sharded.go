@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"vinfra/internal/geo"
 	"vinfra/internal/shard"
 )
 
@@ -13,13 +14,13 @@ import (
 // least the medium's interference radius) and gives each shard its own
 // Medium from factory, replacing the medium handed to NewEngine. Shards
 // are what parallelises Deliver: each round, after mobility and the
-// engine's one Transmit fan-out, every alive node is assigned to the shard
+// engine's one Transmit fan-out, every awake node is assigned to the shard
 // owning its cell and each shard medium delivers to its residents only,
 // with boundary-band transmissions (cells within one cell — i.e. within
 // the interference radius — of a shard edge) copied to the neighboring
 // shards before delivery. Merges are keyed by (cell, node) order: resident
 // views, candidate transmissions and receptions are all assembled by
-// walking the alive list in NodeID order, so the output is byte-identical
+// walking the awake list in NodeID order, so the output is byte-identical
 // to the single-medium engine for any shard count — provided the Medium
 // derives each reception only from the receiver, the round and the
 // transmissions within the interference radius (the radio.Medium contract;
@@ -76,19 +77,18 @@ type shardPlane struct {
 	infos [][]NodeInfo     // each shard medium's view of its residents
 	cands [][]Transmission // candidate transmissions per shard (own + halo)
 
-	cellX, cellY []int64     // per-alive-index cell coords, one partition pass
-	rxs          []Reception // merged receptions, indexed by NodeID
-	halo         int         // boundary-band copies scattered this round
+	rxs  []Reception // merged receptions, indexed by NodeID
+	halo int         // boundary-band copies scattered this round
 
 	// Partition scratch, reused across rounds: the counting-sort state each
-	// partition chunk owns. owner holds every alive node's shard (computed
+	// partition chunk owns. owner holds every awake node's shard (computed
 	// once in the count phase, read in the write phase);
 	// bounds/counts/offs are per-chunk — chunk w touches only bounds[w],
 	// counts[w] and offs[w], so the phases run race-free on the worker
 	// runtime and the merged resident views are NodeID-ordered for any
 	// chunk count.
 	owner  []int32
-	bounds []cellBounds
+	bounds []geo.Rect // each chunk's bounding box of alive positions
 	counts [][]int32
 	offs   [][]int32
 
@@ -96,14 +96,9 @@ type shardPlane struct {
 	// round would allocate because the worker handoff moves them to the
 	// heap).
 	deliverFn func(w, lo, hi int)
-	cellFn    func(w, lo, hi int)
+	boundsFn  func(w, lo, hi int)
 	countFn   func(w, lo, hi int)
 	writeFn   func(w, lo, hi int)
-}
-
-// cellBounds is one partition chunk's occupied-cell bounding box.
-type cellBounds struct {
-	minCX, minCY, maxCX, maxCY int64
 }
 
 // propagate computes round r's receptions, indexed by NodeID, from the
@@ -111,7 +106,7 @@ type cellBounds struct {
 // and a shard grid part ways: one shard owns every node, so its view is
 // the engine's own — the NodeInfo slice, txs and the medium's returned
 // slice, with nothing partitioned, scattered or copied — while two or more
-// partition the alive list, scatter txs with their halo, deliver per shard
+// partition the awake list, scatter txs with their halo, deliver per shard
 // and merge.
 func (sp *shardPlane) propagate(e *Engine, r Round, txs []Transmission) []Reception {
 	if len(sp.mediums) == 1 {
@@ -129,91 +124,77 @@ func (sp *shardPlane) propagate(e *Engine, r Round, txs []Transmission) []Recept
 	return sp.rxs
 }
 
-// partition assigns every alive node to the shard owning its post-mobility
+// partition assigns every awake node to the shard owning its post-mobility
 // cell. Fitting the shard grid to the occupied cell bounding box each
-// round keeps the split meaningful under mobility and churn. The pass
-// scales with cores instead of devices: the cell/bounds scan, the
-// per-chunk counting sort and the resident writes all fan out over the
-// worker runtime in contiguous alive-list chunks (one chunk, inline,
-// without WithParallel), and because the alive list is NodeID-ordered and
-// chunk w's residents land at offsets computed from the chunks before it,
-// each shard's resident view is NodeID-ordered by construction — identical
-// for every chunk count, so sharded≡sequential holds for any worker width.
+// round keeps the split meaningful under mobility and churn — and the box
+// is that of every alive node, asleep or not, so whether a device's radio
+// is on never moves a shard edge: floor(x/cell) is monotone in x, hence the
+// box's corner cells are the cells of the extreme positions and the scan
+// is four float compares a node. Sleepers are resident
+// nowhere; deliver leaves them the empty reception. The pass scales with
+// cores instead of devices: the bounds scan, the per-chunk counting sort and
+// the resident writes all fan out over the worker runtime in contiguous
+// chunks (one chunk, inline, without WithParallel), and because the awake
+// list is NodeID-ordered and chunk w's residents land at offsets computed
+// from the chunks before it, each shard's resident view is NodeID-ordered
+// by construction — identical for every chunk count, so sharded≡sequential
+// holds for any worker width.
 func (sp *shardPlane) partition(e *Engine) {
 	shards := len(sp.mediums)
 	for s := 0; s < shards; s++ {
 		sp.cands[s] = sp.cands[s][:0]
 		sp.infos[s] = sp.infos[s][:0]
 	}
-	n := len(e.alive)
-	if n == 0 {
+	if len(e.alive) == 0 {
 		return
 	}
-	k := min(e.fanout(), n)
-
-	if cap(sp.cellX) < n {
-		sp.cellX = make([]int64, n)
-		sp.cellY = make([]int64, n)
-		sp.owner = make([]int32, n)
-	}
-	sp.cellX, sp.cellY, sp.owner = sp.cellX[:cap(sp.cellX)], sp.cellY[:cap(sp.cellY)], sp.owner[:cap(sp.owner)]
-	for len(sp.bounds) < k {
-		sp.bounds = append(sp.bounds, cellBounds{})
+	for w := len(sp.bounds); w < e.fanout(); w++ {
+		sp.bounds = append(sp.bounds, geo.Rect{})
 		sp.counts = append(sp.counts, make([]int32, shards))
 		sp.offs = append(sp.offs, make([]int32, shards))
 	}
 
-	// Phase 1: cell coordinates plus a per-chunk bounding box.
-	if sp.cellFn == nil {
-		sp.cellFn = func(w, lo, hi int) {
-			b := cellBounds{math.MaxInt64, math.MaxInt64, math.MinInt64, math.MinInt64}
-			for i := lo; i < hi; i++ {
-				cx, cy := sp.plan.CellOf(e.info[e.alive[i].id].At)
-				sp.cellX[i], sp.cellY[i] = cx, cy
-				if cx < b.minCX {
-					b.minCX = cx
-				}
-				if cx > b.maxCX {
-					b.maxCX = cx
-				}
-				if cy < b.minCY {
-					b.minCY = cy
-				}
-				if cy > b.maxCY {
-					b.maxCY = cy
+	// Phase 1: the bounding box of every alive node, per chunk — read
+	// straight off the NodeInfo slice, front to back, with no node to chase.
+	if sp.boundsFn == nil {
+		sp.boundsFn = func(w, lo, hi int) {
+			inf := math.Inf(1)
+			b := geo.Rect{Min: geo.Point{X: inf, Y: inf}, Max: geo.Point{X: -inf, Y: -inf}}
+			for i := range e.info[lo:hi] {
+				if in := &e.info[lo+i]; in.Alive {
+					b = stretch(b, in.At, in.At)
 				}
 			}
 			sp.bounds[w] = b
 		}
 	}
-	e.runChunks(n, k, sp.cellFn)
+	k := min(e.fanout(), len(e.info))
+	e.runChunks(len(e.info), k, sp.boundsFn)
 	b := sp.bounds[0]
 	for _, c := range sp.bounds[1:k] {
-		if c.minCX < b.minCX {
-			b.minCX = c.minCX
-		}
-		if c.maxCX > b.maxCX {
-			b.maxCX = c.maxCX
-		}
-		if c.minCY < b.minCY {
-			b.minCY = c.minCY
-		}
-		if c.maxCY > b.maxCY {
-			b.maxCY = c.maxCY
-		}
+		b = stretch(b, c.Min, c.Max)
 	}
-	sp.plan.Fit(b.minCX, b.minCY, b.maxCX, b.maxCY)
+	minCX, minCY := sp.plan.CellOf(b.Min)
+	maxCX, maxCY := sp.plan.CellOf(b.Max)
+	sp.plan.Fit(minCX, minCY, maxCX, maxCY)
 
-	// Phase 2: counting sort — each chunk bins its own nodes by owner.
+	n := len(e.awake)
+	if cap(sp.owner) < n {
+		sp.owner = make([]int32, n)
+	}
+	sp.owner = sp.owner[:cap(sp.owner)]
+	k = min(e.fanout(), n)
+
+	// Phase 2: counting sort — each chunk bins its own awake nodes by owner.
 	if sp.countFn == nil {
 		sp.countFn = func(w, lo, hi int) {
 			counts := sp.counts[w]
 			for s := range counts {
 				counts[s] = 0
 			}
-			for i := lo; i < hi; i++ {
-				s := sp.plan.Owner(sp.cellX[i], sp.cellY[i])
-				sp.owner[i] = int32(s)
+			for i, st := range e.awake[lo:hi] {
+				s := sp.plan.OwnerOf(e.info[st.id].At)
+				sp.owner[lo+i] = int32(s)
 				counts[s]++
 			}
 		}
@@ -238,19 +219,37 @@ func (sp *shardPlane) partition(e *Engine) {
 
 	// Phase 3: every chunk writes its residents at its own offsets —
 	// chunk w's slots in shard s start where chunk w-1's ended, so the
-	// merged order is exactly the alive list's NodeID order.
+	// merged order is exactly the awake list's NodeID order.
 	if sp.writeFn == nil {
 		sp.writeFn = func(w, lo, hi int) {
 			offs := sp.offs[w]
-			for i := lo; i < hi; i++ {
-				s := sp.owner[i]
+			for i, st := range e.awake[lo:hi] {
+				s := sp.owner[lo+i]
 				j := offs[s]
 				offs[s] = j + 1
-				sp.infos[s][j] = e.info[e.alive[i].id]
+				sp.infos[s][j] = e.info[st.id]
 			}
 		}
 	}
 	e.runChunks(n, k, sp.writeFn)
+}
+
+// stretch grows b to reach down to lo and up to hi. A NaN coordinate
+// compares false and leaves b alone.
+func stretch(b geo.Rect, lo, hi geo.Point) geo.Rect {
+	if lo.X < b.Min.X {
+		b.Min.X = lo.X
+	}
+	if lo.Y < b.Min.Y {
+		b.Min.Y = lo.Y
+	}
+	if hi.X > b.Max.X {
+		b.Max.X = hi.X
+	}
+	if hi.Y > b.Max.Y {
+		b.Max.Y = hi.Y
+	}
+	return b
 }
 
 // scatter hands every transmission to each shard whose rectangle its 3x3
@@ -282,9 +281,9 @@ func (sp *shardPlane) scatter(txs []Transmission) {
 // deliver runs each shard medium over its residents and candidates and
 // merges the shard receptions into the NodeID-indexed slice the engine
 // fans Receive out over — each shard writes only its own residents' slots,
-// so a parallel run touches disjoint state per worker. Dead (or
-// never-resident) nodes get the empty reception, exactly like a single
-// Medium's output.
+// so a parallel run touches disjoint state per worker. Dead and sleeping
+// nodes are resident nowhere and get the empty reception, exactly like a
+// single Medium's output.
 func (sp *shardPlane) deliver(e *Engine, r Round) {
 	n := len(e.nodes)
 	if cap(sp.rxs) < n {

@@ -23,7 +23,7 @@ func (m diskMedium) Deliver(r Round, txs []Transmission, rxs []NodeInfo) []Recep
 	out := make([]Reception, len(rxs))
 	for i, rx := range rxs {
 		out[i] = Reception{Round: r}
-		if !rx.Alive {
+		if !rx.Alive || rx.Asleep {
 			continue
 		}
 		var msgs []Message

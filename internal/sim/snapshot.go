@@ -213,7 +213,8 @@ func DecodeEngineSnapshot(b []byte) (EngineSnapshot, error) {
 
 // Snapshot captures the engine's complete mutable state at a round
 // boundary: round counter, stats, every node's position/liveness/RNG
-// position and Snapshotter blobs, and the pending CrashAt schedule. Taking
+// position and Snapshotter blobs, and the pending CrashAt schedule — not
+// who is asleep, which no result depends on (Restore wakes everyone). Taking
 // a snapshot never mutates simulation state; two snapshots of the same
 // state are byte-identical (map walks are sorted into canonical order).
 // It does release the persistent worker runtime (Close) so a checkpoint
@@ -266,6 +267,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 // validates all of that (node count and IDs, seed, shard geometry, fault
 // fingerprint) and then overwrites the engine's mutable state, after which
 // stepping the engine produces exactly the rounds the original would have.
+// Every node comes back awake, whatever it had declared with SleepUntil.
 // On error the engine may be partially restored; rebuild it before
 // retrying.
 func (e *Engine) Restore(s EngineSnapshot) error {
@@ -314,6 +316,7 @@ func (e *Engine) restore(s EngineSnapshot) error {
 	for i, ns := range s.Nodes {
 		st := e.nodes[i]
 		st.rng.SetState(ns.RNG)
+		st.wake = 0
 		e.info[st.id] = NodeInfo{ID: st.id, At: geo.Point{X: ns.X, Y: ns.Y}, Alive: ns.Alive}
 		if sn, ok := st.mover.(Snapshotter); ok {
 			if err := sn.RestoreState(ns.Mover); err != nil {
@@ -337,6 +340,7 @@ func (e *Engine) restore(s EngineSnapshot) error {
 		}
 	}
 	e.dirty = false
+	e.markStale()
 	e.crash = make(map[Round][]NodeID, len(s.CrashRounds))
 	for i, r := range s.CrashRounds {
 		e.crash[r] = append([]NodeID(nil), s.CrashIDs[i]...)

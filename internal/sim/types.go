@@ -20,6 +20,17 @@
 // preserve this — merge through the NodeID-indexed slices, and derive any
 // per-shard randomness from (seed, round, node), never from the shard
 // index.
+//
+// A node's radio may be off. A node that will neither broadcast nor use
+// what it hears before some future round says so with Env.SleepUntil, and
+// until that round the engine does not call its Transmit or Receive and no
+// medium computes a reception for it: a sleeping device costs a round its
+// mobility step and nothing else. Sleeping is a promise about the node's
+// own behaviour, not simulation state — a node may only sleep through
+// rounds in which it would have transmitted nothing and ignored what it
+// received, so a run with sleepers is byte-identical to the same run with
+// every SleepUntil ignored. Snapshots therefore do not record it: Restore
+// and Fork wake everyone, and a node declares again at its next Receive.
 package sim
 
 import (
@@ -78,20 +89,25 @@ type Reception struct {
 }
 
 // NodeInfo is the engine's view of one attached node, passed to the Medium
-// so it can compute propagation.
+// so it can compute propagation. The zero Asleep is awake, so a literal
+// naming only ID, At and Alive describes a listening node.
 type NodeInfo struct {
 	ID    NodeID
 	At    geo.Point
 	Alive bool
+	// Asleep marks an alive node whose radio is off this round
+	// (Env.SleepUntil): it receives nothing, exactly like a crashed node.
+	Asleep bool
 }
 
 // Medium computes, for one round, what every listed node receives given the
 // set of transmissions. rxs lists the receivers to compute, in NodeID
 // order; the returned slice is indexed positionally (entry i answers
-// rxs[i]). Entries for crashed nodes are ignored. An engine with one
-// medium passes it every attached node (alive or crashed); one with two or
-// more region shards (WithRegionShards) instead passes each shard medium
-// only its own residents, together with every transmission within the
+// rxs[i]). Entries for crashed or sleeping nodes are ignored, so a Medium
+// need compute nothing for them. An engine with one medium passes it every
+// attached node (alive, asleep or crashed); one with two or more region
+// shards (WithRegionShards) instead passes each shard medium only its own
+// awake residents, together with every transmission within the
 // interference radius of any of them — so a Medium must derive each
 // reception only from (round, receiver, the transmissions within the
 // interference radius of that receiver) and per-(round, receiver)-keyed
@@ -112,7 +128,10 @@ type Medium interface {
 // Node is a protocol endpoint driven by the engine. In each round the
 // engine first calls Transmit on every alive node (nil means listen), then
 // computes propagation through the Medium, then calls Receive on every
-// alive node.
+// alive node — except nodes that are asleep (Env.SleepUntil), on which it
+// calls neither. A node must not count on its sleep lasting: after a
+// Restore it is called in rounds it had slept through in the original run,
+// so Transmit and Receive keep whatever checks make those rounds no-ops.
 type Node interface {
 	// Transmit returns the message to broadcast in round r, or nil to
 	// listen.
@@ -135,6 +154,15 @@ type Env interface {
 	Intn(n int) int
 	// Float64 returns a deterministic uniform float64 in [0, 1).
 	Float64() float64
+	// SleepUntil turns the node's radio off until round r: the engine calls
+	// neither Transmit nor Receive on the node, and computes no reception
+	// for it, in any round before r. It may only be called from within the
+	// node's own Transmit/Receive. Called from Transmit, the node still gets
+	// that round's Receive; a round that is not in the future is a no-op,
+	// and of several calls the latest round wins. The node keeps moving and
+	// stays alive while asleep. Only sleep through rounds the node would
+	// have sat out anyway — see the package comment.
+	SleepUntil(r Round)
 }
 
 // Mover updates a node's position once per round. Implementations live in

@@ -30,6 +30,15 @@ func (f ClientFunc) Step(vround int, recv []Message, collision bool) *Message {
 // Client runs a ClientProgram against the virtual broadcast service. It
 // implements sim.Node: it broadcasts in the client phase and listens in the
 // client and vn phases; all emulation-protocol traffic is invisible to it.
+//
+// So its radio is off for the rest of the virtual round: a Receive outside
+// the client phase ends by sleeping (sim.Env.SleepUntil) until the next
+// client phase, and the engine neither calls the client nor computes a
+// reception for it in between. The ClientProgram cannot tell — it is
+// stepped once per virtual round, in the client phase, with what the two
+// listening phases heard — and neither can anything else: the phase checks
+// in Transmit and Receive make every round slept through a no-op when the
+// client is awake for it after all, as it is right after a restore.
 type Client struct {
 	env  sim.Env
 	d    *Deployment
@@ -68,7 +77,7 @@ func (c *Client) Transmit(r sim.Round) sim.Message {
 
 // Receive implements sim.Node.
 func (c *Client) Receive(r sim.Round, rx sim.Reception) {
-	_, phase, _ := c.d.timing.Decompose(r)
+	vr0, phase, _ := c.d.timing.Decompose(r)
 	switch phase {
 	case PhaseClient:
 		skippedOwn := false
@@ -99,5 +108,10 @@ func (c *Client) Receive(r sim.Round, rx sim.Reception) {
 		}
 	default:
 		// Emulation-protocol phases are invisible to clients.
+	}
+	if phase != PhaseClient {
+		// Nothing on the air concerns a client until the next virtual round
+		// begins.
+		c.env.SleepUntil(sim.Round((vr0 + 1) * c.d.timing.RoundsPerVRound()))
 	}
 }

@@ -124,3 +124,63 @@ func TestClientCollisionIndication(t *testing.T) {
 		t.Error("simultaneous client broadcasts should surface as collisions")
 	}
 }
+
+// countedNode counts the engine's calls into the node it wraps.
+type countedNode struct {
+	sim.Node
+	transmits, receives int
+}
+
+func (c *countedNode) Transmit(r sim.Round) sim.Message {
+	c.transmits++
+	return c.Node.Transmit(r)
+}
+
+func (c *countedNode) Receive(r sim.Round, rx sim.Reception) {
+	c.receives++
+	c.Node.Receive(r, rx)
+}
+
+// TestClientSleepsOutsideItsPhases pins the duty cycle by its call counts:
+// of a virtual round's s+12 radio rounds the engine calls a client in two —
+// the client phase and the vn phase — and an emulator in every one, and the
+// client program still hears what the virtual node broadcast.
+func TestClientSleepsOutsideItsPhases(t *testing.T) {
+	tb := newTestbed(t, testbedOpts{
+		locs:        []geo.Point{{X: 0, Y: 0}},
+		replicasPer: 2,
+		leaders:     true,
+	})
+	steps, heard := 0, 0
+	client := &countedNode{}
+	tb.eng.Attach(geo.Point{X: 1, Y: -1}, nil, func(env sim.Env) sim.Node {
+		client.Node = tb.dep.NewClient(env, vi.ClientFunc(
+			func(vr int, recv []vi.Message, _ bool) *vi.Message {
+				steps++
+				heard += len(recv)
+				return vi.Text("ping")
+			}))
+		return client
+	})
+	emulator := &countedNode{}
+	tb.eng.Attach(geo.Point{X: 0.4, Y: 0.2}, nil, func(env sim.Env) sim.Node {
+		emulator.Node = tb.dep.NewEmulator(env, true)
+		return emulator
+	})
+
+	per := tb.dep.Timing().RoundsPerVRound()
+	for vr := 1; vr <= 5; vr++ {
+		tb.runVRounds(1)
+		if client.transmits != 2*vr || client.receives != 2*vr {
+			t.Fatalf("after %d virtual rounds the client was called %d/%d times (Transmit/Receive), want %d each",
+				vr, client.transmits, client.receives, 2*vr)
+		}
+		if emulator.transmits != per*vr || emulator.receives != per*vr {
+			t.Fatalf("after %d virtual rounds the emulator was called %d/%d times, want %d each (s+12 = %d a virtual round)",
+				vr, emulator.transmits, emulator.receives, per*vr, per)
+		}
+	}
+	if steps != 5 || heard == 0 {
+		t.Errorf("the client program was stepped %d times and heard %d messages; want 5 steps and the virtual node's broadcasts", steps, heard)
+	}
+}
