@@ -18,11 +18,14 @@
 //     alive list (dead nodes cost nothing after the round they die in),
 //     and CrashAt with a round at or before the current one applies
 //     immediately instead of being silently dropped. A node whose radio
-//     is off says so (Env.SleepUntil): it keeps moving, but Transmit,
-//     Receive, reception and the shard partition skip it until its wake
-//     round, and a run with sleepers is byte-identical to the same run
-//     with every SleepUntil ignored (snapshots do not record sleep;
-//     Restore and Fork wake everyone).
+//     is off says so (Env.SleepUntil): it keeps moving, but it is on the
+//     awake list no longer, and Transmit, Receive, the shard partition and
+//     the receiver list every medium is handed are walks of that list —
+//     kept current each round at the cost of what changed (who fell
+//     asleep, whose wake round came), not of the population. A run with
+//     sleepers is byte-identical, round by round, to the same run with
+//     every SleepUntil ignored (snapshots do not record sleep; Restore
+//     and Fork wake everyone).
 //   - geo: planar geometry, the quasi-unit-disk radii R1/R2, deployment
 //     grids, and CellIndex — the uniform-grid spatial index that makes
 //     radius queries O(points in nearby cells) instead of O(n): a dense,
@@ -74,8 +77,10 @@
 //     module uses encoding/gob. Monitor accounts per-virtual-node
 //     availability: green instances, maximal stalls and recovery
 //     latencies, with horizon-aware variants that count a silenced node
-//     as unavailable. A Client takes part in two of a virtual round's
-//     s+12 radio rounds and sleeps through the rest; emulators never do.
+//     as unavailable. Devices sleep through the radio rounds they have no
+//     part in: a Client takes part in two of a virtual round's s+12, an
+//     Emulator in the phases and the one ballot slot of its own virtual
+//     node — seven or eight as a replica, four or one as a joiner.
 //   - apps, baseline: applications on top of the infrastructure and the
 //     baselines the paper argues against. Application payloads and states
 //     are canonical wire encodings (a one-byte kind tag plus fixed field

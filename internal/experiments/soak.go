@@ -140,6 +140,11 @@ func newChurnSoak(c *harness.Cell, w *spec.World) *churnSoak {
 func (s *churnSoak) VRounds() int { return s.vrounds }
 func (s *churnSoak) VRound() int  { return s.vr }
 
+// World returns the world the soak drives, for observers that need its
+// engine between the virtual-round boundaries a Checkpoint is confined to
+// (the sleep oracle hooks every radio round).
+func (s *churnSoak) World() *spec.World { return s.w }
+
 // respawn attaches a fresh (non-bootstrapped) device near region v, which
 // acquires state through the join protocol, and appends it to the region's
 // roster. onJoin, when set, runs under the counter lock with the virtual

@@ -18,7 +18,7 @@ func (m *nullMedium) Deliver(r sim.Round, _ []sim.Transmission, rxs []sim.NodeIn
 	}
 	out := m.out[:len(rxs)]
 	for i := range out {
-		out[i] = sim.Reception{Round: r}
+		out[i] = sim.Reception{}
 	}
 	return out
 }

@@ -27,7 +27,7 @@ func referenceDeliver(cfg Config, r sim.Round, txs []sim.Transmission, rxs []sim
 	out := make([]sim.Reception, len(rxs))
 	for i, rx := range rxs {
 		if !rx.Alive {
-			out[i] = sim.Reception{Round: r}
+			out[i] = sim.Reception{}
 			continue
 		}
 		var own *sim.Transmission
@@ -80,7 +80,7 @@ func referenceDeliver(cfg Config, r sim.Round, txs []sim.Transmission, rxs []sim
 				lostR2 = true
 			}
 		}
-		out[i] = sim.Reception{Round: r, Collision: cfg.Detector.Report(r, lostR1, lostR2, spurious, rng.Float64)}
+		out[i] = sim.Reception{Collision: cfg.Detector.Report(r, lostR1, lostR2, spurious, rng.Float64)}
 		if own == nil && len(delivered) == 0 {
 			continue
 		}
@@ -310,64 +310,5 @@ func TestDeliverHostileOrigins(t *testing.T) {
 	}
 	if cells := cap(m.grid.start); cells > len(far)*gridCellsPerTx+gridMinCells+1 {
 		t.Errorf("grid of %d cells for %d transmissions", cells, len(far))
-	}
-}
-
-// consulted counts how often the medium asks the detector and the adversary
-// about a receiver.
-type consulted struct{ reports, filters, forces int }
-
-func (c *consulted) Report(_ sim.Round, lostR1, _, spurious bool, _ func() float64) bool {
-	c.reports++
-	return lostR1 || spurious
-}
-
-func (c *consulted) Filter(_ sim.Round, _ sim.NodeID, _ geo.Point, d []sim.Transmission) []sim.Transmission {
-	c.filters++
-	return d
-}
-
-func (c *consulted) ForceCollision(sim.Round, sim.NodeID, geo.Point) bool {
-	c.forces++
-	return true
-}
-
-// TestDeliverSleepingReceivers: a receiver marked Asleep is a receiver
-// marked dead. A round whose receivers all sleep returns one empty
-// reception each and consults neither detector nor adversary, a round where
-// some sleep consults them for the others only, and every mode equals the
-// reference with the sleepers dead.
-func TestDeliverSleepingReceivers(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		radii, rxs, txs := randomRound(rng, 120)
-		everyone := trial%2 == 0
-		asDead := append([]sim.NodeInfo(nil), rxs...)
-		awake := 0
-		for i := range rxs {
-			if rxs[i].Asleep = rxs[i].Alive && (everyone || i%3 != 0); rxs[i].Asleep {
-				asDead[i].Alive = false
-			} else if rxs[i].Alive {
-				awake++
-			}
-		}
-		for _, mode := range []DeliveryMode{ModeScan, ModeGrid, ModeAuto} {
-			var c consulted
-			cfg := Config{Radii: radii, Detector: &c, Adversary: &c, Seed: 5, Mode: mode}
-			got := MustMedium(cfg).Deliver(sim.Round(trial), txs, rxs)
-			if c.reports != awake || c.filters != awake || c.forces != awake {
-				t.Fatalf("trial %d mode %d: detector consulted %d times, adversary %d/%d, for %d awake receivers",
-					trial, mode, c.reports, c.filters, c.forces, awake)
-			}
-			want := referenceDeliver(cfg, sim.Round(trial), txs, asDead)
-			if len(got) != len(rxs) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d mode %d: receptions differ from the reference with the sleepers dead", trial, mode)
-			}
-			for i := range got {
-				if rxs[i].Asleep && !reflect.DeepEqual(got[i], sim.Reception{Round: sim.Round(trial)}) {
-					t.Fatalf("trial %d mode %d: sleeping receiver %d got %+v, want the empty reception", trial, mode, i, got[i])
-				}
-			}
-		}
 	}
 }

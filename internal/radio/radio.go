@@ -201,10 +201,12 @@ func MustMedium(cfg Config) *Medium {
 	return m
 }
 
-// Deliver implements sim.Medium. For each alive, awake receiver it computes the
+// Deliver implements sim.Medium. For each listed receiver it computes the
 // physically deliverable set, applies the adversary, and synthesizes the
-// collision-detector indication from the ground-truth losses. The returned
-// slice is medium-owned and reused on the next call.
+// collision-detector indication from the ground-truth losses. The engine
+// lists only devices whose radio is on; a caller of its own that lists a
+// dead one (Alive false) gets the empty reception for it. The returned slice
+// is medium-owned and reused on the next call.
 func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo) []sim.Reception {
 	if cap(m.out) < len(rxs) {
 		// Headroom: a shard's resident count drifts from round to round and
@@ -212,7 +214,13 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 		// reallocate on every new maximum.
 		m.out = make([]sim.Reception, len(rxs), len(rxs)+len(rxs)/8)
 	}
-	out := m.out[:len(rxs)]
+	if len(rxs) < len(m.out) {
+		// A shorter receiver list than last round's (devices fell asleep):
+		// receivers may keep their Msgs, the medium must not keep them alive.
+		clear(m.out[len(rxs):])
+	}
+	m.out = m.out[:len(rxs)]
+	out := m.out
 
 	gridded := m.cfg.Mode == ModeGrid ||
 		m.cfg.Mode == ModeAuto && len(txs) >= autoIndexMinTxs && len(txs)*len(rxs) >= autoIndexMinWork
@@ -222,8 +230,8 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 
 	for i := range rxs {
 		rx := &rxs[i]
-		if !rx.Alive || rx.Asleep {
-			out[i] = sim.Reception{Round: r}
+		if !rx.Alive {
+			out[i] = sim.Reception{}
 			continue
 		}
 		// A scanned round's candidates are every transmission; the sender
@@ -313,7 +321,7 @@ func (m *Medium) receive(out *sim.Reception, r sim.Round, txs []sim.Transmission
 	// delivery loop stays nearly allocation-free. Non-empty message slices
 	// are freshly allocated because receivers are allowed to retain them.
 	if own < 0 && len(delivered) == 0 {
-		*out = sim.Reception{Round: r, Collision: collision}
+		*out = sim.Reception{Collision: collision}
 		return
 	}
 	msgs := make([]sim.Message, 0, len(delivered)+1)
@@ -323,7 +331,7 @@ func (m *Medium) receive(out *sim.Reception, r sim.Round, txs []sim.Transmission
 	for _, tx := range delivered {
 		msgs = append(msgs, tx.Msg)
 	}
-	*out = sim.Reception{Round: r, Msgs: msgs, Collision: collision}
+	*out = sim.Reception{Msgs: msgs, Collision: collision}
 }
 
 // senderWalk answers "which transmission did this receiver send" without a

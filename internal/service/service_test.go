@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"vinfra/internal/checkpoint"
+	"vinfra/internal/geo"
 	"vinfra/internal/sim"
 	"vinfra/internal/spec"
 )
@@ -510,16 +511,50 @@ func plant(t *testing.T, svc *Service, name string) {
 	}
 }
 
-// TestPanickingTenantFailsAlone: a panic inside one tenant's world fails
-// that tenant — recorded, reported, refusing further commands — and nothing
-// else: the daemon, the other tenants and /metrics keep serving.
+// mine is a device whose Receive panics from radio round at on. It never
+// sleeps and is attached last, so on a tenant with engine workers it sits in
+// the last chunk of the Receive fan-out: the panic is raised on one of the
+// engine's helper goroutines, not on the tenant loop's.
+type mine struct{ at sim.Round }
+
+func (mine) Transmit(sim.Round) sim.Message { return nil }
+
+func (m mine) Receive(r sim.Round, _ sim.Reception) {
+	if r >= m.at {
+		panic(fmt.Sprintf("mine went off in round %d", r))
+	}
+}
+
+// lay attaches a mine to a tenant's engine, armed one virtual round ahead.
+func lay(t *testing.T, svc *Service, name string) {
+	t.Helper()
+	err := svc.lookup(name).do(func(w *spec.World) error {
+		at := w.Eng.Round() + sim.Round(w.RoundsPerVRound())
+		w.Eng.Attach(geo.Point{X: 1, Y: 1}, nil, func(sim.Env) sim.Node { return mine{at} })
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPanickingTenantFailsAlone: a panic inside one tenant's world — on the
+// tenant loop's goroutine or, with engine workers, on a helper of the
+// engine's pool — fails that tenant — recorded, reported, refusing further
+// commands — and nothing else: the daemon, the other tenants and /metrics
+// keep serving.
 func TestPanickingTenantFailsAlone(t *testing.T) {
 	svc := newService(t, "")
 	for _, name := range []string{"stepped", "running", "healthy"} {
 		create(t, svc, name, smallDoc)
 	}
+	create(t, svc, "fanned", strings.Replace(smallDoc, `"grid"`, `"engine": {"workers": 2}, "grid"`, 1))
 	plant(t, svc, "stepped")
 	plant(t, svc, "running")
+	lay(t, svc, "fanned")
+	if rec := call(t, svc, "POST", "/v1/sims/fanned/step", `{"vrounds": 4}`); rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "mine went off") {
+		t.Fatalf("step into a panic on a pool helper: %d %s; want 500 naming the panic", rec.Code, rec.Body)
+	}
 
 	// One tenant panics under a synchronous step, the other mid background run.
 	rec := call(t, svc, "POST", "/v1/sims/stepped/step", `{"vrounds": 4}`)
@@ -541,13 +576,19 @@ func TestPanickingTenantFailsAlone(t *testing.T) {
 		t.Errorf("failed background run reports %+v; want stopped at virtual round 1", st)
 	}
 
-	for _, name := range []string{"stepped", "running"} {
+	for _, name := range []string{"stepped", "running", "fanned"} {
+		// The stack is the recovering goroutine's: it names the bomb's Strike,
+		// and for the mine the pool's run, which raised the helper's panic again.
+		went, frame := "bomb went off", "service.bomb.Strike"
+		if name == "fanned" {
+			went, frame = "mine went off", "sim.(*workerPool).run"
+		}
 		callJSON(t, svc, "GET", "/v1/sims/"+name, "", http.StatusOK, &st)
-		if !strings.Contains(st.Failed, "bomb went off") || st.VRound != 1 {
+		if !strings.Contains(st.Failed, went) || st.VRound != 1 {
 			t.Errorf("%s: status %+v; want failed at virtual round 1 naming the panic", name, st)
 		}
 		events := call(t, svc, "GET", "/v1/sims/"+name+"/events", "").Body.String()
-		if !strings.Contains(events, `"failed"`) || !strings.Contains(events, "bomb went off") || !strings.Contains(events, "service.bomb.Strike") {
+		if !strings.Contains(events, `"failed"`) || !strings.Contains(events, went) || !strings.Contains(events, frame) {
 			t.Errorf("%s: the event log lacks the panic and its stack:\n%s", name, events)
 		}
 		for _, req := range [][2]string{
@@ -555,7 +596,7 @@ func TestPanickingTenantFailsAlone(t *testing.T) {
 			{"faults", `{"kind": "crash_burst", "period": 30, "p": 0.5}`},
 		} {
 			rec := call(t, svc, "POST", "/v1/sims/"+name+"/"+req[0], req[1])
-			if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "bomb went off") {
+			if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), went) {
 				t.Errorf("%s: %s on a failed sim: %d %s; want 500 naming the panic", name, req[0], rec.Code, rec.Body)
 			}
 		}

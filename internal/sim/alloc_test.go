@@ -19,7 +19,11 @@ import (
 // call, at 10k and at the 100k the city workloads run at. The duty-cycled
 // ones are napNodes, on for two rounds in ten on a phase set by their ID, so
 // every round a tenth of the devices falls asleep and a tenth wakes: the
-// awake list is rebuilt every round and must reuse its buffer.
+// awake list is rebuilt every round and must reuse its buffer. The staggered
+// ones nap on a ninety-round cycle — a virtual round's worth of distinct wake
+// rounds pending at once, neighbours never sharing one — so wake files are
+// opened and popped every round and must cost nothing to recycle, like the
+// one-shard plane's receiver view.
 func TestEngineStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -51,65 +55,69 @@ func TestEngineStepSteadyStateAllocs(t *testing.T) {
 		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			steadyStateAllocs(t, tc.opts, tc.budget, 10_000, nil, false)
-			t.Run("drawing-10k", func(t *testing.T) {
-				steadyStateAllocs(t, tc.opts, tc.budget, 10_000, wanderMover{}, false)
-			})
-			t.Run("duty-cycled-10k", func(t *testing.T) {
-				steadyStateAllocs(t, tc.opts, tc.budget, 10_000, wanderMover{}, true)
-			})
-			for _, napping := range []bool{false, true} {
-				name := "drawing-100k"
-				if napping {
-					name = "duty-cycled-100k"
-				}
-				t.Run(name, func(t *testing.T) {
+			steadyStateAllocs(t, tc.opts, tc.budget, 10_000, nil, 0)
+			for _, pop := range []struct {
+				name  string
+				cycle int
+			}{{"drawing", 0}, {"duty-cycled", 10}, {"staggered", 90}} {
+				t.Run(pop.name+"-10k", func(t *testing.T) {
+					steadyStateAllocs(t, tc.opts, tc.budget, 10_000, wanderMover{}, pop.cycle)
+				})
+				t.Run(pop.name+"-100k", func(t *testing.T) {
 					if testing.Short() {
 						t.Skip("100k nodes")
 					}
-					steadyStateAllocs(t, tc.opts, tc.budget, 100_000, wanderMover{}, napping)
+					steadyStateAllocs(t, tc.opts, tc.budget, 100_000, wanderMover{}, pop.cycle)
 				})
 			}
 		})
 	}
 }
 
-// napNode is a countNode whose radio is on for two rounds in ten.
-type napNode struct{ countNode }
+// napNode is a countNode whose radio is on for two rounds in cycle.
+type napNode struct {
+	countNode
+	cycle int
+}
 
 func (n *napNode) Receive(r Round, _ Reception) {
 	n.received++
-	if off := (int(r) + int(n.env.ID())) % 10; off > 0 {
-		n.env.SleepUntil(r + Round(10-off))
+	if off := (int(r) + int(n.env.ID())) % n.cycle; off > 0 {
+		n.env.SleepUntil(r + Round(n.cycle-off))
 	}
 }
 
-func steadyStateAllocs(t *testing.T, opts []Option, budget float64, nodes int, mover Mover, napping bool) {
+// steadyStateAllocs measures Step on nodes devices; cycle > 0 makes them
+// napNodes on that cycle.
+func steadyStateAllocs(t *testing.T, opts []Option, budget float64, nodes int, mover Mover, cycle int) {
 	e := NewEngine(&nullMedium{}, append([]Option{WithSeed(1)}, opts...)...)
 	defer e.Close()
 	for i := 0; i < nodes; i++ {
 		e.Attach(geo.Point{X: float64(i%500) * 0.5, Y: float64(i/500) * 0.5}, mover, func(env Env) Node {
-			if napping {
-				return &napNode{countNode{env: env}}
+			if cycle > 0 {
+				return &napNode{countNode{env: env}, cycle}
 			}
 			return &countNode{env: env}
 		})
 	}
-	e.Run(12) // warm the reusable buffers (a whole duty cycle) and start the pool
-	if napping && len(e.awake) != nodes/5 {
-		t.Fatalf("%d of %d napNodes awake, want a fifth", len(e.awake), nodes)
+	e.Run(2*cycle + 12) // warm the reusable buffers (two whole duty cycles) and start the pool
+	if up := len(e.awake); cycle > 0 && (up < 2*nodes/cycle || up > 2*nodes/cycle+2 || e.asleep != nodes-up) {
+		t.Fatalf("%d of %d napNodes awake, %d counted asleep; want two in %d", up, nodes, e.asleep, cycle)
 	}
-	avg := testing.AllocsPerRun(5, func() { e.Step() })
+	avg := testing.AllocsPerRun(cycle+5, func() { e.Step() })
 	if avg > budget {
 		t.Errorf("steady-state Step allocates %.1f times per round at %d nodes, want <= %v", avg, nodes, budget)
 	}
 	if sp := &e.plane; len(sp.mediums) == 1 {
 		held := len(sp.rxs) + len(sp.owner)
-		for s := range sp.infos {
-			held += cap(sp.infos[s]) + cap(sp.cands[s])
+		for s := range sp.slots {
+			held += cap(sp.slots[s]) + cap(sp.cands[s])
+		}
+		if cycle == 0 {
+			held += cap(sp.infos[0]) // everyone awake: the receiver list is e.info itself
 		}
 		if held != 0 {
-			t.Errorf("one-shard plane holds %d buffered entries, want none (it aliases the engine's views)", held)
+			t.Errorf("one-shard plane holds %d buffered entries, want none (it is handed the engine's views)", held)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func (m *nullMedium) Deliver(r Round, _ []Transmission, rxs []NodeInfo) []Recept
 	}
 	out := m.out[:len(rxs)]
 	for i := range out {
-		out[i] = Reception{Round: r}
+		out[i] = Reception{}
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"math"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -23,8 +23,9 @@ import (
 //
 // A node whose radio is off (Env.SleepUntil) stays on the alive list — it
 // still moves, and it still counts as alive — but leaves the awake list,
-// which is what Transmit, Receive and the shard partition walk: a round
-// costs a sleeper its mobility step and nothing else.
+// which is what Transmit, Receive, the shard partition and every medium's
+// receiver list walk: a round costs a sleeper its mobility step and nothing
+// else.
 type Engine struct {
 	seed     int64
 	parallel bool
@@ -48,15 +49,28 @@ type Engine struct {
 
 	// awake lists the alive nodes whose radio is on this round, in NodeID
 	// order. While nobody sleeps it is alive itself (the same backing array,
-	// no copy); otherwise it lives in awakeBuf, which is reused. rouse
-	// rebuilds it only on a round where it can have changed: stale is set by
-	// whatever changes membership (a node fell asleep, attached or died —
-	// SleepUntil runs on worker goroutines, hence the atomic) and nextWake
-	// is the earliest round a current sleeper wakes.
+	// no copy); otherwise it lives in awakeBuf, which is reused. rouse keeps
+	// it current from the bookkeeping below, at a cost that follows what
+	// changed rather than the population: one bit and one int32 per node.
 	awake    []*nodeState
 	awakeBuf []*nodeState
-	stale    atomic.Bool
-	nextWake Round
+	// on holds one bit per NodeID: set while the node is alive with its radio
+	// on. Listing the set bits is how awakeBuf is rebuilt in NodeID order
+	// without sorting.
+	on []uint64
+	// asleep counts the alive nodes whose bit is clear. Each sits in the wake
+	// file of the round its radio comes back on: wakes maps that round to the
+	// file's first node and next, indexed by NodeID and grown when somebody
+	// first sleeps, chains the rest (-1 ends a file), so filing a node or
+	// popping a round's file copies nothing.
+	asleep int
+	wakes  map[Round]int32
+	next   []int32
+	// slept says some awake node declared SleepUntil since the last rouse
+	// (SleepUntil runs on worker goroutines, hence the atomic); relist, that
+	// a bit changed outside rouse — a node attached, or died awake.
+	slept  atomic.Bool
+	relist bool
 
 	// Reusable per-round buffers: the steady-state round loop allocates
 	// nothing of its own.
@@ -70,7 +84,8 @@ type Engine struct {
 	// allocate; instead they are built once and read the current round
 	// (and receptions) from these fields.
 	curRound Round
-	curRxs   []Reception
+	curRxs   []Reception  // this round's receptions, positional over awake
+	hookRxs  []Reception  // the NodeID-indexed copy hooks are handed; see RoundHook
 	movers   []*moverRand // one per mobility chunk; see moverRand
 	mobFn    func(w, lo, hi int)
 	txFn     func(w, lo, hi int)
@@ -82,9 +97,11 @@ type Engine struct {
 	pool *workerPool
 
 	// partTime accumulates wall time spent in the region-shard partition
-	// pass. It is a measurement, not state: never part of Stats or a
-	// snapshot, so determinism contracts are unaffected.
-	partTime time.Duration
+	// pass, rouseWork the entries rouse has looked at (list entries, filed
+	// nodes, bitmap words). They are measurements, not state: never part of
+	// Stats or a snapshot, so determinism contracts are unaffected.
+	partTime  time.Duration
+	rouseWork int
 
 	// plane propagates each round's transmissions: NewEngine's medium as
 	// its one shard, or the WithRegionShards grid of per-shard mediums with
@@ -93,10 +110,15 @@ type Engine struct {
 }
 
 // RoundHook observes a completed round: the transmissions that occurred and
-// the receptions delivered (indexed by NodeID; a sleeping node's entry is
-// the empty reception, exactly like a dead node's). Hooks run sequentially
-// after delivery; they may read the values but must not mutate them, and
-// the slices are only valid for the duration of the call — the engine and
+// the receptions delivered, indexed by NodeID over every node ever attached
+// — the entry of a node that was asleep or dead this round is the empty
+// reception (the zero value), since nothing was computed for it. Receptions
+// exist only for the awake nodes, in awake-list order, so an engine with a
+// hook registered spreads them out into that NodeID-indexed slice after
+// every round with a sleeper or a dead node in it: O(attached) a round,
+// which an engine without hooks never pays. Hooks run sequentially after
+// delivery; they may read the values but must not mutate them, and the
+// slices are only valid for the duration of the call — the engine and
 // medium reuse them the next round, so copy anything worth keeping.
 type RoundHook func(r Round, txs []Transmission, rxs []Reception)
 
@@ -170,16 +192,11 @@ func (st *nodeState) SleepUntil(r Round) {
 		return
 	}
 	st.wake = r
-	e.markStale()
-}
-
-// markStale has rouse rebuild the awake list next round. The load keeps the
-// common case — already marked, by the hundred thousand clients that fall
-// asleep in the same round or the Attach calls of a build — to a plain read
-// of a shared line instead of a store to it.
-func (e *Engine) markStale() {
-	if !e.stale.Load() {
-		e.stale.Store(true)
+	// The load keeps the common case — already set, by the hundred thousand
+	// clients that fall asleep in the same round — to a plain read of a
+	// shared line instead of a store to it.
+	if !e.slept.Load() {
+		e.slept.Store(true)
 	}
 }
 
@@ -235,10 +252,10 @@ func WithWorkers(n int) Option {
 // NewEngine returns an engine that propagates messages through medium.
 func NewEngine(medium Medium, opts ...Option) *Engine {
 	e := &Engine{
-		seed:     1,
-		crash:    make(map[Round][]NodeID),
-		plane:    shardPlane{mediums: []Medium{medium}},
-		nextWake: math.MaxInt,
+		seed:  1,
+		crash: make(map[Round][]NodeID),
+		wakes: make(map[Round]int32),
+		plane: shardPlane{mediums: []Medium{medium}, infos: make([][]NodeInfo, 1)},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -267,7 +284,11 @@ func (e *Engine) Attach(pos geo.Point, mover Mover, build func(Env) Node) NodeID
 	}
 	e.nodes = append(e.nodes, st)
 	e.alive = append(e.alive, st)
-	e.markStale()
+	if int(id)>>6 == len(e.on) {
+		e.on = append(e.on, 0)
+	}
+	e.on[id>>6] |= 1 << (id & 63)
+	e.relist = true
 	return id
 }
 
@@ -277,8 +298,14 @@ func (e *Engine) Crash(id NodeID) {
 	if !e.info[id].Alive {
 		return
 	}
-	e.info[id].Alive, e.info[id].Asleep = false, false
+	e.info[id].Alive = false
 	e.dirty = true
+	if bit := uint64(1) << (id & 63); e.on[id>>6]&bit != 0 {
+		e.on[id>>6] &^= bit
+		e.relist = true
+	} else {
+		e.asleep-- // its wake file skips it when it comes due
+	}
 }
 
 // CrashAt schedules node id to crash at the start of round r. A round at or
@@ -333,38 +360,83 @@ func (e *Engine) compactAlive() {
 	}
 	e.alive = live
 	e.dirty = false
-	e.markStale()
 }
 
-// rouse brings the awake list up to date for round r: sleepers whose wake
-// round has come rejoin it, nodes that declared SleepUntil since the last
-// rebuild leave it, and NodeInfo.Asleep is set to match. It walks the alive
-// list only when membership can have changed, and copies nothing while
-// nobody sleeps.
+// rouse brings the awake list up to date for round r: nodes that declared
+// SleepUntil since the last call leave it, each filed under its wake round,
+// and the file that comes due in r rejoins it. The work is what changed —
+// one pass over the previous list when somebody fell asleep, the due file,
+// and one word per 64 nodes ever attached to list the result in NodeID order
+// — never a walk of the alive list; and nothing at all, the list being alive
+// itself, while nobody sleeps. It runs after compactAlive.
 func (e *Engine) rouse(r Round) {
-	if r < e.nextWake && !e.stale.Load() {
-		return
+	if e.asleep == 0 {
+		// awake was alive itself, which Attach and compactAlive have since
+		// resliced; or the last sleeper died, and every alive node is on.
+		e.awake = e.alive
 	}
-	e.stale.Store(false)
-	e.nextWake = math.MaxInt
-	buf, all := e.awakeBuf[:0], true
-	for i, st := range e.alive {
-		asleep := st.wake > r
-		e.info[st.id].Asleep = asleep
-		switch {
-		case asleep:
-			if all {
-				// The first sleeper: everyone before it is awake.
-				buf, all = append(buf, e.alive[:i]...), false
+	changed := e.relist
+	e.relist = false
+	if e.slept.Load() {
+		e.slept.Store(false)
+		e.rouseWork += len(e.awake)
+		if n := len(e.nodes) - len(e.next); n > 0 {
+			e.next = append(e.next, make([]int32, n)...)
+		}
+		// Neighbours mostly share a wake round: keep their file open across
+		// the pass and touch the map only when the round changes.
+		to, head := Round(-1), int32(-1)
+		for _, st := range e.awake {
+			if st.wake <= r || !e.info[st.id].Alive {
+				continue
 			}
-			e.nextWake = min(e.nextWake, st.wake)
-		case !all:
-			buf = append(buf, st)
+			if st.wake != to {
+				if head >= 0 {
+					e.wakes[to] = head
+				}
+				to, head = st.wake, -1
+				if h, ok := e.wakes[to]; ok {
+					head = h
+				}
+			}
+			e.next[st.id], head = head, int32(st.id)
+			e.on[st.id>>6] &^= 1 << (st.id & 63)
+			e.asleep++
+			changed = true
+		}
+		if head >= 0 {
+			e.wakes[to] = head
 		}
 	}
-	e.awake, e.awakeBuf = e.alive, buf
-	if !all {
-		e.awake = buf
+	if id, ok := e.wakes[r]; ok {
+		delete(e.wakes, r)
+		for id >= 0 {
+			e.rouseWork++
+			if e.info[id].Alive {
+				e.on[id>>6] |= 1 << (id & 63)
+				e.asleep--
+				changed = true
+			}
+			id = e.next[id]
+		}
+	}
+	switch {
+	case e.asleep == 0:
+		e.awake = e.alive
+	case changed:
+		e.rouseWork += len(e.on)
+		buf := e.awakeBuf[:0]
+		if n := len(e.alive) - e.asleep; cap(buf) < n {
+			// Sized to the list once, not grown into: at a million nodes the
+			// doublings on the way there are garbage worth a GC cycle.
+			buf = make([]*nodeState, 0, n+n/8)
+		}
+		for w, word := range e.on {
+			for ; word != 0; word &= word - 1 {
+				buf = append(buf, e.nodes[w<<6|bits.TrailingZeros64(word)])
+			}
+		}
+		e.awake, e.awakeBuf = buf, buf
 	}
 }
 
@@ -421,13 +493,14 @@ func (e *Engine) Run(n int) {
 // shards' mediums), reception fan-out, stats and hooks.
 //
 // The steady-state round loop allocates nothing: the NodeInfo view, the
-// transmission list, the awake list and the parallel Transmit slots are
-// engine-owned buffers reused across rounds. Mobility walks the alive list,
-// so dead nodes cost nothing after the round they die in; Transmit, Receive
-// and the shard partition walk the awake list, so a node that has called
-// SleepUntil costs its mobility step only. The NodeInfo slice handed to the
-// medium still lists every node ever attached (the Medium contract), with
-// dead entries frozen at their final position and sleepers marked Asleep.
+// transmission list, the awake list with its wake files and the parallel
+// Transmit slots are engine-owned buffers reused across rounds. Mobility
+// walks the alive list, so dead nodes cost nothing after the round they die
+// in; everything else walks the awake list, so a node that has called
+// SleepUntil costs its mobility step only: it is not called, not binned
+// into a shard, and not among the receivers any medium is handed. The
+// receptions come back positional over the awake list and are handed out by
+// position; only a registered RoundHook has them spread out by NodeID.
 func (e *Engine) Step() {
 	r := e.round
 
@@ -487,9 +560,32 @@ func (e *Engine) Step() {
 			e.stats.MaxMessageSize = sz
 		}
 	}
-	for _, h := range e.hooks {
-		h(r, txs, rxs)
+	if len(e.hooks) > 0 {
+		byID := e.byNodeID(rxs)
+		for _, h := range e.hooks {
+			h(r, txs, byID)
+		}
 	}
+}
+
+// byNodeID spreads the round's receptions, positional over the awake list,
+// out into the NodeID-indexed slice a RoundHook is promised; nodes that were
+// not awake get the empty reception. With every attached node awake the
+// position is the NodeID and rxs is that slice already.
+func (e *Engine) byNodeID(rxs []Reception) []Reception {
+	n := len(e.nodes)
+	if len(e.awake) == n {
+		return rxs
+	}
+	if cap(e.hookRxs) < n {
+		e.hookRxs = make([]Reception, n, n+n/8)
+	}
+	out := e.hookRxs[:n]
+	clear(out)
+	for i, st := range e.awake {
+		out[st.id] = rxs[i]
+	}
+	return out
 }
 
 // collectTransmissions calls Transmit on every awake node and returns the
@@ -528,13 +624,14 @@ func (e *Engine) collectTransmissions(r Round) []Transmission {
 	return e.txs
 }
 
-// deliver hands every awake node its reception (rxs is indexed by NodeID).
+// deliver hands every awake node its reception: rxs[i] is awake[i]'s.
 func (e *Engine) deliver(r Round, rxs []Reception) {
 	e.curRxs = rxs
 	if e.rxFn == nil {
 		e.rxFn = func(_, lo, hi int) {
-			for _, st := range e.awake[lo:hi] {
-				st.node.Receive(e.curRound, e.curRxs[st.id])
+			rxs := e.curRxs[lo:hi]
+			for i, st := range e.awake[lo:hi] {
+				st.node.Receive(e.curRound, rxs[i])
 			}
 		}
 	}

@@ -15,14 +15,14 @@ func (perfectMedium) Deliver(r Round, txs []Transmission, rxs []NodeInfo) []Rece
 	out := make([]Reception, len(rxs))
 	for i := range rxs {
 		if !rxs[i].Alive {
-			out[i] = Reception{Round: r}
+			out[i] = Reception{}
 			continue
 		}
 		msgs := make([]Message, 0, len(txs))
 		for _, tx := range txs {
 			msgs = append(msgs, tx.Msg)
 		}
-		out[i] = Reception{Round: r, Msgs: msgs}
+		out[i] = Reception{Msgs: msgs}
 	}
 	return out
 }

@@ -19,9 +19,22 @@ package sim
 // loop): run is not reentrant and must not be called concurrently. Helpers
 // park on their task channel between rounds and hold no engine state, so
 // an idle pool costs only the parked goroutines; close releases them.
+//
+// A panic inside a chunk belongs to the caller of run, whichever goroutine
+// the chunk happened to land on: a helper recovers it and reports it with
+// the chunk's completion, and run raises it again on its own goroutine once
+// every chunk is in — where a recover above Step (a service tenant's) can
+// catch it. The pool stays usable.
 type workerPool struct {
 	helpers []chan poolTask
-	done    chan struct{}
+	done    chan chunkPanic
+}
+
+// chunkPanic is one helper chunk's completion: the chunk's index and the
+// value it panicked with, nil when it returned.
+type chunkPanic struct {
+	w     int
+	value any
 }
 
 // poolTask is one chunk handoff: the fan-out function plus the chunk index
@@ -40,18 +53,24 @@ func newWorkerPool(helpers int) *workerPool {
 	if helpers < 0 {
 		helpers = 0
 	}
-	p := &workerPool{done: make(chan struct{}, helpers)}
+	p := &workerPool{done: make(chan chunkPanic, helpers)}
 	for i := 0; i < helpers; i++ {
 		ch := make(chan poolTask, 1)
 		p.helpers = append(p.helpers, ch)
 		go func() {
 			for t := range ch {
-				t.fn(t.w, t.lo, t.hi)
-				p.done <- struct{}{}
+				p.done <- chunkPanic{t.w, t.call()}
 			}
 		}()
 	}
 	return p
+}
+
+// call runs the chunk and returns what it panicked with, if it did.
+func (t poolTask) call() (panicked any) {
+	defer func() { panicked = recover() }()
+	t.fn(t.w, t.lo, t.hi)
+	return nil
 }
 
 // width returns the widest fan-out the pool supports (helpers + the
@@ -79,9 +98,14 @@ func (p *workerPool) run(n, k int, fn func(w, lo, hi int)) {
 	for w := 1; w < k; w++ {
 		p.helpers[w-1] <- poolTask{fn: fn, w: w, lo: w * n / k, hi: (w + 1) * n / k}
 	}
-	fn(0, 0, n/k)
+	first := chunkPanic{0, poolTask{fn: fn, hi: n / k}.call()}
 	for w := 1; w < k; w++ {
-		<-p.done
+		if c := <-p.done; c.value != nil && (first.value == nil || c.w < first.w) {
+			first = c
+		}
+	}
+	if first.value != nil {
+		panic(first.value)
 	}
 }
 

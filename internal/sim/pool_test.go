@@ -223,3 +223,61 @@ func TestPersistentPoolCloseReleasesWorkers(t *testing.T) {
 	e.Close()
 	e.Close() // idempotent
 }
+
+// panicNode is a countNode whose Transmit panics with value in round at.
+type panicNode struct {
+	countNode
+	at    Round
+	value any
+}
+
+func (n *panicNode) Transmit(r Round) Message {
+	if r == n.at && n.value != nil {
+		panic(n.value)
+	}
+	return benchMsg
+}
+
+// TestPersistentPoolPanicReachesCaller: a panic raised inside a fanned-out
+// chunk — on a helper goroutine, where no recover above Step could reach it
+// — comes out of Step on the caller's goroutine instead, once every chunk is
+// in; of several the lowest chunk's value wins, whatever order they finished
+// in. The pool is left usable: the next Step runs, and Close returns.
+func TestPersistentPoolPanicReachesCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		values map[int]any // by NodeID; 40 nodes in 4 chunks of 10
+		want   any
+	}{
+		{"one helper chunk", map[int]any{25: "chunk 2"}, "chunk 2"},
+		{"two helper chunks", map[int]any{35: "chunk 3", 12: "chunk 1"}, "chunk 1"},
+		{"the caller's chunk and a helper's", map[int]any{17: "chunk 1", 3: "chunk 0"}, "chunk 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(&nullMedium{}, WithWorkers(4))
+			nodes := make([]*panicNode, 40)
+			for i := range nodes {
+				e.Attach(geo.Point{X: float64(i)}, nil, func(env Env) Node {
+					nodes[i] = &panicNode{countNode{env: env}, 2, tc.values[i]}
+					return nodes[i]
+				})
+			}
+			e.Run(2)
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				e.Step()
+				return nil
+			}()
+			if got != tc.want {
+				t.Fatalf("Step panicked with %v on the caller's goroutine, want %v", got, tc.want)
+			}
+			e.Step()
+			for i, n := range nodes {
+				if n.received != 3 {
+					t.Fatalf("node %d received %d rounds, want 3: two before the panic and the one after", i, n.received)
+				}
+			}
+			e.Close()
+		})
+	}
+}

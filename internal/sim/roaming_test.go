@@ -30,18 +30,32 @@ func (*beacon) Transmit(sim.Round) sim.Message { return beaconMsg }
 
 // dozer is a listener on the city clients' duty cycle, ten rounds long: on
 // for two, asleep for eight, every dozer in step — so the awake list swings
-// between everyone and the beacons alone.
+// between everyone and the beacons alone. A staggered dozer is the replicas'
+// side of that world instead: on for two rounds in ninety, out of step with
+// its neighbours, so every round some wake and some fall asleep.
 type dozer struct {
 	listener
-	env sim.Env
+	env       sim.Env
+	staggered bool
 }
 
 func (d *dozer) Receive(r sim.Round, rx sim.Reception) {
 	d.listener.Receive(r, rx)
-	if off := int(r) % 10; off > 0 {
-		d.env.SleepUntil(r + sim.Round(10-off))
+	cycle, phase := 10, int(r)
+	if d.staggered {
+		cycle, phase = 90, int(r)+int(d.env.ID())
+	}
+	if off := phase % cycle; off > 0 {
+		d.env.SleepUntil(r + sim.Round(cycle-off))
 	}
 }
+
+// The populations of roamingCity.
+const (
+	alwaysOn = iota
+	dutyCycled
+	staggered
+)
 
 // silence is a medium nobody hears anything through, so the gate below
 // counts the engine's allocations only. Its buffer has headroom for the
@@ -54,24 +68,24 @@ func (m *silence) Deliver(r sim.Round, _ []sim.Transmission, rxs []sim.NodeInfo)
 	}
 	out := m.out[:len(rxs)]
 	for i := range out {
-		out[i] = sim.Reception{Round: r}
+		out[i] = sim.Reception{}
 	}
 	return out
 }
 
 // roamingCity attaches n RandomWaypoint listeners (the city workloads'
-// population: a 90x90 field, vmax 0.02) — dozers when dutyCycled — and four
+// population: a 90x90 field, vmax 0.02) — dozers unless alwaysOn — and four
 // static beacons.
-func roamingCity(e *sim.Engine, n int, dutyCycled bool) {
+func roamingCity(e *sim.Engine, n int, population int) {
 	area := geo.Rect{Max: geo.Point{X: 90, Y: 90}}
 	rng := det.NewStream(7)
 	for i := 0; i < n; i++ {
 		pos := geo.Point{X: rng.Float64() * 90, Y: rng.Float64() * 90}
 		e.Attach(pos, &mobility.RandomWaypoint{Area: area, VMax: 0.02}, func(env sim.Env) sim.Node {
-			if dutyCycled {
-				return &dozer{env: env}
+			if population == alwaysOn {
+				return &listener{}
 			}
-			return &listener{}
+			return &dozer{env: env, staggered: population == staggered}
 		})
 	}
 	for _, p := range []geo.Point{{X: 20, Y: 20}, {X: 70, Y: 20}, {X: 20, Y: 70}, {X: 70, Y: 70}} {
@@ -84,7 +98,8 @@ func roamingCity(e *sim.Engine, n int, dutyCycled bool) {
 // destination from rnd on its first call and on every arrival, and the
 // engine must hand it that rnd without allocating — on the sequential, the
 // parallel and the region-sharded engine, at 10k and at 100k devices, with
-// the listeners always on and with them asleep eight rounds in ten.
+// the listeners always on, with them asleep eight rounds in ten, and with
+// them up two rounds in ninety on staggered phases.
 func TestEngineStepSteadyStateAllocsRoaming(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -101,13 +116,10 @@ func TestEngineStepSteadyStateAllocsRoaming(t *testing.T) {
 		}},
 	} {
 		for _, n := range []int{10_000, 100_000} {
-			for _, dutyCycled := range []bool{false, true} {
-				name := tc.name + "-10k"
+			for population, suffix := range []string{alwaysOn: "", dutyCycled: "-duty-cycled", staggered: "-staggered"} {
+				name := tc.name + "-10k" + suffix
 				if n == 100_000 {
-					name = tc.name + "-100k"
-				}
-				if dutyCycled {
-					name += "-duty-cycled"
+					name = tc.name + "-100k" + suffix
 				}
 				t.Run(name, func(t *testing.T) {
 					if n == 100_000 && testing.Short() {
@@ -115,10 +127,13 @@ func TestEngineStepSteadyStateAllocsRoaming(t *testing.T) {
 					}
 					e := sim.NewEngine(&silence{}, append([]sim.Option{sim.WithSeed(1)}, tc.opts...)...)
 					defer e.Close()
-					roamingCity(e, n, dutyCycled)
-					e.Run(12) // warm the reusable buffers (a whole duty cycle) and start the pool
-					// Twelve measured rounds: everyone wakes, and sleeps again, inside them.
-					if avg := testing.AllocsPerRun(11, func() { e.Step() }); avg > 0 {
+					roamingCity(e, n, population)
+					warm, measured := 12, 11 // a whole duty cycle each: everyone wakes, and sleeps again
+					if population == staggered {
+						warm, measured = 2*90+2, 95
+					}
+					e.Run(warm) // warm the reusable buffers and start the pool
+					if avg := testing.AllocsPerRun(measured, func() { e.Step() }); avg > 0 {
 						t.Errorf("steady-state Step allocates %.1f times per round at %d roaming nodes, want 0", avg, n)
 					}
 				})
@@ -134,7 +149,7 @@ func TestEngineStepSteadyStateAllocsRoaming(t *testing.T) {
 func BenchmarkEngineStep100kRoaming(b *testing.B) {
 	m := radio.MustMedium(radio.Config{Radii: geo.Radii{R1: 10, R2: 20}, Detector: cd.AC{}, Seed: 1})
 	e := sim.NewEngine(m, sim.WithSeed(1))
-	roamingCity(e, 100_000, false)
+	roamingCity(e, 100_000, alwaysOn)
 	e.Run(2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -150,8 +165,26 @@ func BenchmarkEngineStep100kRoaming(b *testing.B) {
 func BenchmarkEngineStep100kDutyCycled(b *testing.B) {
 	m := radio.MustMedium(radio.Config{Radii: geo.Radii{R1: 10, R2: 20}, Detector: cd.AC{}, Seed: 1})
 	e := sim.NewEngine(m, sim.WithSeed(1))
-	roamingCity(e, 100_000, true)
+	roamingCity(e, 100_000, dutyCycled)
 	e.Run(10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkEngineStep100kStaggered is the same round with the listeners on
+// the replicas' kind of duty cycle instead — two rounds in ninety, every
+// device on a phase of its own — so, next to the two above, what the
+// engine's own bookkeeping costs when the awake list changes every round:
+// some two thousand devices up, a thousand filed under ninety pending wake
+// rounds and a thousand popped. Run it for a multiple of ninety rounds.
+func BenchmarkEngineStep100kStaggered(b *testing.B) {
+	m := radio.MustMedium(radio.Config{Radii: geo.Radii{R1: 10, R2: 20}, Detector: cd.AC{}, Seed: 1})
+	e := sim.NewEngine(m, sim.WithSeed(1))
+	roamingCity(e, 100_000, staggered)
+	e.Run(90)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -31,7 +31,7 @@ import (
 // chunked over WithWorkers workers) and the partition pass itself fans out
 // as a per-chunk counting sort; without it they run sequentially,
 // byte-identical either way. A 1x1 grid is the single-medium engine: its
-// one shard reads the engine's own views, with no partition and no copies.
+// one shard is handed the awake list as it stands, with no partition.
 func WithRegionShards(cols, rows int, cellSize float64, factory func() Medium) Option {
 	return func(e *Engine) {
 		plan, err := shard.NewPlan(cellSize, cols, rows)
@@ -50,6 +50,7 @@ func WithRegionShards(cols, rows int, cellSize float64, factory func() Medium) O
 			sp.mediums = append(sp.mediums, m)
 		}
 		sp.infos = make([][]NodeInfo, plan.Shards())
+		sp.slots = make([][]int32, plan.Shards())
 		sp.cands = make([][]Transmission, plan.Shards())
 		e.plane = sp
 	}
@@ -63,9 +64,9 @@ func (e *Engine) RegionShards() int {
 
 // shardPlane is the propagation step of a round: one Medium per shard.
 // Every engine has one — NewEngine's medium is the one-shard plane — and
-// only a plane of two or more shards holds a partition plan and per-shard
-// view buffers (reused across rounds: the steady-state sharded loop
-// allocates nothing of its own).
+// only a plane of two or more shards holds a partition plan and the
+// per-shard buffers that go with it. All of it is reused across rounds: the
+// steady-state loop allocates nothing of its own.
 type shardPlane struct {
 	mediums []Medium
 
@@ -73,11 +74,16 @@ type shardPlane struct {
 	cols, rows int
 	plan       *shard.Plan
 
-	// Per-shard views, rebuilt (in NodeID order) every round.
-	infos [][]NodeInfo     // each shard medium's view of its residents
+	// Per-shard views, rebuilt (in NodeID order) every round. infos[s] is
+	// the receiver list shard s's medium is handed — on the one-shard plane,
+	// the whole awake list — and slots[s][j] the awake-list position of
+	// infos[s][j], where its reception goes: the shards' slots are
+	// consecutive windows of slotBuf, one entry per awake node between them.
+	infos [][]NodeInfo
+	slots [][]int32
 	cands [][]Transmission // candidate transmissions per shard (own + halo)
 
-	rxs  []Reception // merged receptions, indexed by NodeID
+	rxs  []Reception // merged receptions, positional over the awake list
 	halo int         // boundary-band copies scattered this round
 
 	// Partition scratch, reused across rounds: the counting-sort state each
@@ -87,10 +93,11 @@ type shardPlane struct {
 	// counts[w] and offs[w], so the phases run race-free on the worker
 	// runtime and the merged resident views are NodeID-ordered for any
 	// chunk count.
-	owner  []int32
-	bounds []geo.Rect // each chunk's bounding box of alive positions
-	counts [][]int32
-	offs   [][]int32
+	owner   []int32
+	slotBuf []int32
+	bounds  []geo.Rect // each chunk's bounding box of alive positions
+	counts  [][]int32
+	offs    [][]int32
 
 	// Cached fan-out closures (the engine's mobFn idiom: building them per
 	// round would allocate because the worker handoff moves them to the
@@ -101,18 +108,30 @@ type shardPlane struct {
 	writeFn   func(w, lo, hi int)
 }
 
-// propagate computes round r's receptions, indexed by NodeID, from the
-// round's merged transmission list. This is the one place a single medium
-// and a shard grid part ways: one shard owns every node, so its view is
-// the engine's own — the NodeInfo slice, txs and the medium's returned
-// slice, with nothing partitioned, scattered or copied — while two or more
+// propagate computes round r's receptions from the round's merged
+// transmission list: one per awake node, in awake-list order. This is the
+// one place a single medium and a shard grid part ways: one shard owns every
+// node, so it is handed the awake nodes' NodeInfos, txs as it stands, and
+// its returned slice is the result — with every attached node awake that
+// list is the engine's own NodeInfo slice, uncopied — while two or more
 // partition the awake list, scatter txs with their halo, deliver per shard
 // and merge.
 func (sp *shardPlane) propagate(e *Engine, r Round, txs []Transmission) []Reception {
 	if len(sp.mediums) == 1 {
-		rxs := sp.mediums[0].Deliver(r, txs, e.info)
-		if len(rxs) != len(e.nodes) {
-			panic(fmt.Sprintf("sim: medium returned %d receptions for %d nodes", len(rxs), len(e.nodes)))
+		view := e.info
+		if len(e.awake) != len(e.nodes) {
+			view = sp.infos[0][:0]
+			if n := len(e.awake); cap(view) < n {
+				view = make([]NodeInfo, 0, n+n/8) // as rouse sizes the awake list
+			}
+			for _, st := range e.awake {
+				view = append(view, e.info[st.id])
+			}
+			sp.infos[0] = view
+		}
+		rxs := sp.mediums[0].Deliver(r, txs, view)
+		if len(rxs) != len(view) {
+			panic(fmt.Sprintf("sim: medium returned %d receptions for %d receivers", len(rxs), len(view)))
 		}
 		return rxs
 	}
@@ -120,7 +139,7 @@ func (sp *shardPlane) propagate(e *Engine, r Round, txs []Transmission) []Recept
 	sp.partition(e)
 	e.partTime += time.Since(start) //detlint:walltime see above
 	sp.scatter(txs)
-	sp.deliver(e, r)
+	sp.deliver(e)
 	return sp.rxs
 }
 
@@ -130,8 +149,8 @@ func (sp *shardPlane) propagate(e *Engine, r Round, txs []Transmission) []Recept
 // is that of every alive node, asleep or not, so whether a device's radio
 // is on never moves a shard edge: floor(x/cell) is monotone in x, hence the
 // box's corner cells are the cells of the extreme positions and the scan
-// is four float compares a node. Sleepers are resident
-// nowhere; deliver leaves them the empty reception. The pass scales with
+// is four float compares a node. Sleepers are resident nowhere, and no
+// reception is made for them. The pass scales with
 // cores instead of devices: the bounds scan, the per-chunk counting sort and
 // the resident writes all fan out over the worker runtime in contiguous
 // chunks (one chunk, inline, without WithParallel), and because the awake
@@ -181,6 +200,7 @@ func (sp *shardPlane) partition(e *Engine) {
 	n := len(e.awake)
 	if cap(sp.owner) < n {
 		sp.owner = make([]int32, n)
+		sp.slotBuf = make([]int32, n)
 	}
 	sp.owner = sp.owner[:cap(sp.owner)]
 	k = min(e.fanout(), n)
@@ -203,7 +223,7 @@ func (sp *shardPlane) partition(e *Engine) {
 
 	// Sequential seam: per-(chunk, shard) write offsets and exact resident
 	// lengths. O(k*shards), independent of the device count.
-	for s := 0; s < shards; s++ {
+	for s, base := 0, 0; s < shards; s++ {
 		tot := 0
 		for w := 0; w < k; w++ {
 			sp.offs[w][s] = int32(tot)
@@ -214,7 +234,8 @@ func (sp *shardPlane) partition(e *Engine) {
 			// fit would reallocate on every new maximum.
 			sp.infos[s] = make([]NodeInfo, tot, tot+tot/8)
 		}
-		sp.infos[s] = sp.infos[s][:tot]
+		sp.infos[s], sp.slots[s] = sp.infos[s][:tot], sp.slotBuf[base:base+tot]
+		base += tot
 	}
 
 	// Phase 3: every chunk writes its residents at its own offsets —
@@ -228,6 +249,7 @@ func (sp *shardPlane) partition(e *Engine) {
 				j := offs[s]
 				offs[s] = j + 1
 				sp.infos[s][j] = e.info[st.id]
+				sp.slots[s][j] = int32(lo + i)
 			}
 		}
 	}
@@ -279,20 +301,20 @@ func (sp *shardPlane) scatter(txs []Transmission) {
 }
 
 // deliver runs each shard medium over its residents and candidates and
-// merges the shard receptions into the NodeID-indexed slice the engine
-// fans Receive out over — each shard writes only its own residents' slots,
-// so a parallel run touches disjoint state per worker. Dead and sleeping
-// nodes are resident nowhere and get the empty reception, exactly like a
-// single Medium's output.
-func (sp *shardPlane) deliver(e *Engine, r Round) {
-	n := len(e.nodes)
+// merges the shard receptions into the slice the engine fans Receive out
+// over, positional over the awake list. Every awake node is resident in
+// exactly one shard, so the shards between them write every entry, and each
+// writes only its own residents' — a parallel run touches disjoint state per
+// worker.
+func (sp *shardPlane) deliver(e *Engine) {
+	n := len(e.awake)
 	if cap(sp.rxs) < n {
-		sp.rxs = make([]Reception, n)
+		sp.rxs = make([]Reception, n, len(e.nodes)) // as long as awake can get
+	}
+	if n < len(sp.rxs) {
+		clear(sp.rxs[n:]) // what a longer list left behind: do not keep its Msgs alive
 	}
 	sp.rxs = sp.rxs[:n]
-	for i := range sp.rxs {
-		sp.rxs[i] = Reception{Round: r}
-	}
 	if sp.deliverFn == nil {
 		sp.deliverFn = func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
@@ -305,8 +327,8 @@ func (sp *shardPlane) deliver(e *Engine, r Round) {
 					panic(fmt.Sprintf("sim: shard %d medium returned %d receptions for %d residents",
 						s, len(out), len(res)))
 				}
-				for i := range res {
-					sp.rxs[res[i].ID] = out[i]
+				for j, slot := range sp.slots[s] {
+					sp.rxs[slot] = out[j]
 				}
 			}
 		}

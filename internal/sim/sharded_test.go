@@ -22,8 +22,8 @@ type diskMedium struct {
 func (m diskMedium) Deliver(r Round, txs []Transmission, rxs []NodeInfo) []Reception {
 	out := make([]Reception, len(rxs))
 	for i, rx := range rxs {
-		out[i] = Reception{Round: r}
-		if !rx.Alive || rx.Asleep {
+		out[i] = Reception{}
+		if !rx.Alive {
 			continue
 		}
 		var msgs []Message

@@ -20,11 +20,14 @@ import (
 )
 
 // The oracle: sleeping is unobservable. Every vi.Client sleeps from the end
-// of the vn phase to the next client phase; with SetSleepOff the engine
-// ignores that, which is how it ran before nodes could sleep. A world
-// stepped both ways must encode to the same checkpoint bytes at every
+// of the vn phase to the next client phase and every vi.Emulator through the
+// phases and ballot slots that are not its virtual node's; with SetSleepOff
+// the engine ignores that, which is how it ran before nodes could sleep. A
+// world stepped both ways must encode to the same checkpoint bytes at every
 // virtual-round boundary — whatever listens, pings, tracks, joins, dies or
-// jams in it, on the sequential, the parallel and the region-sharded engine.
+// jams in it, on the sequential, the parallel and the region-sharded engine —
+// and, for the worlds of the every-round oracle further down, to the same
+// engine snapshot after every single radio round.
 
 // stepper is a world the oracle can drive: spec worlds, the E13 soaks and
 // the hand-built application worlds below.
@@ -231,6 +234,119 @@ func TestShardedSleepOracle(t *testing.T) {
 	for _, kind := range []string{"storm", "wipe", "jam"} {
 		checkSleepOracle(t, "E13-"+kind, 24, e13(kind, 4))
 	}
+}
+
+// The oracle at radio-round granularity. What a node may sleep through is
+// fixed by what a snapshot records, not by what is consumed later — a
+// replica of an unscheduled virtual node never acts on the join activity it
+// notes, but the note is in its snapshot — so a run with sleepers must be
+// indistinguishable in the middle of a virtual round too: a hook on either
+// engine encodes Engine.Snapshot after every radio round, and the two
+// sequences must be byte-identical.
+
+// engineOf digs the engine out of an oracle world.
+func engineOf(s stepper) *sim.Engine {
+	switch w := s.(type) {
+	case *spec.World:
+		return w.Eng
+	case *churnWorld:
+		return w.Eng
+	case interface{ World() *spec.World }: // the E13 soaks
+		return w.World().Eng
+	}
+	panic(fmt.Sprintf("no engine in a %T", s))
+}
+
+// everyRound collects the encoded engine snapshot after every radio round.
+func everyRound(eng *sim.Engine) *[][]byte {
+	var snaps [][]byte
+	eng.OnRound(func(sim.Round, []sim.Transmission, []sim.Reception) {
+		snaps = append(snaps, eng.Snapshot().AppendTo(nil))
+	})
+	return &snaps
+}
+
+func checkSleepOracleEveryRound(t *testing.T, name string, vrounds int, build func() stepper) {
+	t.Run(name, func(t *testing.T) {
+		defer sim.SetSleepOff(false)
+		on, off := build(), build()
+		onSnaps, offSnaps := everyRound(engineOf(on)), everyRound(engineOf(off))
+		for vr := 1; vr <= vrounds; vr++ {
+			sim.SetSleepOff(true)
+			off.StepVRound()
+			sim.SetSleepOff(false)
+			on.StepVRound()
+			if len(*onSnaps) == 0 || len(*onSnaps) != len(*offSnaps) {
+				t.Fatalf("virtual round %d took %d radio rounds, %d with SleepUntil ignored", vr, len(*onSnaps), len(*offSnaps))
+			}
+			for i := range *onSnaps {
+				if !bytes.Equal((*onSnaps)[i], (*offSnaps)[i]) {
+					t.Fatalf("after radio round %d of virtual round %d the engine snapshot differs from the run with SleepUntil ignored", i, vr)
+				}
+			}
+			*onSnaps, *offSnaps = nil, nil
+		}
+	})
+}
+
+// churnWorld is a 2x2 grid scripted through the join sub-protocol's three
+// phases: a device walks into a live region and is acked in (join,
+// join-ack), then a region loses every replica and the next device to walk
+// in finds nobody to ack it and resets the virtual node (reset).
+type churnWorld struct {
+	*spec.World
+	joins, resets int
+}
+
+func newChurnWorld(eng spec.Engine) *churnWorld {
+	return &churnWorld{World: mustBuild(spec.Spec{
+		Seed: 13, VRounds: 1 << 20, Grid: spec.Grid{Cols: 2, Rows: 2},
+		Devices: spec.Devices{Replicas: 2, Pingers: true, Listeners: 12},
+		Engine:  eng,
+	})}
+}
+
+func (w *churnWorld) StepVRound() {
+	hooks := vi.EmulatorHooks{
+		OnJoin:  func(vi.VNodeID, int) { w.joins++ },
+		OnReset: func(vi.VNodeID, int) { w.resets++ },
+	}
+	switch w.VRound() {
+	case 1:
+		at := w.Locs[3]
+		w.AttachReplica(geo.Point{X: at.X + 0.7, Y: at.Y - 0.4}, false, hooks)
+	case 2:
+		w.Eng.Crash(0) // virtual node 0's two replicas
+		w.Eng.Crash(1)
+		at := w.Locs[0]
+		w.AttachReplica(geo.Point{X: at.X - 0.5, Y: at.Y + 0.6}, false, hooks)
+		if err := w.SetLeader(0, sim.NodeID(w.Eng.NumNodes()-1)); err != nil {
+			panic(err)
+		}
+	}
+	w.World.StepVRound()
+}
+
+func checkSleepOracleEveryRoundOn(t *testing.T, kind engineKind) {
+	checkSleepOracleEveryRound(t, "city", 3, func() stepper { return mustBuild(cityMini(kind.spec())) })
+	checkSleepOracleEveryRound(t, "hostile", 12, func() stepper { return mustBuild(hostile(kind.spec())) })
+	var churned *churnWorld
+	checkSleepOracleEveryRound(t, "churn", 12, func() stepper { churned = newChurnWorld(kind.spec()); return churned })
+	if churned.joins != 1 || churned.resets != 1 {
+		t.Errorf("the churn world saw %d joins and %d resets, want one of each: the oracle did not exercise join-ack and reset", churned.joins, churned.resets)
+	}
+}
+
+func TestSleepOracleEveryRound(t *testing.T) { checkSleepOracleEveryRoundOn(t, sequential) }
+
+func TestParallelSleepOracleEveryRound(t *testing.T) {
+	checkSleepOracleEveryRoundOn(t, parallel)
+	checkSleepOracleEveryRound(t, "E13-storm", 8, e13("storm", 0))
+}
+
+func TestShardedSleepOracleEveryRound(t *testing.T) {
+	checkSleepOracleEveryRoundOn(t, sharded)
+	checkSleepOracleEveryRound(t, "E13-storm", 8, e13("storm", 4))
 }
 
 // TestShardedSleepOracleRestoreFork snapshots the city in the middle of a

@@ -315,8 +315,8 @@ func TestSleepEdges(t *testing.T) {
 			if !slices.Equal(sleeper.rx, rounds(0)) || e.Alive(0) || e.AliveCount() != 1 {
 				t.Errorf("crashed sleeper: Receive in %v, alive %v, %d alive; want [0], dead, 1", sleeper.rx, e.Alive(0), e.AliveCount())
 			}
-			if e.info[0].Asleep {
-				t.Error("a dead node is still marked Asleep")
+			if e.asleep != 0 || len(e.wakes) != 0 {
+				t.Errorf("%d nodes counted asleep and %d wake files pending once the only sleeper is dead and due", e.asleep, len(e.wakes))
 			}
 			if len(other.rx) != 10 {
 				t.Errorf("the other node received %d rounds of 10", len(other.rx))
@@ -462,29 +462,24 @@ func TestSleepEdges(t *testing.T) {
 	}
 }
 
-// spyMedium records which receivers its last Deliver call was handed and
-// which of them were marked Asleep. Shard mediums deliver concurrently, so
-// every spy keeps its own record.
+// spyMedium records which receivers its last Deliver call was handed, as
+// listed. Shard mediums deliver concurrently, so every spy keeps its own
+// record.
 type spyMedium struct {
 	Medium
-	seen, asleep []NodeID
+	seen []NodeInfo
 }
 
 func (m *spyMedium) Deliver(r Round, txs []Transmission, rxs []NodeInfo) []Reception {
-	m.seen, m.asleep = m.seen[:0], m.asleep[:0]
-	for _, rx := range rxs {
-		m.seen = append(m.seen, rx.ID)
-		if rx.Asleep {
-			m.asleep = append(m.asleep, rx.ID)
-		}
-	}
+	m.seen = append(m.seen[:0], rxs...)
 	return m.Medium.Deliver(r, txs, rxs)
 }
 
 // TestShardedSleepersNeverReachTheMedium proves the mechanism is engaged,
-// not merely harmless: every node is called in exactly its on rounds, the
-// single medium sees Asleep on exactly the sleepers, and shard mediums are
-// handed awake residents only.
+// not merely harmless: every node is called in exactly its on rounds, and
+// the mediums — the one-shard plane's and the 2x2 shards' alike — are handed
+// exactly the awake nodes, in NodeID order, each where it stands: never a
+// dead or a sleeping one.
 func TestShardedSleepersNeverReachTheMedium(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
 		var spies []*spyMedium
@@ -509,30 +504,25 @@ func TestShardedSleepersNeverReachTheMedium(t *testing.T) {
 		e.Crash(7)
 		for r := Round(0); r < 40; r++ {
 			for _, m := range spies {
-				m.seen, m.asleep = nil, nil // a shard with no residents is not called
+				m.seen = nil // a shard with no residents is not called
 			}
 			e.Step()
-			var seen, asleep []NodeID
+			var seen []NodeInfo
 			for _, m := range spies {
-				seen, asleep = append(seen, m.seen...), append(asleep, m.asleep...)
+				if !slices.IsSortedFunc(m.seen, func(a, b NodeInfo) int { return int(a.ID - b.ID) }) {
+					t.Fatalf("round %d: a medium was handed receivers out of NodeID order: %v", r, m.seen)
+				}
+				seen = append(seen, m.seen...)
 			}
-			var wantAwake, wantAsleep []NodeID
+			slices.SortFunc(seen, func(a, b NodeInfo) int { return int(a.ID - b.ID) })
+			var want []NodeInfo
 			for id, n := range nodes {
-				switch {
-				case id == 7:
-				case int(r)%n.cycle < n.on:
-					wantAwake = append(wantAwake, NodeID(id))
-				default:
-					wantAsleep = append(wantAsleep, NodeID(id))
+				if id != 7 && int(r)%n.cycle < n.on {
+					want = append(want, NodeInfo{ID: NodeID(id), At: e.Position(NodeID(id)), Alive: true})
 				}
 			}
-			slices.Sort(seen)
-			if sharded {
-				if !slices.Equal(seen, wantAwake) || len(asleep) != 0 {
-					t.Fatalf("round %d: shard mediums were handed %v (asleep %v), want the awake residents %v", r, seen, asleep, wantAwake)
-				}
-			} else if len(seen) != 40 || !slices.Equal(asleep, wantAsleep) {
-				t.Fatalf("round %d: the medium saw %d nodes with Asleep on %v, want 40 with %v", r, len(seen), asleep, wantAsleep)
+			if !slices.Equal(seen, want) {
+				t.Fatalf("round %d (sharded %v): the mediums were handed %v, want the awake nodes %v", r, sharded, seen, want)
 			}
 		}
 		e.Close()

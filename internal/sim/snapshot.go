@@ -333,14 +333,20 @@ func (e *Engine) restore(s EngineSnapshot) error {
 			return fmt.Errorf("sim: restore: node %d has node state but its node is not a Snapshotter", st.id)
 		}
 	}
+	// Everyone alive comes back with the radio on: no wake files, and the
+	// awake list is the alive list.
 	e.alive = e.alive[:0]
+	clear(e.on)
 	for _, st := range e.nodes {
 		if e.info[st.id].Alive {
 			e.alive = append(e.alive, st)
+			e.on[st.id>>6] |= 1 << (st.id & 63)
 		}
 	}
 	e.dirty = false
-	e.markStale()
+	e.awake, e.asleep = e.alive, 0
+	clear(e.wakes)
+	e.slept.Store(false)
 	e.crash = make(map[Round][]NodeID, len(s.CrashRounds))
 	for i, r := range s.CrashRounds {
 		e.crash[r] = append([]NodeID(nil), s.CrashIDs[i]...)

@@ -24,13 +24,18 @@
 // A node's radio may be off. A node that will neither broadcast nor use
 // what it hears before some future round says so with Env.SleepUntil, and
 // until that round the engine does not call its Transmit or Receive and no
-// medium computes a reception for it: a sleeping device costs a round its
-// mobility step and nothing else. Sleeping is a promise about the node's
-// own behaviour, not simulation state — a node may only sleep through
-// rounds in which it would have transmitted nothing and ignored what it
-// received, so a run with sleepers is byte-identical to the same run with
-// every SleepUntil ignored. Snapshots therefore do not record it: Restore
-// and Fork wake everyone, and a node declares again at its next Receive.
+// medium is asked for its reception: a sleeping device costs a round its
+// mobility step and nothing else. The awake list — the alive nodes whose
+// radio is on, in NodeID order — is the one place that decision lives:
+// Transmit, Receive, the shard partition and every medium's receiver list
+// are walks of it, and bringing it up to date each round costs what changed
+// (the nodes that fell asleep, the nodes whose wake round came), not the
+// population. Sleeping is a promise about the node's own behaviour, not
+// simulation state — a node may only sleep through rounds in which it would
+// have transmitted nothing and ignored what it received, so a run with
+// sleepers is byte-identical, at every round, to the same run with every
+// SleepUntil ignored. Snapshots therefore do not record it: Restore and
+// Fork wake everyone, and a node declares again at its next Receive.
 package sim
 
 import (
@@ -78,9 +83,9 @@ type Transmission struct {
 
 // Reception is everything a node observes at the end of a round: the set of
 // messages it received and its collision detector's indication (the ±
-// notification of Section 2).
+// notification of Section 2). The zero value is the empty reception — what
+// a node out of everyone's range hears.
 type Reception struct {
-	Round Round
 	// Msgs holds the received messages in deterministic (sender ID) order.
 	// Protocols must not depend on this order carrying identity.
 	Msgs []Message
@@ -88,32 +93,30 @@ type Reception struct {
 	Collision bool
 }
 
-// NodeInfo is the engine's view of one attached node, passed to the Medium
-// so it can compute propagation. The zero Asleep is awake, so a literal
-// naming only ID, At and Alive describes a listening node.
+// NodeInfo is the engine's view of one receiver, passed to the Medium so it
+// can compute propagation. The engine lists only nodes whose radio is on, so
+// it always passes Alive true; the field is for callers that drive a Medium
+// by hand with a list of their own.
 type NodeInfo struct {
 	ID    NodeID
 	At    geo.Point
 	Alive bool
-	// Asleep marks an alive node whose radio is off this round
-	// (Env.SleepUntil): it receives nothing, exactly like a crashed node.
-	Asleep bool
 }
 
 // Medium computes, for one round, what every listed node receives given the
 // set of transmissions. rxs lists the receivers to compute, in NodeID
 // order; the returned slice is indexed positionally (entry i answers
-// rxs[i]). Entries for crashed or sleeping nodes are ignored, so a Medium
-// need compute nothing for them. An engine with one medium passes it every
-// attached node (alive, asleep or crashed); one with two or more region
-// shards (WithRegionShards) instead passes each shard medium only its own
-// awake residents, together with every transmission within the
-// interference radius of any of them — so a Medium must derive each
-// reception only from (round, receiver, the transmissions within the
-// interference radius of that receiver) and per-(round, receiver)-keyed
-// randomness, never from the receiver set as a whole or from txs beyond
-// the radius. radio.Medium satisfies this, which is what makes sharded
-// delivery byte-identical to sequential delivery.
+// rxs[i]) and must be as long. The engine lists exactly the nodes that are
+// alive and awake this round — a crashed or sleeping device reaches no
+// medium — and on an engine with two or more region shards
+// (WithRegionShards) each shard medium gets only its own residents among
+// them, together with every transmission within the interference radius of
+// any of them. So a Medium must derive each reception only from (round,
+// receiver, the transmissions within the interference radius of that
+// receiver) and per-(round, receiver)-keyed randomness, never from the
+// receiver set as a whole or from txs beyond the radius. radio.Medium
+// satisfies this, which is what makes delivery to the awake devices alone,
+// and sharded delivery, byte-identical to delivering to everyone at once.
 //
 // Both slice arguments are engine-owned buffers reused across rounds, so a
 // Medium must not retain them past the call; symmetrically, the engine

@@ -127,6 +127,42 @@ type EmulatorHooks struct {
 // emulation: whenever it resides within R1/4 of a virtual node location it
 // (joins and) replicates that virtual node, running the eleven-phase
 // protocol of Section 4.3. It implements sim.Node.
+//
+// A virtual node owns one slot of the schedule (Section 4.1) and uses one
+// slot of the stretched ballot phase, so of the s+12 radio rounds of a
+// virtual round an emulator has something to say, or something to hear that
+// it keeps, in a handful. Every Receive ends by sleeping
+// (sim.Env.SleepUntil) until the next of them, worked out from the emulator
+// as that Receive left it — its region, whether it has joined, whether its
+// virtual node is scheduled this virtual round. The rounds it is up for, and
+// what puts each on the list:
+//
+//	client            everyone: Transmit re-evaluates the region and clears the
+//	                  per-round scratch (startVRound); in a region, Receive
+//	                  gathers the message sub-protocol's input
+//	vn                a replica: broadcasts for the virtual node; gathers input
+//	sched-ballot,     a replica of the scheduled virtual node: the scheduled
+//	sched-veto-1/2    agreement instance — ballot, vetoes, the core's state
+//	unsched-ballot,   a replica of an unscheduled one: the other instance, in
+//	unsched-veto-1/2  its virtual node's own slot of the s+2 ballot slots
+//	join              a replica: notes join activity (sawJoinActivity); a joiner
+//	                  in its virtual node's slot: sends its request
+//	join-ack          a replica: notes a collision, and in its slot acks;
+//	                  that joiner: adopts the ack
+//	reset             a replica in its slot: the reset guard; that joiner, acked
+//	                  or not: resets a virtual node nobody answered for
+//
+// That is 7 radio rounds a virtual round for a replica of an unscheduled
+// virtual node, 8 of the scheduled one, 4 for a joiner in its virtual node's
+// slot and 1 — the client phase — for a joiner out of it or a device outside
+// every region. A round is on the list because the emulator transmits in it
+// or changes state a snapshot records, whether or not that state is consumed
+// later: a replica of an unscheduled virtual node never acts on
+// sawJoinActivity, yet stays up for join and join-ack, because a checkpoint
+// taken after any radio round must not tell a run that sleeps from one that
+// does not. Every phase check in Transmit and Receive stays, so a round slept
+// through is a no-op when the emulator is awake for it after all, as it is
+// right after a restore.
 type Emulator struct {
 	env   sim.Env
 	d     *Deployment
@@ -385,34 +421,32 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 	vr, phase, subslot := e.position(r)
 	switch phase {
 	case PhaseClient:
-		if e.vn == None {
-			return
-		}
-		for _, m := range rx.Msgs {
-			if msg, ok := m.(ClientMsg); ok {
-				e.input.Msgs = append(e.input.Msgs, msg.Payload)
+		if e.vn != None {
+			for _, m := range rx.Msgs {
+				if msg, ok := m.(ClientMsg); ok {
+					e.input.Msgs = append(e.input.Msgs, msg.Payload)
+				}
 			}
-		}
-		if rx.Collision {
-			e.input.Collision = true
+			if rx.Collision {
+				e.input.Collision = true
+			}
 		}
 	case PhaseVN:
-		if e.vn == None || !e.joined {
-			return
-		}
-		for _, m := range rx.Msgs {
-			vm, ok := m.(VNMsg)
-			if !ok {
-				continue
+		if e.vn != None && e.joined {
+			for _, m := range rx.Msgs {
+				vm, ok := m.(VNMsg)
+				if !ok {
+					continue
+				}
+				if e.expectedPayload != nil && bytes.Equal(vm.Payload, e.expectedPayload) {
+					e.input.VNBroadcast = true
+					continue
+				}
+				e.input.Msgs = append(e.input.Msgs, vm.Payload)
 			}
-			if e.expectedPayload != nil && bytes.Equal(vm.Payload, e.expectedPayload) {
-				e.input.VNBroadcast = true
-				continue
+			if rx.Collision {
+				e.input.Collision = true
 			}
-			e.input.Msgs = append(e.input.Msgs, vm.Payload)
-		}
-		if rx.Collision {
-			e.input.Collision = true
 		}
 	case PhaseSchedBallot:
 		if e.participating(vr, true) {
@@ -465,6 +499,57 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 			}
 		}
 	}
+	// Last, so that it sees the region startVRound chose and the replica
+	// adoptAck or resetVNode made.
+	e.env.SleepUntil(e.nextDuty(r, vr))
+}
+
+// nextDuty returns the first round after r, a round of virtual round vr, in
+// which the emulator as it now stands transmits or changes snapshotted
+// state — the table in the Emulator comment, as offsets into the virtual
+// round. The next client phase always is one, so the answer never lies
+// further off than that.
+func (e *Emulator) nextDuty(r sim.Round, vr int) sim.Round {
+	s := e.d.timing.S
+	per := e.d.timing.RoundsPerVRound()
+	off := int(r) % per
+	// Offsets: client 0, vn 1, sched ballot and vetoes 2-4, unsched ballot
+	// slot k at 5+k, unsched vetoes s+7 and s+8, join s+9, join-ack s+10,
+	// reset s+11.
+	next := per
+	if e.vn != None {
+		switch sched := e.scheduled(vr); {
+		case e.joined && sched:
+			switch {
+			case off < 4:
+				next = off + 1
+			case off < s+9:
+				next = s + 9
+			case off < s+11:
+				next = off + 1
+			}
+		case e.joined:
+			slot := 5 + e.d.schedule.SlotOf(e.vn)
+			switch {
+			case off < 1:
+				next = 1
+			case off < slot:
+				next = slot
+			case off < s+7:
+				next = s + 7
+			case off < s+10:
+				next = off + 1
+			}
+		case sched: // a joiner in its virtual node's slot
+			switch {
+			case off < s+9:
+				next = s + 9
+			case off < s+11:
+				next = off + 1
+			}
+		}
+	}
+	return r + sim.Round(next-off)
 }
 
 func (e *Emulator) observeBallots(r sim.Round, rx sim.Reception) {
