@@ -1,123 +1,38 @@
 package vinfra_test
 
-// One benchmark per experiment table (DESIGN.md §4). Each benchmark both
-// measures the wall-clock cost of regenerating the table and reports the
-// headline quantity of its experiment as custom benchmark metrics, so
-// `go test -bench=. -benchmem` reproduces every figure of the evaluation.
+// One sub-benchmark per experiment table: BenchmarkExperiments/<ID> times
+// regenerating that table's quick grid at seed 1 through the harness
+// (`chabench -quick -only <ID> -seeds 1 -timing=false`), so
+// `go test -bench=Experiments -benchmem` walks every figure of the
+// evaluation. E1 also reports how many Figure 2 rows match the paper.
 
 import (
 	"testing"
 
-	"vinfra/internal/experiments"
-	"vinfra/internal/sim"
+	_ "vinfra/internal/experiments" // registers E1..E14 descriptors
+	"vinfra/internal/harness"
 )
 
-func BenchmarkE1Figure2(b *testing.B) {
-	matches := 0
-	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFigure2()
-		matches = 0
-		for j, r := range rows {
-			if r == experiments.Figure2Expected[j] {
-				matches++
+func BenchmarkExperiments(b *testing.B) {
+	for _, d := range harness.All() {
+		b.Run(d.ID, func(b *testing.B) {
+			var suite *harness.Suite
+			for i := 0; i < b.N; i++ {
+				var err error
+				suite, err = harness.Run(harness.Options{Only: d.ID, Quick: true, Seeds: []int64{1}})
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	}
-	b.ReportMetric(float64(matches), "rows-matching-paper")
-}
-
-func BenchmarkE2OverheadVsN(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.OverheadVsN([]int{2, 8, 32}, 25)
-	}
-}
-
-func BenchmarkE2OverheadVsLength(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.OverheadVsLength([]int{16, 128})
-	}
-}
-
-func BenchmarkE2RoundsUnderLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.RoundsUnderLoss(4, []float64{0, 0.3}, 50)
-	}
-}
-
-func BenchmarkE3ColorSpread(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ColorSpread(5, []float64{0, 0.5}, 60)
-	}
-}
-
-func BenchmarkE4Correctness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.CorrectnessCampaign(6, []sim.Round{30, 90}, 25)
-	}
-}
-
-func BenchmarkE5EmulationOverheadDensity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.EmulationOverheadVsDensity(8)
-	}
-}
-
-func BenchmarkE5EmulationOverheadReplicas(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.EmulationOverheadVsReplicas([]int{1, 4}, 8)
-	}
-}
-
-func BenchmarkE6Churn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ChurnSurvival([]int{4}, 24)
-	}
-}
-
-func BenchmarkE7BaselineVI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.BaselineVIComparison([]int{3, 15}, 6)
-	}
-}
-
-func BenchmarkE7StateTransfer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.StateTransferCost([]int{0, 16, 64})
-	}
-}
-
-func BenchmarkE8DetectorAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.DetectorAblation(40)
-	}
-}
-
-func BenchmarkE8CMAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.CMAblation(80)
-	}
-}
-
-func BenchmarkE8Checkpoint(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.CheckpointAblation([]int{50, 200})
-	}
-}
-
-func BenchmarkE9RoutingLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.RoutingLatency([]int{2, 4}, 2)
-	}
-}
-
-func BenchmarkE9LockThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.LockThroughput([]int{2, 4}, 40)
-	}
-}
-
-func BenchmarkE10DeliveryScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.DeliveryScaling([]int{1_000, 10_000}, 3)
+			if d.ID == "E1" {
+				matches := 0
+				for _, r := range suite.Experiments[0].Cells[0].Rows {
+					if r[len(r)-1].V == true {
+						matches++
+					}
+				}
+				b.ReportMetric(float64(matches), "rows-matching-paper")
+			}
+		})
 	}
 }

@@ -27,28 +27,15 @@
 //	chabench -only E14 -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof -top cpu.out
 //
-// Comparing against a committed baseline:
-//
-//	chabench -json -only E10,E11,E12,E13,E14 -seeds 1,2,3 -out bench.json
-//	chabench -compare bench.json                  # vs BENCH_BASELINE.json
-//	chabench -compare bench.json -calibrate -tolerance 0.30,E14=0.40
-//
-// -compare exits 2 on usage errors, 1 when a gated cell regressed beyond
-// the tolerance or when cells pinned by the baseline are absent from the
-// new report (lost coverage must fail loudly, not shrink the gate), and 0
-// otherwise. -calibrate divides every ratio by the
-// suite's median ratio, cancelling machine-speed differences when the
-// baseline was generated on different hardware (the CI setting).
-// -tolerance takes a default plus optional per-experiment overrides
-// ("0.30,E14=0.40"): E14 times whole city-scale runs and gates looser than
-// the per-round microbenchmarks without loosening the rest of the suite.
+// Host time is not judged here: the wall-time and rounds/s fields of a
+// -json report are an artifact to read, and regressions are gated on the
+// benchmark in bench/ (`go run -C bench vinfra/bench --compare a b`).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -56,56 +43,6 @@ import (
 	_ "vinfra/internal/experiments" // registers E1..E14 descriptors
 	"vinfra/internal/harness"
 )
-
-// tolFlag is the -tolerance value: a default fractional slowdown plus
-// per-experiment overrides, e.g. "0.30,E14=0.40". A plain float keeps the
-// historical behaviour.
-type tolFlag struct {
-	base float64
-	per  map[string]float64
-}
-
-func (t *tolFlag) String() string {
-	s := strconv.FormatFloat(t.base, 'g', -1, 64)
-	var keys []string
-	for k := range t.per {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s += fmt.Sprintf(",%s=%g", k, t.per[k])
-	}
-	return s
-}
-
-func (t *tolFlag) Set(s string) error {
-	per := map[string]float64{}
-	base := t.base
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		name, val, isOverride := strings.Cut(tok, "=")
-		if !isOverride {
-			v, err := strconv.ParseFloat(tok, 64)
-			if err != nil {
-				return fmt.Errorf("bad tolerance %q (want a fraction like 0.30)", tok)
-			}
-			base = v
-			continue
-		}
-		name = strings.ToUpper(strings.TrimSpace(name))
-		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if name == "" || err != nil {
-			return fmt.Errorf("bad tolerance override %q (want EXP=fraction like E14=0.40)", tok)
-		}
-		per[name] = v
-	}
-	t.base = base
-	t.per = per
-	return nil
-}
 
 func main() {
 	var (
@@ -120,15 +57,7 @@ func main() {
 		note     = flag.String("note", "", "free-form note recorded in the JSON header (machine, commit, ...)")
 
 		profile cli.Profile
-
-		compare   = flag.String("compare", "", "compare the given report JSON against -baseline and exit")
-		baseline  = flag.String("baseline", "BENCH_BASELINE.json", "baseline report for -compare")
-		tolerance = tolFlag{base: 0.30}
-		calibrate = flag.Bool("calibrate", false, "normalize -compare ratios by the median ratio (cross-machine comparisons)")
-		minWall   = flag.Float64("minwall", 0.025, "noise floor in seconds: faster cells are exempt from the -compare gate")
 	)
-	flag.Var(&tolerance, "tolerance",
-		"allowed fractional slowdown per cell for -compare, with optional per-experiment overrides (\"0.30,E14=0.40\")")
 	profile.Register(flag.CommandLine)
 	soak := registerSoakFlags()
 	flag.Parse()
@@ -145,9 +74,6 @@ func main() {
 		os.Exit(code)
 	}
 
-	if *compare != "" {
-		exit(runCompare(*compare, *baseline, tolerance, *calibrate, *minWall))
-	}
 	if soak.exp != "" {
 		out := os.Stdout
 		if *outPath != "" {
@@ -222,54 +148,4 @@ func parseSeeds(s string) ([]int64, error) {
 		seeds = append(seeds, v)
 	}
 	return seeds, nil
-}
-
-func runCompare(curPath, basePath string, tolerance tolFlag, calibrate bool, minWall float64) int {
-	base, err := harness.LoadReport(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chabench: baseline: %v\n", err)
-		return 2
-	}
-	cur, err := harness.LoadReport(curPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chabench: %v\n", err)
-		return 2
-	}
-	cmp := harness.Compare(base, cur, harness.CompareOptions{
-		Tolerance:     tolerance.base,
-		PerExperiment: tolerance.per,
-		Calibrate:     calibrate,
-		MinWallSec:    minWall,
-	})
-	if len(cmp.Deltas) == 0 {
-		fmt.Fprintf(os.Stderr, "chabench: no cells in %s match the baseline %s (cells are matched by experiment/cell/seed — were both produced by the same -only/-seeds invocation?)\n",
-			curPath, basePath)
-		for _, m := range cmp.Missing {
-			fmt.Fprintf(os.Stderr, "  missing: %s\n", m)
-		}
-		return 2
-	}
-	cmp.Table().Render(os.Stdout)
-	for _, m := range cmp.Missing {
-		fmt.Printf("missing: %s\n", m)
-	}
-	for _, d := range cmp.Drift {
-		fmt.Printf("drift: %s (deterministic results changed; inspect before trusting the perf diff)\n", d)
-	}
-	if !cmp.OK() {
-		fmt.Println()
-		for _, r := range cmp.Regressions {
-			fmt.Printf("REGRESSION: %s\n", r)
-		}
-		if len(cmp.Dropped) > 0 {
-			fmt.Printf("MISSING COVERAGE: %d baseline cell(s) absent from %s — the gate would silently stop checking them (was an experiment dropped by a typo in -only, or a grid label renamed?):\n",
-				len(cmp.Dropped), curPath)
-			for _, d := range cmp.Dropped {
-				fmt.Printf("  %s\n", d)
-			}
-		}
-		return 1
-	}
-	fmt.Println("perf gate: ok")
-	return 0
 }

@@ -9,7 +9,9 @@
 //
 // With -state, every sim's effective spec (and any POSTed checkpoints)
 // persist across daemon restarts: a visimd rebooted on the same directory
-// rebuilds its tenants and resumes each from its latest checkpoint.
+// rebuilds its tenants and resumes each from its latest checkpoint; a
+// tenant whose files are damaged is set aside (*.damaged, one "quarantined"
+// line on stderr) and the rest boot without it.
 package main
 
 import (
@@ -46,6 +48,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "visimd: %v\n", err)
 		profiler.Stop()
 		os.Exit(1)
+	}
+	for _, q := range svc.Quarantined() {
+		fmt.Fprintf(os.Stderr, "visimd: quarantined %s\n", q)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

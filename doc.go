@@ -158,32 +158,27 @@
 // runs a fuzz smoke job: 10 seconds each over the wire decoder and the
 // adversarial-input DecodeRoundInput/DecodeJoinAckMsg paths.
 //
-// # The perf trajectory and -compare workflow
+// # Host time
 //
-// BENCH_BASELINE.json at the repo root is a committed chabench JSON report
-// (E10–E13, seeds 1–3) whose header notes the machine and commit
-// it was generated on. To check a change against it:
+// What the paper claims are simulated quantities, pinned byte for byte by
+// the golden file and bench/expect.json. Host time is a property of this
+// reproduction and is judged in one place: bench/ (BENCHMARK.json), whose
+// --compare mode holds two result sets taken on the same machine to the
+// benchmark's own bounds. CI's perf job runs every workload on the parent
+// commit and on the change, alternating, and fails when a metric is worse
+// than its bound (.github/scripts/perf-pair.sh; the local form is the two
+// commands in bench/README.md). The wall times and rounds/s in a chabench
+// -json report are an artifact to read, not a gated quantity.
 //
-//	go run ./cmd/chabench -json -only E10,E11,E12,E13 -seeds 1,2,3 -out bench.json
-//	go run ./cmd/chabench -compare bench.json -calibrate -tolerance 0.30
-//
-// -compare matches cells by (experiment, cell, seed), computes wall-time
-// ratios, and exits nonzero when a cell slower than the noise floor
-// regressed beyond the tolerance — or when cells the baseline pins are
-// absent from the fresh report (lost coverage fails loudly instead of
-// silently shrinking the gate). -calibrate divides every ratio by the
-// suite-wide median ratio so a uniformly slower or faster machine (CI
-// runners vs the baseline host) doesn't trip the gate — only cells that
-// regressed relative to the rest of the suite do. CI runs exactly this
-// gate on every push, plus build/vet, gofmt, golden-file freshness, a Go
-// 1.22/1.23 test matrix and a -race job (.github/workflows/ci.yml, with a
+// CI also runs build/vet, gofmt, golden-file freshness, a Go 1.22/1.23
+// test matrix and a -race job (.github/workflows/ci.yml, with a
 // concurrency group cancelling superseded PR runs and one composite
 // toolchain-setup action shared by every job). A scheduled nightly
 // workflow (.github/workflows/nightly.yml) soaks full-grid E11+E13 across
-// seeds 1-5, fuzzes 3 minutes per target, and re-runs the adversary
+// seeds 1-5, repeats the pairwise host-time gate at the benchmark's full
+// run length, fuzzes 3 minutes per target, and re-runs the adversary
 // determinism property tests under -race.
 //
-// After an intentional perf or result change, regenerate the baseline
-// (note the machine and commit in -note) and the experiments golden file
-// (go test ./internal/experiments/ -run Golden -update-golden).
+// After an intentional result change, regenerate the experiments golden
+// file (go test ./internal/experiments/ -run Golden -update-golden).
 package vinfra

@@ -105,15 +105,3 @@ func deliveryScalingCell(c *harness.Cell) []harness.Row {
 		harness.MeasuredFloat(metrics.F(speedup)+"x", speedup),
 	}}
 }
-
-// DeliveryScaling is the legacy table entry point.
-func DeliveryScaling(sizes []int, rounds int) *metrics.Table {
-	var rows []harness.Row
-	for _, n := range sizes {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints: map[string]int{"n": n, "rounds": rounds},
-		}}
-		rows = append(rows, deliveryScalingCell(c)...)
-	}
-	return e10Desc.TableOf(rows)
-}

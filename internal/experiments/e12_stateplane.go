@@ -60,8 +60,8 @@ func init() { harness.Register(e12Desc) }
 // rounds. The deterministic columns pin the protocol-level cost — radio
 // rounds per virtual round (s+12) and measured wire bytes per virtual
 // round — while the perf sample (rounds/sec, allocs) carries the
-// machine-level cost that BENCH_BASELINE.json gates: this is the cell that
-// watches the state plane's serialization overhead.
+// machine-level cost of the state plane's serialization, an artifact of the
+// report to read next to bench/'s metro-vi numbers.
 func statePlaneCell(c *harness.Cell) []harness.Row {
 	cols, rows, vrounds := c.Params.Int("cols"), c.Params.Int("rows"), c.Params.Int("vrounds")
 	w := buildWorld(spec.Spec{

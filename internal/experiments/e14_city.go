@@ -17,7 +17,8 @@ import (
 // both the deterministic outcome (availability, listener coverage, wire
 // bytes, halo traffic, and a "match" column pinning the two runs
 // byte-identical) and the measured rounds/second of each run, whose ratio
-// is the scaling headline the CI perf gate watches.
+// is the scaling headline (host time itself is gated on bench/'s
+// city-100k-sharded workload, not here).
 //
 // The city: a cols x rows virtual-node grid at citySpacing (wide enough
 // apart that the TDMA schedule stays short — at spacing 6 a 30x30 grid

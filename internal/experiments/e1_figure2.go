@@ -4,7 +4,6 @@ import (
 	"vinfra/internal/cd"
 	"vinfra/internal/cha"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/radio"
 )
 
@@ -131,9 +130,4 @@ func figure2Rows(c *harness.Cell) []harness.Row {
 		}
 	}
 	return typed
-}
-
-// Figure2Table renders the reproduced Figure 2 next to the paper's values.
-func Figure2Table() *metrics.Table {
-	return e1Desc.TableOf(figure2Rows(&harness.Cell{Seed: 1}))
 }

@@ -97,18 +97,6 @@ func overheadVsNCell(c *harness.Cell) []harness.Row {
 	}}
 }
 
-// OverheadVsN is the legacy table entry point (tests and benchmarks); the
-// harness descriptor e2aDesc drives the same cell function.
-func OverheadVsN(ns []int, instances int) *metrics.Table {
-	var rows []harness.Row
-	for _, n := range ns {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints: map[string]int{"n": n, "instances": instances}}}
-		rows = append(rows, overheadVsNCell(c)...)
-	}
-	return e2aDesc.TableOf(rows)
-}
-
 // overheadVsLengthCell measures one execution length L: the maximum message
 // size of CHAP and the full-history naive baseline (Theorem 14: CHAP
 // constant, naive Θ(L)).
@@ -124,16 +112,6 @@ func overheadVsLengthCell(c *harness.Cell) []harness.Row {
 	c.CountRounds(l * cha.RoundsPerInstance)
 	c.CountBytes(naiveBytes)
 	return []harness.Row{{harness.Int(l), harness.Int(chapMax), harness.Int(naiveMax)}}
-}
-
-// OverheadVsLength is the legacy table entry point.
-func OverheadVsLength(lengths []int) *metrics.Table {
-	var rows []harness.Row
-	for _, l := range lengths {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{Ints: map[string]int{"L": l}}}
-		rows = append(rows, overheadVsLengthCell(c)...)
-	}
-	return e2bDesc.TableOf(rows)
 }
 
 // naiveMaxMessage runs the full-history baseline for l instances and
@@ -226,17 +204,4 @@ func roundsUnderLossCell(c *harness.Cell) []harness.Row {
 		harness.FloatText(fmt.Sprintf("%.1f", p), p),
 		harness.Float(chap), harness.Float(rep.DecidedRate), harness.Float(rsm),
 	}}
-}
-
-// RoundsUnderLoss is the legacy table entry point.
-func RoundsUnderLoss(n int, lossRates []float64, instances int) *metrics.Table {
-	var rows []harness.Row
-	for _, p := range lossRates {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints:   map[string]int{"n": n, "instances": instances},
-			Floats: map[string]float64{"p": p},
-		}}
-		rows = append(rows, roundsUnderLossCell(c)...)
-	}
-	return e2cDesc.TableOf(rows)
 }

@@ -7,7 +7,6 @@ import (
 	"vinfra/internal/cd"
 	"vinfra/internal/cha"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 )
@@ -98,17 +97,4 @@ func colorSpreadCell(c *harness.Cell) []harness.Row {
 		harness.Int(rep.MaxColorSpread),
 		harness.Int(rep.ColorSpreadViolations),
 	}}
-}
-
-// ColorSpread is the legacy table entry point for the loss-rate sweep.
-func ColorSpread(n int, lossRates []float64, instances int) *metrics.Table {
-	var rows []harness.Row
-	for i, p := range lossRates {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints:   map[string]int{"n": n, "instances": instances, "i": i},
-			Floats: map[string]float64{"p": p},
-		}}
-		rows = append(rows, colorSpreadCell(c)...)
-	}
-	return e3Desc.TableOf(rows)
 }

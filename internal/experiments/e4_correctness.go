@@ -77,15 +77,3 @@ func correctnessCell(c *harness.Cell) []harness.Row {
 		harness.Float(kst.Mean()), harness.Int(bound),
 	}}
 }
-
-// CorrectnessCampaign is the legacy table entry point.
-func CorrectnessCampaign(seeds int, rcfs []sim.Round, instancesAfter int) *metrics.Table {
-	var rows []harness.Row
-	for _, rcf := range rcfs {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints: map[string]int{"rcf": int(rcf), "runs": seeds, "instances_after": instancesAfter},
-		}}
-		rows = append(rows, correctnessCell(c)...)
-	}
-	return e4Desc.TableOf(rows)
-}

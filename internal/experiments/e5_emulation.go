@@ -5,7 +5,6 @@ import (
 
 	"vinfra/internal/geo"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/spec"
 )
 
@@ -92,19 +91,6 @@ func emulationDensityCell(c *harness.Cell) []harness.Row {
 	panic(fmt.Sprintf("e5: unknown deployment %q", name))
 }
 
-// EmulationOverheadVsDensity is the legacy table entry point.
-func EmulationOverheadVsDensity(vrounds int) *metrics.Table {
-	var rows []harness.Row
-	for _, d := range e5Deployments {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints: map[string]int{"vrounds": vrounds},
-			Strs: map[string]string{"deployment": d.name},
-		}}
-		rows = append(rows, emulationDensityCell(c)...)
-	}
-	return e5aDesc.TableOf(rows)
-}
-
 // emulationReplicasCell shows the per-virtual-round cost is constant in the
 // number of replicas per virtual node (the agreement protocol never
 // serializes over participants — the heart of Theorem 14 applied to the
@@ -125,16 +111,4 @@ func emulationReplicasCell(c *harness.Cell) []harness.Row {
 		harness.Float(float64(st.Transmissions) / float64(vrounds)),
 		harness.Float(w.Mon.Report(0).Availability),
 	}}
-}
-
-// EmulationOverheadVsReplicas is the legacy table entry point.
-func EmulationOverheadVsReplicas(replicaCounts []int, vrounds int) *metrics.Table {
-	var rows []harness.Row
-	for _, n := range replicaCounts {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints: map[string]int{"replicas": n, "vrounds": vrounds},
-		}}
-		rows = append(rows, emulationReplicasCell(c)...)
-	}
-	return e5bDesc.TableOf(rows)
 }

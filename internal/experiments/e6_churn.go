@@ -78,15 +78,3 @@ func churnCell(c *harness.Cell) []harness.Row {
 		harness.Float(w.Mon.Report(0).Availability), harness.Float(joinLatency.Mean()), harness.Int(resets),
 	}}
 }
-
-// ChurnSurvival is the legacy table entry point.
-func ChurnSurvival(churnPeriods []int, vrounds int) *metrics.Table {
-	var rows []harness.Row
-	for _, period := range churnPeriods {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints: map[string]int{"period": period, "vrounds": vrounds},
-		}}
-		rows = append(rows, churnCell(c)...)
-	}
-	return e6Desc.TableOf(rows)
-}

@@ -5,7 +5,6 @@ import (
 
 	"vinfra/internal/cha"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/spec"
 )
 
@@ -81,18 +80,6 @@ func baselineVICell(c *harness.Cell) []harness.Row {
 	}}
 }
 
-// BaselineVIComparison is the legacy table entry point.
-func BaselineVIComparison(replicaCounts []int, vrounds int) *metrics.Table {
-	var rows []harness.Row
-	for _, n := range replicaCounts {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints: map[string]int{"replicas": n, "vrounds": vrounds},
-		}}
-		rows = append(rows, baselineVICell(c)...)
-	}
-	return e7aDesc.TableOf(rows)
-}
-
 // stateTransferCell measures the join-ack message size as a function of
 // the time since the last green (checkpoint) instance — the state-transfer
 // cost the paper's open question (3) wants reduced. With regular green
@@ -117,14 +104,4 @@ func stateTransferCell(c *harness.Cell) []harness.Row {
 	snap := core.Snapshot()
 	ackSize := 8 + 16 + snap.WireSize() // StateFloor + small state + snapshot
 	return []harness.Row{{harness.Int(gap), harness.Int(ackSize)}}
-}
-
-// StateTransferCost is the legacy table entry point.
-func StateTransferCost(gapLengths []int) *metrics.Table {
-	var rows []harness.Row
-	for _, gap := range gapLengths {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{Ints: map[string]int{"gap": gap}}}
-		rows = append(rows, stateTransferCell(c)...)
-	}
-	return e7bDesc.TableOf(rows)
 }

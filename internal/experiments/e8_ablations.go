@@ -131,18 +131,6 @@ func detectorAblationCell(c *harness.Cell) []harness.Row {
 	}}
 }
 
-// DetectorAblation is the legacy table entry point.
-func DetectorAblation(instances int) *metrics.Table {
-	var rows []harness.Row
-	for i := range e8Detectors {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints: map[string]int{"case": i, "instances": instances},
-		}}
-		rows = append(rows, detectorAblationCell(c)...)
-	}
-	return e8aDesc.TableOf(rows)
-}
-
 // cmAblationCell compares contention managers at one population size: the
 // oracle gives the best-case stabilization; randomized backoff pays an
 // election delay but needs no global knowledge (Property 3's
@@ -166,21 +154,6 @@ func cmAblationCell(c *harness.Cell) []harness.Row {
 	return []harness.Row{{
 		harness.Str(mgr), harness.Int(n), stab, harness.Float(rep.DecidedRate),
 	}}
-}
-
-// CMAblation is the legacy table entry point.
-func CMAblation(instances int) *metrics.Table {
-	var rows []harness.Row
-	for _, n := range []int{2, 4, 8} {
-		for _, mgr := range []string{"oracle", "backoff"} {
-			c := &harness.Cell{Seed: 1, Params: harness.Params{
-				Ints: map[string]int{"n": n, "instances": instances},
-				Strs: map[string]string{"cm": mgr},
-			}}
-			rows = append(rows, cmAblationCell(c)...)
-		}
-	}
-	return e8bDesc.TableOf(rows)
 }
 
 // checkpointAblationCell compares local space usage of plain CHAP against
@@ -215,14 +188,4 @@ func checkpointAblationCell(c *harness.Cell) []harness.Row {
 	return []harness.Row{{
 		harness.Int(l), harness.Int(plainMax), harness.Int(ckptMax), harness.Bool(agree),
 	}}
-}
-
-// CheckpointAblation is the legacy table entry point.
-func CheckpointAblation(lengths []int) *metrics.Table {
-	var rows []harness.Row
-	for _, l := range lengths {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{Ints: map[string]int{"L": l}}}
-		rows = append(rows, checkpointAblationCell(c)...)
-	}
-	return e8cDesc.TableOf(rows)
 }

@@ -148,18 +148,6 @@ func routingLatencyCell(c *harness.Cell) []harness.Row {
 	}}
 }
 
-// RoutingLatency is the legacy table entry point.
-func RoutingLatency(chainLengths []int, packets int) *metrics.Table {
-	var rows []harness.Row
-	for _, hops := range chainLengths {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints: map[string]int{"hops": hops, "packets": packets},
-		}}
-		rows = append(rows, routingLatencyCell(c)...)
-	}
-	return e9aDesc.TableOf(rows)
-}
-
 // recordingClient wraps a RouterClient to record the virtual round of each
 // first delivery.
 type recordingClient struct {
@@ -220,16 +208,4 @@ func lockThroughputCell(c *harness.Cell) []harness.Row {
 		harness.Int(n), harness.Int(total),
 		harness.Float(float64(total) * 100 / float64(vrounds)), harness.Int(violations),
 	}}
-}
-
-// LockThroughput is the legacy table entry point.
-func LockThroughput(clientCounts []int, vrounds int) *metrics.Table {
-	var rows []harness.Row
-	for _, n := range clientCounts {
-		c := &harness.Cell{Seed: 1, Params: harness.Params{
-			Ints: map[string]int{"clients": n, "vrounds": vrounds},
-		}}
-		rows = append(rows, lockThroughputCell(c)...)
-	}
-	return e9bDesc.TableOf(rows)
 }

@@ -1,68 +1,38 @@
 package experiments
 
-import (
-	"fmt"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRoutingLatencyDeliversEverything(t *testing.T) {
-	tb := RoutingLatency([]int{2, 4}, 3)
-	if tb.NumRows() != 2 {
-		t.Fatal("row count")
+	rows := gridRows(t, e9aDesc, true)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
 	}
-	var sb strings.Builder
-	tb.Render(&sb)
-	for _, line := range strings.Split(sb.String(), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 4 && (fields[0] == "2" || fields[0] == "4") {
-			if fields[2] != "3/3" {
-				t.Errorf("packets lost: %q", line)
-			}
-		}
+	if delivered := column[float64](t, rows, 2); !allEqual(delivered, 1) {
+		t.Errorf("delivered fraction per chain length = %v, want all 1", delivered)
 	}
 }
 
 func TestRoutingLatencyGrowsWithHops(t *testing.T) {
-	tb := RoutingLatency([]int{2, 5}, 2)
-	var sb strings.Builder
-	tb.Render(&sb)
-	var lats []float64
-	for _, line := range strings.Split(sb.String(), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 4 && (fields[0] == "2" || fields[0] == "5") {
-			var v float64
-			if _, err := fmtSscan(fields[3], &v); err == nil {
-				lats = append(lats, v)
-			}
-		}
+	rows := gridRows(t, e9aDesc, true)
+	if hops := column[int64](t, rows, 0); !increasing(hops) {
+		t.Fatalf("chain-length sweep not increasing: %v", hops)
 	}
-	if len(lats) == 2 && lats[1] <= lats[0] {
+	if lats := column[float64](t, rows, 3); !increasing(lats) {
 		t.Errorf("latency should grow with chain length: %v", lats)
 	}
 }
 
 func TestLockThroughputNoViolations(t *testing.T) {
-	tb := LockThroughput([]int{2, 4}, 50)
-	if tb.NumRows() != 2 {
-		t.Fatal("row count")
+	rows := gridRows(t, e9bDesc, true)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
 	}
-	var sb strings.Builder
-	tb.Render(&sb)
-	for _, line := range strings.Split(sb.String(), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 4 && (fields[0] == "2" || fields[0] == "4") {
-			if fields[3] != "0" {
-				t.Errorf("mutex violations: %q", line)
-			}
-			if fields[1] == "0" {
-				t.Errorf("no lock cycles completed: %q", line)
-			}
+	if v := column[int64](t, rows, 3); !allEqual(v, 0) {
+		t.Errorf("mutex violations per client count = %v, want all 0", v)
+	}
+	for i, completed := range column[int64](t, rows, 1) {
+		if completed == 0 {
+			t.Errorf("clients=%s: no lock cycles completed", rows[i][0].Text)
 		}
 	}
-}
-
-// fmtSscan wraps fmt.Sscan for the latency parse above.
-func fmtSscan(s string, v *float64) (int, error) {
-	return fmt.Sscan(s, v)
 }

@@ -1,16 +1,66 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"vinfra/internal/cd"
 	"vinfra/internal/cha"
 	"vinfra/internal/geo"
+	"vinfra/internal/harness"
 	"vinfra/internal/radio"
-	"vinfra/internal/sim"
 	"vinfra/internal/spec"
 )
+
+// gridRows runs d's grid at seed 1 through the harness — the rows
+// `chabench -only <d.ID>` reports (with -quick when quick) — so a test
+// asserts on the typed values the report carries, not on a rendered table.
+func gridRows(t *testing.T, d harness.Descriptor, quick bool) []harness.Row {
+	t.Helper()
+	suite, err := harness.Run(harness.Options{Only: d.ID, Quick: quick, Seeds: []int64{1}, Timing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []harness.Row
+	for _, c := range suite.Experiments[0].Cells {
+		rows = append(rows, c.Rows...)
+	}
+	return rows
+}
+
+// column returns column j of rows as T (int64, float64, bool or string —
+// the types harness.Value carries); a value of another type fails the test.
+func column[T any](t *testing.T, rows []harness.Row, j int) []T {
+	t.Helper()
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		v, ok := r[j].V.(T)
+		if !ok {
+			t.Fatalf("row %d column %d: %#v is not a %T", i, j, r[j].V, v)
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// allEqual reports whether every element of xs equals want.
+func allEqual[T comparable](xs []T, want T) bool {
+	for _, x := range xs {
+		if x != want {
+			return false
+		}
+	}
+	return true
+}
+
+// increasing reports whether xs is strictly increasing.
+func increasing[T int64 | float64](xs []T) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] <= xs[i-1] {
+			return false
+		}
+	}
+	return true
+}
 
 func TestFigure2MatchesPaper(t *testing.T) {
 	rows := RunFigure2()
@@ -55,27 +105,29 @@ func TestFigure2BallotLossRow(t *testing.T) {
 }
 
 func TestFigure2TableRenders(t *testing.T) {
-	tb := Figure2Table()
-	if tb.NumRows() != 4 {
-		t.Fatalf("Figure 2 table has %d rows", tb.NumRows())
+	rows := gridRows(t, e1Desc, true)
+	if len(rows) != 4 {
+		t.Fatalf("Figure 2 has %d rows", len(rows))
 	}
-	var sb strings.Builder
-	tb.Render(&sb)
-	for _, line := range strings.Split(sb.String(), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 6 && (fields[0] == "ok" || fields[0] == "X") {
-			if fields[5] != "yes" {
-				t.Errorf("Figure 2 row does not match the paper: %q", line)
-			}
-		}
+	if matches := column[bool](t, rows, 5); !allEqual(matches, true) {
+		t.Errorf("Figure 2 'matches paper' column = %v, want all true", matches)
 	}
 }
 
 func TestOverheadVsNShape(t *testing.T) {
 	// Theorem 14's shape: CHAP flat, RSM growing.
-	tb := OverheadVsN([]int{2, 8}, 10)
-	if tb.NumRows() != 2 {
-		t.Fatal("wrong row count")
+	rows := gridRows(t, e2aDesc, true)
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
+	}
+	if r := column[float64](t, rows, 1); !allEqual(r, cha.RoundsPerInstance) {
+		t.Errorf("CHAP rounds per instance = %v, want %d at every n", r, cha.RoundsPerInstance)
+	}
+	if b := column[int64](t, rows, 2); !allEqual(b, b[0]) {
+		t.Errorf("CHAP max message size depends on n: %v", b)
+	}
+	if r := column[float64](t, rows, 3); !increasing(r) {
+		t.Errorf("RSM rounds per decision should grow with n: %v", r)
 	}
 	// Validate the underlying quantities directly.
 	c2 := newCluster(clusterOpts{n: 2, fixedWidth: true})
@@ -109,48 +161,55 @@ func TestOverheadVsLengthShape(t *testing.T) {
 }
 
 func TestColorSpreadNeverExceedsOne(t *testing.T) {
-	tb := ColorSpread(5, []float64{0, 0.4, 0.8}, 60)
-	var sb strings.Builder
-	tb.Render(&sb)
-	out := sb.String()
-	// The violations column must be all zeros; spot-check by re-running
-	// the strongest adversary.
-	c := newCluster(clusterOpts{
-		n: 5, seed: 67,
-	})
-	c.runInstances(10)
-	rep := c.rec.Report()
-	if rep.ColorSpreadViolations != 0 {
-		t.Errorf("spread violations: %s", out)
+	// Property 4 / Lemma 5 at every loss rate of the sweep, the clean
+	// channel (p=0) included.
+	rows := gridRows(t, e3Desc, true)
+	if len(rows) != 6 {
+		t.Fatalf("got %d rows, want 6", len(rows))
+	}
+	for i, spread := range column[int64](t, rows, 5) {
+		if spread > 1 {
+			t.Errorf("loss %s: max color spread %d exceeds one shade", rows[i][0].Text, spread)
+		}
+	}
+	if v := column[int64](t, rows, 6); !allEqual(v, 0) {
+		t.Errorf("color spread violations = %v, want all 0", v)
 	}
 }
 
 func TestCorrectnessCampaignClean(t *testing.T) {
-	tb := CorrectnessCampaign(6, []sim.Round{30, 90}, 20)
-	var sb strings.Builder
-	tb.Render(&sb)
-	// Columns 3-5 are violation counts; assert zero by scanning rendered
-	// rows (cheap but effective).
-	for _, line := range strings.Split(sb.String(), "\n")[3:] {
-		fields := strings.Fields(line)
-		// Data rows start with the numeric r_cf value.
-		if len(fields) < 6 || fields[0] != "30" && fields[0] != "90" {
-			continue
+	rows := gridRows(t, e4Desc, true)
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
+	}
+	for j := 2; j <= 4; j++ { // agreement, validity, spread
+		if v := column[int64](t, rows, j); !allEqual(v, 0) {
+			t.Errorf("%q per r_cf = %v, want all 0", e4Desc.Columns[j], v)
 		}
-		if fields[2] != "0" || fields[3] != "0" || fields[4] != "0" {
-			t.Errorf("violations in campaign row: %q", line)
-		}
+	}
+	if live := column[float64](t, rows, 5); !allEqual(live, 1) {
+		t.Errorf("liveness-ok fraction per r_cf = %v, want all 1", live)
 	}
 }
 
 func TestEmulationOverheadTables(t *testing.T) {
-	ta := EmulationOverheadVsDensity(6)
-	if ta.NumRows() != 4 {
-		t.Errorf("density table rows = %d", ta.NumRows())
+	density := gridRows(t, e5aDesc, true)
+	if len(density) != 4 {
+		t.Fatalf("density rows = %d, want 4", len(density))
 	}
-	tb := EmulationOverheadVsReplicas([]int{1, 4}, 6)
-	if tb.NumRows() != 2 {
-		t.Errorf("replica table rows = %d", tb.NumRows())
+	s, perVRound := column[int64](t, density, 2), column[int64](t, density, 3)
+	for i, measured := range column[float64](t, density, 4) {
+		if perVRound[i] != s[i]+12 || measured != float64(perVRound[i]) {
+			t.Errorf("%s: s=%d, rounds/vround=%d, measured=%v; want s+12 both times",
+				density[i][0].Text, s[i], perVRound[i], measured)
+		}
+	}
+	replicas := gridRows(t, e5bDesc, true)
+	if len(replicas) != 2 {
+		t.Fatalf("replica rows = %d, want 2", len(replicas))
+	}
+	if r := column[float64](t, replicas, 1); !allEqual(r, r[0]) {
+		t.Errorf("rounds per vround depends on replicas: %v", r)
 	}
 	// Direct checks of the claim: rounds per vround equals s+12 and is
 	// independent of replicas.
@@ -166,9 +225,21 @@ func TestEmulationOverheadTables(t *testing.T) {
 }
 
 func TestChurnSurvivalAvailability(t *testing.T) {
-	tb := ChurnSurvival([]int{6}, 30)
-	if tb.NumRows() != 1 {
-		t.Fatal("row count")
+	// Quick grid: one replica of three replaced every 4 of 20 virtual
+	// rounds. The virtual node must survive every turnover (no reset) and
+	// every arrival must get to join.
+	rows := gridRows(t, e6Desc, true)
+	if len(rows) != 1 {
+		t.Fatalf("got %d rows, want 1", len(rows))
+	}
+	if got := rows[0][1].V; got != int64(4) {
+		t.Errorf("turnovers = %v, want 4", got)
+	}
+	if got := rows[0][4].V; got != int64(0) {
+		t.Errorf("resets = %v: the virtual node died under slow churn", got)
+	}
+	if got := column[float64](t, rows, 2)[0]; got <= 0 {
+		t.Errorf("availability %v under slow churn", got)
 	}
 	// Re-run to assert availability stays reasonable under slow churn.
 	w := buildWorld(spec.Spec{Seed: 6, Grid: spec.Grid{Cols: 1, Rows: 1}, Leader: "regional"})
@@ -180,12 +251,19 @@ func TestChurnSurvivalAvailability(t *testing.T) {
 }
 
 func TestBaselineVIComparisonShape(t *testing.T) {
-	tb := BaselineVIComparison([]int{3, 15}, 6)
-	if tb.NumRows() != 2 {
-		t.Fatal("row count")
-	}
 	// CHAP's cost is replica-independent; RSM's grows. With s=1 the
-	// crossover is at n+4 > 13, i.e. n > 9.
+	// crossover is at n+4 > 13, i.e. n > 9 — between the quick grid's 3
+	// and 15 replicas.
+	rows := gridRows(t, e7aDesc, true)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
+	}
+	if r := column[float64](t, rows, 1); !allEqual(r, r[0]) {
+		t.Errorf("CHAP rounds per vround depends on replicas: %v", r)
+	}
+	if ratio := column[float64](t, rows, 3); !(ratio[0] < 1 && ratio[1] > 1) {
+		t.Errorf("RSM/CHAP = %v, want the crossover between 3 and 15 replicas", ratio)
+	}
 	chap := buildWorld(spec.Spec{Grid: spec.Grid{Cols: 1, Rows: 1}}).RoundsPerVRound()
 	small, _ := rsmRoundsPerDecision(3, 6, nil, 3)
 	big, _ := rsmRoundsPerDecision(15, 6, nil, 15)
@@ -195,42 +273,71 @@ func TestBaselineVIComparisonShape(t *testing.T) {
 }
 
 func TestStateTransferCostGrowsWithGap(t *testing.T) {
-	tb := StateTransferCost([]int{0, 8, 32})
-	if tb.NumRows() != 3 {
-		t.Fatal("row count")
+	rows := gridRows(t, e7bDesc, true)
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(rows))
+	}
+	if gaps := column[int64](t, rows, 0); !increasing(gaps) {
+		t.Fatalf("gap sweep not increasing: %v", gaps)
+	}
+	if bytes := column[int64](t, rows, 1); !increasing(bytes) {
+		t.Errorf("join-ack bytes should grow with the un-checkpointed gap: %v", bytes)
 	}
 }
 
 func TestDetectorAblationShape(t *testing.T) {
-	tb := DetectorAblation(50)
-	if tb.NumRows() != 4 {
-		t.Fatal("row count")
+	// The full grid: its 100 instances run past r_cf=90, which the quick
+	// grid's 25 do not, so only here can any detector be live.
+	rows := gridRows(t, e8aDesc, false)
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(rows))
 	}
-	var sb strings.Builder
-	tb.Render(&sb)
-	out := sb.String()
-	// The paper's detector must be clean and live.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "eventually-AC") {
-			fields := strings.Fields(line)
-			if fields[len(fields)-1] != "ok" {
-				t.Errorf("paper detector not live: %q", line)
+	names, agr := column[string](t, rows, 0), column[int64](t, rows, 2)
+	for i, liveness := range column[string](t, rows, 4) {
+		switch names[i] {
+		case "eventually-AC (paper)":
+			// The paper's detector must be clean and live.
+			if agr[i] != 0 || liveness != "ok" {
+				t.Errorf("paper detector: %d agreement violations, liveness %q", agr[i], liveness)
+			}
+		case "null (no detection)":
+			if agr[i] == 0 {
+				t.Error("null detector kept agreement: the ablation shows nothing")
 			}
 		}
 	}
 }
 
 func TestCMAblationShape(t *testing.T) {
-	tb := CMAblation(120)
-	if tb.NumRows() != 6 {
-		t.Errorf("row count = %d", tb.NumRows())
+	rows := gridRows(t, e8bDesc, true)
+	if len(rows) != 6 {
+		t.Fatalf("got %d rows, want 6", len(rows))
+	}
+	for i, mgr := range column[string](t, rows, 0) {
+		// The oracle stabilizes at instance 1; backoff pays an election
+		// first but must stabilize too ("-" would not be an int64).
+		kst, ok := rows[i][2].V.(int64)
+		if !ok || mgr == "oracle" && kst != 1 {
+			t.Errorf("%s n=%s: stabilization k_st = %v", mgr, rows[i][1].Text, rows[i][2].V)
+		}
 	}
 }
 
 func TestCheckpointAblationShape(t *testing.T) {
-	tb := CheckpointAblation([]int{50, 200})
-	if tb.NumRows() != 2 {
-		t.Fatal("row count")
+	rows := gridRows(t, e8cDesc, true)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
+	}
+	if plain := column[int64](t, rows, 1); !increasing(plain) {
+		t.Errorf("plain retained entries should grow with L: %v", plain)
+	}
+	for i, retained := range column[int64](t, rows, 2) {
+		if retained > 4 {
+			t.Errorf("L=%s: checkpointed replica retains %d entries", rows[i][0].Text, retained)
+		}
+	}
+	if agree := column[bool](t, rows, 3); !allEqual(agree, true) {
+		t.Errorf("checkpoint digest agreement = %v, want all true", agree)
 	}
 	// Direct assertion of the claim.
 	plain := newCluster(clusterOpts{n: 3, seed: 2})
@@ -246,8 +353,19 @@ func TestCheckpointAblationShape(t *testing.T) {
 }
 
 func TestRoundsUnderLossShape(t *testing.T) {
-	tb := RoundsUnderLoss(4, []float64{0, 0.3}, 40)
-	if tb.NumRows() != 2 {
-		t.Fatal("row count")
+	rows := gridRows(t, e2cDesc, true)
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(rows))
+	}
+	// A clean channel decides every instance in exactly three rounds, and
+	// loss only ever costs decisions.
+	rate := column[float64](t, rows, 2)
+	if perDecided := column[float64](t, rows, 1); perDecided[0] != cha.RoundsPerInstance || rate[0] != 1 {
+		t.Errorf("p=0: %v rounds per decided instance at rate %v, want %d at 1", perDecided[0], rate[0], cha.RoundsPerInstance)
+	}
+	for i := 1; i < len(rate); i++ {
+		if rate[i] > rate[i-1] {
+			t.Errorf("decided rate rose with loss: %v", rate)
+		}
 	}
 }

@@ -8,10 +8,6 @@
 // renders the classic text tables through internal/metrics, and emits a
 // machine-readable JSON report with per-cell wall time, rounds/sec and
 // allocation counts sampled testing.Benchmark-style.
-//
-// The JSON report is the perf trajectory: a committed BENCH_BASELINE.json
-// is diffed against fresh runs by Compare (chabench -compare), which fails
-// on regressions beyond a tolerance threshold.
 package harness
 
 import (
@@ -277,20 +273,4 @@ func Texts(r Row) []string {
 		out[i] = v.Text
 	}
 	return out
-}
-
-// Table builds a classic metrics.Table from typed rows — the bridge the
-// legacy per-experiment table functions use.
-func Table(title string, columns []string, notes string, rows []Row) *metrics.Table {
-	t := metrics.NewTable(title, columns...)
-	t.Notes = notes
-	for _, r := range rows {
-		t.AddRow(Texts(r)...)
-	}
-	return t
-}
-
-// TableOf renders rows under this descriptor's title, columns and notes.
-func (d Descriptor) TableOf(rows []Row) *metrics.Table {
-	return Table(d.Title, d.Columns, d.Notes, rows)
 }

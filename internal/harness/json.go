@@ -2,19 +2,16 @@ package harness
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 )
 
 // Schema identifies the report file format.
 const Schema = "vinfra-bench/v1"
 
 // Report is the machine-readable form of a Suite — the on-disk JSON format
-// written by `chabench -json` and consumed by `chabench -compare`. The
-// encoding is deterministic: experiments and cells appear in registry
-// order, rows are arrays in column order, and map keys (params) are sorted
-// by encoding/json.
+// written by `chabench -json`. The encoding is deterministic: experiments
+// and cells appear in registry order, rows are arrays in column order, and
+// map keys (params) are sorted by encoding/json.
 type Report struct {
 	Schema      string             `json:"schema"`
 	Go          string             `json:"go,omitempty"`
@@ -108,31 +105,4 @@ func WriteReport(w io.Writer, r *Report) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// ReadReport parses a report produced by WriteReport, verifying the schema.
-func ReadReport(r io.Reader) (*Report, error) {
-	var rep Report
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rep); err != nil {
-		return nil, err
-	}
-	if rep.Schema != Schema {
-		return nil, fmt.Errorf("unsupported report schema %q (want %q)", rep.Schema, Schema)
-	}
-	return &rep, nil
-}
-
-// LoadReport reads a report from a file.
-func LoadReport(path string) (*Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep, err := ReadReport(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
 }

@@ -26,8 +26,8 @@ type Options struct {
 	// every measured quantity is blanked, making the output for a fixed
 	// seed list byte-identical run-to-run and across worker counts.
 	Timing bool
-	// Note is copied verbatim into the report header (used to record the
-	// machine and commit a committed baseline was generated on).
+	// Note is copied verbatim into the report header (the nightly soaks
+	// record their date there).
 	Note string
 }
 

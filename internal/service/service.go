@@ -27,7 +27,9 @@
 // With a state directory configured, create and fault-inject persist each
 // sim's effective spec, and POST checkpoint persists its state; a daemon
 // restarted on the same directory rebuilds every tenant from its spec and
-// resumes it from its latest checkpoint.
+// resumes it from its latest checkpoint. A tenant whose persisted spec or
+// checkpoint is damaged is quarantined (files renamed to *.damaged, the
+// sim absent) and the others boot without it.
 //
 // A panic inside one simulation's world (an engine contract violation, a
 // bug in a node, a program or a fault) fails that simulation and nothing
@@ -76,10 +78,12 @@ type Service struct {
 
 	mu   sync.Mutex
 	sims map[string]*tenant
+
+	quarantined []string // written by New only
 }
 
 // New builds a service and, when a state directory is configured, recovers
-// every simulation persisted there.
+// every simulation persisted there; Quarantined names the ones it could not.
 func New(opts Options) (*Service, error) {
 	s := &Service{opts: opts, mux: http.NewServeMux(), sims: map[string]*tenant{}}
 	s.routes()
@@ -484,7 +488,9 @@ func (s *Service) persistSpec(t *tenant) error {
 // recover rebuilds every simulation persisted in the state directory: the
 // world is rebuilt from the effective spec and, when a checkpoint exists,
 // restored from it. Recovered sims start paused at their checkpointed
-// virtual round.
+// virtual round. A tenant whose files do not recover is quarantined and
+// the rest still boot; only an unreadable state directory — a deployment
+// setting, not a tenant's damage — is an error.
 func (s *Service) recover() error {
 	entries, err := os.ReadDir(s.opts.StateDir)
 	if err != nil {
@@ -495,28 +501,10 @@ func (s *Service) recover() error {
 		if !found || !nameRE.MatchString(name) {
 			continue
 		}
-		b, err := os.ReadFile(s.specPath(name))
+		world, err := s.recoverWorld(name)
 		if err != nil {
-			return fmt.Errorf("service: recover %s: %w", name, err)
-		}
-		sp, err := spec.Parse(b)
-		if err != nil {
-			return fmt.Errorf("service: recover %s: %w", name, err)
-		}
-		world, err := spec.Build(sp)
-		if err != nil {
-			return fmt.Errorf("service: recover %s: %w", name, err)
-		}
-		if _, err := os.Stat(s.ckptPath(name)); err == nil {
-			cp, err := checkpoint.ReadFile(s.ckptPath(name))
-			if err != nil {
-				world.Eng.Close()
-				return fmt.Errorf("service: recover %s: %w", name, err)
-			}
-			if err := world.Restore(cp); err != nil {
-				world.Eng.Close()
-				return fmt.Errorf("service: recover %s: %w", name, err)
-			}
+			s.quarantine(name, err)
+			continue
 		}
 		t := newTenant(name, world)
 		t.event(world.VRound(), "restored", "")
@@ -524,3 +512,50 @@ func (s *Service) recover() error {
 	}
 	return nil
 }
+
+// recoverWorld rebuilds one persisted simulation. A checkpoint that does
+// not decode or restore fails the whole tenant: restarting it from the
+// spec alone would silently put it back at virtual round 0.
+func (s *Service) recoverWorld(name string) (*spec.World, error) {
+	b, err := os.ReadFile(s.specPath(name))
+	if err != nil {
+		return nil, err
+	}
+	sp, err := spec.Parse(b)
+	if err != nil {
+		return nil, err
+	}
+	world, err := spec.Build(sp)
+	if err != nil {
+		return nil, err
+	}
+	cp, err := checkpoint.ReadFile(s.ckptPath(name))
+	if errors.Is(err, os.ErrNotExist) {
+		return world, nil // never checkpointed
+	}
+	if err == nil {
+		err = world.Restore(cp)
+	}
+	if err != nil {
+		world.Eng.Close()
+		return nil, err
+	}
+	return world, nil
+}
+
+// quarantine takes an unrecoverable tenant offline: its state files are
+// renamed to *.damaged — bytes kept for inspection, the name free for
+// reuse, the next boot not tripping over them again — and the cause is
+// recorded for Quarantined.
+func (s *Service) quarantine(name string, cause error) {
+	for _, path := range []string{s.specPath(name), s.ckptPath(name)} {
+		if err := os.Rename(path, path+".damaged"); err != nil && !errors.Is(err, os.ErrNotExist) {
+			cause = fmt.Errorf("%w (and %v)", cause, err)
+		}
+	}
+	s.quarantined = append(s.quarantined, fmt.Sprintf("%s: %v", name, cause))
+}
+
+// Quarantined lists, as "name: cause" in name order, the persisted
+// simulations New found damaged and set aside instead of recovering.
+func (s *Service) Quarantined() []string { return s.quarantined }

@@ -323,6 +323,77 @@ func TestRestartResumesTenants(t *testing.T) {
 	}
 }
 
+// TestDamagedTenantsQuarantined boots on a state directory where one
+// tenant's checkpoint is truncated and another's spec is not JSON: both are
+// set aside as *.damaged and reported, neither is restarted from whatever
+// half of its state still reads, and the healthy tenant resumes as if they
+// were not there.
+func TestDamagedTenantsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	svc := newService(t, dir)
+	for _, name := range []string{"badspec", "cutckpt", "good"} {
+		create(t, svc, name, smallDoc)
+		callJSON(t, svc, "POST", "/v1/sims/"+name+"/step", `{"vrounds": 3}`, http.StatusOK, nil)
+		callJSON(t, svc, "POST", "/v1/sims/"+name+"/checkpoint", "", http.StatusOK, nil)
+	}
+	svc.Close()
+
+	ckpt, err := os.ReadFile(svc.ckptPath("cutckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := ckpt[:len(ckpt)/2]
+	if err := os.WriteFile(svc.ckptPath("cutckpt"), half, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(svc.specPath("badspec"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := newService(t, dir) // fails here when one damaged tenant refuses boot
+	q := svc2.Quarantined()
+	if len(q) != 2 || !strings.HasPrefix(q[0], "badspec: ") || !strings.HasPrefix(q[1], "cutckpt: ") {
+		t.Fatalf("Quarantined() = %q, want badspec and cutckpt with their causes", q)
+	}
+	var st SimStatus
+	callJSON(t, svc2, "GET", "/v1/sims/good", "", http.StatusOK, &st)
+	if st.VRound != 3 {
+		t.Fatalf("healthy tenant recovered at vround %d, want 3", st.VRound)
+	}
+	callJSON(t, svc2, "POST", "/v1/sims/good/step", `{"vrounds": 2}`, http.StatusOK, &st)
+	if st.VRound != 5 {
+		t.Fatalf("healthy tenant stepped to vround %d, want 5", st.VRound)
+	}
+	for _, name := range []string{"badspec", "cutckpt"} {
+		if rec := call(t, svc2, "GET", "/v1/sims/"+name, ""); rec.Code != http.StatusNotFound {
+			t.Errorf("quarantined %s: status %d, want 404", name, rec.Code)
+		}
+		for _, path := range []string{svc.specPath(name), svc.ckptPath(name)} {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("%s still in place after quarantine (err %v)", path, err)
+			}
+			if _, err := os.Stat(path + ".damaged"); err != nil {
+				t.Errorf("quarantined bytes not kept: %v", err)
+			}
+		}
+	}
+	if kept, err := os.ReadFile(svc.ckptPath("cutckpt") + ".damaged"); err != nil || !bytes.Equal(kept, half) {
+		t.Errorf("cutckpt.ckpt.damaged: %d bytes, err %v; want the %d truncated bytes untouched", len(kept), err, len(half))
+	}
+	svc2.Close()
+
+	// The next boot does not trip over the same files again, and a
+	// quarantined name is free for reuse.
+	svc3 := newService(t, dir)
+	if q := svc3.Quarantined(); len(q) != 0 {
+		t.Fatalf("second boot quarantined again: %q", q)
+	}
+	callJSON(t, svc3, "GET", "/v1/sims/good", "", http.StatusOK, nil)
+	if st := create(t, svc3, "cutckpt", smallDoc); st.VRound != 0 {
+		t.Fatalf("reused name came up at vround %d, want a fresh sim", st.VRound)
+	}
+}
+
 // TestConcurrentTenants runs two identical tenants from goroutines while
 // scraping metrics and availability — the isolation + race-cleanliness
 // pin. Both tenants must finish byte-identical to each other.

@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -139,4 +141,51 @@ func TestTotalDevices(t *testing.T) {
 	if got := s.TotalDevices(); got != 12+4+5+3 {
 		t.Fatalf("TotalDevices = %d, want %d", got, 12+4+5+3)
 	}
+}
+
+// FuzzParse feeds Parse what visimd feeds it: whatever bytes sit in the
+// state directory at boot and whatever arrives on POST /v1/sims. Parse must
+// never panic, and a document it accepts must survive the persistSpec →
+// recover cycle unchanged: JSON() parses again and re-encodes to the same
+// bytes, within the device limit.
+func FuzzParse(f *testing.F) {
+	for _, path := range []string{
+		"../../cmd/visimd/testdata/smoke.json",
+		"../experiments/testdata/e13_jam_high_3x3.json",
+	} {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
+	for _, doc := range []string{
+		minimal(),
+		// The documents service.TestCreateRejects posts.
+		`{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "gird": 1}`,
+		`{"version": "vinfra-spec/v9", "grid": {"cols": 2, "rows": 1}}`,
+		`{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "faults": [{"kind": "sharknado"}]}`,
+		`{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "engine": {"shards": 1000000000}}`,
+		`hello`,
+		`{`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := Parse(doc)
+		if err != nil {
+			return
+		}
+		if n := s.TotalDevices(); n > MaxDevices {
+			t.Fatalf("accepted a %d-device world (limit %d)", n, MaxDevices)
+		}
+		out := s.JSON()
+		s2, err := Parse(out)
+		if err != nil {
+			t.Fatalf("re-Parse of JSON(): %v\n%s", err, out)
+		}
+		if again := s2.JSON(); !bytes.Equal(again, out) {
+			t.Fatalf("JSON not a fixed point:\n%s\nvs\n%s", out, again)
+		}
+	})
 }
