@@ -154,7 +154,9 @@
 // Deliver allocates only the message slices of receivers that actually
 // hear something — and TestEmulatorVRoundSteadyStateAllocs pins the
 // wire-codec state plane (a full virtual round at 9 virtual nodes in at
-// most 600 allocations; the gob+string stack needed ~10,400). CI also
+// most 190 allocations; the gob+string stack needed ~10,400), with
+// spec's TestWorldVRoundSteadyStateAllocs holding the world spec.Build
+// makes to the same kind of budget. CI also
 // runs a fuzz smoke job: 10 seconds each over the wire decoder and the
 // adversarial-input DecodeRoundInput/DecodeJoinAckMsg paths.
 //

@@ -18,7 +18,6 @@ package cha
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 
 	"vinfra/internal/wire"
@@ -168,23 +167,52 @@ func MinBallot(bs []Ballot) Ballot {
 }
 
 // History is an output of a CHA instance: a function from instances
-// 1..Top() to Value-or-⊥, represented sparsely (absent = ⊥). Histories are
-// immutable once published by the protocol.
+// 1..Top() to Value-or-⊥. Only a window of it is stored — position k lives
+// at index k − floor − 1 of a slice — and every position outside the slice
+// is ⊥: those at or below floor were folded into a checkpoint
+// (Section 3.5), those past its end were never on the chain. At is a bounds
+// check and an index.
+//
+// A History reached through Output.History is freshly allocated and
+// immutable once published by the protocol; callers may retain it. The one
+// returned by Core.HistoryView is the core's own scratch and is overwritten
+// by the core's next history calculation — read it and drop it.
 type History struct {
-	top  Instance
-	vals map[Instance]Value
+	top, floor Instance
+	ents       []position
+	// short backs ents while the window is this short — and after every
+	// green instance it is, the last one and the current — so that a
+	// calculated history is one allocation, not two.
+	short [2]position
+}
+
+// position is one stored history position; the zero value is ⊥.
+type position struct {
+	v  Value
+	ok bool
 }
 
 // NewHistory builds a history with the given top instance and entries; it
 // is exported for tests and for baseline implementations.
 func NewHistory(top Instance, vals map[Instance]Value) *History {
-	cp := make(map[Instance]Value, len(vals))
-	for k, v := range vals {
+	lo, hi := top+1, Instance(0)
+	for k := range vals {
 		if k >= 1 && k <= top {
-			cp[k] = v
+			lo, hi = min(lo, k), max(hi, k)
 		}
 	}
-	return &History{top: top, vals: cp}
+	h := &History{top: top}
+	if hi == 0 {
+		return h
+	}
+	h.floor = lo - 1
+	h.ents = make([]position, hi-h.floor)
+	for k, v := range vals {
+		if k >= lo && k <= hi {
+			h.ents[k-lo] = position{v: v, ok: true}
+		}
+	}
+	return h
 }
 
 // Top returns the instance this history was output for; entries beyond Top
@@ -194,28 +222,39 @@ func (h *History) Top() Instance { return h.top }
 // At returns the value at instance k and whether the history includes k
 // (false means ⊥).
 func (h *History) At(k Instance) (Value, bool) {
-	v, ok := h.vals[k]
-	return v, ok
+	if i := k - h.floor - 1; i >= 0 && int(i) < len(h.ents) {
+		return h.ents[i].v, h.ents[i].ok
+	}
+	return Value{}, false
 }
 
 // Includes reports whether h(k) != ⊥.
 func (h *History) Includes(k Instance) bool {
-	_, ok := h.vals[k]
+	_, ok := h.At(k)
 	return ok
 }
 
 // Included returns the included instances in increasing order.
 func (h *History) Included() []Instance {
-	out := make([]Instance, 0, len(h.vals))
-	for k := range h.vals {
-		out = append(out, k)
+	out := make([]Instance, 0, len(h.ents))
+	for i, e := range h.ents {
+		if e.ok {
+			out = append(out, h.floor+1+Instance(i))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Len returns the number of included instances.
-func (h *History) Len() int { return len(h.vals) }
+func (h *History) Len() int {
+	n := 0
+	for _, e := range h.ents {
+		if e.ok {
+			n++
+		}
+	}
+	return n
+}
 
 // PrefixEqual reports whether h and o agree on every instance up to and
 // including k (both the included values and the ⊥ positions) — the

@@ -150,9 +150,9 @@ func (r *Replica) Receive(round sim.Round, rx sim.Reception) {
 	_, phase := PhaseOf(round)
 	switch phase {
 	case PhaseBallot:
-		ballots := ExtractBallots(rx.Msgs)
-		r.core.ObserveBallots(ballots, rx.Collision)
-		r.cfg.CM.Observe(round, ballotFeedback(r.broadcastBallot, len(ballots) > 0, rx.Collision))
+		b, heard := MinBallotOf(rx.Msgs)
+		r.core.ObserveMinBallot(b, heard, rx.Collision)
+		r.cfg.CM.Observe(round, ballotFeedback(r.broadcastBallot, heard, rx.Collision))
 	case PhaseVeto1:
 		r.core.ObserveVeto1(HasVeto(rx.Msgs), rx.Collision)
 	default: // PhaseVeto2
@@ -190,15 +190,16 @@ func ballotFeedback(broadcast, gotBallot, collision bool) cm.Feedback {
 	}
 }
 
-// ExtractBallots filters the ballot payloads out of a reception.
-func ExtractBallots(msgs []sim.Message) []Ballot {
-	var out []Ballot
+// MinBallotOf folds the ballot payloads of a reception to their minimum
+// (MinBallot of the set, without building it); heard reports whether the
+// reception carried a ballot at all.
+func MinBallotOf(msgs []sim.Message) (b Ballot, heard bool) {
 	for _, m := range msgs {
-		if bm, ok := m.(BallotMsg); ok {
-			out = append(out, bm.B)
+		if bm, ok := m.(BallotMsg); ok && (!heard || bm.B.Less(b)) {
+			b, heard = bm.B, true
 		}
 	}
-	return out
+	return b, heard
 }
 
 // HasVeto reports whether a reception contains a veto.

@@ -22,7 +22,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if snap.K != 3 || snap.Prev != 3 || snap.Floor != 0 {
 		t.Errorf("snapshot header = %+v", snap)
 	}
-	restored := RestoreCore(snap)
+	restored, err := RestoreCore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if restored.Prev() != c.Prev() || restored.Instance() != c.Instance() || restored.Floor() != c.Floor() {
 		t.Error("restored core header differs")
 	}

@@ -15,6 +15,8 @@ import (
 	"vinfra/internal/geo"
 	"vinfra/internal/sim"
 	"vinfra/internal/spec"
+	"vinfra/internal/vi"
+	"vinfra/internal/wire"
 )
 
 // smallDoc is the shared world: a 2x1 counter grid with pingers, fast
@@ -391,6 +393,66 @@ func TestDamagedTenantsQuarantined(t *testing.T) {
 	callJSON(t, svc3, "GET", "/v1/sims/good", "", http.StatusOK, nil)
 	if st := create(t, svc3, "cutckpt", smallDoc); st.VRound != 0 {
 		t.Fatalf("reused name came up at vround %d, want a fresh sim", st.VRound)
+	}
+}
+
+// TestHostileCoreQuarantined boots on a state directory where one tenant's
+// checkpoint is well-formed down to its digest but carries, in one
+// replica's agreement core, a current instance of 2^40: the core is a
+// window indexed by instance, so this is not a number to restore and find
+// out. The tenant is quarantined with the core named as the cause, and the
+// healthy tenant steps on.
+func TestHostileCoreQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	svc := newService(t, dir)
+	for _, name := range []string{"bigk", "good"} {
+		create(t, svc, name, smallDoc)
+		callJSON(t, svc, "POST", "/v1/sims/"+name+"/step", `{"vrounds": 3}`, http.StatusOK, nil)
+		callJSON(t, svc, "POST", "/v1/sims/"+name+"/checkpoint", "", http.StatusOK, nil)
+	}
+	svc.Close()
+
+	cp, err := checkpoint.ReadFile(svc.ckptPath("bigk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := false
+	for i := range cp.Engine.Nodes {
+		n := &cp.Engine.Nodes[i]
+		d := wire.Dec(n.State)
+		em, err := vi.DecodeEmulatorSnapshot(&d)
+		if err != nil || d.Finish() != nil || !em.Joined {
+			continue // a pinger, not a replica
+		}
+		em.Core.K = 1 << 40
+		n.State = em.AppendTo(nil)
+		rewritten = true
+		break
+	}
+	if !rewritten {
+		t.Fatal("no joined replica in the checkpoint to rewrite")
+	}
+	if err := cp.WriteFile(svc.ckptPath("bigk")); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := newService(t, dir)
+	q := svc2.Quarantined()
+	if len(q) != 1 || !strings.HasPrefix(q[0], "bigk: ") || !strings.Contains(q[0], "cha: restore") {
+		t.Fatalf("Quarantined() = %q, want bigk refused by the core's restore", q)
+	}
+	for _, path := range []string{svc.specPath("bigk"), svc.ckptPath("bigk")} {
+		if _, err := os.Stat(path + ".damaged"); err != nil {
+			t.Errorf("quarantined bytes not kept: %v", err)
+		}
+	}
+	if rec := call(t, svc2, "GET", "/v1/sims/bigk", ""); rec.Code != http.StatusNotFound {
+		t.Errorf("quarantined tenant: status %d, want 404", rec.Code)
+	}
+	var st SimStatus
+	callJSON(t, svc2, "POST", "/v1/sims/good/step", `{"vrounds": 2}`, http.StatusOK, &st)
+	if st.VRound != 5 {
+		t.Fatalf("healthy tenant stepped to vround %d, want 5", st.VRound)
 	}
 }
 

@@ -98,6 +98,9 @@ type testbedOpts struct {
 	leaders     bool // use fixed-leader CMs (first replica of each region)
 	adversary   radio.Adversary
 	detector    cd.Detector
+	// program overrides counterProgram, whose state remembers everything it
+	// heard and so grows with the run.
+	program func(vi.Schedule) func(vi.VNodeID) vi.Program
 }
 
 func newTestbed(t *testing.T, o testbedOpts) *testbed {
@@ -108,12 +111,13 @@ func newTestbed(t *testing.T, o testbedOpts) *testbed {
 	if o.seed == 0 {
 		o.seed = 1
 	}
-	sched := vi.BuildSchedule(o.locs, testRadii)
-
+	if o.program == nil {
+		o.program = counterProgram
+	}
 	cfg := vi.DeploymentConfig{
 		Locations: o.locs,
 		Radii:     testRadii,
-		Program:   counterProgram(sched),
+		Program:   o.program(vi.BuildSchedule(o.locs, testRadii)),
 	}
 	if o.leaders {
 		leaders := make(map[vi.VNodeID]sim.NodeID, len(o.locs))

@@ -20,7 +20,7 @@ type Deployment struct {
 	radii    geo.Radii
 	schedule Schedule
 	timing   Timing
-	program  func(VNodeID) Program
+	programs []Program // one per virtual node, shared by all its replicas
 	vmax     float64
 	newCM    func(v VNodeID, env sim.Env) cm.Manager
 }
@@ -31,7 +31,10 @@ type DeploymentConfig struct {
 	Locations []geo.Point
 	// Radii are the quasi-unit-disk radio parameters. Required.
 	Radii geo.Radii
-	// Program supplies each virtual node's automaton. Required.
+	// Program supplies each virtual node's automaton. Required. It is
+	// called once per virtual node, by NewDeployment: a program is a
+	// deterministic automaton every replica of the node shares, its state
+	// the byte strings it is handed, never anything it closes over.
 	Program func(VNodeID) Program
 	// VMax bounds device speed; it shrinks the regional contention
 	// manager's leader-eligibility margin (Section 4.2). Optional.
@@ -54,10 +57,13 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		return nil, fmt.Errorf("vi: deployment requires a Program")
 	}
 	d := &Deployment{
-		locs:    append([]geo.Point(nil), cfg.Locations...),
-		radii:   cfg.Radii,
-		program: cfg.Program,
-		vmax:    cfg.VMax,
+		locs:     append([]geo.Point(nil), cfg.Locations...),
+		radii:    cfg.Radii,
+		programs: make([]Program, len(cfg.Locations)),
+		vmax:     cfg.VMax,
+	}
+	for v := range d.programs {
+		d.programs[v] = cfg.Program(VNodeID(v))
 	}
 	d.regionIx = geo.BuildCellIndex(d.locs, d.RegionRadius())
 	d.schedule = BuildSchedule(d.locs, d.radii)
@@ -76,6 +82,9 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	}
 	return d, nil
 }
+
+// program returns virtual node v's automaton.
+func (d *Deployment) program(v VNodeID) Program { return d.programs[v] }
 
 // RegionRadius returns the replication region radius around each virtual
 // node location: R1/4 (Section 4).
@@ -223,7 +232,7 @@ func (e *Emulator) Core() *cha.Core { return e.core }
 // The returned slice is owned by the emulator's state cache; callers must
 // not mutate it.
 func (e *Emulator) StateBefore(vr int) []byte {
-	return e.cache.stateBefore(e.core.CalculateHistory(), vr)
+	return e.cache.stateBefore(e.core.HistoryView(), vr)
 }
 
 func (e *Emulator) enterRegion(v VNodeID) {
@@ -377,7 +386,7 @@ func (e *Emulator) transmitVN(r sim.Round, vr int) sim.Message {
 	if e.vn == None || !e.joined {
 		return nil
 	}
-	state := e.cache.stateBefore(e.core.CalculateHistory(), vr)
+	state := e.cache.stateBefore(e.core.HistoryView(), vr)
 	out := e.d.program(e.vn).Outgoing(state, vr)
 	if out == nil {
 		return nil
@@ -557,9 +566,9 @@ func (e *Emulator) observeBallots(r sim.Round, rx sim.Reception) {
 		// Defensive: a replica that joined mid-round skips the instance.
 		return
 	}
-	ballots := cha.ExtractBallots(rx.Msgs)
-	e.core.ObserveBallots(ballots, rx.Collision)
-	e.mgr.Observe(r, ballotFeedback(e.broadcastBallot, len(ballots) > 0, rx.Collision))
+	b, heard := cha.MinBallotOf(rx.Msgs)
+	e.core.ObserveMinBallot(b, heard, rx.Collision)
+	e.mgr.Observe(r, ballotFeedback(e.broadcastBallot, heard, rx.Collision))
 }
 
 // finishInstance closes the instance at the final veto phase, folds green
@@ -594,7 +603,11 @@ func (e *Emulator) fold(out cha.Output) {
 // replica from the next virtual round.
 func (e *Emulator) adoptAck(vr int, ack JoinAckMsg) {
 	e.gotAck = true
-	core := cha.RestoreCore(ack.Snap)
+	core, err := cha.RestoreCore(ack.Snap)
+	if err != nil {
+		// The ack is a live replica's own Snapshot, handed over in process.
+		panic(fmt.Sprintf("vi: join-ack does not restore: %v", err))
+	}
 	e.becomeReplica(ack.StateFloor, ack.State, core)
 	if e.hooks.OnJoin != nil {
 		e.hooks.OnJoin(e.vn, vr)

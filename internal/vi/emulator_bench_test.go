@@ -56,11 +56,13 @@ func benchBed(cols, rows int) (*sim.Engine, *vi.Deployment) {
 
 // TestEmulatorVRoundSteadyStateAllocs gates the virtual round's allocation
 // budget: a 9-virtual-node grid (27 replicas + 9 clients) must run one
-// full virtual round (21 radio rounds) in at most 600 allocations after
-// warm-up. On the gob+string state plane this was ~10,400 allocs per
-// virtual round (every replica gob-encoding/decoding its state and
-// fmt-splicing proposals); the wire codec brought it to ~370, and the gate
-// keeps the win from silently regressing.
+// full virtual round (21 radio rounds) in at most 190 allocations after
+// warm-up — the measured 166 plus about 15 %. On the gob+string state plane
+// this was ~10,400 allocs per virtual round (every replica gob-encoding and
+// decoding its state and fmt-splicing proposals), on the wire codec 342;
+// the window core, the history view and the pooled state decoder took the
+// rest. The bed's program is test-local: the world spec.Build makes has its
+// own gate, spec's TestWorldVRoundSteadyStateAllocs.
 func TestEmulatorVRoundSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -69,8 +71,9 @@ func TestEmulatorVRoundSteadyStateAllocs(t *testing.T) {
 	per := dep.Timing().RoundsPerVRound()
 	eng.Run(3 * per) // warm up: schedules, caches, reusable buffers
 	avg := testing.AllocsPerRun(5, func() { eng.Run(per) })
-	if avg > 600 {
-		t.Errorf("steady-state virtual round allocates %.0f times at 9 vnodes, want <= 600", avg)
+	t.Logf("allocs/vround: %.1f", avg)
+	if avg > 190 {
+		t.Errorf("steady-state virtual round allocates %.0f times at 9 vnodes, want <= 190", avg)
 	}
 }
 

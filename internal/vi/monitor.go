@@ -1,6 +1,8 @@
 package vi
 
 import (
+	"slices"
+	"sort"
 	"sync"
 
 	"vinfra/internal/cha"
@@ -13,38 +15,82 @@ import (
 // plane: experiments wire Observe into EmulatorHooks.OnOutput and read the
 // per-node reports (or the deployment-wide summary) after the run.
 //
+// A virtual node is green for long stretches, so its green instances are
+// kept as runs: a sorted list of maximal intervals, one entry however long
+// the run. The stalls of a report are the gaps between them. What a
+// MonitorSnapshot lists is still every green instance — Snapshot expands
+// the runs and Restore folds the list back — so the accounting's memory is
+// bounded by the number of stalls while its encoding grows with the run.
+//
 // Observe is safe for concurrent use: the parallel engine fans Receive calls
 // (and therefore output hooks) across workers. Accumulation is a set union,
 // so the reports are independent of observation order — the same determinism
 // contract as the rest of the stack (sequential == parallel).
 type Monitor struct {
 	mu     sync.Mutex
-	greens map[VNodeID]map[cha.Instance]bool
-	top    map[VNodeID]cha.Instance
+	vnodes map[VNodeID]*greenRuns
+}
+
+// greenRuns is one virtual node's accounting: the highest instance observed
+// and the green instances as maximal runs, ascending — disjoint, and no two
+// adjacent.
+type greenRuns struct {
+	top  cha.Instance
+	runs []run
+}
+
+// run is the closed interval of instances from..to.
+type run struct{ from, to cha.Instance }
+
+// add records instance k as green.
+func (g *greenRuns) add(k cha.Instance) {
+	n := len(g.runs)
+	if n > 0 {
+		// In order, the next instance extends the last run and a second
+		// replica's report of the same one falls inside it.
+		switch last := &g.runs[n-1]; {
+		case k == last.to+1:
+			last.to = k
+			return
+		case k >= last.from && k <= last.to:
+			return
+		}
+	}
+	// Out of order: i is the first run that k lies in, touches or precedes.
+	i := sort.Search(n, func(i int) bool { return g.runs[i].to+1 >= k })
+	switch {
+	case i == n || k < g.runs[i].from-1:
+		g.runs = slices.Insert(g.runs, i, run{k, k})
+	case k == g.runs[i].from-1:
+		g.runs[i].from = k
+	case k == g.runs[i].to+1:
+		g.runs[i].to = k
+		if i+1 < n && g.runs[i+1].from == k+1 { // k closed the gap
+			g.runs[i].to = g.runs[i+1].to
+			g.runs = slices.Delete(g.runs, i+1, i+2)
+		}
+	}
 }
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{
-		greens: make(map[VNodeID]map[cha.Instance]bool),
-		top:    make(map[VNodeID]cha.Instance),
-	}
+	return &Monitor{vnodes: make(map[VNodeID]*greenRuns)}
 }
 
 // Observe records one replica's output for virtual node v. Wire it into
 // EmulatorHooks.OnOutput.
 func (m *Monitor) Observe(v VNodeID, out cha.Output) {
 	m.mu.Lock()
-	if out.Color == cha.Green {
-		g := m.greens[v]
-		if g == nil {
-			g = make(map[cha.Instance]bool)
-			m.greens[v] = g
-		}
-		g[out.Instance] = true
+	g := m.vnodes[v]
+	if g == nil {
+		g = new(greenRuns)
+		m.vnodes[v] = g
 	}
-	if out.Instance > m.top[v] {
-		m.top[v] = out.Instance
+	if out.Color == cha.Green {
+		g.add(out.Instance)
+	}
+	if out.Instance > g.top {
+		g.top = out.Instance
 	}
 	m.mu.Unlock()
 }
@@ -88,7 +134,10 @@ type AvailabilityReport struct {
 // count as unavailable there, not unobserved.
 func (m *Monitor) Report(v VNodeID) AvailabilityReport {
 	m.mu.Lock()
-	top := int(m.top[v])
+	top := 0
+	if g := m.vnodes[v]; g != nil {
+		top = int(g.top)
+	}
 	m.mu.Unlock()
 	return m.ReportThrough(v, top)
 }
@@ -97,35 +146,26 @@ func (m *Monitor) Report(v VNodeID) AvailabilityReport {
 // instances 1..through: an instance no replica reached green in — including
 // one no replica reported at all — is unavailable.
 func (m *Monitor) ReportThrough(v VNodeID, through int) AvailabilityReport {
+	rep := AvailabilityReport{Instances: through}
+	end := cha.Instance(through)
+	next := cha.Instance(1) // the lowest instance not yet accounted
 	m.mu.Lock()
-	top := through
-	greens := make([]bool, top+1)
-	for k := range m.greens[v] {
-		if int(k) <= top {
-			greens[k] = true
+	if g := m.vnodes[v]; g != nil {
+		for _, r := range g.runs {
+			from, to := max(r.from, 1), min(r.to, end)
+			if from > to {
+				continue
+			}
+			if from > next {
+				rep.Stalls = append(rep.Stalls, Stall{From: next, Len: int(from - next), Ended: true})
+			}
+			rep.Green += int(to - from + 1)
+			next = to + 1
 		}
 	}
 	m.mu.Unlock()
-
-	rep := AvailabilityReport{Instances: top}
-	run := 0
-	for k := 1; k <= top; k++ {
-		if greens[k] {
-			rep.Green++
-			if run > 0 {
-				rep.Stalls = append(rep.Stalls, Stall{
-					From: cha.Instance(k - run), Len: run, Ended: true,
-				})
-				run = 0
-			}
-			continue
-		}
-		run++
-	}
-	if run > 0 {
-		rep.Stalls = append(rep.Stalls, Stall{
-			From: cha.Instance(top + 1 - run), Len: run,
-		})
+	if next <= end {
+		rep.Stalls = append(rep.Stalls, Stall{From: next, Len: int(end - next + 1)})
 	}
 	rep.Unavailable = rep.Instances - rep.Green
 	if rep.Instances > 0 {

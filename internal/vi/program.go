@@ -2,6 +2,7 @@ package vi
 
 import (
 	"fmt"
+	"sync"
 
 	"vinfra/internal/cha"
 	"vinfra/internal/geo"
@@ -174,6 +175,11 @@ func (c Codec[S]) encode(s S) []byte {
 	return out
 }
 
+// decPool recycles the decoders decode hands to DecodeState: the argument of
+// a func value escapes, so a decoder on decode's stack would be a heap
+// object per call.
+var decPool = sync.Pool{New: func() any { return new(wire.Decoder) }}
+
 func (c Codec[S]) decode(raw []byte) S {
 	var s S
 	if len(raw) == 0 {
@@ -182,11 +188,14 @@ func (c Codec[S]) decode(raw []byte) S {
 	if c.DecodeState == nil {
 		panic("vi: Codec requires DecodeState")
 	}
-	d := wire.Dec(raw)
-	s, err := c.DecodeState(&d)
+	d := decPool.Get().(*wire.Decoder)
+	*d = wire.Dec(raw)
+	s, err := c.DecodeState(d)
 	if err == nil {
 		err = d.Finish()
 	}
+	*d = wire.Decoder{} // the pool must not keep raw reachable
+	decPool.Put(d)
 	if err != nil {
 		panic(fmt.Sprintf("vi: state decode: %v", err))
 	}

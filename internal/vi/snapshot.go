@@ -172,7 +172,10 @@ func (e *Emulator) Restore(s EmulatorSnapshot) error {
 			}
 		}
 		if s.Joined {
-			core := cha.RestoreCore(s.Core)
+			core, err := cha.RestoreCore(s.Core)
+			if err != nil {
+				return fmt.Errorf("vi: restore: %w", err)
+			}
 			core.BrokenChains = s.BrokenChains
 			e.becomeReplica(s.Floor, append([]byte(nil), s.FloorState...), core)
 		}
@@ -397,56 +400,54 @@ func DecodeMonitorSnapshot(b []byte) (MonitorSnapshot, error) {
 	return s, nil
 }
 
-// Snapshot captures the monitor's accounting. Map walks are sorted, so two
-// snapshots of the same accounting are byte-identical.
+// Snapshot captures the monitor's accounting: the virtual nodes that were
+// observed at all, ascending, each run expanded into the instances it
+// covers — so two snapshots of the same accounting are byte-identical.
 func (m *Monitor) Snapshot() MonitorSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seen := make(map[VNodeID]bool, len(m.greens)+len(m.top))
-	for v := range m.greens {
-		seen[v] = true
-	}
-	for v := range m.top {
-		seen[v] = true
-	}
 	var s MonitorSnapshot
-	s.VNodes = make([]VNodeID, 0, len(seen))
-	for v := range seen {
-		s.VNodes = append(s.VNodes, v)
+	s.VNodes = make([]VNodeID, 0, len(m.vnodes))
+	for v, g := range m.vnodes {
+		if g.top != 0 || len(g.runs) > 0 {
+			s.VNodes = append(s.VNodes, v)
+		}
 	}
 	slices.Sort(s.VNodes)
 	s.Tops = make([]cha.Instance, len(s.VNodes))
 	s.Greens = make([][]cha.Instance, len(s.VNodes))
 	for i, v := range s.VNodes {
-		s.Tops[i] = m.top[v]
-		g := make([]cha.Instance, 0, len(m.greens[v]))
-		for k := range m.greens[v] {
-			g = append(g, k)
+		g := m.vnodes[v]
+		s.Tops[i] = g.top
+		n := 0
+		for _, r := range g.runs {
+			n += int(r.to - r.from + 1)
 		}
-		slices.Sort(g)
-		s.Greens[i] = g
+		greens := make([]cha.Instance, 0, n)
+		for _, r := range g.runs {
+			for k := r.from; k <= r.to; k++ {
+				greens = append(greens, k)
+			}
+		}
+		s.Greens[i] = greens
 	}
 	return s
 }
 
 // Restore replaces the monitor's accounting in place — in place because
 // experiment beds wire m.Observe (a method value) into emulator hooks, so
-// the monitor pointer itself cannot be swapped on restore.
+// the monitor pointer itself cannot be swapped on restore. The listed
+// instances are folded back into runs one by one, in whatever order and
+// with whatever repeats a decoded snapshot lists them.
 func (m *Monitor) Restore(s MonitorSnapshot) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.greens = make(map[VNodeID]map[cha.Instance]bool, len(s.VNodes))
-	m.top = make(map[VNodeID]cha.Instance, len(s.VNodes))
+	m.vnodes = make(map[VNodeID]*greenRuns, len(s.VNodes))
 	for i, v := range s.VNodes {
-		if s.Tops[i] != 0 {
-			m.top[v] = s.Tops[i]
+		g := &greenRuns{top: s.Tops[i]}
+		for _, k := range s.Greens[i] {
+			g.add(k)
 		}
-		if len(s.Greens[i]) > 0 {
-			g := make(map[cha.Instance]bool, len(s.Greens[i]))
-			for _, k := range s.Greens[i] {
-				g[k] = true
-			}
-			m.greens[v] = g
-		}
+		m.vnodes[v] = g
 	}
 }

@@ -163,8 +163,8 @@ func TestJoinAckRoundTrip(t *testing.T) {
 		t.Errorf("snapshot statuses round trip: %+v", got.Snap)
 	}
 	// The restored core behaves like the original.
-	if cha.RestoreCore(got.Snap).Prev() != 11 {
-		t.Error("restored core prev differs")
+	if core, err := cha.RestoreCore(got.Snap); err != nil || core.Prev() != 11 {
+		t.Errorf("restored core prev differs (err %v)", err)
 	}
 }
 
@@ -209,8 +209,9 @@ func FuzzDecodeRoundInput(f *testing.F) {
 }
 
 // FuzzDecodeJoinAck feeds adversarial bytes to the join-ack decoder: no
-// panics, and accepted acks must re-encode to the exact input (the
-// encoding is canonical).
+// panics, accepted acks must re-encode to the exact input (the encoding is
+// canonical), and the core an ack carries must restore (to the same bytes)
+// or be refused.
 func FuzzDecodeJoinAck(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(JoinAckMsg{StateFloor: 2, State: []byte("snap")}.AppendTo(nil))
@@ -222,6 +223,9 @@ func FuzzDecodeJoinAck(f *testing.F) {
 		Statuses:   []cha.Color{cha.Orange},
 	}}
 	f.Add(full.AppendTo(nil))
+	for _, c := range hostileCores() {
+		f.Add(JoinAckMsg{StateFloor: c.Floor, State: []byte("s"), Snap: c}.AppendTo(nil))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeJoinAckMsg(data)
 		if err != nil {
@@ -234,5 +238,6 @@ func FuzzDecodeJoinAck(f *testing.F) {
 		if m.WireSize() != len(enc) {
 			t.Fatalf("WireSize %d != encoded length %d", m.WireSize(), len(enc))
 		}
+		checkCoreRestores(t, m.Snap)
 	})
 }
