@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"sort"
-
 	"vinfra/internal/geo"
 	"vinfra/internal/sim"
 )
@@ -38,10 +36,9 @@ func (w RegionWipe) Strike(r sim.Round, ctl sim.Control) {
 	if r != w.At {
 		return
 	}
-	for id := 0; id < ctl.NumNodes(); id++ {
-		nid := sim.NodeID(id)
-		if ctl.Alive(nid) && ctl.Position(nid).Within(w.Center, w.Radius) {
-			ctl.Crash(nid)
+	for _, id := range ctl.AliveIDs(nil) { // strikes once: nothing to reuse
+		if ctl.Position(id).Within(w.Center, w.Radius) {
+			ctl.Crash(id)
 		}
 	}
 }
@@ -59,6 +56,8 @@ type CrashBurst struct {
 	// Eligible restricts the victims (nil means every node). E13 uses it
 	// to spare measurement clients so the columns keep reporting.
 	Eligible func(id sim.NodeID) bool
+
+	ids []sim.NodeID // AliveIDs scratch, reused across bursts
 }
 
 var _ sim.Fault = (*CrashBurst)(nil)
@@ -72,13 +71,13 @@ func (b *CrashBurst) Strike(r sim.Round, ctl sim.Control) {
 	if phase != 0 {
 		return
 	}
-	for id := 0; id < ctl.NumNodes(); id++ {
-		nid := sim.NodeID(id)
-		if !ctl.Alive(nid) || (b.Eligible != nil && !b.Eligible(nid)) {
+	b.ids = ctl.AliveIDs(b.ids)
+	for _, id := range b.ids {
+		if b.Eligible != nil && !b.Eligible(id) {
 			continue
 		}
 		if u01(hashKeys(b.Seed, cycle, int64(id))) < b.P {
-			ctl.Crash(nid)
+			ctl.Crash(id)
 		}
 	}
 }
@@ -100,6 +99,25 @@ type ChurnStorm struct {
 	// Respawn, if non-nil, runs after each victim's crash, on the engine
 	// goroutine. It may attach replacement nodes via a closed-over engine.
 	Respawn func(victim sim.NodeID, at geo.Point)
+
+	// Scratch reused across fronts: the alive ids and the front's victims.
+	ids   []sim.NodeID
+	picks []stormPick
+}
+
+// stormPick is one candidate victim of a storm front, ranked by hash (ties
+// by id — distinct ids give distinct hashes virtually always, but the order
+// must be total).
+type stormPick struct {
+	h  uint64
+	id sim.NodeID
+}
+
+func (p stormPick) before(q stormPick) bool {
+	if p.h != q.h {
+		return p.h < q.h
+	}
+	return p.id < q.id
 }
 
 var _ sim.Fault = (*ChurnStorm)(nil)
@@ -113,33 +131,32 @@ func (s *ChurnStorm) Strike(r sim.Round, ctl sim.Control) {
 	if phase != 0 {
 		return
 	}
-	// Rank the candidates by hash (ties by id — distinct ids give distinct
-	// hashes virtually always, but the order must be total) and take the
-	// smallest. NumNodes is read once: respawned nodes join next cycle's
-	// candidate pool, not this one's.
-	type victim struct {
-		h  uint64
-		id sim.NodeID
-	}
-	var cands []victim
-	n := ctl.NumNodes()
-	for id := 0; id < n; id++ {
-		nid := sim.NodeID(id)
-		if !ctl.Alive(nid) || (s.Eligible != nil && !s.Eligible(nid)) {
+	// Keep the Kills smallest-ranked candidates, in rank order: a candidate
+	// that does not beat the worst one kept — nearly all of them — costs one
+	// compare. The alive ids are read once: respawned nodes join next
+	// cycle's candidate pool, not this one's.
+	s.ids = ctl.AliveIDs(s.ids)
+	picks := s.picks[:0]
+	for _, id := range s.ids {
+		if s.Eligible != nil && !s.Eligible(id) {
 			continue
 		}
-		cands = append(cands, victim{h: hashKeys(s.Seed, cycle, int64(id)), id: nid})
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].h != cands[b].h {
-			return cands[a].h < cands[b].h
+		p := stormPick{h: hashKeys(s.Seed, cycle, int64(id)), id: id}
+		if len(picks) == s.Kills {
+			if !p.before(picks[len(picks)-1]) {
+				continue
+			}
+			picks = picks[:len(picks)-1]
 		}
-		return cands[a].id < cands[b].id
-	})
-	if len(cands) > s.Kills {
-		cands = cands[:s.Kills]
+		i := len(picks)
+		picks = append(picks, p)
+		for ; i > 0 && p.before(picks[i-1]); i-- {
+			picks[i] = picks[i-1]
+		}
+		picks[i] = p
 	}
-	for _, v := range cands {
+	s.picks = picks
+	for _, v := range picks {
 		at := ctl.Position(v.id)
 		ctl.Crash(v.id)
 		if s.Respawn != nil {
@@ -161,6 +178,8 @@ type Herd struct {
 	Seed  int64
 	// Eligible restricts the herd (nil means every node).
 	Eligible func(id sim.NodeID) bool
+
+	ids []sim.NodeID // AliveIDs scratch, reused across rounds
 }
 
 var _ sim.Fault = (*Herd)(nil)
@@ -170,14 +189,14 @@ func (h *Herd) Strike(r sim.Round, ctl sim.Control) {
 	if !h.Active(r) || h.Frac <= 0 || h.Step <= 0 {
 		return
 	}
-	for id := 0; id < ctl.NumNodes(); id++ {
-		nid := sim.NodeID(id)
-		if !ctl.Alive(nid) || (h.Eligible != nil && !h.Eligible(nid)) {
+	h.ids = ctl.AliveIDs(h.ids)
+	for _, nid := range h.ids {
+		if h.Eligible != nil && !h.Eligible(nid) {
 			continue
 		}
 		// Membership is keyed by node only: the same cohort is dragged
 		// every round, the worst case for the regions it abandons.
-		if u01(hashKeys(h.Seed, int64(id))) >= h.Frac {
+		if u01(hashKeys(h.Seed, int64(nid))) >= h.Frac {
 			continue
 		}
 		pos := ctl.Position(nid)

@@ -7,8 +7,10 @@ import "vinfra/internal/radio"
 // of its keys, so adversaries carry no mutable state and are safe for the
 // concurrent, order-free use shard mediums sharing them make of them. Sharing
 // the primitive with radio keeps the two layers' determinism contracts in
-// lockstep by construction.
-var hashKeys = radio.HashKeys
+// lockstep by construction. It is a function, not a variable holding one:
+// called through a variable the keys escape, and every draw — one per alive
+// node per strike — allocated its argument slice.
+func hashKeys(keys ...int64) uint64 { return radio.HashKeys(keys...) }
 
 // u01 is radio.U01, the matching hash-to-uniform mapping.
-var u01 = radio.U01
+func u01(h uint64) float64 { return radio.U01(h) }

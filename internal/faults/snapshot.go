@@ -1,7 +1,9 @@
 // Snapshot encodings for the adversary plane. Every fault here is a pure
 // function of (configuration, round) — none keeps mutable state across
-// Strike calls — so a checkpoint needs only the configuration, and these
-// encodings exist to fingerprint it: sim.Engine.Restore folds each
+// Strike calls (the id and victim buffers some reuse are scratch, filled
+// afresh by every strike before it reads them) — so a checkpoint needs only
+// the configuration, and these encodings exist to fingerprint it:
+// sim.Engine.Restore folds each
 // registered fault's AppendTo bytes into a digest and refuses a snapshot
 // taken under a different adversary set. Eligible/Respawn closures are
 // code, not state; they are excluded from the encodings and must be

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -647,7 +648,9 @@ func plant(t *testing.T, svc *Service, name string) {
 // mine is a device whose Receive panics from radio round at on. It never
 // sleeps and is attached last, so on a tenant with engine workers it sits in
 // the last chunk of the Receive fan-out: the panic is raised on one of the
-// engine's helper goroutines, not on the tenant loop's.
+// engine's helper goroutines, not on the tenant loop's — provided the round
+// has a second chunk's worth of awake devices (the engine runs less than
+// that inline), which the duds lay attaches in front of it see to.
 type mine struct{ at sim.Round }
 
 func (mine) Transmit(sim.Round) sim.Message { return nil }
@@ -658,10 +661,15 @@ func (m mine) Receive(r sim.Round, _ sim.Reception) {
 	}
 }
 
-// lay attaches a mine to a tenant's engine, armed one virtual round ahead.
+// lay attaches a mine to a tenant's engine, armed one virtual round ahead,
+// behind 600 that never go off: more than two of the engine's 256-node
+// grains, so every Receive fans out.
 func lay(t *testing.T, svc *Service, name string) {
 	t.Helper()
 	err := svc.lookup(name).do(func(w *spec.World) error {
+		for i := 0; i < 600; i++ {
+			w.Eng.Attach(geo.Point{X: 1, Y: 1}, nil, func(sim.Env) sim.Node { return mine{math.MaxInt64} })
+		}
 		at := w.Eng.Round() + sim.Round(w.RoundsPerVRound())
 		w.Eng.Attach(geo.Point{X: 1, Y: 1}, nil, func(sim.Env) sim.Node { return mine{at} })
 		return nil
@@ -760,4 +768,100 @@ func TestOversizeBodiesRefused(t *testing.T) {
 			t.Errorf("POST %s with a %d-byte body: %d, want 413", path, len(huge), rec.Code)
 		}
 	}
+}
+
+// fuzzWorldLimit keeps the handler fuzzers' worlds small: a create the spec
+// layer would accept for more devices or regions than this is skipped, not
+// built — spec.MaxDevices is a million, and the fuzzers build a world per
+// input.
+func fuzzWorldTooLarge(body []byte) bool {
+	var req createRequest
+	if json.Unmarshal(body, &req) != nil {
+		return false
+	}
+	sp, err := spec.Parse(req.Spec)
+	return err == nil && (sp.TotalDevices() > 2000 || sp.Grid.Cols*sp.Grid.Rows > 64)
+}
+
+// stepAndDelete is what must work on any simulation a fuzzed request left
+// behind: one virtual round, then the delete.
+func stepAndDelete(t *testing.T, svc *Service, name string) {
+	t.Helper()
+	if rec := call(t, svc, "POST", "/v1/sims/"+name+"/step", `{"vrounds": 1}`); rec.Code != http.StatusOK {
+		t.Fatalf("step after the request: %d %s", rec.Code, rec.Body)
+	}
+	if rec := call(t, svc, "DELETE", "/v1/sims/"+name, ""); rec.Code != http.StatusOK {
+		t.Fatalf("delete after the request: %d %s", rec.Code, rec.Body)
+	}
+}
+
+// FuzzCreateHandler posts arbitrary bodies to POST /v1/sims: whatever
+// arrives, the daemon answers without a 5xx and without panicking, and a
+// simulation it did create steps a virtual round and deletes.
+func FuzzCreateHandler(f *testing.F) {
+	for _, body := range []string{
+		`{"name": "a", "spec": ` + smallDoc + `}`,
+		`{"name": "dup", "spec": ` + smallDoc + `}`,           // the name the fuzz target has already taken
+		`{"name": "a", "spec": ` + smallDoc[:len(smallDoc)/2], // truncated
+		`{"name": "a", "spec": {"version": "vinfra-spec/v9", "grid": {"cols": 2, "rows": 1}}}`,
+		`{"name": "a", "spec": {"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "engine": {"shards": 1073741824}}}`,
+		`{"name": "a", "spec": {"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "engine": {"workers": 3, "shards": 4}, "devices": {"pingers": true, "listeners": 40}, "faults": [{"kind": "churn_storm", "period": 7, "kills": 2}]}}`,
+		`{"name": "../etc", "spec": ` + smallDoc + `}`,
+		`{"name": "a"}`,
+		`{"name": "a", "spec": ` + smallDoc + `, "sepc": 1}`,
+		`{"name": "a", "spec": "` + strings.Repeat("x", maxBodyBytes) + `"}`, // oversize
+		`hello`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if fuzzWorldTooLarge(body) {
+			t.Skip("a world too large to build per input")
+		}
+		svc := newService(t, "")
+		create(t, svc, "dup", smallDoc)
+		rec := call(t, svc, "POST", "/v1/sims", string(body))
+		if rec.Code >= 500 {
+			t.Fatalf("create answered %d: %s", rec.Code, rec.Body)
+		}
+		if rec.Code/100 == 2 {
+			var st SimStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatalf("decoding the created status: %v\n%s", err, rec.Body)
+			}
+			stepAndDelete(t, svc, st.Name)
+		}
+		stepAndDelete(t, svc, "dup")
+	})
+}
+
+// FuzzFaultHandler posts arbitrary bodies to POST /v1/sims/{name}/faults of a
+// live simulation: never a 5xx, never a panic, and whatever was injected the
+// simulation steps on and deletes.
+func FuzzFaultHandler(f *testing.F) {
+	for _, body := range []string{
+		`{"kind": "crash_burst", "period": 30, "p": 0.5}`,
+		`{"kind": "churn_storm", "period": 1, "kills": 3}`,
+		`{"kind": "region_wipe", "at": 1, "x": 0, "y": 0, "radius": 100}`,
+		`{"kind": "herd", "x": 3, "y": 3, "frac": 1, "step": 1e308}`,
+		`{"kind": "region_jammer", "period": 4, "burst": 2}`,
+		`{"kind": "cell_jammer", "cells": 1000000}`,
+		`{"kind": "sharknado"}`,
+		`{"kind": "crash_burst", "period": 30, "p": 0.5, "pp": 1}`,
+		`{"kind": "crash_burst", "per`,                          // truncated
+		`{"kind": "` + strings.Repeat("x", maxBodyBytes) + `"}`, // oversize
+		`hello`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		svc := newService(t, "")
+		create(t, svc, "x", smallDoc)
+		if rec := call(t, svc, "POST", "/v1/sims/x/faults", string(body)); rec.Code >= 500 {
+			t.Fatalf("fault injection answered %d: %s", rec.Code, rec.Body)
+		}
+		stepAndDelete(t, svc, "x")
+	})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"vinfra/internal/geo"
@@ -28,6 +29,7 @@ func TestEngineStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	defer SetGrain(ProductionGrain)() // the budget is for the engine as it ships
 	for _, tc := range []struct {
 		name   string
 		opts   []Option
@@ -118,6 +120,45 @@ func steadyStateAllocs(t *testing.T, opts []Option, budget float64, nodes int, m
 		}
 		if held != 0 {
 			t.Errorf("one-shard plane holds %d buffered entries, want none (it is handed the engine's views)", held)
+		}
+	}
+}
+
+// TestParallelStepAfterRespawnAllocsNothing: a device dies and another is
+// attached in its place — a storm front's respawn — and the next round, fanned
+// out, allocates nothing. The Transmit slots used to be indexed by NodeID and
+// remade at exact size whenever a node had been attached since: 16 B for every
+// node ever attached, allocated and cleared, after every front.
+func TestParallelStepAfterRespawnAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer SetGrain(ProductionGrain)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	e := NewEngine(&nullMedium{}, WithSeed(1), WithWorkers(4))
+	defer e.Close()
+	attach := func() {
+		e.Attach(geo.Point{X: float64(e.NumNodes() % 50)}, wanderMover{}, func(env Env) Node { return &countNode{env: env} })
+	}
+	for i := 0; i < 1000; i++ {
+		attach()
+	}
+	e.Run(5)
+	e.Crash(999) // warm the receiver view a world with a dead node in it needs
+	attach()
+	e.Run(2)
+	if e.handoffs == 0 {
+		t.Fatal("a 1 000-node round under WithWorkers(4) never fanned out")
+	}
+	var before, after runtime.MemStats
+	for i := 0; i < 40; i++ {
+		e.Crash(NodeID(3 * i))
+		attach()
+		runtime.ReadMemStats(&before)
+		e.Step()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("respawn %d: the round after it made %d allocations (%d B), want none", i, n, after.TotalAlloc-before.TotalAlloc)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 )
 
 func benchEngine(b *testing.B, nodes int, parallel bool) {
+	defer SetGrain(ProductionGrain)() // measure what ships, not the tests' grain of one
 	opts := []Option{WithSeed(1)}
 	if parallel {
 		opts = append(opts, WithParallel())
@@ -63,6 +64,7 @@ func (n *countNode) Receive(Round, Reception) { n.received++ }
 // The 1k/10k sizes track the round-delivery scaling work: they measure the
 // engine's fan-out overhead at emulator scale.
 func benchEngineLarge(b *testing.B, nodes int, parallel bool) {
+	defer SetGrain(ProductionGrain)()
 	opts := []Option{WithSeed(1)}
 	if parallel {
 		opts = append(opts, WithParallel())
@@ -88,6 +90,7 @@ func BenchmarkEngineStep10kParallel(b *testing.B) { benchEngineLarge(b, 10_000, 
 // per-shard collect/deliver) on an 8-shard grid, with the nodes spread over
 // the shard rectangles, on the persistent worker runtime.
 func benchEngineSharded(b *testing.B, nodes int) {
+	defer SetGrain(ProductionGrain)()
 	e := NewEngine(nil,
 		WithSeed(1),
 		WithRegionShards(4, 2, 20, func() Medium { return &nullMedium{} }),

@@ -76,7 +76,7 @@ type Engine struct {
 	// nothing of its own.
 	info    []NodeInfo // indexed by NodeID: the medium's view and the only copy of position and liveness
 	txs     []Transmission
-	txSlots []Message // parallel Transmit scratch, indexed by NodeID
+	txSlots []Message // fanned-out Transmit scratch, positional over awake
 
 	// Cached fan-out closures and their per-round inputs. The worker
 	// runtime hands the callback to helper goroutines, which forces it
@@ -91,17 +91,22 @@ type Engine struct {
 	txFn     func(w, lo, hi int)
 	rxFn     func(w, lo, hi int)
 
-	// pool is the persistent worker runtime behind every parallel
-	// fan-out: started lazily on the first parallel round, torn down by
-	// Close and Snapshot (and rebuilt lazily if the engine steps again).
+	// pool is the persistent worker runtime behind every fan-out wider than
+	// one chunk: started by the first phase that has a second chunk's worth
+	// of work (see width) — never, in a world that stays below that — torn
+	// down by Close and Snapshot, and rebuilt lazily if the engine steps on.
 	pool *workerPool
 
 	// partTime accumulates wall time spent in the region-shard partition
 	// pass, rouseWork the entries rouse has looked at (list entries, filed
-	// nodes, bitmap words). They are measurements, not state: never part of
+	// nodes, bitmap words — rouseWords is the last of those alone, the one
+	// term that follows the nodes ever attached), handoffs the chunks given
+	// to a helper goroutine. They are measurements, not state: never part of
 	// Stats or a snapshot, so determinism contracts are unaffected.
-	partTime  time.Duration
-	rouseWork int
+	partTime   time.Duration
+	rouseWork  int
+	rouseWords int
+	handoffs   int
 
 	// plane propagates each round's transmissions: NewEngine's medium as
 	// its one shard, or the WithRegionShards grid of per-shard mediums with
@@ -124,11 +129,18 @@ type RoundHook func(r Round, txs []Transmission, rxs []Reception)
 
 // Control is the narrow engine surface handed to a Fault: enough to observe
 // the deployment and to crash, relocate or schedule failures, but not to
-// drive rounds. NodeIDs are dense in [0, NumNodes()).
+// drive rounds. NodeIDs are dense in [0, NumNodes()): NumNodes is for ids —
+// what the next Attach will return, how long a NodeID-indexed table must be
+// — and AliveIDs is for walks, so a fault that visits every alive node costs
+// what is alive, not what was ever attached.
 type Control interface {
 	NumNodes() int
 	Alive(id NodeID) bool
 	AliveCount() int
+	// AliveIDs returns the nodes alive at the call, ascending, in buf[:0]
+	// (grown if it is too short; nil is fine). Crashing or attaching during
+	// the walk does not change the slice already returned.
+	AliveIDs(buf []NodeID) []NodeID
 	Position(id NodeID) geo.Point
 	Crash(id NodeID)
 	CrashAt(id NodeID, r Round)
@@ -227,12 +239,18 @@ func WithSeed(seed int64) Option {
 	return func(e *Engine) { e.seed = seed }
 }
 
-// WithParallel fans each round's mobility, Transmit and Receive out across
-// the engine's persistent worker runtime (one contiguous alive-list range
-// per worker). Nodes share no state and per-node randomness is keyed to the
-// node, so output is deterministic and identical to a sequential run;
-// transmissions are merged in NodeID order after the fan-out. A Medium's
-// Deliver stays on one goroutine: what parallelises propagation is
+// WithParallel lets each round's mobility, Transmit and Receive (and, with
+// WithRegionShards, the partition and the shard mediums' Deliver) fan out
+// across the engine's persistent worker runtime, one contiguous range of the
+// alive or awake list per chunk. A chunk is handed to a helper goroutine only
+// when it is worth a hand-off (see width): a phase with less work than that
+// runs on Step's goroutine, and a world that never has more never starts a
+// helper — below the grain WithParallel is the sequential path. The width is
+// decided once per phase, from the number of nodes the phase touches, and
+// results never depend on it: nodes share no state, per-node randomness is
+// keyed to the node, and whatever the chunks produce is merged in NodeID
+// order, so output is byte-identical to a sequential run at every width. A
+// Medium's Deliver stays on one goroutine: what parallelises propagation is
 // WithRegionShards, whose shard mediums deliver concurrently under this
 // option.
 func WithParallel() Option {
@@ -240,8 +258,9 @@ func WithParallel() Option {
 }
 
 // WithWorkers bounds every WithParallel fan-out — node ranges and region
-// shards alike — to n workers (and implies WithParallel). n <= 0 means the
-// default: runtime.GOMAXPROCS(0) node ranges, one worker per region shard.
+// shards alike — to n chunks (and implies WithParallel). n <= 0 means the
+// default, runtime.GOMAXPROCS(0). It is an upper bound, not a demand: see
+// WithParallel for when a phase uses fewer.
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		e.parallel = true
@@ -341,6 +360,19 @@ func (e *Engine) AliveCount() int {
 	return len(e.alive)
 }
 
+// AliveIDs implements Control off the alive list, which is in NodeID order;
+// nodes that died since it was last compacted — earlier in this round's
+// faults — are skipped.
+func (e *Engine) AliveIDs(buf []NodeID) []NodeID {
+	buf = buf[:0]
+	for _, st := range e.alive {
+		if e.info[st.id].Alive {
+			buf = append(buf, st.id)
+		}
+	}
+	return buf
+}
+
 // compactAlive drops dead nodes from the alive list (preserving NodeID
 // order) once any have died. Every per-round loop walks this list, so a
 // long churn run's cost tracks the population that is actually alive
@@ -425,6 +457,7 @@ func (e *Engine) rouse(r Round) {
 		e.awake = e.alive
 	case changed:
 		e.rouseWork += len(e.on)
+		e.rouseWords += len(e.on)
 		buf := e.awakeBuf[:0]
 		if n := len(e.alive) - e.asleep; cap(buf) < n {
 			// Sized to the list once, not grown into: at a million nodes the
@@ -493,7 +526,7 @@ func (e *Engine) Run(n int) {
 // shards' mediums), reception fan-out, stats and hooks.
 //
 // The steady-state round loop allocates nothing: the NodeInfo view, the
-// transmission list, the awake list with its wake files and the parallel
+// transmission list, the awake list with its wake files and the fanned-out
 // Transmit slots are engine-owned buffers reused across rounds. Mobility
 // walks the alive list, so dead nodes cost nothing after the round they die
 // in; everything else walks the awake list, so a node that has called
@@ -523,28 +556,7 @@ func (e *Engine) Step() {
 	e.compactAlive()
 	e.rouse(r)
 
-	// Mobility: move every alive node, asleep or not — where a sleeper wakes
-	// up is part of the run. Per-node RNG call order within a
-	// round is fixed (Move, then Transmit), so this is deterministic
-	// whether the shards run sequentially or in parallel.
-	for len(e.movers) < e.fanout() {
-		mr := &moverRand{}
-		mr.rnd = func(n int) int { return mr.cur.Intn(n) }
-		e.movers = append(e.movers, mr)
-	}
-	if e.mobFn == nil {
-		e.mobFn = func(w, lo, hi int) {
-			mr := e.movers[w]
-			for _, st := range e.alive[lo:hi] {
-				if st.mover != nil {
-					mr.cur = &st.rng
-					at := &e.info[st.id].At
-					*at = st.mover.Move(e.curRound, *at, mr.rnd)
-				}
-			}
-		}
-	}
-	e.runChunks(len(e.alive), e.fanout(), e.mobFn)
+	e.move()
 
 	txs := e.collectTransmissions(r)
 	rxs := e.plane.propagate(e, r, txs)
@@ -588,15 +600,50 @@ func (e *Engine) byNodeID(rxs []Reception) []Reception {
 	return out
 }
 
+// move is the mobility phase: every alive node with a Mover moves, asleep or
+// not — where a sleeper wakes up is part of the run. Per-node RNG call order
+// within a round is fixed (Move, then Transmit), so this is deterministic at
+// any width. On a region-sharded plane the same walk also takes each chunk's
+// bounding box for the partition (shardPlane.mobility).
+func (e *Engine) move() {
+	k := e.width(len(e.alive))
+	for len(e.movers) < k {
+		mr := &moverRand{}
+		mr.rnd = func(n int) int { return mr.cur.Intn(n) }
+		e.movers = append(e.movers, mr)
+	}
+	if len(e.plane.mediums) > 1 {
+		e.plane.boxes(k)
+		if e.mobFn == nil {
+			e.mobFn = e.plane.mobility(e)
+		}
+	}
+	if e.mobFn == nil {
+		e.mobFn = func(w, lo, hi int) {
+			mr := e.movers[w]
+			for _, st := range e.alive[lo:hi] {
+				if st.mover != nil {
+					mr.cur = &st.rng
+					at := &e.info[st.id].At
+					*at = st.mover.Move(e.curRound, *at, mr.rnd)
+				}
+			}
+		}
+	}
+	e.runChunks(len(e.alive), k, e.mobFn)
+}
+
 // collectTransmissions calls Transmit on every awake node and returns the
-// non-nil results in NodeID order. Fanned out, workers write per-node slots
-// that are then merged over the awake list, so the transmission list is
-// identical to the sequential collection. The returned slice is
-// engine-owned and valid until the next round.
+// non-nil results in NodeID order. Fanned out, chunks write per-position
+// slots that are then merged over the awake list, so the transmission list
+// is identical to the one-chunk collection, which appends as it goes and
+// never touches the slots. The returned slice is engine-owned and valid
+// until the next round.
 func (e *Engine) collectTransmissions(r Round) []Transmission {
 	e.txs = e.txs[:0]
-	w := e.fanout()
-	if w <= 1 {
+	n := len(e.awake)
+	k := e.width(n)
+	if k == 1 {
 		for _, st := range e.awake {
 			if m := st.node.Transmit(r); m != nil {
 				e.txs = append(e.txs, Transmission{Sender: st.id, From: e.info[st.id].At, Msg: m})
@@ -604,21 +651,24 @@ func (e *Engine) collectTransmissions(r Round) []Transmission {
 		}
 		return e.txs
 	}
-	if len(e.txSlots) < len(e.nodes) {
-		e.txSlots = make([]Message, len(e.nodes))
+	if len(e.txSlots) < n {
+		// Headroom, as rouse sizes the awake list: an exact fit would be
+		// reallocated (and cleared) after every Attach.
+		e.txSlots = make([]Message, n+n/8)
 	}
 	if e.txFn == nil {
 		e.txFn = func(_, lo, hi int) {
-			for _, st := range e.awake[lo:hi] {
-				e.txSlots[st.id] = st.node.Transmit(e.curRound)
+			slots := e.txSlots[lo:hi]
+			for i, st := range e.awake[lo:hi] {
+				slots[i] = st.node.Transmit(e.curRound)
 			}
 		}
 	}
-	e.runChunks(len(e.awake), w, e.txFn)
-	for _, st := range e.awake {
-		if m := e.txSlots[st.id]; m != nil {
+	e.runChunks(n, k, e.txFn)
+	for i, st := range e.awake {
+		if m := e.txSlots[i]; m != nil {
 			e.txs = append(e.txs, Transmission{Sender: st.id, From: e.info[st.id].At, Msg: m})
-			e.txSlots[st.id] = nil // drop the reference for GC
+			e.txSlots[i] = nil // drop the reference for GC
 		}
 	}
 	return e.txs
@@ -635,13 +685,11 @@ func (e *Engine) deliver(r Round, rxs []Reception) {
 			}
 		}
 	}
-	e.runChunks(len(e.awake), e.fanout(), e.rxFn)
+	e.runChunks(len(e.awake), e.width(len(e.awake)), e.rxFn)
 	e.curRxs = nil
 }
 
-// fanout returns the width of the node-ranged phases (mobility, Transmit,
-// Receive, the shard partition), which chunk the alive or the awake list
-// and must only touch per-node state or per-node slots: one range without
+// fanout returns the most chunks a phase may run in: one without
 // WithParallel, else the WithWorkers bound, or GOMAXPROCS.
 func (e *Engine) fanout() int {
 	switch {
@@ -653,31 +701,43 @@ func (e *Engine) fanout() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// shardFanout returns the width of the per-shard Deliver phase: fanout,
-// except that WithParallel without a WithWorkers bound runs one chunk per
-// shard.
-func (e *Engine) shardFanout() int {
-	if e.parallel && e.workers <= 0 {
-		return len(e.plane.mediums)
+// grain is the least number of nodes a chunk must hold to be worth handing
+// to a helper goroutine. Measured on the persistent pool (2 cores): a
+// hand-off to a helper that is still warm costs about 0.6 µs a fan-out, to
+// one that has parked tens of µs and more (hence spinPolls), while a node's share of a phase is 10–100
+// ns — so below a few hundred nodes the hand-off costs more than the chunk
+// it moves. At 256 the 196-device storm world runs every phase inline
+// (rounds/s +55 % against handing off regardless) and the 100k-device city
+// fans out as before. Only tests write it (export_test.go).
+var grain = 256
+
+// width is the one place a fan-out's chunk count is decided: as many chunks
+// as fanout allows, so long as each gets a grain of the work — the number of
+// nodes the phase touches — and one chunk, run inline, otherwise. A phase
+// asks once and uses the answer for everything it indexes by chunk.
+func (e *Engine) width(work int) int {
+	if !e.parallel || work < 2*grain {
+		return 1
 	}
-	return e.fanout()
+	return min(e.fanout(), work/grain)
 }
 
-// runChunks runs fn over [0, n) in at most k balanced contiguous chunks
-// (chunk w covers [w*n/k, (w+1)*n/k)): inline when k <= 1, otherwise on
-// the persistent worker runtime, creating it on first use.
+// runChunks runs fn over [0, n) in k balanced contiguous chunks (chunk w
+// covers [w*n/k, (w+1)*n/k)), k a width no greater than n: inline when k is
+// 1, otherwise chunk 0 inline and the rest on the persistent worker runtime,
+// started — or restarted wider, had GOMAXPROCS grown since — on first use.
 func (e *Engine) runChunks(n, k int, fn func(w, lo, hi int)) {
-	if k > n {
-		k = n
-	}
 	if k <= 1 {
 		fn(0, 0, n)
 		return
 	}
-	if e.pool == nil {
-		// Sized once for the widest phase.
-		e.pool = newWorkerPool(max(e.fanout(), e.shardFanout()) - 1)
+	if e.pool != nil && e.pool.width() < k {
+		e.Close()
 	}
+	if e.pool == nil {
+		e.pool = newWorkerPool(e.fanout() - 1)
+	}
+	e.handoffs += k - 1
 	e.pool.run(n, k, fn)
 }
 

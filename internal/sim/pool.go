@@ -1,5 +1,7 @@
 package sim
 
+import "runtime"
+
 // workerPool is the engine's persistent worker runtime: a fixed set of
 // long-lived helper goroutines that execute contiguous index chunks of a
 // fan-out function. It replaces a per-round goroutine spawn with a
@@ -9,16 +11,20 @@ package sim
 //
 // Determinism is untouched by construction: the pool only decides *where*
 // a chunk runs, never what the chunks are (run computes the same balanced
-// chunk boundaries for the same (n, k)) and never how results merge
-// (callers merge per-node or per-shard slots in NodeID order afterwards).
+// chunk boundaries for the same (n, k)), never how many there are (the
+// engine decides k once per phase, from the phase's work — Engine.width —
+// and hands the pool only fan-outs whose chunks are each worth a hand-off)
+// and never how results merge (callers merge per-node or per-shard slots in
+// NodeID order afterwards).
 // The channel handoffs give the usual happens-before edges: a helper sees
 // every write made before its task was sent, and the caller sees every
 // helper write once run returns.
 //
 // A pool is owned by exactly one driving goroutine (the engine's Step
 // loop): run is not reentrant and must not be called concurrently. Helpers
-// park on their task channel between rounds and hold no engine state, so
-// an idle pool costs only the parked goroutines; close releases them.
+// park on their task channel between rounds (after a bounded poll, see
+// spinPolls) and hold no engine state, so an idle pool costs only the parked
+// goroutines; close releases them.
 //
 // A panic inside a chunk belongs to the caller of run, whichever goroutine
 // the chunk happened to land on: a helper recovers it and reports it with
@@ -28,7 +34,24 @@ package sim
 type workerPool struct {
 	helpers []chan poolTask
 	done    chan chunkPanic
+	spin    int // polls before either side of a hand-off parks; see spinPolls
 }
+
+// spinPolls bounds how long a side of a hand-off that finds its channel empty
+// polls it before parking on it. Since width keeps small phases inline, the
+// helper of a world whose rounds mostly are small (the 100k-device sharded
+// city: 90 radio rounds a virtual round, the listeners awake in a few) is
+// handed one big chunk a round and sits idle for the rest of it — long enough
+// for its thread to park, so that the next hand-off pays a thread wake, which
+// on a shared 2-vCPU host measured 100–250 µs of a ≈ 1 ms round (the driver's
+// wait on done clustered there) and follows the host's load rather than the
+// program's. A poll is ≈ 7 ns, so 20 000 is about the wake it saves: the idle
+// gaps inside a round (≤ 30 µs) are always covered, a side idle for longer
+// parks as before, and the most a hand-off can burn is what a wake would have
+// cost. Polling is for pools whose every chunk has a processor of its own;
+// with more chunks than GOMAXPROCS a polling goroutine would hold the
+// processor the awaited one needs, and such a pool parks at once.
+const spinPolls = 20000
 
 // chunkPanic is one helper chunk's completion: the chunk's index and the
 // value it panicked with, nil when it returned.
@@ -54,16 +77,36 @@ func newWorkerPool(helpers int) *workerPool {
 		helpers = 0
 	}
 	p := &workerPool{done: make(chan chunkPanic, helpers)}
+	if helpers+1 <= runtime.GOMAXPROCS(0) {
+		p.spin = spinPolls
+	}
 	for i := 0; i < helpers; i++ {
 		ch := make(chan poolTask, 1)
 		p.helpers = append(p.helpers, ch)
 		go func() {
-			for t := range ch {
+			for {
+				t, ok := await(ch, p.spin)
+				if !ok {
+					return
+				}
 				p.done <- chunkPanic{t.w, t.call()}
 			}
 		}()
 	}
 	return p
+}
+
+// await receives from ch, polling it up to spin times before parking on it.
+func await[T any](ch <-chan T, spin int) (v T, ok bool) {
+	for ; spin > 0; spin-- {
+		select {
+		case v, ok = <-ch:
+			return v, ok
+		default:
+		}
+	}
+	v, ok = <-ch
+	return v, ok
 }
 
 // call runs the chunk and returns what it panicked with, if it did.
@@ -100,7 +143,7 @@ func (p *workerPool) run(n, k int, fn func(w, lo, hi int)) {
 	}
 	first := chunkPanic{0, poolTask{fn: fn, hi: n / k}.call()}
 	for w := 1; w < k; w++ {
-		if c := <-p.done; c.value != nil && (first.value == nil || c.w < first.w) {
+		if c, _ := await(p.done, p.spin); c.value != nil && (first.value == nil || c.w < first.w) {
 			first = c
 		}
 	}

@@ -104,6 +104,7 @@ func TestEngineStepSteadyStateAllocsRoaming(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	defer sim.SetGrain(sim.ProductionGrain)() // the budget is for the engine as it ships
 	for _, tc := range []struct {
 		name string
 		opts []sim.Option

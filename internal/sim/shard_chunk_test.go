@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -96,6 +97,36 @@ func TestWorkerPoolRunChunks(t *testing.T) {
 		want := [2]int{w * 22 / 5, (w + 1) * 22 / 5}
 		if got[w] != want {
 			t.Fatalf("chunk %d ran [%d,%d), want [%d,%d)", w, got[w][0], got[w][1], want[0], want[1])
+		}
+	}
+}
+
+// TestWorkerPoolPollsBeforeParking pins the bounded poll: a pool polls only
+// when every chunk has a processor of its own, and await hands over what the
+// channel holds — a value, a close, or a value that arrives after the polls
+// ran out — whatever the bound.
+func TestWorkerPoolPollsBeforeParking(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	fits, over := newWorkerPool(procs-1), newWorkerPool(procs)
+	defer fits.close()
+	defer over.close()
+	if fits.spin != spinPolls || over.spin != 0 {
+		t.Fatalf("GOMAXPROCS %d: a pool %d wide polls %d times, one %d wide %d; want %d and 0",
+			procs, fits.width(), fits.spin, over.width(), over.spin, spinPolls)
+	}
+	for _, spin := range []int{0, 3, spinPolls} {
+		ch := make(chan int, 1)
+		ch <- 7
+		if v, ok := await(ch, spin); v != 7 || !ok {
+			t.Fatalf("spin %d: await = %d, %v on a full channel", spin, v, ok)
+		}
+		go func() { ch <- 8 }()
+		if v, ok := await(ch, spin); v != 8 || !ok {
+			t.Fatalf("spin %d: await = %d, %v on a late send", spin, v, ok)
+		}
+		close(ch)
+		if _, ok := await(ch, spin); ok {
+			t.Fatalf("spin %d: await reported a value on a closed channel", spin)
 		}
 	}
 }

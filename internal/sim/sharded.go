@@ -27,11 +27,12 @@ import (
 // see the Medium docs in types.go).
 //
 // Under WithParallel the shard mediums deliver concurrently on the
-// engine's persistent worker runtime (one chunk per shard by default, or
-// chunked over WithWorkers workers) and the partition pass itself fans out
-// as a per-chunk counting sort; without it they run sequentially,
-// byte-identical either way. A 1x1 grid is the single-medium engine: its
-// one shard is handed the awake list as it stands, with no partition.
+// engine's persistent worker runtime (the shards chunked over as many
+// workers as the awake receivers are worth, see Engine.width) and the
+// partition pass itself fans out as a per-chunk counting sort; without it
+// they run sequentially, byte-identical either way. A 1x1 grid is the
+// single-medium engine: its one shard is handed the awake list as it
+// stands, with no partition.
 func WithRegionShards(cols, rows int, cellSize float64, factory func() Medium) Option {
 	return func(e *Engine) {
 		plan, err := shard.NewPlan(cellSize, cols, rows)
@@ -88,24 +89,67 @@ type shardPlane struct {
 
 	// Partition scratch, reused across rounds: the counting-sort state each
 	// partition chunk owns. owner holds every awake node's shard (computed
-	// once in the count phase, read in the write phase);
-	// bounds/counts/offs are per-chunk — chunk w touches only bounds[w],
-	// counts[w] and offs[w], so the phases run race-free on the worker
-	// runtime and the merged resident views are NodeID-ordered for any
-	// chunk count.
+	// once in the count phase, read in the write phase); counts/offs are
+	// per-chunk — chunk w touches only counts[w] and offs[w], so the phases
+	// run race-free on the worker runtime and the merged resident views are
+	// NodeID-ordered for any chunk count.
 	owner   []int32
 	slotBuf []int32
-	bounds  []geo.Rect // each chunk's bounding box of alive positions
 	counts  [][]int32
 	offs    [][]int32
+	// bounds holds this round's mobility chunks' bounding boxes of alive
+	// positions, one per chunk (boxes sizes it, mobility's chunk w writes
+	// bounds[w]) — the mobility pass's width, which need not be partition's.
+	bounds []geo.Rect
 
 	// Cached fan-out closures (the engine's mobFn idiom: building them per
 	// round would allocate because the worker handoff moves them to the
 	// heap).
 	deliverFn func(w, lo, hi int)
-	boundsFn  func(w, lo, hi int)
 	countFn   func(w, lo, hi int)
 	writeFn   func(w, lo, hi int)
+}
+
+// boxes makes room for the k bounding boxes of a mobility pass k chunks wide.
+func (sp *shardPlane) boxes(k int) {
+	if cap(sp.bounds) < k {
+		sp.bounds = make([]geo.Rect, k)
+	}
+	sp.bounds = sp.bounds[:k]
+}
+
+// mobility returns the mobility chunk of an engine with two or more shards:
+// Engine.move's, which also stretches the chunk's bounding box over every
+// alive node it walks, moved or not — the one time a round has each of those
+// positions in hand. partition merges the boxes.
+func (sp *shardPlane) mobility(e *Engine) func(w, lo, hi int) {
+	return func(w, lo, hi int) {
+		mr := e.movers[w]
+		// The box in four locals, compared as stretch compares (a NaN
+		// coordinate moves nothing): this is the 100k-node loop.
+		minX, minY := math.Inf(1), math.Inf(1)
+		maxX, maxY := math.Inf(-1), math.Inf(-1)
+		for _, st := range e.alive[lo:hi] {
+			at := &e.info[st.id].At
+			if st.mover != nil {
+				mr.cur = &st.rng
+				*at = st.mover.Move(e.curRound, *at, mr.rnd)
+			}
+			if at.X < minX {
+				minX = at.X
+			}
+			if at.Y < minY {
+				minY = at.Y
+			}
+			if at.X > maxX {
+				maxX = at.X
+			}
+			if at.Y > maxY {
+				maxY = at.Y
+			}
+		}
+		sp.bounds[w] = geo.Rect{Min: geo.Point{X: minX, Y: minY}, Max: geo.Point{X: maxX, Y: maxY}}
+	}
 }
 
 // propagate computes round r's receptions from the round's merged
@@ -148,12 +192,12 @@ func (sp *shardPlane) propagate(e *Engine, r Round, txs []Transmission) []Recept
 // round keeps the split meaningful under mobility and churn — and the box
 // is that of every alive node, asleep or not, so whether a device's radio
 // is on never moves a shard edge: floor(x/cell) is monotone in x, hence the
-// box's corner cells are the cells of the extreme positions and the scan
-// is four float compares a node. Sleepers are resident nowhere, and no
-// reception is made for them. The pass scales with
-// cores instead of devices: the bounds scan, the per-chunk counting sort and
-// the resident writes all fan out over the worker runtime in contiguous
-// chunks (one chunk, inline, without WithParallel), and because the awake
+// box's corner cells are the cells of the extreme positions, which the
+// mobility pass has already found chunk by chunk (mobility). Sleepers are
+// resident nowhere, and no reception is made for them. The pass scales with
+// cores instead of devices: the per-chunk counting sort and the resident
+// writes fan out over the worker runtime in contiguous chunks (one chunk,
+// inline, when the awake list is not worth more), and because the awake
 // list is NodeID-ordered and chunk w's residents land at offsets computed
 // from the chunks before it, each shard's resident view is NodeID-ordered
 // by construction — identical for every chunk count, so sharded≡sequential
@@ -167,45 +211,29 @@ func (sp *shardPlane) partition(e *Engine) {
 	if len(e.alive) == 0 {
 		return
 	}
-	for w := len(sp.bounds); w < e.fanout(); w++ {
-		sp.bounds = append(sp.bounds, geo.Rect{})
-		sp.counts = append(sp.counts, make([]int32, shards))
-		sp.offs = append(sp.offs, make([]int32, shards))
-	}
-
-	// Phase 1: the bounding box of every alive node, per chunk — read
-	// straight off the NodeInfo slice, front to back, with no node to chase.
-	if sp.boundsFn == nil {
-		sp.boundsFn = func(w, lo, hi int) {
-			inf := math.Inf(1)
-			b := geo.Rect{Min: geo.Point{X: inf, Y: inf}, Max: geo.Point{X: -inf, Y: -inf}}
-			for i := range e.info[lo:hi] {
-				if in := &e.info[lo+i]; in.Alive {
-					b = stretch(b, in.At, in.At)
-				}
-			}
-			sp.bounds[w] = b
-		}
-	}
-	k := min(e.fanout(), len(e.info))
-	e.runChunks(len(e.info), k, sp.boundsFn)
 	b := sp.bounds[0]
-	for _, c := range sp.bounds[1:k] {
+	for _, c := range sp.bounds[1:] {
 		b = stretch(b, c.Min, c.Max)
 	}
 	minCX, minCY := sp.plan.CellOf(b.Min)
 	maxCX, maxCY := sp.plan.CellOf(b.Max)
 	sp.plan.Fit(minCX, minCY, maxCX, maxCY)
 
+	// One width for both fanned-out passes and the seam between them: all
+	// three index counts and offs by chunk.
 	n := len(e.awake)
+	k := e.width(n)
+	for w := len(sp.counts); w < k; w++ {
+		sp.counts = append(sp.counts, make([]int32, shards))
+		sp.offs = append(sp.offs, make([]int32, shards))
+	}
 	if cap(sp.owner) < n {
 		sp.owner = make([]int32, n)
 		sp.slotBuf = make([]int32, n)
 	}
 	sp.owner = sp.owner[:cap(sp.owner)]
-	k = min(e.fanout(), n)
 
-	// Phase 2: counting sort — each chunk bins its own awake nodes by owner.
+	// Counting sort — each chunk bins its own awake nodes by owner.
 	if sp.countFn == nil {
 		sp.countFn = func(w, lo, hi int) {
 			counts := sp.counts[w]
@@ -238,9 +266,9 @@ func (sp *shardPlane) partition(e *Engine) {
 		base += tot
 	}
 
-	// Phase 3: every chunk writes its residents at its own offsets —
-	// chunk w's slots in shard s start where chunk w-1's ended, so the
-	// merged order is exactly the awake list's NodeID order.
+	// Every chunk writes its residents at its own offsets — chunk w's slots
+	// in shard s start where chunk w-1's ended, so the merged order is
+	// exactly the awake list's NodeID order.
 	if sp.writeFn == nil {
 		sp.writeFn = func(w, lo, hi int) {
 			offs := sp.offs[w]
@@ -333,5 +361,5 @@ func (sp *shardPlane) deliver(e *Engine) {
 			}
 		}
 	}
-	e.runChunks(len(sp.mediums), e.shardFanout(), sp.deliverFn)
+	e.runChunks(len(sp.mediums), min(e.width(n), len(sp.mediums)), sp.deliverFn)
 }
