@@ -2,7 +2,7 @@ package vinfra_test
 
 // One sub-benchmark per experiment table: BenchmarkExperiments/<ID> times
 // regenerating that table's quick grid at seed 1 through the harness
-// (`chabench -quick -only <ID> -seeds 1 -timing=false`), so
+// (`chabench -quick -only <ID> -seeds 1`), so
 // `go test -bench=Experiments -benchmem` walks every figure of the
 // evaluation. E1 also reports how many Figure 2 rows match the paper.
 

@@ -13,10 +13,10 @@
 //
 // Segments that stop early write the checkpoint and exit 0 with nothing
 // on stdout (a progress note goes to stderr); the completing invocation
-// prints the cell's result rows. Measured (wall-clock) values are blanked
-// so the output is byte-stable across machines and segmentations. When
-// -checkpoint is set on the completing invocation, the finished run's
-// state is written there too, so CI can archive the final checkpoint.
+// prints the cell's result rows, which are byte-stable across machines and
+// segmentations. When -checkpoint is set on the completing invocation, the
+// finished run's state is written there too, so CI can archive the final
+// checkpoint.
 package main
 
 import (
@@ -104,15 +104,7 @@ func runSoak(f *soakFlags, quick bool, out io.Writer) int {
 	fmt.Fprintf(out, "%s\t%s\tseed=%d\tshards=%d\n", f.exp, cell.Params.Label, f.seed, f.shards)
 	fmt.Fprintln(out, strings.Join(s.Columns(), "\t"))
 	for _, row := range s.Rows() {
-		texts := make([]string, len(row))
-		for i, v := range row {
-			if v.Measured {
-				texts[i] = "-" // wall-clock values cannot survive a byte-compare
-			} else {
-				texts[i] = v.Text
-			}
-		}
-		fmt.Fprintln(out, strings.Join(texts, "\t"))
+		fmt.Fprintln(out, strings.Join(harness.Texts(row), "\t"))
 	}
 	return 0
 }

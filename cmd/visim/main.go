@@ -56,6 +56,11 @@ func main() {
 	var profile cli.Profile
 	profile.Register(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "visim: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := ckpt.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "visim: %v\n", err)
 		os.Exit(2)

@@ -35,6 +35,11 @@ func main() {
 	var profile cli.Profile
 	profile.Register(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "visimd: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	profiler, err := profile.Start()
 	if err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildBin compiles one command package into a temp dir so these tests
@@ -128,6 +131,29 @@ func runVisimSpec(t *testing.T, visim, doc string) []byte {
 	return b
 }
 
+// refused runs bin with a stray word after its flags and requires the usage
+// exit — status 2, the word named on stderr, nothing on stdout — where the
+// flag package alone would drop the word and run (for visimd: listen).
+func refused(t *testing.T, bin string, args ...string) {
+	t.Helper()
+	// The deadline is for a visimd that did not refuse: it would serve forever.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if exit := new(exec.ExitError); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("%s %v: err = %v, want exit status 2", filepath.Base(bin), args, err)
+	}
+	if want := `unexpected argument "stray"`; !strings.Contains(stderr.String(), want) {
+		t.Errorf("%s %v: stderr lacks %q:\n%s", filepath.Base(bin), args, want, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("%s %v: ran something before failing:\n%s", filepath.Base(bin), args, stdout.String())
+	}
+}
+
 // TestHTTPMatchesVisimSpec is the API determinism acceptance pin: the same
 // spec driven over HTTP — including a fault injected mid-run via POST
 // faults — yields checkpoint bytes (engine + medium + monitor snapshots)
@@ -138,6 +164,8 @@ func TestHTTPMatchesVisimSpec(t *testing.T) {
 	}
 	visim := buildBin(t, "vinfra/cmd/visim", "visim")
 	visimd := buildBin(t, ".", "visimd")
+	refused(t, visim, "-vrounds", "1", "stray")
+	refused(t, visimd, "-addr", "127.0.0.1:0", "stray")
 	want := runVisimSpec(t, visim, specWithFault)
 
 	d := startDaemon(t, visimd, t.TempDir())

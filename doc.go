@@ -86,14 +86,16 @@
 //     are canonical wire encodings (a one-byte kind tag plus fixed field
 //     sequences) instead of hand-parsed prefix strings.
 //   - mobility, metrics: mobility models and table rendering.
-//   - experiments: the reproduction experiment suite E1–E13 — E11 "metro"
-//     drives grids of virtual nodes through heavy churn (Leave, scheduled
-//     and late CrashAt, mid-run Attach) on the parallel grid-indexed
-//     stack, and E12 "state plane" measures per-virtual-round emulation
-//     cost (rounds, measured wire bytes, rounds/sec) at 9/25/49 virtual
-//     nodes, and E13 "adversary" sweeps faults attacks (jam, wipe, storm,
-//     burst) x intensity x deployment size, reporting availability,
-//     stalls and recovery latencies from vi.Monitor. Every table
+//   - experiments: the reproduction experiment suite E1–E14 (there is no
+//     E10) — E11 "metro" drives grids of virtual nodes through heavy churn
+//     (Leave, scheduled and late CrashAt, mid-run Attach) on the parallel
+//     grid-indexed stack, E12 "state plane" reports per-virtual-round
+//     emulation cost (radio rounds, wire bytes) at 9/25/49 virtual nodes,
+//     E13 "adversary" sweeps faults attacks (jam, wipe, storm, burst) x
+//     intensity x deployment size, reporting availability, stalls and
+//     recovery latencies from vi.Monitor, and E14 "city" runs the same
+//     metro deployment on 1 and 8 region shards and pins the two runs
+//     byte-identical. Every table
 //     registers a harness.Descriptor (parameter grid, seed list, typed
 //     rows) in its file's init. The VI-level cells (E5–E7, E11–E14) do
 //     not assemble a stack themselves: each describes its deployment as
@@ -107,8 +109,8 @@
 //     experiment×parameter×seed cells out over a bounded worker pool,
 //     merges results deterministically (parallel output is byte-identical
 //     to sequential), renders text tables through internal/metrics, and
-//     emits a machine-readable JSON report with per-cell wall time,
-//     rounds/sec, transmitted wire bytes and allocation samples.
+//     emits the same rows as a machine-readable JSON report. Every value
+//     in either is a simulated quantity.
 //
 // cmd/chabench runs the suite through the harness registry; cmd/visim runs
 // an interactive tracking simulation (pass -parallel to shard rounds
@@ -120,8 +122,9 @@
 // derived from internal/det — a pure hash of (seed, round, node/cell) via
 // det.HashKeys, or a det.Stream keyed the same way — never from math/rand;
 // no wall-clock value reaches deterministic code (simulated time is the
-// round counter; internal/harness owns the one legitimate timing plane,
-// and Measured cost columns are annotated); map iteration order never
+// round counter; the one annotated exception under internal/ is the
+// engine's partition timer, which no result or snapshot sees); map
+// iteration order never
 // reaches ordered output (collect keys, sort, then emit); and every wire
 // encoder is closed under the codec surface (AppendTo implies WireSize and
 // a package-level decoder), so states round-trip byte-identically. These
@@ -146,7 +149,7 @@
 //	go test ./internal/sim/ -bench 'EngineStep' -benchtime 10x
 //	go test ./internal/vi/ -bench 'RegionOf' -benchtime 100000x
 //	go test ./internal/vi/ -bench 'EmulatorVRound' -benchtime 30x
-//	go run ./cmd/chabench -only E10,E11,E12,E13
+//	go run ./cmd/chabench -only E11,E12,E13,E14
 //
 // Steady-state allocations per round are gated by tests (skipped under
 // -race): TestDeliverSteadyStateAllocs and TestEngineStepSteadyStateAllocs
@@ -169,8 +172,8 @@
 // benchmark's own bounds. CI's perf job runs every workload on the parent
 // commit and on the change, alternating, and fails when a metric is worse
 // than its bound (.github/scripts/perf-pair.sh; the local form is the two
-// commands in bench/README.md). The wall times and rounds/s in a chabench
-// -json report are an artifact to read, not a gated quantity.
+// commands in bench/README.md). chabench prints no host time at all: its
+// tables and -json report carry simulated quantities only.
 //
 // CI also runs build/vet, gofmt, golden-file freshness, a Go 1.22/1.23
 // test matrix and a -race job (.github/workflows/ci.yml, with a

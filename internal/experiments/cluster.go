@@ -1,18 +1,17 @@
 // Package experiments implements the reproduction experiment suite
-// E1–E12: Figure 2 of the paper reproduced directly, every quantitative
-// claim (Theorem 14's constant overhead, Property 4's color invariant,
-// Theorems 10/12/13, the Section 4 emulation overhead and progress
-// conditions, the Section 1.5 baseline comparisons, and the
-// delivery-scaling table) turned into a measured table, and the metro
-// churn-at-scale campaign (E11) built on the O(1) region lookup and the
-// allocation-free round loop.
+// E1–E14 (there is no E10): Figure 2 of the paper reproduced directly,
+// every quantitative claim (Theorem 14's constant overhead, Property 4's
+// color invariant, Theorems 10/12/13, the Section 4 emulation overhead and
+// progress conditions, the Section 1.5 baseline comparisons) turned into a
+// table of simulated quantities, and the campaigns at scale — metro churn
+// (E11), the state plane (E12), the adversary grid (E13) and the
+// region-sharded city (E14).
 //
 // Each table registers a harness.Descriptor in its file's init: a
 // parameter grid, a seed list, and a cell function returning typed rows.
 // cmd/chabench runs the registry (text tables or JSON, sequential or
-// fanned over a worker pool); the legacy per-table functions of E2–E10
-// remain as thin wrappers over the same cell functions for tests and
-// bench_test.go.
+// fanned over a worker pool); tests and bench_test.go call the same cell
+// functions.
 // Cell functions derive every internal random seed from the harness seed
 // via Cell.Base, so seed 1 reproduces the historical tables exactly and
 // the quick-grid output for fixed seeds is pinned byte-for-byte by

@@ -27,7 +27,7 @@ var e12Desc = harness.Descriptor{
 	ID:    "E12",
 	Group: "E12",
 	Title: "E12 — state plane: emulation cost with the wire codec",
-	Notes: "per-virtual-round emulation cost at 9/25/49 virtual nodes on the parallel grid stack; wire bytes are measured sim.MessageSize totals (exact encodings), perf JSON carries rounds/sec for the before/after gate",
+	Notes: "per-virtual-round emulation cost at 9/25/49 virtual nodes on the parallel grid stack; wire bytes are sim.MessageSize totals (exact encodings)",
 	Columns: []string{
 		"vnodes", "devices", "vrounds", "schedule s", "rounds/vround",
 		"wire B/vround", "max msg B", "availability",
@@ -57,11 +57,9 @@ func init() { harness.Register(e12Desc) }
 // deployment: every region has three bootstrapped replicas plus one
 // staggered pinging client, and the whole stack (single-medium delivery,
 // parallel engine, wire-codec state plane) runs vrounds virtual
-// rounds. The deterministic columns pin the protocol-level cost — radio
-// rounds per virtual round (s+12) and measured wire bytes per virtual
-// round — while the perf sample (rounds/sec, allocs) carries the
-// machine-level cost of the state plane's serialization, an artifact of the
-// report to read next to bench/'s metro-vi numbers.
+// rounds. The columns pin the protocol-level cost — radio rounds per
+// virtual round (s+12) and wire bytes per virtual round; the host cost of
+// the state plane's serialization is bench/'s metro-vi workload.
 func statePlaneCell(c *harness.Cell) []harness.Row {
 	cols, rows, vrounds := c.Params.Int("cols"), c.Params.Int("rows"), c.Params.Int("vrounds")
 	w := buildWorld(spec.Spec{
@@ -86,8 +84,6 @@ func statePlaneCell(c *harness.Cell) []harness.Row {
 	}
 	stepVRounds(w, vrounds)
 	st := w.Eng.Stats()
-	c.CountRounds(st.Rounds)
-	c.CountBytes(st.TotalBytes)
 	return []harness.Row{{
 		harness.Int(len(w.Locs)), harness.Int(w.Eng.NumNodes()), harness.Int(vrounds),
 		harness.Int(w.Dep.Schedule().Len()),

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-	"time"
-
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/sim"
 	"vinfra/internal/wire"
 )
@@ -14,11 +10,10 @@ import (
 // on the region-sharded engine at device counts far beyond what one medium
 // handles comfortably, the deployment regime the sharded engine exists for.
 // Each cell runs the same city twice — one shard, then eight — and reports
-// both the deterministic outcome (availability, listener coverage, wire
-// bytes, halo traffic, and a "match" column pinning the two runs
-// byte-identical) and the measured rounds/second of each run, whose ratio
-// is the scaling headline (host time itself is gated on bench/'s
-// city-100k-sharded workload, not here).
+// the outcome once (availability, listener coverage, wire bytes, halo
+// traffic) with a "match" column pinning the two runs byte-identical. What
+// either run costs in host time is bench/'s to say (city-100k and
+// city-100k-sharded), not this table's.
 //
 // The city: a cols x rows virtual-node grid at citySpacing (wide enough
 // apart that the TDMA schedule stays short — at spacing 6 a 30x30 grid
@@ -35,11 +30,10 @@ var e14Desc = harness.Descriptor{
 	ID:    "E14",
 	Group: "E14",
 	Title: "E14 — city: region-sharded engine at metro scale",
-	Notes: "same deployment run on 1 shard then 8; match pins the runs byte-identical (the determinism contract), rounds/s and part ms columns are measured wall clock; halo tx = boundary-band copies handed to neighbor shards in the 8-shard run; part ms x8 = cumulative partition-pass time of the 8-shard run on the persistent worker runtime",
+	Notes: "same deployment run on 1 shard then 8; match pins the runs byte-identical (the determinism contract); halo tx = boundary-band copies handed to neighbor shards in the 8-shard run",
 	Columns: []string{
 		"devices", "vnodes", "vrounds", "rounds",
 		"availability", "coverage", "wire B", "halo tx", "match",
-		"rounds/s x1", "rounds/s x8", "speedup", "part ms x8",
 	},
 	Grid: func(quick bool) []harness.Params {
 		type shape struct {
@@ -124,42 +118,27 @@ type citySig struct {
 	Bytes   int
 }
 
-// cityOutcome is one run's signature plus its measured cost.
+// cityOutcome is one run's signature plus the engine's round and halo
+// counts.
 type cityOutcome struct {
-	sig     citySig
-	rounds  int
-	halo    int
-	elapsed time.Duration
-	part    time.Duration // cumulative partition-pass time (subset of elapsed)
+	sig    citySig
+	rounds int
+	halo   int
 }
 
-// cityRun builds and runs one city deployment on the given shard count and
-// returns its deterministic signature plus the measured wall clock of the
-// round loop. The wall-clock read is E14's output (the rounds/s and
-// speedup columns, all Measured and blanked in deterministic runs).
-//
-//detlint:walltime E14 measures whole-run round-loop cost; rounds/s columns are Measured
+// cityRun builds and runs one city deployment on the given shard count.
 func cityRun(c *harness.Cell, shards int) cityOutcome {
 	s := newCitySoak(c, shards)
-	start := time.Now()
 	for s.VRound() < s.VRounds() {
 		s.StepVRound()
 	}
-	elapsed := time.Since(start)
 	sig, st := s.outcome()
 	s.w.Eng.Close() // release this run's worker pool before the next run
-	return cityOutcome{
-		sig:     sig,
-		rounds:  st.Rounds,
-		halo:    st.HaloTransmissions,
-		elapsed: elapsed,
-		part:    s.w.Eng.PartitionTime(),
-	}
+	return cityOutcome{sig: sig, rounds: st.Rounds, halo: st.HaloTransmissions}
 }
 
 // cityCell runs one E14 cell: the same city on one shard and on eight, the
-// deterministic outcome reported once (match pins the two runs equal), the
-// cost reported per run.
+// outcome reported once (match pins the two runs equal).
 func cityCell(c *harness.Cell) []harness.Row {
 	devices := c.Params.Int("devices")
 	cols, rows := c.Params.Int("cols"), c.Params.Int("rows")
@@ -173,27 +152,11 @@ func cityCell(c *harness.Cell) []harness.Row {
 	if n := devices - (cols*rows)*4; n > 0 {
 		coverage = float64(eight.sig.Covered) / float64(n)
 	}
-	perSec := func(o cityOutcome) float64 {
-		if o.elapsed <= 0 {
-			return 0
-		}
-		return float64(o.rounds) / o.elapsed.Seconds()
-	}
-	rps1, rps8 := perSec(one), perSec(eight)
-	speedup := 0.0
-	if rps1 > 0 {
-		speedup = rps8 / rps1
-	}
-	partMs := eight.part.Seconds() * 1000
 	return []harness.Row{{
 		harness.Int(devices), harness.Int(cols * rows), harness.Int(vrounds),
 		harness.Int(eight.rounds),
 		harness.Float(eight.sig.Avail), harness.Float(coverage),
 		harness.Int(eight.sig.Bytes), harness.Int(eight.halo),
 		harness.Bool(match),
-		harness.MeasuredFloat(fmt.Sprintf("%.0f", rps1), rps1),
-		harness.MeasuredFloat(fmt.Sprintf("%.0f", rps8), rps8),
-		harness.MeasuredFloat(metrics.F(speedup)+"x", speedup),
-		harness.MeasuredFloat(fmt.Sprintf("%.1f", partMs), partMs),
 	}}
 }

@@ -117,7 +117,6 @@ func figure2Rows(c *harness.Cell) []harness.Row {
 		return "bottom"
 	}
 	rows := RunFigure2()
-	c.CountRounds(len(rows) * cha.RoundsPerInstance)
 	typed := make([]harness.Row, len(rows))
 	for i, r := range rows {
 		typed[i] = harness.Row{

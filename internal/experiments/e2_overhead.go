@@ -88,9 +88,7 @@ func overheadVsNCell(c *harness.Cell) []harness.Row {
 	st := cl.eng.Stats()
 	chapRounds := float64(st.Rounds) / float64(instances)
 
-	rsmRounds, rsmMsg, rsmSimRounds, rsmBytes := rsmRun(n, instances, nil, 1+c.Base())
-	c.CountRounds(st.Rounds + rsmSimRounds)
-	c.CountBytes(st.TotalBytes + rsmBytes)
+	rsmRounds, rsmMsg := rsmRun(n, instances, nil, 1+c.Base())
 	return []harness.Row{{
 		harness.Int(n), harness.Float(chapRounds), harness.Int(st.MaxMessageSize),
 		harness.Float(rsmRounds), harness.Int(rsmMsg),
@@ -105,18 +103,14 @@ func overheadVsLengthCell(c *harness.Cell) []harness.Row {
 	cl := newCluster(clusterOpts{n: 4, fixedWidth: true, seed: c.Seed})
 	cl.runInstances(l)
 	chapMax := cl.eng.Stats().MaxMessageSize
-	c.CountRounds(cl.eng.Stats().Rounds)
-	c.CountBytes(cl.eng.Stats().TotalBytes)
 
-	naiveMax, naiveBytes := naiveMaxMessage(4, l)
-	c.CountRounds(l * cha.RoundsPerInstance)
-	c.CountBytes(naiveBytes)
+	naiveMax := naiveMaxMessage(4, l)
 	return []harness.Row{{harness.Int(l), harness.Int(chapMax), harness.Int(naiveMax)}}
 }
 
 // naiveMaxMessage runs the full-history baseline for l instances and
-// returns the largest message observed and the total bytes transmitted.
-func naiveMaxMessage(n, l int) (int, int) {
+// returns the largest message observed.
+func naiveMaxMessage(n, l int) int {
 	medium := radio.MustMedium(radio.Config{Radii: Radii, Detector: cd.AC{}})
 	eng := sim.NewEngine(medium)
 	factory, _ := cm.NewFixed(0)
@@ -132,13 +126,12 @@ func naiveMaxMessage(n, l int) (int, int) {
 		})
 	}
 	eng.Run(l * cha.RoundsPerInstance)
-	return eng.Stats().MaxMessageSize, eng.Stats().TotalBytes
+	return eng.Stats().MaxMessageSize
 }
 
 // rsmRun runs the majority-RSM baseline and returns the mean rounds per
-// committed slot, the max message size, the simulated rounds executed, and
-// the total bytes transmitted.
-func rsmRun(n, slots int, adv radio.Adversary, seed int64) (float64, int, int, int) {
+// committed slot and the max message size.
+func rsmRun(n, slots int, adv radio.Adversary, seed int64) (float64, int) {
 	medium := radio.MustMedium(radio.Config{Radii: Radii, Detector: cd.AC{}, Adversary: adv, Seed: seed})
 	eng := sim.NewEngine(medium, sim.WithSeed(seed))
 	var leader *baseline.MajorityRSM
@@ -163,16 +156,9 @@ func rsmRun(n, slots int, adv radio.Adversary, seed int64) (float64, int, int, i
 		s.AddInt(r)
 	}
 	if s.N() == 0 {
-		return math.Inf(1), eng.Stats().MaxMessageSize, eng.Stats().Rounds, eng.Stats().TotalBytes
+		return math.Inf(1), eng.Stats().MaxMessageSize
 	}
-	return s.Mean(), eng.Stats().MaxMessageSize, eng.Stats().Rounds, eng.Stats().TotalBytes
-}
-
-// rsmRoundsPerDecision preserves the historical two-value signature used by
-// the package tests.
-func rsmRoundsPerDecision(n, slots int, adv radio.Adversary, seed int64) (float64, int) {
-	mean, maxMsg, _, _ := rsmRun(n, slots, adv, seed)
-	return mean, maxMsg
+	return s.Mean(), eng.Stats().MaxMessageSize
 }
 
 // roundsUnderLossCell compares effective rounds per decided instance for
@@ -190,16 +176,13 @@ func roundsUnderLossCell(c *harness.Cell) []harness.Row {
 		seed:      11 + base,
 	})
 	cl.runInstances(instances)
-	c.CountRounds(cl.eng.Stats().Rounds)
 	rep := cl.rec.Report()
 	chap := math.Inf(1)
 	if rep.DecidedRate > 0 {
 		chap = float64(cha.RoundsPerInstance) / rep.DecidedRate
 	}
 
-	rsm, _, rsmSimRounds, rsmBytes := rsmRun(n, instances, radio.NewRandomLoss(p, 0, cd.Never, 78+base), 12+base)
-	c.CountRounds(rsmSimRounds)
-	c.CountBytes(cl.eng.Stats().TotalBytes + rsmBytes)
+	rsm, _ := rsmRun(n, instances, radio.NewRandomLoss(p, 0, cd.Never, 78+base), 12+base)
 	return []harness.Row{{
 		harness.FloatText(fmt.Sprintf("%.1f", p), p),
 		harness.Float(chap), harness.Float(rep.DecidedRate), harness.Float(rsm),

@@ -86,7 +86,6 @@ func colorSpreadCell(c *harness.Cell) []harness.Row {
 		}
 	})
 	cl.runInstances(instances)
-	c.CountRounds(cl.eng.Stats().Rounds)
 	rep := cl.rec.Report()
 	return []harness.Row{{
 		harness.FloatText(fmt.Sprintf("%.1f", p), p),

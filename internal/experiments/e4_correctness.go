@@ -59,7 +59,6 @@ func correctnessCell(c *harness.Cell) []harness.Row {
 			seed:      seed,
 		})
 		cl.runInstances(int(rcf)/cha.RoundsPerInstance + instancesAfter)
-		c.CountRounds(cl.eng.Stats().Rounds)
 		rep := cl.rec.Report()
 		agr += rep.AgreementViolations
 		val += rep.ValidityViolations

@@ -80,7 +80,6 @@ func emulationDensityCell(c *harness.Cell) []harness.Row {
 		})
 		stepVRounds(w, vrounds)
 		rounds := w.Eng.Stats().Rounds
-		c.CountRounds(rounds)
 		measured := float64(rounds) / float64(vrounds)
 		return []harness.Row{{
 			harness.Str(d.name), harness.Int(len(w.Locs)), harness.Int(w.Dep.Schedule().Len()),
@@ -104,7 +103,6 @@ func emulationReplicasCell(c *harness.Cell) []harness.Row {
 	attachPinger(w, geo.Point{X: 1.2, Y: -1})
 	stepVRounds(w, vrounds)
 	st := w.Eng.Stats()
-	c.CountRounds(st.Rounds)
 	return []harness.Row{{
 		harness.Int(n),
 		harness.Float(float64(st.Rounds) / float64(vrounds)),

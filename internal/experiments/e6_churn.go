@@ -72,7 +72,6 @@ func churnCell(c *harness.Cell) []harness.Row {
 		}
 		w.StepVRound()
 	}
-	c.CountRounds(w.Eng.Stats().Rounds)
 	return []harness.Row{{
 		harness.Int(period), harness.Int(turnovers),
 		harness.Float(w.Mon.Report(0).Availability), harness.Float(joinLatency.Mean()), harness.Int(resets),

@@ -66,14 +66,11 @@ func baselineVICell(c *harness.Cell) []harness.Row {
 	})
 	stepVRounds(w, vrounds)
 	st := w.Eng.Stats()
-	c.CountRounds(st.Rounds)
 	chap := float64(st.Rounds) / float64(vrounds)
 
 	// RSM-based virtual round: client + vn phases, then one majority
 	// decision over the same radio channel.
-	rsmRounds, _, rsmSimRounds, rsmBytes := rsmRun(n, vrounds, nil, int64(n)+c.Base())
-	c.CountRounds(rsmSimRounds)
-	c.CountBytes(st.TotalBytes + rsmBytes)
+	rsmRounds, _ := rsmRun(n, vrounds, nil, int64(n)+c.Base())
 	rsm := 2 + rsmRounds
 	return []harness.Row{{
 		harness.Int(n), harness.Float(chap), harness.Float(rsm), harness.Float(rsm / chap),
@@ -100,7 +97,6 @@ func stateTransferCell(c *harness.Cell) []harness.Row {
 		core.ObserveVeto1(false, false)
 		core.ObserveVeto2(false, true) // yellow: good but undecided
 	}
-	c.CountRounds((1 + gap) * cha.RoundsPerInstance)
 	snap := core.Snapshot()
 	ackSize := 8 + 16 + snap.WireSize() // StateFloor + small state + snapshot
 	return []harness.Row{{harness.Int(gap), harness.Int(ackSize)}}

@@ -110,7 +110,6 @@ func detectorAblationCell(c *harness.Cell) []harness.Row {
 			seed:      seed + int64(run),
 		})
 		cl.runInstances(instances)
-		c.CountRounds(cl.eng.Stats().Rounds)
 		rep := cl.rec.Report()
 		agr += rep.AgreementViolations
 		decided.Add(rep.DecidedRate)
@@ -145,7 +144,6 @@ func cmAblationCell(c *harness.Cell) []harness.Row {
 	}
 	cl := newCluster(clusterOpts{n: n, cmFactory: factory, seed: int64(n) + c.Base()})
 	cl.runInstances(instances)
-	c.CountRounds(cl.eng.Stats().Rounds)
 	rep := cl.rec.Report()
 	stab := harness.Str("-")
 	if rep.LivenessOK {
@@ -163,7 +161,6 @@ func checkpointAblationCell(c *harness.Cell) []harness.Row {
 	seed := 2 + c.Base()
 	plain := newCluster(clusterOpts{n: 3, seed: seed})
 	plain.runInstances(l)
-	c.CountRounds(plain.eng.Stats().Rounds)
 	plainMax := 0
 	for _, r := range plain.replicas {
 		if got := r.Core().Retained(); got > plainMax {
@@ -173,7 +170,6 @@ func checkpointAblationCell(c *harness.Cell) []harness.Row {
 
 	ckpt := newCluster(clusterOpts{n: 3, seed: seed, checkpoint: true})
 	ckpt.runInstances(l)
-	c.CountRounds(ckpt.eng.Stats().Rounds)
 	ckptMax := 0
 	agree := true
 	first := ckpt.replicas[0].Checkpoint()

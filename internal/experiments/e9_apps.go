@@ -125,7 +125,6 @@ func routingLatencyCell(c *harness.Cell) []harness.Row {
 
 	total := 2 + packets*gap + 8*sched.Len()*hops
 	eng.Run(total * dep.Timing().RoundsPerVRound())
-	c.CountRounds(eng.Stats().Rounds)
 
 	// Iterate receptions in sorted packet-ID order: map order is
 	// randomized, and the mean's float summation order must be
@@ -190,7 +189,6 @@ func lockThroughputCell(c *harness.Cell) []harness.Row {
 		})
 	}
 	eng.Run(vrounds * dep.Timing().RoundsPerVRound())
-	c.CountRounds(eng.Stats().Rounds)
 
 	total := 0
 	claimed := make(map[int]string)

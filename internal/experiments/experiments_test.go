@@ -9,6 +9,7 @@ import (
 	"vinfra/internal/harness"
 	"vinfra/internal/radio"
 	"vinfra/internal/spec"
+	"vinfra/internal/vi"
 )
 
 // gridRows runs d's grid at seed 1 through the harness — the rows
@@ -16,7 +17,7 @@ import (
 // asserts on the typed values the report carries, not on a rendered table.
 func gridRows(t *testing.T, d harness.Descriptor, quick bool) []harness.Row {
 	t.Helper()
-	suite, err := harness.Run(harness.Options{Only: d.ID, Quick: quick, Seeds: []int64{1}, Timing: true})
+	suite, err := harness.Run(harness.Options{Only: d.ID, Quick: quick, Seeds: []int64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +138,8 @@ func TestOverheadVsNShape(t *testing.T) {
 	if c2.eng.Stats().MaxMessageSize != c8.eng.Stats().MaxMessageSize {
 		t.Error("CHAP message size should not depend on n")
 	}
-	r2, _ := rsmRoundsPerDecision(2, 10, nil, 1)
-	r8, _ := rsmRoundsPerDecision(8, 10, nil, 1)
+	r2, _ := rsmRun(2, 10, nil, 1)
+	r8, _ := rsmRun(8, 10, nil, 1)
 	if !(r2 < r8) {
 		t.Errorf("RSM rounds should grow with n: %v vs %v", r2, r8)
 	}
@@ -153,8 +154,8 @@ func TestOverheadVsLengthShape(t *testing.T) {
 	if chapShort(10) != chapShort(100) {
 		t.Error("CHAP message size grew with execution length")
 	}
-	naive10, _ := naiveMaxMessage(3, 10)
-	naive100, _ := naiveMaxMessage(3, 100)
+	naive10 := naiveMaxMessage(3, 10)
+	naive100 := naiveMaxMessage(3, 100)
 	if !(naive10 < naive100) {
 		t.Error("naive message size should grow with execution length")
 	}
@@ -265,8 +266,8 @@ func TestBaselineVIComparisonShape(t *testing.T) {
 		t.Errorf("RSM/CHAP = %v, want the crossover between 3 and 15 replicas", ratio)
 	}
 	chap := buildWorld(spec.Spec{Grid: spec.Grid{Cols: 1, Rows: 1}}).RoundsPerVRound()
-	small, _ := rsmRoundsPerDecision(3, 6, nil, 3)
-	big, _ := rsmRoundsPerDecision(15, 6, nil, 15)
+	small, _ := rsmRun(3, 6, nil, 3)
+	big, _ := rsmRun(15, 6, nil, 15)
 	if !(2+small < float64(chap) && 2+big > float64(chap)) {
 		t.Errorf("expected crossover: chap=%d rsm(3)=%v rsm(15)=%v", chap, 2+small, 2+big)
 	}
@@ -367,5 +368,35 @@ func TestRoundsUnderLossShape(t *testing.T) {
 		if rate[i] > rate[i-1] {
 			t.Errorf("decided rate rose with loss: %v", rate)
 		}
+	}
+}
+
+// TestCityTable is E14's shape: the quick 2k/5x5 city on one shard and on
+// eight reports one row whose last column is match, and whose simulated
+// quantities are what the deployment implies — every virtual node up,
+// some listeners in earshot, traffic across the shard boundaries, and a
+// round count that is the schedule's.
+func TestCityTable(t *testing.T) {
+	rows := gridRows(t, e14Desc, true)
+	if len(rows) != 1 || len(rows[0]) != 9 {
+		t.Fatalf("got %d rows of %d columns, want 1 row of 9 (the last is match)", len(rows), len(rows[0]))
+	}
+	if match := column[bool](t, rows, 8)[0]; !match {
+		t.Error("the 1-shard and 8-shard runs diverged")
+	}
+	if avail := column[float64](t, rows, 4)[0]; avail != 1 {
+		t.Errorf("availability = %v, want 1", avail)
+	}
+	if cov := column[float64](t, rows, 5)[0]; cov <= 0 || cov > 1 {
+		t.Errorf("coverage = %v, want in (0, 1]", cov)
+	}
+	if halo := column[int64](t, rows, 7)[0]; halo <= 0 {
+		t.Errorf("halo tx = %d: the 8-shard run handed nothing across a boundary", halo)
+	}
+	p := e14Desc.Grid(true)[0]
+	locs := geo.Grid{Spacing: citySpacing, Cols: p.Int("cols"), Rows: p.Int("rows")}.Locations()
+	per := vi.Timing{S: vi.BuildSchedule(locs, Radii).Len()}.RoundsPerVRound()
+	if got, want := column[int64](t, rows, 3)[0], int64(p.Int("vrounds")*per); got != want {
+		t.Errorf("rounds = %d, want vrounds x RoundsPerVRound = %d", got, want)
 	}
 }

@@ -23,10 +23,9 @@ var (
 )
 
 // goldenSuite is the run the golden file pins: the whole quick suite,
-// seeds 1 and 2, timing disabled (the `chabench -json -quick -seeds 1,2
-// -timing=false` invocation). The header is canonicalized because the Go
-// version and CPU count legitimately vary across machines; everything
-// else must be byte-stable.
+// seeds 1 and 2 (the `chabench -json -quick -seeds 1,2` invocation). The
+// header is canonicalized because the Go version and CPU count
+// legitimately vary across machines; everything else must be byte-stable.
 func goldenSuite(t *testing.T, workers int) []byte {
 	t.Helper()
 	goldenMu.Lock()
@@ -38,7 +37,6 @@ func goldenSuite(t *testing.T, workers int) []byte {
 		Quick:   true,
 		Seeds:   []int64{1, 2},
 		Workers: workers,
-		Timing:  false,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -374,7 +374,6 @@ func (s *metroSoak) Columns() []string { return e11Desc.Columns }
 
 func (s *metroSoak) Rows() []harness.Row {
 	eng, nv := s.w.Eng, len(s.w.Locs)
-	s.c.CountRounds(eng.Stats().Rounds)
 	var joinLatency metrics.Series
 	for _, l := range s.latencies {
 		joinLatency.AddInt(int(l))
@@ -629,9 +628,6 @@ func (s *adversarySoak) Columns() []string { return e13Desc.Columns }
 func (s *adversarySoak) Rows() []harness.Row {
 	kind, intensity := s.c.Params.Str("kind"), s.c.Params.Str("intensity")
 	eng, nv := s.w.Eng, len(s.w.Locs)
-	st := eng.Stats()
-	s.c.CountRounds(st.Rounds)
-	s.c.CountBytes(st.TotalBytes)
 	sum := s.w.Mon.SummaryThrough(nv, s.vrounds)
 	return []harness.Row{{
 		harness.Int(nv), harness.Str(kind), harness.Str(intensity),
@@ -676,7 +672,6 @@ func (s *adversarySoak) restore(cp checkpoint.Checkpoint) error {
 // --- E14: city ---
 
 type citySoak struct {
-	c       *harness.Cell
 	vrounds int
 	vr      int
 
@@ -690,7 +685,7 @@ func newCitySoak(c *harness.Cell, shards int) *citySoak {
 	vrounds := c.Params.Int("vrounds")
 	seed := int64(devices) + c.Base()
 
-	s := &citySoak{c: c, vrounds: vrounds}
+	s := &citySoak{vrounds: vrounds}
 	s.w = buildWorld(spec.Spec{
 		Seed: seed, VRounds: vrounds, Grid: spec.Grid{Cols: cols, Rows: rows, Spacing: citySpacing},
 		Devices: spec.Devices{Replicas: soakReplicasPer, Pingers: true},
@@ -729,12 +724,9 @@ func (s *citySoak) StepVRound() {
 	s.vr++
 }
 
-// outcome computes the run's deterministic signature and folds the round
-// and byte counts into the cell.
+// outcome computes the run's deterministic signature.
 func (s *citySoak) outcome() (citySig, sim.Stats) {
 	st := s.w.Eng.Stats()
-	s.c.CountRounds(st.Rounds)
-	s.c.CountBytes(st.TotalBytes)
 	sig := citySig{
 		Avail: s.w.Mon.SummaryThrough(len(s.w.Locs), s.vrounds).MeanAvailability,
 		Tx:    st.Transmissions,

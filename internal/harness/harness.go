@@ -5,9 +5,9 @@
 // harness fans experiment×parameter×seed cells out over a bounded worker
 // pool (the sim.WithParallel idiom: fixed workers, results merged in
 // registration order, so output is byte-identical to a sequential run),
-// renders the classic text tables through internal/metrics, and emits a
-// machine-readable JSON report with per-cell wall time, rounds/sec and
-// allocation counts sampled testing.Benchmark-style.
+// renders the classic text tables through internal/metrics, and emits the
+// same rows as a machine-readable JSON report. Every value in a table is a
+// simulated quantity; host time is measured by bench/ alone.
 package harness
 
 import (
@@ -17,20 +17,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"vinfra/internal/metrics"
 )
 
 // Value is one typed table cell: the exact text rendered in the classic
-// table plus the typed value emitted in the JSON report. Measured values
-// are wall-clock-derived (and therefore nondeterministic); they are blanked
-// when the harness runs with timing disabled so that output for a fixed
-// seed list is byte-identical across sequential and parallel runs.
+// table plus the typed value emitted in the JSON report.
 type Value struct {
-	Text     string
-	V        any // int64, float64, bool, string or nil
-	Measured bool
+	Text string
+	V    any // int64, float64, bool, string or nil
 }
 
 // Row is one typed result row, in column order.
@@ -58,24 +53,6 @@ func Str(s string) Value { return Value{Text: s, V: s} }
 
 // Bool renders as yes/no.
 func Bool(v bool) Value { return Value{Text: metrics.B(v), V: v} }
-
-// Dur is a measured wall-clock duration (seconds in JSON).
-func Dur(d time.Duration) Value {
-	return Value{Text: d.String(), V: d.Seconds(), Measured: true}
-}
-
-// MeasuredFloat is a measured (nondeterministic) float with custom text.
-func MeasuredFloat(text string, v float64) Value {
-	return Value{Text: text, V: v, Measured: true}
-}
-
-// blank replaces a measured value with a deterministic placeholder.
-func (v Value) blank() Value {
-	if !v.Measured {
-		return v
-	}
-	return Value{Text: "-", Measured: true}
-}
 
 // Params is one point of an experiment's parameter grid.
 type Params struct {
@@ -134,24 +111,11 @@ func (p Params) Map() map[string]any {
 // Cell is the execution context handed to a Descriptor's Run function: one
 // parameter-grid point at one seed. Run functions derive every internal
 // random seed from Seed (convention: base := (Seed-1)*7919 added to the
-// historical constants, so seed 1 reproduces the pre-harness tables) and
-// report simulated rounds through CountRounds for the rounds/sec metric.
+// historical constants, so seed 1 reproduces the pre-harness tables).
 type Cell struct {
 	Params Params
 	Seed   int64
-
-	rounds int
-	bytes  int
 }
-
-// CountRounds accumulates simulated rounds executed by this cell.
-func (c *Cell) CountRounds(n int) { c.rounds += n }
-
-// CountBytes accumulates transmitted wire bytes (sim.Stats.TotalBytes, the
-// engine's sim.MessageSize accounting) executed by this cell, so reports
-// carry measured bytes on the channel rather than only abstract per-message
-// sizes.
-func (c *Cell) CountBytes(n int) { c.bytes += n }
 
 // Base is the per-seed offset mixed into the historical in-experiment seed
 // constants: zero for seed 1 (reproducing the original tables), distinct
@@ -195,7 +159,7 @@ func Register(d Descriptor) {
 	registry = append(registry, d)
 }
 
-// idKey parses "E10a" into (10, "a") for natural ordering.
+// idKey parses "E11a" into (11, "a") for natural ordering.
 func idKey(id string) (int, string) {
 	i := 0
 	for i < len(id) && (id[i] < '0' || id[i] > '9') {

@@ -12,19 +12,19 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	all := harness.All()
-	if len(all) != 21 {
-		t.Fatalf("registry has %d descriptors, want 21 (E1..E14 sub-tables)", len(all))
+	if len(all) != 20 {
+		t.Fatalf("registry has %d descriptors, want 20 (E1..E14 sub-tables; there is no E10)", len(all))
 	}
 	groups := map[string]bool{}
 	for _, d := range all {
 		groups[d.Group] = true
 	}
-	for _, g := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14"} {
+	for _, g := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E11", "E12", "E13", "E14"} {
 		if !groups[g] {
 			t.Errorf("group %s not registered", g)
 		}
 	}
-	// Natural order: E1 first, E14 last (lexical order would put E10 second).
+	// Natural order: E1 first, E14 last (lexical order would put E11 second).
 	if all[0].ID != "E1" || all[len(all)-1].ID != "E14" {
 		ids := make([]string, len(all))
 		for i, d := range all {
@@ -39,10 +39,10 @@ func TestSelect(t *testing.T) {
 		only string
 		want int
 	}{
-		{"", 21},
+		{"", 20},
 		{"E2", 3},
 		{"e2a", 1},
-		{"E2a,E10", 2},
+		{"E2a,E11", 2},
 		{"E1, e9", 3},
 	} {
 		got, err := harness.Select(tc.only)
@@ -110,7 +110,7 @@ func TestRunWorkerPoolDeterminism(t *testing.T) {
 	render := func(workers int) []byte {
 		suite, err := harness.Run(harness.Options{
 			Only: "E1,E2b,E7b", Quick: true, Seeds: []int64{1, 2},
-			Workers: workers, Timing: false,
+			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -125,50 +125,6 @@ func TestRunWorkerPoolDeterminism(t *testing.T) {
 	par := render(8)
 	if !bytes.Equal(seq, par) {
 		t.Error("worker-pool output differs from sequential output")
-	}
-}
-
-func TestRunPerfSampling(t *testing.T) {
-	suite, err := harness.Run(harness.Options{Only: "E7b", Quick: true, Timing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, exp := range suite.Experiments {
-		for _, c := range exp.Cells {
-			if c.Perf == nil {
-				t.Fatalf("%s/%s: no perf sample with timing on", exp.Desc.ID, c.Label)
-			}
-			if c.Perf.WallSec <= 0 {
-				t.Errorf("%s/%s: wall_sec = %v", exp.Desc.ID, c.Label, c.Perf.WallSec)
-			}
-			if c.Perf.Rounds <= 0 {
-				t.Errorf("%s/%s: rounds not counted", exp.Desc.ID, c.Label)
-			}
-		}
-	}
-}
-
-func TestRunTimingOffBlanksMeasuredValues(t *testing.T) {
-	suite, err := harness.Run(harness.Options{Only: "E10", Quick: true, Timing: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := suite.Report()
-	exp := rep.Experiments[0]
-	if len(exp.MeasuredCols) == 0 {
-		t.Fatal("E10 reported no measured columns")
-	}
-	for _, c := range exp.Cells {
-		if c.Perf != nil {
-			t.Error("perf sample present with timing off")
-		}
-		for _, row := range c.Rows {
-			for _, j := range exp.MeasuredCols {
-				if row[j] != nil {
-					t.Errorf("measured column %d not blanked: %v", j, row[j])
-				}
-			}
-		}
 	}
 }
 

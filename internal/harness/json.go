@@ -18,19 +18,17 @@ type Report struct {
 	Machine     string             `json:"machine,omitempty"`
 	Note        string             `json:"note,omitempty"`
 	Quick       bool               `json:"quick"`
-	Timing      bool               `json:"timing"`
 	Experiments []ReportExperiment `json:"experiments"`
 }
 
 // ReportExperiment is one table's worth of cells.
 type ReportExperiment struct {
-	ID           string       `json:"id"`
-	Group        string       `json:"group"`
-	Title        string       `json:"title"`
-	Notes        string       `json:"notes,omitempty"`
-	Columns      []string     `json:"columns"`
-	MeasuredCols []int        `json:"measured_columns,omitempty"`
-	Cells        []ReportCell `json:"cells"`
+	ID      string       `json:"id"`
+	Group   string       `json:"group"`
+	Title   string       `json:"title"`
+	Notes   string       `json:"notes,omitempty"`
+	Columns []string     `json:"columns"`
+	Cells   []ReportCell `json:"cells"`
 }
 
 // ReportCell is one experiment×params×seed execution.
@@ -39,7 +37,6 @@ type ReportCell struct {
 	Seed   int64          `json:"seed"`
 	Params map[string]any `json:"params,omitempty"`
 	Rows   [][]any        `json:"rows"`
-	Perf   *Perf          `json:"perf,omitempty"`
 }
 
 // Report converts the suite to its serializable form.
@@ -50,7 +47,6 @@ func (s *Suite) Report() *Report {
 		Machine: s.Machine,
 		Note:    s.Note,
 		Quick:   s.Quick,
-		Timing:  s.Timing,
 	}
 	for _, exp := range s.Experiments {
 		re := ReportExperiment{
@@ -60,31 +56,21 @@ func (s *Suite) Report() *Report {
 			Notes:   exp.Desc.Notes,
 			Columns: exp.Desc.Columns,
 		}
-		measured := map[int]bool{}
 		for _, c := range exp.Cells {
 			rc := ReportCell{
 				Cell:   c.Label,
 				Seed:   c.Seed,
 				Params: c.Params.Map(),
 				Rows:   make([][]any, len(c.Rows)),
-				Perf:   c.Perf,
 			}
 			for i, row := range c.Rows {
 				vals := make([]any, len(row))
 				for j, v := range row {
 					vals[j] = v.V
-					if v.Measured {
-						measured[j] = true
-					}
 				}
 				rc.Rows[i] = vals
 			}
 			re.Cells = append(re.Cells, rc)
-		}
-		for j := range exp.Desc.Columns {
-			if measured[j] {
-				re.MeasuredCols = append(re.MeasuredCols, j)
-			}
 		}
 		r.Experiments = append(r.Experiments, re)
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"time"
 
 	"vinfra/internal/metrics"
 )
@@ -22,30 +21,9 @@ type Options struct {
 	// Workers bounds the cell worker pool: <= 1 runs sequentially, 0 is
 	// treated as 1, and negative means runtime.GOMAXPROCS(0).
 	Workers int
-	// Timing enables wall-clock and allocation sampling. With Timing off
-	// every measured quantity is blanked, making the output for a fixed
-	// seed list byte-identical run-to-run and across worker counts.
-	Timing bool
 	// Note is copied verbatim into the report header (the nightly soaks
 	// record their date there).
 	Note string
-}
-
-// Perf is the per-cell performance sample: wall time for the whole cell,
-// simulated rounds (as reported via Cell.CountRounds), and the allocation
-// deltas read testing.Benchmark-style from runtime.MemStats. Under a
-// parallel run the allocation counters are process-wide, so concurrent
-// cells bleed into each other; sequential runs give exact per-cell counts.
-type Perf struct {
-	WallSec      float64 `json:"wall_sec"`
-	Rounds       int     `json:"rounds,omitempty"`
-	RoundsPerSec float64 `json:"rounds_per_sec,omitempty"`
-	// WireBytes is the total transmitted wire bytes the cell reported via
-	// Cell.CountBytes — deterministic, unlike the wall/alloc samples, but
-	// grouped here because it is a cost measurement, not a result.
-	WireBytes  int    `json:"wire_bytes,omitempty"`
-	Allocs     uint64 `json:"allocs"`
-	AllocBytes uint64 `json:"alloc_bytes"`
 }
 
 // CellResult is one executed cell.
@@ -54,7 +32,6 @@ type CellResult struct {
 	Seed   int64
 	Params Params
 	Rows   []Row
-	Perf   *Perf // nil when timing is disabled
 }
 
 // ExperimentResult groups the cells of one descriptor.
@@ -69,14 +46,12 @@ type Suite struct {
 	Machine     string
 	Note        string
 	Quick       bool
-	Timing      bool
 	Experiments []ExperimentResult
 }
 
 // Run executes the selected experiments cell by cell. Cells are fanned out
 // over a bounded worker pool and merged back in registry order, so the
-// resulting Suite is independent of the worker count (timing samples
-// aside).
+// resulting Suite is independent of the worker count.
 func Run(o Options) (*Suite, error) {
 	descs, err := Select(o.Only)
 	if err != nil {
@@ -95,7 +70,6 @@ func Run(o Options) (*Suite, error) {
 		Machine:   fmt.Sprintf("%s/%s cpus=%d", runtime.GOOS, runtime.GOARCH, runtime.NumCPU()),
 		Note:      o.Note,
 		Quick:     o.Quick,
-		Timing:    o.Timing,
 	}
 	var jobs []job
 	for di := range descs {
@@ -116,36 +90,7 @@ func Run(o Options) (*Suite, error) {
 	}
 
 	runCell := func(j job) {
-		cell := &Cell{Params: j.p, Seed: j.seed}
-		out := &suite.Experiments[j.di].Cells[j.ci]
-		if !o.Timing {
-			rows := j.desc.Run(cell)
-			for _, r := range rows {
-				for i := range r {
-					r[i] = r[i].blank()
-				}
-			}
-			out.Rows = rows
-			return
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		rows := j.desc.Run(cell)
-		wall := time.Since(start)
-		runtime.ReadMemStats(&after)
-		perf := &Perf{
-			WallSec:    wall.Seconds(),
-			Rounds:     cell.rounds,
-			WireBytes:  cell.bytes,
-			Allocs:     after.Mallocs - before.Mallocs,
-			AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		}
-		if perf.Rounds > 0 && perf.WallSec > 0 {
-			perf.RoundsPerSec = float64(perf.Rounds) / perf.WallSec
-		}
-		out.Rows = rows
-		out.Perf = perf
+		suite.Experiments[j.di].Cells[j.ci].Rows = j.desc.Run(&Cell{Params: j.p, Seed: j.seed})
 	}
 
 	workers := o.Workers

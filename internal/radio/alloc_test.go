@@ -19,16 +19,16 @@ func TestDeliverSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	infos, txs, radii := benchScenario(10_000)
-	for _, mode := range []DeliveryMode{ModeScan, ModeGrid} {
+	for _, mode := range []path{pathScan, pathGrid} {
 		name := "grid"
-		if mode == ModeScan {
+		if mode == pathScan {
 			name = "scan"
 		}
 		t.Run(name, func(t *testing.T) {
-			if mode == ModeScan && testing.Short() {
+			if mode == pathScan && testing.Short() {
 				t.Skip("scan at 10k nodes is slow")
 			}
-			m := MustMedium(Config{Radii: radii, Detector: cd.AC{}, Mode: mode, Seed: 1})
+			m := Forced(Config{Radii: radii, Detector: cd.AC{}, Seed: 1}, mode)
 			for r := sim.Round(0); r < 3; r++ { // warm the reusable state
 				m.Deliver(r, txs, infos)
 			}

@@ -37,14 +37,13 @@ func benchScenario(n int) ([]sim.NodeInfo, []sim.Transmission, geo.Radii) {
 	return infos, txs, radii
 }
 
-func benchDeliver(b *testing.B, n int, mode DeliveryMode) {
+func benchDeliver(b *testing.B, n int, mode path) {
 	infos, txs, radii := benchScenario(n)
-	m := MustMedium(Config{
+	m := Forced(Config{
 		Radii:    radii,
 		Detector: cd.AC{},
-		Mode:     mode,
 		Seed:     1,
-	})
+	}, mode)
 	b.ReportMetric(float64(len(txs)), "txs")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,7 +54,7 @@ func benchDeliver(b *testing.B, n int, mode DeliveryMode) {
 // The scan/grid pairs below are the tentpole's before/after numbers: the
 // acceptance bar is grid at 10k nodes >= 5x fewer ns/op than scan.
 
-func BenchmarkDeliverScan1k(b *testing.B)  { benchDeliver(b, 1_000, ModeScan) }
-func BenchmarkDeliverGrid1k(b *testing.B)  { benchDeliver(b, 1_000, ModeGrid) }
-func BenchmarkDeliverScan10k(b *testing.B) { benchDeliver(b, 10_000, ModeScan) }
-func BenchmarkDeliverGrid10k(b *testing.B) { benchDeliver(b, 10_000, ModeGrid) }
+func BenchmarkDeliverScan1k(b *testing.B)  { benchDeliver(b, 1_000, pathScan) }
+func BenchmarkDeliverGrid1k(b *testing.B)  { benchDeliver(b, 1_000, pathGrid) }
+func BenchmarkDeliverScan10k(b *testing.B) { benchDeliver(b, 10_000, pathScan) }
+func BenchmarkDeliverGrid10k(b *testing.B) { benchDeliver(b, 10_000, pathGrid) }

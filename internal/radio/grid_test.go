@@ -71,11 +71,8 @@ func TestGridScanEquivalence(t *testing.T) {
 			GrayZoneDeliveryProb: gray,
 			Seed:                 int64(seed) + 5,
 		}
-		scanCfg, gridCfg := base, base
-		scanCfg.Mode = ModeScan
-		gridCfg.Mode = ModeGrid
-		scan := MustMedium(scanCfg)
-		grid := MustMedium(gridCfg)
+		scan := Forced(base, pathScan)
+		grid := Forced(base, pathGrid)
 
 		for r := sim.Round(0); r < 4; r++ {
 			a := scan.Deliver(r, txs, infos)
@@ -166,36 +163,24 @@ func TestGridScanEquivalenceStaleFrom(t *testing.T) {
 		{Sender: 1, From: geo.Point{X: 5}, Msg: "near"},
 	}
 	base := Config{Radii: radii, Detector: cd.AC{}, Seed: 3}
-	scanCfg, gridCfg := base, base
-	scanCfg.Mode = ModeScan
-	gridCfg.Mode = ModeGrid
-	want := MustMedium(scanCfg).Deliver(0, txs, infos)
-	got := MustMedium(gridCfg).Deliver(0, txs, infos)
+	want := Forced(base, pathScan).Deliver(0, txs, infos)
+	got := Forced(base, pathGrid).Deliver(0, txs, infos)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("stale-From receptions diverge:\nscan: %+v\ngrid: %+v", want, got)
 	}
 }
 
-// TestAutoModeMatchesScan pins the heuristic mode to the reference scan on
-// both sides of the index threshold.
+// TestAutoModeMatchesScan pins the medium's own per-round choice to the
+// reference scan on both sides of the index threshold.
 func TestAutoModeMatchesScan(t *testing.T) {
 	for _, n := range []int{4, 200} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		radii, infos, txs := randomRound(rng, n)
 		base := Config{Radii: radii, Detector: cd.AC{}, Seed: 9}
-		scanCfg, autoCfg := base, base
-		scanCfg.Mode = ModeScan
-		want := MustMedium(scanCfg).Deliver(0, txs, infos)
-		got := MustMedium(autoCfg).Deliver(0, txs, infos)
+		want := Forced(base, pathScan).Deliver(0, txs, infos)
+		got := MustMedium(base).Deliver(0, txs, infos)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d: ModeAuto receptions diverge from ModeScan", n)
+			t.Errorf("n=%d: an unforced medium's receptions diverge from the scan's", n)
 		}
-	}
-}
-
-func TestNewMediumRejectsBadMode(t *testing.T) {
-	radii := geo.Radii{R1: 1, R2: 2}
-	if _, err := NewMedium(Config{Radii: radii, Detector: cd.AC{}, Mode: DeliveryMode(42)}); err == nil {
-		t.Error("bad Mode accepted")
 	}
 }

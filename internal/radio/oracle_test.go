@@ -99,9 +99,8 @@ func referenceDeliver(cfg Config, r sim.Round, txs []sim.Transmission, rxs []sim
 // reused buffers), and requires identical receptions.
 func checkAllModes(t *testing.T, label string, cfg Config, rounds int, txs []sim.Transmission, rxs []sim.NodeInfo) {
 	t.Helper()
-	for _, mode := range []DeliveryMode{ModeScan, ModeGrid, ModeAuto} {
-		cfg.Mode = mode
-		m := MustMedium(cfg)
+	for _, mode := range []path{pathScan, pathGrid, pathAuto} {
+		m := Forced(cfg, mode)
 		for r := sim.Round(0); r < sim.Round(rounds); r++ {
 			want := referenceDeliver(cfg, r, txs, rxs)
 			for pass := 0; pass < 2; pass++ {
@@ -276,9 +275,7 @@ func TestDeliverHostileOrigins(t *testing.T) {
 			}
 			checkAllModes(t, tc.name, cfg, 2, hTxs, hInfos)
 
-			gridCfg := cfg
-			gridCfg.Mode = ModeGrid
-			m := MustMedium(gridCfg)
+			m := Forced(cfg, pathGrid)
 			m.Deliver(0, hTxs, hInfos)
 			if limit := len(hTxs)*gridCellsPerTx + gridMinCells; cap(m.grid.start) > limit+1 || cap(m.grid.items) > 9*len(hTxs) {
 				t.Errorf("grid holds %d cells and %d items for %d transmissions, bound %d cells",
@@ -301,9 +298,7 @@ func TestDeliverHostileOrigins(t *testing.T) {
 		{ID: 4, At: geo.Point{X: 5e8, Y: 5e8}, Alive: true},
 	}
 	checkAllModes(t, "1e9 apart", cfg, 2, far, rxs)
-	gridCfg := cfg
-	gridCfg.Mode = ModeGrid
-	m := MustMedium(gridCfg)
+	m := Forced(cfg, pathGrid)
 	m.Deliver(0, far, rxs) // warm
 	if avg := testing.AllocsPerRun(10, func() { m.Deliver(1, far, rxs) }); avg > float64(2*len(far)) {
 		t.Errorf("Deliver with origins 1e9 apart allocates %.0f times per round, want O(txs)", avg)

@@ -13,7 +13,7 @@
 // cells around its origin (txGrid), so a receiver finds every transmission
 // that can reach or interfere with it by flooring its own position once and
 // reading one cell. Rounds with only a handful of transmissions are scanned
-// — the default ModeAuto picks per round, from the round's size. A Medium
+// — Deliver picks per round, from the round's size. A Medium
 // delivers on the calling goroutine; the unit of parallel delivery is the
 // region shard (sim.WithRegionShards), each with a Medium of its own. All
 // randomness is derived per (round, receiver), so every arrangement — scan
@@ -68,34 +68,29 @@ type Adversary interface {
 	ForceCollision(r sim.Round, receiver sim.NodeID, at geo.Point) bool
 }
 
-// DeliveryMode selects how the medium finds the transmissions relevant to
-// each receiver. All modes produce identical receptions; they differ only
-// in cost.
-type DeliveryMode int
+// path is how Deliver finds the transmissions relevant to each receiver:
+// the scan and the grid produce identical receptions and differ only in
+// cost. A Medium chooses per round (pathAuto, the zero value: scan small
+// rounds, grid the rest; see autoIndexMinTxs). The other two exist for this
+// package's tests, which pin one through export_test.go — the scan as the
+// reference, the grid however small the round. A round the grid cannot
+// hold (see txGrid) is scanned regardless.
+type path uint8
 
 const (
-	// ModeAuto (the default, and what every production medium runs) scans
-	// on small rounds and switches to the stamped grid once the round is
-	// large enough for the grid to pay for itself; see autoIndexMinTxs.
-	ModeAuto DeliveryMode = iota
-	// ModeScan always uses the brute-force O(receivers x transmissions)
-	// scan. It exists as the reference implementation for equivalence
-	// tests and before/after benchmarks.
-	ModeScan
-	// ModeGrid always stamps the round's transmissions into a txGrid and
-	// has each receiver read the one cell it stands in, however small the
-	// round. It exists so tests and E10 can address the grid directly. A
-	// round the grid cannot hold (see txGrid) is scanned in every mode.
-	ModeGrid
+	pathAuto path = iota
+	pathScan
+	pathGrid
 )
 
-// autoIndexMinTxs is the transmission count below which ModeAuto scans:
+// autoIndexMinTxs is the transmission count below which Deliver scans:
 // finding a receiver's cell costs two floors and a table read, about what
 // comparing its distance to a handful of transmissions costs, and a round
 // that sparse gives the grid nothing to prune. Measured on the stamped grid
 // (uniform receivers, R2 = 20, a 90- and a 400-unit world): the scan wins
 // below ~8 transmissions at 100k receivers and below ~4-8 at 64-900, the
-// grid from 12 up everywhere (1.2-2.2x at 12-16, 28x at E10's 10k nodes).
+// grid from 12 up everywhere (1.2-2.2x at 12-16, 28x at
+// BenchmarkDeliverGrid10k's 10k nodes).
 // autoIndexMinWork is the receivers-times-transmissions product below which
 // building the grid costs more than the whole scan (16 receivers: the scan
 // wins at every transmission count up to 16).
@@ -122,8 +117,6 @@ type Config struct {
 	// (Seed, round, receiver), so they do not depend on the order in
 	// which receivers are processed.
 	Seed int64
-	// Mode selects the delivery implementation; see DeliveryMode.
-	Mode DeliveryMode
 }
 
 // Medium implements sim.Medium with quasi-unit-disk propagation and
@@ -136,6 +129,8 @@ type Config struct {
 // Deliver call.
 type Medium struct {
 	cfg Config
+	// force pins the delivery path; only export_test.go sets it.
+	force path
 
 	// Per-round reusable state, rebuilt in place every round: the reception
 	// slice handed back to the engine, the stamped transmission grid, and
@@ -172,9 +167,6 @@ func NewMedium(cfg Config) (*Medium, error) {
 	}
 	if cfg.GrayZoneDeliveryProb < 0 || cfg.GrayZoneDeliveryProb > 1 {
 		return nil, fmt.Errorf("radio: GrayZoneDeliveryProb = %v out of [0,1]", cfg.GrayZoneDeliveryProb)
-	}
-	if cfg.Mode < ModeAuto || cfg.Mode > ModeGrid {
-		return nil, fmt.Errorf("radio: unknown delivery mode %d", cfg.Mode)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -222,8 +214,8 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 	m.out = m.out[:len(rxs)]
 	out := m.out
 
-	gridded := m.cfg.Mode == ModeGrid ||
-		m.cfg.Mode == ModeAuto && len(txs) >= autoIndexMinTxs && len(txs)*len(rxs) >= autoIndexMinWork
+	gridded := m.force == pathGrid ||
+		m.force == pathAuto && len(txs) >= autoIndexMinTxs && len(txs)*len(rxs) >= autoIndexMinWork
 	gridded = gridded && m.grid.stamp(txs)
 	m.own.reset(txs)
 	m.round = r

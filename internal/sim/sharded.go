@@ -179,7 +179,7 @@ func (sp *shardPlane) propagate(e *Engine, r Round, txs []Transmission) []Recept
 		}
 		return rxs
 	}
-	start := time.Now() //detlint:walltime partition cost is a Measured perf column (E14), never state
+	start := time.Now() //detlint:walltime partition cost is read by bench/ and visimd (Engine.PartitionTime), never state
 	sp.partition(e)
 	e.partTime += time.Since(start) //detlint:walltime see above
 	sp.scatter(txs)

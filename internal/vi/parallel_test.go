@@ -13,13 +13,14 @@ import (
 )
 
 // TestFullStackParallelDeterminism runs the complete emulation (grid of
-// virtual nodes, clients, backoff contention managers) under every
-// combination of medium delivery mode (brute-force scan vs grid spatial
-// index) and engine fan-out (sequential vs worker pool), and requires
-// bit-identical replica states across all of them. This is the
-// repository's determinism contract end to end.
+// virtual nodes, clients, backoff contention managers) on the sequential
+// engine and on the worker pool and requires bit-identical replica states.
+// This is the repository's determinism contract end to end; the medium's
+// half of it — the same deployment on a medium pinned to the grid and on
+// one pinned to the scan — is internal/radio's TestFullStackGridEqualsScan,
+// where the hook that pins a medium lives.
 func TestFullStackParallelDeterminism(t *testing.T) {
-	run := func(parallel bool, mode radio.DeliveryMode) []string {
+	run := func(parallel bool) []string {
 		locs := geo.Grid{Spacing: 6, Cols: 2, Rows: 1}.Locations()
 		sched := vi.BuildSchedule(locs, testRadii)
 		dep, err := vi.NewDeployment(vi.DeploymentConfig{
@@ -37,7 +38,6 @@ func TestFullStackParallelDeterminism(t *testing.T) {
 			Radii:    testRadii,
 			Detector: cd.AC{},
 			Seed:     17,
-			Mode:     mode,
 		})
 		opts := []sim.Option{sim.WithSeed(17)}
 		if parallel {
@@ -75,25 +75,13 @@ func TestFullStackParallelDeterminism(t *testing.T) {
 		return states
 	}
 
-	want := run(false, radio.ModeScan)
-	variants := []struct {
-		name           string
-		engineParallel bool
-		mode           radio.DeliveryMode
-	}{
-		{"engine parallel", true, radio.ModeScan},
-		{"grid medium", false, radio.ModeGrid},
-		{"everything parallel", true, radio.ModeGrid},
+	want, got := run(false), run(true)
+	if len(got) != len(want) {
+		t.Fatal("engine parallel: emulator counts differ")
 	}
-	for _, v := range variants {
-		got := run(v.engineParallel, v.mode)
-		if len(got) != len(want) {
-			t.Fatalf("%s: emulator counts differ", v.name)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s: emulator %d diverged from sequential scan run", v.name, i)
-			}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("engine parallel: emulator %d diverged from the sequential run", i)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package walltime exercises the walltime analyzer: wall-clock reads in a
 // deterministic package, the Duration-arithmetic negative space, and the
-// function-level annotation. The annotated case mirrors the real
-// timeDeliver helper in internal/experiments/e10_scaling.go, which samples
-// the clock on purpose for Measured columns.
+// function-level annotation. The annotated case mirrors the engine's
+// partition clock in internal/sim/sharded.go, which samples the clock on
+// purpose for a duration no result or snapshot ever sees.
 package walltime
 
 import "time"
@@ -24,10 +24,10 @@ func budget(rounds int) time.Duration {
 	return time.Duration(rounds) * 250 * time.Microsecond
 }
 
-// measure samples the wall clock deliberately: its output is a Measured
-// cost column, not part of the deterministic result.
+// measure samples the wall clock deliberately: its output is a cost read by
+// a benchmark, not part of the deterministic result.
 //
-//detlint:walltime cost columns are Measured, not part of the result
+//detlint:walltime a cost for a benchmark to read, not part of the result
 func measure(f func()) time.Duration {
 	start := time.Now()
 	f()

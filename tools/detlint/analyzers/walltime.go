@@ -17,10 +17,10 @@ var wallTimeFuncs = map[string]bool{
 
 // WallTime flags wall-clock reads in deterministic packages. Simulated
 // time is the round counter; a wall-clock value that reaches a result
-// makes the run irreproducible. Legitimate measurement sites (the harness
-// timing plane, experiment cost columns marked Measured) either live in an
-// allowlisted package (internal/harness — the driver never runs this
-// analyzer there) or carry a //detlint:walltime annotation.
+// makes the run irreproducible. A legitimate measurement site either lives
+// in the allowlisted package (internal/service — the driver never runs
+// this analyzer there) or carries a //detlint:walltime annotation (the
+// engine's partition clock is the one in the tree).
 var WallTime = &analysis.Analyzer{
 	Name: "walltime",
 	Doc:  "flags time.Now/Since/Sleep/... in deterministic packages; simulated time is the round counter",

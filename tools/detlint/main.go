@@ -87,11 +87,10 @@ func analyzersFor(importPath string) []*analysis.Analyzer {
 	deterministic := importPath == "vinfra" || strings.HasPrefix(importPath, "vinfra/internal/")
 	if deterministic {
 		list = append(list, analyzers.GlobalRand, analyzers.SeedFlow)
-		// internal/harness owns the timing plane (wall-clock sampling of
-		// cells is its job) and internal/service is wall-clock service
-		// code (stepping rates, graceful shutdown); every other
-		// deterministic package must not read the clock.
-		if importPath != "vinfra/internal/harness" && importPath != "vinfra/internal/service" {
+		// internal/service is wall-clock service code (stepping rates,
+		// graceful shutdown); every other deterministic package must not
+		// read the clock.
+		if importPath != "vinfra/internal/service" {
 			list = append(list, analyzers.WallTime)
 		}
 	}

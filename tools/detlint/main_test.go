@@ -136,7 +136,7 @@ func TestPolicy(t *testing.T) {
 		// seeds are exactly what maporder and seedflow exist to protect.
 		{"vinfra/internal/shard", "maporder,wirecomplete,globalrand,seedflow,walltime"},
 		{"vinfra/internal/experiments", "maporder,wirecomplete,globalrand,seedflow,walltime"},
-		{"vinfra/internal/harness", "maporder,wirecomplete,globalrand,seedflow"},
+		{"vinfra/internal/harness", "maporder,wirecomplete,globalrand,seedflow,walltime"},
 		// The deployment-spec package is pure configuration and joins the
 		// full deterministic policy; the HTTP service is wall-clock service
 		// code (stepping rates, shutdown timeouts) but still must not leak
@@ -165,7 +165,8 @@ func TestPolicy(t *testing.T) {
 //   - internal/service may read the wall clock (stepping rates are its
 //     job) but must still emit map contents in sorted order;
 //   - internal/spec is pure configuration and gets the full deterministic
-//     policy, wall clock included;
+//     policy, wall clock included — and so does internal/harness, which
+//     was exempt while it sampled per-cell wall time;
 //   - cmd/visimd is command code: map order still matters, the clock is
 //     free.
 func TestServicePolicyFixtures(t *testing.T) {
@@ -210,6 +211,17 @@ import "time"
 // Stamp reads the wall clock inside the spec package: a finding.
 func Stamp() int64 { return time.Now().UnixNano() }
 `)
+	write("internal/harness/run.go", `package harness
+
+import "time"
+
+// Wall times a cell: a finding since the harness stopped reporting host time.
+func Wall(run func()) time.Duration {
+	start := time.Now()
+	run()
+	return time.Since(start)
+}
+`)
 	write("cmd/visimd/main.go", `package main
 
 import (
@@ -252,6 +264,9 @@ func main() {
 	}
 	if !has("vinfra/internal/spec", "walltime") {
 		t.Errorf("walltime did not fire in internal/spec: %v", found["vinfra/internal/spec"])
+	}
+	if !has("vinfra/internal/harness", "walltime") {
+		t.Errorf("walltime did not fire in internal/harness: %v", found["vinfra/internal/harness"])
 	}
 	if has("vinfra/cmd/visimd", "walltime") {
 		t.Errorf("walltime fired in cmd/visimd: %v", found["vinfra/cmd/visimd"])
