@@ -42,9 +42,10 @@
 //     than 8 transmissions. All modes are reception-identical for the
 //     same seed. A Medium delivers on one goroutine (region shards, each
 //     with its own Medium, are what parallelises delivery) and its
-//     per-round state (reception slice, stamped grid, sender order) lives
-//     on the Medium as flat slices, so steady-state delivery allocates
-//     only the message slices receivers actually get.
+//     per-round state (reception slice, message arena, stamped grid,
+//     sender order) lives on the Medium as flat slices, so steady-state
+//     delivery allocates nothing: a reception's messages are a window onto
+//     the arena, valid until the receiver's Receive returns.
 //   - cd, cm: the model's collision detector classes and contention
 //     managers. Both have exact-behavior unit tests under injected
 //     jamming: adversarial collision patterns produce precisely the
@@ -153,13 +154,14 @@
 //
 // Steady-state allocations per round are gated by tests (skipped under
 // -race): TestDeliverSteadyStateAllocs and TestEngineStepSteadyStateAllocs
-// pin the allocation-free round loop — Engine.Step allocates nothing and
-// Deliver allocates only the message slices of receivers that actually
-// hear something — and TestEmulatorVRoundSteadyStateAllocs pins the
-// wire-codec state plane (a full virtual round at 9 virtual nodes in at
-// most 190 allocations; the gob+string stack needed ~10,400), with
-// spec's TestWorldVRoundSteadyStateAllocs holding the world spec.Build
-// makes to the same kind of budget. CI also
+// pin the allocation-free round loop — neither Engine.Step nor Deliver
+// allocates, a round's received messages being windows onto one arena the
+// medium refills — TestNormalizeSteadyStateAllocs the proposal's sort, and
+// TestEmulatorVRoundSteadyStateAllocs pins the wire-codec state plane (a
+// full virtual round at 9 virtual nodes in at most 100 allocations; the
+// gob+string stack needed ~10,400), with spec's
+// TestWorldVRoundSteadyStateAllocs holding the world spec.Build makes to
+// the same kind of budget. CI also
 // runs a fuzz smoke job: 10 seconds each over the wire decoder and the
 // adversarial-input DecodeRoundInput/DecodeJoinAckMsg paths.
 //

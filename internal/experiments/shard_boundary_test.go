@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"vinfra/internal/cd"
@@ -31,8 +32,14 @@ type listener struct {
 	heard []sim.Reception
 }
 
-func (l *listener) Transmit(sim.Round) sim.Message        { return nil }
-func (l *listener) Receive(_ sim.Round, rx sim.Reception) { l.heard = append(l.heard, rx) }
+func (l *listener) Transmit(sim.Round) sim.Message { return nil }
+
+// Receive keeps every reception, so it copies Msgs: the medium reuses the
+// slice next round.
+func (l *listener) Receive(_ sim.Round, rx sim.Reception) {
+	rx.Msgs = slices.Clone(rx.Msgs)
+	l.heard = append(l.heard, rx)
+}
 
 // shardEdgeWorld builds the exact-boundary geometry shared by the
 // sequential and sharded runs, and returns the per-node reception logs.

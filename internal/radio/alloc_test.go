@@ -8,12 +8,11 @@ import (
 )
 
 // TestDeliverSteadyStateAllocs gates the delivery loop's allocation budget
-// at 10k nodes: after warm-up, the only per-round allocations left are the
-// message slices of receivers that actually hear something (~one per
-// transmitting sender, which always hears itself). Before the scratch-reuse
-// work this was ~60k allocs (4 MB) per round; the budget of 1.5 x txs + 64
-// keeps the win from silently regressing while leaving room for grid-cell
-// drift as positions change.
+// at 10k nodes: after warm-up a round allocates nothing, on either path.
+// Before the scratch-reuse work this was ~60k allocs (4 MB) per round; after
+// it, one Msgs slice per receiver that heard something (2 852 at this
+// scenario's 2 598 transmissions), until a round's Msgs became windows onto
+// one arena the medium refills.
 func TestDeliverSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -32,10 +31,10 @@ func TestDeliverSteadyStateAllocs(t *testing.T) {
 			for r := sim.Round(0); r < 3; r++ { // warm the reusable state
 				m.Deliver(r, txs, infos)
 			}
-			budget := 1.5*float64(len(txs)) + 64
 			avg := testing.AllocsPerRun(3, func() { m.Deliver(3, txs, infos) })
-			if avg > budget {
-				t.Errorf("steady-state Deliver allocates %.0f times per round at 10k nodes (%d txs), want <= %.0f", avg, len(txs), budget)
+			t.Logf("allocs/round at 10k nodes (%d txs): %.0f", len(txs), avg)
+			if avg > 0 {
+				t.Errorf("steady-state Deliver allocates %.0f times per round at 10k nodes (%d txs), want 0", avg, len(txs))
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,7 +102,12 @@ func (b *beacon) Transmit(r sim.Round) sim.Message {
 	return fmt.Sprintf("b%d@%d", b.env.ID(), r)
 }
 
-func (b *beacon) Receive(_ sim.Round, rx sim.Reception) { b.heard = append(b.heard, rx) }
+// Receive keeps every reception, so it copies Msgs: the medium reuses the
+// slice next round.
+func (b *beacon) Receive(_ sim.Round, rx sim.Reception) {
+	rx.Msgs = slices.Clone(rx.Msgs)
+	b.heard = append(b.heard, rx)
+}
 
 // TestShardMediumsShareAdversary is the concurrency half of the Adversary
 // contract (run under -race in CI): the shard mediums of a region-sharded

@@ -28,8 +28,12 @@
 // transmissions alongside the NodeID-ordered receivers; candidates are
 // classified by index and counted, never copied; and the per-receiver
 // random stream is keyed only when something actually draws from it. Empty
-// receptions carry nil message slices, so only receivers that actually hear
-// something allocate (their Msgs slices may be retained by nodes).
+// receptions carry nil message slices; a non-empty one is a window into one
+// per-round arena the medium owns, the round's messages in transmission
+// order, cleared and refilled at the next Deliver — receivers read their
+// messages during Receive and copy what they keep (the sim.Reception
+// contract) — so once its buffers have grown to the world's busiest round a
+// medium delivers without allocating.
 package radio
 
 import (
@@ -125,19 +129,21 @@ type Config struct {
 // A Medium carries reusable per-round delivery state, so a single Medium
 // must not have Deliver invoked concurrently (one engine, or one region
 // shard, calling it once per round — the sim.Medium contract — is the
-// intended use). The returned reception slice is valid until the next
-// Deliver call.
+// intended use). The returned reception slice, and every Msgs slice in it,
+// is valid until the next Deliver call.
 type Medium struct {
 	cfg Config
 	// force pins the delivery path; only export_test.go sets it.
 	force path
 
 	// Per-round reusable state, rebuilt in place every round: the reception
-	// slice handed back to the engine, the stamped transmission grid, and
-	// the sender walk.
-	out  []sim.Reception
-	grid txGrid
-	own  senderWalk
+	// slice handed back to the engine, the arena its Msgs windows share (the
+	// round's messages, one per transmission), the stamped transmission grid,
+	// and the sender walk.
+	out   []sim.Reception
+	arena []sim.Message
+	grid  txGrid
+	own   senderWalk
 
 	// deliverable is the one-element scratch handed to Adversary.Filter.
 	deliverable []sim.Transmission
@@ -198,7 +204,7 @@ func MustMedium(cfg Config) *Medium {
 // collision-detector indication from the ground-truth losses. The engine
 // lists only devices whose radio is on; a caller of its own that lists a
 // dead one (Alive false) gets the empty reception for it. The returned slice
-// is medium-owned and reused on the next call.
+// and the messages it holds are medium-owned and reused on the next call.
 func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo) []sim.Reception {
 	if cap(m.out) < len(rxs) {
 		// Headroom: a shard's resident count drifts from round to round and
@@ -208,11 +214,18 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 	}
 	if len(rxs) < len(m.out) {
 		// A shorter receiver list than last round's (devices fell asleep):
-		// receivers may keep their Msgs, the medium must not keep them alive.
+		// the entries past it would otherwise hold stale windows.
 		clear(m.out[len(rxs):])
 	}
 	m.out = m.out[:len(rxs)]
 	out := m.out
+	// Last round's messages are dead: drop them for the GC, and lay this
+	// round's out in transmission order.
+	clear(m.arena)
+	m.arena = m.arena[:0]
+	for i := range txs {
+		m.arena = append(m.arena, txs[i].Msg)
+	}
 
 	gridded := m.force == pathGrid ||
 		m.force == pathAuto && len(txs) >= autoIndexMinTxs && len(txs)*len(rxs) >= autoIndexMinWork
@@ -309,21 +322,20 @@ func (m *Medium) receive(out *sim.Reception, r sim.Round, txs []sim.Transmission
 	collision := m.cfg.Detector.Report(r, lostR1, lostR2, spurious, m.rnd)
 
 	// An empty reception carries nil Msgs — the common case at scale
-	// (collisions silence most receivers), and the reason the steady-state
-	// delivery loop stays nearly allocation-free. Non-empty message slices
-	// are freshly allocated because receivers are allowed to retain them.
+	// (collisions silence most receivers). A non-empty one holds one
+	// message: the receiver's own, since a transmitter hears nothing else,
+	// or else the sole transmission Filter let through. It is that
+	// transmission's entry of the round's arena, a window capped at its
+	// length and shared by every receiver that heard the transmission.
 	if own < 0 && len(delivered) == 0 {
 		*out = sim.Reception{Collision: collision}
 		return
 	}
-	msgs := make([]sim.Message, 0, len(delivered)+1)
-	if own >= 0 {
-		msgs = append(msgs, txs[own].Msg)
+	i := own
+	if i < 0 {
+		i = int(sole)
 	}
-	for _, tx := range delivered {
-		msgs = append(msgs, tx.Msg)
-	}
-	*out = sim.Reception{Msgs: msgs, Collision: collision}
+	*out = sim.Reception{Msgs: m.arena[i : i+1 : i+1], Collision: collision}
 }
 
 // senderWalk answers "which transmission did this receiver send" without a

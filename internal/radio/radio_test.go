@@ -52,6 +52,27 @@ func TestNewMediumValidation(t *testing.T) {
 	}
 }
 
+// TestReceptionWindowsAreCapped pins what sharing one arena costs the
+// receivers: windows onto neighbouring entries are capped at their length,
+// so a receiver appending to its Msgs gets a slice of its own rather than
+// writing over the message another receiver heard.
+func TestReceptionWindowsAreCapped(t *testing.T) {
+	m := acMedium(t, nil)
+	// Two senders 100 apart, each with a listener beside it.
+	rxs := infos(true, geo.Point{X: 0}, geo.Point{X: 100}, geo.Point{X: 5}, geo.Point{X: 105})
+	txs := []sim.Transmission{tx(0, geo.Point{X: 0}, "a"), tx(1, geo.Point{X: 100}, "b")}
+	out := m.Deliver(0, txs, rxs)
+	for i, want := range []string{"a", "b", "a", "b"} {
+		if rx := out[i]; len(rx.Msgs) != 1 || rx.Msgs[0] != want || cap(rx.Msgs) != 1 {
+			t.Fatalf("receiver %d: %+v (cap %d), want [%s] at cap 1", i, rx, cap(rx.Msgs), want)
+		}
+	}
+	_ = append(out[2].Msgs, "spoofed")
+	if out[3].Msgs[0] != "b" || out[1].Msgs[0] != "b" {
+		t.Errorf("appending to one reception rewrote another's: %+v, %+v", out[1], out[3])
+	}
+}
+
 func TestDeliveryWithinR1(t *testing.T) {
 	m := acMedium(t, nil)
 	rxs := infos(true, geo.Point{X: 0}, geo.Point{X: 5})

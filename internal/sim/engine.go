@@ -42,6 +42,7 @@ type Engine struct {
 	nodes  []*nodeState // indexed by NodeID
 	alive  []*nodeState // alive nodes in NodeID order; see compactAlive
 	dirty  bool         // a node died since alive was last compacted
+	moving int          // alive nodes with a Mover; see move
 	crash  map[Round][]NodeID
 	hooks  []RoundHook
 	faults []Fault
@@ -303,6 +304,9 @@ func (e *Engine) Attach(pos geo.Point, mover Mover, build func(Env) Node) NodeID
 	}
 	e.nodes = append(e.nodes, st)
 	e.alive = append(e.alive, st)
+	if mover != nil {
+		e.moving++
+	}
 	if int(id)>>6 == len(e.on) {
 		e.on = append(e.on, 0)
 	}
@@ -319,6 +323,9 @@ func (e *Engine) Crash(id NodeID) {
 	}
 	e.info[id].Alive = false
 	e.dirty = true
+	if e.nodes[id].mover != nil {
+		e.moving--
+	}
 	if bit := uint64(1) << (id & 63); e.on[id>>6]&bit != 0 {
 		e.on[id>>6] &^= bit
 		e.relist = true
@@ -604,8 +611,13 @@ func (e *Engine) byNodeID(rxs []Reception) []Reception {
 // not — where a sleeper wakes up is part of the run. Per-node RNG call order
 // within a round is fixed (Move, then Transmit), so this is deterministic at
 // any width. On a region-sharded plane the same walk also takes each chunk's
-// bounding box for the partition (shardPlane.mobility).
+// bounding box for the partition (shardPlane.mobility), so it visits every
+// alive node whether or not anything moves; on the one-shard plane a world
+// whose alive nodes all stand still skips the walk.
 func (e *Engine) move() {
+	if e.moving == 0 && len(e.plane.mediums) == 1 {
+		return
+	}
 	k := e.width(len(e.alive))
 	for len(e.movers) < k {
 		mr := &moverRand{}

@@ -334,13 +334,17 @@ func (e *Engine) restore(s EngineSnapshot) error {
 		}
 	}
 	// Everyone alive comes back with the radio on: no wake files, and the
-	// awake list is the alive list.
+	// awake list is the alive list. Who moves is recounted with it.
 	e.alive = e.alive[:0]
+	e.moving = 0
 	clear(e.on)
 	for _, st := range e.nodes {
 		if e.info[st.id].Alive {
 			e.alive = append(e.alive, st)
 			e.on[st.id>>6] |= 1 << (st.id & 63)
+			if st.mover != nil {
+				e.moving++
+			}
 		}
 	}
 	e.dirty = false

@@ -87,7 +87,12 @@ type Transmission struct {
 // a node out of everyone's range hears.
 type Reception struct {
 	// Msgs holds the received messages in deterministic (sender ID) order.
-	// Protocols must not depend on this order carrying identity.
+	// Protocols must not depend on this order carrying identity. The slice
+	// belongs to the medium, which may hand the same one to every receiver
+	// of a message, and is valid only until the node's Receive returns (a
+	// RoundHook's call, for hooks): a node reads it, never writes into it,
+	// and copies it to keep it. The messages themselves are the senders'
+	// values and stay whatever the medium does with the slice.
 	Msgs []Message
 	// Collision is the collision detector output for this round.
 	Collision bool
@@ -120,10 +125,12 @@ type NodeInfo struct {
 //
 // Both slice arguments are engine-owned buffers reused across rounds, so a
 // Medium must not retain them past the call; symmetrically, the engine
-// treats the returned slice as valid only until the next Deliver call, so a
-// Medium may reuse it (radio.Medium does). Individual Reception values are
-// copied out to nodes — only the non-nil Msgs slices inside them must stay
-// untouched once returned, because receivers may retain those.
+// treats the returned slice, and every Msgs slice inside it, as valid only
+// until the next Deliver call, so a Medium may reuse both (radio.Medium
+// backs a round's Msgs with one arena, a message per transmission, that it
+// refills the next round). Until then a Medium must leave them untouched:
+// the engine hands them to Receive and to the round's hooks after Deliver
+// returns.
 type Medium interface {
 	Deliver(r Round, txs []Transmission, rxs []NodeInfo) []Reception
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"vinfra/internal/apps"
@@ -75,7 +76,8 @@ func counterProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
 				if !sched.ScheduledIn(v, vround-1) {
 					return nil
 				}
-				return vi.Text(fmt.Sprintf("count=%d", s.Pings))
+				b := append(make([]byte, 0, 16), "count="...)
+				return &vi.Message{Payload: strconv.AppendInt(b, int64(s.Pings), 10)}
 			},
 			EncodeState: func(dst []byte, s counterState) []byte {
 				return wire.AppendUvarint(dst, uint64(s.Pings))
@@ -85,6 +87,28 @@ func counterProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
 			},
 		}
 	}
+}
+
+// pingPayload is virtual node v's pinger's message in virtual round vr:
+// "ping-%02d-%04d", without fmt's boxing.
+func pingPayload(v, vr int) []byte {
+	b := append(make([]byte, 0, 16), "ping-"...)
+	b = appendPadded(b, v, 2)
+	b = append(b, '-')
+	return appendPadded(b, vr, 4)
+}
+
+// appendPadded appends the decimal form of n >= 0, zero-padded to width
+// digits, as %0*d would.
+func appendPadded(b []byte, n, width int) []byte {
+	digits := 1
+	for x := n; x >= 10; x /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 // Build turns a spec into a runnable world. The construction is a pure
@@ -211,7 +235,7 @@ func Build(s Spec) (*World, error) {
 						if vr%4 != v%4 {
 							return nil
 						}
-						return vi.Text(fmt.Sprintf("ping-%02d-%04d", v, vr))
+						return &vi.Message{Payload: pingPayload(v, vr)}
 					}))
 			})
 		}

@@ -129,7 +129,7 @@ type Engine struct {
 	// Parallel fans each round's mobility, Transmit and Receive out across
 	// a worker pool, and runs region shards concurrently.
 	Parallel bool `json:"parallel,omitempty"`
-	// Workers caps the pool (0 = GOMAXPROCS, or one per shard), at most
+	// Workers caps the pool (0 = GOMAXPROCS), at most
 	// 256; implies Parallel.
 	Workers int `json:"workers,omitempty"`
 	// Shards > 0 (at most 256) splits the world near-square into region

@@ -3,6 +3,7 @@ package vi
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"vinfra/internal/cha"
 	"vinfra/internal/cm"
@@ -172,6 +173,15 @@ type EmulatorHooks struct {
 // does not. Every phase check in Transmit and Receive stays, so a round slept
 // through is a no-op when the emulator is awake for it after all, as it is
 // right after a restore.
+//
+// A wake pays little bookkeeping before the protocol does anything. The
+// emulator remembers which virtual round it last read the clock in, so a
+// round's offset into it is found without dividing (a division only when a
+// new virtual round begins); whether its virtual node is scheduled is worked
+// out once per virtual round and region; and the region lookup at the start
+// of a virtual round is skipped when the device stands, bit for bit, where it
+// stood at the last lookup. These caches are derived from the round, the
+// deployment and the location, never state a snapshot records.
 type Emulator struct {
 	env   sim.Env
 	d     *Deployment
@@ -179,9 +189,17 @@ type Emulator struct {
 
 	vn     VNodeID // current region's virtual node (None when outside)
 	joined bool
-	mgr    cm.Manager
-	core   *cha.Core
-	cache  *stateCache
+
+	// The clock and region caches. The two small fields fill joined's
+	// padding, so the caches add 24 bytes to an emulator.
+	atOK  bool      // at is the location checkRegion last evaluated
+	sched int8      // scheduled(vr) for vn: 0 not yet worked out, 1 no, 2 yes
+	vr    int       // the virtual round the clock last read (from 1); 0 none
+	at    geo.Point // see atOK
+
+	mgr   cm.Manager
+	core  *cha.Core
+	cache *stateCache
 
 	// Per-virtual-round scratch state. input.Msgs reuses its backing array
 	// across virtual rounds (the encoded proposal copies the bytes out), so
@@ -237,6 +255,7 @@ func (e *Emulator) StateBefore(vr int) []byte {
 
 func (e *Emulator) enterRegion(v VNodeID) {
 	e.vn = v
+	e.sched = 0
 	e.joined = false
 	e.mgr = e.d.newCM(v, e.env)
 	e.core = nil
@@ -263,9 +282,17 @@ func (e *Emulator) becomeReplica(floor cha.Instance, state []byte, core *cha.Cor
 }
 
 // checkRegion re-evaluates region membership at the start of each virtual
-// round.
+// round. A device standing, bit for bit, where the last evaluation found it
+// is still in the region that evaluation chose — e.vn has changed since only
+// if Restore replaced it, and Restore forgets the location — so the lookup
+// is skipped.
 func (e *Emulator) checkRegion() {
-	v := e.d.RegionOf(e.env.Location())
+	at := e.env.Location()
+	if e.atOK && samePoint(at, e.at) && !noClockCache {
+		return
+	}
+	e.at, e.atOK = at, true
+	v := e.d.RegionOf(at)
 	if v == e.vn {
 		return
 	}
@@ -277,17 +304,49 @@ func (e *Emulator) checkRegion() {
 	}
 }
 
-// vround numbers virtual rounds from 1 so that virtual round r corresponds
-// to agreement instance r.
+func samePoint(a, b geo.Point) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+}
+
+// noClockCache makes clock, scheduled and checkRegion work their answers out
+// afresh on every call, which is how the emulator behaved before it cached
+// them. Only tests set it (export_test.go): it is the oracle the caches are
+// held to, not a mode anyone can select.
+var noClockCache bool
+
+// clock returns radio round r's offset into its virtual round and that
+// virtual round's number — from 1, so that virtual round vr corresponds to
+// agreement instance vr. It divides only when r lies outside the virtual
+// round it last answered for.
+func (e *Emulator) clock(r sim.Round) (off, vr int) {
+	per := e.d.timing.RoundsPerVRound()
+	if off := int(r) - (e.vr-1)*per; off >= 0 && off < per && !noClockCache {
+		return off, e.vr
+	}
+	e.vr, e.sched = int(r)/per+1, 0
+	return int(r) % per, e.vr
+}
+
+// position is Timing.Decompose off the clock, with virtual rounds from 1.
 func (e *Emulator) position(r sim.Round) (vr int, phase Phase, subslot int) {
-	vr0, phase, subslot := e.d.timing.Decompose(r)
-	return vr0 + 1, phase, subslot
+	off, vr := e.clock(r)
+	phase, subslot = e.d.timing.PhaseAt(off)
+	return vr, phase, subslot
 }
 
 // scheduled reports whether this emulator's virtual node is scheduled in
-// virtual round vr.
+// virtual round vr, looking it up once per virtual round and region.
 func (e *Emulator) scheduled(vr int) bool {
-	return e.d.schedule.ScheduledIn(e.vn, vr-1)
+	if vr != e.vr || noClockCache {
+		return e.d.schedule.ScheduledIn(e.vn, vr-1)
+	}
+	if e.sched == 0 {
+		e.sched = 1
+		if e.d.schedule.ScheduledIn(e.vn, vr-1) {
+			e.sched = 2
+		}
+	}
+	return e.sched == 2
 }
 
 // Transmit implements sim.Node.
@@ -521,7 +580,7 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 func (e *Emulator) nextDuty(r sim.Round, vr int) sim.Round {
 	s := e.d.timing.S
 	per := e.d.timing.RoundsPerVRound()
-	off := int(r) % per
+	off, _ := e.clock(r)
 	// Offsets: client 0, vn 1, sched ballot and vetoes 2-4, unsched ballot
 	// slot k at 5+k, unsched vetoes s+7 and s+8, join s+9, join-ack s+10,
 	// reset s+11.

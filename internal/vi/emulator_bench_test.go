@@ -56,12 +56,13 @@ func benchBed(cols, rows int) (*sim.Engine, *vi.Deployment) {
 
 // TestEmulatorVRoundSteadyStateAllocs gates the virtual round's allocation
 // budget: a 9-virtual-node grid (27 replicas + 9 clients) must run one
-// full virtual round (21 radio rounds) in at most 190 allocations after
-// warm-up — the measured 166 plus about 15 %. On the gob+string state plane
+// full virtual round (21 radio rounds) in at most 100 allocations after
+// warm-up — the measured 83 plus about 15 %. On the gob+string state plane
 // this was ~10,400 allocs per virtual round (every replica gob-encoding and
 // decoding its state and fmt-splicing proposals), on the wire codec 342;
-// the window core, the history view and the pooled state decoder took the
-// rest. The bed's program is test-local: the world spec.Build makes has its
+// the window core, the history view and the pooled state decoder brought it
+// to 166, and the medium's Msgs arena and a Normalize that does not box to
+// 83. The bed's program is test-local: the world spec.Build makes has its
 // own gate, spec's TestWorldVRoundSteadyStateAllocs.
 func TestEmulatorVRoundSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -72,8 +73,34 @@ func TestEmulatorVRoundSteadyStateAllocs(t *testing.T) {
 	eng.Run(3 * per) // warm up: schedules, caches, reusable buffers
 	avg := testing.AllocsPerRun(5, func() { eng.Run(per) })
 	t.Logf("allocs/vround: %.1f", avg)
-	if avg > 190 {
-		t.Errorf("steady-state virtual round allocates %.0f times at 9 vnodes, want <= 190", avg)
+	if avg > 100 {
+		t.Errorf("steady-state virtual round allocates %.0f times at 9 vnodes, want <= 100", avg)
+	}
+}
+
+// TestNormalizeSteadyStateAllocs gates RoundInput.Normalize, which Encode
+// runs on every proposal: sorting and deduplicating eight messages, three
+// of them repeats, allocates nothing (sort.Slice boxed its arguments).
+func TestNormalizeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	src := [][]byte{
+		[]byte("ping-04-0012"), []byte("count=7"), []byte("ping-00-0012"), []byte("count=7"),
+		[]byte("zz"), []byte("ping-04-0012"), []byte(""), []byte("zz"),
+	}
+	in := vi.RoundInput{Msgs: make([][]byte, 0, len(src))}
+	avg := testing.AllocsPerRun(100, func() {
+		in.Msgs = append(in.Msgs[:0], src...)
+		in.Normalize()
+	})
+	t.Logf("allocs/Normalize: %.1f", avg)
+	if avg > 0 {
+		t.Errorf("Normalize of %d messages allocates %.1f times, want 0", len(src), avg)
+	}
+	want := []string{"", "count=7", "ping-00-0012", "ping-04-0012", "zz"}
+	if got := fmt.Sprintf("%q", in.Msgs); got != fmt.Sprintf("%q", want) {
+		t.Errorf("Normalize = %s, want %q", got, want)
 	}
 }
 

@@ -199,14 +199,21 @@ func (t Timing) LeaderHorizon() int { return 2 * (t.S + 10) }
 // the unscheduled ballot phase — the sub-slot index (otherwise -1).
 func (t Timing) Decompose(r sim.Round) (vround int, phase Phase, subslot int) {
 	per := t.RoundsPerVRound()
-	vround = int(r) / per
-	off := int(r) % per
+	phase, subslot = t.PhaseAt(int(r) % per)
+	return int(r) / per, phase, subslot
+}
+
+// PhaseAt maps an offset into a virtual round, in [0, RoundsPerVRound), to
+// its phase and — within the unscheduled ballot phase — the sub-slot index
+// (otherwise -1): Decompose without the division, for a caller that already
+// knows where its virtual round began.
+func (t Timing) PhaseAt(off int) (phase Phase, subslot int) {
 	switch {
 	case off < 5:
-		return vround, Phase(off), -1
+		return Phase(off), -1
 	case off < 5+t.UnschedBallotRounds():
-		return vround, PhaseUnschedBallot, off - 5
+		return PhaseUnschedBallot, off - 5
 	default:
-		return vround, Phase(int(PhaseUnschedVeto1) + off - 5 - t.UnschedBallotRounds()), -1
+		return Phase(int(PhaseUnschedVeto1) + off - 5 - t.UnschedBallotRounds()), -1
 	}
 }

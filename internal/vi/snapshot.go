@@ -155,6 +155,9 @@ func (e *Emulator) Snapshot() EmulatorSnapshot {
 // sim.Snapshotter. Restore replaces all mutable state; the emulator then
 // behaves exactly as the snapshotted one would.
 func (e *Emulator) Restore(s EmulatorSnapshot) error {
+	// The region comes from the snapshot, not from where the device stands:
+	// the next virtual round must look it up again.
+	e.atOK = false
 	switch {
 	case s.VN == None:
 		e.leaveRegion()

@@ -19,7 +19,7 @@ package vi
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"sync"
 
 	"vinfra/internal/cha"
@@ -147,11 +147,10 @@ type RoundInput struct {
 	VNBroadcast bool
 }
 
-// Normalize sorts (bytewise) and deduplicates Msgs in place.
+// Normalize sorts (bytewise) and deduplicates Msgs in place. It allocates
+// nothing.
 func (in *RoundInput) Normalize() {
-	sort.Slice(in.Msgs, func(i, j int) bool {
-		return bytes.Compare(in.Msgs[i], in.Msgs[j]) < 0
-	})
+	slices.SortFunc(in.Msgs, bytes.Compare)
 	out := in.Msgs[:0]
 	var last []byte
 	for i, m := range in.Msgs {
