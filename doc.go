@@ -38,14 +38,19 @@
 //     transmissions into the 3x3 block of R2-sized cells around their
 //     origin so every receiver reads the one cell it stands in
 //     (near-linear per round rather than O(receivers x transmissions));
-//     Config.Mode selects scan/grid/auto, auto scanning rounds of fewer
-//     than 8 transmissions. All modes are reception-identical for the
-//     same seed. A Medium delivers on one goroutine (region shards, each
-//     with its own Medium, are what parallelises delivery) and its
-//     per-round state (reception slice, message arena, stamped grid,
-//     sender order) lives on the Medium as flat slices, so steady-state
-//     delivery allocates nothing: a reception's messages are a window onto
-//     the arena, valid until the receiver's Receive returns.
+//     Deliver picks per round, scanning every transmission instead when a
+//     round has fewer than 8. A cell lists its own transmissions before
+//     its neighbours', and a receiver stops reading candidates at its
+//     decision point — one other transmission within R1 and a second
+//     within R2, or its own — after which none can change its reception.
+//     A silent round reads no candidates at all. Scan and grid are
+//     reception-identical for the same seed. A Medium delivers on one
+//     goroutine (region shards, each with its own Medium, are what
+//     parallelises delivery) and its per-round state (reception slice,
+//     message arena, stamped grid, sender order) lives on the Medium as
+//     flat slices, so steady-state delivery allocates nothing: a
+//     reception's messages are a window onto the arena, valid until the
+//     receiver's Receive returns.
 //   - cd, cm: the model's collision detector classes and contention
 //     managers. Both have exact-behavior unit tests under injected
 //     jamming: adversarial collision patterns produce precisely the

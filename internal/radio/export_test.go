@@ -13,3 +13,14 @@ func Forced(cfg Config, p path) *Medium {
 	m.force = p
 	return m
 }
+
+// Work is the delivery work a medium has counted since it was built:
+// measurements, never part of a snapshot.
+type Work struct {
+	Examined int // candidates the reception loop looked at
+	Filtered int // Adversary.Filter calls
+}
+
+func (m *Medium) Work() Work {
+	return Work{Examined: m.examined, Filtered: m.filtered}
+}

@@ -13,12 +13,19 @@
 // cells around its origin (txGrid), so a receiver finds every transmission
 // that can reach or interfere with it by flooring its own position once and
 // reading one cell. Rounds with only a handful of transmissions are scanned
-// — Deliver picks per round, from the round's size. A Medium
-// delivers on the calling goroutine; the unit of parallel delivery is the
-// region shard (sim.WithRegionShards), each with a Medium of its own. All
-// randomness is derived per (round, receiver), so every arrangement — scan
-// or grid, one medium or one per shard — produces identical receptions for
-// the same seed.
+// — Deliver picks per round, from the round's size. Either way a receiver
+// stops at its decision point: once one other transmission within R1 and a
+// second within R2 (or its own) have been seen, no further candidate can
+// change what it hears or what its detector is told. A cell lists the
+// transmissions originating in it before its neighbours', so the nearest
+// come first and the decision point arrives after a few candidates. A
+// silent round — no transmissions — skips the candidates altogether: every
+// reception is the detector's verdict on no loss. A Medium delivers on the
+// calling goroutine; the unit of parallel delivery is the region shard
+// (sim.WithRegionShards), each with a Medium of its own. All randomness is
+// derived per (round, receiver), so every arrangement — scan or grid, one
+// medium or one per shard — produces identical receptions for the same
+// seed.
 //
 // The steady-state delivery loop touches only flat, medium-owned memory
 // and allocates nothing of its own: the reception slice, the stamped grid
@@ -61,11 +68,16 @@ import (
 type Adversary interface {
 	// Filter returns the subset of deliverable transmissions actually
 	// delivered to the receiver (currently located at) in round r.
-	// deliverable never includes the receiver's own transmission (a node
-	// always hears itself). Implementations must not mutate deliverable;
-	// they may return it unchanged. The position lets spatial adversaries
-	// (the jammers of internal/faults) target grid cells and regions
-	// rather than node identities.
+	// deliverable is never empty — a receiver that heard nothing has
+	// nothing to filter, and the medium does not call Filter for it — and
+	// never includes the receiver's own transmission (a node always hears
+	// itself). Filter must be pure: a function of its arguments and the
+	// adversary's configuration, which is what lets the medium skip the
+	// calls that cannot matter. It must return a subset of deliverable,
+	// never a transmission it was not handed, and must not mutate
+	// deliverable; it may return it unchanged. The position lets spatial
+	// adversaries (the jammers of internal/faults) target grid cells and
+	// regions rather than node identities.
 	Filter(r sim.Round, receiver sim.NodeID, at geo.Point, deliverable []sim.Transmission) []sim.Transmission
 	// ForceCollision reports whether to request a spurious collision
 	// indication at the receiver (located at) in round r.
@@ -90,14 +102,18 @@ const (
 // autoIndexMinTxs is the transmission count below which Deliver scans:
 // finding a receiver's cell costs two floors and a table read, about what
 // comparing its distance to a handful of transmissions costs, and a round
-// that sparse gives the grid nothing to prune. Measured on the stamped grid
-// (uniform receivers, R2 = 20, a 90- and a 400-unit world): the scan wins
-// below ~8 transmissions at 100k receivers and below ~4-8 at 64-900, the
-// grid from 12 up everywhere (1.2-2.2x at 12-16, 28x at
-// BenchmarkDeliverGrid10k's 10k nodes).
+// that sparse gives the grid nothing to prune. Measured with both paths
+// stopping at the decision point (uniform receivers, R2 = 20, a 90- and a
+// 400-unit world; medians of three 1 s runs on a 2-core x86 host): at 64-900
+// receivers grid/scan is 0.95-1.18x at 6 transmissions, 0.76-0.96x at 8 and
+// 0.54-0.98x at 12; at 100k receivers it is 1.09-1.17x at 6, 0.93-1.12x at 8
+// and 0.84-1.03x at 12; BenchmarkDeliverGrid10k's 10k nodes are ~40x. The
+// exit cuts both paths' work per receiver alike, so the crossover stayed
+// where it was measured before it (the parent build gave 0.74-1.23x at 6,
+// 0.63-1.12x at 8) and so did the constant.
 // autoIndexMinWork is the receivers-times-transmissions product below which
 // building the grid costs more than the whole scan (16 receivers: the scan
-// wins at every transmission count up to 16).
+// wins at every transmission count up to 16, by 1.3-1.8x).
 const (
 	autoIndexMinWork = 1 << 10
 	autoIndexMinTxs  = 8
@@ -107,9 +123,12 @@ const (
 type Config struct {
 	Radii    geo.Radii
 	Detector cd.Detector
-	// Adversary may be nil for a well-behaved channel. The deliverable
-	// slice handed to Filter is medium-owned scratch: implementations must
-	// not retain it past the call.
+	// Adversary may be nil for a well-behaved channel. Its Filter is
+	// called only with a non-empty deliverable set, must be pure and
+	// returns a subset of it (see Adversary); the slice it is handed is
+	// medium-owned scratch that implementations must not retain past the
+	// call. Shard mediums share one value and call it concurrently, so it
+	// must be safe for concurrent use.
 	Adversary Adversary
 	// GrayZoneDeliveryProb is the probability that an uncontended
 	// transmission from the gray zone (between R1 and R2) is delivered
@@ -159,6 +178,12 @@ type Medium struct {
 	round sim.Round
 	rxID  sim.NodeID
 	rnd   func() float64
+
+	// examined counts the candidates receive has looked at, filtered the
+	// Adversary.Filter calls. They are measurements, not state: never part
+	// of a snapshot, read only by this package's tests.
+	examined int
+	filtered int
 }
 
 var _ sim.Medium = (*Medium)(nil)
@@ -227,11 +252,27 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 		m.arena = append(m.arena, txs[i].Msg)
 	}
 
+	m.round = r
+
+	if len(txs) == 0 {
+		// A silent round: nobody transmits, so nothing is heard or lost and
+		// a reception is only the detector's verdict on whatever the
+		// adversary forces — no sender walk, no grid, no candidates.
+		for i := range rxs {
+			rx := &rxs[i]
+			if !rx.Alive {
+				out[i] = sim.Reception{}
+				continue
+			}
+			m.conclude(&out[i], r, nil, rx, -1, 0, 0, -1)
+		}
+		return out
+	}
+
 	gridded := m.force == pathGrid ||
 		m.force == pathAuto && len(txs) >= autoIndexMinTxs && len(txs)*len(rxs) >= autoIndexMinWork
 	gridded = gridded && m.grid.stamp(txs)
 	m.own.reset(txs)
-	m.round = r
 
 	for i := range rxs {
 		rx := &rxs[i]
@@ -265,7 +306,8 @@ func (m *Medium) receive(out *sim.Reception, r sim.Round, txs []sim.Transmission
 	// remembering the last index seen is remembering that one.
 	r1sq, r2sq := m.cfg.Radii.R1*m.cfg.Radii.R1, m.cfg.Radii.R2*m.cfg.Radii.R2
 	inR1, gray, sole := 0, 0, int32(-1)
-	for _, i := range cands {
+	examined := len(cands)
+	for k, i := range cands {
 		tx := &txs[i]
 		if tx.Sender == rx.ID {
 			continue
@@ -278,10 +320,29 @@ func (m *Medium) receive(out *sim.Reception, r sim.Round, txs []sim.Transmission
 		case d2 <= r2sq:
 			gray++
 			sole = i
+		default:
+			continue
+		}
+		// The decision point: one contender within R1 and either a second
+		// within R2 or the receiver's own transmission. Nothing is
+		// deliverable from here on and both losses are certain, whatever the
+		// remaining candidates are; sole is never read, and nothing drew
+		// from the receiver's stream, so stopping changes no reception.
+		if inR1 > 0 && (inR1+gray >= 2 || own >= 0) {
+			examined = k + 1
+			break
 		}
 	}
-	othersInR2 := inR1 + gray
+	m.examined += examined
+	m.conclude(out, r, txs, rx, own, inR1, inR1+gray, sole)
+}
 
+// conclude turns one receiver's counts into its reception: own is the
+// receiver's own transmission (-1 when it is listening), inR1 and othersInR2
+// count the other nodes' transmissions within R1 and within R2 of it, and
+// sole is the last of those seen — the one that may get through when
+// othersInR2 is 1.
+func (m *Medium) conclude(out *sim.Reception, r sim.Round, txs []sim.Transmission, rx *sim.NodeInfo, own, inR1, othersInR2 int, sole int32) {
 	// Randomness for this receiver (gray-zone delivery and detector
 	// noise) is keyed by (seed, round, receiver), so it is independent of
 	// the order receivers are processed in.
@@ -302,10 +363,15 @@ func (m *Medium) receive(out *sim.Reception, r sim.Round, txs []sim.Transmission
 	}
 
 	// Adversarial loss (only effective before the adversary's horizon).
+	// Filter returns a subset of what it is handed, so filtering nothing
+	// is not worth the call.
 	delivered := deliverable
 	spurious := false
 	if adv := m.cfg.Adversary; adv != nil {
-		delivered = adv.Filter(r, rx.ID, rx.At, deliverable)
+		if len(deliverable) > 0 {
+			m.filtered++
+			delivered = adv.Filter(r, rx.ID, rx.At, deliverable)
+		}
 		spurious = adv.ForceCollision(r, rx.ID, rx.At)
 	}
 
@@ -389,8 +455,12 @@ func (w *senderWalk) of(txs []sim.Transmission, id sim.NodeID) int {
 // every transmission within R2 of it — what the nine probes of a bucketed
 // index would collect, in one lookup. The table is a compressed sparse row
 // over the bounding box of the origins' cells plus a one-cell margin: cell c
-// lists items[start[c]:start[c+1]], transmission indices in increasing
-// order. Nothing in it is a pointer.
+// lists items[start[c]:start[c+1]] — first the transmissions whose origin
+// lies in c, then those stamped into it from the eight cells around, each
+// group in increasing index order. Nearest first is what lets receive reach
+// its decision point after a few candidates; delivery reads counts and a
+// candidate that is unique when it is read, so the order changes cost,
+// never a reception. Nothing in it is a pointer.
 //
 // Its size follows the round, not the world: at most gridCellsPerTx cells
 // per transmission (plus gridMinCells). When the origins spread over more
@@ -469,9 +539,11 @@ func (g *txGrid) stamp(txs []sim.Transmission) bool {
 	g.items = g.items[:9*len(txs)]
 
 	// Counting sort: count per cell into start[c+1], prefix-sum so start[c]
-	// is where cell c begins, place transmissions in index order using
-	// start[c] as the write cursor — which leaves start[c] at the end of
-	// cell c, the start of c+1 — and shift the table back by one.
+	// is where cell c begins, place transmissions using start[c] as the
+	// write cursor — which leaves start[c] at the end of cell c, the start
+	// of c+1 — and shift the table back by one. Placing every origin's own
+	// cell in one pass and the eight around it in a second is what puts a
+	// cell's own transmissions first.
 	for i := range txs {
 		c := g.corner(i)
 		for row := 0; row < 3; row, c = row+1, c+g.cols {
@@ -484,12 +556,16 @@ func (g *txGrid) stamp(txs []sim.Transmission) bool {
 		g.start[c+1] += g.start[c]
 	}
 	for i := range txs {
+		c := g.corner(i) + g.cols + 1
+		g.items[g.start[c]] = int32(i)
+		g.start[c]++
+	}
+	around := [8]int64{0, 1, 2, g.cols, g.cols + 2, 2 * g.cols, 2*g.cols + 1, 2*g.cols + 2}
+	for i := range txs {
 		c := g.corner(i)
-		for row := 0; row < 3; row, c = row+1, c+g.cols {
-			for _, cc := range [3]int64{c, c + 1, c + 2} {
-				g.items[g.start[cc]] = int32(i)
-				g.start[cc]++
-			}
+		for _, d := range around {
+			g.items[g.start[c+d]] = int32(i)
+			g.start[c+d]++
 		}
 	}
 	copy(g.start[1:], g.start[:n])
