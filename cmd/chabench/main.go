@@ -6,8 +6,10 @@
 // metro churn-at-scale campaign (E11), the state-plane cost table (E12:
 // radio rounds and wire bytes per virtual round on the wire-codec stack),
 // the adversary robustness grid (E13), and the city-scale region-sharded
-// campaign (E14: the same metro deployment on 1 and 8 shards, with a
-// byte-identical "match" pin).
+// campaign (E14: the same metro spec document on 1 and 8 shards, its
+// listeners sleeping vi.Clients, with a "match" column pinning the two
+// runs' final checkpoint digests equal — CI reads it by column name; -soak
+// E14 prints that digest).
 //
 // Usage:
 //

@@ -33,10 +33,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 
 	"vinfra/internal/checkpoint"
 	"vinfra/internal/cli"
-	"vinfra/internal/metrics"
+	"vinfra/internal/harness"
 	"vinfra/internal/spec"
 	"vinfra/internal/vi"
 )
@@ -171,19 +172,19 @@ func main() {
 	}
 
 	sched := w.Dep.Schedule()
-	vnTable := metrics.NewTable("virtual nodes", "vn", "location", "slot", "availability")
+	vnTable := harness.NewTable("virtual nodes", "vn", "location", "slot", "availability")
 	for v, loc := range w.Locs {
 		rep := w.Report(vi.VNodeID(v))
-		vnTable.AddRow(fmt.Sprintf("vn%d", v), loc.String(), metrics.D(sched.SlotOf(vi.VNodeID(v))), metrics.F(rep.Availability))
+		vnTable.AddRow(fmt.Sprintf("vn%d", v), loc.String(), strconv.Itoa(sched.SlotOf(vi.VNodeID(v))), harness.F(rep.Availability))
 	}
 	vnTable.Render(os.Stdout)
 
 	if len(w.Targets) > 0 {
-		trTable := metrics.NewTable("tracking (observer at vn0)", "target", "believed", "actual", "error")
+		trTable := harness.NewTable("tracking (observer at vn0)", "target", "believed", "actual", "error")
 		for _, tg := range w.Targets {
 			actual := w.Eng.Position(tg.ID)
 			if believed, ok := w.Lookup(tg.Name); ok {
-				trTable.AddRow(tg.Name, believed.String(), actual.String(), metrics.F(believed.Dist(actual)))
+				trTable.AddRow(tg.Name, believed.String(), actual.String(), harness.F(believed.Dist(actual)))
 			} else {
 				trTable.AddRow(tg.Name, "(unknown)", actual.String(), "-")
 			}

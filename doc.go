@@ -91,7 +91,7 @@
 //     baselines the paper argues against. Application payloads and states
 //     are canonical wire encodings (a one-byte kind tag plus fixed field
 //     sequences) instead of hand-parsed prefix strings.
-//   - mobility, metrics: mobility models and table rendering.
+//   - mobility: mobility models.
 //   - experiments: the reproduction experiment suite E1–E14 (there is no
 //     E10) — E11 "metro" drives grids of virtual nodes through heavy churn
 //     (Leave, scheduled and late CrashAt, mid-run Attach) on the parallel
@@ -100,12 +100,14 @@
 //     E13 "adversary" sweeps faults attacks (jam, wipe, storm, burst) x
 //     intensity x deployment size, reporting availability, stalls and
 //     recovery latencies from vi.Monitor, and E14 "city" runs the same
-//     metro deployment on 1 and 8 region shards and pins the two runs
-//     byte-identical. Every table
-//     registers a harness.Descriptor (parameter grid, seed list, typed
-//     rows) in its file's init. The VI-level cells (E5–E7, E11–E14) do
-//     not assemble a stack themselves: each describes its deployment as
-//     a spec.Spec value and builds it with spec.Build.
+//     metro deployment — its listeners spec's sleeping vi.Clients — on 1
+//     and 8 region shards and pins the two runs' final checkpoint digests
+//     equal. Every table registers a harness.Descriptor (parameter grid,
+//     seed list, typed rows) in its file's init. The VI-level cells
+//     (E5–E7, E11–E14) do not assemble a stack themselves: each describes
+//     its deployment as a spec.Spec value and builds it with spec.Build;
+//     E12, E13 jam and E14 cells are plain documents with nothing attached
+//     afterwards.
 //   - spec: the vinfra-spec/v1 deployment document and spec.Build, the
 //     one place an engine + medium + deployment + monitor world is
 //     assembled — for cmd/visim, cmd/visimd (internal/service), the
@@ -114,7 +116,7 @@
 //   - harness: the registry-based experiment runner. It fans
 //     experiment×parameter×seed cells out over a bounded worker pool,
 //     merges results deterministically (parallel output is byte-identical
-//     to sequential), renders text tables through internal/metrics, and
+//     to sequential), renders text tables (harness.Table), and
 //     emits the same rows as a machine-readable JSON report. Every value
 //     in either is a simulated quantity.
 //

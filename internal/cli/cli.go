@@ -7,28 +7,7 @@ package cli
 import (
 	"flag"
 	"fmt"
-
-	"vinfra/internal/prof"
 )
-
-// Profile is the -cpuprofile/-memprofile flag pair.
-type Profile struct {
-	CPU string
-	Mem string
-}
-
-// Register installs the profiling flags on fs.
-func (p *Profile) Register(fs *flag.FlagSet) {
-	fs.StringVar(&p.CPU, "cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
-	fs.StringVar(&p.Mem, "memprofile", "", "write a runtime/pprof heap profile (post-GC live set) to this file at exit")
-}
-
-// Start begins profiling per the parsed flags. The caller must Stop the
-// returned profiler on every exit path; prof.Profiler.Stop is idempotent
-// and safe to call both deferred and before os.Exit.
-func (p *Profile) Start() (*prof.Profiler, error) {
-	return prof.Start(p.CPU, p.Mem)
-}
 
 // Checkpoint is the -checkpoint/-checkpoint-every/-restore flag family of
 // a resumable run.

@@ -1,37 +1,46 @@
-// Package prof wires runtime/pprof into the CLIs: a CPU profile sampled
-// for the whole run and a heap profile written at exit. It exists so
-// chabench and visim expose identical -cpuprofile/-memprofile flags and so
-// their os.Exit paths (which skip defers) have one explicit flush point.
-//
-// Profiling is observation, not simulation state: nothing here feeds back
-// into an engine, so the determinism contract is untouched whether or not
-// the profiles are enabled.
-package prof
+package cli
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
+// Profile is the -cpuprofile/-memprofile flag pair: a CPU profile sampled
+// for the whole run and a heap profile written at exit. Profiling is
+// observation, not simulation state: nothing here feeds back into an
+// engine, so the determinism contract holds whether or not it is on.
+type Profile struct {
+	CPU string
+	Mem string
+}
+
+// Register installs the profiling flags on fs.
+func (p *Profile) Register(fs *flag.FlagSet) {
+	fs.StringVar(&p.CPU, "cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
+	fs.StringVar(&p.Mem, "memprofile", "", "write a runtime/pprof heap profile (post-GC live set) to this file at exit")
+}
+
 // Profiler holds the open CPU-profile file and the pending heap-profile
-// path. The zero value (from Start("", "")) is a no-op: Stop on it does
-// nothing, so callers never need to branch on whether profiling is on.
+// path. With neither flag set it is a no-op: Stop does nothing, so callers
+// never need to branch on whether profiling is on.
 type Profiler struct {
 	cpuFile *os.File
 	memPath string
 }
 
-// Start begins CPU profiling to cpuPath (when non-empty) and records
-// memPath for Stop to write a heap profile to (when non-empty). On error
-// nothing is left running and no file is left open.
-func Start(cpuPath, memPath string) (*Profiler, error) {
-	p := &Profiler{memPath: memPath}
-	if cpuPath == "" {
-		return p, nil
+// Start begins CPU profiling to p.CPU (when set) and records p.Mem for Stop
+// to write a heap profile to (when set). On error nothing is left running
+// and no file is left open. The caller must Stop the returned profiler on
+// every exit path.
+func (p *Profile) Start() (*Profiler, error) {
+	pr := &Profiler{memPath: p.Mem}
+	if p.CPU == "" {
+		return pr, nil
 	}
-	f, err := os.Create(cpuPath)
+	f, err := os.Create(p.CPU)
 	if err != nil {
 		return nil, fmt.Errorf("prof: -cpuprofile: %w", err)
 	}
@@ -39,8 +48,8 @@ func Start(cpuPath, memPath string) (*Profiler, error) {
 		f.Close()
 		return nil, fmt.Errorf("prof: -cpuprofile: %w", err)
 	}
-	p.cpuFile = f
-	return p, nil
+	pr.cpuFile = f
+	return pr, nil
 }
 
 // Stop flushes both profiles: it stops and closes the CPU profile, then

@@ -35,8 +35,9 @@ func mix64(z uint64) uint64 {
 const golden = 0x9e3779b97f4a7c15
 
 // HashKeys folds keys through the SplitMix64 finalizer into one well-spread
-// value. It is the single keyed-hash primitive of the deterministic stack;
-// radio.HashKeys and the internal/faults hashKeys alias delegate here.
+// value. It is the single keyed-hash primitive of the deterministic stack:
+// the radio medium, RandomLoss and the internal/faults adversaries call it
+// directly.
 func HashKeys(keys ...int64) uint64 {
 	var h uint64
 	for _, k := range keys {

@@ -104,8 +104,8 @@ func TestSoakRestoreEqualsUninterrupted(t *testing.T) {
 // TestCitySoakRestoreEqualsUninterrupted extends the golden property to
 // E14: the sharded city — mobile listeners migrating across shard
 // boundaries under RandomWaypoint — checkpointed mid-run and resumed on a
-// fresh bed, pinned byte-identical (including the order-sensitive
-// heard-hash over every listener) on shards 1 and 8.
+// fresh bed, pinned byte-identical (including the checkpoint digest over
+// every node's state) on shards 1 and 8.
 func TestCitySoakRestoreEqualsUninterrupted(t *testing.T) {
 	p := harness.Params{
 		Label: "2k/5x5",

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
-	"vinfra/internal/geo"
 	"vinfra/internal/harness"
-	"vinfra/internal/sim"
 	"vinfra/internal/spec"
-	"vinfra/internal/vi"
 )
 
 // e12Shapes are the state-plane sweep's virtual-node grids: 9, 25 and 49
@@ -64,24 +59,9 @@ func statePlaneCell(c *harness.Cell) []harness.Row {
 	cols, rows, vrounds := c.Params.Int("cols"), c.Params.Int("rows"), c.Params.Int("vrounds")
 	w := buildWorld(spec.Spec{
 		Seed: int64(cols*rows)*3 + c.Base(), VRounds: vrounds, Grid: spec.Grid{Cols: cols, Rows: rows},
-		Devices: spec.Devices{Replicas: 3},
+		Devices: spec.Devices{Replicas: 3, Pingers: true},
 		Engine:  spec.Engine{Parallel: true},
 	})
-	// One client per region, staggered so pings from neighboring regions
-	// don't collide every client slot (Devices.Pingers' stagger from a
-	// different offset, which the wire-byte columns pin).
-	for v, loc := range w.Locs {
-		v := v
-		w.Eng.Attach(geo.Point{X: loc.X + 1.1, Y: loc.Y - 1.1}, nil, func(env sim.Env) sim.Node {
-			return w.Dep.NewClient(env, vi.ClientFunc(
-				func(vr int, _ []vi.Message, _ bool) *vi.Message {
-					if vr%4 != v%4 {
-						return nil
-					}
-					return vi.Text(fmt.Sprintf("ping-%02d-%04d", v, vr))
-				}))
-		})
-	}
 	stepVRounds(w, vrounds)
 	st := w.Eng.Stats()
 	return []harness.Row{{

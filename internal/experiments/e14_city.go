@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"strconv"
+
 	"vinfra/internal/harness"
-	"vinfra/internal/sim"
+	"vinfra/internal/spec"
 	"vinfra/internal/wire"
 )
 
@@ -10,22 +12,24 @@ import (
 // on the region-sharded engine at device counts far beyond what one medium
 // handles comfortably, the deployment regime the sharded engine exists for.
 // Each cell runs the same city twice — one shard, then eight — and reports
-// the outcome once (availability, listener coverage, wire bytes, halo
-// traffic) with a "match" column pinning the two runs byte-identical. What
-// either run costs in host time is bench/'s to say (city-100k and
-// city-100k-sharded), not this table's.
+// the outcome once (availability, wire bytes, halo traffic) with a "match"
+// column pinning the two runs' final checkpoints equal. What either run
+// costs in host time is bench/'s to say (city-100k and city-100k-sharded),
+// not this table's.
 //
-// The city: a cols x rows virtual-node grid at citySpacing (wide enough
-// apart that the TDMA schedule stays short — at spacing 6 a 30x30 grid
-// would put hundreds of regions inside one conflict radius and stretch the
-// schedule past a hundred slots), three replicas plus one staggered pinger
-// client per region, and a background population of listen-only devices
-// wandering the whole area under RandomWaypoint — the mass of commuter
-// radios a metro deployment serves. Listeners transmit nothing (half a
-// million chattering nodes would just be a collision storm) but they move,
-// migrate across shard boundaries, and receive every round, so they load
-// exactly the paths sharding has to get right: partition, halo exchange
-// and per-shard delivery.
+// The city is a plain vinfra-spec/v1 document: a cols x rows virtual-node
+// grid at citySpacing (wide enough apart that the TDMA schedule stays short
+// — at spacing 6 a 30x30 grid would put hundreds of regions inside one
+// conflict radius and stretch the schedule past a hundred slots), three
+// replicas plus one staggered pinger client per region, and spec's
+// listeners filling the device budget: receive-only vi.Clients wandering
+// the whole area under RandomWaypoint — the mass of commuter radios a metro
+// deployment serves, abstract mobile clients of the virtual infrastructure.
+// Listeners transmit nothing (half a million chattering nodes would just be
+// a collision storm) but they move, migrate across shard boundaries, and
+// receive in the client and virtual-node phases, so they load exactly the
+// paths sharding has to get right: partition, halo exchange and per-shard
+// delivery.
 var e14Desc = harness.Descriptor{
 	ID:    "E14",
 	Group: "E14",
@@ -33,7 +37,7 @@ var e14Desc = harness.Descriptor{
 	Notes: "same deployment run on 1 shard then 8; match pins the runs byte-identical (the determinism contract); halo tx = boundary-band copies handed to neighbor shards in the 8-shard run",
 	Columns: []string{
 		"devices", "vnodes", "vrounds", "rounds",
-		"availability", "coverage", "wire B", "halo tx", "match",
+		"availability", "wire B", "halo tx", "match",
 	},
 	Grid: func(quick bool) []harness.Params {
 		type shape struct {
@@ -75,88 +79,82 @@ func init() { harness.Register(e14Desc) }
 // regardless of grid size — city growth adds regions, not schedule length.
 const citySpacing = 25.0
 
-// cityListener is a background device: it never transmits, and only counts
-// the rounds in which it heard anything. The heard counts (folded into the
-// run signature in attach order) make every listener's full reception
-// history part of the determinism check.
-type cityListener struct {
-	heard int
+// citySoak is one city run: its World is the whole driver — cursor,
+// Checkpoint and Restore included — plus the soak row.
+type citySoak struct {
+	*spec.World
 }
 
-func (l *cityListener) Transmit(sim.Round) sim.Message { return nil }
-
-func (l *cityListener) Receive(_ sim.Round, rx sim.Reception) {
-	if len(rx.Msgs) > 0 {
-		l.heard++
-	}
+// newCitySoak builds the cell's city document on the given shard count.
+func newCitySoak(c *harness.Cell, shards int) citySoak {
+	devices := c.Params.Int("devices")
+	cols, rows := c.Params.Int("cols"), c.Params.Int("rows")
+	return citySoak{buildWorld(spec.Spec{
+		Seed: int64(devices) + c.Base(), VRounds: c.Params.Int("vrounds"),
+		Grid: spec.Grid{Cols: cols, Rows: rows, Spacing: citySpacing},
+		Devices: spec.Devices{
+			Replicas: soakReplicasPer, Pingers: true,
+			Listeners: devices - (soakReplicasPer+1)*cols*rows, VMax: 2,
+		},
+		Engine: spec.Engine{Parallel: true, Shards: shards},
+	})}
 }
 
-// AppendState implements sim.Snapshotter: the heard count is the
-// listener's only state, and it is part of the run signature, so it must
-// survive a checkpoint.
-func (l *cityListener) AppendState(dst []byte) []byte {
-	return wire.AppendUvarint(dst, uint64(l.heard))
+// digest is the FNV-1a digest of the run's checkpoint with the shard
+// geometry and the halo count zeroed — the only fields in which the 1-shard
+// and the 8-shard engine may differ, and bench/'s normalisation — so it
+// covers every node's state, the monitor and the engine's accounting.
+func (s citySoak) digest() uint64 {
+	cp := s.Checkpoint()
+	cp.Engine.ShardCols, cp.Engine.ShardRows = 0, 0
+	cp.Engine.Stats.HaloTransmissions = 0
+	return uint64(wire.DigestOf(cp.AppendTo(make([]byte, 0, cp.WireSize()))))
 }
 
-// RestoreState implements sim.Snapshotter.
-func (l *cityListener) RestoreState(data []byte) error {
-	d := wire.Dec(data)
-	l.heard = int(d.Uvarint())
-	return d.Finish()
-}
-
-// citySig is the deterministic outcome of one city run. Two runs of the
-// same cell must compare equal regardless of shard count — the signature
-// covers the VI layer (availability), the background population (coverage
-// count and the order-sensitive fold of every listener's heard count) and
-// the engine's own accounting.
-type citySig struct {
-	Avail   float64
-	Covered int
-	Heard   uint64
-	Tx      int
-	Bytes   int
-}
-
-// cityOutcome is one run's signature plus the engine's round and halo
-// counts.
-type cityOutcome struct {
-	sig    citySig
-	rounds int
-	halo   int
-}
-
-// cityRun builds and runs one city deployment on the given shard count.
-func cityRun(c *harness.Cell, shards int) cityOutcome {
+// cityRun runs one city on the given shard count to its horizon and
+// releases its worker pool before the next run.
+func cityRun(c *harness.Cell, shards int) citySoak {
 	s := newCitySoak(c, shards)
 	for s.VRound() < s.VRounds() {
 		s.StepVRound()
 	}
-	sig, st := s.outcome()
-	s.w.Eng.Close() // release this run's worker pool before the next run
-	return cityOutcome{sig: sig, rounds: st.Rounds, halo: st.HaloTransmissions}
+	s.Eng.Close()
+	return s
 }
 
 // cityCell runs one E14 cell: the same city on one shard and on eight, the
-// outcome reported once (match pins the two runs equal).
+// outcome reported once (match pins the two runs' digests equal).
 func cityCell(c *harness.Cell) []harness.Row {
-	devices := c.Params.Int("devices")
-	cols, rows := c.Params.Int("cols"), c.Params.Int("rows")
-	vrounds := c.Params.Int("vrounds")
-
-	one := cityRun(c, 1)
+	one := cityRun(c, 1).digest()
 	eight := cityRun(c, 8)
-	match := one.sig == eight.sig
-
-	coverage := 0.0
-	if n := devices - (cols*rows)*4; n > 0 {
-		coverage = float64(eight.sig.Covered) / float64(n)
-	}
+	st := eight.Eng.Stats()
 	return []harness.Row{{
-		harness.Int(devices), harness.Int(cols * rows), harness.Int(vrounds),
-		harness.Int(eight.rounds),
-		harness.Float(eight.sig.Avail), harness.Float(coverage),
-		harness.Int(eight.sig.Bytes), harness.Int(eight.halo),
-		harness.Bool(match),
+		harness.Int(eight.Eng.NumNodes()), harness.Int(len(eight.Locs)), harness.Int(eight.VRounds()),
+		harness.Int(st.Rounds), harness.Float(eight.Summary().MeanAvailability),
+		harness.Int(st.TotalBytes), harness.Int(st.HaloTransmissions),
+		harness.Bool(one == eight.digest()),
+	}}
+}
+
+// Columns names the soak row's fields: one resumable run's outcome and
+// digest, where the descriptor's row compares two runs.
+func (s citySoak) Columns() []string {
+	return []string{
+		"devices", "vnodes", "vrounds", "rounds",
+		"availability", "digest", "tx", "wire B", "halo tx",
+	}
+}
+
+// Rows reports the soak row, what segmented and uninterrupted runs are
+// compared on.
+func (s citySoak) Rows() []harness.Row {
+	st := s.Eng.Stats()
+	return []harness.Row{{
+		harness.Int(s.Eng.NumNodes()), harness.Int(len(s.Locs)),
+		harness.Int(s.VRounds()), harness.Int(st.Rounds),
+		harness.Float(s.Summary().MeanAvailability),
+		harness.Str(strconv.FormatUint(s.digest(), 16)),
+		harness.Int(st.Transmissions), harness.Int(st.TotalBytes),
+		harness.Int(st.HaloTransmissions),
 	}}
 }

@@ -9,7 +9,6 @@ import (
 	"vinfra/internal/cha"
 	"vinfra/internal/cm"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 )
@@ -151,7 +150,7 @@ func rsmRun(n, slots int, adv radio.Adversary, seed int64) (float64, int) {
 		})
 	}
 	eng.Run(slots * baseline.AttemptRounds(n) * 2)
-	var s metrics.Series
+	var s harness.Series
 	for _, r := range leader.RoundsPerCommit {
 		s.AddInt(r)
 	}

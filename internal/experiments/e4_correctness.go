@@ -6,7 +6,6 @@ import (
 	"vinfra/internal/cd"
 	"vinfra/internal/cha"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 )
@@ -47,7 +46,7 @@ func correctnessCell(c *harness.Cell) []harness.Row {
 	instancesAfter := c.Params.Int("instances_after")
 
 	var agr, val, spread, live int
-	var kst metrics.Series
+	var kst harness.Series
 	for s := 0; s < runs; s++ {
 		seed := int64(s*97+13) + c.Base()
 		n := 3 + s%5

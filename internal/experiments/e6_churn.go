@@ -5,7 +5,6 @@ import (
 
 	"vinfra/internal/geo"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/sim"
 	"vinfra/internal/spec"
 	"vinfra/internal/vi"
@@ -46,7 +45,7 @@ func churnCell(c *harness.Cell) []harness.Row {
 	})
 	attachPinger(w, geo.Point{X: 1.2, Y: -1})
 
-	var joinLatency metrics.Series
+	var joinLatency harness.Series
 	resets := 0
 	turnovers := 0
 

@@ -6,7 +6,6 @@ import (
 	"vinfra/internal/cd"
 	"vinfra/internal/cm"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 )
@@ -99,7 +98,7 @@ func detectorAblationCell(c *harness.Cell) []harness.Row {
 	const rcf = 90
 	seed := int64(c.Params.Int("case")*13+3) + c.Base()
 	agr, broken := 0, 0
-	var decided metrics.Series
+	var decided harness.Series
 	live := 0
 	const runs = 5
 	for run := 0; run < runs; run++ {

@@ -9,7 +9,6 @@ import (
 	"vinfra/internal/cm"
 	"vinfra/internal/geo"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 	"vinfra/internal/vi"
@@ -114,7 +113,7 @@ func routingLatencyCell(c *harness.Cell) []harness.Row {
 	}
 	sender := &apps.RouterClient{Sends: sends}
 	receiver := &apps.RouterClient{}
-	var lat metrics.Series
+	var lat harness.Series
 	recvRound := make(map[string]int)
 	eng.Attach(geo.Point{X: -1, Y: -1}, nil, func(env sim.Env) sim.Node {
 		return dep.NewClient(env, sender)

@@ -5,12 +5,9 @@ import (
 	"sync"
 
 	"vinfra/internal/checkpoint"
-	"vinfra/internal/det"
 	"vinfra/internal/faults"
 	"vinfra/internal/geo"
 	"vinfra/internal/harness"
-	"vinfra/internal/metrics"
-	"vinfra/internal/mobility"
 	"vinfra/internal/sim"
 	"vinfra/internal/spec"
 	"vinfra/internal/vi"
@@ -374,7 +371,7 @@ func (s *metroSoak) Columns() []string { return e11Desc.Columns }
 
 func (s *metroSoak) Rows() []harness.Row {
 	eng, nv := s.w.Eng, len(s.w.Locs)
-	var joinLatency metrics.Series
+	var joinLatency harness.Series
 	for _, l := range s.latencies {
 		joinLatency.AddInt(int(l))
 	}
@@ -667,120 +664,4 @@ func (s *adversarySoak) restore(cp checkpoint.Checkpoint) error {
 		s.respawn(vi.VNodeID(v))
 	}
 	return s.restoreOver(cp, st)
-}
-
-// --- E14: city ---
-
-type citySoak struct {
-	vrounds int
-	vr      int
-
-	w         *spec.World
-	listeners []*cityListener
-}
-
-func newCitySoak(c *harness.Cell, shards int) *citySoak {
-	devices := c.Params.Int("devices")
-	cols, rows := c.Params.Int("cols"), c.Params.Int("rows")
-	vrounds := c.Params.Int("vrounds")
-	seed := int64(devices) + c.Base()
-
-	s := &citySoak{vrounds: vrounds}
-	s.w = buildWorld(spec.Spec{
-		Seed: seed, VRounds: vrounds, Grid: spec.Grid{Cols: cols, Rows: rows, Spacing: citySpacing},
-		Devices: spec.Devices{Replicas: soakReplicasPer, Pingers: true},
-		Engine:  spec.Engine{Parallel: true, Shards: shards},
-	})
-
-	// Fill the remaining device budget with wandering listeners, placed
-	// uniformly over the city by a seed-keyed stream so the population is a
-	// pure function of the cell.
-	area := geo.Rect{
-		Min: geo.Point{X: -10, Y: -10},
-		Max: geo.Point{
-			X: citySpacing*float64(cols-1) + 10,
-			Y: citySpacing*float64(rows-1) + 10,
-		},
-	}
-	rng := det.NewStream(seed + 404)
-	for s.w.Eng.NumNodes() < devices {
-		l := &cityListener{}
-		s.listeners = append(s.listeners, l)
-		pos := geo.Point{
-			X: area.Min.X + rng.Float64()*area.Width(),
-			Y: area.Min.Y + rng.Float64()*area.Height(),
-		}
-		s.w.Eng.Attach(pos, &mobility.RandomWaypoint{Area: area, VMax: 2},
-			func(sim.Env) sim.Node { return l })
-	}
-	return s
-}
-
-func (s *citySoak) VRounds() int { return s.vrounds }
-func (s *citySoak) VRound() int  { return s.vr }
-
-func (s *citySoak) StepVRound() {
-	s.w.StepVRound()
-	s.vr++
-}
-
-// outcome computes the run's deterministic signature.
-func (s *citySoak) outcome() (citySig, sim.Stats) {
-	st := s.w.Eng.Stats()
-	sig := citySig{
-		Avail: s.w.Mon.SummaryThrough(len(s.w.Locs), s.vrounds).MeanAvailability,
-		Tx:    st.Transmissions,
-		Bytes: st.TotalBytes,
-	}
-	for _, l := range s.listeners {
-		if l.heard > 0 {
-			sig.Covered++
-		}
-		sig.Heard = det.HashKeys(int64(sig.Heard), int64(l.heard))
-	}
-	return sig, st
-}
-
-// Columns names the soak row's fields; unlike E11/E13 this is not the
-// descriptor's column set, because the descriptor's cityCell row is a
-// two-run (1-shard vs 8-shard) comparison while the soak row is the
-// deterministic signature of one resumable run.
-func (s *citySoak) Columns() []string {
-	return []string{
-		"devices", "vnodes", "vrounds", "rounds",
-		"availability", "covered", "heard hash", "tx", "wire B", "halo tx",
-	}
-}
-
-// Rows reports the soak row: the deterministic signature of this single
-// run, including the order-sensitive heard-hash over every listener. (The
-// descriptor's cityCell reports a two-run comparison instead; the soak row
-// is what segmented and uninterrupted runs are compared on.)
-func (s *citySoak) Rows() []harness.Row {
-	sig, st := s.outcome()
-	return []harness.Row{{
-		harness.Int(s.w.Eng.NumNodes()), harness.Int(len(s.w.Locs)),
-		harness.Int(s.vrounds), harness.Int(st.Rounds),
-		harness.Float(sig.Avail), harness.Int(sig.Covered),
-		harness.Str(fmt.Sprintf("%016x", sig.Heard)),
-		harness.Int(sig.Tx), harness.Int(sig.Bytes),
-		harness.Int(st.HaloTransmissions),
-	}}
-}
-
-func (s *citySoak) Checkpoint() checkpoint.Checkpoint {
-	return soakCheckpoint(s.w, wire.AppendUvarint(nil, uint64(s.vr)))
-}
-
-func (s *citySoak) Restore(cp checkpoint.Checkpoint) error {
-	d := wire.Dec(cp.Driver)
-	vr := int(d.Uvarint())
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("experiments: E14 restore: driver state: %w", err)
-	}
-	if err := soakRestore(s.w, cp); err != nil {
-		return err
-	}
-	s.vr = vr
-	return nil
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"vinfra/internal/det"
 	"vinfra/internal/geo"
 	"vinfra/internal/sim"
 )
@@ -76,7 +77,7 @@ func (b *CrashBurst) Strike(r sim.Round, ctl sim.Control) {
 		if b.Eligible != nil && !b.Eligible(id) {
 			continue
 		}
-		if u01(hashKeys(b.Seed, cycle, int64(id))) < b.P {
+		if det.U01(det.HashKeys(b.Seed, cycle, int64(id))) < b.P {
 			ctl.Crash(id)
 		}
 	}
@@ -141,7 +142,7 @@ func (s *ChurnStorm) Strike(r sim.Round, ctl sim.Control) {
 		if s.Eligible != nil && !s.Eligible(id) {
 			continue
 		}
-		p := stormPick{h: hashKeys(s.Seed, cycle, int64(id)), id: id}
+		p := stormPick{h: det.HashKeys(s.Seed, cycle, int64(id)), id: id}
 		if len(picks) == s.Kills {
 			if !p.before(picks[len(picks)-1]) {
 				continue
@@ -196,7 +197,7 @@ func (h *Herd) Strike(r sim.Round, ctl sim.Control) {
 		}
 		// Membership is keyed by node only: the same cohort is dragged
 		// every round, the worst case for the regions it abandons.
-		if u01(hashKeys(h.Seed, int64(nid))) >= h.Frac {
+		if det.U01(det.HashKeys(h.Seed, int64(nid))) >= h.Frac {
 			continue
 		}
 		pos := ctl.Position(nid)

@@ -45,16 +45,17 @@
 // Adversaries are configuration, not state: because every choice is a
 // pure hash of (Seed, round, node/cell), a restored run replays an attack
 // schedule exactly without the adversary carrying anything between
-// rounds. Each adversary therefore encodes only its configuration through
-// the canonical wire trio (AppendTo/WireSize/Decode<Type>), and the
-// engine folds those encodings into the fault digest that
+// rounds. Each adversary therefore fingerprints only its configuration
+// (sim.Fingerprinter's AppendFingerprint, a one-way encoding), and the
+// engine folds those fingerprints into the fault digest that
 // sim.EngineSnapshot carries — a checkpoint refuses to resume against a
-// different attack schedule. Closure fields (Eligible, Respawn) are code,
-// not data: they are deliberately absent from the encodings (pinned by
-// TestAdversaryEncodingsOmitClosures), so the restore protocol requires
-// the driver to rebuild matching closures before overlaying the
-// checkpoint — the same rebuild-then-overlay rule as programs and
-// factories.
+// different attack schedule. The medium does the same for its adversary;
+// a Jammers stack folds its members in order. Closure fields (Eligible,
+// Respawn) are code, not data: they are deliberately absent from the
+// fingerprints (pinned by TestAdversaryEncodingsOmitClosures), so the
+// restore protocol requires the driver to rebuild matching closures before
+// overlaying the checkpoint — the same rebuild-then-overlay rule as
+// programs and factories.
 //
 // # Adding an adversary
 //
@@ -64,8 +65,9 @@
 // the adversary's configuration. A new engine-layer attack implements
 // sim.Fault: Strike(r, ctl) runs once per round on the engine goroutine and
 // may crash, relocate or (via a closed-over engine) attach nodes; derive
-// any randomness with hashes keyed by (Seed, r, id), never from shared
-// RNGs. Compose radio attacks with radio.Compose and engine attacks by
+// any randomness with det.HashKeys keyed by (Seed, r, id), never from
+// shared RNGs. Either kind implements sim.Fingerprinter over its
+// configuration so a checkpoint refuses a different attack. Compose radio attacks with radio.Compose and engine attacks by
 // registering several faults (or with Faults). Experiment E13 is the
 // reference wiring: one adversary kind x intensity per cell, availability
 // and recovery measured by vi.Monitor.

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"vinfra/internal/det"
 	"vinfra/internal/geo"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
@@ -99,7 +100,7 @@ func (j *CellJammer) jammed(r sim.Round, p geo.Point) bool {
 	cell := int64(cy*cols + cx)
 	n := int64(cols * rows)
 	for k := 0; k < j.Cells; k++ {
-		if int64(hashKeys(j.Seed, int64(r), int64(k))%uint64(n)) == cell {
+		if int64(det.HashKeys(j.Seed, int64(r), int64(k))%uint64(n)) == cell {
 			return true
 		}
 	}
@@ -161,7 +162,7 @@ func (j *RegionJammer) jammed(r sim.Round, p geo.Point) bool {
 		return false
 	}
 	for k := 0; k < j.Rotate; k++ {
-		t := j.Targets[hashKeys(j.Seed, cycle, int64(k))%uint64(len(j.Targets))]
+		t := j.Targets[det.HashKeys(j.Seed, cycle, int64(k))%uint64(len(j.Targets))]
 		if p.Within(t, j.Radius) {
 			return true
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"vinfra/internal/det"
 
 	"vinfra/internal/geo"
 	"vinfra/internal/sim"
@@ -42,7 +43,7 @@ func oracleCrashBurst(b *CrashBurst, r sim.Round, ctl sim.Control) {
 		if !ctl.Alive(nid) || (b.Eligible != nil && !b.Eligible(nid)) {
 			continue
 		}
-		if u01(hashKeys(b.Seed, cycle, int64(id))) < b.P {
+		if det.U01(det.HashKeys(b.Seed, cycle, int64(id))) < b.P {
 			ctl.Crash(nid)
 		}
 	}
@@ -71,7 +72,7 @@ func oracleChurnStorm(s *ChurnStorm, r sim.Round, ctl sim.Control) {
 		if !ctl.Alive(nid) || (s.Eligible != nil && !s.Eligible(nid)) {
 			continue
 		}
-		cands = append(cands, victim{h: hashKeys(s.Seed, cycle, int64(id)), id: nid})
+		cands = append(cands, victim{h: det.HashKeys(s.Seed, cycle, int64(id)), id: nid})
 	}
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].h != cands[b].h {
@@ -102,7 +103,7 @@ func oracleHerd(h *Herd, r sim.Round, ctl sim.Control) {
 		}
 		// Membership is keyed by node only: the same cohort is dragged
 		// every round, the worst case for the regions it abandons.
-		if u01(hashKeys(h.Seed, int64(id))) >= h.Frac {
+		if det.U01(det.HashKeys(h.Seed, int64(id))) >= h.Frac {
 			continue
 		}
 		pos := ctl.Position(nid)

@@ -5,8 +5,8 @@
 // harness fans experiment×parameter×seed cells out over a bounded worker
 // pool (the sim.WithParallel idiom: fixed workers, results merged in
 // registration order, so output is byte-identical to a sequential run),
-// renders the classic text tables through internal/metrics, and emits the
-// same rows as a machine-readable JSON report. Every value in a table is a
+// renders the classic text tables (Table), and emits the same rows as a
+// machine-readable JSON report. Every value in a table is a
 // simulated quantity; host time is measured by bench/ alone.
 package harness
 
@@ -17,8 +17,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"vinfra/internal/metrics"
 )
 
 // Value is one typed table cell: the exact text rendered in the classic
@@ -36,7 +34,7 @@ func Int(v int) Value { return Value{Text: strconv.Itoa(v), V: int64(v)} }
 
 // Float is a float rendered with two decimals (the suite's default).
 // Non-finite values keep their text but marshal as null (JSON has no Inf).
-func Float(v float64) Value { return Value{Text: metrics.F(v), V: finite(v)} }
+func Float(v float64) Value { return Value{Text: F(v), V: finite(v)} }
 
 // FloatText is a float with a custom text rendering (e.g. "%.1f", "5/30").
 func FloatText(text string, v float64) Value { return Value{Text: text, V: finite(v)} }
@@ -52,7 +50,7 @@ func finite(v float64) any {
 func Str(s string) Value { return Value{Text: s, V: s} }
 
 // Bool renders as yes/no.
-func Bool(v bool) Value { return Value{Text: metrics.B(v), V: v} }
+func Bool(v bool) Value { return Value{Text: B(v), V: v} }
 
 // Params is one point of an experiment's parameter grid.
 type Params struct {
@@ -230,7 +228,7 @@ func Select(only string) ([]Descriptor, error) {
 	return out, nil
 }
 
-// Texts flattens a row to its text cells (for metrics.Table rendering).
+// Texts flattens a row to its text cells (for Table rendering).
 func Texts(r Row) []string {
 	out := make([]string, len(r))
 	for i, v := range r {

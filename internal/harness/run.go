@@ -5,8 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-
-	"vinfra/internal/metrics"
 )
 
 // Options configures one harness run.
@@ -146,7 +144,7 @@ func (s *Suite) RenderText(w io.Writer) {
 		if multiSeed {
 			cols = append(append([]string(nil), cols...), "seed")
 		}
-		t := metrics.NewTable(exp.Desc.Title, cols...)
+		t := NewTable(exp.Desc.Title, cols...)
 		t.Notes = exp.Desc.Notes
 		for _, c := range exp.Cells {
 			for _, r := range c.Rows {

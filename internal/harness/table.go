@@ -1,17 +1,13 @@
-// Package metrics provides the small statistics and table-rendering
-// utilities used by the experiment harness (cmd/chabench) to print
-// paper-style result tables.
-package metrics
+package harness
 
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
 )
 
-// Table is a simple aligned text table.
+// Table is a simple aligned text table: the classic chabench rendering, and
+// cmd/visim's.
 type Table struct {
 	Title  string
 	Notes  string
@@ -30,9 +26,6 @@ func (t *Table) AddRow(cells ...string) {
 	copy(row, cells)
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render writes the table to w with aligned columns.
 func (t *Table) Render(w io.Writer) {
@@ -82,9 +75,6 @@ func pad(s string, w int) string {
 // F formats a float with 2 decimals.
 func F(x float64) string { return fmt.Sprintf("%.2f", x) }
 
-// D formats an integer.
-func D(x int) string { return fmt.Sprintf("%d", x) }
-
 // B formats a boolean as yes/no.
 func B(x bool) string {
 	if x {
@@ -93,8 +83,8 @@ func B(x bool) string {
 	return "no"
 }
 
-// Series accumulates float64 observations and reports summary statistics.
-// The zero value is ready to use.
+// Series accumulates float64 observations for a mean. The zero value is
+// ready to use.
 type Series struct {
 	vals []float64
 }
@@ -118,64 +108,4 @@ func (s *Series) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.vals))
-}
-
-// Min returns the minimum (0 for an empty series).
-func (s *Series) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	min := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max returns the maximum (0 for an empty series).
-func (s *Series) Max() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	max := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on a sorted copy.
-func (s *Series) Percentile(p float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.vals...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// StdDev returns the population standard deviation.
-func (s *Series) StdDev() float64 {
-	if len(s.vals) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.vals {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.vals)))
 }

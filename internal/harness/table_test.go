@@ -1,7 +1,6 @@
-package metrics
+package harness
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -26,9 +25,6 @@ func TestTableRender(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[2], "-----  -----") {
 		t.Errorf("separator = %q", lines[2])
-	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
 	}
 }
 
@@ -56,9 +52,6 @@ func TestFormatters(t *testing.T) {
 	if F(1.234) != "1.23" {
 		t.Errorf("F = %q", F(1.234))
 	}
-	if D(42) != "42" {
-		t.Errorf("D = %q", D(42))
-	}
 	if B(true) != "yes" || B(false) != "no" {
 		t.Error("B broken")
 	}
@@ -66,8 +59,8 @@ func TestFormatters(t *testing.T) {
 
 func TestSeriesStats(t *testing.T) {
 	var s Series
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
-		t.Error("empty series should report zeros")
+	if s.Mean() != 0 {
+		t.Error("empty series should report a zero mean")
 	}
 	for _, v := range []float64{4, 1, 3, 2, 5} {
 		s.Add(v)
@@ -77,22 +70,6 @@ func TestSeriesStats(t *testing.T) {
 	}
 	if s.Mean() != 3 {
 		t.Errorf("Mean = %v", s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	if got := s.Percentile(50); got != 3 {
-		t.Errorf("P50 = %v", got)
-	}
-	if got := s.Percentile(100); got != 5 {
-		t.Errorf("P100 = %v", got)
-	}
-	if got := s.Percentile(0); got != 1 {
-		t.Errorf("P0 = %v", got)
-	}
-	want := math.Sqrt(2)
-	if got := s.StdDev(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("StdDev = %v, want %v", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"vinfra/internal/det"
 	"vinfra/internal/geo"
 	"vinfra/internal/sim"
 )
@@ -46,7 +47,7 @@ func NewRandomLoss(p, collisionP float64, until sim.Round, seed int64) *RandomLo
 // u01 returns the deterministic uniform [0,1) draw for one
 // (round, receiver, sender) triple.
 func (a *RandomLoss) u01(r sim.Round, receiver sim.NodeID, sender int64) float64 {
-	return U01(HashKeys(a.seed, int64(r), int64(receiver), sender))
+	return det.U01(det.HashKeys(a.seed, int64(r), int64(receiver), sender))
 }
 
 // Filter implements Adversary.

@@ -595,22 +595,3 @@ func (g *txGrid) at(p geo.Point) []int32 {
 	c := y*g.cols + x
 	return g.items[g.start[c]:g.start[c+1]]
 }
-
-// HashKeys folds keys through the SplitMix64 finalizer into one well-spread
-// value. It is det.HashKeys, the single keyed-hash primitive of the
-// deterministic stack: the medium's per-receiver RNG streams, RandomLoss's
-// per-message draws and the internal/faults adversaries' choices all derive
-// from it, so their determinism contracts stay in lockstep (and cannot
-// silently drift apart across copies).
-func HashKeys(keys ...int64) uint64 {
-	return det.HashKeys(keys...)
-}
-
-// U01 maps a HashKeys value to a uniform draw in [0, 1) — det.U01, the
-// other half of the stack's keyed-randomness primitive, shared for the same
-// reason: RandomLoss's drop draws and the internal/faults adversaries'
-// probability draws must use one mapping that cannot drift apart across
-// copies.
-func U01(h uint64) float64 {
-	return det.U01(h)
-}

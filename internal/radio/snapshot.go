@@ -3,14 +3,9 @@ package radio
 import (
 	"fmt"
 
+	"vinfra/internal/sim"
 	"vinfra/internal/wire"
 )
-
-// wireEncoder matches adversaries that carry a canonical wire encoding
-// (the internal/faults jammers do); see MediumSnapshot.Adversary.
-type wireEncoder interface {
-	AppendTo(dst []byte) []byte
-}
 
 // MediumSnapshot is the medium's layer of a checkpoint. A Medium has no
 // mutable behavioral state — every draw is a pure (Seed, round, receiver)
@@ -18,15 +13,15 @@ type wireEncoder interface {
 // configuration fingerprint: Restore validates that a rebuilt medium
 // matches the one the snapshot was taken from instead of copying state
 // into it. Detector and Adversary are recorded as fingerprints (type name,
-// or the adversary's canonical encoding when it has one) for the same
-// reason.
+// or the adversary's sim.Fingerprinter encoding when it has one) for the
+// same reason.
 type MediumSnapshot struct {
 	R1, R2               float64
 	GrayZoneDeliveryProb float64
 	Seed                 int64
 	// Adversary fingerprints the configured adversary: 0 when nil, the
-	// wire.Digest of its canonical encoding when it implements AppendTo,
-	// the digest of its type name otherwise.
+	// wire.Digest of its AppendFingerprint bytes when it is a
+	// sim.Fingerprinter, the digest of its type name otherwise.
 	Adversary uint64
 	// Detector is the detector's type name (all cd detectors are
 	// stateless empty structs).
@@ -91,8 +86,8 @@ func adversaryDigest(a Adversary) uint64 {
 	if a == nil {
 		return 0
 	}
-	if enc, ok := a.(wireEncoder); ok {
-		return uint64(wire.DigestOf(enc.AppendTo(nil)))
+	if fp, ok := a.(sim.Fingerprinter); ok {
+		return uint64(wire.DigestOf(fp.AppendFingerprint(nil)))
 	}
 	return uint64(wire.DigestOf([]byte(fmt.Sprintf("%T", a))))
 }

@@ -30,10 +30,12 @@ type Snapshotter interface {
 	RestoreState(data []byte) error
 }
 
-// wireEncoder is the AppendTo half of the wire trio, used to fingerprint
-// registered faults without naming their concrete types.
-type wireEncoder interface {
-	AppendTo(dst []byte) []byte
+// Fingerprinter is configuration a snapshot records only as a digest: a
+// registered fault or a medium's adversary appends a canonical encoding of
+// its configuration, and Restore refuses a snapshot whose digest differs.
+// The encoding is one-way — nothing decodes it — so it is not a wire codec.
+type Fingerprinter interface {
+	AppendFingerprint(dst []byte) []byte
 }
 
 // NodeSnapshot captures one attached node: engine-owned bookkeeping
@@ -360,8 +362,8 @@ func (e *Engine) restore(s EngineSnapshot) error {
 
 // faultDigest fingerprints the registered faults so Restore can detect a
 // rebuild with a different adversary configuration. Faults that implement
-// the wire AppendTo half contribute their canonical encoding; others
-// contribute only their count position. The digest guards against
+// Fingerprinter contribute their fingerprint; others contribute only their
+// count position. The digest guards against
 // configuration drift — it is validation, not state, since faults in this
 // stack are pure functions of (config, round).
 func (e *Engine) faultDigest() uint64 {
@@ -373,8 +375,8 @@ func (e *Engine) faultDigest() uint64 {
 	b := *buf
 	for _, f := range e.faults {
 		b = b[:0]
-		if enc, ok := f.(wireEncoder); ok {
-			b = enc.AppendTo(b)
+		if fp, ok := f.(Fingerprinter); ok {
+			b = fp.AppendFingerprint(b)
 		}
 		dg = dg.FoldUint64(uint64(len(b))).FoldBytes(b)
 	}

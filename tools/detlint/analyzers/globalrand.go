@@ -24,8 +24,7 @@ var globalRandFuncs = map[string]bool{
 // packages. Package-level draws use the global source; raw sources and
 // generators (rand.NewSource, rand.New, rand.NewPCG, ...) are seeded
 // sequential state that duplicates — and drifts from — the det.Stream
-// primitive. Randomness must flow through det.HashKeys / det.NewStream
-// (re-exported as radio.HashKeys / the faults hashKeys alias); a
+// primitive. Randomness must flow through det.HashKeys / det.NewStream; a
 // deliberately-seeded source that genuinely needs math/rand carries a
 // //detlint:rand annotation.
 var GlobalRand = &analysis.Analyzer{

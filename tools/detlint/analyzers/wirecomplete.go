@@ -12,7 +12,10 @@ import (
 // whose results include the type. The internal/wire plane's guarantees —
 // exact wire accounting, fuzzable decode paths, snapshot round-trips —
 // only hold for types where all three exist; a type with AppendTo alone is
-// a one-way encoder whose bytes nothing can check or replay.
+// a one-way encoder whose bytes nothing can check or replay. An encoding
+// that is one-way by design (a configuration fingerprint) is not named
+// AppendTo: the fault fingerprints are sim.Fingerprinter's
+// AppendFingerprint.
 var WireComplete = &analysis.Analyzer{
 	Name: "wirecomplete",
 	Doc:  "types declaring AppendTo must declare WireSize and have a package-level Decode<Type> returning the type",
