@@ -229,6 +229,50 @@ func TestDaemonKillAndRestore(t *testing.T) {
 	}
 }
 
+// TestExamplesRunUnderVisimSpec runs every document in examples/ through
+// visim -spec: each virtual node must read availability 1.00 and every
+// tracked target must be known to the observer. The examples are documents
+// only, so anything else in the directory is an error.
+func TestExamplesRunUnderVisimSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the visim binary")
+	}
+	entries, err := os.ReadDir("../../examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatal("examples/ is empty")
+	}
+	visim := buildBin(t, "vinfra/cmd/visim", "visim")
+	for _, e := range entries {
+		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
+			t.Errorf("examples/%s is not a spec document", e.Name())
+			continue
+		}
+		out, err := exec.Command(visim, "-spec", filepath.Join("../../examples", e.Name())).CombinedOutput()
+		if err != nil {
+			t.Fatalf("visim -spec examples/%s: %v\n%s", e.Name(), err, out)
+		}
+		vnodes := 0
+		for _, line := range strings.Split(string(out), "\n") {
+			f := strings.Fields(line)
+			switch {
+			case len(f) > 0 && strings.HasPrefix(f[0], "vn") && f[0] != "vn":
+				vnodes++
+				if f[len(f)-1] != "1.00" {
+					t.Errorf("examples/%s: %s", e.Name(), line)
+				}
+			case strings.Contains(line, "(unknown)"):
+				t.Errorf("examples/%s: %s", e.Name(), line)
+			}
+		}
+		if vnodes == 0 {
+			t.Errorf("examples/%s printed no virtual-node rows:\n%s", e.Name(), out)
+		}
+	}
+}
+
 // TestVisimDumpSpecRoundTrips pins the flag-to-spec translation: the spec
 // visim -dump-spec prints runs identically through -spec.
 func TestVisimDumpSpecRoundTrips(t *testing.T) {

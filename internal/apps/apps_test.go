@@ -15,33 +15,35 @@ import (
 var testRadii = geo.Radii{R1: 10, R2: 20}
 
 // harness wires a deployment with fixed-leader contention managers and
-// static bootstrapped replicas.
+// static bootstrapped replicas. setLeaders[v] hands virtual node v's
+// leadership to another replica (the failover after a leader crash).
 type harness struct {
-	eng       *sim.Engine
-	dep       *vi.Deployment
-	emulators []*vi.Emulator
+	eng        *sim.Engine
+	dep        *vi.Deployment
+	emulators  []*vi.Emulator
+	setLeaders []func(sim.NodeID)
 }
 
 func newHarness(t *testing.T, locs []geo.Point, replicasPer int, program func(vi.VNodeID) vi.Program) *harness {
 	t.Helper()
-	leaders := make(map[vi.VNodeID]sim.NodeID, len(locs))
+	factories := make([]cm.Factory, len(locs))
+	setLeaders := make([]func(sim.NodeID), len(locs))
 	for v := range locs {
-		leaders[vi.VNodeID(v)] = sim.NodeID(v * replicasPer)
+		factories[v], setLeaders[v] = cm.NewFixed(sim.NodeID(v * replicasPer))
 	}
 	dep, err := vi.NewDeployment(vi.DeploymentConfig{
 		Locations: locs,
 		Radii:     testRadii,
 		Program:   program,
 		NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-			factory, _ := cm.NewFixed(leaders[v])
-			return factory(env)
+			return factories[v](env)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	medium := radio.MustMedium(radio.Config{Radii: testRadii, Detector: cd.AC{}})
-	h := &harness{eng: sim.NewEngine(medium), dep: dep}
+	h := &harness{eng: sim.NewEngine(medium), dep: dep, setLeaders: setLeaders}
 	for _, loc := range locs {
 		for i := 0; i < replicasPer; i++ {
 			pos := geo.Point{X: loc.X + 0.3*float64(i) - 0.4, Y: loc.Y + 0.2}
@@ -108,6 +110,35 @@ func TestRegisterWriteThenRead(t *testing.T) {
 	}
 	if !sawHello {
 		t.Error("writer never saw its first write applied")
+	}
+}
+
+// TestRegisterSurvivesLeaderCrash is the GeoQuorums setting (paper
+// reference [13]): the register's leader replica crashes between two writes,
+// leadership fails over to a survivor, and no write is lost.
+func TestRegisterSurvivesLeaderCrash(t *testing.T) {
+	locs := []geo.Point{{X: 0, Y: 0}}
+	sched := vi.BuildSchedule(locs, testRadii)
+	h := newHarness(t, locs, 4, apps.RegisterProgram(sched))
+
+	writer := &apps.RegisterWriter{Writes: map[int]string{3: "first", 9: "second"}}
+	readers := []*apps.RegisterReader{{}, {}}
+	h.addClient(geo.Point{X: 1.4, Y: -0.8}, writer)
+	h.addClient(geo.Point{X: -1.4, Y: 0.8}, readers[0])
+	h.addClient(geo.Point{X: 0.2, Y: 1.6}, readers[1])
+	h.runVRounds(6)
+
+	h.eng.Crash(0)
+	h.setLeaders[0](1)
+	h.runVRounds(8)
+
+	for i, r := range readers {
+		if len(r.Observed) == 0 {
+			t.Fatalf("reader %d observed nothing", i)
+		}
+		if last := r.Observed[len(r.Observed)-1]; last.Value != "second" {
+			t.Errorf("reader %d ended on %+v, want value second", i, last)
+		}
 	}
 }
 

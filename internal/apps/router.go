@@ -244,6 +244,7 @@ func RouterProgram(sched vi.Schedule, locs []geo.Point) func(vi.VNodeID) vi.Prog
 				return RouterState{Loc: loc}
 			},
 			Step: func(s RouterState, vround int, in vi.RoundInput) RouterState {
+				s = routerRetire(s, in)
 				for _, m := range in.Msgs {
 					var pkt Packet
 					var from geo.Point
@@ -283,7 +284,7 @@ func RouterProgram(sched vi.Schedule, locs []geo.Point) func(vi.VNodeID) vi.Prog
 				}
 				// Deliveries take priority over relays; one broadcast per
 				// scheduled round. (Out must not mutate state — the queue
-				// entry is retired by routerRetire below on the next Step.)
+				// entry is retired by routerRetire on the next Step.)
 				if len(s.Delivered) > 0 {
 					p := s.Delivered[0]
 					b := []byte{tagRouteDeliver}
@@ -302,16 +303,12 @@ func RouterProgram(sched vi.Schedule, locs []geo.Point) func(vi.VNodeID) vi.Prog
 	}
 }
 
-// The Out function cannot mutate state (it is a pure function of the
-// state). Queue retirement therefore happens in Step: when the round input
-// records that the virtual node broadcast (VNBroadcast), the head of the
-// corresponding queue is retired — implemented below by wrapping the
-// codec's Step.
-
 // routerRetire accounts for the head-of-queue broadcast that the agreed
-// round input confirms: the head's remaining copy count is decremented,
-// and the packet is rotated to the back of the queue (or dropped at zero
-// copies) so later packets are not starved.
+// round input confirms (Out is a pure function of the state and cannot
+// retire it itself): the head's remaining copy count is decremented, and
+// the packet is rotated to the back of the queue (or dropped at zero
+// copies) so later packets are not starved. Step runs it before the
+// round's messages, since the broadcast preceded this round's agreement.
 func routerRetire(s RouterState, in vi.RoundInput) RouterState {
 	if !in.VNBroadcast {
 		return s
@@ -333,22 +330,6 @@ func routerRetire(s RouterState, in vi.RoundInput) RouterState {
 		s.Pending = pop(s.Pending)
 	}
 	return s
-}
-
-// RoutedProgram composes RouterProgram with queue retirement; use this as
-// the deployment program. Retirement runs before the round's messages are
-// processed (the broadcast preceded this round's agreement), inside the
-// same typed codec — no extra state decode/encode round trip.
-func RoutedProgram(sched vi.Schedule, locs []geo.Point) func(vi.VNodeID) vi.Program {
-	inner := RouterProgram(sched, locs)
-	return func(v vi.VNodeID) vi.Program {
-		c := inner(v).(vi.Codec[RouterState])
-		step := c.Step
-		c.Step = func(s RouterState, vround int, in vi.RoundInput) RouterState {
-			return step(routerRetire(s, in), vround, in)
-		}
-		return c
-	}
 }
 
 // RouterClient injects packets and collects deliveries.

@@ -47,7 +47,7 @@ var e11Desc = harness.Descriptor{
 func init() { harness.Register(e11Desc) }
 
 // metroCell runs one metro deployment: a grid of virtual nodes, each
-// bootstrapped with three replicas plus a staggered pinging client, driven
+// bootstrapped with three replicas plus spec's staggered pinger, driven
 // through heavy churn — every virtual round the rotation picks a region,
 // its oldest replica departs through one of the three departure paths
 // (immediate Leave, a CrashAt scheduled mid-vround, and a CrashAt aimed at

@@ -5,12 +5,10 @@ import (
 	"sort"
 
 	"vinfra/internal/apps"
-	"vinfra/internal/cd"
-	"vinfra/internal/cm"
 	"vinfra/internal/geo"
 	"vinfra/internal/harness"
-	"vinfra/internal/radio"
 	"vinfra/internal/sim"
+	"vinfra/internal/spec"
 	"vinfra/internal/vi"
 )
 
@@ -57,51 +55,19 @@ func init() {
 	harness.Register(e9bDesc)
 }
 
-// appBed wires a deployment with an arbitrary program and fixed leaders.
-func appBed(locs []geo.Point, replicasPer int, program func(vi.VNodeID) vi.Program, seed int64) (*sim.Engine, *vi.Deployment) {
-	leaders := make(map[vi.VNodeID]sim.NodeID, len(locs))
-	for v := range locs {
-		leaders[vi.VNodeID(v)] = sim.NodeID(v * replicasPer)
-	}
-	dep, err := vi.NewDeployment(vi.DeploymentConfig{
-		Locations: locs,
-		Radii:     Radii,
-		Program:   program,
-		NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-			factory, _ := cm.NewFixed(leaders[v])
-			return factory(env)
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	medium := radio.MustMedium(radio.Config{Radii: Radii, Detector: cd.AC{}, Seed: seed})
-	eng := sim.NewEngine(medium, sim.WithSeed(seed))
-	for _, loc := range locs {
-		for i := 0; i < replicasPer; i++ {
-			pos := geo.Point{X: loc.X + 0.3*float64(i) - 0.4, Y: loc.Y + 0.2}
-			eng.Attach(pos, nil, func(env sim.Env) sim.Node {
-				return dep.NewEmulator(env, true)
-			})
-		}
-	}
-	return eng, dep
-}
-
 // routingLatencyCell measures end-to-end delivery latency (in virtual
 // rounds) over one virtual-node chain length — the application-level payoff
 // of the infrastructure: latency grows with distance (each hop waits for
 // the relay's scheduled slot), delivery stays reliable.
 func routingLatencyCell(c *harness.Cell) []harness.Row {
 	hops, packets := c.Params.Int("hops"), c.Params.Int("packets")
-	locs := make([]geo.Point, hops)
-	for i := range locs {
-		locs[i] = geo.Point{X: 5 * float64(i)}
-	}
-	sched := vi.BuildSchedule(locs, Radii)
-	eng, dep := appBed(locs, 2, apps.RoutedProgram(sched, locs), int64(hops)+c.Base())
+	w := buildWorld(spec.Spec{
+		Seed: int64(hops) + c.Base(), Grid: spec.Grid{Cols: hops, Rows: 1, Spacing: 5},
+		App: "router", Devices: spec.Devices{Replicas: 2},
+	})
+	sched := w.Dep.Schedule()
 
-	east := locs[len(locs)-1]
+	east := w.Locs[len(w.Locs)-1]
 	sends := make(map[int]*vi.Message, packets)
 	sendRound := make(map[string]int, packets)
 	gap := 3 * sched.Len()
@@ -115,15 +81,13 @@ func routingLatencyCell(c *harness.Cell) []harness.Row {
 	receiver := &apps.RouterClient{}
 	var lat harness.Series
 	recvRound := make(map[string]int)
-	eng.Attach(geo.Point{X: -1, Y: -1}, nil, func(env sim.Env) sim.Node {
-		return dep.NewClient(env, sender)
+	w.Eng.Attach(geo.Point{X: -1, Y: -1}, nil, func(env sim.Env) sim.Node {
+		return w.Dep.NewClient(env, sender)
 	})
-	eng.Attach(geo.Point{X: east.X + 1, Y: 1}, nil, func(env sim.Env) sim.Node {
-		return dep.NewClient(env, recordingClient{inner: receiver, seen: recvRound})
+	w.Eng.Attach(geo.Point{X: east.X + 1, Y: 1}, nil, func(env sim.Env) sim.Node {
+		return w.Dep.NewClient(env, recordingClient{inner: receiver, seen: recvRound})
 	})
-
-	total := 2 + packets*gap + 8*sched.Len()*hops
-	eng.Run(total * dep.Timing().RoundsPerVRound())
+	stepVRounds(w, 2+packets*gap+8*sched.Len()*hops)
 
 	// Iterate receptions in sorted packet-ID order: map order is
 	// randomized, and the mean's float summation order must be
@@ -169,9 +133,10 @@ func (c recordingClient) Step(vround int, recv []vi.Message, collision bool) *vi
 // for one client count — coordination throughput of a virtual-node arbiter.
 func lockThroughputCell(c *harness.Cell) []harness.Row {
 	n, vrounds := c.Params.Int("clients"), c.Params.Int("vrounds")
-	locs := []geo.Point{{X: 0, Y: 0}}
-	sched := vi.BuildSchedule(locs, Radii)
-	eng, dep := appBed(locs, 3, apps.LockProgram(sched), int64(n)+c.Base())
+	w := buildWorld(spec.Spec{
+		Seed: int64(n) + c.Base(), VRounds: vrounds, Grid: spec.Grid{Cols: 1, Rows: 1},
+		App: "lock", Devices: spec.Devices{Replicas: 3},
+	})
 
 	clients := make([]*apps.LockClient, n)
 	for i := range clients {
@@ -183,11 +148,11 @@ func lockThroughputCell(c *harness.Cell) []harness.Row {
 		angle := float64(i) / float64(n)
 		pos := geo.Point{X: 1.5 * (0.5 - angle), Y: 1.2 - 2.4*angle}
 		cli := clients[i]
-		eng.Attach(pos, nil, func(env sim.Env) sim.Node {
-			return dep.NewClient(env, cli)
+		w.Eng.Attach(pos, nil, func(env sim.Env) sim.Node {
+			return w.Dep.NewClient(env, cli)
 		})
 	}
-	eng.Run(vrounds * dep.Timing().RoundsPerVRound())
+	stepVRounds(w, vrounds)
 
 	total := 0
 	claimed := make(map[int]string)

@@ -298,28 +298,11 @@ type metroSoak struct {
 
 func newMetroSoak(c *harness.Cell, shards int) *metroSoak {
 	cols, rows := c.Params.Int("cols"), c.Params.Int("rows")
-	w := buildWorld(spec.Spec{
+	return &metroSoak{churnSoak: newChurnSoak(c, buildWorld(spec.Spec{
 		Seed: int64(cols*rows) + c.Base(), VRounds: c.Params.Int("vrounds"), Grid: spec.Grid{Cols: cols, Rows: rows},
-		Devices: spec.Devices{Replicas: soakReplicasPer},
+		Devices: spec.Devices{Replicas: soakReplicasPer, Pingers: true},
 		Engine:  spec.Engine{Parallel: true, Shards: shards},
-	})
-	// One client per region, staggered so pings from neighboring regions
-	// don't collide every client slot (one region per virtual round, not
-	// Devices.Pingers' four-phase stagger).
-	nv := len(w.Locs)
-	for v, loc := range w.Locs {
-		v := v
-		w.Eng.Attach(geo.Point{X: loc.X + 1.2, Y: loc.Y - 1}, nil, func(env sim.Env) sim.Node {
-			return w.Dep.NewClient(env, vi.ClientFunc(
-				func(vr int, _ []vi.Message, _ bool) *vi.Message {
-					if vr%nv != v {
-						return nil
-					}
-					return vi.Text(fmt.Sprintf("ping-%02d-%04d", v, vr))
-				}))
-		})
-	}
-	return &metroSoak{churnSoak: newChurnSoak(c, w)}
+	}))}
 }
 
 // attachExtra attaches one mid-run joiner with the latency-measuring hook

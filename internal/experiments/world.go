@@ -9,12 +9,15 @@ import (
 	"vinfra/internal/vi"
 )
 
-// buildWorld constructs the VI stack a cell runs on. spec.Build is the one
-// world constructor: a cell describes its deployment as a spec value (the
-// suite's radii, spacing-6 grids and counter program are the spec defaults)
-// and attaches whatever the spec cannot express — its own client load,
-// closure-carrying faults — on the returned world afterwards. A cell's spec
-// is code, not input, so a spec Build rejects is a bug and panics.
+// buildWorld constructs the VI stack every virtual-node cell runs on (the
+// CHA-only cells run on newCluster). spec.Build is the one world
+// constructor: a cell describes its deployment as a spec
+// value (the suite's radii, spacing-6 grids and counter program are the spec
+// defaults; E9 picks the router and lock apps) and attaches whatever the
+// spec cannot express — its own clients (E5–E7's every-vround pinger, E9's
+// packet senders and lock contenders), closure-carrying faults — on the
+// returned world afterwards. A cell's spec is code, not input, so a spec
+// Build rejects is a bug and panics.
 func buildWorld(s spec.Spec) *spec.World {
 	s.Version = spec.Version
 	w, err := spec.Build(s)

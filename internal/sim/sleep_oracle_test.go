@@ -6,14 +6,10 @@ import (
 	"testing"
 
 	"vinfra/internal/apps"
-	"vinfra/internal/cd"
 	"vinfra/internal/checkpoint"
-	"vinfra/internal/cm"
 	"vinfra/internal/experiments"
 	"vinfra/internal/geo"
 	"vinfra/internal/harness"
-	"vinfra/internal/radio"
-	"vinfra/internal/shard"
 	"vinfra/internal/sim"
 	"vinfra/internal/spec"
 	"vinfra/internal/vi"
@@ -29,8 +25,8 @@ import (
 // and, for the worlds of the every-round oracle further down, to the same
 // engine snapshot after every single radio round.
 
-// stepper is a world the oracle can drive: spec worlds, the E13 soaks and
-// the hand-built application worlds below.
+// stepper is a world the oracle can drive: spec worlds (the E9 application
+// worlds below among them) and the E13 soaks.
 type stepper interface {
 	StepVRound()
 	Checkpoint() checkpoint.Checkpoint
@@ -130,84 +126,37 @@ func e13(kind string, shards int) func() stepper {
 	}
 }
 
-// appWorld is an application deployment built by hand, as E9 builds its
-// cells: fixed leaders, two replicas a region, application clients.
-type appWorld struct {
-	eng    *sim.Engine
-	medium *radio.Medium
-	per    int
-}
-
-func (w *appWorld) StepVRound() { w.eng.Run(w.per) }
-
-func (w *appWorld) Checkpoint() checkpoint.Checkpoint {
-	return checkpoint.Checkpoint{Engine: w.eng.Snapshot(), Medium: w.medium.Snapshot()}
-}
-
-func newAppWorld(kind engineKind, locs []geo.Point, program func(vi.VNodeID) vi.Program) (*appWorld, *vi.Deployment) {
-	radii := geo.Radii{R1: 10, R2: 20}
-	dep, err := vi.NewDeployment(vi.DeploymentConfig{
-		Locations: locs, Radii: radii, Program: program,
-		NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-			factory, _ := cm.NewFixed(sim.NodeID(2 * v))
-			return factory(env)
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	cfg := radio.Config{Radii: radii, Detector: cd.AC{}, Seed: 3}
-	opts := []sim.Option{sim.WithSeed(3)}
-	if kind != sequential {
-		opts = append(opts, sim.WithWorkers(4))
-	}
-	if kind == sharded {
-		cols, rows := shard.Split(4)
-		opts = append(opts, sim.WithRegionShards(cols, rows, radii.R2, func() sim.Medium { return radio.MustMedium(cfg) }))
-	}
-	w := &appWorld{medium: radio.MustMedium(cfg), per: dep.Timing().RoundsPerVRound()}
-	w.eng = sim.NewEngine(w.medium, opts...)
-	for _, loc := range locs {
-		for i := 0; i < 2; i++ {
-			w.eng.Attach(geo.Point{X: loc.X + 0.3*float64(i) - 0.4, Y: loc.Y + 0.2}, nil, func(env sim.Env) sim.Node {
-				return dep.NewEmulator(env, true)
-			})
-		}
-	}
-	return w, dep
-}
-
 // routerWorld is E9a: packets routed east along a chain of virtual nodes.
 func routerWorld(kind engineKind) stepper {
-	locs := make([]geo.Point, 4)
-	for i := range locs {
-		locs[i] = geo.Point{X: 5 * float64(i)}
-	}
-	sched := vi.BuildSchedule(locs, geo.Radii{R1: 10, R2: 20})
-	w, dep := newAppWorld(kind, locs, apps.RoutedProgram(sched, locs))
-	east := locs[len(locs)-1]
+	w := mustBuild(spec.Spec{
+		Seed: 3, VRounds: 1 << 20, Grid: spec.Grid{Cols: 4, Rows: 1, Spacing: 5},
+		App: "router", Devices: spec.Devices{Replicas: 2}, Engine: kind.spec(),
+	})
+	east := w.Locs[len(w.Locs)-1]
 	sends := map[int]*vi.Message{}
 	for p := 0; p < 4; p++ {
 		sends[2+5*p] = apps.RouteSend(east, fmt.Sprintf("pkt-%d", p), "payload")
 	}
-	w.eng.Attach(geo.Point{X: -1, Y: -1}, nil, func(env sim.Env) sim.Node {
-		return dep.NewClient(env, &apps.RouterClient{Sends: sends})
+	w.Eng.Attach(geo.Point{X: -1, Y: -1}, nil, func(env sim.Env) sim.Node {
+		return w.Dep.NewClient(env, &apps.RouterClient{Sends: sends})
 	})
-	w.eng.Attach(geo.Point{X: east.X + 1, Y: 1}, nil, func(env sim.Env) sim.Node {
-		return dep.NewClient(env, &apps.RouterClient{})
+	w.Eng.Attach(geo.Point{X: east.X + 1, Y: 1}, nil, func(env sim.Env) sim.Node {
+		return w.Dep.NewClient(env, &apps.RouterClient{})
 	})
 	return w
 }
 
 // lockWorld is E9b: clients contending for a virtual-node lock.
 func lockWorld(kind engineKind) stepper {
-	locs := []geo.Point{{}}
-	w, dep := newAppWorld(kind, locs, apps.LockProgram(vi.BuildSchedule(locs, geo.Radii{R1: 10, R2: 20})))
+	w := mustBuild(spec.Spec{
+		Seed: 3, VRounds: 1 << 20, Grid: spec.Grid{Cols: 1, Rows: 1},
+		App: "lock", Engine: kind.spec(),
+	})
 	for i := 0; i < 4; i++ {
 		angle := float64(i) / 4
 		cli := &apps.LockClient{Name: fmt.Sprintf("c%02d", i), HoldRounds: 2, Cycles: 1 << 20}
-		w.eng.Attach(geo.Point{X: 1.5 * (0.5 - angle), Y: 1.2 - 2.4*angle}, nil, func(env sim.Env) sim.Node {
-			return dep.NewClient(env, cli)
+		w.Eng.Attach(geo.Point{X: 1.5 * (0.5 - angle), Y: 1.2 - 2.4*angle}, nil, func(env sim.Env) sim.Node {
+			return w.Dep.NewClient(env, cli)
 		})
 	}
 	return w

@@ -134,6 +134,10 @@ func Build(s Spec) (*World, error) {
 	switch s.App {
 	case "tracker":
 		cfg.Program = apps.TrackerProgram(sched, apps.TrackerConfig{})
+	case "router":
+		cfg.Program = apps.RouterProgram(sched, locs)
+	case "lock":
+		cfg.Program = apps.LockProgram(sched)
 	default:
 		cfg.Program = counterProgram(sched)
 	}

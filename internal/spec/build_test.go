@@ -196,6 +196,39 @@ func TestBuildTrackerWorld(t *testing.T) {
 	}
 }
 
+// TestBuildAppWorlds builds the router and lock apps from documents and
+// steps them fault-free: every virtual node stays available, and the
+// pingers' payloads, which neither program parses, are ignored.
+func TestBuildAppWorlds(t *testing.T) {
+	for _, doc := range []string{
+		`{"version": "vinfra-spec/v1", "seed": 4, "vrounds": 10, "app": "router",
+			"grid": {"cols": 3, "rows": 1, "spacing": 5}, "devices": {"replicas": 2, "pingers": true}}`,
+		`{"version": "vinfra-spec/v1", "seed": 4, "vrounds": 10, "app": "lock",
+			"grid": {"cols": 1, "rows": 1}, "devices": {"pingers": true}}`,
+	} {
+		s, err := Parse([]byte(doc))
+		if err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		t.Run(s.App, func(t *testing.T) {
+			w, err := Build(s)
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			defer w.Eng.Close()
+			run(t, w, s.VRounds)
+			for v := range w.Locs {
+				if rep := w.Report(vi.VNodeID(v)); rep.Availability != 1 {
+					t.Errorf("vn%d availability %.3f, want 1", v, rep.Availability)
+				}
+			}
+			if w.Resets() != 0 {
+				t.Errorf("%d resets in a fault-free run", w.Resets())
+			}
+		})
+	}
+}
+
 func TestBuildWithJammerDegradesAvailability(t *testing.T) {
 	s := smallSpec(t)
 	s.VRounds = 6

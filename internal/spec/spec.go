@@ -2,9 +2,9 @@
 // serializable description of "a world" that every front end constructs
 // simulations through: cmd/visim (-spec), cmd/visimd (POST /v1/sims) and
 // tests. A spec names the grid geometry, radio parameters, device
-// population, VI application, engine configuration (parallel / region
-// shards) and a deterministic fault schedule; Build turns it into the full
-// engine/deployment/monitor stack. The same spec and seed produce a
+// population, VI application ("counter", "tracker", "router" or "lock"),
+// engine configuration (parallel / region shards) and a deterministic fault
+// schedule; Build turns it into the full engine/deployment/monitor stack. The same spec and seed produce a
 // byte-identical run wherever it is driven from — the determinism contract
 // extends through the API surface.
 //
@@ -76,8 +76,11 @@ type Spec struct {
 	// Radii are the quasi-unit-disk radio parameters.
 	Radii Radii `json:"radii,omitempty"`
 	// App selects the virtual node program: "counter" (each virtual node
-	// counts client messages and broadcasts the count) or "tracker" (the
-	// target-tracking service of cmd/visim).
+	// counts client messages and broadcasts the count), "tracker" (the
+	// target-tracking service of cmd/visim), "router" (greedy geographic
+	// routing over the virtual backbone) or "lock" (a mutual-exclusion
+	// arbiter). A router or lock world's clients are code (packets to send,
+	// lock cycles to run), so its caller attaches them on the built world.
 	App     string  `json:"app,omitempty"`
 	Devices Devices `json:"devices,omitempty"`
 	Engine  Engine  `json:"engine,omitempty"`
@@ -212,9 +215,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("spec: vrounds must be at least 1 (got %d)", s.VRounds)
 	}
 	switch s.App {
-	case "counter", "tracker":
+	case "counter", "tracker", "router", "lock":
 	default:
-		return fmt.Errorf("spec: unknown app %q (want counter or tracker)", s.App)
+		return fmt.Errorf("spec: unknown app %q (want counter, tracker, router or lock)", s.App)
 	}
 	switch s.Leader {
 	case "fixed", "regional":

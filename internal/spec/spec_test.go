@@ -66,9 +66,10 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"no grid", `{"version": "vinfra-spec/v1"}`, "grid"},
 		{"bad radii", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "radii": {"r1": 30, "r2": 20}}`, "radii"},
-		{"bad app", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "app": "chess"}`, "app"},
+		{"bad app", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "app": "chess"}`, "want counter, tracker, router or lock"},
 		{"bad leader", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "leader": "anarchy"}`, "leader"},
 		{"targets without tracker", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "devices": {"targets": 1}}`, "tracker"},
+		{"targets on a lock", `{"version": "vinfra-spec/v1", "grid": {"cols": 1, "rows": 1}, "app": "lock", "devices": {"targets": 1}}`, "tracker"},
 		{"negative shards", `{"version": "vinfra-spec/v1", "grid": {"cols": 2, "rows": 1}, "engine": {"shards": -1}}`, "shards"},
 		{"too many devices", `{"version": "vinfra-spec/v1", "grid": {"cols": 700, "rows": 700}}`, "limit"},
 		// Sizes a request cannot talk its way around: device counts whose

@@ -82,7 +82,7 @@ func analyzersFor(importPath string) []*analysis.Analyzer {
 		return nil // synthesized test-main packages
 	}
 	// maporder and wirecomplete hold everywhere: ordered output and the
-	// codec surface matter in cmd/ and examples/ too.
+	// codec surface matter in cmd/ too.
 	list := []*analysis.Analyzer{analyzers.MapOrder, analyzers.WireComplete}
 	deterministic := importPath == "vinfra" || strings.HasPrefix(importPath, "vinfra/internal/")
 	if deterministic {

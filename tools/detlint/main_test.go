@@ -146,7 +146,7 @@ func TestPolicy(t *testing.T) {
 		{"vinfra", "maporder,wirecomplete,globalrand,seedflow,walltime"},
 		{"vinfra/cmd/chabench", "maporder,wirecomplete"},
 		{"vinfra/cmd/visimd", "maporder,wirecomplete"},
-		{"vinfra/examples/routing", "maporder,wirecomplete"},
+		{"vinfra/cmd/visim", "maporder,wirecomplete"},
 		{"vinfra/internal/sim.test", ""},
 		{"fmt", ""},
 		{"github.com/other/mod", ""},
