@@ -26,7 +26,6 @@ import (
 	"os"
 	"strings"
 
-	"vinfra/internal/checkpoint"
 	"vinfra/internal/cli"
 	"vinfra/internal/experiments"
 	"vinfra/internal/harness"
@@ -72,34 +71,14 @@ func runSoak(f *soakFlags, quick bool, out io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if f.ckpt.Restore != "" {
-		cp, err := checkpoint.ReadFile(f.ckpt.Restore)
-		if err != nil {
-			return fail(err)
-		}
-		if err := s.Restore(cp); err != nil {
-			return fail(fmt.Errorf("restore %s: %v", f.ckpt.Restore, err))
-		}
+	suspended, err := f.ckpt.Run(s)
+	if err != nil {
+		return fail(err)
 	}
-
-	stepped := 0
-	for s.VRound() < s.VRounds() {
-		if f.ckpt.Every > 0 && stepped == f.ckpt.Every {
-			if err := s.Checkpoint().WriteFile(f.ckpt.Path); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "chabench: soak: %s %s suspended at vround %d/%d -> %s\n",
-				f.exp, cell.Params.Label, s.VRound(), s.VRounds(), f.ckpt.Path)
-			return 0
-		}
-		s.StepVRound()
-		stepped++
-	}
-
-	if f.ckpt.Path != "" {
-		if err := s.Checkpoint().WriteFile(f.ckpt.Path); err != nil {
-			return fail(err)
-		}
+	if suspended {
+		fmt.Fprintf(os.Stderr, "chabench: soak: %s %s suspended at vround %d/%d -> %s\n",
+			f.exp, cell.Params.Label, s.VRound(), s.VRounds(), f.ckpt.Path)
+		return 0
 	}
 	fmt.Fprintf(out, "%s\t%s\tseed=%d\tshards=%d\n", f.exp, cell.Params.Label, f.seed, f.shards)
 	fmt.Fprintln(out, strings.Join(s.Columns(), "\t"))

@@ -35,7 +35,6 @@ import (
 	"os"
 	"strconv"
 
-	"vinfra/internal/checkpoint"
 	"vinfra/internal/cli"
 	"vinfra/internal/harness"
 	"vinfra/internal/spec"
@@ -143,32 +142,13 @@ func main() {
 	fmt.Printf("devices: %d total (%d emulators, %d targets); running %d virtual rounds (%d radio rounds)\n\n",
 		s.TotalDevices(), len(w.Locs)*s.Devices.Replicas, s.Devices.Targets, s.VRounds, s.VRounds*per)
 
-	if ckpt.Restore != "" {
-		cp, err := checkpoint.ReadFile(ckpt.Restore)
-		if err != nil {
-			fail("visim: %v\n", err)
-		}
-		if err := w.Restore(cp); err != nil {
-			fail("visim: restore %s: %v (does the spec match the suspended run?)\n", ckpt.Restore, err)
-		}
+	suspended, err := ckpt.Run(w)
+	if err != nil {
+		fail("visim: %v\n", err)
 	}
-
-	stepped := 0
-	for w.VRound() < w.VRounds() {
-		if ckpt.Every > 0 && stepped == ckpt.Every {
-			if err := w.Checkpoint().WriteFile(ckpt.Path); err != nil {
-				fail("visim: %v\n", err)
-			}
-			fmt.Fprintf(os.Stderr, "visim: suspended at vround %d/%d -> %s\n", w.VRound(), w.VRounds(), ckpt.Path)
-			return
-		}
-		w.StepVRound()
-		stepped++
-	}
-	if ckpt.Path != "" {
-		if err := w.Checkpoint().WriteFile(ckpt.Path); err != nil {
-			fail("visim: %v\n", err)
-		}
+	if suspended {
+		fmt.Fprintf(os.Stderr, "visim: suspended at vround %d/%d -> %s\n", w.VRound(), w.VRounds(), ckpt.Path)
+		return
 	}
 
 	sched := w.Dep.Schedule()

@@ -7,7 +7,7 @@
 // lives under internal/:
 //
 //   - sim: the slotted, synchronous round engine (Section 2). Runs are
-//     deterministic per seed; WithParallel shards each round's mobility,
+//     deterministic per seed; WithWorkers shards each round's mobility,
 //     Transmit and Receive fan-out across a bounded worker pool without
 //     changing output. The steady-state round loop is allocation-free and
 //     touches only flat engine-owned memory: position and liveness live
@@ -91,7 +91,8 @@
 //     baselines the paper argues against. Application payloads and states
 //     are canonical wire encodings (a one-byte kind tag plus fixed field
 //     sequences) instead of hand-parsed prefix strings.
-//   - mobility: mobility models.
+//   - mobility: RandomWaypoint, the mobility model every moving device
+//     runs (speed bounded by vmax, Section 2).
 //   - experiments: the reproduction experiment suite E1–E14 (there is no
 //     E10) — E11 "metro" drives grids of virtual nodes through heavy churn
 //     (Leave, scheduled and late CrashAt, mid-run Attach) on the parallel

@@ -203,7 +203,7 @@ func TestParseRegisterReply(t *testing.T) {
 func TestTrackerLocalSighting(t *testing.T) {
 	locs := []geo.Point{{X: 0, Y: 0}}
 	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 3, apps.TrackerProgram(sched, apps.TrackerConfig{}))
+	h := newHarness(t, locs, 3, apps.TrackerProgram(sched))
 
 	targetPos := geo.Point{X: 1.5, Y: 0.5}
 	h.addClient(targetPos, &apps.TargetClient{
@@ -230,7 +230,7 @@ func TestTrackerGossipAcrossVNodes(t *testing.T) {
 	// virtual nodes' digest broadcasts.
 	locs := []geo.Point{{X: 0, Y: 0}, {X: 5, Y: 0}}
 	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 2, apps.TrackerProgram(sched, apps.TrackerConfig{}))
+	h := newHarness(t, locs, 2, apps.TrackerProgram(sched))
 
 	targetPos := geo.Point{X: -1.5, Y: 0}
 	h.addClient(targetPos, &apps.TargetClient{
@@ -249,7 +249,7 @@ func TestTrackerGossipAcrossVNodes(t *testing.T) {
 
 func TestTrackerDigestRoundTrip(t *testing.T) {
 	sched := vi.BuildSchedule([]geo.Point{{}}, testRadii)
-	prog := apps.TrackerProgram(sched, apps.TrackerConfig{})(0)
+	prog := apps.TrackerProgram(sched)(0)
 	st := prog.Init(0, geo.Point{})
 	st = prog.OnRound(st, 3, pl(apps.Beacon("a", geo.Point{X: 1, Y: 2})))
 	st = prog.OnRound(st, 7, pl(apps.Beacon("b", geo.Point{X: 4.5, Y: -1.25})))
@@ -371,7 +371,7 @@ func TestLockDuplicateAndCancel(t *testing.T) {
 func TestTrackerCollisionRoundsDoNotCorruptState(t *testing.T) {
 	// ⊥ rounds (agreement failures) reach the program as collision inputs;
 	// the tracker must simply retain its state.
-	prog := apps.TrackerProgram(vi.BuildSchedule([]geo.Point{{}}, testRadii), apps.TrackerConfig{})(0)
+	prog := apps.TrackerProgram(vi.BuildSchedule([]geo.Point{{}}, testRadii))(0)
 	st := prog.Init(0, geo.Point{})
 	st = prog.OnRound(st, 1, pl(apps.Beacon("r", geo.Point{X: 1, Y: 2})))
 	st2 := prog.OnRound(st, 2, vi.RoundInput{Collision: true})

@@ -162,9 +162,6 @@ const (
 	lockDone
 )
 
-// Holding reports whether the client currently believes it holds the lock.
-func (c *LockClient) Holding() bool { return c.phase == lockHolding }
-
 // Completed returns how many acquire/release cycles have finished.
 func (c *LockClient) Completed() int { return c.done }
 

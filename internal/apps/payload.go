@@ -22,10 +22,6 @@ const (
 	tagRouteSend    byte = 0x41
 	tagRouteRelay   byte = 0x42
 	tagRouteDeliver byte = 0x43
-
-	tagAllocRequest byte = 0x51
-	tagAllocRelease byte = 0x52
-	tagAllocGrant   byte = 0x53
 )
 
 // body returns a decoder over payload's field sequence if it carries the

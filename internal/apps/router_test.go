@@ -125,94 +125,3 @@ func TestRouterProgramGreedyRule(t *testing.T) {
 		t.Errorf("vn0 adopted a backward packet: %+v", out)
 	}
 }
-
-func TestAllocAssignsUniqueAddresses(t *testing.T) {
-	locs := []geo.Point{{X: 0, Y: 0}}
-	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 3, apps.AllocProgram(sched))
-
-	clients := []*apps.AllocClient{
-		{Name: "alice"}, {Name: "bob"}, {Name: "carol"},
-	}
-	positions := []geo.Point{{X: 1.2, Y: 0.8}, {X: -1.2, Y: 0.9}, {X: 0.1, Y: -1.5}}
-	for i, c := range clients {
-		h.addClient(positions[i], c)
-	}
-	h.runVRounds(40)
-
-	seen := make(map[int]string)
-	for _, c := range clients {
-		if !c.Assigned {
-			t.Fatalf("client %s never got an address", c.Name)
-		}
-		if other, dup := seen[c.Addr]; dup {
-			t.Errorf("address %d assigned to both %s and %s", c.Addr, other, c.Name)
-		}
-		seen[c.Addr] = c.Name
-		if c.Addr < 0 || c.Addr >= apps.BlockSize {
-			t.Errorf("address %d outside vn0's block", c.Addr)
-		}
-	}
-}
-
-func TestAllocIdempotentRequests(t *testing.T) {
-	prog := apps.AllocProgram(vi.BuildSchedule([]geo.Point{{}}, testRadii))(0)
-	st := prog.Init(0, geo.Point{})
-	st = prog.OnRound(st, 1, pl(apps.AllocRequest("x")))
-	st = prog.OnRound(st, 2, pl(apps.AllocRequest("x"), apps.AllocRequest("x")))
-	out := prog.Outgoing(st, 1)
-	if out == nil {
-		t.Fatal("allocator with leases must broadcast")
-	}
-	name, addr, ok := apps.ParseAssignment(out.Payload)
-	if !ok || name != "x" || addr != 0 {
-		t.Errorf("assignment = %q %d %v", name, addr, ok)
-	}
-	// Release then re-request: gets a fresh address (no reuse in this
-	// simple policy).
-	st = prog.OnRound(st, 3, pl(apps.AllocRelease("x")))
-	st = prog.OnRound(st, 4, pl(apps.AllocRequest("x")))
-	_, addr2, _ := apps.ParseAssignment(prog.Outgoing(st, 4).Payload)
-	if addr2 != 1 {
-		t.Errorf("re-leased address = %d, want 1", addr2)
-	}
-}
-
-func TestAllocBlocksDisjointAcrossVNodes(t *testing.T) {
-	sched := vi.BuildSchedule(lineLocs(2), testRadii)
-	prog0 := apps.AllocProgram(sched)(0)
-	prog1 := apps.AllocProgram(sched)(1)
-	s0 := prog0.OnRound(prog0.Init(0, geo.Point{}), 1, pl(apps.AllocRequest("a")))
-	s1 := prog1.OnRound(prog1.Init(1, geo.Point{X: 5}), 1, pl(apps.AllocRequest("a")))
-	// Each node broadcasts only in its scheduled virtual rounds: vn0 in
-	// odd vrounds (slot 0), vn1 in even vrounds (slot 1).
-	_, a0, _ := apps.ParseAssignment(prog0.Outgoing(s0, 3).Payload)
-	_, a1, _ := apps.ParseAssignment(prog1.Outgoing(s1, 2).Payload)
-	if a0/apps.BlockSize == a1/apps.BlockSize {
-		t.Errorf("blocks overlap: %d and %d", a0, a1)
-	}
-}
-
-func TestParseAssignmentErrors(t *testing.T) {
-	sched := vi.BuildSchedule([]geo.Point{{}}, testRadii)
-	prog := apps.AllocProgram(sched)(0)
-	st := prog.OnRound(prog.Init(0, geo.Point{}), 1, pl(apps.AllocRequest("a|b")))
-	out := prog.Outgoing(st, 2)
-	if out == nil {
-		t.Fatal("allocator with leases must broadcast")
-	}
-	// Names containing old-format separators parse exactly (the encoding
-	// is length-prefixed, not delimiter-based).
-	if name, addr, ok := apps.ParseAssignment(out.Payload); !ok || name != "a|b" || addr != 0 {
-		t.Errorf("ParseAssignment = %q %d %v", name, addr, ok)
-	}
-	if _, _, ok := apps.ParseAssignment(out.Payload[:len(out.Payload)-1]); ok {
-		t.Error("truncated assignment accepted")
-	}
-	if _, _, ok := apps.ParseAssignment(apps.AllocRequest("x").Payload); ok {
-		t.Error("wrong tag accepted")
-	}
-	if _, _, ok := apps.ParseAssignment(nil); ok {
-		t.Error("empty payload accepted")
-	}
-}

@@ -163,23 +163,12 @@ func ParseDigest(payload []byte) ([]Sighting, bool) {
 	return out, true
 }
 
-// TrackerConfig tunes the tracking service.
-type TrackerConfig struct {
-	// DigestSize bounds the number of sightings per digest broadcast
-	// (keeping virtual messages small). Default 4.
-	DigestSize int
-}
-
-func (c TrackerConfig) withDefaults() TrackerConfig {
-	if c.DigestSize <= 0 {
-		c.DigestSize = 4
-	}
-	return c
-}
+// digestSize bounds the number of sightings per digest broadcast, keeping
+// virtual messages small.
+const digestSize = 4
 
 // TrackerProgram returns the tracking virtual node program.
-func TrackerProgram(sched vi.Schedule, cfg TrackerConfig) func(vi.VNodeID) vi.Program {
-	cfg = cfg.withDefaults()
+func TrackerProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
 	return func(v vi.VNodeID) vi.Program {
 		return vi.Codec[TrackerState]{
 			InitState: func(vi.VNodeID, geo.Point) TrackerState {
@@ -204,7 +193,7 @@ func TrackerProgram(sched vi.Schedule, cfg TrackerConfig) func(vi.VNodeID) vi.Pr
 				if !sched.ScheduledIn(v, vround-1) || len(s.Sightings) == 0 {
 					return nil
 				}
-				return &vi.Message{Payload: encodeDigest(s, cfg.DigestSize)}
+				return &vi.Message{Payload: encodeDigest(s, digestSize)}
 			},
 			EncodeState: encodeTrackerState,
 			DecodeState: decodeTrackerState,
@@ -262,9 +251,6 @@ func (c *ObserverClient) Step(vround int, recv []vi.Message, collision bool) *vi
 func (c *ObserverClient) Lookup(name string) (Sighting, bool) {
 	return c.state.Lookup(name)
 }
-
-// Known returns the number of distinct targets the observer has seen.
-func (c *ObserverClient) Known() int { return len(c.state.Sightings) }
 
 // AppendState implements sim.Snapshotter: the accumulated sightings are
 // the observer's only mutable state, serialized with the same canonical

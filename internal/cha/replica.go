@@ -152,7 +152,7 @@ func (r *Replica) Receive(round sim.Round, rx sim.Reception) {
 	case PhaseBallot:
 		b, heard := MinBallotOf(rx.Msgs)
 		r.core.ObserveMinBallot(b, heard, rx.Collision)
-		r.cfg.CM.Observe(round, ballotFeedback(r.broadcastBallot, heard, rx.Collision))
+		r.cfg.CM.Observe(round, cm.FeedbackOf(r.broadcastBallot, heard, rx.Collision))
 	case PhaseVeto1:
 		r.core.ObserveVeto1(HasVeto(rx.Msgs), rx.Collision)
 	default: // PhaseVeto2
@@ -172,22 +172,6 @@ func (r *Replica) fold(out Output) {
 	r.ckpt.Digest = out.History.DigestRange(r.ckpt.UpTo+1, out.Instance, r.ckpt.Digest)
 	r.ckpt.UpTo = out.Instance
 	r.core.GC(out.Instance)
-}
-
-// ballotFeedback classifies a ballot-phase reception for the contention
-// manager: collisions dominate; hearing only one's own broadcast cleanly is
-// a win; hearing another's ballot is a loss; nothing is silence.
-func ballotFeedback(broadcast, gotBallot, collision bool) cm.Feedback {
-	switch {
-	case collision:
-		return cm.FeedbackCollision
-	case broadcast && gotBallot:
-		return cm.FeedbackWon
-	case gotBallot:
-		return cm.FeedbackLost
-	default:
-		return cm.FeedbackSilence
-	}
 }
 
 // MinBallotOf folds the ballot payloads of a reception to their minimum

@@ -9,7 +9,6 @@ import (
 	"vinfra/internal/cha"
 	"vinfra/internal/cm"
 	"vinfra/internal/geo"
-	"vinfra/internal/mobility"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 )
@@ -68,7 +67,7 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 	}
 	for i, pos := range ringPositions(o.n, 2) {
 		i := i
-		id := c.eng.Attach(pos, mobility.Static{}, func(env sim.Env) sim.Node {
+		id := c.eng.Attach(pos, nil, func(env sim.Env) sim.Node {
 			rep := cha.NewReplica(env, cha.Config{
 				Propose: c.rec.WrapPropose(func(k cha.Instance) cha.Value {
 					return cha.V(fmt.Sprintf("n%02d-%06d", i, k))

@@ -52,6 +52,23 @@ func (f Feedback) String() string {
 	}
 }
 
+// FeedbackOf classifies a ballot-phase reception for the contention
+// manager: collisions dominate; hearing a ballot after broadcasting one is
+// a win; hearing a ballot without broadcasting is a loss; nothing is
+// silence.
+func FeedbackOf(broadcast, heard, collision bool) Feedback {
+	switch {
+	case collision:
+		return FeedbackCollision
+	case broadcast && heard:
+		return FeedbackWon
+	case heard:
+		return FeedbackLost
+	default:
+		return FeedbackSilence
+	}
+}
+
 // Manager is a per-node contention manager instance (the cm-wakeup() input
 // of Figure 1). Advice corresponds to contending for the round and reading
 // the manager's advice; Observe closes the loop with channel feedback.

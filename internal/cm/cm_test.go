@@ -42,6 +42,27 @@ func TestFeedbackString(t *testing.T) {
 	}
 }
 
+// TestFeedbackOf pins the ballot-phase classification every replica and
+// emulator feeds its manager: a collision indication dominates, then a
+// heard ballot is a win for a broadcaster and a loss for anyone else.
+func TestFeedbackOf(t *testing.T) {
+	for _, tt := range []struct {
+		broadcast, heard, collision bool
+		want                        Feedback
+	}{
+		{false, false, false, FeedbackSilence},
+		{true, false, false, FeedbackSilence},
+		{false, true, false, FeedbackLost},
+		{true, true, false, FeedbackWon},
+		{false, false, true, FeedbackCollision},
+		{true, true, true, FeedbackCollision},
+	} {
+		if got := FeedbackOf(tt.broadcast, tt.heard, tt.collision); got != tt.want {
+			t.Errorf("FeedbackOf(%v, %v, %v) = %v, want %v", tt.broadcast, tt.heard, tt.collision, got, tt.want)
+		}
+	}
+}
+
 func TestFixedLeaderAdvice(t *testing.T) {
 	factory, setLeader := NewFixed(1)
 	m0 := factory(newEnv(0, 1))

@@ -86,7 +86,7 @@ func shardEdgeWorld(t *testing.T, rounds int, grayProb float64, jam, sharded, pa
 		}))
 	}
 	if parallel {
-		opts = append(opts, sim.WithParallel())
+		opts = append(opts, sim.WithWorkers(0))
 	}
 	var medium sim.Medium
 	if !sharded {

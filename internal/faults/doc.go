@@ -50,7 +50,7 @@
 // engine folds those fingerprints into the fault digest that
 // sim.EngineSnapshot carries — a checkpoint refuses to resume against a
 // different attack schedule. The medium does the same for its adversary;
-// a Jammers stack folds its members in order. Closure fields (Eligible,
+// a radio.Compose stack folds its members in order. Closure fields (Eligible,
 // Respawn) are code, not data: they are deliberately absent from the
 // fingerprints (pinned by TestAdversaryEncodingsOmitClosures), so the
 // restore protocol requires the driver to rebuild matching closures before

@@ -15,12 +15,7 @@
 
 package faults
 
-import (
-	"fmt"
-
-	"vinfra/internal/sim"
-	"vinfra/internal/wire"
-)
+import "vinfra/internal/wire"
 
 // AppendFingerprint appends w's fingerprint to dst.
 func (w Window) AppendFingerprint(dst []byte) []byte {
@@ -90,19 +85,4 @@ func (f RegionJammer) AppendFingerprint(dst []byte) []byte {
 	dst = wire.AppendVarint(dst, int64(f.Burst))
 	dst = wire.AppendVarint(dst, int64(f.Rotate))
 	return wire.AppendVarint(dst, f.Seed)
-}
-
-// AppendFingerprint appends the members' fingerprints to dst in order, each
-// length-prefixed; a member without one contributes its type name, as a
-// lone adversary does in radio.Medium's snapshot.
-func (js Jammers) AppendFingerprint(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(js)))
-	for _, j := range js {
-		if fp, ok := j.(sim.Fingerprinter); ok {
-			dst = wire.AppendBytes(dst, fp.AppendFingerprint(nil))
-		} else {
-			dst = wire.AppendString(dst, fmt.Sprintf("%T", j))
-		}
-	}
-	return dst
 }

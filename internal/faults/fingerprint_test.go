@@ -38,6 +38,20 @@ func TestAdversaryFingerprintsPinned(t *testing.T) {
 			Window: Window{From: 4}, Targets: []geo.Point{{X: 0, Y: 0}, {X: 6, Y: 0}},
 			Radius: 2.5, Period: 12, Burst: 3, Rotate: 2, Seed: 17,
 		}, "0400020000000000000000000000000000000000000000000018400000000000000000000000000000044018060422"},
+		// A stack of the two jammers above, pinned to the bytes stacked
+		// jammers fingerprinted to before radio.Compose carried them, so
+		// checkpoints written then still restore.
+		{radio.Compose{
+			&CellJammer{
+				Window: Window{From: 1}, Bounds: geo.Rect{Min: geo.Point{X: -1, Y: -1}, Max: geo.Point{X: 9, Y: 9}},
+				CellSize: 2.5, Cells: 3, Seed: 13,
+			},
+			&RegionJammer{
+				Window: Window{From: 4}, Targets: []geo.Point{{X: 0, Y: 0}, {X: 6, Y: 0}},
+				Radius: 2.5, Period: 12, Burst: 3, Rotate: 2, Seed: 17,
+			},
+		}, "022c0100000000000000f0bf000000000000f0bf000000000000224000000000000022400000000000000440061a" +
+			"2f0400020000000000000000000000000000000000000000000018400000000000000000000000000000044018060422"},
 	}
 	for _, c := range cases {
 		if got := hex.EncodeToString(c.f.AppendFingerprint(nil)); got != c.want {
@@ -61,11 +75,11 @@ func TestAdversaryEncodingsOmitClosures(t *testing.T) {
 	}
 }
 
-// TestJammersFingerprintFoldsMembers: a medium whose adversary is a stack
+// TestComposeFingerprintFoldsMembers: a medium whose adversary is a stack
 // of jammers refuses the snapshot of a medium stacking different ones. The
-// stack's fingerprint folds its members in order, so {A, B} differs from
-// {A, C} and from {B, A}.
-func TestJammersFingerprintFoldsMembers(t *testing.T) {
+// radio.Compose fingerprint folds its members in order, so {A, B} differs
+// from {A, C} and from {B, A}.
+func TestComposeFingerprintFoldsMembers(t *testing.T) {
 	a := &CellJammer{CellSize: 6, Cells: 2, Seed: 1}
 	b := &RegionJammer{Targets: []geo.Point{{X: 0, Y: 0}}, Radius: 2.5, Seed: 2}
 	c := &RegionJammer{Targets: []geo.Point{{X: 6, Y: 0}}, Radius: 2.5, Seed: 2}
@@ -74,11 +88,11 @@ func TestJammersFingerprintFoldsMembers(t *testing.T) {
 			Radii: geo.Radii{R1: 10, R2: 20}, Detector: cd.AC{}, Seed: 1, Adversary: adv,
 		})
 	}
-	snap := medium(Jammers{a, b}).Snapshot()
-	if err := medium(Jammers{a, b}).Restore(snap); err != nil {
+	snap := medium(radio.Compose{a, b}).Snapshot()
+	if err := medium(radio.Compose{a, b}).Restore(snap); err != nil {
 		t.Fatalf("the same jammer stack refuses its own snapshot: %v", err)
 	}
-	for name, other := range map[string]Jammers{"{A, C}": {a, c}, "{B, A}": {b, a}, "{A}": {a}} {
+	for name, other := range map[string]radio.Compose{"{A, C}": {a, c}, "{B, A}": {b, a}, "{A}": {a}} {
 		if err := medium(other).Restore(snap); err == nil {
 			t.Errorf("a medium jammed by %s restored the snapshot of one jammed by {A, B}", name)
 		}

@@ -33,36 +33,6 @@ func (w Window) cycleAt(r sim.Round, period int) (cycle, phase int64) {
 	return since / int64(period), since % int64(period)
 }
 
-// Jammers composes radio-layer adversaries: deliveries pass through every
-// member's Filter in order (each sees the previous survivor set), and a
-// spurious indication is forced when any member forces one. Members are
-// stateless pure functions of (configuration, round, position) like the
-// jammers below, so the composite stays safe for the concurrent,
-// order-free use shard mediums sharing it make of it. It exists so a
-// deployment spec can stack several jammers behind the medium's single
-// Adversary slot.
-type Jammers []radio.Adversary
-
-var _ radio.Adversary = Jammers(nil)
-
-// Filter implements radio.Adversary.
-func (js Jammers) Filter(r sim.Round, receiver sim.NodeID, at geo.Point, deliverable []sim.Transmission) []sim.Transmission {
-	for _, j := range js {
-		deliverable = j.Filter(r, receiver, at, deliverable)
-	}
-	return deliverable
-}
-
-// ForceCollision implements radio.Adversary.
-func (js Jammers) ForceCollision(r sim.Round, receiver sim.NodeID, at geo.Point) bool {
-	for _, j := range js {
-		if j.ForceCollision(r, receiver, at) {
-			return true
-		}
-	}
-	return false
-}
-
 // CellJammer is a roaming wide-band jammer: each round it deterministically
 // picks Cells cells of a CellSize-spaced grid over Bounds and saturates
 // them — every receiver standing in a jammed cell loses all otherwise

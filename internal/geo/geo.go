@@ -93,18 +93,6 @@ func (r Radii) Validate() error {
 	return nil
 }
 
-// CanReach reports whether a transmitter at from can deliver a message to a
-// receiver at to (distance at most R1).
-func (r Radii) CanReach(from, to Point) bool {
-	return from.Within(to, r.R1)
-}
-
-// CanInterfere reports whether a transmitter at from can interfere with
-// reception at to (distance at most R2).
-func (r Radii) CanInterfere(from, to Point) bool {
-	return from.Within(to, r.R2)
-}
-
 // Rect is an axis-aligned rectangle, used to bound deployment areas.
 type Rect struct {
 	Min, Max Point
@@ -120,14 +108,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent of the rectangle.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Clamp returns the point of the rectangle closest to p.
-func (r Rect) Clamp(p Point) Point {
-	return Point{
-		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
-		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
-	}
-}
 
 // Grid describes a regular square grid of virtual-node locations with the
 // given spacing, anchored at Origin, with Cols x Rows cells. Virtual

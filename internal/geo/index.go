@@ -3,7 +3,6 @@ package geo
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // CellIndex is a uniform-grid spatial index over a fixed slice of points:
@@ -240,20 +239,4 @@ func (ix *CellIndex) Rebuild(pts []Point) {
 	}
 	copy(ix.start[1:], ix.start[:buckets])
 	ix.start[0] = 0
-}
-
-// Within appends to buf the indices of every indexed point within distance
-// r of p (inclusive), in increasing index order, and returns the extended
-// slice.
-func (ix *CellIndex) Within(buf []int32, p Point, r float64) []int32 {
-	start := len(buf)
-	r2 := r * r
-	ix.VisitNear(p, ix.Rings(r), func(i int32) {
-		if ix.pts[i].Dist2(p) <= r2 {
-			buf = append(buf, i)
-		}
-	})
-	out := buf[start:]
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return buf
 }

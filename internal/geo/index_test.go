@@ -9,6 +9,22 @@ import (
 	"testing/quick"
 )
 
+// within returns the indices of every indexed point within distance r of p
+// (inclusive), in increasing index order: the exact query the index's
+// VisitNear and Rings must answer, checked below against brute force and a
+// map-keyed reference.
+func within(ix *CellIndex, p Point, r float64) []int32 {
+	var out []int32
+	r2 := r * r
+	ix.VisitNear(p, ix.Rings(r), func(i int32) {
+		if ix.pts[i].Dist2(p) <= r2 {
+			out = append(out, i)
+		}
+	})
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
+}
+
 func TestCellIndexWithinMatchesBruteForce(t *testing.T) {
 	f := func(seed uint32, nRaw uint8, cellRaw, rRaw uint8) bool {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -22,7 +38,7 @@ func TestCellIndexWithinMatchesBruteForce(t *testing.T) {
 		ix := BuildCellIndex(pts, cell)
 		for trial := 0; trial < 4; trial++ {
 			q := Point{X: rng.Float64()*120 - 60, Y: rng.Float64()*120 - 60}
-			got := ix.Within(nil, q, r)
+			got := within(ix, q, r)
 			var want []int32
 			for i := range pts {
 				if pts[i].Dist2(q) <= r*r {
@@ -93,7 +109,7 @@ func TestCellIndexNegativeCoordinates(t *testing.T) {
 	if a == b {
 		t.Fatalf("points on opposite sides of the origin share cell %+v", a)
 	}
-	got := ix.Within(nil, Point{-0.5, -0.5}, 0.1)
+	got := within(ix, Point{-0.5, -0.5}, 0.1)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("Within around (-0.5,-0.5) = %v, want [0]", got)
 	}
@@ -233,8 +249,8 @@ func TestCellIndexRebuildMatchesFreshBuild(t *testing.T) {
 		}
 		for trial := 0; trial < 20; trial++ {
 			q := Point{X: rng.Float64() * 60, Y: rng.Float64() * 60}
-			got := ix.Within(nil, q, 7)
-			want := fresh.Within(nil, q, 7)
+			got := within(ix, q, 7)
+			want := within(fresh, q, 7)
 			if len(got) != len(want) {
 				t.Fatalf("round %d: Within lengths differ: %v vs %v", round, got, want)
 			}
@@ -339,7 +355,7 @@ func checkAgainstMapIndex(t *testing.T, label string, ix *CellIndex, pts []Point
 			}
 		}
 		for _, r := range radii {
-			if got, want := ix.Within(nil, q, r), ref.within(q, r); !equalInt32s(got, want) {
+			if got, want := within(ix, q, r), ref.within(q, r); !equalInt32s(got, want) {
 				t.Fatalf("%s: Within(%v, %v) = %v, map reference %v", label, q, r, got, want)
 			}
 			got, ok := ix.NearestWithin(q, r)
@@ -449,14 +465,14 @@ func TestCellIndexHostileCoordinates(t *testing.T) {
 				t.Fatalf("table holds %d buckets and %d items for %d points, bound %d", len(ix.start)-1, len(ix.items), len(pts), limit)
 			}
 			// The sane points answer as if the hostile one were not there.
-			if got := ix.Within(nil, Point{X: 1.5, Y: 1.5}, 5); !equalInt32s(got, []int32{0, 1}) {
+			if got := within(ix, Point{X: 1.5, Y: 1.5}, 5); !equalInt32s(got, []int32{0, 1}) {
 				t.Errorf("Within near the origin = %v, want [0 1]", got)
 			}
 			if got, ok := ix.NearestWithin(Point{X: 29, Y: 0}, 10); !ok || got != 2 {
 				t.Errorf("NearestWithin = (%d, %v), want (2, true)", got, ok)
 			}
 			// A query from the hostile point finds itself iff it has a cell.
-			got := ix.Within(nil, tc.hostile, 10)
+			got := within(ix, tc.hostile, 10)
 			if want := tc.indexed; (len(got) == 1 && got[0] == 3) != want || (!want && len(got) != 0) {
 				t.Errorf("Within from the hostile point = %v, indexed = %v", got, tc.indexed)
 			}
@@ -467,11 +483,11 @@ func TestCellIndexHostileCoordinates(t *testing.T) {
 	// Hostile radii: defined, and bounded by the bounding box rather than by
 	// the radius.
 	ix := BuildCellIndex(sane, 10)
-	if got := ix.Within(nil, Point{X: 1, Y: 1}, nan); len(got) != 0 {
+	if got := within(ix, Point{X: 1, Y: 1}, nan); len(got) != 0 {
 		t.Errorf("Within(r=NaN) = %v, want nothing", got)
 	}
 	for _, r := range []float64{1e300, inf} {
-		if got := ix.Within(nil, Point{X: 1, Y: 1}, r); !equalInt32s(got, []int32{0, 1, 2}) {
+		if got := within(ix, Point{X: 1, Y: 1}, r); !equalInt32s(got, []int32{0, 1, 2}) {
 			t.Errorf("Within(r=%v) = %v, want every point", r, got)
 		}
 	}

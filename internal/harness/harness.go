@@ -3,7 +3,7 @@
 // registers a Descriptor — a name, a parameter grid, a seed list and a run
 // function returning typed rows — instead of printing an ad-hoc table. The
 // harness fans experiment×parameter×seed cells out over a bounded worker
-// pool (the sim.WithParallel idiom: fixed workers, results merged in
+// pool (the sim.WithWorkers idiom: fixed workers, results merged in
 // registration order, so output is byte-identical to a sequential run),
 // renders the classic text tables (Table), and emits the same rows as a
 // machine-readable JSON report. Every value in a table is a

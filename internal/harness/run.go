@@ -101,7 +101,7 @@ func Run(o Options) (*Suite, error) {
 		}
 		return suite, nil
 	}
-	// The sim.WithParallel idiom: a fixed pool drains a work queue, every
+	// The sim.WithWorkers idiom: a fixed pool drains a work queue, every
 	// worker writes only its own cell's slot, and slots were laid out in
 	// registry order up front — the merge is deterministic by construction.
 	queue := make(chan job)

@@ -12,25 +12,6 @@ func intn(seed int64) func(int) int {
 	return r.Intn
 }
 
-func TestStatic(t *testing.T) {
-	var m Static
-	p := geo.Point{X: 3, Y: 4}
-	if got := m.Move(0, p, intn(1)); got != p {
-		t.Errorf("Static moved: %v", got)
-	}
-}
-
-func TestLinear(t *testing.T) {
-	m := Linear{Velocity: geo.Vector{DX: 1, DY: -2}}
-	p := geo.Point{}
-	for i := 0; i < 3; i++ {
-		p = m.Move(0, p, intn(1))
-	}
-	if p != (geo.Point{X: 3, Y: -6}) {
-		t.Errorf("Linear after 3 rounds = %v, want (3,-6)", p)
-	}
-}
-
 func TestRandomWaypointStaysInAreaAndRespectsVMax(t *testing.T) {
 	area := geo.Rect{Min: geo.Point{}, Max: geo.Point{X: 50, Y: 50}}
 	m := &RandomWaypoint{Area: area, VMax: 2}
@@ -59,73 +40,6 @@ func TestRandomWaypointActuallyMoves(t *testing.T) {
 	}
 	if cur.Dist(start) == 0 {
 		t.Error("random waypoint never moved in 100 rounds")
-	}
-}
-
-func TestWaypointsTour(t *testing.T) {
-	tour := []geo.Point{{X: 10}, {X: 10, Y: 10}}
-	m := &Waypoints{Tour: tour, VMax: 5}
-	cur := geo.Point{}
-	// 2 steps to reach (10,0), then 2 to reach (10,10), then back.
-	for i := 0; i < 2; i++ {
-		cur = m.Move(0, cur, intn(1))
-	}
-	if cur != (geo.Point{X: 10}) {
-		t.Fatalf("after 2 steps: %v, want (10,0)", cur)
-	}
-	for i := 0; i < 2; i++ {
-		cur = m.Move(0, cur, intn(1))
-	}
-	if cur != (geo.Point{X: 10, Y: 10}) {
-		t.Fatalf("after 4 steps: %v, want (10,10)", cur)
-	}
-	// Tour cycles back toward the first waypoint.
-	cur = m.Move(0, cur, intn(1))
-	if cur.Dist(geo.Point{X: 10, Y: 10}) > 5+1e-9 {
-		t.Errorf("cycling step too large: %v", cur)
-	}
-}
-
-func TestWaypointsEmptyTour(t *testing.T) {
-	m := &Waypoints{VMax: 5}
-	p := geo.Point{X: 1, Y: 2}
-	if got := m.Move(0, p, intn(1)); got != p {
-		t.Errorf("empty tour moved node: %v", got)
-	}
-}
-
-func TestTetherStaysInRadius(t *testing.T) {
-	anchor := geo.Point{X: 5, Y: 5}
-	m := Tether{Anchor: anchor, Radius: 3, VMax: 1}
-	rnd := intn(11)
-	cur := anchor
-	for i := 0; i < 1000; i++ {
-		next := m.Move(0, cur, rnd)
-		if next.Dist(anchor) > 3+1e-9 {
-			t.Fatalf("step %d: tethered node escaped to %v", i, next)
-		}
-		if next.Dist(cur) > 2*1.0+1e-9 { // step bounded by sqrt(2)*VMax < 2*VMax
-			t.Fatalf("step %d: moved too far", i)
-		}
-		cur = next
-	}
-}
-
-func TestTetherMoves(t *testing.T) {
-	anchor := geo.Point{}
-	m := Tether{Anchor: anchor, Radius: 10, VMax: 1}
-	rnd := intn(13)
-	cur := anchor
-	moved := false
-	for i := 0; i < 50; i++ {
-		next := m.Move(0, cur, rnd)
-		if next != cur {
-			moved = true
-		}
-		cur = next
-	}
-	if !moved {
-		t.Error("tethered node never moved")
 	}
 }
 

@@ -36,29 +36,3 @@ func TestRandomWaypointSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("truncated blob accepted")
 	}
 }
-
-// TestWaypointsSnapshotRoundTrip pins the tour-position blob.
-func TestWaypointsSnapshotRoundTrip(t *testing.T) {
-	tour := []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 10, Y: 10}}
-	m := &Waypoints{Tour: tour, VMax: 3}
-	pos := geo.Point{X: 0, Y: 0}
-	for r := 0; r < 7; r++ {
-		pos = m.Move(0, pos, nil)
-	}
-
-	fresh := &Waypoints{Tour: tour, VMax: 3}
-	if err := fresh.RestoreState(m.AppendState(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.next != m.next {
-		t.Fatalf("restored next = %d, want %d", fresh.next, m.next)
-	}
-	a, b := pos, pos
-	for r := 0; r < 10; r++ {
-		a = m.Move(0, a, nil)
-		b = fresh.Move(0, b, nil)
-		if a != b {
-			t.Fatalf("round %d: restored mover at %+v, original at %+v", r, b, a)
-		}
-	}
-}

@@ -6,18 +6,6 @@ import (
 	"vinfra/internal/sim"
 )
 
-// None is the identity adversary: a channel that is collision-free (apart
-// from genuine contention) from round 0.
-type None struct{}
-
-// Filter implements Adversary.
-func (None) Filter(_ sim.Round, _ sim.NodeID, _ geo.Point, deliverable []sim.Transmission) []sim.Transmission {
-	return deliverable
-}
-
-// ForceCollision implements Adversary.
-func (None) ForceCollision(sim.Round, sim.NodeID, geo.Point) bool { return false }
-
 // RandomLoss drops each deliverable message independently with probability
 // P, and forces a spurious collision indication with probability
 // CollisionP, in every round before Until (the r_cf horizon). From Until
@@ -180,7 +168,10 @@ func (p *Partition) Filter(r sim.Round, receiver sim.NodeID, _ geo.Point, delive
 func (p *Partition) ForceCollision(sim.Round, sim.NodeID, geo.Point) bool { return false }
 
 // Compose chains adversaries: each Filter output feeds the next, and a
-// forced collision from any member is forced.
+// forced collision from any member is forced. It is how a deployment spec
+// stacks several jammers behind the medium's single Adversary slot; a
+// Compose of stateless members is itself stateless, so the shard mediums
+// may share it.
 type Compose []Adversary
 
 // Filter implements Adversary.

@@ -144,7 +144,7 @@ func TestShardMediumsShareAdversary(t *testing.T) {
 	}
 	want := run()
 	for _, k := range [][2]int{{2, 2}, {3, 3}} {
-		got := run(sim.WithParallel(), sim.WithRegionShards(k[0], k[1], radii.R2, func() sim.Medium {
+		got := run(sim.WithWorkers(0), sim.WithRegionShards(k[0], k[1], radii.R2, func() sim.Medium {
 			return MustMedium(cfg)
 		}))
 		if !reflect.DeepEqual(got, want) {

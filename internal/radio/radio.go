@@ -61,7 +61,7 @@ import (
 //
 // One Adversary value is typically shared by every shard medium of a
 // region-sharded engine, whose Deliver calls run concurrently under
-// sim.WithParallel and see only their own residents — so implementations
+// sim.WithWorkers and see only their own residents — so implementations
 // must be safe for concurrent use and must not depend on call order; derive
 // any randomness deterministically from (round, receiver) as RandomLoss
 // does.

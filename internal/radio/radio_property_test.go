@@ -54,7 +54,7 @@ func TestCompletenessProperty(t *testing.T) {
 				if tx.Sender == infos[i].ID {
 					continue
 				}
-				if !testRadii.CanReach(tx.From, infos[i].At) {
+				if !tx.From.Within(infos[i].At, testRadii.R1) {
 					continue
 				}
 				received := false
@@ -110,7 +110,7 @@ func TestAccuracyProperty(t *testing.T) {
 				if tx.Sender == infos[i].ID {
 					continue
 				}
-				if !testRadii.CanInterfere(tx.From, infos[i].At) {
+				if !tx.From.Within(infos[i].At, testRadii.R2) {
 					continue
 				}
 				received := false

@@ -342,17 +342,6 @@ func TestComposeAdversary(t *testing.T) {
 	}
 }
 
-func TestNoneAdversary(t *testing.T) {
-	var n None
-	txs := []sim.Transmission{tx(0, geo.Point{}, "m")}
-	if got := n.Filter(0, 1, geo.Point{}, txs); len(got) != 1 {
-		t.Error("None must pass everything through")
-	}
-	if n.ForceCollision(0, 1, geo.Point{}) {
-		t.Error("None must not force collisions")
-	}
-}
-
 func TestTwoIsolatedCellsNoCrosstalk(t *testing.T) {
 	// Two pairs far apart transmit simultaneously; each pair communicates
 	// cleanly — the spatial reuse that makes the VI schedule work.

@@ -91,3 +91,18 @@ func adversaryDigest(a Adversary) uint64 {
 	}
 	return uint64(wire.DigestOf([]byte(fmt.Sprintf("%T", a))))
 }
+
+// AppendFingerprint appends the members' fingerprints to dst in order, each
+// length-prefixed; a member without one contributes its type name, as a
+// lone adversary does in Snapshot.
+func (c Compose) AppendFingerprint(dst []byte) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(c)))
+	for _, a := range c {
+		if fp, ok := a.(sim.Fingerprinter); ok {
+			dst = wire.AppendBytes(dst, fp.AppendFingerprint(nil))
+		} else {
+			dst = wire.AppendString(dst, fmt.Sprintf("%T", a))
+		}
+	}
+	return dst
+}

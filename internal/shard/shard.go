@@ -159,13 +159,6 @@ func (p *Plan) HaloSpan(cx, cy int64) (c0, c1, r0, r1 int) {
 	return c0, c1, r0, r1
 }
 
-// IsBoundary reports whether cell (cx, cy) lies in its owner's boundary
-// band: a transmission from it reaches at least one other shard.
-func (p *Plan) IsBoundary(cx, cy int64) bool {
-	c0, c1, r0, r1 := p.HaloSpan(cx, cy)
-	return c0 != c1 || r0 != r1
-}
-
 // Split factors a shard count into a near-square cols x rows grid
 // (cols >= rows, cols*rows == n): 1 -> 1x1, 2 -> 2x1, 4 -> 2x2, 6 -> 3x2,
 // 8 -> 4x2, 9 -> 3x3. Prime counts degrade to n x 1.

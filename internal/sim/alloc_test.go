@@ -43,7 +43,7 @@ func TestEngineStepSteadyStateAllocs(t *testing.T) {
 		{"sequential", nil, 0},
 		{"parallel", []Option{WithWorkers(4)}, 0},
 		{"sharded-parallel", []Option{
-			WithWorkers(4), WithParallel(),
+			WithWorkers(4),
 			WithRegionShards(4, 2, 20, func() Medium { return &nullMedium{} }),
 		}, 0},
 		// One shard is the single-medium engine: same budget, and its plane

@@ -10,7 +10,7 @@ func benchEngine(b *testing.B, nodes int, parallel bool) {
 	defer SetGrain(ProductionGrain)() // measure what ships, not the tests' grain of one
 	opts := []Option{WithSeed(1)}
 	if parallel {
-		opts = append(opts, WithParallel())
+		opts = append(opts, WithWorkers(0))
 	}
 	e := NewEngine(perfectMedium{}, opts...)
 	for i := 0; i < nodes; i++ {
@@ -67,7 +67,7 @@ func benchEngineLarge(b *testing.B, nodes int, parallel bool) {
 	defer SetGrain(ProductionGrain)()
 	opts := []Option{WithSeed(1)}
 	if parallel {
-		opts = append(opts, WithParallel())
+		opts = append(opts, WithWorkers(0))
 	}
 	e := NewEngine(&nullMedium{}, opts...)
 	for i := 0; i < nodes; i++ {
@@ -94,7 +94,7 @@ func benchEngineSharded(b *testing.B, nodes int) {
 	e := NewEngine(nil,
 		WithSeed(1),
 		WithRegionShards(4, 2, 20, func() Medium { return &nullMedium{} }),
-		WithParallel(),
+		WithWorkers(0),
 		WithWorkers(8),
 	)
 	defer e.Close()

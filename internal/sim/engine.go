@@ -240,28 +240,22 @@ func WithSeed(seed int64) Option {
 	return func(e *Engine) { e.seed = seed }
 }
 
-// WithParallel lets each round's mobility, Transmit and Receive (and, with
+// WithWorkers lets each round's mobility, Transmit and Receive (and, with
 // WithRegionShards, the partition and the shard mediums' Deliver) fan out
 // across the engine's persistent worker runtime, one contiguous range of the
-// alive or awake list per chunk. A chunk is handed to a helper goroutine only
-// when it is worth a hand-off (see width): a phase with less work than that
-// runs on Step's goroutine, and a world that never has more never starts a
-// helper — below the grain WithParallel is the sequential path. The width is
-// decided once per phase, from the number of nodes the phase touches, and
-// results never depend on it: nodes share no state, per-node randomness is
-// keyed to the node, and whatever the chunks produce is merged in NodeID
-// order, so output is byte-identical to a sequential run at every width. A
-// Medium's Deliver stays on one goroutine: what parallelises propagation is
+// alive or awake list per chunk, in at most n chunks; n <= 0 means
+// runtime.GOMAXPROCS(0). n is an upper bound, not a demand: a chunk is
+// handed to a helper goroutine only when it is worth a hand-off (see
+// width), so a phase with less work than that runs on Step's goroutine, and
+// a world that never has more never starts a helper — below the grain a
+// parallel engine is the sequential path. The width is decided once per
+// phase, from the number of nodes the phase touches, and results never
+// depend on it: nodes share no state, per-node randomness is keyed to the
+// node, and whatever the chunks produce is merged in NodeID order, so
+// output is byte-identical to a sequential run at every width. A Medium's
+// Deliver stays on one goroutine: what parallelises propagation is
 // WithRegionShards, whose shard mediums deliver concurrently under this
 // option.
-func WithParallel() Option {
-	return func(e *Engine) { e.parallel = true }
-}
-
-// WithWorkers bounds every WithParallel fan-out — node ranges and region
-// shards alike — to n chunks (and implies WithParallel). n <= 0 means the
-// default, runtime.GOMAXPROCS(0). It is an upper bound, not a demand: see
-// WithParallel for when a phase uses fewer.
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		e.parallel = true
@@ -702,7 +696,7 @@ func (e *Engine) deliver(r Round, rxs []Reception) {
 }
 
 // fanout returns the most chunks a phase may run in: one without
-// WithParallel, else the WithWorkers bound, or GOMAXPROCS.
+// WithWorkers, else its bound, or GOMAXPROCS.
 func (e *Engine) fanout() int {
 	switch {
 	case !e.parallel:

@@ -230,7 +230,7 @@ func TestEngineDeterminismAcrossParallel(t *testing.T) {
 	run := func(parallel bool) [][]int {
 		opts := []Option{WithSeed(42)}
 		if parallel {
-			opts = append(opts, WithParallel())
+			opts = append(opts, WithWorkers(0))
 		}
 		e := NewEngine(perfectMedium{}, opts...)
 		nodes := make([]*randNode, 8)

@@ -50,7 +50,7 @@ func runEcho(nodes, rounds int, opts ...Option) ([][][]Message, []geo.Point) {
 func TestParallelEngineEqualsSequential(t *testing.T) {
 	const nodes, rounds = 33, 12
 	wantHeard, wantPos := runEcho(nodes, rounds)
-	for _, opt := range []Option{WithParallel(), WithWorkers(1), WithWorkers(3), WithWorkers(64)} {
+	for _, opt := range []Option{WithWorkers(0), WithWorkers(1), WithWorkers(3), WithWorkers(64)} {
 		for rep := 0; rep < 3; rep++ {
 			heard, pos := runEcho(nodes, rounds, opt)
 			if !reflect.DeepEqual(heard, wantHeard) {
@@ -116,12 +116,12 @@ func runChurnScenario(opts ...Option) churnResult {
 }
 
 // TestParallelChurnEqualsSequential extends the determinism contract to the
-// churn surface: mid-run Attach plus CrashAt/Leave/Crash under WithParallel
+// churn surface: mid-run Attach plus CrashAt/Leave/Crash under WithWorkers
 // must produce receptions, trajectories and liveness identical to the
 // sequential run.
 func TestParallelChurnEqualsSequential(t *testing.T) {
 	want := runChurnScenario()
-	for _, opt := range []Option{WithParallel(), WithWorkers(2), WithWorkers(5), WithWorkers(32)} {
+	for _, opt := range []Option{WithWorkers(0), WithWorkers(2), WithWorkers(5), WithWorkers(32)} {
 		for rep := 0; rep < 3; rep++ {
 			got := runChurnScenario(opt)
 			if !reflect.DeepEqual(got, want) {

@@ -18,7 +18,7 @@ func snapshotShardedEngine(n int) (*Engine, []*counterNode) {
 	e := NewEngine(nil,
 		WithSeed(42),
 		WithRegionShards(2, 2, 10, func() Medium { return diskMedium{r2: 10} }),
-		WithParallel(),
+		WithWorkers(0),
 		WithWorkers(3),
 	)
 	nodes := make([]*counterNode, n)
@@ -88,7 +88,7 @@ func TestPersistentPoolCloseMidRunEqualsSequential(t *testing.T) {
 	shardOpts := func(extra ...Option) []Option {
 		return append([]Option{
 			WithRegionShards(2, 2, 10, func() Medium { return diskMedium{r2: 10} }),
-			WithParallel(),
+			WithWorkers(0),
 			WithWorkers(4),
 		}, extra...)
 	}
@@ -100,7 +100,7 @@ func TestPersistentPoolCloseMidRunEqualsSequential(t *testing.T) {
 		{"pool", 0, shardOpts()},
 		{"pool-close-every-2", 2, shardOpts()},
 		{"pool-close-every-5", 5, shardOpts()},
-		{"parallel-unsharded", 3, []Option{WithParallel(), WithWorkers(4)}},
+		{"parallel-unsharded", 3, []Option{WithWorkers(4)}},
 	}
 	for _, tc := range cases {
 		heard, pos, alive, stats := runPoolScenario(rounds, tc.closeEvery, tc.opts...)

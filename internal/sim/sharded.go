@@ -26,7 +26,7 @@ import (
 // transmissions within the interference radius (the radio.Medium contract;
 // see the Medium docs in types.go).
 //
-// Under WithParallel the shard mediums deliver concurrently on the
+// Under WithWorkers the shard mediums deliver concurrently on the
 // engine's persistent worker runtime (the shards chunked over as many
 // workers as the awake receivers are worth, see Engine.width) and the
 // partition pass itself fans out as a per-chunk counting sort; without it

@@ -120,7 +120,7 @@ func runShardedScenario(rounds int, opts ...Option) ([][]Reception, []geo.Point,
 // TestRegionShardedEqualsSequential is the engine-level half of the
 // sharded determinism contract: for every shard grid — the 1x1 plan that
 // aliases the engine's own views included — sequential (the counting sort
-// at one chunk), under WithParallel, and under WithWorkers bounds of one
+// at one chunk), under WithWorkers(0), and under WithWorkers bounds of one
 // and three, the sharded engine's receptions, trajectories, liveness and
 // stats are byte-identical to the plain single-medium run — under churn
 // (mid-run attach, crashes, leaves) and cross-shard mobility.
@@ -133,7 +133,7 @@ func TestRegionShardedEqualsSequential(t *testing.T) {
 		opts  []Option
 	}{
 		{"sequential", nil},
-		{"parallel", []Option{WithParallel()}},
+		{"parallel", []Option{WithWorkers(0)}},
 		{"workers=1", []Option{WithWorkers(1)}},
 		{"workers=3", []Option{WithWorkers(3)}},
 	}

@@ -17,7 +17,7 @@ import (
 // not a wire trio of their own — the engine treats them as a blob inside
 // NodeSnapshot, which carries the canonical encoding.
 //
-// Entities with no mutable state (mobility.Static, stateless client
+// Entities with no mutable state (a nil Mover, stateless client
 // programs) simply do not implement the interface; the engine records an
 // empty blob for them and restoring a non-empty blob onto one is an error
 // (it means the snapshot was taken against a different deployment).

@@ -28,7 +28,7 @@ func stormSoak(cols, vrounds int) experiments.Soak {
 	return so
 }
 
-// TestParallelSmallWorldRunsInline: below the grain WithParallel is the
+// TestParallelSmallWorldRunsInline: below the grain WithWorkers is the
 // sequential path. The 7x7 storm world — 196 devices alive, a dozen of them
 // awake in most radio rounds — never has a second chunk's worth of work in
 // any phase, so in 300 virtual rounds nothing is handed to a helper and the
@@ -124,7 +124,7 @@ func TestChurningRoundCostsWhatIsAlive(t *testing.T) {
 }
 
 // TestParallelHelpersEqualInline runs the worlds the vi, spec and experiments
-// packages test under WithParallel — a few dozen devices, which at the
+// packages test under WithWorkers — a few dozen devices, which at the
 // production grain run every phase on Step's goroutine, as those packages'
 // own tests now do — with the grain at one node, so every phase of every
 // round is chunked across helper goroutines (and watched by the race
@@ -153,7 +153,7 @@ func TestParallelHelpersEqualInline(t *testing.T) {
 					t.Fatalf("after virtual round %d the checkpoint of the run chunked across helpers differs from the inline run's", vr)
 				}
 			}
-			// The soaks run WithParallel unbounded: GOMAXPROCS chunks, which on
+			// The soaks run WithWorkers(0), unbounded: GOMAXPROCS chunks, which on
 			// one processor is one.
 			if c := engineOf(helped).Counts(); c.Handoffs == 0 && (runtime.GOMAXPROCS(0) > 1 || !strings.HasPrefix(name, "E13")) {
 				t.Fatal("the run at a grain of one never handed a chunk to a helper")

@@ -176,7 +176,7 @@ type Env interface {
 }
 
 // Mover updates a node's position once per round. Implementations live in
-// internal/mobility; Static nodes use nil.
+// internal/mobility; static nodes use nil.
 type Mover interface {
 	// Move returns the position for the next round given the current one.
 	// Displacement per round must not exceed the model's vmax. rnd draws

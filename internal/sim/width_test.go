@@ -43,7 +43,7 @@ func TestParallelWidthFollowsWork(t *testing.T) {
 		e.Close()
 	}
 	if k := NewEngine(&nullMedium{}).width(100_000); k != 1 {
-		t.Fatalf("an engine without WithParallel is %d chunks wide", k)
+		t.Fatalf("an engine without WithWorkers is %d chunks wide", k)
 	}
 }
 

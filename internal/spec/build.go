@@ -10,7 +10,6 @@ import (
 	"vinfra/internal/checkpoint"
 	"vinfra/internal/cm"
 	"vinfra/internal/det"
-	"vinfra/internal/faults"
 	"vinfra/internal/geo"
 	"vinfra/internal/mobility"
 	"vinfra/internal/radio"
@@ -133,7 +132,7 @@ func Build(s Spec) (*World, error) {
 	}
 	switch s.App {
 	case "tracker":
-		cfg.Program = apps.TrackerProgram(sched, apps.TrackerConfig{})
+		cfg.Program = apps.TrackerProgram(sched)
 	case "router":
 		cfg.Program = apps.RouterProgram(sched, locs)
 	case "lock":
@@ -163,7 +162,7 @@ func Build(s Spec) (*World, error) {
 		Max: geo.Point{X: bounds.Max.X + fieldPad, Y: bounds.Max.Y + fieldPad},
 	}
 
-	var jammers faults.Jammers
+	var jammers radio.Compose
 	for i := range s.Faults {
 		if s.Faults[i].IsJammer() {
 			jammers = append(jammers, s.Faults[i].jammer(area, locs))
@@ -183,7 +182,7 @@ func Build(s Spec) (*World, error) {
 	}
 	engOpts := []sim.Option{sim.WithSeed(s.Seed)}
 	if s.Engine.Parallel {
-		engOpts = append(engOpts, sim.WithWorkers(s.Engine.Workers)) // 0 = unbounded WithParallel
+		engOpts = append(engOpts, sim.WithWorkers(s.Engine.Workers)) // 0 = GOMAXPROCS chunks
 	}
 	if s.Engine.Shards > 0 {
 		cols, rows := shard.Split(s.Engine.Shards)

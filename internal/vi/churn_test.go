@@ -2,6 +2,7 @@ package vi_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"vinfra/internal/cd"
@@ -15,8 +16,9 @@ import (
 )
 
 // TestMobileReplicasWithBackoffCM runs a single virtual node emulated by
-// devices that jitter around the region under the default regional backoff
-// contention manager — no oracle anywhere. The virtual node must make
+// devices that wander inside the region (random waypoints in the square
+// inscribed in the radius-1 disk around the location) under the default
+// regional backoff contention manager — no oracle anywhere. The virtual node must make
 // progress (green rounds) once the election settles, and replicas must
 // stay consistent.
 func TestMobileReplicasWithBackoffCM(t *testing.T) {
@@ -35,11 +37,16 @@ func TestMobileReplicasWithBackoffCM(t *testing.T) {
 	medium := radio.MustMedium(radio.Config{Radii: testRadii, Detector: cd.AC{}, Seed: 5})
 	eng := sim.NewEngine(medium, sim.WithSeed(5))
 
+	half := 1 / math.Sqrt2
+	wander := geo.Rect{
+		Min: geo.Point{X: locs[0].X - half, Y: locs[0].Y - half},
+		Max: geo.Point{X: locs[0].X + half, Y: locs[0].Y + half},
+	}
 	var emulators []*vi.Emulator
 	greens := make(map[sim.NodeID]int)
 	for i := 0; i < 4; i++ {
-		pos := geo.Point{X: 0.3 * float64(i), Y: 0.1}
-		eng.Attach(pos, mobility.Tether{Anchor: locs[0], Radius: 1.0, VMax: vmax}, func(env sim.Env) sim.Node {
+		pos := geo.Point{X: 0.2 * float64(i), Y: 0.1}
+		eng.Attach(pos, &mobility.RandomWaypoint{Area: wander, VMax: vmax}, func(env sim.Env) sim.Node {
 			em := dep.NewEmulator(env, true)
 			id := env.ID()
 			em.SetHooks(vi.EmulatorHooks{
@@ -81,9 +88,9 @@ func TestMobileReplicasWithBackoffCM(t *testing.T) {
 	}
 }
 
-// TestTravelerJoinsRemoteRegion drives a device from one region to another;
-// it must leave the first virtual node and join the second via the join
-// protocol.
+// TestTravelerJoinsRemoteRegion drives a device from one region to another
+// (0.35 units a round toward region 1, set before each round); it must leave
+// the first virtual node and join the second via the join protocol.
 func TestTravelerJoinsRemoteRegion(t *testing.T) {
 	locs := []geo.Point{{X: 0, Y: 0}, {X: 60, Y: 0}}
 	tb := newTestbed(t, testbedOpts{
@@ -94,7 +101,8 @@ func TestTravelerJoinsRemoteRegion(t *testing.T) {
 	// A traveler starts in region 0 and marches toward region 1.
 	var traveler *vi.Emulator
 	joins := make(map[vi.VNodeID]int)
-	tb.eng.Attach(geo.Point{X: 0.5, Y: 0}, &mobility.Waypoints{Tour: []geo.Point{{X: 60, Y: 0}}, VMax: 0.35}, func(env sim.Env) sim.Node {
+	pos := geo.Point{X: 0.5, Y: 0}
+	id := tb.eng.Attach(pos, nil, func(env sim.Env) sim.Node {
 		traveler = tb.dep.NewEmulator(env, true)
 		traveler.SetHooks(vi.EmulatorHooks{
 			OnJoin: func(v vi.VNodeID, vr int) { joins[v] = vr },
@@ -104,10 +112,14 @@ func TestTravelerJoinsRemoteRegion(t *testing.T) {
 
 	// 60 units at 0.35/round needs ~170 rounds = ~14 vrounds (s=1: 13
 	// rounds per vround); run enough for arrival plus the join handshake.
-	tb.runVRounds(30)
+	for r := 0; r < 30*tb.dep.Timing().RoundsPerVRound(); r++ {
+		pos.X = min(pos.X+0.35, locs[1].X)
+		tb.eng.SetPosition(id, pos)
+		tb.eng.Step()
+	}
 
 	if traveler.VNode() != 1 {
-		t.Fatalf("traveler serves VN %d, want 1 (pos %v)", traveler.VNode(), tb.eng.Position(4))
+		t.Fatalf("traveler serves VN %d, want 1 (pos %v)", traveler.VNode(), tb.eng.Position(id))
 	}
 	if !traveler.Joined() {
 		t.Fatal("traveler never joined the destination virtual node")

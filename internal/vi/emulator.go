@@ -627,7 +627,7 @@ func (e *Emulator) observeBallots(r sim.Round, rx sim.Reception) {
 	}
 	b, heard := cha.MinBallotOf(rx.Msgs)
 	e.core.ObserveMinBallot(b, heard, rx.Collision)
-	e.mgr.Observe(r, ballotFeedback(e.broadcastBallot, heard, rx.Collision))
+	e.mgr.Observe(r, cm.FeedbackOf(e.broadcastBallot, heard, rx.Collision))
 }
 
 // finishInstance closes the instance at the final veto phase, folds green
@@ -692,17 +692,4 @@ func hasJoinReq(msgs []sim.Message) bool {
 		}
 	}
 	return false
-}
-
-func ballotFeedback(broadcast, gotBallot, collision bool) cm.Feedback {
-	switch {
-	case collision:
-		return cm.FeedbackCollision
-	case broadcast && gotBallot:
-		return cm.FeedbackWon
-	case gotBallot:
-		return cm.FeedbackLost
-	default:
-		return cm.FeedbackSilence
-	}
 }

@@ -41,7 +41,7 @@ func TestFullStackParallelDeterminism(t *testing.T) {
 		})
 		opts := []sim.Option{sim.WithSeed(17)}
 		if parallel {
-			opts = append(opts, sim.WithParallel())
+			opts = append(opts, sim.WithWorkers(0))
 		}
 		eng := sim.NewEngine(medium, opts...)
 

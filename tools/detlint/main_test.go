@@ -1,6 +1,8 @@
 package main
 
 import (
+	"go/ast"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -30,6 +32,176 @@ func TestRepoIsClean(t *testing.T) {
 			t.Errorf("%s", f)
 		}
 	}
+}
+
+// exportAllow lists the exported funcs and types under internal/ that only
+// tests reach on purpose: instruments a test drives, not dead capability.
+var exportAllow = map[string]string{
+	"vinfra/internal/radio.NewPartition":   "the radio tests' constructor of a partition adversary",
+	"vinfra/internal/vi.DecodeJoinAckMsg":  "closes the join-ack codec pair that wirecomplete requires; the fuzz test drives it",
+	"vinfra/internal/apps.DeliverMsg":      "builds the delivery broadcast the router tests parse",
+	"vinfra/internal/apps.RelayMsg":        "builds the relay broadcast the greedy-rule test feeds a virtual node",
+	"vinfra/internal/apps.RegisterProgram": "the failover test's virtual node program, which no spec app names",
+	"vinfra/internal/apps.RegisterWriter":  "the failover test's writing client for RegisterProgram",
+}
+
+// TestExportsHaveCallers holds production code to what a front end runs:
+// every exported package-level func or type under internal/ must be
+// referenced by non-test code of the root module or bench/, outside its own
+// declaration (a type's methods do not keep it alive). Capability only its
+// own tests reach is deleted, not kept; exportAllow names the exceptions.
+func TestExportsHaveCallers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole parent module and bench/")
+	}
+	root, err := load.Packages("../..", "./...")
+	if err != nil {
+		t.Fatalf("loading vinfra: %v", err)
+	}
+	bench, err := load.Packages("../../bench", "./...")
+	if err != nil {
+		t.Fatalf("loading vinfra/bench: %v", err)
+	}
+	used := map[string]bool{}
+	for _, pkg := range append(root, bench...) {
+		markReferences(pkg, used)
+	}
+	for _, pkg := range root {
+		if !strings.HasPrefix(pkg.ImportPath, "vinfra/internal/") {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			key := objectKey(obj)
+			if !obj.Exported() || key == "" || used[key] {
+				continue
+			}
+			if _, ok := exportAllow[key]; ok {
+				continue
+			}
+			t.Errorf("%s: %s has no caller outside tests", pkg.Fset.Position(obj.Pos()), key)
+		}
+	}
+	for key := range exportAllow {
+		switch {
+		case used[key]:
+			t.Errorf("exportAllow names %s, which non-test code now references", key)
+		case !declared(root, key):
+			t.Errorf("exportAllow names %s, which no longer exists", key)
+		}
+	}
+}
+
+// objectKey names a package-level func or type as "importpath.Name"; any
+// other object (a method, field, var or const) yields "".
+func objectKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil {
+		return ""
+	}
+	switch o := obj.(type) {
+	case *types.Func:
+		if o.Type().(*types.Signature).Recv() != nil {
+			return ""
+		}
+	case *types.TypeName:
+		if o.Parent() != nil && o.Parent() != o.Pkg().Scope() {
+			return "" // a type declared inside a function
+		}
+	default:
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// markReferences adds to used every package-level func or type that pkg
+// names or whose values it handles, skipping a declaration's references to
+// itself (a recursive call, a method's receiver).
+func markReferences(pkg *load.Package, used map[string]bool) {
+	var mark func(typ types.Type, owner string)
+	mark = func(typ types.Type, owner string) {
+		switch t := typ.(type) {
+		case *types.Named:
+			if key := objectKey(t.Obj()); key != "" && key != owner {
+				used[key] = true
+			}
+			for i := 0; i < t.TypeArgs().Len(); i++ {
+				mark(t.TypeArgs().At(i), owner)
+			}
+		case *types.Pointer:
+			mark(t.Elem(), owner)
+		case *types.Slice:
+			mark(t.Elem(), owner)
+		case *types.Array:
+			mark(t.Elem(), owner)
+		case *types.Map:
+			mark(t.Key(), owner)
+			mark(t.Elem(), owner)
+		case *types.Chan:
+			mark(t.Elem(), owner)
+		}
+	}
+	for _, file := range pkg.Syntax {
+		for _, decl := range file.Decls {
+			owner := declOwner(pkg, decl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if key := objectKey(pkg.Info.Uses[id]); key != "" && key != owner {
+						used[key] = true
+					}
+				}
+				if e, ok := n.(ast.Expr); ok {
+					if tv, ok := pkg.Info.Types[e]; ok && tv.Type != nil {
+						mark(tv.Type, owner)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// declOwner is the key of the object a top-level declaration defines: the
+// func, or the receiver's type for a method, or the type of a one-type
+// declaration; "" for anything else.
+func declOwner(pkg *load.Package, decl ast.Decl) string {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil {
+			return objectKey(pkg.Info.Defs[d.Name])
+		}
+		recv := d.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		switch r := recv.(type) {
+		case *ast.IndexExpr:
+			recv = r.X
+		case *ast.IndexListExpr:
+			recv = r.X
+		}
+		if id, ok := recv.(*ast.Ident); ok {
+			return objectKey(pkg.Info.Uses[id])
+		}
+	case *ast.GenDecl:
+		if len(d.Specs) == 1 {
+			if ts, ok := d.Specs[0].(*ast.TypeSpec); ok {
+				return objectKey(pkg.Info.Defs[ts.Name])
+			}
+		}
+	}
+	return ""
+}
+
+// declared reports whether key names a package-level func or type of root.
+func declared(root []*load.Package, key string) bool {
+	dot := strings.LastIndex(key, ".")
+	for _, pkg := range root {
+		if pkg.ImportPath == key[:dot] {
+			return objectKey(pkg.Types.Scope().Lookup(key[dot+1:])) == key
+		}
+	}
+	return false
 }
 
 // buildDetlint compiles this command into dir and returns the binary path.
