@@ -50,7 +50,9 @@
 //     message arena, stamped grid, sender order) lives on the Medium as
 //     flat slices, so steady-state delivery allocates nothing: a
 //     reception's messages are a window onto the arena, valid until the
-//     receiver's Receive returns.
+//     receiver's Receive returns. A Medium keeps no state between rounds,
+//     so a checkpoint records only its configuration fingerprint
+//     (Medium.AppendFingerprint), and a restore compares it.
 //   - cd, cm: the model's collision detector classes and contention
 //     managers. Both have exact-behavior unit tests under injected
 //     jamming: adversarial collision patterns produce precisely the
@@ -86,7 +88,11 @@
 //     as unavailable. Devices sleep through the radio rounds they have no
 //     part in: a Client takes part in two of a virtual round's s+12, an
 //     Emulator in the phases and the one ballot slot of its own virtual
-//     node — seven or eight as a replica, four or one as a joiner.
+//     node — seven or eight as a replica, four or one as a joiner. Both
+//     checkpoint the one way every stateful node part does: AppendState
+//     and RestoreState (sim.Snapshotter) write and read their live fields
+//     straight to and from a wire blob, the contention manager's and the
+//     client program's blobs nested inside.
 //   - apps, baseline: applications on top of the infrastructure and the
 //     baselines the paper argues against. Application payloads and states
 //     are canonical wire encodings (a one-byte kind tag plus fixed field

@@ -31,11 +31,8 @@ func encodeLockState(dst []byte, s LockState) []byte {
 func decodeLockState(d *wire.Decoder) (LockState, error) {
 	var s LockState
 	s.Holder = d.String()
-	n := d.Uvarint()
-	if d.Err() != nil || n > uint64(d.Rem()) {
-		return LockState{}, wire.ErrMalformed
-	}
-	for i := uint64(0); i < n; i++ {
+	n := d.Count()
+	for i := 0; i < n; i++ {
 		s.Queue = append(s.Queue, d.String())
 	}
 	return s, d.Err()

@@ -87,19 +87,16 @@ func decodeRouterState(d *wire.Decoder) (RouterState, error) {
 	s.Loc.X = d.Float64()
 	s.Loc.Y = d.Float64()
 	decodePackets := func() ([]Packet, error) {
-		n := d.Uvarint()
-		if d.Err() != nil || n > uint64(d.Rem()) {
-			return nil, wire.ErrMalformed
-		}
+		n := d.Count()
 		var out []Packet
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			p, err := decodePacket(d)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, p)
 		}
-		return out, nil
+		return out, d.Err()
 	}
 	var err error
 	if s.Pending, err = decodePackets(); err != nil {
@@ -108,11 +105,8 @@ func decodeRouterState(d *wire.Decoder) (RouterState, error) {
 	if s.Delivered, err = decodePackets(); err != nil {
 		return RouterState{}, err
 	}
-	n := d.Uvarint()
-	if d.Err() != nil || n > uint64(d.Rem()) {
-		return RouterState{}, wire.ErrMalformed
-	}
-	for i := uint64(0); i < n; i++ {
+	n := d.Count()
+	for i := 0; i < n; i++ {
 		s.Seen = append(s.Seen, d.String())
 	}
 	return s, d.Err()

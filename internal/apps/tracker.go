@@ -55,18 +55,15 @@ func encodeTrackerState(dst []byte, s TrackerState) []byte {
 
 func decodeTrackerState(d *wire.Decoder) (TrackerState, error) {
 	var s TrackerState
-	n := d.Uvarint()
-	if d.Err() != nil || n > uint64(d.Rem()) {
-		return TrackerState{}, wire.ErrMalformed
-	}
-	for i := uint64(0); i < n; i++ {
+	n := d.Count()
+	for i := 0; i < n; i++ {
 		sg, err := decodeSighting(d)
 		if err != nil {
 			return TrackerState{}, err
 		}
 		s.Sightings = append(s.Sightings, sg)
 	}
-	return s, nil
+	return s, d.Err()
 }
 
 func (s *TrackerState) upsert(sg Sighting) {
@@ -145,12 +142,9 @@ func ParseDigest(payload []byte) ([]Sighting, bool) {
 	if !ok {
 		return nil, false
 	}
-	n := d.Uvarint()
-	if d.Err() != nil || n > uint64(d.Rem()) {
-		return nil, false
-	}
+	n := d.Count()
 	var out []Sighting
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		sg, err := decodeSighting(&d)
 		if err != nil {
 			return nil, false

@@ -353,11 +353,8 @@ func DecodeCoreSnapshot(d *wire.Decoder) (CoreSnapshot, error) {
 	s.Floor = Instance(d.Uvarint())
 	s.K = Instance(d.Uvarint())
 	s.Prev = Instance(d.Uvarint())
-	nb := d.Uvarint()
-	if d.Err() != nil || nb > uint64(d.Rem()) {
-		return CoreSnapshot{}, wire.ErrMalformed
-	}
-	for i := uint64(0); i < nb; i++ {
+	nb := d.Count()
+	for i := 0; i < nb; i++ {
 		k := Instance(d.Uvarint())
 		v := d.Bytes()
 		prev := Instance(d.Uvarint())
@@ -367,11 +364,8 @@ func DecodeCoreSnapshot(d *wire.Decoder) (CoreSnapshot, error) {
 		s.BallotKeys = append(s.BallotKeys, k)
 		s.Ballots = append(s.Ballots, Ballot{V: ValueOf(append([]byte(nil), v...)), Prev: prev})
 	}
-	ns := d.Uvarint()
-	if d.Err() != nil || ns > uint64(d.Rem()) {
-		return CoreSnapshot{}, wire.ErrMalformed
-	}
-	for i := uint64(0); i < ns; i++ {
+	ns := d.Count()
+	for i := 0; i < ns; i++ {
 		k := Instance(d.Uvarint())
 		c := Color(d.Uvarint())
 		if d.Err() != nil {
@@ -382,6 +376,9 @@ func DecodeCoreSnapshot(d *wire.Decoder) (CoreSnapshot, error) {
 		}
 		s.StatusKeys = append(s.StatusKeys, k)
 		s.Statuses = append(s.Statuses, c)
+	}
+	if err := d.Err(); err != nil {
+		return CoreSnapshot{}, err
 	}
 	return s, nil
 }

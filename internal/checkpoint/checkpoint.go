@@ -1,18 +1,20 @@
 // Package checkpoint composes the per-layer snapshots into one versioned,
 // self-validating checkpoint file: the engine layer (sim.EngineSnapshot,
-// which carries every node's Snapshotter blob), the medium's configuration
-// fingerprint, the vi.Monitor accounting, and an opaque driver blob for
-// whatever the experiment loop itself must remember (virtual-round cursor,
-// churn counters, rosters). Encode frames the body with a magic string, a
-// format version and a trailing wire.Digest, so ReadFile can reject
-// truncated, corrupted or foreign files before any layer sees the bytes.
+// which carries every node's sim.Snapshotter blob — emulators, clients,
+// movers and the contention managers and programs inside them), the
+// medium's configuration fingerprint (radio.Medium.AppendFingerprint,
+// compared on restore, never decoded), the vi.Monitor accounting, and an
+// opaque driver blob for whatever the experiment loop itself must remember
+// (virtual-round cursor, churn counters, rosters). Encode frames the body
+// with a magic string, a format version and a trailing wire.Digest, so
+// ReadFile can reject truncated, corrupted or foreign files before any
+// layer sees the bytes.
 package checkpoint
 
 import (
 	"fmt"
 	"os"
 
-	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 	"vinfra/internal/vi"
 	"vinfra/internal/wire"
@@ -28,8 +30,10 @@ const (
 // Checkpoint is one suspended run: everything needed to resume it on a
 // freshly rebuilt deployment.
 type Checkpoint struct {
-	Engine  sim.EngineSnapshot
-	Medium  radio.MediumSnapshot
+	Engine sim.EngineSnapshot
+	// Medium is the medium's fingerprint (radio.Medium.AppendFingerprint):
+	// a restore refuses a rebuilt medium that writes other bytes.
+	Medium  []byte
 	Monitor vi.MonitorSnapshot
 	// Driver is the experiment driver's own state, opaque at this layer.
 	Driver []byte
@@ -39,7 +43,7 @@ type Checkpoint struct {
 // the file framing; see Encode) to dst.
 func (c Checkpoint) AppendTo(dst []byte) []byte {
 	dst = wire.AppendBytes(dst, c.Engine.AppendTo(nil))
-	dst = wire.AppendBytes(dst, c.Medium.AppendTo(nil))
+	dst = wire.AppendBytes(dst, c.Medium)
 	dst = wire.AppendBytes(dst, c.Monitor.AppendTo(nil))
 	return wire.AppendBytes(dst, c.Driver)
 }
@@ -47,7 +51,7 @@ func (c Checkpoint) AppendTo(dst []byte) []byte {
 // WireSize returns the exact encoded size of the checkpoint body.
 func (c Checkpoint) WireSize() int {
 	return wire.BytesSize(c.Engine.WireSize()) +
-		wire.BytesSize(c.Medium.WireSize()) +
+		wire.BytesSize(len(c.Medium)) +
 		wire.BytesSize(c.Monitor.WireSize()) +
 		wire.BytesSize(len(c.Driver))
 }
@@ -62,11 +66,7 @@ func DecodeCheckpoint(b []byte) (Checkpoint, error) {
 		return Checkpoint{}, err
 	}
 	c.Engine = eng
-	med, err := radio.DecodeMediumSnapshot(d.Bytes())
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	c.Medium = med
+	c.Medium = append([]byte(nil), d.Bytes()...)
 	mon, err := vi.DecodeMonitorSnapshot(d.Bytes())
 	if err != nil {
 		return Checkpoint{}, err

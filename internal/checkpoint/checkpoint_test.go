@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"vinfra/internal/cd"
 	"vinfra/internal/cha"
+	"vinfra/internal/geo"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 	"vinfra/internal/vi"
@@ -28,10 +30,9 @@ func sampleCheckpoint() Checkpoint {
 			CrashRounds: []sim.Round{20},
 			CrashIDs:    [][]sim.NodeID{{0, 1}},
 		},
-		Medium: radio.MediumSnapshot{
-			R1: 10, R2: 20, GrayZoneDeliveryProb: 0.25, Seed: 42,
-			Adversary: 99, Detector: "cd.AC",
-		},
+		Medium: radio.MustMedium(radio.Config{
+			Radii: geo.Radii{R1: 10, R2: 20}, Detector: cd.AC{}, GrayZoneDeliveryProb: 0.25, Seed: 42,
+		}).AppendFingerprint(nil),
 		Monitor: vi.MonitorSnapshot{
 			VNodes: []vi.VNodeID{0, 2},
 			Tops:   []cha.Instance{5, 3},
@@ -54,7 +55,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.AppendTo(nil), b) {
 		t.Fatal("re-encoding the decoded checkpoint changes bytes")
 	}
-	if !reflect.DeepEqual(got.Engine, c.Engine) || got.Medium != c.Medium {
+	if !reflect.DeepEqual(got.Engine, c.Engine) || !bytes.Equal(got.Medium, c.Medium) {
 		t.Fatal("decoded layers differ from the originals")
 	}
 }

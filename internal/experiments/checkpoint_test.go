@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vinfra/internal/checkpoint"
@@ -213,9 +214,6 @@ func TestEngineFork(t *testing.T) {
 
 	fork := func(seed int64) []byte {
 		f := mk()
-		if err := f.w.Medium.Restore(cp.Medium); err != nil {
-			t.Fatal(err)
-		}
 		if err := f.w.Eng.Fork(cp.Engine, seed); err != nil {
 			t.Fatal(err)
 		}
@@ -298,5 +296,25 @@ func TestSoakRestoreRejectsHostileDriver(t *testing.T) {
 				t.Fatal("Restore accepted the hostile driver blob")
 			}
 		})
+	}
+}
+
+// TestSoakRestoreRejectsOtherMedium: a soak checkpoint whose medium
+// fingerprint is not the rebuilt medium's is refused, with the medium named.
+func TestSoakRestoreRejectsOtherMedium(t *testing.T) {
+	mk := func() Soak {
+		s, err := NewSoak("E13", &harness.Cell{Params: e13Desc.Grid(true)[0], Seed: 1}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	src := mk()
+	src.StepVRound()
+	cp := src.Checkpoint()
+	cp.Medium = append([]byte(nil), cp.Medium...)
+	cp.Medium[0] ^= 1
+	if err := mk().Restore(cp); err == nil || !strings.Contains(err.Error(), "medium") {
+		t.Fatalf("Restore of a checkpoint with another medium fingerprint: err %v, want the medium named", err)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -87,8 +88,8 @@ func soakCheckpoint(w *spec.World, driver []byte) checkpoint.Checkpoint {
 // must have re-attached every mid-run joiner first so the node population
 // matches.
 func soakRestore(w *spec.World, cp checkpoint.Checkpoint) error {
-	if err := w.Medium.Restore(cp.Medium); err != nil {
-		return err
+	if !bytes.Equal(cp.Medium, w.Medium.AppendFingerprint(nil)) {
+		return fmt.Errorf("the checkpoint's medium fingerprint differs from the rebuilt medium's")
 	}
 	if err := w.Eng.Restore(cp.Engine); err != nil {
 		return err
@@ -212,16 +213,6 @@ type churnState struct {
 	extras                   []int
 }
 
-// decodeCount reads an element count and rejects one the remaining bytes
-// cannot hold (every element is at least one byte).
-func decodeCount(d *wire.Decoder) (int, error) {
-	n := d.Uvarint()
-	if n > uint64(d.Rem()) {
-		return 0, wire.ErrMalformed
-	}
-	return int(n), nil
-}
-
 // decodeDriver reads an appendDriver blob. It comes from a checkpoint file,
 // so nothing in it is trusted: every count is bounded by the bytes left
 // before anything is sized from it, every joiner's region must exist, and
@@ -242,18 +233,12 @@ func (s *churnSoak) decodeDriver(d *wire.Decoder) (churnState, error) {
 	}
 	st.rosters = make([][]sim.NodeID, nv)
 	for i := range st.rosters {
-		n, err := decodeCount(d)
-		if err != nil {
-			return st, err
-		}
+		n := d.Count()
 		for j := 0; j < n; j++ {
 			st.rosters[i] = append(st.rosters[i], sim.NodeID(d.Uvarint()))
 		}
 	}
-	nx, err := decodeCount(d)
-	if err != nil {
-		return st, err
-	}
+	nx := d.Count()
 	for i := 0; i < nx; i++ {
 		v := d.Uvarint()
 		if v >= uint64(nv) {
@@ -393,10 +378,7 @@ func (s *metroSoak) restore(cp checkpoint.Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	nl, err := decodeCount(&d)
-	if err != nil {
-		return err
-	}
+	nl := d.Count()
 	latencies := make([]int64, 0, nl)
 	for i := 0; i < nl; i++ {
 		latencies = append(latencies, d.Varint())

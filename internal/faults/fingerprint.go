@@ -4,11 +4,12 @@
 // afresh by every strike before it reads them) — so a checkpoint needs only
 // the configuration, and these encodings exist to fingerprint it: each
 // adversary is a sim.Fingerprinter, sim.Engine.Restore folds every
-// registered fault's fingerprint into a digest, radio.Medium.Restore does
-// the same for its adversary, and both refuse a snapshot taken under a
-// different adversary set. The encodings are one-way: nothing decodes
-// them. Eligible/Respawn closures are code, not state; they are excluded
-// and must be rebuilt by the driver that reconstructs the deployment.
+// registered fault's fingerprint into a digest, radio.Medium's fingerprint
+// does the same for its adversary, and a restore refuses a checkpoint
+// taken under a different adversary set. The encodings are one-way:
+// nothing decodes them. Eligible/Respawn closures are code, not state; they
+// are excluded and must be rebuilt by the driver that reconstructs the
+// deployment.
 //
 // The bytes are frozen: EngineSnapshot.FaultDigest and every pinned
 // checkpoint digest fold them in (TestAdversaryFingerprintsPinned).

@@ -52,6 +52,21 @@ func TestAdversaryFingerprintsPinned(t *testing.T) {
 			},
 		}, "022c0100000000000000f0bf000000000000f0bf000000000000224000000000000022400000000000000440061a" +
 			"2f0400020000000000000000000000000000000000000000000018400000000000000000000000000000044018060422"},
+		// A medium jammed by that stack: the checkpoint's medium section,
+		// which folds the stack's fingerprint into its adversary digest.
+		{radio.MustMedium(radio.Config{
+			Radii: geo.Radii{R1: 10, R2: 20}, Detector: cd.AC{}, GrayZoneDeliveryProb: 0.25, Seed: 7,
+			Adversary: radio.Compose{
+				&CellJammer{
+					Window: Window{From: 1}, Bounds: geo.Rect{Min: geo.Point{X: -1, Y: -1}, Max: geo.Point{X: 9, Y: 9}},
+					CellSize: 2.5, Cells: 3, Seed: 13,
+				},
+				&RegionJammer{
+					Window: Window{From: 4}, Targets: []geo.Point{{X: 0, Y: 0}, {X: 6, Y: 0}},
+					Radius: 2.5, Period: 12, Burst: 3, Rotate: 2, Seed: 17,
+				},
+			},
+		}), "00000000000024400000000000003440000000000000d03f0e83a32f55e55628060563642e4143"},
 	}
 	for _, c := range cases {
 		if got := hex.EncodeToString(c.f.AppendFingerprint(nil)); got != c.want {
@@ -76,9 +91,10 @@ func TestAdversaryEncodingsOmitClosures(t *testing.T) {
 }
 
 // TestComposeFingerprintFoldsMembers: a medium whose adversary is a stack
-// of jammers refuses the snapshot of a medium stacking different ones. The
-// radio.Compose fingerprint folds its members in order, so {A, B} differs
-// from {A, C} and from {B, A}.
+// of jammers fingerprints apart from a medium stacking different ones, so
+// a restore refuses the other's checkpoint. The radio.Compose fingerprint
+// folds its members in order, so {A, B} differs from {A, C} and from
+// {B, A}.
 func TestComposeFingerprintFoldsMembers(t *testing.T) {
 	a := &CellJammer{CellSize: 6, Cells: 2, Seed: 1}
 	b := &RegionJammer{Targets: []geo.Point{{X: 0, Y: 0}}, Radius: 2.5, Seed: 2}
@@ -88,13 +104,13 @@ func TestComposeFingerprintFoldsMembers(t *testing.T) {
 			Radii: geo.Radii{R1: 10, R2: 20}, Detector: cd.AC{}, Seed: 1, Adversary: adv,
 		})
 	}
-	snap := medium(radio.Compose{a, b}).Snapshot()
-	if err := medium(radio.Compose{a, b}).Restore(snap); err != nil {
-		t.Fatalf("the same jammer stack refuses its own snapshot: %v", err)
+	fp := medium(radio.Compose{a, b}).AppendFingerprint(nil)
+	if !bytes.Equal(medium(radio.Compose{a, b}).AppendFingerprint(nil), fp) {
+		t.Fatal("the same jammer stack fingerprints two media differently")
 	}
 	for name, other := range map[string]radio.Compose{"{A, C}": {a, c}, "{B, A}": {b, a}, "{A}": {a}} {
-		if err := medium(other).Restore(snap); err == nil {
-			t.Errorf("a medium jammed by %s restored the snapshot of one jammed by {A, B}", name)
+		if bytes.Equal(medium(other).AppendFingerprint(nil), fp) {
+			t.Errorf("a medium jammed by %s fingerprints as one jammed by {A, B}", name)
 		}
 	}
 }

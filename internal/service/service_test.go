@@ -12,11 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"vinfra/internal/cha"
 	"vinfra/internal/checkpoint"
 	"vinfra/internal/geo"
 	"vinfra/internal/sim"
 	"vinfra/internal/spec"
-	"vinfra/internal/vi"
 	"vinfra/internal/wire"
 )
 
@@ -404,50 +404,75 @@ func TestDamagedTenantsQuarantined(t *testing.T) {
 // out. The tenant is quarantined with the core named as the cause, and the
 // healthy tenant steps on.
 func TestHostileCoreQuarantined(t *testing.T) {
+	checkReplicaQuarantined(t, "bigk", "cha: restore", func(blob []byte) []byte {
+		d := wire.Dec(blob)
+		d.Varint()
+		d.Bool()
+		d.Bytes()
+		head := blob[:len(blob)-d.Rem()]
+		core, err := cha.DecodeCoreSnapshot(&d)
+		if err != nil {
+			t.Fatalf("replica blob carries no core: %v", err)
+		}
+		core.K = 1 << 40
+		return append(core.AppendTo(bytes.Clone(head)), blob[len(blob)-d.Rem():]...)
+	})
+}
+
+// TestNegativeVNodeQuarantined: a replica blob rewritten to serve vnode -2
+// names no region of the deployment. Restoring it used to index the
+// deployment at -2 and panic the daemon at boot; now the tenant is
+// quarantined like any other damaged checkpoint, and the healthy tenant
+// steps on.
+func TestNegativeVNodeQuarantined(t *testing.T) {
+	checkReplicaQuarantined(t, "negvn", "vnode -2", func(blob []byte) []byte {
+		d := wire.Dec(blob)
+		d.Varint()
+		return append(wire.AppendVarint(nil, -2), blob[len(blob)-d.Rem():]...)
+	})
+}
+
+// checkReplicaQuarantined checkpoints tenants bad and "good" at virtual
+// round 3, rewrites in bad's checkpoint the state blob of node 0 — a
+// bootstrapped replica of vnode 0, since spec.Build attaches the replicas
+// first — with edit, and reboots: bad must be quarantined with cause in its
+// reason, its files kept as *.damaged, and good must step on.
+func checkReplicaQuarantined(t *testing.T, bad, cause string, edit func(blob []byte) []byte) {
+	t.Helper()
 	dir := t.TempDir()
 	svc := newService(t, dir)
-	for _, name := range []string{"bigk", "good"} {
+	for _, name := range []string{bad, "good"} {
 		create(t, svc, name, smallDoc)
 		callJSON(t, svc, "POST", "/v1/sims/"+name+"/step", `{"vrounds": 3}`, http.StatusOK, nil)
 		callJSON(t, svc, "POST", "/v1/sims/"+name+"/checkpoint", "", http.StatusOK, nil)
 	}
 	svc.Close()
 
-	cp, err := checkpoint.ReadFile(svc.ckptPath("bigk"))
+	cp, err := checkpoint.ReadFile(svc.ckptPath(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewritten := false
-	for i := range cp.Engine.Nodes {
-		n := &cp.Engine.Nodes[i]
-		d := wire.Dec(n.State)
-		em, err := vi.DecodeEmulatorSnapshot(&d)
-		if err != nil || d.Finish() != nil || !em.Joined {
-			continue // a pinger, not a replica
-		}
-		em.Core.K = 1 << 40
-		n.State = em.AppendTo(nil)
-		rewritten = true
-		break
+	replica := &cp.Engine.Nodes[0]
+	d := wire.Dec(replica.State)
+	if vn, joined := d.Varint(), d.Bool(); d.Err() != nil || vn != 0 || !joined {
+		t.Fatalf("node 0 is not a joined replica of vnode 0 (vnode %d, joined %v, err %v)", vn, joined, d.Err())
 	}
-	if !rewritten {
-		t.Fatal("no joined replica in the checkpoint to rewrite")
-	}
-	if err := cp.WriteFile(svc.ckptPath("bigk")); err != nil {
+	replica.State = edit(replica.State)
+	if err := cp.WriteFile(svc.ckptPath(bad)); err != nil {
 		t.Fatal(err)
 	}
 
 	svc2 := newService(t, dir)
 	q := svc2.Quarantined()
-	if len(q) != 1 || !strings.HasPrefix(q[0], "bigk: ") || !strings.Contains(q[0], "cha: restore") {
-		t.Fatalf("Quarantined() = %q, want bigk refused by the core's restore", q)
+	if len(q) != 1 || !strings.HasPrefix(q[0], bad+": ") || !strings.Contains(q[0], cause) {
+		t.Fatalf("Quarantined() = %q, want %s refused with %q", q, bad, cause)
 	}
-	for _, path := range []string{svc.specPath("bigk"), svc.ckptPath("bigk")} {
+	for _, path := range []string{svc.specPath(bad), svc.ckptPath(bad)} {
 		if _, err := os.Stat(path + ".damaged"); err != nil {
 			t.Errorf("quarantined bytes not kept: %v", err)
 		}
 	}
-	if rec := call(t, svc2, "GET", "/v1/sims/bigk", ""); rec.Code != http.StatusNotFound {
+	if rec := call(t, svc2, "GET", "/v1/sims/"+bad, ""); rec.Code != http.StatusNotFound {
 		t.Errorf("quarantined tenant: status %d, want 404", rec.Code)
 	}
 	var st SimStatus

@@ -9,13 +9,17 @@ import (
 	"vinfra/internal/wire"
 )
 
-// Snapshotter is the optional per-entity half of the snapshot contract: a
-// Node, Mover or client program that carries mutable state between rounds
-// implements it to let Engine.Snapshot capture that state as an opaque
-// byte string and Engine.Restore put it back. The bytes are owned by the
-// implementation (typically an internal/wire encoding) and are deliberately
-// not a wire trio of their own — the engine treats them as a blob inside
-// NodeSnapshot, which carries the canonical encoding.
+// Snapshotter is the optional per-entity half of the snapshot contract,
+// and the one way every stateful node part checkpoints: a Node (vi.Emulator,
+// vi.Client), a Mover (mobility.RandomWaypoint), and the parts a node
+// nests inside its own blob (cm contention managers, client programs such
+// as apps.ObserverClient) implement it to write their live fields straight
+// into an opaque byte string, which Engine.Snapshot captures and
+// Engine.Restore hands back. The bytes are owned by the implementation (an
+// internal/wire encoding) and are deliberately not a wire trio of their
+// own — no mirror struct, no decoder: the engine treats them as a blob
+// inside NodeSnapshot, which carries the canonical encoding. RestoreState
+// must refuse any blob AppendState could not have written.
 //
 // Entities with no mutable state (a nil Mover, stateless client
 // programs) simply do not implement the interface; the engine records an
@@ -30,10 +34,12 @@ type Snapshotter interface {
 	RestoreState(data []byte) error
 }
 
-// Fingerprinter is configuration a snapshot records only as a digest: a
+// Fingerprinter is configuration a snapshot records only to compare: a
 // registered fault or a medium's adversary appends a canonical encoding of
-// its configuration, and Restore refuses a snapshot whose digest differs.
-// The encoding is one-way — nothing decodes it — so it is not a wire codec.
+// its configuration, folded into a digest Restore checks, and a medium's
+// whole fingerprint is the checkpoint's medium section. A restore refuses a
+// snapshot whose fingerprint differs. The encoding is one-way — nothing
+// decodes it — so it is not a wire codec.
 type Fingerprinter interface {
 	AppendFingerprint(dst []byte) []byte
 }
@@ -176,32 +182,23 @@ func DecodeEngineSnapshot(b []byte) (EngineSnapshot, error) {
 	s.ShardCols = int(d.Uvarint())
 	s.ShardRows = int(d.Uvarint())
 	s.FaultDigest = d.Uint64()
-	nn := d.Uvarint()
-	if nn > uint64(d.Rem()) {
-		return EngineSnapshot{}, wire.ErrMalformed
-	}
+	nn := d.Count()
 	s.Nodes = make([]NodeSnapshot, 0, nn)
-	for i := uint64(0); i < nn; i++ {
+	for i := 0; i < nn; i++ {
 		node, err := DecodeNodeSnapshot(&d)
 		if err != nil {
 			return EngineSnapshot{}, err
 		}
 		s.Nodes = append(s.Nodes, node)
 	}
-	nc := d.Uvarint()
-	if nc > uint64(d.Rem()) {
-		return EngineSnapshot{}, wire.ErrMalformed
-	}
+	nc := d.Count()
 	s.CrashRounds = make([]Round, 0, nc)
 	s.CrashIDs = make([][]NodeID, 0, nc)
-	for i := uint64(0); i < nc; i++ {
+	for i := 0; i < nc; i++ {
 		r := Round(d.Uvarint())
-		ni := d.Uvarint()
-		if ni > uint64(d.Rem()) {
-			return EngineSnapshot{}, wire.ErrMalformed
-		}
+		ni := d.Count()
 		ids := make([]NodeID, 0, ni)
-		for j := uint64(0); j < ni; j++ {
+		for j := 0; j < ni; j++ {
 			ids = append(ids, NodeID(d.Uvarint()))
 		}
 		s.CrashRounds = append(s.CrashRounds, r)

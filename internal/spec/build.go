@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"sync"
@@ -416,7 +417,7 @@ func (w *World) driverBytes() []byte {
 func (w *World) Checkpoint() checkpoint.Checkpoint {
 	return checkpoint.Checkpoint{
 		Engine:  w.Eng.Snapshot(),
-		Medium:  w.Medium.Snapshot(),
+		Medium:  w.Medium.AppendFingerprint(nil),
 		Monitor: w.Mon.Snapshot(),
 		Driver:  w.driverBytes(),
 	}
@@ -424,8 +425,9 @@ func (w *World) Checkpoint() checkpoint.Checkpoint {
 
 // Restore lays a checkpoint over a freshly built world. The world must have
 // been built from the same effective spec the checkpoint was taken under
-// (including any faults injected before the checkpoint); the engine rejects
-// mismatched populations, seeds, shard geometry and fault sets.
+// (including any faults injected before the checkpoint): a medium that
+// fingerprints differently is refused, and the engine rejects mismatched
+// populations, seeds, shard geometry and fault sets.
 func (w *World) Restore(cp checkpoint.Checkpoint) error {
 	d := wire.Dec(cp.Driver)
 	vr := int(d.Uvarint())
@@ -434,8 +436,8 @@ func (w *World) Restore(cp checkpoint.Checkpoint) error {
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("spec: restore: driver state: %w", err)
 	}
-	if err := w.Medium.Restore(cp.Medium); err != nil {
-		return fmt.Errorf("spec: restore: %w", err)
+	if !bytes.Equal(cp.Medium, w.Medium.AppendFingerprint(nil)) {
+		return fmt.Errorf("spec: restore: the checkpoint's medium fingerprint differs from the rebuilt medium's")
 	}
 	if err := w.Eng.Restore(cp.Engine); err != nil {
 		return fmt.Errorf("spec: restore: %w", err)

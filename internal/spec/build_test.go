@@ -2,6 +2,7 @@ package spec
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"vinfra/internal/checkpoint"
@@ -103,6 +104,12 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	defer resumed.Eng.Close()
+	drifted := cp
+	drifted.Medium = append([]byte(nil), cp.Medium...)
+	drifted.Medium[len(drifted.Medium)-1] ^= 1
+	if err := resumed.Restore(drifted); err == nil || !strings.Contains(err.Error(), "medium") {
+		t.Fatalf("Restore of a checkpoint with another medium fingerprint: err %v, want the medium named", err)
+	}
 	if err := resumed.Restore(cp); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}

@@ -65,11 +65,8 @@ func decodeCounterState(d *wire.Decoder) (counterState, error) {
 	var s counterState
 	s.Pings = int(d.Uvarint())
 	s.Rounds = int(d.Uvarint())
-	n := d.Uvarint()
-	if d.Err() != nil || n > uint64(d.Rem()) {
-		return counterState{}, wire.ErrMalformed
-	}
-	for i := uint64(0); i < n; i++ {
+	n := d.Count()
+	for i := 0; i < n; i++ {
 		s.Heard = append(s.Heard, d.String())
 	}
 	return s, d.Err()
@@ -103,7 +100,7 @@ type testbedOpts struct {
 	program func(vi.Schedule) func(vi.VNodeID) vi.Program
 }
 
-func newTestbed(t *testing.T, o testbedOpts) *testbed {
+func newTestbed(t testing.TB, o testbedOpts) *testbed {
 	t.Helper()
 	if o.detector == nil {
 		o.detector = cd.AC{}

@@ -225,7 +225,7 @@ func (d *Deployment) NewEmulator(env sim.Env, bootstrap bool) *Emulator {
 	e := &Emulator{env: env, d: d, vn: None}
 	if bootstrap {
 		if v := d.RegionOf(env.Location()); v != None {
-			e.enterRegion(v)
+			e.enterRegion(v, d.newCM(v, env))
 			e.becomeReplica(0, d.program(v).Init(v, d.locs[v]), cha.NewCore())
 		}
 	}
@@ -253,11 +253,13 @@ func (e *Emulator) StateBefore(vr int) []byte {
 	return e.cache.stateBefore(e.core.HistoryView(), vr)
 }
 
-func (e *Emulator) enterRegion(v VNodeID) {
+// enterRegion makes the emulator a joiner of virtual node v, with mgr as
+// its contention manager.
+func (e *Emulator) enterRegion(v VNodeID, mgr cm.Manager) {
 	e.vn = v
 	e.sched = 0
 	e.joined = false
-	e.mgr = e.d.newCM(v, e.env)
+	e.mgr = mgr
 	e.core = nil
 	e.cache = nil
 	e.requested = false
@@ -284,8 +286,8 @@ func (e *Emulator) becomeReplica(floor cha.Instance, state []byte, core *cha.Cor
 // checkRegion re-evaluates region membership at the start of each virtual
 // round. A device standing, bit for bit, where the last evaluation found it
 // is still in the region that evaluation chose — e.vn has changed since only
-// if Restore replaced it, and Restore forgets the location — so the lookup
-// is skipped.
+// if RestoreState replaced it, and RestoreState forgets the location — so
+// the lookup is skipped.
 func (e *Emulator) checkRegion() {
 	at := e.env.Location()
 	if e.atOK && samePoint(at, e.at) && !noClockCache {
@@ -300,7 +302,7 @@ func (e *Emulator) checkRegion() {
 		e.leaveRegion()
 	}
 	if v != None {
-		e.enterRegion(v)
+		e.enterRegion(v, e.d.newCM(v, e.env))
 	}
 }
 

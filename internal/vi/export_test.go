@@ -16,3 +16,10 @@ func MonitorRuns(m *Monitor, v VNodeID) int {
 	}
 	return 0
 }
+
+// HostileCores and CheckCoreRestores are the core fuzz contracts' seeds and
+// restore check, shared with the external emulator fuzz target.
+var (
+	HostileCores      = hostileCores
+	CheckCoreRestores = checkCoreRestores
+)

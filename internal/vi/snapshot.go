@@ -5,333 +5,200 @@ import (
 	"slices"
 
 	"vinfra/internal/cha"
+	"vinfra/internal/cm"
 	"vinfra/internal/sim"
 	"vinfra/internal/wire"
 )
 
-// EmulatorSnapshot captures one emulator's complete mutable state: region
-// membership, the contention manager's blob, the agreement core and state
-// floor when joined, and the per-virtual-round scratch — so a checkpoint
-// may be taken at any engine round, not just a virtual-round boundary. The
-// deployment, program and hooks are code, rebuilt by the driver.
-type EmulatorSnapshot struct {
-	VN     VNodeID // None when outside every region
-	Joined bool
-	// Mgr is the contention manager's sim.Snapshotter blob; empty when
-	// outside a region or when the manager carries no state.
-	Mgr []byte
-	// Core, BrokenChains, Floor and FloorState are meaningful only when
-	// Joined (zero values otherwise). BrokenChains rides here because the
-	// CoreSnapshot join-ack encoding is frozen and does not carry it.
-	Core         cha.CoreSnapshot
-	BrokenChains int
-	Floor        cha.Instance
-	FloorState   []byte
-	// Per-virtual-round scratch (see Emulator.startVRound).
-	InMsgs          [][]byte
-	InCollision     bool
-	InVNBroadcast   bool
-	Began           bool
-	HasExpected     bool // expectedPayload non-nil (nil vs empty is load-bearing)
-	Expected        []byte
-	BroadcastBallot bool
-	SawJoinActivity bool
-	Requested       bool
-	GotAck          bool
-}
-
-// AppendTo appends the canonical encoding of s to dst.
-func (s EmulatorSnapshot) AppendTo(dst []byte) []byte {
-	dst = wire.AppendVarint(dst, int64(s.VN))
-	dst = wire.AppendBool(dst, s.Joined)
-	dst = wire.AppendBytes(dst, s.Mgr)
-	dst = s.Core.AppendTo(dst)
-	dst = wire.AppendUvarint(dst, uint64(s.BrokenChains))
-	dst = wire.AppendUvarint(dst, uint64(s.Floor))
-	dst = wire.AppendBytes(dst, s.FloorState)
-	dst = wire.AppendUvarint(dst, uint64(len(s.InMsgs)))
-	for _, m := range s.InMsgs {
+// AppendState implements sim.Snapshotter. It writes the emulator's
+// complete mutable state — its region, the contention manager's blob, the
+// agreement core and state floor when joined, and the per-virtual-round
+// scratch — so a checkpoint may be taken at any engine round, not just a
+// virtual-round boundary. The deployment, program and hooks are code,
+// rebuilt by the driver.
+func (e *Emulator) AppendState(dst []byte) []byte {
+	dst = wire.AppendVarint(dst, int64(e.vn))
+	dst = wire.AppendBool(dst, e.joined)
+	dst = appendBlob(dst, e.mgr)
+	// The replica fields are zero until the emulator joins. BrokenChains
+	// rides here because the CoreSnapshot join-ack encoding is frozen and
+	// does not carry it.
+	var (
+		core       cha.CoreSnapshot
+		broken     int
+		floor      cha.Instance
+		floorState []byte
+	)
+	if e.joined {
+		core, broken, floor, floorState = e.core.Snapshot(), e.core.BrokenChains, e.cache.floor, e.cache.floorState
+	}
+	dst = core.AppendTo(dst)
+	dst = wire.AppendUvarint(dst, uint64(broken))
+	dst = wire.AppendUvarint(dst, uint64(floor))
+	dst = wire.AppendBytes(dst, floorState)
+	dst = wire.AppendUvarint(dst, uint64(len(e.input.Msgs)))
+	for _, m := range e.input.Msgs {
 		dst = wire.AppendBytes(dst, m)
 	}
-	dst = wire.AppendBool(dst, s.InCollision)
-	dst = wire.AppendBool(dst, s.InVNBroadcast)
-	dst = wire.AppendBool(dst, s.Began)
-	dst = wire.AppendBool(dst, s.HasExpected)
-	dst = wire.AppendBytes(dst, s.Expected)
-	dst = wire.AppendBool(dst, s.BroadcastBallot)
-	dst = wire.AppendBool(dst, s.SawJoinActivity)
-	dst = wire.AppendBool(dst, s.Requested)
-	return wire.AppendBool(dst, s.GotAck)
+	dst = wire.AppendBool(dst, e.input.Collision)
+	dst = wire.AppendBool(dst, e.input.VNBroadcast)
+	dst = wire.AppendBool(dst, e.began)
+	// nil and empty expected payloads differ: nil means no broadcast.
+	dst = wire.AppendBool(dst, e.expectedPayload != nil)
+	dst = wire.AppendBytes(dst, e.expectedPayload)
+	dst = wire.AppendBool(dst, e.broadcastBallot)
+	dst = wire.AppendBool(dst, e.sawJoinActivity)
+	dst = wire.AppendBool(dst, e.requested)
+	return wire.AppendBool(dst, e.gotAck)
 }
 
-// WireSize returns the exact encoded size of s.
-func (s EmulatorSnapshot) WireSize() int {
-	n := wire.VarintSize(int64(s.VN)) + 1 +
-		wire.BytesSize(len(s.Mgr)) +
-		s.Core.WireSize() +
-		wire.UvarintSize(uint64(s.BrokenChains)) +
-		wire.UvarintSize(uint64(s.Floor)) +
-		wire.BytesSize(len(s.FloorState)) +
-		wire.UvarintSize(uint64(len(s.InMsgs)))
-	for _, m := range s.InMsgs {
-		n += wire.BytesSize(len(m))
-	}
-	return n + 1 + 1 + 1 + 1 + wire.BytesSize(len(s.Expected)) + 1 + 1 + 1 + 1
-}
-
-// DecodeEmulatorSnapshot decodes one EmulatorSnapshot from d.
-func DecodeEmulatorSnapshot(d *wire.Decoder) (EmulatorSnapshot, error) {
-	var s EmulatorSnapshot
-	s.VN = VNodeID(d.Varint())
-	s.Joined = d.Bool()
-	s.Mgr = append([]byte(nil), d.Bytes()...)
-	core, err := cha.DecodeCoreSnapshot(d)
+// RestoreState implements sim.Snapshotter. It reads and checks the whole
+// blob — a vnode of the deployment, state only where AppendState writes
+// some, a contention manager blob the region's manager takes, a core
+// cha.RestoreCore takes — before it changes the emulator, so a refused blob
+// leaves the emulator as it was. The region's manager is built afresh
+// through the deployment's factory and handed its blob, so a custom NewCM
+// that carries state must implement sim.Snapshotter.
+func (e *Emulator) RestoreState(data []byte) error {
+	d := wire.Dec(data)
+	vn := VNodeID(d.Varint())
+	joined := d.Bool()
+	mgrBlob := d.Bytes()
+	snap, err := cha.DecodeCoreSnapshot(&d)
 	if err != nil {
-		return EmulatorSnapshot{}, err
+		return err
 	}
-	s.Core = core
-	s.BrokenChains = int(d.Uvarint())
-	s.Floor = cha.Instance(d.Uvarint())
-	s.FloorState = append([]byte(nil), d.Bytes()...)
-	nm := d.Uvarint()
-	if nm > uint64(d.Rem()) {
-		return EmulatorSnapshot{}, wire.ErrMalformed
+	broken := int(d.Uvarint())
+	floor := cha.Instance(d.Uvarint())
+	floorState := d.Bytes()
+	msgs := make([][]byte, d.Count())
+	for i := range msgs {
+		msgs[i] = d.Bytes()
 	}
-	s.InMsgs = make([][]byte, 0, nm)
-	for i := uint64(0); i < nm; i++ {
-		s.InMsgs = append(s.InMsgs, append([]byte(nil), d.Bytes()...))
+	collision, vnBroadcast, began, hasExpected := d.Bool(), d.Bool(), d.Bool(), d.Bool()
+	expected := d.Bytes()
+	broadcastBallot, sawJoinActivity, requested, gotAck := d.Bool(), d.Bool(), d.Bool(), d.Bool()
+	if err := d.Finish(); err != nil {
+		return err
 	}
-	s.InCollision = d.Bool()
-	s.InVNBroadcast = d.Bool()
-	s.Began = d.Bool()
-	s.HasExpected = d.Bool()
-	s.Expected = append([]byte(nil), d.Bytes()...)
-	s.BroadcastBallot = d.Bool()
-	s.SawJoinActivity = d.Bool()
-	s.Requested = d.Bool()
-	s.GotAck = d.Bool()
-	if err := d.Err(); err != nil {
-		return EmulatorSnapshot{}, err
+	switch {
+	case vn < None || int(vn) >= e.d.NumVNodes():
+		return fmt.Errorf("vi: restore: vnode %d out of range (deployment has %d)", vn, e.d.NumVNodes())
+	case vn == None && (joined || len(mgrBlob) > 0):
+		return fmt.Errorf("vi: restore: region state on an emulator outside every region")
+	case !joined && (snap.Floor != 0 || snap.K != 0 || snap.Prev != 0 || len(snap.BallotKeys) > 0 ||
+		len(snap.StatusKeys) > 0 || broken != 0 || floor != 0 || len(floorState) > 0):
+		return fmt.Errorf("vi: restore: replica state on an emulator that has not joined")
+	case !hasExpected && len(expected) > 0:
+		return fmt.Errorf("vi: restore: expected payload without a broadcast")
 	}
-	return s, nil
-}
-
-// Snapshot captures the emulator's mutable state; see EmulatorSnapshot.
-func (e *Emulator) Snapshot() EmulatorSnapshot {
-	s := EmulatorSnapshot{
-		VN:              e.vn,
-		Joined:          e.joined,
-		InCollision:     e.input.Collision,
-		InVNBroadcast:   e.input.VNBroadcast,
-		Began:           e.began,
-		HasExpected:     e.expectedPayload != nil,
-		Expected:        append([]byte(nil), e.expectedPayload...),
-		BroadcastBallot: e.broadcastBallot,
-		SawJoinActivity: e.sawJoinActivity,
-		Requested:       e.requested,
-		GotAck:          e.gotAck,
+	var core *cha.Core
+	if joined {
+		if core, err = cha.RestoreCore(snap); err != nil {
+			return fmt.Errorf("vi: restore: %w", err)
+		}
+		core.BrokenChains = broken
 	}
-	if sn, ok := e.mgr.(sim.Snapshotter); ok {
-		s.Mgr = sn.AppendState(nil)
-	}
-	if e.joined {
-		s.Core = e.core.Snapshot()
-		s.BrokenChains = e.core.BrokenChains
-		s.Floor = e.cache.floor
-		s.FloorState = append([]byte(nil), e.cache.floorState...)
-	}
-	if len(e.input.Msgs) > 0 {
-		s.InMsgs = make([][]byte, 0, len(e.input.Msgs))
-		for _, m := range e.input.Msgs {
-			s.InMsgs = append(s.InMsgs, append([]byte(nil), m...))
+	var mgr cm.Manager
+	if vn != None {
+		mgr = e.d.newCM(vn, e.env)
+		if err := restoreBlob(mgr, mgrBlob, "contention manager"); err != nil {
+			return err
 		}
 	}
-	return s
-}
 
-// Restore lays snapshot s over the emulator. The region's contention
-// manager is rebuilt through the deployment's factory and then handed its
-// blob, so a custom NewCM that carries state must implement
-// sim.Snapshotter. Restore replaces all mutable state; the emulator then
-// behaves exactly as the snapshotted one would.
-func (e *Emulator) Restore(s EmulatorSnapshot) error {
-	// The region comes from the snapshot, not from where the device stands:
+	// The region comes from the blob, not from where the device stands:
 	// the next virtual round must look it up again.
 	e.atOK = false
-	switch {
-	case s.VN == None:
+	if vn == None {
 		e.leaveRegion()
-	case int(s.VN) >= e.d.NumVNodes():
-		return fmt.Errorf("vi: restore: snapshot vnode %d out of range (deployment has %d)", s.VN, e.d.NumVNodes())
-	default:
-		e.enterRegion(s.VN)
-		if len(s.Mgr) > 0 {
-			sn, ok := e.mgr.(sim.Snapshotter)
-			if !ok {
-				return fmt.Errorf("vi: restore: snapshot carries contention manager state but %T is not a sim.Snapshotter", e.mgr)
-			}
-			if err := sn.RestoreState(s.Mgr); err != nil {
-				return fmt.Errorf("vi: restore: contention manager: %w", err)
-			}
-		}
-		if s.Joined {
-			core, err := cha.RestoreCore(s.Core)
-			if err != nil {
-				return fmt.Errorf("vi: restore: %w", err)
-			}
-			core.BrokenChains = s.BrokenChains
-			e.becomeReplica(s.Floor, append([]byte(nil), s.FloorState...), core)
+	} else {
+		e.enterRegion(vn, mgr)
+		if joined {
+			e.becomeReplica(floor, append([]byte(nil), floorState...), core)
 		}
 	}
 	e.input.Msgs = e.input.Msgs[:0]
-	for _, m := range s.InMsgs {
+	for _, m := range msgs {
 		e.input.Msgs = append(e.input.Msgs, append([]byte(nil), m...))
 	}
-	e.input.Collision = s.InCollision
-	e.input.VNBroadcast = s.InVNBroadcast
-	e.began = s.Began
-	if s.HasExpected {
-		e.expectedPayload = append([]byte{}, s.Expected...)
-	} else {
-		e.expectedPayload = nil
+	e.input.Collision = collision
+	e.input.VNBroadcast = vnBroadcast
+	e.began = began
+	e.expectedPayload = nil
+	if hasExpected {
+		e.expectedPayload = append([]byte{}, expected...)
 	}
-	e.broadcastBallot = s.BroadcastBallot
-	e.sawJoinActivity = s.SawJoinActivity
-	e.requested = s.Requested
-	e.gotAck = s.GotAck
+	e.broadcastBallot = broadcastBallot
+	e.sawJoinActivity = sawJoinActivity
+	e.requested = requested
+	e.gotAck = gotAck
 	return nil
 }
 
-// AppendState implements sim.Snapshotter by wrapping the wire trio, so the
-// engine folds emulators into EngineSnapshot blobs automatically.
-func (e *Emulator) AppendState(dst []byte) []byte {
-	return e.Snapshot().AppendTo(dst)
-}
-
-// RestoreState implements sim.Snapshotter.
-func (e *Emulator) RestoreState(data []byte) error {
-	d := wire.Dec(data)
-	s, err := DecodeEmulatorSnapshot(&d)
-	if err != nil {
-		return err
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	return e.Restore(s)
-}
-
-// ClientSnapshot captures one client's mutable state: the pending
-// reception accumulated for the next Step, the own-broadcast loopback
-// guard, and the client program's sim.Snapshotter blob (empty for
-// stateless programs).
-type ClientSnapshot struct {
-	SentPayload []byte
-	SentThis    bool
-	Recv        [][]byte
-	Collision   bool
-	Prog        []byte
-}
-
-// AppendTo appends the canonical encoding of s to dst.
-func (s ClientSnapshot) AppendTo(dst []byte) []byte {
-	dst = wire.AppendBytes(dst, s.SentPayload)
-	dst = wire.AppendBool(dst, s.SentThis)
-	dst = wire.AppendUvarint(dst, uint64(len(s.Recv)))
-	for _, m := range s.Recv {
-		dst = wire.AppendBytes(dst, m)
-	}
-	dst = wire.AppendBool(dst, s.Collision)
-	return wire.AppendBytes(dst, s.Prog)
-}
-
-// WireSize returns the exact encoded size of s.
-func (s ClientSnapshot) WireSize() int {
-	n := wire.BytesSize(len(s.SentPayload)) + 1 + wire.UvarintSize(uint64(len(s.Recv)))
-	for _, m := range s.Recv {
-		n += wire.BytesSize(len(m))
-	}
-	return n + 1 + wire.BytesSize(len(s.Prog))
-}
-
-// DecodeClientSnapshot decodes one ClientSnapshot from d.
-func DecodeClientSnapshot(d *wire.Decoder) (ClientSnapshot, error) {
-	var s ClientSnapshot
-	s.SentPayload = append([]byte(nil), d.Bytes()...)
-	s.SentThis = d.Bool()
-	nr := d.Uvarint()
-	if nr > uint64(d.Rem()) {
-		return ClientSnapshot{}, wire.ErrMalformed
-	}
-	s.Recv = make([][]byte, 0, nr)
-	for i := uint64(0); i < nr; i++ {
-		s.Recv = append(s.Recv, append([]byte(nil), d.Bytes()...))
-	}
-	s.Collision = d.Bool()
-	s.Prog = append([]byte(nil), d.Bytes()...)
-	if err := d.Err(); err != nil {
-		return ClientSnapshot{}, err
-	}
-	return s, nil
-}
-
-// Snapshot captures the client's mutable state; see ClientSnapshot.
-func (c *Client) Snapshot() ClientSnapshot {
-	s := ClientSnapshot{
-		SentPayload: append([]byte(nil), c.sentPayload...),
-		SentThis:    c.sentThis,
-		Collision:   c.collision,
-	}
-	if len(c.recv) > 0 {
-		s.Recv = make([][]byte, 0, len(c.recv))
-		for _, m := range c.recv {
-			s.Recv = append(s.Recv, append([]byte(nil), m.Payload...))
-		}
-	}
-	if sn, ok := c.prog.(sim.Snapshotter); ok {
-		s.Prog = sn.AppendState(nil)
-	}
-	return s
-}
-
-// Restore lays snapshot s over the client. A non-empty program blob
-// requires the program to implement sim.Snapshotter.
-func (c *Client) Restore(s ClientSnapshot) error {
-	if len(s.Prog) > 0 {
-		sn, ok := c.prog.(sim.Snapshotter)
-		if !ok {
-			return fmt.Errorf("vi: restore: snapshot carries client program state but %T is not a sim.Snapshotter", c.prog)
-		}
-		if err := sn.RestoreState(s.Prog); err != nil {
-			return fmt.Errorf("vi: restore: client program: %w", err)
-		}
-	}
-	c.sentPayload = append([]byte(nil), s.SentPayload...)
-	c.sentThis = s.SentThis
-	c.recv = nil
-	for _, m := range s.Recv {
-		c.recv = append(c.recv, Message{Payload: append([]byte(nil), m...)})
-	}
-	c.collision = s.Collision
-	return nil
-}
-
-// AppendState implements sim.Snapshotter.
+// AppendState implements sim.Snapshotter: the pending reception gathered
+// for the next Step, the own-broadcast loopback guard, and the client
+// program's blob (empty for stateless programs).
 func (c *Client) AppendState(dst []byte) []byte {
-	return c.Snapshot().AppendTo(dst)
+	dst = wire.AppendBytes(dst, c.sentPayload)
+	dst = wire.AppendBool(dst, c.sentThis)
+	dst = wire.AppendUvarint(dst, uint64(len(c.recv)))
+	for _, m := range c.recv {
+		dst = wire.AppendBytes(dst, m.Payload)
+	}
+	dst = wire.AppendBool(dst, c.collision)
+	return appendBlob(dst, c.prog)
 }
 
-// RestoreState implements sim.Snapshotter.
+// RestoreState implements sim.Snapshotter. A non-empty program blob
+// requires the program to implement sim.Snapshotter.
 func (c *Client) RestoreState(data []byte) error {
 	d := wire.Dec(data)
-	s, err := DecodeClientSnapshot(&d)
-	if err != nil {
-		return err
+	sentPayload := d.Bytes()
+	sentThis := d.Bool()
+	var recv []Message
+	for i, n := 0, d.Count(); i < n; i++ {
+		recv = append(recv, Message{Payload: append([]byte(nil), d.Bytes()...)})
 	}
+	collision := d.Bool()
+	progBlob := d.Bytes()
 	if err := d.Finish(); err != nil {
 		return err
 	}
-	return c.Restore(s)
+	if err := restoreBlob(c.prog, progBlob, "client program"); err != nil {
+		return err
+	}
+	c.sentPayload = append([]byte(nil), sentPayload...)
+	c.sentThis = sentThis
+	c.recv = recv
+	c.collision = collision
+	return nil
+}
+
+// appendBlob appends part's sim.Snapshotter blob, length-prefixed: empty
+// when part carries no state.
+func appendBlob(dst []byte, part any) []byte {
+	var blob []byte
+	if sn, ok := part.(sim.Snapshotter); ok {
+		blob = sn.AppendState(nil)
+	}
+	return wire.AppendBytes(dst, blob)
+}
+
+// restoreBlob hands blob to part's sim.Snapshotter; a part that carries no
+// state must have written none.
+func restoreBlob(part any, blob []byte, what string) error {
+	sn, ok := part.(sim.Snapshotter)
+	if !ok {
+		if len(blob) > 0 {
+			return fmt.Errorf("vi: restore: blob carries %s state but %T is not a sim.Snapshotter", what, part)
+		}
+		return nil
+	}
+	if err := sn.RestoreState(blob); err != nil {
+		return fmt.Errorf("vi: restore: %s: %w", what, err)
+	}
+	return nil
 }
 
 // MonitorSnapshot captures the monitor's availability accounting in
@@ -377,22 +244,16 @@ func (s MonitorSnapshot) WireSize() int {
 func DecodeMonitorSnapshot(b []byte) (MonitorSnapshot, error) {
 	d := wire.Dec(b)
 	var s MonitorSnapshot
-	nv := d.Uvarint()
-	if nv > uint64(d.Rem()) {
-		return MonitorSnapshot{}, wire.ErrMalformed
-	}
+	nv := d.Count()
 	s.VNodes = make([]VNodeID, 0, nv)
 	s.Tops = make([]cha.Instance, 0, nv)
 	s.Greens = make([][]cha.Instance, 0, nv)
-	for i := uint64(0); i < nv; i++ {
+	for i := 0; i < nv; i++ {
 		s.VNodes = append(s.VNodes, VNodeID(d.Varint()))
 		s.Tops = append(s.Tops, cha.Instance(d.Uvarint()))
-		ng := d.Uvarint()
-		if ng > uint64(d.Rem()) {
-			return MonitorSnapshot{}, wire.ErrMalformed
-		}
+		ng := d.Count()
 		g := make([]cha.Instance, 0, ng)
-		for j := uint64(0); j < ng; j++ {
+		for j := 0; j < ng; j++ {
 			g = append(g, cha.Instance(d.Uvarint()))
 		}
 		s.Greens = append(s.Greens, g)

@@ -9,87 +9,6 @@ import (
 	"vinfra/internal/wire"
 )
 
-func emulatorSnapshotFixtures() []EmulatorSnapshot {
-	return []EmulatorSnapshot{
-		{VN: None}, // outside every region
-		{
-			VN: 2, Joined: false, Mgr: []byte{0x04},
-			Requested: true, SawJoinActivity: true,
-		},
-		{
-			VN: 0, Joined: true,
-			Mgr: []byte{0x02},
-			Core: cha.CoreSnapshot{
-				Floor: 1, K: 4, Prev: 3,
-				BallotKeys: []cha.Instance{3, 4},
-				Ballots:    []cha.Ballot{{V: cha.V("a"), Prev: 2}, {V: cha.V("bb"), Prev: 3}},
-				StatusKeys: []cha.Instance{2},
-				Statuses:   []cha.Color{cha.Green},
-			},
-			BrokenChains: 2,
-			Floor:        1,
-			FloorState:   []byte("floor-state"),
-			InMsgs:       [][]byte{[]byte("m1"), {}, []byte("m3")},
-			InCollision:  true, Began: true,
-			HasExpected: true, Expected: []byte("payload"),
-			BroadcastBallot: true, GotAck: true,
-		},
-	}
-}
-
-// TestEmulatorSnapshotRoundTrip pins the emulator snapshot's wire trio on
-// representative states: outside a region, mid-join, and joined with a
-// populated core plus mid-vround scratch.
-func TestEmulatorSnapshotRoundTrip(t *testing.T) {
-	for i, s := range emulatorSnapshotFixtures() {
-		b := s.AppendTo(nil)
-		if len(b) != s.WireSize() {
-			t.Fatalf("fixture %d: WireSize = %d, encoded %d bytes", i, s.WireSize(), len(b))
-		}
-		d := wire.Dec(b)
-		got, err := DecodeEmulatorSnapshot(&d)
-		if err != nil {
-			t.Fatalf("fixture %d: decode: %v", i, err)
-		}
-		if err := d.Finish(); err != nil {
-			t.Fatalf("fixture %d: finish: %v", i, err)
-		}
-		if !bytes.Equal(got.AppendTo(nil), b) {
-			t.Fatalf("fixture %d: re-encoding changes bytes", i)
-		}
-	}
-}
-
-// TestClientSnapshotRoundTrip pins the client snapshot's wire trio.
-func TestClientSnapshotRoundTrip(t *testing.T) {
-	fixtures := []ClientSnapshot{
-		{},
-		{
-			SentPayload: []byte("ping"), SentThis: true,
-			Recv:      [][]byte{[]byte("count=3"), {}},
-			Collision: true,
-			Prog:      []byte{0x09},
-		},
-	}
-	for i, s := range fixtures {
-		b := s.AppendTo(nil)
-		if len(b) != s.WireSize() {
-			t.Fatalf("fixture %d: WireSize = %d, encoded %d bytes", i, s.WireSize(), len(b))
-		}
-		d := wire.Dec(b)
-		got, err := DecodeClientSnapshot(&d)
-		if err != nil {
-			t.Fatalf("fixture %d: decode: %v", i, err)
-		}
-		if err := d.Finish(); err != nil {
-			t.Fatalf("fixture %d: finish: %v", i, err)
-		}
-		if !bytes.Equal(got.AppendTo(nil), b) {
-			t.Fatalf("fixture %d: re-encoding changes bytes", i)
-		}
-	}
-}
-
 // TestMonitorSnapshotRoundTrip drives a live monitor, snapshots it,
 // restores into a fresh one, and pins both the canonical bytes and the
 // derived reports.
@@ -166,36 +85,6 @@ func checkCoreRestores(t *testing.T, s cha.CoreSnapshot) {
 	core.ObserveVeto1(true, false)
 	core.ObserveVeto2(true, false)
 	core.GC(core.Prev())
-}
-
-// FuzzDecodeEmulatorSnapshot feeds adversarial bytes to the emulator
-// snapshot decoder: it must never panic, anything it accepts must be a
-// canonical fixed point with an exact WireSize, and the core it carries must
-// restore (to the same bytes) or be refused.
-func FuzzDecodeEmulatorSnapshot(f *testing.F) {
-	f.Add([]byte{})
-	for _, s := range emulatorSnapshotFixtures() {
-		f.Add(s.AppendTo(nil))
-	}
-	for _, c := range hostileCores() {
-		f.Add(EmulatorSnapshot{VN: 0, Joined: true, Core: c, Began: true}.AppendTo(nil))
-	}
-	f.Add([]byte{0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d := wire.Dec(data)
-		s, err := DecodeEmulatorSnapshot(&d)
-		if err != nil || d.Finish() != nil {
-			return
-		}
-		out := s.AppendTo(nil)
-		if len(out) != s.WireSize() {
-			t.Fatalf("WireSize %d != encoded length %d", s.WireSize(), len(out))
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("accepted snapshot re-encodes to % x, input % x", out, data)
-		}
-		checkCoreRestores(t, s.Core)
-	})
 }
 
 // TestHostileCoresAreRefused runs the fuzz seeds' point as a plain test:

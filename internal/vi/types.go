@@ -229,14 +229,11 @@ func DecodeRoundInput(v cha.Value) (RoundInput, error) {
 	}
 	in.Collision = flags&flagCollision != 0
 	in.VNBroadcast = flags&flagVNBroadcast != 0
-	n := d.Uvarint()
-	if d.Err() != nil || n > uint64(d.Rem()) {
-		return RoundInput{}, wire.ErrMalformed
-	}
+	n := d.Count()
 	if n > 0 {
 		in.Msgs = make([][]byte, 0, n)
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		m := d.Bytes()
 		if d.Err() != nil {
 			return RoundInput{}, d.Err()

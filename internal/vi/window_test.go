@@ -2,7 +2,6 @@ package vi_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"vinfra/internal/cha"
@@ -124,35 +123,5 @@ func TestHistoryViewNeverPublished(t *testing.T) {
 		if p.h.Digest() != p.digest || p.h.String() != p.text {
 			t.Fatalf("published history changed after the fact: was %s, now %s", p.text, p.h)
 		}
-	}
-}
-
-// TestEmulatorRestoreRefusesBadCore: the emulator hands a snapshot's core to
-// cha.RestoreCore and passes its refusal on — an error the engine's restore
-// returns and the daemon quarantines on, where the map core would have
-// swallowed the snapshot and the window core indexed out of range.
-func TestEmulatorRestoreRefusesBadCore(t *testing.T) {
-	tb := newTestbed(t, testbedOpts{
-		locs:        []geo.Point{{X: 0, Y: 0}},
-		replicasPer: 2,
-		leaders:     true,
-	})
-	tb.runVRounds(4)
-	em := tb.emulators[1]
-	good := em.Snapshot()
-	if err := em.Restore(good); err != nil {
-		t.Fatalf("an emulator's own snapshot must restore: %v", err)
-	}
-	bad := em.Snapshot()
-	bad.Core.K = 1 << 40
-	if err := em.Restore(bad); err == nil || !strings.Contains(err.Error(), "cha: restore") {
-		t.Fatalf("Restore with K = 2^40: err %v, want the core's refusal", err)
-	}
-	if err := em.Restore(good); err != nil {
-		t.Fatalf("the emulator must take a good snapshot after refusing a bad one: %v", err)
-	}
-	tb.runVRounds(2)
-	if got, want := string(em.StateBefore(7)), string(tb.emulators[0].StateBefore(7)); got != want {
-		t.Errorf("restored replica diverged: %q vs %q", got, want)
 	}
 }

@@ -220,6 +220,19 @@ func (d *Decoder) Bool() bool {
 	return b == 1
 }
 
+// Count decodes an element count for the caller to loop over or size a
+// slice by. Every element takes at least one byte, so a count above Rem
+// cannot be honest: it fails the decoder and reads as 0, so no caller
+// allocates for, or iterates over, elements the input cannot hold.
+func (d *Decoder) Count() int {
+	n := d.Uvarint()
+	if n > uint64(d.Rem()) {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
 // Bytes decodes a length-prefixed byte string as a zero-copy view into the
 // decoder's buffer. Callers that retain the result beyond the buffer's
 // lifetime must copy it.

@@ -92,6 +92,22 @@ func TestDecoderBytesLengthValidated(t *testing.T) {
 	}
 }
 
+func TestDecoderCountBounded(t *testing.T) {
+	// A count of 3 over two remaining bytes fails, reads as 0, and the
+	// failure sticks for every read after it.
+	d := Dec([]byte{0x03, 0x01, 0x01})
+	if n := d.Count(); n != 0 || d.Err() == nil {
+		t.Fatalf("Count = %d, err %v; want 0 and a failed decoder", n, d.Err())
+	}
+	if b := d.Bool(); b || d.Err() == nil {
+		t.Error("decoder recovered after a count past the end")
+	}
+	d = Dec([]byte{0x02, 0x01, 0x01})
+	if n := d.Count(); n != 2 || d.Err() != nil {
+		t.Errorf("Count = %d, err %v; want 2 with two bytes left", n, d.Err())
+	}
+}
+
 func TestDecoderBoolCanonical(t *testing.T) {
 	d := Dec([]byte{2})
 	d.Bool()
