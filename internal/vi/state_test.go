@@ -33,7 +33,9 @@ func replicaBed(t testing.TB) *testbed {
 	return tb
 }
 
-func nodeStateFixtures(t *testing.T) []nodeStateFixture {
+// emulatorStateFixtures are a replica and a joiner, each with a node of
+// its kind to lay the blob over.
+func emulatorStateFixtures(t *testing.T) []nodeStateFixture {
 	t.Helper()
 	// A replica three radio rounds into a virtual round: the ping and its
 	// virtual node's broadcast are in its round input, its expected payload
@@ -54,33 +56,30 @@ func nodeStateFixtures(t *testing.T) []nodeStateFixture {
 	})
 	tb.eng.Run(tb.dep.Timing().S + 10)
 	join := nodeStateFixture{"joiner", joiner.AppendState(nil), tb.emulators[0]}
+	return []nodeStateFixture{replica, join}
+}
 
-	// A tracking observer two radio rounds into a virtual round: the
-	// target's beacon and the digest are pending for its next Step, and its
-	// program holds the sightings of earlier digests.
-	tb = newTestbed(t, testbedOpts{locs: []geo.Point{{X: 0, Y: 0}}, replicasPer: 2, leaders: true, program: apps.TrackerProgram})
+// clientStateFixture is a tracking observer two radio rounds into a
+// virtual round: the target's beacon and the digest are pending for its
+// next Step, and its program holds the sightings of earlier digests.
+func clientStateFixture(t *testing.T) nodeStateFixture {
+	t.Helper()
+	tb := newTestbed(t, testbedOpts{locs: []geo.Point{{X: 0, Y: 0}}, replicasPer: 2, leaders: true, program: apps.TrackerProgram})
 	target := geo.Point{X: 1, Y: -1}
 	tb.addClient(target, &apps.TargetClient{Name: "t1", Period: 1, Pos: func() geo.Point { return target }})
 	observer := tb.addClient(geo.Point{X: -1, Y: 1}, &apps.ObserverClient{})
 	tb.runVRounds(3)
 	tb.eng.Run(2)
-	client := nodeStateFixture{"observer", observer.AppendState(nil), tb.addClient(geo.Point{X: -1, Y: 0}, &apps.ObserverClient{})}
-	return []nodeStateFixture{replica, join, client}
+	return nodeStateFixture{"observer", observer.AppendState(nil), tb.addClient(geo.Point{X: -1, Y: 0}, &apps.ObserverClient{})}
 }
 
-// TestNodeStatePinned pins the bytes a replica, a joiner and a client write
-// into every checkpoint — they feed the checkpoint digests the benchmark and
-// the golden runs compare — and requires each blob laid over another node
-// to read back unchanged.
-func TestNodeStatePinned(t *testing.T) {
-	want := map[string]string{
-		"replica": "0001010002040302030902010670696e672d3302040902010670696e672d3403000003180303030670696e672d31" +
-			"0670696e672d320670696e672d33010670696e672d340001010107636f756e743d3300000000",
-		"joiner": "000001000000000000000000010670696e672d33000000000000000100",
-		"observer": "0000021431027431000000000000f03f000000000000f0bf163201027431000000000000f03f000000000000f0bf" +
-			"03001501027431000000000000f03f000000000000f0bf02",
-	}
-	for _, f := range nodeStateFixtures(t) {
+// checkStatePinned pins the bytes each fixture's node writes into every
+// checkpoint — they feed the checkpoint digests the benchmark and the
+// golden runs compare — and requires each blob laid over another node to
+// read back unchanged.
+func checkStatePinned(t *testing.T, fixtures []nodeStateFixture, want map[string]string) {
+	t.Helper()
+	for _, f := range fixtures {
 		if got := hex.EncodeToString(f.blob); got != want[f.name] {
 			t.Errorf("%s state\n got %s\nwant %s", f.name, got, want[f.name])
 		}
@@ -91,6 +90,27 @@ func TestNodeStatePinned(t *testing.T) {
 			t.Errorf("%s: restored node writes % x, want % x", f.name, got, f.blob)
 		}
 	}
+}
+
+// TestEmulatorSnapshotRoundTrip pins the state blobs of a replica
+// mid-vround and of a joiner between request and ack, and their round
+// trip through another emulator.
+func TestEmulatorSnapshotRoundTrip(t *testing.T) {
+	checkStatePinned(t, emulatorStateFixtures(t), map[string]string{
+		"replica": "0001010002040302030902010670696e672d3302040902010670696e672d3403000003180303030670696e672d31" +
+			"0670696e672d320670696e672d33010670696e672d340001010107636f756e743d3300000000",
+		"joiner": "000001000000000000000000010670696e672d33000000000000000100",
+	})
+}
+
+// TestClientSnapshotRoundTrip pins the state blob of a tracking observer
+// client with pending receptions and a program blob, and its round trip
+// through another client.
+func TestClientSnapshotRoundTrip(t *testing.T) {
+	checkStatePinned(t, []nodeStateFixture{clientStateFixture(t)}, map[string]string{
+		"observer": "0000021431027431000000000000f03f000000000000f0bf163201027431000000000000f03f000000000000f0bf" +
+			"03001501027431000000000000f03f000000000000f0bf02",
+	})
 }
 
 // splitCore cuts an emulator blob around its agreement core: the fields
