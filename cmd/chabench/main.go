@@ -19,7 +19,7 @@
 //	chabench -json              # machine-readable report on stdout
 //	chabench -json -out f.json  # ... written to a file
 //	chabench -seeds 1,2,3       # replicate every cell across seeds
-//	chabench -parallel          # fan cells out over a worker pool
+//	chabench -workers 0         # fan cells out over GOMAXPROCS workers
 //
 // Every value it prints is a simulated quantity — rounds, bytes, colours,
 // availability — so for a fixed seed list the output is byte-identical from
@@ -55,8 +55,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the machine-readable JSON report instead of text tables")
 		outPath  = flag.String("out", "", "write output to a file instead of stdout")
 		seedsStr = flag.String("seeds", "", "comma-separated seed list replicated across every cell (default: per-experiment)")
-		parallel = flag.Bool("parallel", false, "fan experiment cells out over a bounded worker pool")
-		workers  = flag.Int("workers", 0, "worker-pool size; >1 implies -parallel (like sim.WithWorkers), 0 = GOMAXPROCS when -parallel is set")
+		workers  = flag.Int("workers", 1, "experiment cells run at once; 0 = GOMAXPROCS (like sim.WithWorkers)")
 		note     = flag.String("note", "", "free-form note recorded in the JSON header (machine, commit, ...)")
 
 		profile cli.Profile
@@ -66,7 +65,7 @@ func main() {
 	flag.Parse()
 	if flag.NArg() > 0 {
 		// A bool flag takes no separate argument and the flag package stops
-		// at the first positional: `-parallel false` or a bare `E2` would
+		// at the first positional: `-quick false` or a bare `E2` would
 		// otherwise run something other than what was typed.
 		fmt.Fprintf(os.Stderr, "chabench: unexpected argument %q\n", flag.Arg(0))
 		flag.Usage()
@@ -105,15 +104,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chabench: %v\n", err)
 		exit(2)
 	}
-	w := *workers
-	if *parallel && w <= 0 {
-		w = -1 // harness: negative means GOMAXPROCS
-	}
 	suite, err := harness.Run(harness.Options{
 		Only:    *only,
 		Quick:   *quick,
 		Seeds:   seeds,
-		Workers: w,
+		Workers: *workers,
 		Note:    *note,
 	})
 	if err != nil {

@@ -10,10 +10,10 @@ import (
 
 // TestRetiredCompareFlagFailsLoudly pins what a stale script or a typo
 // sees: the host-time gate lives in bench/ (`bench --compare`), -timing went
-// with the values it blanked, there is no E10, and a word the flag package
-// would leave unparsed is not dropped. Each must die with exit 2 before
-// anything runs — not run the whole suite and exit 0 as if a gate had
-// passed.
+// with the values it blanked, -parallel is -workers 0, there is no E10, and
+// a word the flag package would leave unparsed is not dropped. Each must die
+// with exit 2 before anything runs — not run the whole suite and exit 0 as
+// if a gate had passed.
 func TestRetiredCompareFlagFailsLoudly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the chabench binary")
@@ -26,7 +26,8 @@ func TestRetiredCompareFlagFailsLoudly(t *testing.T) {
 		{[]string{"-compare", "x"}, "flag provided but not defined: -compare"},
 		{[]string{"-timing=false"}, "flag provided but not defined: -timing"},
 		{[]string{"E2"}, `unexpected argument "E2"`},
-		{[]string{"-parallel", "false", "-only", "E1"}, `unexpected argument "false"`},
+		{[]string{"-parallel"}, "flag provided but not defined: -parallel"},
+		{[]string{"-quick", "false", "-only", "E1"}, `unexpected argument "false"`},
 		{[]string{"-only", "E10"}, `unknown experiment "E10"`},
 	} {
 		var stdout, stderr bytes.Buffer

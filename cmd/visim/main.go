@@ -5,15 +5,13 @@
 // for the tracking app — where the trackers believe each target is versus
 // where it actually is.
 //
-// The world is an internal/spec document. The classic flags are shorthand
-// that visim translates into a spec; -dump-spec prints the effective spec
-// (defaults materialized) without running, and -spec runs a spec file
-// as-is — the same document POST /v1/sims accepts, with identical results:
+// The world is an internal/spec document, and -spec names it: the same
+// document POST /v1/sims accepts, with identical results. -dump-spec prints
+// the effective document (defaults materialized) without running:
 //
-//	visim -grid 3x3 -targets 2 -devices 4 -vrounds 120 -seed 7
-//	visim -grid 3x3 -targets 2 -dump-spec > world.json
+//	visim -spec examples/tracking.json
+//	visim -spec examples/tracking.json -dump-spec > world.json
 //	visim -spec world.json
-//	visim -grid 8x8 -devices 16 -parallel   # shard rounds across cores
 //
 // A run can be suspended into a checkpoint file and resumed by a later
 // process with identical results (the spec must match, since the
@@ -25,7 +23,7 @@
 //
 // Profiling a run (see README "Profiling" for the workflow):
 //
-//	visim -grid 8x8 -devices 16 -parallel -cpuprofile cpu.out -memprofile mem.out
+//	visim -spec world.json -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof -top cpu.out
 package main
 
@@ -42,14 +40,7 @@ import (
 )
 
 func main() {
-	gridSpec := flag.String("grid", "2x2", "virtual node grid (CxR)")
-	spacing := flag.Float64("spacing", 6, "grid spacing")
-	devices := flag.Int("devices", 3, "devices tethered per virtual node")
-	targets := flag.Int("targets", 2, "mobile targets to track")
-	vrounds := flag.Int("vrounds", 60, "virtual rounds to simulate")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Bool("parallel", false, "shard round delivery and node fan-out across CPU cores (same seed, same output)")
-	specPath := flag.String("spec", "", "run this deployment spec file instead of the world flags")
+	specPath := flag.String("spec", "", "the deployment spec file to run (required)")
 	dumpSpec := flag.Bool("dump-spec", false, "print the effective deployment spec and exit without running")
 	var ckpt cli.Checkpoint
 	ckpt.Register(flag.CommandLine)
@@ -61,56 +52,24 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *specPath == "" {
+		fmt.Fprintln(os.Stderr, "visim: -spec is required (examples/ holds documents to start from)")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := ckpt.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "visim: %v\n", err)
 		os.Exit(2)
 	}
-
-	var s spec.Spec
-	if *specPath != "" {
-		worldFlags := map[string]bool{
-			"grid": true, "spacing": true, "devices": true, "targets": true,
-			"vrounds": true, "seed": true, "parallel": true,
-		}
-		conflict := ""
-		flag.Visit(func(f *flag.Flag) {
-			if worldFlags[f.Name] {
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			fmt.Fprintf(os.Stderr, "visim: -%s conflicts with -spec (the spec file describes the whole world)\n", conflict)
-			os.Exit(2)
-		}
-		b, err := os.ReadFile(*specPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "visim: %v\n", err)
-			os.Exit(2)
-		}
-		if s, err = spec.Parse(b); err != nil {
-			fmt.Fprintf(os.Stderr, "visim: %s: %v\n", *specPath, err)
-			os.Exit(2)
-		}
-	} else {
-		var cols, rows int
-		if _, err := fmt.Sscanf(*gridSpec, "%dx%d", &cols, &rows); err != nil || cols < 1 || rows < 1 {
-			fmt.Fprintf(os.Stderr, "visim: bad -grid %q\n", *gridSpec)
-			os.Exit(2)
-		}
-		s = spec.Spec{
-			Version: spec.Version,
-			Seed:    *seed,
-			VRounds: *vrounds,
-			Grid:    spec.Grid{Cols: cols, Rows: rows, Spacing: *spacing},
-			App:     "tracker",
-			Devices: spec.Devices{Replicas: *devices, Targets: *targets},
-			Engine:  spec.Engine{Parallel: *parallel},
-		}
-		s.ApplyDefaults()
-		if err := s.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "visim: %v\n", err)
-			os.Exit(2)
-		}
+	b, err := os.ReadFile(*specPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "visim: %v\n", err)
+		os.Exit(2)
+	}
+	s, err := spec.Parse(b)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "visim: %s: %v\n", *specPath, err)
+		os.Exit(2)
 	}
 	if *dumpSpec {
 		os.Stdout.Write(s.JSON())

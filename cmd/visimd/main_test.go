@@ -164,7 +164,7 @@ func TestHTTPMatchesVisimSpec(t *testing.T) {
 	}
 	visim := buildBin(t, "vinfra/cmd/visim", "visim")
 	visimd := buildBin(t, ".", "visimd")
-	refused(t, visim, "-vrounds", "1", "stray")
+	refused(t, visim, "-spec", "../../examples/quickstart.json", "stray")
 	refused(t, visimd, "-addr", "127.0.0.1:0", "stray")
 	want := runVisimSpec(t, visim, specWithFault)
 
@@ -273,14 +273,17 @@ func TestExamplesRunUnderVisimSpec(t *testing.T) {
 	}
 }
 
-// TestVisimDumpSpecRoundTrips pins the flag-to-spec translation: the spec
-// visim -dump-spec prints runs identically through -spec.
+// TestVisimDumpSpecRoundTrips pins -dump-spec: the effective document it
+// prints for examples/tracking.json runs identically through -spec, and a
+// world flag — the document describes the whole world — is refused with
+// the usage exit.
 func TestVisimDumpSpecRoundTrips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the visim binary")
 	}
 	visim := buildBin(t, "vinfra/cmd/visim", "visim")
-	out, err := exec.Command(visim, "-grid", "2x1", "-targets", "1", "-vrounds", "4", "-dump-spec").Output()
+	const example = "../../examples/tracking.json"
+	out, err := exec.Command(visim, "-spec", example, "-dump-spec").Output()
 	if err != nil {
 		t.Fatalf("visim -dump-spec: %v", err)
 	}
@@ -289,18 +292,19 @@ func TestVisimDumpSpecRoundTrips(t *testing.T) {
 	if err := os.WriteFile(specPath, out, 0o644); err != nil {
 		t.Fatalf("writing spec: %v", err)
 	}
-	flagRun, err := exec.Command(visim, "-grid", "2x1", "-targets", "1", "-vrounds", "4").Output()
+	exampleRun, err := exec.Command(visim, "-spec", example).Output()
 	if err != nil {
-		t.Fatalf("visim (flags): %v", err)
+		t.Fatalf("visim -spec %s: %v", example, err)
 	}
-	specRun, err := exec.Command(visim, "-spec", specPath).Output()
+	dumpedRun, err := exec.Command(visim, "-spec", specPath).Output()
 	if err != nil {
-		t.Fatalf("visim -spec: %v", err)
+		t.Fatalf("visim -spec (dumped): %v", err)
 	}
-	if !bytes.Equal(flagRun, specRun) {
-		t.Fatalf("-spec output differs from the flag run:\n--- flags:\n%s\n--- spec:\n%s", flagRun, specRun)
+	if !bytes.Equal(exampleRun, dumpedRun) {
+		t.Fatalf("the dumped document runs differently:\n--- example:\n%s\n--- dumped:\n%s", exampleRun, dumpedRun)
 	}
-	if err := exec.Command(visim, "-spec", specPath, "-grid", "3x3").Run(); err == nil {
-		t.Fatal("visim accepted -grid together with -spec")
+	err = exec.Command(visim, "-spec", specPath, "-grid", "3x3").Run()
+	if exit := new(exec.ExitError); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("visim -spec with -grid: err = %v, want exit status 2", err)
 	}
 }

@@ -84,8 +84,8 @@
 //     WireSize is the exact length of its encoding; nothing in the
 //     module uses encoding/gob. Monitor accounts per-virtual-node
 //     availability: green instances, maximal stalls and recovery
-//     latencies, with horizon-aware variants that count a silenced node
-//     as unavailable. Devices sleep through the radio rounds they have no
+//     latencies through a horizon, so a silenced node counts as
+//     unavailable. Devices sleep through the radio rounds they have no
 //     part in: a Client takes part in two of a virtual round's s+12, an
 //     Emulator in the phases and the one ballot slot of its own virtual
 //     node — seven or eight as a replica, four or one as a joiner. Both
@@ -127,9 +127,10 @@
 //     emits the same rows as a machine-readable JSON report. Every value
 //     in either is a simulated quantity.
 //
-// cmd/chabench runs the suite through the harness registry; cmd/visim runs
-// an interactive tracking simulation (pass -parallel to shard rounds
-// across cores). See README.md for a guided tour.
+// cmd/chabench runs the suite through the harness registry (-workers 0
+// fans its cells across cores); cmd/visim runs one deployment-spec
+// document (-spec examples/tracking.json). See README.md for a guided
+// tour.
 //
 // # The determinism contract
 //

@@ -25,32 +25,38 @@ func ring(n int, r float64) []geo.Point {
 	return pts
 }
 
-func newNaiveCluster(t *testing.T, n int) (*sim.Engine, *cha.Recorder, []*baseline.NaiveReplica) {
+// newNaiveCluster attaches n naive replicas on a ring; latest[i] is the
+// history replica i last output green.
+func newNaiveCluster(t *testing.T, n int) (eng *sim.Engine, rec *cha.Recorder, latest []*cha.History) {
 	t.Helper()
 	medium := radio.MustMedium(radio.Config{Radii: testRadii, Detector: cd.AC{}})
-	eng := sim.NewEngine(medium)
-	rec := cha.NewRecorder()
+	eng = sim.NewEngine(medium)
+	rec = cha.NewRecorder()
 	factory, _ := cm.NewFixed(0)
-	var reps []*baseline.NaiveReplica
+	latest = make([]*cha.History, n)
 	for i, pos := range ring(n, 2) {
 		i := i
 		eng.Attach(pos, nil, func(env sim.Env) sim.Node {
-			rep := baseline.NewNaiveReplica(baseline.NaiveConfig{
+			record := rec.OutputFunc(env.ID())
+			return baseline.NewNaiveReplica(baseline.NaiveConfig{
 				Propose: rec.WrapPropose(func(k cha.Instance) cha.Value {
 					return cha.V(fmt.Sprintf("n%02d-%06d", i, k))
 				}),
-				CM:       factory(env),
-				OnOutput: rec.OutputFunc(env.ID()),
+				CM: factory(env),
+				OnOutput: func(out cha.Output) {
+					record(out)
+					if out.History != nil {
+						latest[i] = out.History
+					}
+				},
 			})
-			reps = append(reps, rep)
-			return rep
 		})
 	}
-	return eng, rec, reps
+	return eng, rec, latest
 }
 
 func TestNaiveReplicaSatisfiesCHA(t *testing.T) {
-	eng, rec, reps := newNaiveCluster(t, 4)
+	eng, rec, latest := newNaiveCluster(t, 4)
 	eng.Run(30 * cha.RoundsPerInstance)
 	rep := rec.Report()
 	if v := rep.Violations(); v != "" {
@@ -59,9 +65,9 @@ func TestNaiveReplicaSatisfiesCHA(t *testing.T) {
 	if rep.DecidedRate != 1 {
 		t.Errorf("decided rate = %v on a clean channel", rep.DecidedRate)
 	}
-	for i, r := range reps {
-		if r.History().Len() != 30 {
-			t.Errorf("replica %d history covers %d, want 30", i, r.History().Len())
+	for i, h := range latest {
+		if h.Len() != 30 {
+			t.Errorf("replica %d history covers %d, want 30", i, h.Len())
 		}
 	}
 }
@@ -97,43 +103,48 @@ func TestNaiveBallotWireSize(t *testing.T) {
 	}
 }
 
-func newRSMCluster(t *testing.T, n int, adv radio.Adversary) (*sim.Engine, []*baseline.MajorityRSM) {
+// newRSMCluster attaches n RSM nodes on a ring; commits[i] maps each slot
+// node i committed to its value.
+func newRSMCluster(t *testing.T, n int, adv radio.Adversary) (eng *sim.Engine, nodes []*baseline.MajorityRSM, commits []map[int]string) {
 	t.Helper()
 	medium := radio.MustMedium(radio.Config{Radii: testRadii, Detector: cd.AC{}, Adversary: adv})
-	eng := sim.NewEngine(medium)
-	nodes := make([]*baseline.MajorityRSM, n)
+	eng = sim.NewEngine(medium)
+	nodes = make([]*baseline.MajorityRSM, n)
+	commits = make([]map[int]string, n)
 	for i, pos := range ring(n, 2) {
 		i := i
+		commits[i] = map[int]string{}
 		eng.Attach(pos, nil, func(env sim.Env) sim.Node {
 			nodes[i] = baseline.NewMajorityRSM(baseline.RSMConfig{
 				N:           n,
 				Index:       i,
 				LeaderIndex: 0,
 				Propose:     func(k int) string { return fmt.Sprintf("cmd-%06d", k) },
+				OnCommit:    func(k int, v string) { commits[i][k] = v },
 			})
 			return nodes[i]
 		})
 	}
-	return eng, nodes
+	return eng, nodes, commits
 }
 
 func TestRSMCommitsOnCleanChannel(t *testing.T) {
 	const n, slots = 5, 10
-	eng, nodes := newRSMCluster(t, n, nil)
+	eng, _, commits := newRSMCluster(t, n, nil)
 	eng.Run(slots * baseline.AttemptRounds(n))
-	for i, node := range nodes {
-		if got := node.CommitCount(); got != slots {
+	for i, c := range commits {
+		if got := len(c); got != slots {
 			t.Errorf("node %d committed %d slots, want %d", i, got, slots)
 		}
 	}
 	// All nodes agree on every slot.
 	for k := 1; k <= slots; k++ {
-		v0, ok := nodes[0].Committed(k)
+		v0, ok := commits[0][k]
 		if !ok {
 			t.Fatalf("leader missing slot %d", k)
 		}
-		for i, node := range nodes[1:] {
-			if v, ok := node.Committed(k); !ok || v != v0 {
+		for i, c := range commits[1:] {
+			if v, ok := c[k]; !ok || v != v0 {
 				t.Errorf("node %d slot %d = %q,%v want %q", i+1, k, v, ok, v0)
 			}
 		}
@@ -144,7 +155,7 @@ func TestRSMRoundsPerDecisionGrowLinearly(t *testing.T) {
 	// Θ(n) rounds per decision: the shape of the paper's Section 1.5
 	// critique.
 	perDecision := func(n int) int {
-		eng, nodes := newRSMCluster(t, n, nil)
+		eng, nodes, _ := newRSMCluster(t, n, nil)
 		eng.Run(5 * baseline.AttemptRounds(n))
 		if len(nodes[0].RoundsPerCommit) == 0 {
 			t.Fatalf("n=%d: nothing committed", n)
@@ -167,15 +178,15 @@ func TestRSMRetriesThroughLoss(t *testing.T) {
 	const n = 3
 	horizon := sim.Round(2 * baseline.AttemptRounds(n))
 	adv := radio.NewRandomLoss(1.0, 0, horizon, 5)
-	eng, nodes := newRSMCluster(t, n, adv)
+	eng, _, commits := newRSMCluster(t, n, adv)
 	eng.Run(10 * baseline.AttemptRounds(n))
-	if nodes[0].CommitCount() == 0 {
+	if len(commits[0]) == 0 {
 		t.Fatal("leader never committed despite channel healing")
 	}
 	// Replicas caught up on slot 1.
-	v0, _ := nodes[0].Committed(1)
-	for i, node := range nodes[1:] {
-		if v, ok := node.Committed(1); !ok || v != v0 {
+	v0 := commits[0][1]
+	for i, c := range commits[1:] {
+		if v, ok := c[1]; !ok || v != v0 {
 			t.Errorf("node %d: slot 1 = %q,%v want %q", i+1, v, ok, v0)
 		}
 	}
@@ -196,7 +207,7 @@ func TestRSMConfigValidation(t *testing.T) {
 }
 
 func TestRSMMessageSizesConstant(t *testing.T) {
-	eng, _ := newRSMCluster(t, 4, nil)
+	eng, _, _ := newRSMCluster(t, 4, nil)
 	eng.Run(20 * baseline.AttemptRounds(4))
 	if got := eng.Stats().MaxMessageSize; got > 32 {
 		t.Errorf("RSM messages should be small and constant, got max %d", got)

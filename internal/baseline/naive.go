@@ -184,9 +184,6 @@ func (r *NaiveReplica) finish() {
 	}
 }
 
-// History returns the replica's current adopted history.
-func (r *NaiveReplica) History() *cha.History { return r.history }
-
 func retop(h *cha.History, top cha.Instance) *cha.History {
 	vals := make(map[cha.Instance]cha.Value, h.Len())
 	for _, i := range h.Included() {

@@ -67,9 +67,8 @@ type RSMConfig struct {
 type MajorityRSM struct {
 	cfg RSMConfig
 
-	k         int // current slot being decided
-	attempt   int // rounds consumed so far (for metrics)
-	committed map[int]string
+	k       int // current slot being decided
+	attempt int // rounds consumed so far (for metrics)
 
 	// leader state
 	pendingV string
@@ -97,10 +96,9 @@ func NewMajorityRSM(cfg RSMConfig) *MajorityRSM {
 		panic("baseline: leader requires Propose")
 	}
 	return &MajorityRSM{
-		cfg:       cfg,
-		k:         1,
-		committed: make(map[int]string),
-		acks:      make(map[int]bool),
+		cfg:  cfg,
+		k:    1,
+		acks: make(map[int]bool),
 	}
 }
 
@@ -185,7 +183,6 @@ func (m *MajorityRSM) Receive(r sim.Round, rx sim.Reception) {
 			}
 		}
 		if committed {
-			m.committed[m.k] = v
 			if m.cfg.OnCommit != nil {
 				m.cfg.OnCommit(m.k, v)
 			}
@@ -197,12 +194,3 @@ func (m *MajorityRSM) Receive(r sim.Round, rx sim.Reception) {
 		}
 	}
 }
-
-// Committed returns the value committed for slot k, if any.
-func (m *MajorityRSM) Committed(k int) (string, bool) {
-	v, ok := m.committed[k]
-	return v, ok
-}
-
-// CommitCount returns how many slots this node has committed.
-func (m *MajorityRSM) CommitCount() int { return len(m.committed) }

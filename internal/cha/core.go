@@ -52,13 +52,6 @@ type slot struct {
 // NewCore returns a fresh CHAP state machine with no completed instances.
 func NewCore() *Core { return &Core{} }
 
-// Instance returns the instance currently in progress (0 before Begin).
-func (c *Core) Instance() Instance { return c.k }
-
-// Prev returns the prev-instance pointer: the most recent instance this
-// node designated good (yellow or green), or 0.
-func (c *Core) Prev() Instance { return c.prev }
-
 // Status returns the color this node assigned to instance k (green if the
 // instance was never downgraded).
 func (c *Core) Status(k Instance) Color {
@@ -273,10 +266,6 @@ func (c *Core) GC(upTo Instance) int {
 	c.win = c.win[:kept]
 	return removed
 }
-
-// Floor returns the GC floor: instances at or below it have been folded
-// into the checkpoint and are no longer materialized in histories.
-func (c *Core) Floor() Instance { return c.floor }
 
 // ResetAt reinitializes the state machine as of instance k: all prior
 // instances are treated as folded away (floor = k) and the next instance

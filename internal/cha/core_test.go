@@ -39,8 +39,8 @@ func TestCleanInstanceIsGreen(t *testing.T) {
 	if v, ok := out.History.At(1); !ok || v.String() != "v1" {
 		t.Errorf("history(1) = %q, %v", v, ok)
 	}
-	if c.Prev() != 1 {
-		t.Errorf("prev = %d, want 1", c.Prev())
+	if c.prev != 1 {
+		t.Errorf("prev = %d, want 1", c.prev)
 	}
 }
 
@@ -125,8 +125,8 @@ func TestYellowIsGoodButUndecided(t *testing.T) {
 		t.Error("yellow must output ⊥")
 	}
 	// But prev advances: yellow is good.
-	if c.Prev() != 1 {
-		t.Errorf("prev = %d, want 1 (yellow is good)", c.Prev())
+	if c.prev != 1 {
+		t.Errorf("prev = %d, want 1 (yellow is good)", c.prev)
 	}
 }
 
@@ -141,8 +141,8 @@ func TestOrangeAndRedDoNotAdvancePrev(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			c := NewCore()
 			drive(c, 1, tt.script)
-			if c.Prev() != 0 {
-				t.Errorf("prev = %d, want 0", c.Prev())
+			if c.prev != 0 {
+				t.Errorf("prev = %d, want 0", c.prev)
 			}
 		})
 	}
@@ -162,7 +162,7 @@ func TestHistoryChainSkipsBadInstances(t *testing.T) {
 	if v, ok := h.At(1); !ok || v.String() != "a" {
 		t.Errorf("h(1) = %q,%v want a", v, ok)
 	}
-	if h.Includes(2) {
+	if includes(h, 2) {
 		t.Error("red instance 2 must be ⊥ in the history")
 	}
 	if v, ok := h.At(3); !ok || v.String() != "c" {
@@ -181,8 +181,8 @@ func TestAdoptedBallotPointerOverridesLocalChain(t *testing.T) {
 	c.ObserveBallots([]Ballot{{V: V("b"), Prev: 1}}, false)
 	c.ObserveVeto1(true, false) // orange
 	out := c.ObserveVeto2(true, false)
-	if out.Color != Orange || c.Prev() != 1 {
-		t.Fatalf("setup: color=%v prev=%d", out.Color, c.Prev())
+	if out.Color != Orange || c.prev != 1 {
+		t.Fatalf("setup: color=%v prev=%d", out.Color, c.prev)
 	}
 	// Instance 3: leader was yellow at 2, so its ballot carries prev=2.
 	c.Begin(3, V("c"))
@@ -239,7 +239,7 @@ func TestBrokenChainCounter(t *testing.T) {
 	if c.BrokenChains == 0 {
 		t.Error("dereferencing a missing ballot must increment BrokenChains")
 	}
-	if out.History.Includes(1) {
+	if includes(out.History, 1) {
 		t.Error("broken chain should not fabricate a value for instance 1")
 	}
 }
@@ -256,8 +256,8 @@ func TestGCBoundsRetainedState(t *testing.T) {
 			t.Fatalf("instance %d: retained %d entries, want <= 2", k, got)
 		}
 	}
-	if c.Floor() != 99 {
-		t.Errorf("floor = %d, want 99", c.Floor())
+	if c.floor != 99 {
+		t.Errorf("floor = %d, want 99", c.floor)
 	}
 }
 
@@ -270,10 +270,10 @@ func TestGCHistoriesStartAboveFloor(t *testing.T) {
 	if !out.Decided() {
 		t.Fatal("instance 3 should decide")
 	}
-	if out.History.Includes(1) {
+	if includes(out.History, 1) {
 		t.Error("GC'd instance 1 must not appear in new histories")
 	}
-	if !out.History.Includes(2) || !out.History.Includes(3) {
+	if !includes(out.History, 2) || !includes(out.History, 3) {
 		t.Error("instances at/above the GC point must appear")
 	}
 	if c.BrokenChains != 0 {

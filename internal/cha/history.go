@@ -149,12 +149,6 @@ func (b Ballot) Less(o Ballot) bool {
 	return b.Prev < o.Prev
 }
 
-// Equal reports whether two ballots carry the same value and prev pointer.
-// (Ballot holds a byte-backed Value, so == does not apply.)
-func (b Ballot) Equal(o Ballot) bool {
-	return b.Prev == o.Prev && b.V.Equal(o.V)
-}
-
 // MinBallot returns the minimum of a non-empty ballot set.
 func MinBallot(bs []Ballot) Ballot {
 	min := bs[0]
@@ -228,12 +222,6 @@ func (h *History) At(k Instance) (Value, bool) {
 	return Value{}, false
 }
 
-// Includes reports whether h(k) != ⊥.
-func (h *History) Includes(k Instance) bool {
-	_, ok := h.At(k)
-	return ok
-}
-
 // Included returns the included instances in increasing order.
 func (h *History) Included() []Instance {
 	out := make([]Instance, 0, len(h.ents))
@@ -256,20 +244,6 @@ func (h *History) Len() int {
 	return n
 }
 
-// PrefixEqual reports whether h and o agree on every instance up to and
-// including k (both the included values and the ⊥ positions) — the
-// Agreement relation of Section 3.2.
-func (h *History) PrefixEqual(o *History, k Instance) bool {
-	for i := Instance(1); i <= k; i++ {
-		v1, ok1 := h.At(i)
-		v2, ok2 := o.At(i)
-		if ok1 != ok2 || !v1.Equal(v2) {
-			return false
-		}
-	}
-	return true
-}
-
 // foldPosition chains one history position into a running digest. Because
 // the digest is a strict position-by-position fold, folding a history in
 // segments (as the checkpointing variant does, Section 3.5) produces the
@@ -289,7 +263,8 @@ func foldPosition(d uint64, k Instance, v Value, present bool) uint64 {
 
 // DigestRange folds positions from..to (inclusive, ⊥ positions included)
 // into a 64-bit digest seeded by prior. Chaining segment digests equals a
-// single-pass digest over the union.
+// single-pass digest over the union; from 1 it is the checkpoint digest of
+// the garbage-collected variant (Section 3.5).
 func (h *History) DigestRange(from, to Instance, prior uint64) uint64 {
 	d := prior
 	for i := from; i <= to; i++ {
@@ -298,16 +273,6 @@ func (h *History) DigestRange(from, to Instance, prior uint64) uint64 {
 	}
 	return d
 }
-
-// DigestUpTo folds the history's prefix up to and including k into a
-// 64-bit digest, seeded by prior. It is the checkpoint digest of the
-// garbage-collected variant (Section 3.5).
-func (h *History) DigestUpTo(k Instance, prior uint64) uint64 {
-	return h.DigestRange(1, k, prior)
-}
-
-// Digest folds the entire history (up to Top) into a 64-bit digest.
-func (h *History) Digest() uint64 { return h.DigestUpTo(h.top, 0) }
 
 // String renders the history as e.g. "[1:a 2:⊥ 3:b]" for diagnostics.
 func (h *History) String() string {

@@ -91,7 +91,7 @@ func TestLemma6IncludedInstanceNeverRed(t *testing.T) {
 	// All nodes eventually output histories including instance 1.
 	for i, rep := range c.replicas {
 		h := rep.Core().CalculateHistory()
-		if !h.Includes(1) {
+		if _, ok := h.At(1); !ok {
 			t.Errorf("node %d: history excludes instance 1", i)
 		}
 		if rep.Core().Status(1) == cha.Red {
@@ -134,7 +134,7 @@ func TestLemma9GreenInstancesPersist(t *testing.T) {
 			t.Fatalf("setup failed: node %d instance 1 is %v", i, rep.Core().Status(1))
 		}
 		h := rep.Core().CalculateHistory()
-		if !h.Includes(1) {
+		if _, ok := h.At(1); !ok {
 			t.Errorf("node %d: green instance 1 missing from a later history (Lemma 9)", i)
 		}
 	}
@@ -164,7 +164,7 @@ func TestTheorem12StabilizationScenario(t *testing.T) {
 	// histories with an agreed value, despite nobody deciding it at the
 	// time.
 	h := c.replicas[0].Core().CalculateHistory()
-	if !h.Includes(1) {
+	if _, ok := h.At(1); !ok {
 		t.Error("yellow instance 1 should be resolved by later chains")
 	}
 }

@@ -26,12 +26,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Prev() != c.Prev() || restored.Instance() != c.Instance() || restored.Floor() != c.Floor() {
+	if restored.prev != c.prev || restored.k != c.k || restored.floor != c.floor {
 		t.Error("restored core header differs")
 	}
 	h1 := c.CalculateHistory()
 	h2 := restored.CalculateHistory()
-	if h1.Digest() != h2.Digest() {
+	if digest(h1) != digest(h2) {
 		t.Errorf("restored history differs: %v vs %v", h1, h2)
 	}
 	// Statuses carried over.
@@ -40,7 +40,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// The restored core continues correctly.
 	out := drive(restored, 4, instanceScript{proposal: V("d")})
-	if !out.Decided() || !out.History.Includes(1) || !out.History.Includes(4) {
+	if !out.Decided() || !includes(out.History, 1) || !includes(out.History, 4) {
 		t.Errorf("restored core's next instance broken: %v", out.History)
 	}
 }
@@ -90,8 +90,8 @@ func TestSnapshotWireSize(t *testing.T) {
 func TestResetAt(t *testing.T) {
 	c := buildCoreWithHistory(t)
 	c.ResetAt(10)
-	if c.Instance() != 10 || c.Prev() != 0 || c.Floor() != 10 {
-		t.Errorf("after ResetAt(10): k=%d prev=%d floor=%d", c.Instance(), c.Prev(), c.Floor())
+	if c.k != 10 || c.prev != 0 || c.floor != 10 {
+		t.Errorf("after ResetAt(10): k=%d prev=%d floor=%d", c.k, c.prev, c.floor)
 	}
 	if c.Retained() != 0 {
 		t.Errorf("ResetAt must clear per-instance state, retained %d", c.Retained())
@@ -101,7 +101,7 @@ func TestResetAt(t *testing.T) {
 	if !out.Decided() {
 		t.Fatal("instance after reset must decide")
 	}
-	if out.History.Includes(3) {
+	if includes(out.History, 3) {
 		t.Error("pre-reset instances must not appear in post-reset histories")
 	}
 	if v, ok := out.History.At(11); !ok || v.String() != "x" {
@@ -112,11 +112,11 @@ func TestResetAt(t *testing.T) {
 func TestGCIdempotentAndMonotone(t *testing.T) {
 	c := buildCoreWithHistory(t)
 	c.GC(3)
-	floor := c.Floor()
+	floor := c.floor
 	// GC with a smaller bound must not lower the floor.
 	c.GC(1)
-	if c.Floor() != floor {
-		t.Errorf("GC(1) lowered the floor: %d -> %d", floor, c.Floor())
+	if c.floor != floor {
+		t.Errorf("GC(1) lowered the floor: %d -> %d", floor, c.floor)
 	}
 	if removed := c.GC(3); removed != 0 {
 		t.Errorf("repeated GC removed %d entries", removed)

@@ -37,7 +37,7 @@ func (p *corePair) sameHistory(what string, h *History, m *mapHistory, full bool
 	for k := lo; k <= hi; k++ {
 		v, ok := h.At(k)
 		mv, mok := m.At(k)
-		if ok != mok || !v.Equal(mv) || h.Includes(k) != mok {
+		if ok != mok || !v.Equal(mv) || includes(h, k) != mok {
 			p.fatalf("%s: position %d = %q,%v, oracle %q,%v", what, k, v, ok, mv, mok)
 		}
 	}
@@ -47,8 +47,8 @@ func (p *corePair) sameHistory(what string, h *History, m *mapHistory, full bool
 	if a, b := h.DigestRange(lo, hi, 7), m.DigestRange(lo, hi, 7); a != b {
 		p.fatalf("%s: window digest %x, oracle %x", what, a, b)
 	}
-	if full && h.Digest() != m.Digest() {
-		p.fatalf("%s: digest %x, oracle %x", what, h.Digest(), m.Digest())
+	if full && digest(h) != m.Digest() {
+		p.fatalf("%s: digest %x, oracle %x", what, digest(h), m.Digest())
 	}
 }
 
@@ -56,9 +56,9 @@ func (p *corePair) sameHistory(what string, h *History, m *mapHistory, full bool
 func (p *corePair) same() {
 	p.t.Helper()
 	w, o := p.w, p.o
-	if w.Instance() != o.Instance() || w.Prev() != o.Prev() || w.Floor() != o.Floor() {
+	if w.k != o.Instance() || w.prev != o.Prev() || w.floor != o.Floor() {
 		p.fatalf("pointers k=%d prev=%d floor=%d, oracle k=%d prev=%d floor=%d",
-			w.Instance(), w.Prev(), w.Floor(), o.Instance(), o.Prev(), o.Floor())
+			w.k, w.prev, w.floor, o.Instance(), o.Prev(), o.Floor())
 	}
 	for k := o.floor - 2; k <= o.k+2; k++ {
 		if w.Status(k) != o.Status(k) {
@@ -266,8 +266,8 @@ func TestCoreWindowStaysShort(t *testing.T) {
 		}
 		c.GC(k)
 	}
-	if c.Floor() != 4999 || len(c.win) != 1 || cap(c.win) > 8 {
-		t.Errorf("floor %d, window len %d cap %d after 5000 instances", c.Floor(), len(c.win), cap(c.win))
+	if c.floor != 4999 || len(c.win) != 1 || cap(c.win) > 8 {
+		t.Errorf("floor %d, window len %d cap %d after 5000 instances", c.floor, len(c.win), cap(c.win))
 	}
 }
 

@@ -20,11 +20,17 @@ func (f *Fixed) AppendState(dst []byte) []byte {
 // RestoreState restores the shared election state. Because the leader
 // variable is shared by every Fixed built by the same factory, restoring
 // any one of them restores them all (they were snapshotted with the same
-// value, so repeated restores are idempotent).
+// value, so repeated restores are idempotent) — and a refused blob must
+// move none of them, so the leader is written only once the whole blob
+// has decoded.
 func (f *Fixed) RestoreState(data []byte) error {
 	d := wire.Dec(data)
-	*f.leader = sim.NodeID(d.Varint())
-	return d.Finish()
+	leader := sim.NodeID(d.Varint())
+	if err := d.Finish(); err != nil {
+		return err
+	}
+	*f.leader = leader
+	return nil
 }
 
 // AppendState records the contention window and deferral horizon.
@@ -33,12 +39,16 @@ func (b *Backoff) AppendState(dst []byte) []byte {
 	return wire.AppendUvarint(dst, uint64(b.deferUntil))
 }
 
-// RestoreState restores the contention window and deferral horizon.
+// RestoreState restores the contention window and deferral horizon; a
+// refused blob leaves both as they were.
 func (b *Backoff) RestoreState(data []byte) error {
 	d := wire.Dec(data)
-	b.w = int(d.Uvarint())
-	b.deferUntil = sim.Round(d.Uvarint())
-	return d.Finish()
+	w, deferUntil := int(d.Uvarint()), sim.Round(d.Uvarint())
+	if err := d.Finish(); err != nil {
+		return err
+	}
+	b.w, b.deferUntil = w, deferUntil
+	return nil
 }
 
 // AppendState delegates to the embedded Backoff (eligibility is a pure

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vinfra/internal/sim"
+	"vinfra/internal/wire"
 )
 
 // TestFixedSnapshotRoundTrip pins the leader blob: restoring a Fixed
@@ -65,4 +66,42 @@ func TestRegionalSnapshotDelegates(t *testing.T) {
 		t.Fatalf("restored w=%d, want %d", fresh.b.w, m.b.w)
 	}
 	var _ sim.Snapshotter = m // Regional participates in the blob contract
+}
+
+// TestRefusedBlobChangesNothing pins that a blob RestoreState refuses
+// writes nothing: for Fixed that is the leader every manager of the
+// factory shares, so a bad blob must not move a region's leader; for
+// Backoff, the window and the deferral horizon.
+func TestRefusedBlobChangesNothing(t *testing.T) {
+	trailing := append(wire.AppendVarint(nil, 7), 0)
+	truncated := []byte{0x80} // a varint cut short: reads as 0
+
+	factory, setLeader := NewFixed(1)
+	m0 := factory(newEnv(0, 1)).(*Fixed)
+	m1 := factory(newEnv(1, 2)).(*Fixed)
+	setLeader(3)
+	for _, blob := range [][]byte{trailing, truncated} {
+		if err := m1.RestoreState(blob); err == nil {
+			t.Fatalf("Fixed accepted % x", blob)
+		}
+		if *m0.leader != 3 || *m1.leader != 3 {
+			t.Fatalf("refused blob % x moved the leader to %d/%d, want 3", blob, *m0.leader, *m1.leader)
+		}
+	}
+
+	b := NewBackoff(BackoffConfig{WMax: 64, DeferRounds: 10})(newEnv(0, 5)).(*Backoff)
+	b.Observe(1, FeedbackCollision)
+	b.Observe(2, FeedbackLost)
+	w, deferUntil := b.w, b.deferUntil
+	for _, blob := range [][]byte{
+		append(wire.AppendUvarint(wire.AppendUvarint(nil, 9), 99), 0), // trailing byte
+		wire.AppendUvarint(nil, 9),                                    // horizon missing
+	} {
+		if err := b.RestoreState(blob); err == nil {
+			t.Fatalf("Backoff accepted % x", blob)
+		}
+		if b.w != w || b.deferUntil != deferUntil {
+			t.Fatalf("refused blob % x moved (w=%d, deferUntil=%d), want (%d, %d)", blob, b.w, b.deferUntil, w, deferUntil)
+		}
+	}
 }

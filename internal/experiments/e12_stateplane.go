@@ -70,6 +70,6 @@ func statePlaneCell(c *harness.Cell) []harness.Row {
 		harness.Int(w.RoundsPerVRound()),
 		harness.Float(float64(st.TotalBytes) / float64(vrounds)),
 		harness.Int(st.MaxMessageSize),
-		harness.Float(w.Mon.Summary(len(w.Locs)).MeanAvailability),
+		harness.Float(w.Summary().MeanAvailability),
 	}}
 }

@@ -84,7 +84,7 @@ func emulationDensityCell(c *harness.Cell) []harness.Row {
 		return []harness.Row{{
 			harness.Str(d.name), harness.Int(len(w.Locs)), harness.Int(w.Dep.Schedule().Len()),
 			harness.Int(w.RoundsPerVRound()), harness.Float(measured),
-			harness.Float(w.Mon.Summary(len(w.Locs)).MeanAvailability),
+			harness.Float(w.Summary().MeanAvailability),
 		}}
 	}
 	panic(fmt.Sprintf("e5: unknown deployment %q", name))
@@ -107,6 +107,6 @@ func emulationReplicasCell(c *harness.Cell) []harness.Row {
 		harness.Int(n),
 		harness.Float(float64(st.Rounds) / float64(vrounds)),
 		harness.Float(float64(st.Transmissions) / float64(vrounds)),
-		harness.Float(w.Mon.Report(0).Availability),
+		harness.Float(w.Report(0).Availability),
 	}}
 }

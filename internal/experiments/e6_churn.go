@@ -73,6 +73,6 @@ func churnCell(c *harness.Cell) []harness.Row {
 	}
 	return []harness.Row{{
 		harness.Int(period), harness.Int(turnovers),
-		harness.Float(w.Mon.Report(0).Availability), harness.Float(joinLatency.Mean()), harness.Int(resets),
+		harness.Float(w.Report(0).Availability), harness.Float(joinLatency.Mean()), harness.Int(resets),
 	}}
 }

@@ -98,7 +98,8 @@ func TestFigure2BallotLossRow(t *testing.T) {
 	}
 	// The Figure-2 output is ⊥ for any non-green instance; the internal
 	// best estimate must also assign ⊥ to the red instance.
-	if h := obs.Core().CalculateHistory(); h.Includes(1) {
+	h := obs.Core().CalculateHistory()
+	if _, ok := h.At(1); ok {
 		t.Fatalf("red observer's history estimate includes instance 1: %v", h)
 	}
 	if want := (Figure2Row{Color: cha.Red}); RunFigure2()[3] != want {
@@ -247,7 +248,7 @@ func TestChurnSurvivalAvailability(t *testing.T) {
 	w := buildWorld(spec.Spec{Seed: 6, Grid: spec.Grid{Cols: 1, Rows: 1}, Leader: "regional"})
 	attachPinger(w, geo.Point{X: 1.2, Y: -1})
 	stepVRounds(w, 30)
-	if got := w.Mon.Report(0).Availability; got < 0.5 {
+	if got := w.Report(0).Availability; got < 0.5 {
 		t.Errorf("availability %v under no churn with backoff CM", got)
 	}
 }

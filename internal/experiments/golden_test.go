@@ -79,7 +79,7 @@ func firstDiff(a, b []byte) string {
 // the `chabench -json -seeds 1,2` report must be byte-identical between a
 // sequential and a parallel (worker-pool) run.
 func TestJSONParallelMatchesSequential(t *testing.T) {
-	seq := goldenSuite(t, 0)
+	seq := goldenSuite(t, 1)
 	par := goldenSuite(t, 4)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("parallel run diverged from sequential run at: %s", firstDiff(seq, par))

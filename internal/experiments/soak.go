@@ -346,7 +346,7 @@ func (s *metroSoak) Rows() []harness.Row {
 	return []harness.Row{{
 		harness.Int(nv), harness.Int(eng.NumNodes()), harness.Int(s.vrounds),
 		harness.Int(s.churn), harness.Int(eng.AliveCount()),
-		harness.Float(s.w.Mon.Summary(nv).MeanAvailability), harness.Float(joinLatency.Mean()),
+		harness.Float(s.w.Summary().MeanAvailability), harness.Float(joinLatency.Mean()),
 		harness.Int(s.joins), harness.Int(s.resets),
 	}}
 }

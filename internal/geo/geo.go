@@ -110,11 +110,10 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
 // Grid describes a regular square grid of virtual-node locations with the
-// given spacing, anchored at Origin, with Cols x Rows cells. Virtual
+// given spacing, anchored at (0, 0), with Cols x Rows cells. Virtual
 // infrastructure deployments in the paper place virtual nodes "at regular
 // locations throughout the world"; Grid is that deployment.
 type Grid struct {
-	Origin  Point
 	Spacing float64
 	Cols    int
 	Rows    int
@@ -126,8 +125,8 @@ func (g Grid) Locations() []Point {
 	for row := 0; row < g.Rows; row++ {
 		for col := 0; col < g.Cols; col++ {
 			pts = append(pts, Point{
-				X: g.Origin.X + float64(col)*g.Spacing,
-				Y: g.Origin.Y + float64(row)*g.Spacing,
+				X: float64(col) * g.Spacing,
+				Y: float64(row) * g.Spacing,
 			})
 		}
 	}
@@ -137,15 +136,9 @@ func (g Grid) Locations() []Point {
 // Bounds returns the smallest rectangle containing every grid location.
 func (g Grid) Bounds() Rect {
 	if g.Cols <= 0 || g.Rows <= 0 {
-		return Rect{Min: g.Origin, Max: g.Origin}
+		return Rect{}
 	}
-	return Rect{
-		Min: g.Origin,
-		Max: Point{
-			X: g.Origin.X + float64(g.Cols-1)*g.Spacing,
-			Y: g.Origin.Y + float64(g.Rows-1)*g.Spacing,
-		},
-	}
+	return Rect{Max: Point{X: float64(g.Cols-1) * g.Spacing, Y: float64(g.Rows-1) * g.Spacing}}
 }
 
 // NeighborGraph returns, for each location index, the indexes of the other

@@ -125,27 +125,27 @@ func TestRectContains(t *testing.T) {
 }
 
 func TestGridLocations(t *testing.T) {
-	g := Grid{Origin: Point{1, 2}, Spacing: 10, Cols: 3, Rows: 2}
+	g := Grid{Spacing: 10, Cols: 3, Rows: 2}
 	locs := g.Locations()
 	if len(locs) != 6 {
 		t.Fatalf("len(Locations) = %d, want 6", len(locs))
 	}
-	want := []Point{{1, 2}, {11, 2}, {21, 2}, {1, 12}, {11, 12}, {21, 12}}
+	want := []Point{{0, 0}, {10, 0}, {20, 0}, {0, 10}, {10, 10}, {20, 10}}
 	for i, w := range want {
 		if locs[i] != w {
 			t.Errorf("Locations[%d] = %v, want %v", i, locs[i], w)
 		}
 	}
 	b := g.Bounds()
-	if b.Min != (Point{1, 2}) || b.Max != (Point{21, 12}) {
-		t.Errorf("Bounds = %+v, want (1,2)-(21,12)", b)
+	if b.Min != (Point{0, 0}) || b.Max != (Point{20, 10}) {
+		t.Errorf("Bounds = %+v, want (0,0)-(20,10)", b)
 	}
 }
 
 func TestGridBoundsDegenerate(t *testing.T) {
-	g := Grid{Origin: Point{3, 3}, Spacing: 5, Cols: 0, Rows: 0}
+	g := Grid{Spacing: 5, Cols: 0, Rows: 0}
 	b := g.Bounds()
-	if b.Min != b.Max || b.Min != (Point{3, 3}) {
+	if b.Min != b.Max || b.Min != (Point{0, 0}) {
 		t.Errorf("degenerate Bounds = %+v, want point at origin", b)
 	}
 	if len(g.Locations()) != 0 {

@@ -73,12 +73,6 @@ func BuildCellIndex(pts []Point, cellSize float64) *CellIndex {
 	return ix
 }
 
-// Cell returns the cell side length the index was built with.
-func (ix *CellIndex) Cell() float64 { return ix.cell }
-
-// Len returns the number of indexed points.
-func (ix *CellIndex) Len() int { return len(ix.pts) }
-
 // keyOf returns the cell containing p, and false if p is indexed nowhere
 // (see the non-finite rule).
 func (ix *CellIndex) keyOf(p Point) (cellKey, bool) {

@@ -244,8 +244,8 @@ func TestCellIndexRebuildMatchesFreshBuild(t *testing.T) {
 		}
 		ix.Rebuild(pts)
 		fresh := BuildCellIndex(pts, cell)
-		if ix.Len() != fresh.Len() {
-			t.Fatalf("round %d: Len = %d, want %d", round, ix.Len(), fresh.Len())
+		if len(ix.pts) != len(fresh.pts) {
+			t.Fatalf("round %d: Len = %d, want %d", round, len(ix.pts), len(fresh.pts))
 		}
 		for trial := 0; trial < 20; trial++ {
 			q := Point{X: rng.Float64() * 60, Y: rng.Float64() * 60}
@@ -347,7 +347,7 @@ func equalInt32s(a, b []int32) bool {
 // built over the same points, from each of the query points.
 func checkAgainstMapIndex(t *testing.T, label string, ix *CellIndex, pts []Point, queries []Point, radii []float64) {
 	t.Helper()
-	ref := buildMapIndex(pts, ix.Cell())
+	ref := buildMapIndex(pts, ix.cell)
 	for _, q := range queries {
 		for k := 0; k <= 3; k++ {
 			if got, want := ix.Near(nil, q, k), ref.near(q, k); !equalInt32s(got, want) {
@@ -454,8 +454,8 @@ func TestCellIndexHostileCoordinates(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pts := append(append([]Point{}, sane...), tc.hostile)
 			ix := BuildCellIndex(pts, 10)
-			if ix.Len() != len(pts) {
-				t.Fatalf("Len = %d, want %d", ix.Len(), len(pts))
+			if len(ix.pts) != len(pts) {
+				t.Fatalf("Len = %d, want %d", len(ix.pts), len(pts))
 			}
 			if _, ok := ix.keyOf(tc.hostile); ok != tc.indexed {
 				t.Fatalf("keyOf ok = %v, want %v", ok, tc.indexed)

@@ -121,7 +121,7 @@ func TestRunWorkerPoolDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	seq := render(0)
+	seq := render(1)
 	par := render(8)
 	if !bytes.Equal(seq, par) {
 		t.Error("worker-pool output differs from sequential output")

@@ -16,8 +16,8 @@ type Options struct {
 	Quick bool
 	// Seeds overrides every descriptor's seed list (nil keeps defaults).
 	Seeds []int64
-	// Workers bounds the cell worker pool: <= 1 runs sequentially, 0 is
-	// treated as 1, and negative means runtime.GOMAXPROCS(0).
+	// Workers bounds the cell worker pool: 1 runs sequentially and 0 (or
+	// less) means runtime.GOMAXPROCS(0), as sim.WithWorkers reads it.
 	Workers int
 	// Note is copied verbatim into the report header (the nightly soaks
 	// record their date there).
@@ -92,7 +92,7 @@ func Run(o Options) (*Suite, error) {
 	}
 
 	workers := o.Workers
-	if workers < 0 {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers <= 1 {

@@ -64,9 +64,9 @@ func (a *RandomLoss) ForceCollision(r sim.Round, receiver sim.NodeID, _ geo.Poin
 // Script is a deterministic adversary driven by an explicit list of drop
 // and forced-collision directives; it is how the Figure 2 rows and the unit
 // tests stage exact loss patterns. The zero value is the identity
-// adversary; add directives with Drop, DropAll and Collide.
+// adversary; add directives with DropAll and Collide.
 type Script struct {
-	drops   map[scriptKey]map[sim.NodeID]bool // receiver/round -> senders to drop
+	drops   map[scriptKey]map[sim.NodeID]bool // receiver/round -> senders to drop (Drop, test-only)
 	dropAll map[scriptKey]bool
 	collide map[scriptKey]bool
 }
@@ -74,19 +74,6 @@ type Script struct {
 type scriptKey struct {
 	round    sim.Round
 	receiver sim.NodeID
-}
-
-// Drop schedules the message from sender to receiver in round r to be lost.
-func (s *Script) Drop(r sim.Round, receiver, sender sim.NodeID) *Script {
-	if s.drops == nil {
-		s.drops = make(map[scriptKey]map[sim.NodeID]bool)
-	}
-	k := scriptKey{round: r, receiver: receiver}
-	if s.drops[k] == nil {
-		s.drops[k] = make(map[sim.NodeID]bool)
-	}
-	s.drops[k][sender] = true
-	return s
 }
 
 // DropAll schedules every message to receiver in round r to be lost.

@@ -85,7 +85,7 @@ func TestFullStackGridEqualsScan(t *testing.T) {
 		states := make([]string, len(emulators))
 		for i, em := range emulators {
 			if em.Joined() {
-				states[i] = string(em.StateBefore(vrounds + 1))
+				states[i] = string(em.AppendState(nil))
 			}
 		}
 		return states

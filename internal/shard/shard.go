@@ -6,7 +6,7 @@
 // partition, which is what lets the sharded engine stay byte-identical to
 // the sequential one (the determinism contract of internal/det).
 //
-// Geometry: the world is cut into uniform cells of side CellSize (the
+// Geometry: the world is cut into uniform cells of side cellSize (the
 // engine uses the interference radius R2, matching geo.CellIndex), and the
 // occupied cell bounding box is split into a Cols x Rows grid of shard
 // rectangles. Because a cell is at least R2 wide, everything within R2 of
@@ -29,8 +29,7 @@ import (
 // construct with NewPlan. A Plan is not safe for concurrent mutation (Fit),
 // but all read methods are pure and safe to call from shard workers.
 type Plan struct {
-	cell float64 // cell side, >= the medium's interference radius
-	inv  float64 // 1/cell
+	inv  float64 // 1/cell side; the side is >= the medium's interference radius
 	cols int
 	rows int
 
@@ -52,7 +51,6 @@ func NewPlan(cellSize float64, cols, rows int) (*Plan, error) {
 		return nil, fmt.Errorf("shard: grid %dx%d must have at least one shard per axis", cols, rows)
 	}
 	return &Plan{
-		cell:  cellSize,
 		inv:   1 / cellSize,
 		cols:  cols,
 		rows:  rows,
@@ -70,17 +68,12 @@ func MustPlan(cellSize float64, cols, rows int) *Plan {
 	return p
 }
 
-// Shards returns the number of shard rectangles (Cols*Rows).
+// Shards returns the number of shard rectangles: the shard grid's width
+// times its height.
 func (p *Plan) Shards() int { return p.cols * p.rows }
 
 // Cols returns the shard-grid width.
 func (p *Plan) Cols() int { return p.cols }
-
-// Rows returns the shard-grid height.
-func (p *Plan) Rows() int { return p.rows }
-
-// CellSize returns the cell side length.
-func (p *Plan) CellSize() float64 { return p.cell }
 
 // CellOf maps a position to its cell coordinates — the same floor bucketing
 // geo.CellIndex uses, so a medium's grid and the shard partition agree on

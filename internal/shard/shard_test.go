@@ -36,8 +36,8 @@ func TestNewPlanValidation(t *testing.T) {
 	if _, err := NewPlan(10, 2, 0); err == nil {
 		t.Error("NewPlan(10, 2, 0) accepted zero rows")
 	}
-	if p := MustPlan(10, 3, 2); p.Shards() != 6 || p.Cols() != 3 || p.Rows() != 2 {
-		t.Errorf("MustPlan(10, 3, 2) = %dx%d (%d shards)", p.Cols(), p.Rows(), p.Shards())
+	if p := MustPlan(10, 3, 2); p.Shards() != 6 || p.Cols() != 3 || p.rows != 2 {
+		t.Errorf("MustPlan(10, 3, 2) = %dx%d (%d shards)", p.Cols(), p.rows, p.Shards())
 	}
 }
 

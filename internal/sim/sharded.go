@@ -57,12 +57,6 @@ func WithRegionShards(cols, rows int, cellSize float64, factory func() Medium) O
 	}
 }
 
-// RegionShards returns the number of region shards (0 when the engine was
-// built without WithRegionShards).
-func (e *Engine) RegionShards() int {
-	return e.plane.cols * e.plane.rows
-}
-
 // shardPlane is the propagation step of a round: one Medium per shard.
 // Every engine has one — NewEngine's medium is the one-shard plane — and
 // only a plane of two or more shards holds a partition plan and the

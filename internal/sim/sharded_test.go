@@ -177,13 +177,13 @@ func TestRegionShardsAccessors(t *testing.T) {
 		made++
 		return diskMedium{r2: 10}
 	}))
-	if e.RegionShards() != 6 {
-		t.Errorf("RegionShards() = %d, want 6", e.RegionShards())
+	if n := e.plane.cols * e.plane.rows; n != 6 {
+		t.Errorf("engine has %d region shards, want 6", n)
 	}
 	if made != 6 {
 		t.Errorf("factory called %d times, want 6", made)
 	}
-	if NewEngine(perfectMedium{}).RegionShards() != 0 {
+	if p := NewEngine(perfectMedium{}).plane; p.cols*p.rows != 0 {
 		t.Error("single-medium engine reports region shards")
 	}
 	for name, opt := range map[string]Option{

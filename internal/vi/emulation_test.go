@@ -73,11 +73,16 @@ func decodeCounterState(d *wire.Decoder) (counterState, error) {
 }
 
 // fixedLeaderCM builds a CM factory where, per virtual node, the node with
-// the given engine ID is always the leader.
+// the given engine ID is always the leader. As in spec.Build, a virtual
+// node's managers come from one cm.NewFixed factory, so its replicas share
+// one leader variable.
 func fixedLeaderCM(leaders map[vi.VNodeID]sim.NodeID) func(vi.VNodeID, sim.Env) cm.Manager {
+	factories := make(map[vi.VNodeID]cm.Factory, len(leaders))
+	for v, leader := range leaders {
+		factories[v], _ = cm.NewFixed(leader)
+	}
 	return func(v vi.VNodeID, env sim.Env) cm.Manager {
-		factory, _ := cm.NewFixed(leaders[v])
-		return factory(env)
+		return factories[v](env)
 	}
 }
 

@@ -97,13 +97,6 @@ func (d *Deployment) Timing() Timing { return d.timing }
 // Schedule returns the deployment's broadcast schedule.
 func (d *Deployment) Schedule() Schedule { return d.schedule }
 
-// Locations returns a copy of the virtual node locations: the deployment is
-// shared by every emulator and client, so callers get their own slice
-// rather than a window into shared state.
-func (d *Deployment) Locations() []geo.Point {
-	return append([]geo.Point(nil), d.locs...)
-}
-
 // NumVNodes returns the number of virtual nodes.
 func (d *Deployment) NumVNodes() int { return len(d.locs) }
 
@@ -235,23 +228,9 @@ func (d *Deployment) NewEmulator(env sim.Env, bootstrap bool) *Emulator {
 // SetHooks installs lifecycle hooks (call before running).
 func (e *Emulator) SetHooks(h EmulatorHooks) { e.hooks = h }
 
-// VNode returns the virtual node this emulator currently serves, or None.
-func (e *Emulator) VNode() VNodeID { return e.vn }
-
 // Joined reports whether the emulator is a full replica of its region's
 // virtual node.
 func (e *Emulator) Joined() bool { return e.joined }
-
-// Core exposes the agreement state machine (nil before joining).
-func (e *Emulator) Core() *cha.Core { return e.core }
-
-// StateBefore returns the emulator's estimate of its virtual node's state
-// entering virtual round vr (1-based). It is only meaningful while joined.
-// The returned slice is owned by the emulator's state cache; callers must
-// not mutate it.
-func (e *Emulator) StateBefore(vr int) []byte {
-	return e.cache.stateBefore(e.core.HistoryView(), vr)
-}
 
 // enterRegion makes the emulator a joiner of virtual node v, with mgr as
 // its contention manager.

@@ -13,7 +13,11 @@ import (
 // replica, and — derived from that — exactly when and for how long each
 // virtual node was unavailable. It is the measurement half of the adversary
 // plane: experiments wire Observe into EmulatorHooks.OnOutput and read the
-// per-node reports (or the deployment-wide summary) after the run.
+// per-node reports (ReportThrough) or the deployment-wide summary
+// (SummaryThrough) through a horizon, the virtual rounds run. There is one
+// accounting: an instance up to the horizon that no replica reached green
+// in counts as unavailable, even when no replica reported it at all, so an
+// attack that silences a node outright shows as a stall.
 //
 // A virtual node is green for long stretches, so its green instances are
 // kept as runs: a sorted list of maximal intervals, one entry however long
@@ -32,8 +36,8 @@ type Monitor struct {
 }
 
 // greenRuns is one virtual node's accounting: the highest instance observed
-// and the green instances as maximal runs, ascending — disjoint, and no two
-// adjacent.
+// (which no report reads; a MonitorSnapshot records it) and the green
+// instances as maximal runs, ascending — disjoint, and no two adjacent.
 type greenRuns struct {
 	top  cha.Instance
 	runs []run
@@ -127,21 +131,6 @@ type AvailabilityReport struct {
 	MeanRecovery float64
 }
 
-// Report computes virtual node v's availability accounting over the
-// instances it was actually observed through. When an attack can silence a
-// node entirely (no replica left to output anything), use ReportThrough
-// with the run's horizon instead: instances past the last observation
-// count as unavailable there, not unobserved.
-func (m *Monitor) Report(v VNodeID) AvailabilityReport {
-	m.mu.Lock()
-	top := 0
-	if g := m.vnodes[v]; g != nil {
-		top = int(g.top)
-	}
-	m.mu.Unlock()
-	return m.ReportThrough(v, top)
-}
-
 // ReportThrough computes virtual node v's availability accounting over
 // instances 1..through: an instance no replica reached green in — including
 // one no replica reported at all — is unavailable.
@@ -197,25 +186,13 @@ type AvailabilitySummary struct {
 	MeanRecovery     float64
 }
 
-// Summary aggregates the reports of virtual nodes 0..vnodes-1.
-func (m *Monitor) Summary(vnodes int) AvailabilitySummary {
-	return m.summarize(vnodes, m.Report)
-}
-
 // SummaryThrough aggregates ReportThrough(v, through) over virtual nodes
-// 0..vnodes-1 — the right accounting when the adversary may have silenced
-// nodes outright.
+// 0..vnodes-1.
 func (m *Monitor) SummaryThrough(vnodes, through int) AvailabilitySummary {
-	return m.summarize(vnodes, func(v VNodeID) AvailabilityReport {
-		return m.ReportThrough(v, through)
-	})
-}
-
-func (m *Monitor) summarize(vnodes int, report func(VNodeID) AvailabilityReport) AvailabilitySummary {
 	var s AvailabilitySummary
 	recovered, recoveredLen := 0, 0
 	for v := 0; v < vnodes; v++ {
-		rep := report(VNodeID(v))
+		rep := m.ReportThrough(VNodeID(v), through)
 		s.MeanAvailability += rep.Availability
 		s.Unavailable += rep.Unavailable
 		s.Stalls += len(rep.Stalls)

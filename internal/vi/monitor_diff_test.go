@@ -11,15 +11,12 @@ import (
 )
 
 // sameAccounting holds the run-list monitor to the map oracle on everything
-// a monitor answers: reports through below, at and above every top, both
-// summaries, and the snapshot's bytes.
+// a monitor answers: reports through below, at and above every top, the
+// summary through several horizons, and the snapshot's bytes.
 func sameAccounting(t *testing.T, m *Monitor, o *mapMonitor, vnodes, horizon int) {
 	t.Helper()
 	for v := VNodeID(0); int(v) <= vnodes; v++ { // one past the last: never observed
-		if a, b := m.Report(v), o.Report(v); !reflect.DeepEqual(a, b) {
-			t.Fatalf("Report(%d) = %+v, oracle %+v", v, a, b)
-		}
-		top := o.Report(v).Instances
+		top := int(o.top[v])
 		for _, through := range []int{0, 1, top / 2, top - 1, top, top + 1, horizon, horizon + 7} {
 			if through < 0 {
 				continue
@@ -28,9 +25,6 @@ func sameAccounting(t *testing.T, m *Monitor, o *mapMonitor, vnodes, horizon int
 				t.Fatalf("ReportThrough(%d, %d) = %+v, oracle %+v", v, through, a, b)
 			}
 		}
-	}
-	if a, b := m.Summary(vnodes), o.Summary(vnodes); a != b {
-		t.Fatalf("Summary = %+v, oracle %+v", a, b)
 	}
 	for _, through := range []int{0, horizon / 3, horizon, horizon + 7} {
 		if a, b := m.SummaryThrough(vnodes, through), o.SummaryThrough(vnodes, through); a != b {
@@ -60,8 +54,8 @@ func wellFormed(t *testing.T, m *Monitor) {
 // TestMonitorMatchesMapMonitor is the acceptance of "the reports do not
 // move": random observation orders — duplicates, out-of-order instances,
 // gaps that fill later and merge two runs, non-green outputs that only
-// raise the top, several virtual nodes — give the same Report,
-// ReportThrough, Summary, SummaryThrough and snapshot bytes as the
+// raise the top, several virtual nodes — give the same ReportThrough,
+// SummaryThrough and snapshot bytes as the
 // nested-map monitor, after every few observations and at the end, and
 // Restore(Snapshot()) changes nothing.
 func TestMonitorMatchesMapMonitor(t *testing.T) {
@@ -125,7 +119,7 @@ func TestMonitorRunsMerge(t *testing.T) {
 		t.Fatalf("runs %v after the gap closed, want %v", got, want)
 	}
 	observe(m, 0, 12, false)
-	rep := m.Report(0)
+	rep := m.ReportThrough(0, 12)
 	if rep.Green != 9 || len(rep.Stalls) != 1 || rep.Stalls[0] != (Stall{From: 10, Len: 3}) {
 		t.Fatalf("report %+v", rep)
 	}

@@ -10,8 +10,9 @@ import (
 // mapMonitor is the monitor as it stood before the interval runs: a set of
 // green instances per virtual node in nested maps, a []bool the length of
 // the horizon per report, two map walks and two sorts per snapshot. It is
-// kept verbatim (renamed, nothing else) as the oracle the run-list Monitor
-// is held to in TestMonitorMatchesMapMonitor.
+// kept verbatim (renamed, and without the observed-through Report and
+// Summary the Monitor no longer has) as the oracle the run-list Monitor is
+// held to in TestMonitorMatchesMapMonitor.
 type mapMonitor struct {
 	mu     sync.Mutex
 	greens map[VNodeID]map[cha.Instance]bool
@@ -42,13 +43,6 @@ func (m *mapMonitor) Observe(v VNodeID, out cha.Output) {
 		m.top[v] = out.Instance
 	}
 	m.mu.Unlock()
-}
-
-func (m *mapMonitor) Report(v VNodeID) AvailabilityReport {
-	m.mu.Lock()
-	top := int(m.top[v])
-	m.mu.Unlock()
-	return m.ReportThrough(v, top)
 }
 
 // ReportThrough computes virtual node v's availability accounting over
@@ -105,24 +99,14 @@ func (m *mapMonitor) ReportThrough(v VNodeID, through int) AvailabilityReport {
 	return rep
 }
 
-func (m *mapMonitor) Summary(vnodes int) AvailabilitySummary {
-	return m.summarize(vnodes, m.Report)
-}
-
 // SummaryThrough aggregates ReportThrough(v, through) over virtual nodes
 // 0..vnodes-1 — the right accounting when the adversary may have silenced
 // nodes outright.
 func (m *mapMonitor) SummaryThrough(vnodes, through int) AvailabilitySummary {
-	return m.summarize(vnodes, func(v VNodeID) AvailabilityReport {
-		return m.ReportThrough(v, through)
-	})
-}
-
-func (m *mapMonitor) summarize(vnodes int, report func(VNodeID) AvailabilityReport) AvailabilitySummary {
 	var s AvailabilitySummary
 	recovered, recoveredLen := 0, 0
 	for v := 0; v < vnodes; v++ {
-		rep := report(VNodeID(v))
+		rep := m.ReportThrough(VNodeID(v), through)
 		s.MeanAvailability += rep.Availability
 		s.Unavailable += rep.Unavailable
 		s.Stalls += len(rep.Stalls)

@@ -28,7 +28,7 @@ func TestMonitorStallSegmentation(t *testing.T) {
 			observe(m, 0, inst, true)
 		}
 	}
-	rep := m.Report(0)
+	rep := m.ReportThrough(0, 10)
 	if rep.Instances != 10 || rep.Green != 5 || rep.Unavailable != 5 {
 		t.Fatalf("instances/green/unavailable = %d/%d/%d", rep.Instances, rep.Green, rep.Unavailable)
 	}
@@ -55,13 +55,17 @@ func TestMonitorAlwaysGreenAndEmpty(t *testing.T) {
 	for inst := 1; inst <= 5; inst++ {
 		observe(m, 2, inst, true)
 	}
-	rep := m.Report(2)
+	rep := m.ReportThrough(2, 5)
 	if rep.Availability != 1 || len(rep.Stalls) != 0 || rep.MaxStall != 0 {
 		t.Errorf("always-green report: %+v", rep)
 	}
-	empty := m.Report(7)
+	empty := m.ReportThrough(7, 0)
 	if empty.Instances != 0 || empty.Availability != 0 {
 		t.Errorf("unobserved vnode report: %+v", empty)
+	}
+	silent := m.ReportThrough(7, 5)
+	if silent.Availability != 0 || !reflect.DeepEqual(silent.Stalls, []Stall{{From: 1, Len: 5}}) {
+		t.Errorf("unobserved vnode report through 5: %+v", silent)
 	}
 }
 
@@ -72,7 +76,7 @@ func TestMonitorSummaryAggregates(t *testing.T) {
 		observe(m, 0, inst, true)
 		observe(m, 1, inst, !(inst == 2 || inst == 3))
 	}
-	s := m.Summary(2)
+	s := m.SummaryThrough(2, 4)
 	if s.MeanAvailability != 0.75 { // (1 + 0.5) / 2
 		t.Errorf("mean availability = %v", s.MeanAvailability)
 	}
@@ -114,7 +118,7 @@ func TestMonitorOrderIndependent(t *testing.T) {
 	}
 	wg.Wait()
 	for v := VNodeID(0); v < 3; v++ {
-		if !reflect.DeepEqual(forward.Report(v), reversed.Report(v)) {
+		if !reflect.DeepEqual(forward.ReportThrough(v, 20), reversed.ReportThrough(v, 20)) {
 			t.Fatalf("vnode %d: report depends on observation order", v)
 		}
 	}

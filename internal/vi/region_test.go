@@ -79,31 +79,6 @@ func TestRegionOfCoincidentLocations(t *testing.T) {
 	}
 }
 
-// TestLocationsReturnsCopy guards the deployment's shared state: mutating
-// the slice Locations returns must not corrupt region lookups.
-func TestLocationsReturnsCopy(t *testing.T) {
-	locs := []geo.Point{{X: 0}, {X: 50}}
-	dep, err := vi.NewDeployment(vi.DeploymentConfig{
-		Locations: locs,
-		Radii:     testRadii,
-		Program:   func(vi.VNodeID) vi.Program { return noopProgram{} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := dep.Locations()
-	if len(got) != 2 || got[0] != locs[0] || got[1] != locs[1] {
-		t.Fatalf("Locations = %v, want %v", got, locs)
-	}
-	got[0] = geo.Point{X: 1e9}
-	if dep.RegionOf(geo.Point{X: 0.1}) != 0 {
-		t.Error("mutating the returned slice corrupted the deployment")
-	}
-	if fresh := dep.Locations(); fresh[0] != locs[0] {
-		t.Error("mutation leaked into a subsequent Locations call")
-	}
-}
-
 // benchDeployment builds an n-vnode grid deployment for the RegionOf
 // benchmarks, returning it with the grid's side length so queries can be
 // spread over the deployed area.

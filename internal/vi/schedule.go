@@ -79,9 +79,6 @@ func (s Schedule) Len() int { return len(s.slots) }
 // SlotOf returns the slot in which virtual node v is scheduled.
 func (s Schedule) SlotOf(v VNodeID) int { return s.slotOf[v] }
 
-// In returns the virtual nodes scheduled in the given slot.
-func (s Schedule) In(slot int) []VNodeID { return s.slots[slot] }
-
 // ScheduledIn reports whether v is scheduled in virtual round r (the
 // schedule cycles with period Len).
 func (s Schedule) ScheduledIn(v VNodeID, vround int) bool {
@@ -89,37 +86,6 @@ func (s Schedule) ScheduledIn(v VNodeID, vround int) bool {
 		return false
 	}
 	return s.slotOf[v] == vround%s.Len()
-}
-
-// Validate checks completeness and non-conflict against the locations.
-func (s Schedule) Validate(locs []geo.Point, radii geo.Radii) error {
-	if len(s.slotOf) != len(locs) {
-		return fmt.Errorf("vi: schedule covers %d nodes, deployment has %d", len(s.slotOf), len(locs))
-	}
-	threshold := ConflictThreshold(radii)
-	for slot, vs := range s.slots {
-		for i := 0; i < len(vs); i++ {
-			for j := i + 1; j < len(vs); j++ {
-				a, b := locs[vs[i]], locs[vs[j]]
-				if d := a.Dist(b); d <= threshold {
-					return fmt.Errorf("vi: conflicting virtual nodes %d and %d in slot %d (distance %.2f <= %.2f)",
-						vs[i], vs[j], slot, d, threshold)
-				}
-			}
-		}
-	}
-	seen := make(map[VNodeID]int)
-	for _, vs := range s.slots {
-		for _, v := range vs {
-			seen[v]++
-		}
-	}
-	for v := 0; v < len(locs); v++ {
-		if seen[VNodeID(v)] != 1 {
-			return fmt.Errorf("vi: virtual node %d scheduled %d times, want exactly once", v, seen[VNodeID(v)])
-		}
-	}
-	return nil
 }
 
 // Phase identifies one of the eleven phases of a virtual round

@@ -38,7 +38,7 @@ func TestMonitorSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("snapshot of the restored monitor differs from the original")
 	}
 	for v := VNodeID(0); v < 2; v++ {
-		if a, b := m.Report(v), fresh.Report(v); !reflect.DeepEqual(a, b) {
+		if a, b := m.ReportThrough(v, 3), fresh.ReportThrough(v, 3); !reflect.DeepEqual(a, b) {
 			t.Fatalf("vnode %d: restored report %+v, original %+v", v, b, a)
 		}
 	}
@@ -77,14 +77,14 @@ func checkCoreRestores(t *testing.T, s cha.CoreSnapshot) {
 		t.Fatalf("restored core snapshots to % x, input % x", got, want)
 	}
 	core.HistoryView()
-	if core.Instance() >= 1<<62 {
+	if s.K >= 1<<62 {
 		return // no next instance to begin
 	}
-	core.Begin(core.Instance()+1, cha.V("next"))
+	core.Begin(s.K+1, cha.V("next"))
 	core.ObserveBallots(nil, false)
 	core.ObserveVeto1(true, false)
 	core.ObserveVeto2(true, false)
-	core.GC(core.Prev())
+	core.GC(core.Snapshot().Prev)
 }
 
 // TestHostileCoresAreRefused runs the fuzz seeds' point as a plain test:

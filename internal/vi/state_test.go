@@ -190,6 +190,35 @@ func TestEmulatorRestoreRefusesNegativeVNode(t *testing.T) {
 	}
 }
 
+// TestRefusedManagerBlobKeepsLeader: a fixed-leader region's replicas
+// share one leader variable, so an emulator blob refused for its manager
+// blob — here the leader 7 and a trailing byte — must leave it alone. The
+// other replica's blob carries that leader (it is what its manager's
+// Advice reads) and must not change.
+func TestRefusedManagerBlobKeepsLeader(t *testing.T) {
+	tb := replicaBed(t)
+	tb.runVRounds(3)
+	em, other := tb.emulators[1], tb.emulators[0]
+	blob, otherBefore := em.AppendState(nil), other.AppendState(nil)
+	d := wire.Dec(blob)
+	vn, joined := d.Varint(), d.Bool()
+	if mgr := d.Bytes(); !bytes.Equal(mgr, wire.AppendVarint(nil, 0)) {
+		t.Fatalf("manager blob % x, want leader 0", mgr)
+	}
+	bad := wire.AppendBool(wire.AppendVarint(nil, vn), joined)
+	bad = wire.AppendBytes(bad, append(wire.AppendVarint(nil, 7), 0))
+	bad = append(bad, blob[len(blob)-d.Rem():]...)
+	if err := em.RestoreState(bad); err == nil || !strings.Contains(err.Error(), "contention manager") {
+		t.Fatalf("RestoreState with a trailing byte after the leader: err %v, want the manager's refusal", err)
+	}
+	if got := other.AppendState(nil); !bytes.Equal(got, otherBefore) {
+		t.Errorf("a refused blob moved the region's leader: the other replica writes % x, was % x", got, otherBefore)
+	}
+	if got := em.AppendState(nil); !bytes.Equal(got, blob) {
+		t.Errorf("a refused blob changed the emulator")
+	}
+}
+
 // TestNodeStateRefusesMalformed: every blob the emulator's and the client's
 // RestoreState could not have been handed by AppendState is refused — a
 // count the bytes left cannot hold, a bool other than 0 or 1, trailing or

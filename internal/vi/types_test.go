@@ -155,7 +155,7 @@ func TestJoinAckRoundTrip(t *testing.T) {
 	if got.StateFloor != ack.StateFloor || !bytes.Equal(got.State, ack.State) {
 		t.Errorf("header round trip: %+v", got)
 	}
-	if len(got.Snap.Ballots) != 2 || !got.Snap.Ballots[0].Equal(ack.Snap.Ballots[0]) {
+	if b, a := got.Snap.Ballots, ack.Snap.Ballots; len(b) != 2 || b[0].Prev != a[0].Prev || !b[0].V.Equal(a[0].V) {
 		t.Errorf("snapshot ballots round trip: %+v", got.Snap)
 	}
 	if !reflect.DeepEqual(got.Snap.StatusKeys, ack.Snap.StatusKeys) ||
@@ -163,7 +163,7 @@ func TestJoinAckRoundTrip(t *testing.T) {
 		t.Errorf("snapshot statuses round trip: %+v", got.Snap)
 	}
 	// The restored core behaves like the original.
-	if core, err := cha.RestoreCore(got.Snap); err != nil || core.Prev() != 11 {
+	if core, err := cha.RestoreCore(got.Snap); err != nil || core.Snapshot().Prev != 11 {
 		t.Errorf("restored core prev differs (err %v)", err)
 	}
 }

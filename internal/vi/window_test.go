@@ -31,7 +31,7 @@ func TestLongRunStateIsAWindow(t *testing.T) {
 	}
 	tb.runVRounds(vrounds)
 	for v := vi.VNodeID(0); int(v) < tb.dep.NumVNodes(); v++ {
-		if rep := mon.Report(v); rep.Green != vrounds || rep.Instances != vrounds {
+		if rep := mon.ReportThrough(v, vrounds); rep.Green != vrounds || rep.Instances != vrounds {
 			t.Fatalf("vnode %d: %d green of %d instances, want a fault-free %d", v, rep.Green, rep.Instances, vrounds)
 		}
 		if n := vi.MonitorRuns(mon, v); n != 1 {
@@ -40,8 +40,8 @@ func TestLongRunStateIsAWindow(t *testing.T) {
 	}
 	for i, em := range tb.emulators {
 		core := em.Core()
-		if core.Instance() != cha.Instance(vrounds) || core.Floor() != cha.Instance(vrounds-1) {
-			t.Fatalf("replica %d: instance %d floor %d", i, core.Instance(), core.Floor())
+		if s := core.Snapshot(); s.K != cha.Instance(vrounds) || s.Floor != cha.Instance(vrounds-1) {
+			t.Fatalf("replica %d: instance %d floor %d", i, s.K, s.Floor)
 		}
 		if n := core.Retained(); n != 1 {
 			t.Errorf("replica %d: core retains %d entries after %d virtual rounds, want 1", i, n, vrounds)
@@ -96,7 +96,7 @@ func TestHistoryViewNeverPublished(t *testing.T) {
 				return
 			}
 			decided++
-			outs = append(outs, published{out.History, out.History.Digest(), out.History.String()})
+			outs = append(outs, published{out.History, out.History.DigestRange(1, out.History.Top(), 0), out.History.String()})
 		}})
 	}
 	for vr := 1; vr <= 60; vr++ {
@@ -120,7 +120,7 @@ func TestHistoryViewNeverPublished(t *testing.T) {
 		if views[p.h] {
 			t.Fatalf("history %s handed to OnOutput is a core's view", p.text)
 		}
-		if p.h.Digest() != p.digest || p.h.String() != p.text {
+		if p.h.DigestRange(1, p.h.Top(), 0) != p.digest || p.h.String() != p.text {
 			t.Fatalf("published history changed after the fact: was %s, now %s", p.text, p.h)
 		}
 	}
