@@ -12,13 +12,13 @@
 //     changing output. The steady-state round loop is allocation-free and
 //     touches only flat engine-owned memory: position and liveness live
 //     once, in the NodeID-indexed NodeInfo slice the medium reads; the
-//     rest of a node (Node, Mover, random stream — also its Env) is one
-//     value in a geometrically growing slab; movers draw through one
-//     cached closure per worker; every per-round walk covers only the
-//     alive list (dead nodes cost nothing after the round they die in),
-//     and CrashAt with a round at or before the current one applies
-//     immediately instead of being silently dropped. A node whose radio
-//     is off says so (Env.SleepUntil): it keeps moving, but it is on the
+//     rest of a node (Node, waypoint model and leg, random stream — also
+//     its Env) is one value in a geometrically growing slab; mobility is
+//     one loop over it with the steady leg inlined; every per-round walk
+//     covers only the alive list (dead nodes cost nothing after the round
+//     they die in), and CrashAt with a round at or before the current one
+//     applies immediately instead of being silently dropped. A node whose
+//     radio is off says so (Env.SleepUntil): it keeps moving, but it is on the
 //     awake list no longer, and Transmit, Receive, the shard partition and
 //     the receiver list every medium is handed are walks of that list —
 //     kept current each round at the cost of what changed (who fell
@@ -98,7 +98,8 @@
 //     are canonical wire encodings (a one-byte kind tag plus fixed field
 //     sequences) instead of hand-parsed prefix strings.
 //   - mobility: RandomWaypoint, the mobility model every moving device
-//     runs (speed bounded by vmax, Section 2).
+//     runs (speed bounded by vmax, Section 2), and Leg, one node's
+//     progress through it, which the engine keeps per node.
 //   - experiments: the reproduction experiment suite E1–E14 (there is no
 //     E10) — E11 "metro" drives grids of virtual nodes through heavy churn
 //     (Leave, scheduled and late CrashAt, mid-run Attach) on the parallel
@@ -162,7 +163,7 @@
 // internal/sim, and the flat-cost RegionOf benchmarks in internal/vi:
 //
 //	go test ./internal/radio/ -bench 'Deliver' -benchtime 10x
-//	go test ./internal/sim/ -bench 'EngineStep' -benchtime 10x
+//	go test ./internal/sim/ -bench 'EngineStep|EngineMobility' -benchtime 10x
 //	go test ./internal/vi/ -bench 'RegionOf' -benchtime 100000x
 //	go test ./internal/vi/ -bench 'EmulatorVRound' -benchtime 30x
 //	go run ./cmd/chabench -only E11,E12,E13,E14
@@ -173,8 +174,9 @@
 // allocates, a round's received messages being windows onto one arena the
 // medium refills — TestNormalizeSteadyStateAllocs the proposal's sort, and
 // TestEmulatorVRoundSteadyStateAllocs pins the wire-codec state plane (a
-// full virtual round at 9 virtual nodes in at most 100 allocations; the
-// gob+string stack needed ~10,400), with spec's
+// full virtual round at 9 led, green virtual nodes in at most 146
+// allocations, the same over t and 8t virtual rounds; the gob+string stack
+// needed ~10,400), with spec's
 // TestWorldVRoundSteadyStateAllocs holding the world spec.Build makes to
 // the same kind of budget. CI also
 // runs a fuzz smoke job: 10 seconds each over the wire decoder and the

@@ -1,14 +1,14 @@
 // Package checkpoint composes the per-layer snapshots into one versioned,
 // self-validating checkpoint file: the engine layer (sim.EngineSnapshot,
 // which carries every node's sim.Snapshotter blob — emulators, clients,
-// movers and the contention managers and programs inside them), the
-// medium's configuration fingerprint (radio.Medium.AppendFingerprint,
-// compared on restore, never decoded), the vi.Monitor accounting, and an
-// opaque driver blob for whatever the experiment loop itself must remember
-// (virtual-round cursor, churn counters, rosters). Encode frames the body
-// with a magic string, a format version and a trailing wire.Digest, so
-// ReadFile can reject truncated, corrupted or foreign files before any
-// layer sees the bytes.
+// moving nodes' legs, and the contention managers and programs inside
+// them), the medium's configuration fingerprint
+// (radio.Medium.AppendFingerprint, compared on restore, never decoded), the
+// vi.Monitor accounting, and an opaque driver blob for whatever the
+// experiment loop itself must remember (virtual-round cursor, churn
+// counters, rosters). Encode frames the body with a magic string, a format
+// version and a trailing wire.Digest, so ReadFile can reject truncated,
+// corrupted or foreign files before any layer sees the bytes.
 package checkpoint
 
 import (

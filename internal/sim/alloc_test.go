@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vinfra/internal/geo"
+	"vinfra/internal/mobility"
 )
 
 // TestEngineStepSteadyStateAllocs gates the round loop's allocation budget:
@@ -13,18 +14,19 @@ import (
 // buffers). Before buffer reuse this was 23 allocs/round (~2.6 MB); the
 // gate keeps the win from silently regressing.
 //
-// Every configuration runs three populations. Static nodes (nil mover) are
-// the original gate — which is blind to the mobility phase, so for four PRs
-// it passed while Step built a method value (st.rng.Intn) per device per
-// round. The drawing populations attach a mover that draws from rnd on every
-// call, at 10k and at the 100k the city workloads run at. The duty-cycled
-// ones are napNodes, on for two rounds in ten on a phase set by their ID, so
-// every round a tenth of the devices falls asleep and a tenth wakes: the
-// awake list is rebuilt every round and must reuse its buffer. The staggered
-// ones nap on a ninety-round cycle — a virtual round's worth of distinct wake
-// rounds pending at once, neighbours never sharing one — so wake files are
-// opened and popped every round and must cost nothing to recycle, like the
-// one-shard plane's receiver view.
+// Every configuration runs three populations. Static nodes (no waypoint
+// model) are the original gate — which is blind to the mobility phase, so
+// for four PRs it passed while Step built a method value (st.rng.Intn) per
+// device per round. The drawing populations roam under a model so fast for
+// its field that a device arrives, and draws its next destination from its
+// own stream, every round or two, at 10k and at the 100k the city workloads
+// run at. The duty-cycled ones are napNodes, on for two rounds in ten on a
+// phase set by their ID, so every round a tenth of the devices falls asleep
+// and a tenth wakes: the awake list is rebuilt every round and must reuse its
+// buffer. The staggered ones nap on a ninety-round cycle — a virtual round's
+// worth of distinct wake rounds pending at once, neighbours never sharing
+// one — so wake files are opened and popped every round and must cost
+// nothing to recycle, like the one-shard plane's receiver view.
 func TestEngineStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -63,13 +65,13 @@ func TestEngineStepSteadyStateAllocs(t *testing.T) {
 				cycle int
 			}{{"drawing", 0}, {"duty-cycled", 10}, {"staggered", 90}} {
 				t.Run(pop.name+"-10k", func(t *testing.T) {
-					steadyStateAllocs(t, tc.opts, tc.budget, 10_000, wanderMover{}, pop.cycle)
+					steadyStateAllocs(t, tc.opts, tc.budget, 10_000, drawing, pop.cycle)
 				})
 				t.Run(pop.name+"-100k", func(t *testing.T) {
 					if testing.Short() {
 						t.Skip("100k nodes")
 					}
-					steadyStateAllocs(t, tc.opts, tc.budget, 100_000, wanderMover{}, pop.cycle)
+					steadyStateAllocs(t, tc.opts, tc.budget, 100_000, drawing, pop.cycle)
 				})
 			}
 		})
@@ -89,13 +91,17 @@ func (n *napNode) Receive(r Round, _ Reception) {
 	}
 }
 
-// steadyStateAllocs measures Step on nodes devices; cycle > 0 makes them
-// napNodes on that cycle.
-func steadyStateAllocs(t *testing.T, opts []Option, budget float64, nodes int, mover Mover, cycle int) {
+// drawing is the drawing populations' model: legs across a 250x100 field —
+// the field steadyStateAllocs lays 100k devices over — at 100 a round.
+var drawing = &mobility.RandomWaypoint{Area: geo.Rect{Max: geo.Point{X: 250, Y: 100}}, VMax: 100}
+
+// steadyStateAllocs measures Step on nodes devices roaming under wp (nil:
+// static); cycle > 0 makes them napNodes on that cycle.
+func steadyStateAllocs(t *testing.T, opts []Option, budget float64, nodes int, wp *mobility.RandomWaypoint, cycle int) {
 	e := NewEngine(&nullMedium{}, append([]Option{WithSeed(1)}, opts...)...)
 	defer e.Close()
 	for i := 0; i < nodes; i++ {
-		e.Attach(geo.Point{X: float64(i%500) * 0.5, Y: float64(i/500) * 0.5}, mover, func(env Env) Node {
+		e.Attach(geo.Point{X: float64(i%500) * 0.5, Y: float64(i/500) * 0.5}, wp, func(env Env) Node {
 			if cycle > 0 {
 				return &napNode{countNode{env: env}, cycle}
 			}
@@ -138,7 +144,7 @@ func TestParallelStepAfterRespawnAllocsNothing(t *testing.T) {
 	e := NewEngine(&nullMedium{}, WithSeed(1), WithWorkers(4))
 	defer e.Close()
 	attach := func() {
-		e.Attach(geo.Point{X: float64(e.NumNodes() % 50)}, wanderMover{}, func(env Env) Node { return &countNode{env: env} })
+		e.Attach(geo.Point{X: float64(e.NumNodes() % 50)}, roam, func(env Env) Node { return &countNode{env: env} })
 	}
 	for i := 0; i < 1000; i++ {
 		attach()
@@ -161,4 +167,29 @@ func TestParallelStepAfterRespawnAllocsNothing(t *testing.T) {
 			t.Fatalf("respawn %d: the round after it made %d allocations (%d B), want none", i, n, after.TotalAlloc-before.TotalAlloc)
 		}
 	}
+}
+
+// TestAttachRoamingAllocsAsStatic: a roaming device costs the engine no heap
+// object a static one does not — its leg is part of its slab entry and its
+// model is shared — so attaching 4 096 of them allocates exactly as often as
+// attaching 4 096 static ones. A per-device mover was one object each.
+func TestAttachRoamingAllocsAsStatic(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	attach := func(wp *mobility.RandomWaypoint) float64 {
+		// Twenty runs: the average is truncated, so a stray allocation of the
+		// runtime's own during one of them does not show.
+		return testing.AllocsPerRun(20, func() {
+			e := NewEngine(&nullMedium{})
+			for i := 0; i < 4096; i++ {
+				e.Attach(geo.Point{X: float64(i % 64), Y: float64(i / 64)}, wp, func(env Env) Node { return &countNode{env: env} })
+			}
+		})
+	}
+	static, roaming := attach(nil), attach(drawing)
+	if roaming != static {
+		t.Errorf("attaching 4096 roaming devices allocates %v times, 4096 static ones %v: want the same", roaming, static)
+	}
+	t.Logf("%v allocations to attach 4096 devices, roaming or static", static)
 }

@@ -123,16 +123,3 @@ func BenchmarkEngineStepSharded(b *testing.B) {
 		b.Run(name, func(b *testing.B) { benchEngineSharded(b, n) })
 	}
 }
-
-func BenchmarkEngineMobility(b *testing.B) {
-	e := NewEngine(perfectMedium{})
-	for i := 0; i < 32; i++ {
-		e.Attach(geo.Point{X: float64(i)}, driftMover{}, func(Env) Node {
-			return &silentNode{}
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
 	"runtime"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 
 	"vinfra/internal/det"
 	"vinfra/internal/geo"
+	"vinfra/internal/mobility"
 )
 
 // Engine drives a set of nodes through synchronous slotted rounds against a
@@ -17,9 +19,12 @@ import (
 // only in info, the NodeID-indexed view the medium reads: mobility writes
 // info[id].At in place, Crash clears info[id].Alive, and Position, Alive,
 // Env.Location, snapshots and the shard partition all read it back.
-// Everything else the round loop touches per node (the Node, its Mover and
-// its random stream) is a nodeState, stored by value in slabs so a walk
-// over the alive list in NodeID order reads memory front to back.
+// Everything else the round loop touches per node (the Node, its waypoint
+// model and leg, its random stream) is a nodeState, stored by value in slabs
+// so a walk over the alive list in NodeID order reads memory front to back.
+// A moving node's leg lives there too, by value: the mobility phase is one
+// loop over that memory with the steady leg's arithmetic inlined, not a
+// call per node through an interface.
 //
 // A node whose radio is off (Env.SleepUntil) stays on the alive list — it
 // still moves, and it still counts as alive — but leaves the awake list,
@@ -42,7 +47,7 @@ type Engine struct {
 	nodes  []*nodeState // indexed by NodeID
 	alive  []*nodeState // alive nodes in NodeID order; see compactAlive
 	dirty  bool         // a node died since alive was last compacted
-	moving int          // alive nodes with a Mover; see move
+	moving int          // alive nodes with a waypoint model; see move
 	crash  map[Round][]NodeID
 	hooks  []RoundHook
 	faults []Fault
@@ -57,8 +62,12 @@ type Engine struct {
 	awakeBuf []*nodeState
 	// on holds one bit per NodeID: set while the node is alive with its radio
 	// on. Listing the set bits is how awakeBuf is rebuilt in NodeID order
-	// without sorting.
-	on []uint64
+	// without sorting. sum summarises it, one bit per word of on, set while
+	// that word is nonzero, so the listing visits only the words that hold
+	// an awake node — what is alive — plus one word of sum per 4096 NodeIDs,
+	// not one word per 64 of every node ever attached.
+	on  []uint64
+	sum []uint64
 	// asleep counts the alive nodes whose bit is clear. Each sits in the wake
 	// file of the round its radio comes back on: wakes maps that round to the
 	// file's first node and next, indexed by NodeID and grown when somebody
@@ -85,9 +94,8 @@ type Engine struct {
 	// allocate; instead they are built once and read the current round
 	// (and receptions) from these fields.
 	curRound Round
-	curRxs   []Reception  // this round's receptions, positional over awake
-	hookRxs  []Reception  // the NodeID-indexed copy hooks are handed; see RoundHook
-	movers   []*moverRand // one per mobility chunk; see moverRand
+	curRxs   []Reception // this round's receptions, positional over awake
+	hookRxs  []Reception // the NodeID-indexed copy hooks are handed; see RoundHook
 	mobFn    func(w, lo, hi int)
 	txFn     func(w, lo, hi int)
 	rxFn     func(w, lo, hi int)
@@ -100,13 +108,14 @@ type Engine struct {
 
 	// partTime accumulates wall time spent in the region-shard partition
 	// pass, rouseWork the entries rouse has looked at (list entries, filed
-	// nodes, bitmap words — rouseWords is the last of those alone, the one
-	// term that follows the nodes ever attached), handoffs the chunks given
-	// to a helper goroutine. They are measurements, not state: never part of
+	// nodes, bitmap words — rouseWords is the last of those alone, and
+	// relists the listings of the awake list that read them), handoffs the
+	// chunks given to a helper goroutine. They are measurements, not state: never part of
 	// Stats or a snapshot, so determinism contracts are unaffected.
 	partTime   time.Duration
 	rouseWork  int
 	rouseWords int
+	relists    int
 	handoffs   int
 
 	// plane propagates each round's transmissions: NewEngine's medium as
@@ -177,17 +186,19 @@ type Stats struct {
 }
 
 // nodeState is what the engine keeps per node besides its NodeInfo entry:
-// the protocol endpoint, its mobility model and its random stream, held by
+// the protocol endpoint, its waypoint model (nil for a static node; shared,
+// and only read) and its leg through it, and its random stream, held by
 // value in an Engine slab. It is also the node's Env — the handle reads
 // identity and the stream from itself and the position from the engine's
 // info slice, so a node costs one slab entry and no further heap objects.
 type nodeState struct {
-	eng   *Engine
-	id    NodeID
-	node  Node
-	mover Mover
-	rng   det.Stream
-	wake  Round // the node's radio is off in every round before this one
+	wp   *mobility.RandomWaypoint
+	leg  mobility.Leg
+	id   NodeID
+	eng  *Engine
+	node Node
+	rng  det.Stream
+	wake Round // the node's radio is off in every round before this one
 }
 
 func (st *nodeState) ID() NodeID          { return st.id }
@@ -211,17 +222,6 @@ func (st *nodeState) SleepUntil(r Round) {
 	if !e.slept.Load() {
 		e.slept.Store(true)
 	}
-}
-
-// moverRand is the random source one mobility chunk hands to Mover.Move: a
-// closure built once per worker that draws from whichever node's stream the
-// worker points it at. Passing st.rng.Intn instead would build a method
-// value — a heap allocation — per node per round. Padded to a cache line so
-// neighbouring workers retargeting their streams do not share one.
-type moverRand struct {
-	cur *det.Stream
-	rnd func(n int) int
-	_   [48]byte
 }
 
 // sleepOff makes SleepUntil a no-op, which is how the engine behaved before
@@ -277,18 +277,21 @@ func NewEngine(medium Medium, opts ...Option) *Engine {
 	return e
 }
 
-// Attach adds a node at position pos with the given mobility model (nil for
-// static) and returns its ID. The build function receives the node's
-// environment handle; it is invoked before Attach returns. Nodes may be
-// attached mid-run (the join scenario of Section 4.3).
-func (e *Engine) Attach(pos geo.Point, mover Mover, build func(Env) Node) NodeID {
+// Attach adds a node at position pos roaming under the waypoint model wp
+// (nil for a static node) and returns its ID. The engine keeps wp and only
+// reads it, so every node that roams under one model shares it, and the
+// caller must not change it afterwards; the node's leg through it is the
+// engine's. The build function receives the node's environment handle; it
+// is invoked before Attach returns. Nodes may be attached mid-run (the join
+// scenario of Section 4.3).
+func (e *Engine) Attach(pos geo.Point, wp *mobility.RandomWaypoint, build func(Env) Node) NodeID {
 	id := NodeID(len(e.nodes))
 	if len(e.slab) == 0 {
 		e.slab = make([]nodeState, min(max(len(e.nodes)/2, 16), 4096))
 	}
 	st := &e.slab[0]
 	e.slab = e.slab[1:]
-	*st = nodeState{eng: e, id: id, mover: mover}
+	*st = nodeState{eng: e, id: id, wp: wp}
 	st.rng.Reseed(e.seed, int64(id))
 	// info first: the Env answers Location from it, also inside build.
 	e.info = append(e.info, NodeInfo{ID: id, At: pos, Alive: true})
@@ -298,13 +301,16 @@ func (e *Engine) Attach(pos geo.Point, mover Mover, build func(Env) Node) NodeID
 	}
 	e.nodes = append(e.nodes, st)
 	e.alive = append(e.alive, st)
-	if mover != nil {
+	if wp != nil {
 		e.moving++
 	}
 	if int(id)>>6 == len(e.on) {
 		e.on = append(e.on, 0)
+		if int(id)>>12 == len(e.sum) {
+			e.sum = append(e.sum, 0)
+		}
 	}
-	e.on[id>>6] |= 1 << (id & 63)
+	e.radioOn(id)
 	e.relist = true
 	return id
 }
@@ -317,11 +323,11 @@ func (e *Engine) Crash(id NodeID) {
 	}
 	e.info[id].Alive = false
 	e.dirty = true
-	if e.nodes[id].mover != nil {
+	if e.nodes[id].wp != nil {
 		e.moving--
 	}
-	if bit := uint64(1) << (id & 63); e.on[id>>6]&bit != 0 {
-		e.on[id>>6] &^= bit
+	if e.on[id>>6]&(1<<(id&63)) != 0 {
+		e.radioOff(id)
 		e.relist = true
 	} else {
 		e.asleep-- // its wake file skips it when it comes due
@@ -399,9 +405,10 @@ func (e *Engine) compactAlive() {
 // SleepUntil since the last call leave it, each filed under its wake round,
 // and the file that comes due in r rejoins it. The work is what changed —
 // one pass over the previous list when somebody fell asleep, the due file,
-// and one word per 64 nodes ever attached to list the result in NodeID order
-// — never a walk of the alive list; and nothing at all, the list being alive
-// itself, while nobody sleeps. It runs after compactAlive.
+// and, to list the result in NodeID order, the words of on that hold an
+// awake node plus one word of sum per 4096 nodes ever attached — never a
+// walk of the alive list; and nothing at all, the list being alive itself,
+// while nobody sleeps. It runs after compactAlive.
 func (e *Engine) rouse(r Round) {
 	if e.asleep == 0 {
 		// awake was alive itself, which Attach and compactAlive have since
@@ -433,7 +440,7 @@ func (e *Engine) rouse(r Round) {
 				}
 			}
 			e.next[st.id], head = head, int32(st.id)
-			e.on[st.id>>6] &^= 1 << (st.id & 63)
+			e.radioOff(st.id)
 			e.asleep++
 			changed = true
 		}
@@ -446,7 +453,7 @@ func (e *Engine) rouse(r Round) {
 		for id >= 0 {
 			e.rouseWork++
 			if e.info[id].Alive {
-				e.on[id>>6] |= 1 << (id & 63)
+				e.radioOn(NodeID(id))
 				e.asleep--
 				changed = true
 			}
@@ -457,20 +464,42 @@ func (e *Engine) rouse(r Round) {
 	case e.asleep == 0:
 		e.awake = e.alive
 	case changed:
-		e.rouseWork += len(e.on)
-		e.rouseWords += len(e.on)
 		buf := e.awakeBuf[:0]
 		if n := len(e.alive) - e.asleep; cap(buf) < n {
 			// Sized to the list once, not grown into: at a million nodes the
 			// doublings on the way there are garbage worth a GC cycle.
 			buf = make([]*nodeState, 0, n+n/8)
 		}
-		for w, word := range e.on {
-			for ; word != 0; word &= word - 1 {
-				buf = append(buf, e.nodes[w<<6|bits.TrailingZeros64(word)])
+		words := len(e.sum)
+		for s, sw := range e.sum {
+			for ; sw != 0; sw &= sw - 1 {
+				w := s<<6 | bits.TrailingZeros64(sw)
+				words++
+				for word := e.on[w]; word != 0; word &= word - 1 {
+					buf = append(buf, e.nodes[w<<6|bits.TrailingZeros64(word)])
+				}
 			}
 		}
 		e.awake, e.awakeBuf = buf, buf
+		e.rouseWork += words
+		e.rouseWords += words
+		e.relists++
+	}
+}
+
+// radioOn sets node id's bit in on, and its word's in sum.
+func (e *Engine) radioOn(id NodeID) {
+	w := id >> 6
+	e.on[w] |= 1 << (id & 63)
+	e.sum[w>>6] |= 1 << (w & 63)
+}
+
+// radioOff clears node id's bit in on, and its word's in sum once the word
+// holds no awake node.
+func (e *Engine) radioOff(id NodeID) {
+	w := id >> 6
+	if e.on[w] &^= 1 << (id & 63); e.on[w] == 0 {
+		e.sum[w>>6] &^= 1 << (w & 63)
 	}
 }
 
@@ -601,11 +630,11 @@ func (e *Engine) byNodeID(rxs []Reception) []Reception {
 	return out
 }
 
-// move is the mobility phase: every alive node with a Mover moves, asleep or
-// not — where a sleeper wakes up is part of the run. Per-node RNG call order
-// within a round is fixed (Move, then Transmit), so this is deterministic at
-// any width. On a region-sharded plane the same walk also takes each chunk's
-// bounding box for the partition (shardPlane.mobility), so it visits every
+// move is the mobility phase: every alive node with a waypoint model moves,
+// asleep or not — where a sleeper wakes up is part of the run. Per-node RNG
+// call order within a round is fixed (mobility, then Transmit), so this is
+// deterministic at any width. On a region-sharded plane the same walk also
+// takes each chunk's bounding box for the partition, so it visits every
 // alive node whether or not anything moves; on the one-shard plane a world
 // whose alive nodes all stand still skips the walk.
 func (e *Engine) move() {
@@ -613,30 +642,55 @@ func (e *Engine) move() {
 		return
 	}
 	k := e.width(len(e.alive))
-	for len(e.movers) < k {
-		mr := &moverRand{}
-		mr.rnd = func(n int) int { return mr.cur.Intn(n) }
-		e.movers = append(e.movers, mr)
-	}
 	if len(e.plane.mediums) > 1 {
 		e.plane.boxes(k)
-		if e.mobFn == nil {
-			e.mobFn = e.plane.mobility(e)
-		}
 	}
 	if e.mobFn == nil {
-		e.mobFn = func(w, lo, hi int) {
-			mr := e.movers[w]
-			for _, st := range e.alive[lo:hi] {
-				if st.mover != nil {
-					mr.cur = &st.rng
-					at := &e.info[st.id].At
-					*at = st.mover.Move(e.curRound, *at, mr.rnd)
-				}
+		e.mobFn = e.moveChunk
+	}
+	e.runChunks(len(e.alive), k, e.mobFn)
+}
+
+// moveChunk is the mobility loop over alive[lo:hi], the one both planes
+// run. A steady leg — nearly every node, nearly every round — is Leg.Dist
+// and RandomWaypoint.Ahead, which the compiler inlines here; only a turn,
+// where a node arrives and draws its next destination from its own stream,
+// is a call. With two or more shards the loop also stretches chunk
+// w's bounding box over every alive node it walks, moved or not — the one
+// time a round has each of those positions in hand — and partition merges
+// the boxes. The box is four locals, compared as stretch compares (a NaN
+// coordinate moves nothing): this is the 100k-node loop.
+func (e *Engine) moveChunk(w, lo, hi int) {
+	box := len(e.plane.mediums) > 1
+	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	for _, st := range e.alive[lo:hi] {
+		at := &e.info[st.id].At
+		if wp := st.wp; wp != nil {
+			if next, ok := wp.Ahead(&st.leg, *at, st.leg.Dist(*at)); ok {
+				*at = next
+			} else {
+				*at = wp.Turn(&st.leg, *at, st.rng.Intn)
+			}
+		}
+		if box {
+			if at.X < minX {
+				minX = at.X
+			}
+			if at.Y < minY {
+				minY = at.Y
+			}
+			if at.X > maxX {
+				maxX = at.X
+			}
+			if at.Y > maxY {
+				maxY = at.Y
 			}
 		}
 	}
-	e.runChunks(len(e.alive), k, e.mobFn)
+	if box {
+		e.plane.bounds[w] = geo.Rect{Min: geo.Point{X: minX, Y: minY}, Max: geo.Point{X: maxX, Y: maxY}}
+	}
 }
 
 // collectTransmissions calls Transmit on every awake node and returns the

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"vinfra/internal/geo"
+	"vinfra/internal/mobility"
 )
 
 // perfectMedium delivers every transmission to every alive node (including
@@ -174,23 +176,48 @@ func TestMessageSizeDefault(t *testing.T) {
 	}
 }
 
-// driftMover moves +1 in X each round.
-type driftMover struct{}
+// Waypoint models the tests roam their nodes under. The engine only reads
+// a model, so every test shares these.
+var (
+	// drift walks a node straight along +X at one unit a round: its area is
+	// a single point a long way off.
+	drift = &mobility.RandomWaypoint{Area: geo.Rect{Min: geo.Point{X: 1e6}, Max: geo.Point{X: 1e6}}, VMax: 1}
+	// roam has a large VMax over a field a few shard rectangles wide, so
+	// nodes migrate across shards within a short run.
+	roam = &mobility.RandomWaypoint{Area: geo.Rect{Min: geo.Point{X: -10, Y: -10}, Max: geo.Point{X: 60, Y: 60}}, VMax: 4}
+	// cramped is a field a few steps wide: a node arrives, and redraws from
+	// its stream, every few rounds.
+	cramped = &mobility.RandomWaypoint{Area: geo.Rect{Max: geo.Point{X: 4, Y: 4}}, VMax: 1}
+)
 
-func (driftMover) Move(_ Round, cur geo.Point, _ func(int) int) geo.Point {
-	return geo.Point{X: cur.X + 1, Y: cur.Y}
+// drifted is where a node that starts at x drifts to in rounds rounds: the
+// model's own step on the same inputs. drift's destination is one point, so
+// what its first round draws does not matter.
+func drifted(x float64, rounds int) geo.Point {
+	m := *drift
+	at := geo.Point{X: x}
+	for i := 0; i < rounds; i++ {
+		at = m.Move(0, at, func(n int) int { return n / 2 })
+	}
+	return at
 }
 
+// TestEngineMobility: a node under a model whose area is a single point
+// walks straight to it, one VMax a round, and SetPosition teleports it.
 func TestEngineMobility(t *testing.T) {
 	e := NewEngine(perfectMedium{})
-	id := e.Attach(geo.Point{}, driftMover{}, func(Env) Node { return &silentNode{} })
+	id := e.Attach(geo.Point{}, drift, func(Env) Node { return &silentNode{} })
 	e.Run(4)
-	if got := e.Position(id); got.X != 4 {
-		t.Errorf("position after 4 rounds = %v, want X=4", got)
+	if got, want := e.Position(id), drifted(0, 4); got != want || math.Abs(got.X-4) > 1e-9 || got.Y != 0 {
+		t.Errorf("position after 4 rounds = %v, want %v, X≈4 on the axis", got, want)
 	}
 	e.SetPosition(id, geo.Point{X: 100})
 	if got := e.Position(id); got.X != 100 {
 		t.Errorf("SetPosition: got %v", got)
+	}
+	e.Run(1)
+	if got, want := e.Position(id), drifted(100, 1); got != want {
+		t.Errorf("one round after teleporting to X=100: %v, want %v", got, want)
 	}
 }
 

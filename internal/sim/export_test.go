@@ -45,7 +45,8 @@ type Counts struct {
 	Handoffs     int  // chunks given to a helper goroutine
 	Pooled       bool // the worker runtime is running
 	RouseEntries int  // list entries and filed nodes rouse has looked at
-	RouseWords   int  // bitmap words rouse has looked at: one per 64 nodes ever attached, per relist
+	RouseWords   int  // bitmap words rouse has looked at: the nonzero words of on and all of sum, per relist
+	Relists      int  // times rouse listed the awake list afresh
 	// ScratchBytes is the capacity of the buffers a round fills and empties —
 	// the transmission list, the Transmit slots, the awake list, the one-shard
 	// receiver view — which should follow what is alive, not what ever was.
@@ -58,6 +59,7 @@ func (e *Engine) Counts() Counts {
 		Pooled:       e.pool != nil,
 		RouseEntries: e.rouseWork - e.rouseWords,
 		RouseWords:   e.rouseWords,
+		Relists:      e.relists,
 		ScratchBytes: cap(e.txs)*int(unsafe.Sizeof(Transmission{})) +
 			cap(e.txSlots)*int(unsafe.Sizeof(Message(nil))) +
 			cap(e.awakeBuf)*int(unsafe.Sizeof((*nodeState)(nil))) +

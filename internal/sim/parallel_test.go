@@ -9,17 +9,6 @@ import (
 	"vinfra/internal/geo"
 )
 
-// wanderMover takes a deterministic random step each round, exercising the
-// per-node RNG on the sharded mobility phase.
-type wanderMover struct{}
-
-func (wanderMover) Move(_ Round, cur geo.Point, rnd func(n int) int) geo.Point {
-	return geo.Point{
-		X: cur.X + float64(rnd(5)-2)*0.01,
-		Y: cur.Y + float64(rnd(5)-2)*0.01,
-	}
-}
-
 // runEcho drives a mobile echo cluster for some rounds and returns
 // everything observable: per-node reception logs and final positions.
 func runEcho(nodes, rounds int, opts ...Option) ([][][]Message, []geo.Point) {
@@ -27,7 +16,7 @@ func runEcho(nodes, rounds int, opts ...Option) ([][][]Message, []geo.Point) {
 	echoes := make([]*echoNode, nodes)
 	for i := 0; i < nodes; i++ {
 		i := i
-		e.Attach(geo.Point{X: float64(i)}, wanderMover{}, func(env Env) Node {
+		e.Attach(geo.Point{X: float64(i)}, roam, func(env Env) Node {
 			echoes[i] = &echoNode{env: env}
 			return echoes[i]
 		})
@@ -81,7 +70,7 @@ func runChurnScenario(opts ...Option) churnResult {
 	attach := func(n int) {
 		for i := 0; i < n; i++ {
 			pos := geo.Point{X: float64(len(echoes)), Y: 0.5 * float64(len(echoes)%7)}
-			e.Attach(pos, wanderMover{}, func(env Env) Node {
+			e.Attach(pos, roam, func(env Env) Node {
 				node := &echoNode{env: env}
 				echoes = append(echoes, node)
 				return node

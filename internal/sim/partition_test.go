@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vinfra/internal/geo"
+	"vinfra/internal/mobility"
 )
 
 // TestShardPlanePartitionEdgeCases drives the partition pass (the counting
@@ -19,7 +20,7 @@ func TestShardPlanePartitionEdgeCases(t *testing.T) {
 	cases := []struct {
 		name      string
 		positions []geo.Point
-		mover     Mover // nil keeps nodes pinned (boundary case)
+		wp        *mobility.RandomWaypoint // nil keeps nodes pinned (boundary case)
 		prep      func(e *Engine)
 		grid      struct{ cols, rows int }
 		wantEmpty bool // some shard rectangle must end the run resident-free
@@ -29,7 +30,7 @@ func TestShardPlanePartitionEdgeCases(t *testing.T) {
 			positions: []geo.Point{
 				{X: 0, Y: 0}, {X: 8, Y: 0}, {X: 16, Y: 8}, {X: 24, Y: 16}, {X: 8, Y: 24}, {X: 0, Y: 16},
 			},
-			mover: roamMover{},
+			wp: roam,
 			prep: func(e *Engine) {
 				for i := 0; i < e.NumNodes(); i++ {
 					e.Crash(NodeID(i))
@@ -43,7 +44,7 @@ func TestShardPlanePartitionEdgeCases(t *testing.T) {
 			positions: []geo.Point{
 				{X: 0, Y: 0}, {X: 9, Y: 3}, {X: 18, Y: 9}, {X: 27, Y: 15}, {X: 9, Y: 21},
 			},
-			mover: roamMover{},
+			wp: roam,
 			prep: func(e *Engine) {
 				for i := 0; i < e.NumNodes(); i++ {
 					if i != 2 {
@@ -65,9 +66,9 @@ func TestShardPlanePartitionEdgeCases(t *testing.T) {
 				{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 20, Y: 0}, {X: 10, Y: 10},
 				{X: 20, Y: 10}, {X: 0, Y: 20}, {X: 20, Y: 20}, {X: 30, Y: 10},
 			},
-			mover: nil,
-			prep:  nil,
-			grid:  struct{ cols, rows int }{2, 2},
+			wp:   nil,
+			prep: nil,
+			grid: struct{ cols, rows int }{2, 2},
 		},
 		{
 			// Fit shrinks the occupied-cell bounding box to a couple of
@@ -77,7 +78,7 @@ func TestShardPlanePartitionEdgeCases(t *testing.T) {
 			positions: []geo.Point{
 				{X: 0, Y: 0}, {X: 1, Y: 2}, {X: 2, Y: 1}, {X: 3, Y: 3}, {X: 1, Y: 1}, {X: 2.5, Y: 0.5},
 			},
-			mover:     nil,
+			wp:        nil,
 			prep:      nil,
 			grid:      struct{ cols, rows int }{3, 3},
 			wantEmpty: true,
@@ -92,7 +93,7 @@ func TestShardPlanePartitionEdgeCases(t *testing.T) {
 				nodes := make([]*sparseEcho, len(tc.positions))
 				for i, p := range tc.positions {
 					i := i
-					e.Attach(p, tc.mover, func(env Env) Node {
+					e.Attach(p, tc.wp, func(env Env) Node {
 						nodes[i] = &sparseEcho{env: env, burst: 2 + i%2}
 						return nodes[i]
 					})

@@ -11,7 +11,7 @@ import (
 )
 
 // snapshotShardedEngine builds a region-sharded parallel deployment of
-// Snapshotter nodes (counterNode + phaseMover, as in the snapshot tests)
+// Snapshotter nodes (counterNode roaming under cramped, as in the snapshot tests)
 // over a diskMedium world, with enough workers that the persistent pool
 // actually engages even on a single-CPU machine.
 func snapshotShardedEngine(n int) (*Engine, []*counterNode) {
@@ -24,7 +24,7 @@ func snapshotShardedEngine(n int) (*Engine, []*counterNode) {
 	nodes := make([]*counterNode, n)
 	for i := 0; i < n; i++ {
 		i := i
-		e.Attach(geo.Point{X: float64(i%4) * 7, Y: float64(i/4) * 7}, &phaseMover{}, func(env Env) Node {
+		e.Attach(geo.Point{X: float64(i%4) * 7, Y: float64(i/4) * 7}, cramped, func(env Env) Node {
 			nodes[i] = &counterNode{env: env}
 			return nodes[i]
 		})
@@ -44,7 +44,7 @@ func runPoolScenario(rounds, closeEvery int, opts ...Option) ([][]Reception, []g
 		for i := 0; i < n; i++ {
 			k := len(nodes)
 			pos := geo.Point{X: float64(k%7) * 6, Y: float64(k/7) * 6}
-			e.Attach(pos, roamMover{}, func(env Env) Node {
+			e.Attach(pos, roam, func(env Env) Node {
 				node := &sparseEcho{env: env, burst: 2 + k%3}
 				nodes = append(nodes, node)
 				return node

@@ -32,15 +32,20 @@ func (*beacon) Transmit(sim.Round) sim.Message { return beaconMsg }
 // for two, asleep for eight, every dozer in step — so the awake list swings
 // between everyone and the beacons alone. A staggered dozer is the replicas'
 // side of that world instead: on for two rounds in ninety, out of step with
-// its neighbours, so every round some wake and some fall asleep.
+// its neighbours, so every round some wake and some fall asleep. A dozer
+// with neither falls asleep for good after its first round.
 type dozer struct {
 	listener
-	env       sim.Env
-	staggered bool
+	env              sim.Env
+	staggered, ended bool
 }
 
 func (d *dozer) Receive(r sim.Round, rx sim.Reception) {
 	d.listener.Receive(r, rx)
+	if d.ended {
+		d.env.SleepUntil(1 << 40)
+		return
+	}
 	cycle, phase := 10, int(r)
 	if d.staggered {
 		cycle, phase = 90, int(r)+int(d.env.ID())
@@ -55,6 +60,7 @@ const (
 	alwaysOn = iota
 	dutyCycled
 	staggered
+	asleep
 )
 
 // silence is a medium nobody hears anything through, so the gate below
@@ -73,19 +79,19 @@ func (m *silence) Deliver(r sim.Round, _ []sim.Transmission, rxs []sim.NodeInfo)
 	return out
 }
 
-// roamingCity attaches n RandomWaypoint listeners (the city workloads'
-// population: a 90x90 field, vmax 0.02) — dozers unless alwaysOn — and four
-// static beacons.
+// roamingCity attaches n listeners roaming under the city workloads' model
+// (a 90x90 field, vmax 0.02) — dozers unless alwaysOn — and four static
+// beacons.
 func roamingCity(e *sim.Engine, n int, population int) {
-	area := geo.Rect{Max: geo.Point{X: 90, Y: 90}}
+	city := &mobility.RandomWaypoint{Area: geo.Rect{Max: geo.Point{X: 90, Y: 90}}, VMax: 0.02}
 	rng := det.NewStream(7)
 	for i := 0; i < n; i++ {
 		pos := geo.Point{X: rng.Float64() * 90, Y: rng.Float64() * 90}
-		e.Attach(pos, &mobility.RandomWaypoint{Area: area, VMax: 0.02}, func(env sim.Env) sim.Node {
+		e.Attach(pos, city, func(env sim.Env) sim.Node {
 			if population == alwaysOn {
 				return &listener{}
 			}
-			return &dozer{env: env, staggered: population == staggered}
+			return &dozer{env: env, staggered: population == staggered, ended: population == asleep}
 		})
 	}
 	for _, p := range []geo.Point{{X: 20, Y: 20}, {X: 70, Y: 20}, {X: 20, Y: 70}, {X: 70, Y: 70}} {
@@ -94,9 +100,9 @@ func roamingCity(e *sim.Engine, n int, population int) {
 }
 
 // TestEngineStepSteadyStateAllocsRoaming is the steady-state allocation gate with the
-// mobility model the city workloads use: every listener's Move draws a
-// destination from rnd on its first call and on every arrival, and the
-// engine must hand it that rnd without allocating — on the sequential, the
+// mobility model the city workloads use: every listener draws a
+// destination from its own stream in its first round and on every arrival,
+// and the engine must hand its model that stream without allocating — on the sequential, the
 // parallel and the region-sharded engine, at 10k and at 100k devices, with
 // the listeners always on, with them asleep eight rounds in ten, and with
 // them up two rounds in ninety on staggered phases.
@@ -140,6 +146,20 @@ func TestEngineStepSteadyStateAllocsRoaming(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkEngineMobility is a city-100k round with little in it but the
+// mobility phase: the 100k listeners roam, asleep, and the medium carries
+// the beacons' four transmissions to nobody.
+func BenchmarkEngineMobility(b *testing.B) {
+	e := sim.NewEngine(&silence{}, sim.WithSeed(1))
+	roamingCity(e, 100_000, asleep)
+	e.Run(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }
 

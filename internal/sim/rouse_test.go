@@ -43,6 +43,56 @@ func TestRouseCostFollowsWhatChanged(t *testing.T) {
 	}
 }
 
+// TestRouseWordsFollowWhatIsAlive pins the other half of rouse's bound: the
+// bitmap words a relist reads are the words that hold an awake node plus one
+// summary word per 4096 NodeIDs, however many nodes have come and gone. 256
+// napping devices are churned — every round 16 die and 16 are attached in
+// their place — until twenty times as many have been attached as are alive;
+// a listing that reads one word per 64 NodeIDs reads 80 a relist by then.
+func TestRouseWordsFollowWhatIsAlive(t *testing.T) {
+	const alive, perRound = 256, 16
+	rnd := rand.New(rand.NewSource(1))
+	e := NewEngine(&nullMedium{})
+	attach := func(n int) {
+		for ; n > 0; n-- {
+			e.Attach(geo.Point{X: float64(e.NumNodes() % 90)}, nil, func(env Env) Node {
+				return &napNode{countNode{env: env}, 5}
+			})
+		}
+	}
+	attach(alive)
+	e.Run(5)
+	scan := 0 // what one word per 64 NodeIDs would have read
+	for e.NumNodes() < 20*alive {
+		for i := 0; i < perRound; i++ {
+			ids := e.AliveIDs(nil)
+			e.Crash(ids[rnd.Intn(len(ids))])
+		}
+		attach(perRound)
+		before := e.Counts()
+		e.Step()
+		after := e.Counts()
+		words, relists := after.RouseWords-before.RouseWords, after.Relists-before.Relists
+		if relists != 1 {
+			t.Fatalf("round %d: %d relists, want one: nodes died and were attached", e.Round()-1, relists)
+		}
+		nonzero := 0
+		for _, w := range e.on {
+			if w != 0 {
+				nonzero++
+			}
+		}
+		if limit := nonzero + (e.NumNodes()+4095)/4096; words > limit {
+			t.Fatalf("round %d: a relist read %d bitmap words with %d nonzero at %d attached; want at most %d",
+				e.Round()-1, words, nonzero, e.NumNodes(), limit)
+		}
+		scan += len(e.on)
+	}
+	if got := e.Counts().RouseWords; 2*got > scan {
+		t.Errorf("rouse read %d bitmap words over the run, one word per 64 NodeIDs %d: want under half", got, scan)
+	}
+}
+
 // fickleNode transmits whenever it is called and then, most rounds, sleeps
 // for a while; wake is what it last asked for, which the property test below
 // reads to predict the awake list.
@@ -81,7 +131,7 @@ func checkAwakeListAgainstBruteForce(t *testing.T, seed int64, opts ...Option) {
 			node := &fickleNode{rnd: rand.New(rand.NewSource(rnd.Int63()))}
 			nodes = append(nodes, node)
 			pos := geo.Point{X: rnd.Float64() * 40, Y: rnd.Float64() * 40}
-			e.Attach(pos, roamMover{}, func(env Env) Node { node.env = env; return node })
+			e.Attach(pos, roam, func(env Env) Node { node.env = env; return node })
 		}
 	}
 	e.AddFault(strikeFunc(func(r Round, ctl Control) {

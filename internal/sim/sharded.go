@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"vinfra/internal/geo"
@@ -92,11 +91,12 @@ type shardPlane struct {
 	counts  [][]int32
 	offs    [][]int32
 	// bounds holds this round's mobility chunks' bounding boxes of alive
-	// positions, one per chunk (boxes sizes it, mobility's chunk w writes
-	// bounds[w]) — the mobility pass's width, which need not be partition's.
+	// positions, one per chunk (boxes sizes it, Engine.moveChunk's chunk w
+	// writes bounds[w]) — the mobility pass's width, which need not be
+	// partition's.
 	bounds []geo.Rect
 
-	// Cached fan-out closures (the engine's mobFn idiom: building them per
+	// Cached fan-out closures (the engine's txFn idiom: building them per
 	// round would allocate because the worker handoff moves them to the
 	// heap).
 	deliverFn func(w, lo, hi int)
@@ -110,40 +110,6 @@ func (sp *shardPlane) boxes(k int) {
 		sp.bounds = make([]geo.Rect, k)
 	}
 	sp.bounds = sp.bounds[:k]
-}
-
-// mobility returns the mobility chunk of an engine with two or more shards:
-// Engine.move's, which also stretches the chunk's bounding box over every
-// alive node it walks, moved or not — the one time a round has each of those
-// positions in hand. partition merges the boxes.
-func (sp *shardPlane) mobility(e *Engine) func(w, lo, hi int) {
-	return func(w, lo, hi int) {
-		mr := e.movers[w]
-		// The box in four locals, compared as stretch compares (a NaN
-		// coordinate moves nothing): this is the 100k-node loop.
-		minX, minY := math.Inf(1), math.Inf(1)
-		maxX, maxY := math.Inf(-1), math.Inf(-1)
-		for _, st := range e.alive[lo:hi] {
-			at := &e.info[st.id].At
-			if st.mover != nil {
-				mr.cur = &st.rng
-				*at = st.mover.Move(e.curRound, *at, mr.rnd)
-			}
-			if at.X < minX {
-				minX = at.X
-			}
-			if at.Y < minY {
-				minY = at.Y
-			}
-			if at.X > maxX {
-				maxX = at.X
-			}
-			if at.Y > maxY {
-				maxY = at.Y
-			}
-		}
-		sp.bounds[w] = geo.Rect{Min: geo.Point{X: minX, Y: minY}, Max: geo.Point{X: maxX, Y: maxY}}
-	}
 }
 
 // propagate computes round r's receptions from the round's merged
@@ -187,7 +153,7 @@ func (sp *shardPlane) propagate(e *Engine, r Round, txs []Transmission) []Recept
 // is that of every alive node, asleep or not, so whether a device's radio
 // is on never moves a shard edge: floor(x/cell) is monotone in x, hence the
 // box's corner cells are the cells of the extreme positions, which the
-// mobility pass has already found chunk by chunk (mobility). Sleepers are
+// mobility pass has already found chunk by chunk (Engine.moveChunk). Sleepers are
 // resident nowhere, and no reception is made for them. The pass scales with
 // cores instead of devices: the per-chunk counting sort and the resident
 // writes fan out over the worker runtime in contiguous chunks (one chunk,

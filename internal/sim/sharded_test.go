@@ -44,17 +44,6 @@ func (m diskMedium) Deliver(r Round, txs []Transmission, rxs []NodeInfo) []Recep
 	return out
 }
 
-// roamMover takes larger deterministic random steps than wanderMover so
-// nodes migrate across shard rectangles within a short run.
-type roamMover struct{}
-
-func (roamMover) Move(_ Round, cur geo.Point, rnd func(n int) int) geo.Point {
-	return geo.Point{
-		X: cur.X + float64(rnd(7)-3)*1.5,
-		Y: cur.Y + float64(rnd(7)-3)*1.5,
-	}
-}
-
 // sparseEcho transmits only on a per-node stride (so rounds mix senders,
 // listeners and contention) and records full receptions including the
 // collision flag.
@@ -88,7 +77,7 @@ func runShardedScenario(rounds int, opts ...Option) ([][]Reception, []geo.Point,
 		for i := 0; i < n; i++ {
 			k := len(nodes)
 			pos := geo.Point{X: float64(k%8) * 6.5, Y: float64(k/8) * 6.5}
-			e.Attach(pos, roamMover{}, func(env Env) Node {
+			e.Attach(pos, roam, func(env Env) Node {
 				node := &sparseEcho{env: env, burst: 2 + k%3}
 				nodes = append(nodes, node)
 				return node

@@ -28,7 +28,7 @@ func (f *joinFault) Strike(r Round, _ Control) {
 func attachCounters(e *Engine, nodes *[]*counterNode, n int) {
 	for i := 0; i < n; i++ {
 		x := float64(e.NumNodes())
-		e.Attach(geo.Point{X: x}, &phaseMover{}, func(env Env) Node {
+		e.Attach(geo.Point{X: x}, cramped, func(env Env) Node {
 			c := &counterNode{env: env}
 			*nodes = append(*nodes, c)
 			return c

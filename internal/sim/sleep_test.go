@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vinfra/internal/geo"
+	"vinfra/internal/mobility"
 )
 
 // dutyNode is a duty-cycled device: its radio is on for the first `on`
@@ -97,7 +98,7 @@ func (w *dutyWorld) attach(n int) {
 	for i := 0; i < n; i++ {
 		k := w.e.NumNodes()
 		pos := geo.Point{X: float64(k%8) * 6.5, Y: float64(k/8) * 6.5}
-		w.e.Attach(pos, roamMover{}, func(env Env) Node {
+		w.e.Attach(pos, roam, func(env Env) Node {
 			if k%6 == 5 {
 				node := &sparseEcho{env: env, burst: 2 + k%3}
 				w.always = append(w.always, node)
@@ -293,9 +294,9 @@ func sleepAfterReceive(at, until Round) func(*scriptNode, Round, bool) {
 // TestSleepEdges walks the edges of the sleep state: what else can happen
 // to a node, or around it, while its radio is off.
 func TestSleepEdges(t *testing.T) {
-	attach := func(e *Engine, at geo.Point, mover Mover, do func(*scriptNode, Round, bool)) *scriptNode {
+	attach := func(e *Engine, at geo.Point, wp *mobility.RandomWaypoint, do func(*scriptNode, Round, bool)) *scriptNode {
 		n := &scriptNode{do: do}
-		e.Attach(at, mover, func(env Env) Node { n.env = env; return n })
+		e.Attach(at, wp, func(env Env) Node { n.env = env; return n })
 		return n
 	}
 	for _, tc := range []struct {
@@ -428,7 +429,7 @@ func TestSleepEdges(t *testing.T) {
 		{name: "everyone asleep", opts: []Option{WithRegionShards(2, 1, 10, func() Medium { return &nullMedium{} })}, run: func(t *testing.T, e *Engine) {
 			var nodes []*scriptNode
 			for i := 0; i < 4; i++ {
-				nodes = append(nodes, attach(e, geo.Point{X: float64(i)}, driftMover{}, sleepAfterReceive(0, 8)))
+				nodes = append(nodes, attach(e, geo.Point{X: float64(i)}, drift, sleepAfterReceive(0, 8)))
 			}
 			hooked := 0
 			e.OnRound(func(_ Round, txs []Transmission, rxs []Reception) {
@@ -445,8 +446,8 @@ func TestSleepEdges(t *testing.T) {
 			if e.Round() != 8 || st.Rounds != 8 || st.Transmissions != 4 || hooked != 8 {
 				t.Errorf("round %d, stats %+v, %d hook calls; want 8 rounds, 4 transmissions, 8 calls", e.Round(), st, hooked)
 			}
-			if want := (geo.Point{X: 3 + 8}); e.Position(3) != want {
-				t.Errorf("sleeper drifted to %v, want %v (driftMover: +1 a round)", e.Position(3), want)
+			if want := drifted(3, 8); e.Position(3) != want {
+				t.Errorf("sleeper drifted to %v, want %v (drift: +1 a round)", e.Position(3), want)
 			}
 			e.Run(2)
 			if !slices.Equal(nodes[0].rx, rounds(0, 8, 9)) {
@@ -495,7 +496,7 @@ func TestShardedSleepersNeverReachTheMedium(t *testing.T) {
 		var nodes []*dutyNode
 		for k := 0; k < 40; k++ {
 			pos := geo.Point{X: float64(k%8) * 6.5, Y: float64(k/8) * 6.5}
-			e.Attach(pos, roamMover{}, func(env Env) Node {
+			e.Attach(pos, roam, func(env Env) Node {
 				n := &dutyNode{env: env, cycle: 3 + k%5, on: 1 + k%2}
 				nodes = append(nodes, n)
 				return n

@@ -11,7 +11,7 @@ import (
 
 // Snapshotter is the optional per-entity half of the snapshot contract,
 // and the one way every stateful node part checkpoints: a Node (vi.Emulator,
-// vi.Client), a Mover (mobility.RandomWaypoint), and the parts a node
+// vi.Client), a moving node's leg (mobility.Leg), and the parts a node
 // nests inside its own blob (cm contention managers, client programs such
 // as apps.ObserverClient) implement it to write their live fields straight
 // into an opaque byte string, which Engine.Snapshot captures and
@@ -21,9 +21,9 @@ import (
 // inside NodeSnapshot, which carries the canonical encoding. RestoreState
 // must refuse any blob AppendState could not have written.
 //
-// Entities with no mutable state (a nil Mover, stateless client
-// programs) simply do not implement the interface; the engine records an
-// empty blob for them and restoring a non-empty blob onto one is an error
+// Entities with no mutable state (a static node's absent leg, stateless
+// client programs) simply do not implement the interface; the engine records
+// an empty blob for them and restoring a non-empty blob onto one is an error
 // (it means the snapshot was taken against a different deployment).
 type Snapshotter interface {
 	// AppendState appends the entity's mutable state to dst and returns
@@ -45,14 +45,14 @@ type Fingerprinter interface {
 }
 
 // NodeSnapshot captures one attached node: engine-owned bookkeeping
-// (position, liveness, RNG position) plus the node's and its mover's
-// Snapshotter blobs.
+// (position, liveness, RNG position) plus the node's Snapshotter blob and,
+// for a moving node, its leg's.
 type NodeSnapshot struct {
 	ID    NodeID
 	X, Y  float64
 	Alive bool
 	RNG   uint64 // det.Stream position word
-	Mover []byte // mover Snapshotter blob, empty when stateless
+	Mover []byte // the leg's blob (mobility.Leg), empty for a static node
 	State []byte // node Snapshotter blob, empty when stateless
 }
 
@@ -91,7 +91,7 @@ func DecodeNodeSnapshot(d *wire.Decoder) (NodeSnapshot, error) {
 
 // EngineSnapshot is the engine layer of a full checkpoint: everything the
 // round loop owns, in canonical form. The deployment itself (mediums,
-// movers, node constructors, faults, hooks) is code, not state — a restore
+// waypoint models, node constructors, faults, hooks) is code, not state — a restore
 // rebuilds the world with the same constructors and parameters, then lays
 // this snapshot over it. Seed, shard geometry and the fault fingerprint are
 // recorded so Restore can reject a snapshot taken against a different
@@ -238,8 +238,8 @@ func (e *Engine) Snapshot() EngineSnapshot {
 			Alive: in.Alive,
 			RNG:   st.rng.State(),
 		}
-		if sn, ok := st.mover.(Snapshotter); ok {
-			ns.Mover = sn.AppendState(nil)
+		if st.wp != nil {
+			ns.Mover = st.leg.AppendState(nil)
 		}
 		if sn, ok := st.node.(Snapshotter); ok {
 			ns.State = sn.AppendState(nil)
@@ -317,12 +317,12 @@ func (e *Engine) restore(s EngineSnapshot) error {
 		st.rng.SetState(ns.RNG)
 		st.wake = 0
 		e.info[st.id] = NodeInfo{ID: st.id, At: geo.Point{X: ns.X, Y: ns.Y}, Alive: ns.Alive}
-		if sn, ok := st.mover.(Snapshotter); ok {
-			if err := sn.RestoreState(ns.Mover); err != nil {
-				return fmt.Errorf("sim: restore: node %d mover: %w", st.id, err)
+		if st.wp != nil {
+			if err := st.leg.RestoreState(ns.Mover); err != nil {
+				return fmt.Errorf("sim: restore: node %d leg: %w", st.id, err)
 			}
 		} else if len(ns.Mover) > 0 {
-			return fmt.Errorf("sim: restore: node %d has mover state but its mover is not a Snapshotter", st.id)
+			return fmt.Errorf("sim: restore: node %d has leg state but is static", st.id)
 		}
 		if sn, ok := st.node.(Snapshotter); ok {
 			if err := sn.RestoreState(ns.State); err != nil {
@@ -337,11 +337,12 @@ func (e *Engine) restore(s EngineSnapshot) error {
 	e.alive = e.alive[:0]
 	e.moving = 0
 	clear(e.on)
+	clear(e.sum)
 	for _, st := range e.nodes {
 		if e.info[st.id].Alive {
 			e.alive = append(e.alive, st)
-			e.on[st.id>>6] |= 1 << (st.id & 63)
-			if st.mover != nil {
+			e.radioOn(st.id)
+			if st.wp != nil {
 				e.moving++
 			}
 		}

@@ -39,32 +39,12 @@ func (n *counterNode) RestoreState(data []byte) error {
 	return d.Finish()
 }
 
-// phaseMover is a stateful mover: Snapshotter, so its phase survives.
-type phaseMover struct {
-	phase int
-}
-
-func (m *phaseMover) Move(_ Round, cur geo.Point, _ func(int) int) geo.Point {
-	m.phase++
-	return geo.Point{X: cur.X + float64(m.phase%3), Y: cur.Y}
-}
-
-func (m *phaseMover) AppendState(dst []byte) []byte {
-	return wire.AppendUvarint(dst, uint64(m.phase))
-}
-
-func (m *phaseMover) RestoreState(data []byte) error {
-	d := wire.Dec(data)
-	m.phase = int(d.Uvarint())
-	return d.Finish()
-}
-
 func snapshotEngine(n int, opts ...Option) (*Engine, []*counterNode) {
 	e := NewEngine(perfectMedium{}, append([]Option{WithSeed(42)}, opts...)...)
 	nodes := make([]*counterNode, n)
 	for i := 0; i < n; i++ {
 		i := i
-		e.Attach(geo.Point{X: float64(i)}, &phaseMover{}, func(env Env) Node {
+		e.Attach(geo.Point{X: float64(i)}, cramped, func(env Env) Node {
 			nodes[i] = &counterNode{env: env}
 			return nodes[i]
 		})
@@ -134,7 +114,7 @@ func TestEngineRestoreValidation(t *testing.T) {
 
 	otherSeed := NewEngine(perfectMedium{})
 	for i := 0; i < 4; i++ {
-		otherSeed.Attach(geo.Point{X: float64(i)}, &phaseMover{}, func(env Env) Node {
+		otherSeed.Attach(geo.Point{X: float64(i)}, cramped, func(env Env) Node {
 			return &counterNode{env: env}
 		})
 	}
@@ -142,16 +122,24 @@ func TestEngineRestoreValidation(t *testing.T) {
 		t.Fatal("restore onto an engine with a different seed succeeded")
 	}
 
-	// A node blob aimed at a non-Snapshotter means the deployment was
-	// rebuilt with different constructors: an error, not silent data loss.
+	// A node blob aimed at a non-Snapshotter, or a leg aimed at a static
+	// node, means the deployment was rebuilt with different constructors:
+	// an error, not silent data loss.
 	plain := NewEngine(perfectMedium{}, WithSeed(42))
+	static := NewEngine(perfectMedium{}, WithSeed(42))
 	for i := 0; i < 4; i++ {
-		plain.Attach(geo.Point{X: float64(i)}, nil, func(Env) Node {
+		plain.Attach(geo.Point{X: float64(i)}, cramped, func(Env) Node {
 			return &silentNode{}
+		})
+		static.Attach(geo.Point{X: float64(i)}, nil, func(env Env) Node {
+			return &counterNode{env: env}
 		})
 	}
 	if err := plain.Restore(snap); err == nil {
 		t.Fatal("restore of node state onto a non-Snapshotter succeeded")
+	}
+	if err := static.Restore(snap); err == nil {
+		t.Fatal("restore of a leg onto a static node succeeded")
 	}
 }
 

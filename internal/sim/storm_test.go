@@ -56,13 +56,14 @@ func TestParallelSmallWorldRunsInline(t *testing.T) {
 // helpers, the entries rouse looks at, the room the per-round buffers take.
 //
 // Two things still follow the nodes ever attached, and are stated rather than
-// hidden. rouse reads one bitmap word per 64 NodeIDs each time it relists the
-// awake list (Counts.RouseWords: ninety-odd words a relist at 6 000 attached,
-// against the dozen entries of the list itself), next to the NodeID-indexed
-// tables — 45 B a node in info, nodes and next. And the collector walks the
-// dead nodes' Emulators: the checkpoint format keeps them (NodeSnapshot.State
-// of a dead node is in every snapshot, and bench/expect.json pins those
-// bytes), so the heap a GC cycle marks grows with the run.
+// hidden. The NodeID-indexed tables — 45 B a node in info, nodes and next —
+// and, in the bitmap rouse relists the awake list from, one summary word per
+// 4096 NodeIDs; the other words a relist reads (Counts.RouseWords) are the
+// ones holding an awake node, at most one per alive device. And the collector
+// walks the dead nodes' Emulators: the checkpoint format keeps them
+// (NodeSnapshot.State of a dead node is in every snapshot, and
+// bench/expect.json pins those bytes), so the heap a GC cycle marks grows
+// with the run.
 func TestChurningRoundCostsWhatIsAlive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3 100 virtual rounds of the 7x7 storm world")
@@ -74,6 +75,7 @@ func TestChurningRoundCostsWhatIsAlive(t *testing.T) {
 	type cost struct {
 		visited, attached        int // at the window's start: a fault's AliveIDs walk, and NumNodes
 		handoffs, entries, words int // over the window
+		relists                  int
 		scratch, grown           int // per-round buffer bytes at the window's end, and growth over it
 	}
 	measure := func() cost {
@@ -86,6 +88,7 @@ func TestChurningRoundCostsWhatIsAlive(t *testing.T) {
 		c.handoffs = after.Handoffs - before.Handoffs
 		c.entries = after.RouseEntries - before.RouseEntries
 		c.words = after.RouseWords - before.RouseWords
+		c.relists = after.Relists - before.Relists
 		c.scratch, c.grown = after.ScratchBytes, after.ScratchBytes-before.ScratchBytes
 		return c
 	}
@@ -117,9 +120,12 @@ func TestChurningRoundCostsWhatIsAlive(t *testing.T) {
 	if d := late.entries - early.entries; d > early.entries/100 || -d > early.entries/100 {
 		t.Errorf("rouse looked at %d list entries and filed nodes in the early window and %d in the late one; want them within 1%%", early.entries, late.entries)
 	}
-	// The stated term: words per relist follow attached/64.
-	if late.words < 4*early.words {
-		t.Errorf("rouse read %d and %d bitmap words: the term that follows the nodes ever attached is gone — say so here and in ROADMAP item 2", early.words, late.words)
+	// Words per relist follow what is alive: at most one per awake node, plus
+	// one summary word per 4096 attached.
+	for _, c := range []cost{early, late} {
+		if limit := c.relists * (196 + (late.attached+4095)/4096); c.words > limit {
+			t.Errorf("rouse read %d bitmap words over %d relists at %d attached; want at most %d", c.words, c.relists, c.attached, limit)
+		}
 	}
 }
 

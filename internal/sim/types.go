@@ -174,14 +174,3 @@ type Env interface {
 	// have sat out anyway — see the package comment.
 	SleepUntil(r Round)
 }
-
-// Mover updates a node's position once per round. Implementations live in
-// internal/mobility; static nodes use nil.
-type Mover interface {
-	// Move returns the position for the next round given the current one.
-	// Displacement per round must not exceed the model's vmax. rnd draws
-	// from the moving node's own random stream; it is a closure the engine
-	// shares between the nodes one worker moves, so it must not be kept or
-	// called after Move returns.
-	Move(r Round, cur geo.Point, rnd func(n int) int) geo.Point
-}

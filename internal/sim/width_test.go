@@ -74,11 +74,11 @@ func TestShardedBoundsFromMobility(t *testing.T) {
 			defer e.Close()
 			const n = 2000
 			for i := 0; i < n; i++ {
-				var mover Mover = roamMover{}
+				wp := roam
 				if i%7 == 0 {
-					mover = nil // static, some of them on the rim: they hold the box too
+					wp = nil // static, some of them on the rim: they hold the box too
 				}
-				e.Attach(geo.Point{X: float64(i%50) * 2, Y: float64(i/50) * 2}, mover, func(env Env) Node {
+				e.Attach(geo.Point{X: float64(i%50) * 2, Y: float64(i/50) * 2}, wp, func(env Env) Node {
 					if i%3 == 0 {
 						return &napNode{countNode{env: env}, 5}
 					}
@@ -118,11 +118,11 @@ func TestShardedBoundsFromMobility(t *testing.T) {
 func grainWorld(n int, sleepers bool, opts ...Option) *Engine {
 	e := NewEngine(diskMedium{r2: 10}, append([]Option{WithSeed(23)}, opts...)...)
 	for k := 0; k < n; k++ {
-		var mover Mover = roamMover{}
+		wp := roam
 		if k%5 == 0 {
-			mover = nil
+			wp = nil
 		}
-		e.Attach(geo.Point{X: float64(k%24) * 6.5, Y: float64(k/24) * 6.5}, mover, func(env Env) Node {
+		e.Attach(geo.Point{X: float64(k%24) * 6.5, Y: float64(k/24) * 6.5}, wp, func(env Env) Node {
 			if sleepers && k%4 == 3 {
 				return &dutyNode{env: env, cycle: 4 + k%4, on: 1 + k%2}
 			}

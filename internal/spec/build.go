@@ -245,13 +245,17 @@ func Build(s Spec) (*World, error) {
 		}
 	}
 
+	// Every roaming device — target or listener — moves under this one
+	// model; the engine keeps each device's leg through it.
+	roam := &mobility.RandomWaypoint{Area: area, VMax: s.Devices.VMax}
+
 	// Targets: roaming beacon clients, plus one stationary observer in the
 	// corner collecting tracking digests.
 	if s.Devices.Targets > 0 {
 		for i := 0; i < s.Devices.Targets; i++ {
 			name := fmt.Sprintf("target-%02d", i)
 			start := geo.Point{X: area.Min.X + float64(i), Y: area.Min.Y}
-			id := w.Eng.Attach(start, &mobility.RandomWaypoint{Area: area, VMax: s.Devices.VMax},
+			id := w.Eng.Attach(start, roam,
 				func(env sim.Env) sim.Node {
 					return dep.NewClient(env, &apps.TargetClient{
 						Name:   name,
@@ -277,7 +281,7 @@ func Build(s Spec) (*World, error) {
 				X: area.Min.X + rng.Float64()*area.Width(),
 				Y: area.Min.Y + rng.Float64()*area.Height(),
 			}
-			w.Eng.Attach(pos, &mobility.RandomWaypoint{Area: area, VMax: s.Devices.VMax},
+			w.Eng.Attach(pos, roam,
 				func(env sim.Env) sim.Node {
 					return dep.NewClient(env, vi.ClientFunc(
 						func(int, []vi.Message, bool) *vi.Message { return nil }))

@@ -44,9 +44,10 @@ func TestMobileReplicasWithBackoffCM(t *testing.T) {
 	}
 	var emulators []*vi.Emulator
 	greens := make(map[sim.NodeID]int)
+	roam := &mobility.RandomWaypoint{Area: wander, VMax: vmax}
 	for i := 0; i < 4; i++ {
 		pos := geo.Point{X: 0.2 * float64(i), Y: 0.1}
-		eng.Attach(pos, &mobility.RandomWaypoint{Area: wander, VMax: vmax}, func(env sim.Env) sim.Node {
+		eng.Attach(pos, roam, func(env sim.Env) sim.Node {
 			em := dep.NewEmulator(env, true)
 			id := env.ID()
 			em.SetHooks(vi.EmulatorHooks{

@@ -5,6 +5,7 @@ import (
 
 	"vinfra/internal/cd"
 	"vinfra/internal/geo"
+	"vinfra/internal/mobility"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 	"vinfra/internal/vi"
@@ -45,7 +46,7 @@ func TestBootstrapOutsideRegionFallsBackToJoin(t *testing.T) {
 	})
 	joined := false
 	var walker *vi.Emulator
-	tb.eng.Attach(geo.Point{X: 20, Y: 0}, &walkTo{target: geo.Point{X: 0.5, Y: 0}, v: 0.5}, func(env sim.Env) sim.Node {
+	tb.eng.Attach(geo.Point{X: 20, Y: 0}, walkTo(geo.Point{X: 0.5, Y: 0}, 0.5), func(env sim.Env) sim.Node {
 		walker = tb.dep.NewEmulator(env, true)
 		walker.SetHooks(vi.EmulatorHooks{
 			OnJoin: func(vi.VNodeID, int) { joined = true },
@@ -61,18 +62,10 @@ func TestBootstrapOutsideRegionFallsBackToJoin(t *testing.T) {
 	}
 }
 
-// walkTo moves straight toward a target and stops there.
-type walkTo struct {
-	target geo.Point
-	v      float64
-}
-
-func (w *walkTo) Move(_ sim.Round, cur geo.Point, _ func(int) int) geo.Point {
-	d := w.target.Sub(cur)
-	if d.Len() <= w.v {
-		return w.target
-	}
-	return cur.Add(d.Unit().Scale(w.v))
+// walkTo is a waypoint model whose area is the single point target: a node
+// under it walks straight there at v a round and stays.
+func walkTo(target geo.Point, v float64) *mobility.RandomWaypoint {
+	return &mobility.RandomWaypoint{Area: geo.Rect{Min: target, Max: target}, VMax: v}
 }
 
 // TestEmulatorLeavesRegionStopsParticipating: an emulator that wanders out
@@ -84,7 +77,7 @@ func TestEmulatorLeavesRegionStopsParticipating(t *testing.T) {
 		leaders:     true,
 	})
 	var wanderer *vi.Emulator
-	tb.eng.Attach(geo.Point{X: 0.5, Y: 0.5}, &walkTo{target: geo.Point{X: 40, Y: 0}, v: 0.4}, func(env sim.Env) sim.Node {
+	tb.eng.Attach(geo.Point{X: 0.5, Y: 0.5}, walkTo(geo.Point{X: 40, Y: 0}, 0.4), func(env sim.Env) sim.Node {
 		wanderer = tb.dep.NewEmulator(env, true)
 		return wanderer
 	})
