@@ -77,6 +77,12 @@
 //   - cha: Convergent History Agreement, the paper's core protocol.
 //     Value is a byte string carrying a cached digest, so history digests
 //     fold cached 64-bit digests instead of re-hashing proposal bytes.
+//     Recorder, the theorem checker, is a window like Core: the positions
+//     above the lowest checkpoint floor among live nodes, and one record
+//     per node. It needs each node registered (OutputFunc) before its
+//     first output, outputs in increasing instance order with floors that
+//     never fall, and nothing from a crashed node; its violation counts
+//     follow arrival order.
 //   - vi: the full virtual infrastructure emulation (Section 4). Virtual
 //     node states, payloads and proposals are byte strings encoded with
 //     wire; Codec adapts typed states through explicit
@@ -178,7 +184,8 @@
 // allocations, the same over t and 8t virtual rounds; the gob+string stack
 // needed ~10,400), with spec's
 // TestWorldVRoundSteadyStateAllocs holding the world spec.Build makes to
-// the same kind of budget. CI also
+// the same kind of budget (at most 150, the same over 36 and 288 virtual
+// rounds). CI also
 // runs a fuzz smoke job: 10 seconds each over the wire decoder and the
 // adversarial-input DecodeRoundInput/DecodeJoinAckMsg paths.
 //

@@ -2,6 +2,7 @@ package cha
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"vinfra/internal/sim"
@@ -10,27 +11,31 @@ import (
 // Recorder observes a CHA execution — proposals, outputs, and final colors
 // from every node — and checks the problem's guarantees (Section 3.2:
 // Validity, Agreement, Liveness) plus the one-shade color invariant
-// (Property 4 / Lemma 5). It checks agreement incrementally against a
-// canonical per-position assignment, so memory stays O(instances) rather
-// than O(nodes × instances²).
+// (Property 4 / Lemma 5), against a canonical per-position assignment that
+// the first output history covering a position fixes.
+//
+// The state is a window, not a log: position (and instance) k lives at
+// index k − base − 1 of one slice, base being the lowest checkpoint floor
+// among the live nodes (no later output reaches below it), beside running
+// totals and one record per node; Report is O(window + nodes). The input
+// contract, which CHA replicas keep: a node is registered (OutputFunc)
+// before its first output, its floor holding the window from then on; its
+// outputs arrive in increasing instance order, with floors below the
+// instance that never fall; a node marked crashed outputs nothing more.
 //
 // Recorder is safe for concurrent use (the engine may fan out node callbacks
-// across goroutines).
+// across goroutines); its counts follow arrival order (see Report).
 type Recorder struct {
 	mu sync.Mutex
 
-	// proposals is keyed by the proposal's byte content (Value carries a
-	// slice and cannot be a map key itself).
-	proposals map[Instance]map[string]bool
-	// canonical is the agreed value-or-⊥ per position, fixed by the first
-	// output history covering it. bot marks an agreed ⊥.
-	canonical map[Instance]canonEntry
-	// decided[id][k] records whether node id's output for instance k was a
-	// history (true) or ⊥ (false).
-	decided map[sim.NodeID]map[Instance]bool
-	colors  map[Instance]*colorRange
-	crashed map[sim.NodeID]bool
-	lastK   Instance
+	base  Instance   // every position at or below base has been folded
+	win   []posCheck // win[i] is position (and instance) base+1+i
+	nodes map[sim.NodeID]*nodeCheck
+	lastK Instance
+
+	foldedGap        Instance // highest folded position that was ⊥ or never covered
+	maxSpread        int      // largest color spread of an instance so far
+	spreadViolations int      // instances whose spread exceeded one shade
 
 	agreementViolations int
 	firstAgreement      string
@@ -40,24 +45,52 @@ type Recorder struct {
 	decidedCount        int
 }
 
-type canonEntry struct {
-	val Value
-	bot bool
+// posCheck is what the Recorder keeps of position k: the values proposed for
+// instance k, the agreed value-or-⊥ at position k, and the range of colors
+// output for instance k.
+type posCheck struct {
+	proposals []Value
+	val       Value // the agreed value, or ⊥ if bot
+	bot       bool
+	covered   bool // an output history fixed val and bot
+	colored   bool // some node output instance k: lo..hi is its color range
+	lo, hi    Color
 }
 
-type colorRange struct {
-	min, max Color
+// nodeCheck is what the Recorder keeps of one node.
+type nodeCheck struct {
+	last      Instance // last instance output; 0 = none yet
+	undecided Instance // last instance output ⊥ or skipped
+	floor     Instance
+	crashed   bool
 }
 
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		proposals: make(map[Instance]map[string]bool),
-		canonical: make(map[Instance]canonEntry),
-		decided:   make(map[sim.NodeID]map[Instance]bool),
-		colors:    make(map[Instance]*colorRange),
-		crashed:   make(map[sim.NodeID]bool),
+	return &Recorder{nodes: make(map[sim.NodeID]*nodeCheck)}
+}
+
+// at returns position k's entry, extending the window up to it, or nil when
+// k is at or below base.
+func (rec *Recorder) at(k Instance) *posCheck {
+	i := int(k - rec.base - 1)
+	if i < 0 {
+		return nil
 	}
+	for len(rec.win) <= i {
+		rec.win = append(rec.win, posCheck{})
+	}
+	return &rec.win[i]
+}
+
+// node returns node id's record, registering it at base.
+func (rec *Recorder) node(id sim.NodeID) *nodeCheck {
+	n := rec.nodes[id]
+	if n == nil {
+		n = &nodeCheck{floor: rec.base}
+		rec.nodes[id] = n
+	}
+	return n
 }
 
 // WrapPropose wraps a proposal source so proposals are recorded for the
@@ -66,17 +99,20 @@ func (rec *Recorder) WrapPropose(propose func(Instance) Value) func(Instance) Va
 	return func(k Instance) Value {
 		v := propose(k)
 		rec.mu.Lock()
-		if rec.proposals[k] == nil {
-			rec.proposals[k] = make(map[string]bool)
+		if c := rec.at(k); c != nil && !slices.ContainsFunc(c.proposals, v.Equal) {
+			c.proposals = append(c.proposals, v)
 		}
-		rec.proposals[k][v.String()] = true
 		rec.mu.Unlock()
 		return v
 	}
 }
 
-// OutputFunc returns an OnOutput callback recording node id's outputs.
+// OutputFunc registers node id and returns an OnOutput callback recording
+// its outputs.
 func (rec *Recorder) OutputFunc(id sim.NodeID) func(Output) {
+	rec.mu.Lock()
+	rec.node(id)
+	rec.mu.Unlock()
 	return func(o Output) {
 		rec.Record(id, o)
 	}
@@ -87,91 +123,129 @@ func (rec *Recorder) Record(id sim.NodeID, o Output) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 
-	if o.Instance > rec.lastK {
-		rec.lastK = o.Instance
-	}
+	rec.lastK = max(rec.lastK, o.Instance)
 	rec.outputs++
 
-	if rec.decided[id] == nil {
-		rec.decided[id] = make(map[Instance]bool)
-	}
-	rec.decided[id][o.Instance] = o.Decided()
-
-	if cr, ok := rec.colors[o.Instance]; ok {
-		if o.Color < cr.min {
-			cr.min = o.Color
-		}
-		if o.Color > cr.max {
-			cr.max = o.Color
-		}
-	} else {
-		rec.colors[o.Instance] = &colorRange{min: o.Color, max: o.Color}
-	}
-
+	n := rec.node(id)
 	if !o.Decided() {
-		return
+		n.undecided = o.Instance
+	} else if o.Instance > n.last+1 {
+		n.undecided = o.Instance - 1
 	}
-	rec.decidedCount++
+	n.last = o.Instance
+
+	if c := rec.at(o.Instance); c != nil {
+		if !c.colored {
+			c.lo, c.hi, c.colored = o.Color, o.Color, true
+		}
+		was := c.hi - c.lo
+		c.lo, c.hi = min(c.lo, o.Color), max(c.hi, o.Color)
+		rec.maxSpread = max(rec.maxSpread, int(c.hi-c.lo))
+		if c.hi-c.lo > 1 && was <= 1 {
+			rec.spreadViolations++
+		}
+	}
+
+	if o.Decided() {
+		rec.decidedCount++
+		rec.cover(id, o)
+	}
+	if o.Floor > n.floor {
+		held := n.floor == rec.base
+		n.floor = o.Floor
+		if held {
+			rec.slide()
+		}
+	}
+}
+
+// cover checks each position of a decided output's history against the
+// canonical assignment, fixing those it is the first to cover. Positions at
+// or below the output's GC floor were folded into a checkpoint and are
+// legitimately absent from the suffix history.
+func (rec *Recorder) cover(id sim.NodeID, o Output) {
 	h := o.History
-	// Positions at or below the output's GC floor were folded into a
-	// checkpoint and are legitimately absent from the suffix history.
-	for k := o.Floor + 1; k <= h.Top(); k++ {
+	for k := max(o.Floor, rec.base) + 1; k <= h.Top(); k++ {
 		v, ok := h.At(k)
-		entry := canonEntry{val: v, bot: !ok}
-		prev, seen := rec.canonical[k]
-		if !seen {
-			rec.canonical[k] = entry
-			if ok {
-				rec.checkValidity(k, v, id)
+		c := rec.at(k)
+		if !c.covered {
+			c.val, c.bot, c.covered = v, !ok, true
+			if ok && !slices.ContainsFunc(c.proposals, v.Equal) {
+				rec.validityViolations++
+				if rec.firstValidity == "" {
+					rec.firstValidity = fmt.Sprintf(
+						"node %d output value %q for instance %d, which nobody proposed", id, v.String(), k)
+				}
 			}
 			continue
 		}
-		if prev.bot != entry.bot || !prev.val.Equal(entry.val) {
+		if c.bot == ok || !c.val.Equal(v) {
 			rec.agreementViolations++
 			if rec.firstAgreement == "" {
 				rec.firstAgreement = fmt.Sprintf(
 					"node %d output for instance %d: position %d = %s, previously agreed %s",
-					id, o.Instance, k, renderEntry(entry), renderEntry(prev))
+					id, o.Instance, k, render(v, ok), render(c.val, !c.bot))
 			}
 		}
 	}
 }
 
-func renderEntry(e canonEntry) string {
-	if e.bot {
+func render(v Value, ok bool) string {
+	if !ok {
 		return "⊥"
 	}
-	return fmt.Sprintf("%q", e.val.String())
-}
-
-func (rec *Recorder) checkValidity(k Instance, v Value, id sim.NodeID) {
-	if !rec.proposals[k][v.String()] {
-		rec.validityViolations++
-		if rec.firstValidity == "" {
-			rec.firstValidity = fmt.Sprintf(
-				"node %d output value %q for instance %d, which nobody proposed", id, v.String(), k)
-		}
-	}
+	return fmt.Sprintf("%q", v.String())
 }
 
 // MarkCrashed excludes node id from the liveness check (the guarantee
-// covers non-failed nodes only).
+// covers non-failed nodes only) and from holding the window back.
 func (rec *Recorder) MarkCrashed(id sim.NodeID) {
 	rec.mu.Lock()
-	rec.crashed[id] = true
-	rec.mu.Unlock()
+	defer rec.mu.Unlock()
+	rec.node(id).crashed = true
+	rec.slide()
+}
+
+// slide folds every position at or below the lowest floor among the live
+// nodes into the running totals and drops it from the window.
+func (rec *Recorder) slide() {
+	lo, live := Instance(0), false
+	for _, n := range rec.nodes {
+		if !n.crashed && (!live || n.floor < lo) {
+			lo, live = n.floor, true
+		}
+	}
+	if !live || lo <= rec.base {
+		return
+	}
+	rec.at(lo)
+	drop := int(lo - rec.base)
+	for i, c := range rec.win[:drop] {
+		if !c.covered || c.bot {
+			rec.foldedGap = rec.base + 1 + Instance(i)
+		}
+	}
+	kept := copy(rec.win, rec.win[drop:])
+	clear(rec.win[kept:])
+	rec.win = rec.win[:kept]
+	rec.base = lo
 }
 
 // Report summarizes the recorded execution against the CHA guarantees.
+// Its violation counts are judged against the first history covering each
+// position, so they follow the order outputs arrive in (NodeID order on the
+// engine's sequential path): outputs A = "v", B = ⊥, C = ⊥ at one position
+// count 2 agreement violations in the order A, B, C but 1 in B, A, C.
 type Report struct {
 	// Instances is the highest instance any node completed.
 	Instances Instance
-	// AgreementViolations counts positions where two output histories
-	// disagreed (must be 0 — Theorem 10).
+	// AgreementViolations counts the (output, position) pairs at which an
+	// output history disagreed with the position's first covering history
+	// (must be 0 — Theorem 10).
 	AgreementViolations int
 	FirstAgreement      string
-	// ValidityViolations counts output values nobody proposed (must be
-	// 0 — Theorem 13).
+	// ValidityViolations counts the positions whose value, as first
+	// covered, nobody proposed (must be 0 — Theorem 13).
 	ValidityViolations int
 	FirstValidity      string
 	// MaxColorSpread is the largest per-instance color spread across nodes
@@ -217,26 +291,17 @@ func (rec *Recorder) Report() Report {
 	defer rec.mu.Unlock()
 
 	rep := Report{
-		Instances:           rec.lastK,
-		AgreementViolations: rec.agreementViolations,
-		FirstAgreement:      rec.firstAgreement,
-		ValidityViolations:  rec.validityViolations,
-		FirstValidity:       rec.firstValidity,
+		Instances:             rec.lastK,
+		AgreementViolations:   rec.agreementViolations,
+		FirstAgreement:        rec.firstAgreement,
+		ValidityViolations:    rec.validityViolations,
+		FirstValidity:         rec.firstValidity,
+		MaxColorSpread:        rec.maxSpread,
+		ColorSpreadViolations: rec.spreadViolations,
 	}
 	if rec.outputs > 0 {
 		rep.DecidedRate = float64(rec.decidedCount) / float64(rec.outputs)
 	}
-
-	for _, cr := range rec.colors {
-		spread := int(cr.max) - int(cr.min)
-		if spread > rep.MaxColorSpread {
-			rep.MaxColorSpread = spread
-		}
-		if spread > 1 {
-			rep.ColorSpreadViolations++
-		}
-	}
-
 	rep.Stabilization, rep.LivenessOK = rec.stabilization()
 	return rep
 }
@@ -248,25 +313,22 @@ func (rec *Recorder) stabilization() (Instance, bool) {
 	if rec.lastK == 0 {
 		return 0, false
 	}
-	kst := Instance(1)
 	// Positions: the canonical assignment must be non-⊥ from kst on.
-	for k := rec.lastK; k >= 1; k-- {
-		e, ok := rec.canonical[k]
-		if !ok || e.bot {
+	kst := rec.foldedGap + 1
+	for k := rec.lastK; k > rec.base; k-- {
+		if c := &rec.win[k-rec.base-1]; !c.covered || c.bot {
 			kst = k + 1
 			break
 		}
 	}
 	// Node outputs: every non-crashed node decided everything from kst on.
-	for id, dec := range rec.decided {
-		if rec.crashed[id] {
-			continue
-		}
-		for k := rec.lastK; k >= kst; k-- {
-			if !dec[k] {
-				kst = k + 1
-				break
-			}
+	for _, n := range rec.nodes {
+		switch {
+		case n.crashed || n.last == 0:
+		case n.last < rec.lastK:
+			kst = rec.lastK + 1
+		default:
+			kst = max(kst, n.undecided+1)
 		}
 	}
 	if kst > rec.lastK {

@@ -19,3 +19,16 @@ func (h *History) PrefixEqual(o *History, k Instance) bool {
 	}
 	return true
 }
+
+// MapRecorder is the map-based Recorder the window replaced, kept as its
+// oracle in recorder_oracle_test.go.
+type MapRecorder = mapRecorder
+
+func NewMapRecorder() *MapRecorder { return newMapRecorder() }
+
+// Retained returns the number of positions the Recorder's window holds.
+func (rec *Recorder) Retained() int {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return len(rec.win)
+}

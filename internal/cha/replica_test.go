@@ -35,6 +35,7 @@ type clusterOpts struct {
 	cmFactory  cm.Factory
 	seed       int64
 	checkpoint bool
+	oracle     *cha.MapRecorder // sees every proposal and output rec sees
 }
 
 type cluster struct {
@@ -68,12 +69,19 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 	for i, pos := range ringPositions(o.n, 2) {
 		i := i
 		id := c.eng.Attach(pos, nil, func(env sim.Env) sim.Node {
+			propose := c.rec.WrapPropose(func(k cha.Instance) cha.Value {
+				return cha.V(fmt.Sprintf("n%02d-%06d", i, k))
+			})
+			onOutput := c.rec.OutputFunc(env.ID())
+			if o.oracle != nil {
+				propose = o.oracle.WrapPropose(propose)
+				record, oracle := onOutput, o.oracle.OutputFunc(env.ID())
+				onOutput = func(out cha.Output) { record(out); oracle(out) }
+			}
 			rep := cha.NewReplica(env, cha.Config{
-				Propose: c.rec.WrapPropose(func(k cha.Instance) cha.Value {
-					return cha.V(fmt.Sprintf("n%02d-%06d", i, k))
-				}),
+				Propose:    propose,
 				CM:         o.cmFactory(env),
-				OnOutput:   c.rec.OutputFunc(env.ID()),
+				OnOutput:   onOutput,
 				Checkpoint: o.checkpoint,
 			})
 			c.replicas = append(c.replicas, rep)
