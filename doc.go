@@ -14,7 +14,10 @@
 //     once, in the NodeID-indexed NodeInfo slice the medium reads; the
 //     rest of a node (Node, waypoint model and leg, random stream — also
 //     its Env) is one value in a geometrically growing slab; mobility is
-//     one loop over it with the steady leg inlined; every per-round walk
+//     one loop over it with the steady leg inlined, and on amd64 a packed
+//     SSE2 kernel steps steady pairs of neighbours two at a time, bit for
+//     bit as the loop would, declining every other pair to it (a turn, a
+//     static node, two models, a NaN); every per-round walk
 //     covers only the alive list (dead nodes cost nothing after the round
 //     they die in), and CrashAt with a round at or before the current one
 //     applies immediately instead of being silently dropped. A node whose
@@ -105,7 +108,9 @@
 //     sequences) instead of hand-parsed prefix strings.
 //   - mobility: RandomWaypoint, the mobility model every moving device
 //     runs (speed bounded by vmax, Section 2), and Leg, one node's
-//     progress through it, which the engine keeps per node.
+//     progress through it, which the engine keeps per node. Leg.Dist and
+//     RandomWaypoint.Ahead are the steady step, inlined into the engine's
+//     loop and repeated two lanes at a time by its amd64 kernel.
 //   - experiments: the reproduction experiment suite E1–E14 (there is no
 //     E10) — E11 "metro" drives grids of virtual nodes through heavy churn
 //     (Leave, scheduled and late CrashAt, mid-run Attach) on the parallel

@@ -32,7 +32,7 @@ type Detector interface {
 
 // Never is a round beyond any simulated horizon, used as an accuracy round
 // for detectors that never become accurate.
-const Never = sim.Round(math.MaxInt64)
+const Never = sim.Round(math.MaxInt)
 
 // AC is a complete and (always) accurate collision detector: it reports ±
 // exactly when a message broadcast within R2 was lost. Since R1 <= R2,

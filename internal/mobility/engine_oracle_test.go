@@ -14,7 +14,8 @@ import (
 )
 
 // The engine owns every moving node's leg and advances it in its own
-// mobility loop, with the steady leg inlined there. These tests hold that
+// mobility loop, with the steady leg inlined there and, on amd64, repeated
+// two nodes at a time by a packed kernel. These tests hold that
 // loop — on the sequential engine, on WithWorkers(2) and on a 2x2
 // WithRegionShards plane — to the reference step (mobility.ReferenceMove),
 // node by node and bit for bit.
@@ -195,76 +196,149 @@ func legBlob(dest geo.Point) []byte {
 	return wire.AppendFloat64(b, dest.Y)
 }
 
+// besideSteady lays each node of refs into a pair with a steady partner
+// under m — partner first for every other node, so the nodes take both
+// lanes of the engine's packed kernel — and returns the interleaved refs:
+// [r0, s, s, r1, r2, s, …]. A partner heads for a destination so far off
+// that no run here brings it within VMax, and draws from a stream of its
+// own; under a VMax no distance exceeds (+Inf, NaN) it is no longer steady,
+// and is simply one more node the reference holds the engine to.
+func besideSteady(m *mobility.RandomWaypoint, refs []refNode) []refNode {
+	out := make([]refNode, 0, 2*len(refs))
+	for i, ref := range refs {
+		far := 1000 + 256*math.Abs(m.VMax)
+		partner := refNode{at: geo.Point{X: float64(i), Y: -float64(i)}, rng: det.NewStream(77, int64(i))}
+		if err := partner.leg.RestoreState(legBlob(geo.Point{X: float64(i) + far, Y: far / 2})); err != nil {
+			panic(err)
+		}
+		if i%2 == 0 {
+			out = append(out, ref, partner)
+		} else {
+			out = append(out, partner, ref)
+		}
+	}
+	return out
+}
+
+// startsOf returns where refs stand.
+func startsOf(refs []refNode) []geo.Point {
+	at := make([]geo.Point, len(refs))
+	for i := range refs {
+		at[i] = refs[i].at
+	}
+	return at
+}
+
+// step runs e and the reference one round and holds them together.
+func step(t *testing.T, what string, r int, e *sim.Engine, m *mobility.RandomWaypoint, refs []refNode) {
+	t.Helper()
+	e.Step()
+	for i := range refs {
+		refs[i].at = mobility.ReferenceMove(m, &refs[i].leg, refs[i].at, refs[i].intn)
+	}
+	compare(t, what, r, e, refs, true)
+}
+
 // TestRandomWaypointEdgeStepsMatchReference stages, in the engine, the
 // legs the random walk above only reaches by luck: a leg of exactly VMax
 // (3-4-5: not an arrival, l < VMax is false, but an exact landing,
 // l <= VMax), the redraw that follows from standing on the destination, a
 // leg one ulp either side of VMax, and a zero and a negative VMax — one
 // node starting on its destination, where the unit vector of a zero step
-// must stay the zero vector, and one a leg away.
+// must stay the zero vector, and one a leg away. Each edge leg shares a
+// pair with a steady partner, so the packed kernel sees it beside a pair
+// it would take.
 func TestRandomWaypointEdgeStepsMatchReference(t *testing.T) {
 	area := geo.Rect{Max: geo.Point{X: 8, Y: 8}}
 	for _, path := range paths {
 		for _, vmax := range []float64{5, math.Nextafter(5, 6), math.Nextafter(5, 4), 0, -1} {
 			what := fmt.Sprintf("%s/vmax %v", path.name, vmax)
 			m := &mobility.RandomWaypoint{Area: area, VMax: vmax}
-			starts := []geo.Point{{}, {X: 3, Y: 4}, {X: 7, Y: 1}}
-			refs := make([]refNode, len(starts))
+			edges := []geo.Point{{}, {X: 3, Y: 4}, {X: 7, Y: 1}}
+			refs := make([]refNode, len(edges))
 			for i := range refs {
-				refs[i] = refNode{at: starts[i], rng: det.NewStream(9, int64(i))}
+				refs[i] = refNode{at: edges[i], rng: det.NewStream(9, int64(i))}
 				if err := refs[i].leg.RestoreState(legBlob(geo.Point{X: 3, Y: 4})); err != nil {
 					t.Fatal(err)
 				}
 			}
-			e := placed(t, world(9, m, starts, path.opts()), refs)
+			refs = besideSteady(m, refs)
+			e := placed(t, world(9, m, startsOf(refs), path.opts()), refs)
 			for r := 0; r < 6; r++ {
-				e.Step()
-				for i := range refs {
-					refs[i].at = mobility.ReferenceMove(m, &refs[i].leg, refs[i].at, refs[i].intn)
-				}
-				compare(t, what, r, e, refs, true)
+				step(t, what, r, e, m, refs)
 			}
 			e.Close()
 		}
 	}
 }
 
-// FuzzWaypointMatchesReference fuzzes a node's model — its area, degenerate
-// and inverted ones included, and its VMax, zero and negative included —
-// its start point, its leg and its stream position (which fixes every draw
-// it will make), and holds the engine's mobility phase to the reference for
-// a few rounds, bit for bit, on the sequential or the sharded path.
+// fuzzed is one fuzzed device: its start and its leg.
+type fuzzed struct {
+	x, y    float64
+	hasDest bool
+	dx, dy  float64
+}
+
+// FuzzWaypointMatchesReference fuzzes a model — its area, degenerate and
+// inverted ones included, and its VMax, zero and negative included — and
+// three devices roaming under it, each with a start point and a leg of its
+// own, and one stream position (device i's stream starts i words on, which
+// fixes every draw they will make). Each device shares a pair with a steady
+// partner (besideSteady), the first and the last in the kernel's first lane
+// and the middle one in its second, and the engine's mobility phase is held
+// to the reference for a few rounds, bit for bit, on the sequential or the
+// sharded path.
 func FuzzWaypointMatchesReference(f *testing.F) {
-	f.Add(0.0, 0.0, 90.0, 90.0, 0.02, 45.0, 45.0, false, 0.0, 0.0, uint64(1), uint8(20), false)
-	f.Add(0.0, 0.0, 4.0, 4.0, 1.0, 1.0, 3.0, true, 1.0, 3.0, uint64(7), uint8(40), true)
-	f.Add(-30.0, -70.0, 20.0, 75.0, 0.7, -20.0, -20.0, false, 0.0, 0.0, uint64(3), uint8(30), false)
-	f.Add(3.0, 3.0, 0.0, 0.0, 0.5, 3.0, 3.0, true, 3.0, 3.0, uint64(5), uint8(10), true)
-	f.Add(0.0, 0.0, 8.0, 8.0, 5.0, 0.0, 0.0, true, 3.0, 4.0, uint64(11), uint8(6), false)
-	f.Add(0.0, 0.0, 8.0, 8.0, 0.0, 0.0, 0.0, true, 3.0, 4.0, uint64(11), uint8(6), true)
-	f.Add(5.0, 5.0, -5.0, -5.0, -1.0, 1.0, 1.0, true, 1.0, 1.0, uint64(2), uint8(6), false)
-	f.Fuzz(func(t *testing.T, minX, minY, w, h, vmax, x, y float64, hasDest bool, dx, dy float64, state uint64, rounds uint8, sharded bool) {
+	add := func(minX, minY, w, h, vmax float64, devs [3]fuzzed, state uint64, rounds uint8, sharded bool) {
+		a, b, c := devs[0], devs[1], devs[2]
+		f.Add(minX, minY, w, h, vmax,
+			a.x, a.y, a.hasDest, a.dx, a.dy,
+			b.x, b.y, b.hasDest, b.dx, b.dy,
+			c.x, c.y, c.hasDest, c.dx, c.dy,
+			state, rounds, sharded)
+	}
+	steady := fuzzed{x: 1, y: 1, hasDest: true, dx: 70, dy: 50}
+	add(0, 0, 90, 90, 0.02, [3]fuzzed{{x: 45, y: 45}, steady, {x: 10, y: 80}}, 1, 20, false)
+	add(0, 0, 4, 4, 1, [3]fuzzed{{x: 1, y: 3, hasDest: true, dx: 1, dy: 3}, steady, {x: 2, y: 2, hasDest: true, dx: 0, dy: 2.5}}, 7, 40, true)
+	add(-30, -70, 20, 75, 0.7, [3]fuzzed{{x: -20, y: -20}, steady, steady}, 3, 30, false)
+	add(3, 3, 0, 0, 0.5, [3]fuzzed{{x: 3, y: 3, hasDest: true, dx: 3, dy: 3}, steady, {x: 3, y: 3}}, 5, 10, true)
+	add(0, 0, 8, 8, 5, [3]fuzzed{{hasDest: true, dx: 3, dy: 4}, {x: 3, y: 4, hasDest: true, dx: 3, dy: 4}, steady}, 11, 6, false)
+	add(0, 0, 8, 8, 0, [3]fuzzed{{hasDest: true, dx: 3, dy: 4}, steady, {x: 3, y: 4, hasDest: true, dx: 3, dy: 4}}, 11, 6, true)
+	add(5, 5, -5, -5, -1, [3]fuzzed{{x: 1, y: 1, hasDest: true, dx: 1, dy: 1}, steady, steady}, 2, 6, false)
+	// A NaN start beside a steady partner: MAXPD and MINPD return an
+	// operand where Dist's integer order keeps the NaN, and the reference
+	// puts this device at (NaN, NaN), not at (NaN, 10.01).
+	add(0, 0, 90, 90, 0.02, [3]fuzzed{{x: math.NaN(), y: 10, hasDest: true, dx: 3, dy: 4}, {x: 10, y: math.NaN(), hasDest: true, dx: 3, dy: 4}, steady}, 1, 4, false)
+	add(0, 0, 90, 90, 0.02, [3]fuzzed{steady, {x: math.NaN(), y: 10, hasDest: true, dx: 3, dy: 4}, {x: math.Inf(1), y: 10, hasDest: true, dx: 3, dy: 4}}, 1, 4, true)
+	f.Fuzz(func(t *testing.T, minX, minY, w, h, vmax float64,
+		x0, y0 float64, has0 bool, dx0, dy0 float64,
+		x1, y1 float64, has1 bool, dx1, dy1 float64,
+		x2, y2 float64, has2 bool, dx2, dy2 float64,
+		state uint64, rounds uint8, sharded bool) {
 		m := &mobility.RandomWaypoint{
 			Area: geo.Rect{Min: geo.Point{X: minX, Y: minY}, Max: geo.Point{X: minX + w, Y: minY + h}},
 			VMax: vmax,
 		}
-		ref := refNode{at: geo.Point{X: x, Y: y}, rng: det.NewStream()}
-		ref.rng.SetState(state)
-		if hasDest {
-			if err := ref.leg.RestoreState(legBlob(geo.Point{X: dx, Y: dy})); err != nil {
-				t.Fatal(err)
+		devs := []fuzzed{{x0, y0, has0, dx0, dy0}, {x1, y1, has1, dx1, dy1}, {x2, y2, has2, dx2, dy2}}
+		refs := make([]refNode, len(devs))
+		for i, d := range devs {
+			refs[i] = refNode{at: geo.Point{X: d.x, Y: d.y}, rng: det.NewStream()}
+			refs[i].rng.SetState(state + uint64(i))
+			if d.hasDest {
+				if err := refs[i].leg.RestoreState(legBlob(geo.Point{X: d.dx, Y: d.dy})); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		refs = besideSteady(m, refs)
 		p := paths[0]
 		if sharded {
 			p = paths[2]
 		}
-		refs := []refNode{ref}
-		e := placed(t, world(1, m, []geo.Point{ref.at}, p.opts()), refs)
+		e := placed(t, world(1, m, startsOf(refs), p.opts()), refs)
 		defer e.Close()
 		for r := 0; r < int(rounds%64); r++ {
-			e.Step()
-			refs[0].at = mobility.ReferenceMove(m, &refs[0].leg, refs[0].at, refs[0].intn)
-			compare(t, p.name, r, e, refs, true)
+			step(t, p.name, r, e, m, refs)
 		}
 	})
 }

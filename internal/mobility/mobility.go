@@ -36,7 +36,9 @@ type RandomWaypoint struct {
 
 // Leg is one node's progress under a RandomWaypoint: the destination it is
 // heading for, once it has one. The zero value has none yet, so its first
-// round is Turn's, which draws one.
+// round is Turn's, which draws one. The engine's packed kernel reads the
+// two fields at fixed offsets, so their order is part of its contract
+// (internal/sim's TestKernelLayout).
 type Leg struct {
 	dest    geo.Point
 	hasDest bool
@@ -63,7 +65,11 @@ func (m *RandomWaypoint) Move(_ int, cur geo.Point, rnd func(int) int) geo.Point
 //
 // Dist and Ahead are the steady leg. Each fits the compiler's inlining
 // budget — Dist exactly — so the engine's mobility loop runs them without a
-// call (go build -gcflags=-m: "inlining call to mobility.(*Leg).Dist").
+// call (go build -gcflags=-m: "inlining call to mobility.(*Leg).Dist"). On
+// amd64 the engine's packed kernel (internal/sim/move_amd64.s) runs the two
+// of them on two nodes at once, in the same order of operations; it
+// declines a pair Dist and Ahead would hand to Turn, and any pair with a
+// NaN difference, which the scalar step then takes.
 func (l *Leg) Dist(cur geo.Point) float64 {
 	a := math.Float64bits(l.dest.X-cur.X) &^ (1 << 63)
 	b := math.Float64bits(l.dest.Y-cur.Y) &^ (1 << 63)
@@ -81,7 +87,8 @@ func (l *Leg) Dist(cur geo.Point) float64 {
 // cannot arrive. Otherwise Ahead returns false and the round is Turn's. The
 // step stays (δ·(1/d))·VMax added to cur, δ the difference — the order
 // geo.Vector.Unit and Scale give it — because folding the two factors into
-// one would move positions by an ulp.
+// one would move positions by an ulp. The engine's packed kernel keeps
+// that order too.
 func (m *RandomWaypoint) Ahead(leg *Leg, cur geo.Point, d float64) (geo.Point, bool) {
 	if !leg.hasDest || !(d > m.VMax) || d == 0 {
 		return geo.Point{}, false

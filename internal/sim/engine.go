@@ -23,8 +23,12 @@ import (
 // model and leg, its random stream) is a nodeState, stored by value in slabs
 // so a walk over the alive list in NodeID order reads memory front to back.
 // A moving node's leg lives there too, by value: the mobility phase is one
-// loop over that memory with the steady leg's arithmetic inlined, not a
-// call per node through an interface.
+// loop over that memory, not a call per node through an interface. On amd64
+// a packed SSE2 kernel (move_amd64.s) steps two neighbours on the alive list
+// at once while both are steady under one model; the loop's scalar step,
+// with the steady leg's arithmetic inlined, takes every pair the kernel
+// declines — a turn, a static node, two models, a NaN — and is the one
+// definition of a step, which the kernel repeats operation for operation.
 //
 // A node whose radio is off (Env.SleepUntil) stays on the alive list — it
 // still moves, and it still counts as alive — but leaves the awake list,
@@ -117,6 +121,9 @@ type Engine struct {
 	rouseWords int
 	relists    int
 	handoffs   int
+	// packed counts the node-steps the packed kernel took. moveChunk runs
+	// on helper goroutines, so each chunk adds its count once, atomically.
+	packed atomic.Int64
 
 	// plane propagates each round's transmissions: NewEngine's medium as
 	// its one shard, or the WithRegionShards grid of per-shard mediums with
@@ -652,46 +659,59 @@ func (e *Engine) move() {
 }
 
 // moveChunk is the mobility loop over alive[lo:hi], the one both planes
-// run. A steady leg — nearly every node, nearly every round — is Leg.Dist
-// and RandomWaypoint.Ahead, which the compiler inlines here; only a turn,
-// where a node arrives and draws its next destination from its own stream,
-// is a call. With two or more shards the loop also stretches chunk
-// w's bounding box over every alive node it walks, moved or not — the one
-// time a round has each of those positions in hand — and partition merges
-// the boxes. The box is four locals, compared as stretch compares (a NaN
-// coordinate moves nothing): this is the 100k-node loop.
+// run. It hands the chunk to the packed kernel (stepPairs: two nodes per
+// SSE2 instruction on amd64, none elsewhere), which steps steady pairs
+// until it declines one; the scalar step below then takes that pair — or
+// the chunk's odd last node — and hands the rest back. The scalar step is
+// the one definition of a round: a steady leg is Leg.Dist and
+// RandomWaypoint.Ahead, which the compiler inlines here and the kernel
+// repeats operation for operation; only a turn, where a node arrives and
+// draws its next destination from its own stream, is a call. With two or
+// more shards the loop also stretches chunk w's bounding box over every
+// alive node it walks, moved or not — the one time a round has each of
+// those positions in hand — in alive order, the kernel's pairs included,
+// and partition merges the boxes.
 func (e *Engine) moveChunk(w, lo, hi int) {
-	box := len(e.plane.mediums) > 1
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, st := range e.alive[lo:hi] {
-		at := &e.info[st.id].At
-		if wp := st.wp; wp != nil {
-			if next, ok := wp.Ahead(&st.leg, *at, st.leg.Dist(*at)); ok {
-				*at = next
-			} else {
-				*at = wp.Turn(&st.leg, *at, st.rng.Intn)
-			}
+	b := geo.Rect{Min: geo.Point{X: math.Inf(1), Y: math.Inf(1)}, Max: geo.Point{X: math.Inf(-1), Y: math.Inf(-1)}}
+	var box *geo.Rect
+	if len(e.plane.mediums) > 1 {
+		box = &b
+	}
+	alive := e.alive[lo:hi]
+	packed := 0
+	for i := 0; i < len(alive); {
+		if !kernelOff {
+			n := stepPairs(alive[i:], e.info, box)
+			packed += n
+			i += n
 		}
-		if box {
-			if at.X < minX {
-				minX = at.X
+		for end := min(i+2, len(alive)); i < end; i++ {
+			st := alive[i]
+			at := &e.info[st.id].At
+			if wp := st.wp; wp != nil {
+				if next, ok := wp.Ahead(&st.leg, *at, st.leg.Dist(*at)); ok {
+					*at = next
+				} else {
+					*at = wp.Turn(&st.leg, *at, st.rng.Intn)
+				}
 			}
-			if at.Y < minY {
-				minY = at.Y
-			}
-			if at.X > maxX {
-				maxX = at.X
-			}
-			if at.Y > maxY {
-				maxY = at.Y
+			if box != nil {
+				b = stretch(b, *at, *at)
 			}
 		}
 	}
-	if box {
-		e.plane.bounds[w] = geo.Rect{Min: geo.Point{X: minX, Y: minY}, Max: geo.Point{X: maxX, Y: maxY}}
+	if packed > 0 {
+		e.packed.Add(int64(packed))
+	}
+	if box != nil {
+		e.plane.bounds[w] = b
 	}
 }
+
+// kernelOff makes every moveChunk step every node on the scalar path, as if
+// the packed kernel declined every pair. Only tests set it (export_test.go):
+// it is the oracle the kernel is held to, not a mode anyone can select.
+var kernelOff bool
 
 // collectTransmissions calls Transmit on every awake node and returns the
 // non-nil results in NodeID order. Fanned out, chunks write per-position

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -10,12 +11,22 @@ import (
 // the race detector, like the in-package ones.
 const RaceEnabled = raceEnabled
 
+// KernelBuilt says the build has the packed mobility kernel: amd64, without
+// the race detector. Elsewhere the scalar step takes every node.
+const KernelBuilt = runtime.GOARCH == "amd64" && !raceEnabled
+
 // SetSleepOff makes Env.SleepUntil a no-op on every engine (true) or
 // restores it (false). Sleep-off is how the engine behaved before nodes
 // could sleep: the oracle the sleep tests compare against. It is a package
 // variable so a test can switch it under worlds that hide their engine;
 // tests that use it must not run in parallel.
 func SetSleepOff(off bool) { sleepOff = off }
+
+// SetKernelOff makes the packed mobility kernel decline every pair (true), so
+// the scalar step moves every node, or lets it run again (false): the oracle
+// the kernel is held to. Like SetSleepOff it is a package variable, so tests
+// that use it must not run in parallel.
+func SetKernelOff(off bool) { kernelOff = off }
 
 // ProductionGrain is what grain is outside this package's tests.
 var ProductionGrain = grain
@@ -47,6 +58,7 @@ type Counts struct {
 	RouseEntries int  // list entries and filed nodes rouse has looked at
 	RouseWords   int  // bitmap words rouse has looked at: the nonzero words of on and all of sum, per relist
 	Relists      int  // times rouse listed the awake list afresh
+	Packed       int  // node-steps the packed mobility kernel took
 	// ScratchBytes is the capacity of the buffers a round fills and empties —
 	// the transmission list, the Transmit slots, the awake list, the one-shard
 	// receiver view — which should follow what is alive, not what ever was.
@@ -60,6 +72,7 @@ func (e *Engine) Counts() Counts {
 		RouseEntries: e.rouseWork - e.rouseWords,
 		RouseWords:   e.rouseWords,
 		Relists:      e.relists,
+		Packed:       int(e.packed.Load()),
 		ScratchBytes: cap(e.txs)*int(unsafe.Sizeof(Transmission{})) +
 			cap(e.txSlots)*int(unsafe.Sizeof(Message(nil))) +
 			cap(e.awakeBuf)*int(unsafe.Sizeof((*nodeState)(nil))) +

@@ -151,8 +151,18 @@ func TestEngineStepSteadyStateAllocsRoaming(t *testing.T) {
 
 // BenchmarkEngineMobility is a city-100k round with little in it but the
 // mobility phase: the 100k listeners roam, asleep, and the medium carries
-// the beacons' four transmissions to nobody.
-func BenchmarkEngineMobility(b *testing.B) {
+// the beacons' four transmissions to nobody. BenchmarkEngineMobilityScalar
+// is the same round with the packed kernel off, every node on the scalar
+// step.
+func BenchmarkEngineMobility(b *testing.B) { benchMobility(b) }
+
+func BenchmarkEngineMobilityScalar(b *testing.B) {
+	sim.SetKernelOff(true)
+	defer sim.SetKernelOff(false)
+	benchMobility(b)
+}
+
+func benchMobility(b *testing.B) {
 	e := sim.NewEngine(&silence{}, sim.WithSeed(1))
 	roamingCity(e, 100_000, asleep)
 	e.Run(2)
@@ -211,5 +221,44 @@ func BenchmarkEngineStep100kStaggered(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// TestMobilityKernelTakesSteadyLegs is the packed kernel's counted gate: in
+// a steady window of the city — 100k listeners under one model, past the
+// round in which each drew its first destination, with arrivals rare — at
+// least 99 % of node-steps must be taken two at a time, on the one-shard
+// and the region-sharded plane. A layout change that silently sends every
+// node to the scalar step fails here, not only in a benchmark.
+func TestMobilityKernelTakesSteadyLegs(t *testing.T) {
+	if !sim.KernelBuilt {
+		t.Skip("the packed kernel is amd64's, and race builds leave it out")
+	}
+	if testing.Short() {
+		t.Skip("100k nodes")
+	}
+	defer sim.SetGrain(sim.ProductionGrain)()
+	for _, tc := range []struct {
+		name string
+		opts []sim.Option
+	}{
+		{"sequential", nil},
+		{"sharded-parallel", []sim.Option{
+			sim.WithWorkers(2),
+			sim.WithRegionShards(2, 2, 20, func() sim.Medium { return &silence{} }),
+		}},
+	} {
+		e := sim.NewEngine(&silence{}, append([]sim.Option{sim.WithSeed(1)}, tc.opts...)...)
+		const n, rounds = 100_000, 20
+		roamingCity(e, n, asleep)
+		e.Run(1)
+		before := e.Counts().Packed
+		e.Run(rounds)
+		e.Close()
+		packed, steps := e.Counts().Packed-before, rounds*n
+		t.Logf("%s: %d of %d node-steps packed (%.2f %%)", tc.name, packed, steps, 100*float64(packed)/float64(steps))
+		if packed*100 < steps*99 {
+			t.Errorf("%s: the kernel took %d of %d node-steps, want at least 99 %%", tc.name, packed, steps)
+		}
 	}
 }
