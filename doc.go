@@ -11,10 +11,13 @@
 //     Transmit and Receive fan-out across a bounded worker pool without
 //     changing output. The steady-state round loop is allocation-free and
 //     touches only flat engine-owned memory: position and liveness live
-//     once, in the NodeID-indexed NodeInfo slice the medium reads; the
-//     rest of a node (Node, waypoint model and leg, random stream — also
-//     its Env) is one value in a geometrically growing slab; mobility is
-//     one loop over it with the steady leg inlined, and on amd64 a packed
+//     once, in the NodeID-indexed NodeInfo slice the medium reads; a
+//     node's waypoint leg and model index live in a second, pointer-free
+//     NodeID-indexed column; the rest of a node (Node, random stream —
+//     also its Env) is one value in a geometrically growing slab, and
+//     spec.Build reserves all of them for its population up front;
+//     mobility is one loop over the alive NodeIDs, gathering each leg and
+//     position, with the steady leg inlined, and on amd64 a packed
 //     SSE2 kernel steps steady pairs of neighbours two at a time, bit for
 //     bit as the loop would, declining every other pair to it (a turn, a
 //     static node, two models, a NaN); every per-round walk

@@ -231,11 +231,13 @@ func (s *churnSoak) decodeDriver(d *wire.Decoder) (churnState, error) {
 	} else if nr != uint64(nv) {
 		return st, fmt.Errorf("%d region rosters, world has %d regions", nr, nv)
 	}
-	st.rosters = make([][]sim.NodeID, nv)
-	for i := range st.rosters {
+	// Roster entries stay uint64 until the population is known: converted
+	// first, a huge one wraps into range on a 32-bit target.
+	rosters := make([][]uint64, nv)
+	for i := range rosters {
 		n := d.Count()
 		for j := 0; j < n; j++ {
-			st.rosters[i] = append(st.rosters[i], sim.NodeID(d.Uvarint()))
+			rosters[i] = append(rosters[i], d.Uvarint())
 		}
 	}
 	nx := d.Count()
@@ -247,11 +249,13 @@ func (s *churnSoak) decodeDriver(d *wire.Decoder) (churnState, error) {
 		st.extras = append(st.extras, int(v))
 	}
 	population := s.w.Eng.NumNodes() + nx
-	for _, reg := range st.rosters {
+	st.rosters = make([][]sim.NodeID, nv)
+	for i, reg := range rosters {
 		for _, id := range reg {
-			if id < 0 || int(id) >= population {
+			if id >= uint64(population) {
 				return st, fmt.Errorf("roster names node %d, population is %d", id, population)
 			}
+			st.rosters[i] = append(st.rosters[i], sim.NodeID(id))
 		}
 	}
 	return st, d.Err()

@@ -193,3 +193,32 @@ func TestAttachRoamingAllocsAsStatic(t *testing.T) {
 	}
 	t.Logf("%v allocations to attach 4096 devices, roaming or static", static)
 }
+
+// TestAttachAfterReserveAllocsNothing is the counted gate on construction:
+// once Reserve has announced the population, attaching it — roaming or
+// static, with a build function that allocates nothing of its own — costs
+// the engine no allocation at all: no slice grows and no slab is carved.
+func TestAttachAfterReserveAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n, runs = 4096, 4
+	dud := &countNode{}
+	build := func(Env) Node { return dud }
+	for _, wp := range []*mobility.RandomWaypoint{nil, drawing} {
+		e := NewEngine(&nullMedium{})
+		// AllocsPerRun calls its function once more than it counts.
+		e.Reserve((runs + 1) * n)
+		allocs := testing.AllocsPerRun(runs, func() {
+			for i := 0; i < n; i++ {
+				e.Attach(geo.Point{X: float64(i % 64), Y: float64(i / 64)}, wp, build)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("roaming %v: attaching %d reserved devices allocates %v times, want 0", wp != nil, n, allocs)
+		}
+		if got := e.NumNodes(); got != (runs+1)*n {
+			t.Fatalf("attached %d devices, want %d", got, (runs+1)*n)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -18,17 +19,21 @@ import (
 // Per-node state has one copy and one owner. Position and liveness live
 // only in info, the NodeID-indexed view the medium reads: mobility writes
 // info[id].At in place, Crash clears info[id].Alive, and Position, Alive,
-// Env.Location, snapshots and the shard partition all read it back.
-// Everything else the round loop touches per node (the Node, its waypoint
-// model and leg, its random stream) is a nodeState, stored by value in slabs
-// so a walk over the alive list in NodeID order reads memory front to back.
-// A moving node's leg lives there too, by value: the mobility phase is one
-// loop over that memory, not a call per node through an interface. On amd64
-// a packed SSE2 kernel (move_amd64.s) steps two neighbours on the alive list
-// at once while both are steady under one model; the loop's scalar step,
-// with the steady leg's arithmetic inlined, takes every pair the kernel
-// declines — a turn, a static node, two models, a NaN — and is the one
-// definition of a step, which the kernel repeats operation for operation.
+// Env.Location, snapshots and the shard partition all read it back. A
+// node's waypoint model and its leg through it live in legs, a second
+// NodeID-indexed column with no pointers in it, and the mobility phase
+// reads little else: it walks ids, the alive NodeIDs, and gathers each
+// one's leg and position — 68 bytes a node-step — and reaches a node's
+// nodeState only when the node turns and draws from its stream. On
+// amd64 a packed SSE2 kernel (move_amd64.s) steps two neighbours on the
+// alive list at once while both are steady under one model; the loop's
+// scalar step, with the steady leg's arithmetic inlined, takes every pair
+// the kernel declines — a turn, a static node, two models, a NaN — and is
+// the one definition of a step, which the kernel repeats operation for
+// operation. Everything else the round loop touches per node (the Node, its
+// random stream, when its radio comes back on) is a nodeState, stored by
+// value in slabs so a walk over the awake list in NodeID order reads memory
+// front to back.
 //
 // A node whose radio is off (Env.SleepUntil) stays on the alive list — it
 // still moves, and it still counts as alive — but leaves the awake list,
@@ -43,15 +48,23 @@ type Engine struct {
 	round Round
 	// slab is the tail of the current nodeState slab. Attach carves the
 	// next node off its front and, when it is empty, allocates a new slab
-	// half the size of everything attached so far (16 to 4096 entries), so
-	// small worlds stay small, 100k nodes are a few dozen allocations, and
-	// a *nodeState never moves — nodes, alive and every Env handed to a
-	// node stay valid across mid-run Attach.
+	// half the size of everything attached so far (16 to 4096 entries), or
+	// the n nodes a Reserve(n) announced, so small worlds stay small, 100k
+	// nodes are one allocation or a few dozen, and a *nodeState never moves
+	// — nodes, alive and every Env handed to a node stay valid across
+	// mid-run Attach.
 	slab   []nodeState
 	nodes  []*nodeState // indexed by NodeID
 	alive  []*nodeState // alive nodes in NodeID order; see compactAlive
+	ids    []int32      // the NodeIDs of alive, entry for entry: what mobility walks
 	dirty  bool         // a node died since alive was last compacted
 	moving int          // alive nodes with a waypoint model; see move
+	// legs is indexed by NodeID: each node's leg and which model it roams
+	// under. It is never compacted, so a dead mover's leg stays for the
+	// snapshot. models holds the waypoint models attached so far, shared
+	// and only read; a legSlot's model k names models[k-1].
+	legs   []legSlot
+	models []*mobility.RandomWaypoint
 	crash  map[Round][]NodeID
 	hooks  []RoundHook
 	faults []Fault
@@ -192,20 +205,27 @@ type Stats struct {
 	HaloTransmissions int
 }
 
-// nodeState is what the engine keeps per node besides its NodeInfo entry:
-// the protocol endpoint, its waypoint model (nil for a static node; shared,
-// and only read) and its leg through it, and its random stream, held by
-// value in an Engine slab. It is also the node's Env — the handle reads
-// identity and the stream from itself and the position from the engine's
-// info slice, so a node costs one slab entry and no further heap objects.
+// nodeState is what the engine keeps per node besides its NodeInfo entry
+// and its legSlot: the protocol endpoint, its random stream and when its
+// radio comes back on, held by value in an Engine slab. It is also the
+// node's Env — the handle reads identity and the stream from itself and the
+// position from the engine's info slice, so a node costs one slab entry and
+// no further heap objects.
 type nodeState struct {
-	wp   *mobility.RandomWaypoint
-	leg  mobility.Leg
 	id   NodeID
 	eng  *Engine
 	node Node
 	rng  det.Stream
 	wake Round // the node's radio is off in every round before this one
+}
+
+// legSlot is a node's entry in the engine's legs column: its leg, and the
+// model it roams under as an index into Engine.models, 0 for a static node.
+// It holds no pointer, so the garbage collector never scans the column, and
+// it is 32 bytes, which the packed kernel indexes by shifting.
+type legSlot struct {
+	leg   mobility.Leg
+	model int32
 }
 
 func (st *nodeState) ID() NodeID          { return st.id }
@@ -276,7 +296,10 @@ func NewEngine(medium Medium, opts ...Option) *Engine {
 		seed:  1,
 		crash: make(map[Round][]NodeID),
 		wakes: make(map[Round]int32),
-		plane: shardPlane{mediums: []Medium{medium}, infos: make([][]NodeInfo, 1)},
+		// Room for the one model a world mostly has, so the first roaming
+		// Attach allocates nothing a static one would not.
+		models: make([]*mobility.RandomWaypoint, 0, 1),
+		plane:  shardPlane{mediums: []Medium{medium}, infos: make([][]NodeInfo, 1)},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -290,24 +313,30 @@ func NewEngine(medium Medium, opts ...Option) *Engine {
 // caller must not change it afterwards; the node's leg through it is the
 // engine's. The build function receives the node's environment handle; it
 // is invoked before Attach returns. Nodes may be attached mid-run (the join
-// scenario of Section 4.3).
+// scenario of Section 4.3). NodeIDs are int32 to the mobility phase, so
+// Attach panics past math.MaxInt32 nodes.
 func (e *Engine) Attach(pos geo.Point, wp *mobility.RandomWaypoint, build func(Env) Node) NodeID {
 	id := NodeID(len(e.nodes))
+	if int64(id) > math.MaxInt32 {
+		panic("sim: Attach past math.MaxInt32 nodes")
+	}
 	if len(e.slab) == 0 {
 		e.slab = make([]nodeState, min(max(len(e.nodes)/2, 16), 4096))
 	}
 	st := &e.slab[0]
 	e.slab = e.slab[1:]
-	*st = nodeState{eng: e, id: id, wp: wp}
+	*st = nodeState{eng: e, id: id}
 	st.rng.Reseed(e.seed, int64(id))
 	// info first: the Env answers Location from it, also inside build.
 	e.info = append(e.info, NodeInfo{ID: id, At: pos, Alive: true})
+	e.legs = append(e.legs, legSlot{model: e.modelIndex(wp)})
 	st.node = build(st)
 	if st.node == nil {
 		panic("sim: Attach build function returned nil Node")
 	}
 	e.nodes = append(e.nodes, st)
 	e.alive = append(e.alive, st)
+	e.ids = append(e.ids, int32(id))
 	if wp != nil {
 		e.moving++
 	}
@@ -322,6 +351,49 @@ func (e *Engine) Attach(pos geo.Point, wp *mobility.RandomWaypoint, build func(E
 	return id
 }
 
+// modelIndex returns wp's index in a legSlot, adding it to models the first
+// time it is seen; nil is 0, static. A world has a handful of models, and
+// consecutive attaches mostly share one, so the search starts at the last.
+func (e *Engine) modelIndex(wp *mobility.RandomWaypoint) int32 {
+	if wp == nil {
+		return 0
+	}
+	for k := len(e.models) - 1; k >= 0; k-- {
+		if e.models[k] == wp {
+			return int32(k + 1)
+		}
+	}
+	e.models = append(e.models, wp)
+	return int32(len(e.models))
+}
+
+// Reserve makes room for n more nodes: it grows every per-node slice Attach
+// appends to so n appends fit, and carves the next slab n entries long, so
+// attaching them grows nothing. A world built with and without it is the
+// same world; Reserve is what keeps building a large one from copying its
+// slices up through every doubling.
+func (e *Engine) Reserve(n int) {
+	if n <= 0 || reserveOff {
+		return
+	}
+	e.info = slices.Grow(e.info, n)
+	e.legs = slices.Grow(e.legs, n)
+	e.nodes = slices.Grow(e.nodes, n)
+	e.alive = slices.Grow(e.alive, n)
+	e.ids = slices.Grow(e.ids, n)
+	words := (len(e.nodes) + n + 63) >> 6
+	e.on = slices.Grow(e.on, max(words-len(e.on), 0))
+	e.sum = slices.Grow(e.sum, max((words+63)>>6-len(e.sum), 0))
+	if len(e.slab) < n {
+		e.slab = make([]nodeState, n)
+	}
+}
+
+// reserveOff makes Reserve a no-op, so a world grows its slices as Attach
+// appends. Only tests set it (export_test.go): it is the oracle that says
+// Reserve changes nothing a run can see, not a mode anyone can select.
+var reserveOff bool
+
 // Crash fails node id immediately: it stops transmitting and receiving from
 // the next round onward. Crashing an already-crashed node is a no-op.
 func (e *Engine) Crash(id NodeID) {
@@ -330,7 +402,7 @@ func (e *Engine) Crash(id NodeID) {
 	}
 	e.info[id].Alive = false
 	e.dirty = true
-	if e.nodes[id].wp != nil {
+	if e.legs[id].model != 0 {
 		e.moving--
 	}
 	if e.on[id>>6]&(1<<(id&63)) != 0 {
@@ -374,14 +446,14 @@ func (e *Engine) AliveCount() int {
 	return len(e.alive)
 }
 
-// AliveIDs implements Control off the alive list, which is in NodeID order;
+// AliveIDs implements Control off ids, the alive list's NodeIDs in order;
 // nodes that died since it was last compacted — earlier in this round's
 // faults — are skipped.
 func (e *Engine) AliveIDs(buf []NodeID) []NodeID {
 	buf = buf[:0]
-	for _, st := range e.alive {
-		if e.info[st.id].Alive {
-			buf = append(buf, st.id)
+	for _, id := range e.ids {
+		if e.info[id].Alive {
+			buf = append(buf, NodeID(id))
 		}
 	}
 	return buf
@@ -395,16 +467,17 @@ func (e *Engine) compactAlive() {
 	if !e.dirty {
 		return
 	}
-	live := e.alive[:0]
+	live, ids := e.alive[:0], e.ids[:0]
 	for _, st := range e.alive {
 		if e.info[st.id].Alive {
 			live = append(live, st)
+			ids = append(ids, int32(st.id))
 		}
 	}
 	for i := len(live); i < len(e.alive); i++ {
 		e.alive[i] = nil // release the dead node for GC
 	}
-	e.alive = live
+	e.alive, e.ids = live, ids
 	e.dirty = false
 }
 
@@ -648,23 +721,25 @@ func (e *Engine) move() {
 	if e.moving == 0 && len(e.plane.mediums) == 1 {
 		return
 	}
-	k := e.width(len(e.alive))
+	k := e.width(len(e.ids))
 	if len(e.plane.mediums) > 1 {
 		e.plane.boxes(k)
 	}
 	if e.mobFn == nil {
 		e.mobFn = e.moveChunk
 	}
-	e.runChunks(len(e.alive), k, e.mobFn)
+	e.runChunks(len(e.ids), k, e.mobFn)
 }
 
-// moveChunk is the mobility loop over alive[lo:hi], the one both planes
-// run. It hands the chunk to the packed kernel (stepPairs: two nodes per
-// SSE2 instruction on amd64, none elsewhere), which steps steady pairs
-// until it declines one; the scalar step below then takes that pair — or
-// the chunk's odd last node — and hands the rest back. The scalar step is
-// the one definition of a round: a steady leg is Leg.Dist and
-// RandomWaypoint.Ahead, which the compiler inlines here and the kernel
+// moveChunk is the mobility loop over ids[lo:hi], the one both planes run.
+// It hands the chunk to the packed kernel (stepPairs: two nodes per SSE2
+// instruction on amd64, none elsewhere), which steps steady pairs until it
+// declines one; the scalar step below then takes that pair — or the
+// chunk's odd last node — and hands the rest back. Both read a node's leg
+// from the legs column and its position from info, by its NodeID: the
+// walk touches no nodeState but a turning node's, for its stream. The
+// scalar step is the one definition of a round: a steady leg is Leg.Dist
+// and RandomWaypoint.Ahead, which the compiler inlines here and the kernel
 // repeats operation for operation; only a turn, where a node arrives and
 // draws its next destination from its own stream, is a call. With two or
 // more shards the loop also stretches chunk w's bounding box over every
@@ -677,22 +752,23 @@ func (e *Engine) moveChunk(w, lo, hi int) {
 	if len(e.plane.mediums) > 1 {
 		box = &b
 	}
-	alive := e.alive[lo:hi]
+	ids, legs, info := e.ids[lo:hi], e.legs, e.info
 	packed := 0
-	for i := 0; i < len(alive); {
+	for i := 0; i < len(ids); {
 		if !kernelOff {
-			n := stepPairs(alive[i:], e.info, box)
+			n := stepPairs(ids[i:], legs, info, e.models, box)
 			packed += n
 			i += n
 		}
-		for end := min(i+2, len(alive)); i < end; i++ {
-			st := alive[i]
-			at := &e.info[st.id].At
-			if wp := st.wp; wp != nil {
-				if next, ok := wp.Ahead(&st.leg, *at, st.leg.Dist(*at)); ok {
+		for end := min(i+2, len(ids)); i < end; i++ {
+			id := ids[i]
+			at := &info[id].At
+			if ls := &legs[id]; ls.model != 0 {
+				wp := e.models[ls.model-1]
+				if next, ok := wp.Ahead(&ls.leg, *at, ls.leg.Dist(*at)); ok {
 					*at = next
 				} else {
-					*at = wp.Turn(&st.leg, *at, st.rng.Intn)
+					*at = wp.Turn(&ls.leg, *at, e.nodes[id].rng.Intn)
 				}
 			}
 			if box != nil {

@@ -28,6 +28,12 @@ func SetSleepOff(off bool) { sleepOff = off }
 // that use it must not run in parallel.
 func SetKernelOff(off bool) { kernelOff = off }
 
+// SetReserveOff makes Engine.Reserve a no-op (true), so a world's per-node
+// slices grow as its nodes attach, or lets it size them again (false): the
+// oracle Reserve is held to. Like SetSleepOff it is a package variable, so
+// tests that use it must not run in parallel.
+func SetReserveOff(off bool) { reserveOff = off }
+
 // ProductionGrain is what grain is outside this package's tests.
 var ProductionGrain = grain
 

@@ -3,7 +3,7 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// func stepPairs(alive []*nodeState, info []NodeInfo, box *geo.Rect) int
+// func stepPairs(ids []int32, legs []legSlot, info []NodeInfo, models []*mobility.RandomWaypoint, box *geo.Rect) int
 //
 // Lane i of a packed register is node i of the pair, or coordinate i of a
 // point. Per pair, as Leg.Dist and RandomWaypoint.Ahead compute it:
@@ -21,11 +21,15 @@
 // |δy|: a NaN in either coordinate reaches d, which then fails d > VMax and
 // declines the pair, as the scalar step hands it to Turn. hi = 0 makes lo/hi
 // NaN and declines the same way.
-TEXT ·stepPairs(SB), NOSPLIT, $0-64
-	MOVQ alive_base+0(FP), SI
-	MOVQ alive_len+8(FP), CX
-	MOVQ info_base+24(FP), DI
-	MOVQ box+48(FP), DX
+//
+// R14 holds the models base: ABI0 code may use it, and R15 stays clear.
+TEXT ·stepPairs(SB), NOSPLIT, $0-112
+	MOVQ ids_base+0(FP), SI
+	MOVQ ids_len+8(FP), CX
+	MOVQ legs_base+24(FP), R13
+	MOVQ info_base+48(FP), DI
+	MOVQ models_base+72(FP), R14
+	MOVQ box+96(FP), DX
 	XORQ AX, AX
 
 	MOVQ     $0x7fffffffffffffff, BX
@@ -43,31 +47,35 @@ loop:
 	LEAQ  2(AX), BX
 	CMPQ  BX, CX
 	JGT   done
-	MOVQ  (SI)(AX*8), R8  // st0
-	MOVQ  8(SI)(AX*8), R9 // st1
-	MOVQ  nodeState_wp(R8), R10
-	TESTQ R10, R10
-	JZ    done            // static
-	CMPQ  R10, nodeState_wp(R9)
-	JNE   done            // static, or another model
-	MOVB  (nodeState_leg+const_legHasDest)(R8), BL
-	ANDB  (nodeState_leg+const_legHasDest)(R9), BL
-	JZ    done
-	MOVQ  nodeState_id(R8), R11
-	SHLQ  $const_nodeInfoLog, R11
-	ADDQ  DI, R11         // &info[st0.id]
-	MOVQ  nodeState_id(R9), R12
-	SHLQ  $const_nodeInfoLog, R12
-	ADDQ  DI, R12         // &info[st1.id]
-	MOVB  NodeInfo_Alive(R11), BL
-	ANDB  NodeInfo_Alive(R12), BL
-	JZ    done
+	MOVLQSX (SI)(AX*4), R11  // id0
+	MOVLQSX 4(SI)(AX*4), R12 // id1
+	MOVQ    R11, R8
+	SHLQ    $const_legSlotLog, R8
+	ADDQ    R13, R8 // &legs[id0]
+	MOVQ    R12, R9
+	SHLQ    $const_legSlotLog, R9
+	ADDQ    R13, R9 // &legs[id1]
+	MOVLQSX legSlot_model(R8), R10
+	TESTQ   R10, R10
+	JZ      done    // static
+	CMPL    R10, legSlot_model(R9)
+	JNE     done    // static, or another model
+	MOVB    (legSlot_leg+const_legHasDest)(R8), BL
+	ANDB    (legSlot_leg+const_legHasDest)(R9), BL
+	JZ      done
+	SHLQ    $const_nodeInfoLog, R11
+	ADDQ    DI, R11 // &info[id0]
+	SHLQ    $const_nodeInfoLog, R12
+	ADDQ    DI, R12 // &info[id1]
+	MOVB    NodeInfo_Alive(R11), BL
+	ANDB    NodeInfo_Alive(R12), BL
+	JZ      done
 
-	MOVUPD   NodeInfo_At(R11), X0 // cur of st0
-	MOVUPD   NodeInfo_At(R12), X1 // cur of st1
-	MOVUPD   (nodeState_leg+const_legDest)(R8), X6
+	MOVUPD   NodeInfo_At(R11), X0 // cur of id0
+	MOVUPD   NodeInfo_At(R12), X1 // cur of id1
+	MOVUPD   (legSlot_leg+const_legDest)(R8), X6
 	SUBPD    X0, X6
-	MOVUPD   (nodeState_leg+const_legDest)(R9), X7
+	MOVUPD   (legSlot_leg+const_legDest)(R9), X7
 	SUBPD    X1, X7
 	MOVAPD   X6, X2
 	UNPCKLPD X7, X2 // X2 = δx
@@ -86,6 +94,7 @@ loop:
 	SQRTPD X8, X8
 	MULPD  X10, X8 // d
 
+	MOVQ     -8(R14)(R10*8), R10 // models[model-1]
 	MOVSD    const_wpVMax(R10), X9
 	UNPCKLPD X9, X9 // X9 = VMax, VMax
 	MOVAPD   X9, X10
@@ -101,15 +110,15 @@ loop:
 	MULPD    X10, X6
 	MULPD    X9, X6
 	MOVAPD   X2, X3
-	UNPCKLPD X6, X3 // step of st0
-	UNPCKHPD X6, X2 // step of st1
+	UNPCKLPD X6, X3 // step of id0
+	UNPCKHPD X6, X2 // step of id1
 	ADDPD    X3, X0
 	ADDPD    X2, X1
 	MOVUPD   X0, NodeInfo_At(R11)
 	MOVUPD   X1, NodeInfo_At(R12)
 	ADDQ     $2, AX
 
-	// The box takes st0, then st1, each as moveChunk's compares take it:
+	// The box takes id0, then id1, each as moveChunk's compares take it:
 	// the running box is the source operand, so a NaN moves nothing.
 	TESTQ  DX, DX
 	JZ     loop
@@ -132,5 +141,5 @@ done:
 	MOVUPD X13, 16(DX)
 
 ret:
-	MOVQ AX, ret+56(FP)
+	MOVQ AX, ret+104(FP)
 	RET

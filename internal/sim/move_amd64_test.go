@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"vinfra/internal/geo"
 	"vinfra/internal/mobility"
@@ -13,8 +14,20 @@ import (
 )
 
 // TestKernelLayout holds the offsets move_amd64.s reads a leg at to
-// mobility.Leg as it is laid out: a destination, then whether there is one.
+// mobility.Leg as it is laid out: a destination, then whether there is one;
+// and the legs column's entries to a leg at 0, its model's index at 24, 32
+// bytes in all.
 func TestKernelLayout(t *testing.T) {
+	var ls legSlot
+	if off := unsafe.Offsetof(ls.leg); off != 0 {
+		t.Errorf("legSlot.leg at offset %d, the kernel reads it at 0", off)
+	}
+	if off := unsafe.Offsetof(ls.model); off != 24 {
+		t.Errorf("legSlot.model at offset %d, the kernel reads it at 24", off)
+	}
+	if size := unsafe.Sizeof(ls); size != 1<<legSlotLog {
+		t.Errorf("legSlot is %d bytes, the kernel strides %d", size, 1<<legSlotLog)
+	}
 	leg := reflect.TypeOf(mobility.Leg{})
 	for _, f := range []struct {
 		name string

@@ -43,7 +43,7 @@ type dozer struct {
 func (d *dozer) Receive(r sim.Round, rx sim.Reception) {
 	d.listener.Receive(r, rx)
 	if d.ended {
-		d.env.SleepUntil(1 << 40)
+		d.env.SleepUntil(1 << 30)
 		return
 	}
 	cycle, phase := 10, int(r)

@@ -37,13 +37,13 @@ func attachCounters(e *Engine, nodes *[]*counterNode, n int) {
 }
 
 // joinEngine builds an engine with initial nodes attached up front and a
-// joinFault registered. With oneSlab set, the engine is handed a single slab
-// large enough for the whole run before the first Attach, so it never
-// crosses a slab boundary.
+// joinFault registered. With oneSlab set, the engine reserves room for
+// 1024 nodes before the first Attach, so it carves a single slab large
+// enough for the whole run and never crosses a slab boundary.
 func joinEngine(initial int, oneSlab bool) (*Engine, *[]*counterNode) {
 	e := NewEngine(perfectMedium{}, WithSeed(42))
 	if oneSlab {
-		e.slab = make([]nodeState, 1024)
+		e.Reserve(1024)
 	}
 	nodes := new([]*counterNode)
 	attachCounters(e, nodes, initial)

@@ -238,8 +238,8 @@ func (e *Engine) Snapshot() EngineSnapshot {
 			Alive: in.Alive,
 			RNG:   st.rng.State(),
 		}
-		if st.wp != nil {
-			ns.Mover = st.leg.AppendState(nil)
+		if ls := &e.legs[i]; ls.model != 0 {
+			ns.Mover = ls.leg.AppendState(nil)
 		}
 		if sn, ok := st.node.(Snapshotter); ok {
 			ns.State = sn.AppendState(nil)
@@ -317,8 +317,8 @@ func (e *Engine) restore(s EngineSnapshot) error {
 		st.rng.SetState(ns.RNG)
 		st.wake = 0
 		e.info[st.id] = NodeInfo{ID: st.id, At: geo.Point{X: ns.X, Y: ns.Y}, Alive: ns.Alive}
-		if st.wp != nil {
-			if err := st.leg.RestoreState(ns.Mover); err != nil {
+		if ls := &e.legs[st.id]; ls.model != 0 {
+			if err := ls.leg.RestoreState(ns.Mover); err != nil {
 				return fmt.Errorf("sim: restore: node %d leg: %w", st.id, err)
 			}
 		} else if len(ns.Mover) > 0 {
@@ -334,15 +334,16 @@ func (e *Engine) restore(s EngineSnapshot) error {
 	}
 	// Everyone alive comes back with the radio on: no wake files, and the
 	// awake list is the alive list. Who moves is recounted with it.
-	e.alive = e.alive[:0]
+	e.alive, e.ids = e.alive[:0], e.ids[:0]
 	e.moving = 0
 	clear(e.on)
 	clear(e.sum)
 	for _, st := range e.nodes {
 		if e.info[st.id].Alive {
 			e.alive = append(e.alive, st)
+			e.ids = append(e.ids, int32(st.id))
 			e.radioOn(st.id)
-			if st.wp != nil {
+			if e.legs[st.id].model != 0 {
 				e.moving++
 			}
 		}

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 )
@@ -55,5 +56,35 @@ func TestWorldVRoundSteadyStateAllocs(t *testing.T) {
 	}
 	if a := w.Summary().MeanAvailability; a != 1 {
 		t.Fatalf("fault-free availability %.3f, want 1.0", a)
+	}
+}
+
+// TestBuildCityAllocs is the counted gate on construction: building the
+// 100k-listener city document — the city-100k workloads' world — allocates
+// at most 28 MB in all. The engine reserves its per-node slices for the
+// population up front (sim.Engine.Reserve), so what remains is the devices'
+// own objects; growing the slices through every doubling took the figure to
+// 44.6 MB.
+func TestBuildCityAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := Spec{
+		Version: Version, Seed: 1, VRounds: 1 << 30,
+		Grid:    Grid{Cols: 15, Rows: 15},
+		Devices: Devices{Replicas: 3, Pingers: true, Listeners: 100_000},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w, err := Build(s)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	defer w.Eng.Close()
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("Build of the 100k city document: %.1f MB in %d allocations", mb, after.Mallocs-before.Mallocs)
+	if mb > 28 {
+		t.Errorf("Build of the 100k city document allocates %.1f MB, want <= 28", mb)
 	}
 }

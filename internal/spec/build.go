@@ -207,6 +207,9 @@ func Build(s Spec) (*World, error) {
 		per:        dep.Timing().RoundsPerVRound(),
 		setLeaders: setLeaders,
 	}
+	// The population is known: size the engine's per-node slices once
+	// rather than growing them through every doubling on the way there.
+	w.Eng.Reserve(s.TotalDevices())
 
 	// Replicas: bootstrapped emulators clustered inside each region,
 	// feeding the world's churn counters.
