@@ -38,8 +38,9 @@
 //     pointer-free bucket table over the points' cell bounding box, with
 //     memory bounded by the point count and a defined rule for non-finite
 //     coordinates. It also answers nearest-within-radius queries
-//     (NearestWithin, behind the O(1) vi.Deployment.RegionOf) and
-//     rebuilds in place without allocating (Rebuild).
+//     (NearestWithin, behind the O(1) vi.Deployment.RegionOf), rebuilds
+//     in place without allocating (Rebuild), and is what vi.BuildSchedule
+//     colours the broadcast schedule off.
 //   - radio: the collision-prone medium. Delivery stamps each round's
 //     transmissions into the 3x3 block of R2-sized cells around their
 //     origin so every receiver reads the one cell it stands in
@@ -104,7 +105,12 @@
 //     checkpoint the one way every stateful node part does: AppendState
 //     and RestoreState (sim.Snapshotter) write and read their live fields
 //     straight to and from a wire blob, the contention manager's and the
-//     client program's blobs nested inside.
+//     client program's blobs nested inside. A deployment is built once:
+//     NewDeployment colours the broadcast schedule a single time, greedily
+//     in index order straight off a location index (no conflict graph,
+//     memory linear in the virtual nodes), hands it to every virtual
+//     node's Program factory, and carves clients from chunks rather than
+//     allocating one per device.
 //   - apps, baseline: applications on top of the infrastructure and the
 //     baselines the paper argues against. Application payloads and states
 //     are canonical wire encodings (a one-byte kind tag plus fixed field
@@ -135,6 +141,9 @@
 //     assembled — for cmd/visim, cmd/visimd (internal/service), the
 //     benchmark and the experiments alike. World.AttachReplica and
 //     World.SetLeader are what a churn-modelling driver adds mid-run.
+//     Build leaves the schedule to vi.NewDeployment, its one owner, and
+//     TestBuildCityAllocs and TestBuildMetroAllocs count what building the
+//     bench's city and metro documents allocates.
 //   - harness: the registry-based experiment runner. It fans
 //     experiment×parameter×seed cells out over a bounded worker pool,
 //     merges results deterministically (parallel output is byte-identical
@@ -193,7 +202,8 @@
 // needed ~10,400), with spec's
 // TestWorldVRoundSteadyStateAllocs holding the world spec.Build makes to
 // the same kind of budget (at most 150, the same over 36 and 288 virtual
-// rounds). CI also
+// rounds). Construction has gates of its own: TestBuildCityAllocs,
+// TestBuildMetroAllocs and vi's TestBuildScheduleAllocs. CI also
 // runs a fuzz smoke job: 10 seconds each over the wire decoder and the
 // adversarial-input DecodeRoundInput/DecodeJoinAckMsg paths.
 //

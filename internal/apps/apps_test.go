@@ -24,7 +24,7 @@ type harness struct {
 	setLeaders []func(sim.NodeID)
 }
 
-func newHarness(t *testing.T, locs []geo.Point, replicasPer int, program func(vi.VNodeID) vi.Program) *harness {
+func newHarness(t *testing.T, locs []geo.Point, replicasPer int, program func(vi.VNodeID, vi.Schedule) vi.Program) *harness {
 	t.Helper()
 	factories := make([]cm.Factory, len(locs))
 	setLeaders := make([]func(sim.NodeID), len(locs))
@@ -78,8 +78,7 @@ func pl(ms ...*vi.Message) vi.RoundInput {
 
 func TestRegisterWriteThenRead(t *testing.T) {
 	locs := []geo.Point{{X: 0, Y: 0}}
-	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 3, apps.RegisterProgram(sched))
+	h := newHarness(t, locs, 3, apps.RegisterProgram)
 
 	writer := &apps.RegisterWriter{Writes: map[int]string{2: "hello", 6: "world"}}
 	reader := &apps.RegisterReader{}
@@ -118,8 +117,7 @@ func TestRegisterWriteThenRead(t *testing.T) {
 // leadership fails over to a survivor, and no write is lost.
 func TestRegisterSurvivesLeaderCrash(t *testing.T) {
 	locs := []geo.Point{{X: 0, Y: 0}}
-	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 4, apps.RegisterProgram(sched))
+	h := newHarness(t, locs, 4, apps.RegisterProgram)
 
 	writer := &apps.RegisterWriter{Writes: map[int]string{3: "first", 9: "second"}}
 	readers := []*apps.RegisterReader{{}, {}}
@@ -144,8 +142,7 @@ func TestRegisterSurvivesLeaderCrash(t *testing.T) {
 
 func TestRegisterConcurrentWritersConverge(t *testing.T) {
 	locs := []geo.Point{{X: 0, Y: 0}}
-	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 3, apps.RegisterProgram(sched))
+	h := newHarness(t, locs, 3, apps.RegisterProgram)
 
 	// Two writers write in the same virtual round: both writes are in the
 	// agreed round input; replicas apply them in canonical order, so every
@@ -175,7 +172,7 @@ func TestRegisterConcurrentWritersConverge(t *testing.T) {
 
 func TestParseRegisterReply(t *testing.T) {
 	sched := vi.BuildSchedule([]geo.Point{{}}, testRadii)
-	prog := apps.RegisterProgram(sched)(0)
+	prog := apps.RegisterProgram(0, sched)
 	st := prog.Init(0, geo.Point{})
 	st = prog.OnRound(st, 1, pl(apps.RegisterWrite("abc")))
 	out := prog.Outgoing(st, 2)
@@ -202,8 +199,7 @@ func TestParseRegisterReply(t *testing.T) {
 
 func TestTrackerLocalSighting(t *testing.T) {
 	locs := []geo.Point{{X: 0, Y: 0}}
-	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 3, apps.TrackerProgram(sched))
+	h := newHarness(t, locs, 3, apps.TrackerProgram)
 
 	targetPos := geo.Point{X: 1.5, Y: 0.5}
 	h.addClient(targetPos, &apps.TargetClient{
@@ -229,8 +225,7 @@ func TestTrackerGossipAcrossVNodes(t *testing.T) {
 	// target's radio range. The sighting must travel VN0 -> VN1 via the
 	// virtual nodes' digest broadcasts.
 	locs := []geo.Point{{X: 0, Y: 0}, {X: 5, Y: 0}}
-	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 2, apps.TrackerProgram(sched))
+	h := newHarness(t, locs, 2, apps.TrackerProgram)
 
 	targetPos := geo.Point{X: -1.5, Y: 0}
 	h.addClient(targetPos, &apps.TargetClient{
@@ -249,7 +244,7 @@ func TestTrackerGossipAcrossVNodes(t *testing.T) {
 
 func TestTrackerDigestRoundTrip(t *testing.T) {
 	sched := vi.BuildSchedule([]geo.Point{{}}, testRadii)
-	prog := apps.TrackerProgram(sched)(0)
+	prog := apps.TrackerProgram(0, sched)
 	st := prog.Init(0, geo.Point{})
 	st = prog.OnRound(st, 3, pl(apps.Beacon("a", geo.Point{X: 1, Y: 2})))
 	st = prog.OnRound(st, 7, pl(apps.Beacon("b", geo.Point{X: 4.5, Y: -1.25})))
@@ -284,8 +279,7 @@ func TestTrackerDigestRoundTrip(t *testing.T) {
 
 func TestLockMutualExclusion(t *testing.T) {
 	locs := []geo.Point{{X: 0, Y: 0}}
-	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 3, apps.LockProgram(sched))
+	h := newHarness(t, locs, 3, apps.LockProgram)
 
 	clients := []*apps.LockClient{
 		{Name: "a", HoldRounds: 2, Cycles: 2},
@@ -320,7 +314,7 @@ func TestLockMutualExclusion(t *testing.T) {
 
 func TestLockStateMachine(t *testing.T) {
 	// Exercise the program end to end through its Program surface.
-	prog := apps.LockProgram(vi.BuildSchedule([]geo.Point{{}}, testRadii))(0)
+	prog := apps.LockProgram(0, vi.BuildSchedule([]geo.Point{{}}, testRadii))
 	st := prog.Init(0, geo.Point{})
 	st = prog.OnRound(st, 1, pl(apps.LockRequest("x"), apps.LockRequest("y")))
 	out := prog.Outgoing(st, 1)
@@ -344,7 +338,7 @@ func TestLockStateMachine(t *testing.T) {
 }
 
 func TestLockDuplicateAndCancel(t *testing.T) {
-	prog := apps.LockProgram(vi.BuildSchedule([]geo.Point{{}}, testRadii))(0)
+	prog := apps.LockProgram(0, vi.BuildSchedule([]geo.Point{{}}, testRadii))
 	st := prog.Init(0, geo.Point{})
 	// Duplicate requests do not double-queue.
 	st = prog.OnRound(st, 1, pl(apps.LockRequest("x"), apps.LockRequest("x"), apps.LockRequest("y"), apps.LockRequest("y")))
@@ -371,7 +365,7 @@ func TestLockDuplicateAndCancel(t *testing.T) {
 func TestTrackerCollisionRoundsDoNotCorruptState(t *testing.T) {
 	// ⊥ rounds (agreement failures) reach the program as collision inputs;
 	// the tracker must simply retain its state.
-	prog := apps.TrackerProgram(vi.BuildSchedule([]geo.Point{{}}, testRadii))(0)
+	prog := apps.TrackerProgram(0, vi.BuildSchedule([]geo.Point{{}}, testRadii))
 	st := prog.Init(0, geo.Point{})
 	st = prog.OnRound(st, 1, pl(apps.Beacon("r", geo.Point{X: 1, Y: 2})))
 	st2 := prog.OnRound(st, 2, vi.RoundInput{Collision: true})

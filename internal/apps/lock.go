@@ -102,33 +102,32 @@ func (s *LockState) promote() {
 	}
 }
 
-// LockProgram returns the lock virtual node program. When scheduled, the
-// virtual node broadcasts the current holder so clients learn grants.
-func LockProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
-	return func(v vi.VNodeID) vi.Program {
-		return vi.Codec[LockState]{
-			InitState: func(vi.VNodeID, geo.Point) LockState {
-				return LockState{}
-			},
-			Step: func(s LockState, vround int, in vi.RoundInput) LockState {
-				for _, m := range in.Msgs {
-					if name, ok := parseName(m, tagLockRequest); ok {
-						s.enqueue(name)
-					} else if name, ok := parseName(m, tagLockRelease); ok {
-						s.release(name)
-					}
+// LockProgram returns virtual node v's lock program, a
+// vi.DeploymentConfig.Program. When scheduled, the virtual node broadcasts
+// the current holder so clients learn grants.
+func LockProgram(v vi.VNodeID, sched vi.Schedule) vi.Program {
+	return vi.Codec[LockState]{
+		InitState: func(vi.VNodeID, geo.Point) LockState {
+			return LockState{}
+		},
+		Step: func(s LockState, vround int, in vi.RoundInput) LockState {
+			for _, m := range in.Msgs {
+				if name, ok := parseName(m, tagLockRequest); ok {
+					s.enqueue(name)
+				} else if name, ok := parseName(m, tagLockRelease); ok {
+					s.release(name)
 				}
-				return s
-			},
-			Out: func(s LockState, vround int) *vi.Message {
-				if !sched.ScheduledIn(v, vround-1) {
-					return nil
-				}
-				return nameMsg(tagLockGrant, s.Holder)
-			},
-			EncodeState: encodeLockState,
-			DecodeState: decodeLockState,
-		}
+			}
+			return s
+		},
+		Out: func(s LockState, vround int) *vi.Message {
+			if !sched.ScheduledIn(v, vround-1) {
+				return nil
+			}
+			return nameMsg(tagLockGrant, s.Holder)
+		},
+		EncodeState: encodeLockState,
+		DecodeState: decodeLockState,
 	}
 }
 

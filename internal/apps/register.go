@@ -61,38 +61,36 @@ func ParseRegisterReply(payload []byte) (version int, value string, ok bool) {
 	return version, value, true
 }
 
-// RegisterProgram returns the atomic-register virtual node program. The
-// register applies writes in the agreed history order (ties within a round
-// broken by payload order, which the agreement makes identical at every
-// replica) and broadcasts its current version and value whenever it is
-// scheduled.
-func RegisterProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
-	return func(v vi.VNodeID) vi.Program {
-		return vi.Codec[RegisterState]{
-			InitState: func(vi.VNodeID, geo.Point) RegisterState {
-				return RegisterState{}
-			},
-			Step: func(s RegisterState, vround int, in vi.RoundInput) RegisterState {
-				for _, m := range in.Msgs {
-					if len(m) > 0 && m[0] == tagRegisterWrite {
-						s.Value = string(m[1:])
-						s.Version++
-					}
+// RegisterProgram returns virtual node v's atomic-register program, a
+// vi.DeploymentConfig.Program. The register applies writes in the agreed
+// history order (ties within a round broken by payload order, which the
+// agreement makes identical at every replica) and broadcasts its current
+// version and value whenever it is scheduled.
+func RegisterProgram(v vi.VNodeID, sched vi.Schedule) vi.Program {
+	return vi.Codec[RegisterState]{
+		InitState: func(vi.VNodeID, geo.Point) RegisterState {
+			return RegisterState{}
+		},
+		Step: func(s RegisterState, vround int, in vi.RoundInput) RegisterState {
+			for _, m := range in.Msgs {
+				if len(m) > 0 && m[0] == tagRegisterWrite {
+					s.Value = string(m[1:])
+					s.Version++
 				}
-				return s
-			},
-			Out: func(s RegisterState, vround int) *vi.Message {
-				if !sched.ScheduledIn(v, vround-1) {
-					return nil
-				}
-				p := []byte{tagRegisterReply}
-				p = wire.AppendUvarint(p, uint64(s.Version))
-				p = wire.AppendString(p, s.Value)
-				return &vi.Message{Payload: p}
-			},
-			EncodeState: encodeRegisterState,
-			DecodeState: decodeRegisterState,
-		}
+			}
+			return s
+		},
+		Out: func(s RegisterState, vround int) *vi.Message {
+			if !sched.ScheduledIn(v, vround-1) {
+				return nil
+			}
+			p := []byte{tagRegisterReply}
+			p = wire.AppendUvarint(p, uint64(s.Version))
+			p = wire.AppendString(p, s.Value)
+			return &vi.Message{Payload: p}
+		},
+		EncodeState: encodeRegisterState,
+		DecodeState: decodeRegisterState,
 	}
 }
 

@@ -217,10 +217,10 @@ func parseRelay(payload []byte) (from geo.Point, p Packet, ok bool) {
 	return from, p, true
 }
 
-// RouterProgram returns the routing virtual node program. locs must be the
-// deployment's virtual node locations (used to decide whether this node is
-// the packet's final destination).
-func RouterProgram(sched vi.Schedule, locs []geo.Point) func(vi.VNodeID) vi.Program {
+// RouterProgram returns the routing virtual node program's factory. locs
+// must be the deployment's virtual node locations (used to decide whether
+// this node is the packet's final destination).
+func RouterProgram(locs []geo.Point) func(vi.VNodeID, vi.Schedule) vi.Program {
 	// isClosest reports whether loc is the deployment's closest virtual
 	// node to dst.
 	isClosest := func(loc geo.Point, dst geo.Point) bool {
@@ -232,7 +232,7 @@ func RouterProgram(sched vi.Schedule, locs []geo.Point) func(vi.VNodeID) vi.Prog
 		}
 		return true
 	}
-	return func(v vi.VNodeID) vi.Program {
+	return func(v vi.VNodeID, sched vi.Schedule) vi.Program {
 		return vi.Codec[RouterState]{
 			InitState: func(id vi.VNodeID, loc geo.Point) RouterState {
 				return RouterState{Loc: loc}

@@ -44,8 +44,7 @@ func lineLocs(n int) []geo.Point {
 
 func TestRouterDeliversAcrossChain(t *testing.T) {
 	locs := lineLocs(4) // vn0 at x=0 ... vn3 at x=15
-	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 2, apps.RouterProgram(sched, locs))
+	h := newHarness(t, locs, 2, apps.RouterProgram(locs))
 
 	sender := &apps.RouterClient{
 		Sends: map[int]*vi.Message{
@@ -70,8 +69,7 @@ func TestRouterDeliversAcrossChain(t *testing.T) {
 
 func TestRouterLocalDelivery(t *testing.T) {
 	locs := lineLocs(2)
-	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 2, apps.RouterProgram(sched, locs))
+	h := newHarness(t, locs, 2, apps.RouterProgram(locs))
 
 	sender := &apps.RouterClient{
 		Sends: map[int]*vi.Message{
@@ -89,8 +87,7 @@ func TestRouterLocalDelivery(t *testing.T) {
 
 func TestRouterDuplicateSuppression(t *testing.T) {
 	locs := lineLocs(2)
-	sched := vi.BuildSchedule(locs, testRadii)
-	h := newHarness(t, locs, 2, apps.RouterProgram(sched, locs))
+	h := newHarness(t, locs, 2, apps.RouterProgram(locs))
 
 	// The same packet injected twice must be delivered once.
 	sender := &apps.RouterClient{
@@ -114,7 +111,7 @@ func TestRouterProgramGreedyRule(t *testing.T) {
 	// must not be adopted (no backward forwarding).
 	locs := lineLocs(3)
 	sched := vi.BuildSchedule(locs, testRadii)
-	prog := apps.RouterProgram(sched, locs)(0) // vn0 at x=0
+	prog := apps.RouterProgram(locs)(0, sched) // vn0 at x=0
 	st := prog.Init(0, locs[0])
 
 	// A relay originating at x=5 (closer to dst x=10 than vn0 is): vn0

@@ -161,37 +161,36 @@ func ParseDigest(payload []byte) ([]Sighting, bool) {
 // virtual messages small.
 const digestSize = 4
 
-// TrackerProgram returns the tracking virtual node program.
-func TrackerProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
-	return func(v vi.VNodeID) vi.Program {
-		return vi.Codec[TrackerState]{
-			InitState: func(vi.VNodeID, geo.Point) TrackerState {
-				return TrackerState{}
-			},
-			Step: func(s TrackerState, vround int, in vi.RoundInput) TrackerState {
-				for _, m := range in.Msgs {
-					if sg, ok := parseBeacon(m, vround); ok {
+// TrackerProgram returns virtual node v's tracking program, a
+// vi.DeploymentConfig.Program.
+func TrackerProgram(v vi.VNodeID, sched vi.Schedule) vi.Program {
+	return vi.Codec[TrackerState]{
+		InitState: func(vi.VNodeID, geo.Point) TrackerState {
+			return TrackerState{}
+		},
+		Step: func(s TrackerState, vround int, in vi.RoundInput) TrackerState {
+			for _, m := range in.Msgs {
+				if sg, ok := parseBeacon(m, vround); ok {
+					s.upsert(sg)
+					continue
+				}
+				if sgs, ok := ParseDigest(m); ok {
+					// Merge a neighboring virtual node's digest.
+					for _, sg := range sgs {
 						s.upsert(sg)
-						continue
-					}
-					if sgs, ok := ParseDigest(m); ok {
-						// Merge a neighboring virtual node's digest.
-						for _, sg := range sgs {
-							s.upsert(sg)
-						}
 					}
 				}
-				return s
-			},
-			Out: func(s TrackerState, vround int) *vi.Message {
-				if !sched.ScheduledIn(v, vround-1) || len(s.Sightings) == 0 {
-					return nil
-				}
-				return &vi.Message{Payload: encodeDigest(s, digestSize)}
-			},
-			EncodeState: encodeTrackerState,
-			DecodeState: decodeTrackerState,
-		}
+			}
+			return s
+		},
+		Out: func(s TrackerState, vround int) *vi.Message {
+			if !sched.ScheduledIn(v, vround-1) || len(s.Sightings) == 0 {
+				return nil
+			}
+			return &vi.Message{Payload: encodeDigest(s, digestSize)}
+		},
+		EncodeState: encodeTrackerState,
+		DecodeState: decodeTrackerState,
 	}
 }
 

@@ -8,7 +8,6 @@ package geo
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Point is a location in the plane. The zero value is the origin.
@@ -139,44 +138,4 @@ func (g Grid) Bounds() Rect {
 		return Rect{}
 	}
 	return Rect{Max: Point{X: float64(g.Cols-1) * g.Spacing, Y: float64(g.Rows-1) * g.Spacing}}
-}
-
-// NeighborGraph returns, for each location index, the indexes of the other
-// locations within threshold distance, in increasing index order. It is
-// used to build non-conflicting virtual-node schedules (Section 4.1),
-// where the conflict threshold is R1 + 2*R2.
-//
-// The graph is built through a CellIndex with cell size equal to the
-// threshold, so construction is O(n * k) in the neighbor count k rather
-// than O(n^2).
-func NeighborGraph(locs []Point, threshold float64) [][]int {
-	adj := make([][]int, len(locs))
-	if len(locs) == 0 {
-		return adj
-	}
-	t2 := threshold * threshold
-	if threshold <= 0 {
-		// Degenerate threshold: only coincident points are neighbors.
-		for i := range locs {
-			for j := i + 1; j < len(locs); j++ {
-				if locs[i].Dist2(locs[j]) <= t2 {
-					adj[i] = append(adj[i], j)
-					adj[j] = append(adj[j], i)
-				}
-			}
-		}
-		return adj
-	}
-	ix := BuildCellIndex(locs, threshold)
-	var buf []int32
-	for i := range locs {
-		buf = ix.Near(buf[:0], locs[i], 1)
-		for _, j := range buf {
-			if int(j) != i && locs[i].Dist2(locs[j]) <= t2 {
-				adj[i] = append(adj[i], int(j))
-			}
-		}
-		sort.Ints(adj[i])
-	}
-	return adj
 }

@@ -152,48 +152,3 @@ func TestGridBoundsDegenerate(t *testing.T) {
 		t.Error("degenerate grid should have no locations")
 	}
 }
-
-func TestNeighborGraph(t *testing.T) {
-	locs := []Point{{0, 0}, {1, 0}, {3, 0}, {10, 10}}
-	adj := NeighborGraph(locs, 2.5)
-	// 0-1 (d=1), 0-2 (d=3, too far... wait 3 > 2.5, so no), 1-2 (d=2, yes)
-	wantDeg := []int{1, 2, 1, 0}
-	for i, want := range wantDeg {
-		if got := len(adj[i]); got != want {
-			t.Errorf("deg(%d) = %d, want %d (adj=%v)", i, got, want, adj[i])
-		}
-	}
-}
-
-func TestNeighborGraphSymmetric(t *testing.T) {
-	g := Grid{Spacing: 1, Cols: 5, Rows: 5}
-	locs := g.Locations()
-	adj := NeighborGraph(locs, 1.5)
-	for i, ns := range adj {
-		for _, j := range ns {
-			found := false
-			for _, back := range adj[j] {
-				if back == i {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("edge %d->%d not symmetric", i, j)
-			}
-		}
-	}
-}
-
-func TestNeighborGraphGridDegrees(t *testing.T) {
-	// With threshold 1.0 on a unit grid, interior nodes have exactly 4
-	// neighbors, corners 2, edges 3.
-	g := Grid{Spacing: 1, Cols: 3, Rows: 3}
-	adj := NeighborGraph(g.Locations(), 1.0)
-	wantDeg := []int{2, 3, 2, 3, 4, 3, 2, 3, 2}
-	for i, want := range wantDeg {
-		if got := len(adj[i]); got != want {
-			t.Errorf("deg(%d) = %d, want %d", i, got, want)
-		}
-	}
-}

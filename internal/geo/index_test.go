@@ -128,46 +128,6 @@ func TestBuildCellIndexRejectsBadCell(t *testing.T) {
 	}
 }
 
-// TestNeighborGraphMatchesBruteForce pins the CellIndex-backed
-// NeighborGraph to the quadratic reference implementation, including
-// adjacency order.
-func TestNeighborGraphMatchesBruteForce(t *testing.T) {
-	f := func(seed uint32, nRaw uint8, tRaw uint8) bool {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		n := int(nRaw % 50)
-		threshold := 0.5 + float64(tRaw%30)
-		locs := make([]Point, n)
-		for i := range locs {
-			locs[i] = Point{X: rng.Float64()*60 - 30, Y: rng.Float64()*60 - 30}
-		}
-		got := NeighborGraph(locs, threshold)
-		want := make([][]int, n)
-		t2 := threshold * threshold
-		for i := range locs {
-			for j := range locs {
-				if i != j && locs[i].Dist2(locs[j]) <= t2 {
-					want[i] = append(want[i], j)
-				}
-			}
-			sort.Ints(want[i])
-		}
-		for i := range want {
-			if len(got[i]) != len(want[i]) {
-				return false
-			}
-			for k := range want[i] {
-				if got[i][k] != want[i][k] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestCellIndexNearestWithinMatchesBruteForce pins the gridded
 // nearest-within-radius query to a linear scan applying the same rule
 // (smallest distance, exact ties toward the lower index).

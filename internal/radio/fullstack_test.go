@@ -15,20 +15,18 @@ import (
 
 // pingCounter is a virtual-node program that counts the client messages it
 // hears and broadcasts the count when scheduled.
-func pingCounter(sched vi.Schedule) func(vi.VNodeID) vi.Program {
-	return func(v vi.VNodeID) vi.Program {
-		return vi.Codec[uint64]{
-			InitState: func(vi.VNodeID, geo.Point) uint64 { return 0 },
-			Step:      func(n uint64, _ int, in vi.RoundInput) uint64 { return n + uint64(len(in.Msgs)) },
-			Out: func(n uint64, vround int) *vi.Message {
-				if !sched.ScheduledIn(v, vround-1) {
-					return nil
-				}
-				return vi.Text(fmt.Sprintf("count=%d", n))
-			},
-			EncodeState: wire.AppendUvarint,
-			DecodeState: func(d *wire.Decoder) (uint64, error) { return d.Uvarint(), d.Err() },
-		}
+func pingCounter(v vi.VNodeID, sched vi.Schedule) vi.Program {
+	return vi.Codec[uint64]{
+		InitState: func(vi.VNodeID, geo.Point) uint64 { return 0 },
+		Step:      func(n uint64, _ int, in vi.RoundInput) uint64 { return n + uint64(len(in.Msgs)) },
+		Out: func(n uint64, vround int) *vi.Message {
+			if !sched.ScheduledIn(v, vround-1) {
+				return nil
+			}
+			return vi.Text(fmt.Sprintf("count=%d", n))
+		},
+		EncodeState: wire.AppendUvarint,
+		DecodeState: func(d *wire.Decoder) (uint64, error) { return d.Uvarint(), d.Err() },
 	}
 }
 
@@ -46,7 +44,7 @@ func TestFullStackGridEqualsScan(t *testing.T) {
 		dep, err := vi.NewDeployment(vi.DeploymentConfig{
 			Locations: locs,
 			Radii:     radii,
-			Program:   pingCounter(vi.BuildSchedule(locs, radii)),
+			Program:   pingCounter,
 			NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
 				return cm.NewBackoff(cm.BackoffConfig{})(env)
 			},

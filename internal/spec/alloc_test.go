@@ -59,21 +59,10 @@ func TestWorldVRoundSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBuildCityAllocs is the counted gate on construction: building the
-// 100k-listener city document — the city-100k workloads' world — allocates
-// at most 28 MB in all. The engine reserves its per-node slices for the
-// population up front (sim.Engine.Reserve), so what remains is the devices'
-// own objects; growing the slices through every doubling took the figure to
-// 44.6 MB.
-func TestBuildCityAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	s := Spec{
-		Version: Version, Seed: 1, VRounds: 1 << 30,
-		Grid:    Grid{Cols: 15, Rows: 15},
-		Devices: Devices{Replicas: 3, Pingers: true, Listeners: 100_000},
-	}
+// buildAllocs builds s and returns what the build allocated: megabytes and
+// heap objects in all.
+func buildAllocs(t *testing.T, s Spec) (mb float64, mallocs uint64) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	w, err := Build(s)
@@ -81,10 +70,57 @@ func TestBuildCityAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	defer w.Eng.Close()
-	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-	t.Logf("Build of the 100k city document: %.1f MB in %d allocations", mb, after.Mallocs-before.Mallocs)
+	w.Eng.Close()
+	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20), after.Mallocs - before.Mallocs
+}
+
+// citySpec is the city document of the bench workloads: the 15x15 grid
+// with three replicas and a pinger per region, and listeners roaming it.
+func citySpec(listeners int) Spec {
+	return Spec{
+		Version: Version, Seed: 1, VRounds: 1 << 30,
+		Grid:    Grid{Cols: 15, Rows: 15},
+		Devices: Devices{Replicas: 3, Pingers: true, Listeners: listeners},
+	}
+}
+
+// TestBuildCityAllocs is the counted gate on construction: building the
+// 100k-listener city document — the city-100k workloads' world — allocates
+// at most 28 MB in at most 8 000 heap objects. The engine reserves its
+// per-node slices for the population up front (sim.Engine.Reserve) and the
+// deployment carves clients from chunks (vi.Deployment.NewClient), so what
+// remains is the replicas' emulators, managers and cores; growing the slices
+// through every doubling took the figure to 44.6 MB, and one heap object
+// per listener to 110 547 allocations.
+func TestBuildCityAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	mb, mallocs := buildAllocs(t, citySpec(100_000))
+	t.Logf("Build of the 100k city document: %.1f MB in %d allocations", mb, mallocs)
 	if mb > 28 {
 		t.Errorf("Build of the 100k city document allocates %.1f MB, want <= 28", mb)
+	}
+	if mallocs > 8000 {
+		t.Errorf("Build of the 100k city document allocates %d times, want <= 8000", mallocs)
+	}
+}
+
+// TestBuildMetroAllocs is the counted gate on the metro-vi workload's world,
+// the city document without listeners (900 static devices): at most 1 MB in
+// at most 7 500 heap objects. The schedule is colored once, by
+// vi.NewDeployment, straight off the location index; coloring it twice
+// through per-node neighbor lists took 1.92 MB and 10 546 allocations.
+func TestBuildMetroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	mb, mallocs := buildAllocs(t, citySpec(0))
+	t.Logf("Build of the metro document: %.2f MB in %d allocations", mb, mallocs)
+	if mb > 1 {
+		t.Errorf("Build of the metro document allocates %.2f MB, want <= 1", mb)
+	}
+	if mallocs > 7500 {
+		t.Errorf("Build of the metro document allocates %d times, want <= 7500", mallocs)
 	}
 }

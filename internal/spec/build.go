@@ -64,28 +64,28 @@ type counterState struct {
 	Pings int
 }
 
-func counterProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
-	return func(v vi.VNodeID) vi.Program {
-		return vi.Codec[counterState]{
-			InitState: func(vi.VNodeID, geo.Point) counterState { return counterState{} },
-			Step: func(s counterState, _ int, in vi.RoundInput) counterState {
-				s.Pings += len(in.Msgs)
-				return s
-			},
-			Out: func(s counterState, vround int) *vi.Message {
-				if !sched.ScheduledIn(v, vround-1) {
-					return nil
-				}
-				b := append(make([]byte, 0, 16), "count="...)
-				return &vi.Message{Payload: strconv.AppendInt(b, int64(s.Pings), 10)}
-			},
-			EncodeState: func(dst []byte, s counterState) []byte {
-				return wire.AppendUvarint(dst, uint64(s.Pings))
-			},
-			DecodeState: func(d *wire.Decoder) (counterState, error) {
-				return counterState{Pings: int(d.Uvarint())}, d.Err()
-			},
-		}
+// counterProgram is virtual node v's counter program, the default app's
+// vi.DeploymentConfig.Program.
+func counterProgram(v vi.VNodeID, sched vi.Schedule) vi.Program {
+	return vi.Codec[counterState]{
+		InitState: func(vi.VNodeID, geo.Point) counterState { return counterState{} },
+		Step: func(s counterState, _ int, in vi.RoundInput) counterState {
+			s.Pings += len(in.Msgs)
+			return s
+		},
+		Out: func(s counterState, vround int) *vi.Message {
+			if !sched.ScheduledIn(v, vround-1) {
+				return nil
+			}
+			b := append(make([]byte, 0, 16), "count="...)
+			return &vi.Message{Payload: strconv.AppendInt(b, int64(s.Pings), 10)}
+		},
+		EncodeState: func(dst []byte, s counterState) []byte {
+			return wire.AppendUvarint(dst, uint64(s.Pings))
+		},
+		DecodeState: func(d *wire.Decoder) (counterState, error) {
+			return counterState{Pings: int(d.Uvarint())}, d.Err()
+		},
 	}
 }
 
@@ -124,7 +124,6 @@ func Build(s Spec) (*World, error) {
 	grid := geo.Grid{Spacing: s.Grid.Spacing, Cols: s.Grid.Cols, Rows: s.Grid.Rows}
 	locs := grid.Locations()
 	radii := geo.Radii{R1: s.Radii.R1, R2: s.Radii.R2}
-	sched := vi.BuildSchedule(locs, radii)
 
 	cfg := vi.DeploymentConfig{
 		Locations: locs,
@@ -133,13 +132,13 @@ func Build(s Spec) (*World, error) {
 	}
 	switch s.App {
 	case "tracker":
-		cfg.Program = apps.TrackerProgram(sched)
+		cfg.Program = apps.TrackerProgram
 	case "router":
-		cfg.Program = apps.RouterProgram(sched, locs)
+		cfg.Program = apps.RouterProgram(locs)
 	case "lock":
-		cfg.Program = apps.LockProgram(sched)
+		cfg.Program = apps.LockProgram
 	default:
-		cfg.Program = counterProgram(sched)
+		cfg.Program = counterProgram
 	}
 	var setLeaders []func(sim.NodeID)
 	if s.Leader == "fixed" {

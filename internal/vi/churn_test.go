@@ -23,12 +23,11 @@ import (
 // stay consistent.
 func TestMobileReplicasWithBackoffCM(t *testing.T) {
 	locs := []geo.Point{{X: 0, Y: 0}}
-	sched := vi.BuildSchedule(locs, testRadii)
 	const vmax = 0.02
 	dep, err := vi.NewDeployment(vi.DeploymentConfig{
 		Locations: locs,
 		Radii:     testRadii,
-		Program:   counterProgram(sched),
+		Program:   counterProgram,
 		VMax:      vmax,
 	})
 	if err != nil {
@@ -136,12 +135,11 @@ func TestTravelerJoinsRemoteRegion(t *testing.T) {
 // virtual infrastructure).
 func TestVNodeSurvivesTotalReplicaTurnover(t *testing.T) {
 	locs := []geo.Point{{X: 0, Y: 0}}
-	sched := vi.BuildSchedule(locs, testRadii)
 	factory, setLeader := cm.NewFixed(0)
 	dep, err := vi.NewDeployment(vi.DeploymentConfig{
 		Locations: locs,
 		Radii:     testRadii,
-		Program:   counterProgram(sched),
+		Program:   counterProgram,
 		NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
 			return factory(env)
 		},

@@ -52,9 +52,24 @@ type Client struct {
 
 var _ sim.Node = (*Client)(nil)
 
-// NewClient builds a client for the deployment.
+// NewClient builds a client for the deployment. Clients are carved from
+// chunks the deployment allocates, half as long as the count carved so far
+// (16 to 4096 entries), so a city of listeners costs a few dozen
+// allocations rather than one per device. The fields are set one by one: a
+// whole-struct store into a chunk costs a copy and, while the collector
+// marks, a write barrier over every pointer field. NewClient is called
+// where the engine's Attach builds a node, never concurrently with itself.
 func (d *Deployment) NewClient(env sim.Env, prog ClientProgram) *Client {
-	return &Client{env: env, d: d, prog: prog}
+	if len(d.clients) == 0 {
+		d.clients = make([]Client, min(max(d.carved/2, 16), 4096))
+	}
+	c := &d.clients[0]
+	d.clients = d.clients[1:]
+	d.carved++
+	c.env = env
+	c.d = d
+	c.prog = prog
+	return c
 }
 
 // Transmit implements sim.Node.

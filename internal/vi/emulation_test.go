@@ -27,27 +27,25 @@ type counterState struct {
 }
 
 // counterProgram counts messages and, when scheduled, broadcasts the count.
-func counterProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
-	return func(v vi.VNodeID) vi.Program {
-		return vi.Codec[counterState]{
-			InitState: func(vi.VNodeID, geo.Point) counterState { return counterState{} },
-			Step: func(s counterState, vround int, in vi.RoundInput) counterState {
-				s.Rounds++
-				s.Pings += len(in.Msgs)
-				for _, m := range in.Msgs {
-					s.Heard = append(s.Heard, string(m))
-				}
-				return s
-			},
-			Out: func(s counterState, vround int) *vi.Message {
-				if !sched.ScheduledIn(v, vround-1) {
-					return nil
-				}
-				return vi.Text(fmt.Sprintf("count=%d", s.Pings))
-			},
-			EncodeState: encodeCounterState,
-			DecodeState: decodeCounterState,
-		}
+func counterProgram(v vi.VNodeID, sched vi.Schedule) vi.Program {
+	return vi.Codec[counterState]{
+		InitState: func(vi.VNodeID, geo.Point) counterState { return counterState{} },
+		Step: func(s counterState, vround int, in vi.RoundInput) counterState {
+			s.Rounds++
+			s.Pings += len(in.Msgs)
+			for _, m := range in.Msgs {
+				s.Heard = append(s.Heard, string(m))
+			}
+			return s
+		},
+		Out: func(s counterState, vround int) *vi.Message {
+			if !sched.ScheduledIn(v, vround-1) {
+				return nil
+			}
+			return vi.Text(fmt.Sprintf("count=%d", s.Pings))
+		},
+		EncodeState: encodeCounterState,
+		DecodeState: decodeCounterState,
 	}
 }
 
@@ -102,7 +100,7 @@ type testbedOpts struct {
 	detector    cd.Detector
 	// program overrides counterProgram, whose state remembers everything it
 	// heard and so grows with the run.
-	program func(vi.Schedule) func(vi.VNodeID) vi.Program
+	program func(vi.VNodeID, vi.Schedule) vi.Program
 }
 
 func newTestbed(t testing.TB, o testbedOpts) *testbed {
@@ -119,7 +117,7 @@ func newTestbed(t testing.TB, o testbedOpts) *testbed {
 	cfg := vi.DeploymentConfig{
 		Locations: o.locs,
 		Radii:     testRadii,
-		Program:   o.program(vi.BuildSchedule(o.locs, testRadii)),
+		Program:   o.program,
 	}
 	if o.leaders {
 		leaders := make(map[vi.VNodeID]sim.NodeID, len(o.locs))
@@ -430,7 +428,7 @@ func TestDeploymentValidation(t *testing.T) {
 	base := vi.DeploymentConfig{
 		Locations: []geo.Point{{}},
 		Radii:     testRadii,
-		Program:   counterProgram(vi.BuildSchedule([]geo.Point{{}}, testRadii)),
+		Program:   counterProgram,
 	}
 	if _, err := vi.NewDeployment(base); err != nil {
 		t.Errorf("valid config rejected: %v", err)
@@ -456,7 +454,7 @@ func TestRegionOf(t *testing.T) {
 	dep, err := vi.NewDeployment(vi.DeploymentConfig{
 		Locations: []geo.Point{{X: 0}, {X: 6}},
 		Radii:     testRadii,
-		Program:   counterProgram(vi.BuildSchedule([]geo.Point{{X: 0}, {X: 6}}, testRadii)),
+		Program:   counterProgram,
 	})
 	if err != nil {
 		t.Fatal(err)

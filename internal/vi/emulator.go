@@ -13,8 +13,9 @@ import (
 
 // Deployment describes a virtual infrastructure: the fixed virtual-node
 // locations, the radio parameters, the broadcast schedule derived from
-// them, and the per-virtual-node programs. It is immutable and shared by
-// every emulator and client.
+// them, and the per-virtual-node programs. It is shared by every emulator
+// and client, and read-only while rounds run: the one thing that changes is
+// the chunk NewClient carves clients from, and only where a node is built.
 type Deployment struct {
 	locs     []geo.Point
 	regionIx *geo.CellIndex // cell size R1/4: RegionOf is a 3x3-cell probe
@@ -24,6 +25,11 @@ type Deployment struct {
 	programs []Program // one per virtual node, shared by all its replicas
 	vmax     float64
 	newCM    func(v VNodeID, env sim.Env) cm.Manager
+
+	// clients is the tail of the chunk NewClient carves the next Client
+	// from, and carved the number of clients carved so far; see NewClient.
+	clients []Client
+	carved  int
 }
 
 // DeploymentConfig parameterizes NewDeployment.
@@ -33,10 +39,12 @@ type DeploymentConfig struct {
 	// Radii are the quasi-unit-disk radio parameters. Required.
 	Radii geo.Radii
 	// Program supplies each virtual node's automaton. Required. It is
-	// called once per virtual node, by NewDeployment: a program is a
-	// deterministic automaton every replica of the node shares, its state
-	// the byte strings it is handed, never anything it closes over.
-	Program func(VNodeID) Program
+	// called once per virtual node, by NewDeployment, with the deployment's
+	// broadcast schedule (a program that speaks only in its own slot reads
+	// it): a program is a deterministic automaton every replica of the node
+	// shares, its state the byte strings it is handed, never anything it
+	// closes over.
+	Program func(VNodeID, Schedule) Program
 	// VMax bounds device speed; it shrinks the regional contention
 	// manager's leader-eligibility margin (Section 4.2). Optional.
 	VMax float64
@@ -45,8 +53,9 @@ type DeploymentConfig struct {
 	NewCM func(v VNodeID, env sim.Env) cm.Manager
 }
 
-// NewDeployment validates the configuration, builds the schedule, and
-// returns the deployment.
+// NewDeployment validates the configuration, colors the broadcast schedule
+// — the one coloring a deployment pays for — and hands it to the Program
+// factory for every virtual node, then returns the deployment.
 func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	if len(cfg.Locations) == 0 {
 		return nil, fmt.Errorf("vi: deployment requires at least one virtual node location")
@@ -63,12 +72,12 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		programs: make([]Program, len(cfg.Locations)),
 		vmax:     cfg.VMax,
 	}
-	for v := range d.programs {
-		d.programs[v] = cfg.Program(VNodeID(v))
-	}
 	d.regionIx = geo.BuildCellIndex(d.locs, d.RegionRadius())
 	d.schedule = BuildSchedule(d.locs, d.radii)
 	d.timing = Timing{S: d.schedule.Len()}
+	for v := range d.programs {
+		d.programs[v] = cfg.Program(VNodeID(v), d.schedule)
+	}
 	if cfg.NewCM != nil {
 		d.newCM = cfg.NewCM
 	} else {

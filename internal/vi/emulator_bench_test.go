@@ -2,6 +2,7 @@ package vi_test
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -129,6 +130,43 @@ func BenchmarkEmulatorVRound(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				bed.eng.Run(per)
+			}
+		})
+	}
+}
+
+// TestBuildScheduleAllocs is the counted gate on coloring: the schedule of
+// the 300x300 grid at spacing 6 and radii 10/20 — 90 000 virtual nodes,
+// each in conflict with about 200 — allocates at most 8 MB in all. It
+// reads the slots of the colored neighbors straight off the location
+// index; the sorted neighbor lists it built before took 371 MB.
+func TestBuildScheduleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	locs := geo.Grid{Spacing: 6, Cols: 300, Rows: 300}.Locations()
+	radii := geo.Radii{R1: 10, R2: 20}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := vi.BuildSchedule(locs, radii)
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("BuildSchedule of %d virtual nodes: %d slots, %.1f MB in %d allocations",
+		len(locs), s.Len(), mb, after.Mallocs-before.Mallocs)
+	if mb > 8 {
+		t.Errorf("BuildSchedule of the 300x300 grid allocates %.1f MB, want <= 8", mb)
+	}
+}
+
+// BenchmarkBuildSchedule colors the 15x15 grid of the city documents and
+// the 300x300 one of the allocation gate.
+func BenchmarkBuildSchedule(b *testing.B) {
+	for _, n := range []int{15, 300} {
+		locs := geo.Grid{Spacing: 6, Cols: n, Rows: n}.Locations()
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				vi.BuildSchedule(locs, geo.Radii{R1: 10, R2: 20})
 			}
 		})
 	}

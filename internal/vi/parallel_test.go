@@ -22,11 +22,10 @@ import (
 func TestFullStackParallelDeterminism(t *testing.T) {
 	run := func(parallel bool) []string {
 		locs := geo.Grid{Spacing: 6, Cols: 2, Rows: 1}.Locations()
-		sched := vi.BuildSchedule(locs, testRadii)
 		dep, err := vi.NewDeployment(vi.DeploymentConfig{
 			Locations: locs,
 			Radii:     testRadii,
-			Program:   counterProgram(sched),
+			Program:   counterProgram,
 			NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
 				return cm.NewBackoff(cm.BackoffConfig{})(env)
 			},

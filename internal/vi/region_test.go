@@ -34,7 +34,7 @@ func TestRegionOfMatchesLinearScan(t *testing.T) {
 		dep, err := vi.NewDeployment(vi.DeploymentConfig{
 			Locations: locs,
 			Radii:     radii,
-			Program:   func(vi.VNodeID) vi.Program { return noopProgram{} },
+			Program:   func(vi.VNodeID, vi.Schedule) vi.Program { return noopProgram{} },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestRegionOfCoincidentLocations(t *testing.T) {
 	dep, err := vi.NewDeployment(vi.DeploymentConfig{
 		Locations: locs,
 		Radii:     testRadii,
-		Program:   func(vi.VNodeID) vi.Program { return noopProgram{} },
+		Program:   func(vi.VNodeID, vi.Schedule) vi.Program { return noopProgram{} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func benchDeployment(b *testing.B, n int) (*vi.Deployment, float64) {
 	dep, err := vi.NewDeployment(vi.DeploymentConfig{
 		Locations: locs,
 		Radii:     testRadii,
-		Program:   func(vi.VNodeID) vi.Program { return noopProgram{} },
+		Program:   func(vi.VNodeID, vi.Schedule) vi.Program { return noopProgram{} },
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -10,9 +10,11 @@ import (
 // Schedule assigns every virtual node to exactly one broadcast slot such
 // that no two virtual nodes within distance R1 + 2*R2 share a slot
 // (Section 4.1: a complete, non-conflicting schedule). Because virtual
-// nodes are static, the schedule is computed centrally in advance by greedy
-// graph coloring of the conflict graph; its length depends only on the
-// deployment density.
+// nodes are static, the schedule is computed centrally in advance, once per
+// deployment, by greedy coloring of the conflict graph — read off a
+// location index, never built, so coloring takes memory linear in the
+// virtual nodes (BuildSchedule); its length depends only on the deployment
+// density.
 type Schedule struct {
 	slots  [][]VNodeID
 	slotOf []int
@@ -23,49 +25,41 @@ type Schedule struct {
 func ConflictThreshold(r geo.Radii) float64 { return r.R1 + 2*r.R2 }
 
 // BuildSchedule colors the conflict graph of the given virtual-node
-// locations greedily (in index order) and returns the schedule. One
-// []bool slot-mark buffer is reused across nodes (marks are cleared by
-// walking the neighbor list again, so each node costs O(degree), not
-// O(max slot)); the produced coloring is identical to the textbook
-// smallest-free-slot greedy pass.
+// locations greedily, in index order: each virtual node takes the smallest
+// slot no already-colored virtual node within ConflictThreshold of it
+// holds. The conflict graph is never built. The locations are indexed once
+// in a geo.CellIndex whose cell is the threshold, and each virtual node
+// reads its colored neighbors' slots straight off the 3x3 block of cells
+// around it, so memory is O(virtual nodes) — no adjacency list, nothing
+// sorted — and the neighbor set, hence the schedule, is the one a
+// neighbor-list pass produces.
+//
+// A slot counts as taken for node v when its stamp reads v+1, so the marks
+// of one node are never cleared; a node's slot is at most one past the
+// highest slot given out so far, so the stamps need the schedule length
+// plus one entries.
 func BuildSchedule(locs []geo.Point, radii geo.Radii) Schedule {
-	adj := geo.NeighborGraph(locs, ConflictThreshold(radii))
+	threshold := ConflictThreshold(radii)
+	t2 := threshold * threshold
+	ix := geo.BuildCellIndex(locs, threshold)
 	slotOf := make([]int, len(locs))
-	for i := range slotOf {
-		slotOf[i] = -1
-	}
-	// A node with degree d has at most d occupied neighbor slots, so slot
-	// indexes never exceed the maximum degree; +1 covers the probe past
-	// the last occupied slot.
-	maxDeg := 0
-	for _, ns := range adj {
-		if len(ns) > maxDeg {
-			maxDeg = len(ns)
-		}
-	}
-	used := make([]bool, maxDeg+1)
-	maxSlot := -1
-	for v := range locs {
-		for _, u := range adj[v] {
-			if s := slotOf[u]; s >= 0 {
-				used[s] = true
+	taken := []int{0}
+	for v, p := range locs {
+		ix.VisitNear(p, 1, func(u int32) {
+			if int(u) < v && locs[u].Dist2(p) <= t2 {
+				taken[slotOf[u]] = v + 1
 			}
-		}
+		})
 		slot := 0
-		for used[slot] {
+		for taken[slot] == v+1 {
 			slot++
 		}
-		for _, u := range adj[v] {
-			if s := slotOf[u]; s >= 0 {
-				used[s] = false
-			}
-		}
 		slotOf[v] = slot
-		if slot > maxSlot {
-			maxSlot = slot
+		if slot == len(taken)-1 {
+			taken = append(taken, 0)
 		}
 	}
-	slots := make([][]VNodeID, maxSlot+1)
+	slots := make([][]VNodeID, len(taken)-1)
 	for v, s := range slotOf {
 		slots[s] = append(slots[s], VNodeID(v))
 	}

@@ -91,11 +91,11 @@ func TestTimingDecomposeBijection(t *testing.T) {
 
 // buildScheduleReference is the original map-based greedy coloring: for
 // each node in index order, collect the neighbor slots in a map and take
-// the smallest free slot. BuildSchedule replaced the per-node map with a
-// reusable []bool mark buffer; this reference pins that the produced
-// coloring is bit-identical.
+// the smallest free slot. BuildSchedule has since replaced the map with
+// stamped slot marks and the neighbor lists with location-index probes;
+// this reference pins that the produced coloring is bit-identical.
 func buildScheduleReference(locs []geo.Point, radii geo.Radii) []int {
-	adj := geo.NeighborGraph(locs, ConflictThreshold(radii))
+	adj := neighborGraph(locs, ConflictThreshold(radii))
 	slotOf := make([]int, len(locs))
 	for i := range slotOf {
 		slotOf[i] = -1
@@ -116,9 +116,9 @@ func buildScheduleReference(locs []geo.Point, radii geo.Radii) []int {
 	return slotOf
 }
 
-// Property: the slot-mark-buffer coloring equals the map-based greedy
-// coloring on arbitrary deployments — the buffer reuse is a pure
-// optimization, not a schedule change.
+// Property: BuildSchedule's coloring equals the map-based greedy coloring
+// on arbitrary deployments — how it finds neighbors and marks their slots
+// is a pure optimization, not a schedule change.
 func TestBuildScheduleMatchesMapReference(t *testing.T) {
 	f := func(seed uint32, nRaw uint8) bool {
 		n := int(nRaw%40) + 1

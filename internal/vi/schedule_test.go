@@ -58,7 +58,7 @@ func TestBuildScheduleGridCompleteAndNonConflicting(t *testing.T) {
 		}
 		// Length depends only on density: bounded by the max conflict
 		// degree + 1.
-		adj := geo.NeighborGraph(locs, ConflictThreshold(testRadii))
+		adj := neighborGraph(locs, ConflictThreshold(testRadii))
 		maxDeg := 0
 		for _, ns := range adj {
 			if len(ns) > maxDeg {

@@ -50,11 +50,10 @@ func TestVIAgreementUnderLossManySeeds(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		checker := newVIAgreementChecker()
 		locs := geo.Grid{Spacing: 6, Cols: 2, Rows: 1}.Locations()
-		sched := vi.BuildSchedule(locs, testRadii)
 		dep, err := vi.NewDeployment(vi.DeploymentConfig{
 			Locations: locs,
 			Radii:     testRadii,
-			Program:   counterProgram(sched),
+			Program:   counterProgram,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -51,20 +51,18 @@ func TestLongRunStateIsAWindow(t *testing.T) {
 
 // tallyProgram is a virtual node whose state stays one varint however long
 // it runs: it counts the messages it was delivered and says so when scheduled.
-func tallyProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
-	return func(v vi.VNodeID) vi.Program {
-		return vi.Codec[int]{
-			InitState: func(vi.VNodeID, geo.Point) int { return 0 },
-			Step:      func(n, _ int, in vi.RoundInput) int { return n + len(in.Msgs) },
-			Out: func(n, vround int) *vi.Message {
-				if !sched.ScheduledIn(v, vround-1) {
-					return nil
-				}
-				return vi.Text(fmt.Sprintf("count=%d", n))
-			},
-			EncodeState: func(dst []byte, n int) []byte { return wire.AppendUvarint(dst, uint64(n)) },
-			DecodeState: func(d *wire.Decoder) (int, error) { return int(d.Uvarint()), d.Err() },
-		}
+func tallyProgram(v vi.VNodeID, sched vi.Schedule) vi.Program {
+	return vi.Codec[int]{
+		InitState: func(vi.VNodeID, geo.Point) int { return 0 },
+		Step:      func(n, _ int, in vi.RoundInput) int { return n + len(in.Msgs) },
+		Out: func(n, vround int) *vi.Message {
+			if !sched.ScheduledIn(v, vround-1) {
+				return nil
+			}
+			return vi.Text(fmt.Sprintf("count=%d", n))
+		},
+		EncodeState: func(dst []byte, n int) []byte { return wire.AppendUvarint(dst, uint64(n)) },
+		DecodeState: func(d *wire.Decoder) (int, error) { return int(d.Uvarint()), d.Err() },
 	}
 }
 
