@@ -84,6 +84,10 @@
 //   - cha: Convergent History Agreement, the paper's core protocol.
 //     Value is a byte string carrying a cached digest, so history digests
 //     fold cached 64-bit digests instead of re-hashing proposal bytes.
+//     An instance walks the history chain once: a green Output.History is
+//     the core's HistoryView, valid until its next HistoryView or
+//     ObserveVeto2 (CalculateHistory is the copy to keep), and a ballot
+//     travels as a *BallotMsg into its sender, valid for its round.
 //     Recorder, the theorem checker, is a window like Core: the positions
 //     above the lowest checkpoint floor among live nodes, and one record
 //     per node. It needs each node registered (OutputFunc) before its
@@ -95,7 +99,9 @@
 //     wire; Codec adapts typed states through explicit
 //     EncodeState/DecodeState functions, and every protocol message's
 //     WireSize is the exact length of its encoding; nothing in the
-//     module uses encoding/gob. Monitor accounts per-virtual-node
+//     module uses encoding/gob. A replica's state cache lives in its
+//     Emulator, proposals encode with one allocation, and agreed values
+//     decode into a RoundInput the replica reuses. Monitor accounts per-virtual-node
 //     availability: green instances, maximal stalls and recovery
 //     latencies through a horizon, so a silenced node counts as
 //     unavailable. Devices sleep through the radio rounds they have no
@@ -189,19 +195,21 @@
 //	go test ./internal/sim/ -bench 'EngineStep|EngineMobility' -benchtime 10x
 //	go test ./internal/vi/ -bench 'RegionOf' -benchtime 100000x
 //	go test ./internal/vi/ -bench 'EmulatorVRound' -benchtime 30x
+//	go test ./internal/spec/ -bench 'MetroVRound' -benchtime 200x -benchmem
 //	go run ./cmd/chabench -only E11,E12,E13,E14
 //
 // Steady-state allocations per round are gated by tests (skipped under
 // -race): TestDeliverSteadyStateAllocs and TestEngineStepSteadyStateAllocs
 // pin the allocation-free round loop — neither Engine.Step nor Deliver
 // allocates, a round's received messages being windows onto one arena the
-// medium refills — TestNormalizeSteadyStateAllocs the proposal's sort, and
+// medium refills — TestEncodeSteadyStateAllocs the proposal's encoding (one
+// allocation, the value), and
 // TestEmulatorVRoundSteadyStateAllocs pins the wire-codec state plane (a
-// full virtual round at 9 led, green virtual nodes in at most 146
+// full virtual round at 9 led, green virtual nodes in at most 90
 // allocations, the same over t and 8t virtual rounds; the gob+string stack
 // needed ~10,400), with spec's
 // TestWorldVRoundSteadyStateAllocs holding the world spec.Build makes to
-// the same kind of budget (at most 150, the same over 36 and 288 virtual
+// the same kind of budget (at most 85, the same over 36 and 288 virtual
 // rounds). Construction has gates of its own: TestBuildCityAllocs,
 // TestBuildMetroAllocs and vi's TestBuildScheduleAllocs. CI also
 // runs a fuzz smoke job: 10 seconds each over the wire decoder and the

@@ -138,6 +138,9 @@ func (c *Core) NeedVeto2() bool { return c.Status(c.k) <= Orange }
 type Output struct {
 	Instance Instance
 	// History is the output history, or nil for ⊥ (non-green instances).
+	// It is the core's HistoryView: valid until the core's next
+	// HistoryView or ObserveVeto2, so a consumer reads it inside the hook
+	// it is handed to and keeps CalculateHistory's copy, not it.
 	History *History
 	// Color is the final color this node assigned to the instance.
 	Color Color
@@ -154,9 +157,9 @@ func (o Output) Decided() bool { return o.History != nil }
 // lines 36–45): a veto or collision downgrades to (at most) yellow; good
 // instances advance the prev-instance pointer; the history is calculated;
 // and the output is the history if the instance stayed green, ⊥ otherwise.
-// The history of a ⊥ output is calculated all the same — a broken chain
-// counts whatever the color — but into the core's own scratch, so it
-// invalidates a HistoryView.
+// The history is calculated once, into the core's view, whatever the color
+// — a broken chain counts either way — and a green output publishes that
+// view (see Output.History).
 func (c *Core) ObserveVeto2(sawVeto, collision bool) Output {
 	if sawVeto || collision {
 		c.downgrade(c.k, Yellow)
@@ -166,10 +169,8 @@ func (c *Core) ObserveVeto2(sawVeto, collision bool) Output {
 		c.prev = c.k
 	}
 	out := Output{Instance: c.k, Color: st, Floor: c.floor}
-	if st == Green {
-		out.History = c.CalculateHistory()
-	} else {
-		c.HistoryView()
+	if h := c.HistoryView(); st == Green {
+		out.History = h
 	}
 	return out
 }
@@ -178,7 +179,8 @@ func (c *Core) ObserveVeto2(sawVeto, collision bool) Output {
 // the chain of prev-instance pointers starting from its own prev pointer,
 // evaluated at the current instance. The virtual-node emulation uses it to
 // materialize the virtual node's state between outputs (Section 3.3). The
-// result is freshly allocated and the caller's to keep.
+// result is freshly allocated and the caller's to keep: it is the call for
+// code that holds a history past the round it was output in.
 func (c *Core) CalculateHistory() *History {
 	h := new(History)
 	c.calculateHistory(h)
@@ -187,8 +189,9 @@ func (c *Core) CalculateHistory() *History {
 
 // HistoryView is CalculateHistory into storage the core owns and reuses:
 // the result is valid until the next HistoryView or ObserveVeto2 on this
-// core, and must not be retained past it. It is for the caller that reads
-// the estimate and drops it, every round.
+// core, and must not be retained past it — the retain rule of
+// sim.Reception.Msgs. It is for the caller that reads the estimate and
+// drops it, every round, and it is what a green Output.History is.
 func (c *Core) HistoryView() *History {
 	c.calculateHistory(&c.view)
 	return &c.view

@@ -167,10 +167,10 @@ func MinBallot(bs []Ballot) Ballot {
 // (Section 3.5), those past its end were never on the chain. At is a bounds
 // check and an index.
 //
-// A History reached through Output.History is freshly allocated and
-// immutable once published by the protocol; callers may retain it. The one
-// returned by Core.HistoryView is the core's own scratch and is overwritten
-// by the core's next history calculation — read it and drop it.
+// A History reached through Output.History or Core.HistoryView is the
+// core's own view and is overwritten by the core's next history calculation
+// — read it and drop it. Core.CalculateHistory returns a fresh one, the
+// caller's to keep.
 type History struct {
 	top, floor Instance
 	ents       []position

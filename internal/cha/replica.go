@@ -42,7 +42,9 @@ func PhaseOf(r sim.Round) (Instance, Phase) {
 
 // BallotMsg carries a ballot on the wire: the length-prefixed proposal
 // value plus the prev-instance pointer, which the paper counts as constant
-// (footnote: "we consider an array index to be of constant size").
+// (footnote: "we consider an array index to be of constant size"). It
+// travels as a *BallotMsg that points into the sender, which rewrites it at
+// its next ballot: like any message, it is valid for its round.
 type BallotMsg struct {
 	B Ballot
 }
@@ -86,7 +88,8 @@ type Replica struct {
 	cfg  Config
 	core *Core
 
-	broadcastBallot bool // whether this node broadcast in the current ballot phase
+	broadcastBallot bool      // whether this node broadcast in the current ballot phase
+	ballot          BallotMsg // the last ballot broadcast; Transmit hands out a pointer to it
 
 	ckpt CheckpointState
 }
@@ -129,7 +132,8 @@ func (r *Replica) Transmit(round sim.Round) sim.Message {
 		b := r.core.Begin(k, v)
 		r.broadcastBallot = r.cfg.CM.Advice(round)
 		if r.broadcastBallot {
-			return BallotMsg{B: b}
+			r.ballot.B = b
+			return &r.ballot
 		}
 		return nil
 	case PhaseVeto1:
@@ -179,7 +183,7 @@ func (r *Replica) fold(out Output) {
 // reception carried a ballot at all.
 func MinBallotOf(msgs []sim.Message) (b Ballot, heard bool) {
 	for _, m := range msgs {
-		if bm, ok := m.(BallotMsg); ok && (!heard || bm.B.Less(b)) {
+		if bm, ok := m.(*BallotMsg); ok && (!heard || bm.B.Less(b)) {
 			b, heard = bm.B, true
 		}
 	}

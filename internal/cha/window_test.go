@@ -128,8 +128,17 @@ func (p *corePair) instance(rng *rand.Rand, k Instance, bad bool) (green bool) {
 	}
 	if wo.Decided() {
 		p.sameHistory("Output.History", wo.History, oo.History, p.step%p.check == 0)
-		if wo.History == &p.w.view {
-			p.fatalf("a published history is the core's scratch view")
+		// A published history is the core's view, and equals the copy
+		// CalculateHistory takes at publication. The oracle walks as well,
+		// so that broken chains count alike.
+		if wo.History != &p.w.view {
+			p.fatalf("a published history is not the core's view")
+		}
+		cp := p.w.CalculateHistory()
+		p.o.CalculateHistory()
+		if cp.Top() != wo.History.Top() || digest(cp) != digest(wo.History) ||
+			fmt.Sprint(cp.Included()) != fmt.Sprint(wo.History.Included()) {
+			p.fatalf("published history %v, CalculateHistory at publication %v", wo.History, cp)
 		}
 	}
 	p.same()

@@ -14,9 +14,10 @@ import (
 // over t = lcm(4, s) = 36 and 8t virtual rounds with the collector off (as
 // in vi's gate): the two counts must be equal, or the work per virtual round
 // grows with the run.
-// The measured value is 122 and the pin 150; the figure before the
-// agreement layer became a window was 450 (CHANGES.md, PR 22), and before
-// the medium's Msgs arena and fmt-free payloads 206.
+// The measured value is 72 and the pin 85; the figure before the agreement
+// layer became a window was 450 (CHANGES.md, PR 22), before the medium's
+// Msgs arena and fmt-free payloads 206, and before outputs carried the
+// core's history view and round inputs were decoded into a reused value 122.
 func TestWorldVRoundSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -51,8 +52,8 @@ func TestWorldVRoundSteadyStateAllocs(t *testing.T) {
 		t.Errorf("a virtual round allocates %.2f times over %d rounds and %.2f over %d: the work per round grows with the run",
 			short, rounds, long, 8*rounds)
 	}
-	if long > 150 {
-		t.Errorf("steady-state virtual round of the 3x3 world allocates %.0f times, want <= 150", long)
+	if long > 85 {
+		t.Errorf("steady-state virtual round of the 3x3 world allocates %.0f times, want <= 85", long)
 	}
 	if a := w.Summary().MeanAvailability; a != 1 {
 		t.Fatalf("fault-free availability %.3f, want 1.0", a)
@@ -86,12 +87,13 @@ func citySpec(listeners int) Spec {
 
 // TestBuildCityAllocs is the counted gate on construction: building the
 // 100k-listener city document — the city-100k workloads' world — allocates
-// at most 28 MB in at most 8 000 heap objects. The engine reserves its
+// at most 28 MB in at most 5 800 heap objects. The engine reserves its
 // per-node slices for the population up front (sim.Engine.Reserve) and the
 // deployment carves clients from chunks (vi.Deployment.NewClient), so what
 // remains is the replicas' emulators, managers and cores; growing the slices
-// through every doubling took the figure to 44.6 MB, and one heap object
-// per listener to 110 547 allocations.
+// through every doubling took the figure to 44.6 MB, one heap object per
+// listener to 110 547 allocations, and a state cache of its own per replica,
+// with a throwaway initial state, to 6 368.
 func TestBuildCityAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -101,16 +103,18 @@ func TestBuildCityAllocs(t *testing.T) {
 	if mb > 28 {
 		t.Errorf("Build of the 100k city document allocates %.1f MB, want <= 28", mb)
 	}
-	if mallocs > 8000 {
-		t.Errorf("Build of the 100k city document allocates %d times, want <= 8000", mallocs)
+	if mallocs > 5800 {
+		t.Errorf("Build of the 100k city document allocates %d times, want <= 5800", mallocs)
 	}
 }
 
 // TestBuildMetroAllocs is the counted gate on the metro-vi workload's world,
 // the city document without listeners (900 static devices): at most 1 MB in
-// at most 7 500 heap objects. The schedule is colored once, by
-// vi.NewDeployment, straight off the location index; coloring it twice
-// through per-node neighbor lists took 1.92 MB and 10 546 allocations.
+// at most 5 800 heap objects. The schedule is colored once, by
+// vi.NewDeployment, straight off the location index, and a replica's state
+// cache lives in its emulator; coloring it twice through per-node neighbor
+// lists took 1.92 MB and 10 546 allocations, and a state cache of its own
+// per replica, with a throwaway initial state, 6 326.
 func TestBuildMetroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -120,7 +124,28 @@ func TestBuildMetroAllocs(t *testing.T) {
 	if mb > 1 {
 		t.Errorf("Build of the metro document allocates %.2f MB, want <= 1", mb)
 	}
-	if mallocs > 7500 {
-		t.Errorf("Build of the metro document allocates %d times, want <= 7500", mallocs)
+	if mallocs > 5800 {
+		t.Errorf("Build of the metro document allocates %d times, want <= 5800", mallocs)
+	}
+}
+
+// BenchmarkMetroVRound is one virtual round of the metro-vi workload's
+// world — the metro document through Build, warmed up for 200 virtual rounds
+// as the benchmark's pin point is — reporting allocs/op and B/op: every
+// node-round is a replica's, so it is the agreement path's per-round cost
+// on its own.
+func BenchmarkMetroVRound(b *testing.B) {
+	w, err := Build(citySpec(0))
+	if err != nil {
+		b.Fatalf("Build: %v", err)
+	}
+	defer w.Eng.Close()
+	for i := 0; i < 200; i++ {
+		w.StepVRound()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.StepVRound()
 	}
 }

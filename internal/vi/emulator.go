@@ -189,32 +189,36 @@ type Emulator struct {
 	d     *Deployment
 	hooks EmulatorHooks
 
-	vn     VNodeID // current region's virtual node (None when outside)
-	joined bool
+	vn VNodeID // current region's virtual node (None when outside)
 
-	// The clock and region caches. The two small fields fill joined's
-	// padding, so the caches add 24 bytes to an emulator.
-	atOK  bool      // at is the location checkRegion last evaluated
-	sched int8      // scheduled(vr) for vn: 0 not yet worked out, 1 no, 2 yes
-	vr    int       // the virtual round the clock last read (from 1); 0 none
-	at    geo.Point // see atOK
+	// The emulator's eight one-byte fields share one word.
+	joined          bool
+	atOK            bool // at is the location checkRegion last evaluated
+	sched           int8 // scheduled(vr) for vn: 0 not yet worked out, 1 no, 2 yes
+	began           bool // whether Begin was called this vround
+	broadcastBallot bool
+	sawJoinActivity bool // join request or collision in join/join-ack phases
+	requested       bool // joiner: sent a join request this vround
+	gotAck          bool // joiner: adopted an ack this vround
 
-	mgr   cm.Manager
-	core  *cha.Core
-	cache *stateCache
+	// The clock and region caches, with atOK and sched above.
+	vr int       // the virtual round the clock last read (from 1); 0 none
+	at geo.Point // see atOK
+
+	mgr  cm.Manager
+	core *cha.Core
+	// cache is the replica's state cache, zero unless joined. It lives in
+	// the emulator, so a replica is one heap object, not two.
+	cache stateCache
 
 	// Per-virtual-round scratch state. input.Msgs reuses its backing array
 	// across virtual rounds (the encoded proposal copies the bytes out), so
 	// the steady-state message sub-protocol allocates nothing here.
 	input           RoundInput // accumulating message sub-protocol input
-	began           bool       // whether Begin was called this vround
 	expectedPayload []byte     // own VN's expected broadcast payload this vround
-	broadcastBallot bool
-	sawJoinActivity bool // join request or collision in join/join-ack phases
-
-	// Joiner scratch state.
-	requested bool // sent a join request this vround
-	gotAck    bool
+	// ballot is the last ballot this replica broadcast: transmitBallot hands
+	// out a pointer to it, valid for its round (see cha.BallotMsg).
+	ballot cha.BallotMsg
 }
 
 var _ sim.Node = (*Emulator)(nil)
@@ -249,7 +253,7 @@ func (e *Emulator) enterRegion(v VNodeID, mgr cm.Manager) {
 	e.joined = false
 	e.mgr = mgr
 	e.core = nil
-	e.cache = nil
+	e.cache = stateCache{}
 	e.requested = false
 	e.gotAck = false
 }
@@ -259,14 +263,13 @@ func (e *Emulator) leaveRegion() {
 	e.joined = false
 	e.mgr = nil
 	e.core = nil
-	e.cache = nil
+	e.cache = stateCache{}
 }
 
 // becomeReplica installs agreement and application state as of instance
 // floor, making the emulator a full replica.
 func (e *Emulator) becomeReplica(floor cha.Instance, state []byte, core *cha.Core) {
 	e.core = core
-	e.cache = newStateCache(e.d.program(e.vn), e.vn, e.d.locs[e.vn])
 	e.cache.resetAt(floor, state)
 	e.joined = true
 }
@@ -435,8 +438,8 @@ func (e *Emulator) transmitVN(r sim.Round, vr int) sim.Message {
 	if e.vn == None || !e.joined {
 		return nil
 	}
-	state := e.cache.stateBefore(e.core.HistoryView(), vr)
-	out := e.d.program(e.vn).Outgoing(state, vr)
+	prog := e.d.program(e.vn)
+	out := prog.Outgoing(e.cache.stateBefore(prog, e.core.HistoryView, vr), vr)
 	if out == nil {
 		return nil
 	}
@@ -461,7 +464,8 @@ func (e *Emulator) transmitBallot(r sim.Round, vr int) sim.Message {
 	e.began = true
 	e.broadcastBallot = e.mgr.Advice(r)
 	if e.broadcastBallot {
-		return cha.BallotMsg{B: b}
+		e.ballot.B = b
+		return &e.ballot
 	}
 	return nil
 }
@@ -642,7 +646,7 @@ func (e *Emulator) fold(out cha.Output) {
 	state := e.cache.floorState
 	prog := e.d.program(e.vn)
 	for k := e.cache.floor + 1; k <= out.Instance; k++ {
-		state = applyInstance(prog, state, out.History, k)
+		state = e.cache.apply(prog, state, out.History, k)
 	}
 	e.cache.resetAt(out.Instance, state)
 	e.core.GC(out.Instance)

@@ -35,8 +35,8 @@ func benchBed(tb testing.TB, cols, rows int) *testbed {
 
 // TestEmulatorVRoundSteadyStateAllocs gates the virtual round's allocation
 // budget: a 9-virtual-node grid (27 replicas + 9 clients) must run one full
-// virtual round (21 radio rounds) in at most 146 allocations after warm-up —
-// the measured 127 plus 15 % — and the same number per virtual round
+// virtual round (21 radio rounds) in at most 90 allocations after warm-up —
+// the measured 78 plus 15 % — and the same number per virtual round
 // over 8t rounds as over t, with at least 95 % of its agreement instances
 // green. On the gob+string state plane this was ~10,400 allocs per virtual
 // round (every replica gob-encoding and decoding its state and
@@ -44,7 +44,9 @@ func benchBed(tb testing.TB, cols, rows int) *testbed {
 // history view and the pooled state decoder brought it to 166, and the
 // medium's Msgs arena and a Normalize that does not box to 83 — measured on
 // a bed whose leader ids did not match its attach order, so that eight of
-// its nine virtual nodes never went green. The world spec.Build makes has
+// its nine virtual nodes never went green. On the led bed it read 127 until
+// outputs carried the core's history view, round inputs were decoded into a
+// reused value and ballots travelled by pointer. The world spec.Build makes has
 // its own gate, spec's TestWorldVRoundSteadyStateAllocs.
 func TestEmulatorVRoundSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -84,15 +86,17 @@ func TestEmulatorVRoundSteadyStateAllocs(t *testing.T) {
 	if short != long {
 		t.Errorf("a virtual round allocates %.0f times over %d rounds and %.0f over %d: the work per round grows with the run", short, rounds, long, 8*rounds)
 	}
-	if long > 146 {
-		t.Errorf("steady-state virtual round allocates %.0f times at 9 vnodes, want <= 146", long)
+	if long > 90 {
+		t.Errorf("steady-state virtual round allocates %.0f times at 9 vnodes, want <= 90", long)
 	}
 }
 
-// TestNormalizeSteadyStateAllocs gates RoundInput.Normalize, which Encode
-// runs on every proposal: sorting and deduplicating eight messages, three
-// of them repeats, allocates nothing (sort.Slice boxed its arguments).
-func TestNormalizeSteadyStateAllocs(t *testing.T) {
+// TestEncodeSteadyStateAllocs gates RoundInput.Encode, which every replica
+// runs on every proposal: encoding up to eight messages, three of them
+// repeats, allocates exactly one object, the value: the sort runs on header
+// copies in an array on Encode's stack, and leaves the caller's slice as it
+// was.
+func TestEncodeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -100,18 +104,27 @@ func TestNormalizeSteadyStateAllocs(t *testing.T) {
 		[]byte("ping-04-0012"), []byte("count=7"), []byte("ping-00-0012"), []byte("count=7"),
 		[]byte("zz"), []byte("ping-04-0012"), []byte(""), []byte("zz"),
 	}
-	in := vi.RoundInput{Msgs: make([][]byte, 0, len(src))}
-	avg := testing.AllocsPerRun(100, func() {
-		in.Msgs = append(in.Msgs[:0], src...)
-		in.Normalize()
-	})
-	t.Logf("allocs/Normalize: %.1f", avg)
-	if avg > 0 {
-		t.Errorf("Normalize of %d messages allocates %.1f times, want 0", len(src), avg)
+	for n := 0; n <= len(src); n++ {
+		in := vi.RoundInput{Msgs: src[:n], Collision: n%2 == 1}
+		var v cha.Value
+		avg := testing.AllocsPerRun(100, func() { v = in.Encode() })
+		if avg != 1 {
+			t.Errorf("Encode of %d messages allocates %.1f times, want 1", n, avg)
+		}
+		if n == len(src) {
+			t.Logf("allocs/Encode of %d messages: %.1f", n, avg)
+			got, err := vi.DecodeRoundInput(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"", "count=7", "ping-00-0012", "ping-04-0012", "zz"}
+			if fmt.Sprintf("%q", got.Msgs) != fmt.Sprintf("%q", want) {
+				t.Errorf("Encode wrote %q, want %q", got.Msgs, want)
+			}
+		}
 	}
-	want := []string{"", "count=7", "ping-00-0012", "ping-04-0012", "zz"}
-	if got := fmt.Sprintf("%q", in.Msgs); got != fmt.Sprintf("%q", want) {
-		t.Errorf("Normalize = %s, want %q", got, want)
+	if string(src[0]) != "ping-04-0012" || string(src[6]) != "" {
+		t.Errorf("Encode reordered the caller's messages: %q", src)
 	}
 }
 

@@ -42,7 +42,7 @@ func (e *Emulator) Core() *cha.Core { return e.core }
 // The returned slice is owned by the emulator's state cache; callers must
 // not mutate it.
 func (e *Emulator) StateBefore(vr int) []byte {
-	return e.cache.stateBefore(e.core.HistoryView(), vr)
+	return e.cache.stateBefore(e.d.program(e.vn), e.core.HistoryView, vr)
 }
 
 // Validate checks completeness and non-conflict against the locations.

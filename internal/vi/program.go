@@ -26,7 +26,8 @@ type Program interface {
 	Init(id VNodeID, loc geo.Point) []byte
 	// OnRound consumes the input of one virtual round — the agreed message
 	// set, or a collision indication when the round's agreement produced
-	// ⊥ — and returns the next state.
+	// ⊥ — and returns the next state. in.Msgs is valid only during the
+	// call: the emulator reuses its backing array for the next round.
 	OnRound(state []byte, vround int, in RoundInput) []byte
 	// Outgoing returns the message the virtual node broadcasts in virtual
 	// round vround, given the state entering that round, or nil to listen.
@@ -36,29 +37,19 @@ type Program interface {
 // stateCache incrementally materializes a virtual node's state from the
 // replica's current history chain, re-using the previous computation when
 // the chain is a pure extension (the common case once the network is
-// stable) and recomputing from the initial state otherwise.
+// stable) and recomputing from the floor's state otherwise. It is a value
+// field of its emulator, which hands it the virtual node's program.
 type stateCache struct {
-	prog Program
-	id   VNodeID
-	loc  geo.Point
-
 	floorState []byte       // state at the floor instance (initial or join snapshot)
 	floor      cha.Instance // instances <= floor are folded into floorState
 
 	cachedState  []byte
 	cachedUpTo   cha.Instance
 	cachedDigest uint64
-}
 
-func newStateCache(prog Program, id VNodeID, loc geo.Point) *stateCache {
-	init := prog.Init(id, loc)
-	return &stateCache{
-		prog:        prog,
-		id:          id,
-		loc:         loc,
-		floorState:  init,
-		cachedState: init,
-	}
+	// in is the round input apply decodes an agreed value into, reused from
+	// instance to instance; it holds no messages between calls.
+	in RoundInput
 }
 
 // resetAt installs a state snapshot at the given floor (join state
@@ -72,16 +63,20 @@ func (sc *stateCache) resetAt(floor cha.Instance, state []byte) {
 }
 
 // stateBefore returns the virtual node state entering virtual round vround
-// (i.e., after applying history through instance vround-1), given the
-// replica's current history estimate h. The returned slice is owned by the
-// cache; callers must not mutate it.
-func (sc *stateCache) stateBefore(h *cha.History, vround int) []byte {
+// (i.e., after applying history through instance vround-1). view returns
+// the replica's current history estimate (the core's HistoryView), and is
+// called only when the floor lies below instance vround-1: in the steady
+// state the last instance went green and was folded, and the answer is the
+// floor's state, read without calculating a history. The returned slice is
+// owned by the cache; callers must not mutate it.
+func (sc *stateCache) stateBefore(prog Program, view func() *cha.History, vround int) []byte {
 	upTo := cha.Instance(vround) - 1
-	if upTo < sc.floor {
-		// Cannot reconstruct below the snapshot; the snapshot itself is
-		// the best available state.
+	if upTo <= sc.floor {
+		// Below the snapshot the snapshot itself is the best available
+		// state; at it, it is the state.
 		return sc.floorState
 	}
+	h := view()
 	// If the previously cached prefix still matches, extend incrementally.
 	prefixDigest := h.DigestRange(sc.floor+1, sc.cachedUpTo, 0)
 	start := sc.floor
@@ -91,7 +86,7 @@ func (sc *stateCache) stateBefore(h *cha.History, vround int) []byte {
 		state = sc.cachedState
 	}
 	for k := start + 1; k <= upTo; k++ {
-		state = applyInstance(sc.prog, state, h, k)
+		state = sc.apply(prog, state, h, k)
 	}
 	sc.cachedState = state
 	sc.cachedUpTo = upTo
@@ -99,21 +94,24 @@ func (sc *stateCache) stateBefore(h *cha.History, vround int) []byte {
 	return state
 }
 
-// applyInstance folds history position k into the state: an included
-// instance delivers its decoded round input; a ⊥ instance delivers a
-// collision indication (Section 3.3).
-func applyInstance(prog Program, state []byte, h *cha.History, k cha.Instance) []byte {
+// apply folds history position k into the state: an included instance
+// delivers its decoded round input; a ⊥ instance delivers a collision
+// indication (Section 3.3). The input is decoded into the cache's own
+// RoundInput, whose Msgs are cleared once OnRound returns.
+func (sc *stateCache) apply(prog Program, state []byte, h *cha.History, k cha.Instance) []byte {
 	v, ok := h.At(k)
 	if !ok {
 		return prog.OnRound(state, int(k), RoundInput{Collision: true})
 	}
-	in, err := DecodeRoundInput(v)
-	if err != nil {
+	if err := sc.in.decode(v); err != nil {
 		// A malformed agreed value cannot occur through the emulation
 		// protocol itself; treat it as a collision to stay deterministic.
-		in = RoundInput{Collision: true}
+		return prog.OnRound(state, int(k), RoundInput{Collision: true})
 	}
-	return prog.OnRound(state, int(k), in)
+	state = prog.OnRound(state, int(k), sc.in)
+	clear(sc.in.Msgs)
+	sc.in.Msgs = sc.in.Msgs[:0]
+	return state
 }
 
 // Codec adapts a typed state S to the Program byte-string interface using

@@ -38,6 +38,19 @@ func historyOf(top cha.Instance, vals map[cha.Instance]cha.Value) *cha.History {
 	return cha.NewHistory(top, vals)
 }
 
+// newTestCache returns the state cache of a replica of virtual node id
+// bootstrapped with appendProgram.
+func newTestCache(id VNodeID) *stateCache {
+	sc := new(stateCache)
+	sc.resetAt(0, appendProgram{}.Init(id, geo.Point{}))
+	return sc
+}
+
+// stateOf is stateBefore over appendProgram with h as the history estimate.
+func stateOf(sc *stateCache, h *cha.History, vround int) string {
+	return string(sc.stateBefore(appendProgram{}, func() *cha.History { return h }, vround))
+}
+
 func input(msgs ...string) cha.Value {
 	in := RoundInput{}
 	for _, m := range msgs {
@@ -47,12 +60,12 @@ func input(msgs ...string) cha.Value {
 }
 
 func TestStateCacheAppliesHistoryInOrder(t *testing.T) {
-	sc := newStateCache(appendProgram{}, 3, geo.Point{})
+	sc := newTestCache(3)
 	h := historyOf(3, map[cha.Instance]cha.Value{
 		1: input("a"),
 		3: input("c"),
 	})
-	got := string(sc.stateBefore(h, 4)) // state after instances 1..3
+	got := stateOf(sc, h, 4) // state after instances 1..3
 	want := "init(3)|1:[a]|2:±|3:[c]"
 	if got != want {
 		t.Errorf("state = %q, want %q", got, want)
@@ -60,29 +73,29 @@ func TestStateCacheAppliesHistoryInOrder(t *testing.T) {
 }
 
 func TestStateCacheIncrementalExtension(t *testing.T) {
-	sc := newStateCache(appendProgram{}, 0, geo.Point{})
+	sc := newTestCache(0)
 	h1 := historyOf(2, map[cha.Instance]cha.Value{1: input("a"), 2: input("b")})
-	first := string(sc.stateBefore(h1, 3))
+	first := stateOf(sc, h1, 3)
 
 	// Extend the same chain: the cache must reuse the prefix.
 	h2 := historyOf(4, map[cha.Instance]cha.Value{
 		1: input("a"), 2: input("b"), 3: input("c"), 4: input("d"),
 	})
-	second := string(sc.stateBefore(h2, 5))
+	second := stateOf(sc, h2, 5)
 	if second != first+"|3:[c]|4:[d]" {
 		t.Errorf("incremental state = %q", second)
 	}
 }
 
 func TestStateCacheRecomputesOnChainChange(t *testing.T) {
-	sc := newStateCache(appendProgram{}, 0, geo.Point{})
+	sc := newTestCache(0)
 	h1 := historyOf(2, map[cha.Instance]cha.Value{1: input("a"), 2: input("b")})
-	sc.stateBefore(h1, 3)
+	stateOf(sc, h1, 3)
 
 	// A different chain for the same prefix (instance 2 now ⊥ — possible
 	// before stabilization when a later ballot bypasses it).
 	h2 := historyOf(3, map[cha.Instance]cha.Value{1: input("a"), 3: input("c")})
-	got := string(sc.stateBefore(h2, 4))
+	got := stateOf(sc, h2, 4)
 	want := "init(0)|1:[a]|2:±|3:[c]"
 	if got != want {
 		t.Errorf("recomputed state = %q, want %q", got, want)
@@ -90,31 +103,41 @@ func TestStateCacheRecomputesOnChainChange(t *testing.T) {
 }
 
 func TestStateCacheResetAt(t *testing.T) {
-	sc := newStateCache(appendProgram{}, 0, geo.Point{})
+	sc := newTestCache(0)
 	sc.resetAt(5, []byte("snapshot"))
 	h := historyOf(7, map[cha.Instance]cha.Value{6: input("x"), 7: input("y")})
-	got := string(sc.stateBefore(h, 8))
+	got := stateOf(sc, h, 8)
 	want := "snapshot|6:[x]|7:[y]"
 	if got != want {
 		t.Errorf("state after snapshot = %q, want %q", got, want)
 	}
 	// Queries below the snapshot floor return the snapshot itself.
-	if got := string(sc.stateBefore(h, 4)); got != "snapshot" {
+	if got := stateOf(sc, h, 4); got != "snapshot" {
 		t.Errorf("below-floor state = %q", got)
+	}
+	// So does one at the floor, the steady state of a green replica, and
+	// without calculating a history.
+	sc.resetAt(7, []byte("folded"))
+	noView := func() *cha.History {
+		t.Fatal("stateBefore at the floor calculated a history")
+		return nil
+	}
+	if got := string(sc.stateBefore(appendProgram{}, noView, 8)); got != "folded" {
+		t.Errorf("at-floor state = %q, want the floor's", got)
 	}
 }
 
 func TestStateCacheRepeatedQueriesStable(t *testing.T) {
-	sc := newStateCache(appendProgram{}, 0, geo.Point{})
+	sc := newTestCache(0)
 	h := historyOf(3, map[cha.Instance]cha.Value{1: input("a"), 2: input("b"), 3: input("c")})
-	a := string(sc.stateBefore(h, 4))
-	b := string(sc.stateBefore(h, 4))
-	c := string(sc.stateBefore(h, 4))
+	a := stateOf(sc, h, 4)
+	b := stateOf(sc, h, 4)
+	c := stateOf(sc, h, 4)
 	if a != b || b != c {
 		t.Error("repeated identical queries must be stable")
 	}
 	// Query an earlier point after a later one.
-	early := string(sc.stateBefore(h, 2))
+	early := stateOf(sc, h, 2)
 	if early != "init(0)|1:[a]" {
 		t.Errorf("early state = %q", early)
 	}
@@ -122,7 +145,7 @@ func TestStateCacheRepeatedQueriesStable(t *testing.T) {
 
 func TestApplyInstanceMalformedValueActsAsCollision(t *testing.T) {
 	h := historyOf(1, map[cha.Instance]cha.Value{1: cha.V("not-a-proposal")})
-	got := string(applyInstance(appendProgram{}, []byte("s"), h, 1))
+	got := string(new(stateCache).apply(appendProgram{}, []byte("s"), h, 1))
 	if got != "s|1:±" {
 		t.Errorf("malformed value state = %q, want collision semantics", got)
 	}

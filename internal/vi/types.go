@@ -20,7 +20,6 @@ package vi
 import (
 	"bytes"
 	"slices"
-	"sync"
 
 	"vinfra/internal/cha"
 	"vinfra/internal/wire"
@@ -147,19 +146,21 @@ type RoundInput struct {
 	VNBroadcast bool
 }
 
-// Normalize sorts (bytewise) and deduplicates Msgs in place. It allocates
-// nothing.
-func (in *RoundInput) Normalize() {
-	slices.SortFunc(in.Msgs, bytes.Compare)
-	out := in.Msgs[:0]
+// normalized sorts msgs bytewise and deduplicates them in place, and returns
+// the deduplicated prefix. It allocates nothing. It returns the slice rather
+// than storing it through a pointer, so that a caller's stack array stays on
+// the stack.
+func normalized(msgs [][]byte) [][]byte {
+	slices.SortFunc(msgs, bytes.Compare)
+	out := msgs[:0]
 	var last []byte
-	for i, m := range in.Msgs {
+	for i, m := range msgs {
 		if i == 0 || !bytes.Equal(m, last) {
 			out = append(out, m)
 		}
 		last = m
 	}
-	in.Msgs = out
+	return out
 }
 
 // Proposal flag bits.
@@ -168,51 +169,32 @@ const (
 	flagVNBroadcast = 1 << 1
 )
 
-// msgsScratch pools the slice-header copies Encode sorts, so the per-round
-// proposal encoding allocates only the value bytes themselves.
-var msgsScratch = sync.Pool{
-	New: func() any {
-		s := make([][]byte, 0, 16)
-		return &s
-	},
-}
-
 // Encode serializes the input as a CHA proposal value: a flags byte, the
 // message count, then the length-prefixed messages in sorted order. The
 // encoding is canonical: equal inputs encode identically. The caller's
-// Msgs slice is not mutated; the encoded value owns its bytes.
+// Msgs slice is not mutated — the sort runs on copies of its headers, held
+// in an array on the stack up to eight messages — and the encoded value,
+// the one allocation, owns its bytes.
 func (in RoundInput) Encode() cha.Value {
-	scratch := msgsScratch.Get().(*[][]byte)
-	cp := RoundInput{
-		Msgs:        append((*scratch)[:0], in.Msgs...),
-		Collision:   in.Collision,
-		VNBroadcast: in.VNBroadcast,
-	}
-	cp.Normalize()
-
-	size := 1 + wire.UvarintSize(uint64(len(cp.Msgs)))
-	for _, m := range cp.Msgs {
+	var headers [8][]byte
+	msgs := normalized(append(headers[:0], in.Msgs...))
+	size := 1 + wire.UvarintSize(uint64(len(msgs)))
+	for _, m := range msgs {
 		size += wire.BytesSize(len(m))
 	}
 	buf := make([]byte, 0, size)
 	var flags byte
-	if cp.Collision {
+	if in.Collision {
 		flags |= flagCollision
 	}
-	if cp.VNBroadcast {
+	if in.VNBroadcast {
 		flags |= flagVNBroadcast
 	}
 	buf = append(buf, flags)
-	buf = wire.AppendUvarint(buf, uint64(len(cp.Msgs)))
-	for _, m := range cp.Msgs {
+	buf = wire.AppendUvarint(buf, uint64(len(msgs)))
+	for _, m := range msgs {
 		buf = wire.AppendBytes(buf, m)
 	}
-	// Clear the copied headers before pooling: elements past len(0) would
-	// otherwise keep one round's payload bytes reachable from the pool.
-	full := cp.Msgs[:cap(cp.Msgs)]
-	clear(full)
-	*scratch = full[:0]
-	msgsScratch.Put(scratch)
 	return cha.ValueOf(buf)
 }
 
@@ -221,27 +203,38 @@ func (in RoundInput) Encode() cha.Value {
 // immutable, so the views are safe to read but must not be mutated).
 // Adversarial bytes yield an error, never a panic.
 func DecodeRoundInput(v cha.Value) (RoundInput, error) {
-	d := wire.Dec(v.Bytes())
 	var in RoundInput
-	flags := d.Uvarint()
-	if d.Err() == nil && flags > flagCollision|flagVNBroadcast {
-		return RoundInput{}, wire.ErrMalformed
-	}
-	in.Collision = flags&flagCollision != 0
-	in.VNBroadcast = flags&flagVNBroadcast != 0
-	n := d.Count()
-	if n > 0 {
-		in.Msgs = make([][]byte, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		m := d.Bytes()
-		if d.Err() != nil {
-			return RoundInput{}, d.Err()
-		}
-		in.Msgs = append(in.Msgs, m)
-	}
-	if err := d.Finish(); err != nil {
+	if err := in.decode(v); err != nil {
 		return RoundInput{}, err
 	}
 	return in, nil
+}
+
+// decode is DecodeRoundInput into in, reusing the backing array of in.Msgs:
+// a reused input decodes without allocating once that array is as long as
+// the longest message set it has held. Whatever in held before is
+// overwritten; on an error it holds no messages and no flags.
+func (in *RoundInput) decode(v cha.Value) error {
+	msgs := in.Msgs[:0]
+	*in = RoundInput{Msgs: msgs}
+	d := wire.Dec(v.Bytes())
+	flags := d.Uvarint()
+	if d.Err() == nil && flags > flagCollision|flagVNBroadcast {
+		return wire.ErrMalformed
+	}
+	n := d.Count()
+	if n > cap(msgs) {
+		msgs = make([][]byte, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		msgs = append(msgs, d.Bytes())
+	}
+	if err := d.Finish(); err != nil {
+		clear(msgs)
+		return err
+	}
+	in.Msgs = msgs
+	in.Collision = flags&flagCollision != 0
+	in.VNBroadcast = flags&flagVNBroadcast != 0
+	return nil
 }

@@ -3,10 +3,13 @@ package vi
 import (
 	"bytes"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"vinfra/internal/cha"
+	"vinfra/internal/wire"
 )
 
 func TestRoundInputEncodeDecodeRoundTrip(t *testing.T) {
@@ -31,8 +34,7 @@ func TestRoundInputEncodeDecodeRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := tt.in
-			want.Msgs = append([][]byte(nil), tt.in.Msgs...)
-			want.Normalize()
+			want.Msgs = normalized(append([][]byte(nil), tt.in.Msgs...))
 			if got.Collision != want.Collision || got.VNBroadcast != want.VNBroadcast {
 				t.Errorf("flags: got %+v, want %+v", got, want)
 			}
@@ -65,10 +67,9 @@ func TestRoundInputEncodeDoesNotMutate(t *testing.T) {
 }
 
 func TestNormalizeDedup(t *testing.T) {
-	in := RoundInput{Msgs: bmsgs("z", "a", "z", "a", "m")}
-	in.Normalize()
-	if !reflect.DeepEqual(in.Msgs, bmsgs("a", "m", "z")) {
-		t.Errorf("Normalize = %v", in.Msgs)
+	got := normalized(bmsgs("z", "a", "z", "a", "m"))
+	if !reflect.DeepEqual(got, bmsgs("a", "m", "z")) {
+		t.Errorf("normalized = %v", got)
 	}
 }
 
@@ -95,8 +96,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := RoundInput{Msgs: append([][]byte(nil), msgs...), Collision: coll, VNBroadcast: vnb}
-		want.Normalize()
+		want := RoundInput{Msgs: normalized(append([][]byte(nil), msgs...)), Collision: coll, VNBroadcast: vnb}
 		if len(got.Msgs) != len(want.Msgs) {
 			return false
 		}
@@ -186,18 +186,46 @@ func TestDecodeJoinAckErrors(t *testing.T) {
 // FuzzDecodeRoundInput feeds adversarial bytes to the proposal decoder: it
 // must never panic, and anything it accepts must reach an encode/decode
 // fixed point (Encode canonicalizes; decoding the canonical form again
-// must reproduce it).
+// must reproduce it). Both codecs are also held to an oracle: Encode to the
+// pooled encoder it replaced (oracleEncode), and decode into a RoundInput
+// reused from an earlier, longer decode to DecodeRoundInput.
 func FuzzDecodeRoundInput(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(RoundInput{Msgs: bmsgs("a", "bb"), Collision: true}.Encode().Bytes())
 	f.Add(RoundInput{VNBroadcast: true}.Encode().Bytes())
 	f.Add([]byte{0x03, 0x02, 0x01, 0x41, 0x00})
+	f.Add(RoundInput{Msgs: bmsgs("i", "h", "g", "f", "e", "d", "c", "b", "a", "a")}.Encode().Bytes())
+	f.Add([]byte{0x00, 0x03, 0x01, 0x62, 0x01, 0x61, 0x01, 0x62})
+	// dirty is the reused input: every decode starts from one that held
+	// more messages, and more flags, than any fuzzed value here can.
+	long := RoundInput{Msgs: bmsgs("x", "y", "z"), Collision: true, VNBroadcast: true}.Encode()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in, err := DecodeRoundInput(cha.ValueOf(data))
+		v := cha.ValueOf(data)
+		in, err := DecodeRoundInput(v)
+		var dirty RoundInput
+		if err := dirty.decode(long); err != nil {
+			t.Fatal(err)
+		}
+		for range data {
+			dirty.Msgs = append(dirty.Msgs, []byte("stale"))
+		}
+		if derr := dirty.decode(v); (derr != nil) != (err != nil) {
+			t.Fatalf("decode into a reused input: error %v, DecodeRoundInput %v", derr, err)
+		} else if derr != nil {
+			if len(dirty.Msgs) != 0 || dirty.Collision || dirty.VNBroadcast {
+				t.Fatalf("refused decode left %+v", dirty)
+			}
+		} else if dirty.Collision != in.Collision || dirty.VNBroadcast != in.VNBroadcast ||
+			!slices.EqualFunc(dirty.Msgs, in.Msgs, bytes.Equal) {
+			t.Fatalf("decode into a reused input %+v, DecodeRoundInput %+v", dirty, in)
+		}
 		if err != nil {
 			return
 		}
 		enc := in.Encode()
+		if want := oracleEncode(in); !enc.Equal(want) {
+			t.Fatalf("Encode % x, oracle % x", enc.Bytes(), want.Bytes())
+		}
 		again, err := DecodeRoundInput(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -206,6 +234,54 @@ func FuzzDecodeRoundInput(f *testing.F) {
 			t.Fatal("encode/decode did not reach a fixed point")
 		}
 	})
+}
+
+// oracleMsgs pools the header copies oracleEncode sorts.
+var oracleMsgs = sync.Pool{
+	New: func() any {
+		s := make([][]byte, 0, 16)
+		return &s
+	},
+}
+
+// oracleEncode is RoundInput.Encode as it was before it sorted on the
+// stack: a copy of the headers drawn from a pool, sorted and deduplicated
+// in place by the old Normalize, then written. The fuzz target holds Encode
+// to it byte for byte.
+func oracleEncode(in RoundInput) cha.Value {
+	scratch := oracleMsgs.Get().(*[][]byte)
+	msgs := append((*scratch)[:0], in.Msgs...)
+	slices.SortFunc(msgs, bytes.Compare)
+	out := msgs[:0]
+	var last []byte
+	for i, m := range msgs {
+		if i == 0 || !bytes.Equal(m, last) {
+			out = append(out, m)
+		}
+		last = m
+	}
+	size := 1 + wire.UvarintSize(uint64(len(out)))
+	for _, m := range out {
+		size += wire.BytesSize(len(m))
+	}
+	buf := make([]byte, 0, size)
+	var flags byte
+	if in.Collision {
+		flags |= flagCollision
+	}
+	if in.VNBroadcast {
+		flags |= flagVNBroadcast
+	}
+	buf = append(buf, flags)
+	buf = wire.AppendUvarint(buf, uint64(len(out)))
+	for _, m := range out {
+		buf = wire.AppendBytes(buf, m)
+	}
+	full := msgs[:cap(msgs)]
+	clear(full)
+	*scratch = full[:0]
+	oracleMsgs.Put(scratch)
+	return cha.ValueOf(buf)
 }
 
 // FuzzDecodeJoinAck feeds adversarial bytes to the join-ack decoder: no

@@ -66,26 +66,26 @@ func tallyProgram(v vi.VNodeID, sched vi.Schedule) vi.Program {
 	}
 }
 
-// TestHistoryViewNeverPublished pins the view's lifetime contract from the
-// emulator's side: StateBefore and the vn phase read the core's scratch
-// history, outputs carry histories of their own. No history handed to
-// OnOutput is the view, and none changes afterwards — each still digests to
-// what it did when it was published, however many views were taken since —
-// under a lossy channel, so non-green outputs (which recompute into the
-// scratch) and multi-position histories are in the mix.
-func TestHistoryViewNeverPublished(t *testing.T) {
+// TestOutputHistoryIsTheView pins the retain rule of Output.History from
+// the emulator's side, under a lossy channel, so non-green outputs and
+// multi-position histories are in the mix. A history handed to OnOutput is
+// its replica's core's view: in the hook it equals what CalculateHistory
+// reads on every position the core still holds (fold has collected the rest
+// by then), and a consumer that keeps it must copy it — the pointers kept
+// across rounds are the views, and read later rounds' histories, while the
+// copies read what was published.
+func TestOutputHistoryIsTheView(t *testing.T) {
 	tb := newTestbed(t, testbedOpts{
 		locs:        []geo.Point{{X: 0, Y: 0}, {X: 6, Y: 0}},
 		replicasPer: 3,
 		seed:        5,
 		adversary:   radio.NewRandomLoss(0.15, 0.1, 1<<30, 5),
 	})
-	type published struct {
-		h      *cha.History
-		digest uint64
-		text   string
+	type kept struct {
+		h, copied *cha.History
+		text      string
 	}
-	var outs []published
+	var outs []kept
 	decided, undecided := 0, 0
 	for _, em := range tb.emulators {
 		em.SetHooks(vi.EmulatorHooks{OnOutput: func(_ vi.VNodeID, out cha.Output) {
@@ -94,7 +94,22 @@ func TestHistoryViewNeverPublished(t *testing.T) {
 				return
 			}
 			decided++
-			outs = append(outs, published{out.History, out.History.DigestRange(1, out.History.Top(), 0), out.History.String()})
+			h := out.History
+			fresh := em.Core().CalculateHistory()
+			if fresh.Top() != h.Top() {
+				t.Fatalf("published history tops at %d, CalculateHistory at %d", h.Top(), fresh.Top())
+			}
+			for k := em.Core().Snapshot().Floor + 1; k <= h.Top(); k++ {
+				v, ok := h.At(k)
+				fv, fok := fresh.At(k)
+				if ok != fok || !v.Equal(fv) {
+					t.Fatalf("published %s and CalculateHistory %s differ at %d", h, fresh, k)
+				}
+			}
+			outs = append(outs, kept{h, copyHistory(h), h.String()})
+			if em.Core().HistoryView() != h {
+				t.Fatalf("history %s handed to OnOutput is not the core's view", outs[len(outs)-1].text)
+			}
 		}})
 	}
 	for vr := 1; vr <= 60; vr++ {
@@ -114,12 +129,29 @@ func TestHistoryViewNeverPublished(t *testing.T) {
 			views[em.Core().HistoryView()] = true
 		}
 	}
+	changed := 0
 	for _, p := range outs {
-		if views[p.h] {
-			t.Fatalf("history %s handed to OnOutput is a core's view", p.text)
+		if !views[p.h] {
+			t.Fatalf("kept history %s is not a core's view", p.text)
 		}
-		if p.h.DigestRange(1, p.h.Top(), 0) != p.digest || p.h.String() != p.text {
-			t.Fatalf("published history changed after the fact: was %s, now %s", p.text, p.h)
+		if p.h.String() != p.text {
+			changed++
+		}
+		if p.copied.String() != p.text {
+			t.Fatalf("a copy made at publication changed: was %s, now %s", p.text, p.copied)
 		}
 	}
+	if changed == 0 {
+		t.Fatalf("none of %d kept views changed after publication: the run shows nothing", len(outs))
+	}
+}
+
+// copyHistory is what a consumer that keeps an output's history does: copy
+// it out of the view while the hook runs.
+func copyHistory(h *cha.History) *cha.History {
+	vals := make(map[cha.Instance]cha.Value)
+	for _, k := range h.Included() {
+		vals[k], _ = h.At(k)
+	}
+	return cha.NewHistory(h.Top(), vals)
 }
