@@ -10,9 +10,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"vinfra/internal/spec"
 )
 
 // buildBin compiles one command package into a temp dir so these tests
@@ -230,9 +233,11 @@ func TestDaemonKillAndRestore(t *testing.T) {
 }
 
 // TestExamplesRunUnderVisimSpec runs every document in examples/ through
-// visim -spec: each virtual node must read availability 1.00 and every
-// tracked target must be known to the observer. The examples are documents
-// only, so anything else in the directory is an error.
+// visim -spec: each virtual node must read availability 1.00 — at least
+// 0.95 under leader "regional", whose election costs the first few virtual
+// rounds — and every tracked target must be known to the observer. The
+// examples are documents only, so anything else in the directory is an
+// error.
 func TestExamplesRunUnderVisimSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the visim binary")
@@ -250,7 +255,20 @@ func TestExamplesRunUnderVisimSpec(t *testing.T) {
 			t.Errorf("examples/%s is not a spec document", e.Name())
 			continue
 		}
-		out, err := exec.Command(visim, "-spec", filepath.Join("../../examples", e.Name())).CombinedOutput()
+		path := filepath.Join("../../examples", e.Name())
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := spec.Parse(doc)
+		if err != nil {
+			t.Fatalf("examples/%s: %v", e.Name(), err)
+		}
+		floor := 1.0
+		if s.Leader == "regional" {
+			floor = 0.95
+		}
+		out, err := exec.Command(visim, "-spec", path).CombinedOutput()
 		if err != nil {
 			t.Fatalf("visim -spec examples/%s: %v\n%s", e.Name(), err, out)
 		}
@@ -260,7 +278,7 @@ func TestExamplesRunUnderVisimSpec(t *testing.T) {
 			switch {
 			case len(f) > 0 && strings.HasPrefix(f[0], "vn") && f[0] != "vn":
 				vnodes++
-				if f[len(f)-1] != "1.00" {
+				if a, err := strconv.ParseFloat(f[len(f)-1], 64); err != nil || a < floor {
 					t.Errorf("examples/%s: %s", e.Name(), line)
 				}
 			case strings.Contains(line, "(unknown)"):

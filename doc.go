@@ -61,11 +61,14 @@
 //     so a checkpoint records only its configuration fingerprint
 //     (Medium.AppendFingerprint), and a restore compares it.
 //   - cd, cm: the model's collision detector classes and contention
-//     managers. Both have exact-behavior unit tests under injected
-//     jamming: adversarial collision patterns produce precisely the
-//     detections (completeness on real losses, per-class handling of
-//     forced spurious indications) and backoff-window trajectories the
-//     model specifies.
+//     managers. A contention manager keeps one clock, its caller's
+//     ballots: a backoff loser sits out the next ballot, and the regional
+//     manager competes only within the deployment's LeaderMargin (§4.2),
+//     which spec.Build refuses when no bootstrap replica stands inside it.
+//     Both have exact-behavior unit tests under injected jamming:
+//     adversarial collision patterns produce precisely the detections
+//     (completeness on real losses, per-class handling of forced spurious
+//     indications) and backoff-window trajectories the model specifies.
 //   - faults: the deterministic adversary plane. Spatial jammers
 //     (CellJammer, RegionJammer) plug into radio.Config.Adversary and
 //     silence every receiver standing in a jammed cell or footprint;

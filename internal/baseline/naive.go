@@ -105,7 +105,7 @@ func (r *NaiveReplica) Transmit(round sim.Round) sim.Message {
 	case cha.PhaseBallot:
 		r.k = k
 		r.adopted.ok = false
-		r.broadcast = r.cfg.CM.Advice(round)
+		r.broadcast = r.cfg.CM.Advice()
 		if r.broadcast {
 			return NaiveBallotMsg{V: r.cfg.Propose(k), H: r.history}
 		}
@@ -140,11 +140,11 @@ func (r *NaiveReplica) Receive(round sim.Round, rx sim.Reception) {
 		}
 		if best == nil || rx.Collision {
 			r.downgrade(r.k, cha.Red)
-			r.cfg.CM.Observe(round, feedback(r.broadcast, best != nil, rx.Collision))
+			r.cfg.CM.Observe(feedback(r.broadcast, best != nil, rx.Collision))
 			return
 		}
 		r.adopted.v, r.adopted.h, r.adopted.ok = best.V, best.H, true
-		r.cfg.CM.Observe(round, feedback(r.broadcast, true, false))
+		r.cfg.CM.Observe(feedback(r.broadcast, true, false))
 	case cha.PhaseVeto1:
 		if cha.HasVeto(rx.Msgs) || rx.Collision {
 			r.downgrade(r.k, cha.Orange)

@@ -130,7 +130,7 @@ func (r *Replica) Transmit(round sim.Round) sim.Message {
 	case PhaseBallot:
 		v := r.cfg.Propose(k)
 		b := r.core.Begin(k, v)
-		r.broadcastBallot = r.cfg.CM.Advice(round)
+		r.broadcastBallot = r.cfg.CM.Advice()
 		if r.broadcastBallot {
 			r.ballot.B = b
 			return &r.ballot
@@ -156,7 +156,7 @@ func (r *Replica) Receive(round sim.Round, rx sim.Reception) {
 	case PhaseBallot:
 		b, heard := MinBallotOf(rx.Msgs)
 		r.core.ObserveMinBallot(b, heard, rx.Collision)
-		r.cfg.CM.Observe(round, cm.FeedbackOf(r.broadcastBallot, heard, rx.Collision))
+		r.cfg.CM.Observe(cm.FeedbackOf(r.broadcastBallot, heard, rx.Collision))
 	case PhaseVeto1:
 		r.core.ObserveVeto1(HasVeto(rx.Msgs), rx.Collision)
 	default: // PhaseVeto2

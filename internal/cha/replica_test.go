@@ -196,7 +196,7 @@ func TestManySeedsSafetyNeverViolated(t *testing.T) {
 func TestLeaderCrashWithBackoffReelection(t *testing.T) {
 	c := newCluster(t, clusterOpts{
 		n:         5,
-		cmFactory: cm.NewBackoff(cm.BackoffConfig{}),
+		cmFactory: cm.NewBackoff(),
 		seed:      3,
 	})
 	// Let the election settle and the protocol run.

@@ -1,9 +1,12 @@
 // Package cm implements the contention managers of Section 2. A contention
 // manager advises each contending node whether to be active (broadcast) or
-// passive in a round; the leader-election guarantee (Property 3) says that
-// eventually at most one node is advised to be active in every round, and
+// passive in a ballot; the leader-election guarantee (Property 3) says that
+// eventually at most one node is advised to be active in every ballot, and
 // that if a correct node contends forever, eventually some correct node is
-// advised active in every round.
+// advised active in every ballot. A manager keeps no clock of its own: it
+// counts the ballots its caller consults it for and closes with feedback,
+// whether they come every 3 radio rounds (a CHA cluster) or every s+12 (a
+// virtual round).
 //
 // The paper deliberately decouples contention management from the agreement
 // protocol — "the problem of designing efficient back-off protocols ... is
@@ -70,13 +73,15 @@ func FeedbackOf(broadcast, heard, collision bool) Feedback {
 }
 
 // Manager is a per-node contention manager instance (the cm-wakeup() input
-// of Figure 1). Advice corresponds to contending for the round and reading
-// the manager's advice; Observe closes the loop with channel feedback.
+// of Figure 1). Its one clock is its caller's ballots: Advice is read when
+// the node contends for a ballot (and may be read again before the ballot's
+// feedback), and Observe closes the ballot with its channel feedback.
 type Manager interface {
-	// Advice reports whether the node should broadcast in round r.
-	Advice(r sim.Round) bool
-	// Observe feeds back the channel outcome of round r.
-	Observe(r sim.Round, fb Feedback)
+	// Advice reports whether the node should broadcast in the ballot at
+	// hand.
+	Advice() bool
+	// Observe feeds back the channel outcome of the ballot.
+	Observe(fb Feedback)
 }
 
 // Factory builds a Manager for one node, given its engine environment
@@ -105,55 +110,44 @@ func NewFixed(initial sim.NodeID) (Factory, func(sim.NodeID)) {
 }
 
 // Advice implements Manager.
-func (f *Fixed) Advice(sim.Round) bool { return f.env.ID() == *f.leader }
+func (f *Fixed) Advice() bool { return f.env.ID() == *f.leader }
 
 // Observe implements Manager.
-func (f *Fixed) Observe(sim.Round, Feedback) {}
+func (f *Fixed) Observe(Feedback) {}
 
-// BackoffConfig parameterizes the randomized exponential backoff manager.
-// The zero value selects the defaults.
-type BackoffConfig struct {
-	// WMax caps the contention window. Default 32.
-	WMax int
-	// DeferRounds is how many rounds a node stays passive after hearing a
-	// competing leader win the channel. Default 24.
-	DeferRounds int
-}
+// wMax caps the backoff contention window.
+const wMax = 32
 
-func (c BackoffConfig) withDefaults() BackoffConfig {
-	if c.WMax <= 0 {
-		c.WMax = 32
-	}
-	if c.DeferRounds <= 0 {
-		c.DeferRounds = 24
-	}
-	return c
-}
+// deferBallots is how many ballots a node sits out after hearing a
+// competing leader win the channel (K): one, so a loser stays passive
+// exactly as long as it keeps hearing the leader. Counted in ballots, not
+// rounds, because the ballot is the only clock every caller shares.
+const deferBallots = 1
 
 // Backoff is a randomized exponential backoff leader election: each node
-// broadcasts with probability 1/w; collisions double w, silence halves it,
-// winning resets it to 1, and losing (hearing another leader) defers for a
-// fixed period. Once one node wins, it stays active every round while all
-// others defer — satisfying Property 3 for as long as the leader survives,
-// and re-electing when it crashes (the deferral expires in silence).
+// broadcasts with probability 1/w; collisions double w (up to 32), silence
+// halves it, winning resets it to 1, and losing (hearing another leader)
+// makes the node sit out the next ballot. Hearing the leader again re-arms
+// the deferral and silence ends it. Once one node wins, it stays active in
+// every ballot while all others defer — satisfying Property 3 for as long
+// as the leader survives, and re-electing when it crashes (the losers hear
+// silence).
 type Backoff struct {
-	cfg        BackoffConfig
-	env        sim.Env
-	w          int
-	deferUntil sim.Round
+	env      sim.Env
+	w        int
+	deferred int // ballots still to sit out, at most deferBallots
 }
 
 // NewBackoff returns a Factory building independent Backoff managers.
-func NewBackoff(cfg BackoffConfig) Factory {
-	cfg = cfg.withDefaults()
+func NewBackoff() Factory {
 	return func(env sim.Env) Manager {
-		return &Backoff{cfg: cfg, env: env, w: 1}
+		return &Backoff{env: env, w: 1}
 	}
 }
 
 // Advice implements Manager.
-func (b *Backoff) Advice(r sim.Round) bool {
-	if r < b.deferUntil {
+func (b *Backoff) Advice() bool {
+	if b.deferred > 0 {
 		return false
 	}
 	if b.w <= 1 {
@@ -163,84 +157,50 @@ func (b *Backoff) Advice(r sim.Round) bool {
 }
 
 // Observe implements Manager.
-func (b *Backoff) Observe(r sim.Round, fb Feedback) {
+func (b *Backoff) Observe(fb Feedback) {
+	b.deferred = max(b.deferred-1, 0)
 	switch fb {
 	case FeedbackWon:
 		b.w = 1
 	case FeedbackLost:
-		b.deferUntil = r + sim.Round(b.cfg.DeferRounds)
+		b.deferred = deferBallots
 	case FeedbackCollision:
-		b.w *= 2
-		if b.w > b.cfg.WMax {
-			b.w = b.cfg.WMax
-		}
+		b.w = min(2*b.w, wMax)
 	case FeedbackSilence:
-		b.w /= 2
-		if b.w < 1 {
-			b.w = 1
-		}
+		b.w, b.deferred = max(b.w/2, 1), 0
 	}
 }
 
-// RegionalConfig parameterizes the regional contention manager of
-// Section 4.2, which elects "temporary leaders" that remain within
-// distance R1/4 of the virtual node location for 2(s+10) rounds.
-type RegionalConfig struct {
-	// Location is the virtual node location l the manager serves.
-	Location geo.Point
-	// Radius is the leader-eligibility region (R1/4 in the paper).
-	Radius float64
-	// VMax bounds node speed; eligibility shrinks by VMax*Horizon so an
-	// elected leader cannot exit the region before the horizon elapses.
-	VMax float64
-	// Horizon is the number of rounds a temporary leader must remain in
-	// the region (2(s+10) in the paper).
-	Horizon int
-	// Backoff tunes the underlying randomized election.
-	Backoff BackoffConfig
-}
-
 // Regional combines eligibility-by-location with exponential backoff: a
-// node only competes while it sits deep enough inside the region that its
-// bounded speed cannot carry it out within the horizon.
+// node only competes while it sits within margin of the virtual node
+// location it serves — deep enough inside the region (Section 4.2) that its
+// bounded speed cannot carry it out before its leadership horizon elapses.
 type Regional struct {
-	cfg RegionalConfig
-	env sim.Env
-	b   *Backoff
+	loc    geo.Point
+	margin float64
+	b      Backoff
 }
 
-// NewRegional returns a Factory of regional managers for one virtual node
-// location.
-func NewRegional(cfg RegionalConfig) Factory {
-	cfg.Backoff = cfg.Backoff.withDefaults()
+// NewRegional returns a Factory of regional managers for the virtual node
+// at loc, eligible within margin of it (the deployment's LeaderMargin).
+func NewRegional(loc geo.Point, margin float64) Factory {
 	return func(env sim.Env) Manager {
-		return &Regional{
-			cfg: cfg,
-			env: env,
-			b:   &Backoff{cfg: cfg.Backoff, env: env, w: 1},
-		}
+		return &Regional{loc: loc, margin: margin, b: Backoff{env: env, w: 1}}
 	}
 }
 
 // Eligible reports whether the node is currently allowed to compete:
-// within the shrunken region Radius - VMax*Horizon of the location.
+// within margin of the location.
 func (m *Regional) Eligible() bool {
-	margin := m.cfg.Radius - m.cfg.VMax*float64(m.cfg.Horizon)
-	if margin < 0 {
-		margin = 0
-	}
-	return m.env.Location().Within(m.cfg.Location, margin)
+	return m.b.env.Location().Within(m.loc, m.margin)
 }
 
 // Advice implements Manager.
-func (m *Regional) Advice(r sim.Round) bool {
-	if !m.Eligible() {
-		return false
-	}
-	return m.b.Advice(r)
+func (m *Regional) Advice() bool {
+	return m.Eligible() && m.b.Advice()
 }
 
 // Observe implements Manager.
-func (m *Regional) Observe(r sim.Round, fb Feedback) {
-	m.b.Observe(r, fb)
+func (m *Regional) Observe(fb Feedback) {
+	m.b.Observe(fb)
 }

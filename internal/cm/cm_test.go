@@ -68,32 +68,32 @@ func TestFixedLeaderAdvice(t *testing.T) {
 	m0 := factory(newEnv(0, 1))
 	m1 := factory(newEnv(1, 2))
 
-	if m0.Advice(0) {
+	if m0.Advice() {
 		t.Error("non-leader advised active")
 	}
-	if !m1.Advice(0) {
+	if !m1.Advice() {
 		t.Error("leader advised passive")
 	}
 
 	setLeader(0)
-	if !m0.Advice(1) {
+	if !m0.Advice() {
 		t.Error("new leader advised passive after re-election")
 	}
-	if m1.Advice(1) {
+	if m1.Advice() {
 		t.Error("old leader still advised active after re-election")
 	}
 }
 
 // channelSim runs n Backoff managers against an idealized single-hop
-// channel and returns, per round, how many were active. Crashed managers
-// (index < 0 in aliveFrom semantics) are skipped.
+// channel, one ballot per step, and returns how many were active. Crashed
+// managers (alive false) are skipped.
 type channelSim struct {
 	mgrs  []Manager
 	alive []bool
 }
 
-func newChannelSim(n int, cfg BackoffConfig, seed int64) *channelSim {
-	factory := NewBackoff(cfg)
+func newChannelSim(n int, seed int64) *channelSim {
+	factory := NewBackoff()
 	cs := &channelSim{
 		mgrs:  make([]Manager, n),
 		alive: make([]bool, n),
@@ -105,11 +105,11 @@ func newChannelSim(n int, cfg BackoffConfig, seed int64) *channelSim {
 	return cs
 }
 
-// step simulates one round and returns the number of active nodes.
-func (cs *channelSim) step(r sim.Round) int {
+// step simulates one ballot and returns the number of active nodes.
+func (cs *channelSim) step() int {
 	var active []int
 	for i, m := range cs.mgrs {
-		if cs.alive[i] && m.Advice(r) {
+		if cs.alive[i] && m.Advice() {
 			active = append(active, i)
 		}
 	}
@@ -128,19 +128,19 @@ func (cs *channelSim) step(r sim.Round) int {
 		default:
 			fb = FeedbackLost
 		}
-		m.Observe(r, fb)
+		m.Observe(fb)
 	}
 	return len(active)
 }
 
 func TestBackoffElectsSingleLeader(t *testing.T) {
-	// Property 3.1/3.2: eventually exactly one node is active every round.
+	// Property 3.1/3.2: eventually exactly one node is active every ballot.
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		cs := newChannelSim(n, BackoffConfig{}, 7)
+		cs := newChannelSim(n, 7)
 		streak := 0
 		stabilized := false
-		for r := sim.Round(0); r < 2000; r++ {
-			if cs.step(r) == 1 {
+		for range 2000 {
+			if cs.step() == 1 {
 				streak++
 			} else {
 				streak = 0
@@ -157,14 +157,14 @@ func TestBackoffElectsSingleLeader(t *testing.T) {
 }
 
 func TestBackoffReelectsAfterCrash(t *testing.T) {
-	cs := newChannelSim(6, BackoffConfig{}, 21)
+	cs := newChannelSim(6, 21)
 	// Let a leader emerge.
 	var leader = -1
-	for r := sim.Round(0); r < 2000; r++ {
-		if cs.step(r) == 1 {
+	for range 2000 {
+		if cs.step() == 1 {
 			// Find who won.
 			for i, m := range cs.mgrs {
-				if cs.alive[i] && m.(*Backoff).w == 1 && m.Advice(r+1) {
+				if cs.alive[i] && m.(*Backoff).w == 1 && m.Advice() {
 					leader = i
 					break
 				}
@@ -180,8 +180,8 @@ func TestBackoffReelectsAfterCrash(t *testing.T) {
 	cs.alive[leader] = false
 
 	streak := 0
-	for r := sim.Round(3000); r < 8000; r++ {
-		if cs.step(r) == 1 {
+	for range 5000 {
+		if cs.step() == 1 {
 			streak++
 		} else {
 			streak = 0
@@ -194,47 +194,55 @@ func TestBackoffReelectsAfterCrash(t *testing.T) {
 }
 
 func TestBackoffSoloNodeIsImmediatelyActive(t *testing.T) {
-	m := NewBackoff(BackoffConfig{})(newEnv(0, 5))
-	if !m.Advice(0) {
+	m := NewBackoff()(newEnv(0, 5))
+	if !m.Advice() {
 		t.Error("a lone contender with w=1 should be active immediately")
 	}
 }
 
+// TestBackoffDefersAfterLoss pins the deferral's clock: the ballots the
+// manager observes. After a loss it stays passive, however often it is
+// consulted, until one more ballot has been observed; hearing the leader
+// in that ballot re-arms the deferral, and silence ends it.
 func TestBackoffDefersAfterLoss(t *testing.T) {
-	cfg := BackoffConfig{DeferRounds: 10}
-	m := NewBackoff(cfg)(newEnv(0, 5))
-	m.Observe(5, FeedbackLost)
-	for r := sim.Round(6); r < 15; r++ {
-		if m.Advice(r) {
-			t.Fatalf("round %d: node active during deferral", r)
+	m := NewBackoff()(newEnv(0, 5))
+	m.Observe(FeedbackLost)
+	for i := 0; i < 100; i++ {
+		if m.Advice() {
+			t.Fatalf("consultation %d: node active before the next ballot was observed", i)
 		}
 	}
-	if !m.Advice(15) {
-		t.Error("deferral should expire at round 15")
+	m.Observe(FeedbackLost) // the leader again
+	if m.Advice() {
+		t.Fatal("hearing the leader again did not re-arm the deferral")
+	}
+	m.Observe(FeedbackSilence)
+	if !m.Advice() {
+		t.Error("silence should end the deferral")
 	}
 }
 
 func TestBackoffWindowDynamics(t *testing.T) {
-	cfg := BackoffConfig{WMax: 8}
-	b := NewBackoff(cfg)(newEnv(0, 5)).(*Backoff)
+	b := NewBackoff()(newEnv(0, 5)).(*Backoff)
 	if b.w != 1 {
 		t.Fatalf("initial window = %d, want 1", b.w)
 	}
-	b.Observe(0, FeedbackCollision)
-	b.Observe(1, FeedbackCollision)
+	b.Observe(FeedbackCollision)
+	b.Observe(FeedbackCollision)
 	if b.w != 4 {
 		t.Errorf("after two collisions w = %d, want 4", b.w)
 	}
-	b.Observe(2, FeedbackCollision)
-	b.Observe(3, FeedbackCollision)
-	if b.w != 8 {
-		t.Errorf("window should cap at WMax: w = %d", b.w)
+	for i := 0; i < 4; i++ {
+		b.Observe(FeedbackCollision)
 	}
-	b.Observe(4, FeedbackSilence)
-	if b.w != 4 {
+	if b.w != 32 {
+		t.Errorf("window should cap at 32: w = %d", b.w)
+	}
+	b.Observe(FeedbackSilence)
+	if b.w != 16 {
 		t.Errorf("silence should halve: w = %d", b.w)
 	}
-	b.Observe(5, FeedbackWon)
+	b.Observe(FeedbackWon)
 	if b.w != 1 {
 		t.Errorf("winning should reset: w = %d", b.w)
 	}
@@ -242,13 +250,7 @@ func TestBackoffWindowDynamics(t *testing.T) {
 
 func TestRegionalEligibility(t *testing.T) {
 	loc := geo.Point{X: 100, Y: 100}
-	cfg := RegionalConfig{
-		Location: loc,
-		Radius:   10,
-		VMax:     0.1,
-		Horizon:  20, // margin = 10 - 2 = 8
-	}
-	factory := NewRegional(cfg)
+	factory := NewRegional(loc, 8)
 
 	env := newEnv(0, 9)
 	m := factory(env).(*Regional)
@@ -257,7 +259,7 @@ func TestRegionalEligibility(t *testing.T) {
 	if !m.Eligible() {
 		t.Error("node at center should be eligible")
 	}
-	if !m.Advice(0) {
+	if !m.Advice() {
 		t.Error("eligible solo node should be active")
 	}
 
@@ -270,32 +272,30 @@ func TestRegionalEligibility(t *testing.T) {
 	if m.Eligible() {
 		t.Error("node outside margin should be ineligible")
 	}
-	if m.Advice(1) {
+	if m.Advice() {
 		t.Error("ineligible node must never be advised active")
 	}
 }
 
 func TestRegionalDegenerateMargin(t *testing.T) {
-	// When VMax*Horizon exceeds the radius, only a node exactly at the
-	// location is eligible.
-	cfg := RegionalConfig{Location: geo.Point{}, Radius: 1, VMax: 1, Horizon: 10}
+	// A zero margin (the deployment's floor when vmax*2(s+10) exceeds
+	// R1/4) leaves only a node exactly at the location eligible.
 	env := newEnv(0, 9)
-	m := NewRegional(cfg)(env).(*Regional)
+	m := NewRegional(geo.Point{}, 0)(env).(*Regional)
 	env.loc = geo.Point{}
 	if !m.Eligible() {
 		t.Error("node exactly at location should remain eligible")
 	}
 	env.loc = geo.Point{X: 0.5}
 	if m.Eligible() {
-		t.Error("node off-center should be ineligible with degenerate margin")
+		t.Error("node off-center should be ineligible with a zero margin")
 	}
 }
 
 func TestRegionalObserveForwardsToBackoff(t *testing.T) {
-	cfg := RegionalConfig{Location: geo.Point{}, Radius: 100, Backoff: BackoffConfig{WMax: 8}}
 	env := newEnv(0, 9)
-	m := NewRegional(cfg)(env).(*Regional)
-	m.Observe(0, FeedbackCollision)
+	m := NewRegional(geo.Point{}, 100)(env).(*Regional)
+	m.Observe(FeedbackCollision)
 	if m.b.w != 2 {
 		t.Errorf("regional manager did not forward feedback: w = %d", m.b.w)
 	}

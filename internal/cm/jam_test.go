@@ -31,87 +31,92 @@ func (e *probeEnv) Intn(n int) int {
 // TestBackoffWindowTrajectoryUnderJamming drives a Backoff manager with
 // the feedback a jammed channel produces — a burst of forced collisions,
 // then silence — and asserts the exact window trajectory the model
-// specifies: doubling per collision up to WMax, halving per silence down
-// to 1, with w = 1 advising active unconditionally (no draw at all).
+// specifies: doubling per collision up to the cap of 32, halving per
+// silence down to 1, with w = 1 advising active unconditionally (no draw
+// at all).
 func TestBackoffWindowTrajectoryUnderJamming(t *testing.T) {
 	env := &probeEnv{intnRet: 1} // never win a draw: trajectory stays pure
-	m := NewBackoff(BackoffConfig{WMax: 8, DeferRounds: 4})(env)
+	m := NewBackoff()(env)
 
 	// Fresh manager: w = 1, active without drawing.
-	if !m.Advice(0) {
+	if !m.Advice() {
 		t.Fatal("fresh manager must advise active")
 	}
 	if len(env.intnArgs) != 0 {
 		t.Fatalf("w=1 advice drew from %v", env.intnArgs)
 	}
 
-	// Four jammed rounds: w doubles 2, 4, 8 and caps at WMax=8.
-	// Then four silent rounds: w halves 4, 2, 1, floors at 1.
+	// Six jammed ballots: w doubles 2, 4, 8, 16, 32 and caps at 32.
+	// Then five silent ballots: w halves 16, 8, 4, 2, 1.
 	feedback := []Feedback{
-		FeedbackCollision, FeedbackCollision, FeedbackCollision, FeedbackCollision,
-		FeedbackSilence, FeedbackSilence, FeedbackSilence, FeedbackSilence,
+		FeedbackCollision, FeedbackCollision, FeedbackCollision,
+		FeedbackCollision, FeedbackCollision, FeedbackCollision,
+		FeedbackSilence, FeedbackSilence, FeedbackSilence, FeedbackSilence, FeedbackSilence,
 	}
-	for i, fb := range feedback {
-		m.Observe(sim.Round(i), fb)
-		m.Advice(sim.Round(i + 1))
+	for _, fb := range feedback {
+		m.Observe(fb)
+		m.Advice()
 	}
 	// Draws happen only while w > 1.
-	want := []int{2, 4, 8, 8, 4, 2}
+	want := []int{2, 4, 8, 16, 32, 32, 16, 8, 4, 2}
 	if !reflect.DeepEqual(env.intnArgs, want) {
 		t.Errorf("window trajectory (Intn args) = %v, want %v", env.intnArgs, want)
 	}
 	// After the halvings, w is back to 1: active with no further draws.
 	n := len(env.intnArgs)
-	if !m.Advice(100) || len(env.intnArgs) != n {
+	if !m.Advice() || len(env.intnArgs) != n {
 		t.Error("recovered manager (w=1) must advise active without drawing")
 	}
 }
 
 // TestBackoffWinAndLossRules pins the other two feedback rules exactly:
 // winning resets the window to 1 in one step, and losing (hearing a
-// competing leader) defers for precisely DeferRounds rounds with no draws
-// at all.
+// competing leader) makes the manager sit out exactly the next ballot —
+// every consultation before that ballot's feedback, with no draws at all.
 func TestBackoffWinAndLossRules(t *testing.T) {
 	env := &probeEnv{intnRet: 1}
-	m := NewBackoff(BackoffConfig{WMax: 32, DeferRounds: 6})(env)
+	m := NewBackoff()(env)
 
 	// Blow the window up to 8, then win once: w must snap back to 1.
 	for i := 0; i < 3; i++ {
-		m.Observe(sim.Round(i), FeedbackCollision)
+		m.Observe(FeedbackCollision)
 	}
-	m.Observe(3, FeedbackWon)
-	if !m.Advice(4) || len(env.intnArgs) != 0 {
+	m.Observe(FeedbackWon)
+	if !m.Advice() || len(env.intnArgs) != 0 {
 		t.Fatalf("after a win w must be 1 (active, no draw); drew %v", env.intnArgs)
 	}
 
-	// Losing at round 10 defers rounds 10..15 and resumes at 16.
-	m.Observe(10, FeedbackLost)
-	for r := sim.Round(10); r < 16; r++ {
-		if m.Advice(r) {
-			t.Errorf("round %d: advised active during deferral", r)
+	// A loss defers the next ballot, however often it is consulted (an
+	// emulator reads its advice in the vn, ballot and join-ack phases).
+	m.Observe(FeedbackLost)
+	for i := 0; i < 3; i++ {
+		if m.Advice() {
+			t.Errorf("consultation %d: advised active during deferral", i)
 		}
 	}
 	if len(env.intnArgs) != 0 {
 		t.Errorf("deferral drew from %v", env.intnArgs)
 	}
-	if !m.Advice(16) {
-		t.Error("round 16: deferral expired, w=1 must advise active")
+	// The deferred ballot collided (the loser did not hear the leader
+	// cleanly): the deferral is spent and the window doubles.
+	m.Observe(FeedbackCollision)
+	if m.Advice() || !reflect.DeepEqual(env.intnArgs, []int{2}) {
+		t.Errorf("after the deferred ballot: want one draw from w=2 (lost), drew %v", env.intnArgs)
+	}
+	m.Observe(FeedbackSilence)
+	if !m.Advice() {
+		t.Error("silence after the deferral: w=1 must advise active")
 	}
 }
 
 // TestRegionalEligibilityUnderHerding pins the regional manager's
 // eligibility rule under adversarial mobility: a node dragged toward the
 // region edge (the faults.Herd scenario) must stop competing as soon as
-// its bounded speed could carry it out of the region within the leader
-// horizon — even though its backoff state would advise active.
+// it leaves the margin its bounded speed allows — even though its backoff
+// state would advise active.
 func TestRegionalEligibilityUnderHerding(t *testing.T) {
-	env := &probeEnv{intnRet: 0} // always win draws: only eligibility gates
-	m := NewRegional(RegionalConfig{
-		Location: geo.Point{},
-		Radius:   2.5,
-		VMax:     0.1,
-		Horizon:  10, // margin = 2.5 - 0.1*10 = 1.5
-	})(env).(*Regional)
+	env := &probeEnv{intnRet: 0}                        // always win draws: only eligibility gates
+	m := NewRegional(geo.Point{}, 1.5)(env).(*Regional) // R1/4 = 2.5, vmax*horizon = 1
 
 	for _, tc := range []struct {
 		x    float64
@@ -125,7 +130,7 @@ func TestRegionalEligibilityUnderHerding(t *testing.T) {
 		{3.0, false},
 	} {
 		env.loc = geo.Point{X: tc.x}
-		if got := m.Advice(0); got != tc.want {
+		if got := m.Advice(); got != tc.want {
 			t.Errorf("x=%v: advice = %v, want %v", tc.x, got, tc.want)
 		}
 		if got := m.Eligible(); got != tc.want {

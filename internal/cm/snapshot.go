@@ -8,6 +8,8 @@
 package cm
 
 import (
+	"fmt"
+
 	"vinfra/internal/sim"
 	"vinfra/internal/wire"
 )
@@ -33,21 +35,27 @@ func (f *Fixed) RestoreState(data []byte) error {
 	return nil
 }
 
-// AppendState records the contention window and deferral horizon.
+// AppendState records the contention window and the ballots still to sit
+// out.
 func (b *Backoff) AppendState(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, uint64(b.w))
-	return wire.AppendUvarint(dst, uint64(b.deferUntil))
+	return wire.AppendUvarint(dst, uint64(b.deferred))
 }
 
-// RestoreState restores the contention window and deferral horizon; a
-// refused blob leaves both as they were.
+// RestoreState restores the contention window and the ballots still to sit
+// out. It refuses a window outside [1, 32] or a deferral longer than one
+// ballot — among them a blob written when the second field was a radio
+// round — and a refused blob leaves both as they were.
 func (b *Backoff) RestoreState(data []byte) error {
 	d := wire.Dec(data)
-	w, deferUntil := int(d.Uvarint()), sim.Round(d.Uvarint())
+	w, deferred := d.Uvarint(), d.Uvarint()
 	if err := d.Finish(); err != nil {
 		return err
 	}
-	b.w, b.deferUntil = w, deferUntil
+	if w < 1 || w > wMax || deferred > deferBallots {
+		return fmt.Errorf("cm: backoff state (window %d, deferral %d) outside window 1..%d, deferral 0..%d", w, deferred, wMax, deferBallots)
+	}
+	b.w, b.deferred = int(w), int(deferred)
 	return nil
 }
 

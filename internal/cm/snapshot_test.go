@@ -3,6 +3,7 @@ package cm
 import (
 	"testing"
 
+	"vinfra/internal/geo"
 	"vinfra/internal/sim"
 	"vinfra/internal/wire"
 )
@@ -27,22 +28,21 @@ func TestFixedSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestBackoffSnapshotRoundTrip pins the election blob: the contention
-// window and the deferral horizon travel; configuration does not.
+// window and the ballots still to sit out travel; nothing else does.
 func TestBackoffSnapshotRoundTrip(t *testing.T) {
-	factory := NewBackoff(BackoffConfig{WMax: 64, DeferRounds: 10})
+	factory := NewBackoff()
 	m := factory(newEnv(0, 5)).(*Backoff)
-	m.Observe(1, FeedbackCollision)
-	m.Observe(2, FeedbackCollision)
-	m.Observe(3, FeedbackLost)
+	m.Observe(FeedbackCollision)
+	m.Observe(FeedbackCollision)
+	m.Observe(FeedbackLost)
 
 	blob := m.AppendState(nil)
 	fresh := factory(newEnv(0, 5)).(*Backoff)
 	if err := fresh.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.w != m.w || fresh.deferUntil != m.deferUntil {
-		t.Fatalf("restored (w=%d, deferUntil=%d), want (w=%d, deferUntil=%d)",
-			fresh.w, fresh.deferUntil, m.w, m.deferUntil)
+	if fresh.w != 4 || fresh.deferred != 1 {
+		t.Fatalf("restored (w=%d, deferred=%d), want (w=4, deferred=1)", fresh.w, fresh.deferred)
 	}
 
 	if err := fresh.RestoreState([]byte{0x01}); err == nil {
@@ -53,9 +53,9 @@ func TestBackoffSnapshotRoundTrip(t *testing.T) {
 // TestRegionalSnapshotDelegates pins that Regional's blob is exactly its
 // embedded Backoff's (eligibility is derived from position, not state).
 func TestRegionalSnapshotDelegates(t *testing.T) {
-	factory := NewRegional(RegionalConfig{Radius: 5, Horizon: 2})
+	factory := NewRegional(geo.Point{}, 5)
 	m := factory(newEnv(0, 9)).(*Regional)
-	m.Observe(1, FeedbackCollision)
+	m.Observe(FeedbackCollision)
 
 	blob := m.AppendState(nil)
 	fresh := factory(newEnv(0, 9)).(*Regional)
@@ -71,7 +71,9 @@ func TestRegionalSnapshotDelegates(t *testing.T) {
 // TestRefusedBlobChangesNothing pins that a blob RestoreState refuses
 // writes nothing: for Fixed that is the leader every manager of the
 // factory shares, so a bad blob must not move a region's leader; for
-// Backoff, the window and the deferral horizon.
+// Backoff, the window and the deferral — and Backoff refuses a window
+// outside [1, 32] or a deferral longer than one ballot, among them the
+// blob of a manager checkpointed when the deferral was a radio round.
 func TestRefusedBlobChangesNothing(t *testing.T) {
 	trailing := append(wire.AppendVarint(nil, 7), 0)
 	truncated := []byte{0x80} // a varint cut short: reads as 0
@@ -89,19 +91,26 @@ func TestRefusedBlobChangesNothing(t *testing.T) {
 		}
 	}
 
-	b := NewBackoff(BackoffConfig{WMax: 64, DeferRounds: 10})(newEnv(0, 5)).(*Backoff)
-	b.Observe(1, FeedbackCollision)
-	b.Observe(2, FeedbackLost)
-	w, deferUntil := b.w, b.deferUntil
+	backoff := func(w, deferred uint64) []byte {
+		return wire.AppendUvarint(wire.AppendUvarint(nil, w), deferred)
+	}
+	b := NewBackoff()(newEnv(0, 5)).(*Backoff)
+	b.Observe(FeedbackCollision)
+	b.Observe(FeedbackLost)
+	w, deferred := b.w, b.deferred
 	for _, blob := range [][]byte{
-		append(wire.AppendUvarint(wire.AppendUvarint(nil, 9), 99), 0), // trailing byte
-		wire.AppendUvarint(nil, 9),                                    // horizon missing
+		append(backoff(9, 1), 0),   // trailing byte
+		wire.AppendUvarint(nil, 9), // deferral missing
+		backoff(1, 5000),           // the deferral as a radio round
+		backoff(1, 2),              // longer than one ballot
+		backoff(0, 0),              // no window
+		backoff(33, 0),             // above the cap
 	} {
 		if err := b.RestoreState(blob); err == nil {
 			t.Fatalf("Backoff accepted % x", blob)
 		}
-		if b.w != w || b.deferUntil != deferUntil {
-			t.Fatalf("refused blob % x moved (w=%d, deferUntil=%d), want (%d, %d)", blob, b.w, b.deferUntil, w, deferUntil)
+		if b.w != w || b.deferred != deferred {
+			t.Fatalf("refused blob % x moved (w=%d, deferred=%d), want (%d, %d)", blob, b.w, b.deferred, w, deferred)
 		}
 	}
 }

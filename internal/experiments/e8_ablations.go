@@ -139,7 +139,7 @@ func cmAblationCell(c *harness.Cell) []harness.Row {
 	if mgr == "oracle" {
 		factory, _ = cm.NewFixed(0)
 	} else {
-		factory = cm.NewBackoff(cm.BackoffConfig{})
+		factory = cm.NewBackoff()
 	}
 	cl := newCluster(clusterOpts{n: n, cmFactory: factory, seed: int64(n) + c.Base()})
 	cl.runInstances(instances)

@@ -46,7 +46,7 @@ func TestFullStackGridEqualsScan(t *testing.T) {
 			Radii:     radii,
 			Program:   pingCounter,
 			NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-				return cm.NewBackoff(cm.BackoffConfig{})(env)
+				return cm.NewBackoff()(env)
 			},
 		})
 		if err != nil {

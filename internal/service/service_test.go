@@ -404,7 +404,7 @@ func TestDamagedTenantsQuarantined(t *testing.T) {
 // out. The tenant is quarantined with the core named as the cause, and the
 // healthy tenant steps on.
 func TestHostileCoreQuarantined(t *testing.T) {
-	checkReplicaQuarantined(t, "bigk", "cha: restore", func(blob []byte) []byte {
+	checkReplicaQuarantined(t, smallDoc, "bigk", "cha: restore", func(blob []byte) []byte {
 		d := wire.Dec(blob)
 		d.Varint()
 		d.Bool()
@@ -425,24 +425,42 @@ func TestHostileCoreQuarantined(t *testing.T) {
 // quarantined like any other damaged checkpoint, and the healthy tenant
 // steps on.
 func TestNegativeVNodeQuarantined(t *testing.T) {
-	checkReplicaQuarantined(t, "negvn", "vnode -2", func(blob []byte) []byte {
+	checkReplicaQuarantined(t, smallDoc, "negvn", "vnode -2", func(blob []byte) []byte {
 		d := wire.Dec(blob)
 		d.Varint()
 		return append(wire.AppendVarint(nil, -2), blob[len(blob)-d.Rem():]...)
 	})
 }
 
-// checkReplicaQuarantined checkpoints tenants bad and "good" at virtual
-// round 3, rewrites in bad's checkpoint the state blob of node 0 — a
+// TestPreChangeBackoffQuarantined: a regional tenant's checkpoint whose
+// replica carries a backoff blob in the shape written when the deferral was
+// a radio round (window 1, deferred until round 5000) is refused on boot,
+// not read as a 5000-ballot deferral: the tenant is quarantined with the
+// contention manager named, and the healthy tenant steps on.
+func TestPreChangeBackoffQuarantined(t *testing.T) {
+	regional := strings.Replace(smallDoc, `"devices"`, `"leader": "regional", "devices"`, 1)
+	checkReplicaQuarantined(t, regional, "oldcm", "contention manager", func(blob []byte) []byte {
+		d := wire.Dec(blob)
+		d.Varint()
+		d.Bool()
+		head := blob[:len(blob)-d.Rem()]
+		d.Bytes()
+		old := wire.AppendUvarint(wire.AppendUvarint(nil, 1), 5000)
+		return append(wire.AppendBytes(bytes.Clone(head), old), blob[len(blob)-d.Rem():]...)
+	})
+}
+
+// checkReplicaQuarantined checkpoints tenants bad and "good" of world doc at
+// virtual round 3, rewrites in bad's checkpoint the state blob of node 0 — a
 // bootstrapped replica of vnode 0, since spec.Build attaches the replicas
 // first — with edit, and reboots: bad must be quarantined with cause in its
 // reason, its files kept as *.damaged, and good must step on.
-func checkReplicaQuarantined(t *testing.T, bad, cause string, edit func(blob []byte) []byte) {
+func checkReplicaQuarantined(t *testing.T, doc, bad, cause string, edit func(blob []byte) []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	svc := newService(t, dir)
 	for _, name := range []string{bad, "good"} {
-		create(t, svc, name, smallDoc)
+		create(t, svc, name, doc)
 		callJSON(t, svc, "POST", "/v1/sims/"+name+"/step", `{"vrounds": 3}`, http.StatusOK, nil)
 		callJSON(t, svc, "POST", "/v1/sims/"+name+"/checkpoint", "", http.StatusOK, nil)
 	}

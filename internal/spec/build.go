@@ -3,6 +3,7 @@ package spec
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 
@@ -111,6 +112,12 @@ func appendPadded(b []byte, n, width int) []byte {
 	return strconv.AppendInt(b, int64(n), 10)
 }
 
+// replicaPos is where Build places the i-th bootstrapped replica of the
+// virtual node at loc.
+func replicaPos(loc geo.Point, i int) geo.Point {
+	return geo.Point{X: loc.X + 0.3*float64(i) - 0.5, Y: loc.Y + 0.2}
+}
+
 // Build turns a spec into a runnable world. The construction is a pure
 // function of the spec: every Attach happens in a fixed order (replicas,
 // pingers, targets, observer, listeners) and every seed derives from the
@@ -154,6 +161,16 @@ func Build(s Spec) (*World, error) {
 	dep, err := vi.NewDeployment(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
+	}
+	if s.Leader == "regional" {
+		near := math.Inf(1)
+		for i := 0; i < s.Devices.Replicas; i++ {
+			near = min(near, replicaPos(geo.Point{}, i).Dist(geo.Point{}))
+		}
+		if margin := dep.LeaderMargin(); margin < near {
+			return nil, fmt.Errorf("spec: leader \"regional\": the leader margin R1/4 - vmax*2(s+10) = %.3f (s = %d) is below the nearest bootstrap replica's offset %.3f, so no replica may ever lead",
+				margin, dep.Timing().S, near)
+		}
 	}
 
 	bounds := grid.Bounds()
@@ -224,28 +241,7 @@ func Build(s Spec) (*World, error) {
 			w.mu.Unlock()
 		},
 	}
-	for _, loc := range locs {
-		for i := 0; i < s.Devices.Replicas; i++ {
-			w.AttachReplica(geo.Point{X: loc.X + 0.3*float64(i) - 0.5, Y: loc.Y + 0.2}, true, counted)
-		}
-	}
-
-	// Pingers: one stationary client per region, staggered so neighboring
-	// pings don't collide every client slot.
-	if s.Devices.Pingers {
-		for v, loc := range locs {
-			v := v
-			w.Eng.Attach(geo.Point{X: loc.X + 1.2, Y: loc.Y - 1}, nil, func(env sim.Env) sim.Node {
-				return dep.NewClient(env, vi.ClientFunc(
-					func(vr int, _ []vi.Message, _ bool) *vi.Message {
-						if vr%4 != v%4 {
-							return nil
-						}
-						return &vi.Message{Payload: pingPayload(v, vr)}
-					}))
-			})
-		}
-	}
+	w.attachBootstrap(counted)
 
 	// Every roaming device — target or listener — moves under this one
 	// model; the engine keeps each device's leg through it.
@@ -303,6 +299,32 @@ func Build(s Spec) (*World, error) {
 		w.Eng.AddFault(f)
 	}
 	return w, nil
+}
+
+// attachBootstrap attaches the spec's replicas, bootstrapped and clustered
+// inside each region, with hooks, then its pingers: one stationary client
+// per region, staggered so neighboring pings don't collide every client
+// slot.
+func (w *World) attachBootstrap(hooks vi.EmulatorHooks) {
+	for _, loc := range w.Locs {
+		for i := 0; i < w.Spec.Devices.Replicas; i++ {
+			w.AttachReplica(replicaPos(loc, i), true, hooks)
+		}
+	}
+	if !w.Spec.Devices.Pingers {
+		return
+	}
+	for v, loc := range w.Locs {
+		w.Eng.Attach(geo.Point{X: loc.X + 1.2, Y: loc.Y - 1}, nil, func(env sim.Env) sim.Node {
+			return w.Dep.NewClient(env, vi.ClientFunc(
+				func(vr int, _ []vi.Message, _ bool) *vi.Message {
+					if vr%4 != v%4 {
+						return nil
+					}
+					return &vi.Message{Payload: pingPayload(v, vr)}
+				}))
+		})
+	}
 }
 
 // AttachReplica attaches one emulator device at pos and returns it — the

@@ -86,7 +86,9 @@ type Spec struct {
 	Engine  Engine  `json:"engine,omitempty"`
 	// Leader selects the contention-manager regime: "fixed" (the region's
 	// first replica leads; the managed-deployment setting every soak uses)
-	// or "regional" (the paper's leader-election manager).
+	// or "regional" (the paper's leader-election manager; Build refuses it
+	// when the leader margin, vi.Deployment.LeaderMargin, cannot hold the
+	// nearest bootstrap replica).
 	Leader string `json:"leader,omitempty"`
 	// Faults is the deterministic adversary schedule, in order. Engine
 	// kinds may also be appended mid-run (World.InjectFault); jammer kinds

@@ -424,6 +424,30 @@ func TestEmulationOverheadConstantInReplicas(t *testing.T) {
 	}
 }
 
+// TestLeaderMargin pins the regional manager's eligibility radius, one
+// location (s = 1): R1/4 - vmax*2(s+10), floored at 0 once the speed bound
+// could carry a leader out of the region within its horizon.
+func TestLeaderMargin(t *testing.T) {
+	for _, tc := range []struct{ vmax, want float64 }{
+		{0, testRadii.R1 / 4},
+		{0.02, testRadii.R1/4 - 0.02*22},
+		{testRadii.R1, 0},
+	} {
+		dep, err := vi.NewDeployment(vi.DeploymentConfig{
+			Locations: []geo.Point{{}},
+			Radii:     testRadii,
+			Program:   counterProgram,
+			VMax:      tc.vmax,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dep.LeaderMargin(); got != tc.want {
+			t.Errorf("vmax %g: LeaderMargin() = %g, want %g", tc.vmax, got, tc.want)
+		}
+	}
+}
+
 func TestDeploymentValidation(t *testing.T) {
 	base := vi.DeploymentConfig{
 		Locations: []geo.Point{{}},

@@ -46,7 +46,7 @@ type DeploymentConfig struct {
 	// closes over.
 	Program func(VNodeID, Schedule) Program
 	// VMax bounds device speed; it shrinks the regional contention
-	// manager's leader-eligibility margin (Section 4.2). Optional.
+	// manager's leader-eligibility margin (LeaderMargin). Optional.
 	VMax float64
 	// NewCM overrides the regional contention manager factory. Optional;
 	// the default is a Regional backoff manager per virtual node.
@@ -81,13 +81,9 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	if cfg.NewCM != nil {
 		d.newCM = cfg.NewCM
 	} else {
+		margin := d.LeaderMargin()
 		d.newCM = func(v VNodeID, env sim.Env) cm.Manager {
-			return cm.NewRegional(cm.RegionalConfig{
-				Location: d.locs[v],
-				Radius:   d.RegionRadius(),
-				VMax:     d.vmax,
-				Horizon:  d.timing.LeaderHorizon(),
-			})(env)
+			return cm.NewRegional(d.locs[v], margin)(env)
 		}
 	}
 	return d, nil
@@ -99,6 +95,16 @@ func (d *Deployment) program(v VNodeID) Program { return d.programs[v] }
 // RegionRadius returns the replication region radius around each virtual
 // node location: R1/4 (Section 4).
 func (d *Deployment) RegionRadius() float64 { return d.radii.R1 / 4 }
+
+// LeaderMargin returns the regional contention manager's eligibility
+// radius around each virtual node location (Section 4.2): a temporary
+// leader must stay within R1/4 of the location for LeaderHorizon = 2(s+10)
+// rounds, so at speed up to vmax only a device within R1/4 - vmax*2(s+10)
+// of it may compete. Floored at 0, where only a device exactly at the
+// location is eligible.
+func (d *Deployment) LeaderMargin() float64 {
+	return max(d.RegionRadius()-d.vmax*float64(d.timing.LeaderHorizon()), 0)
+}
 
 // Timing returns the deployment's virtual round timing.
 func (d *Deployment) Timing() Timing { return d.timing }
@@ -350,10 +356,10 @@ func (e *Emulator) Transmit(r sim.Round) sim.Message {
 		e.startVRound()
 		return nil
 	case PhaseVN:
-		return e.transmitVN(r, vr)
+		return e.transmitVN(vr)
 	case PhaseSchedBallot:
 		if e.participating(vr, true) {
-			return e.transmitBallot(r, vr)
+			return e.transmitBallot(vr)
 		}
 		return nil
 	case PhaseSchedVeto1:
@@ -368,7 +374,7 @@ func (e *Emulator) Transmit(r sim.Round) sim.Message {
 		return nil
 	case PhaseUnschedBallot:
 		if e.participating(vr, false) && subslot == e.d.schedule.SlotOf(e.vn) {
-			return e.transmitBallot(r, vr)
+			return e.transmitBallot(vr)
 		}
 		return nil
 	case PhaseUnschedVeto1:
@@ -389,7 +395,7 @@ func (e *Emulator) Transmit(r sim.Round) sim.Message {
 		}
 		return nil
 	case PhaseJoinAck:
-		if e.joined && e.sawJoinActivity && e.scheduled(vr) && e.mgr.Advice(r) {
+		if e.joined && e.sawJoinActivity && e.scheduled(vr) && e.mgr.Advice() {
 			return e.joinAck()
 		}
 		return nil
@@ -434,7 +440,7 @@ func (e *Emulator) startVRound() {
 // virtual node is unscheduled but chooses to broadcast, every replica
 // broadcasts; if it is scheduled, only contention-manager-advised replicas
 // do.
-func (e *Emulator) transmitVN(r sim.Round, vr int) sim.Message {
+func (e *Emulator) transmitVN(vr int) sim.Message {
 	if e.vn == None || !e.joined {
 		return nil
 	}
@@ -452,17 +458,17 @@ func (e *Emulator) transmitVN(r sim.Round, vr int) sim.Message {
 		e.input.VNBroadcast = true
 		return VNMsg{Payload: out.Payload}
 	}
-	if e.mgr.Advice(r) {
+	if e.mgr.Advice() {
 		e.input.VNBroadcast = true
 		return VNMsg{Payload: out.Payload}
 	}
 	return nil
 }
 
-func (e *Emulator) transmitBallot(r sim.Round, vr int) sim.Message {
+func (e *Emulator) transmitBallot(vr int) sim.Message {
 	b := e.core.Begin(cha.Instance(vr), e.input.Encode())
 	e.began = true
-	e.broadcastBallot = e.mgr.Advice(r)
+	e.broadcastBallot = e.mgr.Advice()
 	if e.broadcastBallot {
 		e.ballot.B = b
 		return &e.ballot
@@ -512,7 +518,7 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 		}
 	case PhaseSchedBallot:
 		if e.participating(vr, true) {
-			e.observeBallots(r, rx)
+			e.observeBallots(rx)
 		}
 	case PhaseSchedVeto1:
 		if e.participating(vr, true) {
@@ -524,7 +530,7 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 		}
 	case PhaseUnschedBallot:
 		if e.participating(vr, false) && subslot == e.d.schedule.SlotOf(e.vn) {
-			e.observeBallots(r, rx)
+			e.observeBallots(rx)
 		}
 	case PhaseUnschedVeto1:
 		if e.participating(vr, false) {
@@ -614,14 +620,14 @@ func (e *Emulator) nextDuty(r sim.Round, vr int) sim.Round {
 	return r + sim.Round(next-off)
 }
 
-func (e *Emulator) observeBallots(r sim.Round, rx sim.Reception) {
+func (e *Emulator) observeBallots(rx sim.Reception) {
 	if !e.began {
 		// Defensive: a replica that joined mid-round skips the instance.
 		return
 	}
 	b, heard := cha.MinBallotOf(rx.Msgs)
 	e.core.ObserveMinBallot(b, heard, rx.Collision)
-	e.mgr.Observe(r, cm.FeedbackOf(e.broadcastBallot, heard, rx.Collision))
+	e.mgr.Observe(cm.FeedbackOf(e.broadcastBallot, heard, rx.Collision))
 }
 
 // finishInstance closes the instance at the final veto phase, folds green

@@ -27,7 +27,7 @@ func TestFullStackParallelDeterminism(t *testing.T) {
 			Radii:     testRadii,
 			Program:   counterProgram,
 			NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-				return cm.NewBackoff(cm.BackoffConfig{})(env)
+				return cm.NewBackoff()(env)
 			},
 		})
 		if err != nil {
