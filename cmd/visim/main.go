@@ -1,9 +1,10 @@
 // Command visim runs an interactive virtual infrastructure simulation
 // described by a deployment spec: a grid of virtual nodes running a VI
 // application, roaming targets and tethered devices emulating the virtual
-// nodes. It prints per-virtual-node availability, join/reset counts, and —
-// for the tracking app — where the trackers believe each target is versus
-// where it actually is.
+// nodes. It prints per-virtual-node availability, the world's join and
+// reset counts (over every replica it attached), and — for the tracking
+// app — where the trackers believe each target is versus where it actually
+// is.
 //
 // The world is an internal/spec document, and -spec names it: the same
 // document POST /v1/sims accepts, with identical results. -dump-spec prints

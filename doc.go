@@ -31,7 +31,7 @@
 //     asleep, whose wake round came), not of the population. A run with
 //     sleepers is byte-identical, round by round, to the same run with
 //     every SleepUntil ignored (snapshots do not record sleep; Restore
-//     and Fork wake everyone).
+//     wakes everyone).
 //   - geo: planar geometry, the quasi-unit-disk radii R1/R2, deployment
 //     grids, and CellIndex — the uniform-grid spatial index that makes
 //     radius queries O(points in nearby cells) instead of O(n): a dense,
@@ -149,7 +149,11 @@
 //     one place an engine + medium + deployment + monitor world is
 //     assembled — for cmd/visim, cmd/visimd (internal/service), the
 //     benchmark and the experiments alike. World.AttachReplica and
-//     World.SetLeader are what a churn-modelling driver adds mid-run.
+//     World.SetLeader are what a churn-modelling driver adds mid-run; the
+//     World counts every replica it attaches, bootstrapped or mid-run, in
+//     one pair of join/reset counters and keeps the one virtual-round
+//     cursor, so a driver keeps only its policy state and resumes the
+//     world with World.Resume after replaying its joiners.
 //     Build leaves the schedule to vi.NewDeployment, its one owner, and
 //     TestBuildCityAllocs and TestBuildMetroAllocs count what building the
 //     bench's city and metro documents allocates.

@@ -102,6 +102,85 @@ func TestSoakRestoreEqualsUninterrupted(t *testing.T) {
 	}
 }
 
+// TestSoakRestoreResumesWorld holds a restored churn soak's World, not only
+// its rows, to the straight run's: E11 and E13 cells cut at virtual rounds
+// 2, 5 and 7 and restored on a fresh soak must agree with the uninterrupted
+// run at every later virtual round in the world's cursor, its deployment
+// summary, every virtual node's report and its join/reset counts. The rows
+// alone cannot show a cursor left behind: E11 reads availability 1.00 at
+// the horizon either way.
+func TestSoakRestoreResumesWorld(t *testing.T) {
+	type worldSoak interface {
+		Soak
+		World() *spec.World
+	}
+	type view struct {
+		vr            int
+		sum           vi.AvailabilitySummary
+		reports       []vi.AvailabilityReport
+		joins, resets int
+	}
+	look := func(w *spec.World) view {
+		v := view{vr: w.VRound(), sum: w.Summary(), joins: w.Joins(), resets: w.Resets()}
+		for i := range w.Locs {
+			v.reports = append(v.reports, w.Report(vi.VNodeID(i)))
+		}
+		return v
+	}
+	type tc struct {
+		exp string
+		p   harness.Params
+	}
+	var cases []tc
+	for _, p := range e11Desc.Grid(true) {
+		cases = append(cases, tc{"E11", p})
+	}
+	for _, p := range e13Desc.Grid(true) {
+		cases = append(cases, tc{"E13", p})
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/%s", c.exp, c.p.Label), func(t *testing.T) {
+			t.Parallel()
+			mk := func() worldSoak {
+				s, err := NewSoak(c.exp, &harness.Cell{Params: c.p, Seed: 1}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s.(worldSoak)
+			}
+			straight := mk()
+			want := []view{look(straight.World())} // want[vr]: after vr virtual rounds
+			for straight.VRound() < straight.VRounds() {
+				straight.StepVRound()
+				want = append(want, look(straight.World()))
+			}
+			for _, cut := range []int{2, 5, 7} {
+				s := mk()
+				for s.VRound() < cut {
+					s.StepVRound()
+				}
+				cp, err := checkpoint.Decode(s.Checkpoint().Encode())
+				if err != nil {
+					t.Fatalf("checkpoint at vround %d: %v", cut, err)
+				}
+				s = mk()
+				if err := s.Restore(cp); err != nil {
+					t.Fatalf("restore at vround %d: %v", cut, err)
+				}
+				for vr := cut; ; vr++ {
+					if got := look(s.World()); !reflect.DeepEqual(got, want[vr]) {
+						t.Fatalf("cut at vround %d: at vround %d the restored world reads\n%+v\nthe straight run\n%+v", cut, vr, got, want[vr])
+					}
+					if vr == s.VRounds() {
+						break
+					}
+					s.StepVRound()
+				}
+			}
+		})
+	}
+}
+
 // TestCitySoakRestoreEqualsUninterrupted extends the golden property to
 // E14: the sharded city — mobile listeners migrating across shard
 // boundaries under RandomWaypoint — checkpointed mid-run and resumed on a
@@ -194,40 +273,6 @@ func TestCheckpointMidRound(t *testing.T) {
 				t.Fatalf("monitor state after mid-round restores diverges from the uninterrupted run")
 			}
 		})
-	}
-}
-
-// TestEngineFork pins the fork semantics: restoring the same checkpoint
-// under a different seed is (a) deterministic — two forks with the same
-// seed agree byte-for-byte — and (b) an actual divergence — the forked
-// timeline's RNG decisions decouple from the parent's.
-func TestEngineFork(t *testing.T) {
-	p := e13Desc.Grid(true)[0] // jam/high: seeded gray-zone + jammer decisions
-	mk := func() *adversarySoak {
-		return newAdversarySoak(&harness.Cell{Params: p, Seed: 1}, true, 0)
-	}
-	s := mk()
-	for s.VRound() < 3 {
-		s.StepVRound()
-	}
-	cp := s.Checkpoint()
-
-	fork := func(seed int64) []byte {
-		f := mk()
-		if err := f.w.Eng.Fork(cp.Engine, seed); err != nil {
-			t.Fatal(err)
-		}
-		f.w.Mon.Restore(cp.Monitor)
-		f.w.Eng.Run(4 * f.w.RoundsPerVRound())
-		return f.w.Eng.Snapshot().AppendTo(nil)
-	}
-
-	a, b, c := fork(777), fork(777), fork(778)
-	if !bytes.Equal(a, b) {
-		t.Fatal("two forks with the same seed diverge — fork is not deterministic")
-	}
-	if bytes.Equal(a, c) {
-		t.Fatal("forks with different seeds agree byte-for-byte — the fork seed is not reaching the node RNG streams")
 	}
 }
 

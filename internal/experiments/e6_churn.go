@@ -7,7 +7,6 @@ import (
 	"vinfra/internal/harness"
 	"vinfra/internal/sim"
 	"vinfra/internal/spec"
-	"vinfra/internal/vi"
 )
 
 var e6Desc = harness.Descriptor{
@@ -46,7 +45,6 @@ func churnCell(c *harness.Cell) []harness.Row {
 	attachPinger(w, geo.Point{X: 1.2, Y: -1})
 
 	var joinLatency harness.Series
-	resets := 0
 	turnovers := 0
 
 	// Replica IDs: 0..2 are the bootstrap replicas; the pinger is 3.
@@ -60,11 +58,8 @@ func churnCell(c *harness.Cell) []harness.Row {
 			oldest++
 			arrivedAt := vr
 			newID := sim.NodeID(w.Eng.NumNodes())
-			w.AttachReplica(geo.Point{X: 0.2 * float64(vr%5), Y: -0.3}, false, vi.EmulatorHooks{
-				OnJoin: func(_ vi.VNodeID, joinVR int) {
-					joinLatency.AddInt(joinVR - arrivedAt)
-				},
-				OnReset: func(vi.VNodeID, int) { resets++ },
+			w.AttachReplica(geo.Point{X: 0.2 * float64(vr%5), Y: -0.3}, false, func(joinVR int) {
+				joinLatency.AddInt(joinVR - arrivedAt)
 			})
 			alive = append(alive, newID)
 			turnovers++
@@ -73,6 +68,6 @@ func churnCell(c *harness.Cell) []harness.Row {
 	}
 	return []harness.Row{{
 		harness.Int(period), harness.Int(turnovers),
-		harness.Float(w.Report(0).Availability), harness.Float(joinLatency.Mean()), harness.Int(resets),
+		harness.Float(w.Report(0).Availability), harness.Float(joinLatency.Mean()), harness.Int(w.Resets()),
 	}}
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 
 	"vinfra/internal/checkpoint"
 	"vinfra/internal/faults"
@@ -28,9 +26,9 @@ import (
 // The restore protocol: build the Soak from the same cell (same params,
 // same seed, same shard count) — that reconstructs every piece of code the
 // snapshot cannot carry (programs, factories, fault closures) — then call
-// Restore with the checkpoint, which re-attaches mid-run joiners, lays the
-// engine/monitor state over the rebuilt world, and repositions the
-// driver's own counters.
+// Restore with the checkpoint, which re-attaches mid-run joiners and
+// Resumes the world (engine and monitor state, the virtual-round cursor,
+// the join/reset counters) before repositioning the soak's policy state.
 type Soak interface {
 	// VRounds returns the cell's total virtual-round horizon.
 	VRounds() int
@@ -75,58 +73,26 @@ func NewSoak(exp string, c *harness.Cell, shards int) (Soak, error) {
 	}
 }
 
-// soakCheckpoint captures the world's three shared layers with the soak's
-// own driver blob in place of the world's (a soak keeps its own cursor and
-// counts only its mid-run joiners, so the world's driver state is unused).
-func soakCheckpoint(w *spec.World, driver []byte) checkpoint.Checkpoint {
-	cp := w.Checkpoint()
-	cp.Driver = driver
-	return cp
-}
-
-// soakRestore lays the three shared layers over a rebuilt world. The driver
-// must have re-attached every mid-run joiner first so the node population
-// matches.
-func soakRestore(w *spec.World, cp checkpoint.Checkpoint) error {
-	if !bytes.Equal(cp.Medium, w.Medium.AppendFingerprint(nil)) {
-		return fmt.Errorf("the checkpoint's medium fingerprint differs from the rebuilt medium's")
-	}
-	if err := w.Eng.Restore(cp.Engine); err != nil {
-		return err
-	}
-	w.Mon.Restore(cp.Monitor)
-	return nil
-}
-
 // soakReplicasPer is the bootstrapped replica count per region in every
 // soak.
 const soakReplicasPer = 3
 
 // churnSoak is what the churn soaks (E11, E13) share: the cell, its world,
-// the virtual-round cursor, and the replica bookkeeping — per-region rosters
-// (oldest first, head = the fixed leader), the mid-run joiners in attach
-// order, and join/reset counters fed by the joiners' hooks only (the world's
-// own counters also see the bootstrapped replicas, whose resets the result
-// columns must not count).
+// and the churn policy's state — per-region rosters (oldest first, head =
+// the fixed leader), the region of each mid-run joiner in attach order, and
+// the respawn count. The virtual-round cursor, the horizon and the
+// join/reset counts are the world's: it counts every replica it attaches.
 type churnSoak struct {
-	c       *harness.Cell
-	w       *spec.World
-	vrounds int
-	vr      int
+	c *harness.Cell
+	w *spec.World
 
 	rosters [][]sim.NodeID
 	extras  []int // region of each mid-run joiner, in attach order
 	churn   int   // respawns so far; drives the respawn position pattern
-
-	// Hooks fire from emulator Receive calls, which the parallel engine
-	// fans out across workers: the counters need their own lock.
-	mu     sync.Mutex
-	joins  int
-	resets int
 }
 
 func newChurnSoak(c *harness.Cell, w *spec.World) *churnSoak {
-	s := &churnSoak{c: c, w: w, vrounds: c.Params.Int("vrounds"), rosters: make([][]sim.NodeID, len(w.Locs))}
+	s := &churnSoak{c: c, w: w, rosters: make([][]sim.NodeID, len(w.Locs))}
 	for v := range s.rosters {
 		for i := 0; i < soakReplicasPer; i++ {
 			s.rosters[v] = append(s.rosters[v], sim.NodeID(v*soakReplicasPer+i))
@@ -135,8 +101,8 @@ func newChurnSoak(c *harness.Cell, w *spec.World) *churnSoak {
 	return s
 }
 
-func (s *churnSoak) VRounds() int { return s.vrounds }
-func (s *churnSoak) VRound() int  { return s.vr }
+func (s *churnSoak) VRounds() int { return s.w.VRounds() }
+func (s *churnSoak) VRound() int  { return s.w.VRound() }
 
 // World returns the world the soak drives, for observers that need its
 // engine between the virtual-round boundaries a Checkpoint is confined to
@@ -145,9 +111,9 @@ func (s *churnSoak) World() *spec.World { return s.w }
 
 // respawn attaches a fresh (non-bootstrapped) device near region v, which
 // acquires state through the join protocol, and appends it to the region's
-// roster. onJoin, when set, runs under the counter lock with the virtual
-// round the join completed in. It runs on the engine goroutine only (fault
-// Strike or between vrounds).
+// roster. onJoin, when set, runs under the world's counter lock with the
+// virtual round the join completed in. It runs on the engine goroutine only
+// (fault Strike or between vrounds).
 func (s *churnSoak) respawn(v int, onJoin func(joinVR int)) (sim.NodeID, *vi.Emulator) {
 	loc := s.w.Locs[v]
 	pos := geo.Point{
@@ -156,24 +122,19 @@ func (s *churnSoak) respawn(v int, onJoin func(joinVR int)) (sim.NodeID, *vi.Emu
 	}
 	s.churn++
 	id := sim.NodeID(s.w.Eng.NumNodes())
-	em := s.w.AttachReplica(pos, false, vi.EmulatorHooks{
-		OnJoin: func(_ vi.VNodeID, joinVR int) {
-			s.mu.Lock()
-			s.joins++
-			if onJoin != nil {
-				onJoin(joinVR)
-			}
-			s.mu.Unlock()
-		},
-		OnReset: func(vi.VNodeID, int) {
-			s.mu.Lock()
-			s.resets++
-			s.mu.Unlock()
-		},
-	})
+	em := s.w.AttachReplica(pos, false, onJoin)
 	s.rosters[v] = append(s.rosters[v], id)
 	s.extras = append(s.extras, v)
 	return id, em
+}
+
+// checkpoint captures the world's layers with the soak's driver blob in
+// place of the world's: the soak's blob carries the world's cursor and
+// counters and its own policy state after them.
+func (s *churnSoak) checkpoint(driver []byte) checkpoint.Checkpoint {
+	cp := s.w.Checkpoint()
+	cp.Driver = driver
+	return cp
 }
 
 // setLeader hands region v to node id. Every soak world runs fixed leaders,
@@ -184,14 +145,15 @@ func (s *churnSoak) setLeader(v int, id sim.NodeID) {
 	}
 }
 
-// appendDriver encodes the shared resume state: cursor, counters, rosters
-// and joiner regions. This is E13's whole driver blob, whose layout
-// bench/expect.json freezes; E11 appends its latency bookkeeping after it.
+// appendDriver encodes the shared resume state: the world's cursor and
+// counters, then the churn count, rosters and joiner regions. This is E13's
+// whole driver blob, whose layout bench/expect.json freezes; E11 appends its
+// latency bookkeeping after it.
 func (s *churnSoak) appendDriver(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, uint64(s.vr))
+	dst = wire.AppendUvarint(dst, uint64(s.w.VRound()))
 	dst = wire.AppendUvarint(dst, uint64(s.churn))
-	dst = wire.AppendUvarint(dst, uint64(s.joins))
-	dst = wire.AppendUvarint(dst, uint64(s.resets))
+	dst = wire.AppendUvarint(dst, uint64(s.w.Joins()))
+	dst = wire.AppendUvarint(dst, uint64(s.w.Resets()))
 	dst = wire.AppendUvarint(dst, uint64(len(s.rosters)))
 	for _, reg := range s.rosters {
 		dst = wire.AppendUvarint(dst, uint64(len(reg)))
@@ -263,15 +225,14 @@ func (s *churnSoak) decodeDriver(d *wire.Decoder) (churnState, error) {
 
 // restoreOver finishes a restore once the soak has replayed its mid-run
 // joiners (in their original order, so the node population and NodeID
-// assignment match the checkpoint): the engine restore overwrites every
-// node's position and state, and the checkpointed bookkeeping replaces what
-// the replay rebuilt.
+// assignment match the checkpoint): Resume overwrites every node's position
+// and state and the world's cursor and counters, and the checkpointed
+// bookkeeping replaces what the replay rebuilt.
 func (s *churnSoak) restoreOver(cp checkpoint.Checkpoint, st churnState) error {
-	if err := soakRestore(s.w, cp); err != nil {
+	if err := s.w.Resume(cp, st.vr, st.joins, st.resets); err != nil {
 		return err
 	}
-	s.vr, s.churn, s.joins, s.resets = st.vr, st.churn, st.joins, st.resets
-	s.rosters = st.rosters
+	s.churn, s.rosters = st.churn, st.rosters
 	return nil
 }
 
@@ -310,7 +271,7 @@ func (s *metroSoak) attachExtra(v, arrived int) {
 // leadership hands to the next-oldest replica, and a fresh device attaches
 // nearby and acquires state through the join protocol.
 func (s *metroSoak) StepVRound() {
-	vr, eng := s.vr, s.w.Eng
+	vr, eng := s.w.VRound(), s.w.Eng
 	if vr > 0 {
 		v := vr % len(s.rosters)
 		if reg := s.rosters[v]; len(reg) > 1 {
@@ -335,7 +296,6 @@ func (s *metroSoak) StepVRound() {
 		}
 	}
 	s.w.StepVRound()
-	s.vr++
 }
 
 // Columns matches the E11 descriptor: the soak row is the cell row.
@@ -348,16 +308,14 @@ func (s *metroSoak) Rows() []harness.Row {
 		joinLatency.AddInt(int(l))
 	}
 	return []harness.Row{{
-		harness.Int(nv), harness.Int(eng.NumNodes()), harness.Int(s.vrounds),
+		harness.Int(nv), harness.Int(eng.NumNodes()), harness.Int(s.w.VRounds()),
 		harness.Int(s.churn), harness.Int(eng.AliveCount()),
 		harness.Float(s.w.Summary().MeanAvailability), harness.Float(joinLatency.Mean()),
-		harness.Int(s.joins), harness.Int(s.resets),
+		harness.Int(s.w.Joins()), harness.Int(s.w.Resets()),
 	}}
 }
 
 func (s *metroSoak) Checkpoint() checkpoint.Checkpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	driver := s.appendDriver(nil)
 	driver = wire.AppendUvarint(driver, uint64(len(s.latencies)))
 	for _, l := range s.latencies {
@@ -366,7 +324,7 @@ func (s *metroSoak) Checkpoint() checkpoint.Checkpoint {
 	for _, vr := range s.arrived {
 		driver = wire.AppendUvarint(driver, uint64(vr))
 	}
-	return soakCheckpoint(s.w, driver)
+	return s.checkpoint(driver)
 }
 
 func (s *metroSoak) Restore(cp checkpoint.Checkpoint) error {
@@ -518,7 +476,7 @@ func e13Faults(s *adversarySoak, kind string, high bool, seed int64) {
 		if high {
 			every = 3
 		}
-		for k, w := 0, 2; w < s.vrounds; k, w = k+1, w+every {
+		for k, w := 0, 2; w < s.w.VRounds(); k, w = k+1, w+every {
 			v := k % len(s.rosters)
 			s.wiped[w] = vi.VNodeID(v)
 			eng.AddFault(faults.RegionWipe{
@@ -575,7 +533,7 @@ func e13Faults(s *adversarySoak, kind string, high bool, seed int64) {
 // StepVRound runs one virtual round under the adversary, reviving a region
 // the round after a wipe annihilated it.
 func (s *adversarySoak) StepVRound() {
-	if v, ok := s.wiped[s.vr-1]; ok {
+	if v, ok := s.wiped[s.w.VRound()-1]; ok {
 		// The region was annihilated last virtual round: two fresh devices
 		// arrive and must revive it via join/reset. The first leads the
 		// reborn region.
@@ -585,7 +543,6 @@ func (s *adversarySoak) StepVRound() {
 		s.setLeader(int(v), first)
 	}
 	s.w.StepVRound()
-	s.vr++
 }
 
 // Columns matches the E13 descriptor: the soak row is the cell row.
@@ -594,21 +551,19 @@ func (s *adversarySoak) Columns() []string { return e13Desc.Columns }
 func (s *adversarySoak) Rows() []harness.Row {
 	kind, intensity := s.c.Params.Str("kind"), s.c.Params.Str("intensity")
 	eng, nv := s.w.Eng, len(s.w.Locs)
-	sum := s.w.Mon.SummaryThrough(nv, s.vrounds)
+	sum := s.w.Mon.SummaryThrough(nv, s.w.VRounds())
 	return []harness.Row{{
 		harness.Int(nv), harness.Str(kind), harness.Str(intensity),
 		harness.Int(eng.NumNodes()), harness.Int(eng.AliveCount()),
-		harness.Int(s.vrounds),
+		harness.Int(s.w.VRounds()),
 		harness.Float(sum.MeanAvailability), harness.Int(sum.Unavailable),
 		harness.Int(sum.MaxStall), harness.Float(sum.MeanRecovery),
-		harness.Int(s.joins), harness.Int(s.resets),
+		harness.Int(s.w.Joins()), harness.Int(s.w.Resets()),
 	}}
 }
 
 func (s *adversarySoak) Checkpoint() checkpoint.Checkpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return soakCheckpoint(s.w, s.appendDriver(nil))
+	return s.checkpoint(s.appendDriver(nil))
 }
 
 func (s *adversarySoak) Restore(cp checkpoint.Checkpoint) error {

@@ -161,31 +161,6 @@ func TestPersistentPoolSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestPersistentPoolForkDeterministic forks from a snapshot taken while
-// the worker pool was live: same fork seed twice is byte-identical,
-// different seeds diverge — the pool contributes nothing to the stream.
-func TestPersistentPoolForkDeterministic(t *testing.T) {
-	src, _ := snapshotShardedEngine(6)
-	src.Run(6)
-	snap := src.Snapshot()
-
-	fork := func(seed int64) []byte {
-		e, _ := snapshotShardedEngine(6)
-		if err := e.Fork(snap, seed); err != nil {
-			t.Fatal(err)
-		}
-		e.Run(6)
-		return e.Snapshot().AppendTo(nil)
-	}
-	a, b, c := fork(99), fork(99), fork(100)
-	if !bytes.Equal(a, b) {
-		t.Fatal("two forks with the same seed diverge")
-	}
-	if bytes.Equal(a, c) {
-		t.Fatal("forks with different seeds are identical")
-	}
-}
-
 // TestPersistentPoolCloseReleasesWorkers pins the goroutine lifecycle:
 // stepping a parallel engine parks helper goroutines, Close releases every
 // one of them, the engine remains usable afterwards (lazy rebuild), and

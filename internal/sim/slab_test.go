@@ -56,7 +56,7 @@ func joinEngine(initial int, oneSlab bool) (*Engine, *[]*counterNode) {
 // several slab boundaries (the first slab holds 16 nodes, the next ones 16,
 // 16, 24, ...), behave exactly like nodes of an engine that holds them all
 // in one slab — their Env handles (taken before later slabs existed) keep
-// answering, and Snapshot, Restore and Fork see the same state.
+// answering, and Snapshot and Restore see the same state.
 func TestAttachAcrossSlabBoundary(t *testing.T) {
 	const initial, rounds, cut = 10, 20, 8
 
@@ -115,18 +115,4 @@ func TestAttachAcrossSlabBoundary(t *testing.T) {
 		}
 	}
 
-	// Fork: the same counterfactual from either layout.
-	fork := func(oneSlab bool) []byte {
-		e, _ := joinEngine(initial+3*cut, oneSlab)
-		if err := e.Fork(snap, 99); err != nil {
-			t.Fatal(err)
-		}
-		e.Run(rounds - cut)
-		return e.Snapshot().AppendTo(nil)
-	}
-	if a, b := fork(false), fork(true); !bytes.Equal(a, b) {
-		t.Fatal("forks differ between the slabbed and the one-slab engine")
-	} else if bytes.Equal(a, want) {
-		t.Fatal("fork under a new seed replayed the original run")
-	}
 }

@@ -208,8 +208,8 @@ func TestShardedSleepUnobservable(t *testing.T) {
 }
 
 // A snapshot taken while most devices are asleep restores into a fresh
-// build — everyone awake — and runs on to the same snapshots; a fork does
-// the same against a fork that never sleeps.
+// build — everyone awake — and runs on to the same snapshots, whether the
+// restored engine then honours SleepUntil or ignores it.
 func TestShardedSleepSnapshotRestoreFork(t *testing.T) {
 	configs := map[string][]Option{
 		"sequential": nil,
@@ -227,28 +227,22 @@ func TestShardedSleepSnapshotRestoreFork(t *testing.T) {
 			}
 			snap := a.e.Snapshot()
 
-			restored := newDutyWorld(opts...)
-			if err := restored.e.Restore(snap); err != nil {
-				t.Fatal(err)
-			}
-			forked, oracle := newDutyWorld(opts...), newDutyWorld(opts...)
-			if err := forked.e.Fork(snap, 99); err != nil {
-				t.Fatal(err)
-			}
-			if err := oracle.e.Fork(snap, 99); err != nil {
-				t.Fatal(err)
+			restored, oracle := newDutyWorld(opts...), newDutyWorld(opts...)
+			for _, w := range []*dutyWorld{restored, oracle} {
+				if err := w.e.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for i := 0; i < 30; i++ {
 				a.e.Step()
 				restored.e.Step()
-				forked.e.Step()
 				sleepOffFor(oracle.e.Step)
 				want := a.e.Snapshot().AppendTo(nil)
 				if got := restored.e.Snapshot().AppendTo(nil); !slices.Equal(got, want) {
 					t.Fatalf("round %d: the restored engine diverged from the one that kept running", a.e.Round())
 				}
-				if got, want := forked.e.Snapshot().AppendTo(nil), oracle.e.Snapshot().AppendTo(nil); !slices.Equal(got, want) {
-					t.Fatalf("round %d: the fork diverged from the fork with SleepUntil ignored", a.e.Round())
+				if got := oracle.e.Snapshot().AppendTo(nil); !slices.Equal(got, want) {
+					t.Fatalf("round %d: the restored engine with SleepUntil ignored diverged from the one that kept running", a.e.Round())
 				}
 			}
 		})

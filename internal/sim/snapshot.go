@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"vinfra/internal/det"
 	"vinfra/internal/geo"
 	"vinfra/internal/wire"
 )
@@ -277,24 +276,6 @@ func (e *Engine) Restore(s EngineSnapshot) error {
 		return fmt.Errorf("sim: restore: snapshot fault digest %#x, engine %#x (rebuild with the same fault set)", s.FaultDigest, got)
 	}
 	return e.restore(s)
-}
-
-// Fork is Restore for counterfactual runs: it lays snapshot s over the
-// engine but re-keys every node's random stream under the new seed, so the
-// forked run replays the same world state forward under fresh randomness
-// (and, because fault fingerprints are not checked, optionally a different
-// fault set). Each node's stream is re-keyed as a pure function of
-// (newSeed, node, saved position), so forks are themselves deterministic
-// and two forks with the same arguments are identical.
-func (e *Engine) Fork(s EngineSnapshot, seed int64) error {
-	if err := e.restore(s); err != nil {
-		return err
-	}
-	e.seed = seed
-	for _, st := range e.nodes {
-		st.rng.SetState(det.HashKeys(seed, int64(st.id), int64(st.rng.State())))
-	}
-	return nil
 }
 
 func (e *Engine) restore(s EngineSnapshot) error {

@@ -143,28 +143,6 @@ func TestEngineRestoreValidation(t *testing.T) {
 	}
 }
 
-func TestEngineForkDeterministic(t *testing.T) {
-	src, _ := snapshotEngine(5)
-	src.Run(6)
-	snap := src.Snapshot()
-
-	fork := func(seed int64) []byte {
-		e, _ := snapshotEngine(5)
-		if err := e.Fork(snap, seed); err != nil {
-			t.Fatal(err)
-		}
-		e.Run(6)
-		return e.Snapshot().AppendTo(nil)
-	}
-	a, b, c := fork(99), fork(99), fork(100)
-	if !bytes.Equal(a, b) {
-		t.Fatal("two forks with the same seed diverge")
-	}
-	if bytes.Equal(a, c) {
-		t.Fatal("forks with different seeds are identical")
-	}
-}
-
 func FuzzDecodeEngineSnapshot(f *testing.F) {
 	e, _ := snapshotEngine(3)
 	e.CrashAt(1, 5)

@@ -34,8 +34,8 @@
 // simulation state — a node may only sleep through rounds in which it would
 // have transmitted nothing and ignored what it received, so a run with
 // sleepers is byte-identical, at every round, to the same run with every
-// SleepUntil ignored. Snapshots therefore do not record it: Restore and
-// Fork wake everyone, and a node declares again at its next Receive.
+// SleepUntil ignored. Snapshots therefore do not record it: Restore wakes
+// everyone, and a node declares again at its next Receive.
 package sim
 
 import (

@@ -32,10 +32,12 @@ type Target struct {
 }
 
 // World is a built deployment: the engine/deployment/monitor stack one spec
-// describes, plus the virtual-round cursor and churn counters that make a
-// run resumable. A World is not safe for concurrent use — one goroutine
-// drives it (the service runs one goroutine per tenant); the Monitor alone
-// is safe to read concurrently with stepping.
+// describes, plus the run's one virtual-round cursor and one pair of
+// join/reset counters, which count every replica the world attaches. A
+// driver that adds churn on top (the experiments' soaks) keeps only its
+// policy state and reads these. A World is not safe for concurrent use —
+// one goroutine drives it (the service runs one goroutine per tenant); the
+// Monitor alone is safe to read concurrently with stepping.
 type World struct {
 	Spec   Spec
 	Eng    *sim.Engine
@@ -52,7 +54,12 @@ type World struct {
 	// setLeaders holds the per-vnode leader handoff of the fixed regime
 	// (nil under "regional").
 	setLeaders []func(sim.NodeID)
+	// hooks is what every replica the world attaches reports to: outputs
+	// to the monitor, joins and resets to the counters below.
+	hooks vi.EmulatorHooks
 
+	// Hooks fire from emulator Receive calls, which the parallel engine
+	// fans out across workers: the counters need their own lock.
 	mu     sync.Mutex
 	joins  int
 	resets int
@@ -227,21 +234,8 @@ func Build(s Spec) (*World, error) {
 	// rather than growing them through every doubling on the way there.
 	w.Eng.Reserve(s.TotalDevices())
 
-	// Replicas: bootstrapped emulators clustered inside each region,
-	// feeding the world's churn counters.
-	counted := vi.EmulatorHooks{
-		OnJoin: func(vi.VNodeID, int) {
-			w.mu.Lock()
-			w.joins++
-			w.mu.Unlock()
-		},
-		OnReset: func(vi.VNodeID, int) {
-			w.mu.Lock()
-			w.resets++
-			w.mu.Unlock()
-		},
-	}
-	w.attachBootstrap(counted)
+	w.hooks = vi.EmulatorHooks{OnOutput: w.Mon.Observe, OnJoin: w.countJoin, OnReset: w.countReset}
+	w.attachBootstrap()
 
 	// Every roaming device — target or listener — moves under this one
 	// model; the engine keeps each device's leg through it.
@@ -302,13 +296,12 @@ func Build(s Spec) (*World, error) {
 }
 
 // attachBootstrap attaches the spec's replicas, bootstrapped and clustered
-// inside each region, with hooks, then its pingers: one stationary client
-// per region, staggered so neighboring pings don't collide every client
-// slot.
-func (w *World) attachBootstrap(hooks vi.EmulatorHooks) {
+// inside each region, then its pingers: one stationary client per region,
+// staggered so neighboring pings don't collide every client slot.
+func (w *World) attachBootstrap() {
 	for _, loc := range w.Locs {
 		for i := 0; i < w.Spec.Devices.Replicas; i++ {
-			w.AttachReplica(replicaPos(loc, i), true, hooks)
+			w.AttachReplica(replicaPos(loc, i), true, nil)
 		}
 	}
 	if !w.Spec.Devices.Pingers {
@@ -331,13 +324,22 @@ func (w *World) attachBootstrap(hooks vi.EmulatorHooks) {
 // single replica-attach path: Build places the bootstrapped replicas through
 // it, and a driver modelling churn calls it mid-run for each arriving device
 // (bootstrap false: the device acquires state through the join protocol).
-// hooks carries the caller's OnJoin and OnReset — the world's Joins/Resets
-// count only the replicas Build attached; OnOutput is the world's and is
-// overwritten: every emulator output feeds the availability monitor. A
-// driver that checkpoints must re-attach its mid-run replicas, in order, on
-// the rebuilt world before Restore so the node population matches.
-func (w *World) AttachReplica(pos geo.Point, bootstrap bool, hooks vi.EmulatorHooks) *vi.Emulator {
-	hooks.OnOutput = w.Mon.Observe
+// Every replica it attaches is counted the same way: its outputs feed the
+// availability monitor and its joins and resets the world's Joins and
+// Resets. onJoin, when set, also runs on this replica's join, under the
+// counters' lock, with the virtual round the join completed in. A driver
+// that checkpoints must re-attach its mid-run replicas, in order, on the
+// rebuilt world before Restore (or Resume) so the node population matches.
+func (w *World) AttachReplica(pos geo.Point, bootstrap bool, onJoin func(joinVR int)) *vi.Emulator {
+	hooks := w.hooks
+	if onJoin != nil {
+		hooks.OnJoin = func(_ vi.VNodeID, joinVR int) {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			w.joins++
+			onJoin(joinVR)
+		}
+	}
 	var em *vi.Emulator
 	w.Eng.Attach(pos, nil, func(env sim.Env) sim.Node {
 		em = w.Dep.NewEmulator(env, bootstrap)
@@ -378,14 +380,27 @@ func (w *World) StepVRound() {
 	w.vr++
 }
 
-// Joins returns the number of join-protocol completions observed.
+func (w *World) countJoin(vi.VNodeID, int) {
+	w.mu.Lock()
+	w.joins++
+	w.mu.Unlock()
+}
+
+func (w *World) countReset(vi.VNodeID, int) {
+	w.mu.Lock()
+	w.resets++
+	w.mu.Unlock()
+}
+
+// Joins returns the number of join-protocol completions among the world's
+// replicas, bootstrapped or attached mid-run.
 func (w *World) Joins() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.joins
 }
 
-// Resets returns the number of region resets observed.
+// Resets returns the number of region resets among the world's replicas.
 func (w *World) Resets() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -451,11 +466,9 @@ func (w *World) Checkpoint() checkpoint.Checkpoint {
 	}
 }
 
-// Restore lays a checkpoint over a freshly built world. The world must have
-// been built from the same effective spec the checkpoint was taken under
-// (including any faults injected before the checkpoint): a medium that
-// fingerprints differently is refused, and the engine rejects mismatched
-// populations, seeds, shard geometry and fault sets.
+// Restore lays a checkpoint over a freshly built world: it decodes the
+// world's driver blob (the cursor and counters driverBytes wrote) and
+// Resumes from it.
 func (w *World) Restore(cp checkpoint.Checkpoint) error {
 	d := wire.Dec(cp.Driver)
 	vr := int(d.Uvarint())
@@ -464,6 +477,18 @@ func (w *World) Restore(cp checkpoint.Checkpoint) error {
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("spec: restore: driver state: %w", err)
 	}
+	return w.Resume(cp, vr, joins, resets)
+}
+
+// Resume lays cp's engine and monitor layers over a freshly built world and
+// sets the virtual-round cursor and the join/reset counters; cp's driver
+// blob is the caller's (a soak keeps its own layout and decodes these three
+// from it). The world must have been built from the same effective spec the
+// checkpoint was taken under (including any faults injected before the
+// checkpoint), with every mid-run replica re-attached in order: a medium
+// that fingerprints differently is refused, and the engine rejects
+// mismatched populations, seeds, shard geometry and fault sets.
+func (w *World) Resume(cp checkpoint.Checkpoint, vr, joins, resets int) error {
 	if !bytes.Equal(cp.Medium, w.Medium.AppendFingerprint(nil)) {
 		return fmt.Errorf("spec: restore: the checkpoint's medium fingerprint differs from the rebuilt medium's")
 	}

@@ -262,7 +262,7 @@ func TestBuildWithJammerDegradesAvailability(t *testing.T) {
 // churnRegion0 is a driver-side churn on smallSpec's region 0: its leader
 // and one follower depart, leadership hands to the survivor, and a fresh
 // device arrives through AttachReplica to acquire state by the join
-// protocol. joined counts the caller's own OnJoin hook firing.
+// protocol. joined counts the caller's own onJoin firing.
 func churnRegion0(t *testing.T, w *World, joined *int) *vi.Emulator {
 	t.Helper()
 	w.Eng.Leave(0)
@@ -271,14 +271,13 @@ func churnRegion0(t *testing.T, w *World, joined *int) *vi.Emulator {
 		t.Fatalf("SetLeader: %v", err)
 	}
 	return w.AttachReplica(geo.Point{X: w.Locs[0].X - 0.6, Y: w.Locs[0].Y - 0.35}, false,
-		vi.EmulatorHooks{OnJoin: func(vi.VNodeID, int) { *joined++ }})
+		func(int) { *joined++ })
 }
 
 // TestAttachReplicaFeedsMonitor pins the mid-run attach path: the arriving
 // replica joins, its outputs reach the world's monitor (after the last
 // bootstrapped replica departs they are the region's only source), the
-// caller's hooks fire, and the world's own churn counters stay with the
-// replicas Build attached.
+// caller's onJoin fires, and the world counts the join like any other.
 func TestAttachReplicaFeedsMonitor(t *testing.T) {
 	w, err := Build(smallSpec(t))
 	if err != nil {
@@ -293,8 +292,8 @@ func TestAttachReplicaFeedsMonitor(t *testing.T) {
 	if !em.Joined() || joined != 1 {
 		t.Fatalf("attached replica joined=%v, OnJoin fired %d times; want a completed join", em.Joined(), joined)
 	}
-	if w.Joins() != 0 {
-		t.Fatalf("world counted %d joins; the caller's hooks own mid-run replicas", w.Joins())
+	if w.Joins() != 1 {
+		t.Fatalf("world counted %d joins, want the attached replica's one", w.Joins())
 	}
 	// The last bootstrapped replica goes: from here every output for vnode
 	// 0 comes from the attached replica alone.
@@ -346,7 +345,7 @@ func TestAttachReplicaSurvivesRestore(t *testing.T) {
 	}
 	resumed = build()
 	defer resumed.Eng.Close()
-	resumed.AttachReplica(resumed.Locs[0], false, vi.EmulatorHooks{})
+	resumed.AttachReplica(resumed.Locs[0], false, nil)
 	if err := resumed.Restore(cp); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vinfra/internal/cd"
+	"vinfra/internal/cha"
 	"vinfra/internal/checkpoint"
 	"vinfra/internal/cm"
 	"vinfra/internal/geo"
@@ -37,16 +38,20 @@ func regionalDoc(t *testing.T) Spec {
 	return s
 }
 
-// tally is what the counted world's managers report: the ballots won per
-// region in the current virtual round, and every manager built.
+// tally is what the counted world reports: per region in the current
+// virtual round, the ballots won, the ballots that ended in a detected
+// collision, and the best color any replica output (0 when none output);
+// and every manager built.
 type tally struct {
-	wins []int
-	mgrs []*countingCM
+	wins, collided []int
+	best           []cha.Color
+	mgrs           []*countingCM
 }
 
 // countingCM wraps the deployment's default regional manager and counts the
-// ballots it wins. It delegates everything else, its snapshot blob
-// included, so a world built with it is the same world.
+// ballots it wins and the ones it saw collide. It delegates everything
+// else, its snapshot blob included, so a world built with it is the same
+// world.
 type countingCM struct {
 	*cm.Regional
 	v vi.VNodeID
@@ -54,19 +59,24 @@ type countingCM struct {
 }
 
 func (c *countingCM) Observe(fb cm.Feedback) {
-	if fb == cm.FeedbackWon {
+	switch fb {
+	case cm.FeedbackWon:
 		c.t.wins[c.v]++
+	case cm.FeedbackCollision:
+		c.t.collided[c.v]++
 	}
 	c.Regional.Observe(fb)
 }
 
 // countedWorld builds s's world as Build does, with every regional manager
-// wrapped in a countingCM reporting to tl.
+// wrapped in a countingCM reporting to tl and every replica output also
+// noted in tl.best. It runs the sequential engine, so the tally needs no
+// lock.
 func countedWorld(t *testing.T, s Spec, tl *tally) *World {
 	t.Helper()
 	locs := geo.Grid{Spacing: s.Grid.Spacing, Cols: s.Grid.Cols, Rows: s.Grid.Rows}.Locations()
 	radii := geo.Radii{R1: s.Radii.R1, R2: s.Radii.R2}
-	tl.wins = make([]int, len(locs))
+	tl.wins, tl.collided, tl.best = make([]int, len(locs)), make([]int, len(locs)), make([]cha.Color, len(locs))
 	var dep *vi.Deployment
 	dep, err := vi.NewDeployment(vi.DeploymentConfig{
 		Locations: locs,
@@ -92,7 +102,15 @@ func countedWorld(t *testing.T, s Spec, tl *tally) *World {
 		Locs:   locs,
 		per:    dep.Timing().RoundsPerVRound(),
 	}
-	w.attachBootstrap(vi.EmulatorHooks{})
+	w.hooks = vi.EmulatorHooks{
+		OnOutput: func(v vi.VNodeID, out cha.Output) {
+			w.Mon.Observe(v, out)
+			tl.best[v] = max(tl.best[v], out.Color)
+		},
+		OnJoin:  w.countJoin,
+		OnReset: w.countReset,
+	}
+	w.attachBootstrap()
 	return w
 }
 
@@ -183,6 +201,82 @@ func TestRegionalLeadersCounted(t *testing.T) {
 				t.Errorf("mean availability %.3f after vround %d, want >= 0.95", avail, settle)
 			}
 		})
+	}
+}
+
+// TestE6ChurnLossCounted counts where E6's availability goes instead of
+// guessing: E6's period-2 cell (one region at the origin, 3 bootstrap
+// replicas under "regional", a pinger at (1.2, -1) pinging every virtual
+// round, and every 2nd virtual round the oldest replica leaves while a
+// fresh device arrives and joins), run for E6's 80 virtual rounds on the
+// seeds chabench's seeds 1-3 give it. Every instance no replica output
+// green in is tabulated by its ballot winners (0, 1 or at least 2 replicas
+// whose manager was told it won) and the best color any replica output for
+// it (none, red, orange, yellow), and the counted world is checked byte for
+// byte against Build's world run through the same loop.
+func TestE6ChurnLossCounted(t *testing.T) {
+	const period, vrounds = 2, 80
+	for _, seed := range []int64{1, 2, 3} {
+		s := Spec{
+			Version: Version, Seed: period + (seed-1)*7919, VRounds: vrounds,
+			Grid:    Grid{Cols: 1, Rows: 1},
+			Devices: Devices{Replicas: 3},
+			Leader:  "regional",
+		}
+		s.ApplyDefaults()
+		// drive runs E6's loop on w and calls after once each virtual round
+		// has run.
+		drive := func(w *World, after func(vr int)) {
+			w.Eng.Attach(geo.Point{X: 1.2, Y: -1}, nil, func(env sim.Env) sim.Node {
+				return w.Dep.NewClient(env, vi.ClientFunc(
+					func(vr int, _ []vi.Message, _ bool) *vi.Message {
+						return vi.Text(fmt.Sprintf("ping-%04d", vr))
+					}))
+			})
+			replicas := []sim.NodeID{0, 1, 2} // oldest first
+			for vr := 0; vr < vrounds; vr++ {
+				if vr > 0 && vr%period == 0 {
+					w.Eng.Leave(replicas[0])
+					replicas = append(replicas[1:], sim.NodeID(w.Eng.NumNodes()))
+					w.AttachReplica(geo.Point{X: 0.2 * float64(vr%5), Y: -0.3}, false, nil)
+				}
+				w.StepVRound()
+				after(vr + 1)
+			}
+		}
+
+		ref, err := Build(s)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		drive(ref, func(int) {})
+		var tl tally
+		w := countedWorld(t, s, &tl)
+		var table [3][int(cha.Green)]int // [winners 0, 1, >=2][best color, 0 = none]
+		lost, collided, prevGreen := 0, 0, 0
+		drive(w, func(vr int) {
+			if g := w.Mon.ReportThrough(0, vr).Green; g == prevGreen {
+				lost++
+				table[min(tl.wins[0], 2)][tl.best[0]]++
+				if tl.collided[0] > 0 {
+					collided++
+				}
+			} else {
+				prevGreen = g
+			}
+			tl.wins[0], tl.collided[0], tl.best[0] = 0, 0, 0
+		})
+		if !bytes.Equal(w.Checkpoint().Encode(), ref.Checkpoint().Encode()) {
+			t.Fatalf("seed %d: the counted world's checkpoint differs from Build's world", seed)
+		}
+		if rep := w.Report(0); rep.Unavailable != lost {
+			t.Fatalf("seed %d: %d instances tabulated lost, the monitor counts %d", seed, lost, rep.Unavailable)
+		}
+		t.Logf("seed %d: availability %.3f, %d of %d instances lost (%d with a replica that saw its ballot collide), %d joins, %d resets",
+			seed, w.Report(0).Availability, lost, vrounds, collided, w.Joins(), w.Resets())
+		for wins, row := range table {
+			t.Logf("  winners %s: none %2d  red %2d  orange %2d  yellow %2d", []string{"0 ", "1 ", ">=2"}[wins], row[0], row[cha.Red], row[cha.Orange], row[cha.Yellow])
+		}
 	}
 }
 

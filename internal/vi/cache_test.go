@@ -21,10 +21,9 @@ import (
 // encodes the engine and monitor snapshots.
 type cacheWorld struct {
 	*spec.World
-	joiners       []*vi.Emulator
-	climber       sim.NodeID // the joiner teleported up a column
-	joins, resets int
-	snaps         [][]byte
+	joiners []*vi.Emulator
+	climber sim.NodeID // the joiner teleported up a column
+	snaps   [][]byte
 }
 
 func newCacheWorld(t *testing.T) *cacheWorld {
@@ -51,10 +50,6 @@ func newCacheWorld(t *testing.T) *cacheWorld {
 // run steps n radio rounds, attaching the joiners as their virtual rounds
 // begin.
 func (c *cacheWorld) run(n int) {
-	hooks := vi.EmulatorHooks{
-		OnJoin:  func(vi.VNodeID, int) { c.joins++ },
-		OnReset: func(vi.VNodeID, int) { c.resets++ },
-	}
 	near := func(v int, dx, dy float64) geo.Point {
 		return geo.Point{X: c.Locs[v].X + dx, Y: c.Locs[v].Y + dy}
 	}
@@ -62,15 +57,15 @@ func (c *cacheWorld) run(n int) {
 		switch int(c.Eng.Round()) {
 		case 2 * c.RoundsPerVRound():
 			c.joiners = append(c.joiners,
-				c.AttachReplica(near(0, 0.4, -0.3), false, hooks),
-				c.AttachReplica(near(8, -0.6, 0.2), false, hooks),
-				c.AttachReplica(geo.Point{X: 3, Y: 3}, false, hooks),
-				c.AttachReplica(near(3, 0.5, 0.3), false, hooks))
+				c.AttachReplica(near(0, 0.4, -0.3), false, nil),
+				c.AttachReplica(near(8, -0.6, 0.2), false, nil),
+				c.AttachReplica(geo.Point{X: 3, Y: 3}, false, nil),
+				c.AttachReplica(near(3, 0.5, 0.3), false, nil))
 			c.climber = sim.NodeID(c.Eng.NumNodes() - 1)
 		case 8 * c.RoundsPerVRound(): // the herd has let go
 			c.joiners = append(c.joiners,
-				c.AttachReplica(near(4, 0.3, 0.5), false, hooks),
-				c.AttachReplica(geo.Point{X: 9, Y: 9}, false, hooks))
+				c.AttachReplica(near(4, 0.3, 0.5), false, nil),
+				c.AttachReplica(geo.Point{X: 9, Y: 9}, false, nil))
 		case 11*c.RoundsPerVRound() + 3:
 			at := c.Eng.Position(c.climber)
 			c.Eng.SetPosition(c.climber, geo.Point{X: at.X, Y: at.Y + c.Spec.Grid.Spacing})
@@ -112,8 +107,8 @@ func TestEmulatorCachesMatchRecompute(t *testing.T) {
 	for i := 0; i < 14; i++ {
 		step(per)
 	}
-	if cached.joins == 0 || cached.resets == 0 {
-		t.Fatalf("%d joins and %d resets: the world did not exercise join-ack and reset", cached.joins, cached.resets)
+	if cached.Joins() == 0 || cached.Resets() == 0 {
+		t.Fatalf("%d joins and %d resets: the world did not exercise join-ack and reset", cached.Joins(), cached.Resets())
 	}
 	if got, want := cached.joiners[3].VNode(), cached.Dep.RegionOf(cached.Eng.Position(cached.climber)); got != want || got == 3 {
 		t.Fatalf("the teleported joiner serves virtual node %d, want %d, the one above virtual node 3", got, want)

@@ -47,7 +47,6 @@ var exportAllow = map[string]string{
 	"vinfra/internal/apps.RelayMsg":            "builds the relay broadcast the greedy-rule test feeds a virtual node",
 	"vinfra/internal/apps.RegisterProgram":     "the failover test's virtual node program, which no spec app names",
 	"vinfra/internal/apps.RegisterWriter":      "the failover test's writing client for RegisterProgram",
-	"vinfra/internal/sim.Engine.Fork":          "the deep copy a planned fork verb builds on; the fork tests pin it against checkpoint restore",
 	"vinfra/internal/cha.Recorder.MarkCrashed": "tells the liveness oracle which nodes a cha or baseline test crashed; no experiment crashes a recorded node",
 	"vinfra/internal/cha.Report.Violations":    "the one-line verdict the cha and baseline tests fail with; experiments read the counts",
 }
