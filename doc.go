@@ -117,9 +117,14 @@
 //     client program's blobs nested inside. A deployment is built once:
 //     NewDeployment colours the broadcast schedule a single time, greedily
 //     in index order straight off a location index (no conflict graph,
-//     memory linear in the virtual nodes), hands it to every virtual
-//     node's Program factory, and carves clients from chunks rather than
-//     allocating one per device.
+//     memory linear in the virtual nodes, and each virtual node visits
+//     only its earlier neighbours), hands it to every virtual node's
+//     Program factory and works out each virtual node's initial state once
+//     for all its replicas to share. Nodes are carved, not allocated one
+//     by one: clients from chunks, and the bootstrapped replicas'
+//     emulators, agreement cores and contention managers from arrays sized
+//     for their number (Deployment.Reserve) — only where a node is
+//     built, never on the parallel engine's workers.
 //   - apps, baseline: applications on top of the infrastructure and the
 //     baselines the paper argues against. Application payloads and states
 //     are canonical wire encodings (a one-byte kind tag plus fixed field
@@ -154,9 +159,12 @@
 //     one pair of join/reset counters and keeps the one virtual-round
 //     cursor, so a driver keeps only its policy state and resumes the
 //     world with World.Resume after replaying its joiners.
-//     Build leaves the schedule to vi.NewDeployment, its one owner, and
-//     TestBuildCityAllocs and TestBuildMetroAllocs count what building the
-//     bench's city and metro documents allocates.
+//     Build leaves the schedule to vi.NewDeployment, its one owner,
+//     reserves the deployment's replica arrays for its bootstrap
+//     population, and keeps the fixed regime's leaders in one table that
+//     World.SetLeader writes; TestBuildCityAllocs, TestBuildMetroAllocs and
+//     TestBuildReplicaAllocs count what building the bench's city and
+//     metro documents, and a replica, allocates.
 //   - harness: the registry-based experiment runner. It fans
 //     experiment×parameter×seed cells out over a bounded worker pool,
 //     merges results deterministically (parallel output is byte-identical

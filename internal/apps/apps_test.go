@@ -5,7 +5,6 @@ import (
 
 	"vinfra/internal/apps"
 	"vinfra/internal/cd"
-	"vinfra/internal/cm"
 	"vinfra/internal/geo"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
@@ -15,35 +14,32 @@ import (
 var testRadii = geo.Radii{R1: 10, R2: 20}
 
 // harness wires a deployment with fixed-leader contention managers and
-// static bootstrapped replicas. setLeaders[v] hands virtual node v's
+// static bootstrapped replicas. Writing leaders[v] hands virtual node v's
 // leadership to another replica (the failover after a leader crash).
 type harness struct {
-	eng        *sim.Engine
-	dep        *vi.Deployment
-	emulators  []*vi.Emulator
-	setLeaders []func(sim.NodeID)
+	eng       *sim.Engine
+	dep       *vi.Deployment
+	emulators []*vi.Emulator
+	leaders   []sim.NodeID
 }
 
 func newHarness(t *testing.T, locs []geo.Point, replicasPer int, program func(vi.VNodeID, vi.Schedule) vi.Program) *harness {
 	t.Helper()
-	factories := make([]cm.Factory, len(locs))
-	setLeaders := make([]func(sim.NodeID), len(locs))
-	for v := range locs {
-		factories[v], setLeaders[v] = cm.NewFixed(sim.NodeID(v * replicasPer))
+	leaders := make([]sim.NodeID, len(locs))
+	for v := range leaders {
+		leaders[v] = sim.NodeID(v * replicasPer)
 	}
 	dep, err := vi.NewDeployment(vi.DeploymentConfig{
 		Locations: locs,
 		Radii:     testRadii,
 		Program:   program,
-		NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-			return factories[v](env)
-		},
+		Leaders:   leaders,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	medium := radio.MustMedium(radio.Config{Radii: testRadii, Detector: cd.AC{}})
-	h := &harness{eng: sim.NewEngine(medium), dep: dep, setLeaders: setLeaders}
+	h := &harness{eng: sim.NewEngine(medium), dep: dep, leaders: leaders}
 	for _, loc := range locs {
 		for i := 0; i < replicasPer; i++ {
 			pos := geo.Point{X: loc.X + 0.3*float64(i) - 0.4, Y: loc.Y + 0.2}
@@ -127,7 +123,7 @@ func TestRegisterSurvivesLeaderCrash(t *testing.T) {
 	h.runVRounds(6)
 
 	h.eng.Crash(0)
-	h.setLeaders[0](1)
+	h.leaders[0] = 1
 	h.runVRounds(8)
 
 	for i, r := range readers {

@@ -50,6 +50,9 @@ type slot struct {
 }
 
 // NewCore returns a fresh CHAP state machine with no completed instances.
+// A zero Core is the same machine, so a caller that lays cores out in
+// storage of its own (vi.Deployment carves a bootstrapped replica's from one
+// array) takes a zero entry instead.
 func NewCore() *Core { return &Core{} }
 
 // Status returns the color this node assigned to instance k (green if the
@@ -419,46 +422,83 @@ const maxWindowSparsity = 16
 // the window RestoreCore allocates is a constant multiple of the snapshot's
 // encoded length, whatever the numbers in it say.
 func RestoreCore(s CoreSnapshot) (*Core, error) {
+	c := new(Core)
+	if err := c.Restore(s); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Check reports whether RestoreCore takes snapshot s: nil, or the error it
+// refuses s with. It changes nothing, so a caller that must refuse a
+// checkpoint blob as a whole checks the core before anything else of it
+// lands.
+func (s CoreSnapshot) Check() error {
 	if len(s.BallotKeys) != len(s.Ballots) || len(s.StatusKeys) != len(s.Statuses) {
-		return nil, fmt.Errorf("cha: restore: %d ballot keys for %d ballots, %d status keys for %d statuses",
+		return fmt.Errorf("cha: restore: %d ballot keys for %d ballots, %d status keys for %d statuses",
 			len(s.BallotKeys), len(s.Ballots), len(s.StatusKeys), len(s.Statuses))
 	}
 	if s.Floor < 0 || s.K < 0 || s.Prev < 0 {
-		return nil, fmt.Errorf("cha: restore: negative pointer (floor %d, k %d, prev %d)", s.Floor, s.K, s.Prev)
+		return fmt.Errorf("cha: restore: negative pointer (floor %d, k %d, prev %d)", s.Floor, s.K, s.Prev)
 	}
 	if s.Prev > s.K {
-		return nil, fmt.Errorf("cha: restore: prev %d above current instance %d", s.Prev, s.K)
+		return fmt.Errorf("cha: restore: prev %d above current instance %d", s.Prev, s.K)
 	}
 	entries := len(s.BallotKeys) + len(s.StatusKeys)
 	if s.K-s.Floor > Instance(maxWindowSparsity*(entries+1)) {
-		return nil, fmt.Errorf("cha: restore: instances %d..%d are too wide a window for %d entries", s.Floor+1, s.K, entries)
+		return fmt.Errorf("cha: restore: instances %d..%d are too wide a window for %d entries", s.Floor+1, s.K, entries)
 	}
-	top := s.Floor
 	for _, keys := range [][]Instance{s.BallotKeys, s.StatusKeys} {
 		last := s.Floor
 		for _, k := range keys {
 			if k <= last || k > s.K {
-				return nil, fmt.Errorf("cha: restore: key %d out of order or outside %d..%d", k, s.Floor+1, s.K)
+				return fmt.Errorf("cha: restore: key %d out of order or outside %d..%d", k, s.Floor+1, s.K)
 			}
 			last = k
 		}
-		top = max(top, last)
-	}
-	c := &Core{floor: s.Floor, k: s.K, prev: s.Prev}
-	if top > s.Floor {
-		c.win = make([]slot, top-s.Floor)
 	}
 	for i, k := range s.BallotKeys {
 		if s.Ballots[i].Prev >= k {
-			return nil, fmt.Errorf("cha: restore: ballot %d points at %d, not below itself", k, s.Ballots[i].Prev)
+			return fmt.Errorf("cha: restore: ballot %d points at %d, not below itself", k, s.Ballots[i].Prev)
 		}
-		c.win[k-s.Floor-1] = slot{ballot: s.Ballots[i], has: true}
 	}
 	for i, k := range s.StatusKeys {
 		if st := s.Statuses[i]; st < Red || st >= Green {
-			return nil, fmt.Errorf("cha: restore: instance %d carries status %v", k, st)
+			return fmt.Errorf("cha: restore: instance %d carries status %v", k, st)
 		}
+	}
+	return nil
+}
+
+// Restore lays snapshot s over c in place: afterwards c is the core
+// RestoreCore(s) returns, kept in c's own storage (a replica carved from a
+// deployment's array keeps using its entry). It refuses what Check
+// refuses, before it writes, so a refused snapshot leaves c as it was.
+func (c *Core) Restore(s CoreSnapshot) error {
+	if err := s.Check(); err != nil {
+		return err
+	}
+	top := s.Floor
+	if n := len(s.BallotKeys); n > 0 {
+		top = s.BallotKeys[n-1]
+	}
+	if n := len(s.StatusKeys); n > 0 {
+		top = max(top, s.StatusKeys[n-1])
+	}
+	c.floor, c.k, c.prev = s.Floor, s.K, s.Prev
+	c.BrokenChains = 0
+	n := int(top - s.Floor)
+	if cap(c.win) < n {
+		c.win = make([]slot, n)
+	} else {
+		clear(c.win[:cap(c.win)])
+		c.win = c.win[:n]
+	}
+	for i, k := range s.BallotKeys {
+		c.win[k-s.Floor-1] = slot{ballot: s.Ballots[i], has: true}
+	}
+	for i, k := range s.StatusKeys {
 		c.win[k-s.Floor-1].color = s.Statuses[i]
 	}
-	return c, nil
+	return nil
 }

@@ -88,25 +88,38 @@ type Manager interface {
 // (identity, location, deterministic randomness).
 type Factory func(env sim.Env) Manager
 
-// Fixed is an oracle manager: the node whose ID matches Leader is always
-// active; everyone else is always passive. It trivially satisfies
+// Fixed is an oracle manager: the node whose ID its leader cell holds is
+// always active; everyone else is always passive. It trivially satisfies
 // Property 3 from round 0 and gives the protocols their best case, which
-// is what the overhead measurements of Theorem 14 call for. The Leader
-// pointer is shared so tests can re-elect after a crash.
+// is what the overhead measurements of Theorem 14 call for. The cell is
+// read at every ballot and shared by every manager of one election, so
+// writing it re-elects (after crashing the leader, say): NewFixed's factory
+// keeps one, and a virtual infrastructure keeps one per virtual node in a
+// single leader table (vi.DeploymentConfig.Leaders).
 type Fixed struct {
 	leader *sim.NodeID
 	env    sim.Env
 }
 
-// NewFixed returns a factory of oracle managers sharing the election state,
+// NewFixed returns a factory of oracle managers sharing one leader cell,
 // plus a setter to change the leader (e.g., after crashing it in a test).
 func NewFixed(initial sim.NodeID) (Factory, func(sim.NodeID)) {
 	leader := initial
 	factory := func(env sim.Env) Manager {
-		return &Fixed{leader: &leader, env: env}
+		return new(Fixed).Init(&leader, env)
 	}
 	set := func(id sim.NodeID) { leader = id }
 	return factory, set
+}
+
+// Init makes f the oracle manager of the node env runs, reading its leader
+// from *leader, and returns f: how a caller that lays managers out in
+// storage of its own (vi.Deployment carves them from one array) builds one.
+// It sets the fields one by one, so f need not be zero.
+func (f *Fixed) Init(leader *sim.NodeID, env sim.Env) *Fixed {
+	f.leader = leader
+	f.env = env
+	return f
 }
 
 // Advice implements Manager.
@@ -181,12 +194,18 @@ type Regional struct {
 	b      Backoff
 }
 
-// NewRegional returns a Factory of regional managers for the virtual node
-// at loc, eligible within margin of it (the deployment's LeaderMargin).
-func NewRegional(loc geo.Point, margin float64) Factory {
-	return func(env sim.Env) Manager {
-		return &Regional{loc: loc, margin: margin, b: Backoff{env: env, w: 1}}
-	}
+// Init makes m a fresh regional manager of the node env runs, for the
+// virtual node at loc, eligible within margin of it (the deployment's
+// LeaderMargin), and returns m. A caller that lays managers out in storage
+// of its own (vi.Deployment carves them from one array) passes an entry of
+// it; the fields are set one by one, so m need not be zero.
+func (m *Regional) Init(loc geo.Point, margin float64, env sim.Env) *Regional {
+	m.loc = loc
+	m.margin = margin
+	m.b.env = env
+	m.b.w = 1
+	m.b.deferred = 0
+	return m
 }
 
 // Eligible reports whether the node is currently allowed to compete:

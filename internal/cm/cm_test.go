@@ -250,10 +250,8 @@ func TestBackoffWindowDynamics(t *testing.T) {
 
 func TestRegionalEligibility(t *testing.T) {
 	loc := geo.Point{X: 100, Y: 100}
-	factory := NewRegional(loc, 8)
-
 	env := newEnv(0, 9)
-	m := factory(env).(*Regional)
+	m := new(Regional).Init(loc, 8, env)
 
 	env.loc = loc // at the center
 	if !m.Eligible() {
@@ -281,7 +279,7 @@ func TestRegionalDegenerateMargin(t *testing.T) {
 	// A zero margin (the deployment's floor when vmax*2(s+10) exceeds
 	// R1/4) leaves only a node exactly at the location eligible.
 	env := newEnv(0, 9)
-	m := NewRegional(geo.Point{}, 0)(env).(*Regional)
+	m := new(Regional).Init(geo.Point{}, 0, env)
 	env.loc = geo.Point{}
 	if !m.Eligible() {
 		t.Error("node exactly at location should remain eligible")
@@ -294,7 +292,7 @@ func TestRegionalDegenerateMargin(t *testing.T) {
 
 func TestRegionalObserveForwardsToBackoff(t *testing.T) {
 	env := newEnv(0, 9)
-	m := NewRegional(geo.Point{}, 100)(env).(*Regional)
+	m := new(Regional).Init(geo.Point{}, 100, env)
 	m.Observe(FeedbackCollision)
 	if m.b.w != 2 {
 		t.Errorf("regional manager did not forward feedback: w = %d", m.b.w)

@@ -115,8 +115,8 @@ func TestBackoffWinAndLossRules(t *testing.T) {
 // it leaves the margin its bounded speed allows — even though its backoff
 // state would advise active.
 func TestRegionalEligibilityUnderHerding(t *testing.T) {
-	env := &probeEnv{intnRet: 0}                        // always win draws: only eligibility gates
-	m := NewRegional(geo.Point{}, 1.5)(env).(*Regional) // R1/4 = 2.5, vmax*horizon = 1
+	env := &probeEnv{intnRet: 0}                   // always win draws: only eligibility gates
+	m := new(Regional).Init(geo.Point{}, 1.5, env) // R1/4 = 2.5, vmax*horizon = 1
 
 	for _, tc := range []struct {
 		x    float64

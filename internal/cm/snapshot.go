@@ -20,8 +20,8 @@ func (f *Fixed) AppendState(dst []byte) []byte {
 }
 
 // RestoreState restores the shared election state. Because the leader
-// variable is shared by every Fixed built by the same factory, restoring
-// any one of them restores them all (they were snapshotted with the same
+// cell is shared by every Fixed of one election, restoring any one of
+// them restores them all (they were snapshotted with the same
 // value, so repeated restores are idempotent) — and a refused blob must
 // move none of them, so the leader is written only once the whole blob
 // has decoded.

@@ -53,12 +53,11 @@ func TestBackoffSnapshotRoundTrip(t *testing.T) {
 // TestRegionalSnapshotDelegates pins that Regional's blob is exactly its
 // embedded Backoff's (eligibility is derived from position, not state).
 func TestRegionalSnapshotDelegates(t *testing.T) {
-	factory := NewRegional(geo.Point{}, 5)
-	m := factory(newEnv(0, 9)).(*Regional)
+	m := new(Regional).Init(geo.Point{}, 5, newEnv(0, 9))
 	m.Observe(FeedbackCollision)
 
 	blob := m.AppendState(nil)
-	fresh := factory(newEnv(0, 9)).(*Regional)
+	fresh := new(Regional).Init(geo.Point{}, 5, newEnv(0, 9))
 	if err := fresh.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ var e6Desc = harness.Descriptor{
 	ID:      "E6",
 	Group:   "E6",
 	Title:   "E6 — churn: availability and join latency vs turnover period",
-	Notes:   "backoff contention manager throughout; resets indicate the virtual node died (state loss)",
+	Notes:   "regional contention manager (backoff among the replicas within the leader margin) throughout; resets indicate the virtual node died (state loss)",
 	Columns: []string{"churn period (vrounds)", "turnovers", "availability", "mean join latency (vrounds)", "resets"},
 	Grid: func(quick bool) []harness.Params {
 		var grid []harness.Params

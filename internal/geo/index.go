@@ -96,12 +96,16 @@ func (ix *CellIndex) Rings(r float64) int {
 	return int(math.Min(k, math.MaxInt32))
 }
 
-// VisitNear calls fn with the index of every point bucketed in the
-// (2k+1)x(2k+1) block of cells centered on p's cell. The visited set is a
+// VisitNear calls fn with the index of every point below index below that
+// is bucketed in the (2k+1)x(2k+1) block of cells centered on p's cell;
+// pass len of the indexed slice for every point. The visited set is a
 // superset of the points within distance k*cell of p; callers filter by
 // exact distance. Within one cell, indices are visited in increasing
-// order; cells are visited row-major.
-func (ix *CellIndex) VisitNear(p Point, k int, fn func(i int32)) {
+// order; cells are visited row-major. A bucket lists its indices in
+// increasing order, so its walk stops at the first index at or above
+// below: a caller that wants only earlier points (a greedy coloring in
+// index order) pays nothing for the later ones.
+func (ix *CellIndex) VisitNear(p Point, k, below int, fn func(i int32)) {
 	c, ok := ix.keyOf(p)
 	if !ok {
 		return
@@ -114,6 +118,9 @@ func (ix *CellIndex) VisitNear(p Point, k int, fn func(i int32)) {
 		for x := x0; x <= x1; x++ {
 			b := row + ((x - ix.minX) >> ix.shift)
 			for _, i := range ix.items[ix.start[b]:ix.start[b+1]] {
+				if int(i) >= below {
+					break
+				}
 				if ix.shift != 0 {
 					if at, _ := ix.keyOf(ix.pts[i]); at.X != x || at.Y != y {
 						continue
@@ -129,7 +136,7 @@ func (ix *CellIndex) VisitNear(p Point, k int, fn func(i int32)) {
 // block of cells centered on p's cell and returns the extended slice.
 // Pass buf[:0] of a reused slice to avoid allocation on hot paths.
 func (ix *CellIndex) Near(buf []int32, p Point, k int) []int32 {
-	ix.VisitNear(p, k, func(i int32) { buf = append(buf, i) })
+	ix.VisitNear(p, k, len(ix.pts), func(i int32) { buf = append(buf, i) })
 	return buf
 }
 
@@ -145,7 +152,7 @@ func (ix *CellIndex) NearestWithin(p Point, r float64) (int, bool) {
 	}
 	best := -1
 	bestD2 := r * r
-	ix.VisitNear(p, ix.Rings(r), func(i int32) {
+	ix.VisitNear(p, ix.Rings(r), len(ix.pts), func(i int32) {
 		d2 := ix.pts[i].Dist2(p)
 		if d2 > bestD2 {
 			return

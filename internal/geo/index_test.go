@@ -16,7 +16,7 @@ import (
 func within(ix *CellIndex, p Point, r float64) []int32 {
 	var out []int32
 	r2 := r * r
-	ix.VisitNear(p, ix.Rings(r), func(i int32) {
+	ix.VisitNear(p, ix.Rings(r), len(ix.pts), func(i int32) {
 		if ix.pts[i].Dist2(p) <= r2 {
 			out = append(out, i)
 		}
@@ -310,8 +310,23 @@ func checkAgainstMapIndex(t *testing.T, label string, ix *CellIndex, pts []Point
 	ref := buildMapIndex(pts, ix.cell)
 	for _, q := range queries {
 		for k := 0; k <= 3; k++ {
-			if got, want := ix.Near(nil, q, k), ref.near(q, k); !equalInt32s(got, want) {
+			want := ref.near(q, k)
+			if got := ix.Near(nil, q, k); !equalInt32s(got, want) {
 				t.Fatalf("%s: Near(%v, %d) = %v, map reference %v (order matters)", label, q, k, got, want)
+			}
+			// The bounded walk is the unbounded one without the indices at
+			// or above the bound, in the same order.
+			for _, below := range []int{0, 1, len(pts) / 2, len(pts) - 1} {
+				var got, earlier []int32
+				ix.VisitNear(q, k, below, func(i int32) { got = append(got, i) })
+				for _, i := range want {
+					if int(i) < below {
+						earlier = append(earlier, i)
+					}
+				}
+				if !equalInt32s(got, earlier) {
+					t.Fatalf("%s: VisitNear(%v, %d, below %d) = %v, map reference %v", label, q, k, below, got, earlier)
+				}
 			}
 		}
 		for _, r := range radii {

@@ -10,7 +10,6 @@ import (
 	"vinfra/internal/apps"
 	"vinfra/internal/cd"
 	"vinfra/internal/checkpoint"
-	"vinfra/internal/cm"
 	"vinfra/internal/det"
 	"vinfra/internal/geo"
 	"vinfra/internal/mobility"
@@ -51,9 +50,10 @@ type World struct {
 
 	per int
 	vr  int
-	// setLeaders holds the per-vnode leader handoff of the fixed regime
-	// (nil under "regional").
-	setLeaders []func(sim.NodeID)
+	// leaders is the fixed regime's leader table, entry v virtual node v's
+	// leader, which the deployment's managers read at every ballot (nil
+	// under "regional").
+	leaders []sim.NodeID
 	// hooks is what every replica the world attaches reports to: outputs
 	// to the monitor, joins and resets to the counters below.
 	hooks vi.EmulatorHooks
@@ -154,15 +154,11 @@ func Build(s Spec) (*World, error) {
 	default:
 		cfg.Program = counterProgram
 	}
-	var setLeaders []func(sim.NodeID)
 	if s.Leader == "fixed" {
-		factories := make([]cm.Factory, len(locs))
-		setLeaders = make([]func(sim.NodeID), len(locs))
-		for v := range locs {
-			factories[v], setLeaders[v] = cm.NewFixed(sim.NodeID(v * s.Devices.Replicas))
-		}
-		cfg.NewCM = func(v vi.VNodeID, env sim.Env) cm.Manager {
-			return factories[v](env)
+		// Each region is led by its first bootstrapped replica.
+		cfg.Leaders = make([]sim.NodeID, len(locs))
+		for v := range cfg.Leaders {
+			cfg.Leaders[v] = sim.NodeID(v * s.Devices.Replicas)
 		}
 	}
 	dep, err := vi.NewDeployment(cfg)
@@ -227,12 +223,15 @@ func Build(s Spec) (*World, error) {
 		Medium: medium,
 		Locs:   locs,
 
-		per:        dep.Timing().RoundsPerVRound(),
-		setLeaders: setLeaders,
+		per:     dep.Timing().RoundsPerVRound(),
+		leaders: cfg.Leaders,
 	}
 	// The population is known: size the engine's per-node slices once
-	// rather than growing them through every doubling on the way there.
+	// rather than growing them through every doubling on the way there,
+	// and lay out the bootstrapped replicas' emulators, cores and managers
+	// in arrays sized for their number.
 	w.Eng.Reserve(s.TotalDevices())
+	dep.Reserve(len(locs) * s.Devices.Replicas)
 
 	w.hooks = vi.EmulatorHooks{OnOutput: w.Mon.Observe, OnJoin: w.countJoin, OnReset: w.countReset}
 	w.attachBootstrap()
@@ -331,14 +330,16 @@ func (w *World) attachBootstrap() {
 // that checkpoints must re-attach its mid-run replicas, in order, on the
 // rebuilt world before Restore (or Resume) so the node population matches.
 func (w *World) AttachReplica(pos geo.Point, bootstrap bool, onJoin func(joinVR int)) *vi.Emulator {
-	hooks := w.hooks
+	hooks := &w.hooks
 	if onJoin != nil {
-		hooks.OnJoin = func(_ vi.VNodeID, joinVR int) {
+		own := w.hooks
+		own.OnJoin = func(_ vi.VNodeID, joinVR int) {
 			w.mu.Lock()
 			defer w.mu.Unlock()
 			w.joins++
 			onJoin(joinVR)
 		}
+		hooks = &own
 	}
 	var em *vi.Emulator
 	w.Eng.Attach(pos, nil, func(env sim.Env) sim.Node {
@@ -354,13 +355,13 @@ func (w *World) AttachReplica(pos geo.Point, bootstrap bool, onJoin func(joinVR 
 // "fixed" leader regime; under "regional" the managers elect for themselves
 // and SetLeader returns an error.
 func (w *World) SetLeader(v vi.VNodeID, id sim.NodeID) error {
-	if w.setLeaders == nil {
+	if w.leaders == nil {
 		return fmt.Errorf("spec: SetLeader needs leader %q (this world runs %q)", "fixed", w.Spec.Leader)
 	}
-	if v < 0 || int(v) >= len(w.setLeaders) {
-		return fmt.Errorf("spec: SetLeader: no virtual node %d (world has %d)", v, len(w.setLeaders))
+	if v < 0 || int(v) >= len(w.leaders) {
+		return fmt.Errorf("spec: SetLeader: no virtual node %d (world has %d)", v, len(w.leaders))
 	}
-	w.setLeaders[v](id)
+	w.leaders[v] = id
 	return nil
 }
 

@@ -84,7 +84,7 @@ func countedWorld(t *testing.T, s Spec, tl *tally) *World {
 		VMax:      s.Devices.VMax,
 		Program:   counterProgram,
 		NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-			m := &countingCM{Regional: cm.NewRegional(locs[v], dep.LeaderMargin())(env).(*cm.Regional), v: v, t: tl}
+			m := &countingCM{Regional: new(cm.Regional).Init(locs[v], dep.LeaderMargin(), env), v: v, t: tl}
 			tl.mgrs = append(tl.mgrs, m)
 			return m
 		},

@@ -7,7 +7,6 @@ import (
 
 	"vinfra/internal/cd"
 	"vinfra/internal/cha"
-	"vinfra/internal/cm"
 	"vinfra/internal/geo"
 	"vinfra/internal/mobility"
 	"vinfra/internal/radio"
@@ -49,7 +48,7 @@ func TestMobileReplicasWithBackoffCM(t *testing.T) {
 		eng.Attach(pos, roam, func(env sim.Env) sim.Node {
 			em := dep.NewEmulator(env, true)
 			id := env.ID()
-			em.SetHooks(vi.EmulatorHooks{
+			em.SetHooks(&vi.EmulatorHooks{
 				OnOutput: func(_ vi.VNodeID, out cha.Output) {
 					if out.Color == cha.Green {
 						greens[id]++
@@ -104,7 +103,7 @@ func TestTravelerJoinsRemoteRegion(t *testing.T) {
 	pos := geo.Point{X: 0.5, Y: 0}
 	id := tb.eng.Attach(pos, nil, func(env sim.Env) sim.Node {
 		traveler = tb.dep.NewEmulator(env, true)
-		traveler.SetHooks(vi.EmulatorHooks{
+		traveler.SetHooks(&vi.EmulatorHooks{
 			OnJoin: func(v vi.VNodeID, vr int) { joins[v] = vr },
 		})
 		return traveler
@@ -135,14 +134,12 @@ func TestTravelerJoinsRemoteRegion(t *testing.T) {
 // virtual infrastructure).
 func TestVNodeSurvivesTotalReplicaTurnover(t *testing.T) {
 	locs := []geo.Point{{X: 0, Y: 0}}
-	factory, setLeader := cm.NewFixed(0)
+	leaders := []sim.NodeID{0}
 	dep, err := vi.NewDeployment(vi.DeploymentConfig{
 		Locations: locs,
 		Radii:     testRadii,
 		Program:   counterProgram,
-		NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-			return factory(env)
-		},
+		Leaders:   leaders,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +187,7 @@ func TestVNodeSurvivesTotalReplicaTurnover(t *testing.T) {
 	// (engine IDs: 0,1 = gen0; 2 = client; 3,4 = gen1).
 	eng.Crash(0)
 	eng.Crash(1)
-	setLeader(3)
+	leaders[0] = 3
 	eng.Run(6 * per)
 
 	// The virtual node kept its pre-turnover state and kept counting new

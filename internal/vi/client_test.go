@@ -185,7 +185,7 @@ func TestClientSleepsOutsideItsPhases(t *testing.T) {
 		c := &countedNode{}
 		tb.eng.Attach(at, nil, func(env sim.Env) sim.Node {
 			em := tb.dep.NewEmulator(env, bootstrap)
-			em.SetHooks(vi.EmulatorHooks{
+			em.SetHooks(&vi.EmulatorHooks{
 				OnJoin:  func(vi.VNodeID, int) { joins++ },
 				OnReset: func(vi.VNodeID, int) { resets++ },
 			})

@@ -9,7 +9,6 @@ import (
 
 	"vinfra/internal/cd"
 	"vinfra/internal/cha"
-	"vinfra/internal/cm"
 	"vinfra/internal/geo"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
@@ -70,20 +69,6 @@ func decodeCounterState(d *wire.Decoder) (counterState, error) {
 	return s, d.Err()
 }
 
-// fixedLeaderCM builds a CM factory where, per virtual node, the node with
-// the given engine ID is always the leader. As in spec.Build, a virtual
-// node's managers come from one cm.NewFixed factory, so its replicas share
-// one leader variable.
-func fixedLeaderCM(leaders map[vi.VNodeID]sim.NodeID) func(vi.VNodeID, sim.Env) cm.Manager {
-	factories := make(map[vi.VNodeID]cm.Factory, len(leaders))
-	for v, leader := range leaders {
-		factories[v], _ = cm.NewFixed(leader)
-	}
-	return func(v vi.VNodeID, env sim.Env) cm.Manager {
-		return factories[v](env)
-	}
-}
-
 type testbed struct {
 	eng       *sim.Engine
 	dep       *vi.Deployment
@@ -120,13 +105,13 @@ func newTestbed(t testing.TB, o testbedOpts) *testbed {
 		Program:   o.program,
 	}
 	if o.leaders {
-		leaders := make(map[vi.VNodeID]sim.NodeID, len(o.locs))
-		for v := range o.locs {
-			// Replicas are attached per-region in order: region v's first
-			// replica has ID v*replicasPer.
-			leaders[vi.VNodeID(v)] = sim.NodeID(v * o.replicasPer)
+		// As in spec.Build, one leader table: replicas are attached
+		// per-region in order, so region v's first replica has ID
+		// v*replicasPer.
+		cfg.Leaders = make([]sim.NodeID, len(o.locs))
+		for v := range cfg.Leaders {
+			cfg.Leaders[v] = sim.NodeID(v * o.replicasPer)
 		}
-		cfg.NewCM = fixedLeaderCM(leaders)
 	}
 	dep, err := vi.NewDeployment(cfg)
 	if err != nil {
@@ -143,6 +128,8 @@ func newTestbed(t testing.TB, o testbedOpts) *testbed {
 		eng: sim.NewEngine(medium, sim.WithSeed(o.seed)),
 		dep: dep,
 	}
+	// As in spec.Build, the bootstrapped replicas are carved.
+	dep.Reserve(len(o.locs) * o.replicasPer)
 	for v, loc := range o.locs {
 		for i := 0; i < o.replicasPer; i++ {
 			pos := geo.Point{X: loc.X + 0.3*float64(i) - 0.5, Y: loc.Y + 0.2}
@@ -180,7 +167,7 @@ func TestSingleVNodeGreenEveryRound(t *testing.T) {
 	})
 	greens := 0
 	total := 0
-	tb.emulators[0].SetHooks(vi.EmulatorHooks{
+	tb.emulators[0].SetHooks(&vi.EmulatorHooks{
 		OnOutput: func(v vi.VNodeID, out cha.Output) {
 			total++
 			if out.Color == cha.Green {
@@ -314,7 +301,7 @@ func TestJoinTransfersState(t *testing.T) {
 	joined := -1
 	tb.eng.Attach(geo.Point{X: 0.5, Y: 0.5}, nil, func(env sim.Env) sim.Node {
 		late = tb.dep.NewEmulator(env, false)
-		late.SetHooks(vi.EmulatorHooks{
+		late.SetHooks(&vi.EmulatorHooks{
 			OnJoin: func(v vi.VNodeID, vr int) { joined = vr },
 		})
 		return late
@@ -353,7 +340,7 @@ func TestResetRevivesDeadVNode(t *testing.T) {
 	resetAt := -1
 	tb.eng.Attach(geo.Point{X: 0.2, Y: 0.1}, nil, func(env sim.Env) sim.Node {
 		late = tb.dep.NewEmulator(env, false)
-		late.SetHooks(vi.EmulatorHooks{
+		late.SetHooks(&vi.EmulatorHooks{
 			OnReset: func(v vi.VNodeID, vr int) { resetAt = vr },
 		})
 		return late
@@ -388,7 +375,7 @@ func TestResetGuardPreventsStateLoss(t *testing.T) {
 	reset := false
 	tb.eng.Attach(geo.Point{X: 0.2, Y: 0.1}, nil, func(env sim.Env) sim.Node {
 		late = tb.dep.NewEmulator(env, false)
-		late.SetHooks(vi.EmulatorHooks{
+		late.SetHooks(&vi.EmulatorHooks{
 			OnReset: func(vi.VNodeID, int) { reset = true },
 		})
 		return late

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"vinfra/internal/cha"
 	"vinfra/internal/cm"
@@ -13,9 +14,13 @@ import (
 
 // Deployment describes a virtual infrastructure: the fixed virtual-node
 // locations, the radio parameters, the broadcast schedule derived from
-// them, and the per-virtual-node programs. It is shared by every emulator
-// and client, and read-only while rounds run: the one thing that changes is
-// the chunk NewClient carves clients from, and only where a node is built.
+// them, and the per-virtual-node programs and initial states. It is shared
+// by every emulator and client, and read-only while rounds run: what
+// changes is the storage nodes are carved from — the arrays Reserve lays
+// out for the bootstrapped replicas (their emulators, agreement cores and
+// contention managers) and the chunks NewClient carves clients from — and
+// only where a node is built, inside the engine's Attach on the goroutine
+// that builds the world.
 type Deployment struct {
 	locs     []geo.Point
 	regionIx *geo.CellIndex // cell size R1/4: RegionOf is a 3x3-cell probe
@@ -23,13 +28,42 @@ type Deployment struct {
 	schedule Schedule
 	timing   Timing
 	programs []Program // one per virtual node, shared by all its replicas
+	inits    [][]byte  // programs[v].Init, worked out once and shared likewise
 	vmax     float64
-	newCM    func(v VNodeID, env sim.Env) cm.Manager
+	leaders  []sim.NodeID // the fixed regime's leader table, or nil
+	customCM func(v VNodeID, env sim.Env) cm.Manager
+
+	// The unused tails of the arrays Reserve laid out; see NewEmulator.
+	emulators slab[Emulator]
+	cores     slab[cha.Core]
+	fixed     slab[cm.Fixed]
+	regional  slab[cm.Regional]
 
 	// clients is the tail of the chunk NewClient carves the next Client
 	// from, and carved the number of clients carved so far; see NewClient.
 	clients []Client
 	carved  int
+}
+
+// slab is the unused tail of an array a deployment reserved.
+type slab[T any] []T
+
+// reserve returns a slab of at least n entries: as many as the allocation's
+// size class holds, which costs no more memory than n would.
+func reserve[T any](n int) slab[T] {
+	s := slices.Grow[slab[T]](nil, n)
+	return s[:cap(s)]
+}
+
+// take returns the slab's next entry, zero, when carve is set and one is
+// left, and a new T otherwise.
+func (s *slab[T]) take(carve bool) *T {
+	if !carve || len(*s) == 0 {
+		return new(T)
+	}
+	p := &(*s)[0]
+	*s = (*s)[1:]
+	return p
 }
 
 // DeploymentConfig parameterizes NewDeployment.
@@ -48,14 +82,22 @@ type DeploymentConfig struct {
 	// VMax bounds device speed; it shrinks the regional contention
 	// manager's leader-eligibility margin (LeaderMargin). Optional.
 	VMax float64
-	// NewCM overrides the regional contention manager factory. Optional;
-	// the default is a Regional backoff manager per virtual node.
+	// Leaders selects the fixed oracle regime: virtual node v's replicas
+	// get cm.Fixed managers advising the node whose ID Leaders[v] holds. The
+	// deployment keeps the caller's slice, one entry per location, and its
+	// managers read their entry at every ballot, so writing an entry
+	// re-elects. Optional; the default is a cm.Regional backoff manager per
+	// replica.
+	Leaders []sim.NodeID
+	// NewCM overrides the contention manager factory. Optional, and not
+	// with Leaders; the managers it builds are never carved.
 	NewCM func(v VNodeID, env sim.Env) cm.Manager
 }
 
 // NewDeployment validates the configuration, colors the broadcast schedule
 // — the one coloring a deployment pays for — and hands it to the Program
-// factory for every virtual node, then returns the deployment.
+// factory for every virtual node, whose initial state it then works out,
+// once, for every replica to share; then it returns the deployment.
 func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	if len(cfg.Locations) == 0 {
 		return nil, fmt.Errorf("vi: deployment requires at least one virtual node location")
@@ -66,27 +108,66 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("vi: deployment requires a Program")
 	}
+	if cfg.Leaders != nil && (cfg.NewCM != nil || len(cfg.Leaders) != len(cfg.Locations)) {
+		return nil, fmt.Errorf("vi: deployment Leaders needs one entry per location (%d for %d) and no NewCM", len(cfg.Leaders), len(cfg.Locations))
+	}
 	d := &Deployment{
 		locs:     append([]geo.Point(nil), cfg.Locations...),
 		radii:    cfg.Radii,
 		programs: make([]Program, len(cfg.Locations)),
+		inits:    make([][]byte, len(cfg.Locations)),
 		vmax:     cfg.VMax,
+		leaders:  cfg.Leaders,
+		customCM: cfg.NewCM,
 	}
 	d.regionIx = geo.BuildCellIndex(d.locs, d.RegionRadius())
 	d.schedule = BuildSchedule(d.locs, d.radii)
 	d.timing = Timing{S: d.schedule.Len()}
 	for v := range d.programs {
 		d.programs[v] = cfg.Program(VNodeID(v), d.schedule)
-	}
-	if cfg.NewCM != nil {
-		d.newCM = cfg.NewCM
-	} else {
-		margin := d.LeaderMargin()
-		d.newCM = func(v VNodeID, env sim.Env) cm.Manager {
-			return cm.NewRegional(d.locs[v], margin)(env)
-		}
+		d.inits[v] = d.programs[v].Init(VNodeID(v), d.locs[v])
 	}
 	return d, nil
+}
+
+// Reserve makes room for n bootstrapped replicas: NewEmulator carves the
+// next n emulators, and the agreement cores and contention managers of
+// those it bootstraps into a region, from arrays sized for n, so a
+// bootstrapped replica costs no heap object of its own. An array holds no
+// more than its allocation's size class does anyway (a few entries more,
+// at no cost, which early mid-run replicas take); past that, each object is
+// allocated, as without Reserve. A world built with and without it is the
+// same world. Like NewEmulator, Reserve runs where nodes are built, never
+// while rounds run.
+func (d *Deployment) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	d.emulators = reserve[Emulator](n)
+	d.cores = reserve[cha.Core](n)
+	switch {
+	case d.customCM != nil:
+	case d.leaders != nil:
+		d.fixed = reserve[cm.Fixed](n)
+	default:
+		d.regional = reserve[cm.Regional](n)
+	}
+}
+
+// newCM builds the contention manager of a replica of virtual node v run by
+// env: NewCM's, a cm.Fixed reading the leader table, or a cm.Regional.
+// carve takes it from the reservation, which only NewEmulator does: a
+// region entered while rounds run — on the parallel engine's workers — or
+// on a restore allocates its manager.
+func (d *Deployment) newCM(v VNodeID, env sim.Env, carve bool) cm.Manager {
+	switch {
+	case d.customCM != nil:
+		return d.customCM(v, env)
+	case d.leaders != nil:
+		return d.fixed.take(carve).Init(&d.leaders[v], env)
+	default:
+		return d.regional.take(carve).Init(d.locs[v], d.LeaderMargin(), env)
+	}
 }
 
 // program returns virtual node v's automaton.
@@ -193,7 +274,7 @@ type EmulatorHooks struct {
 type Emulator struct {
 	env   sim.Env
 	d     *Deployment
-	hooks EmulatorHooks
+	hooks *EmulatorHooks // nil: none; a world's replicas share one
 
 	vn VNodeID // current region's virtual node (None when outside)
 
@@ -233,19 +314,32 @@ var _ sim.Node = (*Emulator)(nil)
 // and the device starts inside a region, it begins as a full replica of
 // that virtual node in its initial state (the deployment's round-0
 // bootstrap); otherwise it acquires state through the join protocol.
+//
+// The emulator, and a bootstrapped replica's agreement core and contention
+// manager, are carved from the arrays Reserve laid out while they last and
+// allocated after; the initial state is the one the virtual node's
+// replicas share. The fields are set one by one, as NewClient's are.
+// NewEmulator is called where the engine's Attach builds a node, never
+// concurrently with itself or while rounds run: the parallel engine's
+// workers enter regions (checkRegion) with managers of their own.
 func (d *Deployment) NewEmulator(env sim.Env, bootstrap bool) *Emulator {
-	e := &Emulator{env: env, d: d, vn: None}
+	e := d.emulators.take(true)
+	e.env = env
+	e.d = d
+	e.vn = None
 	if bootstrap {
 		if v := d.RegionOf(env.Location()); v != None {
-			e.enterRegion(v, d.newCM(v, env))
-			e.becomeReplica(0, d.program(v).Init(v, d.locs[v]), cha.NewCore())
+			e.enterRegion(v, d.newCM(v, env, true))
+			e.becomeReplica(0, d.inits[v], d.cores.take(true))
 		}
 	}
 	return e
 }
 
-// SetHooks installs lifecycle hooks (call before running).
-func (e *Emulator) SetHooks(h EmulatorHooks) { e.hooks = h }
+// SetHooks installs lifecycle hooks (call before running). The emulator
+// keeps the pointer, so replicas that report to the same place share one
+// EmulatorHooks.
+func (e *Emulator) SetHooks(h *EmulatorHooks) { e.hooks = h }
 
 // Joined reports whether the emulator is a full replica of its region's
 // virtual node.
@@ -299,7 +393,7 @@ func (e *Emulator) checkRegion() {
 		e.leaveRegion()
 	}
 	if v != None {
-		e.enterRegion(v, e.d.newCM(v, e.env))
+		e.enterRegion(v, e.d.newCM(v, e.env, false))
 	}
 }
 
@@ -641,7 +735,7 @@ func (e *Emulator) finishInstance(rx sim.Reception) {
 	if out.Color == cha.Green {
 		e.fold(out)
 	}
-	if e.hooks.OnOutput != nil {
+	if e.hooks != nil && e.hooks.OnOutput != nil {
 		e.hooks.OnOutput(e.vn, out)
 	}
 }
@@ -668,19 +762,19 @@ func (e *Emulator) adoptAck(vr int, ack JoinAckMsg) {
 		panic(fmt.Sprintf("vi: join-ack does not restore: %v", err))
 	}
 	e.becomeReplica(ack.StateFloor, ack.State, core)
-	if e.hooks.OnJoin != nil {
+	if e.hooks != nil && e.hooks.OnJoin != nil {
 		e.hooks.OnJoin(e.vn, vr)
 	}
 }
 
-// resetVNode revives a dead virtual node in its initial state
-// (Section 4.3: safe only after the reset phase stayed silent).
+// resetVNode revives a dead virtual node in its initial state, the one its
+// replicas share (Section 4.3: safe only after the reset phase stayed
+// silent).
 func (e *Emulator) resetVNode(vr int) {
 	core := cha.NewCore()
 	core.ResetAt(cha.Instance(vr))
-	init := e.d.program(e.vn).Init(e.vn, e.d.locs[e.vn])
-	e.becomeReplica(cha.Instance(vr), init, core)
-	if e.hooks.OnReset != nil {
+	e.becomeReplica(cha.Instance(vr), e.d.inits[e.vn], core)
+	if e.hooks != nil && e.hooks.OnReset != nil {
 		e.hooks.OnReset(e.vn, vr)
 	}
 }

@@ -55,7 +55,7 @@ func TestEmulatorVRoundSteadyStateAllocs(t *testing.T) {
 	bed := benchBed(t, 3, 3)
 	var outputs, greens int
 	for _, em := range bed.emulators {
-		em.SetHooks(vi.EmulatorHooks{OnOutput: func(_ vi.VNodeID, out cha.Output) {
+		em.SetHooks(&vi.EmulatorHooks{OnOutput: func(_ vi.VNodeID, out cha.Output) {
 			outputs++
 			if out.Color == cha.Green {
 				greens++

@@ -48,7 +48,7 @@ func TestBootstrapOutsideRegionFallsBackToJoin(t *testing.T) {
 	var walker *vi.Emulator
 	tb.eng.Attach(geo.Point{X: 20, Y: 0}, walkTo(geo.Point{X: 0.5, Y: 0}, 0.5), func(env sim.Env) sim.Node {
 		walker = tb.dep.NewEmulator(env, true)
-		walker.SetHooks(vi.EmulatorHooks{
+		walker.SetHooks(&vi.EmulatorHooks{
 			OnJoin: func(vi.VNodeID, int) { joined = true },
 		})
 		return walker

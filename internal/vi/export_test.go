@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vinfra/internal/cha"
+	"vinfra/internal/cm"
 	"vinfra/internal/geo"
 )
 
@@ -36,6 +37,9 @@ func (e *Emulator) VNode() VNodeID { return e.vn }
 
 // Core exposes the agreement state machine (nil before joining).
 func (e *Emulator) Core() *cha.Core { return e.core }
+
+// Manager exposes the contention manager (nil outside every region).
+func (e *Emulator) Manager() cm.Manager { return e.mgr }
 
 // StateBefore returns the emulator's estimate of its virtual node's state
 // entering virtual round vr (1-based). It is only meaningful while joined.

@@ -22,7 +22,9 @@ import (
 // States are immutable by convention: OnRound must return a fresh slice
 // rather than mutating its input.
 type Program interface {
-	// Init returns the virtual node's initial state.
+	// Init returns the virtual node's initial state. The deployment calls
+	// it once per virtual node and shares the bytes among every replica of
+	// the node, bootstrapped or reset, so they must never be mutated.
 	Init(id VNodeID, loc geo.Point) []byte
 	// OnRound consumes the input of one virtual round — the agreed message
 	// set, or a collision indication when the round's agreement produced
@@ -53,7 +55,9 @@ type stateCache struct {
 }
 
 // resetAt installs a state snapshot at the given floor (join state
-// transfer, or a virtual node reset). The cache takes ownership of state.
+// transfer, or a virtual node reset). The cache never mutates state, which
+// may be shared: a virtual node's initial state is the same slice in every
+// replica.
 func (sc *stateCache) resetAt(floor cha.Instance, state []byte) {
 	sc.floor = floor
 	sc.floorState = state
@@ -139,7 +143,9 @@ type Codec[S any] struct {
 	DecodeState func(d *wire.Decoder) (S, error)
 }
 
-// Init implements Program.
+// Init implements Program: InitState's encoding, which the deployment
+// works out once per virtual node and every replica shares (not to be
+// mutated).
 func (c Codec[S]) Init(id VNodeID, loc geo.Point) []byte {
 	return c.encode(c.InitState(id, loc))
 }

@@ -32,7 +32,10 @@ func ConflictThreshold(r geo.Radii) float64 { return r.R1 + 2*r.R2 }
 // reads its colored neighbors' slots straight off the 3x3 block of cells
 // around it, so memory is O(virtual nodes) — no adjacency list, nothing
 // sorted — and the neighbor set, hence the schedule, is the one a
-// neighbor-list pass produces.
+// neighbor-list pass produces. The walk visits only the earlier virtual
+// nodes, the ones already colored: each cell's walk stops at the first
+// index at or above v, so the later half of every neighborhood costs
+// nothing.
 //
 // A slot counts as taken for node v when its stamp reads v+1, so the marks
 // of one node are never cleared; a node's slot is at most one past the
@@ -45,8 +48,8 @@ func BuildSchedule(locs []geo.Point, radii geo.Radii) Schedule {
 	slotOf := make([]int, len(locs))
 	taken := []int{0}
 	for v, p := range locs {
-		ix.VisitNear(p, 1, func(u int32) {
-			if int(u) < v && locs[u].Dist2(p) <= t2 {
+		ix.VisitNear(p, 1, v, func(u int32) {
+			if locs[u].Dist2(p) <= t2 {
 				taken[slotOf[u]] = v + 1
 			}
 		})

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"vinfra/internal/cha"
-	"vinfra/internal/cm"
 	"vinfra/internal/sim"
 	"vinfra/internal/wire"
 )
@@ -54,11 +53,15 @@ func (e *Emulator) AppendState(dst []byte) []byte {
 
 // RestoreState implements sim.Snapshotter. It reads and checks the whole
 // blob — a vnode of the deployment, state only where AppendState writes
-// some, a contention manager blob the region's manager takes, a core
-// cha.RestoreCore takes — before it changes the emulator, so a refused blob
-// leaves the emulator as it was. The region's manager is built afresh
-// through the deployment's factory and handed its blob, so a custom NewCM
-// that carries state must implement sim.Snapshotter.
+// some, a core snapshot cha.RestoreCore takes, a contention manager blob the
+// region's manager takes — before it changes the emulator, so a refused blob
+// leaves the emulator as it was. The state lands in the emulator's own
+// storage where it has some, so a restored world keeps using what its
+// replicas were carved from: the core snapshot in the emulator's core, and
+// the manager blob in its manager when the blob names the region the
+// emulator is in (otherwise in one built afresh through the deployment's
+// factory). A manager refuses a blob without changing, and a custom NewCM
+// that carries state must implement sim.Snapshotter over all of it.
 func (e *Emulator) RestoreState(data []byte) error {
 	d := wire.Dec(data)
 	vn := VNodeID(d.Varint())
@@ -92,19 +95,30 @@ func (e *Emulator) RestoreState(data []byte) error {
 	case !hasExpected && len(expected) > 0:
 		return fmt.Errorf("vi: restore: expected payload without a broadcast")
 	}
-	var core *cha.Core
 	if joined {
-		if core, err = cha.RestoreCore(snap); err != nil {
+		if err := snap.Check(); err != nil {
 			return fmt.Errorf("vi: restore: %w", err)
 		}
-		core.BrokenChains = broken
 	}
-	var mgr cm.Manager
+	// The manager's blob is the last thing that may refuse.
+	mgr := e.mgr
 	if vn != None {
-		mgr = e.d.newCM(vn, e.env)
+		if vn != e.vn || mgr == nil {
+			mgr = e.d.newCM(vn, e.env, false)
+		}
 		if err := restoreBlob(mgr, mgrBlob, "contention manager"); err != nil {
 			return err
 		}
+	}
+	core := e.core
+	if joined {
+		if core == nil {
+			core = new(cha.Core)
+		}
+		if err := core.Restore(snap); err != nil {
+			panic(fmt.Sprintf("vi: restore: a checked core snapshot does not restore: %v", err))
+		}
+		core.BrokenChains = broken
 	}
 
 	// The region comes from the blob, not from where the device stands:

@@ -219,6 +219,43 @@ func TestRefusedManagerBlobKeepsLeader(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsReplicaStorage: a replica handed a blob for the region it
+// serves restores into its own core and manager — for a bootstrapped
+// replica, the entries its deployment carved them from — rather than
+// allocating new ones. A blob whose core Check refuses moves nothing, not
+// even the region's shared leader when its manager blob, read first, names
+// another one.
+func TestRestoreKeepsReplicaStorage(t *testing.T) {
+	tb := replicaBed(t)
+	tb.runVRounds(3)
+	em, other := tb.emulators[1], tb.emulators[0]
+	core, mgr := em.Core(), em.Manager()
+	blob, otherBefore := em.AppendState(nil), other.AppendState(nil)
+	if err := em.RestoreState(blob); err != nil {
+		t.Fatalf("an emulator's own state must restore: %v", err)
+	}
+	if em.Core() != core || em.Manager() != mgr {
+		t.Error("restoring a replica's own region replaced its core or its manager")
+	}
+	if got := em.AppendState(nil); !bytes.Equal(got, blob) {
+		t.Fatal("a restored replica writes a different blob")
+	}
+	bad := withCore(t, blob, func(c *cha.CoreSnapshot) { c.K = 1 << 40 })
+	d := wire.Dec(bad)
+	head := wire.AppendBool(wire.AppendVarint(nil, d.Varint()), d.Bool())
+	d.Bytes()
+	bad = append(wire.AppendBytes(head, wire.AppendVarint(nil, 7)), bad[len(bad)-d.Rem():]...)
+	if err := em.RestoreState(bad); err == nil || !strings.Contains(err.Error(), "cha: restore") {
+		t.Fatalf("RestoreState with K = 2^40 and leader 7: err %v, want the core's refusal", err)
+	}
+	if got := other.AppendState(nil); !bytes.Equal(got, otherBefore) {
+		t.Error("a blob refused for its core moved the region's leader")
+	}
+	if got := em.AppendState(nil); !bytes.Equal(got, blob) {
+		t.Error("a blob refused for its core changed the emulator")
+	}
+}
+
 // TestNodeStateRefusesMalformed: every blob the emulator's and the client's
 // RestoreState could not have been handed by AppendState is refused — a
 // count the bytes left cannot hold, a bool other than 0 or 1, trailing or

@@ -72,7 +72,7 @@ func TestVIAgreementUnderLossManySeeds(t *testing.T) {
 				pos := geo.Point{X: loc.X + 0.3*float64(i) - 0.3, Y: loc.Y + 0.2}
 				eng.Attach(pos, nil, func(env sim.Env) sim.Node {
 					em := dep.NewEmulator(env, true)
-					em.SetHooks(vi.EmulatorHooks{OnOutput: checker.hook})
+					em.SetHooks(&vi.EmulatorHooks{OnOutput: checker.hook})
 					emulators = append(emulators, em)
 					return em
 				})

@@ -27,7 +27,7 @@ func TestLongRunStateIsAWindow(t *testing.T) {
 	})
 	mon := vi.NewMonitor()
 	for _, em := range tb.emulators {
-		em.SetHooks(vi.EmulatorHooks{OnOutput: mon.Observe})
+		em.SetHooks(&vi.EmulatorHooks{OnOutput: mon.Observe})
 	}
 	tb.runVRounds(vrounds)
 	for v := vi.VNodeID(0); int(v) < tb.dep.NumVNodes(); v++ {
@@ -88,7 +88,7 @@ func TestOutputHistoryIsTheView(t *testing.T) {
 	var outs []kept
 	decided, undecided := 0, 0
 	for _, em := range tb.emulators {
-		em.SetHooks(vi.EmulatorHooks{OnOutput: func(_ vi.VNodeID, out cha.Output) {
+		em.SetHooks(&vi.EmulatorHooks{OnOutput: func(_ vi.VNodeID, out cha.Output) {
 			if !out.Decided() {
 				undecided++
 				return
