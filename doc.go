@@ -65,6 +65,9 @@
 //     ballots: a backoff loser sits out the next ballot, and the regional
 //     manager competes only within the deployment's LeaderMargin (§4.2),
 //     which spec.Build refuses when no bootstrap replica stands inside it.
+//     Succession costs one ballot: a manager made mid-run sits out its
+//     first ballot, and a silence that ends a deferral leaves the backoff
+//     window at 2 or more. Tests watch ballots through EmulatorHooks.OnBallot.
 //     Both have exact-behavior unit tests under injected jamming:
 //     adversarial collision patterns produce precisely the detections
 //     (completeness on real losses, per-class handling of forced spurious

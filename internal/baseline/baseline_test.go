@@ -32,7 +32,7 @@ func newNaiveCluster(t *testing.T, n int) (eng *sim.Engine, rec *cha.Recorder, l
 	medium := radio.MustMedium(radio.Config{Radii: testRadii, Detector: cd.AC{}})
 	eng = sim.NewEngine(medium)
 	rec = cha.NewRecorder()
-	factory, _ := cm.NewFixed(0)
+	var leader sim.NodeID // node 0 leads
 	latest = make([]*cha.History, n)
 	for i, pos := range ring(n, 2) {
 		i := i
@@ -42,7 +42,7 @@ func newNaiveCluster(t *testing.T, n int) (eng *sim.Engine, rec *cha.Recorder, l
 				Propose: rec.WrapPropose(func(k cha.Instance) cha.Value {
 					return cha.V(fmt.Sprintf("n%02d-%06d", i, k))
 				}),
-				CM: factory(env),
+				CM: new(cm.Fixed).Init(&leader, env),
 				OnOutput: func(out cha.Output) {
 					record(out)
 					if out.History != nil {

@@ -23,7 +23,7 @@ func newNaiveLossCluster(t *testing.T, n int, adv radio.Adversary, seed int64) (
 	})
 	eng := sim.NewEngine(medium, sim.WithSeed(seed))
 	rec := cha.NewRecorder()
-	factory, _ := cm.NewFixed(0)
+	var leader sim.NodeID // node 0 leads
 	for i, pos := range ring(n, 2) {
 		i := i
 		eng.Attach(pos, nil, func(env sim.Env) sim.Node {
@@ -31,7 +31,7 @@ func newNaiveLossCluster(t *testing.T, n int, adv radio.Adversary, seed int64) (
 				Propose: rec.WrapPropose(func(k cha.Instance) cha.Value {
 					return cha.V(fmt.Sprintf("n%02d-%06d", i, k))
 				}),
-				CM:       factory(env),
+				CM:       new(cm.Fixed).Init(&leader, env),
 				OnOutput: rec.OutputFunc(env.ID()),
 			})
 		})
@@ -68,7 +68,7 @@ func TestNaiveLivenessAfterStability(t *testing.T) {
 	})
 	eng := sim.NewEngine(medium, sim.WithSeed(7))
 	rec := cha.NewRecorder()
-	factory, _ := cm.NewFixed(0)
+	var leader sim.NodeID // node 0 leads
 	for i, pos := range ring(3, 2) {
 		i := i
 		eng.Attach(pos, nil, func(env sim.Env) sim.Node {
@@ -76,7 +76,7 @@ func TestNaiveLivenessAfterStability(t *testing.T) {
 				Propose: rec.WrapPropose(func(k cha.Instance) cha.Value {
 					return cha.V(fmt.Sprintf("n%02d-%06d", i, k))
 				}),
-				CM:       factory(env),
+				CM:       new(cm.Fixed).Init(&leader, env),
 				OnOutput: rec.OutputFunc(env.ID()),
 			})
 		})

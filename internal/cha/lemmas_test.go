@@ -9,7 +9,6 @@ import (
 
 	"vinfra/internal/cd"
 	"vinfra/internal/cha"
-	"vinfra/internal/cm"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 )
@@ -18,10 +17,8 @@ import (
 // the given script and eventually-accurate detection.
 func stagedCluster(t *testing.T, script *radio.Script, racc sim.Round) *cluster {
 	t.Helper()
-	factory, _ := cm.NewFixed(0)
 	return newCluster(t, clusterOpts{
 		n:         3,
-		cmFactory: factory,
 		detector:  cd.EventuallyAC{Racc: racc},
 		adversary: script,
 	})

@@ -8,7 +8,6 @@ import (
 
 	"vinfra/internal/cd"
 	"vinfra/internal/cha"
-	"vinfra/internal/cm"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 )
@@ -26,12 +25,10 @@ func TestRecorderMatchesOracle(t *testing.T) {
 				seed := int64(s*97 + 13)
 				p := 0.2 + 0.1*float64(s%6)
 				oracle := cha.NewMapRecorder()
-				factory, _ := cm.NewFixed(0)
 				c := newCluster(t, clusterOpts{
 					n:          3 + s%5,
 					detector:   cd.EventuallyAC{Racc: rcf, FalsePositiveRate: p / 2},
 					adversary:  radio.NewRandomLoss(p, p/2, rcf, seed*7),
-					cmFactory:  factory,
 					seed:       seed,
 					checkpoint: checkpoint,
 					oracle:     oracle,
@@ -56,8 +53,7 @@ func TestRecorderMatchesOracle(t *testing.T) {
 // checkpointing it holds what a replica's Core holds.
 func TestRecorderWindowIsBounded(t *testing.T) {
 	run := func(instances int, checkpoint bool, crashAt int) *cluster {
-		factory, _ := cm.NewFixed(0)
-		c := newCluster(t, clusterOpts{n: 5, cmFactory: factory, checkpoint: checkpoint})
+		c := newCluster(t, clusterOpts{n: 5, checkpoint: checkpoint})
 		if crashAt > 0 {
 			c.runInstances(crashAt)
 			c.eng.Crash(c.ids[4])

@@ -32,13 +32,16 @@ type clusterOpts struct {
 	n          int
 	detector   cd.Detector
 	adversary  radio.Adversary
-	cmFactory  cm.Factory
+	backoff    bool // randomized backoff managers instead of the oracle
 	seed       int64
 	checkpoint bool
 	oracle     *cha.MapRecorder // sees every proposal and output rec sees
 }
 
 type cluster struct {
+	// leader is the oracle managers' leader cell, node 0 until a test
+	// re-elects by writing it.
+	leader   sim.NodeID
 	eng      *sim.Engine
 	rec      *cha.Recorder
 	replicas []*cha.Replica
@@ -78,9 +81,13 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 				record, oracle := onOutput, o.oracle.OutputFunc(env.ID())
 				onOutput = func(out cha.Output) { record(out); oracle(out) }
 			}
+			var mgr cm.Manager = new(cm.Fixed).Init(&c.leader, env)
+			if o.backoff {
+				mgr = new(cm.Backoff).Init(env)
+			}
 			rep := cha.NewReplica(env, cha.Config{
 				Propose:    propose,
-				CM:         o.cmFactory(env),
+				CM:         mgr,
 				OnOutput:   onOutput,
 				Checkpoint: o.checkpoint,
 			})
@@ -104,8 +111,7 @@ func requireClean(t *testing.T, rep cha.Report) {
 }
 
 func TestSingleNodeAllGreen(t *testing.T) {
-	factory, _ := cm.NewFixed(0)
-	c := newCluster(t, clusterOpts{n: 1, cmFactory: factory})
+	c := newCluster(t, clusterOpts{n: 1})
 	c.runInstances(10)
 	rep := c.rec.Report()
 	requireClean(t, rep)
@@ -118,8 +124,7 @@ func TestSingleNodeAllGreen(t *testing.T) {
 }
 
 func TestStableClusterAllDecide(t *testing.T) {
-	factory, _ := cm.NewFixed(0)
-	c := newCluster(t, clusterOpts{n: 5, cmFactory: factory})
+	c := newCluster(t, clusterOpts{n: 5})
 	c.runInstances(20)
 	rep := c.rec.Report()
 	requireClean(t, rep)
@@ -148,10 +153,8 @@ func TestAdversarialPhaseThenStability(t *testing.T) {
 	// accuracy from r_acc = 60. Safety must hold throughout; liveness must
 	// hold after stabilization (Theorems 10, 12, 13; Property 4).
 	const rcf = 60
-	factory, _ := cm.NewFixed(0)
 	c := newCluster(t, clusterOpts{
 		n:         4,
-		cmFactory: factory,
 		detector:  cd.EventuallyAC{Racc: rcf, FalsePositiveRate: 0.2},
 		adversary: radio.NewRandomLoss(0.4, 0.2, rcf, 99),
 		seed:      7,
@@ -177,10 +180,8 @@ func TestManySeedsSafetyNeverViolated(t *testing.T) {
 	// Safety is unconditional: whatever the adversary does (even forever),
 	// agreement, validity and the color invariant must hold.
 	for seed := int64(1); seed <= 15; seed++ {
-		factory, _ := cm.NewFixed(0)
 		c := newCluster(t, clusterOpts{
 			n:         3 + int(seed%4),
-			cmFactory: factory,
 			detector:  cd.EventuallyAC{Racc: cd.Never, FalsePositiveRate: 0.15},
 			adversary: radio.NewRandomLoss(0.5, 0.25, cd.Never, seed*31),
 			seed:      seed,
@@ -195,9 +196,9 @@ func TestManySeedsSafetyNeverViolated(t *testing.T) {
 
 func TestLeaderCrashWithBackoffReelection(t *testing.T) {
 	c := newCluster(t, clusterOpts{
-		n:         5,
-		cmFactory: cm.NewBackoff(),
-		seed:      3,
+		n:       5,
+		backoff: true,
+		seed:    3,
 	})
 	// Let the election settle and the protocol run.
 	c.runInstances(80)
@@ -215,14 +216,13 @@ func TestLeaderCrashWithBackoffReelection(t *testing.T) {
 
 func TestCrashAllButOne(t *testing.T) {
 	// CHA requires only one correct node (Section 3.2).
-	factory, setLeader := cm.NewFixed(0)
-	c := newCluster(t, clusterOpts{n: 4, cmFactory: factory})
+	c := newCluster(t, clusterOpts{n: 4})
 	c.runInstances(10)
 	for _, id := range c.ids[:3] {
 		c.eng.Crash(id)
 		c.rec.MarkCrashed(id)
 	}
-	setLeader(c.ids[3])
+	c.leader = c.ids[3]
 	c.runInstances(30)
 	rep := c.rec.Report()
 	requireClean(t, rep)
@@ -239,10 +239,8 @@ func TestFootnote2ConsistencyAfterDeciderCrashes(t *testing.T) {
 	// histories include instance 1 with the decided value.
 	script := &radio.Script{}
 	script.Collide(2, 1) // round 2 = veto-2 of instance 1, at node 1
-	factory, setLeader := cm.NewFixed(0)
 	c := newCluster(t, clusterOpts{
 		n:         2,
-		cmFactory: factory,
 		detector:  cd.EventuallyAC{Racc: 3},
 		adversary: script,
 	})
@@ -264,7 +262,7 @@ func TestFootnote2ConsistencyAfterDeciderCrashes(t *testing.T) {
 
 	c.eng.Crash(c.ids[0])
 	c.rec.MarkCrashed(c.ids[0])
-	setLeader(c.ids[1])
+	c.leader = c.ids[1]
 	c.runInstances(5)
 
 	h1 := c.replicas[1].Core().CalculateHistory()
@@ -279,8 +277,7 @@ func TestFootnote2ConsistencyAfterDeciderCrashes(t *testing.T) {
 }
 
 func TestCheckpointReplicasConverge(t *testing.T) {
-	factory, _ := cm.NewFixed(0)
-	c := newCluster(t, clusterOpts{n: 3, cmFactory: factory, checkpoint: true})
+	c := newCluster(t, clusterOpts{n: 3, checkpoint: true})
 	c.runInstances(50)
 	requireClean(t, c.rec.Report())
 
@@ -303,17 +300,17 @@ func TestCheckpointReplicasConverge(t *testing.T) {
 func TestCheckpointMatchesPlainHistoryDigest(t *testing.T) {
 	// A checkpointing replica and a plain replica in the same cluster must
 	// fold to the same digest.
-	factory, _ := cm.NewFixed(0)
 	medium := radio.MustMedium(radio.Config{Radii: testRadii, Detector: cd.AC{}})
 	eng := sim.NewEngine(medium)
+	var leader sim.NodeID // node 0 leads
 	var plain, ckpt *cha.Replica
 	propose := func(k cha.Instance) cha.Value { return cha.V(fmt.Sprintf("%06d", k)) }
 	eng.Attach(geo.Point{X: 1}, nil, func(env sim.Env) sim.Node {
-		plain = cha.NewReplica(env, cha.Config{Propose: propose, CM: factory(env)})
+		plain = cha.NewReplica(env, cha.Config{Propose: propose, CM: new(cm.Fixed).Init(&leader, env)})
 		return plain
 	})
 	eng.Attach(geo.Point{X: -1}, nil, func(env sim.Env) sim.Node {
-		ckpt = cha.NewReplica(env, cha.Config{Propose: propose, CM: factory(env), Checkpoint: true})
+		ckpt = cha.NewReplica(env, cha.Config{Propose: propose, CM: new(cm.Fixed).Init(&leader, env), Checkpoint: true})
 		return ckpt
 	})
 	eng.Run(30 * cha.RoundsPerInstance)
@@ -329,8 +326,7 @@ func TestConstantMessageSize(t *testing.T) {
 	// Theorem 14: message size is constant, independent of execution
 	// length. Compare the maximum message size of a short and a long run.
 	maxSize := func(instances int) int {
-		factory, _ := cm.NewFixed(0)
-		c := newCluster(t, clusterOpts{n: 4, cmFactory: factory})
+		c := newCluster(t, clusterOpts{n: 4})
 		c.runInstances(instances)
 		return c.eng.Stats().MaxMessageSize
 	}
@@ -351,10 +347,8 @@ func TestNullDetectorBreaksTheProtocol(t *testing.T) {
 	// detection. We look for any seed demonstrating a violation.
 	demonstrated := false
 	for seed := int64(1); seed <= 20 && !demonstrated; seed++ {
-		factory, _ := cm.NewFixed(0)
 		c := newCluster(t, clusterOpts{
 			n:         4,
-			cmFactory: factory,
 			detector:  cd.Null{},
 			adversary: radio.NewRandomLoss(0.5, 0, cd.Never, seed*17),
 			seed:      seed,
@@ -378,10 +372,8 @@ func TestColorSpreadWithinOneShade(t *testing.T) {
 	// Property 4 under heavy noise: per-instance colors across nodes never
 	// differ by more than one shade.
 	for seed := int64(1); seed <= 10; seed++ {
-		factory, _ := cm.NewFixed(0)
 		c := newCluster(t, clusterOpts{
 			n:         6,
-			cmFactory: factory,
 			detector:  cd.EventuallyAC{Racc: cd.Never, FalsePositiveRate: 0.3},
 			adversary: radio.NewRandomLoss(0.4, 0.3, cd.Never, seed),
 			seed:      seed * 13,
@@ -420,7 +412,6 @@ func TestPhaseOf(t *testing.T) {
 }
 
 func TestReplicaConfigValidation(t *testing.T) {
-	factory, _ := cm.NewFixed(0)
 	medium := radio.MustMedium(radio.Config{Radii: testRadii, Detector: cd.AC{}})
 	eng := sim.NewEngine(medium)
 	mustPanic := func(name string, cfg cha.Config) {
@@ -433,14 +424,6 @@ func TestReplicaConfigValidation(t *testing.T) {
 			return cha.NewReplica(env, cfg)
 		})
 	}
-	mustPanic("missing propose", cha.Config{CM: factory(fakeCMEnv{})})
+	mustPanic("missing propose", cha.Config{CM: new(cm.Backoff)})
 	mustPanic("missing cm", cha.Config{Propose: func(cha.Instance) cha.Value { return cha.Value{} }})
 }
-
-type fakeCMEnv struct{}
-
-func (fakeCMEnv) ID() sim.NodeID       { return 0 }
-func (fakeCMEnv) Location() geo.Point  { return geo.Point{} }
-func (fakeCMEnv) Intn(int) int         { return 0 }
-func (fakeCMEnv) Float64() float64     { return 0 }
-func (fakeCMEnv) SleepUntil(sim.Round) {}

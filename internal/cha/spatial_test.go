@@ -22,7 +22,6 @@ func TestSpatialReuseTwoGroups(t *testing.T) {
 
 	buildGroup := func(center geo.Point, leader sim.NodeID) (*cha.Recorder, []*cha.Replica) {
 		rec := cha.NewRecorder()
-		factory, _ := cm.NewFixed(leader)
 		var reps []*cha.Replica
 		for i := 0; i < 3; i++ {
 			i := i
@@ -32,7 +31,7 @@ func TestSpatialReuseTwoGroups(t *testing.T) {
 					Propose: rec.WrapPropose(func(k cha.Instance) cha.Value {
 						return cha.V(fmt.Sprintf("g%v-n%d-%d", center, i, k))
 					}),
-					CM:       factory(env),
+					CM:       new(cm.Fixed).Init(&leader, env),
 					OnOutput: rec.OutputFunc(env.ID()),
 				})
 				reps = append(reps, rep)
@@ -69,7 +68,6 @@ func TestTwoGroupsWithinInterferenceRange(t *testing.T) {
 
 	build := func(center geo.Point, leader sim.NodeID) *cha.Recorder {
 		rec := cha.NewRecorder()
-		factory, _ := cm.NewFixed(leader)
 		for i := 0; i < 2; i++ {
 			i := i
 			pos := geo.Point{X: center.X + float64(i), Y: center.Y}
@@ -78,7 +76,7 @@ func TestTwoGroupsWithinInterferenceRange(t *testing.T) {
 					Propose: rec.WrapPropose(func(k cha.Instance) cha.Value {
 						return cha.V(fmt.Sprintf("n%d-%d", i, k))
 					}),
-					CM:       factory(env),
+					CM:       new(cm.Fixed).Init(&leader, env),
 					OnOutput: rec.OutputFunc(env.ID()),
 				})
 			})

@@ -84,32 +84,17 @@ type Manager interface {
 	Observe(fb Feedback)
 }
 
-// Factory builds a Manager for one node, given its engine environment
-// (identity, location, deterministic randomness).
-type Factory func(env sim.Env) Manager
-
 // Fixed is an oracle manager: the node whose ID its leader cell holds is
 // always active; everyone else is always passive. It trivially satisfies
 // Property 3 from round 0 and gives the protocols their best case, which
 // is what the overhead measurements of Theorem 14 call for. The cell is
 // read at every ballot and shared by every manager of one election, so
-// writing it re-elects (after crashing the leader, say): NewFixed's factory
-// keeps one, and a virtual infrastructure keeps one per virtual node in a
-// single leader table (vi.DeploymentConfig.Leaders).
+// writing it re-elects (after crashing the leader, say): a CHA cluster keeps
+// one, and a virtual infrastructure keeps one per virtual node in a single
+// leader table (vi.DeploymentConfig.Leaders).
 type Fixed struct {
 	leader *sim.NodeID
 	env    sim.Env
-}
-
-// NewFixed returns a factory of oracle managers sharing one leader cell,
-// plus a setter to change the leader (e.g., after crashing it in a test).
-func NewFixed(initial sim.NodeID) (Factory, func(sim.NodeID)) {
-	leader := initial
-	factory := func(env sim.Env) Manager {
-		return new(Fixed).Init(&leader, env)
-	}
-	set := func(id sim.NodeID) { leader = id }
-	return factory, set
 }
 
 // Init makes f the oracle manager of the node env runs, reading its leader
@@ -144,18 +129,20 @@ const deferBallots = 1
 // the deferral and silence ends it. Once one node wins, it stays active in
 // every ballot while all others defer — satisfying Property 3 for as long
 // as the leader survives, and re-electing when it crashes (the losers hear
-// silence).
+// silence). A silence that ends a deferral leaves w at 2 or more: every
+// loser hears the same silence, and at w = 1 they would all take the next
+// ballot at once and collide.
 type Backoff struct {
 	env      sim.Env
 	w        int
 	deferred int // ballots still to sit out, at most deferBallots
 }
 
-// NewBackoff returns a Factory building independent Backoff managers.
-func NewBackoff() Factory {
-	return func(env sim.Env) Manager {
-		return &Backoff{env: env, w: 1}
-	}
+// Init makes b a fresh backoff manager of the node env runs (window 1, no
+// deferral) and returns b.
+func (b *Backoff) Init(env sim.Env) *Backoff {
+	*b = Backoff{env: env, w: 1}
+	return b
 }
 
 // Advice implements Manager.
@@ -171,6 +158,7 @@ func (b *Backoff) Advice() bool {
 
 // Observe implements Manager.
 func (b *Backoff) Observe(fb Feedback) {
+	floor := 1 + min(b.deferred, 1) // the least window a silence leaves
 	b.deferred = max(b.deferred-1, 0)
 	switch fb {
 	case FeedbackWon:
@@ -180,7 +168,7 @@ func (b *Backoff) Observe(fb Feedback) {
 	case FeedbackCollision:
 		b.w = min(2*b.w, wMax)
 	case FeedbackSilence:
-		b.w, b.deferred = max(b.w/2, 1), 0
+		b.w, b.deferred = max(b.w/2, floor), 0
 	}
 }
 
@@ -196,15 +184,18 @@ type Regional struct {
 
 // Init makes m a fresh regional manager of the node env runs, for the
 // virtual node at loc, eligible within margin of it (the deployment's
-// LeaderMargin), and returns m. A caller that lays managers out in storage
-// of its own (vi.Deployment carves them from one array) passes an entry of
-// it; the fields are set one by one, so m need not be zero.
-func (m *Regional) Init(loc geo.Point, margin float64, env sim.Env) *Regional {
+// LeaderMargin), and returns m. A node entering a running election (midRun)
+// sits out its first ballot, as a loser does, rather than take the channel
+// from a leader it has not heard yet. A caller that lays managers out in
+// storage of its own (vi.Deployment carves them from one array) passes an
+// entry of it; the fields are set one by one, so m need not be zero.
+func (m *Regional) Init(loc geo.Point, margin float64, env sim.Env, midRun bool) *Regional {
 	m.loc = loc
 	m.margin = margin
-	m.b.env = env
-	m.b.w = 1
-	m.b.deferred = 0
+	m.b.Init(env)
+	if midRun {
+		m.b.deferred = deferBallots
+	}
 	return m
 }
 

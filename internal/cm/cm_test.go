@@ -64,9 +64,9 @@ func TestFeedbackOf(t *testing.T) {
 }
 
 func TestFixedLeaderAdvice(t *testing.T) {
-	factory, setLeader := NewFixed(1)
-	m0 := factory(newEnv(0, 1))
-	m1 := factory(newEnv(1, 2))
+	leader := sim.NodeID(1)
+	m0 := new(Fixed).Init(&leader, newEnv(0, 1))
+	m1 := new(Fixed).Init(&leader, newEnv(1, 2))
 
 	if m0.Advice() {
 		t.Error("non-leader advised active")
@@ -75,7 +75,7 @@ func TestFixedLeaderAdvice(t *testing.T) {
 		t.Error("leader advised passive")
 	}
 
-	setLeader(0)
+	leader = 0
 	if !m0.Advice() {
 		t.Error("new leader advised passive after re-election")
 	}
@@ -93,13 +93,12 @@ type channelSim struct {
 }
 
 func newChannelSim(n int, seed int64) *channelSim {
-	factory := NewBackoff()
 	cs := &channelSim{
 		mgrs:  make([]Manager, n),
 		alive: make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
-		cs.mgrs[i] = factory(newEnv(i, seed+int64(i)*101))
+		cs.mgrs[i] = new(Backoff).Init(newEnv(i, seed+int64(i)*101))
 		cs.alive[i] = true
 	}
 	return cs
@@ -194,7 +193,7 @@ func TestBackoffReelectsAfterCrash(t *testing.T) {
 }
 
 func TestBackoffSoloNodeIsImmediatelyActive(t *testing.T) {
-	m := NewBackoff()(newEnv(0, 5))
+	m := new(Backoff).Init(newEnv(0, 5))
 	if !m.Advice() {
 		t.Error("a lone contender with w=1 should be active immediately")
 	}
@@ -203,9 +202,9 @@ func TestBackoffSoloNodeIsImmediatelyActive(t *testing.T) {
 // TestBackoffDefersAfterLoss pins the deferral's clock: the ballots the
 // manager observes. After a loss it stays passive, however often it is
 // consulted, until one more ballot has been observed; hearing the leader
-// in that ballot re-arms the deferral, and silence ends it.
+// in that ballot re-arms the deferral, and silence ends it, leaving w at 2.
 func TestBackoffDefersAfterLoss(t *testing.T) {
-	m := NewBackoff()(newEnv(0, 5))
+	m := new(Backoff).Init(newEnv(0, 5))
 	m.Observe(FeedbackLost)
 	for i := 0; i < 100; i++ {
 		if m.Advice() {
@@ -217,13 +216,42 @@ func TestBackoffDefersAfterLoss(t *testing.T) {
 		t.Fatal("hearing the leader again did not re-arm the deferral")
 	}
 	m.Observe(FeedbackSilence)
-	if !m.Advice() {
-		t.Error("silence should end the deferral")
+	if m.deferred != 0 || m.w != 2 {
+		t.Errorf("silence ending the deferral left (w=%d, deferred=%d), want (2, 0)", m.w, m.deferred)
+	}
+}
+
+// TestSilenceEndingDeferralLeavesWindowTwo pins the succession rule: every
+// loser hears the silence a departed leader leaves, so a silence that ends
+// a deferral halves the window no lower than 2 — at w = 1 the losers would
+// all broadcast in the next ballot. Any other silence halves it down to 1.
+func TestSilenceEndingDeferralLeavesWindowTwo(t *testing.T) {
+	for _, tc := range []struct {
+		w        int
+		deferred bool
+		want     int
+	}{
+		{1, true, 2},
+		{2, true, 2},
+		{8, true, 4},
+		{1, false, 1},
+		{2, false, 1},
+		{8, false, 4},
+	} {
+		b := new(Backoff).Init(newEnv(0, 5))
+		b.w = tc.w
+		if tc.deferred {
+			b.Observe(FeedbackLost)
+		}
+		b.Observe(FeedbackSilence)
+		if b.w != tc.want || b.deferred != 0 {
+			t.Errorf("w=%d deferred=%v, then silence: (w=%d, deferred=%d), want (%d, 0)", tc.w, tc.deferred, b.w, b.deferred, tc.want)
+		}
 	}
 }
 
 func TestBackoffWindowDynamics(t *testing.T) {
-	b := NewBackoff()(newEnv(0, 5)).(*Backoff)
+	b := new(Backoff).Init(newEnv(0, 5))
 	if b.w != 1 {
 		t.Fatalf("initial window = %d, want 1", b.w)
 	}
@@ -251,7 +279,7 @@ func TestBackoffWindowDynamics(t *testing.T) {
 func TestRegionalEligibility(t *testing.T) {
 	loc := geo.Point{X: 100, Y: 100}
 	env := newEnv(0, 9)
-	m := new(Regional).Init(loc, 8, env)
+	m := new(Regional).Init(loc, 8, env, false)
 
 	env.loc = loc // at the center
 	if !m.Eligible() {
@@ -275,11 +303,33 @@ func TestRegionalEligibility(t *testing.T) {
 	}
 }
 
+// TestRegionalMidRunSitsOutFirstBallot pins the other succession rule: a
+// regional manager built for a node entering a running election advises
+// passive, however often it is consulted, until its first ballot has been
+// observed; hearing the leader there keeps it passive, as it would a loser,
+// and a bootstrap manager competes at once.
+func TestRegionalMidRunSitsOutFirstBallot(t *testing.T) {
+	env := newEnv(0, 9)
+	m := new(Regional).Init(geo.Point{}, 8, env, true)
+	for i := 0; i < 3; i++ {
+		if m.Advice() {
+			t.Fatalf("consultation %d: a mid-run manager advised active in its first ballot", i)
+		}
+	}
+	m.Observe(FeedbackLost)
+	if m.Advice() {
+		t.Error("hearing the leader in its first ballot did not keep it passive")
+	}
+	if !new(Regional).Init(geo.Point{}, 8, env, false).Advice() {
+		t.Error("a bootstrap manager advised passive in its first ballot")
+	}
+}
+
 func TestRegionalDegenerateMargin(t *testing.T) {
 	// A zero margin (the deployment's floor when vmax*2(s+10) exceeds
 	// R1/4) leaves only a node exactly at the location eligible.
 	env := newEnv(0, 9)
-	m := new(Regional).Init(geo.Point{}, 0, env)
+	m := new(Regional).Init(geo.Point{}, 0, env, false)
 	env.loc = geo.Point{}
 	if !m.Eligible() {
 		t.Error("node exactly at location should remain eligible")
@@ -292,7 +342,7 @@ func TestRegionalDegenerateMargin(t *testing.T) {
 
 func TestRegionalObserveForwardsToBackoff(t *testing.T) {
 	env := newEnv(0, 9)
-	m := new(Regional).Init(geo.Point{}, 100, env)
+	m := new(Regional).Init(geo.Point{}, 100, env, false)
 	m.Observe(FeedbackCollision)
 	if m.b.w != 2 {
 		t.Errorf("regional manager did not forward feedback: w = %d", m.b.w)

@@ -36,7 +36,7 @@ func (e *probeEnv) Intn(n int) int {
 // at all).
 func TestBackoffWindowTrajectoryUnderJamming(t *testing.T) {
 	env := &probeEnv{intnRet: 1} // never win a draw: trajectory stays pure
-	m := NewBackoff()(env)
+	m := new(Backoff).Init(env)
 
 	// Fresh manager: w = 1, active without drawing.
 	if !m.Advice() {
@@ -75,7 +75,7 @@ func TestBackoffWindowTrajectoryUnderJamming(t *testing.T) {
 // every consultation before that ballot's feedback, with no draws at all.
 func TestBackoffWinAndLossRules(t *testing.T) {
 	env := &probeEnv{intnRet: 1}
-	m := NewBackoff()(env)
+	m := new(Backoff).Init(env)
 
 	// Blow the window up to 8, then win once: w must snap back to 1.
 	for i := 0; i < 3; i++ {
@@ -115,8 +115,8 @@ func TestBackoffWinAndLossRules(t *testing.T) {
 // it leaves the margin its bounded speed allows — even though its backoff
 // state would advise active.
 func TestRegionalEligibilityUnderHerding(t *testing.T) {
-	env := &probeEnv{intnRet: 0}                   // always win draws: only eligibility gates
-	m := new(Regional).Init(geo.Point{}, 1.5, env) // R1/4 = 2.5, vmax*horizon = 1
+	env := &probeEnv{intnRet: 0}                          // always win draws: only eligibility gates
+	m := new(Regional).Init(geo.Point{}, 1.5, env, false) // R1/4 = 2.5, vmax*horizon = 1
 
 	for _, tc := range []struct {
 		x    float64

@@ -1,7 +1,8 @@
 // Snapshot support: every Manager in this package implements the
 // sim.Snapshotter blob contract (AppendState/RestoreState) so the vi
 // emulator can fold its contention manager's position into a checkpoint.
-// Managers are rebuilt by the deployment's Factory on restore —
+// A restore rebuilds a manager the way it was first built (an emulator's
+// through its deployment, with Fixed.Init or Regional.Init) —
 // configuration and environment are code — and only the genuinely mutable
 // fields travel in the blob.
 

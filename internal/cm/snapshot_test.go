@@ -10,15 +10,15 @@ import (
 
 // TestFixedSnapshotRoundTrip pins the leader blob: restoring a Fixed
 // manager's blob rewinds the shared leader variable, and because the
-// variable is shared, every manager from the same factory sees it.
+// variable is shared, every manager reading it sees it.
 func TestFixedSnapshotRoundTrip(t *testing.T) {
-	factory, setLeader := NewFixed(1)
-	m0 := factory(newEnv(0, 1)).(*Fixed)
-	m1 := factory(newEnv(1, 2)).(*Fixed)
+	leader := sim.NodeID(1)
+	m0 := new(Fixed).Init(&leader, newEnv(0, 1))
+	m1 := new(Fixed).Init(&leader, newEnv(1, 2))
 
-	setLeader(3)
+	leader = 3
 	blob := m0.AppendState(nil)
-	setLeader(7)
+	leader = 7
 	if err := m1.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +30,13 @@ func TestFixedSnapshotRoundTrip(t *testing.T) {
 // TestBackoffSnapshotRoundTrip pins the election blob: the contention
 // window and the ballots still to sit out travel; nothing else does.
 func TestBackoffSnapshotRoundTrip(t *testing.T) {
-	factory := NewBackoff()
-	m := factory(newEnv(0, 5)).(*Backoff)
+	m := new(Backoff).Init(newEnv(0, 5))
 	m.Observe(FeedbackCollision)
 	m.Observe(FeedbackCollision)
 	m.Observe(FeedbackLost)
 
 	blob := m.AppendState(nil)
-	fresh := factory(newEnv(0, 5)).(*Backoff)
+	fresh := new(Backoff).Init(newEnv(0, 5))
 	if err := fresh.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +52,11 @@ func TestBackoffSnapshotRoundTrip(t *testing.T) {
 // TestRegionalSnapshotDelegates pins that Regional's blob is exactly its
 // embedded Backoff's (eligibility is derived from position, not state).
 func TestRegionalSnapshotDelegates(t *testing.T) {
-	m := new(Regional).Init(geo.Point{}, 5, newEnv(0, 9))
+	m := new(Regional).Init(geo.Point{}, 5, newEnv(0, 9), false)
 	m.Observe(FeedbackCollision)
 
 	blob := m.AppendState(nil)
-	fresh := new(Regional).Init(geo.Point{}, 5, newEnv(0, 9))
+	fresh := new(Regional).Init(geo.Point{}, 5, newEnv(0, 9), false)
 	if err := fresh.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestRegionalSnapshotDelegates(t *testing.T) {
 
 // TestRefusedBlobChangesNothing pins that a blob RestoreState refuses
 // writes nothing: for Fixed that is the leader every manager of the
-// factory shares, so a bad blob must not move a region's leader; for
+// election shares, so a bad blob must not move a region's leader; for
 // Backoff, the window and the deferral — and Backoff refuses a window
 // outside [1, 32] or a deferral longer than one ballot, among them the
 // blob of a manager checkpointed when the deferral was a radio round.
@@ -77,10 +76,10 @@ func TestRefusedBlobChangesNothing(t *testing.T) {
 	trailing := append(wire.AppendVarint(nil, 7), 0)
 	truncated := []byte{0x80} // a varint cut short: reads as 0
 
-	factory, setLeader := NewFixed(1)
-	m0 := factory(newEnv(0, 1)).(*Fixed)
-	m1 := factory(newEnv(1, 2)).(*Fixed)
-	setLeader(3)
+	leader := sim.NodeID(1)
+	m0 := new(Fixed).Init(&leader, newEnv(0, 1))
+	m1 := new(Fixed).Init(&leader, newEnv(1, 2))
+	leader = 3
 	for _, blob := range [][]byte{trailing, truncated} {
 		if err := m1.RestoreState(blob); err == nil {
 			t.Fatalf("Fixed accepted % x", blob)
@@ -93,7 +92,7 @@ func TestRefusedBlobChangesNothing(t *testing.T) {
 	backoff := func(w, deferred uint64) []byte {
 		return wire.AppendUvarint(wire.AppendUvarint(nil, w), deferred)
 	}
-	b := NewBackoff()(newEnv(0, 5)).(*Backoff)
+	b := new(Backoff).Init(newEnv(0, 5))
 	b.Observe(FeedbackCollision)
 	b.Observe(FeedbackLost)
 	w, deferred := b.w, b.deferred

@@ -49,7 +49,7 @@ type clusterOpts struct {
 	n          int
 	detector   cd.Detector
 	adversary  radio.Adversary
-	cmFactory  cm.Factory
+	backoff    bool // randomized backoff managers instead of the oracle led by node 0
 	seed       int64
 	checkpoint bool
 	fixedWidth bool // fixed-width proposal values (for size measurements)
@@ -70,9 +70,6 @@ func newCluster(o clusterOpts) *cluster {
 	if o.seed == 0 {
 		o.seed = 1
 	}
-	if o.cmFactory == nil {
-		o.cmFactory, _ = cm.NewFixed(0)
-	}
 	medium := radio.MustMedium(radio.Config{
 		Radii:     Radii,
 		Detector:  o.detector,
@@ -83,9 +80,14 @@ func newCluster(o clusterOpts) *cluster {
 		eng: sim.NewEngine(medium, sim.WithSeed(o.seed)),
 		rec: cha.NewRecorder(),
 	}
+	var leader sim.NodeID // the oracle's leader cell
 	for i, pos := range ring(o.n, 2) {
 		i := i
 		id := c.eng.Attach(pos, nil, func(env sim.Env) sim.Node {
+			var mgr cm.Manager = new(cm.Fixed).Init(&leader, env)
+			if o.backoff {
+				mgr = new(cm.Backoff).Init(env)
+			}
 			rep := cha.NewReplica(env, cha.Config{
 				Propose: c.rec.WrapPropose(func(k cha.Instance) cha.Value {
 					if o.fixedWidth {
@@ -93,7 +95,7 @@ func newCluster(o clusterOpts) *cluster {
 					}
 					return cha.V(fmt.Sprintf("n%02d-%06d", i, k))
 				}),
-				CM:         o.cmFactory(env),
+				CM:         mgr,
 				OnOutput:   c.rec.OutputFunc(env.ID()),
 				Checkpoint: o.checkpoint,
 			})

@@ -112,7 +112,7 @@ func overheadVsLengthCell(c *harness.Cell) []harness.Row {
 func naiveMaxMessage(n, l int) int {
 	medium := radio.MustMedium(radio.Config{Radii: Radii, Detector: cd.AC{}})
 	eng := sim.NewEngine(medium)
-	factory, _ := cm.NewFixed(0)
+	var leader sim.NodeID // node 0 leads
 	for i, pos := range ring(n, 2) {
 		i := i
 		eng.Attach(pos, nil, func(env sim.Env) sim.Node {
@@ -120,7 +120,7 @@ func naiveMaxMessage(n, l int) int {
 				Propose: func(k cha.Instance) cha.Value {
 					return cha.V(fmt.Sprintf("%06d-%02d", k, i))
 				},
-				CM: factory(env),
+				CM: new(cm.Fixed).Init(&leader, env),
 			})
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vinfra/internal/cd"
-	"vinfra/internal/cm"
 	"vinfra/internal/harness"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
@@ -135,13 +134,7 @@ func detectorAblationCell(c *harness.Cell) []harness.Row {
 // "eventually").
 func cmAblationCell(c *harness.Cell) []harness.Row {
 	n, instances, mgr := c.Params.Int("n"), c.Params.Int("instances"), c.Params.Str("cm")
-	var factory cm.Factory
-	if mgr == "oracle" {
-		factory, _ = cm.NewFixed(0)
-	} else {
-		factory = cm.NewBackoff()
-	}
-	cl := newCluster(clusterOpts{n: n, cmFactory: factory, seed: int64(n) + c.Base()})
+	cl := newCluster(clusterOpts{n: n, backoff: mgr == "backoff", seed: int64(n) + c.Base()})
 	cl.runInstances(instances)
 	rep := cl.rec.Report()
 	stab := harness.Str("-")

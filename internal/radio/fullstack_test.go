@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vinfra/internal/cd"
-	"vinfra/internal/cm"
 	"vinfra/internal/geo"
 	"vinfra/internal/radio"
 	"vinfra/internal/sim"
@@ -32,10 +31,10 @@ func pingCounter(v vi.VNodeID, sched vi.Schedule) vi.Program {
 
 // TestFullStackGridEqualsScan is the medium's half of the determinism
 // contract end to end: the complete emulation (a 2x1 grid of virtual nodes,
-// three replicas each, a pinging client, backoff contention managers) on a
-// medium pinned to the stamped grid and on one pinned to the scan — on the
-// sequential engine and on the worker pool — leaves every replica in
-// bit-identical state. (vi's TestFullStackParallelDeterminism is the
+// three replicas each, a pinging client, regional contention managers, whose
+// margin at VMax 0 is the whole region) on a medium pinned to the stamped
+// grid and on one pinned to the scan — on the sequential engine and on the
+// worker pool — leaves every replica in bit-identical state. (vi's TestFullStackParallelDeterminism is the
 // engine's half, on the medium as production builds it.)
 func TestFullStackGridEqualsScan(t *testing.T) {
 	radii := geo.Radii{R1: 10, R2: 20}
@@ -45,9 +44,6 @@ func TestFullStackGridEqualsScan(t *testing.T) {
 			Locations: locs,
 			Radii:     radii,
 			Program:   pingCounter,
-			NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-				return cm.NewBackoff()(env)
-			},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,14 +6,13 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
-	"vinfra/internal/cd"
 	"vinfra/internal/cha"
 	"vinfra/internal/checkpoint"
 	"vinfra/internal/cm"
 	"vinfra/internal/geo"
-	"vinfra/internal/radio"
 	"vinfra/internal/sim"
 	"vinfra/internal/vi"
 	"vinfra/internal/wire"
@@ -40,77 +39,44 @@ func regionalDoc(t *testing.T) Spec {
 
 // tally is what the counted world reports: per region in the current
 // virtual round, the ballots won, the ballots that ended in a detected
-// collision, and the best color any replica output (0 when none output);
-// and every manager built.
+// collision, and the best color any replica output (0 when none output).
+// Its taps count under mu, since the parallel engine fires them from its
+// workers.
 type tally struct {
+	mu             sync.Mutex
 	wins, collided []int
 	best           []cha.Color
-	mgrs           []*countingCM
 }
 
-// countingCM wraps the deployment's default regional manager and counts the
-// ballots it wins and the ones it saw collide. It delegates everything
-// else, its snapshot blob included, so a world built with it is the same
-// world.
-type countingCM struct {
-	*cm.Regional
-	v vi.VNodeID
-	t *tally
-}
-
-func (c *countingCM) Observe(fb cm.Feedback) {
-	switch fb {
-	case cm.FeedbackWon:
-		c.t.wins[c.v]++
-	case cm.FeedbackCollision:
-		c.t.collided[c.v]++
-	}
-	c.Regional.Observe(fb)
-}
-
-// countedWorld builds s's world as Build does, with every regional manager
-// wrapped in a countingCM reporting to tl and every replica output also
-// noted in tl.best. It runs the sequential engine, so the tally needs no
-// lock.
+// countedWorld is Build(s) with a tap on the hooks every replica reports
+// to: each ballot's feedback to a replica's manager is counted in tl, and
+// every replica output is also noted in tl.best. The taps only read, so the
+// world is Build's world.
 func countedWorld(t *testing.T, s Spec, tl *tally) *World {
 	t.Helper()
-	locs := geo.Grid{Spacing: s.Grid.Spacing, Cols: s.Grid.Cols, Rows: s.Grid.Rows}.Locations()
-	radii := geo.Radii{R1: s.Radii.R1, R2: s.Radii.R2}
-	tl.wins, tl.collided, tl.best = make([]int, len(locs)), make([]int, len(locs)), make([]cha.Color, len(locs))
-	var dep *vi.Deployment
-	dep, err := vi.NewDeployment(vi.DeploymentConfig{
-		Locations: locs,
-		Radii:     radii,
-		VMax:      s.Devices.VMax,
-		Program:   counterProgram,
-		NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-			m := &countingCM{Regional: new(cm.Regional).Init(locs[v], dep.LeaderMargin(), env), v: v, t: tl}
-			tl.mgrs = append(tl.mgrs, m)
-			return m
-		},
-	})
+	w, err := Build(s)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Build: %v", err)
 	}
-	medium := radio.MustMedium(radio.Config{Radii: radii, Detector: cd.AC{}, Seed: s.Seed})
-	w := &World{
-		Spec:   s,
-		Eng:    sim.NewEngine(medium, sim.WithSeed(s.Seed)),
-		Dep:    dep,
-		Mon:    vi.NewMonitor(),
-		Medium: medium,
-		Locs:   locs,
-		per:    dep.Timing().RoundsPerVRound(),
+	n := len(w.Locs)
+	tl.wins, tl.collided, tl.best = make([]int, n), make([]int, n), make([]cha.Color, n)
+	w.hooks.OnBallot = func(v vi.VNodeID, fb cm.Feedback) {
+		tl.mu.Lock()
+		defer tl.mu.Unlock()
+		switch fb {
+		case cm.FeedbackWon:
+			tl.wins[v]++
+		case cm.FeedbackCollision:
+			tl.collided[v]++
+		}
 	}
-	w.hooks = vi.EmulatorHooks{
-		OnOutput: func(v vi.VNodeID, out cha.Output) {
-			w.Mon.Observe(v, out)
-			tl.best[v] = max(tl.best[v], out.Color)
-		},
-		OnJoin:  w.countJoin,
-		OnReset: w.countReset,
+	observe := w.hooks.OnOutput
+	w.hooks.OnOutput = func(v vi.VNodeID, out cha.Output) {
+		observe(v, out)
+		tl.mu.Lock()
+		defer tl.mu.Unlock()
+		tl.best[v] = max(tl.best[v], out.Color)
 	}
-	w.attachBootstrap()
 	return w
 }
 
@@ -118,11 +84,14 @@ func countedWorld(t *testing.T, s Spec, tl *tally) *World {
 // availability: on the regional document at several grids and spacings,
 // every ballot's winners per region (replicas whose manager was fed
 // FeedbackWon), every virtual round's availability and each region's
-// eligible replicas. After a 50-vround election, exactly one replica must
-// win in at least 99 % of a region's ballots and the mean availability must
-// be at least 0.95; a grid whose leader margin cannot hold a bootstrap
+// eligible replicas (those within the leader margin of its location, as
+// cm.Regional judges them). After a 50-vround election, exactly one replica
+// must win in at least 99 % of a region's ballots and the mean availability
+// must be at least 0.95; a grid whose leader margin cannot hold a bootstrap
 // replica is refused by Build. The counted world is checked byte for byte
-// against Build's, so what is counted is the document's run.
+// against Build's, so what is counted is the document's run, and the same
+// world on 2 workers must count the same winners, region by region and
+// virtual round by virtual round.
 func TestRegionalLeadersCounted(t *testing.T) {
 	const settle = 50
 	for _, tc := range []struct {
@@ -157,16 +126,19 @@ func TestRegionalLeadersCounted(t *testing.T) {
 			w := countedWorld(t, s, &tl)
 			defer w.Eng.Close()
 			vnodes := len(w.Locs)
+			replicas := vnodes * s.Devices.Replicas // the bootstrap replicas, IDs 0..replicas-1
 			// One ballot per region per virtual round: instance vr's.
 			one, green, ballots := 0, 0, 0
-			minEligible, maxEligible := len(tl.mgrs), 0
+			minEligible, maxEligible := replicas, 0
 			prevGreen, eligible := make([]int, vnodes), make([]int, vnodes)
+			var winners [][]int // per virtual round, per region
 			for vr := 1; vr <= s.VRounds; vr++ {
 				w.StepVRound()
 				clear(eligible)
-				for _, m := range tl.mgrs {
-					if m.Eligible() {
-						eligible[m.v]++
+				for id := range replicas {
+					v := id / s.Devices.Replicas
+					if w.Eng.Position(sim.NodeID(id)).Within(w.Locs[v], w.Dep.LeaderMargin()) {
+						eligible[v]++
 					}
 				}
 				minEligible = min(minEligible, slices.Min(eligible))
@@ -180,8 +152,10 @@ func TestRegionalLeadersCounted(t *testing.T) {
 							one++
 						}
 					}
-					prevGreen[v], tl.wins[v] = g, 0
+					prevGreen[v] = g
 				}
+				winners = append(winners, slices.Clone(tl.wins))
+				clear(tl.wins)
 			}
 			run(t, ref, s.VRounds)
 			if !bytes.Equal(w.Checkpoint().Encode(), ref.Checkpoint().Encode()) {
@@ -200,83 +174,126 @@ func TestRegionalLeadersCounted(t *testing.T) {
 			if avail < 0.95 {
 				t.Errorf("mean availability %.3f after vround %d, want >= 0.95", avail, settle)
 			}
+
+			par := s
+			par.Engine.Workers = 2
+			var ptl tally
+			pw := countedWorld(t, par, &ptl)
+			defer pw.Eng.Close()
+			for vr := 1; vr <= s.VRounds; vr++ {
+				pw.StepVRound()
+				if !slices.Equal(ptl.wins, winners[vr-1]) {
+					t.Fatalf("vround %d: winners per region on 2 workers %v, sequential %v", vr, ptl.wins, winners[vr-1])
+				}
+				clear(ptl.wins)
+			}
 		})
 	}
 }
 
-// TestE6ChurnLossCounted counts where E6's availability goes instead of
-// guessing: E6's period-2 cell (one region at the origin, 3 bootstrap
+// TestE6ChurnLossCounted counts where E6's availability goes and gates it:
+// E6's period-2 and period-8 cells (one region at the origin, 3 bootstrap
 // replicas under "regional", a pinger at (1.2, -1) pinging every virtual
-// round, and every 2nd virtual round the oldest replica leaves while a
-// fresh device arrives and joins), run for E6's 80 virtual rounds on the
-// seeds chabench's seeds 1-3 give it. Every instance no replica output
+// round, and every period-th virtual round the oldest replica leaves while
+// a fresh device arrives and joins), run for E6's 80 virtual rounds on the
+// seeds chabench's seeds 1-3 give them. Every instance no replica output
 // green in is tabulated by its ballot winners (0, 1 or at least 2 replicas
 // whose manager was told it won) and the best color any replica output for
 // it (none, red, orange, yellow), and the counted world is checked byte for
-// byte against Build's world run through the same loop.
+// byte against Build's world run through the same loop. The gate is the
+// succession rules' work: a newcomer sits out its first ballot and the
+// losers back off when the leader's silence ends their deferral, so no lost
+// instance had a winner, and availability holds at least minAvail.
 func TestE6ChurnLossCounted(t *testing.T) {
-	const period, vrounds = 2, 80
-	for _, seed := range []int64{1, 2, 3} {
-		s := Spec{
-			Version: Version, Seed: period + (seed-1)*7919, VRounds: vrounds,
-			Grid:    Grid{Cols: 1, Rows: 1},
-			Devices: Devices{Replicas: 3},
-			Leader:  "regional",
-		}
-		s.ApplyDefaults()
-		// drive runs E6's loop on w and calls after once each virtual round
-		// has run.
-		drive := func(w *World, after func(vr int)) {
-			w.Eng.Attach(geo.Point{X: 1.2, Y: -1}, nil, func(env sim.Env) sim.Node {
-				return w.Dep.NewClient(env, vi.ClientFunc(
-					func(vr int, _ []vi.Message, _ bool) *vi.Message {
-						return vi.Text(fmt.Sprintf("ping-%04d", vr))
-					}))
+	const vrounds = 80
+	for _, tc := range []struct {
+		period   int
+		minAvail float64
+	}{
+		{2, 0.45},
+		{8, 0.75},
+	} {
+		for _, seed := range []int64{1, 2, 3} {
+			t.Run(fmt.Sprintf("period=%d/seed=%d", tc.period, seed), func(t *testing.T) {
+				e6ChurnLossCounted(t, tc.period, vrounds, seed, tc.minAvail)
 			})
-			replicas := []sim.NodeID{0, 1, 2} // oldest first
-			for vr := 0; vr < vrounds; vr++ {
-				if vr > 0 && vr%period == 0 {
-					w.Eng.Leave(replicas[0])
-					replicas = append(replicas[1:], sim.NodeID(w.Eng.NumNodes()))
-					w.AttachReplica(geo.Point{X: 0.2 * float64(vr%5), Y: -0.3}, false, nil)
-				}
-				w.StepVRound()
-				after(vr + 1)
-			}
 		}
+	}
+}
 
-		ref, err := Build(s)
-		if err != nil {
-			t.Fatalf("Build: %v", err)
-		}
-		drive(ref, func(int) {})
-		var tl tally
-		w := countedWorld(t, s, &tl)
-		var table [3][int(cha.Green)]int // [winners 0, 1, >=2][best color, 0 = none]
-		lost, collided, prevGreen := 0, 0, 0
-		drive(w, func(vr int) {
-			if g := w.Mon.ReportThrough(0, vr).Green; g == prevGreen {
-				lost++
-				table[min(tl.wins[0], 2)][tl.best[0]]++
-				if tl.collided[0] > 0 {
-					collided++
-				}
-			} else {
-				prevGreen = g
-			}
-			tl.wins[0], tl.collided[0], tl.best[0] = 0, 0, 0
+func e6ChurnLossCounted(t *testing.T, period, vrounds int, seed int64, minAvail float64) {
+	s := Spec{
+		Version: Version, Seed: int64(period) + (seed-1)*7919, VRounds: vrounds,
+		Grid:    Grid{Cols: 1, Rows: 1},
+		Devices: Devices{Replicas: 3},
+		Leader:  "regional",
+	}
+	s.ApplyDefaults()
+	// drive runs E6's loop on w and calls after once each virtual round has
+	// run.
+	drive := func(w *World, after func(vr int)) {
+		w.Eng.Attach(geo.Point{X: 1.2, Y: -1}, nil, func(env sim.Env) sim.Node {
+			return w.Dep.NewClient(env, vi.ClientFunc(
+				func(vr int, _ []vi.Message, _ bool) *vi.Message {
+					return vi.Text(fmt.Sprintf("ping-%04d", vr))
+				}))
 		})
-		if !bytes.Equal(w.Checkpoint().Encode(), ref.Checkpoint().Encode()) {
-			t.Fatalf("seed %d: the counted world's checkpoint differs from Build's world", seed)
+		replicas := []sim.NodeID{0, 1, 2} // oldest first
+		for vr := 0; vr < vrounds; vr++ {
+			if vr > 0 && vr%period == 0 {
+				w.Eng.Leave(replicas[0])
+				replicas = append(replicas[1:], sim.NodeID(w.Eng.NumNodes()))
+				w.AttachReplica(geo.Point{X: 0.2 * float64(vr%5), Y: -0.3}, false, nil)
+			}
+			w.StepVRound()
+			after(vr + 1)
 		}
-		if rep := w.Report(0); rep.Unavailable != lost {
-			t.Fatalf("seed %d: %d instances tabulated lost, the monitor counts %d", seed, lost, rep.Unavailable)
+	}
+
+	ref, err := Build(s)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	drive(ref, func(int) {})
+	var tl tally
+	w := countedWorld(t, s, &tl)
+	var table [3][int(cha.Green)]int // [winners 0, 1, >=2][best color, 0 = none]
+	lost, collided, prevGreen := 0, 0, 0
+	drive(w, func(vr int) {
+		if g := w.Mon.ReportThrough(0, vr).Green; g == prevGreen {
+			lost++
+			table[min(tl.wins[0], 2)][tl.best[0]]++
+			if tl.collided[0] > 0 {
+				collided++
+			}
+		} else {
+			prevGreen = g
 		}
-		t.Logf("seed %d: availability %.3f, %d of %d instances lost (%d with a replica that saw its ballot collide), %d joins, %d resets",
-			seed, w.Report(0).Availability, lost, vrounds, collided, w.Joins(), w.Resets())
-		for wins, row := range table {
-			t.Logf("  winners %s: none %2d  red %2d  orange %2d  yellow %2d", []string{"0 ", "1 ", ">=2"}[wins], row[0], row[cha.Red], row[cha.Orange], row[cha.Yellow])
+		tl.wins[0], tl.collided[0], tl.best[0] = 0, 0, 0
+	})
+	if !bytes.Equal(w.Checkpoint().Encode(), ref.Checkpoint().Encode()) {
+		t.Fatal("the counted world's checkpoint differs from Build's world")
+	}
+	rep := w.Report(0)
+	if rep.Unavailable != lost {
+		t.Fatalf("%d instances tabulated lost, the monitor counts %d", lost, rep.Unavailable)
+	}
+	t.Logf("availability %.3f, %d of %d instances lost (%d with a replica that saw its ballot collide), %d joins, %d resets",
+		rep.Availability, lost, vrounds, collided, w.Joins(), w.Resets())
+	for wins, row := range table {
+		t.Logf("  winners %s: none %2d  red %2d  orange %2d  yellow %2d", []string{"0 ", "1 ", ">=2"}[wins], row[0], row[cha.Red], row[cha.Orange], row[cha.Yellow])
+	}
+	if rep.Availability < minAvail {
+		t.Errorf("availability %.3f, want >= %.2f", rep.Availability, minAvail)
+	}
+	won := 0
+	for _, row := range table[1:] {
+		for _, n := range row {
+			won += n
 		}
+	}
+	if won != 0 {
+		t.Errorf("%d lost instances had a ballot winner, want every one with 0", won)
 	}
 }
 

@@ -31,7 +31,6 @@ type Deployment struct {
 	inits    [][]byte  // programs[v].Init, worked out once and shared likewise
 	vmax     float64
 	leaders  []sim.NodeID // the fixed regime's leader table, or nil
-	customCM func(v VNodeID, env sim.Env) cm.Manager
 
 	// The unused tails of the arrays Reserve laid out; see NewEmulator.
 	emulators slab[Emulator]
@@ -89,9 +88,6 @@ type DeploymentConfig struct {
 	// re-elects. Optional; the default is a cm.Regional backoff manager per
 	// replica.
 	Leaders []sim.NodeID
-	// NewCM overrides the contention manager factory. Optional, and not
-	// with Leaders; the managers it builds are never carved.
-	NewCM func(v VNodeID, env sim.Env) cm.Manager
 }
 
 // NewDeployment validates the configuration, colors the broadcast schedule
@@ -108,8 +104,8 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("vi: deployment requires a Program")
 	}
-	if cfg.Leaders != nil && (cfg.NewCM != nil || len(cfg.Leaders) != len(cfg.Locations)) {
-		return nil, fmt.Errorf("vi: deployment Leaders needs one entry per location (%d for %d) and no NewCM", len(cfg.Leaders), len(cfg.Locations))
+	if cfg.Leaders != nil && len(cfg.Leaders) != len(cfg.Locations) {
+		return nil, fmt.Errorf("vi: deployment Leaders needs one entry per location (%d for %d)", len(cfg.Leaders), len(cfg.Locations))
 	}
 	d := &Deployment{
 		locs:     append([]geo.Point(nil), cfg.Locations...),
@@ -118,7 +114,6 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		inits:    make([][]byte, len(cfg.Locations)),
 		vmax:     cfg.VMax,
 		leaders:  cfg.Leaders,
-		customCM: cfg.NewCM,
 	}
 	d.regionIx = geo.BuildCellIndex(d.locs, d.RegionRadius())
 	d.schedule = BuildSchedule(d.locs, d.radii)
@@ -145,29 +140,24 @@ func (d *Deployment) Reserve(n int) {
 	}
 	d.emulators = reserve[Emulator](n)
 	d.cores = reserve[cha.Core](n)
-	switch {
-	case d.customCM != nil:
-	case d.leaders != nil:
+	if d.leaders != nil {
 		d.fixed = reserve[cm.Fixed](n)
-	default:
+	} else {
 		d.regional = reserve[cm.Regional](n)
 	}
 }
 
 // newCM builds the contention manager of a replica of virtual node v run by
-// env: NewCM's, a cm.Fixed reading the leader table, or a cm.Regional.
-// carve takes it from the reservation, which only NewEmulator does: a
-// region entered while rounds run — on the parallel engine's workers — or
-// on a restore allocates its manager.
-func (d *Deployment) newCM(v VNodeID, env sim.Env, carve bool) cm.Manager {
-	switch {
-	case d.customCM != nil:
-		return d.customCM(v, env)
-	case d.leaders != nil:
-		return d.fixed.take(carve).Init(&d.leaders[v], env)
-	default:
-		return d.regional.take(carve).Init(d.locs[v], d.LeaderMargin(), env)
+// env, the only place an emulator's manager is made: a cm.Fixed reading the
+// leader table, or a cm.Regional. Only NewEmulator's bootstrap carves one
+// and may compete in its first ballot; a region entered while rounds run
+// (on the parallel engine's workers too) or on a restore, whose blob then
+// overwrites it, allocates one that sits out its first ballot.
+func (d *Deployment) newCM(v VNodeID, env sim.Env, bootstrap bool) cm.Manager {
+	if d.leaders != nil {
+		return d.fixed.take(bootstrap).Init(&d.leaders[v], env)
 	}
+	return d.regional.take(bootstrap).Init(d.locs[v], d.LeaderMargin(), env, !bootstrap)
 }
 
 // program returns virtual node v's automaton.
@@ -211,8 +201,13 @@ func (d *Deployment) RegionOf(p geo.Point) VNodeID {
 }
 
 // EmulatorHooks observe emulator lifecycle events for tests and metrics.
-// All fields are optional.
+// All fields are optional. They fire inside the emulator's Receive, which
+// the parallel engine runs on its workers: a hook shared by several
+// replicas must be safe to call concurrently.
 type EmulatorHooks struct {
+	// OnBallot fires after each ballot the replica's contention manager is
+	// fed, with the virtual node id and the feedback it was fed.
+	OnBallot func(v VNodeID, fb cm.Feedback)
 	// OnOutput fires after each completed agreement instance with the
 	// virtual node id and the replica's output.
 	OnOutput func(v VNodeID, out cha.Output)
@@ -721,7 +716,11 @@ func (e *Emulator) observeBallots(rx sim.Reception) {
 	}
 	b, heard := cha.MinBallotOf(rx.Msgs)
 	e.core.ObserveMinBallot(b, heard, rx.Collision)
-	e.mgr.Observe(cm.FeedbackOf(e.broadcastBallot, heard, rx.Collision))
+	fb := cm.FeedbackOf(e.broadcastBallot, heard, rx.Collision)
+	e.mgr.Observe(fb)
+	if e.hooks != nil && e.hooks.OnBallot != nil {
+		e.hooks.OnBallot(e.vn, fb)
+	}
 }
 
 // finishInstance closes the instance at the final veto phase, folds green

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vinfra/internal/cd"
-	"vinfra/internal/cm"
 	"vinfra/internal/det"
 	"vinfra/internal/geo"
 	"vinfra/internal/mobility"
@@ -16,7 +15,7 @@ import (
 )
 
 // TestFullStackParallelDeterminism runs the complete emulation (grid of
-// virtual nodes, clients, backoff contention managers) on the sequential
+// virtual nodes, clients, regional contention managers) on the sequential
 // engine and on the worker pool and requires bit-identical replica states.
 // This is the repository's determinism contract end to end; the medium's
 // half of it — the same deployment on a medium pinned to the grid and on
@@ -29,9 +28,6 @@ func TestFullStackParallelDeterminism(t *testing.T) {
 			Locations: locs,
 			Radii:     testRadii,
 			Program:   counterProgram,
-			NewCM: func(v vi.VNodeID, env sim.Env) cm.Manager {
-				return cm.NewBackoff()(env)
-			},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -59,9 +59,8 @@ func (e *Emulator) AppendState(dst []byte) []byte {
 // storage where it has some, so a restored world keeps using what its
 // replicas were carved from: the core snapshot in the emulator's core, and
 // the manager blob in its manager when the blob names the region the
-// emulator is in (otherwise in one built afresh through the deployment's
-// factory). A manager refuses a blob without changing, and a custom NewCM
-// that carries state must implement sim.Snapshotter over all of it.
+// emulator is in (otherwise in one the deployment builds afresh). A
+// manager refuses a blob without changing.
 func (e *Emulator) RestoreState(data []byte) error {
 	d := wire.Dec(data)
 	vn := VNodeID(d.Varint())
