@@ -94,6 +94,9 @@
 //     the core's HistoryView, valid until its next HistoryView or
 //     ObserveVeto2 (CalculateHistory is the copy to keep), and a ballot
 //     travels as a *BallotMsg into its sender, valid for its round.
+//     Seat is Figure 1's per-replica rule for an instance's three phases,
+//     written once: Replica runs one, and so does vi.Emulator for both of
+//     a virtual round's instances.
 //     Recorder, the theorem checker, is a window like Core: the positions
 //     above the lowest checkpoint floor among live nodes, and one record
 //     per node. It needs each node registered (OutputFunc) before its
@@ -113,11 +116,14 @@
 //     unavailable. Devices sleep through the radio rounds they have no
 //     part in: a Client takes part in two of a virtual round's s+12, an
 //     Emulator in the phases and the one ballot slot of its own virtual
-//     node — seven or eight as a replica, four or one as a joiner. Both
-//     checkpoint the one way every stateful node part does: AppendState
-//     and RestoreState (sim.Snapshotter) write and read their live fields
-//     straight to and from a wire blob, the contention manager's and the
-//     client program's blobs nested inside. A deployment is built once:
+//     node — seven or eight as a replica, four or one as a joiner. A
+//     replica runs the scheduled and the unscheduled agreement instance
+//     through one cha.Seat, the six phases one case of its phase switch.
+//     Clients and emulators checkpoint the one way every stateful node
+//     part does: AppendState and RestoreState (sim.Snapshotter) write and
+//     read their live fields straight to and from a wire blob, the
+//     contention manager's and the client program's blobs nested inside.
+//     A deployment is built once:
 //     NewDeployment colours the broadcast schedule a single time, greedily
 //     in index order straight off a location index (no conflict graph,
 //     memory linear in the virtual nodes, and each virtual node visits

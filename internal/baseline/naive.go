@@ -140,11 +140,11 @@ func (r *NaiveReplica) Receive(round sim.Round, rx sim.Reception) {
 		}
 		if best == nil || rx.Collision {
 			r.downgrade(r.k, cha.Red)
-			r.cfg.CM.Observe(feedback(r.broadcast, best != nil, rx.Collision))
+			r.cfg.CM.Observe(cm.FeedbackOf(r.broadcast, best != nil, rx.Collision))
 			return
 		}
 		r.adopted.v, r.adopted.h, r.adopted.ok = best.V, best.H, true
-		r.cfg.CM.Observe(feedback(r.broadcast, true, false))
+		r.cfg.CM.Observe(cm.FeedbackOf(r.broadcast, true, false))
 	case cha.PhaseVeto1:
 		if cha.HasVeto(rx.Msgs) || rx.Collision {
 			r.downgrade(r.k, cha.Orange)
@@ -169,11 +169,9 @@ func (r *NaiveReplica) finish() {
 		}
 		vals[r.k] = r.adopted.v
 		r.history = cha.NewHistory(r.k, vals)
-	} else if st.Good() {
-		// Good with no adopted ballot cannot happen (good implies a ballot
-		// was received); defensively keep the old history re-topped.
-		r.history = retop(r.history, r.k)
 	} else {
+		// Keep the old history, re-topped (a good instance always adopted a
+		// ballot: good implies one was received).
 		r.history = retop(r.history, r.k)
 	}
 	if st == cha.Green {
@@ -191,17 +189,4 @@ func retop(h *cha.History, top cha.Instance) *cha.History {
 		vals[i] = v
 	}
 	return cha.NewHistory(top, vals)
-}
-
-func feedback(broadcast, gotBallot, collision bool) cm.Feedback {
-	switch {
-	case collision:
-		return cm.FeedbackCollision
-	case broadcast && gotBallot:
-		return cm.FeedbackWon
-	case gotBallot:
-		return cm.FeedbackLost
-	default:
-		return cm.FeedbackSilence
-	}
 }

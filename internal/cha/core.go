@@ -121,9 +121,16 @@ func (c *Core) ObserveMinBallot(b Ballot, heard, collision bool) {
 	}
 }
 
-// NeedVeto1 reports whether this node must broadcast a veto in the first
-// veto phase (Figure 1 line 21: status red).
-func (c *Core) NeedVeto1() bool { return c.Status(c.k) == Red }
+// NeedVeto reports whether this node must broadcast a veto in veto phase
+// p: status red in the first (Figure 1 line 21), red or orange in the
+// second (line 25). It reads the status once, so a Seat's Veto inlines.
+func (c *Core) NeedVeto(p Phase) bool {
+	st := c.Status(c.k)
+	return st == Red || st == Orange && p == PhaseVeto2
+}
+
+// NeedVeto1 is NeedVeto(PhaseVeto1).
+func (c *Core) NeedVeto1() bool { return c.NeedVeto(PhaseVeto1) }
 
 // ObserveVeto1 closes the first veto phase: a received veto or a collision
 // downgrades the instance to (at most) orange (Figure 1 lines 33–35).
@@ -133,9 +140,8 @@ func (c *Core) ObserveVeto1(sawVeto, collision bool) {
 	}
 }
 
-// NeedVeto2 reports whether this node must broadcast a veto in the second
-// veto phase (Figure 1 line 25: status red or orange).
-func (c *Core) NeedVeto2() bool { return c.Status(c.k) <= Orange }
+// NeedVeto2 is NeedVeto(PhaseVeto2).
+func (c *Core) NeedVeto2() bool { return c.NeedVeto(PhaseVeto2) }
 
 // Output is the result of one completed instance at one node.
 type Output struct {

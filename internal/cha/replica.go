@@ -81,17 +81,65 @@ type Config struct {
 	Checkpoint bool
 }
 
+// Seat is one replica's part in a CHAP instance, Figure 1's rule for its
+// three phases: Replica runs one, and vi.Emulator one for both of a virtual
+// round's instances. Whether the replica broadcast its ballot is the
+// caller's to keep (Ballot's result is non-nil) and to hand back to Receive,
+// so that an emulator keeps the flag in the word its other flags share.
+type Seat struct {
+	Core *Core
+	CM   cm.Manager
+	// ballot is the last ballot broadcast; Ballot hands out a pointer to
+	// it, valid for its round (see BallotMsg).
+	ballot BallotMsg
+}
+
+// Ballot begins instance k with proposal v (Figure 1 lines 2-3) and returns
+// the ballot to broadcast if the contention manager advises it, nil
+// otherwise.
+func (s *Seat) Ballot(k Instance, v Value) sim.Message {
+	b := s.Core.Begin(k, v)
+	if s.CM.Advice() {
+		s.ballot.B = b
+		return &s.ballot
+	}
+	return nil
+}
+
+// Veto returns a veto if the core needs one in veto phase p, nil otherwise.
+func (s *Seat) Veto(p Phase) sim.Message {
+	if s.Core.NeedVeto(p) {
+		return VetoMsg{}
+	}
+	return nil
+}
+
+// Receive closes phase p on the reception rx. The ballot phase feeds the
+// core the least ballot heard and the contention manager its feedback —
+// broadcast says whether this replica's ballot went out — which it returns;
+// veto-2 returns the instance's output.
+func (s *Seat) Receive(p Phase, rx sim.Reception, broadcast bool) (fb cm.Feedback, out Output) {
+	switch p {
+	case PhaseBallot:
+		b, heard := MinBallotOf(rx.Msgs)
+		s.Core.ObserveMinBallot(b, heard, rx.Collision)
+		fb = cm.FeedbackOf(broadcast, heard, rx.Collision)
+		s.CM.Observe(fb)
+	case PhaseVeto1:
+		s.Core.ObserveVeto1(HasVeto(rx.Msgs), rx.Collision)
+	default: // PhaseVeto2
+		out = s.Core.ObserveVeto2(HasVeto(rx.Msgs), rx.Collision)
+	}
+	return fb, out
+}
+
 // Replica runs the CHAP protocol over the radio: one phase per round, three
-// rounds per instance. It implements sim.Node.
+// rounds per instance, each through its Seat. It implements sim.Node.
 type Replica struct {
-	env  sim.Env
-	cfg  Config
-	core *Core
-
-	broadcastBallot bool      // whether this node broadcast in the current ballot phase
-	ballot          BallotMsg // the last ballot broadcast; Transmit hands out a pointer to it
-
-	ckpt CheckpointState
+	cfg       Config
+	seat      Seat
+	broadcast bool // whether the seat broadcast its ballot this instance
+	ckpt      CheckpointState
 }
 
 // CheckpointState is the running checkpoint of the garbage-collected
@@ -105,19 +153,19 @@ var _ sim.Node = (*Replica)(nil)
 
 // NewReplica builds a CHAP replica. It panics if required configuration is
 // missing, since that is a programming error at wiring time.
-func NewReplica(env sim.Env, cfg Config) *Replica {
+func NewReplica(cfg Config) *Replica {
 	if cfg.Propose == nil {
 		panic("cha: Config.Propose is required")
 	}
 	if cfg.CM == nil {
 		panic("cha: Config.CM is required")
 	}
-	return &Replica{env: env, cfg: cfg, core: NewCore()}
+	return &Replica{cfg: cfg, seat: Seat{Core: NewCore(), CM: cfg.CM}}
 }
 
 // Core exposes the underlying state machine for inspection by tests and
 // the experiment harness.
-func (r *Replica) Core() *Core { return r.core }
+func (r *Replica) Core() *Core { return r.seat.Core }
 
 // Checkpoint returns the running checkpoint (zero value unless the
 // checkpointing variant is enabled and a green instance has occurred).
@@ -126,47 +174,26 @@ func (r *Replica) Checkpoint() CheckpointState { return r.ckpt }
 // Transmit implements sim.Node.
 func (r *Replica) Transmit(round sim.Round) sim.Message {
 	k, phase := PhaseOf(round)
-	switch phase {
-	case PhaseBallot:
-		v := r.cfg.Propose(k)
-		b := r.core.Begin(k, v)
-		r.broadcastBallot = r.cfg.CM.Advice()
-		if r.broadcastBallot {
-			r.ballot.B = b
-			return &r.ballot
-		}
-		return nil
-	case PhaseVeto1:
-		if r.core.NeedVeto1() {
-			return VetoMsg{}
-		}
-		return nil
-	default: // PhaseVeto2
-		if r.core.NeedVeto2() {
-			return VetoMsg{}
-		}
-		return nil
+	if phase == PhaseBallot {
+		m := r.seat.Ballot(k, r.cfg.Propose(k))
+		r.broadcast = m != nil
+		return m
 	}
+	return r.seat.Veto(phase)
 }
 
 // Receive implements sim.Node.
 func (r *Replica) Receive(round sim.Round, rx sim.Reception) {
 	_, phase := PhaseOf(round)
-	switch phase {
-	case PhaseBallot:
-		b, heard := MinBallotOf(rx.Msgs)
-		r.core.ObserveMinBallot(b, heard, rx.Collision)
-		r.cfg.CM.Observe(cm.FeedbackOf(r.broadcastBallot, heard, rx.Collision))
-	case PhaseVeto1:
-		r.core.ObserveVeto1(HasVeto(rx.Msgs), rx.Collision)
-	default: // PhaseVeto2
-		out := r.core.ObserveVeto2(HasVeto(rx.Msgs), rx.Collision)
-		if r.cfg.Checkpoint && out.Color == Green {
-			r.fold(out)
-		}
-		if r.cfg.OnOutput != nil {
-			r.cfg.OnOutput(out)
-		}
+	_, out := r.seat.Receive(phase, rx, r.broadcast)
+	if phase != PhaseVeto2 {
+		return
+	}
+	if r.cfg.Checkpoint && out.Color == Green {
+		r.fold(out)
+	}
+	if r.cfg.OnOutput != nil {
+		r.cfg.OnOutput(out)
 	}
 }
 
@@ -175,7 +202,7 @@ func (r *Replica) Receive(round sim.Round, rx sim.Reception) {
 func (r *Replica) fold(out Output) {
 	r.ckpt.Digest = out.History.DigestRange(r.ckpt.UpTo+1, out.Instance, r.ckpt.Digest)
 	r.ckpt.UpTo = out.Instance
-	r.core.GC(out.Instance)
+	r.seat.Core.GC(out.Instance)
 }
 
 // MinBallotOf folds the ballot payloads of a reception to their minimum

@@ -85,7 +85,7 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 			if o.backoff {
 				mgr = new(cm.Backoff).Init(env)
 			}
-			rep := cha.NewReplica(env, cha.Config{
+			rep := cha.NewReplica(cha.Config{
 				Propose:    propose,
 				CM:         mgr,
 				OnOutput:   onOutput,
@@ -306,11 +306,11 @@ func TestCheckpointMatchesPlainHistoryDigest(t *testing.T) {
 	var plain, ckpt *cha.Replica
 	propose := func(k cha.Instance) cha.Value { return cha.V(fmt.Sprintf("%06d", k)) }
 	eng.Attach(geo.Point{X: 1}, nil, func(env sim.Env) sim.Node {
-		plain = cha.NewReplica(env, cha.Config{Propose: propose, CM: new(cm.Fixed).Init(&leader, env)})
+		plain = cha.NewReplica(cha.Config{Propose: propose, CM: new(cm.Fixed).Init(&leader, env)})
 		return plain
 	})
 	eng.Attach(geo.Point{X: -1}, nil, func(env sim.Env) sim.Node {
-		ckpt = cha.NewReplica(env, cha.Config{Propose: propose, CM: new(cm.Fixed).Init(&leader, env), Checkpoint: true})
+		ckpt = cha.NewReplica(cha.Config{Propose: propose, CM: new(cm.Fixed).Init(&leader, env), Checkpoint: true})
 		return ckpt
 	})
 	eng.Run(30 * cha.RoundsPerInstance)
@@ -421,7 +421,7 @@ func TestReplicaConfigValidation(t *testing.T) {
 			}
 		}()
 		eng.Attach(geo.Point{}, nil, func(env sim.Env) sim.Node {
-			return cha.NewReplica(env, cfg)
+			return cha.NewReplica(cfg)
 		})
 	}
 	mustPanic("missing propose", cha.Config{CM: new(cm.Backoff)})

@@ -27,7 +27,7 @@ func TestSpatialReuseTwoGroups(t *testing.T) {
 			i := i
 			pos := geo.Point{X: center.X + float64(i), Y: center.Y}
 			eng.Attach(pos, nil, func(env sim.Env) sim.Node {
-				rep := cha.NewReplica(env, cha.Config{
+				rep := cha.NewReplica(cha.Config{
 					Propose: rec.WrapPropose(func(k cha.Instance) cha.Value {
 						return cha.V(fmt.Sprintf("g%v-n%d-%d", center, i, k))
 					}),
@@ -72,7 +72,7 @@ func TestTwoGroupsWithinInterferenceRange(t *testing.T) {
 			i := i
 			pos := geo.Point{X: center.X + float64(i), Y: center.Y}
 			eng.Attach(pos, nil, func(env sim.Env) sim.Node {
-				return cha.NewReplica(env, cha.Config{
+				return cha.NewReplica(cha.Config{
 					Propose: rec.WrapPropose(func(k cha.Instance) cha.Value {
 						return cha.V(fmt.Sprintf("n%d-%d", i, k))
 					}),

@@ -88,7 +88,7 @@ func newCluster(o clusterOpts) *cluster {
 			if o.backoff {
 				mgr = new(cm.Backoff).Init(env)
 			}
-			rep := cha.NewReplica(env, cha.Config{
+			rep := cha.NewReplica(cha.Config{
 				Propose: c.rec.WrapPropose(func(k cha.Instance) cha.Value {
 					if o.fixedWidth {
 						return cha.V(fmt.Sprintf("%010d", int(k)*100+i))

@@ -561,37 +561,6 @@ func TestConcurrentTenants(t *testing.T) {
 	}
 }
 
-func TestMetricsCounters(t *testing.T) {
-	svc := newService(t, "")
-	create(t, svc, "alpha", smallDoc)
-	callJSON(t, svc, "POST", "/v1/sims/alpha/step", `{"vrounds": 2}`, http.StatusOK, nil)
-	m := call(t, svc, "GET", "/metrics", "").Body.String()
-	for _, want := range []string{
-		"# TYPE vinfra_sim_rounds_total counter",
-		"# TYPE vinfra_sim_wire_bytes_total counter",
-		"# TYPE vinfra_sim_partition_seconds_total counter",
-		"# TYPE vinfra_sim_vrounds_per_second gauge",
-		`vinfra_sim_vrounds{sim="alpha"} 8`,
-	} {
-		if !strings.Contains(m, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, m)
-		}
-	}
-	// Stepped sims accumulate radio rounds and wire bytes.
-	var rounds, bytesTotal float64
-	for _, line := range strings.Split(m, "\n") {
-		if strings.HasPrefix(line, `vinfra_sim_rounds_total{sim="alpha"}`) {
-			fmt.Sscanf(line, `vinfra_sim_rounds_total{sim="alpha"} %g`, &rounds)
-		}
-		if strings.HasPrefix(line, `vinfra_sim_wire_bytes_total{sim="alpha"}`) {
-			fmt.Sscanf(line, `vinfra_sim_wire_bytes_total{sim="alpha"} %g`, &bytesTotal)
-		}
-	}
-	if rounds <= 0 || bytesTotal <= 0 {
-		t.Fatalf("rounds_total %g, wire_bytes_total %g — want both positive", rounds, bytesTotal)
-	}
-}
-
 // TestHostsExperimentCell is the payoff of the experiments building their
 // worlds with spec.Build: the E13 jam/high/3x3 cell is a plain document
 // (internal/experiments pins the file to the cell), so POSTing it and

@@ -222,6 +222,10 @@ type EmulatorHooks struct {
 // (joins and) replicates that virtual node, running the eleven-phase
 // protocol of Section 4.3. It implements sim.Node.
 //
+// Six of the phases are the two CHAP instances, scheduled and unscheduled,
+// one case in Transmit and in Receive: a replica seated in the phase's
+// instance hands the round to its cha.Seat.
+//
 // A virtual node owns one slot of the schedule (Section 4.1) and uses one
 // slot of the stretched ballot phase, so of the s+12 radio rounds of a
 // virtual round an emulator has something to say, or something to hear that
@@ -236,7 +240,7 @@ type EmulatorHooks struct {
 //	                  gathers the message sub-protocol's input
 //	vn                a replica: broadcasts for the virtual node; gathers input
 //	sched-ballot,     a replica of the scheduled virtual node: the scheduled
-//	sched-veto-1/2    agreement instance — ballot, vetoes, the core's state
+//	sched-veto-1/2    agreement instance — its seat's ballot, vetoes, core
 //	unsched-ballot,   a replica of an unscheduled one: the other instance, in
 //	unsched-veto-1/2  its virtual node's own slot of the s+2 ballot slots
 //	join              a replica: notes join activity (sawJoinActivity); a joiner
@@ -277,8 +281,8 @@ type Emulator struct {
 	joined          bool
 	atOK            bool // at is the location checkRegion last evaluated
 	sched           int8 // scheduled(vr) for vn: 0 not yet worked out, 1 no, 2 yes
-	began           bool // whether Begin was called this vround
-	broadcastBallot bool
+	began           bool // whether the seat balloted this vround
+	broadcast       bool // whether the seat broadcast its ballot this vround
 	sawJoinActivity bool // join request or collision in join/join-ack phases
 	requested       bool // joiner: sent a join request this vround
 	gotAck          bool // joiner: adopted an ack this vround
@@ -287,8 +291,6 @@ type Emulator struct {
 	vr int       // the virtual round the clock last read (from 1); 0 none
 	at geo.Point // see atOK
 
-	mgr  cm.Manager
-	core *cha.Core
 	// cache is the replica's state cache, zero unless joined. It lives in
 	// the emulator, so a replica is one heap object, not two.
 	cache stateCache
@@ -298,9 +300,11 @@ type Emulator struct {
 	// the steady-state message sub-protocol allocates nothing here.
 	input           RoundInput // accumulating message sub-protocol input
 	expectedPayload []byte     // own VN's expected broadcast payload this vround
-	// ballot is the last ballot this replica broadcast: transmitBallot hands
-	// out a pointer to it, valid for its round (see cha.BallotMsg).
-	ballot cha.BallotMsg
+
+	// seat runs both agreement instances: its core is nil unless joined,
+	// its manager nil outside every region. It comes last, so that its
+	// ballot, read only when one is broadcast, ends the struct.
+	seat cha.Seat
 }
 
 var _ sim.Node = (*Emulator)(nil)
@@ -346,8 +350,8 @@ func (e *Emulator) enterRegion(v VNodeID, mgr cm.Manager) {
 	e.vn = v
 	e.sched = 0
 	e.joined = false
-	e.mgr = mgr
-	e.core = nil
+	e.seat.CM = mgr
+	e.seat.Core = nil
 	e.cache = stateCache{}
 	e.requested = false
 	e.gotAck = false
@@ -356,15 +360,15 @@ func (e *Emulator) enterRegion(v VNodeID, mgr cm.Manager) {
 func (e *Emulator) leaveRegion() {
 	e.vn = None
 	e.joined = false
-	e.mgr = nil
-	e.core = nil
+	e.seat.CM = nil
+	e.seat.Core = nil
 	e.cache = stateCache{}
 }
 
 // becomeReplica installs agreement and application state as of instance
 // floor, making the emulator a full replica.
 func (e *Emulator) becomeReplica(floor cha.Instance, state []byte, core *cha.Core) {
-	e.core = core
+	e.seat.Core = core
 	e.cache.resetAt(floor, state)
 	e.joined = true
 }
@@ -446,36 +450,20 @@ func (e *Emulator) Transmit(r sim.Round) sim.Message {
 		return nil
 	case PhaseVN:
 		return e.transmitVN(vr)
-	case PhaseSchedBallot:
-		if e.participating(vr, true) {
-			return e.transmitBallot(vr)
+	case PhaseSchedBallot, PhaseSchedVeto1, PhaseSchedVeto2,
+		PhaseUnschedBallot, PhaseUnschedVeto1, PhaseUnschedVeto2:
+		p, sched := phase.instance()
+		switch {
+		case !e.seated(vr, sched, subslot):
+			return nil
+		case p == cha.PhaseBallot:
+			e.began = true
+			m := e.seat.Ballot(cha.Instance(vr), e.input.Encode())
+			e.broadcast = m != nil
+			return m
+		default:
+			return e.seat.Veto(p)
 		}
-		return nil
-	case PhaseSchedVeto1:
-		if e.participating(vr, true) && e.core.NeedVeto1() {
-			return cha.VetoMsg{}
-		}
-		return nil
-	case PhaseSchedVeto2:
-		if e.participating(vr, true) && e.core.NeedVeto2() {
-			return cha.VetoMsg{}
-		}
-		return nil
-	case PhaseUnschedBallot:
-		if e.participating(vr, false) && subslot == e.d.schedule.SlotOf(e.vn) {
-			return e.transmitBallot(vr)
-		}
-		return nil
-	case PhaseUnschedVeto1:
-		if e.participating(vr, false) && e.core.NeedVeto1() {
-			return cha.VetoMsg{}
-		}
-		return nil
-	case PhaseUnschedVeto2:
-		if e.participating(vr, false) && e.core.NeedVeto2() {
-			return cha.VetoMsg{}
-		}
-		return nil
 	case PhaseJoin:
 		if e.vn != None && !e.joined && e.scheduled(vr) {
 			e.requested = true
@@ -484,7 +472,7 @@ func (e *Emulator) Transmit(r sim.Round) sim.Message {
 		}
 		return nil
 	case PhaseJoinAck:
-		if e.joined && e.sawJoinActivity && e.scheduled(vr) && e.mgr.Advice() {
+		if e.joined && e.sawJoinActivity && e.scheduled(vr) && e.seat.CM.Advice() {
 			return e.joinAck()
 		}
 		return nil
@@ -504,10 +492,12 @@ func (e *Emulator) Transmit(r sim.Round) sim.Message {
 	}
 }
 
-// participating reports whether this emulator runs the scheduled (sched =
-// true) or unscheduled agreement instance in virtual round vr.
-func (e *Emulator) participating(vr int, sched bool) bool {
-	return e.vn != None && e.joined && e.scheduled(vr) == sched
+// seated reports whether this replica runs the scheduled (sched = true) or
+// unscheduled instance of virtual round vr at ballot sub-slot subslot, -1
+// outside the unscheduled ballot phase. A joined emulator is in a region.
+func (e *Emulator) seated(vr int, sched bool, subslot int) bool {
+	return e.joined && e.scheduled(vr) == sched &&
+		(subslot < 0 || e.d.schedule.slotOf[e.vn] == subslot)
 }
 
 // startVRound resets per-round scratch state and re-evaluates the region.
@@ -534,7 +524,7 @@ func (e *Emulator) transmitVN(vr int) sim.Message {
 		return nil
 	}
 	prog := e.d.program(e.vn)
-	out := prog.Outgoing(e.cache.stateBefore(prog, e.core.HistoryView, vr), vr)
+	out := prog.Outgoing(e.cache.stateBefore(prog, e.seat.Core.HistoryView, vr), vr)
 	if out == nil {
 		return nil
 	}
@@ -547,20 +537,9 @@ func (e *Emulator) transmitVN(vr int) sim.Message {
 		e.input.VNBroadcast = true
 		return VNMsg{Payload: out.Payload}
 	}
-	if e.mgr.Advice() {
+	if e.seat.CM.Advice() {
 		e.input.VNBroadcast = true
 		return VNMsg{Payload: out.Payload}
-	}
-	return nil
-}
-
-func (e *Emulator) transmitBallot(vr int) sim.Message {
-	b := e.core.Begin(cha.Instance(vr), e.input.Encode())
-	e.began = true
-	e.broadcastBallot = e.mgr.Advice()
-	if e.broadcastBallot {
-		e.ballot.B = b
-		return &e.ballot
 	}
 	return nil
 }
@@ -569,7 +548,7 @@ func (e *Emulator) joinAck() sim.Message {
 	return JoinAckMsg{
 		StateFloor: e.cache.floor,
 		State:      e.cache.floorState,
-		Snap:       e.core.Snapshot(),
+		Snap:       e.seat.Core.Snapshot(),
 	}
 }
 
@@ -605,29 +584,20 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 				e.input.Collision = true
 			}
 		}
-	case PhaseSchedBallot:
-		if e.participating(vr, true) {
-			e.observeBallots(rx)
+	case PhaseSchedBallot, PhaseSchedVeto1, PhaseSchedVeto2,
+		PhaseUnschedBallot, PhaseUnschedVeto1, PhaseUnschedVeto2:
+		p, sched := phase.instance()
+		// Defensive: a replica that joined mid-round closes neither the
+		// ballot nor the instance.
+		if !e.seated(vr, sched, subslot) || !e.began && p != cha.PhaseVeto1 {
+			break
 		}
-	case PhaseSchedVeto1:
-		if e.participating(vr, true) {
-			e.core.ObserveVeto1(cha.HasVeto(rx.Msgs), rx.Collision)
-		}
-	case PhaseSchedVeto2:
-		if e.participating(vr, true) {
-			e.finishInstance(rx)
-		}
-	case PhaseUnschedBallot:
-		if e.participating(vr, false) && subslot == e.d.schedule.SlotOf(e.vn) {
-			e.observeBallots(rx)
-		}
-	case PhaseUnschedVeto1:
-		if e.participating(vr, false) {
-			e.core.ObserveVeto1(cha.HasVeto(rx.Msgs), rx.Collision)
-		}
-	case PhaseUnschedVeto2:
-		if e.participating(vr, false) {
-			e.finishInstance(rx)
+		fb, out := e.seat.Receive(p, rx, e.broadcast)
+		switch {
+		case p == cha.PhaseVeto2:
+			e.closeInstance(out)
+		case p == cha.PhaseBallot && e.hooks != nil && e.hooks.OnBallot != nil:
+			e.hooks.OnBallot(e.vn, fb)
 		}
 	case PhaseJoin:
 		if e.joined {
@@ -709,28 +679,10 @@ func (e *Emulator) nextDuty(r sim.Round, vr int) sim.Round {
 	return r + sim.Round(next-off)
 }
 
-func (e *Emulator) observeBallots(rx sim.Reception) {
-	if !e.began {
-		// Defensive: a replica that joined mid-round skips the instance.
-		return
-	}
-	b, heard := cha.MinBallotOf(rx.Msgs)
-	e.core.ObserveMinBallot(b, heard, rx.Collision)
-	fb := cm.FeedbackOf(e.broadcastBallot, heard, rx.Collision)
-	e.mgr.Observe(fb)
-	if e.hooks != nil && e.hooks.OnBallot != nil {
-		e.hooks.OnBallot(e.vn, fb)
-	}
-}
-
-// finishInstance closes the instance at the final veto phase, folds green
-// outputs into the replica's checkpoint (bounding both local state and
-// join-ack size, Section 3.5), and fires hooks.
-func (e *Emulator) finishInstance(rx sim.Reception) {
-	if !e.began {
-		return
-	}
-	out := e.core.ObserveVeto2(cha.HasVeto(rx.Msgs), rx.Collision)
+// closeInstance takes the seat's output at the final veto phase, folds a
+// green one into the replica's checkpoint (bounding local state and
+// join-ack size, Section 3.5), and fires the hook.
+func (e *Emulator) closeInstance(out cha.Output) {
 	if out.Color == cha.Green {
 		e.fold(out)
 	}
@@ -748,7 +700,7 @@ func (e *Emulator) fold(out cha.Output) {
 		state = e.cache.apply(prog, state, out.History, k)
 	}
 	e.cache.resetAt(out.Instance, state)
-	e.core.GC(out.Instance)
+	e.seat.Core.GC(out.Instance)
 }
 
 // adoptAck installs the transferred state and makes this emulator a full

@@ -36,17 +36,17 @@ var (
 func (e *Emulator) VNode() VNodeID { return e.vn }
 
 // Core exposes the agreement state machine (nil before joining).
-func (e *Emulator) Core() *cha.Core { return e.core }
+func (e *Emulator) Core() *cha.Core { return e.seat.Core }
 
 // Manager exposes the contention manager (nil outside every region).
-func (e *Emulator) Manager() cm.Manager { return e.mgr }
+func (e *Emulator) Manager() cm.Manager { return e.seat.CM }
 
 // StateBefore returns the emulator's estimate of its virtual node's state
 // entering virtual round vr (1-based). It is only meaningful while joined.
 // The returned slice is owned by the emulator's state cache; callers must
 // not mutate it.
 func (e *Emulator) StateBefore(vr int) []byte {
-	return e.cache.stateBefore(e.d.program(e.vn), e.core.HistoryView, vr)
+	return e.cache.stateBefore(e.d.program(e.vn), e.seat.Core.HistoryView, vr)
 }
 
 // Validate checks completeness and non-conflict against the locations.

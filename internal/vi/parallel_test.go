@@ -1,10 +1,15 @@
 package vi_test
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"vinfra/internal/cd"
+	"vinfra/internal/cha"
+	"vinfra/internal/cm"
 	"vinfra/internal/det"
 	"vinfra/internal/geo"
 	"vinfra/internal/mobility"
@@ -170,5 +175,103 @@ func TestCarvedReplicasParallelEqualsSequential(t *testing.T) {
 				t.Fatalf("fixed=%v: vround %d: parallel digest %x, sequential %x", fixed, vr+1, got[vr], want[vr])
 			}
 		}
+	}
+}
+
+// TestHooksOnHelpersEqualSequential runs the emulator hooks on the parallel
+// engine's helper goroutines. One virtual node at the origin, with R1 = 100
+// and R2 = 200, has a leader margin of 25 at VMax 0; 600 bootstrapped
+// replicas stand inside it under a fixed leader. The virtual node is
+// scheduled in every virtual round, so all 600 are awake in its ballot and
+// veto phases — more than the two grains (512 nodes) the engine needs
+// before it hands a chunk to a helper — and OnBallot and OnOutput fire on
+// two goroutines at once. The taps count under a lock; their counts, and
+// the engine snapshot digest, must equal the sequential run's after every
+// virtual round, the parallel run's taps must have fired on more than one
+// goroutine, and under -race a hook unsafe to share is a reported race.
+func TestHooksOnHelpersEqualSequential(t *testing.T) {
+	const replicas, vrounds = 600, 6
+	radii := geo.Radii{R1: 100, R2: 200}
+	type tally struct {
+		ballots [cm.FeedbackCollision + 1]int
+		outputs [cha.Green + 1]int
+	}
+	run := func(workers int) (tallies []tally, digests []uint64, goroutines int) {
+		dep, err := vi.NewDeployment(vi.DeploymentConfig{
+			Locations: []geo.Point{{}},
+			Radii:     radii,
+			Program:   counterProgram,
+			Leaders:   []sim.NodeID{0},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := dep.LeaderMargin(); m != 25 {
+			t.Fatalf("leader margin %g, want 25", m)
+		}
+		medium := radio.MustMedium(radio.Config{Radii: radii, Detector: cd.AC{}, Seed: 11})
+		opts := []sim.Option{sim.WithSeed(11)}
+		if workers > 0 {
+			opts = append(opts, sim.WithWorkers(workers))
+		}
+		eng := sim.NewEngine(medium, opts...)
+		defer eng.Close()
+
+		var (
+			mu  sync.Mutex
+			cur tally
+			ids = map[string]bool{}
+		)
+		// goroutine notes the calling goroutine's id, the number in the
+		// first line of its stack trace; mu is held.
+		goroutine := func() {
+			var buf [64]byte
+			line := buf[:runtime.Stack(buf[:], false)]
+			ids[string(bytes.Fields(line)[1])] = true
+		}
+		hooks := &vi.EmulatorHooks{
+			OnBallot: func(_ vi.VNodeID, fb cm.Feedback) {
+				mu.Lock()
+				defer mu.Unlock()
+				cur.ballots[fb]++
+				goroutine()
+			},
+			OnOutput: func(_ vi.VNodeID, out cha.Output) {
+				mu.Lock()
+				defer mu.Unlock()
+				cur.outputs[out.Color]++
+				goroutine()
+			},
+		}
+		for i := 0; i < replicas; i++ {
+			pos := geo.Point{X: float64(i%25) - 12, Y: float64(i/25) - 11.5}
+			eng.Attach(pos, nil, func(env sim.Env) sim.Node {
+				em := dep.NewEmulator(env, true)
+				em.SetHooks(hooks)
+				return em
+			})
+		}
+		for vr := 0; vr < vrounds; vr++ {
+			eng.Run(dep.Timing().RoundsPerVRound())
+			tallies = append(tallies, cur)
+			digests = append(digests, uint64(wire.DigestOf(eng.Snapshot().AppendTo(nil))))
+		}
+		return tallies, digests, len(ids)
+	}
+	wantT, wantD, _ := run(0)
+	gotT, gotD, goroutines := run(2)
+	for vr := range wantT {
+		if wantT[vr].ballots[cm.FeedbackWon] != vr+1 || wantT[vr].outputs[cha.Green] != replicas*(vr+1) {
+			t.Fatalf("vround %d: sequential taps read %+v; want one winning ballot and %d green outputs a virtual round", vr+1, wantT[vr], replicas)
+		}
+		if gotT[vr] != wantT[vr] {
+			t.Fatalf("vround %d: parallel taps %+v, sequential %+v", vr+1, gotT[vr], wantT[vr])
+		}
+		if gotD[vr] != wantD[vr] {
+			t.Fatalf("vround %d: parallel digest %x, sequential %x", vr+1, gotD[vr], wantD[vr])
+		}
+	}
+	if goroutines < 2 {
+		t.Fatalf("the parallel run's hooks fired on %d goroutine(s); want a helper's too", goroutines)
 	}
 }

@@ -3,6 +3,7 @@ package vi
 import (
 	"fmt"
 
+	"vinfra/internal/cha"
 	"vinfra/internal/geo"
 	"vinfra/internal/sim"
 )
@@ -137,6 +138,15 @@ func (p Phase) String() string {
 	default:
 		return fmt.Sprintf("phase(%d)", int(p))
 	}
+}
+
+// instance maps one of the six agreement phases to its phase of a CHAP
+// instance and whether that instance is the scheduled one.
+func (p Phase) instance() (cha.Phase, bool) {
+	if p < PhaseUnschedBallot {
+		return cha.Phase(p - PhaseSchedBallot), true
+	}
+	return cha.Phase(p - PhaseUnschedBallot), false
 }
 
 // Timing maps radio rounds to (virtual round, phase, ballot sub-slot)

@@ -18,7 +18,7 @@ import (
 func (e *Emulator) AppendState(dst []byte) []byte {
 	dst = wire.AppendVarint(dst, int64(e.vn))
 	dst = wire.AppendBool(dst, e.joined)
-	dst = appendBlob(dst, e.mgr)
+	dst = appendBlob(dst, e.seat.CM)
 	// The replica fields are zero until the emulator joins. BrokenChains
 	// rides here because the CoreSnapshot join-ack encoding is frozen and
 	// does not carry it.
@@ -29,7 +29,7 @@ func (e *Emulator) AppendState(dst []byte) []byte {
 		floorState []byte
 	)
 	if e.joined {
-		core, broken, floor, floorState = e.core.Snapshot(), e.core.BrokenChains, e.cache.floor, e.cache.floorState
+		core, broken, floor, floorState = e.seat.Core.Snapshot(), e.seat.Core.BrokenChains, e.cache.floor, e.cache.floorState
 	}
 	dst = core.AppendTo(dst)
 	dst = wire.AppendUvarint(dst, uint64(broken))
@@ -45,7 +45,7 @@ func (e *Emulator) AppendState(dst []byte) []byte {
 	// nil and empty expected payloads differ: nil means no broadcast.
 	dst = wire.AppendBool(dst, e.expectedPayload != nil)
 	dst = wire.AppendBytes(dst, e.expectedPayload)
-	dst = wire.AppendBool(dst, e.broadcastBallot)
+	dst = wire.AppendBool(dst, e.broadcast)
 	dst = wire.AppendBool(dst, e.sawJoinActivity)
 	dst = wire.AppendBool(dst, e.requested)
 	return wire.AppendBool(dst, e.gotAck)
@@ -79,7 +79,7 @@ func (e *Emulator) RestoreState(data []byte) error {
 	}
 	collision, vnBroadcast, began, hasExpected := d.Bool(), d.Bool(), d.Bool(), d.Bool()
 	expected := d.Bytes()
-	broadcastBallot, sawJoinActivity, requested, gotAck := d.Bool(), d.Bool(), d.Bool(), d.Bool()
+	broadcast, sawJoinActivity, requested, gotAck := d.Bool(), d.Bool(), d.Bool(), d.Bool()
 	if err := d.Finish(); err != nil {
 		return err
 	}
@@ -100,7 +100,7 @@ func (e *Emulator) RestoreState(data []byte) error {
 		}
 	}
 	// The manager's blob is the last thing that may refuse.
-	mgr := e.mgr
+	mgr := e.seat.CM
 	if vn != None {
 		if vn != e.vn || mgr == nil {
 			mgr = e.d.newCM(vn, e.env, false)
@@ -109,7 +109,7 @@ func (e *Emulator) RestoreState(data []byte) error {
 			return err
 		}
 	}
-	core := e.core
+	core := e.seat.Core
 	if joined {
 		if core == nil {
 			core = new(cha.Core)
@@ -142,7 +142,7 @@ func (e *Emulator) RestoreState(data []byte) error {
 	if hasExpected {
 		e.expectedPayload = append([]byte{}, expected...)
 	}
-	e.broadcastBallot = broadcastBallot
+	e.broadcast = broadcast
 	e.sawJoinActivity = sawJoinActivity
 	e.requested = requested
 	e.gotAck = gotAck
