@@ -40,7 +40,8 @@
 //     coordinates. It also answers nearest-within-radius queries
 //     (NearestWithin, behind the O(1) vi.Deployment.RegionOf), rebuilds
 //     in place without allocating (Rebuild), and is what vi.BuildSchedule
-//     colours the broadcast schedule off.
+//     colours the broadcast schedule off, walking the buckets of a block
+//     of cells (Block, Bucket) in a loop of its own.
 //   - radio: the collision-prone medium. Delivery stamps each round's
 //     transmissions into the 3x3 block of R2-sized cells around their
 //     origin so every receiver reads the one cell it stands in
@@ -110,13 +111,19 @@
 //     WireSize is the exact length of its encoding; nothing in the
 //     module uses encoding/gob. A replica's state cache lives in its
 //     Emulator, proposals encode with one allocation, and agreed values
-//     decode into a RoundInput the replica reuses. Monitor accounts per-virtual-node
+//     decode into a RoundInput the replica reuses. A virtual node's
+//     replicas fold each green instance once between them: the first
+//     publishes the state it reached in the node's slot of the deployment
+//     (an atomic pointer, no lock), and a sibling with the same floor,
+//     floor state and agreed value takes it. Monitor accounts per-virtual-node
 //     availability: green instances, maximal stalls and recovery
 //     latencies through a horizon, so a silenced node counts as
 //     unavailable. Devices sleep through the radio rounds they have no
 //     part in: a Client takes part in two of a virtual round's s+12, an
 //     Emulator in the phases and the one ballot slot of its own virtual
-//     node — seven or eight as a replica, four or one as a joiner. A
+//     node — seven or eight as a replica, four or one as a joiner — read
+//     off a timetable the deployment lays out with the schedule, one row
+//     per kind of emulator, in which each emulator keeps its place. A
 //     replica runs the scheduled and the unscheduled agreement instance
 //     through one cha.Seat, the six phases one case of its phase switch.
 //     Clients and emulators checkpoint the one way every stateful node

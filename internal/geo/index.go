@@ -96,16 +96,12 @@ func (ix *CellIndex) Rings(r float64) int {
 	return int(math.Min(k, math.MaxInt32))
 }
 
-// VisitNear calls fn with the index of every point below index below that
-// is bucketed in the (2k+1)x(2k+1) block of cells centered on p's cell;
-// pass len of the indexed slice for every point. The visited set is a
+// VisitNear calls fn with the index of every point bucketed in the
+// (2k+1)x(2k+1) block of cells centered on p's cell. The visited set is a
 // superset of the points within distance k*cell of p; callers filter by
 // exact distance. Within one cell, indices are visited in increasing
-// order; cells are visited row-major. A bucket lists its indices in
-// increasing order, so its walk stops at the first index at or above
-// below: a caller that wants only earlier points (a greedy coloring in
-// index order) pays nothing for the later ones.
-func (ix *CellIndex) VisitNear(p Point, k, below int, fn func(i int32)) {
+// order; cells are visited row-major.
+func (ix *CellIndex) VisitNear(p Point, k int, fn func(i int32)) {
 	c, ok := ix.keyOf(p)
 	if !ok {
 		return
@@ -118,9 +114,6 @@ func (ix *CellIndex) VisitNear(p Point, k, below int, fn func(i int32)) {
 		for x := x0; x <= x1; x++ {
 			b := row + ((x - ix.minX) >> ix.shift)
 			for _, i := range ix.items[ix.start[b]:ix.start[b+1]] {
-				if int(i) >= below {
-					break
-				}
 				if ix.shift != 0 {
 					if at, _ := ix.keyOf(ix.pts[i]); at.X != x || at.Y != y {
 						continue
@@ -132,11 +125,67 @@ func (ix *CellIndex) VisitNear(p Point, k, below int, fn func(i int32)) {
 	}
 }
 
+// Block is the part of the bucket table that holds a block of cells:
+// buckets X0..X1 of rows Y0..Y1, none when X1 < X0 or Y1 < Y0 (see
+// CellIndex.Block). It also keeps the cells, cx0..cx1 of rows cy0..cy1,
+// for Holds.
+type Block struct {
+	X0, X1, Y0, Y1     int64
+	cx0, cx1, cy0, cy1 int64
+}
+
+// noBlock is the empty block: no buckets and no cells.
+var noBlock = Block{X1: -1, Y1: -1, cx1: -1, cy1: -1}
+
+// Block returns the buckets that hold the (2k+1)x(2k+1) block of cells
+// centered on p's cell, for a caller that walks the points itself — a loop
+// of its own over Bucket(x, y), with no call per point — rather than
+// through VisitNear. The buckets hold every point VisitNear visits, each
+// once; those of a coarsened index (see the memory bound) also hold points
+// of cells around the block, which Holds tells apart.
+func (ix *CellIndex) Block(p Point, k int) Block {
+	c, ok := ix.keyOf(p)
+	if !ok {
+		return noBlock
+	}
+	// Only cells inside the bounding box hold points.
+	x0, x1 := max(c.X-int64(k), ix.minX), min(c.X+int64(k), ix.maxX)
+	y0, y1 := max(c.Y-int64(k), ix.minY), min(c.Y+int64(k), ix.maxY)
+	if x1 < x0 || y1 < y0 {
+		return noBlock
+	}
+	return Block{
+		X0: (x0 - ix.minX) >> ix.shift, X1: (x1 - ix.minX) >> ix.shift,
+		Y0: (y0 - ix.minY) >> ix.shift, Y1: (y1 - ix.minY) >> ix.shift,
+		cx0: x0, cx1: x1, cy0: y0, cy1: y1,
+	}
+}
+
+// Bucket returns the indices of the points in bucket x of row y of the
+// bucket table, one a Block names, in increasing order.
+func (ix *CellIndex) Bucket(x, y int64) []int32 {
+	b := y*ix.cols + x
+	return ix.items[ix.start[b]:ix.start[b+1]]
+}
+
+// Holds reports whether point i, which one of b's buckets holds, lies in
+// one of its cells: always, unless the index is coarsened.
+func (ix *CellIndex) Holds(b *Block, i int32) bool {
+	return ix.shift == 0 || ix.inCells(b, i)
+}
+
+// inCells is Holds on a coarsened index, kept out of Holds so that Holds
+// inlines.
+func (ix *CellIndex) inCells(b *Block, i int32) bool {
+	c, _ := ix.keyOf(ix.pts[i])
+	return c.X >= b.cx0 && c.X <= b.cx1 && c.Y >= b.cy0 && c.Y <= b.cy1
+}
+
 // Near appends to buf the indices of every point in the (2k+1)x(2k+1)
 // block of cells centered on p's cell and returns the extended slice.
 // Pass buf[:0] of a reused slice to avoid allocation on hot paths.
 func (ix *CellIndex) Near(buf []int32, p Point, k int) []int32 {
-	ix.VisitNear(p, k, len(ix.pts), func(i int32) { buf = append(buf, i) })
+	ix.VisitNear(p, k, func(i int32) { buf = append(buf, i) })
 	return buf
 }
 
@@ -152,7 +201,7 @@ func (ix *CellIndex) NearestWithin(p Point, r float64) (int, bool) {
 	}
 	best := -1
 	bestD2 := r * r
-	ix.VisitNear(p, ix.Rings(r), len(ix.pts), func(i int32) {
+	ix.VisitNear(p, ix.Rings(r), func(i int32) {
 		d2 := ix.pts[i].Dist2(p)
 		if d2 > bestD2 {
 			return

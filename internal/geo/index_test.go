@@ -16,7 +16,7 @@ import (
 func within(ix *CellIndex, p Point, r float64) []int32 {
 	var out []int32
 	r2 := r * r
-	ix.VisitNear(p, ix.Rings(r), len(ix.pts), func(i int32) {
+	ix.VisitNear(p, ix.Rings(r), func(i int32) {
 		if ix.pts[i].Dist2(p) <= r2 {
 			out = append(out, i)
 		}
@@ -314,19 +314,33 @@ func checkAgainstMapIndex(t *testing.T, label string, ix *CellIndex, pts []Point
 			if got := ix.Near(nil, q, k); !equalInt32s(got, want) {
 				t.Fatalf("%s: Near(%v, %d) = %v, map reference %v (order matters)", label, q, k, got, want)
 			}
-			// The bounded walk is the unbounded one without the indices at
-			// or above the bound, in the same order.
-			for _, below := range []int{0, 1, len(pts) / 2, len(pts) - 1} {
-				var got, earlier []int32
-				ix.VisitNear(q, k, below, func(i int32) { got = append(got, i) })
-				for _, i := range want {
-					if int(i) < below {
-						earlier = append(earlier, i)
+			// A walk of its own over the block's buckets, keeping what
+			// Holds keeps, finds the same points, each once, every bucket
+			// in increasing order — in Near's order when the index is not
+			// coarsened.
+			var got []int32
+			blk := ix.Block(q, k)
+			for y := blk.Y0; y <= blk.Y1; y++ {
+				for x := blk.X0; x <= blk.X1; x++ {
+					b := ix.Bucket(x, y)
+					if !sort.SliceIsSorted(b, func(i, j int) bool { return b[i] < b[j] }) {
+						t.Fatalf("%s: bucket (%d, %d) is not in increasing order: %v", label, x, y, b)
+					}
+					for _, i := range b {
+						if ix.Holds(&blk, i) {
+							got = append(got, i)
+						}
 					}
 				}
-				if !equalInt32s(got, earlier) {
-					t.Fatalf("%s: VisitNear(%v, %d, below %d) = %v, map reference %v", label, q, k, below, got, earlier)
-				}
+			}
+			if ix.shift != 0 {
+				sorted := append([]int32(nil), want...)
+				sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+				sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+				want = sorted
+			}
+			if !equalInt32s(got, want) {
+				t.Fatalf("%s: the walk of Block(%v, %d) = %v, map reference %v", label, q, k, got, want)
 			}
 		}
 		for _, r := range radii {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"vinfra/internal/cha"
 	"vinfra/internal/cm"
@@ -14,13 +15,15 @@ import (
 
 // Deployment describes a virtual infrastructure: the fixed virtual-node
 // locations, the radio parameters, the broadcast schedule derived from
-// them, and the per-virtual-node programs and initial states. It is shared
-// by every emulator and client, and read-only while rounds run: what
-// changes is the storage nodes are carved from — the arrays Reserve lays
-// out for the bootstrapped replicas (their emulators, agreement cores and
-// contention managers) and the chunks NewClient carves clients from — and
-// only where a node is built, inside the engine's Attach on the goroutine
-// that builds the world.
+// them with the timetable of a virtual round, and the per-virtual-node
+// programs and initial states. It is shared by every emulator and client.
+// While rounds run, a virtual node's replicas publish the folds they share
+// in it, each through its node's atomic pointer (see foldNext); nothing
+// else changes then. What changes otherwise is the storage nodes are carved
+// from — the arrays Reserve lays out for the bootstrapped replicas (their
+// emulators, agreement cores and contention managers) and the chunks
+// NewClient carves clients from — and only where a node is built, inside
+// the engine's Attach on the goroutine that builds the world.
 type Deployment struct {
 	locs     []geo.Point
 	regionIx *geo.CellIndex // cell size R1/4: RegionOf is a 3x3-cell probe
@@ -31,6 +34,12 @@ type Deployment struct {
 	inits    [][]byte  // programs[v].Init, worked out once and shared likewise
 	vmax     float64
 	leaders  []sim.NodeID // the fixed regime's leader table, or nil
+
+	// duties is the timetable of a virtual round, one row of offsets per
+	// kind of emulator (see buildTimetable); folds holds, per virtual node,
+	// the last fold one of its replicas published (see foldNext).
+	duties []int32
+	folds  []atomic.Pointer[sharedFold]
 
 	// The unused tails of the arrays Reserve laid out; see NewEmulator.
 	emulators slab[Emulator]
@@ -91,9 +100,10 @@ type DeploymentConfig struct {
 }
 
 // NewDeployment validates the configuration, colors the broadcast schedule
-// — the one coloring a deployment pays for — and hands it to the Program
-// factory for every virtual node, whose initial state it then works out,
-// once, for every replica to share; then it returns the deployment.
+// — the one coloring a deployment pays for — lays out the timetable of a
+// virtual round from it, and hands it to the Program factory for every
+// virtual node, whose initial state it then works out, once, for every
+// replica to share; then it returns the deployment.
 func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	if len(cfg.Locations) == 0 {
 		return nil, fmt.Errorf("vi: deployment requires at least one virtual node location")
@@ -114,10 +124,12 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		inits:    make([][]byte, len(cfg.Locations)),
 		vmax:     cfg.VMax,
 		leaders:  cfg.Leaders,
+		folds:    make([]atomic.Pointer[sharedFold], len(cfg.Locations)),
 	}
 	d.regionIx = geo.BuildCellIndex(d.locs, d.RegionRadius())
 	d.schedule = BuildSchedule(d.locs, d.radii)
 	d.timing = Timing{S: d.schedule.Len()}
+	d.duties = buildTimetable(d.timing)
 	for v := range d.programs {
 		d.programs[v] = cfg.Program(VNodeID(v), d.schedule)
 		d.inits[v] = d.programs[v].Init(VNodeID(v), d.locs[v])
@@ -263,13 +275,21 @@ type EmulatorHooks struct {
 // right after a restore.
 //
 // A wake pays little bookkeeping before the protocol does anything. The
+// table above is laid out once per deployment as a timetable (Deployment's
+// duties): one row per kind of emulator — outside every region or a joiner
+// out of its slot, a joiner in its slot, a replica of the scheduled virtual
+// node, a replica of an unscheduled one in slot k — listing the offsets it is
+// up for. The emulator keeps its place in the timetable, one index: the
+// row, worked out once per virtual round and whenever it joins, resets or
+// changes region, gives whether its virtual node is scheduled and whether it
+// is seated in an instance, and the next duty is the row's next entry. The
 // emulator remembers which virtual round it last read the clock in, so a
 // round's offset into it is found without dividing (a division only when a
-// new virtual round begins); whether its virtual node is scheduled is worked
-// out once per virtual round and region; and the region lookup at the start
-// of a virtual round is skipped when the device stands, bit for bit, where it
-// stood at the last lookup. These caches are derived from the round, the
-// deployment and the location, never state a snapshot records.
+// new virtual round begins, which also forgets the place); and the region
+// lookup at the start of a virtual round is skipped when the device stands,
+// bit for bit, where it stood at the last lookup. These caches are derived
+// from the round, the deployment and the location, never state a snapshot
+// records.
 type Emulator struct {
 	env   sim.Env
 	d     *Deployment
@@ -277,19 +297,25 @@ type Emulator struct {
 
 	vn VNodeID // current region's virtual node (None when outside)
 
-	// The emulator's eight one-byte fields share one word.
+	// The emulator's seven one-byte fields share one word.
 	joined          bool
 	atOK            bool // at is the location checkRegion last evaluated
-	sched           int8 // scheduled(vr) for vn: 0 not yet worked out, 1 no, 2 yes
 	began           bool // whether the seat balloted this vround
 	broadcast       bool // whether the seat broadcast its ballot this vround
 	sawJoinActivity bool // join request or collision in join/join-ack phases
 	requested       bool // joiner: sent a join request this vround
 	gotAck          bool // joiner: adopted an ack this vround
 
-	// The clock and region caches, with atOK and sched above.
-	vr int       // the virtual round the clock last read (from 1); 0 none
-	at geo.Point // see atOK
+	// The clock, timetable and region caches, with atOK above. vr is the
+	// virtual round the clock last read (from 1; 0 none) and wake the
+	// emulator's place in the timetable in it: an index into the
+	// deployment's duties, in the row of the emulator's kind — the entry it
+	// sleeps until, once a Receive has worked that out — or -1 when not
+	// worked out. A run past 2^31 virtual rounds wraps vr, which then never
+	// matches: the clock divides and the place is worked out on every call.
+	vr   int32
+	wake int32
+	at   geo.Point // see atOK
 
 	// cache is the replica's state cache, zero unless joined. It lives in
 	// the emulator, so a replica is one heap object, not two.
@@ -326,6 +352,7 @@ func (d *Deployment) NewEmulator(env sim.Env, bootstrap bool) *Emulator {
 	e.env = env
 	e.d = d
 	e.vn = None
+	e.wake = -1
 	if bootstrap {
 		if v := d.RegionOf(env.Location()); v != None {
 			e.enterRegion(v, d.newCM(v, env, true))
@@ -348,7 +375,7 @@ func (e *Emulator) Joined() bool { return e.joined }
 // its contention manager.
 func (e *Emulator) enterRegion(v VNodeID, mgr cm.Manager) {
 	e.vn = v
-	e.sched = 0
+	e.wake = -1
 	e.joined = false
 	e.seat.CM = mgr
 	e.seat.Core = nil
@@ -359,6 +386,7 @@ func (e *Emulator) enterRegion(v VNodeID, mgr cm.Manager) {
 
 func (e *Emulator) leaveRegion() {
 	e.vn = None
+	e.wake = -1
 	e.joined = false
 	e.seat.CM = nil
 	e.seat.Core = nil
@@ -371,6 +399,7 @@ func (e *Emulator) becomeReplica(floor cha.Instance, state []byte, core *cha.Cor
 	e.seat.Core = core
 	e.cache.resetAt(floor, state)
 	e.joined = true
+	e.wake = -1
 }
 
 // checkRegion re-evaluates region membership at the start of each virtual
@@ -400,50 +429,49 @@ func samePoint(a, b geo.Point) bool {
 	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }
 
-// noClockCache makes clock, scheduled and checkRegion work their answers out
-// afresh on every call, which is how the emulator behaved before it cached
-// them. Only tests set it (export_test.go): it is the oracle the caches are
-// held to, not a mode anyone can select.
+// noClockCache makes clock, the emulator's place in the timetable and
+// checkRegion work their answers out afresh on every call, which is how the
+// emulator behaved before it cached them. Only tests set it
+// (export_test.go): it is the oracle the caches are held to, not a mode
+// anyone can select.
 var noClockCache bool
+
+// unshared makes every replica fold each green instance itself, never taking
+// a sibling's published fold, and every emulator read its clock and work
+// its place in the timetable out from its row's start on every call. Only
+// tests set it (export_test.go): it is the oracle the shared fold and the
+// timetable's cursor are held to.
+var unshared bool
 
 // clock returns radio round r's offset into its virtual round and that
 // virtual round's number — from 1, so that virtual round vr corresponds to
 // agreement instance vr. It divides only when r lies outside the virtual
-// round it last answered for.
+// round it last answered for, and then forgets the emulator's place in the
+// timetable, which is the old virtual round's.
 func (e *Emulator) clock(r sim.Round) (off, vr int) {
 	per := e.d.timing.RoundsPerVRound()
-	if off := int(r) - (e.vr-1)*per; off >= 0 && off < per && !noClockCache {
-		return off, e.vr
+	if off := int(r) - (int(e.vr)-1)*per; off >= 0 && off < per && !noClockCache && !unshared {
+		return off, int(e.vr)
 	}
-	e.vr, e.sched = int(r)/per+1, 0
-	return int(r) % per, e.vr
+	vr = int(r)/per + 1
+	e.vr, e.wake = int32(vr), -1
+	return int(r) % per, vr
 }
 
-// position is Timing.Decompose off the clock, with virtual rounds from 1.
-func (e *Emulator) position(r sim.Round) (vr int, phase Phase, subslot int) {
-	off, vr := e.clock(r)
-	phase, subslot = e.d.timing.PhaseAt(off)
-	return vr, phase, subslot
-}
-
-// scheduled reports whether this emulator's virtual node is scheduled in
-// virtual round vr, looking it up once per virtual round and region.
-func (e *Emulator) scheduled(vr int) bool {
-	if vr != e.vr || noClockCache {
-		return e.d.schedule.ScheduledIn(e.vn, vr-1)
+// row returns the timetable row the emulator is in during virtual round vr,
+// the clock's. When its place is not known, it works it out: the first
+// entry of the row.
+func (e *Emulator) row(vr int) int {
+	if e.wake < 0 {
+		e.wake = int32(e.d.rowOf(e.vn, e.joined, vr) << dutyShift)
 	}
-	if e.sched == 0 {
-		e.sched = 1
-		if e.d.schedule.ScheduledIn(e.vn, vr-1) {
-			e.sched = 2
-		}
-	}
-	return e.sched == 2
+	return int(e.wake) >> dutyShift
 }
 
 // Transmit implements sim.Node.
 func (e *Emulator) Transmit(r sim.Round) sim.Message {
-	vr, phase, subslot := e.position(r)
+	off, vr := e.clock(r)
+	phase, subslot := e.d.timing.PhaseAt(off)
 	switch phase {
 	case PhaseClient:
 		e.startVRound()
@@ -465,14 +493,14 @@ func (e *Emulator) Transmit(r sim.Round) sim.Message {
 			return e.seat.Veto(p)
 		}
 	case PhaseJoin:
-		if e.vn != None && !e.joined && e.scheduled(vr) {
+		if e.row(vr) == rowJoiner {
 			e.requested = true
 			e.gotAck = false
 			return JoinReqMsg{}
 		}
 		return nil
 	case PhaseJoinAck:
-		if e.joined && e.sawJoinActivity && e.scheduled(vr) && e.seat.CM.Advice() {
+		if e.sawJoinActivity && e.row(vr) == rowSched && e.seat.CM.Advice() {
 			return e.joinAck()
 		}
 		return nil
@@ -485,19 +513,27 @@ func (e *Emulator) Transmit(r sim.Round) sim.Message {
 		// legitimate reset of a fully-wiped neighbor forever (every region
 		// of a dense deployment sits within the others' interference
 		// radius, so the stray ± reaches everyone).
-		if e.joined && e.sawJoinActivity && e.scheduled(vr) {
+		if e.sawJoinActivity && e.row(vr) == rowSched {
 			return ResetGuardMsg{}
 		}
 		return nil
 	}
 }
 
-// seated reports whether this replica runs the scheduled (sched = true) or
-// unscheduled instance of virtual round vr at ballot sub-slot subslot, -1
-// outside the unscheduled ballot phase. A joined emulator is in a region.
+// seated reports whether this emulator is a replica that runs the scheduled
+// (sched = true) or unscheduled instance of virtual round vr at ballot
+// sub-slot subslot, -1 outside the unscheduled ballot phase: its row is the
+// scheduled replica's, or an unscheduled replica's — the one of slot
+// subslot, when there is one.
 func (e *Emulator) seated(vr int, sched bool, subslot int) bool {
-	return e.joined && e.scheduled(vr) == sched &&
-		(subslot < 0 || e.d.schedule.slotOf[e.vn] == subslot)
+	switch row := e.row(vr); {
+	case sched:
+		return row == rowSched
+	case subslot < 0:
+		return row >= rowUnsched
+	default:
+		return row == rowUnsched+subslot
+	}
 }
 
 // startVRound resets per-round scratch state and re-evaluates the region.
@@ -532,7 +568,7 @@ func (e *Emulator) transmitVN(vr int) sim.Message {
 	if e.expectedPayload == nil {
 		e.expectedPayload = []byte{}
 	}
-	if !e.scheduled(vr) {
+	if e.row(vr) != rowSched {
 		// The virtual node ignores its schedule; so do its replicas.
 		e.input.VNBroadcast = true
 		return VNMsg{Payload: out.Payload}
@@ -554,7 +590,8 @@ func (e *Emulator) joinAck() sim.Message {
 
 // Receive implements sim.Node.
 func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
-	vr, phase, subslot := e.position(r)
+	off, vr := e.clock(r)
+	phase, subslot := e.d.timing.PhaseAt(off)
 	switch phase {
 	case PhaseClient:
 		if e.vn != None {
@@ -628,55 +665,80 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 	}
 	// Last, so that it sees the region startVRound chose and the replica
 	// adoptAck or resetVNode made.
-	e.env.SleepUntil(e.nextDuty(r, vr))
+	e.env.SleepUntil(r + sim.Round(e.nextDuty(off, vr)-off))
 }
 
-// nextDuty returns the first round after r, a round of virtual round vr, in
-// which the emulator as it now stands transmits or changes snapshotted
-// state — the table in the Emulator comment, as offsets into the virtual
-// round. The next client phase always is one, so the answer never lies
-// further off than that.
-func (e *Emulator) nextDuty(r sim.Round, vr int) sim.Round {
-	s := e.d.timing.S
-	per := e.d.timing.RoundsPerVRound()
-	off, _ := e.clock(r)
-	// Offsets: client 0, vn 1, sched ballot and vetoes 2-4, unsched ballot
-	// slot k at 5+k, unsched vetoes s+7 and s+8, join s+9, join-ack s+10,
-	// reset s+11.
-	next := per
-	if e.vn != None {
-		switch sched := e.scheduled(vr); {
-		case e.joined && sched:
-			switch {
-			case off < 4:
-				next = off + 1
-			case off < s+9:
-				next = s + 9
-			case off < s+11:
-				next = off + 1
-			}
-		case e.joined:
-			slot := 5 + e.d.schedule.SlotOf(e.vn)
-			switch {
-			case off < 1:
-				next = 1
-			case off < slot:
-				next = slot
-			case off < s+7:
-				next = s + 7
-			case off < s+10:
-				next = off + 1
-			}
-		case sched: // a joiner in its virtual node's slot
-			switch {
-			case off < s+9:
-				next = s + 9
-			case off < s+11:
-				next = off + 1
-			}
+// nextDuty returns the offset into virtual round vr of the first round
+// after offset off in which the emulator as it now stands transmits or
+// changes snapshotted state: the next entry of its row of the timetable
+// (the rows end in RoundsPerVRound, the next client phase), which becomes
+// its place.
+func (e *Emulator) nextDuty(off, vr int) int {
+	e.row(vr) // works the place out if need be
+	w := int(e.wake)
+	for int(e.d.duties[w]) <= off {
+		w++
+	}
+	e.wake = int32(w)
+	return int(e.d.duties[w])
+}
+
+// The timetable's rows: an emulator outside every region or a joiner out of
+// its virtual node's slot; a joiner in it; a replica of the scheduled
+// virtual node; and a replica of an unscheduled one, in slot k the row
+// rowUnsched+k. A row is 1<<dutyShift entries long, room for the most
+// duties a row has (a scheduled replica's eight) and the end.
+const (
+	rowIdle = iota
+	rowJoiner
+	rowSched
+	rowUnsched
+
+	dutyShift = 4
+)
+
+// rowOf returns the timetable row of an emulator in virtual node v's region
+// (None: in none) that is a replica of it or not (joined), in virtual round
+// vr (from 1).
+func (d *Deployment) rowOf(v VNodeID, joined bool, vr int) int {
+	if v == None {
+		return rowIdle
+	}
+	switch sched := d.schedule.ScheduledIn(v, vr-1); {
+	case joined && sched:
+		return rowSched
+	case joined:
+		return rowUnsched + d.schedule.slotOf[v]
+	case sched:
+		return rowJoiner
+	}
+	return rowIdle
+}
+
+// buildTimetable lays out the duty table of the Emulator comment for
+// schedule length t.S: each row lists the offsets into a virtual round its
+// kind of emulator is up for, ascending from the client phase at 0, and is
+// filled out with RoundsPerVRound, the next virtual round's client phase.
+// Offsets: client 0, vn 1, sched ballot and vetoes 2-4, unsched ballot slot
+// k at 5+k, unsched vetoes s+7 and s+8, join s+9, join-ack s+10, reset s+11.
+func buildTimetable(t Timing) []int32 {
+	s, per := t.S, t.RoundsPerVRound()
+	duties := make([]int32, (rowUnsched+s)<<dutyShift)
+	for i := range duties {
+		duties[i] = int32(per)
+	}
+	fill := func(row int, offs ...int) {
+		for i, off := range offs {
+			duties[row<<dutyShift+i] = int32(off)
 		}
 	}
-	return r + sim.Round(next-off)
+	fill(rowIdle, 0)
+	fill(rowJoiner, 0, s+9, s+10, s+11)
+	fill(rowSched, 0, 1, 2, 3, 4, s+9, s+10, s+11)
+	for k := 0; k < s; k++ {
+		fill(rowUnsched+k, 0, 1, 5+k, s+7, s+8, s+9, s+10)
+	}
+	return duties
 }
 
 // closeInstance takes the seat's output at the final veto phase, folds a
@@ -693,14 +755,56 @@ func (e *Emulator) closeInstance(out cha.Output) {
 
 // fold advances the checkpoint to a green instance: compute the agreed
 // state through it, snapshot it, and garbage-collect the agreement layer.
+// The steady case, one position past the floor, is worked out once per
+// virtual node (foldNext); a fold across several, after a stall, is the
+// replica's own.
 func (e *Emulator) fold(out cha.Output) {
 	state := e.cache.floorState
-	prog := e.d.program(e.vn)
-	for k := e.cache.floor + 1; k <= out.Instance; k++ {
-		state = e.cache.apply(prog, state, out.History, k)
+	if k := e.cache.floor + 1; k == out.Instance && !unshared {
+		state = e.d.foldNext(e.vn, &e.cache, out.History, k)
+	} else {
+		prog := e.d.program(e.vn)
+		for ; k <= out.Instance; k++ {
+			state = e.cache.apply(prog, state, out.History, k)
+		}
 	}
 	e.cache.resetAt(out.Instance, state)
 	e.seat.Core.GC(out.Instance)
+}
+
+// sharedFold is a fold one replica of a virtual node published for its
+// siblings: position floor+1 of a history — value, or ⊥ when !ok —
+// applied to floorState gives state. It is never changed once published.
+type sharedFold struct {
+	floor      cha.Instance
+	floorState []byte
+	value      cha.Value
+	ok         bool
+	state      []byte
+}
+
+// foldNext returns the state virtual node v reaches from the state cache's
+// floor state by applying position k = floor+1 of h. A replica whose floor,
+// floor state and agreed value match the last fold a replica of v published
+// takes that fold's state; any other applies the position itself and
+// publishes its fold in the node's slot. Programs are deterministic, so both
+// are the same bytes, and a virtual node's replicas decode and step each
+// green instance once between them, not once each. The floor state matches
+// by content (bytes.Equal, which answers at once for the same slice — the
+// steady case, where it is the state the last fold published), so replicas
+// restored from a checkpoint, or given their state by a join-ack, share too.
+// Replicas on the parallel engine's workers meet only through the slot's
+// atomic pointer; two that miss together both apply and both publish.
+func (d *Deployment) foldNext(v VNodeID, sc *stateCache, h *cha.History, k cha.Instance) []byte {
+	val, ok := h.At(k)
+	slot := &d.folds[v]
+	if f := slot.Load(); f != nil && f.floor == sc.floor && f.ok == ok &&
+		f.value.Equal(val) && bytes.Equal(f.floorState, sc.floorState) {
+		return f.state
+	}
+	state := sc.apply(d.programs[v], sc.floorState, h, k)
+	slot.Store(&sharedFold{floor: sc.floor, floorState: sc.floorState, value: val, ok: ok, state: state})
+	return state
 }
 
 // adoptAck installs the transferred state and makes this emulator a full

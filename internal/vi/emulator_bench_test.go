@@ -35,8 +35,8 @@ func benchBed(tb testing.TB, cols, rows int) *testbed {
 
 // TestEmulatorVRoundSteadyStateAllocs gates the virtual round's allocation
 // budget: a 9-virtual-node grid (27 replicas + 9 clients) must run one full
-// virtual round (21 radio rounds) in at most 90 allocations after warm-up —
-// the measured 78 plus 15 % — and the same number per virtual round
+// virtual round (21 radio rounds) in at most 79 allocations after warm-up —
+// the measured 69 plus 15 % — and the same number per virtual round
 // over 8t rounds as over t, with at least 95 % of its agreement instances
 // green. On the gob+string state plane this was ~10,400 allocs per virtual
 // round (every replica gob-encoding and decoding its state and
@@ -46,8 +46,10 @@ func benchBed(tb testing.TB, cols, rows int) *testbed {
 // a bed whose leader ids did not match its attach order, so that eight of
 // its nine virtual nodes never went green. On the led bed it read 127 until
 // outputs carried the core's history view, round inputs were decoded into a
-// reused value and ballots travelled by pointer. The world spec.Build makes has
-// its own gate, spec's TestWorldVRoundSteadyStateAllocs.
+// reused value and ballots travelled by pointer, and 78 until a virtual
+// node's replicas shared the fold of each green instance. The world
+// spec.Build makes has its own gate, spec's
+// TestWorldVRoundSteadyStateAllocs.
 func TestEmulatorVRoundSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -86,8 +88,8 @@ func TestEmulatorVRoundSteadyStateAllocs(t *testing.T) {
 	if short != long {
 		t.Errorf("a virtual round allocates %.0f times over %d rounds and %.0f over %d: the work per round grows with the run", short, rounds, long, 8*rounds)
 	}
-	if long > 90 {
-		t.Errorf("steady-state virtual round allocates %.0f times at 9 vnodes, want <= 90", long)
+	if long > 79 {
+		t.Errorf("steady-state virtual round allocates %.0f times at 9 vnodes, want <= 79", long)
 	}
 }
 

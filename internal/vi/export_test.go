@@ -2,6 +2,7 @@ package vi
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"vinfra/internal/cha"
 	"vinfra/internal/cm"
@@ -13,6 +14,34 @@ import (
 // the oracle the caches are held to. It is a package variable, so tests that
 // use it must not run in parallel.
 func SetNoClockCache(off bool) { noClockCache = off }
+
+// SetUnshared makes every replica fold each green instance itself and every
+// emulator work its place in the timetable out from its row's start on
+// every call (true), or restores the shared fold and the timetable's cursor
+// (false): the oracle they are held to. It is a package variable, so tests
+// that use it must not run in parallel.
+func SetUnshared(off bool) { unshared = off }
+
+// CountOnRound wraps every virtual node's program in d in one that counts
+// its OnRound calls, and returns the counts, entry v virtual node v's. Call
+// it before the world steps.
+func CountOnRound(d *Deployment) []atomic.Int64 {
+	counts := make([]atomic.Int64, len(d.programs))
+	for v, p := range d.programs {
+		d.programs[v] = countingProgram{Program: p, n: &counts[v]}
+	}
+	return counts
+}
+
+type countingProgram struct {
+	Program
+	n *atomic.Int64
+}
+
+func (c countingProgram) OnRound(state []byte, vround int, in RoundInput) []byte {
+	c.n.Add(1)
+	return c.Program.OnRound(state, vround, in)
+}
 
 // MonitorRuns returns the number of green runs the monitor holds for
 // virtual node v — the size of its accounting, which the external tests pin.

@@ -19,12 +19,16 @@ import (
 // identical state bytes from the identical history. The wire codec makes
 // canonical encodings the default (a value has exactly one encoding);
 // programs that hand-encode states must preserve that property themselves.
-// States are immutable by convention: OnRound must return a fresh slice
-// rather than mutating its input.
+// States are immutable: a virtual node's replicas share them — the initial
+// state, and the state each green instance folds to, which one replica
+// works out and its siblings take (Emulator.fold) — so OnRound must return
+// a fresh slice rather than mutating its input, and no method may mutate a
+// state it is handed: it is a sibling replica's state too.
 type Program interface {
 	// Init returns the virtual node's initial state. The deployment calls
 	// it once per virtual node and shares the bytes among every replica of
-	// the node, bootstrapped or reset, so they must never be mutated.
+	// the node, bootstrapped or reset, as it shares every state folded from
+	// them, so they must never be mutated.
 	Init(id VNodeID, loc geo.Point) []byte
 	// OnRound consumes the input of one virtual round — the agreed message
 	// set, or a collision indication when the round's agreement produced
@@ -55,9 +59,9 @@ type stateCache struct {
 }
 
 // resetAt installs a state snapshot at the given floor (join state
-// transfer, or a virtual node reset). The cache never mutates state, which
-// may be shared: a virtual node's initial state is the same slice in every
-// replica.
+// transfer, a virtual node reset, or a fold). The cache never mutates
+// state, which may be shared: a virtual node's initial state, and the state
+// a fold reaches, are the same slice in every replica.
 func (sc *stateCache) resetAt(floor cha.Instance, state []byte) {
 	sc.floor = floor
 	sc.floorState = state

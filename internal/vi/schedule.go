@@ -30,13 +30,15 @@ func ConflictThreshold(r geo.Radii) float64 { return r.R1 + 2*r.R2 }
 // slot no already-colored virtual node within ConflictThreshold of it
 // holds. The conflict graph is never built. The locations are indexed once
 // in a geo.CellIndex whose cell is the threshold, and each virtual node
-// reads its colored neighbors' slots straight off the 3x3 block of cells
-// around it, so memory is O(virtual nodes) — no adjacency list, nothing
-// sorted — and the neighbor set, hence the schedule, is the one a
+// reads its colored neighbors' slots straight off the buckets that hold the
+// 3x3 block of cells around it (geo.CellIndex.Block; Holds drops what a
+// coarsened bucket holds beyond the block), in a loop of its own, so memory
+// is O(virtual nodes) — no adjacency list, nothing sorted, no call per
+// neighbor — and the neighbor set, hence the schedule, is the one a
 // neighbor-list pass produces. The walk visits only the earlier virtual
-// nodes, the ones already colored: each cell's walk stops at the first
-// index at or above v, so the later half of every neighborhood costs
-// nothing.
+// nodes, the ones already colored: a bucket lists its indices in
+// increasing order, so its walk stops at the first index at or above v, and
+// the later half of every neighborhood costs nothing.
 //
 // A slot counts as taken for node v when its stamp reads v+1, so the marks
 // of one node are never cleared; a node's slot is at most one past the
@@ -49,11 +51,19 @@ func BuildSchedule(locs []geo.Point, radii geo.Radii) Schedule {
 	slotOf := make([]int, len(locs))
 	taken := []int{0}
 	for v, p := range locs {
-		ix.VisitNear(p, 1, v, func(u int32) {
-			if locs[u].Dist2(p) <= t2 {
-				taken[slotOf[u]] = v + 1
+		blk := ix.Block(p, 1)
+		for y := blk.Y0; y <= blk.Y1; y++ {
+			for x := blk.X0; x <= blk.X1; x++ {
+				for _, u := range ix.Bucket(x, y) {
+					if int(u) >= v {
+						break
+					}
+					if locs[u].Dist2(p) <= t2 && ix.Holds(&blk, u) {
+						taken[slotOf[u]] = v + 1
+					}
+				}
 			}
-		})
+		}
 		slot := 0
 		for taken[slot] == v+1 {
 			slot++
