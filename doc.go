@@ -112,10 +112,14 @@
 //     module uses encoding/gob. A replica's state cache lives in its
 //     Emulator, proposals encode with one allocation, and agreed values
 //     decode into a RoundInput the replica reuses. A virtual node's
-//     replicas fold each green instance once between them: the first
-//     publishes the state it reached in the node's slot of the deployment
-//     (an atomic pointer, no lock), and a sibling with the same floor,
-//     floor state and agreed value takes it. Monitor accounts per-virtual-node
+//     replicas step each history position once between them, whether they
+//     estimate it in the vn phase or fold it at a green instance: the
+//     first publishes the state it reached in the node's slot of the
+//     deployment (an atomic pointer, no lock), and a sibling with the same
+//     position, start state and agreed value takes it. A replica's
+//     estimate and fold start from one state cache, keyed exactly by the
+//     highest position its history includes at or below the cached one, so
+//     a stall costs its new positions, not a refold. Monitor accounts per-virtual-node
 //     availability: green instances, maximal stalls and recovery
 //     latencies through a horizon, so a silenced node counts as
 //     unavailable. Devices sleep through the radio rounds they have no

@@ -30,8 +30,8 @@ import (
 //
 // The digest is computed once at construction and reused every time the
 // value is folded into a history digest, so digesting a history prefix
-// costs O(positions), not O(total value bytes) — the state cache and the
-// checkpointing variant digest prefixes every virtual round.
+// costs O(positions), not O(total value bytes) — the checkpointing variant
+// digests a prefix at every green instance.
 //
 // Values treat their bytes as immutable: constructors own or copy their
 // input, and Bytes returns a view callers must not mutate.

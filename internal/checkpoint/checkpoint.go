@@ -113,15 +113,33 @@ func Decode(b []byte) (Checkpoint, error) {
 	return c, nil
 }
 
-// WriteFile atomically writes the framed checkpoint to path (write to a
-// temp file in the same directory, then rename), so a kill mid-write never
-// leaves a torn checkpoint behind.
+// WriteFile atomically writes the framed checkpoint to path (WriteAtomic),
+// so a kill mid-write never leaves a torn checkpoint behind.
 func (c Checkpoint) WriteFile(path string) error {
+	return WriteAtomic(path, c.Encode())
+}
+
+// WriteAtomic writes data to path through a temp file in the same directory
+// (path + ".tmp") and a rename, so a kill mid-write leaves path as it was or
+// whole. When the write or the rename fails it removes the temp file it
+// made and returns the error.
+func WriteAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, c.Encode(), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // ReadFile reads and validates a checkpoint written by WriteFile.

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -101,6 +102,25 @@ func TestWriteReadFile(t *testing.T) {
 	}
 	if !bytes.Equal(got.AppendTo(nil), c.AppendTo(nil)) {
 		t.Fatal("file round trip changes the checkpoint")
+	}
+}
+
+// TestWriteFileFailureLeavesNoTemp: a write whose rename fails — path is a
+// directory — returns the error and leaves neither the temp file nor a
+// changed path behind.
+func TestWriteFileFailureLeavesNoTemp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := sampleCheckpoint().WriteFile(path); err == nil {
+		t.Fatal("WriteFile over a directory succeeded")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the failed write left its temp file behind: %v", err)
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Fatalf("the failed write changed %s: %v", path, err)
 	}
 }
 

@@ -477,12 +477,7 @@ func (s *Service) persistSpec(t *tenant) error {
 	t.mu.Lock()
 	doc := t.effSpec.JSON()
 	t.mu.Unlock()
-	path := s.specPath(t.name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, doc, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return checkpoint.WriteAtomic(s.specPath(t.name), doc)
 }
 
 // recover rebuilds every simulation persisted in the state directory: the

@@ -280,6 +280,23 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// TestFailedSpecWriteLeavesNoTemp: a create whose spec file cannot be
+// written — its path is a directory, so the rename fails — answers 500 and
+// leaves no temp file in the state directory.
+func TestFailedSpecWriteLeavesNoTemp(t *testing.T) {
+	svc := newService(t, t.TempDir())
+	if err := os.Mkdir(svc.specPath("alpha"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"name": "alpha", "spec": %s}`, smallDoc)
+	if rec := call(t, svc, "POST", "/v1/sims", body); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("create over a directory: status %d (want 500): %s", rec.Code, rec.Body)
+	}
+	if _, err := os.Stat(svc.specPath("alpha") + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the failed spec write left its temp file behind: %v", err)
+	}
+}
+
 // TestRestartResumesTenants is the daemon crash-restart contract at the
 // service layer: a fresh Service over the same state directory rebuilds
 // every tenant from its persisted effective spec (including an injected

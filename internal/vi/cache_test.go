@@ -74,9 +74,10 @@ func (c *cacheWorld) run(n int) {
 	}
 }
 
-// TestEmulatorCachesMatchRecompute holds the emulator's clock, schedule and
-// region caches to the emulator that works all three out afresh on every
-// call (vi.SetNoClockCache): the same world stepped both ways must encode to
+// TestEmulatorCachesMatchRecompute holds the emulator's caches — clock,
+// schedule and region, the shared step and the estimate's reuse — to the
+// emulator that works them all out afresh on every call (vi.SetNoCache):
+// the same world stepped both ways must encode to
 // the same engine and monitor snapshots after every radio round, through
 // loss, herding, a wipe, joins and a reset — and after an in-place
 // RestoreState, in the middle of a virtual round, that makes a stepped
@@ -85,14 +86,14 @@ func (c *cacheWorld) run(n int) {
 // node's schedule up, and at the start of the next its region, rather than
 // trust what it worked out before.
 func TestEmulatorCachesMatchRecompute(t *testing.T) {
-	defer vi.SetNoClockCache(false)
+	defer vi.SetNoCache(false)
 	cached, fresh := newCacheWorld(t), newCacheWorld(t)
 	per := cached.RoundsPerVRound()
 	step := func(n int) {
 		t.Helper()
-		vi.SetNoClockCache(true)
+		vi.SetNoCache(true)
 		fresh.run(n)
-		vi.SetNoClockCache(false)
+		vi.SetNoCache(false)
 		cached.run(n)
 		if len(cached.snaps) != n || len(fresh.snaps) != n {
 			t.Fatalf("%d radio rounds made %d and %d snapshots", n, len(cached.snaps), len(fresh.snaps))

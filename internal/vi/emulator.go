@@ -17,8 +17,8 @@ import (
 // locations, the radio parameters, the broadcast schedule derived from
 // them with the timetable of a virtual round, and the per-virtual-node
 // programs and initial states. It is shared by every emulator and client.
-// While rounds run, a virtual node's replicas publish the folds they share
-// in it, each through its node's atomic pointer (see foldNext); nothing
+// While rounds run, a virtual node's replicas publish the steps they share
+// in it, each through its node's atomic pointer (see step); nothing
 // else changes then. What changes otherwise is the storage nodes are carved
 // from — the arrays Reserve lays out for the bootstrapped replicas (their
 // emulators, agreement cores and contention managers) and the chunks
@@ -36,10 +36,10 @@ type Deployment struct {
 	leaders  []sim.NodeID // the fixed regime's leader table, or nil
 
 	// duties is the timetable of a virtual round, one row of offsets per
-	// kind of emulator (see buildTimetable); folds holds, per virtual node,
-	// the last fold one of its replicas published (see foldNext).
+	// kind of emulator (see buildTimetable); steps holds, per virtual node,
+	// the last step one of its replicas published (see step).
 	duties []int32
-	folds  []atomic.Pointer[sharedFold]
+	steps  []atomic.Pointer[sharedStep]
 
 	// The unused tails of the arrays Reserve laid out; see NewEmulator.
 	emulators slab[Emulator]
@@ -124,7 +124,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		inits:    make([][]byte, len(cfg.Locations)),
 		vmax:     cfg.VMax,
 		leaders:  cfg.Leaders,
-		folds:    make([]atomic.Pointer[sharedFold], len(cfg.Locations)),
+		steps:    make([]atomic.Pointer[sharedStep], len(cfg.Locations)),
 	}
 	d.regionIx = geo.BuildCellIndex(d.locs, d.RegionRadius())
 	d.schedule = BuildSchedule(d.locs, d.radii)
@@ -409,7 +409,7 @@ func (e *Emulator) becomeReplica(floor cha.Instance, state []byte, core *cha.Cor
 // the lookup is skipped.
 func (e *Emulator) checkRegion() {
 	at := e.env.Location()
-	if e.atOK && samePoint(at, e.at) && !noClockCache {
+	if e.atOK && samePoint(at, e.at) && !noCache {
 		return
 	}
 	e.at, e.atOK = at, true
@@ -429,19 +429,14 @@ func samePoint(a, b geo.Point) bool {
 	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }
 
-// noClockCache makes clock, the emulator's place in the timetable and
-// checkRegion work their answers out afresh on every call, which is how the
-// emulator behaved before it cached them. Only tests set it
-// (export_test.go): it is the oracle the caches are held to, not a mode
-// anyone can select.
-var noClockCache bool
-
-// unshared makes every replica fold each green instance itself, never taking
-// a sibling's published fold, and every emulator read its clock and work
-// its place in the timetable out from its row's start on every call. Only
-// tests set it (export_test.go): it is the oracle the shared fold and the
-// timetable's cursor are held to.
-var unshared bool
+// noCache turns every emulator cache off: the deployment's step works each
+// position out afresh, never taking a sibling's published step; the state
+// cache refolds from the floor on every call; and clock, the emulator's
+// place in the timetable and checkRegion work their answers out afresh on
+// every call, which is how the emulator behaved before it cached them. Only
+// tests set it (export_test.go): it is the oracle the caches are held to,
+// not a mode anyone can select.
+var noCache bool
 
 // clock returns radio round r's offset into its virtual round and that
 // virtual round's number — from 1, so that virtual round vr corresponds to
@@ -450,7 +445,7 @@ var unshared bool
 // timetable, which is the old virtual round's.
 func (e *Emulator) clock(r sim.Round) (off, vr int) {
 	per := e.d.timing.RoundsPerVRound()
-	if off := int(r) - (int(e.vr)-1)*per; off >= 0 && off < per && !noClockCache && !unshared {
+	if off := int(r) - (int(e.vr)-1)*per; off >= 0 && off < per && !noCache {
 		return off, int(e.vr)
 	}
 	vr = int(r)/per + 1
@@ -559,8 +554,7 @@ func (e *Emulator) transmitVN(vr int) sim.Message {
 	if e.vn == None || !e.joined {
 		return nil
 	}
-	prog := e.d.program(e.vn)
-	out := prog.Outgoing(e.cache.stateBefore(prog, e.seat.Core.HistoryView, vr), vr)
+	out := e.d.program(e.vn).Outgoing(e.estimate(vr), vr)
 	if out == nil {
 		return nil
 	}
@@ -578,6 +572,17 @@ func (e *Emulator) transmitVN(vr int) sim.Message {
 		return VNMsg{Payload: out.Payload}
 	}
 	return nil
+}
+
+// estimate returns the virtual node's state entering virtual round vr: the
+// state after the core's history estimate through instance vr-1. In the
+// steady state the last instance went green and was folded, and the answer
+// is the floor's state, read without calculating a history.
+func (e *Emulator) estimate(vr int) []byte {
+	if upTo := cha.Instance(vr) - 1; upTo > e.cache.floor {
+		return e.d.stateAt(e.vn, &e.cache, e.seat.Core.HistoryView(), upTo)
+	}
+	return e.cache.floorState
 }
 
 func (e *Emulator) joinAck() sim.Message {
@@ -753,58 +758,13 @@ func (e *Emulator) closeInstance(out cha.Output) {
 	}
 }
 
-// fold advances the checkpoint to a green instance: compute the agreed
-// state through it, snapshot it, and garbage-collect the agreement layer.
-// The steady case, one position past the floor, is worked out once per
-// virtual node (foldNext); a fold across several, after a stall, is the
-// replica's own.
+// fold advances the checkpoint to a green instance: the state through it
+// — worked out like the estimate, from where this virtual round's estimate
+// left off when the green history agrees with it that far — becomes the
+// floor's, and the agreement layer is garbage-collected.
 func (e *Emulator) fold(out cha.Output) {
-	state := e.cache.floorState
-	if k := e.cache.floor + 1; k == out.Instance && !unshared {
-		state = e.d.foldNext(e.vn, &e.cache, out.History, k)
-	} else {
-		prog := e.d.program(e.vn)
-		for ; k <= out.Instance; k++ {
-			state = e.cache.apply(prog, state, out.History, k)
-		}
-	}
-	e.cache.resetAt(out.Instance, state)
+	e.cache.resetAt(out.Instance, e.d.stateAt(e.vn, &e.cache, out.History, out.Instance))
 	e.seat.Core.GC(out.Instance)
-}
-
-// sharedFold is a fold one replica of a virtual node published for its
-// siblings: position floor+1 of a history — value, or ⊥ when !ok —
-// applied to floorState gives state. It is never changed once published.
-type sharedFold struct {
-	floor      cha.Instance
-	floorState []byte
-	value      cha.Value
-	ok         bool
-	state      []byte
-}
-
-// foldNext returns the state virtual node v reaches from the state cache's
-// floor state by applying position k = floor+1 of h. A replica whose floor,
-// floor state and agreed value match the last fold a replica of v published
-// takes that fold's state; any other applies the position itself and
-// publishes its fold in the node's slot. Programs are deterministic, so both
-// are the same bytes, and a virtual node's replicas decode and step each
-// green instance once between them, not once each. The floor state matches
-// by content (bytes.Equal, which answers at once for the same slice — the
-// steady case, where it is the state the last fold published), so replicas
-// restored from a checkpoint, or given their state by a join-ack, share too.
-// Replicas on the parallel engine's workers meet only through the slot's
-// atomic pointer; two that miss together both apply and both publish.
-func (d *Deployment) foldNext(v VNodeID, sc *stateCache, h *cha.History, k cha.Instance) []byte {
-	val, ok := h.At(k)
-	slot := &d.folds[v]
-	if f := slot.Load(); f != nil && f.floor == sc.floor && f.ok == ok &&
-		f.value.Equal(val) && bytes.Equal(f.floorState, sc.floorState) {
-		return f.state
-	}
-	state := sc.apply(d.programs[v], sc.floorState, h, k)
-	slot.Store(&sharedFold{floor: sc.floor, floorState: sc.floorState, value: val, ok: ok, state: state})
-	return state
 }
 
 // adoptAck installs the transferred state and makes this emulator a full

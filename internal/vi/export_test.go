@@ -9,18 +9,12 @@ import (
 	"vinfra/internal/geo"
 )
 
-// SetNoClockCache makes every emulator work its clock, its schedule slot and
-// its region out afresh on every call (true) or restores the caches (false):
-// the oracle the caches are held to. It is a package variable, so tests that
-// use it must not run in parallel.
-func SetNoClockCache(off bool) { noClockCache = off }
-
-// SetUnshared makes every replica fold each green instance itself and every
-// emulator work its place in the timetable out from its row's start on
-// every call (true), or restores the shared fold and the timetable's cursor
-// (false): the oracle they are held to. It is a package variable, so tests
-// that use it must not run in parallel.
-func SetUnshared(off bool) { unshared = off }
+// SetNoCache turns every emulator cache off (true) — the shared step, the
+// estimate's reuse, the clock, the place in the timetable and the region
+// lookup, each worked out afresh on every call — or back on (false): the
+// oracle the caches are held to. It is a package variable, so tests that use
+// it must not run in parallel.
+func SetNoCache(off bool) { noCache = off }
 
 // CountOnRound wraps every virtual node's program in d in one that counts
 // its OnRound calls, and returns the counts, entry v virtual node v's. Call
@@ -75,7 +69,7 @@ func (e *Emulator) Manager() cm.Manager { return e.seat.CM }
 // The returned slice is owned by the emulator's state cache; callers must
 // not mutate it.
 func (e *Emulator) StateBefore(vr int) []byte {
-	return e.cache.stateBefore(e.d.program(e.vn), e.seat.Core.HistoryView, vr)
+	return e.estimate(vr)
 }
 
 // Validate checks completeness and non-conflict against the locations.

@@ -1,6 +1,7 @@
 package vi
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -20,105 +21,139 @@ import (
 // canonical encodings the default (a value has exactly one encoding);
 // programs that hand-encode states must preserve that property themselves.
 // States are immutable: a virtual node's replicas share them — the initial
-// state, and the state each green instance folds to, which one replica
-// works out and its siblings take (Emulator.fold) — so OnRound must return
-// a fresh slice rather than mutating its input, and no method may mutate a
-// state it is handed: it is a sibling replica's state too.
+// state, and the state each history position steps to, estimated or
+// folded, which one replica works out and its siblings take
+// (Deployment.step) — so OnRound must return a fresh slice rather than
+// mutating its input, and no method may mutate a state it is handed: it is
+// a sibling replica's state too.
 type Program interface {
 	// Init returns the virtual node's initial state. The deployment calls
 	// it once per virtual node and shares the bytes among every replica of
-	// the node, bootstrapped or reset, as it shares every state folded from
-	// them, so they must never be mutated.
+	// the node, bootstrapped or reset, as it shares every state stepped
+	// from them, so they must never be mutated.
 	Init(id VNodeID, loc geo.Point) []byte
 	// OnRound consumes the input of one virtual round — the agreed message
 	// set, or a collision indication when the round's agreement produced
 	// ⊥ — and returns the next state. in.Msgs is valid only during the
-	// call: the emulator reuses its backing array for the next round.
+	// call: the replica reuses its backing array for the next position.
 	OnRound(state []byte, vround int, in RoundInput) []byte
 	// Outgoing returns the message the virtual node broadcasts in virtual
 	// round vround, given the state entering that round, or nil to listen.
 	Outgoing(state []byte, vround int) *Message
 }
 
-// stateCache incrementally materializes a virtual node's state from the
-// replica's current history chain, re-using the previous computation when
-// the chain is a pure extension (the common case once the network is
-// stable) and recomputing from the floor's state otherwise. It is a value
-// field of its emulator, which hands it the virtual node's program.
+// stateCache is a replica's view of its virtual node's state, a value field
+// of its emulator. floorState is the state at the floor — the initial
+// state, a join-ack's or a fold's — with every position at or below floor
+// folded in; state is the last state the replica worked out above it, after
+// positions floor+1..upTo of a history whose highest included position at
+// or below upTo is top (floor when it includes none there).
+//
+// That key is exact. Every position a core's history includes is a ballot
+// the core adopted for an instance it has closed, and from an included
+// position down the history is the chain of those ballots' prev pointers,
+// which cannot change while the floor holds; between top and upTo every
+// position is ⊥. So a later history of the same core whose highest included
+// position at or below upTo is top agrees with the earlier one on every
+// position through upTo. A fold, a join, a reset and a restore move the
+// floor or replace the core, and start the cache afresh (resetAt). The
+// cache never mutates a state: the states it holds are the ones a virtual
+// node's replicas share.
 type stateCache struct {
-	floorState []byte       // state at the floor instance (initial or join snapshot)
-	floor      cha.Instance // instances <= floor are folded into floorState
+	floorState []byte
+	floor      cha.Instance
 
-	cachedState  []byte
-	cachedUpTo   cha.Instance
-	cachedDigest uint64
+	state     []byte
+	upTo, top cha.Instance
 
-	// in is the round input apply decodes an agreed value into, reused from
-	// instance to instance; it holds no messages between calls.
-	in RoundInput
+	// msgs is the scratch an agreed value's messages are decoded into,
+	// reused from position to position; it holds none between calls.
+	msgs [][]byte
 }
 
 // resetAt installs a state snapshot at the given floor (join state
-// transfer, a virtual node reset, or a fold). The cache never mutates
-// state, which may be shared: a virtual node's initial state, and the state
-// a fold reaches, are the same slice in every replica.
+// transfer, a virtual node reset, or a fold).
 func (sc *stateCache) resetAt(floor cha.Instance, state []byte) {
-	sc.floor = floor
-	sc.floorState = state
-	sc.cachedState = state
-	sc.cachedUpTo = floor
-	sc.cachedDigest = 0
+	sc.floor, sc.floorState = floor, state
+	sc.state, sc.upTo, sc.top = state, floor, floor
 }
 
-// stateBefore returns the virtual node state entering virtual round vround
-// (i.e., after applying history through instance vround-1). view returns
-// the replica's current history estimate (the core's HistoryView), and is
-// called only when the floor lies below instance vround-1: in the steady
-// state the last instance went green and was folded, and the answer is the
-// floor's state, read without calculating a history. The returned slice is
-// owned by the cache; callers must not mutate it.
-func (sc *stateCache) stateBefore(prog Program, view func() *cha.History, vround int) []byte {
-	upTo := cha.Instance(vround) - 1
-	if upTo <= sc.floor {
-		// Below the snapshot the snapshot itself is the best available
-		// state; at it, it is the state.
-		return sc.floorState
+// highest returns the highest position at or below k that h includes, or
+// floor when it includes none above floor.
+func highest(h *cha.History, k, floor cha.Instance) cha.Instance {
+	for ; k > floor; k-- {
+		if _, ok := h.At(k); ok {
+			break
+		}
 	}
-	h := view()
-	// If the previously cached prefix still matches, extend incrementally.
-	prefixDigest := h.DigestRange(sc.floor+1, sc.cachedUpTo, 0)
-	start := sc.floor
-	state := sc.floorState
-	if sc.cachedUpTo > sc.floor && prefixDigest == sc.cachedDigest && sc.cachedUpTo <= upTo {
-		start = sc.cachedUpTo
-		state = sc.cachedState
+	return k
+}
+
+// stateAt returns the state virtual node v reaches after positions
+// floor+1..upTo of h, a history of the replica's core, upTo above the floor:
+// transmitVN's estimate and a green instance's fold both start here. When
+// the cache's key holds for h it resumes from the cache's state and takes
+// only the positions after it, otherwise it starts from the floor's; every
+// position goes through the deployment's step. The returned state is the
+// cache's, shared, never to be mutated.
+func (d *Deployment) stateAt(v VNodeID, sc *stateCache, h *cha.History, upTo cha.Instance) []byte {
+	top := highest(h, upTo, sc.floor)
+	k, state := sc.floor, sc.floorState
+	if sc.upTo <= upTo && highest(h, min(top, sc.upTo), sc.floor) == sc.top && !noCache {
+		k, state = sc.upTo, sc.state
 	}
-	for k := start + 1; k <= upTo; k++ {
-		state = sc.apply(prog, state, h, k)
+	for k++; k <= upTo; k++ {
+		state = d.step(v, sc, state, h, k)
 	}
-	sc.cachedState = state
-	sc.cachedUpTo = upTo
-	sc.cachedDigest = h.DigestRange(sc.floor+1, upTo, 0)
+	sc.state, sc.upTo, sc.top = state, upTo, top
 	return state
 }
 
-// apply folds history position k into the state: an included instance
-// delivers its decoded round input; a ⊥ instance delivers a collision
-// indication (Section 3.3). The input is decoded into the cache's own
-// RoundInput, whose Msgs are cleared once OnRound returns.
-func (sc *stateCache) apply(prog Program, state []byte, h *cha.History, k cha.Instance) []byte {
-	v, ok := h.At(k)
-	if !ok {
-		return prog.OnRound(state, int(k), RoundInput{Collision: true})
+// sharedStep is a step one replica of a virtual node published for its
+// siblings: position k of a history — value, or ⊥ when !ok — applied to
+// from gives state. It is never changed once published.
+type sharedStep struct {
+	k     cha.Instance
+	from  []byte
+	value cha.Value
+	ok    bool
+	state []byte
+}
+
+// step is the one way a virtual node's state takes a history position: it
+// returns the state virtual node v reaches from state from by applying
+// position k of h — an included position delivers its agreed value as the
+// round's input, a ⊥ position a collision indication (Section 3.3). A
+// replica whose position, start state and value match the last step a
+// replica of v published takes that step's state; any other applies the
+// position itself, decoding into sc's scratch, and publishes its step in
+// the node's slot. Programs are deterministic, so both are the same bytes,
+// and a virtual node's replicas step each position once between them, not
+// once each, whether they estimate it or fold it. The start state matches
+// by content (bytes.Equal, which answers at once for the same slice — the
+// steady case, where it is the state the last step published), so replicas
+// restored from a checkpoint, or given their state by a join-ack, share
+// too. Replicas on the parallel engine's workers meet only through the
+// slot's atomic pointer; two that miss together both apply and both
+// publish.
+func (d *Deployment) step(v VNodeID, sc *stateCache, from []byte, h *cha.History, k cha.Instance) []byte {
+	val, ok := h.At(k)
+	slot := &d.steps[v]
+	if s := slot.Load(); s != nil && s.k == k && s.ok == ok && s.value.Equal(val) &&
+		bytes.Equal(s.from, from) && !noCache {
+		return s.state
 	}
-	if err := sc.in.decode(v); err != nil {
+	var state []byte
+	if in := (RoundInput{Msgs: sc.msgs}); ok && in.decode(val) == nil {
+		state = d.programs[v].OnRound(from, int(k), in)
+		clear(in.Msgs)
+		sc.msgs = in.Msgs[:0]
+	} else {
 		// A malformed agreed value cannot occur through the emulation
-		// protocol itself; treat it as a collision to stay deterministic.
-		return prog.OnRound(state, int(k), RoundInput{Collision: true})
+		// protocol itself; it is a collision too, to stay deterministic.
+		state = d.programs[v].OnRound(from, int(k), RoundInput{Collision: true})
 	}
-	state = prog.OnRound(state, int(k), sc.in)
-	clear(sc.in.Msgs)
-	sc.in.Msgs = sc.in.Msgs[:0]
+	slot.Store(&sharedStep{k: k, from: from, value: val, ok: ok, state: state})
 	return state
 }
 
@@ -148,8 +183,8 @@ type Codec[S any] struct {
 }
 
 // Init implements Program: InitState's encoding, which the deployment
-// works out once per virtual node and every replica shares (not to be
-// mutated).
+// works out once per virtual node and every replica shares, as it shares
+// every state Deployment.step reaches from it (not to be mutated).
 func (c Codec[S]) Init(id VNodeID, loc geo.Point) []byte {
 	return c.encode(c.InitState(id, loc))
 }

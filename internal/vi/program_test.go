@@ -3,6 +3,7 @@ package vi
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"vinfra/internal/cha"
@@ -34,21 +35,51 @@ func (appendProgram) Outgoing(state []byte, vround int) *Message {
 	return Text(fmt.Sprintf("out@%d", vround))
 }
 
-func historyOf(top cha.Instance, vals map[cha.Instance]cha.Value) *cha.History {
-	return cha.NewHistory(top, vals)
+// testReplica is a virtual node 0 replica's state cache beside the core
+// whose histories it folds, on a deployment running a counting
+// appendProgram. The core is driven by hand, so every history the cache
+// sees is one a core produces.
+type testReplica struct {
+	d     *Deployment
+	core  *cha.Core
+	sc    stateCache
+	calls atomic.Int64 // OnRound calls
 }
 
-// newTestCache returns the state cache of a replica of virtual node id
-// bootstrapped with appendProgram.
-func newTestCache(id VNodeID) *stateCache {
-	sc := new(stateCache)
-	sc.resetAt(0, appendProgram{}.Init(id, geo.Point{}))
-	return sc
+func newTestReplica() *testReplica {
+	r := &testReplica{core: cha.NewCore()}
+	r.d = &Deployment{
+		programs: []Program{countingProgram{Program: appendProgram{}, n: &r.calls}},
+		steps:    make([]atomic.Pointer[sharedStep], 1),
+	}
+	r.sc.resetAt(0, appendProgram{}.Init(0, geo.Point{}))
+	return r
 }
 
-// stateOf is stateBefore over appendProgram with h as the history estimate.
-func stateOf(sc *stateCache, h *cha.History, vround int) string {
-	return string(sc.stateBefore(appendProgram{}, func() *cha.History { return h }, vround))
+// adopt closes instance k with the ballot (v, prev) adopted and the
+// instance good but not green (a veto-2 collision): the core's prev pointer
+// moves to k, and nothing is folded.
+func (r *testReplica) adopt(k cha.Instance, v cha.Value, prev cha.Instance) {
+	r.core.Begin(k, v)
+	r.core.ObserveMinBallot(cha.Ballot{V: v, Prev: prev}, true, false)
+	r.core.ObserveVeto1(false, false)
+	r.core.ObserveVeto2(false, true)
+}
+
+// lose closes instance k red: no ballot heard, nothing adopted.
+func (r *testReplica) lose(k cha.Instance) {
+	r.core.Begin(k, input())
+	r.core.ObserveMinBallot(cha.Ballot{}, false, true)
+	r.core.ObserveVeto1(true, false)
+	r.core.ObserveVeto2(true, false)
+}
+
+// stateAt is the state after the core's history through upTo, and the
+// OnRound calls it took.
+func (r *testReplica) stateAt(upTo cha.Instance) (string, int64) {
+	n := r.calls.Load()
+	state := string(r.d.stateAt(0, &r.sc, r.core.HistoryView(), upTo))
+	return state, r.calls.Load() - n
 }
 
 func input(msgs ...string) cha.Value {
@@ -60,93 +91,107 @@ func input(msgs ...string) cha.Value {
 }
 
 func TestStateCacheAppliesHistoryInOrder(t *testing.T) {
-	sc := newTestCache(3)
-	h := historyOf(3, map[cha.Instance]cha.Value{
-		1: input("a"),
-		3: input("c"),
-	})
-	got := stateOf(sc, h, 4) // state after instances 1..3
-	want := "init(3)|1:[a]|2:±|3:[c]"
-	if got != want {
+	r := newTestReplica()
+	r.adopt(1, input("a"), 0)
+	r.lose(2)
+	r.adopt(3, input("c"), 1)
+	want := "init(0)|1:[a]|2:±|3:[c]"
+	if got, _ := r.stateAt(3); got != want {
 		t.Errorf("state = %q, want %q", got, want)
 	}
 }
 
+// TestStateCacheIncrementalExtension: a history that extends the chain the
+// cache folded resumes from its state and steps only the new positions.
 func TestStateCacheIncrementalExtension(t *testing.T) {
-	sc := newTestCache(0)
-	h1 := historyOf(2, map[cha.Instance]cha.Value{1: input("a"), 2: input("b")})
-	first := stateOf(sc, h1, 3)
-
-	// Extend the same chain: the cache must reuse the prefix.
-	h2 := historyOf(4, map[cha.Instance]cha.Value{
-		1: input("a"), 2: input("b"), 3: input("c"), 4: input("d"),
-	})
-	second := stateOf(sc, h2, 5)
-	if second != first+"|3:[c]|4:[d]" {
-		t.Errorf("incremental state = %q", second)
+	r := newTestReplica()
+	r.adopt(1, input("a"), 0)
+	r.adopt(2, input("b"), 1)
+	first, _ := r.stateAt(2)
+	r.adopt(3, input("c"), 2)
+	r.lose(4)
+	second, calls := r.stateAt(4)
+	if second != first+"|3:[c]|4:±" || calls != 2 {
+		t.Errorf("incremental state = %q in %d steps, want %q in 2", second, calls, first+"|3:[c]|4:±")
+	}
+	// A stall ends when a later instance's ballot points back into it: the
+	// chain still runs through 3, so only the positions after 4 are new.
+	r.adopt(5, input("e"), 3)
+	r.adopt(6, input("f"), 5)
+	third, calls := r.stateAt(6)
+	if third != second+"|5:[e]|6:[f]" || calls != 2 {
+		t.Errorf("state after the stall = %q in %d steps, want %q in 2", third, calls, second+"|5:[e]|6:[f]")
 	}
 }
 
+// TestStateCacheRecomputesOnChainChange: the minimum ballot of a later
+// instance can carry a prev pointer that bypasses a position this core
+// included (possible before stabilization). The highest included position
+// at or below the cached one then differs, and the state is refolded from
+// the floor.
 func TestStateCacheRecomputesOnChainChange(t *testing.T) {
-	sc := newTestCache(0)
-	h1 := historyOf(2, map[cha.Instance]cha.Value{1: input("a"), 2: input("b")})
-	stateOf(sc, h1, 3)
-
-	// A different chain for the same prefix (instance 2 now ⊥ — possible
-	// before stabilization when a later ballot bypasses it).
-	h2 := historyOf(3, map[cha.Instance]cha.Value{1: input("a"), 3: input("c")})
-	got := stateOf(sc, h2, 4)
+	r := newTestReplica()
+	r.adopt(1, input("a"), 0)
+	r.adopt(2, input("b"), 1)
+	r.stateAt(2)
+	r.adopt(3, input("c"), 1)
 	want := "init(0)|1:[a]|2:±|3:[c]"
-	if got != want {
-		t.Errorf("recomputed state = %q, want %q", got, want)
+	if got, calls := r.stateAt(3); got != want || calls != 3 {
+		t.Errorf("recomputed state = %q in %d steps, want %q in 3", got, calls, want)
 	}
 }
 
+// TestStateCacheResetAt: a snapshot installed at a floor is the state the
+// positions above it are folded onto.
 func TestStateCacheResetAt(t *testing.T) {
-	sc := newTestCache(0)
-	sc.resetAt(5, []byte("snapshot"))
-	h := historyOf(7, map[cha.Instance]cha.Value{6: input("x"), 7: input("y")})
-	got := stateOf(sc, h, 8)
+	r := newTestReplica()
+	r.core.ResetAt(5)
+	r.sc.resetAt(5, []byte("snapshot"))
+	r.adopt(6, input("x"), 0)
+	r.adopt(7, input("y"), 6)
 	want := "snapshot|6:[x]|7:[y]"
-	if got != want {
+	if got, _ := r.stateAt(7); got != want {
 		t.Errorf("state after snapshot = %q, want %q", got, want)
 	}
-	// Queries below the snapshot floor return the snapshot itself.
-	if got := stateOf(sc, h, 4); got != "snapshot" {
-		t.Errorf("below-floor state = %q", got)
-	}
-	// So does one at the floor, the steady state of a green replica, and
-	// without calculating a history.
-	sc.resetAt(7, []byte("folded"))
-	noView := func() *cha.History {
-		t.Fatal("stateBefore at the floor calculated a history")
-		return nil
-	}
-	if got := string(sc.stateBefore(appendProgram{}, noView, 8)); got != "folded" {
-		t.Errorf("at-floor state = %q, want the floor's", got)
+}
+
+// TestEstimateAtFloorCalculatesNoHistory: an estimate at or below the
+// floor — the steady state of a green replica — is the floor's state, read
+// without calculating a history (the emulator has no core to calculate
+// one with here).
+func TestEstimateAtFloorCalculatesNoHistory(t *testing.T) {
+	e := &Emulator{d: newTestReplica().d}
+	e.cache.resetAt(7, []byte("folded"))
+	for _, vr := range []int{4, 8} {
+		if got := string(e.estimate(vr)); got != "folded" {
+			t.Errorf("estimate entering virtual round %d = %q, want the floor's", vr, got)
+		}
 	}
 }
 
 func TestStateCacheRepeatedQueriesStable(t *testing.T) {
-	sc := newTestCache(0)
-	h := historyOf(3, map[cha.Instance]cha.Value{1: input("a"), 2: input("b"), 3: input("c")})
-	a := stateOf(sc, h, 4)
-	b := stateOf(sc, h, 4)
-	c := stateOf(sc, h, 4)
-	if a != b || b != c {
-		t.Error("repeated identical queries must be stable")
+	r := newTestReplica()
+	r.adopt(1, input("a"), 0)
+	r.adopt(2, input("b"), 1)
+	r.adopt(3, input("c"), 2)
+	a, _ := r.stateAt(3)
+	b, calls := r.stateAt(3)
+	if a != b || calls != 0 {
+		t.Errorf("repeated query = %q in %d steps, want %q in 0", b, calls, a)
 	}
 	// Query an earlier point after a later one.
-	early := stateOf(sc, h, 2)
-	if early != "init(0)|1:[a]" {
+	if early, _ := r.stateAt(1); early != "init(0)|1:[a]" {
 		t.Errorf("early state = %q", early)
+	}
+	if again, _ := r.stateAt(3); again != a {
+		t.Errorf("state after the early query = %q, want %q", again, a)
 	}
 }
 
-func TestApplyInstanceMalformedValueActsAsCollision(t *testing.T) {
-	h := historyOf(1, map[cha.Instance]cha.Value{1: cha.V("not-a-proposal")})
-	got := string(new(stateCache).apply(appendProgram{}, []byte("s"), h, 1))
-	if got != "s|1:±" {
+func TestStepMalformedValueActsAsCollision(t *testing.T) {
+	r := newTestReplica()
+	r.adopt(1, cha.V("not-a-proposal"), 0)
+	if got := string(r.d.step(0, &r.sc, []byte("s"), r.core.HistoryView(), 1)); got != "s|1:±" {
 		t.Errorf("malformed value state = %q, want collision semantics", got)
 	}
 }

@@ -1,6 +1,7 @@
 package vi_test
 
 import (
+	"fmt"
 	"os"
 	"sync/atomic"
 	"testing"
@@ -39,21 +40,60 @@ type stepper interface {
 	Checkpoint() checkpoint.Checkpoint
 }
 
-// TestSharedFoldMatchesUnshared holds the shared fold and the timetable's
-// cursor to the emulator that folds every green instance itself and works
-// its place in the timetable out from its row's start on every call
-// (vi.SetUnshared): the checkpoint digest after every virtual round must be
-// the same both ways on the metro document, on examples/regional.json
-// (elected leaders, a virtual node now and then without a green instance),
-// on every E11 and E13 quick cell (kills, respawns, joins by state
-// transfer, resets) and on two worlds on two workers, both more than the two
-// grains (512 nodes) the engine needs before it hands a chunk to a helper
-// goroutine: the metro document (1 125 nodes) and one virtual node with 600
-// replicas, which fold every instance on both goroutines at once — the
-// world in which -race reports a slot read and written without its atomic
-// pointer.
+// jamDoc is the jammed bed: a 5x5 grid with fixed leaders, three replicas
+// and a pinger a region, and one region jammer at its defaults — every
+// region, always on — so no instance goes green and every virtual node
+// stalls from its first virtual round on.
+func jamDoc() spec.Spec {
+	return spec.Spec{
+		Version: spec.Version, Seed: 1, VRounds: 1 << 20,
+		Grid:    spec.Grid{Cols: 5, Rows: 5},
+		Devices: spec.Devices{Replicas: 3, Pingers: true},
+		Leader:  "fixed",
+		Faults:  []spec.Fault{{Kind: spec.KindRegionJammer}},
+	}
+}
+
+// soakWorld is the world a soak steps.
+func soakWorld(so experiments.Soak) *spec.World {
+	return so.(interface{ World() *spec.World }).World()
+}
+
+// jamCell returns E13's jam cell of the given shape, intensity and length,
+// seed 1.
+func jamCell(t *testing.T, n int, intensity string, vrounds int) experiments.Soak {
+	t.Helper()
+	p := harness.Params{
+		Label: fmt.Sprintf("jam/%s/%dx%d", intensity, n, n),
+		Ints:  map[string]int{"cols": n, "rows": n, "vrounds": vrounds},
+		Strs:  map[string]string{"kind": "jam", "intensity": intensity},
+	}
+	so, err := experiments.NewSoak("E13", &harness.Cell{Params: p, Seed: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return so
+}
+
+// TestSharedFoldMatchesUnshared holds the emulator's caches — the step a
+// virtual node's replicas share, the estimate's reuse, whose check is what
+// lets a fold that ends a stall resume from it, and the timetable's cursor —
+// to the emulator that steps every position itself, refolds from the floor
+// on every call and works its place in the timetable out from its row's
+// start (vi.SetNoCache): the checkpoint digest after every virtual round
+// must be the same both ways on the metro document, on
+// examples/regional.json (elected leaders, a virtual node now and then
+// without a green instance), on every E11 and E13 quick cell (kills,
+// respawns, joins by state transfer, resets), on the jammed bed (one
+// stall, as long as the run) and E13's jam cells (short stalls, each ended
+// by a fold that resumes from the estimate), and on two worlds on two
+// workers, both more than the two grains (512 nodes) the engine needs
+// before it hands a chunk to a helper goroutine: the metro document (1 125
+// nodes) and one virtual node with 600 replicas, which step every instance
+// on both goroutines at once — the world in which -race reports a slot read
+// and written without its atomic pointer.
 func TestSharedFoldMatchesUnshared(t *testing.T) {
-	defer vi.SetUnshared(false)
+	defer vi.SetNoCache(false)
 	doc, err := os.ReadFile("../../examples/regional.json")
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +124,15 @@ func TestSharedFoldMatchesUnshared(t *testing.T) {
 			Engine:  spec.Engine{Parallel: true, Workers: 2},
 		})},
 		{"regional", 150, world(regional)},
+		{"jammed", 250, world(jamDoc())},
+	}
+	soak := func(so experiments.Soak) (stepper, func()) { return so, soakWorld(so).Eng.Close }
+	for _, n := range []int{3, 5} {
+		for _, in := range []string{"low", "high"} {
+			beds = append(beds, bed{fmt.Sprintf("E13/jam/%s/%dx%d", in, n, n), 16, func() (stepper, func()) {
+				return soak(jamCell(t, n, in, 16))
+			}})
+		}
 	}
 	descs, err := harness.Select("E11,E13")
 	if err != nil {
@@ -96,15 +145,14 @@ func TestSharedFoldMatchesUnshared(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				w := so.(interface{ World() *spec.World }).World()
-				return so, w.Eng.Close
+				return soak(so)
 			}})
 		}
 	}
 	for _, b := range beds {
 		digests := func(off bool) []uint64 {
-			vi.SetUnshared(off)
-			defer vi.SetUnshared(false)
+			vi.SetNoCache(off)
+			defer vi.SetNoCache(false)
 			s, done := b.make()
 			defer done()
 			var ds []uint64
@@ -117,7 +165,7 @@ func TestSharedFoldMatchesUnshared(t *testing.T) {
 		want, got := digests(true), digests(false)
 		for vr := range want {
 			if got[vr] != want[vr] {
-				t.Fatalf("%s: vround %d: digest %x shared, %x unshared", b.name, vr+1, got[vr], want[vr])
+				t.Fatalf("%s: vround %d: digest %x cached, %x uncached", b.name, vr+1, got[vr], want[vr])
 			}
 		}
 	}
@@ -126,7 +174,7 @@ func TestSharedFoldMatchesUnshared(t *testing.T) {
 // TestFoldOncePerGreenInstance is the counted gate on the shared fold: on
 // the metro document, which is green throughout, a counting program sees
 // exactly one OnRound call per green instance per virtual node — the three
-// replicas of a region fold it once between them (unshared, it sees three).
+// replicas of a region fold it once between them (uncached, it sees three).
 // A world restored from a checkpoint taken mid-run, whose replicas hold
 // floor states of their own, equal in bytes, shares from its first fold on,
 // and stays byte-equal to the run that never stopped: no fold is in a
@@ -191,9 +239,64 @@ func TestFoldOncePerGreenInstance(t *testing.T) {
 		}
 	}
 
-	// Unshared, every replica folds for itself.
-	vi.SetUnshared(true)
-	defer vi.SetUnshared(false)
+	// Uncached, every replica folds for itself.
+	vi.SetNoCache(true)
+	defer vi.SetNoCache(false)
 	w, counts = counted()
 	step(w, counts, 3, 3)
+}
+
+// TestStepOncePerPosition is the counted gate on the one step: on E13's jam
+// cells (seed 1), whose virtual nodes stall and recover, a counting program
+// sees exactly one OnRound call per virtual node per virtual round — each
+// position of a virtual node's history is stepped once between its
+// replicas, whether they estimate it in a stall, fold it, or both. Uncached
+// (vi.SetNoCache) every replica steps every position itself at least once,
+// and a stalled one again from the floor on every estimate. The 12x12 cell
+// on two workers (576 nodes, past the two grains the engine needs before it
+// hands a chunk to a helper goroutine) has the estimate's steps published
+// from both goroutines, which -race watches.
+func TestStepOncePerPosition(t *testing.T) {
+	defer vi.SetNoCache(false)
+	type cell struct {
+		n, vrounds, workers int
+		intensity           string
+	}
+	cells := []cell{{3, 8, 0, "low"}, {3, 8, 0, "high"}, {5, 16, 0, "low"}, {5, 16, 0, "high"}, {12, 16, 2, "high"}}
+	for _, c := range cells {
+		for _, off := range []bool{false, true} {
+			vi.SetNoCache(off)
+			so := jamCell(t, c.n, c.intensity, c.vrounds)
+			var s stepper = so
+			w := soakWorld(so)
+			if c.workers > 0 {
+				// The jam cell is a plain document (experiments'
+				// TestJamCellIsASpecDocument): the same one on a pool.
+				doc := w.Spec
+				doc.Engine.Workers = c.workers
+				w.Eng.Close()
+				w = mustBuild(t, doc)
+				s = w
+			}
+			counts := vi.CountOnRound(w.Dep)
+			for vr := 0; vr < c.vrounds; vr++ {
+				s.StepVRound()
+			}
+			w.Eng.Close()
+			vi.SetNoCache(false)
+			var calls int64
+			for v := range counts {
+				calls += counts[v].Load()
+			}
+			vnodes := int64(len(w.Locs))
+			name := fmt.Sprintf("jam/%s/%dx%d, %d vrounds", c.intensity, c.n, c.n, c.vrounds)
+			t.Logf("%s (uncached %v): %d OnRound calls", name, off, calls)
+			switch want := vnodes * int64(c.vrounds); {
+			case !off && calls != want:
+				t.Errorf("%s: %d OnRound calls, want %d (one per virtual node and virtual round)", name, calls, want)
+			case off && calls < 3*want:
+				t.Errorf("%s uncached: %d OnRound calls, want at least %d (one per replica and virtual round)", name, calls, 3*want)
+			}
+		}
+	}
 }

@@ -1,0 +1,56 @@
+package vi
+
+import (
+	"testing"
+
+	"vinfra/internal/cha"
+)
+
+// TestStepMatchesByContent pins what a published step is shared for: the
+// same position, the same start state — the same slice or equal bytes — and
+// the same agreed value there, ⊥ included. Anything else is stepped afresh
+// and replaces the published step.
+func TestStepMatchesByContent(t *testing.T) {
+	r := newTestReplica()
+	// at returns a history of a core whose floor is k-1 and that adopted
+	// value v for instance k, or heard nothing there when v is nil.
+	at := func(k cha.Instance, v *cha.Value) *cha.History {
+		r.core = cha.NewCore()
+		r.core.ResetAt(k - 1)
+		if v == nil {
+			r.lose(k)
+		} else {
+			r.adopt(k, *v, 0)
+		}
+		return r.core.CalculateHistory()
+	}
+	a, b := input("a"), input("b")
+	steps := []struct {
+		name  string
+		k     cha.Instance
+		from  string
+		v     *cha.Value
+		want  string
+		calls int64 // OnRound calls after the step
+	}{
+		{"first step", 5, "s", &a, "s|5:[a]", 1},
+		{"the same position, state bytes and value", 5, "s", &a, "s|5:[a]", 1},
+		{"another value", 5, "s", &b, "s|5:[b]", 2},
+		{"the value before it again", 5, "s", &a, "s|5:[a]", 3},
+		{"another start state", 5, "t", &a, "t|5:[a]", 4},
+		{"⊥", 5, "t", nil, "t|5:±", 5},
+		{"⊥ again", 5, "t", nil, "t|5:±", 5},
+		{"another position", 4, "t", nil, "t|4:±", 6},
+		{"another position, the same value", 6, "t", &a, "t|6:[a]", 7},
+		{"that position again", 6, "t", &a, "t|6:[a]", 7},
+	}
+	for _, s := range steps {
+		h := at(s.k, s.v)
+		if got := string(r.d.step(0, &r.sc, []byte(s.from), h, s.k)); got != s.want {
+			t.Fatalf("%s: stepped to %q, want %q", s.name, got, s.want)
+		}
+		if n := r.calls.Load(); n != s.calls {
+			t.Fatalf("%s: %d OnRound calls, want %d", s.name, n, s.calls)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package vi_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,29 +16,33 @@ import (
 
 // viAgreementChecker verifies the emulation-level safety invariant: any
 // two green outputs for the same (virtual node, instance) must carry
-// identical history suffix digests — i.e., replicas that decide a virtual
-// round decide the same virtual node behaviour.
+// identical history suffixes — i.e., replicas that decide a virtual round
+// decide the same virtual node behaviour.
 type viAgreementChecker struct {
 	mu         sync.Mutex
-	digests    map[string]uint64
+	suffixes   map[string]string
 	violations int
 }
 
 func newVIAgreementChecker() *viAgreementChecker {
-	return &viAgreementChecker{digests: make(map[string]uint64)}
+	return &viAgreementChecker{suffixes: make(map[string]string)}
 }
 
 func (c *viAgreementChecker) hook(v vi.VNodeID, out cha.Output) {
 	if out.Color != cha.Green {
 		return
 	}
-	d := out.History.DigestRange(out.Floor+1, out.Instance, 0)
+	var suffix strings.Builder
+	for k := out.Floor + 1; k <= out.Instance; k++ {
+		val, ok := out.History.At(k)
+		fmt.Fprintf(&suffix, "%d:%t:%q ", k, ok, val.Bytes())
+	}
 	key := fmt.Sprintf("%d/%d/%d", v, out.Floor, out.Instance)
 	c.mu.Lock()
-	if prev, ok := c.digests[key]; ok && prev != d {
+	if prev, ok := c.suffixes[key]; ok && prev != suffix.String() {
 		c.violations++
 	} else {
-		c.digests[key] = d
+		c.suffixes[key] = suffix.String()
 	}
 	c.mu.Unlock()
 }
