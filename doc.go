@@ -110,13 +110,19 @@
 //     EncodeState/DecodeState functions, and every protocol message's
 //     WireSize is the exact length of its encoding; nothing in the
 //     module uses encoding/gob. A replica's state cache lives in its
-//     Emulator, proposals encode with one allocation, and agreed values
+//     Emulator, a proposal is encoded only when the contention manager
+//     advises its ballot (one allocation, the value), and agreed values
 //     decode into a RoundInput the replica reuses. A virtual node's
 //     replicas step each history position once between them, whether they
-//     estimate it in the vn phase or fold it at a green instance: the
-//     first publishes the state it reached in the node's slot of the
-//     deployment (an atomic pointer, no lock), and a sibling with the same
-//     position, start state and agreed value takes it. A replica's
+//     estimate it in the vn phase or fold it at a green instance, and ask
+//     its program for its broadcast once a virtual round: one replica
+//     publishes in the node's memo of the deployment, a pair of records
+//     its first publish allocates and later ones rewrite in place, one
+//     writer a radio round, so no sibling still reads the record rewritten
+//     (no lock), and a sibling with the same position, start state and
+//     agreed value — or virtual round and state — takes it. A virtual
+//     round then allocates per virtual node, not per replica, and a client
+//     broadcasts its program's payload without copying it. A replica's
 //     estimate and fold start from one state cache, keyed exactly by the
 //     highest position its history includes at or below the cached one, so
 //     a stall costs its new positions, not a refold. Monitor accounts per-virtual-node

@@ -66,8 +66,9 @@ func (VetoMsg) WireSize() int { return 1 }
 
 // Config parameterizes a Replica.
 type Config struct {
-	// Propose supplies the node's input value for each instance
-	// (Figure 1 line 2). Required.
+	// Propose supplies the node's input value for an instance (Figure 1
+	// line 2). It is asked only for the instances whose ballot the
+	// contention manager advises (Seat.Ballot). Required.
 	Propose func(k Instance) Value
 	// CM is the node's contention manager (cm-wakeup of Figure 1 line 3).
 	// Required.
@@ -94,16 +95,20 @@ type Seat struct {
 	ballot BallotMsg
 }
 
-// Ballot begins instance k with proposal v (Figure 1 lines 2-3) and returns
-// the ballot to broadcast if the contention manager advises it, nil
-// otherwise.
-func (s *Seat) Ballot(k Instance, v Value) sim.Message {
-	b := s.Core.Begin(k, v)
-	if s.CM.Advice() {
-		s.ballot.B = b
-		return &s.ballot
+// Ballot begins instance k (Figure 1 lines 2-3) and returns the ballot to
+// broadcast if the contention manager advises it, nil otherwise. The
+// proposal is built only when advised: propose(k) is called once then and
+// not at all otherwise, since a ballot that stays home carries no value
+// anyone reads. The manager is asked once, as its advice may draw from the
+// node's randomness.
+func (s *Seat) Ballot(k Instance, propose func(Instance) Value) sim.Message {
+	b := s.Core.Begin(k, Value{})
+	if !s.CM.Advice() {
+		return nil
 	}
-	return nil
+	b.V = propose(k)
+	s.ballot.B = b
+	return &s.ballot
 }
 
 // Veto returns a veto if the core needs one in veto phase p, nil otherwise.
@@ -175,7 +180,7 @@ func (r *Replica) Checkpoint() CheckpointState { return r.ckpt }
 func (r *Replica) Transmit(round sim.Round) sim.Message {
 	k, phase := PhaseOf(round)
 	if phase == PhaseBallot {
-		m := r.seat.Ballot(k, r.cfg.Propose(k))
+		m := r.seat.Ballot(k, r.cfg.Propose)
 		r.broadcast = m != nil
 		return m
 	}

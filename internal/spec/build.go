@@ -97,13 +97,27 @@ func counterProgram(v vi.VNodeID, sched vi.Schedule) vi.Program {
 	}
 }
 
-// pingPayload is virtual node v's pinger's message in virtual round vr:
-// "ping-%02d-%04d", without fmt's boxing.
-func pingPayload(v, vr int) []byte {
-	b := append(make([]byte, 0, 16), "ping-"...)
-	b = appendPadded(b, v, 2)
+// pinger is virtual node v's pinger's program: every fourth virtual round,
+// staggered by v, it broadcasts "ping-%02d-%04d" of v and the virtual
+// round, without fmt's boxing. It builds the payload in a buffer it owns,
+// which vi.ClientProgram's rule allows a program that rewrites it only to
+// broadcast and at most every other virtual round: a ping's bytes are
+// rewritten four virtual rounds on.
+type pinger struct {
+	v   int
+	msg vi.Message
+}
+
+// Step implements vi.ClientProgram.
+func (p *pinger) Step(vr int, _ []vi.Message, _ bool) *vi.Message {
+	if vr%4 != p.v%4 {
+		return nil
+	}
+	b := append(p.msg.Payload[:0], "ping-"...)
+	b = appendPadded(b, p.v, 2)
 	b = append(b, '-')
-	return appendPadded(b, vr, 4)
+	p.msg.Payload = appendPadded(b, vr, 4)
+	return &p.msg
 }
 
 // appendPadded appends the decimal form of n >= 0, zero-padded to width
@@ -296,7 +310,8 @@ func Build(s Spec) (*World, error) {
 
 // attachBootstrap attaches the spec's replicas, bootstrapped and clustered
 // inside each region, then its pingers: one stationary client per region,
-// staggered so neighboring pings don't collide every client slot.
+// staggered so neighboring pings don't collide every client slot, their
+// programs carved from one array.
 func (w *World) attachBootstrap() {
 	for _, loc := range w.Locs {
 		for i := 0; i < w.Spec.Devices.Replicas; i++ {
@@ -306,15 +321,12 @@ func (w *World) attachBootstrap() {
 	if !w.Spec.Devices.Pingers {
 		return
 	}
+	pingers := make([]pinger, len(w.Locs))
 	for v, loc := range w.Locs {
+		p := &pingers[v]
+		p.v = v
 		w.Eng.Attach(geo.Point{X: loc.X + 1.2, Y: loc.Y - 1}, nil, func(env sim.Env) sim.Node {
-			return w.Dep.NewClient(env, vi.ClientFunc(
-				func(vr int, _ []vi.Message, _ bool) *vi.Message {
-					if vr%4 != v%4 {
-						return nil
-					}
-					return &vi.Message{Payload: pingPayload(v, vr)}
-				}))
+			return w.Dep.NewClient(env, p)
 		})
 	}
 }

@@ -15,7 +15,17 @@ import (
 type ClientProgram interface {
 	// Step is called once per virtual round with the previous virtual
 	// round's reception; it returns the message to broadcast in this
-	// virtual round's client phase, or nil to listen.
+	// virtual round's client phase, or nil to listen. recv's payloads are
+	// views of their senders' bytes, valid during the call.
+	//
+	// A returned payload goes on the air as it is, not copied: receivers
+	// hold views of it until their own Step of the next virtual round, which
+	// may run at the same time as this program's, and the client keeps it
+	// as its last broadcast, which its snapshot records. So a program may
+	// build its payloads in a buffer it owns only if it rewrites the buffer
+	// just to broadcast it, at most every other virtual round: a pinger of
+	// every fourth virtual round may, a program that rewrites its buffer
+	// every virtual round may not.
 	Step(vround int, recv []Message, collision bool) *Message
 }
 
@@ -44,10 +54,13 @@ type Client struct {
 	d    *Deployment
 	prog ClientProgram
 
-	sentPayload []byte
-	sentThis    bool
-	recv        []Message
-	collision   bool
+	// sent is the client's broadcast, on the air as a pointer to it
+	// (valid for its round, like any message) and kept to recognise its
+	// loopback copy.
+	sent      ClientMsg
+	sentThis  bool
+	recv      []Message
+	collision bool
 }
 
 var _ sim.Node = (*Client)(nil)
@@ -86,8 +99,8 @@ func (c *Client) Transmit(r sim.Round) sim.Message {
 	if out == nil {
 		return nil
 	}
-	c.sentPayload = out.Payload
-	return ClientMsg{Payload: out.Payload}
+	c.sent.Payload = out.Payload
+	return &c.sent
 }
 
 // Receive implements sim.Node.
@@ -97,13 +110,13 @@ func (c *Client) Receive(r sim.Round, rx sim.Reception) {
 	case PhaseClient:
 		skippedOwn := false
 		for _, m := range rx.Msgs {
-			msg, ok := m.(ClientMsg)
+			msg, ok := m.(*ClientMsg)
 			if !ok {
 				continue
 			}
 			// The loopback copy of the client's own broadcast is not a
 			// reception.
-			if c.sentThis && !skippedOwn && bytes.Equal(msg.Payload, c.sentPayload) {
+			if c.sentThis && !skippedOwn && bytes.Equal(msg.Payload, c.sent.Payload) {
 				skippedOwn = true
 				continue
 			}

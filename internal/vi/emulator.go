@@ -17,13 +17,15 @@ import (
 // locations, the radio parameters, the broadcast schedule derived from
 // them with the timetable of a virtual round, and the per-virtual-node
 // programs and initial states. It is shared by every emulator and client.
-// While rounds run, a virtual node's replicas publish the steps they share
-// in it, each through its node's atomic pointer (see step); nothing
-// else changes then. What changes otherwise is the storage nodes are carved
-// from — the arrays Reserve lays out for the bootstrapped replicas (their
-// emulators, agreement cores and contention managers) and the chunks
-// NewClient carves clients from — and only where a node is built, inside
-// the engine's Attach on the goroutine that builds the world.
+// While rounds run, a virtual node's replicas publish what they share in
+// it — the last step of its state, and its broadcast — in its memo, which
+// the node's first publish allocates and later ones rewrite in place (see
+// memo, step and outgoing); nothing else changes then. What changes
+// otherwise is the storage nodes are carved from — the arrays Reserve lays
+// out for the bootstrapped replicas (their emulators, agreement cores and
+// contention managers) and the chunks NewClient carves clients from — and
+// only where a node is built, inside the engine's Attach on the goroutine
+// that builds the world.
 type Deployment struct {
 	locs     []geo.Point
 	regionIx *geo.CellIndex // cell size R1/4: RegionOf is a 3x3-cell probe
@@ -36,10 +38,10 @@ type Deployment struct {
 	leaders  []sim.NodeID // the fixed regime's leader table, or nil
 
 	// duties is the timetable of a virtual round, one row of offsets per
-	// kind of emulator (see buildTimetable); steps holds, per virtual node,
-	// the last step one of its replicas published (see step).
+	// kind of emulator (see buildTimetable); memos holds, per virtual node,
+	// what its replicas share (see memo), nil until they first publish.
 	duties []int32
-	steps  []atomic.Pointer[sharedStep]
+	memos  []atomic.Pointer[vnodeMemo]
 
 	// The unused tails of the arrays Reserve laid out; see NewEmulator.
 	emulators slab[Emulator]
@@ -124,7 +126,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		inits:    make([][]byte, len(cfg.Locations)),
 		vmax:     cfg.VMax,
 		leaders:  cfg.Leaders,
-		steps:    make([]atomic.Pointer[sharedStep], len(cfg.Locations)),
+		memos:    make([]atomic.Pointer[vnodeMemo], len(cfg.Locations)),
 	}
 	d.regionIx = geo.BuildCellIndex(d.locs, d.RegionRadius())
 	d.schedule = BuildSchedule(d.locs, d.radii)
@@ -171,9 +173,6 @@ func (d *Deployment) newCM(v VNodeID, env sim.Env, bootstrap bool) cm.Manager {
 	}
 	return d.regional.take(bootstrap).Init(d.locs[v], d.LeaderMargin(), env, !bootstrap)
 }
-
-// program returns virtual node v's automaton.
-func (d *Deployment) program(v VNodeID) Program { return d.programs[v] }
 
 // RegionRadius returns the replication region radius around each virtual
 // node location: R1/4 (Section 4).
@@ -236,7 +235,13 @@ type EmulatorHooks struct {
 //
 // Six of the phases are the two CHAP instances, scheduled and unscheduled,
 // one case in Transmit and in Receive: a replica seated in the phase's
-// instance hands the round to its cha.Seat.
+// instance hands the round to its cha.Seat, which has the replica encode
+// its proposal (propose) only when the contention manager advises its
+// ballot. What is a function of its virtual node's state alone — the
+// state each history position steps to, and the vn phase's broadcast — a
+// replica takes from a sibling that worked it out in the node's memo of the
+// deployment (Deployment.step, Deployment.outgoing), so a virtual round
+// allocates per virtual node, not per replica.
 //
 // A virtual node owns one slot of the schedule (Section 4.1) and uses one
 // slot of the stretched ballot phase, so of the s+12 radio rounds of a
@@ -430,8 +435,9 @@ func samePoint(a, b geo.Point) bool {
 }
 
 // noCache turns every emulator cache off: the deployment's step works each
-// position out afresh, never taking a sibling's published step; the state
-// cache refolds from the floor on every call; and clock, the emulator's
+// position out afresh, never taking a sibling's published step, and every
+// replica asks its program for the broadcast itself; the state cache
+// refolds from the floor on every call; and clock, the emulator's
 // place in the timetable and checkRegion work their answers out afresh on
 // every call, which is how the emulator behaved before it cached them. Only
 // tests set it (export_test.go): it is the oracle the caches are held to,
@@ -472,7 +478,7 @@ func (e *Emulator) Transmit(r sim.Round) sim.Message {
 		e.startVRound()
 		return nil
 	case PhaseVN:
-		return e.transmitVN(vr)
+		return e.transmitVN(r, vr)
 	case PhaseSchedBallot, PhaseSchedVeto1, PhaseSchedVeto2,
 		PhaseUnschedBallot, PhaseUnschedVeto1, PhaseUnschedVeto2:
 		p, sched := phase.instance()
@@ -481,7 +487,7 @@ func (e *Emulator) Transmit(r sim.Round) sim.Message {
 			return nil
 		case p == cha.PhaseBallot:
 			e.began = true
-			m := e.seat.Ballot(cha.Instance(vr), e.input.Encode())
+			m := e.seat.Ballot(cha.Instance(vr), e.propose)
 			e.broadcast = m != nil
 			return m
 		default:
@@ -546,15 +552,22 @@ func (e *Emulator) startVRound() {
 	e.gotAck = false
 }
 
-// transmitVN implements the vn phase broadcast rule of Section 4.3: if the
-// virtual node is unscheduled but chooses to broadcast, every replica
-// broadcasts; if it is scheduled, only contention-manager-advised replicas
-// do.
-func (e *Emulator) transmitVN(vr int) sim.Message {
+// propose is the replica's proposal for the virtual round's instance: what it
+// gathered in the message sub-protocol. The seat asks for it only when the
+// contention manager advises a ballot, so only a broadcast proposal is
+// encoded.
+func (e *Emulator) propose(cha.Instance) cha.Value { return e.input.Encode() }
+
+// transmitVN implements the vn phase broadcast rule of Section 4.3, in radio
+// round r: if the virtual node is unscheduled but chooses to broadcast,
+// every replica broadcasts; if it is scheduled, only contention-manager-
+// advised replicas do. What the node broadcasts is asked of its program
+// once between its replicas (Deployment.outgoing).
+func (e *Emulator) transmitVN(r sim.Round, vr int) sim.Message {
 	if e.vn == None || !e.joined {
 		return nil
 	}
-	out := e.d.program(e.vn).Outgoing(e.estimate(vr), vr)
+	out := e.d.outgoing(e.vn, e.estimate(r, vr), vr, r)
 	if out == nil {
 		return nil
 	}
@@ -574,13 +587,14 @@ func (e *Emulator) transmitVN(vr int) sim.Message {
 	return nil
 }
 
-// estimate returns the virtual node's state entering virtual round vr: the
-// state after the core's history estimate through instance vr-1. In the
-// steady state the last instance went green and was folded, and the answer
-// is the floor's state, read without calculating a history.
-func (e *Emulator) estimate(vr int) []byte {
+// estimate returns the virtual node's state entering virtual round vr, asked
+// in radio round r (see stateAt): the state after the core's history
+// estimate through instance vr-1. In the steady state the last instance went
+// green and was folded, and the answer is the floor's state, read without
+// calculating a history.
+func (e *Emulator) estimate(r sim.Round, vr int) []byte {
 	if upTo := cha.Instance(vr) - 1; upTo > e.cache.floor {
-		return e.d.stateAt(e.vn, &e.cache, e.seat.Core.HistoryView(), upTo)
+		return e.d.stateAt(e.vn, &e.cache, e.seat.Core.HistoryView(), upTo, r)
 	}
 	return e.cache.floorState
 }
@@ -601,7 +615,7 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 	case PhaseClient:
 		if e.vn != None {
 			for _, m := range rx.Msgs {
-				if msg, ok := m.(ClientMsg); ok {
+				if msg, ok := m.(*ClientMsg); ok {
 					e.input.Msgs = append(e.input.Msgs, msg.Payload)
 				}
 			}
@@ -637,7 +651,7 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 		fb, out := e.seat.Receive(p, rx, e.broadcast)
 		switch {
 		case p == cha.PhaseVeto2:
-			e.closeInstance(out)
+			e.closeInstance(r, out)
 		case p == cha.PhaseBallot && e.hooks != nil && e.hooks.OnBallot != nil:
 			e.hooks.OnBallot(e.vn, fb)
 		}
@@ -746,24 +760,24 @@ func buildTimetable(t Timing) []int32 {
 	return duties
 }
 
-// closeInstance takes the seat's output at the final veto phase, folds a
-// green one into the replica's checkpoint (bounding local state and
-// join-ack size, Section 3.5), and fires the hook.
-func (e *Emulator) closeInstance(out cha.Output) {
+// closeInstance takes the seat's output at the final veto phase of radio
+// round r, folds a green one into the replica's checkpoint (bounding local
+// state and join-ack size, Section 3.5), and fires the hook.
+func (e *Emulator) closeInstance(r sim.Round, out cha.Output) {
 	if out.Color == cha.Green {
-		e.fold(out)
+		e.fold(r, out)
 	}
 	if e.hooks != nil && e.hooks.OnOutput != nil {
 		e.hooks.OnOutput(e.vn, out)
 	}
 }
 
-// fold advances the checkpoint to a green instance: the state through it
-// — worked out like the estimate, from where this virtual round's estimate
-// left off when the green history agrees with it that far — becomes the
-// floor's, and the agreement layer is garbage-collected.
-func (e *Emulator) fold(out cha.Output) {
-	e.cache.resetAt(out.Instance, e.d.stateAt(e.vn, &e.cache, out.History, out.Instance))
+// fold advances the checkpoint to a green instance in radio round r: the
+// state through it — worked out like the estimate, from where this virtual
+// round's estimate left off when the green history agrees with it that far
+// — becomes the floor's, and the agreement layer is garbage-collected.
+func (e *Emulator) fold(r sim.Round, out cha.Output) {
+	e.cache.resetAt(out.Instance, e.d.stateAt(e.vn, &e.cache, out.History, out.Instance, r))
 	e.seat.Core.GC(out.Instance)
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // SetNoCache turns every emulator cache off (true) — the shared step, the
-// estimate's reuse, the clock, the place in the timetable and the region
-// lookup, each worked out afresh on every call — or back on (false): the
-// oracle the caches are held to. It is a package variable, so tests that use
+// shared broadcast, the estimate's reuse, the clock, the place in the
+// timetable and the region lookup, each worked out afresh on every call — or
+// back on (false): the oracle the caches are held to. It is a package variable, so tests that use
 // it must not run in parallel.
 func SetNoCache(off bool) { noCache = off }
 
@@ -35,6 +35,25 @@ type countingProgram struct {
 func (c countingProgram) OnRound(state []byte, vround int, in RoundInput) []byte {
 	c.n.Add(1)
 	return c.Program.OnRound(state, vround, in)
+}
+
+// CountOutgoing is CountOnRound for Outgoing calls.
+func CountOutgoing(d *Deployment) []atomic.Int64 {
+	counts := make([]atomic.Int64, len(d.programs))
+	for v, p := range d.programs {
+		d.programs[v] = countingOutgoing{Program: p, n: &counts[v]}
+	}
+	return counts
+}
+
+type countingOutgoing struct {
+	Program
+	n *atomic.Int64
+}
+
+func (c countingOutgoing) Outgoing(state []byte, vround int) *Message {
+	c.n.Add(1)
+	return c.Program.Outgoing(state, vround)
 }
 
 // MonitorRuns returns the number of green runs the monitor holds for
@@ -66,10 +85,11 @@ func (e *Emulator) Manager() cm.Manager { return e.seat.CM }
 
 // StateBefore returns the emulator's estimate of its virtual node's state
 // entering virtual round vr (1-based). It is only meaningful while joined.
-// The returned slice is owned by the emulator's state cache; callers must
-// not mutate it.
+// It is a look between rounds, so it publishes nothing to the replica's
+// siblings. The returned slice is owned by the emulator's state cache;
+// callers must not mutate it.
 func (e *Emulator) StateBefore(vr int) []byte {
-	return e.estimate(vr)
+	return e.estimate(-1, vr)
 }
 
 // Validate checks completeness and non-conflict against the locations.

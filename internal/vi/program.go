@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"vinfra/internal/cha"
 	"vinfra/internal/geo"
+	"vinfra/internal/sim"
 	"vinfra/internal/wire"
 )
 
@@ -39,6 +41,10 @@ type Program interface {
 	OnRound(state []byte, vround int, in RoundInput) []byte
 	// Outgoing returns the message the virtual node broadcasts in virtual
 	// round vround, given the state entering that round, or nil to listen.
+	// The deployment asks once per virtual node and virtual round and hands
+	// the answer to every replica (Deployment.outgoing): the returned
+	// *Message, payload included, is shared by the node's replicas and
+	// must never be mutated.
 	Outgoing(state []byte, vround int) *Message
 }
 
@@ -94,16 +100,19 @@ func highest(h *cha.History, k, floor cha.Instance) cha.Instance {
 // transmitVN's estimate and a green instance's fold both start here. When
 // the cache's key holds for h it resumes from the cache's state and takes
 // only the positions after it, otherwise it starts from the floor's; every
-// position goes through the deployment's step. The returned state is the
-// cache's, shared, never to be mutated.
-func (d *Deployment) stateAt(v VNodeID, sc *stateCache, h *cha.History, upTo cha.Instance) []byte {
+// position goes through the deployment's step. The call is made in radio
+// round r, in which the last position it steps — the one its siblings ask
+// for next — may be published; a negative r, a look between rounds,
+// publishes nothing. The returned state is the cache's, shared, never to be
+// mutated.
+func (d *Deployment) stateAt(v VNodeID, sc *stateCache, h *cha.History, upTo cha.Instance, r sim.Round) []byte {
 	top := highest(h, upTo, sc.floor)
 	k, state := sc.floor, sc.floorState
 	if sc.upTo <= upTo && highest(h, min(top, sc.upTo), sc.floor) == sc.top && !noCache {
 		k, state = sc.upTo, sc.state
 	}
 	for k++; k <= upTo; k++ {
-		state = d.step(v, sc, state, h, k)
+		state = d.step(v, sc, state, h, k, r, k == upTo && r >= 0)
 	}
 	sc.state, sc.upTo, sc.top = state, upTo, top
 	return state
@@ -111,7 +120,7 @@ func (d *Deployment) stateAt(v VNodeID, sc *stateCache, h *cha.History, upTo cha
 
 // sharedStep is a step one replica of a virtual node published for its
 // siblings: position k of a history — value, or ⊥ when !ok — applied to
-// from gives state. It is never changed once published.
+// from gives state.
 type sharedStep struct {
 	k     cha.Instance
 	from  []byte
@@ -120,28 +129,82 @@ type sharedStep struct {
 	state []byte
 }
 
+// sharedOut is the broadcast one replica of a virtual node worked out for
+// its siblings: Program.Outgoing(state, vr) is msg.
+type sharedOut struct {
+	vr    int
+	state []byte
+	msg   *Message
+}
+
+// memo is what a virtual node's replicas share of one computation: the
+// record last published, which a replica matches its own arguments against,
+// and a spare. A writer fills the spare and publishes it, and at most one
+// writer a radio round claims the memo, so a record is rewritten no earlier
+// than two radio rounds after it was written, and never in a round in which
+// it was still the published one. The engine joins its workers between
+// radio rounds: no reader still holds a record when it is rewritten.
+// Readers and the writer meet only through cur's atomics.
+type memo[T any] struct {
+	recs  [2]T
+	cur   atomic.Uint32 // which of recs is published
+	claim atomic.Int64  // 1 + the radio round of the last write; 0 none
+}
+
+// load returns the published record: the zero T before the first publish.
+func (m *memo[T]) load() *T { return &m.recs[m.cur.Load()] }
+
+// publish makes rec the published record in radio round r, unless another
+// writer has claimed the memo in r.
+func (m *memo[T]) publish(r sim.Round, rec T) {
+	c := m.claim.Load()
+	if c == int64(r)+1 || !m.claim.CompareAndSwap(c, int64(r)+1) {
+		return
+	}
+	i := 1 - m.cur.Load()
+	m.recs[i] = rec
+	m.cur.Store(i)
+}
+
+// vnodeMemo is what a virtual node's replicas share: the last step one of
+// them published, and the broadcast.
+type vnodeMemo struct {
+	step memo[sharedStep]
+	out  memo[sharedOut]
+}
+
+// memo returns virtual node v's memo, which its first publish allocates: a
+// deployment made for a million virtual nodes costs one pointer each until
+// they step. Replicas that allocate together keep the first one stored.
+func (d *Deployment) memo(v VNodeID) *vnodeMemo {
+	if m := d.memos[v].Load(); m != nil {
+		return m
+	}
+	d.memos[v].CompareAndSwap(nil, new(vnodeMemo))
+	return d.memos[v].Load()
+}
+
 // step is the one way a virtual node's state takes a history position: it
 // returns the state virtual node v reaches from state from by applying
 // position k of h — an included position delivers its agreed value as the
 // round's input, a ⊥ position a collision indication (Section 3.3). A
-// replica whose position, start state and value match the last step a
-// replica of v published takes that step's state; any other applies the
-// position itself, decoding into sc's scratch, and publishes its step in
-// the node's slot. Programs are deterministic, so both are the same bytes,
-// and a virtual node's replicas step each position once between them, not
-// once each, whether they estimate it or fold it. The start state matches
-// by content (bytes.Equal, which answers at once for the same slice — the
-// steady case, where it is the state the last step published), so replicas
-// restored from a checkpoint, or given their state by a join-ack, share
-// too. Replicas on the parallel engine's workers meet only through the
-// slot's atomic pointer; two that miss together both apply and both
-// publish.
-func (d *Deployment) step(v VNodeID, sc *stateCache, from []byte, h *cha.History, k cha.Instance) []byte {
+// replica whose position, start state and value match the step a replica of
+// v last published takes that step's state; any other applies the position
+// itself, decoding into sc's scratch, and, when publish is set, publishes
+// its step in radio round r. Programs are deterministic, so both are the
+// same bytes, and a virtual node's replicas step each position once between
+// them, not once each, whether they estimate it or fold it. The start state
+// matches by content (bytes.Equal, which answers at once for the same slice
+// — the steady case, where it is the state the last step published), so
+// replicas restored from a checkpoint, or given their state by a join-ack,
+// share too. Replicas on the parallel engine's workers meet only through
+// the memo; two that miss together both apply, and one of them publishes.
+func (d *Deployment) step(v VNodeID, sc *stateCache, from []byte, h *cha.History, k cha.Instance, r sim.Round, publish bool) []byte {
 	val, ok := h.At(k)
-	slot := &d.steps[v]
-	if s := slot.Load(); s != nil && s.k == k && s.ok == ok && s.value.Equal(val) &&
-		bytes.Equal(s.from, from) && !noCache {
-		return s.state
+	if m := d.memos[v].Load(); m != nil && !noCache {
+		if s := m.step.load(); s.k == k && s.ok == ok && s.value.Equal(val) && bytes.Equal(s.from, from) {
+			return s.state
+		}
 	}
 	var state []byte
 	if in := (RoundInput{Msgs: sc.msgs}); ok && in.decode(val) == nil {
@@ -153,8 +216,26 @@ func (d *Deployment) step(v VNodeID, sc *stateCache, from []byte, h *cha.History
 		// protocol itself; it is a collision too, to stay deterministic.
 		state = d.programs[v].OnRound(from, int(k), RoundInput{Collision: true})
 	}
-	slot.Store(&sharedStep{k: k, from: from, value: val, ok: ok, state: state})
+	if publish {
+		d.memo(v).step.publish(r, sharedStep{k: k, from: from, value: val, ok: ok, state: state})
+	}
 	return state
+}
+
+// outgoing returns Program.Outgoing(state, vr) for virtual node v, asked in
+// radio round r: a replica whose virtual round and state, by content, match
+// the broadcast a replica of v last published takes its message, and any
+// other asks the program and publishes the answer. A virtual node's
+// replicas ask their program once a virtual round between them.
+func (d *Deployment) outgoing(v VNodeID, state []byte, vr int, r sim.Round) *Message {
+	if m := d.memos[v].Load(); m != nil && !noCache {
+		if o := m.out.load(); o.vr == vr && bytes.Equal(o.state, state) {
+			return o.msg
+		}
+	}
+	msg := d.programs[v].Outgoing(state, vr)
+	d.memo(v).out.publish(r, sharedOut{vr: vr, state: state, msg: msg})
+	return msg
 }
 
 // Codec adapts a typed state S to the Program byte-string interface using

@@ -8,6 +8,7 @@ import (
 
 	"vinfra/internal/cha"
 	"vinfra/internal/geo"
+	"vinfra/internal/sim"
 	"vinfra/internal/wire"
 )
 
@@ -38,19 +39,21 @@ func (appendProgram) Outgoing(state []byte, vround int) *Message {
 // testReplica is a virtual node 0 replica's state cache beside the core
 // whose histories it folds, on a deployment running a counting
 // appendProgram. The core is driven by hand, so every history the cache
-// sees is one a core produces.
+// sees is one a core produces. Each stateAt call is made in a radio round
+// of its own, so each may publish its last step.
 type testReplica struct {
 	d     *Deployment
 	core  *cha.Core
 	sc    stateCache
 	calls atomic.Int64 // OnRound calls
+	round sim.Round    // the radio round of the last call
 }
 
 func newTestReplica() *testReplica {
 	r := &testReplica{core: cha.NewCore()}
 	r.d = &Deployment{
 		programs: []Program{countingProgram{Program: appendProgram{}, n: &r.calls}},
-		steps:    make([]atomic.Pointer[sharedStep], 1),
+		memos:    make([]atomic.Pointer[vnodeMemo], 1),
 	}
 	r.sc.resetAt(0, appendProgram{}.Init(0, geo.Point{}))
 	return r
@@ -78,7 +81,8 @@ func (r *testReplica) lose(k cha.Instance) {
 // OnRound calls it took.
 func (r *testReplica) stateAt(upTo cha.Instance) (string, int64) {
 	n := r.calls.Load()
-	state := string(r.d.stateAt(0, &r.sc, r.core.HistoryView(), upTo))
+	r.round++
+	state := string(r.d.stateAt(0, &r.sc, r.core.HistoryView(), upTo, r.round))
 	return state, r.calls.Load() - n
 }
 
@@ -163,7 +167,7 @@ func TestEstimateAtFloorCalculatesNoHistory(t *testing.T) {
 	e := &Emulator{d: newTestReplica().d}
 	e.cache.resetAt(7, []byte("folded"))
 	for _, vr := range []int{4, 8} {
-		if got := string(e.estimate(vr)); got != "folded" {
+		if got := string(e.estimate(-1, vr)); got != "folded" {
 			t.Errorf("estimate entering virtual round %d = %q, want the floor's", vr, got)
 		}
 	}
@@ -191,7 +195,7 @@ func TestStateCacheRepeatedQueriesStable(t *testing.T) {
 func TestStepMalformedValueActsAsCollision(t *testing.T) {
 	r := newTestReplica()
 	r.adopt(1, cha.V("not-a-proposal"), 0)
-	if got := string(r.d.step(0, &r.sc, []byte("s"), r.core.HistoryView(), 1)); got != "s|1:±" {
+	if got := string(r.d.step(0, &r.sc, []byte("s"), r.core.HistoryView(), 1, 1, true)); got != "s|1:±" {
 		t.Errorf("malformed value state = %q, want collision semantics", got)
 	}
 }

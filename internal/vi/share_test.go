@@ -6,8 +6,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"vinfra/internal/cd"
 	"vinfra/internal/checkpoint"
 	"vinfra/internal/experiments"
+	"vinfra/internal/geo"
 	"vinfra/internal/harness"
 	"vinfra/internal/spec"
 	"vinfra/internal/vi"
@@ -90,8 +92,17 @@ func jamCell(t *testing.T, n int, intensity string, vrounds int) experiments.Soa
 // workers, both more than the two grains (512 nodes) the engine needs
 // before it hands a chunk to a helper goroutine: the metro document (1 125
 // nodes) and one virtual node with 600 replicas, which step every instance
-// on both goroutines at once — the world in which -race reports a slot read
-// and written without its atomic pointer.
+// on both goroutines at once — the world in which -race reports a memo
+// record written by two replicas in one radio round.
+//
+// Under cd.AC a region's replicas agree on which instances are good, so no
+// world above ever makes the estimate's exact check fail. The ◇AC bed does:
+// a 3x3 testbed, fixed leaders and a pinger a region over counterProgram,
+// whose detector is never accurate and reports a false collision at one
+// reception in a hundred (cd.EventuallyAC), so a region's replicas disagree
+// on which instances they included, and a history's chain bypasses a
+// position a replica estimated. Its digest is of the engine's snapshot,
+// every node's state.
 func TestSharedFoldMatchesUnshared(t *testing.T) {
 	defer vi.SetNoCache(false)
 	doc, err := os.ReadFile("../../examples/regional.json")
@@ -102,18 +113,39 @@ func TestSharedFoldMatchesUnshared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world := func(s spec.Spec) func() (stepper, func()) {
-		return func() (stepper, func()) {
-			w := mustBuild(t, s)
-			return w, w.Eng.Close
-		}
-	}
+	// A bed's make returns a func that steps it a virtual round and returns
+	// its digest, and one that closes it.
 	type bed struct {
 		name    string
 		vrounds int
-		make    func() (stepper, func())
+		make    func() (func() uint64, func())
+	}
+	// digests steps s and digests its checkpoint.
+	digests := func(s stepper) func() uint64 {
+		return func() uint64 {
+			s.StepVRound()
+			return uint64(wire.DigestOf(s.Checkpoint().Encode()))
+		}
+	}
+	world := func(s spec.Spec) func() (func() uint64, func()) {
+		return func() (func() uint64, func()) {
+			w := mustBuild(t, s)
+			return digests(w), w.Eng.Close
+		}
 	}
 	beds := []bed{
+		{"eventually_ac", 60, func() (func() uint64, func()) {
+			locs := geo.Grid{Spacing: 6, Cols: 3, Rows: 3}.Locations()
+			tb := newTestbed(t, testbedOpts{locs: locs, replicasPer: 3, leaders: true,
+				detector: cd.EventuallyAC{Racc: cd.Never, FalsePositiveRate: 0.01}})
+			for v, loc := range locs {
+				tb.addClient(geo.Point{X: loc.X + 1.2, Y: loc.Y - 1}, &benchPinger{v: v})
+			}
+			return func() uint64 {
+				tb.runVRounds(1)
+				return uint64(wire.DigestOf(tb.eng.Snapshot().AppendTo(nil)))
+			}, tb.eng.Close
+		}},
 		{"metro", 40, world(metroDoc(spec.Engine{}))},
 		{"metro/2 workers", 40, world(metroDoc(spec.Engine{Parallel: true, Workers: 2}))},
 		{"one region/2 workers", 12, world(spec.Spec{
@@ -126,10 +158,10 @@ func TestSharedFoldMatchesUnshared(t *testing.T) {
 		{"regional", 150, world(regional)},
 		{"jammed", 250, world(jamDoc())},
 	}
-	soak := func(so experiments.Soak) (stepper, func()) { return so, soakWorld(so).Eng.Close }
+	soak := func(so experiments.Soak) (func() uint64, func()) { return digests(so), soakWorld(so).Eng.Close }
 	for _, n := range []int{3, 5} {
 		for _, in := range []string{"low", "high"} {
-			beds = append(beds, bed{fmt.Sprintf("E13/jam/%s/%dx%d", in, n, n), 16, func() (stepper, func()) {
+			beds = append(beds, bed{fmt.Sprintf("E13/jam/%s/%dx%d", in, n, n), 16, func() (func() uint64, func()) {
 				return soak(jamCell(t, n, in, 16))
 			}})
 		}
@@ -140,7 +172,7 @@ func TestSharedFoldMatchesUnshared(t *testing.T) {
 	}
 	for _, d := range descs {
 		for _, p := range d.Grid(true) {
-			beds = append(beds, bed{d.ID + "/" + p.Label, p.Int("vrounds"), func() (stepper, func()) {
+			beds = append(beds, bed{d.ID + "/" + p.Label, p.Int("vrounds"), func() (func() uint64, func()) {
 				so, err := experiments.NewSoak(d.ID, &harness.Cell{Params: p, Seed: 1}, 0)
 				if err != nil {
 					t.Fatal(err)
@@ -150,19 +182,18 @@ func TestSharedFoldMatchesUnshared(t *testing.T) {
 		}
 	}
 	for _, b := range beds {
-		digests := func(off bool) []uint64 {
+		run := func(off bool) []uint64 {
 			vi.SetNoCache(off)
 			defer vi.SetNoCache(false)
-			s, done := b.make()
+			step, done := b.make()
 			defer done()
 			var ds []uint64
 			for vr := 0; vr < b.vrounds; vr++ {
-				s.StepVRound()
-				ds = append(ds, uint64(wire.DigestOf(s.Checkpoint().Encode())))
+				ds = append(ds, step())
 			}
 			return ds
 		}
-		want, got := digests(true), digests(false)
+		want, got := run(true), run(false)
 		for vr := range want {
 			if got[vr] != want[vr] {
 				t.Fatalf("%s: vround %d: digest %x cached, %x uncached", b.name, vr+1, got[vr], want[vr])
@@ -299,4 +330,56 @@ func TestStepOncePerPosition(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOutgoingOncePerVNode is the counted gate on the shared broadcast: on
+// the metro document a counting program sees exactly one Outgoing call per
+// virtual node and virtual round — 225, not one per replica (675) — also in
+// a world restored from a checkpoint taken mid-run, whose replicas hold
+// floor states of their own, equal in bytes. Uncached (vi.SetNoCache), every
+// replica asks for itself.
+func TestOutgoingOncePerVNode(t *testing.T) {
+	defer vi.SetNoCache(false)
+	const vrounds, cut = 12, 5
+	// step runs w to virtual round to, requiring perVRound Outgoing calls in
+	// each virtual round.
+	step := func(w *spec.World, counts []atomic.Int64, to, perVRound int) {
+		t.Helper()
+		var last int64
+		for w.VRound() < to {
+			w.StepVRound()
+			var calls int64
+			for v := range counts {
+				calls += counts[v].Load()
+			}
+			if n := calls - last; n != int64(perVRound) {
+				t.Fatalf("vround %d: %d Outgoing calls, want %d", w.VRound(), n, perVRound)
+			}
+			last = calls
+		}
+	}
+	counted := func() (*spec.World, []atomic.Int64) {
+		w := mustBuild(t, metroDoc(spec.Engine{}))
+		return w, vi.CountOutgoing(w.Dep)
+	}
+	w, counts := counted()
+	defer w.Eng.Close()
+	vnodes := len(w.Locs)
+	replicas := vnodes * w.Spec.Devices.Replicas
+	step(w, counts, cut, vnodes)
+	cp, err := checkpoint.Decode(w.Checkpoint().Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, restoredCounts := counted()
+	defer restored.Eng.Close()
+	if err := restored.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	step(restored, restoredCounts, vrounds, vnodes)
+
+	vi.SetNoCache(true)
+	uncached, uncachedCounts := counted()
+	defer uncached.Eng.Close()
+	step(uncached, uncachedCounts, 3, replicas)
 }

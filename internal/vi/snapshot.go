@@ -153,7 +153,7 @@ func (e *Emulator) RestoreState(data []byte) error {
 // for the next Step, the own-broadcast loopback guard, and the client
 // program's blob (empty for stateless programs).
 func (c *Client) AppendState(dst []byte) []byte {
-	dst = wire.AppendBytes(dst, c.sentPayload)
+	dst = wire.AppendBytes(dst, c.sent.Payload)
 	dst = wire.AppendBool(dst, c.sentThis)
 	dst = wire.AppendUvarint(dst, uint64(len(c.recv)))
 	for _, m := range c.recv {
@@ -181,7 +181,7 @@ func (c *Client) RestoreState(data []byte) error {
 	if err := restoreBlob(c.prog, progBlob, "client program"); err != nil {
 		return err
 	}
-	c.sentPayload = append([]byte(nil), sentPayload...)
+	c.sent.Payload = append([]byte(nil), sentPayload...)
 	c.sentThis = sentThis
 	c.recv = recv
 	c.collision = collision

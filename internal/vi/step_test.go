@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vinfra/internal/cha"
+	"vinfra/internal/sim"
 )
 
 // TestStepMatchesByContent pins what a published step is shared for: the
@@ -44,13 +45,38 @@ func TestStepMatchesByContent(t *testing.T) {
 		{"another position, the same value", 6, "t", &a, "t|6:[a]", 7},
 		{"that position again", 6, "t", &a, "t|6:[a]", 7},
 	}
-	for _, s := range steps {
+	for i, s := range steps {
 		h := at(s.k, s.v)
-		if got := string(r.d.step(0, &r.sc, []byte(s.from), h, s.k)); got != s.want {
+		if got := string(r.d.step(0, &r.sc, []byte(s.from), h, s.k, sim.Round(i), true)); got != s.want {
 			t.Fatalf("%s: stepped to %q, want %q", s.name, got, s.want)
 		}
 		if n := r.calls.Load(); n != s.calls {
 			t.Fatalf("%s: %d OnRound calls, want %d", s.name, n, s.calls)
 		}
+	}
+}
+
+// TestMemoOneWriterARound pins the memo's claim: of two publishes in one
+// radio round the first stands, and a record is rewritten only by the
+// second publish after it, so the record a reader loaded in one round is
+// intact through the next.
+func TestMemoOneWriterARound(t *testing.T) {
+	var m memo[int]
+	if got := *m.load(); got != 0 {
+		t.Fatalf("before any publish the memo holds %d, want the zero record", got)
+	}
+	m.publish(3, 1)
+	m.publish(3, 2)
+	held := m.load()
+	if *held != 1 {
+		t.Fatalf("after two publishes in round 3 the memo holds %d, want the first, 1", *held)
+	}
+	m.publish(4, 3)
+	if got := *m.load(); got != 3 || *held != 1 {
+		t.Fatalf("after round 4 the memo holds %d and round 3's record %d, want 3 and 1", got, *held)
+	}
+	m.publish(5, 4)
+	if got := m.load(); got != held || *got != 4 {
+		t.Fatalf("round 5 wrote %d into another record than round 3's, want 4 into it", *got)
 	}
 }

@@ -48,7 +48,9 @@ func Text(s string) *Message { return &Message{Payload: []byte(s)} }
 
 // --- Wire messages of the emulation protocol ---
 
-// ClientMsg carries a client's broadcast in the client phase.
+// ClientMsg carries a client's broadcast in the client phase. It travels as
+// a *ClientMsg that points into the sending Client, which rewrites it at its
+// next broadcast: like any message, it is valid for its round.
 type ClientMsg struct {
 	Payload []byte
 }

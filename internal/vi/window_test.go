@@ -1,7 +1,7 @@
 package vi_test
 
 import (
-	"fmt"
+	"strconv"
 	"testing"
 
 	"vinfra/internal/cha"
@@ -50,7 +50,8 @@ func TestLongRunStateIsAWindow(t *testing.T) {
 }
 
 // tallyProgram is a virtual node whose state stays one varint however long
-// it runs: it counts the messages it was delivered and says so when scheduled.
+// it runs: it counts the messages it was delivered and says so when
+// scheduled, without fmt, whose boxing of a count past 255 would allocate.
 func tallyProgram(v vi.VNodeID, sched vi.Schedule) vi.Program {
 	return vi.Codec[int]{
 		InitState: func(vi.VNodeID, geo.Point) int { return 0 },
@@ -59,7 +60,7 @@ func tallyProgram(v vi.VNodeID, sched vi.Schedule) vi.Program {
 			if !sched.ScheduledIn(v, vround-1) {
 				return nil
 			}
-			return vi.Text(fmt.Sprintf("count=%d", n))
+			return &vi.Message{Payload: strconv.AppendInt(append(make([]byte, 0, 16), "count="...), int64(n), 10)}
 		},
 		EncodeState: func(dst []byte, n int) []byte { return wire.AppendUvarint(dst, uint64(n)) },
 		DecodeState: func(d *wire.Decoder) (int, error) { return int(d.Uvarint()), d.Err() },
