@@ -28,10 +28,14 @@
 //     awake list no longer, and Transmit, Receive, the shard partition and
 //     the receiver list every medium is handed are walks of that list —
 //     kept current each round at the cost of what changed (who fell
-//     asleep, whose wake round came), not of the population. A run with
-//     sleepers is byte-identical, round by round, to the same run with
-//     every SleepUntil ignored (snapshots do not record sleep; Restore
-//     wakes everyone).
+//     asleep, whose wake round came), not of the population. A node with
+//     nothing to send, on which an empty reception would change nothing,
+//     listens (Env.ListenUntil): its reception is computed, but the
+//     Transmit and Receive walks pass it by with one compare unless it
+//     holds a message or a collision indication, which wakes the node. A
+//     run with sleepers and listeners is byte-identical, round by round,
+//     to the same run with every SleepUntil and ListenUntil ignored
+//     (snapshots record neither; Restore wakes everyone).
 //   - geo: planar geometry, the quasi-unit-disk radii R1/R2, deployment
 //     grids, and CellIndex — the uniform-grid spatial index that makes
 //     radius queries O(points in nearby cells) instead of O(n): a dense,
@@ -127,13 +131,17 @@
 //     highest position its history includes at or below the cached one, so
 //     a stall costs its new positions, not a refold. Monitor accounts per-virtual-node
 //     availability: green instances, maximal stalls and recovery
-//     latencies through a horizon, so a silenced node counts as
-//     unavailable. Devices sleep through the radio rounds they have no
-//     part in: a Client takes part in two of a virtual round's s+12, an
-//     Emulator in the phases and the one ballot slot of its own virtual
-//     node — seven or eight as a replica, four or one as a joiner — read
-//     off a timetable the deployment lays out with the schedule, one row
-//     per kind of emulator, in which each emulator keeps its place. A
+//     latencies through a horizon, in a table indexed by virtual node, so
+//     a silenced node counts as unavailable. Devices sleep through the
+//     radio rounds they have no part in: a Client takes part in two of a
+//     virtual round's s+12, an Emulator in the phases and the one ballot
+//     slot of its own virtual node — seven or eight as a replica, four or
+//     one as a joiner — read off a timetable the deployment lays out with
+//     the schedule, one row per kind of emulator, in which each emulator
+//     keeps its place. In some of a replica's rounds it only listens —
+//     veto-1 while its core is not red, join, and join-ack and reset while
+//     it has seen no join activity — so one that hears nothing there is
+//     called in four. A
 //     replica runs the scheduled and the unscheduled agreement instance
 //     through one cha.Seat, the six phases one case of its phase switch.
 //     Clients and emulators checkpoint the one way every stateful node

@@ -34,6 +34,15 @@ type Detector interface {
 // for detectors that never become accurate.
 const Never = sim.Round(math.MaxInt)
 
+// Quiet is the property a medium reads to skip its receivers in a round
+// nobody transmits in: from round QuietFrom on, the detector's Report with
+// neither loss is false whatever the adversary forces, and draws nothing
+// from rnd. A detector that implements it must keep it true of Report; one
+// that does not is asked receiver by receiver in every round.
+type Quiet interface {
+	QuietFrom() sim.Round
+}
+
 // AC is a complete and (always) accurate collision detector: it reports ±
 // exactly when a message broadcast within R2 was lost. Since R1 <= R2,
 // losing an R1 message implies losing an R2 message, so AC is complete.
@@ -43,6 +52,9 @@ type AC struct{}
 func (AC) Report(_ sim.Round, lostR1, lostR2, _ bool, _ func() float64) bool {
 	return lostR1 || lostR2
 }
+
+// QuietFrom implements Quiet: AC reports only losses, from the start.
+func (AC) QuietFrom() sim.Round { return 0 }
 
 // EventuallyAC is the class 3A-C detector assumed by the paper: complete in
 // every round, and accurate from round Racc onward. Before Racc it emits a
@@ -70,6 +82,10 @@ func (d EventuallyAC) Report(r sim.Round, lostR1, lostR2, spurious bool, rnd fun
 	return false
 }
 
+// QuietFrom implements Quiet: from Racc on, EventuallyAC reports only
+// losses.
+func (d EventuallyAC) QuietFrom() sim.Round { return d.Racc }
+
 // Complete is complete but never accurate: false positives (forced or
 // randomized) persist forever. It is the 0-accuracy end of the ablation in
 // experiment E8; the paper's liveness proof requires eventual accuracy, so
@@ -96,3 +112,6 @@ type Null struct{}
 func (Null) Report(_ sim.Round, _, _, _ bool, _ func() float64) bool {
 	return false
 }
+
+// QuietFrom implements Quiet: Null reports nothing, from the start.
+func (Null) QuietFrom() sim.Round { return 0 }

@@ -14,11 +14,12 @@ type fakeEnv struct {
 	rng *rand.Rand
 }
 
-func (e *fakeEnv) ID() sim.NodeID       { return e.id }
-func (e *fakeEnv) Location() geo.Point  { return e.loc }
-func (e *fakeEnv) Intn(n int) int       { return e.rng.Intn(n) }
-func (e *fakeEnv) Float64() float64     { return e.rng.Float64() }
-func (e *fakeEnv) SleepUntil(sim.Round) {}
+func (e *fakeEnv) ID() sim.NodeID        { return e.id }
+func (e *fakeEnv) Location() geo.Point   { return e.loc }
+func (e *fakeEnv) Intn(n int) int        { return e.rng.Intn(n) }
+func (e *fakeEnv) Float64() float64      { return e.rng.Float64() }
+func (e *fakeEnv) SleepUntil(sim.Round)  {}
+func (e *fakeEnv) ListenUntil(sim.Round) {}
 
 func newEnv(id int, seed int64) *fakeEnv {
 	return &fakeEnv{id: sim.NodeID(id), rng: rand.New(rand.NewSource(seed))}

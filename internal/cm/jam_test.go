@@ -19,10 +19,11 @@ type probeEnv struct {
 	intnRet  int
 }
 
-func (e *probeEnv) ID() sim.NodeID       { return e.id }
-func (e *probeEnv) Location() geo.Point  { return e.loc }
-func (e *probeEnv) Float64() float64     { return 0 }
-func (e *probeEnv) SleepUntil(sim.Round) {}
+func (e *probeEnv) ID() sim.NodeID        { return e.id }
+func (e *probeEnv) Location() geo.Point   { return e.loc }
+func (e *probeEnv) Float64() float64      { return 0 }
+func (e *probeEnv) SleepUntil(sim.Round)  {}
+func (e *probeEnv) ListenUntil(sim.Round) {}
 func (e *probeEnv) Intn(n int) int {
 	e.intnArgs = append(e.intnArgs, n)
 	return e.intnRet

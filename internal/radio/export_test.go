@@ -5,8 +5,9 @@ import "vinfra/internal/sim"
 // The delivery paths an external test can pin a medium to. Nothing outside
 // this package's tests can: a production medium chooses per round.
 const (
-	PathScan = pathScan
-	PathGrid = pathGrid
+	PathScan      = pathScan
+	PathGrid      = pathGrid
+	PathReceivers = pathReceivers
 )
 
 // Forced is MustMedium with the delivery path pinned.

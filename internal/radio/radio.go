@@ -20,7 +20,9 @@
 // transmissions originating in it before its neighbours', so the nearest
 // come first and the decision point arrives after a few candidates. A
 // silent round — no transmissions — skips the candidates altogether: every
-// reception is the detector's verdict on no loss. A Medium delivers on the
+// reception is the detector's verdict on no loss, and once the detector is
+// quiet (cd.Quiet) that verdict is no for every receiver, so the round
+// clears the receptions in one pass. A Medium delivers on the
 // calling goroutine; the unit of parallel delivery is the region shard
 // (sim.WithRegionShards), each with a Medium of its own. All randomness is
 // derived per (round, receiver), so every arrangement — scan or grid, one
@@ -80,7 +82,9 @@ type Adversary interface {
 	// regions rather than node identities.
 	Filter(r sim.Round, receiver sim.NodeID, at geo.Point, deliverable []sim.Transmission) []sim.Transmission
 	// ForceCollision reports whether to request a spurious collision
-	// indication at the receiver (located at) in round r.
+	// indication at the receiver (located at) in round r. Like Filter it
+	// must be pure: the medium does not ask it when the answer cannot
+	// matter — in a silent round under a quiet detector (cd.Quiet).
 	ForceCollision(r sim.Round, receiver sim.NodeID, at geo.Point) bool
 }
 
@@ -97,6 +101,10 @@ const (
 	pathAuto path = iota
 	pathScan
 	pathGrid
+	// pathReceivers concludes a silent round receiver by receiver even
+	// under a quiet detector — the reference the one-pass silent round is
+	// held to — and scans every other round.
+	pathReceivers
 )
 
 // autoIndexMinTxs is the transmission count below which Deliver scans:
@@ -155,6 +163,10 @@ type Medium struct {
 	// force pins the delivery path; only export_test.go sets it.
 	force path
 
+	// quiet is the round from which the detector reports nothing in a
+	// silent round (cd.Quiet), cd.Never when it does not say.
+	quiet sim.Round
+
 	// Per-round reusable state, rebuilt in place every round: the reception
 	// slice handed back to the engine, the arena its Msgs windows share (the
 	// round's messages, one per transmission), the stamped transmission grid,
@@ -202,7 +214,10 @@ func NewMedium(cfg Config) (*Medium, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	m := &Medium{cfg: cfg, deliverable: make([]sim.Transmission, 0, 1)}
+	m := &Medium{cfg: cfg, quiet: cd.Never, deliverable: make([]sim.Transmission, 0, 1)}
+	if q, ok := cfg.Detector.(cd.Quiet); ok {
+		m.quiet = q.QuietFrom()
+	}
 	m.grid.inv = 1 / cfg.Radii.R2
 	m.rnd = func() float64 {
 		if !m.keyed {
@@ -257,7 +272,13 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 	if len(txs) == 0 {
 		// A silent round: nobody transmits, so nothing is heard or lost and
 		// a reception is only the detector's verdict on whatever the
-		// adversary forces — no sender walk, no grid, no candidates.
+		// adversary forces — no sender walk, no grid, no candidates. A quiet
+		// detector's verdict is no whatever is forced, and the adversary is
+		// pure, so its receptions are all empty without asking either.
+		if r >= m.quiet && m.force != pathReceivers {
+			clear(out)
+			return out
+		}
 		for i := range rxs {
 			rx := &rxs[i]
 			if !rx.Alive {

@@ -39,7 +39,9 @@ import (
 // still moves, and it still counts as alive — but leaves the awake list,
 // which is what Transmit, Receive, the shard partition and every medium's
 // receiver list walk: a round costs a sleeper its mobility step and nothing
-// else.
+// else. A listening node (Env.ListenUntil) stays on the awake list, so its
+// reception is computed, but the Transmit and Receive loops pass it by with
+// one compare unless what it hears is not empty.
 type Engine struct {
 	seed     int64
 	parallel bool
@@ -86,12 +88,16 @@ type Engine struct {
 	on  []uint64
 	sum []uint64
 	// asleep counts the alive nodes whose bit is clear. Each sits in the wake
-	// file of the round its radio comes back on: wakes maps that round to the
-	// file's first node and next, indexed by NodeID and grown when somebody
-	// first sleeps, chains the rest (-1 ends a file), so filing a node or
-	// popping a round's file copies nothing.
+	// file of the round its radio comes back on: wakes is a ring of the
+	// files' first nodes, the file due in round d at d mod len(wakes) (-1
+	// none), and next, indexed by NodeID and grown when somebody first
+	// sleeps, chains the rest (-1 ends a file), so filing a node or popping a
+	// round's file copies nothing and hashes nothing. The ring holds a power
+	// of two of rounds, as many as the farthest wake round asked for, up to
+	// maxWakeRing; a node that sleeps farther is filed in the ring's last
+	// round and filed again when that comes.
 	asleep int
-	wakes  map[Round]int32
+	wakes  []int32
 	next   []int32
 	// slept says some awake node declared SleepUntil since the last rouse
 	// (SleepUntil runs on worker goroutines, hence the atomic); relist, that
@@ -135,8 +141,14 @@ type Engine struct {
 	relists    int
 	handoffs   int
 	// packed counts the node-steps the packed kernel took. moveChunk runs
-	// on helper goroutines, so each chunk adds its count once, atomically.
+	// on helper goroutines, so each chunk adds its count once, atomically;
+	// so do the Transmit and Receive chunks, which count the listeners they
+	// passed by (muted) and those a reception woke. heard counts the
+	// receptions computed, one per awake node a round.
 	packed atomic.Int64
+	muted  atomic.Int64
+	woken  atomic.Int64
+	heard  int
 
 	// plane propagates each round's transmissions: NewEngine's medium as
 	// its one shard, or the WithRegionShards grid of per-shard mediums with
@@ -206,17 +218,29 @@ type Stats struct {
 }
 
 // nodeState is what the engine keeps per node besides its NodeInfo entry
-// and its legSlot: the protocol endpoint, its random stream and when its
-// radio comes back on, held by value in an Engine slab. It is also the
-// node's Env — the handle reads identity and the stream from itself and the
-// position from the engine's info slice, so a node costs one slab entry and
-// no further heap objects.
+// and its legSlot: the protocol endpoint, its random stream, when its radio
+// comes back on and until when it only listens, held by value in an Engine
+// slab. It is also the node's Env — the handle reads identity and the
+// stream from itself and the position from the engine's info slice, so a
+// node costs one slab entry and no further heap objects.
+//
+// The two rounds are int32s sharing one word, which keeps the entry at 48
+// bytes: a round past math.MaxInt32 is held as math.MaxInt32 (round32),
+// which can only call a node before it asked to be, never after.
 type nodeState struct {
 	id   NodeID
 	eng  *Engine
 	node Node
 	rng  det.Stream
-	wake Round // the node's radio is off in every round before this one
+	wake int32 // the node's radio is off in every round before this one
+	// listen: in every round before this one the node is not asked to
+	// Transmit, and is handed only a reception that is not empty
+	listen int32
+}
+
+// round32 is r as a nodeState holds it.
+func round32(r Round) int32 {
+	return int32(min(r, math.MaxInt32))
 }
 
 // legSlot is a node's entry in the engine's legs column: its leg, and the
@@ -239,10 +263,10 @@ func (st *nodeState) Float64() float64    { return st.rng.Float64() }
 // one before a wake round already declared.
 func (st *nodeState) SleepUntil(r Round) {
 	e := st.eng
-	if r <= e.round || r <= st.wake || sleepOff {
+	if r <= e.round || r <= Round(st.wake) || sleepOff {
 		return
 	}
-	st.wake = r
+	st.wake = round32(r)
 	// The load keeps the common case — already set, by the hundred thousand
 	// clients that fall asleep in the same round — to a plain read of a
 	// shared line instead of a store to it.
@@ -251,9 +275,22 @@ func (st *nodeState) SleepUntil(r Round) {
 	}
 }
 
-// sleepOff makes SleepUntil a no-op, which is how the engine behaved before
-// nodes could sleep. Only tests set it (export_test.go): it is the oracle
-// the sleep tests compare against, not a mode anyone can select.
+// ListenUntil implements Env. Like SleepUntil, a round not after the one
+// the engine's counter names asks for nothing, and neither does one before
+// a listening round already declared; unlike it, the node stays on the
+// awake list, and the engine clears the field before the Receive a
+// reception wakes it for, so that the node plans again.
+func (st *nodeState) ListenUntil(r Round) {
+	if r <= st.eng.round || r <= Round(st.listen) || sleepOff {
+		return
+	}
+	st.listen = round32(r)
+}
+
+// sleepOff makes SleepUntil and ListenUntil no-ops, which is how the engine
+// behaved before nodes could sleep or listen. Only tests set it
+// (export_test.go): it is the oracle the sleep tests compare against, not a
+// mode anyone can select.
 var sleepOff bool
 
 var _ Control = (*Engine)(nil)
@@ -295,7 +332,6 @@ func NewEngine(medium Medium, opts ...Option) *Engine {
 	e := &Engine{
 		seed:  1,
 		crash: make(map[Round][]NodeID),
-		wakes: make(map[Round]int32),
 		// Room for the one model a world mostly has, so the first roaming
 		// Attach allocates nothing a static one would not.
 		models: make([]*mobility.RandomWaypoint, 0, 1),
@@ -504,40 +540,49 @@ func (e *Engine) rouse(r Round) {
 			e.next = append(e.next, make([]int32, n)...)
 		}
 		// Neighbours mostly share a wake round: keep their file open across
-		// the pass and touch the map only when the round changes.
-		to, head := Round(-1), int32(-1)
+		// the pass and touch the ring only when the round changes.
+		to, open, head := Round(-1), -1, int32(-1)
 		for _, st := range e.awake {
-			if st.wake <= r || !e.info[st.id].Alive {
+			wake := Round(st.wake)
+			if wake <= r || !e.info[st.id].Alive {
 				continue
 			}
-			if st.wake != to {
-				if head >= 0 {
-					e.wakes[to] = head
+			if wake != to {
+				if open >= 0 {
+					e.wakes[open] = head
 				}
-				to, head = st.wake, -1
-				if h, ok := e.wakes[to]; ok {
-					head = h
-				}
+				to, open = wake, e.fileOf(r, wake)
+				head = e.wakes[open]
 			}
 			e.next[st.id], head = head, int32(st.id)
 			e.radioOff(st.id)
 			e.asleep++
 			changed = true
 		}
-		if head >= 0 {
-			e.wakes[to] = head
+		if open >= 0 {
+			e.wakes[open] = head
 		}
 	}
-	if id, ok := e.wakes[r]; ok {
-		delete(e.wakes, r)
+	if len(e.wakes) > 0 {
+		due := int(r) & (len(e.wakes) - 1)
+		id := e.wakes[due]
+		e.wakes[due] = -1
 		for id >= 0 {
 			e.rouseWork++
+			next := e.next[id]
 			if e.info[id].Alive {
-				e.radioOn(NodeID(id))
-				e.asleep--
-				changed = true
+				// Only a ring at its longest files a node early, in its last
+				// round: only then is the node's own wake round read.
+				if len(e.wakes) == maxWakeRing && Round(e.nodes[id].wake) > r {
+					f := e.fileOf(r, Round(e.nodes[id].wake))
+					e.next[id], e.wakes[f] = e.wakes[f], id
+				} else {
+					e.radioOn(NodeID(id))
+					e.asleep--
+					changed = true
+				}
 			}
-			id = e.next[id]
+			id = next
 		}
 	}
 	switch {
@@ -565,6 +610,44 @@ func (e *Engine) rouse(r Round) {
 		e.rouseWords += words
 		e.relists++
 	}
+}
+
+// maxWakeRing is the most rounds the wake ring holds: 256 KB of file heads.
+const maxWakeRing = 1 << 16
+
+// fileOf returns the ring entry of the file a node asleep until round wake
+// joins in round r, growing the ring to hold wake if it can: wake's own
+// entry, or, beyond the longest ring, the entry of the ring's last round.
+func (e *Engine) fileOf(r, wake Round) int {
+	if wake-r >= Round(len(e.wakes)) {
+		if len(e.wakes) < maxWakeRing {
+			e.growWakes(r, wake-r)
+		}
+		wake = min(wake, r+Round(len(e.wakes))-1)
+	}
+	return int(wake) & (len(e.wakes) - 1)
+}
+
+// growWakes doubles the ring, from 64 rounds, until it holds round r+d or
+// is maxWakeRing long, moving the pending files: in round r, before its
+// file is popped, each is due in one of rounds r..r+len(wakes)-1, which
+// its entry tells apart.
+func (e *Engine) growWakes(r, d Round) {
+	n := max(len(e.wakes), 64)
+	for Round(n) <= d && n < maxWakeRing {
+		n *= 2
+	}
+	ring := make([]int32, n)
+	for i := range ring {
+		ring[i] = -1
+	}
+	for i, head := range e.wakes {
+		if head >= 0 {
+			due := r + Round((i-int(r))&(len(e.wakes)-1))
+			ring[int(due)&(n-1)] = head
+		}
+	}
+	e.wakes = ring
 }
 
 // radioOn sets node id's bit in on, and its word's in sum.
@@ -641,7 +724,9 @@ func (e *Engine) Run(n int) {
 // walks the alive list, so dead nodes cost nothing after the round they die
 // in; everything else walks the awake list, so a node that has called
 // SleepUntil costs its mobility step only: it is not called, not binned
-// into a shard, and not among the receivers any medium is handed. The
+// into a shard, and not among the receivers any medium is handed. One that
+// has called ListenUntil costs its reception and a compare in each of the
+// Transmit and Receive walks, and is called only for what it hears. The
 // receptions come back positional over the awake list and are handed out by
 // position; only a registered RoundHook has them spread out by NodeID.
 func (e *Engine) Step() {
@@ -789,21 +874,30 @@ func (e *Engine) moveChunk(w, lo, hi int) {
 // it is the oracle the kernel is held to, not a mode anyone can select.
 var kernelOff bool
 
-// collectTransmissions calls Transmit on every awake node and returns the
-// non-nil results in NodeID order. Fanned out, chunks write per-position
-// slots that are then merged over the awake list, so the transmission list
-// is identical to the one-chunk collection, which appends as it goes and
-// never touches the slots. The returned slice is engine-owned and valid
-// until the next round.
+// collectTransmissions calls Transmit on every awake node that is not
+// listening and returns the non-nil results in NodeID order. Fanned out,
+// chunks write per-position slots that are then merged over the awake list,
+// so the transmission list is identical to the one-chunk collection, which
+// appends as it goes and never touches the slots; a listener's slot stays
+// nil. The returned slice is engine-owned and valid until the next round.
 func (e *Engine) collectTransmissions(r Round) []Transmission {
 	e.txs = e.txs[:0]
 	n := len(e.awake)
+	e.heard += n
 	k := e.width(n)
 	if k == 1 {
+		muted := 0
 		for _, st := range e.awake {
+			if Round(st.listen) > r {
+				muted++
+				continue
+			}
 			if m := st.node.Transmit(r); m != nil {
 				e.txs = append(e.txs, Transmission{Sender: st.id, From: e.info[st.id].At, Msg: m})
 			}
+		}
+		if muted > 0 {
+			e.muted.Add(int64(muted))
 		}
 		return e.txs
 	}
@@ -814,9 +908,16 @@ func (e *Engine) collectTransmissions(r Round) []Transmission {
 	}
 	if e.txFn == nil {
 		e.txFn = func(_, lo, hi int) {
-			slots := e.txSlots[lo:hi]
+			r, slots, muted := e.curRound, e.txSlots[lo:hi], 0
 			for i, st := range e.awake[lo:hi] {
-				slots[i] = st.node.Transmit(e.curRound)
+				if Round(st.listen) > r {
+					muted++
+					continue
+				}
+				slots[i] = st.node.Transmit(r)
+			}
+			if muted > 0 {
+				e.muted.Add(int64(muted))
 			}
 		}
 	}
@@ -830,14 +931,26 @@ func (e *Engine) collectTransmissions(r Round) []Transmission {
 	return e.txs
 }
 
-// deliver hands every awake node its reception: rxs[i] is awake[i]'s.
+// deliver hands every awake node its reception: rxs[i] is awake[i]'s. A
+// listener gets it only when it holds a message or a collision indication,
+// and then stops listening.
 func (e *Engine) deliver(r Round, rxs []Reception) {
 	e.curRxs = rxs
 	if e.rxFn == nil {
 		e.rxFn = func(_, lo, hi int) {
-			rxs := e.curRxs[lo:hi]
+			r, rxs, woken := e.curRound, e.curRxs[lo:hi], 0
 			for i, st := range e.awake[lo:hi] {
-				st.node.Receive(e.curRound, rxs[i])
+				if Round(st.listen) > r {
+					if len(rxs[i].Msgs) == 0 && !rxs[i].Collision {
+						continue
+					}
+					st.listen = 0
+					woken++
+				}
+				st.node.Receive(r, rxs[i])
+			}
+			if woken > 0 {
+				e.woken.Add(int64(woken))
 			}
 		}
 	}

@@ -65,6 +65,9 @@ type Counts struct {
 	RouseWords   int  // bitmap words rouse has looked at: the nonzero words of on and all of sum, per relist
 	Relists      int  // times rouse listed the awake list afresh
 	Packed       int  // node-steps the packed mobility kernel took
+	Receptions   int  // receptions computed: awake nodes, summed over rounds
+	Transmits    int  // Transmit calls: the receptions computed less the listeners passed by
+	Woken        int  // listeners a reception woke: Receive calls made to a listener
 	// ScratchBytes is the capacity of the buffers a round fills and empties —
 	// the transmission list, the Transmit slots, the awake list, the one-shard
 	// receiver view — which should follow what is alive, not what ever was.
@@ -79,6 +82,9 @@ func (e *Engine) Counts() Counts {
 		RouseWords:   e.rouseWords,
 		Relists:      e.relists,
 		Packed:       int(e.packed.Load()),
+		Receptions:   e.heard,
+		Transmits:    e.heard - int(e.muted.Load()),
+		Woken:        int(e.woken.Load()),
 		ScratchBytes: cap(e.txs)*int(unsafe.Sizeof(Transmission{})) +
 			cap(e.txSlots)*int(unsafe.Sizeof(Message(nil))) +
 			cap(e.awakeBuf)*int(unsafe.Sizeof((*nodeState)(nil))) +

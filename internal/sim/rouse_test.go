@@ -262,3 +262,72 @@ func TestShardedHookChangesNothing(t *testing.T) {
 		})
 	}
 }
+
+// sleeperNode sleeps, whenever it is handed a reception, for a distance its
+// picker draws: wake is the round it asked for, in round from.
+type sleeperNode struct {
+	env        Env
+	pick       func() Round
+	from, wake Round
+}
+
+func (n *sleeperNode) Transmit(Round) Message { return nil }
+
+func (n *sleeperNode) Receive(r Round, _ Reception) {
+	n.from, n.wake = r, r+n.pick()
+	n.env.SleepUntil(n.wake)
+}
+
+// TestWakeRingMatchesBruteForce holds the wake ring to the definition
+// across every way a file reaches it: sleeps of a few rounds, sleeps that
+// grow the ring while shorter ones are pending (their files move), and
+// sleeps past maxWakeRing, filed in the ring's last round and filed again
+// when it comes — over enough rounds for a farthest sleep to be filed again
+// and come due. After every round the awake list is the alive nodes whose
+// wake round has come.
+func TestWakeRingMatchesBruteForce(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	distances := []Round{1, 2, 7, 63, 64, 65, 200, 1000, 5000, maxWakeRing - 1, maxWakeRing, maxWakeRing + 1, 2*maxWakeRing + 3}
+	e := NewEngine(&nullMedium{})
+	var nodes []*sleeperNode
+	for i := 0; i < 24; i++ {
+		n := &sleeperNode{pick: func() Round {
+			d := distances[rnd.Intn(len(distances))]
+			if i < 8 { // a third nap for a few rounds only, so the ring moves files
+				d = distances[rnd.Intn(4)]
+			}
+			return d
+		}}
+		nodes = append(nodes, n)
+		e.Attach(geo.Point{X: float64(i)}, nil, func(env Env) Node { n.env = env; return n })
+	}
+	far := 0
+	for r := Round(0); r < 3*maxWakeRing; r++ {
+		if r == 100 {
+			e.Crash(9) // asleep or awake, it never comes back
+		}
+		wakes := make([]Round, len(nodes))
+		for i, n := range nodes {
+			wakes[i] = n.wake
+			if e.Alive(NodeID(i)) && n.wake == r && n.wake-n.from > maxWakeRing {
+				far++ // filed in the ring's last round, and due now
+			}
+		}
+		e.Step()
+		var got, want []NodeID
+		for id := range nodes {
+			if e.Alive(NodeID(id)) && wakes[id] <= r {
+				want = append(want, NodeID(id))
+			}
+		}
+		for _, st := range e.awake {
+			got = append(got, st.id)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: the awake list is %v, want %v", r, got, want)
+		}
+	}
+	if len(e.wakes) != maxWakeRing || far == 0 {
+		t.Errorf("the ring holds %d rounds and %d sleeps past it came due; want %d and some", len(e.wakes), far, maxWakeRing)
+	}
+}

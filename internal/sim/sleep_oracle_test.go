@@ -215,10 +215,13 @@ func everyRound(eng *sim.Engine) *[][]byte {
 	return &snaps
 }
 
-func checkSleepOracleEveryRound(t *testing.T, name string, vrounds int, build func() stepper) {
+// checkSleepOracleEveryRound returns the stepped world that honoured
+// SleepUntil and ListenUntil.
+func checkSleepOracleEveryRound(t *testing.T, name string, vrounds int, build func() stepper) (on stepper) {
 	t.Run(name, func(t *testing.T) {
 		defer sim.SetSleepOff(false)
-		on, off := build(), build()
+		var off stepper
+		on, off = build(), build()
 		onSnaps, offSnaps := everyRound(engineOf(on)), everyRound(engineOf(off))
 		for vr := 1; vr <= vrounds; vr++ {
 			sim.SetSleepOff(true)
@@ -236,6 +239,7 @@ func checkSleepOracleEveryRound(t *testing.T, name string, vrounds int, build fu
 			*onSnaps, *offSnaps = nil, nil
 		}
 	})
+	return on
 }
 
 // churnWorld is a 2x2 grid scripted through the join sub-protocol's three
@@ -274,10 +278,16 @@ func (w *churnWorld) StepVRound() {
 func checkSleepOracleEveryRoundOn(t *testing.T, kind engineKind) {
 	checkSleepOracleEveryRound(t, "city", 3, func() stepper { return mustBuild(cityMini(kind.spec())) })
 	checkSleepOracleEveryRound(t, "hostile", 12, func() stepper { return mustBuild(hostile(kind.spec())) })
-	var churned *churnWorld
-	checkSleepOracleEveryRound(t, "churn", 12, func() stepper { churned = newChurnWorld(kind.spec()); return churned })
+	churned := checkSleepOracleEveryRound(t, "churn", 12, func() stepper { return newChurnWorld(kind.spec()) }).(*churnWorld)
 	if churned.Joins() != 1 || churned.Resets() != 1 {
 		t.Errorf("the churn world saw %d joins and %d resets, want one of each: the oracle did not exercise join-ack and reset", churned.Joins(), churned.Resets())
+	}
+	// The join requests and the acks' collisions wake replicas listening in
+	// join and join-ack: the oracle holds the wake-up path too.
+	if woken := churned.Eng.Counts().Woken; woken == 0 {
+		t.Errorf("no listener of the churn world was woken by a reception: the oracle did not exercise the wake-up path")
+	} else {
+		t.Logf("%s: %d listeners woken by a reception", kind, woken)
 	}
 }
 
@@ -334,5 +344,43 @@ func TestShardedSleepOracleRestoreFork(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMetroCallsCounted is the counted gate on listening: on the metro-vi
+// benchmark's world (15x15 virtual nodes, three replicas and a pinger each,
+// 900 devices), after 200 warm-up virtual rounds, the engine calls Transmit
+// exactly 3 150 times a virtual round — four rounds for each replica (client,
+// vn, its ballot and veto-2) and two for each pinger — and computes 5 850
+// receptions, eight for each replica and two for each pinger. With
+// SleepUntil and ListenUntil ignored it calls every device in each of the 90
+// radio rounds of a virtual round: 81 000.
+func TestMetroCallsCounted(t *testing.T) {
+	defer sim.SetSleepOff(false)
+	const warm, vrounds = 200, 10
+	for _, c := range []struct {
+		sleepOff              bool
+		transmits, receptions int
+	}{{false, 3150, 5850}, {true, 81000, 81000}} {
+		sim.SetSleepOff(c.sleepOff)
+		w := mustBuild(spec.Spec{
+			Seed: 1, VRounds: 1 << 30, Grid: spec.Grid{Cols: 15, Rows: 15},
+			Devices: spec.Devices{Replicas: 3, Pingers: true},
+		})
+		for vr := 0; vr < warm; vr++ {
+			w.StepVRound()
+		}
+		before := w.Eng.Counts()
+		for vr := 0; vr < vrounds; vr++ {
+			w.StepVRound()
+		}
+		after := w.Eng.Counts()
+		tx, rx := (after.Transmits-before.Transmits)/vrounds, (after.Receptions-before.Receptions)/vrounds
+		t.Logf("sleep off %v: %d Transmit calls and %d receptions a virtual round, %d wake-ups in %d virtual rounds",
+			c.sleepOff, tx, rx, after.Woken-before.Woken, vrounds)
+		if tx*vrounds != after.Transmits-before.Transmits || tx != c.transmits || rx != c.receptions {
+			t.Errorf("sleep off %v: %d Transmit calls and %d receptions in %d virtual rounds, want %d and %d a virtual round",
+				c.sleepOff, after.Transmits-before.Transmits, after.Receptions-before.Receptions, vrounds, c.transmits, c.receptions)
+		}
 	}
 }

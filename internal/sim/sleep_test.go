@@ -310,8 +310,14 @@ func TestSleepEdges(t *testing.T) {
 			if !slices.Equal(sleeper.rx, rounds(0)) || e.Alive(0) || e.AliveCount() != 1 {
 				t.Errorf("crashed sleeper: Receive in %v, alive %v, %d alive; want [0], dead, 1", sleeper.rx, e.Alive(0), e.AliveCount())
 			}
-			if e.asleep != 0 || len(e.wakes) != 0 {
-				t.Errorf("%d nodes counted asleep and %d wake files pending once the only sleeper is dead and due", e.asleep, len(e.wakes))
+			pending := 0
+			for _, head := range e.wakes {
+				if head >= 0 {
+					pending++
+				}
+			}
+			if e.asleep != 0 || pending != 0 {
+				t.Errorf("%d nodes counted asleep and %d wake files pending once the only sleeper is dead and due", e.asleep, pending)
 			}
 			if len(other.rx) != 10 {
 				t.Errorf("the other node received %d rounds of 10", len(other.rx))

@@ -212,9 +212,10 @@ func DecodeEngineSnapshot(b []byte) (EngineSnapshot, error) {
 // Snapshot captures the engine's complete mutable state at a round
 // boundary: round counter, stats, every node's position/liveness/RNG
 // position and Snapshotter blobs, and the pending CrashAt schedule — not
-// who is asleep, which no result depends on (Restore wakes everyone). Taking
-// a snapshot never mutates simulation state; two snapshots of the same
-// state are byte-identical (map walks are sorted into canonical order).
+// who is asleep or listening, which no result depends on (Restore wakes
+// everyone). Taking a snapshot never mutates simulation state; two
+// snapshots of the same state are byte-identical (map walks are sorted into
+// canonical order).
 // It does release the persistent worker runtime (Close) so a checkpoint
 // boundary carries no live worker goroutines — the pool is code, not
 // state, and is rebuilt lazily on the next parallel Step.
@@ -265,7 +266,8 @@ func (e *Engine) Snapshot() EngineSnapshot {
 // validates all of that (node count and IDs, seed, shard geometry, fault
 // fingerprint) and then overwrites the engine's mutable state, after which
 // stepping the engine produces exactly the rounds the original would have.
-// Every node comes back awake, whatever it had declared with SleepUntil.
+// Every node comes back awake and not listening, whatever it had declared
+// with SleepUntil or ListenUntil.
 // On error the engine may be partially restored; rebuild it before
 // retrying.
 func (e *Engine) Restore(s EngineSnapshot) error {
@@ -296,7 +298,7 @@ func (e *Engine) restore(s EngineSnapshot) error {
 	for i, ns := range s.Nodes {
 		st := e.nodes[i]
 		st.rng.SetState(ns.RNG)
-		st.wake = 0
+		st.wake, st.listen = 0, 0
 		e.info[st.id] = NodeInfo{ID: st.id, At: geo.Point{X: ns.X, Y: ns.Y}, Alive: ns.Alive}
 		if ls := &e.legs[st.id]; ls.model != 0 {
 			if err := ls.leg.RestoreState(ns.Mover); err != nil {
@@ -331,7 +333,9 @@ func (e *Engine) restore(s EngineSnapshot) error {
 	}
 	e.dirty = false
 	e.awake, e.asleep = e.alive, 0
-	clear(e.wakes)
+	for i := range e.wakes {
+		e.wakes[i] = -1
+	}
 	e.slept.Store(false)
 	e.crash = make(map[Round][]NodeID, len(s.CrashRounds))
 	for i, r := range s.CrashRounds {

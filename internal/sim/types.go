@@ -21,21 +21,31 @@
 // per-shard randomness from (seed, round, node), never from the shard
 // index.
 //
-// A node's radio may be off. A node that will neither broadcast nor use
-// what it hears before some future round says so with Env.SleepUntil, and
-// until that round the engine does not call its Transmit or Receive and no
-// medium is asked for its reception: a sleeping device costs a round its
-// mobility step and nothing else. The awake list — the alive nodes whose
-// radio is on, in NodeID order — is the one place that decision lives:
-// Transmit, Receive, the shard partition and every medium's receiver list
-// are walks of it, and bringing it up to date each round costs what changed
-// (the nodes that fell asleep, the nodes whose wake round came), not the
-// population. Sleeping is a promise about the node's own behaviour, not
-// simulation state — a node may only sleep through rounds in which it would
-// have transmitted nothing and ignored what it received, so a run with
-// sleepers is byte-identical, at every round, to the same run with every
-// SleepUntil ignored. Snapshots therefore do not record it: Restore wakes
-// everyone, and a node declares again at its next Receive.
+// A node's radio is in one of three states. Awake, the default: the engine
+// calls its Transmit and its Receive every round. Asleep, until the round
+// the node names with Env.SleepUntil: the engine does not call its Transmit
+// or Receive and no medium is asked for its reception, so a sleeping device
+// costs a round its mobility step and nothing else. Listening, until the
+// round the node names with Env.ListenUntil: its radio is on and its
+// reception is computed, but the engine does not call its Transmit and calls
+// its Receive only for a reception that holds a message or a collision
+// indication — which ends the listening, so the node plans again. A node
+// listens through rounds in which it has nothing to send and an empty
+// reception would change nothing, but what it hears might. The awake list — the alive nodes
+// whose radio is on, listeners included, in NodeID order — is the one place
+// the radio's on/off decision lives: Transmit, Receive, the shard partition
+// and every medium's receiver list are walks of it, and bringing it up to
+// date each round costs what changed (the nodes that fell asleep, the nodes
+// whose wake round came), not the population; the Transmit and Receive
+// walks pass a listener by with one compare. Sleeping and listening are
+// promises about the node's own behaviour, not simulation state — a node
+// may only sleep through rounds in which it would have transmitted nothing
+// and ignored what it received, and only listen through rounds in which it
+// would have transmitted nothing and an empty reception would have changed
+// nothing — so a run with sleepers and listeners is byte-identical, at
+// every round, to the same run with every SleepUntil and ListenUntil
+// ignored. Snapshots therefore do not record either: Restore wakes everyone
+// and stops every listener, and a node declares again at its next Receive.
 package sim
 
 import (
@@ -139,9 +149,11 @@ type Medium interface {
 // engine first calls Transmit on every alive node (nil means listen), then
 // computes propagation through the Medium, then calls Receive on every
 // alive node — except nodes that are asleep (Env.SleepUntil), on which it
-// calls neither. A node must not count on its sleep lasting: after a
-// Restore it is called in rounds it had slept through in the original run,
-// so Transmit and Receive keep whatever checks make those rounds no-ops.
+// calls neither, and nodes that are listening (Env.ListenUntil), on which
+// it calls Receive only for a reception that is not empty. A node must not
+// count on its sleep or its listening lasting: after a Restore it is called
+// in rounds it had slept or listened through in the original run, so
+// Transmit and Receive keep whatever checks make those rounds no-ops.
 type Node interface {
 	// Transmit returns the message to broadcast in round r, or nil to
 	// listen.
@@ -173,4 +185,16 @@ type Env interface {
 	// stays alive while asleep. Only sleep through rounds the node would
 	// have sat out anyway — see the package comment.
 	SleepUntil(r Round)
+	// ListenUntil makes the node listen until round r: in every round
+	// before r in which its radio is on, the engine computes its reception
+	// but does not call its Transmit, and calls its Receive only if the
+	// reception holds a message or a collision indication. That call ends
+	// the listening, so the node may declare again from it. It may only be
+	// called from within the node's own Receive, and covers the rounds after
+	// that one; a round that is not in the future is a no-op, and of several
+	// calls the latest round wins. With SleepUntil it composes: the radio is
+	// off until the round SleepUntil names, and listens from then until r.
+	// Only listen through rounds in which the node sends nothing and an
+	// empty reception changes nothing — see the package comment.
+	ListenUntil(r Round)
 }

@@ -14,7 +14,7 @@ import (
 // over t = lcm(4, s) = 36 and 8t virtual rounds with the collector off (as
 // in vi's gate): the two counts must be equal, or the work per virtual round
 // grows with the run.
-// The measured value is 26 and the pin 30; the figure before the agreement
+// The measured value is 25 and the pin 30; the figure before the agreement
 // layer became a window was 450 (CHANGES.md, PR 22), before the medium's
 // Msgs arena and fmt-free payloads 206, before outputs carried the core's
 // history view and round inputs were decoded into a reused value 122,
@@ -22,7 +22,8 @@ import (
 // (one state encoded, and one published fold, for three encoded states)
 // 72, and before they shared a recycled step record and their broadcast,
 // only an advised replica encoded its proposal and pingers broadcast from
-// buffers they own 63.
+// buffers they own 63, and before the replicas put their memo's VNMsg on
+// the air rather than boxing one each 26.
 func TestWorldVRoundSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

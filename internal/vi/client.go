@@ -127,7 +127,7 @@ func (c *Client) Receive(r sim.Round, rx sim.Reception) {
 		}
 	case PhaseVN:
 		for _, m := range rx.Msgs {
-			if msg, ok := m.(VNMsg); ok {
+			if msg, ok := m.(*VNMsg); ok {
 				c.recv = append(c.recv, Message{Payload: msg.Payload})
 			}
 		}

@@ -151,13 +151,18 @@ func (c *countedNode) calls() [2]int {
 }
 
 // TestClientSleepsOutsideItsPhases pins the duty cycles by their exact call
-// counts, Transmit and Receive alike, virtual round by virtual round: of its
-// s+12 radio rounds the engine calls a client in two — the client phase and
-// the vn phase, and the client program still hears what the virtual node
-// broadcast — and an emulator in the rounds of vi.Emulator's duty table: 8
-// as a replica of the scheduled virtual node, 7 of an unscheduled one, 4 as
-// a joiner in its virtual node's slot — through reset, also after an ack —
-// and 1 as a joiner out of it or as a device outside every region.
+// counts, Transmit and Receive, virtual round by virtual round: of its s+12
+// radio rounds the engine calls a client in two — the client phase and the
+// vn phase, and the client program still hears what the virtual node
+// broadcast — and an emulator in the rounds of vi.Emulator's duty table
+// that it is awake for. A replica is awake for 4 — client, vn, its ballot
+// and veto-2 — and listens in veto-1 and the join sub-protocol: one more
+// round, Transmit and Receive, when its core is red and sends a veto-1, and
+// when it hears a join request it is woken for it (a Receive) and stays up
+// for join-ack and, a replica of the scheduled virtual node, for reset. A
+// joiner in its virtual node's slot is up for 4 — through reset, where
+// after an ack it is a replica that saw no join activity and only listens —
+// and a joiner out of it or a device outside every region for 1.
 func TestClientSleepsOutsideItsPhases(t *testing.T) {
 	// Two virtual nodes in conflict range: a schedule of length two, so each
 	// is scheduled every other virtual round — virtual node 0 in the odd ones.
@@ -199,12 +204,13 @@ func TestClientSleepsOutsideItsPhases(t *testing.T) {
 		emulator(geo.Point{X: 12.4, Y: 0.2}, true),
 	}
 	outsider := emulator(geo.Point{X: 6, Y: 30}, true)
-	check := func(vr int, who string, c *countedNode, want int) {
+	check := func(vr int, who string, c *countedNode, want [2]int) {
 		t.Helper()
-		if got := c.calls(); got != [2]int{want, want} {
-			t.Fatalf("virtual round %d: %s was called %d/%d times (Transmit/Receive), want %d each", vr, who, got[0], got[1], want)
+		if got := c.calls(); got != want {
+			t.Fatalf("virtual round %d: %s was called %d/%d times (Transmit/Receive), want %d/%d", vr, who, got[0], got[1], want[0], want[1])
 		}
 	}
+	quiet := [2]int{4, 4}
 	var joiner, orphan *countedNode
 	for vr := 1; vr <= 8; vr++ {
 		switch vr {
@@ -222,32 +228,46 @@ func TestClientSleepsOutsideItsPhases(t *testing.T) {
 			orphan = emulator(geo.Point{X: 11.5, Y: -0.4}, false)
 		}
 		tb.runVRounds(1)
-		check(vr, "the client", client, 2)
-		check(vr, "the device outside every region", outsider, 1)
+		check(vr, "the client", client, [2]int{2, 2})
+		check(vr, "the device outside every region", outsider, [2]int{1, 1})
+		// The join request of virtual round 5 (virtual node 0's slot) and 6
+		// (virtual node 1's) wakes every replica that hears it: virtual node
+		// 0's acks and guards the reset, an unscheduled one's listens no
+		// more in join-ack.
+		woken := map[int][2][2]int{5: {{6, 7}, {5, 6}}, 6: {{5, 6}}}
 		for v, c := range replica {
+			want := quiet
+			if w, ok := woken[vr]; ok && v < len(w) {
+				want = w[v]
+			}
 			if c != nil {
-				check(vr, fmt.Sprintf("a replica of virtual node %d", v), c, 7+(vr+v)%2)
+				check(vr, fmt.Sprintf("a replica of virtual node %d", v), c, want)
 			}
 		}
 		switch {
 		case vr == 4:
-			check(vr, "the joiner out of its slot", joiner, 1)
+			check(vr, "the joiner out of its slot", joiner, [2]int{1, 1})
 		case vr == 5:
-			check(vr, "the joiner in its slot", joiner, 4)
+			// Acked in join-ack, it listens in reset and hears the guard.
+			check(vr, "the joiner in its slot", joiner, [2]int{3, 4})
 			if joins != 1 {
 				t.Fatalf("the joiner was acked %d times by the end of its slot, want once", joins)
 			}
-		case vr > 5:
-			check(vr, "the joiner turned replica", joiner, 7+vr%2)
+		case vr == 6:
+			check(vr, "the joiner turned replica", joiner, [2]int{5, 6})
+		case vr > 6:
+			check(vr, "the joiner turned replica", joiner, quiet)
 		}
 		switch {
 		case vr == 6:
-			check(vr, "the orphan in its slot", orphan, 4)
+			check(vr, "the orphan in its slot", orphan, [2]int{4, 4})
 			if resets != 1 {
 				t.Fatalf("the orphan reset its virtual node %d times by the end of its slot, want once", resets)
 			}
 		case vr > 6:
-			check(vr, "the orphan turned replica", orphan, 7+(vr+1)%2)
+			// Its virtual node's leader crashed, so no ballot is ever heard,
+			// its core is red and it sends a veto-1 every virtual round.
+			check(vr, "the orphan turned replica", orphan, [2]int{5, 5})
 		}
 	}
 	if steps != 8 || heard == 0 {

@@ -249,8 +249,9 @@ type EmulatorHooks struct {
 // it keeps, in a handful. Every Receive ends by sleeping
 // (sim.Env.SleepUntil) until the next of them, worked out from the emulator
 // as that Receive left it — its region, whether it has joined, whether its
-// virtual node is scheduled this virtual round. The rounds it is up for, and
-// what puts each on the list:
+// virtual node is scheduled this virtual round — and by listening through
+// those it only listens in (below). The rounds it is up for, and what puts
+// each on the list:
 //
 //	client            everyone: Transmit re-evaluates the region and clears the
 //	                  per-round scratch (startVRound); in a region, Receive
@@ -279,15 +280,41 @@ type EmulatorHooks struct {
 // through is a no-op when the emulator is awake for it after all, as it is
 // right after a restore.
 //
+// In some of those rounds a replica has nothing to send, and an empty
+// reception changes nothing it keeps, but what it hears would: there it only
+// listens (sim.Env.ListenUntil), and the engine computes its reception but
+// calls it only for a message or a collision indication. Those duties are
+//
+//	veto-1            while its core is not red: only a red core vetoes (Figure
+//	                  1, line 21), and only a veto or a collision heard
+//	                  downgrades it (lines 33-35)
+//	join              always: a replica sends nothing there, and notes join
+//	                  activity only on a request or a collision
+//	join-ack, reset   while it has seen no join activity: it acks and guards
+//	                  only after seeing some, and notes it only on a collision
+//
+// So a replica that hears nothing there is called in 4 radio rounds a
+// virtual round — client, vn, its ballot slot and veto-2. Since the engine
+// calls no Transmit in a round it listens in, a round is listen-only only
+// when its Transmit would send nothing and draw nothing; the kind of each
+// duty, and the condition it is listen-only under, are read once, when a
+// Receive plans its next duties, not in every Receive's phase switch.
+//
 // A wake pays little bookkeeping before the protocol does anything. The
 // table above is laid out once per deployment as a timetable (Deployment's
 // duties): one row per kind of emulator — outside every region or a joiner
 // out of its slot, a joiner in its slot, a replica of the scheduled virtual
 // node, a replica of an unscheduled one in slot k — listing the offsets it is
-// up for. The emulator keeps its place in the timetable, one index: the
-// row, worked out once per virtual round and whenever it joins, resets or
-// changes region, gives whether its virtual node is scheduled and whether it
-// is seated in an instance, and the next duty is the row's next entry. The
+// up for, each with its kind: a duty it must be awake for, or one of the
+// three it may only listen in. A Receive sleeps until the next duty and,
+// when that one and those after it are listen-only as the emulator now
+// stands, listens until the first it must be awake for. The emulator keeps
+// its place in the timetable, one index: the row, worked out once per
+// virtual round and whenever it joins, resets or changes region, gives
+// whether its virtual node is scheduled and whether it is seated in an
+// instance, and the next duty is the row's next entry. While it listens,
+// its place is the first duty it listens in, so a reception that wakes it
+// resumes the row there. The
 // emulator remembers which virtual round it last read the clock in, so a
 // round's offset into it is found without dividing (a division only when a
 // new virtual round begins, which also forgets the place); and the region
@@ -575,14 +602,10 @@ func (e *Emulator) transmitVN(r sim.Round, vr int) sim.Message {
 	if e.expectedPayload == nil {
 		e.expectedPayload = []byte{}
 	}
-	if e.row(vr) != rowSched {
-		// The virtual node ignores its schedule; so do its replicas.
+	// An unscheduled virtual node ignores its schedule; so do its replicas.
+	if e.row(vr) != rowSched || e.seat.CM.Advice() {
 		e.input.VNBroadcast = true
-		return VNMsg{Payload: out.Payload}
-	}
-	if e.seat.CM.Advice() {
-		e.input.VNBroadcast = true
-		return VNMsg{Payload: out.Payload}
+		return out
 	}
 	return nil
 }
@@ -626,7 +649,7 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 	case PhaseVN:
 		if e.vn != None && e.joined {
 			for _, m := range rx.Msgs {
-				vm, ok := m.(VNMsg)
+				vm, ok := m.(*VNMsg)
 				if !ok {
 					continue
 				}
@@ -684,22 +707,45 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 	}
 	// Last, so that it sees the region startVRound chose and the replica
 	// adoptAck or resetVNode made.
-	e.env.SleepUntil(r + sim.Round(e.nextDuty(off, vr)-off))
+	next, awake := e.nextDuty(off, vr)
+	e.env.SleepUntil(r + sim.Round(next-off))
+	if awake > next {
+		e.env.ListenUntil(r + sim.Round(awake-off))
+	}
 }
 
 // nextDuty returns the offset into virtual round vr of the first round
 // after offset off in which the emulator as it now stands transmits or
-// changes snapshotted state: the next entry of its row of the timetable
+// changes snapshotted state — the next entry of its row of the timetable
 // (the rows end in RoundsPerVRound, the next client phase), which becomes
-// its place.
-func (e *Emulator) nextDuty(off, vr int) int {
+// its place — and the offset of the first of those it must be awake for:
+// the same, or the first after a run of duties it only listens in.
+func (e *Emulator) nextDuty(off, vr int) (next, awake int) {
 	e.row(vr) // works the place out if need be
 	w := int(e.wake)
-	for int(e.d.duties[w]) <= off {
+	for int(e.d.duties[w]>>listenBits) <= off {
 		w++
 	}
 	e.wake = int32(w)
-	return int(e.d.duties[w])
+	next = int(e.d.duties[w] >> listenBits)
+	for e.d.duties[w]&listenMask != dutyAwake && e.listens(e.d.duties[w]) {
+		w++
+	}
+	return next, int(e.d.duties[w] >> listenBits)
+}
+
+// listens reports whether the emulator as it now stands only listens in
+// duty, one of the kinds a replica may only listen in: it sends nothing
+// there, and an empty reception changes nothing. nextDuty asks only of
+// those kinds, so that a duty it must be awake for costs no call.
+func (e *Emulator) listens(duty int32) bool {
+	switch duty & listenMask {
+	case dutyVeto1:
+		return !e.seat.Core.NeedVeto(cha.PhaseVeto1)
+	case dutyQuiet:
+		return !e.sawJoinActivity
+	}
+	return true // dutyJoin
 }
 
 // The timetable's rows: an emulator outside every region or a joiner out of
@@ -714,6 +760,21 @@ const (
 	rowUnsched
 
 	dutyShift = 4
+)
+
+// An entry of the timetable is an offset shifted left by listenBits, over
+// the kind of duty it is: one the emulator must be awake for, or one a
+// replica may only listen in (see the Emulator comment) — veto-1 while its
+// core needs no veto, join always, join-ack and reset while it has seen no
+// join activity.
+const (
+	dutyAwake = iota
+	dutyVeto1
+	dutyJoin
+	dutyQuiet
+
+	listenBits = 2
+	listenMask = 1<<listenBits - 1
 )
 
 // rowOf returns the timetable row of an emulator in virtual node v's region
@@ -740,15 +801,20 @@ func (d *Deployment) rowOf(v VNodeID, joined bool, vr int) int {
 // filled out with RoundsPerVRound, the next virtual round's client phase.
 // Offsets: client 0, vn 1, sched ballot and vetoes 2-4, unsched ballot slot
 // k at 5+k, unsched vetoes s+7 and s+8, join s+9, join-ack s+10, reset s+11.
+// A replica's duties carry the kind their phase gives them (listenKind).
 func buildTimetable(t Timing) []int32 {
 	s, per := t.S, t.RoundsPerVRound()
 	duties := make([]int32, (rowUnsched+s)<<dutyShift)
 	for i := range duties {
-		duties[i] = int32(per)
+		duties[i] = int32(per) << listenBits
 	}
 	fill := func(row int, offs ...int) {
 		for i, off := range offs {
-			duties[row<<dutyShift+i] = int32(off)
+			d := int32(off) << listenBits
+			if row >= rowSched {
+				d |= listenKind(t, off)
+			}
+			duties[row<<dutyShift+i] = d
 		}
 	}
 	fill(rowIdle, 0)
@@ -758,6 +824,20 @@ func buildTimetable(t Timing) []int32 {
 		fill(rowUnsched+k, 0, 1, 5+k, s+7, s+8, s+9, s+10)
 	}
 	return duties
+}
+
+// listenKind returns the kind of a replica's duty at offset off: veto-1,
+// join, join-ack and reset are the duties it may only listen in.
+func listenKind(t Timing, off int) int32 {
+	switch p, _ := t.PhaseAt(off); p {
+	case PhaseSchedVeto1, PhaseUnschedVeto1:
+		return dutyVeto1
+	case PhaseJoin:
+		return dutyJoin
+	case PhaseJoinAck, PhaseReset:
+		return dutyQuiet
+	}
+	return dutyAwake
 }
 
 // closeInstance takes the seat's output at the final veto phase of radio

@@ -61,8 +61,8 @@ func (c countingOutgoing) Outgoing(state []byte, vround int) *Message {
 func MonitorRuns(m *Monitor, v VNodeID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if g := m.vnodes[v]; g != nil {
-		return len(g.runs)
+	if int(v) < len(m.vnodes) {
+		return len(m.vnodes[v].runs)
 	}
 	return 0
 }

@@ -26,14 +26,27 @@ import (
 // the runs and Restore folds the list back — so the accounting's memory is
 // bounded by the number of stalls while its encoding grows with the run.
 //
+// The accounting is a dense table indexed by VNodeID, grown to the highest
+// virtual node observed: every replica's output is one Observe, and an index
+// into the table is what it costs to find the node's runs. A virtual node
+// never observed has the zero entry, which no report or snapshot tells from
+// an absent one.
+//
 // Observe is safe for concurrent use: the parallel engine fans Receive calls
 // (and therefore output hooks) across workers. Accumulation is a set union,
 // so the reports are independent of observation order — the same determinism
 // contract as the rest of the stack (sequential == parallel).
 type Monitor struct {
 	mu     sync.Mutex
-	vnodes map[VNodeID]*greenRuns
+	vnodes []greenRuns // indexed by VNodeID
 }
+
+// maxMonitored bounds the virtual nodes a monitor accounts for, VNodeIDs
+// 0..maxMonitored-1: a spec world has at most one virtual node per device,
+// and at most 1<<20 devices. DecodeMonitorSnapshot refuses a snapshot that
+// names one beyond it, so a restore sizes the table by what a world can
+// hold, not by a number read from a file.
+const maxMonitored = 1 << 20
 
 // greenRuns is one virtual node's accounting: the highest instance observed
 // (which no report reads; a MonitorSnapshot records it) and the green
@@ -78,18 +91,22 @@ func (g *greenRuns) add(k cha.Instance) {
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{vnodes: make(map[VNodeID]*greenRuns)}
+	return &Monitor{}
 }
 
-// Observe records one replica's output for virtual node v. Wire it into
-// EmulatorHooks.OnOutput.
+// runsOf returns virtual node v's entry, growing the table to hold it.
+func (m *Monitor) runsOf(v VNodeID) *greenRuns {
+	if int(v) >= len(m.vnodes) {
+		m.vnodes = slices.Grow(m.vnodes, int(v)+1-len(m.vnodes))[:int(v)+1]
+	}
+	return &m.vnodes[v]
+}
+
+// Observe records one replica's output for virtual node v, a VNodeID below
+// 1<<20. Wire it into EmulatorHooks.OnOutput.
 func (m *Monitor) Observe(v VNodeID, out cha.Output) {
 	m.mu.Lock()
-	g := m.vnodes[v]
-	if g == nil {
-		g = new(greenRuns)
-		m.vnodes[v] = g
-	}
+	g := m.runsOf(v)
 	if out.Color == cha.Green {
 		g.add(out.Instance)
 	}
@@ -139,8 +156,8 @@ func (m *Monitor) ReportThrough(v VNodeID, through int) AvailabilityReport {
 	end := cha.Instance(through)
 	next := cha.Instance(1) // the lowest instance not yet accounted
 	m.mu.Lock()
-	if g := m.vnodes[v]; g != nil {
-		for _, r := range g.runs {
+	if v >= 0 && int(v) < len(m.vnodes) {
+		for _, r := range m.vnodes[v].runs {
 			from, to := max(r.from, 1), min(r.to, end)
 			if from > to {
 				continue

@@ -130,11 +130,23 @@ type sharedStep struct {
 }
 
 // sharedOut is the broadcast one replica of a virtual node worked out for
-// its siblings: Program.Outgoing(state, vr) is msg.
+// its siblings: Program.Outgoing(state, vr) is nil when !sends, and a message
+// with msg's payload otherwise. The replicas that broadcast it put a pointer
+// to msg on the air, as a Client does its ClientMsg: one VNMsg a virtual node,
+// valid for its round like any message.
 type sharedOut struct {
 	vr    int
 	state []byte
-	msg   *Message
+	sends bool
+	msg   VNMsg
+}
+
+// air returns the message to put on the air, nil when the node listens.
+func (o *sharedOut) air() *VNMsg {
+	if !o.sends {
+		return nil
+	}
+	return &o.msg
 }
 
 // memo is what a virtual node's replicas share of one computation: the
@@ -154,16 +166,17 @@ type memo[T any] struct {
 // load returns the published record: the zero T before the first publish.
 func (m *memo[T]) load() *T { return &m.recs[m.cur.Load()] }
 
-// publish makes rec the published record in radio round r, unless another
-// writer has claimed the memo in r.
-func (m *memo[T]) publish(r sim.Round, rec T) {
+// publish makes rec the published record in radio round r and returns it,
+// unless another writer has claimed the memo in r: then it returns nil.
+func (m *memo[T]) publish(r sim.Round, rec T) *T {
 	c := m.claim.Load()
 	if c == int64(r)+1 || !m.claim.CompareAndSwap(c, int64(r)+1) {
-		return
+		return nil
 	}
 	i := 1 - m.cur.Load()
 	m.recs[i] = rec
 	m.cur.Store(i)
+	return &m.recs[i]
 }
 
 // vnodeMemo is what a virtual node's replicas share: the last step one of
@@ -222,20 +235,32 @@ func (d *Deployment) step(v VNodeID, sc *stateCache, from []byte, h *cha.History
 	return state
 }
 
-// outgoing returns Program.Outgoing(state, vr) for virtual node v, asked in
-// radio round r: a replica whose virtual round and state, by content, match
-// the broadcast a replica of v last published takes its message, and any
-// other asks the program and publishes the answer. A virtual node's
-// replicas ask their program once a virtual round between them.
-func (d *Deployment) outgoing(v VNodeID, state []byte, vr int, r sim.Round) *Message {
+// outgoing returns the vn phase's message of virtual node v in virtual round
+// vr, Program.Outgoing(state, vr) as it goes on the air — nil when the node
+// listens — asked in radio round r: a replica whose virtual round and state,
+// by content, match the broadcast a replica of v last published takes its
+// message, and any other asks the program and publishes the answer. A
+// virtual node's replicas ask their program once a virtual round between
+// them, and put one message on the air, the memo's.
+func (d *Deployment) outgoing(v VNodeID, state []byte, vr int, r sim.Round) *VNMsg {
 	if m := d.memos[v].Load(); m != nil && !noCache {
 		if o := m.out.load(); o.vr == vr && bytes.Equal(o.state, state) {
-			return o.msg
+			return o.air()
 		}
 	}
-	msg := d.programs[v].Outgoing(state, vr)
-	d.memo(v).out.publish(r, sharedOut{vr: vr, state: state, msg: msg})
-	return msg
+	rec := sharedOut{vr: vr, state: state}
+	if msg := d.programs[v].Outgoing(state, vr); msg != nil {
+		rec.sends, rec.msg = true, VNMsg{Payload: msg.Payload}
+	}
+	if o := d.memo(v).out.publish(r, rec); o != nil {
+		return o.air()
+	}
+	// A sibling published in this round first: one whose state differs, or
+	// one that missed at the same time on another worker.
+	if !rec.sends {
+		return nil
+	}
+	return &VNMsg{Payload: rec.msg.Payload}
 }
 
 // Codec adapts a typed state S to the Program byte-string interface using

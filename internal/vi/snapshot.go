@@ -2,7 +2,6 @@ package vi
 
 import (
 	"fmt"
-	"slices"
 
 	"vinfra/internal/cha"
 	"vinfra/internal/sim"
@@ -262,7 +261,11 @@ func DecodeMonitorSnapshot(b []byte) (MonitorSnapshot, error) {
 	s.Tops = make([]cha.Instance, 0, nv)
 	s.Greens = make([][]cha.Instance, 0, nv)
 	for i := 0; i < nv; i++ {
-		s.VNodes = append(s.VNodes, VNodeID(d.Varint()))
+		v := d.Varint()
+		if v < 0 || v >= maxMonitored {
+			return MonitorSnapshot{}, fmt.Errorf("vi: monitor snapshot: virtual node %d outside [0, %d)", v, maxMonitored)
+		}
+		s.VNodes = append(s.VNodes, VNodeID(v))
 		s.Tops = append(s.Tops, cha.Instance(d.Uvarint()))
 		ng := d.Count()
 		g := make([]cha.Instance, 0, ng)
@@ -284,17 +287,15 @@ func (m *Monitor) Snapshot() MonitorSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var s MonitorSnapshot
-	s.VNodes = make([]VNodeID, 0, len(m.vnodes))
 	for v, g := range m.vnodes {
 		if g.top != 0 || len(g.runs) > 0 {
-			s.VNodes = append(s.VNodes, v)
+			s.VNodes = append(s.VNodes, VNodeID(v))
 		}
 	}
-	slices.Sort(s.VNodes)
 	s.Tops = make([]cha.Instance, len(s.VNodes))
 	s.Greens = make([][]cha.Instance, len(s.VNodes))
 	for i, v := range s.VNodes {
-		g := m.vnodes[v]
+		g := &m.vnodes[v]
 		s.Tops[i] = g.top
 		n := 0
 		for _, r := range g.runs {
@@ -319,12 +320,12 @@ func (m *Monitor) Snapshot() MonitorSnapshot {
 func (m *Monitor) Restore(s MonitorSnapshot) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.vnodes = make(map[VNodeID]*greenRuns, len(s.VNodes))
+	m.vnodes = nil
 	for i, v := range s.VNodes {
-		g := &greenRuns{top: s.Tops[i]}
+		g := m.runsOf(v)
+		*g = greenRuns{top: s.Tops[i]}
 		for _, k := range s.Greens[i] {
 			g.add(k)
 		}
-		m.vnodes[v] = g
 	}
 }

@@ -2,6 +2,7 @@ package vi
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -41,6 +42,19 @@ func TestMonitorSnapshotRoundTrip(t *testing.T) {
 		if a, b := m.ReportThrough(v, 3), fresh.ReportThrough(v, 3); !reflect.DeepEqual(a, b) {
 			t.Fatalf("vnode %d: restored report %+v, original %+v", v, b, a)
 		}
+	}
+
+	// The table a restore lays out is as long as the highest virtual node
+	// listed, so a snapshot naming one no world has is refused, not sized.
+	for _, v := range []VNodeID{-1, maxMonitored, math.MaxInt32} {
+		far := MonitorSnapshot{VNodes: []VNodeID{0, v}, Tops: []cha.Instance{1, 1}, Greens: [][]cha.Instance{{1}, {1}}}
+		if _, err := DecodeMonitorSnapshot(far.AppendTo(nil)); err == nil {
+			t.Errorf("a snapshot naming virtual node %d decoded", v)
+		}
+	}
+	last := MonitorSnapshot{VNodes: []VNodeID{maxMonitored - 1}, Tops: []cha.Instance{1}, Greens: [][]cha.Instance{{1}}}
+	if _, err := DecodeMonitorSnapshot(last.AppendTo(nil)); err != nil {
+		t.Errorf("the snapshot of virtual node %d: %v", maxMonitored-1, err)
 	}
 }
 

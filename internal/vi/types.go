@@ -60,7 +60,8 @@ type ClientMsg struct {
 func (m ClientMsg) WireSize() int { return 1 + wire.BytesSize(len(m.Payload)) }
 
 // VNMsg carries a virtual node's broadcast in the vn phase (sent by one or
-// more of its replicas on its behalf).
+// more of its replicas on its behalf). It goes on the air as a *VNMsg the
+// replicas share, valid for its round (see Deployment.outgoing).
 type VNMsg struct {
 	Payload []byte
 }
