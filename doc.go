@@ -53,9 +53,16 @@
 //     Deliver picks per round, scanning every transmission instead when a
 //     round has fewer than 8. A cell lists its own transmissions before
 //     its neighbours', and a receiver stops reading candidates at its
-//     decision point — one other transmission within R1 and a second
-//     within R2, or its own — after which none can change its reception.
-//     A silent round reads no candidates at all. Scan and grid are
+//     decision point, after which none can change its reception. A plain
+//     round — no adversary, no gray zone, a detector exact from that round
+//     on (cd.Exact: AC, or ◇AC from its accuracy round) — is counted: a
+//     reception is whether none, one (heard within R1) or more other
+//     transmissions lie within R2, so a receiver stops at the second (the
+//     first if it transmits) and nothing is asked of the detector. Any
+//     other round is concluded receiver by receiver, stopping at one other
+//     transmission within R1 and a second within R2, or its own. A silent
+//     round under an exact detector reads no candidates at all and asks
+//     nobody, adversary or not. Scan and grid are
 //     reception-identical for the same seed. A Medium delivers on one
 //     goroutine (region shards, each with its own Medium, are what
 //     parallelises delivery) and its per-round state (reception slice,
@@ -66,7 +73,10 @@
 //     so a checkpoint records only its configuration fingerprint
 //     (Medium.AppendFingerprint), and a restore compares it.
 //   - cd, cm: the model's collision detector classes and contention
-//     managers. A contention manager keeps one clock, its caller's
+//     managers. A detector that reports exactly the losses within R2 from
+//     some round on says so (cd.Exact: AC from 0, ◇AC from its accuracy
+//     round; Complete and Null never), which is what lets the medium count
+//     plain rounds. A contention manager keeps one clock, its caller's
 //     ballots: a backoff loser sits out the next ballot, and the regional
 //     manager competes only within the deployment's LeaderMargin (§4.2),
 //     which spec.Build refuses when no bootstrap replica stands inside it.
@@ -139,11 +149,12 @@
 //     one as a joiner — read off a timetable the deployment lays out with
 //     the schedule, one row per kind of emulator, in which each emulator
 //     keeps its place. In some of a replica's rounds it only listens —
-//     veto-1 while its core is not red, join, and join-ack and reset while
-//     it has seen no join activity — so one that hears nothing there is
-//     called in four. A
-//     replica runs the scheduled and the unscheduled agreement instance
-//     through one cha.Seat, the six phases one case of its phase switch.
+//     veto-1 while its core is not red, join, join-ack when its virtual
+//     node is unscheduled, and the scheduled node's join-ack and reset
+//     while it has seen no join activity — so one that hears nothing there
+//     is called in four. A replica runs the scheduled and the unscheduled
+//     agreement instance through one cha.Seat, the six phases one case of
+//     its phase switch.
 //     Clients and emulators checkpoint the one way every stateful node
 //     part does: AppendState and RestoreState (sim.Snapshotter) write and
 //     read their live fields straight to and from a wire blob, the

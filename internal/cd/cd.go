@@ -34,13 +34,17 @@ type Detector interface {
 // for detectors that never become accurate.
 const Never = sim.Round(math.MaxInt)
 
-// Quiet is the property a medium reads to skip its receivers in a round
-// nobody transmits in: from round QuietFrom on, the detector's Report with
-// neither loss is false whatever the adversary forces, and draws nothing
-// from rnd. A detector that implements it must keep it true of Report; one
-// that does not is asked receiver by receiver in every round.
-type Quiet interface {
-	QuietFrom() sim.Round
+// Exact is the property a medium reads to count a round rather than
+// conclude it receiver by receiver: from round ExactFrom on, the detector's
+// Report is exactly lostR2 — ± iff a message broadcast within R2 was lost —
+// whatever the adversary forces, and it draws nothing from rnd. (Report may
+// read lostR1 too: R1 <= R2, so a loss within R1 is a loss within R2, and
+// lostR1 || lostR2 is lostR2.) A detector that implements it must keep it
+// true of Report; one that does not is asked receiver by receiver in every
+// round. Nobody loses anything in a round nobody transmits in, so from
+// ExactFrom on such a round reports nothing anywhere.
+type Exact interface {
+	ExactFrom() sim.Round
 }
 
 // AC is a complete and (always) accurate collision detector: it reports ±
@@ -53,8 +57,9 @@ func (AC) Report(_ sim.Round, lostR1, lostR2, _ bool, _ func() float64) bool {
 	return lostR1 || lostR2
 }
 
-// QuietFrom implements Quiet: AC reports only losses, from the start.
-func (AC) QuietFrom() sim.Round { return 0 }
+// ExactFrom implements Exact: AC reports exactly the losses, from the
+// start.
+func (AC) ExactFrom() sim.Round { return 0 }
 
 // EventuallyAC is the class 3A-C detector assumed by the paper: complete in
 // every round, and accurate from round Racc onward. Before Racc it emits a
@@ -82,9 +87,9 @@ func (d EventuallyAC) Report(r sim.Round, lostR1, lostR2, spurious bool, rnd fun
 	return false
 }
 
-// QuietFrom implements Quiet: from Racc on, EventuallyAC reports only
-// losses.
-func (d EventuallyAC) QuietFrom() sim.Round { return d.Racc }
+// ExactFrom implements Exact: from Racc on, EventuallyAC reports exactly
+// the losses — no forced or random false positive, and no draw.
+func (d EventuallyAC) ExactFrom() sim.Round { return d.Racc }
 
 // Complete is complete but never accurate: false positives (forced or
 // randomized) persist forever. It is the 0-accuracy end of the ablation in
@@ -94,7 +99,8 @@ type Complete struct {
 	FalsePositiveRate float64
 }
 
-// Report implements Detector.
+// Report implements Detector. Complete is not Exact: a forced or random
+// false positive can come in any round.
 func (d Complete) Report(_ sim.Round, lostR1, lostR2, spurious bool, rnd func() float64) bool {
 	if lostR1 || lostR2 || spurious {
 		return true
@@ -108,10 +114,8 @@ func (d Complete) Report(_ sim.Round, lostR1, lostR2, spurious bool, rnd func() 
 // agreement violations.
 type Null struct{}
 
-// Report implements Detector.
+// Report implements Detector. Null is not Exact: it stays silent over a
+// loss, so a medium asks it receiver by receiver, silent rounds included.
 func (Null) Report(_ sim.Round, _, _, _ bool, _ func() float64) bool {
 	return false
 }
-
-// QuietFrom implements Quiet: Null reports nothing, from the start.
-func (Null) QuietFrom() sim.Round { return 0 }

@@ -127,3 +127,49 @@ func TestEventualAccuracyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestExactDetectorsReportLostR2 holds every detector to what it says of
+// cd.Exact: from ExactFrom on, Report is lostR2 for every pair a medium can
+// hand it (lostR1 implies lostR2), forced or not, and draws nothing; before
+// it, and for a detector that does not say, some input tells Report apart
+// from lostR2.
+func TestExactDetectorsReportLostR2(t *testing.T) {
+	const racc = 3
+	for _, c := range []struct {
+		d     Detector
+		exact sim.Round // Never: does not implement Exact
+	}{
+		{AC{}, 0},
+		{EventuallyAC{Racc: racc, FalsePositiveRate: 0.5}, racc},
+		{EventuallyAC{Racc: racc}, racc},
+		{Complete{}, Never},
+		{Complete{FalsePositiveRate: 0.5}, Never},
+		{Null{}, Never},
+	} {
+		exact := Never
+		if x, ok := c.d.(Exact); ok {
+			exact = x.ExactFrom()
+		}
+		if exact != c.exact {
+			t.Fatalf("%T%+v: exact from round %d, want %d", c.d, c.d, exact, c.exact)
+		}
+		for r := sim.Round(0); r < 2*racc; r++ {
+			differs := false
+			for _, in := range [][2]bool{{false, false}, {false, true}, {true, true}} {
+				for _, spurious := range []bool{false, true} {
+					drew := false
+					rnd := func() float64 { drew = true; return 0 }
+					got := c.d.Report(r, in[0], in[1], spurious, rnd)
+					if r >= exact && (got != in[1] || drew) {
+						t.Fatalf("%T%+v round %d (exact from %d): Report(lostR1 %v, lostR2 %v, spurious %v) = %v, drew %v; want %v and no draw",
+							c.d, c.d, r, exact, in[0], in[1], spurious, got, drew, in[1])
+					}
+					differs = differs || got != in[1]
+				}
+			}
+			if r < exact && !differs {
+				t.Errorf("%T%+v round %d: Report is lostR2 on every input, yet not exact before round %d", c.d, c.d, r, exact)
+			}
+		}
+	}
+}

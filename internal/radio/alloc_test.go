@@ -18,16 +18,19 @@ func TestDeliverSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	infos, txs, radii := benchScenario(10_000)
-	for _, mode := range []path{pathScan, pathGrid} {
-		name := "grid"
-		if mode == pathScan {
-			name = "scan"
-		}
-		t.Run(name, func(t *testing.T) {
+	// The AC rounds are counted; gray-zone delivery makes the last one
+	// concluded receiver by receiver.
+	for _, c := range []struct {
+		name string
+		mode path
+		gray float64
+	}{{"scan", pathScan, 0}, {"grid", pathGrid, 0}, {"grid-concluded", pathGrid, 0.5}} {
+		mode := c.mode
+		t.Run(c.name, func(t *testing.T) {
 			if mode == pathScan && testing.Short() {
 				t.Skip("scan at 10k nodes is slow")
 			}
-			m := Forced(Config{Radii: radii, Detector: cd.AC{}, Seed: 1}, mode)
+			m := Forced(Config{Radii: radii, Detector: cd.AC{}, GrayZoneDeliveryProb: c.gray, Seed: 1}, mode)
 			for r := sim.Round(0); r < 3; r++ { // warm the reusable state
 				m.Deliver(r, txs, infos)
 			}

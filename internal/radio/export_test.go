@@ -20,12 +20,13 @@ func Forced(cfg Config, p path) *Medium {
 // Work is the delivery work a medium has counted since it was built:
 // measurements, never part of a snapshot.
 type Work struct {
-	Examined int // candidates the reception loop looked at
-	Filtered int // Adversary.Filter calls
+	Examined  int // candidates the reception loop looked at
+	Filtered  int // Adversary.Filter calls
+	Concluded int // receivers concluded one by one, not counted or cleared
 }
 
 func (m *Medium) Work() Work {
-	return Work{Examined: m.examined, Filtered: m.filtered}
+	return Work{Examined: m.examined, Filtered: m.filtered, Concluded: m.concluded}
 }
 
 // Drop schedules the message from sender to receiver in round r to be lost.

@@ -16,8 +16,8 @@ import (
 // bytes (see decodeRound): up to 64 receivers and 48 transmissions, any
 // radii with R1 <= R2, gray-zone delivery off or on, every detector class
 // (and tellsR1, which reads lostR1 apart from lostR2), every in-tree
-// adversary, transmitting and dead receivers, duplicated
-// senders and the silent round.
+// adversary, transmitting and dead receivers, duplicated senders, the
+// silent round and the counted (plain) round.
 //
 //	go test ./internal/radio/ -run xxx -fuzz FuzzDeliverMatchesReference -fuzztime 10s
 func FuzzDeliverMatchesReference(f *testing.F) {
@@ -74,6 +74,19 @@ func FuzzDeliverMatchesReference(f *testing.F) {
 	} {
 		f.Add(encodeRound(hdr, window, near))
 	}
+	// Two plain rounds, which the medium counts rather than concludes: the
+	// metro window under ◇AC accurate from round 1 (round 0 is concluded),
+	// and a lone transmitter under AC with a listener within R1 of it, one
+	// in its gray zone and one beyond R2.
+	f.Add(encodeRound([fuzzHeader]byte{2: 36, 3: 64, 5: 1, 6: 1}, window, near))
+	f.Add(encodeRound([fuzzHeader]byte{2: 36, 3: 64},
+		[]sim.NodeInfo{
+			{ID: 0, At: geo.Point{X: 0}, Alive: true},
+			{ID: 1, At: geo.Point{X: 6, Y: 6}, Alive: true},
+			{ID: 2, At: geo.Point{X: -15}, Alive: true},
+			{ID: 3, At: geo.Point{X: 0, Y: 25}, Alive: true},
+		},
+		[]sim.Transmission{{Sender: 0, From: geo.Point{X: 0}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, txs, rxs := decodeRound(data)

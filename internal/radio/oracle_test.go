@@ -99,9 +99,15 @@ func referenceDeliver(cfg Config, r sim.Round, txs []sim.Transmission, rxs []sim
 // reused buffers), and requires identical receptions.
 func checkAllModes(t *testing.T, label string, cfg Config, rounds int, txs []sim.Transmission, rxs []sim.NodeInfo) {
 	t.Helper()
+	checkAllModesFrom(t, label, cfg, 0, rounds, txs, rxs)
+}
+
+// checkAllModesFrom is checkAllModes over the rounds from, from+1, ….
+func checkAllModesFrom(t *testing.T, label string, cfg Config, from sim.Round, rounds int, txs []sim.Transmission, rxs []sim.NodeInfo) {
+	t.Helper()
 	for _, mode := range []path{pathScan, pathGrid, pathAuto} {
 		m := Forced(cfg, mode)
-		for r := sim.Round(0); r < sim.Round(rounds); r++ {
+		for r := from; r < from+sim.Round(rounds); r++ {
 			want := referenceDeliver(cfg, r, txs, rxs)
 			for pass := 0; pass < 2; pass++ {
 				got := m.Deliver(r, txs, rxs)
@@ -116,6 +122,22 @@ func checkAllModes(t *testing.T, label string, cfg Config, rounds int, txs []sim
 				}
 			}
 		}
+	}
+}
+
+// plainConfigs are the configurations a medium counts the rounds of (see
+// Deliver) — AC, and ◇AC from its accuracy round on, with no adversary and
+// no gray zone — each with the first round it is counted in.
+func plainConfigs(radii geo.Radii, seed int64) []struct {
+	cfg  Config
+	from sim.Round
+} {
+	return []struct {
+		cfg  Config
+		from sim.Round
+	}{
+		{Config{Radii: radii, Detector: cd.AC{}, Seed: seed}, 0},
+		{Config{Radii: radii, Detector: cd.EventuallyAC{Racc: 2}, Seed: seed}, 2},
 	}
 }
 
@@ -149,7 +171,8 @@ func (filterAndForce) ForceCollision(r sim.Round, rx sim.NodeID, _ geo.Point) bo
 // whose receivers are a NodeID-sparse subset, dead receivers, and an
 // adversary that both filters and forces collisions — against a detector
 // that draws, with gray-zone delivery on, so the lazily keyed stream has to
-// produce the draws the eagerly keyed one did.
+// produce the draws the eagerly keyed one did. Every input is also delivered
+// under the plain configurations (plainConfigs), whose rounds are counted.
 func TestDeliverMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -170,7 +193,15 @@ func TestDeliverMatchesReference(t *testing.T) {
 			cfg.Adversary = Compose{filterAndForce{}, NewRandomLoss(0.3, 0.1, 2, seed)}
 		}
 		label := func(s string) string { return fmt.Sprintf("seed %d (n=%d, %d txs): %s", seed, n, len(txs), s) }
-		checkAllModes(t, label("as generated"), cfg, 3, txs, infos)
+		plain := plainConfigs(radii, seed+100)
+		check := func(s string, rounds int, txs []sim.Transmission, rxs []sim.NodeInfo) {
+			t.Helper()
+			checkAllModes(t, label(s), cfg, rounds, txs, rxs)
+			for _, p := range plain {
+				checkAllModesFrom(t, label(s+", plain"), p.cfg, p.from, rounds, txs, rxs)
+			}
+		}
+		check("as generated", 3, txs, infos)
 
 		// Snap a third of the positions, and the origins with them, onto
 		// cell corners and edges.
@@ -187,7 +218,7 @@ func TestDeliverMatchesReference(t *testing.T) {
 		for i := range edgeTxs {
 			edgeTxs[i].From = edge[edgeTxs[i].Sender].At
 		}
-		checkAllModes(t, label("on cell edges"), cfg, 2, edgeTxs, edge)
+		check("on cell edges", 2, edgeTxs, edge)
 
 		if len(txs) < 3 {
 			continue
@@ -198,13 +229,13 @@ func TestDeliverMatchesReference(t *testing.T) {
 		co[1].From, co[2].From = co[0].From, co[0].From
 		coInfos := append([]sim.NodeInfo(nil), infos...)
 		coInfos[co[1].Sender].At = co[0].From
-		checkAllModes(t, label("coincident senders"), cfg, 2, co, coInfos)
+		check("coincident senders", 2, co, coInfos)
 
 		// A sender whose recorded origin is far from where it stands.
 		stale := append([]sim.Transmission(nil), txs...)
 		stale[0].From = geo.Point{X: stale[0].From.X + 40*radii.R2, Y: -stale[0].From.Y}
 		stale[1].From = infos[stale[2].Sender].At // and one claiming a neighbour's spot
-		checkAllModes(t, label("stale From"), cfg, 2, stale, infos)
+		check("stale From", 2, stale, infos)
 
 		// Shuffled transmissions and receivers, and a sender listed twice
 		// (from two different origins; it hears its later entry).
@@ -213,12 +244,12 @@ func TestDeliverMatchesReference(t *testing.T) {
 		dup.From = infos[rng.Intn(n)].At
 		dup.Msg = "dup"
 		shTxs = append(shTxs, dup)
-		checkAllModes(t, label("duplicate sender, ordered"), cfg, 2, shTxs, infos)
+		check("duplicate sender, ordered", 2, shTxs, infos)
 		rng.Shuffle(len(shTxs), func(i, j int) { shTxs[i], shTxs[j] = shTxs[j], shTxs[i] })
 		shRxs := append([]sim.NodeInfo(nil), infos...)
 		rng.Shuffle(len(shRxs), func(i, j int) { shRxs[i], shRxs[j] = shRxs[j], shRxs[i] })
 		shRxs = append(shRxs, shRxs[0], shRxs[len(shRxs)/2]) // receivers listed twice
-		checkAllModes(t, label("shuffled"), cfg, 2, shTxs, shRxs)
+		check("shuffled", 2, shTxs, shRxs)
 
 		// A shard's call: a sparse, NodeID-ordered resident subset, every
 		// transmission as a candidate.
@@ -228,9 +259,9 @@ func TestDeliverMatchesReference(t *testing.T) {
 				residents = append(residents, infos[i])
 			}
 		}
-		checkAllModes(t, label("resident subset"), cfg, 2, txs, residents)
-		checkAllModes(t, label("no residents"), cfg, 1, txs, nil)
-		checkAllModes(t, label("no transmissions"), cfg, 1, nil, infos)
+		check("resident subset", 2, txs, residents)
+		check("no residents", 1, txs, nil)
+		check("no transmissions", 1, nil, infos)
 	}
 }
 
@@ -238,7 +269,8 @@ func TestDeliverMatchesReference(t *testing.T) {
 // rule: a round carrying a transmission whose From is NaN, infinite or
 // astronomically far away — or merely a billion units from the others —
 // still equals the reference scan in every mode, receivers standing at such
-// points included, and the grid's memory stays a fixed multiple of the
+// points included — also under the plain configurations, whose rounds are
+// counted — and the grid's memory stays a fixed multiple of the
 // transmission count.
 func TestDeliverHostileOrigins(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
@@ -274,6 +306,9 @@ func TestDeliverHostileOrigins(t *testing.T) {
 				}
 			}
 			checkAllModes(t, tc.name, cfg, 2, hTxs, hInfos)
+			for _, p := range plainConfigs(radii, 4) {
+				checkAllModesFrom(t, tc.name+", plain", p.cfg, p.from, 2, hTxs, hInfos)
+			}
 
 			m := Forced(cfg, pathGrid)
 			m.Deliver(0, hTxs, hInfos)
@@ -298,6 +333,9 @@ func TestDeliverHostileOrigins(t *testing.T) {
 		{ID: 4, At: geo.Point{X: 5e8, Y: 5e8}, Alive: true},
 	}
 	checkAllModes(t, "1e9 apart", cfg, 2, far, rxs)
+	for _, p := range plainConfigs(radii, 4) {
+		checkAllModesFrom(t, "1e9 apart, plain", p.cfg, p.from, 2, far, rxs)
+	}
 	m := Forced(cfg, pathGrid)
 	m.Deliver(0, far, rxs) // warm
 	if avg := testing.AllocsPerRun(10, func() { m.Deliver(1, far, rxs) }); avg > float64(2*len(far)) {

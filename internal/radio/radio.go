@@ -14,20 +14,31 @@
 // that can reach or interfere with it by flooring its own position once and
 // reading one cell. Rounds with only a handful of transmissions are scanned
 // — Deliver picks per round, from the round's size. Either way a receiver
-// stops at its decision point: once one other transmission within R1 and a
-// second within R2 (or its own) have been seen, no further candidate can
-// change what it hears or what its detector is told. A cell lists the
-// transmissions originating in it before its neighbours', so the nearest
-// come first and the decision point arrives after a few candidates. A
-// silent round — no transmissions — skips the candidates altogether: every
-// reception is the detector's verdict on no loss, and once the detector is
-// quiet (cd.Quiet) that verdict is no for every receiver, so the round
-// clears the receptions in one pass. A Medium delivers on the
-// calling goroutine; the unit of parallel delivery is the region shard
-// (sim.WithRegionShards), each with a Medium of its own. All randomness is
-// derived per (round, receiver), so every arrangement — scan or grid, one
-// medium or one per shard — produces identical receptions for the same
-// seed.
+// stops at its decision point, once no further candidate can change what it
+// hears or what its detector is told. A cell lists the transmissions
+// originating in it before its neighbours', so the nearest come first and
+// the decision point arrives after a few candidates.
+//
+// A round is plain when the medium has no adversary and no gray-zone
+// delivery, and its detector reports exactly the losses within R2 in that
+// round (cd.Exact: AC always, ◇AC from its accuracy round on). A plain
+// round is counted: a reception
+// depends only on whether none, one or at least two other transmissions lie
+// within R2 of the receiver and, for one, whether it lies within R1, so the
+// receiver stops at the first when it transmits itself and at the second
+// otherwise, and writes its reception with no detector call, random stream
+// or adversary check. Any other round is concluded receiver by receiver
+// (conclude), and its decision point is one other transmission within R1
+// plus a second within R2 (or its own). A silent round — no transmissions —
+// under an exact detector reads like a plain round with no candidates, even
+// under an adversary: nothing is lost and the verdict on no loss is no, so
+// the round clears the receptions in one pass.
+//
+// A Medium delivers on the calling goroutine; the unit of parallel delivery
+// is the region shard (sim.WithRegionShards), each with a Medium of its own.
+// All randomness is derived per (round, receiver), so every arrangement —
+// scan or grid, one medium or one per shard — produces identical receptions
+// for the same seed.
 //
 // The steady-state delivery loop touches only flat, medium-owned memory
 // and allocates nothing of its own: the reception slice, the stamped grid
@@ -84,7 +95,7 @@ type Adversary interface {
 	// ForceCollision reports whether to request a spurious collision
 	// indication at the receiver (located at) in round r. Like Filter it
 	// must be pure: the medium does not ask it when the answer cannot
-	// matter — in a silent round under a quiet detector (cd.Quiet).
+	// matter — in a silent round under an exact detector (cd.Exact).
 	ForceCollision(r sim.Round, receiver sim.NodeID, at geo.Point) bool
 }
 
@@ -101,27 +112,27 @@ const (
 	pathAuto path = iota
 	pathScan
 	pathGrid
-	// pathReceivers concludes a silent round receiver by receiver even
-	// under a quiet detector — the reference the one-pass silent round is
-	// held to — and scans every other round.
+	// pathReceivers concludes every receiver of every round (conclude),
+	// also where Deliver would count it or clear it in one pass, and scans:
+	// the reference the counted and the silent rounds are held to.
 	pathReceivers
 )
 
 // autoIndexMinTxs is the transmission count below which Deliver scans:
 // finding a receiver's cell costs two floors and a table read, about what
 // comparing its distance to a handful of transmissions costs, and a round
-// that sparse gives the grid nothing to prune. Measured with both paths
-// stopping at the decision point (uniform receivers, R2 = 20, a 90- and a
-// 400-unit world; medians of three 1 s runs on a 2-core x86 host): at 64-900
-// receivers grid/scan is 0.95-1.18x at 6 transmissions, 0.76-0.96x at 8 and
-// 0.54-0.98x at 12; at 100k receivers it is 1.09-1.17x at 6, 0.93-1.12x at 8
-// and 0.84-1.03x at 12; BenchmarkDeliverGrid10k's 10k nodes are ~40x. The
-// exit cuts both paths' work per receiver alike, so the crossover stayed
-// where it was measured before it (the parent build gave 0.74-1.23x at 6,
-// 0.63-1.12x at 8) and so did the constant.
+// that sparse gives the grid nothing to prune. Measured on counted rounds
+// (AC, no adversary; uniform receivers, R2 = 20, a 90- and a 400-unit
+// world; medians of three 0.3 s runs on a 2-core x86 host shared with other
+// work): at 256-900 receivers grid/scan is 0.82-1.17x at 6 transmissions,
+// 0.60-0.99x at 8 and 0.75-0.81x at 12; at 100k receivers it is 1.23x at 6,
+// 0.81x at 8 and 0.88x at 12. Counting cuts both paths' work per receiver
+// alike, so the crossover stayed where it was measured on concluded rounds
+// (0.76-0.96x at 8 then) and so did the constant.
 // autoIndexMinWork is the receivers-times-transmissions product below which
 // building the grid costs more than the whole scan (16 receivers: the scan
-// wins at every transmission count up to 16, by 1.3-1.8x).
+// wins at every transmission count up to 16, by 1.6-3.6x; at 64 receivers
+// the two are within 1.0-1.4x of each other from 4 to 16 transmissions).
 const (
 	autoIndexMinWork = 1 << 10
 	autoIndexMinTxs  = 8
@@ -163,9 +174,12 @@ type Medium struct {
 	// force pins the delivery path; only export_test.go sets it.
 	force path
 
-	// quiet is the round from which the detector reports nothing in a
-	// silent round (cd.Quiet), cd.Never when it does not say.
-	quiet sim.Round
+	// exact is the round from which the detector reports exactly the losses
+	// within R2 (cd.Exact), cd.Never when it does not say; plain is whether
+	// the config leaves a reception nothing else to depend on — no adversary
+	// and no gray-zone delivery. See Deliver for what each allows.
+	exact sim.Round
+	plain bool
 
 	// Per-round reusable state, rebuilt in place every round: the reception
 	// slice handed back to the engine, the arena its Msgs windows share (the
@@ -191,11 +205,13 @@ type Medium struct {
 	rxID  sim.NodeID
 	rnd   func() float64
 
-	// examined counts the candidates receive has looked at, filtered the
-	// Adversary.Filter calls. They are measurements, not state: never part
-	// of a snapshot, read only by this package's tests.
-	examined int
-	filtered int
+	// examined counts the candidates receive and count have looked at,
+	// filtered the Adversary.Filter calls and concluded the receivers
+	// concluded one by one. They are measurements, not state: never part of
+	// a snapshot, read only by this package's tests.
+	examined  int
+	filtered  int
+	concluded int
 }
 
 var _ sim.Medium = (*Medium)(nil)
@@ -214,9 +230,14 @@ func NewMedium(cfg Config) (*Medium, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	m := &Medium{cfg: cfg, quiet: cd.Never, deliverable: make([]sim.Transmission, 0, 1)}
-	if q, ok := cfg.Detector.(cd.Quiet); ok {
-		m.quiet = q.QuietFrom()
+	m := &Medium{
+		cfg:         cfg,
+		exact:       cd.Never,
+		plain:       cfg.Adversary == nil && cfg.GrayZoneDeliveryProb == 0,
+		deliverable: make([]sim.Transmission, 0, 1),
+	}
+	if x, ok := cfg.Detector.(cd.Exact); ok {
+		m.exact = x.ExactFrom()
 	}
 	m.grid.inv = 1 / cfg.Radii.R2
 	m.rnd = func() float64 {
@@ -245,6 +266,14 @@ func MustMedium(cfg Config) *Medium {
 // lists only devices whose radio is on; a caller of its own that lists a
 // dead one (Alive false) gets the empty reception for it. The returned slice
 // and the messages it holds are medium-owned and reused on the next call.
+//
+// From the round the detector is exact (cd.Exact) on, two kinds of round
+// skip conclude. A silent round is empty everywhere: nothing is lost, and
+// the verdict on no loss is no whatever the adversary forces. And a round
+// of a plain medium (no adversary, no gray zone) is counted: a reception
+// then depends only on how many other transmissions lie within R2 of the
+// receiver — none, one (heard if within R1) or more — and on whether it
+// transmits itself (see count).
 func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo) []sim.Reception {
 	if cap(m.out) < len(rxs) {
 		// Headroom: a shard's resident count drifts from round to round and
@@ -269,26 +298,17 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 
 	m.round = r
 
-	if len(txs) == 0 {
-		// A silent round: nobody transmits, so nothing is heard or lost and
-		// a reception is only the detector's verdict on whatever the
-		// adversary forces — no sender walk, no grid, no candidates. A quiet
-		// detector's verdict is no whatever is forced, and the adversary is
-		// pure, so its receptions are all empty without asking either.
-		if r >= m.quiet && m.force != pathReceivers {
-			clear(out)
-			return out
-		}
-		for i := range rxs {
-			rx := &rxs[i]
-			if !rx.Alive {
-				out[i] = sim.Reception{}
-				continue
-			}
-			m.conclude(&out[i], r, nil, rx, -1, 0, 0, -1)
-		}
+	exact := r >= m.exact && m.force != pathReceivers
+	if len(txs) == 0 && exact {
+		// A silent round: nobody transmits, so nothing is heard or lost, and
+		// an exact detector's verdict on no loss is no whatever the adversary
+		// forces — which is pure, so it need not be asked. (Otherwise each
+		// reception is the detector's verdict on what is forced: the loop
+		// below concludes every receiver, with no candidates.)
+		clear(out)
 		return out
 	}
+	counted := exact && m.plain
 
 	gridded := m.force == pathGrid ||
 		m.force == pathAuto && len(txs) >= autoIndexMinTxs && len(txs)*len(rxs) >= autoIndexMinWork
@@ -307,9 +327,58 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 		if gridded {
 			cands = m.grid.at(rx.At)
 		}
-		m.receive(&out[i], r, txs, cands, rx)
+		if counted {
+			m.count(&out[i], txs, cands, rx)
+		} else {
+			m.receive(&out[i], r, txs, cands, rx)
+		}
 	}
 	return out
+}
+
+// count is receive for a counted round (see Deliver), with no conclude: the
+// detector reports exactly a loss within R2, and nothing but contention and
+// range loses a message. So a transmitting receiver hears its own message,
+// with ± iff any other transmission lies within R2 of it, and a listening
+// one hears the sole such transmission when it lies within R1, ± when that
+// one lies in the gray zone or there are two or more, and nothing when there
+// is none. It stops at the first other transmission within R2 when it
+// transmits and at the second when it listens — nothing after either can
+// change its reception. Distances are compared as receive compares them, so
+// a NaN distance is out of range on both.
+func (m *Medium) count(out *sim.Reception, txs []sim.Transmission, cands []int32, rx *sim.NodeInfo) {
+	own := m.own.of(txs, rx.ID)
+	enough := 2
+	if own >= 0 {
+		enough = 1
+	}
+	r1sq, r2sq := m.cfg.Radii.R1*m.cfg.Radii.R1, m.cfg.Radii.R2*m.cfg.Radii.R2
+	n, sole, near := 0, int32(-1), false
+	examined := len(cands)
+	for k, i := range cands {
+		tx := &txs[i]
+		if tx.Sender == rx.ID {
+			continue
+		}
+		if d2 := tx.From.Dist2(rx.At); d2 <= r2sq {
+			n, sole, near = n+1, i, d2 <= r1sq
+			if n == enough {
+				examined = k + 1
+				break
+			}
+		}
+	}
+	m.examined += examined
+	switch {
+	case own >= 0:
+		*out = sim.Reception{Msgs: m.arena[own : own+1 : own+1], Collision: n > 0}
+	case n == 0:
+		*out = sim.Reception{}
+	case n == 1 && near:
+		*out = sim.Reception{Msgs: m.arena[sole : sole+1 : sole+1]}
+	default:
+		*out = sim.Reception{Collision: true}
+	}
 }
 
 // receive computes one receiver's reception into out from cands, the
@@ -368,6 +437,7 @@ func (m *Medium) conclude(out *sim.Reception, r sim.Round, txs []sim.Transmissio
 	// noise) is keyed by (seed, round, receiver), so it is independent of
 	// the order receivers are processed in.
 	m.rxID, m.keyed = rx.ID, false
+	m.concluded++
 
 	// Physical delivery: a node always hears its own broadcast. A message
 	// from another node gets through only when it is the sole transmission

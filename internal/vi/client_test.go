@@ -158,8 +158,9 @@ func (c *countedNode) calls() [2]int {
 // that it is awake for. A replica is awake for 4 — client, vn, its ballot
 // and veto-2 — and listens in veto-1 and the join sub-protocol: one more
 // round, Transmit and Receive, when its core is red and sends a veto-1, and
-// when it hears a join request it is woken for it (a Receive) and stays up
-// for join-ack and, a replica of the scheduled virtual node, for reset. A
+// when it hears a join request it is woken for it (a Receive); a replica of
+// the scheduled virtual node then stays up for join-ack and reset, one of an
+// unscheduled virtual node keeps listening in join-ack. A
 // joiner in its virtual node's slot is up for 4 — through reset, where
 // after an ack it is a replica that saw no join activity and only listens —
 // and a joiner out of it or a device outside every region for 1.
@@ -232,9 +233,10 @@ func TestClientSleepsOutsideItsPhases(t *testing.T) {
 		check(vr, "the device outside every region", outsider, [2]int{1, 1})
 		// The join request of virtual round 5 (virtual node 0's slot) and 6
 		// (virtual node 1's) wakes every replica that hears it: virtual node
-		// 0's acks and guards the reset, an unscheduled one's listens no
-		// more in join-ack.
-		woken := map[int][2][2]int{5: {{6, 7}, {5, 6}}, 6: {{5, 6}}}
+		// 0's acks and guards the reset, an unscheduled one's still only
+		// listens in join-ack — called there in virtual round 5 for the ack
+		// it hears, not in 6, where nobody is left to ack.
+		woken := map[int][2][2]int{5: {{6, 7}, {4, 6}}, 6: {{4, 5}}}
 		for v, c := range replica {
 			want := quiet
 			if w, ok := woken[vr]; ok && v < len(w) {
@@ -254,7 +256,7 @@ func TestClientSleepsOutsideItsPhases(t *testing.T) {
 				t.Fatalf("the joiner was acked %d times by the end of its slot, want once", joins)
 			}
 		case vr == 6:
-			check(vr, "the joiner turned replica", joiner, [2]int{5, 6})
+			check(vr, "the joiner turned replica", joiner, woken[6][0])
 		case vr > 6:
 			check(vr, "the joiner turned replica", joiner, quiet)
 		}

@@ -290,8 +290,12 @@ type EmulatorHooks struct {
 //	                  downgrades it (lines 33-35)
 //	join              always: a replica sends nothing there, and notes join
 //	                  activity only on a request or a collision
-//	join-ack, reset   while it has seen no join activity: it acks and guards
-//	                  only after seeing some, and notes it only on a collision
+//	join-ack          always for a replica of an unscheduled virtual node: only
+//	                  the scheduled node's replicas ack, and a collision only
+//	                  notes join activity
+//	join-ack, reset   for a replica of the scheduled virtual node, while it
+//	                  has seen no join activity: it acks and guards only after
+//	                  seeing some, and notes it only on a collision
 //
 // So a replica that hears nothing there is called in 4 radio rounds a
 // virtual round — client, vn, its ballot slot and veto-2. Since the engine
@@ -745,7 +749,7 @@ func (e *Emulator) listens(duty int32) bool {
 	case dutyQuiet:
 		return !e.sawJoinActivity
 	}
-	return true // dutyJoin
+	return true // dutyListen
 }
 
 // The timetable's rows: an emulator outside every region or a joiner out of
@@ -765,12 +769,13 @@ const (
 // An entry of the timetable is an offset shifted left by listenBits, over
 // the kind of duty it is: one the emulator must be awake for, or one a
 // replica may only listen in (see the Emulator comment) — veto-1 while its
-// core needs no veto, join always, join-ack and reset while it has seen no
-// join activity.
+// core needs no veto; join, and an unscheduled replica's join-ack, always;
+// the scheduled replica's join-ack and reset while it has seen no join
+// activity.
 const (
 	dutyAwake = iota
 	dutyVeto1
-	dutyJoin
+	dutyListen
 	dutyQuiet
 
 	listenBits = 2
@@ -801,7 +806,8 @@ func (d *Deployment) rowOf(v VNodeID, joined bool, vr int) int {
 // filled out with RoundsPerVRound, the next virtual round's client phase.
 // Offsets: client 0, vn 1, sched ballot and vetoes 2-4, unsched ballot slot
 // k at 5+k, unsched vetoes s+7 and s+8, join s+9, join-ack s+10, reset s+11.
-// A replica's duties carry the kind their phase gives them (listenKind).
+// A replica's duties carry the kind their phase and row give them
+// (listenKind).
 func buildTimetable(t Timing) []int32 {
 	s, per := t.S, t.RoundsPerVRound()
 	duties := make([]int32, (rowUnsched+s)<<dutyShift)
@@ -812,7 +818,7 @@ func buildTimetable(t Timing) []int32 {
 		for i, off := range offs {
 			d := int32(off) << listenBits
 			if row >= rowSched {
-				d |= listenKind(t, off)
+				d |= listenKind(t, row, off)
 			}
 			duties[row<<dutyShift+i] = d
 		}
@@ -826,15 +832,16 @@ func buildTimetable(t Timing) []int32 {
 	return duties
 }
 
-// listenKind returns the kind of a replica's duty at offset off: veto-1,
-// join, join-ack and reset are the duties it may only listen in.
-func listenKind(t Timing, off int) int32 {
-	switch p, _ := t.PhaseAt(off); p {
-	case PhaseSchedVeto1, PhaseUnschedVeto1:
+// listenKind returns the kind of the duty at offset off of a replica in
+// timetable row row: veto-1, join, join-ack and reset are the duties it may
+// only listen in, and an unscheduled replica always listens in join-ack.
+func listenKind(t Timing, row, off int) int32 {
+	switch p, _ := t.PhaseAt(off); {
+	case p == PhaseSchedVeto1, p == PhaseUnschedVeto1:
 		return dutyVeto1
-	case PhaseJoin:
-		return dutyJoin
-	case PhaseJoinAck, PhaseReset:
+	case p == PhaseJoin, p == PhaseJoinAck && row >= rowUnsched:
+		return dutyListen
+	case p == PhaseJoinAck, p == PhaseReset:
 		return dutyQuiet
 	}
 	return dutyAwake

@@ -50,15 +50,16 @@ func dutyOracle(s, off int, inRegion, joined, sched bool, slot int) int {
 
 // listenOracle reports whether a replica of the scheduled virtual node
 // (sched) or of an unscheduled one only listens at offset off of its duties:
-// veto-1 unless its core is red, join always, join-ack and reset unless it
-// saw join activity. Other emulators never only listen.
+// veto-1 unless its core is red, join always, join-ack always for an
+// unscheduled replica, join-ack and reset otherwise unless it saw join
+// activity. Other emulators never only listen.
 func listenOracle(s, off int, joined, sched, red, saw bool) bool {
 	switch {
 	case !joined:
 		return false
 	case sched && off == 3, !sched && off == s+7:
 		return !red
-	case off == s+9:
+	case off == s+9, !sched && off == s+10:
 		return true
 	case off == s+10, off == s+11:
 		return !saw
