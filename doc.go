@@ -62,7 +62,8 @@
 //     other round is concluded receiver by receiver, stopping at one other
 //     transmission within R1 and a second within R2, or its own. A silent
 //     round under an exact detector reads no candidates at all and asks
-//     nobody, adversary or not. Scan and grid are
+//     nobody, adversary or not — and the engine, told so once
+//     (sim.Quiet), does not call Deliver for it. Scan and grid are
 //     reception-identical for the same seed. A Medium delivers on one
 //     goroutine (region shards, each with its own Medium, are what
 //     parallelises delivery) and its per-round state (reception slice,
@@ -105,10 +106,12 @@
 //   - cha: Convergent History Agreement, the paper's core protocol.
 //     Value is a byte string carrying a cached digest, so history digests
 //     fold cached 64-bit digests instead of re-hashing proposal bytes.
-//     An instance walks the history chain once: a green Output.History is
-//     the core's HistoryView, valid until its next HistoryView or
-//     ObserveVeto2 (CalculateHistory is the copy to keep), and a ballot
-//     travels as a *BallotMsg into its sender, valid for its round.
+//     A close walks the history chain once, counting what breaks, and
+//     builds no history: a green Output.History() is the core's view,
+//     built when a consumer first asks and valid until the core's next
+//     HistoryView, ObserveVeto2 or GC (CalculateHistory is the copy to
+//     keep). The window is a ring, so GC drops its prefix in place. A
+//     ballot travels as a *BallotMsg into its sender, valid for its round.
 //     Seat is Figure 1's per-replica rule for an instance's three phases,
 //     written once: Replica runs one, and so does vi.Emulator for both of
 //     a virtual round's instances.

@@ -45,8 +45,8 @@ func newNaiveCluster(t *testing.T, n int) (eng *sim.Engine, rec *cha.Recorder, l
 				CM: new(cm.Fixed).Init(&leader, env),
 				OnOutput: func(out cha.Output) {
 					record(out)
-					if out.History != nil {
-						latest[i] = out.History
+					if h := out.History(); h != nil {
+						latest[i] = h
 					}
 				},
 			})

@@ -159,7 +159,6 @@ func (r *NaiveReplica) Receive(round sim.Round, rx sim.Reception) {
 
 func (r *NaiveReplica) finish() {
 	st := r.colorOf(r.k)
-	out := cha.Output{Instance: r.k, Color: st}
 	if st.Good() && r.adopted.ok {
 		// Extend the adopted history with this instance's value.
 		vals := make(map[cha.Instance]cha.Value, r.adopted.h.Len()+1)
@@ -174,11 +173,12 @@ func (r *NaiveReplica) finish() {
 		// ballot: good implies one was received).
 		r.history = retop(r.history, r.k)
 	}
+	var h *cha.History
 	if st == cha.Green {
-		out.History = r.history
+		h = r.history
 	}
 	if r.cfg.OnOutput != nil {
-		r.cfg.OnOutput(out)
+		r.cfg.OnOutput(cha.NewOutput(r.k, st, 0, h))
 	}
 }
 

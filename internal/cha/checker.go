@@ -164,7 +164,7 @@ func (rec *Recorder) Record(id sim.NodeID, o Output) {
 // or below the output's GC floor were folded into a checkpoint and are
 // legitimately absent from the suffix history.
 func (rec *Recorder) cover(id sim.NodeID, o Output) {
-	h := o.History
+	h := o.History()
 	for k := max(o.Floor, rec.base) + 1; k <= h.Top(); k++ {
 		v, ok := h.At(k)
 		c := rec.at(k)

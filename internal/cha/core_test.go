@@ -36,7 +36,7 @@ func TestCleanInstanceIsGreen(t *testing.T) {
 	if !out.Decided() {
 		t.Fatal("clean instance must decide")
 	}
-	if v, ok := out.History.At(1); !ok || v.String() != "v1" {
+	if v, ok := out.History().At(1); !ok || v.String() != "v1" {
 		t.Errorf("history(1) = %q, %v", v, ok)
 	}
 	if c.prev != 1 {
@@ -158,7 +158,7 @@ func TestHistoryChainSkipsBadInstances(t *testing.T) {
 	if !out.Decided() {
 		t.Fatal("instance 3 should decide")
 	}
-	h := out.History
+	h := out.History()
 	if v, ok := h.At(1); !ok || v.String() != "a" {
 		t.Errorf("h(1) = %q,%v want a", v, ok)
 	}
@@ -192,7 +192,7 @@ func TestAdoptedBallotPointerOverridesLocalChain(t *testing.T) {
 	if !out.Decided() {
 		t.Fatal("instance 3 should decide")
 	}
-	h := out.History
+	h := out.History()
 	if v, ok := h.At(2); !ok || v.String() != "b" {
 		t.Errorf("h(2) = %q,%v; the adopted chain must include instance 2", v, ok)
 	}
@@ -207,7 +207,7 @@ func TestMinBallotAdoption(t *testing.T) {
 	c.ObserveBallots([]Ballot{{V: V("m"), Prev: 0}, {V: V("a"), Prev: 0}}, false)
 	c.ObserveVeto1(false, false)
 	out := c.ObserveVeto2(false, false)
-	if v, _ := out.History.At(1); v.String() != "a" {
+	if v, _ := out.History().At(1); v.String() != "a" {
 		t.Errorf("adopted %q, want minimum ballot a", v)
 	}
 }
@@ -239,7 +239,7 @@ func TestBrokenChainCounter(t *testing.T) {
 	if c.BrokenChains == 0 {
 		t.Error("dereferencing a missing ballot must increment BrokenChains")
 	}
-	if includes(out.History, 1) {
+	if includes(out.History(), 1) {
 		t.Error("broken chain should not fabricate a value for instance 1")
 	}
 }
@@ -270,10 +270,10 @@ func TestGCHistoriesStartAboveFloor(t *testing.T) {
 	if !out.Decided() {
 		t.Fatal("instance 3 should decide")
 	}
-	if includes(out.History, 1) {
+	if includes(out.History(), 1) {
 		t.Error("GC'd instance 1 must not appear in new histories")
 	}
-	if !includes(out.History, 2) || !includes(out.History, 3) {
+	if !includes(out.History(), 2) || !includes(out.History(), 3) {
 		t.Error("instances at/above the GC point must appear")
 	}
 	if c.BrokenChains != 0 {

@@ -32,3 +32,12 @@ func (rec *Recorder) Retained() int {
 	defer rec.mu.Unlock()
 	return len(rec.win)
 }
+
+// CountHistories makes every core count the histories it writes out (true)
+// or stop counting (false), and HistoriesBuilt returns the count so far: a
+// close, an estimate or a copy a consumer asked for, each one history. Like
+// the engine's test switches it is a package variable, so tests that use it
+// must not run in parallel.
+func CountHistories(on bool) { countBuilt = on }
+
+func HistoriesBuilt() int64 { return built.Load() }

@@ -108,7 +108,7 @@ func (rec *mapRecorder) Record(id sim.NodeID, o Output) {
 		return
 	}
 	rec.decidedCount++
-	h := o.History
+	h := o.History()
 	// Positions at or below the output's GC floor were folded into a
 	// checkpoint and are legitimately absent from the suffix history.
 	for k := o.Floor + 1; k <= h.Top(); k++ {

@@ -90,7 +90,7 @@ func TestRecorderCountsFollowArrivalOrder(t *testing.T) {
 		rec := cha.NewRecorder()
 		rec.WrapPropose(func(cha.Instance) cha.Value { return cha.V("v") })(1)
 		for i, h := range hs {
-			rec.Record(sim.NodeID(i), cha.Output{Instance: 1, Color: cha.Green, History: h})
+			rec.Record(sim.NodeID(i), cha.NewOutput(1, cha.Green, 0, h))
 		}
 		return rec.Report().AgreementViolations
 	}
@@ -119,7 +119,7 @@ func TestRecorderConcurrentNodes(t *testing.T) {
 			for k := cha.Instance(1); k <= instances; k++ {
 				propose(k)
 				h := cha.NewHistory(k, map[cha.Instance]cha.Value{k - 1: cha.V(fmt.Sprint(k - 1)), k: cha.V(fmt.Sprint(k))})
-				record(cha.Output{Instance: k, Color: cha.Green, History: h, Floor: max(k-2, 0)})
+				record(cha.NewOutput(k, cha.Green, max(k-2, 0), h))
 			}
 		}()
 	}
@@ -230,7 +230,8 @@ func streamMatchesOracle(t *testing.T, data []byte) {
 			}
 			k := n.last + 1 + cha.Instance(next()%3)
 			n.floor = min(n.floor+cha.Instance(next()%4), k-1)
-			o := cha.Output{Instance: k, Color: cha.Color(1 + next()%4), Floor: n.floor}
+			color := cha.Color(1 + next()%4)
+			var h *cha.History
 			if next()%3 != 0 {
 				vals := make(map[cha.Instance]cha.Value)
 				for pos := n.floor + 1; pos <= k; pos++ {
@@ -238,8 +239,9 @@ func streamMatchesOracle(t *testing.T, data []byte) {
 						vals[pos] = value(pos, b)
 					}
 				}
-				o.History = cha.NewHistory(k, vals)
+				h = cha.NewHistory(k, vals)
 			}
+			o := cha.NewOutput(k, color, n.floor, h)
 			n.last, top = k, max(top, k)
 			n.record(o)
 			n.oracled(o)

@@ -203,9 +203,11 @@ func (r *Replica) Receive(round sim.Round, rx sim.Reception) {
 }
 
 // fold advances the checkpoint through a green instance: digest the
-// history segment since the last checkpoint, then free it.
+// history segment since the last checkpoint, then free it. The digest asks
+// for the output's history before GC drops what it is built from, so the
+// OnOutput hook after fold reads the history built here.
 func (r *Replica) fold(out Output) {
-	r.ckpt.Digest = out.History.DigestRange(r.ckpt.UpTo+1, out.Instance, r.ckpt.Digest)
+	r.ckpt.Digest = out.History().DigestRange(r.ckpt.UpTo+1, out.Instance, r.ckpt.Digest)
 	r.ckpt.UpTo = out.Instance
 	r.seat.Core.GC(out.Instance)
 }

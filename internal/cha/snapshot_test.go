@@ -40,8 +40,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// The restored core continues correctly.
 	out := drive(restored, 4, instanceScript{proposal: V("d")})
-	if !out.Decided() || !includes(out.History, 1) || !includes(out.History, 4) {
-		t.Errorf("restored core's next instance broken: %v", out.History)
+	if !out.Decided() || !includes(out.History(), 1) || !includes(out.History(), 4) {
+		t.Errorf("restored core's next instance broken: %v", out.History())
 	}
 }
 
@@ -101,10 +101,10 @@ func TestResetAt(t *testing.T) {
 	if !out.Decided() {
 		t.Fatal("instance after reset must decide")
 	}
-	if includes(out.History, 3) {
+	if includes(out.History(), 3) {
 		t.Error("pre-reset instances must not appear in post-reset histories")
 	}
-	if v, ok := out.History.At(11); !ok || v.String() != "x" {
+	if v, ok := out.History().At(11); !ok || v.String() != "x" {
 		t.Errorf("h(11) = %q,%v", v, ok)
 	}
 }
@@ -129,11 +129,7 @@ func TestCheckerValidityViolationDetected(t *testing.T) {
 	propose := rec.WrapPropose(func(Instance) Value { return V("legit") })
 	propose(1)
 	// An output claiming a value nobody proposed.
-	rec.Record(0, Output{
-		Instance: 1,
-		Color:    Green,
-		History:  NewHistory(1, map[Instance]Value{1: V("forged")}),
-	})
+	rec.Record(0, NewOutput(1, Green, 0, NewHistory(1, map[Instance]Value{1: V("forged")})))
 	rep := rec.Report()
 	if rep.ValidityViolations != 1 {
 		t.Errorf("validity violations = %d, want 1", rep.ValidityViolations)
@@ -150,8 +146,8 @@ func TestCheckerAgreementViolationDetected(t *testing.T) {
 	rec := NewRecorder()
 	propose := rec.WrapPropose(func(Instance) Value { return V("v") })
 	propose(1)
-	rec.Record(0, Output{Instance: 1, Color: Green, History: NewHistory(1, map[Instance]Value{1: V("v")})})
-	rec.Record(1, Output{Instance: 1, Color: Green, History: NewHistory(1, nil)}) // ⊥ at 1
+	rec.Record(0, NewOutput(1, Green, 0, NewHistory(1, map[Instance]Value{1: V("v")})))
+	rec.Record(1, NewOutput(1, Green, 0, NewHistory(1, nil))) // ⊥ at 1
 	rep := rec.Report()
 	if rep.AgreementViolations != 1 {
 		t.Errorf("agreement violations = %d, want 1", rep.AgreementViolations)

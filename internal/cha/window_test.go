@@ -127,18 +127,18 @@ func (p *corePair) instance(rng *rand.Rand, k Instance, bad bool) (green bool) {
 		p.fatalf("output %+v, oracle %+v", wo, oo)
 	}
 	if wo.Decided() {
-		p.sameHistory("Output.History", wo.History, oo.History, p.step%p.check == 0)
+		p.sameHistory("Output.History", wo.History(), oo.History, p.step%p.check == 0)
 		// A published history is the core's view, and equals the copy
 		// CalculateHistory takes at publication. The oracle walks as well,
 		// so that broken chains count alike.
-		if wo.History != &p.w.view {
+		if wo.History() != &p.w.view {
 			p.fatalf("a published history is not the core's view")
 		}
 		cp := p.w.CalculateHistory()
 		p.o.CalculateHistory()
-		if cp.Top() != wo.History.Top() || digest(cp) != digest(wo.History) ||
-			fmt.Sprint(cp.Included()) != fmt.Sprint(wo.History.Included()) {
-			p.fatalf("published history %v, CalculateHistory at publication %v", wo.History, cp)
+		if cp.Top() != wo.History().Top() || digest(cp) != digest(wo.History()) ||
+			fmt.Sprint(cp.Included()) != fmt.Sprint(wo.History().Included()) {
+			p.fatalf("published history %v, CalculateHistory at publication %v", wo.History(), cp)
 		}
 	}
 	p.same()
@@ -277,6 +277,48 @@ func TestCoreWindowStaysShort(t *testing.T) {
 	}
 	if c.floor != 4999 || len(c.win) != 1 || cap(c.win) > 8 {
 		t.Errorf("floor %d, window len %d cap %d after 5000 instances", c.floor, len(c.win), cap(c.win))
+	}
+}
+
+// TestCoreSteadyCloseAllocatesNothing is the counted gate on GC: a steady
+// close cycle — begin, adopt, close green, collect below it, the
+// checkpointing replica's cycle — makes no allocation once the window has
+// its array, which stays the two slots the cycle needs however long it
+// runs: GC drops the prefix in place and the next instance takes the freed
+// slot. Its histories are not built, and a core asked for each one's only
+// reads what the window holds.
+func TestCoreSteadyCloseAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	v := V("v")
+	for _, ask := range []bool{false, true} {
+		c, k := NewCore(), Instance(0)
+		cycle := func() {
+			k++
+			c.Begin(k, v)
+			c.ObserveMinBallot(Ballot{V: v, Prev: k - 1}, true, false)
+			c.ObserveVeto1(false, false)
+			out := c.ObserveVeto2(false, false)
+			if out.Color != Green {
+				t.Fatalf("instance %d: %v", k, out.Color)
+			}
+			if ask {
+				if v, ok := out.History().At(k); !ok || v.String() != "v" {
+					t.Fatalf("instance %d: history %v", k, out.History())
+				}
+			}
+			c.GC(k)
+		}
+		for range 4 { // the window's array, and the view's on the asking leg
+			cycle()
+		}
+		if n := testing.AllocsPerRun(5000, cycle); n != 0 {
+			t.Errorf("asking %v: a steady close cycle makes %v allocations, want 0", ask, n)
+		}
+		if len(c.win) != 1 || cap(c.win) != 2 || c.BrokenChains != 0 {
+			t.Errorf("asking %v: window len %d cap %d, %d broken chains after %d instances", ask, len(c.win), cap(c.win), c.BrokenChains, k)
+		}
 	}
 }
 

@@ -46,7 +46,6 @@ func RunFigure2() []Figure2Row {
 	stage := func(script func(*radio.Script)) Figure2Row {
 		adv := &radio.Script{}
 		script(adv)
-		var lastOut cha.Output
 		c := newCluster(clusterOpts{
 			n:         2,
 			detector:  cd.EventuallyAC{Racc: 1000},
@@ -56,16 +55,15 @@ func RunFigure2() []Figure2Row {
 		// (Recorder already captures it; read back through the replica.)
 		c.runInstances(1)
 		obs := c.replicas[observer]
-		lastOut = cha.Output{
-			Instance: 1,
-			Color:    obs.Core().Status(1),
+		color := obs.Core().Status(1)
+		var h *cha.History
+		if color == cha.Green {
+			h = obs.Core().CalculateHistory()
 		}
-		if lastOut.Color == cha.Green {
-			lastOut.History = obs.Core().CalculateHistory()
-		}
+		lastOut := cha.NewOutput(1, color, 0, h)
 		row := Figure2Row{
 			Color:          lastOut.Color,
-			OutputsHistory: lastOut.History != nil,
+			OutputsHistory: lastOut.History() != nil,
 		}
 		// Reconstruct the check marks from the staged scenario.
 		switch lastOut.Color {

@@ -363,11 +363,14 @@ func (s *metroSoak) restore(cp checkpoint.Checkpoint) error {
 
 type adversarySoak struct {
 	*churnSoak
-	// regionOf covers every replica ever attached, dead ones included: the
-	// crash adversaries must not eat the measurement clients, and failover
-	// must hand leadership on. joiners holds the mid-run ones' emulators
-	// (a bootstrapped replica is joined from round 0 and never moves).
-	regionOf map[sim.NodeID]vi.VNodeID
+	// regionOf is indexed by NodeID and covers every replica ever attached,
+	// dead ones included: the crash adversaries must not eat the measurement
+	// clients, and failover must hand leadership on. A pinger's entry, and
+	// that of an id past its end, is vi.None. It is a column, not a map,
+	// because the storm's front asks it of every alive device. joiners holds
+	// the mid-run ones' emulators (a bootstrapped replica is joined from
+	// round 0 and never moves).
+	regionOf []vi.VNodeID
 	joiners  map[sim.NodeID]*vi.Emulator
 	// wiped[vr] is the region wiped at the start of virtual round vr; the
 	// vround loop respawns joiners there one virtual round later.
@@ -388,13 +391,12 @@ func newAdversarySoak(c *harness.Cell, parallel bool, shards int) *adversarySoak
 	}
 	s := &adversarySoak{
 		churnSoak: newChurnSoak(c, buildWorld(doc)),
-		regionOf:  map[sim.NodeID]vi.VNodeID{},
 		joiners:   map[sim.NodeID]*vi.Emulator{},
 		wiped:     map[int]vi.VNodeID{},
 	}
 	for v, reg := range s.rosters {
 		for _, id := range reg {
-			s.regionOf[id] = vi.VNodeID(v)
+			s.setRegion(id, vi.VNodeID(v))
 		}
 	}
 	e13Faults(s, kind, high, seed)
@@ -427,9 +429,27 @@ func e13Jammer(high bool, cols, rows int) spec.Fault {
 // replica of that region.
 func (s *adversarySoak) respawn(v vi.VNodeID) sim.NodeID {
 	id, em := s.churnSoak.respawn(int(v), nil)
-	s.regionOf[id] = v
+	s.setRegion(id, v)
 	s.joiners[id] = em
 	return id
+}
+
+// setRegion records replica id as one of region v's, growing regionOf with
+// vi.None up to it.
+func (s *adversarySoak) setRegion(id sim.NodeID, v vi.VNodeID) {
+	for len(s.regionOf) <= int(id) {
+		s.regionOf = append(s.regionOf, vi.None)
+	}
+	s.regionOf[id] = v
+}
+
+// region returns the region replica id was attached to, vi.None when id is
+// not a replica.
+func (s *adversarySoak) region(id sim.NodeID) vi.VNodeID {
+	if int(id) < len(s.regionOf) {
+		return s.regionOf[id]
+	}
+	return vi.None
 }
 
 // dropReplica removes a dead replica from its roster and, if it led the
@@ -495,7 +515,7 @@ func e13Faults(s *adversarySoak, kind string, high bool, seed int64) {
 			Period:   per, // one front per virtual round
 			Kills:    kills,
 			Seed:     seed + 211,
-			Eligible: func(id sim.NodeID) bool { _, replica := s.regionOf[id]; return replica },
+			Eligible: func(id sim.NodeID) bool { return s.region(id) != vi.None },
 			Respawn: func(victim sim.NodeID, _ geo.Point) {
 				v := s.dropReplica(victim)
 				newID := s.respawn(v)
@@ -519,8 +539,8 @@ func e13Faults(s *adversarySoak, kind string, high bool, seed int64) {
 			// Pure attrition spares the fixed leaders so degradation is
 			// graceful: regions shrink toward single-replica operation.
 			Eligible: func(id sim.NodeID) bool {
-				v, ok := s.regionOf[id]
-				if !ok {
+				v := s.region(id)
+				if v == vi.None {
 					return false
 				}
 				reg := s.rosters[v]

@@ -32,7 +32,8 @@
 // plus a second within R2 (or its own). A silent round — no transmissions —
 // under an exact detector reads like a plain round with no candidates, even
 // under an adversary: nothing is lost and the verdict on no loss is no, so
-// the round clears the receptions in one pass.
+// the round clears the receptions in one pass — and a Medium says so
+// (QuietFrom, sim.Quiet), so the engine does not call Deliver for it.
 //
 // A Medium delivers on the calling goroutine; the unit of parallel delivery
 // is the region shard (sim.WithRegionShards), each with a Medium of its own.
@@ -249,6 +250,19 @@ func NewMedium(cfg Config) (*Medium, error) {
 	}
 	return m, nil
 }
+
+// QuietFrom implements sim.Quiet: from the round the detector is exact on, a
+// round with no transmissions is silent at every receiver (see Deliver) —
+// except on a medium pinned to conclude every receiver, the reference the
+// silent rounds are held to, which says never.
+func (m *Medium) QuietFrom() sim.Round {
+	if m.force == pathReceivers {
+		return cd.Never
+	}
+	return m.exact
+}
+
+var _ sim.Quiet = (*Medium)(nil)
 
 // MustMedium is NewMedium for static configurations known to be valid; it
 // panics on error. Intended for tests, examples and benchmarks.

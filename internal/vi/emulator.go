@@ -241,7 +241,11 @@ type EmulatorHooks struct {
 // state each history position steps to, and the vn phase's broadcast — a
 // replica takes from a sibling that worked it out in the node's memo of the
 // deployment (Deployment.step, Deployment.outgoing), so a virtual round
-// allocates per virtual node, not per replica.
+// allocates per virtual node, not per replica. A green close in the steady
+// state — of the instance just above the replica's floor — steps that one
+// position from the ballot its core adopted and builds no history at all;
+// the output's history is built only for a close after ⊥ instances, or for
+// a hook that asks (see closeInstance).
 //
 // A virtual node owns one slot of the schedule (Section 4.1) and uses one
 // slot of the stretched ballot phase, so of the s+12 radio rounds of a
@@ -283,7 +287,11 @@ type EmulatorHooks struct {
 // In some of those rounds a replica has nothing to send, and an empty
 // reception changes nothing it keeps, but what it hears would: there it only
 // listens (sim.Env.ListenUntil), and the engine computes its reception but
-// calls it only for a message or a collision indication. Those duties are
+// calls it only for a message or a collision indication — and in a quiet
+// round, one nobody transmits in, it computes none either (sim.Quiet), as
+// in most vetoes, joins, join-acks and resets of a steady run, and calls
+// only the replicas awake for the round with the empty reception. Those
+// duties are
 //
 //	veto-1            while its core is not red: only a red core vetoes (Figure
 //	                  1, line 21), and only a veto or a collision heard
@@ -848,24 +856,38 @@ func listenKind(t Timing, row, off int) int32 {
 }
 
 // closeInstance takes the seat's output at the final veto phase of radio
-// round r, folds a green one into the replica's checkpoint (bounding local
-// state and join-ack size, Section 3.5), and fires the hook.
+// round r: a green one's state becomes the floor's (the checkpoint that
+// bounds local state and join-ack size, Section 3.5), the hook fires, and
+// then the agreement layer is garbage-collected below a green instance —
+// last, so that a hook that asks for the output's history is handed the one
+// the close published, which the core builds from what GC drops.
 func (e *Emulator) closeInstance(r sim.Round, out cha.Output) {
-	if out.Color == cha.Green {
-		e.fold(r, out)
+	green := out.Color == cha.Green
+	if green {
+		e.cache.resetAt(out.Instance, e.folded(r, out))
 	}
 	if e.hooks != nil && e.hooks.OnOutput != nil {
 		e.hooks.OnOutput(e.vn, out)
 	}
+	if green {
+		e.seat.Core.GC(out.Instance)
+	}
 }
 
-// fold advances the checkpoint to a green instance in radio round r: the
-// state through it — worked out like the estimate, from where this virtual
-// round's estimate left off when the green history agrees with it that far
-// — becomes the floor's, and the agreement layer is garbage-collected.
-func (e *Emulator) fold(r sim.Round, out cha.Output) {
-	e.cache.resetAt(out.Instance, e.d.stateAt(e.vn, &e.cache, out.History, out.Instance, r))
-	e.seat.Core.GC(out.Instance)
+// folded returns the virtual node's state through green output out, closed
+// in radio round r. In the steady state the instance is the one just above
+// the floor, and the history has one position above it, the ballot the core
+// adopted: that one position is stepped from the floor's state, through the
+// deployment's step, and no history is built. Any other close — after ⊥
+// instances, or with the caches off — works the state out like the
+// estimate, from where this virtual round's estimate left off when the
+// green history agrees with it that far.
+func (e *Emulator) folded(r sim.Round, out cha.Output) []byte {
+	if k := out.Instance; k == e.cache.floor+1 && !noCache {
+		val, ok := e.seat.Core.Adopted(k)
+		return e.d.step(e.vn, &e.cache, e.cache.floorState, val, ok, k, r, true)
+	}
+	return e.d.stateAt(e.vn, &e.cache, out.History(), out.Instance, r)
 }
 
 // adoptAck installs the transferred state and makes this emulator a full

@@ -122,3 +122,11 @@ func (s Schedule) Validate(locs []geo.Point, radii geo.Radii) error {
 	}
 	return nil
 }
+
+// MonitorLocks returns the number of reports the monitor took its mutex
+// for: a measurement, like MonitorRuns.
+func MonitorLocks(m *Monitor) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.locks
+}

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"vinfra/internal/cha"
 )
@@ -35,10 +36,26 @@ import (
 // Observe is safe for concurrent use: the parallel engine fans Receive calls
 // (and therefore output hooks) across workers. Accumulation is a set union,
 // so the reports are independent of observation order — the same determinism
-// contract as the rest of the stack (sequential == parallel).
+// contract as the rest of the stack (sequential == parallel). A virtual
+// node's replicas report each instance once each, mostly in the same radio
+// round, and all but the first find it recorded: Observe reads a table of
+// the latest green instance recorded per virtual node without the mutex,
+// and a report that the monitor records already — that instance again, or a
+// non-green one no higher — returns there, so a green instance takes the
+// mutex once per virtual node, not once per replica. Only Observe writes the
+// table, under the mutex, and only Restore, which must not run concurrently
+// with Observe, replaces it with a fresh one; everything else takes the
+// mutex.
 type Monitor struct {
 	mu     sync.Mutex
 	vnodes []greenRuns // indexed by VNodeID
+	// held is the table Observe skips by, indexed by VNodeID: an instance
+	// that the node's entry records green and that is no higher than its
+	// top, 0 none. A table that must grow is replaced by a longer copy.
+	held atomic.Pointer[[]atomic.Int64]
+	// locks counts the reports that took the mutex: a measurement the
+	// package's tests read, never part of a snapshot.
+	locks int
 }
 
 // maxMonitored bounds the virtual nodes a monitor accounts for, VNodeIDs
@@ -105,15 +122,41 @@ func (m *Monitor) runsOf(v VNodeID) *greenRuns {
 // Observe records one replica's output for virtual node v, a VNodeID below
 // 1<<20. Wire it into EmulatorHooks.OnOutput.
 func (m *Monitor) Observe(v VNodeID, out cha.Output) {
+	if t := m.held.Load(); t != nil && v >= 0 && int(v) < len(*t) {
+		h := cha.Instance((*t)[v].Load())
+		if out.Instance == h || out.Instance < h && out.Color != cha.Green {
+			return
+		}
+	}
 	m.mu.Lock()
+	m.locks++
 	g := m.runsOf(v)
 	if out.Color == cha.Green {
 		g.add(out.Instance)
+		m.hold(v, out.Instance)
 	}
 	if out.Instance > g.top {
 		g.top = out.Instance
 	}
 	m.mu.Unlock()
+}
+
+// hold records in the skip table that virtual node v's entry holds green
+// instance k, growing the table to the accounting's capacity first, so that
+// it is copied as seldom as the accounting grows. It runs under the mutex.
+func (m *Monitor) hold(v VNodeID, k cha.Instance) {
+	t := m.held.Load()
+	if t == nil || int(v) >= len(*t) {
+		grown := make([]atomic.Int64, cap(m.vnodes))
+		if t != nil {
+			for i := range *t {
+				grown[i].Store((*t)[i].Load())
+			}
+		}
+		m.held.Store(&grown)
+		t = &grown
+	}
+	(*t)[v].Store(int64(k))
 }
 
 // Stall is one maximal run of consecutive unavailable instances of a

@@ -112,7 +112,8 @@ func (d *Deployment) stateAt(v VNodeID, sc *stateCache, h *cha.History, upTo cha
 		k, state = sc.upTo, sc.state
 	}
 	for k++; k <= upTo; k++ {
-		state = d.step(v, sc, state, h, k, r, k == upTo && r >= 0)
+		val, ok := h.At(k)
+		state = d.step(v, sc, state, val, ok, k, r, k == upTo && r >= 0)
 	}
 	sc.state, sc.upTo, sc.top = state, upTo, top
 	return state
@@ -199,7 +200,8 @@ func (d *Deployment) memo(v VNodeID) *vnodeMemo {
 
 // step is the one way a virtual node's state takes a history position: it
 // returns the state virtual node v reaches from state from by applying
-// position k of h — an included position delivers its agreed value as the
+// position k of a history, val when the history includes it (ok) and ⊥
+// otherwise — an included position delivers its agreed value as the
 // round's input, a ⊥ position a collision indication (Section 3.3). A
 // replica whose position, start state and value match the step a replica of
 // v last published takes that step's state; any other applies the position
@@ -212,8 +214,7 @@ func (d *Deployment) memo(v VNodeID) *vnodeMemo {
 // replicas restored from a checkpoint, or given their state by a join-ack,
 // share too. Replicas on the parallel engine's workers meet only through
 // the memo; two that miss together both apply, and one of them publishes.
-func (d *Deployment) step(v VNodeID, sc *stateCache, from []byte, h *cha.History, k cha.Instance, r sim.Round, publish bool) []byte {
-	val, ok := h.At(k)
+func (d *Deployment) step(v VNodeID, sc *stateCache, from []byte, val cha.Value, ok bool, k cha.Instance, r sim.Round, publish bool) []byte {
 	if m := d.memos[v].Load(); m != nil && !noCache {
 		if s := m.step.load(); s.k == k && s.ok == ok && s.value.Equal(val) && bytes.Equal(s.from, from) {
 			return s.state

@@ -195,7 +195,8 @@ func TestStateCacheRepeatedQueriesStable(t *testing.T) {
 func TestStepMalformedValueActsAsCollision(t *testing.T) {
 	r := newTestReplica()
 	r.adopt(1, cha.V("not-a-proposal"), 0)
-	if got := string(r.d.step(0, &r.sc, []byte("s"), r.core.HistoryView(), 1, 1, true)); got != "s|1:±" {
+	val, ok := r.core.HistoryView().At(1)
+	if got := string(r.d.step(0, &r.sc, []byte("s"), val, ok, 1, 1, true)); got != "s|1:±" {
 		t.Errorf("malformed value state = %q, want collision semantics", got)
 	}
 }

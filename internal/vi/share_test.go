@@ -383,3 +383,28 @@ func TestOutgoingOncePerVNode(t *testing.T) {
 	defer uncached.Eng.Close()
 	step(uncached, uncachedCounts, 3, replicas)
 }
+
+// TestMetroMonitorLocksOncePerVNode is the counted gate on Monitor.Observe's
+// lock-free path: on the metro document, after 200 warm-up virtual rounds,
+// each of the 225 virtual nodes' three replicas reports the virtual round's
+// green instance, and only the first report of each takes the monitor's
+// mutex — 225 a virtual round, where every report took it (675). The
+// accounting is the same: every virtual node green in every virtual round.
+func TestMetroMonitorLocksOncePerVNode(t *testing.T) {
+	const warm, vrounds = 200, 10
+	w := mustBuild(t, metroDoc(spec.Engine{}))
+	for vr := 0; vr < warm; vr++ {
+		w.StepVRound()
+	}
+	before := vi.MonitorLocks(w.Mon)
+	for vr := 0; vr < vrounds; vr++ {
+		w.StepVRound()
+	}
+	if n := vi.MonitorLocks(w.Mon) - before; n != vrounds*len(w.Locs) {
+		t.Errorf("%d reports took the monitor's mutex in %d virtual rounds, want %d: one per virtual node and instance",
+			n, vrounds, vrounds*len(w.Locs))
+	}
+	if sum := w.Mon.SummaryThrough(len(w.Locs), w.VRound()); sum.Unavailable != 0 {
+		t.Errorf("%d unavailable instances: the metro world must be green throughout", sum.Unavailable)
+	}
+}

@@ -321,6 +321,7 @@ func (m *Monitor) Restore(s MonitorSnapshot) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.vnodes = nil
+	m.held.Store(nil) // what Observe skipped by was the old accounting's
 	for i, v := range s.VNodes {
 		g := m.runsOf(v)
 		*g = greenRuns{top: s.Tops[i]}

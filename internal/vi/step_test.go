@@ -46,8 +46,8 @@ func TestStepMatchesByContent(t *testing.T) {
 		{"that position again", 6, "t", &a, "t|6:[a]", 7},
 	}
 	for i, s := range steps {
-		h := at(s.k, s.v)
-		if got := string(r.d.step(0, &r.sc, []byte(s.from), h, s.k, sim.Round(i), true)); got != s.want {
+		val, ok := at(s.k, s.v).At(s.k)
+		if got := string(r.d.step(0, &r.sc, []byte(s.from), val, ok, s.k, sim.Round(i), true)); got != s.want {
 			t.Fatalf("%s: stepped to %q, want %q", s.name, got, s.want)
 		}
 		if n := r.calls.Load(); n != s.calls {

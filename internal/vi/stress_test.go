@@ -34,7 +34,7 @@ func (c *viAgreementChecker) hook(v vi.VNodeID, out cha.Output) {
 	}
 	var suffix strings.Builder
 	for k := out.Floor + 1; k <= out.Instance; k++ {
-		val, ok := out.History.At(k)
+		val, ok := out.History().At(k)
 		fmt.Fprintf(&suffix, "%d:%t:%q ", k, ok, val.Bytes())
 	}
 	key := fmt.Sprintf("%d/%d/%d", v, out.Floor, out.Instance)

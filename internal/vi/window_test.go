@@ -95,7 +95,7 @@ func TestOutputHistoryIsTheView(t *testing.T) {
 				return
 			}
 			decided++
-			h := out.History
+			h := out.History()
 			fresh := em.Core().CalculateHistory()
 			if fresh.Top() != h.Top() {
 				t.Fatalf("published history tops at %d, CalculateHistory at %d", h.Top(), fresh.Top())
