@@ -108,10 +108,11 @@
 //     fold cached 64-bit digests instead of re-hashing proposal bytes.
 //     A close walks the history chain once, counting what breaks, and
 //     builds no history: a green Output.History() is the core's view,
-//     built when a consumer first asks and valid until the core's next
-//     HistoryView, ObserveVeto2 or GC (CalculateHistory is the copy to
-//     keep). The window is a ring, so GC drops its prefix in place. A
-//     ballot travels as a *BallotMsg into its sender, valid for its round.
+//     built at the output's own instance when a consumer asks, until the
+//     core's GC, ResetAt or Restore drops the window below it; the view
+//     it returns holds until it is rebuilt (CalculateHistory is the copy
+//     to keep). A ballot travels as a *BallotMsg into its sender, valid
+//     for its round.
 //     Seat is Figure 1's per-replica rule for an instance's three phases,
 //     written once: Replica runs one, and so does vi.Emulator for both of
 //     a virtual round's instances.

@@ -22,24 +22,20 @@ import (
 //
 // The per-instance state is a window, not a log. Section 3.5's floor bounds
 // what a node must keep — nothing at or below it is ever dereferenced
-// again — so the state of instance k is entry k − floor − 1 of the window,
-// and the invariant is that every entry is above floor: a write at or below
-// it is dropped, a read there is green and ballotless. The window is a ring
-// over one array: entry i lives at (off + i) mod cap(win), and len(win) is
-// how many instances it spans. GC, which raises the floor, counts and clears
-// the entries that fall below it and moves off past them — O(dropped), and
-// nothing is copied — and the next instance takes the freed slot, so a
-// steady core cycles through the two slots an instance needs (the last
-// green one and the current) for good. Only a window that outgrows its
-// array is laid out afresh, from the front of a larger one grown as an
-// appended slice would be. Every slot outside the ring is zero.
+// again — so the state of instance k lives at index k − floor − 1 of one
+// slice, and the invariant is that every entry is above floor: a write at
+// or below it is dropped, a read there is green and ballotless. GC, which
+// raises the floor, is a count over the entries that fall below it, a copy
+// down and a reslice; the window holds no slot before its first entry. A
+// steady core collects below the instance it just closed, so GC copies one
+// slot down and the next instance reuses the array's second: O(dropped),
+// and no allocation.
 type Core struct {
 	k    Instance // current instance (Figure 1 line 6: k)
 	prev Instance // most recent good instance (prev-instance)
 
 	floor Instance // garbage-collection floor (Section 3.5); 0 = keep all
-	win   []slot   // the ring's array: entry i is at(i); see above
-	off   int      // where entry 0 lies in win's array
+	win   []slot   // win[i] is instance floor+1+i
 
 	// BrokenChains counts calculate-history walks that dereferenced a
 	// missing ballot. With complete collision detectors this must remain
@@ -47,8 +43,8 @@ type Core struct {
 	BrokenChains int
 
 	// view is HistoryView's storage, reused from call to call, and what a
-	// green Output's History builds; its top is unbuilt from a close until
-	// that Output asks.
+	// green Output's History builds at the output's instance; its top is
+	// unbuilt from a close until an output asks.
 	view History
 }
 
@@ -66,22 +62,11 @@ type slot struct {
 // array) takes a zero entry instead.
 func NewCore() *Core { return &Core{} }
 
-// at returns the window's entry i, for 0 <= i < len(c.win).
-func (c *Core) at(i int) *slot {
-	j := c.off + i
-	if j >= cap(c.win) {
-		j -= cap(c.win)
-	}
-	return &c.win[:cap(c.win)][j]
-}
-
 // Status returns the color this node assigned to instance k (green if the
 // instance was never downgraded).
 func (c *Core) Status(k Instance) Color {
-	if i := k - c.floor - 1; i >= 0 && int(i) < len(c.win) {
-		if s := c.at(int(i)); s.color != 0 {
-			return s.color
-		}
+	if i := k - c.floor - 1; i >= 0 && int(i) < len(c.win) && c.win[i].color != 0 {
+		return c.win[i].color
 	}
 	return Green
 }
@@ -90,10 +75,8 @@ func (c *Core) Status(k Instance) Color {
 // line 32), and whether it adopted one; at or below the floor it has none.
 // For the instance a green Output closes it is that output's history at k.
 func (c *Core) Adopted(k Instance) (Value, bool) {
-	if i := k - c.floor - 1; i >= 0 && int(i) < len(c.win) {
-		if s := c.at(int(i)); s.has {
-			return s.ballot.V, true
-		}
+	if i := k - c.floor - 1; i >= 0 && int(i) < len(c.win) && c.win[i].has {
+		return c.win[i].ballot.V, true
 	}
 	return Value{}, false
 }
@@ -105,43 +88,10 @@ func (c *Core) slotOf(k Instance) *slot {
 	if i < 0 {
 		return nil
 	}
-	if i >= len(c.win) {
-		c.extend(i + 1)
+	for len(c.win) <= i {
+		c.win = append(c.win, slot{})
 	}
-	return c.at(i)
-}
-
-// extend makes the window span n entries. Within its array that is a
-// reslice, the slots it takes being zero; past it the ring is laid out from
-// the front of a new array, whose capacity grows as append grows a slice's,
-// so the window takes the storage appending its slots one by one would.
-func (c *Core) extend(n int) {
-	if n <= cap(c.win) {
-		c.win = c.win[:n]
-		return
-	}
-	grown := make([]slot, n, growCap(cap(c.win), n))
-	for i := range len(c.win) {
-		grown[i] = *c.at(i)
-	}
-	c.win, c.off = grown, 0
-}
-
-// growCap is the capacity append gives a slice of capacity old that must
-// hold n: double it while it is small, a quarter more once it is not, or n
-// outright when that is more than twice old.
-func growCap(old, n int) int {
-	if n > 2*old {
-		return n
-	}
-	for old < n {
-		if old < 256 {
-			old *= 2
-		} else {
-			old += (old + 3*256) / 4
-		}
-	}
-	return old
+	return &c.win[i]
 }
 
 // downgrade darkens instance k to at most to, one of red, orange or yellow
@@ -237,21 +187,24 @@ func NewOutput(k Instance, c Color, floor Instance, h *History) Output {
 func (o Output) Decided() bool { return o.history != nil }
 
 // History returns the output history, or nil for ⊥ (non-green instances).
-// A Core's output is its core's view, built on the first call after the
-// close — a consumer that never asks costs nothing — and valid until the
-// core's next HistoryView, ObserveVeto2 or GC, since GC drops what the
-// history is built from: a consumer reads it inside the hook it is handed
-// to, a scheduler that collects asks before it does, and code that keeps a
-// history keeps CalculateHistory's copy, not it.
+// A Core's output is its core's view, built at the output's own instance
+// when the view does not hold it — on the first call after the close, so a
+// consumer that never asks costs nothing. What it returns is valid until
+// the core's view is rebuilt, by HistoryView or another output's History;
+// a call gives the output's history until the core's GC, ResetAt or
+// Restore drops what it is built from. So a consumer reads it inside the
+// hook it is handed to, a scheduler that collects asks before it does, and
+// code that keeps a history keeps CalculateHistory's copy, not it.
 func (o Output) History() *History {
-	if c := o.core; c != nil && c.view.top == unbuilt {
-		c.walk(&c.view, false)
+	if c := o.core; c != nil && c.view.top != o.Instance {
+		// A green close set prev to its own instance.
+		c.walk(&c.view, o.Instance, o.Instance, false)
 	}
 	return o.history
 }
 
-// unbuilt is the view's top from a close until its output's history is
-// asked for.
+// unbuilt is the view's top from a close until an output's history is
+// asked for: no instance, so the view holds none.
 const unbuilt Instance = -1
 
 // ObserveVeto2 closes the second veto phase and the instance (Figure 1
@@ -269,7 +222,7 @@ func (c *Core) ObserveVeto2(sawVeto, collision bool) Output {
 	if st.Good() {
 		c.prev = c.k
 	}
-	c.walk(nil, true)
+	c.walk(nil, c.k, c.prev, true)
 	c.view.top = unbuilt
 	out := Output{Instance: c.k, Color: st, Floor: c.floor}
 	if st == Green {
@@ -286,7 +239,7 @@ func (c *Core) ObserveVeto2(sawVeto, collision bool) Output {
 // code that holds a history past the round it was output in.
 func (c *Core) CalculateHistory() *History {
 	h := new(History)
-	c.walk(h, true)
+	c.walk(h, c.k, c.prev, true)
 	return h
 }
 
@@ -296,29 +249,30 @@ func (c *Core) CalculateHistory() *History {
 // sim.Reception.Msgs. It is for the caller that reads the estimate and
 // drops it, every round, and it is what a green Output.History is.
 func (c *Core) HistoryView() *History {
-	c.walk(&c.view, true)
+	c.walk(&c.view, c.k, c.prev, true)
 	return &c.view
 }
 
 // walk is the calculate-history function of Figure 1 lines 46–54, evaluated
-// at the current instance: follow the chain of prev pointers from the
-// node's own down to the GC floor, adopting the ballot value wherever it
+// at instance top whose prev-instance was prev (the current instance and
+// pointer, or a closed instance's own): follow the chain of prev pointers
+// from prev down to the GC floor, adopting the ballot value wherever it
 // passes — into h, ⊥ elsewhere, when h is not nil. A pointer that does not
 // point strictly down ends the chain, as does the floor. A missing ballot
 // ends it too, and counts in BrokenChains when count is set: a history
 // built for an output its close has walked already does not count again.
-func (c *Core) walk(h *History, count bool) {
+func (c *Core) walk(h *History, top, prev Instance, count bool) {
 	if h != nil {
-		h.top, h.floor = c.k, c.floor
+		h.top, h.floor = top, c.floor
 		clear(h.ents)
 		h.ents = h.ents[:0]
 		if countBuilt {
 			built.Add(1)
 		}
 	}
-	for at, p := c.k+1, c.prev; p > c.floor && p < at; {
+	for at, p := top+1, prev; p > c.floor && p < at; {
 		i := int(p - c.floor - 1)
-		if i >= len(c.win) || !c.at(i).has {
+		if i >= len(c.win) || !c.win[i].has {
 			// With complete collision detectors this cannot happen
 			// (Lemma 6: an instance on the chain is designated good by
 			// some node, hence not red by any, hence every node adopted
@@ -328,7 +282,7 @@ func (c *Core) walk(h *History, count bool) {
 			}
 			break
 		}
-		b := &c.at(i).ballot
+		b := &c.win[i].ballot
 		if h != nil {
 			if len(h.ents) == 0 {
 				// The first link is the highest position the history includes.
@@ -357,22 +311,18 @@ var (
 
 // Retained returns the number of per-instance entries currently held — the
 // local space usage that Section 3.5's checkpointing bounds.
-func (c *Core) Retained() int {
-	n := 0
-	for i := range len(c.win) {
-		n += c.at(i).entries()
-	}
-	return n
-}
+func (c *Core) Retained() int { return countEntries(c.win) }
 
-// entries counts the colors and ballots a slot holds.
-func (s *slot) entries() int {
+// countEntries counts the colors and ballots a run of slots holds.
+func countEntries(win []slot) int {
 	n := 0
-	if s.has {
-		n++
-	}
-	if s.color != 0 {
-		n++
+	for i := range win {
+		if win[i].has {
+			n++
+		}
+		if win[i].color != 0 {
+			n++
+		}
 	}
 	return n
 }
@@ -389,16 +339,10 @@ func (c *Core) GC(upTo Instance) int {
 	}
 	drop := min(int(upTo-1-c.floor), len(c.win))
 	c.floor = upTo - 1
-	removed := 0
-	for i := range drop {
-		s := c.at(i)
-		removed += s.entries()
-		*s = slot{}
-	}
-	if c.off += drop; c.off >= cap(c.win) {
-		c.off -= cap(c.win)
-	}
-	c.win = c.win[:len(c.win)-drop]
+	removed := countEntries(c.win[:drop])
+	kept := copy(c.win, c.win[drop:])
+	clear(c.win[kept:])
+	c.win = c.win[:kept]
 	return removed
 }
 
@@ -410,8 +354,8 @@ func (c *Core) ResetAt(k Instance) {
 	c.k = k
 	c.prev = 0
 	c.floor = k
-	clear(c.win[:cap(c.win)])
-	c.win, c.off = c.win[:0], 0
+	clear(c.win)
+	c.win = c.win[:0]
 }
 
 // CoreSnapshot is a serializable copy of a Core's per-instance state above
@@ -517,15 +461,15 @@ func (c *Core) Snapshot() CoreSnapshot {
 		StatusKeys: []Instance{},
 		Statuses:   []Color{},
 	}
-	for i := range len(c.win) {
-		k, sl := c.floor+1+Instance(i), c.at(i)
-		if sl.has {
+	for i := range c.win {
+		k := c.floor + 1 + Instance(i)
+		if c.win[i].has {
 			s.BallotKeys = append(s.BallotKeys, k)
-			s.Ballots = append(s.Ballots, sl.ballot)
+			s.Ballots = append(s.Ballots, c.win[i].ballot)
 		}
-		if sl.color != 0 {
+		if c.win[i].color != 0 {
 			s.StatusKeys = append(s.StatusKeys, k)
-			s.Statuses = append(s.Statuses, sl.color)
+			s.Statuses = append(s.Statuses, c.win[i].color)
 		}
 	}
 	return s
@@ -623,7 +567,6 @@ func (c *Core) Restore(s CoreSnapshot) error {
 		clear(c.win[:cap(c.win)])
 		c.win = c.win[:n]
 	}
-	c.off = 0
 	for i, k := range s.BallotKeys {
 		c.win[k-s.Floor-1] = slot{ballot: s.Ballots[i], has: true}
 	}

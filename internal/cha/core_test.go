@@ -242,6 +242,41 @@ func TestBrokenChainCounter(t *testing.T) {
 	if includes(out.History(), 1) {
 		t.Error("broken chain should not fabricate a value for instance 1")
 	}
+	if c.BrokenChains != 1 {
+		t.Errorf("BrokenChains = %d after asking for the history, want 1: the close counts, the history does not", c.BrokenChains)
+	}
+}
+
+// TestOutputHistoryOutlivesBegin: a green output's history is built at the
+// output's own instance, so asking for it after the next Begin, an
+// estimate of the next instance, or even the next close still gives the
+// history the close published.
+func TestOutputHistoryOutlivesBegin(t *testing.T) {
+	c := NewCore()
+	drive(c, 1, instanceScript{proposal: V("a")})
+	drive(c, 2, instanceScript{proposal: V("b"), ballotColl: true, veto1: true, veto2: true})
+	out := drive(c, 3, instanceScript{proposal: V("c")})
+	want := c.CalculateHistory()
+	check := func(when string) {
+		t.Helper()
+		h := out.History()
+		if h.Top() != 3 || digest(h) != digest(want) || fmt.Sprint(h.Included()) != fmt.Sprint(want.Included()) {
+			t.Errorf("%s: history %v, published %v", when, h, want)
+		}
+	}
+	c.Begin(4, V("d"))
+	check("after Begin(4)")
+	if h := c.HistoryView(); h.Top() != 4 {
+		t.Fatalf("HistoryView top %d, want 4", h.Top())
+	}
+	check("after HistoryView at 4")
+	c.ObserveBallots([]Ballot{{V: V("d"), Prev: 3}}, false)
+	c.ObserveVeto1(false, false)
+	next := c.ObserveVeto2(false, false)
+	check("after closing 4")
+	if v, ok := next.History().At(4); !ok || v.String() != "d" || next.History().Top() != 4 {
+		t.Errorf("instance 4's history %v", next.History())
+	}
 }
 
 func TestGCBoundsRetainedState(t *testing.T) {

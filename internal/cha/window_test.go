@@ -284,8 +284,8 @@ func TestCoreWindowStaysShort(t *testing.T) {
 // close cycle — begin, adopt, close green, collect below it, the
 // checkpointing replica's cycle — makes no allocation once the window has
 // its array, which stays the two slots the cycle needs however long it
-// runs: GC drops the prefix in place and the next instance takes the freed
-// slot. Its histories are not built, and a core asked for each one's only
+// runs: GC copies the one kept slot down and the next instance takes the
+// second. Its histories are not built, and a core asked for each one's only
 // reads what the window holds.
 func TestCoreSteadyCloseAllocatesNothing(t *testing.T) {
 	if raceEnabled {

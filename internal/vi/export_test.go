@@ -123,10 +123,10 @@ func (s Schedule) Validate(locs []geo.Point, radii geo.Radii) error {
 	return nil
 }
 
-// MonitorLocks returns the number of reports the monitor took its mutex
-// for: a measurement, like MonitorRuns.
-func MonitorLocks(m *Monitor) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.locks
-}
+// CountMonitorLocks makes every monitor count the reports it takes its
+// mutex for (true) or stop counting (false), and MonitorLocks returns the
+// count so far. Like SetNoCache it is a package variable, so tests that use
+// it must not run in parallel.
+func CountMonitorLocks(on bool) { countLocks = on }
+
+func MonitorLocks() int64 { return locks.Load() }

@@ -53,10 +53,14 @@ type Monitor struct {
 	// that the node's entry records green and that is no higher than its
 	// top, 0 none. A table that must grow is replaced by a longer copy.
 	held atomic.Pointer[[]atomic.Int64]
-	// locks counts the reports that took the mutex: a measurement the
-	// package's tests read, never part of a snapshot.
-	locks int
 }
+
+// countLocks makes Observe count in locks the reports it takes the mutex
+// for. Only tests set it (export_test.go): a measurement, never state.
+var (
+	countLocks bool
+	locks      atomic.Int64
+)
 
 // maxMonitored bounds the virtual nodes a monitor accounts for, VNodeIDs
 // 0..maxMonitored-1: a spec world has at most one virtual node per device,
@@ -129,7 +133,9 @@ func (m *Monitor) Observe(v VNodeID, out cha.Output) {
 		}
 	}
 	m.mu.Lock()
-	m.locks++
+	if countLocks {
+		locks.Add(1)
+	}
 	g := m.runsOf(v)
 	if out.Color == cha.Green {
 		g.add(out.Instance)

@@ -152,13 +152,15 @@ func TestMonitorReportThroughCountsSilence(t *testing.T) {
 // forgets what it skipped by — the restored accounting may lack an instance
 // the live one held, and the next report of it must count.
 func TestMonitorRestoreForgetsSkips(t *testing.T) {
-	m := NewMonitor()
+	countLocks = true
+	defer func() { countLocks = false }()
+	m, before := NewMonitor(), locks.Load()
 	empty := m.Snapshot()
 	for inst := 1; inst <= 3; inst++ {
 		observe(m, 0, inst, true)
 		observe(m, 0, inst, true) // a sibling's report, skipped
 	}
-	if n := m.locks; n != 3 {
+	if n := locks.Load() - before; n != 3 {
 		t.Fatalf("%d reports took the mutex, want 3: one per instance", n)
 	}
 	m.Restore(empty)
@@ -167,7 +169,7 @@ func TestMonitorRestoreForgetsSkips(t *testing.T) {
 	if rep := m.ReportThrough(0, 3); rep.Green != 1 || rep.Stalls[0] != (Stall{From: 1, Len: 2, Ended: true}) {
 		t.Errorf("after a restore to nothing and a report of instance 3: %+v, want instance 3 green after a stall of 2", rep)
 	}
-	if n := m.locks; n != 4 {
+	if n := locks.Load() - before; n != 4 {
 		t.Errorf("%d reports took the mutex, want 4: the restored monitor's first report of instance 3 locks, the red one after it does not", n)
 	}
 }

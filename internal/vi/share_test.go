@@ -396,11 +396,13 @@ func TestMetroMonitorLocksOncePerVNode(t *testing.T) {
 	for vr := 0; vr < warm; vr++ {
 		w.StepVRound()
 	}
-	before := vi.MonitorLocks(w.Mon)
+	vi.CountMonitorLocks(true)
+	defer vi.CountMonitorLocks(false)
+	before := vi.MonitorLocks()
 	for vr := 0; vr < vrounds; vr++ {
 		w.StepVRound()
 	}
-	if n := vi.MonitorLocks(w.Mon) - before; n != vrounds*len(w.Locs) {
+	if n := vi.MonitorLocks() - before; n != int64(vrounds*len(w.Locs)) {
 		t.Errorf("%d reports took the monitor's mutex in %d virtual rounds, want %d: one per virtual node and instance",
 			n, vrounds, vrounds*len(w.Locs))
 	}
