@@ -50,21 +50,20 @@
 //     transmissions into the 3x3 block of R2-sized cells around their
 //     origin so every receiver reads the one cell it stands in
 //     (near-linear per round rather than O(receivers x transmissions));
-//     Deliver picks per round, scanning every transmission instead when a
-//     round has fewer than 8. A cell lists its own transmissions before
-//     its neighbours', and a receiver stops reading candidates at its
-//     decision point, after which none can change its reception. A plain
-//     round — no adversary, no gray zone, a detector exact from that round
-//     on (cd.Exact: AC, or ◇AC from its accuracy round) — is counted: a
-//     reception is whether none, one (heard within R1) or more other
-//     transmissions lie within R2, so a receiver stops at the second (the
-//     first if it transmits) and nothing is asked of the detector. Any
-//     other round is concluded receiver by receiver, stopping at one other
-//     transmission within R1 and a second within R2, or its own. A silent
-//     round under an exact detector reads no candidates at all and asks
-//     nobody, adversary or not — and the engine, told so once
-//     (sim.Quiet), does not call Deliver for it. Scan and grid are
-//     reception-identical for the same seed. A Medium delivers on one
+//     Deliver picks per round, scanning every transmission instead when
+//     receivers times transmissions is under 1 024. A cell lists its own
+//     transmissions before its neighbours', and a receiver stops reading
+//     candidates at its decision point, after which none can change its
+//     reception. A plain round — no adversary, no gray zone, a detector
+//     exact from that round on (cd.Exact: AC, or ◇AC from its accuracy
+//     round) — is counted: a reception is whether none, one (heard within
+//     R1) or more other transmissions lie within R2, so a receiver stops
+//     at the second (the first if it transmits) and nothing is asked of
+//     the detector. Any other round is concluded receiver by receiver,
+//     stopping at one other transmission within R1 and a second within R2,
+//     or its own. A silent round under an exact detector reads no
+//     candidates at all and asks nobody, adversary or not. Scan and grid
+//     are reception-identical for the same seed. A Medium delivers on one
 //     goroutine (region shards, each with its own Medium, are what
 //     parallelises delivery) and its per-round state (reception slice,
 //     message arena, stamped grid, sender order) lives on the Medium as
@@ -151,14 +150,13 @@
 //     virtual round's s+12, an Emulator in the phases and the one ballot
 //     slot of its own virtual node — seven or eight as a replica, four or
 //     one as a joiner — read off a timetable the deployment lays out with
-//     the schedule, one row per kind of emulator, in which each emulator
-//     keeps its place. In some of a replica's rounds it only listens —
-//     veto-1 while its core is not red, join, join-ack when its virtual
-//     node is unscheduled, and the scheduled node's join-ack and reset
-//     while it has seen no join activity — so one that hears nothing there
-//     is called in four. A replica runs the scheduled and the unscheduled
-//     agreement instance through one cha.Seat, the six phases one case of
-//     its phase switch.
+//     the schedule, one row per kind of emulator. In some of a replica's
+//     rounds it only listens — veto-1 while its core is not red, join,
+//     join-ack when its virtual node is unscheduled, and the scheduled
+//     node's join-ack and reset while it has seen no join activity — so
+//     one that hears nothing there is called in four. A replica runs the
+//     scheduled and the unscheduled agreement instance through one
+//     cha.Seat, the six phases one case of its phase switch.
 //     Clients and emulators checkpoint the one way every stateful node
 //     part does: AppendState and RestoreState (sim.Snapshotter) write and
 //     read their live fields straight to and from a wire blob, the

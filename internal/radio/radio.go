@@ -32,8 +32,7 @@
 // plus a second within R2 (or its own). A silent round — no transmissions —
 // under an exact detector reads like a plain round with no candidates, even
 // under an adversary: nothing is lost and the verdict on no loss is no, so
-// the round clears the receptions in one pass — and a Medium says so
-// (QuietFrom, sim.Quiet), so the engine does not call Deliver for it.
+// the round clears the receptions in one pass.
 //
 // A Medium delivers on the calling goroutine; the unit of parallel delivery
 // is the region shard (sim.WithRegionShards), each with a Medium of its own.
@@ -103,10 +102,10 @@ type Adversary interface {
 // path is how Deliver finds the transmissions relevant to each receiver:
 // the scan and the grid produce identical receptions and differ only in
 // cost. A Medium chooses per round (pathAuto, the zero value: scan small
-// rounds, grid the rest; see autoIndexMinTxs). The other two exist for this
-// package's tests, which pin one through export_test.go — the scan as the
-// reference, the grid however small the round. A round the grid cannot
-// hold (see txGrid) is scanned regardless.
+// rounds, grid the rest; see autoIndexMinWork). The other three exist for
+// this package's tests, which pin one through export_test.go — the scan as
+// the reference, the grid however small the round, and pathReceivers. A
+// round the grid cannot hold (see txGrid) is scanned regardless.
 type path uint8
 
 const (
@@ -119,25 +118,12 @@ const (
 	pathReceivers
 )
 
-// autoIndexMinTxs is the transmission count below which Deliver scans:
-// finding a receiver's cell costs two floors and a table read, about what
-// comparing its distance to a handful of transmissions costs, and a round
-// that sparse gives the grid nothing to prune. Measured on counted rounds
-// (AC, no adversary; uniform receivers, R2 = 20, a 90- and a 400-unit
-// world; medians of three 0.3 s runs on a 2-core x86 host shared with other
-// work): at 256-900 receivers grid/scan is 0.82-1.17x at 6 transmissions,
-// 0.60-0.99x at 8 and 0.75-0.81x at 12; at 100k receivers it is 1.23x at 6,
-// 0.81x at 8 and 0.88x at 12. Counting cuts both paths' work per receiver
-// alike, so the crossover stayed where it was measured on concluded rounds
-// (0.76-0.96x at 8 then) and so did the constant.
 // autoIndexMinWork is the receivers-times-transmissions product below which
-// building the grid costs more than the whole scan (16 receivers: the scan
-// wins at every transmission count up to 16, by 1.6-3.6x; at 64 receivers
-// the two are within 1.0-1.4x of each other from 4 to 16 transmissions).
-const (
-	autoIndexMinWork = 1 << 10
-	autoIndexMinTxs  = 8
-)
+// Deliver scans: building the grid costs more than the whole scan (16
+// receivers: the scan wins at every transmission count up to 16, by
+// 1.6-3.6x; at 64 receivers the two are within 1.0-1.4x of each other from
+// 4 to 16 transmissions).
+const autoIndexMinWork = 1 << 10
 
 // Config parameterizes a Medium.
 type Config struct {
@@ -251,19 +237,6 @@ func NewMedium(cfg Config) (*Medium, error) {
 	return m, nil
 }
 
-// QuietFrom implements sim.Quiet: from the round the detector is exact on, a
-// round with no transmissions is silent at every receiver (see Deliver) —
-// except on a medium pinned to conclude every receiver, the reference the
-// silent rounds are held to, which says never.
-func (m *Medium) QuietFrom() sim.Round {
-	if m.force == pathReceivers {
-		return cd.Never
-	}
-	return m.exact
-}
-
-var _ sim.Quiet = (*Medium)(nil)
-
 // MustMedium is NewMedium for static configurations known to be valid; it
 // panics on error. Intended for tests, examples and benchmarks.
 func MustMedium(cfg Config) *Medium {
@@ -325,7 +298,7 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 	counted := exact && m.plain
 
 	gridded := m.force == pathGrid ||
-		m.force == pathAuto && len(txs) >= autoIndexMinTxs && len(txs)*len(rxs) >= autoIndexMinWork
+		m.force == pathAuto && len(txs)*len(rxs) >= autoIndexMinWork
 	gridded = gridded && m.grid.stamp(txs)
 	m.own.reset(txs)
 

@@ -143,13 +143,11 @@ type Engine struct {
 	// packed counts the node-steps the packed kernel took. moveChunk runs
 	// on helper goroutines, so each chunk adds its count once, atomically;
 	// so do the Transmit and Receive chunks, which count the listeners they
-	// passed by (muted) and those a reception woke. polled counts the awake
-	// nodes the Transmit walk visited, and heard the receptions computed:
-	// one per awake node a round that is not quiet.
+	// passed by (muted) and those a reception woke. heard counts the
+	// receptions computed, one per awake node a round.
 	packed atomic.Int64
 	muted  atomic.Int64
 	woken  atomic.Int64
-	polled int
 	heard  int
 
 	// plane propagates each round's transmissions: NewEngine's medium as
@@ -161,13 +159,11 @@ type Engine struct {
 // RoundHook observes a completed round: the transmissions that occurred and
 // the receptions delivered, indexed by NodeID over every node ever attached
 // — the entry of a node that was asleep or dead this round is the empty
-// reception (the zero value), since nothing was computed for it, and so is
-// every entry of a quiet round (see the package comment), for which no
-// medium was asked. Receptions exist only for the awake nodes, in
-// awake-list order, so an engine with a hook registered spreads them out
-// into that NodeID-indexed slice after every round with a sleeper or a dead
-// node in it, and clears it for a quiet round: O(attached) a round, which
-// an engine without hooks never pays. Hooks run sequentially after
+// reception (the zero value), since nothing was computed for it. Receptions
+// exist only for the awake nodes, in awake-list order, so an engine with a
+// hook registered spreads them out into that NodeID-indexed slice after
+// every round with a sleeper or a dead node in it: O(attached) a round,
+// which an engine without hooks never pays. Hooks run sequentially after
 // delivery; they may read the values but must not mutate them, and the
 // slices are only valid for the duration of the call — the engine and
 // medium reuse them the next round, so copy anything worth keeping.
@@ -344,7 +340,6 @@ func NewEngine(medium Medium, opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(e)
 	}
-	e.plane.learnQuiet()
 	return e
 }
 
@@ -733,10 +728,7 @@ func (e *Engine) Run(n int) {
 // has called ListenUntil costs its reception and a compare in each of the
 // Transmit and Receive walks, and is called only for what it hears. The
 // receptions come back positional over the awake list and are handed out by
-// position; only a registered RoundHook has them spread out by NodeID. A
-// quiet round (see the package comment) asks no medium: the Receive walk
-// hands the nodes that are not listening the empty reception, and is
-// skipped when the Transmit walk passed every awake node by.
+// position; only a registered RoundHook has them spread out by NodeID.
 func (e *Engine) Step() {
 	r := e.round
 
@@ -761,21 +753,9 @@ func (e *Engine) Step() {
 
 	e.move()
 
-	txs, muted := e.collectTransmissions(r)
-	var rxs []Reception // nil: the quiet round's, every one empty
-	if len(txs) > 0 || r < e.plane.quietFrom || quietOff {
-		rxs = e.plane.propagate(e, r, txs)
-		e.heard += len(e.awake)
-		e.deliver(r, rxs)
-	} else {
-		// A quiet round: no medium is asked, no copy crosses a shard edge,
-		// and only the awake nodes that are not listening are called —
-		// when every one listens, nobody.
-		e.plane.halo = 0
-		if muted < len(e.awake) {
-			e.deliver(r, nil)
-		}
-	}
+	txs := e.collectTransmissions(r)
+	rxs := e.plane.propagate(e, r, txs)
+	e.deliver(r, rxs)
 
 	e.stats.Rounds++
 	e.stats.Transmissions += len(txs)
@@ -797,12 +777,11 @@ func (e *Engine) Step() {
 
 // byNodeID spreads the round's receptions, positional over the awake list,
 // out into the NodeID-indexed slice a RoundHook is promised; nodes that were
-// not awake get the empty reception, and so does everyone in a quiet round
-// (rxs nil). With every attached node awake the position is the NodeID and
-// rxs is that slice already.
+// not awake get the empty reception. With every attached node awake the
+// position is the NodeID and rxs is that slice already.
 func (e *Engine) byNodeID(rxs []Reception) []Reception {
 	n := len(e.nodes)
-	if rxs != nil && len(e.awake) == n {
+	if len(e.awake) == n {
 		return rxs
 	}
 	if cap(e.hookRxs) < n {
@@ -810,10 +789,8 @@ func (e *Engine) byNodeID(rxs []Reception) []Reception {
 	}
 	out := e.hookRxs[:n]
 	clear(out)
-	if rxs != nil {
-		for i, st := range e.awake {
-			out[st.id] = rxs[i]
-		}
+	for i, st := range e.awake {
+		out[st.id] = rxs[i]
 	}
 	return out
 }
@@ -892,27 +869,21 @@ func (e *Engine) moveChunk(w, lo, hi int) {
 	}
 }
 
-// quietOff makes every round ask the medium, quiet or not: how the engine
-// ran before it knew quiet rounds. Only tests set it (export_test.go): it
-// is the oracle quiet rounds are held to, not a mode anyone can select.
-var quietOff bool
-
 // kernelOff makes every moveChunk step every node on the scalar path, as if
 // the packed kernel declined every pair. Only tests set it (export_test.go):
 // it is the oracle the kernel is held to, not a mode anyone can select.
 var kernelOff bool
 
 // collectTransmissions calls Transmit on every awake node that is not
-// listening and returns the non-nil results in NodeID order, and how many
-// listeners it passed by. Fanned out, chunks write per-position slots that
-// are then merged over the awake list, so the transmission list is
-// identical to the one-chunk collection, which appends as it goes and never
-// touches the slots; a listener's slot stays nil. The returned slice is
-// engine-owned and valid until the next round.
-func (e *Engine) collectTransmissions(r Round) ([]Transmission, int) {
+// listening and returns the non-nil results in NodeID order. Fanned out,
+// chunks write per-position slots that are then merged over the awake list,
+// so the transmission list is identical to the one-chunk collection, which
+// appends as it goes and never touches the slots; a listener's slot stays
+// nil. The returned slice is engine-owned and valid until the next round.
+func (e *Engine) collectTransmissions(r Round) []Transmission {
 	e.txs = e.txs[:0]
 	n := len(e.awake)
-	e.polled += n
+	e.heard += n
 	k := e.width(n)
 	if k == 1 {
 		muted := 0
@@ -928,7 +899,7 @@ func (e *Engine) collectTransmissions(r Round) ([]Transmission, int) {
 		if muted > 0 {
 			e.muted.Add(int64(muted))
 		}
-		return e.txs, muted
+		return e.txs
 	}
 	if len(e.txSlots) < n {
 		// Headroom, as rouse sizes the awake list: an exact fit would be
@@ -950,7 +921,6 @@ func (e *Engine) collectTransmissions(r Round) ([]Transmission, int) {
 			}
 		}
 	}
-	before := e.muted.Load()
 	e.runChunks(n, k, e.txFn)
 	for i, st := range e.awake {
 		if m := e.txSlots[i]; m != nil {
@@ -958,28 +928,17 @@ func (e *Engine) collectTransmissions(r Round) ([]Transmission, int) {
 			e.txSlots[i] = nil // drop the reference for GC
 		}
 	}
-	return e.txs, int(e.muted.Load() - before)
+	return e.txs
 }
 
-// deliver hands every awake node its reception: rxs[i] is awake[i]'s, and
-// in a quiet round, rxs nil, everyone's is empty. A listener gets it only
-// when it holds a message or a collision indication, and then stops
-// listening.
+// deliver hands every awake node its reception: rxs[i] is awake[i]'s. A
+// listener gets it only when it holds a message or a collision indication,
+// and then stops listening.
 func (e *Engine) deliver(r Round, rxs []Reception) {
 	e.curRxs = rxs
 	if e.rxFn == nil {
 		e.rxFn = func(_, lo, hi int) {
-			r := e.curRound
-			if e.curRxs == nil {
-				// Quiet: the empty reception passes every listener by.
-				for _, st := range e.awake[lo:hi] {
-					if Round(st.listen) <= r {
-						st.node.Receive(r, Reception{})
-					}
-				}
-				return
-			}
-			rxs, woken := e.curRxs[lo:hi], 0
+			r, rxs, woken := e.curRound, e.curRxs[lo:hi], 0
 			for i, st := range e.awake[lo:hi] {
 				if Round(st.listen) > r {
 					if len(rxs[i].Msgs) == 0 && !rxs[i].Collision {

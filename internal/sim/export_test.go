@@ -28,12 +28,6 @@ func SetSleepOff(off bool) { sleepOff = off }
 // that use it must not run in parallel.
 func SetKernelOff(off bool) { kernelOff = off }
 
-// SetQuietOff makes every round ask the medium (true), as the engine did
-// before it knew quiet rounds, or lets it skip the medium in a quiet one
-// again (false): the oracle quiet rounds are held to. Like SetSleepOff it is
-// a package variable, so tests that use it must not run in parallel.
-func SetQuietOff(off bool) { quietOff = off }
-
 // SetReserveOff makes Engine.Reserve a no-op (true), so a world's per-node
 // slices grow as its nodes attach, or lets it size them again (false): the
 // oracle Reserve is held to. Like SetSleepOff it is a package variable, so
@@ -71,7 +65,7 @@ type Counts struct {
 	RouseWords   int  // bitmap words rouse has looked at: the nonzero words of on and all of sum, per relist
 	Relists      int  // times rouse listed the awake list afresh
 	Packed       int  // node-steps the packed mobility kernel took
-	Receptions   int  // receptions computed: awake nodes, summed over the rounds that are not quiet
+	Receptions   int  // receptions computed: awake nodes, summed over rounds
 	Transmits    int  // Transmit calls: the awake nodes, summed over rounds, less the listeners passed by
 	Woken        int  // listeners a reception woke: Receive calls made to a listener
 	// ScratchBytes is the capacity of the buffers a round fills and empties —
@@ -89,7 +83,7 @@ func (e *Engine) Counts() Counts {
 		Relists:      e.relists,
 		Packed:       int(e.packed.Load()),
 		Receptions:   e.heard,
-		Transmits:    e.polled - int(e.muted.Load()),
+		Transmits:    e.heard - int(e.muted.Load()),
 		Woken:        int(e.woken.Load()),
 		ScratchBytes: cap(e.txs)*int(unsafe.Sizeof(Transmission{})) +
 			cap(e.txSlots)*int(unsafe.Sizeof(Message(nil))) +

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"vinfra/internal/geo"
@@ -81,11 +80,6 @@ type shardPlane struct {
 	rxs  []Reception // merged receptions, positional over the awake list
 	halo int         // boundary-band copies scattered this round
 
-	// quietFrom is the round from which a round with no transmissions is
-	// quiet on every medium of the plane (see Quiet), neverQuiet when one
-	// cannot say: learnt once, when the engine is built.
-	quietFrom Round
-
 	// Partition scratch, reused across rounds: the counting-sort state each
 	// partition chunk owns. owner holds every awake node's shard (computed
 	// once in the count phase, read in the write phase); counts/offs are
@@ -108,23 +102,6 @@ type shardPlane struct {
 	deliverFn func(w, lo, hi int)
 	countFn   func(w, lo, hi int)
 	writeFn   func(w, lo, hi int)
-}
-
-// neverQuiet is a plane's quietFrom when a medium cannot say.
-const neverQuiet = Round(math.MaxInt)
-
-// learnQuiet sets quietFrom from the plane's mediums: the latest of their
-// QuietFrom rounds, or never when one of them does not implement Quiet.
-func (sp *shardPlane) learnQuiet() {
-	sp.quietFrom = 0
-	for _, m := range sp.mediums {
-		q, ok := m.(Quiet)
-		if !ok {
-			sp.quietFrom = neverQuiet
-			return
-		}
-		sp.quietFrom = max(sp.quietFrom, q.QuietFrom())
-	}
 }
 
 // boxes makes room for the k bounding boxes of a mobility pass k chunks wide.

@@ -46,18 +46,6 @@
 // every round, to the same run with every SleepUntil and ListenUntil
 // ignored. Snapshots therefore do not record either: Restore wakes everyone
 // and stops every listener, and a node declares again at its next Receive.
-//
-// A round in which nobody transmits is quiet when every medium of the
-// engine says (Quiet) that such a round is the empty reception at every
-// receiver from that round on — radio.Medium does once its detector is
-// exact. The engine then asks no medium: it builds no receiver view,
-// partitions and scatters nothing, calls no Deliver and counts no
-// reception. Every awake node that is not listening gets the empty
-// reception in its Receive, fanned out as any round's are, a listener is
-// passed by, as an empty reception passes it, and a RoundHook is handed
-// the empty reception for every node. So a quiet round reads, to every node,
-// hook and statistic, exactly as the medium would have made it; a medium
-// that cannot say is asked every round.
 package sim
 
 import (
@@ -153,29 +141,13 @@ type NodeInfo struct {
 // refills the next round). Until then a Medium must leave them untouched:
 // the engine hands them to Receive and to the round's hooks after Deliver
 // returns.
-//
-// The engine does not call Deliver for a quiet round — no transmissions,
-// on a medium that implements Quiet, from its QuietFrom round on (see the
-// package comment): what Deliver would return there is known.
 type Medium interface {
 	Deliver(r Round, txs []Transmission, rxs []NodeInfo) []Reception
 }
 
-// Quiet is implemented by a Medium that can say from which round on a
-// round with no transmissions is the empty reception at every receiver:
-// nothing is heard, and no collision is indicated. The engine asks once,
-// when it is built, and from QuietFrom on skips the medium in every such
-// round; a round at or past every run's end (cd.Never) says never. The
-// answer must not change over the medium's life.
-type Quiet interface {
-	Medium
-	QuietFrom() Round
-}
-
 // Node is a protocol endpoint driven by the engine. In each round the
 // engine first calls Transmit on every alive node (nil means listen), then
-// computes propagation through the Medium — or, in a quiet round, knows
-// every reception is empty without asking it — then calls Receive on every
+// computes propagation through the Medium, then calls Receive on every
 // alive node — except nodes that are asleep (Env.SleepUntil), on which it
 // calls neither, and nodes that are listening (Env.ListenUntil), on which
 // it calls Receive only for a reception that is not empty. A node must not

@@ -74,17 +74,16 @@ func (c *cacheWorld) run(n int) {
 	}
 }
 
-// TestEmulatorCachesMatchRecompute holds the emulator's caches — clock,
-// schedule and region, the shared step and the estimate's reuse — to the
-// emulator that works them all out afresh on every call (vi.SetNoCache):
+// TestEmulatorCachesMatchRecompute holds the emulator's caches — region, the
+// shared step and broadcast, the estimate's reuse and the steady close — to
+// the emulator that works them all out afresh on every call (vi.SetNoCache):
 // the same world stepped both ways must encode to
 // the same engine and monitor snapshots after every radio round, through
 // loss, herding, a wipe, joins and a reset — and after an in-place
 // RestoreState, in the middle of a virtual round, that makes a stepped
 // emulator a replica of the virtual node a snapshot taken in another region
-// served: for the rest of that virtual round it must look its new virtual
-// node's schedule up, and at the start of the next its region, rather than
-// trust what it worked out before.
+// served: at the start of the next virtual round it must look its region
+// up rather than trust the lookup it made before.
 func TestEmulatorCachesMatchRecompute(t *testing.T) {
 	defer vi.SetNoCache(false)
 	cached, fresh := newCacheWorld(t), newCacheWorld(t)

@@ -287,11 +287,7 @@ type EmulatorHooks struct {
 // In some of those rounds a replica has nothing to send, and an empty
 // reception changes nothing it keeps, but what it hears would: there it only
 // listens (sim.Env.ListenUntil), and the engine computes its reception but
-// calls it only for a message or a collision indication — and in a quiet
-// round, one nobody transmits in, it computes none either (sim.Quiet), as
-// in most vetoes, joins, join-acks and resets of a steady run, and calls
-// only the replicas awake for the round with the empty reception. Those
-// duties are
+// calls it only for a message or a collision indication. Those duties are
 //
 //	veto-1            while its core is not red: only a red core vetoes (Figure
 //	                  1, line 21), and only a veto or a collision heard
@@ -320,19 +316,12 @@ type EmulatorHooks struct {
 // up for, each with its kind: a duty it must be awake for, or one of the
 // three it may only listen in. A Receive sleeps until the next duty and,
 // when that one and those after it are listen-only as the emulator now
-// stands, listens until the first it must be awake for. The emulator keeps
-// its place in the timetable, one index: the row, worked out once per
-// virtual round and whenever it joins, resets or changes region, gives
-// whether its virtual node is scheduled and whether it is seated in an
-// instance, and the next duty is the row's next entry. While it listens,
-// its place is the first duty it listens in, so a reception that wakes it
-// resumes the row there. The
-// emulator remembers which virtual round it last read the clock in, so a
-// round's offset into it is found without dividing (a division only when a
-// new virtual round begins, which also forgets the place); and the region
-// lookup at the start of a virtual round is skipped when the device stands,
-// bit for bit, where it stood at the last lookup. These caches are derived
-// from the round, the deployment and the location, never state a snapshot
+// stands, listens until the first it must be awake for. The emulator's row
+// gives whether its virtual node is scheduled and whether it is seated in an
+// instance, and its next duty is the first entry of the row past the
+// current round. The region lookup at the start of a virtual round is
+// skipped when the device stands, bit for bit, where it stood at the last
+// lookup: a cache derived from the location, never state a snapshot
 // records.
 type Emulator struct {
 	env   sim.Env
@@ -350,16 +339,7 @@ type Emulator struct {
 	requested       bool // joiner: sent a join request this vround
 	gotAck          bool // joiner: adopted an ack this vround
 
-	// The clock, timetable and region caches, with atOK above. vr is the
-	// virtual round the clock last read (from 1; 0 none) and wake the
-	// emulator's place in the timetable in it: an index into the
-	// deployment's duties, in the row of the emulator's kind — the entry it
-	// sleeps until, once a Receive has worked that out — or -1 when not
-	// worked out. A run past 2^31 virtual rounds wraps vr, which then never
-	// matches: the clock divides and the place is worked out on every call.
-	vr   int32
-	wake int32
-	at   geo.Point // see atOK
+	at geo.Point // see atOK
 
 	// cache is the replica's state cache, zero unless joined. It lives in
 	// the emulator, so a replica is one heap object, not two.
@@ -396,7 +376,6 @@ func (d *Deployment) NewEmulator(env sim.Env, bootstrap bool) *Emulator {
 	e.env = env
 	e.d = d
 	e.vn = None
-	e.wake = -1
 	if bootstrap {
 		if v := d.RegionOf(env.Location()); v != None {
 			e.enterRegion(v, d.newCM(v, env, true))
@@ -419,7 +398,6 @@ func (e *Emulator) Joined() bool { return e.joined }
 // its contention manager.
 func (e *Emulator) enterRegion(v VNodeID, mgr cm.Manager) {
 	e.vn = v
-	e.wake = -1
 	e.joined = false
 	e.seat.CM = mgr
 	e.seat.Core = nil
@@ -430,7 +408,6 @@ func (e *Emulator) enterRegion(v VNodeID, mgr cm.Manager) {
 
 func (e *Emulator) leaveRegion() {
 	e.vn = None
-	e.wake = -1
 	e.joined = false
 	e.seat.CM = nil
 	e.seat.Core = nil
@@ -443,7 +420,6 @@ func (e *Emulator) becomeReplica(floor cha.Instance, state []byte, core *cha.Cor
 	e.seat.Core = core
 	e.cache.resetAt(floor, state)
 	e.joined = true
-	e.wake = -1
 }
 
 // checkRegion re-evaluates region membership at the start of each virtual
@@ -473,40 +449,31 @@ func samePoint(a, b geo.Point) bool {
 	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }
 
-// noCache turns every emulator cache off: the deployment's step works each
-// position out afresh, never taking a sibling's published step, and every
-// replica asks its program for the broadcast itself; the state cache
-// refolds from the floor on every call; and clock, the emulator's
-// place in the timetable and checkRegion work their answers out afresh on
-// every call, which is how the emulator behaved before it cached them. Only
-// tests set it (export_test.go): it is the oracle the caches are held to,
-// not a mode anyone can select.
+// noCache turns every emulator cache off, each at the one site that reads
+// it, which then works its answer out afresh on every call — how the
+// emulator behaved before it cached them:
+//   - Deployment.step never takes a sibling's published step;
+//   - Deployment.outgoing asks the program for every replica's broadcast;
+//   - Deployment.stateAt refolds from the floor instead of resuming;
+//   - folded takes a steady close's state from the green history, not by
+//     stepping the one position above the floor;
+//   - checkRegion looks the region up whether or not the device moved.
+//
+// Only tests set it (export_test.go): it is the oracle the caches are held
+// to, not a mode anyone can select.
 var noCache bool
 
 // clock returns radio round r's offset into its virtual round and that
 // virtual round's number — from 1, so that virtual round vr corresponds to
-// agreement instance vr. It divides only when r lies outside the virtual
-// round it last answered for, and then forgets the emulator's place in the
-// timetable, which is the old virtual round's.
+// agreement instance vr.
 func (e *Emulator) clock(r sim.Round) (off, vr int) {
 	per := e.d.timing.RoundsPerVRound()
-	if off := int(r) - (int(e.vr)-1)*per; off >= 0 && off < per && !noCache {
-		return off, int(e.vr)
-	}
-	vr = int(r)/per + 1
-	e.vr, e.wake = int32(vr), -1
-	return int(r) % per, vr
+	return int(r) % per, int(r)/per + 1
 }
 
 // row returns the timetable row the emulator is in during virtual round vr,
-// the clock's. When its place is not known, it works it out: the first
-// entry of the row.
-func (e *Emulator) row(vr int) int {
-	if e.wake < 0 {
-		e.wake = int32(e.d.rowOf(e.vn, e.joined, vr) << dutyShift)
-	}
-	return int(e.wake) >> dutyShift
-}
+// the clock's.
+func (e *Emulator) row(vr int) int { return e.d.rowOf(e.vn, e.joined, vr) }
 
 // Transmit implements sim.Node.
 func (e *Emulator) Transmit(r sim.Round) sim.Message {
@@ -729,16 +696,14 @@ func (e *Emulator) Receive(r sim.Round, rx sim.Reception) {
 // nextDuty returns the offset into virtual round vr of the first round
 // after offset off in which the emulator as it now stands transmits or
 // changes snapshotted state — the next entry of its row of the timetable
-// (the rows end in RoundsPerVRound, the next client phase), which becomes
-// its place — and the offset of the first of those it must be awake for:
-// the same, or the first after a run of duties it only listens in.
+// (the rows end in RoundsPerVRound, the next client phase) — and the offset
+// of the first of those it must be awake for: the same, or the first after
+// a run of duties it only listens in.
 func (e *Emulator) nextDuty(off, vr int) (next, awake int) {
-	e.row(vr) // works the place out if need be
-	w := int(e.wake)
+	w := e.row(vr) << dutyShift
 	for int(e.d.duties[w]>>listenBits) <= off {
 		w++
 	}
-	e.wake = int32(w)
 	next = int(e.d.duties[w] >> listenBits)
 	for e.d.duties[w]&listenMask != dutyAwake && e.listens(e.d.duties[w]) {
 		w++

@@ -9,11 +9,12 @@ import (
 	"vinfra/internal/geo"
 )
 
-// SetNoCache turns every emulator cache off (true) — the shared step, the
-// shared broadcast, the estimate's reuse, the clock, the place in the
-// timetable and the region lookup, each worked out afresh on every call — or
-// back on (false): the oracle the caches are held to. It is a package variable, so tests that use
-// it must not run in parallel.
+// SetNoCache turns every emulator cache off (true) or back on (false): the
+// shared step, the shared broadcast, the estimate's reuse, the steady
+// close's one-position step and the region lookup, each worked out afresh
+// on every call (noCache lists the sites). It is the oracle the caches are
+// held to, and a package variable, so tests that use it must not run in
+// parallel.
 func SetNoCache(off bool) { noCache = off }
 
 // CountOnRound wraps every virtual node's program in d in one that counts

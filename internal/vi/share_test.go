@@ -79,10 +79,10 @@ func jamCell(t *testing.T, n int, intensity string, vrounds int) experiments.Soa
 
 // TestSharedFoldMatchesUnshared holds the emulator's caches — the step a
 // virtual node's replicas share, the estimate's reuse, whose check is what
-// lets a fold that ends a stall resume from it, and the timetable's cursor —
-// to the emulator that steps every position itself, refolds from the floor
-// on every call and works its place in the timetable out from its row's
-// start (vi.SetNoCache): the checkpoint digest after every virtual round
+// lets a fold that ends a stall resume from it, and the steady close's
+// one-position step — to the emulator that steps every position itself and
+// refolds from the floor on every call (vi.SetNoCache): the checkpoint
+// digest after every virtual round
 // must be the same both ways on the metro document, on
 // examples/regional.json (elected leaders, a virtual node now and then
 // without a green instance), on every E11 and E13 quick cell (kills,

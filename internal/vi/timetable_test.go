@@ -71,12 +71,8 @@ func listenOracle(s, off int, joined, sched, red, saw bool) bool {
 // duty rule it replaced: for every schedule length up to 16, every kind of
 // emulator — outside every region, joiner or replica, scheduled or not, in
 // every slot, a replica's core red or not and join activity seen or not —
-// asks nextDuty at every offset with its place forgotten, at every offset in
-// turn keeping its place (an emulator that never sleeps), at the offsets of
-// its duties only (one that sleeps, and is woken in every duty it listens
-// in), and at the offsets it must be awake for (one that listens through
-// the rest), and gets the oracle's next duty each time, and the first duty
-// after it that it does not only listen in.
+// asks nextDuty at every offset and gets the oracle's next duty each time,
+// and the first duty after it that it does not only listen in.
 func TestTimetableMatchesDutyOracle(t *testing.T) {
 	red := cha.NewCore()
 	red.Begin(1, cha.Value{})
@@ -97,7 +93,7 @@ func TestTimetableMatchesDutyOracle(t *testing.T) {
 					{false, false, false, false}, {true, false, false, false},
 					{true, true, false, false}, {true, true, true, false}, {true, true, false, true}, {true, true, true, true},
 				} {
-					e := &Emulator{d: d, vn: None, joined: kind.joined, sawJoinActivity: kind.saw, vr: int32(vr), wake: -1}
+					e := &Emulator{d: d, vn: None, joined: kind.joined, sawJoinActivity: kind.saw}
 					if kind.in {
 						e.vn = VNodeID(k)
 					}
@@ -105,8 +101,7 @@ func TestTimetableMatchesDutyOracle(t *testing.T) {
 						e.seat.Core = red
 					}
 					sched := k == (vr-1)%s
-					check := func(how string, off int) (int, int) {
-						t.Helper()
+					for off := 0; off < per; off++ {
 						next, awake := e.nextDuty(off, vr)
 						want := dutyOracle(s, off, kind.in, kind.joined, sched, k)
 						wantAwake := want
@@ -114,24 +109,9 @@ func TestTimetableMatchesDutyOracle(t *testing.T) {
 							wantAwake = dutyOracle(s, wantAwake, kind.in, kind.joined, sched, k)
 						}
 						if next != want || awake != wantAwake {
-							t.Fatalf("s=%d vround %d slot %d %+v, %s, offset %d: next duty %d, awake from %d; want %d and %d",
-								s, vr, k, kind, how, off, next, awake, want, wantAwake)
+							t.Fatalf("s=%d vround %d slot %d %+v, offset %d: next duty %d, awake from %d; want %d and %d",
+								s, vr, k, kind, off, next, awake, want, wantAwake)
 						}
-						return next, awake
-					}
-					for off := 0; off < per; off++ {
-						e.wake = -1
-						check("place forgotten", off)
-					}
-					e.wake = -1
-					for off := 0; off < per; off++ {
-						check("awake every round", off)
-					}
-					e.wake = -1
-					for off := 0; off < per; off, _ = check("woken in every duty", off) {
-					}
-					e.wake = -1
-					for off := 0; off < per; _, off = check("listening between its duties", off) {
 					}
 				}
 			}
@@ -140,8 +120,7 @@ func TestTimetableMatchesDutyOracle(t *testing.T) {
 }
 
 // TestEmulatorSize pins the emulator at 296 bytes: one more word measured
-// 3-10 % slower on metro-vi, so the timetable's place took the bytes of the
-// fields it replaced.
+// 3-10 % slower on metro-vi.
 func TestEmulatorSize(t *testing.T) {
 	if size := unsafe.Sizeof(Emulator{}); size > 296 {
 		t.Errorf("Emulator is %d bytes, want <= 296", size)
